@@ -7,8 +7,6 @@
 //! makes that workload cheap by making search state a first-class,
 //! versioned, content-addressed artifact:
 //!
-//! * [`codec`] — the reversible little-endian [`Persist`] byte codec
-//!   (deliberately distinct from the one-way fingerprint `Encode`);
 //! * [`snapshot`] — the versioned binary [`Snapshot`] format for paused
 //!   [`Search::run_resumable`](impossible_explore::Search::run_resumable)
 //!   runs: magic, format version, model fingerprint, canonical per-shard
@@ -35,13 +33,12 @@
 //! process boundaries never change a byte. See `docs/CKPT.md`.
 
 pub mod cache;
-pub mod codec;
 pub mod incr;
 pub mod manifest;
 pub mod snapshot;
 
 pub use cache::{job_key, model_fp, Verdict, VerdictCache};
-pub use codec::Persist;
+pub use impossible_explore::Persist;
 pub use incr::{crash_process, reexplore_incremental, reexplore_incremental_traced, ActionEdit, IncrStats};
 pub use manifest::{run_manifest, run_manifest_traced, CheckJob, JobOutcome, ManifestReport};
 pub use snapshot::{CkptError, Snapshot, FORMAT_VERSION, MAGIC};

@@ -43,9 +43,9 @@
 //! of a different model is refused by fingerprint before the engine ever
 //! sees its states.
 
-use crate::codec::{take, Persist, PersistError};
 use impossible_core::explore::Truncation;
 use impossible_explore::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page};
+use impossible_explore::persist::{take, Persist, PersistError};
 use impossible_explore::search::{Parent, SearchCheckpoint};
 use impossible_explore::FpHasher;
 

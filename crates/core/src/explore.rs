@@ -16,7 +16,6 @@
 
 use crate::exec::Execution;
 use crate::system::System;
-use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Which bound stopped an exploration before the space was exhausted.
@@ -117,17 +116,7 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
 
     /// Explore the full reachable space (within bounds), no predicate.
     pub fn explore(&self) -> ExploreReport<Sys::State, Sys::Action> {
-        self.explore_traced(&mut NoopTracer)
-    }
-
-    /// [`Explorer::explore`], recording trace events into `tracer` (scope
-    /// `"explore"`). The engine is single-threaded, so its trace is a pure
-    /// function of the system and the bounds.
-    pub fn explore_traced(
-        &self,
-        tracer: &mut dyn Tracer,
-    ) -> ExploreReport<Sys::State, Sys::Action> {
-        self.run(None::<fn(&Sys::State) -> bool>, tracer)
+        self.run(None::<fn(&Sys::State) -> bool>)
     }
 
     /// Explore until `pred` matches; the report's `witness` is a shortest
@@ -136,20 +125,7 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
     where
         F: Fn(&Sys::State) -> bool,
     {
-        self.search_traced(pred, &mut NoopTracer)
-    }
-
-    /// [`Explorer::search`], recording trace events into `tracer` (scope
-    /// `"explore"`).
-    pub fn search_traced<F>(
-        &self,
-        pred: F,
-        tracer: &mut dyn Tracer,
-    ) -> ExploreReport<Sys::State, Sys::Action>
-    where
-        F: Fn(&Sys::State) -> bool,
-    {
-        self.run(Some(pred), tracer)
+        self.run(Some(pred))
     }
 
     /// Enumerate all distinct reachable states (within bounds).
@@ -180,11 +156,7 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
         seen.into_keys().collect()
     }
 
-    fn run<F>(
-        &self,
-        pred: Option<F>,
-        tracer: &mut dyn Tracer,
-    ) -> ExploreReport<Sys::State, Sys::Action>
+    fn run<F>(&self, pred: Option<F>) -> ExploreReport<Sys::State, Sys::Action>
     where
         F: Fn(&Sys::State) -> bool,
     {
@@ -196,17 +168,8 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
         let mut truncated_by: Option<Truncation> = None;
         let mut found: Option<Sys::State> = None;
 
-        trace_event!(tracer, "explore", "start",
-            "strategy": "legacy-bfs",
-            "max_states": self.max_states,
-            "max_depth": self.max_depth,
-        );
-
         for s in self.sys.initial_states() {
             if parent.len() >= self.max_states {
-                if truncated_by.is_none() {
-                    trace_event!(tracer, "explore", "truncate", "cause": "states", "depth": 0usize);
-                }
                 truncated_by.get_or_insert(Truncation::States);
                 break;
             }
@@ -217,13 +180,6 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
                 }
                 queue.push_back((s, 0));
             }
-        }
-        trace_event!(tracer, "explore", "init",
-            "queued": queue.len(),
-            "states": parent.len(),
-        );
-        if found.is_some() {
-            trace_event!(tracer, "explore", "found", "depth": 0usize);
         }
 
         'bfs: while let Some((s, d)) = queue.pop_front() {
@@ -236,9 +192,6 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
                 continue;
             }
             if d >= self.max_depth {
-                if truncated_by.is_none() {
-                    trace_event!(tracer, "explore", "truncate", "cause": "depth", "depth": d);
-                }
                 truncated_by.get_or_insert(Truncation::Depth);
                 continue;
             }
@@ -247,29 +200,18 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
                 transitions += 1;
                 if !parent.contains_key(&t) {
                     if parent.len() >= self.max_states {
-                        if truncated_by.is_none() {
-                            trace_event!(tracer, "explore", "truncate", "cause": "states", "depth": d);
-                        }
                         truncated_by.get_or_insert(Truncation::States);
                         continue 'bfs;
                     }
                     parent.insert(t.clone(), Some((s.clone(), a.clone())));
                     if pred.as_ref().is_some_and(|p| p(&t)) && found.is_none() {
                         found = Some(t.clone());
-                        trace_event!(tracer, "explore", "found", "depth": d + 1);
                         break 'bfs;
                     }
                     queue.push_back((t, d + 1));
                 }
             }
         }
-        trace_event!(tracer, "explore", "end",
-            "states": parent.len(),
-            "transitions": transitions,
-            "terminals": terminal.len(),
-            "truncated": truncated_by.map_or("none", |t| t.name()),
-            "witness": found.is_some(),
-        );
 
         let witness = found.map(|target| {
             // Walk parents back to an initial state.

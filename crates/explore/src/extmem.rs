@@ -1,13 +1,16 @@
 //! External-memory BFS: exploration past RAM with byte-identical reports.
 //!
-//! ROADMAP item 1. The resident engine ([`crate::search`]) holds the whole
+//! ROADMAP item 1. The resident backend ([`crate::search`]) holds the whole
 //! visited set in [`ShardedFpMap`] and the whole frontier in partitioned
 //! `Vec`s; at 10⁷–10⁸ states that is gigabytes of tables, and the
 //! interesting model-checking instances (the survey's arguments are only
-//! as convincing as the spaces we can exhaust) go further. This module
-//! spills *cold visited shards* — and optionally frontier partitions — to
-//! deterministic per-shard run files, and streams them back per level,
-//! without changing a single byte of the report:
+//! as convincing as the spaces we can exhaust) go further. This module is
+//! the *spilling* visited backend of the same search: `explore_extmem` is
+//! the resident init, level loop (`Search::bfs_levels`), two-pass level
+//! body and finish, driven over `Spill`, which pages *cold visited shards*
+//! — and optionally frontier partitions — to deterministic per-shard run
+//! files and streams them back per level, without changing a single byte
+//! of the report:
 //!
 //! * **Spill unit = shard, boundary = level.** When the resident visited
 //!   set exceeds [`SpillPolicy::ram_keys`] at a level boundary, every
@@ -17,26 +20,26 @@
 //!   key lives in RAM **or** in exactly one run file, never both: spilled
 //!   keys are never re-inserted, because membership is probed before every
 //!   commit.
-//! * **Per-level probe/stage/commit.** Pass 1 is the resident engine's own
-//!   parallel expansion ([`crate::search`]'s `expand_pass1`), children
-//!   bucketed by destination shard. Each shard's worker then probes its
-//!   resident shard and a level-local dedup table, stages
+//! * **Per-level probe/stage/commit.** Pass 1 is the shared parallel
+//!   expansion, children bucketed by destination shard (a paged frontier
+//!   partition decodes inside its worker). In pass 2 each shard's worker
+//!   probes its resident shard and a level-local dedup table, stages
 //!   tentatively-fresh children in traversal order, intersects the staged
 //!   keys against the shard's run files (sorted-merge over the run pages'
 //!   key blocks — values never decoded), and commits the survivors in
 //!   staged order. The committed sequence per shard is provably the
 //!   first-occurrence order of genuinely-new keys — exactly what the
-//!   resident engine's worker-local insert produces — so `next_parts`,
+//!   resident backend's worker-local insert produces — so `next_parts`,
 //!   `dedup_hits`, terminals and every other report byte agree.
 //! * **Cap levels replay j-major.** On the rare level where
 //!   `visited + children > max_states`, dedup-vs-cap precedence for keys
-//!   recurring in-level matters, so (like the resident engine) the level
-//!   replays sequentially in exact j-major order via the pass-1 `route`,
-//!   with disk membership precomputed per shard. `cap_fallbacks` counts
-//!   these levels identically.
+//!   recurring in-level matters, so the level body replays sequentially in
+//!   exact j-major order via the pass-1 `route` — the one replay both
+//!   backends share — asking this backend only for the spilled-key count
+//!   and each shard's disk membership.
 //! * **Memory is accounted, not guessed.** [`crate::SearchStats::peak_bytes`]
-//!   samples the same shallow formula as the resident engine (table slot
-//!   arrays + frontier records at fixed widths) at every level boundary —
+//!   is the level loop's one shallow formula (table slot arrays + resident
+//!   frontier records at fixed widths) sampled at every level boundary —
 //!   deterministic integer accounting, no RSS syscall — so "bounded peak
 //!   RSS" is a recorded number, and the spilled run's lower figure is
 //!   directly comparable.
@@ -56,12 +59,13 @@ use crate::fingerprint::Encode;
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
 use crate::persist::Persist;
 use crate::pool::WorkerPool;
-use crate::search::{BfsRun, Expanded, Parent, Search, SearchReport};
+use crate::search::{BfsRun, Child, Parent, PauseBudget, Search, SearchReport, VisitedBackend};
 use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
-use impossible_core::explore::Truncation;
 use impossible_core::system::System;
 use impossible_obs::NoopTracer;
+use std::borrow::Cow;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// Where and when the external-memory engine spills.
 ///
@@ -128,42 +132,42 @@ impl SpillPolicy {
     }
 }
 
-/// The on-disk half of a spilled search: run files per shard, paged
-/// frontier partitions, and the key counts that keep `num_states` and the
-/// cap exact without touching disk.
-struct DiskState {
-    dir: PathBuf,
+/// The spilling [`VisitedBackend`]: run files per shard, paged frontier
+/// partitions, and the key counts that keep `num_states` and the cap exact
+/// without touching disk.
+struct Spill {
+    policy: SpillPolicy,
     /// Completed visited flushes (names the next run generation).
     flushes: usize,
     /// Run files per shard, in flush order. Key-disjoint by construction.
     runs: Vec<Vec<PathBuf>>,
     /// Total keys across all run files.
     spilled: usize,
-    /// True when the *current* frontier lives in `front{k:03}.page` files.
-    frontier_paged: bool,
-    /// Per-partition lengths of the paged frontier (`frontier_paged` only).
-    part_lens: Vec<usize>,
+    /// Per-partition lengths of the current frontier while it lives in
+    /// `front{k:03}.page` files; `None` while it is resident.
+    paged: Option<Vec<usize>>,
     /// One reusable read buffer per shard for membership probes: run files
     /// are re-read every level, and a fresh `fs::read` allocation per file
     /// per level is pure churn. The buffer is cleared (capacity retained)
-    /// before each read. Deliberately *not* counted in `peak_bytes` — the
-    /// accounting formula covers table slots and frontier records only,
-    /// and must not change between the buffered and unbuffered read paths.
-    read_bufs: Vec<Vec<u8>>,
+    /// before each read; the lock is never contended (shard `k`'s buffer is
+    /// only touched by whoever holds shard `k` this pass). Deliberately
+    /// *not* counted in `peak_bytes` — the accounting formula covers table
+    /// slots and frontier records only, and must not change between the
+    /// buffered and unbuffered read paths.
+    read_bufs: Vec<Mutex<Vec<u8>>>,
 }
 
-impl DiskState {
+impl Spill {
     fn new(partitions: usize, policy: &SpillPolicy) -> Self {
         std::fs::create_dir_all(policy.dir())
             .unwrap_or_else(|e| panic!("spill dir {}: {e}", policy.dir().display()));
-        DiskState {
-            dir: policy.dir().to_path_buf(),
+        Spill {
+            policy: policy.clone(),
             flushes: 0,
             runs: (0..partitions).map(|_| Vec::new()).collect(),
             spilled: 0,
-            frontier_paged: false,
-            part_lens: vec![0; partitions],
-            read_bufs: (0..partitions).map(|_| Vec::new()).collect(),
+            paged: None,
+            read_bufs: (0..partitions).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
@@ -179,7 +183,7 @@ impl DiskState {
             let entries: Vec<(u64, Parent<A>)> =
                 shard.iter_ordered().map(|(key, v)| (key, v.clone())).collect();
             let page = encode_run_page(&entries);
-            let path = self.dir.join(format!("shard{k:03}.run{r:03}"));
+            let path = self.policy.dir().join(format!("shard{k:03}.run{r:03}"));
             std::fs::write(&path, page)
                 .unwrap_or_else(|e| panic!("spill write {}: {e}", path.display()));
             self.runs[k].push(path);
@@ -193,7 +197,6 @@ impl DiskState {
     /// Page the next frontier out, one file per non-empty partition
     /// (overwritten each level), keeping only the lengths resident.
     fn store_frontier<S: Persist>(&mut self, parts: &[Vec<(u64, S)>]) {
-        self.part_lens = parts.iter().map(Vec::len).collect();
         for (k, part) in parts.iter().enumerate() {
             if part.is_empty() {
                 continue;
@@ -202,16 +205,13 @@ impl DiskState {
             std::fs::write(&path, encode_frontier_page(part))
                 .unwrap_or_else(|e| panic!("frontier write {}: {e}", path.display()));
         }
-        self.frontier_paged = true;
+        self.paged = Some(parts.iter().map(Vec::len).collect());
     }
 
-    /// Stream one paged frontier partition back, in its exact stored
-    /// (traversal) order. `Persist` round trips are identities, so the
-    /// decoded partition is the one the previous level produced.
+    /// Stream one non-empty paged frontier partition back, in its exact
+    /// stored (traversal) order. `Persist` round trips are identities, so
+    /// the decoded partition is the one the previous level produced.
     fn load_partition<S: Persist>(&self, k: usize) -> Vec<(u64, S)> {
-        if self.part_lens[k] == 0 {
-            return Vec::new();
-        }
         let path = self.frontier_path(k);
         let buf = std::fs::read(&path)
             .unwrap_or_else(|e| panic!("frontier read {}: {e}", path.display()));
@@ -220,18 +220,159 @@ impl DiskState {
     }
 
     fn frontier_path(&self, k: usize) -> PathBuf {
-        self.dir.join(format!("front{k:03}.page"))
+        self.policy.dir().join(format!("front{k:03}.page"))
     }
 
-    /// Cold-path parent lookup for witness replay: decode the owning
-    /// shard's run pages until the key surfaces.
-    fn lookup_spilled_parent<A: Persist>(&self, fp: u64, partitions: usize) -> Option<Parent<A>> {
-        let k = shard_index(fp, partitions);
-        let key = key_of(fp);
+    /// Which `keys` (sorted, unique) are already in shard `k`'s run files:
+    /// a sorted-merge against each run page's key block — values never
+    /// decoded, file bytes staged through the shard's reusable buffer.
+    /// Returns the matches, sorted.
+    fn disk_membership(&self, k: usize, keys: &[u64]) -> Vec<u64> {
+        use std::io::Read;
+        let mut buf = self.read_bufs[k].lock().expect("read buffer poisoned");
+        let mut old = Vec::new();
         for path in &self.runs[k] {
+            buf.clear();
+            std::fs::File::open(path)
+                .and_then(|mut f| f.read_to_end(&mut buf))
+                .unwrap_or_else(|e| panic!("run read {}: {e}", path.display()));
+            let run_keys = run_page_keys(&buf)
+                .unwrap_or_else(|e| panic!("run page {}: {e}", path.display()));
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < keys.len() && j < run_keys.len() {
+                match keys[i].cmp(&run_keys[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        old.push(keys[i]);
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+        }
+        // Runs are key-disjoint, but their key ranges interleave.
+        old.sort_unstable();
+        old
+    }
+}
+
+impl<Sys: System> VisitedBackend<Sys> for Spill
+where
+    Sys::State: Persist,
+    Sys::Action: Persist,
+{
+    const RESIDENT: bool = false;
+
+    fn spilled(&self) -> usize {
+        self.spilled
+    }
+
+    /// A paged frontier counts its largest single partition as resident
+    /// (the per-worker-slot bound — deliberately a worker-count-independent
+    /// convention).
+    fn frontier_lens(&self, parts: &[Vec<(u64, Sys::State)>]) -> (usize, usize) {
+        match &self.paged {
+            Some(lens) => (lens.iter().sum(), lens.iter().copied().max().unwrap_or(0)),
+            None => {
+                let len = parts.iter().map(Vec::len).sum();
+                (len, len)
+            }
+        }
+    }
+
+    fn partition<'p>(
+        &self,
+        parts: &'p [Vec<(u64, Sys::State)>],
+        k: usize,
+    ) -> Cow<'p, [(u64, Sys::State)]> {
+        match &self.paged {
+            Some(lens) if lens[k] > 0 => Cow::Owned(self.load_partition(k)),
+            _ => Cow::Borrowed(&parts[k]),
+        }
+    }
+
+    /// Probe the resident shard and a level-local table, stage
+    /// tentative-fresh children in traversal order, subtract disk
+    /// membership, commit survivors.
+    ///
+    /// Extensionally equal to [`crate::search::Resident`]'s insert loop: a child keys as a
+    /// dedup hit here iff its key was visited before the level (resident
+    /// shard ∪ run files) or committed earlier in this shard's traversal
+    /// sequence — the same predicate `try_insert_with` evaluates when every
+    /// key is resident — and commits happen in first-occurrence order,
+    /// which is the resident fresh-list order.
+    fn classify_shard(
+        &self,
+        k: usize,
+        shard: &mut FpMap<Parent<Sys::Action>>,
+        groups: Vec<Vec<Child<Sys::State, Sys::Action>>>,
+    ) -> (Vec<(u64, Sys::State)>, usize) {
+        let mut dedup = 0usize;
+        let mut staged: Vec<Child<Sys::State, Sys::Action>> = Vec::new();
+        let mut level_seen: FpMap<()> = FpMap::new();
+        for group in groups {
+            for (fp, tc, a, parent) in group {
+                if shard.contains(fp) {
+                    dedup += 1;
+                    continue;
+                }
+                match level_seen.try_insert_with(fp, Cap::Unbounded, || ()) {
+                    TryInsert::Present => dedup += 1,
+                    TryInsert::Inserted => staged.push((fp, tc, a, parent)),
+                    TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
+                }
+            }
+        }
+        let mut staged_keys: Vec<u64> = staged.iter().map(|&(fp, ..)| key_of(fp)).collect();
+        staged_keys.sort_unstable();
+        let old = self.disk_membership(k, &staged_keys);
+        let mut fresh: Vec<(u64, Sys::State)> = Vec::new();
+        for (fp, tc, a, parent) in staged {
+            if old.binary_search(&key_of(fp)).is_ok() {
+                dedup += 1;
+            } else {
+                let r = shard.try_insert_with(fp, Cap::Unbounded, || Parent::Child {
+                    parent,
+                    action: a,
+                });
+                debug_assert_eq!(r, TryInsert::Inserted, "staged keys are level-unique");
+                fresh.push((fp, tc));
+            }
+        }
+        (fresh, dedup)
+    }
+
+    fn on_disk(&self, k: usize, keys: &[u64]) -> Vec<u64> {
+        self.disk_membership(k, keys)
+    }
+
+    fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>) {
+        // The next frontier is fully resident here (the commit path
+        // materializes it): account for it before any of it pages out.
+        let next_len: usize = next.iter().map(Vec::len).sum();
+        let bytes = run.visited.approx_bytes() + next_len * Search::<Sys>::frontier_item_bytes();
+        run.stats.peak_bytes = run.stats.peak_bytes.max(bytes);
+        if run.visited.len() >= self.policy.ram_keys_value() {
+            self.flush_visited(&mut run.visited);
+        }
+        if self.policy.spill_frontier_value() && run.found.is_none() {
+            self.store_frontier(&next);
+            run.parts = next.iter().map(|_| Vec::new()).collect();
+        } else {
+            run.parts = next;
+            self.paged = None;
+        }
+    }
+
+    /// Cold path: decode the owning shard's run pages until the key
+    /// surfaces.
+    fn spilled_parent(&self, fp: u64) -> Option<Parent<Sys::Action>> {
+        let key = key_of(fp);
+        for path in &self.runs[shard_index(fp, self.runs.len())] {
             let buf = std::fs::read(path)
                 .unwrap_or_else(|e| panic!("run read {}: {e}", path.display()));
-            let entries = decode_run_page::<Parent<A>>(&buf)
+            let entries = decode_run_page::<Parent<Sys::Action>>(&buf)
                 .unwrap_or_else(|e| panic!("run page {}: {e}", path.display()));
             if let Ok(i) = entries.binary_search_by_key(&key, |&(k, _)| k) {
                 return Some(entries.into_iter().nth(i).expect("index in range").1);
@@ -239,96 +380,6 @@ impl DiskState {
         }
         None
     }
-}
-
-/// Read `path` into `buf`, cleared first with capacity retained — the
-/// per-shard buffer reuse that replaces a fresh `fs::read` allocation per
-/// run file per level on the membership-probe hot path.
-fn read_run_file(path: &PathBuf, buf: &mut Vec<u8>) {
-    use std::io::Read;
-    buf.clear();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(buf))
-        .unwrap_or_else(|e| panic!("run read {}: {e}", path.display()));
-}
-
-/// Which staged keys are already in this shard's run files: a sorted-merge
-/// of the (sorted, unique) staged keys against each run page's key block —
-/// values never decoded, file bytes staged through the shard's reusable
-/// `buf`. Returns the matches, sorted.
-fn disk_membership(staged_keys: &[u64], runs: &[PathBuf], buf: &mut Vec<u8>) -> Vec<u64> {
-    let mut old = Vec::new();
-    for path in runs {
-        read_run_file(path, buf);
-        let run_keys = run_page_keys(buf)
-            .unwrap_or_else(|e| panic!("run page {}: {e}", path.display()));
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < staged_keys.len() && j < run_keys.len() {
-            match staged_keys[i].cmp(&run_keys[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    old.push(staged_keys[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    // Runs are key-disjoint, but their key ranges interleave.
-    old.sort_unstable();
-    old
-}
-
-/// Pass 2 of a spill-mode level for one shard, no cap pressure: probe the
-/// resident shard and a level-local table, stage tentative-fresh children
-/// in traversal order, subtract disk membership, commit survivors.
-///
-/// Extensionally equal to the resident engine's worker-local insert loop:
-/// a child keys as a dedup hit here iff its key was visited before the
-/// level (resident shard ∪ run files) or committed earlier in this shard's
-/// traversal sequence — the same predicate `try_insert_with` evaluates
-/// when every key is resident — and commits happen in first-occurrence
-/// order, which is the resident fresh-list order.
-fn classify_shard<S, A: Clone>(
-    shard: &mut FpMap<Parent<A>>,
-    groups: Vec<Vec<(u64, S, A, u64)>>,
-    runs: &[PathBuf],
-    buf: &mut Vec<u8>,
-) -> (Vec<(u64, S)>, usize) {
-    let mut dedup = 0usize;
-    let mut staged: Vec<(u64, S, A, u64)> = Vec::new();
-    let mut level_seen: FpMap<()> = FpMap::new();
-    for group in groups {
-        for (fp, tc, a, parent) in group {
-            if shard.contains(fp) {
-                dedup += 1;
-                continue;
-            }
-            match level_seen.try_insert_with(fp, Cap::Unbounded, || ()) {
-                TryInsert::Present => dedup += 1,
-                TryInsert::Inserted => staged.push((fp, tc, a, parent)),
-                TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
-            }
-        }
-    }
-    let mut staged_keys: Vec<u64> = staged.iter().map(|&(fp, ..)| key_of(fp)).collect();
-    staged_keys.sort_unstable();
-    let old = disk_membership(&staged_keys, runs, buf);
-    let mut fresh: Vec<(u64, S)> = Vec::new();
-    for (fp, tc, a, parent) in staged {
-        if old.binary_search(&key_of(fp)).is_ok() {
-            dedup += 1;
-        } else {
-            let r = shard.try_insert_with(fp, Cap::Unbounded, || Parent::Child {
-                parent,
-                action: a,
-            });
-            debug_assert_eq!(r, TryInsert::Inserted, "staged keys are level-unique");
-            fresh.push((fp, tc));
-        }
-    }
-    (fresh, dedup)
 }
 
 impl<'a, Sys: System> Search<'a, Sys>
@@ -358,10 +409,8 @@ where
         self.run_extmem(Some(pred), policy)
     }
 
-    /// The external-memory level loop. Mirrors `bfs_levels` stage for
-    /// stage — sampling, cutoff, expansion, classification, predicate scan
-    /// — with spill hooks at the level boundaries where the resident
-    /// engine's invariants already force full synchronization.
+    /// The resident engine's init, level loop and finish, over a [`Spill`]
+    /// backend.
     fn run_extmem<F>(
         &self,
         pred: Option<F>,
@@ -374,225 +423,12 @@ where
             !self.audit_enabled(),
             "collision audit keeps full states resident; not supported in external-memory mode"
         );
-        let (max_states, max_depth) = self.bounds();
-        let nparts = self.partitions_value();
-        let item_bytes = Self::frontier_item_bytes();
         let pool = WorkerPool::new(self.workers_value());
-        let mut run: BfsRun<Sys> = self.bfs_init(&pool, pred.as_ref(), &mut NoopTracer);
-        let mut disk = DiskState::new(nparts, policy);
-
-        loop {
-            let frontier_len: usize = if disk.frontier_paged {
-                disk.part_lens.iter().sum()
-            } else {
-                run.parts.iter().map(Vec::len).sum()
-            };
-            if run.found.is_some() || frontier_len == 0 {
-                break;
-            }
-            run.stats.peak_frontier = run.stats.peak_frontier.max(frontier_len);
-            // Same shallow formula as the resident engine, but only what is
-            // actually resident: a paged frontier counts its largest single
-            // partition (the per-worker-slot bound — deliberately a
-            // worker-count-independent convention).
-            let resident_frontier = if disk.frontier_paged {
-                disk.part_lens.iter().copied().max().unwrap_or(0)
-            } else {
-                frontier_len
-            };
-            run.stats.peak_bytes = run
-                .stats
-                .peak_bytes
-                .max(run.visited.approx_bytes() + resident_frontier * item_bytes);
-
-            if run.depth >= max_depth {
-                // Cutoff level: record terminals, flag unexpanded work —
-                // streaming partitions back one at a time if paged.
-                for k in 0..nparts {
-                    let loaded;
-                    let part: &[(u64, Sys::State)] = if disk.frontier_paged {
-                        loaded = disk.load_partition::<Sys::State>(k);
-                        &loaded
-                    } else {
-                        &run.parts[k]
-                    };
-                    for (_, s) in part {
-                        run.stats.expansions += 1;
-                        if self.sys().enabled(s).is_empty() {
-                            run.terminal.push(s.clone());
-                        } else {
-                            run.truncated_by.get_or_insert(Truncation::Depth);
-                        }
-                    }
-                }
-                break;
-            }
-
-            run.stats.levels += 1;
-            let visited_before = run.visited.len() + disk.spilled;
-
-            // Pass 1 — the resident engine's own parallel expansion; a
-            // paged frontier decodes inside the owning worker instead of
-            // ever being whole in memory.
-            let mut recs: Vec<Expanded<Sys::State, Sys::Action>> = if disk.frontier_paged {
-                let idx: Vec<usize> = (0..nparts).collect();
-                pool.map_indexed(idx, |_, k| {
-                    let part = disk.load_partition::<Sys::State>(k);
-                    self.expand_one_partition(&part)
-                })
-            } else {
-                self.expand_pass1(&pool, &run.parts)
-            };
-
-            // Stitch counters and terminals, in partition order.
-            let mut level_children = 0usize;
-            for rec in &mut recs {
-                run.stats.expansions += rec.expansions;
-                run.stats.canon_hits += rec.canon_hits;
-                level_children += rec.children;
-                run.terminal.append(&mut rec.terminals);
-            }
-
-            let mut next_parts: Vec<Vec<(u64, Sys::State)>> =
-                (0..nparts).map(|_| Vec::new()).collect();
-
-            if visited_before + level_children <= max_states {
-                // Pass 2 — worker-local probe/stage/commit per shard.
-                run.transitions += level_children;
-                let mut per_shard: Vec<Vec<Vec<(u64, Sys::State, Sys::Action, u64)>>> =
-                    (0..nparts).map(|_| Vec::with_capacity(recs.len())).collect();
-                for rec in &mut recs {
-                    for (k, bucket) in rec.by_shard.iter_mut().enumerate() {
-                        per_shard[k].push(std::mem::take(bucket));
-                    }
-                }
-                type ShardJob<'s, S, A> = (
-                    &'s mut FpMap<Parent<A>>,
-                    Vec<Vec<(u64, S, A, u64)>>,
-                    &'s [PathBuf],
-                    &'s mut Vec<u8>,
-                );
-                let jobs: Vec<ShardJob<'_, Sys::State, Sys::Action>> = run
-                    .visited
-                    .shards_mut()
-                    .iter_mut()
-                    .zip(per_shard)
-                    .zip(disk.runs.iter())
-                    .zip(disk.read_bufs.iter_mut())
-                    .map(|(((shard, groups), runs), buf)| (shard, groups, runs.as_slice(), buf))
-                    .collect();
-                let results = pool.map_indexed(jobs, |_, (shard, groups, runs, buf)| {
-                    classify_shard(shard, groups, runs, buf)
-                });
-                run.visited.refresh_len();
-                for (k, (fresh, dedup)) in results.into_iter().enumerate() {
-                    run.stats.dedup_hits += dedup;
-                    next_parts[k] = fresh;
-                }
-            } else {
-                // Cap could bind: dedup-vs-cap precedence for keys
-                // recurring in-level depends on the exact insert sequence,
-                // so replay j-major like the resident engine — with disk
-                // membership for every child key precomputed per shard.
-                let mut old_sets: Vec<Vec<u64>> = Vec::with_capacity(nparts);
-                for k in 0..nparts {
-                    let mut keys: Vec<u64> = recs
-                        .iter()
-                        .flat_map(|rec| rec.by_shard[k].iter().map(|&(fp, ..)| key_of(fp)))
-                        .collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    old_sets.push(disk_membership(&keys, &disk.runs[k], &mut disk.read_bufs[k]));
-                }
-                for rec in recs {
-                    let mut buckets: Vec<std::vec::IntoIter<_>> =
-                        rec.by_shard.into_iter().map(Vec::into_iter).collect();
-                    for &k in &rec.route {
-                        let (fp, tc, a, parent) = buckets[k as usize]
-                            .next()
-                            .expect("route covers every bucketed child");
-                        run.transitions += 1;
-                        if run.visited.contains(fp)
-                            || old_sets[k as usize].binary_search(&key_of(fp)).is_ok()
-                        {
-                            run.stats.dedup_hits += 1;
-                        } else if run.visited.len() + disk.spilled >= max_states {
-                            run.truncated_by.get_or_insert(Truncation::States);
-                        } else {
-                            let r = run.visited.try_insert_with(fp, Cap::Unbounded, || {
-                                Parent::Child { parent, action: a }
-                            });
-                            debug_assert_eq!(r, TryInsert::Inserted, "probed fresh");
-                            next_parts[k as usize].push((fp, tc));
-                        }
-                    }
-                }
-            }
-            if visited_before + level_children > max_states {
-                run.stats.cap_fallbacks += 1;
-            }
-            // Fold the pool's steal counters in at the level boundary —
-            // the same pass structure as the resident engine (expand +
-            // shard classify, cap levels sequential), so a spilled and a
-            // resident run at the same worker count record the same
-            // numbers.
-            let (steal_passes, stolen) = pool.take_steals();
-            run.stats.steals += steal_passes as usize;
-            run.stats.stolen_shards += stolen as usize;
-
-            // Predicate scan over the level's fresh states, shard-major —
-            // the same placement that makes `found` worker-count invariant
-            // in the resident engine.
-            if let Some(p) = pred.as_ref() {
-                'scan: for bucket in &next_parts {
-                    for (fp, s) in bucket {
-                        if p(s) {
-                            run.found = Some(*fp);
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-
-            // The next frontier is fully resident here (the commit path
-            // materializes it): account for it before any of it pages out.
-            let next_len: usize = next_parts.iter().map(Vec::len).sum();
-            run.stats.peak_bytes = run
-                .stats
-                .peak_bytes
-                .max(run.visited.approx_bytes() + next_len * item_bytes);
-
-            // Spill hooks — level boundary, everything synchronized.
-            if run.visited.len() >= policy.ram_keys_value() {
-                disk.flush_visited(&mut run.visited);
-            }
-            if policy.spill_frontier_value() && run.found.is_none() {
-                disk.store_frontier(&next_parts);
-                run.parts = (0..nparts).map(|_| Vec::new()).collect();
-            } else {
-                run.parts = next_parts;
-                disk.frontier_paged = false;
-            }
-            run.depth += 1;
-        }
-
-        let witness = run.found.map(|target| {
-            let visited = &run.visited;
-            let disk = &disk;
-            self.replay_witness_with(target, |fp| {
-                visited.get(fp).cloned().or_else(|| {
-                    disk.lookup_spilled_parent::<Sys::Action>(fp, nparts)
-                })
-            })
-        });
-
-        SearchReport {
-            num_states: run.visited.len() + disk.spilled,
-            num_transitions: run.transitions,
-            terminal_states: run.terminal,
-            truncated_by: run.truncated_by,
-            witness,
-            stats: run.stats,
-        }
+        let (pred, never, tracer) = (pred.as_ref(), PauseBudget::never(), &mut NoopTracer);
+        let mut run = self.bfs_init(&pool, pred, tracer);
+        let mut spill = Spill::new(self.partitions_value(), policy);
+        let paused = self.bfs_levels(&pool, &mut run, &mut spill, pred, &never, tracer);
+        debug_assert!(!paused, "PauseBudget::never cannot pause");
+        self.bfs_finish(run, &spill, tracer)
     }
 }

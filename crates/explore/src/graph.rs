@@ -103,12 +103,7 @@ where
     {
         let sys = self.sys();
         let (max_states, max_depth) = self.bounds();
-        let canon = self.canon_hook();
         let seed = self.seed_value();
-        let canonize = |s: Sys::State| match canon {
-            None => s,
-            Some(c) => c(&s),
-        };
 
         let mut order: Vec<Sys::State> = Vec::new();
         let mut succ: Vec<Vec<(Sys::Action, usize)>> = Vec::new();
@@ -164,7 +159,7 @@ where
         }
 
         for s0 in sys.initial_states() {
-            let sc = canonize(s0);
+            let sc = self.canonize(s0, &mut 0);
             let fp = batch.fingerprint_one(&sc);
             if lookup!(fp, &sc).is_some() {
                 continue;
@@ -207,16 +202,7 @@ where
                 }
                 break;
             }
-            {
-                let state = &order[i];
-                for a in sys.enabled(state) {
-                    if !keep(&a) {
-                        continue;
-                    }
-                    let tc = canonize(sys.step(state, &a));
-                    children.push((a, tc));
-                }
-            }
+            self.stage_successors(&order[i], &keep, &mut 0, |tc, a| children.push((a, tc)));
             // One batched fingerprint pass over the staged children — the
             // same hot-path shape as the fused search engine.
             let fps = batch.fingerprints(children.iter().map(|(_, tc)| tc));

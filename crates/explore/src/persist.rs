@@ -13,8 +13,9 @@
 //! it moved here when external-memory search grew a second consumer —
 //! spilled visited/frontier pages (see [`crate::page`]) — that the
 //! checkpoint crate's own pages now reuse, so "snapshot and spill share
-//! one format" is a fact about the code, not a convention. `ckpt::codec`
-//! re-exports everything and converts [`PersistError`] into its richer
+//! one format" is a fact about the code, not a convention. The checkpoint
+//! crate imports the codec from here (re-exporting only the [`Persist`]
+//! trait at its root) and converts [`PersistError`] into its richer
 //! `CkptError`.
 //!
 //! Everything is little-endian and length-prefixed: the byte stream for a

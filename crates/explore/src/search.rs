@@ -52,11 +52,12 @@
 use crate::fingerprint::{BatchScratch, Encode, Fingerprint};
 use crate::pool::WorkerPool;
 use crate::stats::SearchStats;
-use crate::table::{shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
+use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
 use impossible_core::exec::Execution;
 use impossible_core::explore::Truncation;
 use impossible_core::system::System;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Trace field value for a truncation cause ("none" when unbounded).
@@ -336,10 +337,6 @@ impl<'a, Sys: System> Search<'a, Sys> {
         (self.max_states, self.max_depth)
     }
 
-    pub(crate) fn canon_hook(&self) -> Option<fn(&Sys::State) -> Sys::State> {
-        self.canon
-    }
-
     pub(crate) fn seed_value(&self) -> u64 {
         self.seed
     }
@@ -378,55 +375,193 @@ impl<'a, Sys: System> Search<'a, Sys> {
             }
         }
     }
+
+    /// The one successor-generation step every route shares — the fused and
+    /// two-pass BFS bodies, the graph builder, IDDFS: `enabled → step →
+    /// canon`, each child whose action passes `keep` handed to `stage` in
+    /// action order. Returns whether `s` had any enabled action at all
+    /// (the terminal test, which `keep` does not affect). `inline(always)`:
+    /// every caller is a hot loop that wants this body, with its closures,
+    /// folded into its own.
+    #[inline(always)]
+    pub(crate) fn stage_successors(
+        &self,
+        s: &Sys::State,
+        keep: impl Fn(&Sys::Action) -> bool,
+        canon_hits: &mut usize,
+        mut stage: impl FnMut(Sys::State, Sys::Action),
+    ) -> bool {
+        let acts = self.sys.enabled(s);
+        let live = !acts.is_empty();
+        for a in acts {
+            if keep(&a) {
+                let tc = self.canonize(self.sys.step(s, &a), canon_hits);
+                stage(tc, a);
+            }
+        }
+        live
+    }
 }
+
+/// A staged child: `(fingerprint, canonical state, action, parent fp)`.
+pub(crate) type Child<S, A> = (u64, S, A, u64);
 
 /// Per-partition expansion record produced by pass-1 workers. Children come
 /// back already bucketed by destination shard (`fp % partitions`), so pass 2
 /// can hand bucket `k` of every partition straight to the worker that owns
-/// visited-set shard `k` — the main thread never touches a child. The
-/// external-memory engine ([`crate::extmem`]) reuses the same pass-1 records
-/// for its probe/stage/commit pipeline.
-pub(crate) struct Expanded<S, A> {
+/// visited-set shard `k` — the main thread never touches a child.
+struct Expanded<S, A> {
     /// Terminal states of this partition, in frontier order.
-    pub(crate) terminals: Vec<S>,
+    terminals: Vec<S>,
     /// Frontier items expanded (`enabled` calls).
-    pub(crate) expansions: usize,
+    expansions: usize,
     /// Successors changed by the canonicalization hook.
-    pub(crate) canon_hits: usize,
-    /// Total children produced (this partition's transition delta).
-    pub(crate) children: usize,
-    /// `(child fp, canonical child, action, parent fp)` bucketed by
-    /// destination shard; in-bucket order is traversal order (frontier
-    /// order, in-state action order).
-    pub(crate) by_shard: Vec<Vec<(u64, S, A, u64)>>,
+    canon_hits: usize,
+    /// Children bucketed by destination shard; in-bucket order is traversal
+    /// order (frontier order, in-state action order).
+    by_shard: Vec<Vec<Child<S, A>>>,
     /// Destination shard of each child in traversal order — lets the
     /// sequential cap fallback replay the exact global insert order from
     /// the bucketed layout.
-    pub(crate) route: Vec<u32>,
+    route: Vec<u32>,
 }
 
 /// In-flight BFS state: everything the level loop carries between levels.
-/// One struct so the fused path (`run_bfs`), the resumable path
-/// (`run_resumable`), the resumed path (`resume`) and the external-memory
-/// loop (`crate::extmem`) share the *same* setup — any budget/truncation
-/// fix lands on all of them at once.
+/// One struct so the straight (`run_bfs`), resumable (`run_resumable`),
+/// resumed (`resume`) and external-memory (`crate::extmem`) entry points
+/// share the *same* setup, loop and finish — any budget/truncation fix
+/// lands on all of them at once.
 pub(crate) struct BfsRun<Sys: System> {
     pub(crate) stats: SearchStats,
     pub(crate) visited: ShardedFpMap<Parent<Sys::Action>>,
-    pub(crate) audit_states: BTreeMap<u64, Sys::State>,
-    pub(crate) terminal: Vec<Sys::State>,
-    pub(crate) transitions: usize,
-    pub(crate) truncated_by: Option<Truncation>,
+    audit_states: BTreeMap<u64, Sys::State>,
+    terminal: Vec<Sys::State>,
+    transitions: usize,
+    truncated_by: Option<Truncation>,
     pub(crate) found: Option<u64>,
     /// Frontier, pre-partitioned: `parts[k]` holds the states whose
     /// fingerprints shard to `k`.
     pub(crate) parts: Vec<Vec<(u64, Sys::State)>>,
     /// Completed levels (the next level to expand).
-    pub(crate) depth: usize,
+    depth: usize,
     /// Batched fingerprint pipeline shared by the sequential control path
     /// and the fused level loop (rebuilt fresh on restore — it is a
     /// buffer, never state).
-    pub(crate) batch: BatchScratch,
+    batch: BatchScratch,
+}
+
+/// Where visited keys and frontier records live. [`Search::bfs_levels`] is
+/// the only level loop and its two level bodies the only expansion code;
+/// they ask the backend exactly the questions the resident and spilled
+/// routes answer differently, and nothing else. [`Resident`] keeps
+/// everything in `BfsRun`; `crate::extmem`'s `Spill` pages cold shards and
+/// frontier partitions to run files (and needs `Persist` bounds to do so,
+/// which is why this is a trait and not an optional field).
+pub(crate) trait VisitedBackend<Sys: System>: Sync {
+    /// Every visited key and frontier record is in RAM, so the fused
+    /// one-worker level body (which reads only `BfsRun`) applies.
+    const RESIDENT: bool;
+
+    /// Visited keys held outside the resident table. They are disjoint
+    /// from it, so `num_states` and the cap stay exact without touching
+    /// disk.
+    fn spilled(&self) -> usize;
+
+    /// `(records in the current frontier, records of it resident at once)`.
+    fn frontier_lens(&self, parts: &[Vec<(u64, Sys::State)>]) -> (usize, usize);
+
+    /// Frontier partition `k`, in its exact traversal order.
+    fn partition<'p>(
+        &self,
+        parts: &'p [Vec<(u64, Sys::State)>],
+        k: usize,
+    ) -> Cow<'p, [(u64, Sys::State)]>;
+
+    /// Pass 2 for shard `k` on a level the cap cannot bind: dedup `groups`
+    /// (partition-major, traversal order within each) against everything
+    /// visited and insert the first occurrence of each new key. Returns the
+    /// shard's fresh `(fp, state)` list in insert order and its dedup hits.
+    fn classify_shard(
+        &self,
+        k: usize,
+        shard: &mut FpMap<Parent<Sys::Action>>,
+        groups: Vec<Vec<Child<Sys::State, Sys::Action>>>,
+    ) -> (Vec<(u64, Sys::State)>, usize);
+
+    /// Which of `keys` (stored keys of shard `k`, sorted, unique) are held
+    /// outside the resident table; sorted. Asked only when
+    /// [`Self::spilled`] is non-zero.
+    fn on_disk(&self, k: usize, keys: &[u64]) -> Vec<u64>;
+
+    /// Level boundary, everything synchronized: install `next` as the
+    /// run's frontier. The spill hooks live here.
+    fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>);
+
+    /// Parent link of a key held outside the resident table, for witness
+    /// replay.
+    fn spilled_parent(&self, fp: u64) -> Option<Parent<Sys::Action>>;
+}
+
+/// The all-in-RAM backend of [`Search::explore`] and friends.
+pub(crate) struct Resident;
+
+impl<Sys: System> VisitedBackend<Sys> for Resident {
+    const RESIDENT: bool = true;
+
+    fn spilled(&self) -> usize {
+        0
+    }
+
+    fn frontier_lens(&self, parts: &[Vec<(u64, Sys::State)>]) -> (usize, usize) {
+        let len = parts.iter().map(Vec::len).sum();
+        (len, len)
+    }
+
+    fn partition<'p>(
+        &self,
+        parts: &'p [Vec<(u64, Sys::State)>],
+        k: usize,
+    ) -> Cow<'p, [(u64, Sys::State)]> {
+        Cow::Borrowed(&parts[k])
+    }
+
+    /// Worker-local and lock-free: shard `k`'s children arrive grouped
+    /// j-major, exactly the order the fused body would have offered them
+    /// (see docs/EXPLORE.md for why the two traversals insert identical
+    /// parent links).
+    fn classify_shard(
+        &self,
+        _k: usize,
+        shard: &mut FpMap<Parent<Sys::Action>>,
+        groups: Vec<Vec<Child<Sys::State, Sys::Action>>>,
+    ) -> (Vec<(u64, Sys::State)>, usize) {
+        let mut fresh = Vec::new();
+        let mut dedup = 0usize;
+        for group in groups {
+            for (fp, tc, a, parent) in group {
+                match shard
+                    .try_insert_with(fp, Cap::Unbounded, || Parent::Child { parent, action: a })
+                {
+                    TryInsert::Present => dedup += 1,
+                    TryInsert::Inserted => fresh.push((fp, tc)),
+                    TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
+                }
+            }
+        }
+        (fresh, dedup)
+    }
+
+    fn on_disk(&self, _k: usize, _keys: &[u64]) -> Vec<u64> {
+        Vec::new()
+    }
+
+    fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>) {
+        run.parts = next;
+    }
+
+    fn spilled_parent(&self, _fp: u64) -> Option<Parent<Sys::Action>> {
+        None
+    }
 }
 
 impl<'a, Sys: System> Search<'a, Sys>
@@ -498,18 +633,8 @@ where
     ) -> Resumable<Sys::State, Sys::Action> {
         assert!(!self.audit, "collision audit is not resumable");
         let pool = WorkerPool::new(self.workers);
-        let mut run = self.bfs_init(&pool, None::<&fn(&Sys::State) -> bool>, tracer);
-        if self.bfs_levels(
-            &pool,
-            &mut run,
-            None::<&fn(&Sys::State) -> bool>,
-            &budget,
-            tracer,
-        ) {
-            Resumable::Paused(self.suspend(run))
-        } else {
-            Resumable::Done(self.bfs_finish(run, tracer))
-        }
+        let run = self.bfs_init(&pool, None::<&fn(&Sys::State) -> bool>, tracer);
+        self.run_to_budget(&pool, run, &budget, tracer)
     }
 
     /// Continue a paused run (possibly under a different worker count —
@@ -551,17 +676,24 @@ where
             "frontier": run.parts.iter().map(Vec::len).sum::<usize>(),
             "transitions": run.transitions,
         );
-        let mut run = run;
-        if self.bfs_levels(
-            &pool,
-            &mut run,
-            None::<&fn(&Sys::State) -> bool>,
-            &budget,
-            tracer,
-        ) {
+        self.run_to_budget(&pool, run, &budget, tracer)
+    }
+
+    /// Drive a resident, predicate-free run until it finishes or `budget`
+    /// trips — the shared tail of [`Search::run_resumable_traced`] and
+    /// [`Search::resume_traced`].
+    fn run_to_budget(
+        &self,
+        pool: &WorkerPool,
+        mut run: BfsRun<Sys>,
+        budget: &PauseBudget,
+        tracer: &mut dyn Tracer,
+    ) -> Resumable<Sys::State, Sys::Action> {
+        let pred = None::<&fn(&Sys::State) -> bool>;
+        if self.bfs_levels(pool, &mut run, &mut Resident, pred, budget, tracer) {
             Resumable::Paused(self.suspend(run))
         } else {
-            Resumable::Done(self.bfs_finish(run, tracer))
+            Resumable::Done(self.bfs_finish(run, &Resident, tracer))
         }
     }
 
@@ -578,10 +710,11 @@ where
         F: Fn(&Sys::State) -> bool,
     {
         let pool = WorkerPool::new(self.workers);
-        let mut run = self.bfs_init(&pool, pred.as_ref(), tracer);
-        let paused = self.bfs_levels(&pool, &mut run, pred.as_ref(), &PauseBudget::never(), tracer);
+        let (pred, never) = (pred.as_ref(), PauseBudget::never());
+        let mut run = self.bfs_init(&pool, pred, tracer);
+        let paused = self.bfs_levels(&pool, &mut run, &mut Resident, pred, &never, tracer);
         debug_assert!(!paused, "PauseBudget::never cannot pause");
-        self.bfs_finish(run, tracer)
+        self.bfs_finish(run, &Resident, tracer)
     }
 
     /// BFS init: seed the visited set and the partitioned root frontier.
@@ -683,58 +816,63 @@ where
         }
     }
 
-    /// The level loop, shared verbatim by the fused, resumable and resumed
-    /// paths. Returns `true` when the pause budget tripped at a level
-    /// boundary (never mid-level) with the run still having work to do —
-    /// the caller suspends; `false` means the run finished (witness found,
-    /// frontier exhausted, or depth cutoff), which `PauseBudget::never`
-    /// guarantees.
-    fn bfs_levels<F>(
+    /// The level loop — the only one: the straight, resumable, resumed and
+    /// external-memory entry points all drive it, over a [`Resident`] or a
+    /// spilling backend. Returns `true` when the pause budget tripped at a
+    /// level boundary (never mid-level) with the run still having work to
+    /// do — the caller suspends; `false` means the run finished (witness
+    /// found, frontier exhausted, or depth cutoff), which
+    /// `PauseBudget::never` guarantees.
+    pub(crate) fn bfs_levels<F, B>(
         &self,
         pool: &WorkerPool,
         run: &mut BfsRun<Sys>,
+        backend: &mut B,
         pred: Option<&F>,
         pause: &PauseBudget,
         tracer: &mut dyn Tracer,
     ) -> bool
     where
         F: Fn(&Sys::State) -> bool,
+        B: VisitedBackend<Sys>,
     {
         loop {
-            let frontier_len: usize = run.parts.iter().map(Vec::len).sum();
+            let (frontier_len, resident_frontier) = backend.frontier_lens(&run.parts);
             if run.found.is_some() || frontier_len == 0 {
                 return false;
             }
+            let visited_before = run.visited.len() + backend.spilled();
             // Pause check first: a resumed run re-enters here with the
             // pre-pause frontier, so every per-level update below (peak
             // sampling included) still happens exactly once per level.
-            if run.visited.len() >= pause.states || run.depth >= pause.levels {
+            if visited_before >= pause.states || run.depth >= pause.levels {
                 trace_event!(tracer, "search", "pause",
                     "level": run.depth,
-                    "states": run.visited.len(),
+                    "states": visited_before,
                     "frontier": frontier_len,
                 );
                 return true;
             }
             run.stats.peak_frontier = run.stats.peak_frontier.max(frontier_len);
             // Byte accounting, sampled at the same boundary: visited-table
-            // slot arrays plus the current frontier at its shallow record
-            // width. Worker-count-invariant (both are pure functions of the
-            // entry sets); the extmem loop samples the same formula, so a
-            // spilled run's lower number is comparable evidence.
-            run.stats.peak_bytes = run.stats.peak_bytes.max(
-                run.visited.approx_bytes() + frontier_len * Self::frontier_item_bytes(),
-            );
+            // slot arrays plus the frontier records actually resident, at
+            // their shallow width. Worker-count-invariant (both are pure
+            // functions of the entry sets), and one formula for both
+            // backends, so a spilled run's lower number is comparable
+            // evidence.
+            let bytes =
+                run.visited.approx_bytes() + resident_frontier * Self::frontier_item_bytes();
+            run.stats.peak_bytes = run.stats.peak_bytes.max(bytes);
             if run.depth >= self.max_depth {
                 // Cutoff level: record terminals, flag unexpanded work.
                 // (Shard-major traversal — the only loop left that sees a
-                // whole frontier.)
+                // whole frontier, one partition at a time.)
                 trace_event!(tracer, "search", "cutoff",
                     "level": run.depth,
                     "frontier": frontier_len,
                 );
-                for part in &run.parts {
-                    for (_, s) in part {
+                for k in 0..self.partitions {
+                    for (_, s) in backend.partition(&run.parts, k).iter() {
                         run.stats.expansions += 1;
                         if self.sys.enabled(s).is_empty() {
                             run.terminal.push(s.clone());
@@ -757,7 +895,6 @@ where
             );
 
             run.stats.levels += 1;
-            let visited_before = run.visited.len();
             let mut next_parts: Vec<Vec<(u64, Sys::State)>> =
                 (0..self.partitions).map(|_| Vec::new()).collect();
 
@@ -765,40 +902,22 @@ where
             // the expand loops are the hottest code in the crate, and giving
             // them their own functions keeps the optimizer's inlining budget
             // focused on `fingerprint_with`/`try_insert_with` instead of
-            // exhausting it on the orchestration around them.
-            let (level_children, trans_delta) = if pool.workers() == 1 {
-                self.expand_level_fused(
-                    run.depth,
-                    &run.parts,
-                    &mut run.visited,
-                    &mut run.batch,
-                    &mut run.audit_states,
-                    &mut next_parts,
-                    &mut run.terminal,
-                    &mut run.stats,
-                    &mut run.truncated_by,
-                    tracer,
-                )
+            // exhausting it on the orchestration around them. The fused
+            // body is the two-pass body's one-worker, all-resident special
+            // case — kept because it is measurably cheaper there
+            // (ledger/LEDGER.md, anomaly (a): 1.6–1.9×, all of it route
+            // work).
+            let level_children = if pool.workers() == 1 && B::RESIDENT {
+                self.expand_level_fused(run, &mut next_parts, tracer)
             } else {
-                self.expand_level_parallel(
-                    run.depth,
-                    pool,
-                    &run.parts,
-                    &mut run.visited,
-                    &mut run.audit_states,
-                    &mut next_parts,
-                    &mut run.terminal,
-                    &mut run.stats,
-                    &mut run.truncated_by,
-                    tracer,
-                )
+                self.expand_level_two_pass(pool, &*backend, run, &mut next_parts, tracer)
             };
-            run.transitions += trans_delta;
+            run.transitions += level_children;
             // Fold the pool's steal counters into the stats at the level
             // boundary. Deterministic at a fixed worker count (each pass
             // over n items steals exactly n - min(workers, n) shards — see
-            // `pool`); the fused single-worker path uses no pool, so both
-            // stay 0 at workers == 1.
+            // `pool`); a one-worker pool runs inline, so both stay 0 at
+            // workers == 1.
             let (steal_passes, stolen) = pool.take_steals();
             run.stats.steals += steal_passes as usize;
             run.stats.stolen_shards += stolen as usize;
@@ -830,11 +949,11 @@ where
             }
 
             let next_len: usize = next_parts.iter().map(Vec::len).sum();
-            run.parts = next_parts;
+            backend.end_level(run, next_parts);
             trace_event!(tracer, "search", "level.exit",
                 "level": run.depth,
                 "next": next_len,
-                "states": run.visited.len(),
+                "states": run.visited.len() + backend.spilled(),
                 "transitions": run.transitions,
                 "dedup": run.stats.dedup_hits,
                 "canon": run.stats.canon_hits,
@@ -844,14 +963,17 @@ where
         }
     }
 
-    /// Finish a run: the `end` event, witness replay, and the report.
-    fn bfs_finish(
+    /// Finish a run: the `end` event, witness replay (parent links the
+    /// backend holds outside the resident table included), and the report.
+    pub(crate) fn bfs_finish<B: VisitedBackend<Sys>>(
         &self,
         run: BfsRun<Sys>,
+        backend: &B,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action> {
+        let num_states = run.visited.len() + backend.spilled();
         trace_event!(tracer, "search", "end",
-            "states": run.visited.len(),
+            "states": num_states,
             "transitions": run.transitions,
             "levels": run.stats.levels,
             "expansions": run.stats.expansions,
@@ -860,12 +982,14 @@ where
             "witness": run.found.is_some(),
         );
 
-        let witness = run
-            .found
-            .map(|target| self.replay_witness(&run.visited, target));
+        let witness = run.found.map(|target| {
+            let resident = |fp| run.visited.get(fp).cloned();
+            let lookup = |fp| resident(fp).or_else(|| backend.spilled_parent(fp));
+            self.replay_witness_with(target, lookup)
+        });
 
         SearchReport {
-            num_states: run.visited.len(),
+            num_states,
             num_transitions: run.transitions,
             terminal_states: run.terminal,
             truncated_by: run.truncated_by,
@@ -984,88 +1108,59 @@ where
         }
     }
 
-    /// One BFS level, single worker: fused expand + dedup + insert in one
-    /// pass. This is the reference traversal — partition order,
-    /// in-partition frontier order, in-state action order ("j-major"), cap
-    /// checked inline per child — that [`Search::expand_level_parallel`] is
-    /// extensionally equal to. Returns the level's `(children, transitions)`
-    /// deltas.
+    /// One BFS level, single worker, everything resident: fused expand +
+    /// dedup + insert in one pass. This is the reference traversal —
+    /// partition order, in-partition frontier order, in-state action order
+    /// ("j-major"), cap checked inline per child — that
+    /// [`Search::expand_level_two_pass`] is extensionally equal to. Fills
+    /// `next_parts` and returns the level's child count (its transition
+    /// delta).
     ///
-    /// Deliberately its own function (as is the parallel body): the expand
+    /// Deliberately its own function (as is the two-pass body): the expand
     /// loop is the hottest code in the crate, and carving it out of
-    /// `run_bfs` gives it a private inlining budget — measured on the
+    /// `bfs_levels` gives it a private inlining budget — measured on the
     /// 117k-state grid, leaving it inline cost ~25% wall-clock because the
     /// surrounding function's size pushed `fingerprint_with`/
     /// `try_insert_with` out of line.
-    #[allow(clippy::too_many_arguments)]
     fn expand_level_fused(
         &self,
-        depth: usize,
-        parts: &[Vec<(u64, Sys::State)>],
-        visited: &mut ShardedFpMap<Parent<Sys::Action>>,
-        batch: &mut BatchScratch,
-        audit_states: &mut BTreeMap<u64, Sys::State>,
+        run: &mut BfsRun<Sys>,
         next_parts: &mut [Vec<(u64, Sys::State)>],
-        terminal: &mut Vec<Sys::State>,
-        stats: &mut SearchStats,
-        truncated_by: &mut Option<Truncation>,
         tracer: &mut dyn Tracer,
-    ) -> (usize, usize) {
+    ) -> usize {
         // Audit on/off are separate monomorphizations: with `AUDIT = false`
         // the compiler erases every audit branch *and* the calls they guard
         // from the loop. This is not cosmetic — leaving even a never-taken
         // cold call in the dedup arm measurably deoptimizes the whole loop
         // (~25% wall-clock on the 117k-state grid).
         if self.audit {
-            self.expand_level_fused_impl::<true>(
-                depth,
-                parts,
-                visited,
-                batch,
-                audit_states,
-                next_parts,
-                terminal,
-                stats,
-                truncated_by,
-                tracer,
-            )
+            self.expand_level_fused_impl::<true>(run, next_parts, tracer)
         } else {
-            self.expand_level_fused_impl::<false>(
-                depth,
-                parts,
-                visited,
-                batch,
-                audit_states,
-                next_parts,
-                terminal,
-                stats,
-                truncated_by,
-                tracer,
-            )
+            self.expand_level_fused_impl::<false>(run, next_parts, tracer)
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn expand_level_fused_impl<const AUDIT: bool>(
         &self,
-        depth: usize,
-        parts: &[Vec<(u64, Sys::State)>],
-        visited: &mut ShardedFpMap<Parent<Sys::Action>>,
-        batch: &mut BatchScratch,
-        audit_states: &mut BTreeMap<u64, Sys::State>,
+        run: &mut BfsRun<Sys>,
         next_parts: &mut [Vec<(u64, Sys::State)>],
-        terminal: &mut Vec<Sys::State>,
-        stats: &mut SearchStats,
-        truncated_by: &mut Option<Truncation>,
         tracer: &mut dyn Tracer,
-    ) -> (usize, usize) {
-        let sys = self.sys;
-        let canon = self.canon;
+    ) -> usize {
+        let BfsRun {
+            stats,
+            visited,
+            audit_states,
+            terminal,
+            truncated_by,
+            parts,
+            depth,
+            batch,
+            ..
+        } = run;
         let cap = Cap::At(self.max_states);
         let nparts = self.partitions;
         let mut level_children = 0usize;
-        let mut transitions = 0usize;
         let mut expansions = 0usize;
         let mut dedup_hits = 0usize;
         let mut canon_hits = 0usize;
@@ -1073,35 +1168,19 @@ where
         // `(canonical child, action, parent fp)` in generation order. The
         // buffer is reused across the level's partitions.
         let mut pending: Vec<(Sys::State, Sys::Action, u64)> = Vec::new();
-        for part in parts {
+        for part in parts.iter() {
             // Phase A — generate this partition's children in the j-major
             // reference order (frontier order, in-state action order).
             // Terminals and children land in separate streams, each keeping
             // its own order, so splitting the phases reorders nothing.
             for (pfp, s) in part {
                 expansions += 1;
-                let acts = sys.enabled(s);
-                if acts.is_empty() {
+                let stage = |tc, a| pending.push((tc, a, *pfp));
+                if !self.stage_successors(s, |_| true, &mut canon_hits, stage) {
                     terminal.push(s.clone());
-                    continue;
-                }
-                for a in acts {
-                    let t = sys.step(s, &a);
-                    let tc = match canon {
-                        None => t,
-                        Some(c) => {
-                            let cs = c(&t);
-                            if cs != t {
-                                canon_hits += 1;
-                            }
-                            cs
-                        }
-                    };
-                    level_children += 1;
-                    transitions += 1;
-                    pending.push((tc, a, *pfp));
                 }
             }
+            level_children += pending.len();
             // Phase B — fingerprint the whole batch in one tight loop
             // (bit-identical to the scalar path per the BatchScratch
             // contract).
@@ -1122,7 +1201,7 @@ where
                         if truncated_by.is_none() {
                             trace_event!(tracer, "search", "truncate",
                                 "cause": "states",
-                                "level": depth,
+                                "level": *depth,
                             );
                         }
                         truncated_by.get_or_insert(Truncation::States);
@@ -1140,74 +1219,36 @@ where
         stats.expansions += expansions;
         stats.dedup_hits += dedup_hits;
         stats.canon_hits += canon_hits;
-        (level_children, transitions)
-    }
-
-    /// Pass 1 of a parallel level: expand every frontier partition on the
-    /// pool (successors, canon, fingerprints, bucketed by destination
-    /// shard), touching no shared state. Records come back in partition
-    /// order regardless of worker count. Shared by
-    /// [`Search::expand_level_parallel`] and the external-memory engine —
-    /// both downstream consumers are extensionally equal to the fused
-    /// reference traversal because the records preserve traversal order
-    /// (`route` recovers the exact j-major sequence).
-    pub(crate) fn expand_pass1(
-        &self,
-        pool: &WorkerPool,
-        parts: &[Vec<(u64, Sys::State)>],
-    ) -> Vec<Expanded<Sys::State, Sys::Action>> {
-        pool.map_each_partition(parts, |part: &[(u64, Sys::State)]| {
-            self.expand_one_partition(part)
-        })
+        level_children
     }
 
     /// Expand one frontier partition (the pass-1 worker body): successors,
     /// canon, fingerprints, children bucketed by destination shard. Pure —
-    /// touches no shared state — so the spilled-frontier path can decode a
-    /// partition page inside a worker and feed it straight through here.
-    pub(crate) fn expand_one_partition(
+    /// touches no shared state — so a paged frontier partition can decode
+    /// inside a worker and feed straight through here.
+    fn expand_one_partition(
         &self,
         part: &[(u64, Sys::State)],
     ) -> Expanded<Sys::State, Sys::Action> {
-        let sys = self.sys;
-        let canon = self.canon;
-        let seed = self.seed;
         let shard_n = self.partitions;
         let mut rec = Expanded {
             terminals: Vec::new(),
-            expansions: 0,
+            expansions: part.len(),
             canon_hits: 0,
-            children: 0,
             by_shard: (0..shard_n).map(|_| Vec::new()).collect(),
             route: Vec::new(),
         };
         // One batch pipeline per partition-expansion (i.e. worker-local):
         // the seeded hasher init and the staging buffers are shared by
         // every state the partition fingerprints.
-        let mut batch = BatchScratch::new(seed);
+        let mut batch = BatchScratch::new(self.seed);
         // Phase A — generate the partition's children in traversal order
         // (frontier order, in-state action order), staged for the batch.
         let mut pending: Vec<(Sys::State, Sys::Action, u64)> = Vec::new();
         for (pfp, s) in part {
-            rec.expansions += 1;
-            let acts = sys.enabled(s);
-            if acts.is_empty() {
+            let stage = |tc, a| pending.push((tc, a, *pfp));
+            if !self.stage_successors(s, |_| true, &mut rec.canon_hits, stage) {
                 rec.terminals.push(s.clone());
-                continue;
-            }
-            for a in acts {
-                let t = sys.step(s, &a);
-                let tc = match canon {
-                    None => t,
-                    Some(c) => {
-                        let tc = c(&t);
-                        if tc != t {
-                            rec.canon_hits += 1;
-                        }
-                        tc
-                    }
-                };
-                pending.push((tc, a, *pfp));
             }
         }
         // Phase B — fingerprint the batch in one tight loop (bit-identical
@@ -1219,151 +1260,142 @@ where
             let k = shard_index(fp, shard_n);
             rec.by_shard[k].push((fp, tc, a, pfp));
             rec.route.push(k as u32);
-            rec.children += 1;
         }
         rec
     }
 
-    /// One BFS level on `pool` workers: pass 1 expands partitions in
-    /// parallel (children come back bucketed by destination shard), the
-    /// counters/terminals are stitched sequentially in partition order, and
-    /// pass 2 runs dedup + insert worker-locally per shard — or replays the
-    /// exact j-major order sequentially on the rare levels where the state
-    /// cap could bind (or under the collision audit). Returns the level's
-    /// `(children, transitions)` deltas; byte-identical in effect to
-    /// [`Search::expand_level_fused`] for every worker count.
-    #[allow(clippy::too_many_arguments)]
+    /// One BFS level in two passes, for any worker count and either
+    /// backend. Pass 1 expands the frontier partitions on the pool (a paged
+    /// partition decodes inside its worker), touching no shared state;
+    /// records come back in partition order regardless of worker count, and
+    /// their counters/terminals are stitched sequentially in that order.
+    /// Pass 2 runs dedup + insert worker-locally per visited shard — or
+    /// replays the exact j-major order sequentially on the rare levels
+    /// where the state cap could bind (or under the collision audit).
+    /// Fills `next_parts` and returns the level's child count; byte-identical
+    /// in effect to [`Search::expand_level_fused`] for every worker count.
     #[inline(never)]
-    fn expand_level_parallel(
+    fn expand_level_two_pass<B: VisitedBackend<Sys>>(
         &self,
-        depth: usize,
         pool: &WorkerPool,
-        parts: &[Vec<(u64, Sys::State)>],
-        visited: &mut ShardedFpMap<Parent<Sys::Action>>,
-        audit_states: &mut BTreeMap<u64, Sys::State>,
+        backend: &B,
+        run: &mut BfsRun<Sys>,
         next_parts: &mut [Vec<(u64, Sys::State)>],
-        terminal: &mut Vec<Sys::State>,
-        stats: &mut SearchStats,
-        truncated_by: &mut Option<Truncation>,
         tracer: &mut dyn Tracer,
-    ) -> (usize, usize) {
-        let visited_before = visited.len();
-        let mut level_children = 0usize;
-        let mut transitions = 0usize;
+    ) -> usize {
         let shard_n = self.partitions;
-        let mut recs = self.expand_pass1(pool, parts);
+        let spilled = backend.spilled();
+        let parts = &run.parts;
+        let mut recs = pool.map_indexed((0..shard_n).collect(), |_, k: usize| {
+            self.expand_one_partition(&backend.partition(parts, k))
+        });
 
         // Stitch the per-partition counters and terminals, in
         // partition order.
+        let mut level_children = 0usize;
         for rec in &mut recs {
-            stats.expansions += rec.expansions;
-            stats.canon_hits += rec.canon_hits;
-            level_children += rec.children;
-            terminal.append(&mut rec.terminals);
+            run.stats.expansions += rec.expansions;
+            run.stats.canon_hits += rec.canon_hits;
+            level_children += rec.route.len();
+            run.terminal.append(&mut rec.terminals);
         }
 
-        // Pass 2 — dedup + insert. When the state cap cannot bind
-        // this level (children are an upper bound on inserts) and no
-        // audit wants full states in sequence, each visited shard is
-        // handed to the worker that owns it: worker-local,
-        // lock-free, schedule-independent (shard `k`'s children
-        // arrive grouped j-major, exactly the order the fused path
-        // would have offered them — see docs/EXPLORE.md for why the
-        // two traversals insert identical parent links).
-        if visited_before + level_children <= self.max_states && !self.audit {
-            transitions += level_children;
+        // Pass 2 — dedup + insert. When the state cap cannot bind this
+        // level (children are an upper bound on inserts) and no audit wants
+        // full states in sequence, each visited shard is handed to the
+        // worker that owns it, with its children grouped j-major.
+        if run.visited.len() + spilled + level_children <= self.max_states && !self.audit {
             // Transpose [partition][shard] → [shard][partition]:
             // O(partitions²) Vec moves, no child copied.
-            let mut per_shard: Vec<Vec<Vec<(u64, Sys::State, Sys::Action, u64)>>> =
-                (0..shard_n).map(|_| Vec::with_capacity(recs.len())).collect();
+            let mut per_shard: Vec<Vec<Vec<Child<Sys::State, Sys::Action>>>> = (0..shard_n)
+                .map(|_| Vec::with_capacity(recs.len()))
+                .collect();
             for rec in &mut recs {
                 for (k, bucket) in rec.by_shard.iter_mut().enumerate() {
                     per_shard[k].push(std::mem::take(bucket));
                 }
             }
-            type ShardJob<'s, S, A> =
-                (&'s mut FpMap<Parent<A>>, Vec<Vec<(u64, S, A, u64)>>);
-            let jobs: Vec<ShardJob<'_, Sys::State, Sys::Action>> =
-                visited.shards_mut().iter_mut().zip(per_shard).collect();
-            let results = pool.map_indexed(jobs, |_, (shard, groups)| {
-                let mut fresh: Vec<(u64, Sys::State)> = Vec::new();
-                let mut dedup = 0usize;
-                for group in groups {
-                    for (fp, tc, a, parent) in group {
-                        match shard.try_insert_with(fp, Cap::Unbounded, || {
-                            Parent::Child { parent, action: a }
-                        }) {
-                            TryInsert::Present => dedup += 1,
-                            TryInsert::Inserted => fresh.push((fp, tc)),
-                            TryInsert::Full => {
-                                unreachable!("unbounded insert cannot refuse")
-                            }
-                        }
-                    }
-                }
-                (fresh, dedup)
+            let jobs: Vec<_> = run.visited.shards_mut().iter_mut().zip(per_shard).collect();
+            let results = pool.map_indexed(jobs, |k, (shard, groups)| {
+                backend.classify_shard(k, shard, groups)
             });
-            visited.refresh_len();
+            run.visited.refresh_len();
             for (k, (fresh, dedup)) in results.into_iter().enumerate() {
-                stats.dedup_hits += dedup;
+                run.stats.dedup_hits += dedup;
                 next_parts[k] = fresh;
             }
+            return level_children;
+        }
+
+        // Cap could bind (or audit mode): dedup-vs-cap precedence for keys
+        // recurring in-level depends on the exact insert sequence, so
+        // replay the children in exact j-major order with the same inline
+        // global cap the fused body applies. `route` recovers that order
+        // from the bucketed layout; membership among spilled keys is
+        // precomputed per shard (nothing to ask before the first flush).
+        let on_disk: Vec<Vec<u64>> = if spilled == 0 {
+            Vec::new()
         } else {
-            // Cap could bind (or audit mode): replay the children in
-            // exact j-major order with the same inline global cap
-            // the fused path applies. `route` recovers that order
-            // from the bucketed layout.
-            for rec in recs {
-                let mut buckets: Vec<std::vec::IntoIter<_>> =
-                    rec.by_shard.into_iter().map(Vec::into_iter).collect();
-                for &k in &rec.route {
-                    let (fp_t, tc, a, parent) = buckets[k as usize]
-                        .next()
-                        .expect("route covers every bucketed child");
-                    transitions += 1;
-                    match visited.try_insert_with(fp_t, Cap::At(self.max_states), || {
-                        Parent::Child { parent, action: a }
-                    }) {
-                        TryInsert::Present => {
-                            stats.dedup_hits += 1;
-                            self.audit_check(&audit_states, fp_t, &tc);
+            (0..shard_n)
+                .map(|k| {
+                    let mut keys: Vec<u64> = recs
+                        .iter()
+                        .flat_map(|rec| rec.by_shard[k].iter().map(|&(fp, ..)| key_of(fp)))
+                        .collect();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    backend.on_disk(k, &keys)
+                })
+                .collect()
+        };
+        // Spilled keys are disjoint from the resident table, so the global
+        // cap is the resident cap less their count.
+        let cap = Cap::At(self.max_states - spilled);
+        for rec in recs {
+            let mut buckets: Vec<std::vec::IntoIter<_>> =
+                rec.by_shard.into_iter().map(Vec::into_iter).collect();
+            for &k in &rec.route {
+                let k = k as usize;
+                let (fp_t, tc, a, parent) = buckets[k]
+                    .next()
+                    .expect("route covers every bucketed child");
+                let spilled_hit = |old: &Vec<u64>| old.binary_search(&key_of(fp_t)).is_ok();
+                if on_disk.get(k).is_some_and(spilled_hit) {
+                    run.stats.dedup_hits += 1;
+                    continue;
+                }
+                let link = || Parent::Child { parent, action: a };
+                match run.visited.try_insert_with(fp_t, cap, link) {
+                    TryInsert::Present => {
+                        run.stats.dedup_hits += 1;
+                        self.audit_check(&run.audit_states, fp_t, &tc);
+                    }
+                    TryInsert::Full => {
+                        if run.truncated_by.is_none() {
+                            trace_event!(tracer, "search", "truncate",
+                                "cause": "states",
+                                "level": run.depth,
+                            );
                         }
-                        TryInsert::Full => {
-                            if truncated_by.is_none() {
-                                trace_event!(tracer, "search", "truncate",
-                                    "cause": "states",
-                                    "level": depth,
-                                );
-                            }
-                            truncated_by.get_or_insert(Truncation::States);
+                        run.truncated_by.get_or_insert(Truncation::States);
+                    }
+                    TryInsert::Inserted => {
+                        if self.audit {
+                            run.audit_states.insert(fp_t, tc.clone());
                         }
-                        TryInsert::Inserted => {
-                            if self.audit {
-                                audit_states.insert(fp_t, tc.clone());
-                            }
-                            next_parts[k as usize].push((fp_t, tc));
-                        }
+                        next_parts[k].push((fp_t, tc));
                     }
                 }
             }
         }
-        (level_children, transitions)
+        level_children
     }
 
-    /// Walk the fingerprint parent map back to a root, then replay forward
-    /// through `step` (+ canon) to materialize the actual states.
-    fn replay_witness(
-        &self,
-        visited: &ShardedFpMap<Parent<Sys::Action>>,
-        target: u64,
-    ) -> Execution<Sys::State, Sys::Action> {
-        self.replay_witness_with(target, |fp| visited.get(fp).cloned())
-    }
-
-    /// [`Search::replay_witness`] with a pluggable parent lookup, so the
-    /// external-memory engine ([`crate::extmem`]) can resolve links that
-    /// were spilled to run files through the same replay path.
-    pub(crate) fn replay_witness_with(
+    /// Walk the fingerprint parent map back to a root through `lookup`
+    /// (resident table first, then whatever the backend spilled), then
+    /// replay forward through `step` (+ canon) to materialize the actual
+    /// states.
+    fn replay_witness_with(
         &self,
         target: u64,
         lookup: impl Fn(u64) -> Option<Parent<Sys::Action>>,
@@ -1611,21 +1643,19 @@ where
         cutoff: &mut bool,
     ) -> Vec<(Sys::Action, Sys::State, u64)> {
         stats.expansions += 1;
-        let acts = self.sys.enabled(s);
         if depth >= limit {
-            if !acts.is_empty() {
+            if !self.sys.enabled(s).is_empty() {
                 *cutoff = true;
             }
             return Vec::new();
         }
-        acts.into_iter()
-            .map(|a| {
-                let t = self.sys.step(s, &a);
-                let tc = self.canonize(t, &mut stats.canon_hits);
-                let fp = tc.fingerprint(self.seed);
-                (a, tc, fp)
-            })
-            .collect()
+        let mut kids = Vec::new();
+        let stage = |tc: Sys::State, a| {
+            let fp = tc.fingerprint(self.seed);
+            kids.push((a, tc, fp));
+        };
+        self.stage_successors(s, |_| true, &mut stats.canon_hits, stage);
+        kids
     }
 }
 

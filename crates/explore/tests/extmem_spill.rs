@@ -32,6 +32,24 @@ fn masked(r: &SearchReport<Vec<u8>, usize>) -> String {
     )
 }
 
+/// Sorting the counter vector — the full-permutation canonicalization of
+/// the (symmetric) grid, as in `search.rs`'s `canon_quotients_the_space`.
+fn sort_canon(s: &Vec<u8>) -> Vec<u8> {
+    let mut t = s.clone();
+    t.sort();
+    t
+}
+
+/// Names of the run files of flush generation `r` in `dir`.
+fn run_files(dir: &std::path::Path, r: usize) -> Vec<String> {
+    let suffix = format!(".run{r:03}");
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(&suffix))
+        .collect()
+}
+
 #[test]
 fn spilled_exploration_matches_resident_bytes() {
     let sys = Grid { n: 4, max: 3 }; // 256 states, several levels
@@ -106,6 +124,65 @@ fn cap_truncation_is_exact_under_spill() {
     let spilled = Search::new(&sys).max_states(cap).explore_extmem(&policy);
     assert_eq!(spilled.num_states, cap);
     assert_eq!(masked(&spilled), masked(&resident));
+}
+
+#[test]
+fn canon_witness_found_after_a_flush_replays_through_run_files() {
+    // 126 sorted multisets, one level per counter sum: the far corner is
+    // first matched on level 20, long after the first visited flush, so the
+    // witness's parent chain crosses run files and every replayed step
+    // goes back through the canon hook.
+    let sys = Grid { n: 4, max: 5 };
+    let target = |s: &Vec<u8>| s.iter().all(|&c| c == 5);
+    let resident = Search::new(&sys).canon(sort_canon).search(target);
+    assert_eq!(
+        resident.witness.as_ref().expect("corner reachable").len(),
+        20
+    );
+    assert!(resident.stats.canon_hits > 0);
+    for w in [1, 2, 8] {
+        let dir = tmp(&format!("spill-canon-witness-{w}"));
+        let policy = SpillPolicy::new(&dir).ram_keys(20).spill_frontier(true);
+        let spilled = Search::new(&sys)
+            .canon(sort_canon)
+            .workers(w)
+            .search_extmem(target, &policy);
+        assert!(
+            !run_files(&dir, 1).is_empty(),
+            "two flushes before the match (w={w})"
+        );
+        assert_eq!(masked(&spilled), masked(&resident), "w={w}");
+    }
+}
+
+#[test]
+fn canon_cap_straddling_a_post_flush_level_is_exact() {
+    // The cap binds on a level entered with keys already on disk: the
+    // j-major replay must dedup against run files, count spilled keys
+    // toward the cap, and still admit the resident run's exact prefix.
+    let sys = Grid { n: 4, max: 5 };
+    let cap = 60;
+    let resident = Search::new(&sys)
+        .canon(sort_canon)
+        .max_states(cap)
+        .explore();
+    assert_eq!(resident.truncated_by, Some(Truncation::States));
+    assert!(resident.stats.cap_fallbacks >= 1);
+    for w in [1, 2, 8] {
+        let dir = tmp(&format!("spill-canon-cap-{w}"));
+        let policy = SpillPolicy::new(&dir).ram_keys(20).spill_frontier(true);
+        let spilled = Search::new(&sys)
+            .canon(sort_canon)
+            .max_states(cap)
+            .workers(w)
+            .explore_extmem(&policy);
+        assert!(
+            !run_files(&dir, 0).is_empty(),
+            "flushed before the cap bound (w={w})"
+        );
+        assert_eq!(spilled.num_states, cap);
+        assert_eq!(masked(&spilled), masked(&resident), "w={w}");
+    }
 }
 
 #[test]
@@ -193,22 +270,25 @@ fn page_codec_decode_then_encode_is_identity() {
 }
 
 det_prop! {
-    fn spill_sweep_any_seed_any_workers_any_threshold(cases = 10, seed in 0u64..1_000_000, w in 1usize..9, ram_keys in 0usize..300, case in 0usize..1_000_000) {
+    fn spill_sweep_any_seed_any_workers_any_threshold(cases = 10, seed in 0u64..1_000_000, w in 1usize..9, ram_keys in 0usize..300, case in 0usize..1_000_000, canon in 0usize..2) {
         // The full determinism sweep: seed × worker count × spill
-        // threshold. The spilled run must reproduce the resident run's
-        // bytes exactly, witness hunt included.
+        // threshold × canon off/on. The spilled run must reproduce the
+        // resident run's bytes exactly (`canon_hits` included), witness
+        // hunt included. Under the sort canon the space is 35 multisets,
+        // so the threshold is folded down to keep it spilling.
         let sys = Grid { n: 4, max: 3 };
-        let resident_full = Search::new(&sys).seed(seed).explore();
-        let resident_hunt = Search::new(&sys)
-            .seed(seed)
-            .search(|s| s.iter().all(|&c| c == 3));
+        let ram_keys = if canon == 1 { ram_keys % 32 } else { ram_keys };
+        let base = || {
+            let s = Search::new(&sys).seed(seed);
+            if canon == 1 { s.canon(sort_canon) } else { s }
+        };
+        let resident_full = base().explore();
+        let resident_hunt = base().search(|s| s.iter().all(|&c| c == 3));
         let dir = tmp(&format!("spill-sweep-{case}"));
-        let spill_full = Search::new(&sys)
-            .seed(seed)
+        let spill_full = base()
             .workers(w)
             .explore_extmem(&SpillPolicy::new(dir.join("full")).ram_keys(ram_keys).spill_frontier(ram_keys % 2 == 0));
-        let spill_hunt = Search::new(&sys)
-            .seed(seed)
+        let spill_hunt = base()
             .workers(w)
             .search_extmem(
                 |s| s.iter().all(|&c| c == 3),
@@ -216,6 +296,7 @@ det_prop! {
             );
         det_assert_eq!(masked(&resident_full), masked(&spill_full));
         det_assert_eq!(masked(&resident_hunt), masked(&spill_hunt));
+        det_assert_eq!(spill_full.stats.canon_hits > 0, canon == 1);
         det_assert!(spill_full.stats.peak_bytes <= resident_full.stats.peak_bytes);
     }
 }

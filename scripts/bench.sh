@@ -17,11 +17,6 @@
 #                                      via the explore_check harness; fails
 #                                      if the harness stops producing output;
 #                                      writes nothing to the repo root
-#   ./scripts/bench.sh --scaling       work-stealing gate: byte-identity at
-#                                      w ∈ {1,2,4,8} (any machine) plus a
-#                                      w2 >= 1.3x speedup floor — the perf
-#                                      gate only runs when nproc >= 2;
-#                                      writes nothing to the repo root
 #   ./scripts/bench.sh [args...]       extra args forwarded to cargo bench
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,43 +39,6 @@ if [ "${1:-}" = "--check" ]; then
     done
     rm -f crates/bench/BENCH_check.json
     echo "bench --check: OK"
-    exit 0
-fi
-
-if [ "${1:-}" = "--scaling" ]; then
-    NPROC=$(nproc)
-    echo "== bench --scaling: work-stealing gate (nproc=$NPROC) =="
-    # Correctness half, valid on any machine: the same search at
-    # w ∈ {1,2,4,8} must produce byte-identical reports under stealing.
-    cargo build -q --release --offline --bin check
-    scaling_out="$(./target/release/check scaling)"
-    printf '%s\n' "$scaling_out"
-    if ! printf '%s' "$scaling_out" | grep -q "check: scaling OK"; then
-        echo "error: check scaling did not report byte-identity across worker counts" >&2
-        exit 1
-    fi
-    # Perf half: only meaningful with real cores. The explore bench prints
-    # one `scaling: wN = X.XXx over w1` conclusion per worker count.
-    if [ "$NPROC" -lt 2 ]; then
-        echo "note: nproc=1 — machine-limited, w2 speedup floor not enforced (no parallelism to measure)"
-        echo "bench --scaling: OK (byte-identity only)"
-        exit 0
-    fi
-    rm -f crates/bench/BENCH_5.json
-    bench_out="$(cargo bench -q --offline -p impossible-bench --bench explore)"
-    rm -f crates/bench/BENCH_5.json  # scratch run; the committed baseline is untouched
-    w2=$(printf '%s\n' "$bench_out" | sed -n 's/^scaling: w2 = \([0-9.]*\)x over w1$/\1/p')
-    if [ -z "$w2" ]; then
-        echo "error: explore bench printed no 'scaling: w2 = ...' conclusion:" >&2
-        printf '%s\n' "$bench_out" >&2
-        exit 1
-    fi
-    printf '%s\n' "$bench_out" | grep '^scaling:'
-    if ! awk -v s="$w2" 'BEGIN { exit !(s >= 1.3) }'; then
-        echo "error: w2 speedup ${w2}x is below the 1.3x floor on a $NPROC-core machine" >&2
-        exit 1
-    fi
-    echo "bench --scaling: OK (w2 = ${w2}x >= 1.3x on nproc=$NPROC)"
     exit 0
 fi
 

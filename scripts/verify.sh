@@ -73,8 +73,8 @@ if ! cmp -s "$check_tmp/ext_resident.txt" "$check_tmp/ext_spilled.txt"; then
 fi
 echo "extmem smoke: OK (spilled == resident bytes)"
 # Work-stealing byte-identity: the claim-counter pool must keep reports
-# byte-identical at w ∈ {1,2,4,8}. Valid on any core count — the speedup
-# floor itself lives in `bench.sh --scaling` and only gates on nproc >= 2.
+# byte-identical at w ∈ {1,2,4,8}. Valid on any core count; the w2-vs-w1
+# cost is the ledger's `grid_w2` workload, not a gate here.
 scaling_out="$(./target/release/check scaling)"
 printf '%s\n' "$scaling_out"
 if ! printf '%s' "$scaling_out" | grep -q "check: scaling OK"; then
@@ -87,6 +87,17 @@ bench_out="$(./scripts/bench.sh --check)"
 printf '%s\n' "$bench_out"
 if ! printf '%s' "$bench_out" | grep -q "bench --check: OK"; then
     echo "error: bench.sh --check did not report 'bench --check: OK'" >&2
+    exit 1
+fi
+
+echo "== performance ledger --check (public API + every verdict and count) =="
+# The ledger is its own package compiled against the engines' public API;
+# `--check` runs all eight workloads once, small, traced and untraced, and
+# compares every verdict and deterministic count with ledger/expected.txt.
+ledger_out="$(bash ledger/ledger.sh --check)"
+printf '%s\n' "$ledger_out"
+if ! printf '%s' "$ledger_out" | grep -q "ledger --check: OK (8 workloads"; then
+    echo "error: ledger.sh --check did not report 'ledger --check: OK (8 workloads, ...)'" >&2
     exit 1
 fi
 

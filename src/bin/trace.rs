@@ -8,16 +8,15 @@
 //! ```
 //!
 //! Targets: `search` (fingerprint BFS on the benchmark grid), `iddfs`
-//! (iterative deepening on the same grid), `legacy` (the reference
-//! `Explorer`), `valence` (FLP arbiter classification + decider hunt),
-//! `benor` (randomized consensus round transcript), `election` (async LCR
-//! ring), `property` (the temporal-property checker exhibiting the quorum
-//! FLP lasso). Every dump is a pure function of `(target, seed)`: run the same
-//! command twice and `diff` reports the traces identical; change the seed
-//! and it localizes the first divergent event.
+//! (iterative deepening on the same grid), `valence` (FLP arbiter
+//! classification + decider hunt), `benor` (randomized consensus round
+//! transcript), `election` (async LCR ring), `property` (the
+//! temporal-property checker exhibiting the quorum FLP lasso). Every dump
+//! is a pure function of `(target, seed)`: run the same command twice and
+//! `diff` reports the traces identical; change the seed and it localizes
+//! the first divergent event.
 
 use impossible::consensus::{benor, flp, quorum};
-use impossible::core::explore::Explorer;
 use impossible::core::valence::ValenceEngine;
 use impossible::election::lcr::Lcr;
 use impossible::election::ring::{RingRunner, RingSchedule};
@@ -29,7 +28,7 @@ use impossible::obs::{trace_diff, Event, RingTracer};
 const CAPACITY: usize = 1 << 16;
 
 fn usage() -> String {
-    "usage: trace dump <search|iddfs|legacy|valence|benor|election|property> [seed]\n\
+    "usage: trace dump <search|iddfs|valence|benor|election|property> [seed]\n\
      \x20      trace diff <a.jsonl> <b.jsonl>"
         .to_string()
 }
@@ -49,14 +48,6 @@ fn dump(target: &str, seed: u64) -> Result<RingTracer, String> {
             let r = Search::new(&sys)
                 .seed(seed)
                 .search_iddfs_traced(|s| s.iter().all(|&c| c == 4), &mut tracer);
-            r.witness.ok_or("grid corner unreachable?!")?;
-        }
-        "legacy" => {
-            // The legacy engine has no fingerprint seed; the seed picks the
-            // search target instead so different seeds still diverge.
-            let sys = Grid { n: 3, max: 5 };
-            let goal = (seed % 6) as u8;
-            let r = Explorer::new(&sys).search_traced(|s| s.iter().all(|&c| c == goal), &mut tracer);
             r.witness.ok_or("grid corner unreachable?!")?;
         }
         "valence" => {
