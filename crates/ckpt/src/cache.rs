@@ -80,62 +80,15 @@ pub struct Verdict {
 /// An ordered `job_key → (label, verdict)` store with a deterministic
 /// text-file round trip. The label is advisory (it makes the file and the
 /// reports readable); identity is the key alone.
-///
-/// ## Bounded caches
-///
-/// [`VerdictCache::with_capacity`] bounds the entry count. Eviction is
-/// deterministic **logical-insertion order** — each insert stamps the entry
-/// with a monotone generation counter, and the smallest generation is
-/// evicted first. No wall clock (the workspace's `det-time` lint bans
-/// ambient time): the "oldest" entry is the least-recently *written* one,
-/// where overwriting a key refreshes its generation. The on-disk format is
-/// unchanged (generations are a resident ordering, not state worth
-/// persisting — verdicts are content-addressed and recomputable), so a
-/// loaded cache starts unbounded with generations assigned in ascending key
-/// order; equality likewise compares entries only.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerdictCache {
     entries: BTreeMap<u64, (String, Verdict)>,
-    /// Logical insertion generation per key (see the type docs). Kept
-    /// exactly in sync with `entries`.
-    gens: BTreeMap<u64, u64>,
-    /// Next generation to stamp — a monotone logical counter, never a
-    /// clock.
-    next_gen: u64,
-    /// Maximum entry count; `None` is unbounded.
-    capacity: Option<usize>,
 }
-
-/// Identity is the entry map alone: two caches holding the same verdicts
-/// are equal regardless of arrival order or capacity bound (both are
-/// resident bookkeeping the file format deliberately omits).
-impl PartialEq for VerdictCache {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-    }
-}
-
-impl Eq for VerdictCache {}
 
 impl VerdictCache {
     /// An empty cache.
     pub fn new() -> Self {
         VerdictCache::default()
-    }
-
-    /// An empty cache that holds at most `max_entries` verdicts, evicting
-    /// in deterministic logical-insertion order (see the type docs). A
-    /// capacity of 0 caches nothing.
-    pub fn with_capacity(max_entries: usize) -> Self {
-        VerdictCache {
-            capacity: Some(max_entries),
-            ..VerdictCache::default()
-        }
-    }
-
-    /// The capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Number of cached verdicts.
@@ -153,27 +106,9 @@ impl VerdictCache {
         self.entries.get(&key).map(|(_, v)| *v)
     }
 
-    /// Store (or overwrite) a verdict. Overwriting refreshes the entry's
-    /// eviction generation — a re-verified verdict is as fresh as a new
-    /// one. When a capacity bound is set, the oldest-generation entries are
-    /// evicted until the cache fits.
+    /// Store (or overwrite) a verdict.
     pub fn insert(&mut self, key: u64, label: &str, verdict: Verdict) {
         self.entries.insert(key, (label.to_string(), verdict));
-        let g = self.next_gen;
-        self.next_gen += 1;
-        self.gens.insert(key, g);
-        if let Some(cap) = self.capacity {
-            while self.entries.len() > cap {
-                let oldest = self
-                    .gens
-                    .iter()
-                    .min_by_key(|&(_, &g)| g)
-                    .map(|(&k, _)| k)
-                    .expect("cache over capacity is non-empty");
-                self.entries.remove(&oldest);
-                self.gens.remove(&oldest);
-            }
-        }
     }
 
     /// Render the canonical file bytes (header + ascending-key lines +
@@ -254,23 +189,7 @@ impl VerdictCache {
             );
         }
         match sealed {
-            Some(n) if n == entries.len() => {
-                // A loaded cache is unbounded with generations assigned in
-                // ascending key order — the only order the file records —
-                // so load → evict behavior is deterministic too.
-                let gens: BTreeMap<u64, u64> = entries
-                    .keys()
-                    .enumerate()
-                    .map(|(i, &k)| (k, i as u64))
-                    .collect();
-                let next_gen = entries.len() as u64;
-                Ok(VerdictCache {
-                    entries,
-                    gens,
-                    next_gen,
-                    capacity: None,
-                })
-            }
+            Some(n) if n == entries.len() => Ok(VerdictCache { entries }),
             Some(_) => Err(CkptError::Malformed("cache count mismatch")),
             None => Err(CkptError::Malformed("cache count trailer missing")),
         }
@@ -435,77 +354,5 @@ mod tests {
     fn missing_file_is_a_cold_start() {
         let c = VerdictCache::load("/nonexistent/impossible-ckpt-cache-test").expect("cold");
         assert!(c.is_empty());
-    }
-
-    fn v(states: usize) -> Verdict {
-        Verdict {
-            holds: true,
-            states,
-            edges: 0,
-        }
-    }
-
-    #[test]
-    fn capacity_evicts_in_logical_insertion_order() {
-        // Keys arrive in an order unrelated to their numeric value; the
-        // bound must evict the earliest-*inserted*, not the smallest key.
-        let mut c = VerdictCache::with_capacity(3);
-        assert_eq!(c.capacity(), Some(3));
-        for (i, key) in [900u64, 100, 500, 300, 700].into_iter().enumerate() {
-            c.insert(key, "e", v(i));
-        }
-        assert_eq!(c.len(), 3);
-        assert!(c.get(900).is_none(), "oldest insert evicted first");
-        assert!(c.get(100).is_none(), "second-oldest evicted next");
-        for key in [500, 300, 700] {
-            assert!(c.get(key).is_some(), "key {key} must survive");
-        }
-    }
-
-    #[test]
-    fn overwrite_refreshes_the_eviction_generation() {
-        let mut c = VerdictCache::with_capacity(2);
-        c.insert(1, "a", v(1));
-        c.insert(2, "b", v(2));
-        // Re-verify key 1: it becomes the freshest entry...
-        c.insert(1, "a2", v(10));
-        assert_eq!(c.len(), 2, "overwrite is not a growth");
-        // ...so the next insert evicts key 2, not key 1.
-        c.insert(3, "c", v(3));
-        assert!(c.get(2).is_none());
-        assert_eq!(c.get(1), Some(v(10)));
-        assert!(c.get(3).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_caches_nothing() {
-        let mut c = VerdictCache::with_capacity(0);
-        c.insert(7, "x", v(1));
-        assert!(c.is_empty());
-        assert!(c.get(7).is_none());
-    }
-
-    #[test]
-    fn unbounded_caches_never_evict() {
-        let mut c = VerdictCache::new();
-        for key in 0..100u64 {
-            c.insert(key, "e", v(key as usize));
-        }
-        assert_eq!(c.len(), 100);
-        assert_eq!(c.capacity(), None);
-    }
-
-    #[test]
-    fn eviction_is_deterministic_across_replays() {
-        // Same insert sequence, same survivors — the generation counter is
-        // logical, never a clock, so replays agree byte-for-byte.
-        let run = || {
-            let mut c = VerdictCache::with_capacity(4);
-            for i in 0..20u64 {
-                c.insert((i * 37) % 11, "e", v(i as usize));
-            }
-            c.to_text()
-        };
-        assert_eq!(run(), run());
     }
 }

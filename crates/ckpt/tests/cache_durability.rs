@@ -86,37 +86,6 @@ fn truncated_file_on_disk_is_rejected_not_parsed_as_smaller_cache() {
 }
 
 #[test]
-fn bounded_cache_saves_only_survivors_and_round_trips() {
-    // A capacity-bounded cache evicts in logical insertion order; what it
-    // *saves* is exactly the surviving entries, and a load round-trips them.
-    // (The loaded cache is unbounded — capacity is a policy of the live
-    // process, not a property of the file format.)
-    let path = tmp("cache-evicted.txt");
-    let mut c = VerdictCache::with_capacity(2);
-    for (i, name) in ["ring", "grid", "star", "tree"].iter().enumerate() {
-        c.insert(
-            job_key(model_fp(name, &[i as u64]), "elects"),
-            &format!("{name} {i} elects"),
-            Verdict {
-                holds: i % 2 == 0,
-                states: 10 + i,
-                edges: 20 + i,
-            },
-        );
-    }
-    assert_eq!(c.len(), 2, "two oldest entries evicted before save");
-    c.save(&path).expect("save bounded cache");
-    let back = VerdictCache::load(&path).expect("load");
-    assert_eq!(back, c, "survivors round-trip byte-for-byte");
-    assert_eq!(back.capacity(), None, "a loaded cache is unbounded");
-    // The survivors are the two *newest* inserts.
-    for (i, name) in ["star", "tree"].iter().enumerate() {
-        let key = job_key(model_fp(name, &[(i + 2) as u64]), "elects");
-        assert!(back.get(key).is_some(), "{name} must survive");
-    }
-}
-
-#[test]
 fn retired_v1_file_is_a_cold_start() {
     let path = tmp("cache-v1.txt");
     std::fs::write(

@@ -93,19 +93,6 @@ impl FpHasher {
 pub trait Encode {
     /// Feed this value's canonical encoding to `h`.
     fn encode(&self, h: &mut FpHasher);
-
-    /// [`Encode::encode`] with a reusable [`EncodeScratch`] available for
-    /// byte staging. **Must absorb exactly the same words as
-    /// [`Encode::encode`]** — the scratch changes where temporary bytes
-    /// live, never what is hashed — so either path yields the same
-    /// fingerprint. The default ignores the scratch (word-streaming
-    /// encodings have nothing to stage); override it only when `encode`
-    /// would otherwise build a temporary `Vec<u8>`/`String` per call, and
-    /// route the staging through [`EncodeScratch::stage_bytes`].
-    fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-        let _ = scratch;
-        self.encode(h);
-    }
 }
 
 /// Seeded 64-bit fingerprints — blanket-implemented for every [`Encode`]
@@ -113,15 +100,6 @@ pub trait Encode {
 pub trait Fingerprint {
     /// The fingerprint of `self` under `seed`.
     fn fingerprint(&self, seed: u64) -> u64;
-
-    /// [`Fingerprint::fingerprint`] through a reusable [`EncodeScratch`].
-    ///
-    /// Identical result, by contract — the scratch is purely an allocation
-    /// vehicle. The search engine's hot loops hold one scratch per worker
-    /// per level and route every fingerprint through it, so encodings that
-    /// stage bytes pay one amortized buffer instead of a fresh `Vec<u8>`
-    /// per state.
-    fn fingerprint_with(&self, seed: u64, scratch: &mut EncodeScratch) -> u64;
 }
 
 impl<T: Encode + ?Sized> Fingerprint for T {
@@ -130,76 +108,21 @@ impl<T: Encode + ?Sized> Fingerprint for T {
         self.encode(&mut h);
         h.finish()
     }
-
-    fn fingerprint_with(&self, seed: u64, scratch: &mut EncodeScratch) -> u64 {
-        let mut h = FpHasher::new(seed);
-        self.encode_scratch(&mut h, scratch);
-        h.finish()
-    }
-}
-
-/// A reusable byte-staging buffer for [`Encode::encode_scratch`].
-///
-/// Word-streaming encodings (everything in this module) never allocate, so
-/// they ignore the scratch. Encodings that must *assemble* a byte string
-/// before hashing — a serialized composite, a canonical text form — stage
-/// it here via [`EncodeScratch::stage_bytes`] instead of allocating a fresh
-/// `Vec<u8>` per state: the buffer is cleared, filled, hashed with the same
-/// length-prefixed framing as [`FpHasher::write_bytes`], and its capacity
-/// survives for the next state. Creating a scratch is allocation-free
-/// (capacity grows only on first use), so hot loops can hold one per worker
-/// per level at zero cost when no encoding stages.
-#[derive(Debug, Default)]
-pub struct EncodeScratch {
-    bytes: Vec<u8>,
-}
-
-impl EncodeScratch {
-    /// An empty scratch (no allocation until first staged encoding).
-    pub fn new() -> Self {
-        EncodeScratch { bytes: Vec::new() }
-    }
-
-    /// Clear the buffer, let `fill` write the value's byte encoding into
-    /// it, and absorb the result into `h` exactly as
-    /// [`FpHasher::write_bytes`] would — so a staged encoding fingerprints
-    /// identically to an unstaged `write_bytes` of the same bytes.
-    ///
-    /// The buffer is taken out of `self` while `fill` runs, so a nested
-    /// `stage_bytes` inside `fill` starts from an empty (fresh) buffer
-    /// rather than corrupting the outer staging.
-    pub fn stage_bytes(&mut self, h: &mut FpHasher, fill: impl FnOnce(&mut Vec<u8>)) {
-        let mut buf = std::mem::take(&mut self.bytes);
-        buf.clear();
-        fill(&mut buf);
-        h.write_bytes(&buf);
-        // Keep the larger buffer: if `fill` nested another staging, `self`
-        // holds the inner one; retain whichever has more capacity.
-        if buf.capacity() >= self.bytes.capacity() {
-            self.bytes = buf;
-        }
-    }
-
-    /// Current staging capacity in bytes (for tests asserting reuse).
-    pub fn capacity(&self) -> usize {
-        self.bytes.capacity()
-    }
 }
 
 /// Batched encode→fingerprint pipeline: the seeded hasher initialization is
 /// hoisted out of the per-state loop and a whole batch of successors is
-/// fingerprinted back-to-back through one reused [`EncodeScratch`] and one
-/// reused output buffer.
+/// fingerprinted back-to-back into one reused output buffer.
 ///
 /// The search engine's hot loops collect a level's candidate successors
 /// first and then run them through [`BatchScratch::fingerprints`] in a
 /// tight loop — no per-state seed re-derivation, no per-state output
 /// allocation, and a monomorphized loop body the compiler can keep in
 /// registers. The contract is strict equivalence: every fingerprint
-/// produced here is bit-identical to
-/// [`Fingerprint::fingerprint_with`]`(seed, scratch)` on the same value
-/// (pinned by this module's tests and the determinism suites), so batching
-/// is purely a throughput change — never an observable one.
+/// produced here is bit-identical to [`Fingerprint::fingerprint`]`(seed)`
+/// on the same value (pinned by this module's tests, the determinism suites
+/// and, on every model crate's real states, `tests/explore_equivalence.rs`),
+/// so batching is purely a throughput change — never an observable one.
 #[derive(Debug)]
 pub struct BatchScratch {
     /// Hasher state after absorbing the seed, cloned per item — the
@@ -208,7 +131,6 @@ pub struct BatchScratch {
     h0: FpHasher,
     seed: u64,
     fps: Vec<u64>,
-    scratch: EncodeScratch,
 }
 
 impl BatchScratch {
@@ -218,7 +140,6 @@ impl BatchScratch {
             h0: FpHasher::new(seed),
             seed,
             fps: Vec::new(),
-            scratch: EncodeScratch::new(),
         }
     }
 
@@ -230,11 +151,9 @@ impl BatchScratch {
     /// Fingerprint every item of `items` in iteration order, returning the
     /// fingerprints as a slice valid until the next call on this scratch.
     ///
-    /// Each element is bit-identical to
-    /// `item.fingerprint_with(self.seed(), scratch)` — cloning the
-    /// seed-initialized hasher is exactly `FpHasher::new(seed)` by
-    /// construction, and the staging buffer is the same reused
-    /// [`EncodeScratch`] the scalar path uses.
+    /// Each element is bit-identical to `item.fingerprint(self.seed())` —
+    /// cloning the seed-initialized hasher is exactly `FpHasher::new(seed)`
+    /// by construction.
     pub fn fingerprints<'a, T, I>(&mut self, items: I) -> &[u64]
     where
         T: Encode + ?Sized + 'a,
@@ -243,7 +162,7 @@ impl BatchScratch {
         self.fps.clear();
         for item in items {
             let mut h = self.h0.clone();
-            item.encode_scratch(&mut h, &mut self.scratch);
+            item.encode(&mut h);
             self.fps.push(h.finish());
         }
         &self.fps
@@ -253,7 +172,7 @@ impl BatchScratch {
     /// equivalence contract as [`BatchScratch::fingerprints`]).
     pub fn fingerprint_one<T: Encode + ?Sized>(&mut self, item: &T) -> u64 {
         let mut h = self.h0.clone();
-        item.encode_scratch(&mut h, &mut self.scratch);
+        item.encode(&mut h);
         h.finish()
     }
 }
@@ -286,16 +205,6 @@ impl<T: Encode> Encode for Option<T> {
             }
         }
     }
-
-    fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-        match self {
-            None => h.write_u64(0),
-            Some(x) => {
-                h.write_u64(1);
-                x.encode_scratch(h, scratch);
-            }
-        }
-    }
 }
 
 impl<T: Encode> Encode for [T] {
@@ -305,22 +214,11 @@ impl<T: Encode> Encode for [T] {
             x.encode(h);
         }
     }
-
-    fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-        h.write_usize(self.len());
-        for x in self {
-            x.encode_scratch(h, scratch);
-        }
-    }
 }
 
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, h: &mut FpHasher) {
         self.as_slice().encode(h);
-    }
-
-    fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-        self.as_slice().encode_scratch(h, scratch);
     }
 }
 
@@ -328,19 +226,11 @@ impl<T: Encode, const N: usize> Encode for [T; N] {
     fn encode(&self, h: &mut FpHasher) {
         self.as_slice().encode(h);
     }
-
-    fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-        self.as_slice().encode_scratch(h, scratch);
-    }
 }
 
 impl<T: Encode + ?Sized> Encode for &T {
     fn encode(&self, h: &mut FpHasher) {
         (*self).encode(h);
-    }
-
-    fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-        (*self).encode_scratch(h, scratch);
     }
 }
 
@@ -362,10 +252,6 @@ macro_rules! encode_tuple {
             fn encode(&self, h: &mut FpHasher) {
                 $(self.$idx.encode(h);)+
             }
-
-            fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-                $(self.$idx.encode_scratch(h, scratch);)+
-            }
         }
     };
 }
@@ -384,14 +270,6 @@ impl<K: Encode, V: Encode> Encode for std::collections::BTreeMap<K, V> {
             v.encode(h);
         }
     }
-
-    fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-        h.write_usize(self.len());
-        for (k, v) in self {
-            k.encode_scratch(h, scratch);
-            v.encode_scratch(h, scratch);
-        }
-    }
 }
 
 impl<T: Encode> Encode for std::collections::BTreeSet<T> {
@@ -399,13 +277,6 @@ impl<T: Encode> Encode for std::collections::BTreeSet<T> {
         h.write_usize(self.len());
         for x in self {
             x.encode(h);
-        }
-    }
-
-    fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-        h.write_usize(self.len());
-        for x in self {
-            x.encode_scratch(h, scratch);
         }
     }
 }
@@ -546,85 +417,12 @@ mod tests {
         2: C(b),
     });
 
-    /// An encoding that must assemble a byte string per value — the shape
-    /// the scratch path exists for.
-    struct Staged(Vec<u16>);
-    impl Encode for Staged {
-        fn encode(&self, h: &mut FpHasher) {
-            // Unstaged: a fresh Vec<u8> per call.
-            let mut bytes = Vec::new();
-            for &v in &self.0 {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            h.write_bytes(&bytes);
-        }
-
-        fn encode_scratch(&self, h: &mut FpHasher, scratch: &mut EncodeScratch) {
-            scratch.stage_bytes(h, |buf| {
-                for &v in &self.0 {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn scratch_path_fingerprints_identically_to_streaming() {
-        let mut scratch = EncodeScratch::new();
-        assert_eq!(scratch.capacity(), 0, "no allocation before first use");
-        for n in 0..50u16 {
-            let v = Staged((0..n).collect());
-            assert_eq!(v.fingerprint(7), v.fingerprint_with(7, &mut scratch));
-        }
-        // Word-streaming types route through the same API unchanged.
-        let plain = vec![1u8, 2, 3];
-        assert_eq!(plain.fingerprint(7), plain.fingerprint_with(7, &mut scratch));
-    }
-
-    #[test]
-    fn scratch_buffer_is_reused_not_reallocated() {
-        let mut scratch = EncodeScratch::new();
-        let big = Staged((0..512).collect());
-        big.fingerprint_with(3, &mut scratch);
-        let cap = scratch.capacity();
-        assert!(cap >= 1024, "staging grew the buffer once");
-        // Hundreds of smaller states later the capacity is unchanged: the
-        // buffer is reused, not reallocated per state.
-        for n in 0..300u16 {
-            Staged((0..n).collect()).fingerprint_with(3, &mut scratch);
-        }
-        assert_eq!(scratch.capacity(), cap);
-    }
-
-    #[test]
-    fn scratch_propagates_through_containers() {
-        let mut scratch = EncodeScratch::new();
-        let nested = vec![
-            (Staged(vec![1, 2]), Some(Staged(vec![3]))),
-            (Staged(vec![]), None),
-        ];
-        assert_eq!(
-            nested.fingerprint(11),
-            nested.fingerprint_with(11, &mut scratch),
-        );
-        assert!(scratch.capacity() > 0, "containers handed the scratch down");
-    }
-
     #[test]
     fn batched_fingerprints_equal_the_scalar_path() {
-        // The batch pipeline's strict-equivalence contract, over both a
-        // staged encoding (exercises the shared EncodeScratch) and a
-        // word-streaming one, across seeds.
+        // The batch pipeline's strict-equivalence contract, across seeds.
         for seed in [0u64, 7, 0xdead_beef] {
-            let staged: Vec<Staged> = (0..40u16).map(|n| Staged((0..n).collect())).collect();
             let mut batch = BatchScratch::new(seed);
             assert_eq!(batch.seed(), seed);
-            let mut scratch = EncodeScratch::new();
-            let scalar: Vec<u64> = staged
-                .iter()
-                .map(|v| v.fingerprint_with(seed, &mut scratch))
-                .collect();
-            assert_eq!(batch.fingerprints(staged.iter()), &scalar[..], "seed={seed}");
 
             let words: Vec<Vec<u8>> = (0..25u8).map(|n| (0..n).collect()).collect();
             let scalar: Vec<u64> = words.iter().map(|v| v.fingerprint(seed)).collect();
@@ -638,15 +436,12 @@ mod tests {
     #[test]
     fn batch_buffers_are_reused_across_calls() {
         let mut batch = BatchScratch::new(3);
-        let big: Vec<Staged> = (0..64).map(|_| Staged((0..512).collect())).collect();
+        let big: Vec<Vec<u16>> = (0..64).map(|_| (0..512).collect()).collect();
         let _ = batch.fingerprints(big.iter());
-        let cap = batch.scratch.capacity();
-        assert!(cap >= 1024, "staging grew the shared buffer once");
         for n in 0..100u16 {
-            let small = [Staged((0..n).collect())];
+            let small = [(0..n).collect::<Vec<u16>>()];
             let _ = batch.fingerprints(small.iter());
         }
-        assert_eq!(batch.scratch.capacity(), cap, "scratch reused, not reallocated");
         assert!(batch.fps.capacity() >= 64, "output buffer capacity survives");
     }
 

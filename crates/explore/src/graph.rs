@@ -20,8 +20,8 @@
 //! global BFS discovery order, which downstream engines treat as stable,
 //! and the builder is available under an `Encode`-only bound (the analysis
 //! crates call it from generic contexts without `Send + Sync`). The perf
-//! win comes from the shared sharded-table + encode-scratch machinery, not
-//! from threads.
+//! win comes from the shared sharded-table + batched-fingerprint machinery,
+//! not from threads.
 //!
 //! Graphs honor the search's bounds — `max_states`, and (since the
 //! spill-to-disk PR fixed the builder silently ignoring it) `max_depth`:
@@ -51,12 +51,13 @@ pub struct ReachableGraph<S, A> {
     /// Number of (distinct, canonical) initial states: `order[..initials]`.
     /// The property checker's stem searches start here.
     pub initials: usize,
-    /// The bound that tripped, if any (only `States` is possible here).
+    /// The first bound that tripped, if any: `States`, `Depth`, or `Index`
+    /// (the `u32` index space ran out).
     pub truncated_by: Option<Truncation>,
 }
 
 impl<S, A> ReachableGraph<S, A> {
-    /// Did the builder hit the state bound?
+    /// Did the builder hit a bound before exhausting the space?
     pub fn truncated(&self) -> bool {
         self.truncated_by.is_some()
     }

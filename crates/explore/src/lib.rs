@@ -9,8 +9,7 @@
 //!
 //! * [`fingerprint`] — seeded 64-bit fingerprint visited-sets over a
 //!   derive-free byte/word [`Encode`] trait, with a full-state
-//!   collision-audit mode for tests and a reusable [`EncodeScratch`]
-//!   buffer for encodings that stage bytes;
+//!   collision-audit mode for tests;
 //! * [`canon`] — symmetry canonicalization hooks (plug
 //!   [`impossible_core::symmetry`]'s permutation machinery into the visited
 //!   set so each orbit is explored once);
@@ -18,9 +17,9 @@
 //!   fingerprint-partitioned frontiers, fixed index→worker ownership,
 //!   results merged in item order, so reports are byte-identical for any
 //!   worker count;
-//! * [`search`] — the unified [`Search`] API: BFS shortest-witness and
-//!   iterative-deepening DFS, with per-run counters exported as
-//!   deterministic JSON ([`SearchStats`]);
+//! * [`search`] — the unified [`Search`] API: BFS shortest-witness search,
+//!   with per-run counters exported as deterministic JSON
+//!   ([`SearchStats`]);
 //! * [`table`] — the open-addressing fingerprint tables behind the visited
 //!   set: flat [`FpMap`] and [`ShardedFpMap`], sharded by the same
 //!   `fp % partitions` function that splits frontiers, so workers dedup and
@@ -65,7 +64,7 @@ pub mod stats;
 pub mod table;
 
 pub use extmem::SpillPolicy;
-pub use fingerprint::{BatchScratch, Encode, EncodeScratch, Fingerprint, FpHasher};
+pub use fingerprint::{BatchScratch, Encode, Fingerprint, FpHasher};
 pub use persist::{Persist, PersistError};
 pub use graph::ReachableGraph;
 pub use grid::Grid;

@@ -17,7 +17,7 @@
 //!   fixed slots), so the caller's merge observes a sequence that depends
 //!   only on the input, never on thread scheduling.
 //!
-//! Consequently every mapper here is extensionally identical for any worker
+//! Consequently the mapper here is extensionally identical for any worker
 //! count — the determinism test in `tests/determinism.rs` pins byte-equal
 //! search reports for 1, 2 and 8 workers. Threads are *scoped* (joined
 //! before return) and share only the read-only closure plus the claim
@@ -76,42 +76,12 @@ impl WorkerPool {
         )
     }
 
-    /// Apply `f` to every item of every partition, returning outputs grouped
-    /// by partition, in partition order and in-partition input order.
-    ///
-    /// The output is a pure function of `(parts, f)` — the worker count only
-    /// affects wall-clock time.
-    pub fn map_partitions<I, O, F>(&self, parts: &[Vec<I>], f: F) -> Vec<Vec<O>>
-    where
-        I: Sync,
-        O: Send,
-        F: Fn(&I) -> O + Sync,
-    {
-        self.map_each_partition(parts, |p| p.iter().map(&f).collect())
-    }
-
-    /// Apply `f` to each whole partition (one call per partition, so hot
-    /// callers can accumulate into a single buffer instead of allocating per
-    /// item), returning outputs in partition order.
-    ///
-    /// Same determinism contract as [`WorkerPool::map_partitions`]: the
-    /// output is a pure function of `(parts, f)`.
-    pub fn map_each_partition<I, O, F>(&self, parts: &[Vec<I>], f: F) -> Vec<O>
-    where
-        I: Sync,
-        O: Send,
-        F: Fn(&[I]) -> O + Sync,
-    {
-        let items: Vec<&[I]> = parts.iter().map(Vec::as_slice).collect();
-        self.map_indexed(items, |_, p| f(p))
-    }
-
     /// Consume an ordered list of items, applying `f(index, item)` on
     /// whichever worker claims the index first, and return outputs in index
     /// order.
     ///
-    /// This is the pool's core (the other mappers are wrappers) and the
-    /// primitive behind worker-owned visited-set shards: passing
+    /// This is the pool's only mapper — every engine pass goes through it —
+    /// and the primitive behind worker-owned visited-set shards: passing
     /// `&mut`-borrows of the shards as items hands each claiming worker
     /// exclusive access to exactly the shards it claimed — the borrows are
     /// disjoint because each item is taken from its slot exactly once. The
@@ -186,7 +156,9 @@ mod tests {
     use super::*;
 
     fn square_parts(parts: &[Vec<u64>], workers: usize) -> Vec<Vec<u64>> {
-        WorkerPool::new(workers).map_partitions(parts, |x| x * x)
+        WorkerPool::new(workers).map_indexed(parts.to_vec(), |_, part| {
+            part.iter().map(|x| x * x).collect()
+        })
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The unified search engine: BFS shortest-witness and iterative-deepening
-//! DFS behind one [`Search`] builder.
+//! The unified search engine: BFS shortest-witness search behind one
+//! [`Search`] builder.
 //!
 //! # BFS (fingerprint dedup, deterministic parallel frontiers)
 //!
@@ -41,15 +41,8 @@
 //! `search` runs are not comparable — legacy stops mid-level. The
 //! cross-engine equivalence suite in `tests/explore_equivalence.rs` pins
 //! all of this per model crate.
-//!
-//! # IDDFS (memory-bound runs)
-//!
-//! [`Search::search_iddfs`] holds only the current path (plus its
-//! fingerprint set for cycle pruning), re-expanding prefixes instead of
-//! remembering them — the classic memory/time trade. Depth limits iterate
-//! `0..=max_depth`, so the first hit is still a shortest witness.
 
-use crate::fingerprint::{BatchScratch, Encode, Fingerprint};
+use crate::fingerprint::{BatchScratch, Encode};
 use crate::pool::WorkerPool;
 use crate::stats::SearchStats;
 use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
@@ -58,7 +51,7 @@ use impossible_core::explore::Truncation;
 use impossible_core::system::System;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Trace field value for a truncation cause ("none" when unbounded).
 fn truncation_name(t: &Option<Truncation>) -> &'static str {
@@ -77,12 +70,11 @@ pub const DEFAULT_PARTITIONS: usize = 64;
 /// Result of a [`Search`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchReport<S, A> {
-    /// Distinct states visited (fingerprint-distinct; 0 for IDDFS, which
-    /// keeps no visited set — see `stats.expansions`).
+    /// Distinct states visited (fingerprint-distinct).
     pub num_states: usize,
     /// Transitions traversed.
     pub num_transitions: usize,
-    /// States with no enabled action, in merge order (empty for IDDFS).
+    /// States with no enabled action, in merge order.
     pub terminal_states: Vec<S>,
     /// The first bound that tripped, if any.
     pub truncated_by: Option<Truncation>,
@@ -285,7 +277,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
-    /// Cap the BFS depth / IDDFS deepening limit.
+    /// Cap the BFS depth.
     pub fn max_depth(mut self, d: usize) -> Self {
         self.max_depth = d;
         self
@@ -295,14 +287,6 @@ impl<'a, Sys: System> Search<'a, Sys> {
     /// any worker count produces byte-identical reports.
     pub fn workers(mut self, w: usize) -> Self {
         self.workers = w.max(1);
-        self
-    }
-
-    /// Override the fixed partition count (must be ≥ 1). Changing this *is*
-    /// allowed to change discovery order (it redefines the merge order);
-    /// the worker count never does.
-    pub fn partitions(mut self, p: usize) -> Self {
-        self.partitions = p.max(1);
         self
     }
 
@@ -377,7 +361,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
     }
 
     /// The one successor-generation step every route shares — the fused and
-    /// two-pass BFS bodies, the graph builder, IDDFS: `enabled → step →
+    /// two-pass BFS bodies and the graph builder: `enabled → step →
     /// canon`, each child whose action passes `keep` handed to `stage` in
     /// action order. Returns whether `s` had any enabled action at all
     /// (the terminal test, which `keep` does not affect). `inline(always)`:
@@ -901,7 +885,7 @@ where
             // Each level body lives in its own function (not inlined here):
             // the expand loops are the hottest code in the crate, and giving
             // them their own functions keeps the optimizer's inlining budget
-            // focused on `fingerprint_with`/`try_insert_with` instead of
+            // focused on `fingerprints`/`try_insert_with` instead of
             // exhausting it on the orchestration around them. The fused
             // body is the two-pass body's one-worker, all-resident special
             // case — kept because it is measurably cheaper there
@@ -1120,7 +1104,7 @@ where
     /// loop is the hottest code in the crate, and carving it out of
     /// `bfs_levels` gives it a private inlining budget — measured on the
     /// 117k-state grid, leaving it inline cost ~25% wall-clock because the
-    /// surrounding function's size pushed `fingerprint_with`/
+    /// surrounding function's size pushed `fingerprints`/
     /// `try_insert_with` out of line.
     fn expand_level_fused(
         &self,
@@ -1460,205 +1444,6 @@ where
     }
 }
 
-impl<'a, Sys: System> Search<'a, Sys>
-where
-    Sys::State: Encode,
-{
-    /// Iterative-deepening DFS until `pred` matches. Memory is O(longest
-    /// path); the first hit is still a shortest witness (limits iterate
-    /// `0..=max_depth`, and path-cycle pruning never prunes a shortest
-    /// path). Single-threaded; `max_states` does not apply.
-    pub fn search_iddfs<F>(&self, pred: F) -> SearchReport<Sys::State, Sys::Action>
-    where
-        F: Fn(&Sys::State) -> bool,
-    {
-        self.search_iddfs_traced(pred, &mut NoopTracer)
-    }
-
-    /// [`Search::search_iddfs`], recording trace events into `tracer`
-    /// (scope `"search"`): one `limit.enter`/`limit.exit` span per
-    /// deepening pass, plus `found`/`truncate`/`end`.
-    pub fn search_iddfs_traced<F>(
-        &self,
-        pred: F,
-        tracer: &mut dyn Tracer,
-    ) -> SearchReport<Sys::State, Sys::Action>
-    where
-        F: Fn(&Sys::State) -> bool,
-    {
-        let mut stats = SearchStats::new("iddfs", 1, self.partitions, self.seed);
-        let mut truncated_by: Option<Truncation> = None;
-        let mut witness: Option<Execution<Sys::State, Sys::Action>> = None;
-        let mut transitions = 0usize;
-
-        trace_event!(tracer, "search", "start",
-            "strategy": "iddfs",
-            "partitions": self.partitions,
-            "seed": self.seed,
-            "max_states": self.max_states,
-            "max_depth": self.max_depth,
-            "canon": self.canon.is_some(),
-        );
-
-        'deepen: for limit in 0..=self.max_depth {
-            trace_event!(tracer, "search", "limit.enter", "limit": limit);
-            let mut cutoff = false;
-            for s0 in self.sys.initial_states() {
-                let sc = self.canonize(s0, &mut stats.canon_hits);
-                if let Some(exec) = self.depth_limited(
-                    sc,
-                    limit,
-                    &pred,
-                    &mut stats,
-                    &mut transitions,
-                    &mut cutoff,
-                ) {
-                    trace_event!(tracer, "search", "found",
-                        "depth": exec.len(),
-                        "limit": limit,
-                    );
-                    witness = Some(exec);
-                    break 'deepen;
-                }
-            }
-            stats.levels = limit;
-            trace_event!(tracer, "search", "limit.exit",
-                "limit": limit,
-                "expansions": stats.expansions,
-                "transitions": transitions,
-                "cutoff": cutoff,
-            );
-            if !cutoff {
-                // Space exhausted below the limit: deepening cannot help.
-                break;
-            }
-            if limit == self.max_depth {
-                trace_event!(tracer, "search", "truncate",
-                    "cause": "depth",
-                    "level": limit,
-                );
-                truncated_by = Some(Truncation::Depth);
-            }
-        }
-        trace_event!(tracer, "search", "end",
-            "states": 0usize,
-            "transitions": transitions,
-            "levels": stats.levels,
-            "expansions": stats.expansions,
-            "peak_frontier": stats.peak_frontier,
-            "truncated": truncation_name(&truncated_by),
-            "witness": witness.is_some(),
-        );
-
-        SearchReport {
-            num_states: 0,
-            num_transitions: transitions,
-            terminal_states: Vec::new(),
-            truncated_by,
-            witness,
-            stats,
-        }
-    }
-
-    /// One depth-limited DFS from `root`. Returns the path to the first
-    /// match (in deterministic child order), setting `cutoff` if any node
-    /// at the limit still had enabled actions.
-    #[allow(clippy::too_many_arguments)]
-    fn depth_limited<F>(
-        &self,
-        root: Sys::State,
-        limit: usize,
-        pred: &F,
-        stats: &mut SearchStats,
-        transitions: &mut usize,
-        cutoff: &mut bool,
-    ) -> Option<Execution<Sys::State, Sys::Action>>
-    where
-        F: Fn(&Sys::State) -> bool,
-    {
-        if pred(&root) {
-            return Some(Execution::start(root));
-        }
-        let root_fp = root.fingerprint(self.seed);
-        let mut path_states: Vec<Sys::State> = vec![root];
-        let mut path_actions: Vec<Sys::Action> = Vec::new();
-        let mut path_fps: BTreeSet<u64> = BTreeSet::new();
-        path_fps.insert(root_fp);
-        let mut path_fp_stack: Vec<u64> = vec![root_fp];
-        // Per-depth pending children, popped from the back (children are
-        // pushed reversed so expansion follows action order).
-        let mut frames: Vec<Vec<(Sys::Action, Sys::State, u64)>> = Vec::new();
-
-        // Expand the root.
-        let mut first = self.expand_for_dfs(&path_states[0], limit, 0, stats, cutoff);
-        first.reverse();
-        frames.push(first);
-
-        while let Some(frame) = frames.last_mut() {
-            match frame.pop() {
-                None => {
-                    frames.pop();
-                    if frames.is_empty() {
-                        break;
-                    }
-                    path_states.pop();
-                    path_actions.pop();
-                    let fp = path_fp_stack.pop().expect("fp stack aligned");
-                    path_fps.remove(&fp);
-                }
-                Some((a, t, fp)) => {
-                    *transitions += 1;
-                    if path_fps.contains(&fp) {
-                        // On-path cycle: pruning it cannot lose a shortest
-                        // witness (shortest paths are simple).
-                        stats.dedup_hits += 1;
-                        continue;
-                    }
-                    path_actions.push(a);
-                    path_states.push(t);
-                    path_fps.insert(fp);
-                    path_fp_stack.push(fp);
-                    stats.peak_frontier = stats.peak_frontier.max(path_states.len());
-                    let depth = path_actions.len();
-                    let cur = path_states.last().expect("nonempty path");
-                    if pred(cur) {
-                        return Some(Execution::from_parts(path_states, path_actions));
-                    }
-                    let mut kids = self.expand_for_dfs(cur, limit, depth, stats, cutoff);
-                    kids.reverse();
-                    frames.push(kids);
-                }
-            }
-        }
-        None
-    }
-
-    /// Children of `s` for depth-limited DFS, or empty at the cutoff.
-    fn expand_for_dfs(
-        &self,
-        s: &Sys::State,
-        limit: usize,
-        depth: usize,
-        stats: &mut SearchStats,
-        cutoff: &mut bool,
-    ) -> Vec<(Sys::Action, Sys::State, u64)> {
-        stats.expansions += 1;
-        if depth >= limit {
-            if !self.sys.enabled(s).is_empty() {
-                *cutoff = true;
-            }
-            return Vec::new();
-        }
-        let mut kids = Vec::new();
-        let stage = |tc: Sys::State, a| {
-            let fp = tc.fingerprint(self.seed);
-            kids.push((a, tc, fp));
-        };
-        self.stage_successors(s, |_| true, &mut stats.canon_hits, stage);
-        kids
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1773,35 +1558,6 @@ mod tests {
             Search::new(&Degenerate).collision_audit(true).explore()
         });
         assert!(caught.is_err(), "collision audit failed to trip");
-    }
-
-    #[test]
-    fn iddfs_matches_bfs_witness_length() {
-        let sys = Grid { n: 2, max: 4 };
-        let target = |s: &Vec<u8>| s[0] == 3 && s[1] == 2;
-        let bfs = Search::new(&sys).search(target);
-        let iddfs = Search::new(&sys).search_iddfs(target);
-        assert_eq!(iddfs.stats.strategy, "iddfs");
-        assert_eq!(
-            iddfs.witness.expect("found").len(),
-            bfs.witness.expect("found").len(),
-        );
-    }
-
-    #[test]
-    fn iddfs_exhausts_without_truncation_on_finite_space() {
-        let sys = Grid { n: 2, max: 2 };
-        let r = Search::new(&sys).search_iddfs(|s| s[0] == 99);
-        assert!(r.witness.is_none());
-        assert_eq!(r.truncated_by, None);
-    }
-
-    #[test]
-    fn iddfs_reports_depth_truncation() {
-        let sys = Grid { n: 1, max: 100 };
-        let r = Search::new(&sys).max_depth(3).search_iddfs(|s| s[0] == 50);
-        assert!(r.witness.is_none());
-        assert_eq!(r.truncated_by, Some(Truncation::Depth));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 /// byte-deterministic for equal runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Search strategy: `"bfs"` or `"iddfs"`.
+    /// Search strategy: always `"bfs"`, the only one there is.
     pub strategy: &'static str,
     /// Worker threads configured (output-invariant; recorded for the log).
     pub workers: usize,
@@ -20,15 +20,15 @@ pub struct SearchStats {
     pub partitions: usize,
     /// Fingerprint seed.
     pub seed: u64,
-    /// BFS levels completed / maximum IDDFS depth reached.
+    /// BFS levels completed.
     pub levels: usize,
-    /// States expanded (`enabled` calls; IDDFS counts revisits).
+    /// States expanded (`enabled` calls).
     pub expansions: usize,
     /// Transitions that led to an already-fingerprinted state.
     pub dedup_hits: usize,
     /// Successors changed by the canonicalization hook (orbit collapses).
     pub canon_hits: usize,
-    /// Largest frontier (BFS) / deepest path (IDDFS) held at once.
+    /// Largest frontier held at once.
     pub peak_frontier: usize,
     /// BFS levels where the `max_states` cap could have bound
     /// (`visited + level children > max_states`), forcing the sequential

@@ -9,8 +9,7 @@
 //!
 //! Two table shapes live here:
 //!
-//! * [`FpMap`] — a single open-addressing table. Still used by the IDDFS
-//!   path and as the building block below.
+//! * [`FpMap`] — a single open-addressing table, the building block below.
 //! * [`ShardedFpMap`] — a fixed number of independent `FpMap` shards, where
 //!   fingerprint `fp` lives in shard `fp % shards`. The shard function is
 //!   the *same* fixed partition function the search engine uses to split
@@ -23,10 +22,11 @@
 //! Determinism: the tables are only ever *probed* (by fingerprint) on hot
 //! paths — nothing hot iterates them — so neither probe order nor growth
 //! timing can influence a report. The ordered iteration below
-//! ([`FpMap::iter_ordered`], [`ShardedFpMap::iter_ordered`]) exists for
-//! tests and diagnostics and is defined as ascending key order, which makes
-//! the sharded aggregate order equal to the flat table's order for the same
-//! key set — pinned by a `det_prop!` sweep in `tests/determinism.rs`.
+//! ([`FpMap::iter_ordered`], [`ShardedFpMap::iter_ordered`]) runs once per
+//! shard when a run pauses or spills, and is defined as ascending key
+//! order, which makes the sharded aggregate order equal to the flat table's
+//! order for the same key set — pinned by a `det_prop!` sweep in
+//! `tests/determinism.rs`.
 //!
 //! The unoccupied sentinel is fingerprint `0`; real zero fingerprints are
 //! folded onto key `1`. That conflates a zero-fingerprint state with a
@@ -224,24 +224,6 @@ impl<V> FpMap<V> {
         TryInsert::Inserted
     }
 
-    /// The value under `fp`, inserting `make()` first if absent (no cap).
-    /// Like [`FpMap::try_insert_with`], growth only happens when an entry
-    /// is actually inserted.
-    pub fn get_or_insert_with(&mut self, fp: u64, make: impl FnOnce() -> V) -> &mut V {
-        let key = key_of(fp);
-        let mut i = self.slot(key);
-        if self.keys[i] != key {
-            if (self.len + 1) * 2 > self.keys.len() {
-                self.grow();
-                i = self.slot(key);
-            }
-            self.keys[i] = key;
-            self.vals[i] = Some(make());
-            self.len += 1;
-        }
-        self.vals[i].as_mut().expect("occupied slot holds a value")
-    }
-
     /// Current slot count (not entries — see [`FpMap::len`]). Exposed so
     /// tests can assert that non-inserting operations never grow the table.
     pub fn capacity(&self) -> usize {
@@ -249,8 +231,10 @@ impl<V> FpMap<V> {
     }
 
     /// Entries in ascending key order (the stored key: fingerprint `0`
-    /// folds onto `1`). O(n log n); for tests and diagnostics, never a hot
-    /// path. This is the canonical iteration order both table shapes share.
+    /// folds onto `1`). O(n log n), once per shard: it is what
+    /// `Search::suspend` and the spill path's visited flush page shards
+    /// out with, never a per-state path. This is the canonical iteration
+    /// order both table shapes share.
     pub fn iter_ordered(&self) -> impl Iterator<Item = (u64, &V)> {
         let mut idx: Vec<usize> = (0..self.keys.len())
             .filter(|&i| self.keys[i] != EMPTY)
@@ -465,15 +449,14 @@ mod tests {
         }
         assert_eq!(m.capacity(), 64);
 
-        // Regression: these three non-inserting operations used to grow the
+        // Regression: these non-inserting operations used to grow the
         // table before probing, doubling capacity on every duplicate or
         // over-cap hit at the threshold.
         assert_eq!(m.try_insert_with(7, Cap::Unbounded, || 0), TryInsert::Present);
         assert_eq!(m.capacity(), 64, "Present must not grow");
         assert_eq!(m.try_insert_with(1000, Cap::At(32), || 0), TryInsert::Full);
         assert_eq!(m.capacity(), 64, "Full must not grow");
-        assert_eq!(*m.get_or_insert_with(7, || 0), 7);
-        assert_eq!(m.capacity(), 64, "get_or_insert on a present key must not grow");
+        assert_eq!(m.get(7), Some(&7), "Present must not overwrite the entry");
 
         // The insert that actually lands is the one that doubles.
         assert_eq!(m.try_insert_with(33, Cap::Unbounded, || 33), TryInsert::Inserted);
@@ -506,7 +489,8 @@ mod tests {
     fn growth_preserves_entries() {
         let mut m: FpMap<u64> = FpMap::new();
         for fp in 0..10_000u64 {
-            m.get_or_insert_with(fp.wrapping_mul(0x2545_F491_4F6C_DD1D), || fp);
+            let k = fp.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            assert_eq!(m.try_insert_with(k, Cap::Unbounded, || fp), TryInsert::Inserted);
         }
         for fp in 0..10_000u64 {
             let k = fp.wrapping_mul(0x2545_F491_4F6C_DD1D);

@@ -82,6 +82,26 @@ if ! printf '%s' "$scaling_out" | grep -q "check: scaling OK"; then
     exit 1
 fi
 
+echo "== trace smoke (every dump target deterministic; unknown target refused) =="
+for target in search valence benor election property; do
+    ./target/release/trace dump "$target" > "$check_tmp/trace_a.jsonl"
+    ./target/release/trace dump "$target" > "$check_tmp/trace_b.jsonl"
+    if ! ./target/release/trace diff "$check_tmp/trace_a.jsonl" "$check_tmp/trace_b.jsonl" \
+        | grep -q "traces identical"; then
+        echo "error: two dumps of trace target '$target' differ" >&2
+        exit 1
+    fi
+done
+if unknown_err="$(./target/release/trace dump no-such-target 2>&1 >/dev/null)"; then
+    echo "error: trace dump accepted an unknown target" >&2
+    exit 1
+fi
+if ! printf '%s' "$unknown_err" | grep -q 'unknown dump target `no-such-target`'; then
+    echo "error: trace dump did not name the unknown target: $unknown_err" >&2
+    exit 1
+fi
+echo "trace smoke: OK (5 targets identical on rerun; unknown target refused)"
+
 echo "== bench harness smoke (1 sample, tiny grid) =="
 bench_out="$(./scripts/bench.sh --check)"
 printf '%s\n' "$bench_out"

@@ -292,7 +292,22 @@ fn extmem_spill_mode(dir: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> Result<(), String> {
+/// What `main` fails with. The runtime prints a failed `main`'s error
+/// through `Debug`, which for a bare `String` quotes it and escapes every
+/// newline of the usage text; this `Debug` writes the message as it is.
+struct CliError(String);
+
+impl std::fmt::Debug for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+fn main() -> Result<(), CliError> {
+    run().map_err(CliError)
+}
+
+fn run() -> Result<(), String> {
     // LINT-ALLOW: det-ambient -- CLI argument parsing; never protocol state
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();

@@ -7,14 +7,13 @@
 //! cargo run --bin trace -- diff <a.jsonl> <b.jsonl>
 //! ```
 //!
-//! Targets: `search` (fingerprint BFS on the benchmark grid), `iddfs`
-//! (iterative deepening on the same grid), `valence` (FLP arbiter
-//! classification + decider hunt), `benor` (randomized consensus round
-//! transcript), `election` (async LCR ring), `property` (the
-//! temporal-property checker exhibiting the quorum FLP lasso). Every dump
-//! is a pure function of `(target, seed)`: run the same command twice and
-//! `diff` reports the traces identical; change the seed and it localizes
-//! the first divergent event.
+//! Targets: `search` (fingerprint BFS on the benchmark grid), `valence`
+//! (FLP arbiter classification + decider hunt), `benor` (randomized
+//! consensus round transcript), `election` (async LCR ring), `property`
+//! (the temporal-property checker exhibiting the quorum FLP lasso). Every
+//! dump is a pure function of `(target, seed)`: run the same command twice
+//! and `diff` reports the traces identical; change the seed and it
+//! localizes the first divergent event.
 
 use impossible::consensus::{benor, flp, quorum};
 use impossible::core::valence::ValenceEngine;
@@ -28,7 +27,7 @@ use impossible::obs::{trace_diff, Event, RingTracer};
 const CAPACITY: usize = 1 << 16;
 
 fn usage() -> String {
-    "usage: trace dump <search|iddfs|valence|benor|election|property> [seed]\n\
+    "usage: trace dump <search|valence|benor|election|property> [seed]\n\
      \x20      trace diff <a.jsonl> <b.jsonl>"
         .to_string()
 }
@@ -41,13 +40,6 @@ fn dump(target: &str, seed: u64) -> Result<RingTracer, String> {
             let r = Search::new(&sys)
                 .seed(seed)
                 .search_traced(|s| s.iter().all(|&c| c == 5), &mut tracer);
-            r.witness.ok_or("grid corner unreachable?!")?;
-        }
-        "iddfs" => {
-            let sys = Grid { n: 2, max: 4 };
-            let r = Search::new(&sys)
-                .seed(seed)
-                .search_iddfs_traced(|s| s.iter().all(|&c| c == 4), &mut tracer);
             r.witness.ok_or("grid corner unreachable?!")?;
         }
         "valence" => {
@@ -104,7 +96,22 @@ fn parse_trace(path: &str) -> Result<Vec<Event>, String> {
         .collect()
 }
 
-fn main() -> Result<(), String> {
+/// What `main` fails with. The runtime prints a failed `main`'s error
+/// through `Debug`, which for a bare `String` quotes it and escapes every
+/// newline of the usage text; this `Debug` writes the message as it is.
+struct CliError(String);
+
+impl std::fmt::Debug for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+fn main() -> Result<(), CliError> {
+    run().map_err(CliError)
+}
+
+fn run() -> Result<(), String> {
     // LINT-ALLOW: det-ambient -- CLI argument parsing; never protocol state
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();

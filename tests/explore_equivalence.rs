@@ -12,7 +12,8 @@
 
 use impossible::core::explore::Explorer;
 use impossible::core::system::System;
-use impossible::explore::{Encode, Search};
+use impossible::explore::{BatchScratch, Encode, Fingerprint, Search, DEFAULT_SEED};
+use std::collections::BTreeSet;
 
 /// Explore `sys` with both engines and pin the order-independent facts.
 fn assert_full_equivalence<Sys>(sys: &Sys, max_states: usize)
@@ -38,6 +39,17 @@ where
         lt.sort();
         nt.sort();
         assert_eq!(nt, lt, "terminal sets differ (workers={workers})");
+    }
+    // Every engine fingerprints through `BatchScratch`: on this model's
+    // real states it must equal the scalar reference item for item, and
+    // distinct states must get distinct fingerprints.
+    let states = Search::new(sys).max_states(max_states).graph().order;
+    for seed in [DEFAULT_SEED, 7] {
+        let scalar: Vec<u64> = states.iter().map(|s| s.fingerprint(seed)).collect();
+        let mut batch = BatchScratch::new(seed);
+        assert_eq!(batch.fingerprints(states.iter()), &scalar[..], "seed={seed}");
+        let distinct: BTreeSet<u64> = scalar.into_iter().collect();
+        assert_eq!(distinct.len(), states.len(), "collision under seed={seed}");
     }
 }
 
