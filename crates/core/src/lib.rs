@@ -17,7 +17,8 @@
 //! * [`explore`] — explicit-state exploration of small systems.
 //! * [`valence`] — the FLP *bivalence* engine (Figures 2–3 of the paper):
 //!   valence classification, bivalent initial configurations, decider /
-//!   critical configurations, and admissible non-deciding executions.
+//!   critical configurations. (The admissible non-deciding execution is
+//!   `consensus::flp::find_nontermination` over `explore::property`.)
 //! * [`scenario`] — the Fischer–Lynch–Merritt *scenario* composer (Figure 1):
 //!   glue copies of a protocol into a ring and extract contradictory
 //!   obligations.

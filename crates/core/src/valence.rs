@@ -12,10 +12,12 @@
 //!   (Herlihy's simplified "decider", Figure 3),
 //! * **decider configurations** in the Bridgeland–Watro sense — a bivalent
 //!   configuration from which a single process *on its own* can drive the
-//!   system to either valence (Figure 2),
-//! * **admissible non-deciding executions** — a fair "lasso" through
-//!   bivalent configurations: the concrete counterexample every bivalence
-//!   proof constructs.
+//!   system to either valence (Figure 2).
+//!
+//! The counterexample every bivalence proof then constructs — an admissible
+//! non-deciding execution, a fair "lasso" — is a liveness check, so it
+//! lives with the liveness checker: `consensus::flp::find_nontermination`
+//! over `explore::property::Checker`.
 //!
 //! ```
 //! use impossible_core::ids::ProcessId;
@@ -46,7 +48,7 @@
 //! assert_eq!(report.critical.len(), 1);
 //! ```
 
-use crate::exec::{Admissibility, Execution, StepCensus};
+use crate::exec::Execution;
 use crate::ids::ProcessId;
 use crate::system::{DecisionSystem, SystemExt};
 use impossible_obs::{trace_event, NoopTracer, Tracer};
@@ -93,21 +95,6 @@ pub struct ValenceReport<S> {
     /// Configurations where a process has decided but agreement is violated
     /// somewhere below — diagnostic for buggy candidate protocols.
     pub agreement_violations: Vec<S>,
-}
-
-/// An admissible non-deciding execution in lasso form: a stem from an initial
-/// configuration to a bivalent configuration `c`, plus a cycle from `c` back
-/// to `c` through bivalent configurations in which every non-failed process
-/// takes a step. Repeating the cycle forever is an admissible execution in
-/// which no process ever decides — the FLP counterexample.
-#[derive(Debug, Clone)]
-pub struct NonDecidingLasso<S, A> {
-    /// Prefix from an initial configuration to the loop head.
-    pub stem: Execution<S, A>,
-    /// The loop: starts and ends at `stem.last()`.
-    pub cycle: Execution<S, A>,
-    /// The processes allowed to fail (take no step in the cycle).
-    pub failed: Vec<ProcessId>,
 }
 
 /// A Bridgeland–Watro decider: from `config`, process `p` can reach, by
@@ -302,121 +289,6 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         }
     }
 
-    /// Search for an admissible non-deciding lasso: a cycle through bivalent
-    /// configurations in which every process outside some failure set of size
-    /// ≤ `adm.max_failures` takes at least one step.
-    ///
-    /// Returns `None` if no such lasso exists in the (bounded) reachable
-    /// graph — which, for a *correct* `t`-resilient protocol, is exactly what
-    /// must happen; for any protocol claiming to solve 1-resilient
-    /// asynchronous consensus, FLP guarantees a lasso exists.
-    pub fn non_deciding_lasso(
-        &self,
-        adm: &Admissibility,
-    ) -> Option<NonDecidingLasso<Sys::State, Sys::Action>> {
-        let n = self
-            .sys
-            .num_processes()
-            .expect("non_deciding_lasso requires a fixed process population");
-        let report = self.analyze();
-        let (order, succ, _) = self.reachable_graph();
-        let bival: Vec<bool> = order
-            .iter()
-            .map(|s| report.valence[s].is_bivalent())
-            .collect();
-
-        // Candidate failure sets, smallest first (prefer the strongest
-        // counterexample: fewer failures).
-        let failure_sets = subsets_up_to(n, adm.max_failures);
-
-        for failed in failure_sets {
-            let failed_set: BTreeSet<ProcessId> = failed.iter().copied().collect();
-            let live: Vec<ProcessId> = ProcessId::all(n)
-                .filter(|p| !failed_set.contains(p))
-                .collect();
-            if live.is_empty() {
-                continue;
-            }
-            // Product search: node = (state_index, bitmask of live procs that
-            // have stepped since the loop head). Look for a loop head h with a
-            // path h,0 -> h,full. Restrict to bivalent states; actions owned
-            // by failed processes are not taken (they have crashed).
-            let full: u32 = (1u32 << live.len()) - 1;
-            let live_bit: BTreeMap<ProcessId, u32> = live
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (*p, 1u32 << i))
-                .collect();
-
-            for (h, is_biv) in bival.iter().enumerate() {
-                if !is_biv {
-                    continue;
-                }
-                // BFS in product space from (h, 0).
-                let mut parent: BTreeMap<(usize, u32), (usize, u32, Sys::Action)> = BTreeMap::new();
-                let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
-                let mut q: VecDeque<(usize, u32)> = VecDeque::new();
-                seen.insert((h, 0));
-                q.push_back((h, 0));
-                let mut goal: Option<(usize, u32)> = None;
-                'bfs: while let Some((s, mask)) = q.pop_front() {
-                    for (a, t) in &succ[s] {
-                        if !bival[*t] {
-                            continue;
-                        }
-                        let owner = self.sys.owner(a);
-                        if let Some(p) = owner {
-                            if failed_set.contains(&p) {
-                                continue;
-                            }
-                        }
-                        let nmask = match owner.and_then(|p| live_bit.get(&p)) {
-                            Some(b) => mask | b,
-                            None => mask,
-                        };
-                        let node = (*t, nmask);
-                        if seen.insert(node) {
-                            parent.insert(node, (s, mask, a.clone()));
-                            if *t == h && nmask == full {
-                                goal = Some(node);
-                                break 'bfs;
-                            }
-                            q.push_back(node);
-                        }
-                    }
-                }
-                if let Some(g) = goal {
-                    // Reconstruct cycle h -> ... -> h.
-                    let mut rev_actions = Vec::new();
-                    let mut rev_states = vec![order[g.0].clone()];
-                    let mut cur = g;
-                    while cur != (h, 0) {
-                        let (ps, pm, a) = parent[&cur].clone();
-                        rev_actions.push(a);
-                        rev_states.push(order[ps].clone());
-                        cur = (ps, pm);
-                    }
-                    rev_states.reverse();
-                    rev_actions.reverse();
-                    let cycle = Execution::from_parts(rev_states, rev_actions);
-                    // Stem: shortest path from an initial state to h, using
-                    // only actions not owned by failed processes (the failed
-                    // processes crash at time 0 in this counterexample).
-                    let stem = self.shortest_path_avoiding(&order, &succ, h, &failed_set)?;
-                    // Sanity: verify fairness census of the cycle.
-                    debug_assert!(StepCensus::of(self.sys, &cycle)
-                        .admissible_as_loop(n, adm));
-                    return Some(NonDecidingLasso {
-                        stem,
-                        cycle,
-                        failed,
-                    });
-                }
-            }
-        }
-        None
-    }
-
     /// Search for a Bridgeland–Watro decider configuration (Figure 2).
     pub fn find_decider(&self) -> Option<Decider<Sys::State, Sys::Action>> {
         self.find_decider_traced(&mut NoopTracer)
@@ -430,8 +302,8 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         &self,
         tracer: &mut dyn Tracer,
     ) -> Option<Decider<Sys::State, Sys::Action>> {
-        let report = self.analyze();
-        let (order, succ, _) = self.reachable_graph();
+        let (order, succ, truncated) = self.reachable_graph();
+        let report = self.analyze_from_graph(&order, &succ, truncated);
         let n = self.sys.num_processes()?;
         trace_event!(tracer, "valence", "decider.hunt",
             "states": order.len(),
@@ -441,7 +313,6 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
             if !report.valence[s].is_bivalent() {
                 continue;
             }
-            let _ = &succ[i];
             for p in ProcessId::all(n) {
                 // Explore p-solo executions from s; collect reachable
                 // valences.
@@ -536,78 +407,6 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         }
         (order, succ, truncated)
     }
-
-    #[allow(clippy::type_complexity)]
-    fn shortest_path_avoiding(
-        &self,
-        order: &[Sys::State],
-        succ: &[Vec<(Sys::Action, usize)>],
-        target: usize,
-        failed: &BTreeSet<ProcessId>,
-    ) -> Option<Execution<Sys::State, Sys::Action>> {
-        let index: BTreeMap<&Sys::State, usize> =
-            order.iter().enumerate().map(|(i, s)| (s, i)).collect();
-        let mut parent: BTreeMap<usize, (usize, Sys::Action)> = BTreeMap::new();
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut q: VecDeque<usize> = VecDeque::new();
-        for s in self.sys.initial_states() {
-            if let Some(&i) = index.get(&s) {
-                if seen.insert(i) {
-                    q.push_back(i);
-                }
-            }
-        }
-        if seen.contains(&target) {
-            return Some(Execution::start(order[target].clone()));
-        }
-        while let Some(i) = q.pop_front() {
-            for (a, t) in &succ[i] {
-                if let Some(p) = self.sys.owner(a) {
-                    if failed.contains(&p) {
-                        continue;
-                    }
-                }
-                if seen.insert(*t) {
-                    parent.insert(*t, (i, a.clone()));
-                    if *t == target {
-                        let mut rev_states = vec![order[target].clone()];
-                        let mut rev_actions = Vec::new();
-                        let mut cur = target;
-                        while let Some((p, a)) = parent.get(&cur) {
-                            rev_actions.push(a.clone());
-                            rev_states.push(order[*p].clone());
-                            cur = *p;
-                        }
-                        rev_states.reverse();
-                        rev_actions.reverse();
-                        return Some(Execution::from_parts(rev_states, rev_actions));
-                    }
-                    q.push_back(*t);
-                }
-            }
-        }
-        None
-    }
-}
-
-/// All subsets of `{p0..p(n-1)}` of size ≤ `k`, smallest-cardinality first.
-fn subsets_up_to(n: usize, k: usize) -> Vec<Vec<ProcessId>> {
-    let mut out: Vec<Vec<ProcessId>> = vec![Vec::new()];
-    let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
-    for _ in 0..k.min(n) {
-        let mut next = Vec::new();
-        for set in &frontier {
-            let start = set.last().map_or(0, |l| l + 1);
-            for i in start..n {
-                let mut s = set.clone();
-                s.push(i);
-                out.push(s.iter().map(|&i| ProcessId(i)).collect());
-                next.push(s);
-            }
-        }
-        frontier = next;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -702,14 +501,6 @@ mod tests {
         assert!(d.is_none());
     }
 
-    #[test]
-    fn no_fair_lasso_for_terminating_protocol() {
-        // FirstMover always terminates in 2 steps; no cycle at all.
-        let lasso = ValenceEngine::new(&FirstMover)
-            .non_deciding_lasso(&Admissibility::resilient(1));
-        assert!(lasso.is_none());
-    }
-
     /// A deliberately *non-deciding* protocol: two processes pass a token
     /// around forever and never decide. Valence is empty-set everywhere;
     /// no decisions reachable at all.
@@ -740,23 +531,10 @@ mod tests {
     }
 
     #[test]
-    fn token_loop_has_empty_valence_no_bivalent_lasso() {
+    fn token_loop_has_empty_valence() {
         let report = ValenceEngine::new(&TokenLoop).analyze();
         assert_eq!(report.num_states, 2);
         // Valence sets are empty (no decision reachable): not bivalent.
         assert!(report.bivalent_initials.is_empty());
-        let lasso =
-            ValenceEngine::new(&TokenLoop).non_deciding_lasso(&Admissibility::failure_free());
-        // The cycle exists but is not through *bivalent* states, so none.
-        assert!(lasso.is_none());
-    }
-
-    #[test]
-    fn subsets_enumerator() {
-        let subs = subsets_up_to(3, 1);
-        assert_eq!(subs.len(), 4); // {}, {0}, {1}, {2}
-        assert_eq!(subs[0], Vec::<ProcessId>::new());
-        let subs2 = subsets_up_to(3, 2);
-        assert_eq!(subs2.len(), 7);
     }
 }

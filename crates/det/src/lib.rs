@@ -1,12 +1,11 @@
 //! # impossible-det
 //!
 //! In-tree deterministic infrastructure for the `impossible` workspace:
-//! a seeded PRNG ([`DetRng`]), a property-testing harness
-//! ([`det_prop!`]), and a bench timer ([`bench`](mod@bench)). Together they replace
-//! the external `rand`, `proptest` and `criterion` dependencies, so the
-//! whole workspace builds **offline with an empty registry cache** — and,
-//! more importantly, so every randomized run in the repository is a pure
-//! function of its seed.
+//! a seeded PRNG ([`DetRng`]) and a property-testing harness
+//! ([`det_prop!`]). Together they replace the external `rand` and
+//! `proptest` dependencies, so the whole workspace builds **offline with
+//! an empty registry cache** — and, more importantly, so every randomized
+//! run in the repository is a pure function of its seed.
 //!
 //! The paper this workspace reproduces insists that "it is not possible to
 //! fake an impossibility proof": a refutation is only worth anything if it
@@ -63,17 +62,10 @@
 //! simulators themselves: every run result in the workspace quotes the
 //! seed that produced it, and feeding the seed back reproduces the
 //! transcript byte for byte (see the `determinism` integration test).
-//!
-//! ## Benches
-//!
-//! [`bench::bench_case`] and [`bench::BenchSuite`] provide wall-clock
-//! median/p95 timing with JSON export (`BENCH_<suite>.json`), replacing
-//! criterion for the experiment harness in `crates/bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 

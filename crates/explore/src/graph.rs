@@ -12,9 +12,9 @@
 //! an overflow chain. A collision costs extra comparisons, never a wrong
 //! graph — so graph-based classifications (valence, deadlock,
 //! non-termination) are exact under any seed, while skipping the
-//! per-fingerprint bucket allocations and per-expansion state clones that
-//! kept the previous builder ~2.2× slower than `Search::explore` on the
-//! same space (`BENCH_5.json` tracks the ratio; the cap is 1.5×).
+//! per-fingerprint bucket allocations and per-expansion state clones the
+//! previous builder paid (the ledger's `graph.build_s` / `graph.self_s`
+//! on `mutex_dijkstra4` and `ring_quotient20` track the cost).
 //!
 //! Construction itself stays sequential: graph indices are assigned in
 //! global BFS discovery order, which downstream engines treat as stable,

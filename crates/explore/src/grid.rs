@@ -5,8 +5,7 @@
 //! dense diamond structure that stresses the visited set — every interior
 //! state is reachable along many paths, so dedup throughput dominates.
 //! This is the public sibling of `core`'s test-only `Counters` system; the
-//! `BENCH_5.json` speedup baseline uses `Grid { n: 6, max: 6 }` (117,649
-//! states).
+//! ledger's `grid_*` workloads use `Grid { n: 6, max: 9 }` (10⁶ states).
 
 use impossible_core::system::System;
 

@@ -1,10 +1,10 @@
 //! Per-run search counters with deterministic JSON export.
 //!
 //! Everything here is a pure count of search events — no wall-clock times
-//! (the workspace's `det-time` lint bans ambient clocks outside the bench
-//! harness). Throughput (states/sec) is derived where timing is legitimate:
-//! `crates/bench` divides [`SearchStats::expansions`] by its own measured
-//! wall time and records both in `BENCH_5.json`.
+//! (the workspace's `det-time` lint bans ambient clocks in every engine
+//! crate). Throughput (states/sec) is derived where timing is legitimate:
+//! the standalone `ledger/` package times calls into the public API from
+//! outside and reports `states_per_s` beside these counters.
 
 /// Counters for one `Search` run.
 ///

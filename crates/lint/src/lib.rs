@@ -22,7 +22,7 @@
 //! | rule | forbids |
 //! |---|---|
 //! | `det-order` | `HashMap`/`HashSet` in engine & protocol crates |
-//! | `det-time` | `Instant::now`/`SystemTime` outside the bench timer |
+//! | `det-time` | `Instant::now`/`SystemTime` in any workspace crate |
 //! | `det-ambient` | `thread::spawn`, `std::process`, `std::env` reads |
 //! | `det-float` | `f32`/`f64` in engine/protocol crates (NaN vs `Ord`) |
 //! | `hermetic-deps` | any non-`path` dependency in any `Cargo.toml` |

@@ -1,7 +1,7 @@
 //! `hermetic-deps`: machine-check the offline build guarantee.
 //!
 //! The workspace promises to build with an *empty registry cache*: the
-//! in-tree `impossible-det` crate replaced `rand`/`proptest`/`criterion`
+//! in-tree `impossible-det` crate replaced `rand`/`proptest`
 //! precisely so that no network or vendored registry is ever needed. That
 //! guarantee is one `cargo add` away from silently eroding, so this module
 //! parses every `Cargo.toml` (a deliberately small, hand-rolled TOML subset

@@ -126,8 +126,8 @@ fn det_message(rule: &str, pattern: &str) -> String {
         ),
         "det-time" => format!(
             "wall-clock read `{pattern}` is a hidden nondeterminism source; \
-             model time explicitly (timed executors) or keep timing in the \
-             bench crates"
+             model time explicitly (timed executors) or time the call from \
+             outside, in the `ledger/` package"
         ),
         _ => format!(
             "ambient authority `{pattern}` escapes the modeled schedule; all \

@@ -10,10 +10,9 @@
 //! in `docs/LINTS.md`), everything else needs an inline waiver:
 //!
 //! * `det-order` — everywhere except `crates/det` (hosts the seeded PRNG
-//!   and its distribution tests), `crates/bench` (perf harness, not part of
-//!   any modeled execution) and `crates/lint` (build-time tooling).
-//! * `det-time` — everywhere except `crates/det/src/bench.rs` and
-//!   `crates/bench` (the two sanctioned timer hosts) and `crates/lint`.
+//!   and its distribution tests) and `crates/lint` (build-time tooling).
+//! * `det-time` — everywhere except `crates/lint`: no workspace crate
+//!   reads a wall clock (timing is the standalone `ledger/` package's job).
 //! * `det-ambient` — everywhere except `crates/det/src/prop.rs` (the
 //!   documented `DET_SEED` replay path) and `crates/lint` (the tool reads
 //!   the file system and process arguments by design).
@@ -64,12 +63,11 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
     let mut rules = Vec::new();
     let tooling = rel.starts_with("crates/lint/");
     let det_crate = rel.starts_with("crates/det/");
-    let bench_crate = rel.starts_with("crates/bench/");
 
-    if !tooling && !det_crate && !bench_crate {
+    if !tooling && !det_crate {
         rules.push("det-order");
     }
-    if !tooling && !bench_crate && rel != "crates/det/src/bench.rs" {
+    if !tooling {
         rules.push("det-time");
     }
     if !tooling && rel != "crates/det/src/prop.rs" {
@@ -78,7 +76,6 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
     let float_exempt = !rel.starts_with("crates/")
         || tooling
         || det_crate
-        || bench_crate
         || rel.starts_with("crates/clocksync/")
         || rel == "crates/msgpass/src/stretch.rs"
         || rel == "crates/registers/src/spec.rs"
@@ -414,18 +411,31 @@ mod tests {
         assert!(r.contains(&"det-order") && r.contains(&"det-time") && r.contains(&"det-ambient"));
         // The PRNG crate may use hash containers internally…
         assert!(!rules_for("crates/det/src/rng.rs").contains(&"det-order"));
-        // …its bench timer may read the clock…
-        assert!(!rules_for("crates/det/src/bench.rs").contains(&"det-time"));
-        assert!(rules_for("crates/det/src/rng.rs").contains(&"det-time"));
         // …and only its DET_SEED replay path may read the environment.
         assert!(!rules_for("crates/det/src/prop.rs").contains(&"det-ambient"));
         assert!(rules_for("crates/det/src/rng.rs").contains(&"det-ambient"));
-        // The bench harness is exempt from order/time, not ambient.
-        let b = rules_for("crates/bench/benches/experiments.rs");
-        assert!(!b.contains(&"det-order") && !b.contains(&"det-time"));
-        assert!(b.contains(&"det-ambient"));
         // doc-cite applies everywhere, even to the linter itself.
         assert!(rules_for("crates/lint/src/lib.rs").contains(&"doc-cite"));
+    }
+
+    #[test]
+    fn det_time_holds_for_every_path_outside_the_linter() {
+        // No wall clock anywhere in the modeled workspace: the only
+        // structural exemption is the linter, whose own sources and
+        // fixtures spell the patterns it looks for.
+        for rel in [
+            "crates/core/src/valence.rs",
+            "crates/det/src/lib.rs",
+            "crates/det/src/prop.rs",
+            "crates/det/src/rng.rs",
+            "crates/explore/src/search.rs",
+            "crates/obs/src/tracer.rs",
+            "src/bin/experiments.rs",
+            "tests/determinism.rs",
+        ] {
+            assert!(rules_for(rel).contains(&"det-time"), "{rel}");
+        }
+        assert!(!rules_for("crates/lint/src/rules.rs").contains(&"det-time"));
     }
 
     #[test]

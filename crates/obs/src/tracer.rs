@@ -21,9 +21,9 @@
 //! ```
 //!
 //! With [`NoopTracer`] the gate is a constant `false`, so the field vector
-//! is never built — the untraced path costs one predictable branch, which
-//! is what keeps the instrumented engines inside the committed
-//! `BENCH_5.json` noise band.
+//! is never built — the untraced path costs one predictable branch (the
+//! ledger's `obs.traced_overhead_ratio` on `grid_w1` prices the traced
+//! side of the twin against it).
 //!
 //! The sequence stamp is **logical**: each sink numbers the events it
 //! accepts 0, 1, 2, …. No wall clock is read anywhere in this crate (the

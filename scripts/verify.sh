@@ -5,6 +5,10 @@
 # succeed offline with an empty registry cache. Run from the repo root:
 #
 #   ./scripts/verify.sh
+#
+# Seven stages: build, lint, tests, docs, check smoke, trace smoke and
+# `ledger.sh --check` — the last is the only stage that touches timing
+# code, and the ledger is the only place a measured number comes from.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -101,14 +105,6 @@ if ! printf '%s' "$unknown_err" | grep -q 'unknown dump target `no-such-target`'
     exit 1
 fi
 echo "trace smoke: OK (5 targets identical on rerun; unknown target refused)"
-
-echo "== bench harness smoke (1 sample, tiny grid) =="
-bench_out="$(./scripts/bench.sh --check)"
-printf '%s\n' "$bench_out"
-if ! printf '%s' "$bench_out" | grep -q "bench --check: OK"; then
-    echo "error: bench.sh --check did not report 'bench --check: OK'" >&2
-    exit 1
-fi
 
 echo "== performance ledger --check (public API + every verdict and count) =="
 # The ledger is its own package compiled against the engines' public API;

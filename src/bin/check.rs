@@ -237,9 +237,9 @@ fn extmem_mode() -> Result<(), String> {
 
 /// The work-stealing byte-identity probe: the same search at w ∈ {1,2,4,8}
 /// must render identical lines once `stats.workers` and the steal counters
-/// — the three deliberately pool-shaped stats — are masked. Unlike the
-/// bench-side speedup gate this holds on *any* machine, single-core
-/// included, so `scripts/verify.sh` runs it unconditionally.
+/// — the three deliberately pool-shaped stats — are masked. Unlike a
+/// speed-up claim this holds on *any* machine, single-core included, so
+/// `scripts/verify.sh` runs it unconditionally.
 fn scaling_mode() -> Result<(), String> {
     let run = |workers: usize| Search::new(&EXT_PROBE).workers(workers).explore();
     let masked = |r: &SearchReport<Vec<u8>, usize>| {

@@ -5,7 +5,6 @@
 //! with IDs among F1 F2 F3 and E1 through E23; no argument runs everything.
 
 use impossible::consensus::{approx, benor, commit, eig, flp, round_lb, scenario3t};
-use impossible::core::exec::Admissibility;
 use impossible::core::pigeonhole::bounds;
 use impossible::core::symmetry::{bit_reversal_ring, comparison_symmetry_classes, min_symmetry_class};
 use impossible::core::task::Task;
@@ -853,7 +852,4 @@ fn main() {
             other => eprintln!("unknown experiment id {other}"),
         }
     }
-    // Keep the admissibility types exercised so the harness fails loudly if
-    // the core API drifts.
-    let _ = Admissibility::resilient(1);
 }

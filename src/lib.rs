@@ -25,9 +25,9 @@
 //!   snapshots ([`Snapshot`](impossible_ckpt::Snapshot)) of paused runs,
 //!   incremental re-exploration after a model edit, and the verdict cache +
 //!   manifest runner behind `src/bin/check.rs` (see `docs/CKPT.md`).
-//! * [`det`] — the in-tree deterministic infrastructure: seeded PRNG,
-//!   property-testing harness (`det_prop!` with `DET_SEED` replay), bench
-//!   timer. Everything random in the workspace flows through it.
+//! * [`det`] — the in-tree deterministic infrastructure: seeded PRNG and
+//!   property-testing harness (`det_prop!` with `DET_SEED` replay).
+//!   Everything random in the workspace flows through it.
 //! * [`obs`] — deterministic execution tracing: logical-clock
 //!   [`Event`](impossible_obs::Event) records, the zero-cost
 //!   [`NoopTracer`](impossible_obs::NoopTracer) default, bounded
