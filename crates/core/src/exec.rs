@@ -233,13 +233,6 @@ impl StepCensus {
             .filter(|p| self.steps_of(*p) == 0)
             .collect()
     }
-
-    /// Would repeating this fragment forever be admissible under `adm` for an
-    /// `n`-process system? (Every process outside a failure budget of
-    /// `adm.max_failures` must take at least one step in the fragment.)
-    pub fn admissible_as_loop(&self, n: usize, adm: &Admissibility) -> bool {
-        self.silent(n).len() <= adm.max_failures
-    }
 }
 
 impl<S: fmt::Debug, A: fmt::Debug> fmt::Display for Execution<S, A> {
@@ -297,10 +290,6 @@ mod tests {
         assert_eq!(census.steps_of(ProcessId(0)), 2);
         assert_eq!(census.steps_of(ProcessId(1)), 0);
         assert_eq!(census.silent(3), vec![ProcessId(1)]);
-        // As a loop this is admissible only if >=1 failure is allowed.
-        assert!(!census.admissible_as_loop(3, &Admissibility::failure_free()));
-        assert!(census.admissible_as_loop(3, &Admissibility::resilient(1)));
-        assert!(census.admissible_as_loop(3, &Admissibility::wait_free(3)));
     }
 
     #[test]

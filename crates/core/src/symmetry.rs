@@ -19,6 +19,7 @@
 //!    [`comparison_symmetry_classes`] computes the orbit structure the lower
 //!    bound counts with.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// The bit-reversal ring of size `n = 2^k`: position `i` holds the ID whose
@@ -153,6 +154,18 @@ pub fn min_symmetry_class(ring: &[u64], k: usize) -> usize {
 /// canonicalization hook) explores each rotation orbit once — the search-side
 /// counterpart of the Angluin symmetry argument [`LockstepRing`] replays.
 ///
+/// **Cost:** `O(n)` comparisons and one allocation (the result). The start
+/// of the least rotation is found by the two-pointer minimal-representation
+/// scan — two candidate starts `i`, `j` and a matched length `k`; a mismatch
+/// at offset `k` rules out all `k + 1` starts `i..=i+k` (or `j..=j+k`) at
+/// once, so `i + j + k` only grows and the scan ends within `3n` steps —
+/// and the result is the two slices either side of that start. A quotient
+/// search calls this on every successor, so it must not be the
+/// enumerate-all-rotations definition
+/// (`impossible_explore::canon::min_under_permutations` over `rotations(n)`,
+/// `O(n²)` and `n` allocations); that definition is the oracle this
+/// function is tested against.
+///
 /// ```
 /// use impossible_core::symmetry::canonical_rotation;
 /// assert_eq!(canonical_rotation(&[2, 0, 1]), vec![0, 1, 2]);
@@ -161,24 +174,42 @@ pub fn min_symmetry_class(ring: &[u64], k: usize) -> usize {
 /// ```
 pub fn canonical_rotation<T: Ord + Clone>(xs: &[T]) -> Vec<T> {
     let n = xs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut best = 0usize;
-    for cand in 1..n {
-        // Compare rotation `cand` against rotation `best` lexicographically.
-        for k in 0..n {
-            match xs[(cand + k) % n].cmp(&xs[(best + k) % n]) {
-                std::cmp::Ordering::Less => {
-                    best = cand;
-                    break;
+    // Invariant: every start below `max(i, j)` other than `i` and `j` begins
+    // a rotation strictly greater than some other one. On exit `min(i, j)`
+    // is therefore the first start of a least rotation.
+    let (mut i, mut j, mut k) = (0usize, 1usize, 0usize);
+    while i < n && j < n && k < n {
+        // `i, j, k < n`, so one conditional subtract wraps the index.
+        let (mut a, mut b) = (i + k, j + k);
+        if a >= n {
+            a -= n;
+        }
+        if b >= n {
+            b -= n;
+        }
+        match xs[a].cmp(&xs[b]) {
+            Ordering::Equal => k += 1,
+            Ordering::Greater => {
+                i += k + 1;
+                if i == j {
+                    i += 1;
                 }
-                std::cmp::Ordering::Greater => break,
-                std::cmp::Ordering::Equal => {}
+                k = 0;
+            }
+            Ordering::Less => {
+                j += k + 1;
+                if j == i {
+                    j += 1;
+                }
+                k = 0;
             }
         }
     }
-    (0..n).map(|k| xs[(best + k) % n].clone()).collect()
+    let start = i.min(j);
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&xs[start..]);
+    out.extend_from_slice(&xs[..start]);
+    out
 }
 
 /// Outcome of running an anonymous deterministic ring protocol in lockstep.
@@ -341,6 +372,87 @@ impl<'a, P: AnonymousRingProtocol> LockstepRing<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impossible_det::{det_assert_eq, det_prop, prop};
+    use impossible_explore::canon::{min_under_permutations, rotations};
+
+    /// The definition, kept as the reference the linear scan is tested
+    /// against: try every start, compare whole rotations, keep the first
+    /// least one.
+    fn canonical_rotation_naive<T: Ord + Clone>(xs: &[T]) -> Vec<T> {
+        let n = xs.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut best = 0usize;
+        for cand in 1..n {
+            for k in 0..n {
+                match xs[(cand + k) % n].cmp(&xs[(best + k) % n]) {
+                    Ordering::Less => {
+                        best = cand;
+                        break;
+                    }
+                    Ordering::Greater => break,
+                    Ordering::Equal => {}
+                }
+            }
+        }
+        (0..n).map(|k| xs[(best + k) % n].clone()).collect()
+    }
+
+    /// The contract, executable: `Ord`-minimum over the rotation group.
+    fn canonical_rotation_by_orbit(xs: &Vec<u8>) -> Vec<u8> {
+        min_under_permutations(xs, &rotations(xs.len()), |s: &Vec<u8>, p: &[usize]| {
+            let mut t = s.clone();
+            for (i, &x) in s.iter().enumerate() {
+                t[p[i]] = x;
+            }
+            t
+        })
+    }
+
+    /// `canonical_rotation` against both references, plus the two hook laws.
+    fn check_canonical_rotation(xs: &Vec<u8>) -> Result<(), String> {
+        let canon = canonical_rotation(xs);
+        det_assert_eq!(canon, canonical_rotation_naive(xs));
+        det_assert_eq!(canon, canonical_rotation_by_orbit(xs));
+        det_assert_eq!(canonical_rotation(&canon), canon);
+        for r in 0..xs.len() {
+            let mut rot = xs.clone();
+            rot.rotate_left(r);
+            det_assert_eq!(canonical_rotation(&rot), canon);
+        }
+        Ok(())
+    }
+
+    det_prop! {
+        /// Lengths 0..=24 over alphabets of size 1 (constant), 2, 3 and
+        /// `len`; `xs[i] = raw[i % period]`, so every `period` dividing
+        /// `len` gives a genuinely periodic word (several least rotations,
+        /// the `k == n` exit) and `period >= len` a free one.
+        fn canonical_rotation_matches_its_definitions(
+            cases = 2048,
+            len in 0usize..=24,
+            alphabet in 0usize..4,
+            period in 1usize..=24,
+            raw in prop::vec(0u8..=255, 24..25)
+        ) {
+            let size = [1, 2, 3, len.max(1)][alphabet];
+            let xs: Vec<u8> = (0..len).map(|i| raw[i % period] % size as u8).collect();
+            check_canonical_rotation(&xs)?;
+        }
+    }
+
+    #[test]
+    fn canonical_rotation_matches_its_definitions_on_every_short_binary_word() {
+        // Exhaustive where the quotient search lives: token-ring states are
+        // binary words, and this covers all 8190 of length 0..=12.
+        for n in 0..=12usize {
+            for bits in 0u32..1 << n {
+                let xs: Vec<u8> = (0..n).map(|i| (bits >> i & 1) as u8).collect();
+                check_canonical_rotation(&xs).unwrap_or_else(|e| panic!("{xs:?}: {e}"));
+            }
+        }
+    }
 
     #[test]
     fn canonical_rotation_is_minimal_and_invariant() {

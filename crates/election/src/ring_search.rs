@@ -57,7 +57,9 @@ impl System for TokenRing {
 /// The rotation-canonicalization hook: lexicographically least rotation.
 /// Idempotent and orbit-respecting (rotations commute with token passing),
 /// as the [`Search::canon`](impossible_explore::Search::canon) contract
-/// requires.
+/// requires. `O(n)` comparisons and one allocation per call
+/// ([`canonical_rotation`]'s two-pointer scan) — it runs on every successor
+/// of every quotient search in this module.
 pub fn rotation_canon(s: &Vec<u8>) -> Vec<u8> {
     canonical_rotation(s)
 }
@@ -208,6 +210,33 @@ mod tests {
         let r = explore_quotient(6, 100_000);
         assert_eq!(r.num_states, 13);
         assert!(r.stats.canon_hits > 0);
+    }
+
+    #[test]
+    fn quotient_counts_match_the_necklace_closed_form() {
+        // Binary necklaces of length n: (1/n) Σ_{d | n} φ(d) 2^{n/d}; the
+        // all-zero one is unreachable (a token never disappears). A canon
+        // hook that split or merged any orbit would miss this count.
+        fn phi(d: usize) -> usize {
+            (1..=d).filter(|k| gcd(*k, d) == 1).count()
+        }
+        fn gcd(a: usize, b: usize) -> usize {
+            if b == 0 {
+                a
+            } else {
+                gcd(b, a % b)
+            }
+        }
+        for n in 1..=12usize {
+            let necklaces = (1..=n)
+                .filter(|d| n % d == 0)
+                .map(|d| phi(d) << (n / d))
+                .sum::<usize>()
+                / n;
+            let r = explore_quotient(n, 100_000);
+            assert!(!r.truncated());
+            assert_eq!(r.num_states, necklaces - 1, "n={n}");
+        }
     }
 
     #[test]

@@ -24,9 +24,20 @@
 //! and violation-existence, and every witness it returns is a genuine
 //! execution of the quotient system (each step is `step` followed by `c`).
 //!
-//! This module provides the generic building blocks; model crates compose
-//! them into concrete hooks (e.g. `election`'s anonymous-ring search uses
-//! [`impossible_core::symmetry::canonical_rotation`]).
+//! **Cost.** The hook runs on every successor the search generates, before
+//! the fingerprint, so on a quotient route it is as hot as `System::step`.
+//! A hook should therefore be the *closed form* of its group's minimum, not
+//! an enumeration of the group: `election`'s anonymous-ring search uses
+//! [`impossible_core::symmetry::canonical_rotation`] (least rotation in
+//! `O(n)`), `sharedmem`'s `process_perm_canon` sorts the process-indexed
+//! component (`O(n log n)` for the full symmetric group).
+//!
+//! The functions below are the executable *definition* of the contract —
+//! enumerate the group, keep the `Ord`-minimum — and cost `|G|` candidate
+//! states per call (`n` for [`rotations`], `n!` for [`all_permutations`]).
+//! They are the oracle every closed-form hook is tested against, and the
+//! fallback for a group that has no closed form; build the permutation
+//! list once, outside the hook, never per call.
 
 /// The canonical representative of `state`'s orbit under an explicit set of
 /// process permutations.
@@ -36,7 +47,8 @@
 /// new index of process `i`). The representative is the `Ord`-minimum over
 /// all listed permutations, so the caller controls the group (full symmetric
 /// group, rotations only, a single swap, ...). Identity need not be listed;
-/// `state` itself is always a candidate.
+/// `state` itself is always a candidate. One `apply` (a fresh state) and one
+/// comparison per listed permutation.
 pub fn min_under_permutations<S, F>(state: &S, perms: &[Vec<usize>], apply: F) -> S
 where
     S: Clone + Ord,

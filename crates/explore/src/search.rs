@@ -1102,10 +1102,11 @@ where
     ///
     /// Deliberately its own function (as is the two-pass body): the expand
     /// loop is the hottest code in the crate, and carving it out of
-    /// `bfs_levels` gives it a private inlining budget — measured on the
-    /// 117k-state grid, leaving it inline cost ~25% wall-clock because the
-    /// surrounding function's size pushed `fingerprints`/
-    /// `try_insert_with` out of line.
+    /// `bfs_levels` gives it a private inlining budget — leaving it inline
+    /// cost ~25% wall-clock because the surrounding function's size pushed
+    /// `fingerprints`/`try_insert_with` out of line. The ledger workload
+    /// that is nothing but this loop is `grid_w1` (`verdict_s`,
+    /// `search.self_s`); re-measure there before restructuring.
     fn expand_level_fused(
         &self,
         run: &mut BfsRun<Sys>,
@@ -1116,7 +1117,7 @@ where
         // the compiler erases every audit branch *and* the calls they guard
         // from the loop. This is not cosmetic — leaving even a never-taken
         // cold call in the dedup arm measurably deoptimizes the whole loop
-        // (~25% wall-clock on the 117k-state grid).
+        // (~25% wall-clock; `grid_w1` is the ledger workload that shows it).
         if self.audit {
             self.expand_level_fused_impl::<true>(run, next_parts, tracer)
         } else {
@@ -1416,7 +1417,8 @@ where
     /// inlinable: it runs on *every* dedup hit (the majority of children on
     /// dense spaces), and routing non-audit runs through an out-of-line call
     /// whose assert/format body defeats inlining costs ~25% of total search
-    /// wall-clock (measured on the 117k-state grid).
+    /// wall-clock (the ledger's `grid_w1`, four children in five a dedup hit,
+    /// is where it shows).
     #[inline(always)]
     fn audit_check(&self, audit_states: &BTreeMap<u64, Sys::State>, fp: u64, state: &Sys::State) {
         if self.audit {

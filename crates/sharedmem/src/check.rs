@@ -16,6 +16,7 @@
 
 use crate::mutex::{MutexAction, MutexAlgorithm, MutexState, MutexSystem, Region};
 use impossible_core::exec::Execution;
+use impossible_core::system::System;
 use impossible_explore::{Encode, Search};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -36,11 +37,15 @@ where
 }
 
 /// A progress (deadlock-freedom) violation: a reachable state in which some
-/// process is trying, nobody is critical or exiting, and **no** continuation
-/// whatsoever reaches a critical region.
+/// process is trying, nobody is critical, and **no** continuation whatsoever
+/// reaches a critical region.
 ///
-/// Returns the offending state. `None` means progress holds on the explored
-/// (bounded) graph.
+/// Returns the offending state, the first in graph (BFS discovery) order.
+/// `None` means progress holds on the explored (bounded) graph. When
+/// `max_states` cut the graph, a state that lost a successor to the cap
+/// might reach anything, so it counts as able to reach a critical region:
+/// `Some` is a deadlock of the real system at any cap, and `None` under a
+/// cut is "no deadlock among the states whose futures were fully explored".
 pub fn find_deadlock<A: MutexAlgorithm>(
     sys: &MutexSystem<'_, A>,
     max_states: usize,
@@ -49,37 +54,58 @@ where
     A::Local: Encode,
 {
     let g = Search::new(sys).max_states(max_states).graph();
-    let (order, succ) = (g.order, g.succ);
+    let n = g.order.len();
+    let alg = sys.algorithm();
+    let some_process_in =
+        |s: &MutexState<A::Local>, region: Region| s.locals.iter().any(|l| alg.region(l) == region);
 
-    // Backward reachability from "some process critical" states.
-    let mut can_reach_crit = vec![false; order.len()];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-    for (i, ts) in succ.iter().enumerate() {
+    // Predecessor lists in compressed-row form, one counting pass and one
+    // filling pass over the edges: the predecessors of `t` are
+    // `pred[start[t]..start[t + 1]]`.
+    let mut start = vec![0usize; n + 1];
+    for &(_, t) in g.succ.iter().flatten() {
+        start[t + 1] += 1;
+    }
+    for t in 0..n {
+        start[t + 1] += start[t];
+    }
+    let mut pred = vec![0usize; start[n]];
+    let mut fill = start.clone();
+    for (i, ts) in g.succ.iter().enumerate() {
         for &(_, t) in ts {
-            preds[t].push(i);
+            pred[fill[t]] = i;
+            fill[t] += 1;
         }
     }
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (i, s) in order.iter().enumerate() {
-        if !sys.critical_processes(s).is_empty() {
+
+    // Backward reachability from "some process critical" states — and, on a
+    // cut graph, from every state the cap took a successor from.
+    let cut = g.truncated();
+    let mut can_reach_crit = vec![false; n];
+    let mut queue: Vec<usize> = Vec::with_capacity(n);
+    for (i, s) in g.order.iter().enumerate() {
+        if some_process_in(s, Region::Critical) || (cut && g.succ[i].len() < sys.enabled(s).len()) {
             can_reach_crit[i] = true;
-            queue.push_back(i);
+            queue.push(i);
         }
     }
-    while let Some(i) = queue.pop_front() {
-        for &p in &preds[i] {
+    let mut head = 0;
+    while head < queue.len() {
+        let i = queue[head];
+        head += 1;
+        for &p in &pred[start[i]..start[i + 1]] {
             if !can_reach_crit[p] {
                 can_reach_crit[p] = true;
-                queue.push_back(p);
+                queue.push(p);
             }
         }
     }
 
-    order.iter().enumerate().find_map(|(i, s)| {
-        let trying = !sys.trying_processes(s).is_empty();
-        let idle_otherwise = sys.critical_processes(s).is_empty();
-        (trying && idle_otherwise && !can_reach_crit[i]).then(|| s.clone())
-    })
+    // Critical states seeded the pass, so an unreached state has nobody
+    // critical; it is a deadlock iff somebody is trying.
+    (0..n)
+        .find(|&i| !can_reach_crit[i] && some_process_in(&g.order[i], Region::Trying))
+        .map(|i| g.order[i].clone())
 }
 
 /// A lockout witness: head state plus a cycle establishing an admissible
@@ -206,8 +232,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::dijkstra::Dijkstra;
     use crate::algorithms::tas_lock::TasLock;
-    use impossible_core::system::System;
 
     #[test]
     fn tas_lock_value_space_is_two() {
@@ -246,5 +272,92 @@ mod tests {
         let alg = TasLock::new(2);
         let sys = MutexSystem::new(&alg);
         assert!(find_deadlock(&sys, 100_000).is_none());
+    }
+
+    #[test]
+    fn a_cut_graph_reports_no_false_deadlock() {
+        // Dijkstra is deadlock-free, and any cap below its 8 423 states
+        // leaves trying states whose successors were dropped; having no
+        // explored way to a critical region is not a deadlock.
+        let alg = Dijkstra::new(3);
+        let sys = MutexSystem::new(&alg);
+        for cap in [50, 200, 500, 2000] {
+            assert!(Search::new(&sys).max_states(cap).graph().truncated());
+            assert_eq!(find_deadlock(&sys, cap), None, "cap {cap}");
+        }
+        assert_eq!(find_deadlock(&sys, 1_000_000), None);
+    }
+
+    /// Two processes, one variable (0 free, 1 held, 2 poisoned). Locals: 0
+    /// remainder, 1 entering, 2 stuck, 3 critical, 4 releasing, `10 + c`
+    /// holding the lock with `c` of [`Poisoned::WAIT`] waiting steps done.
+    /// A process that finds the lock held poisons it and spins forever; the
+    /// holder sees the poison at its next step and spins too. So four steps
+    /// from the start there is a deadlock whose whole future is two states,
+    /// while the healthy runs go on for `WAIT` more levels.
+    struct Poisoned;
+
+    impl Poisoned {
+        const WAIT: u8 = 40;
+    }
+
+    impl MutexAlgorithm for Poisoned {
+        type Local = u8;
+        fn name(&self) -> &'static str {
+            "poisoned(test)"
+        }
+        fn num_processes(&self) -> usize {
+            2
+        }
+        fn num_vars(&self) -> usize {
+            1
+        }
+        fn initial_var(&self, _var: usize) -> u64 {
+            0
+        }
+        fn initial_local(&self, _i: usize) -> u8 {
+            0
+        }
+        fn region(&self, local: &u8) -> Region {
+            match local {
+                0 => Region::Remainder,
+                3 => Region::Critical,
+                4 => Region::Exit,
+                _ => Region::Trying,
+            }
+        }
+        fn on_try(&self, _i: usize, _local: &u8) -> u8 {
+            1
+        }
+        fn on_exit(&self, _i: usize, _local: &u8) -> u8 {
+            4
+        }
+        fn target(&self, _i: usize, _local: &u8) -> usize {
+            0
+        }
+        fn step(&self, _i: usize, local: &u8, value: u64) -> (u8, u64) {
+            match (*local, value) {
+                (1, 0) => (10, 1),
+                (1, _) => (2, 2),
+                (2, v) => (2, v),
+                (4, v) => (0, if v == 2 { 2 } else { 0 }),
+                (_, 2) => (2, 2),
+                (c, v) if c - 10 + 1 < Self::WAIT => (c + 1, v),
+                (_, v) => (3, v),
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_graph_still_reports_a_real_deadlock() {
+        let sys = MutexSystem::new(&Poisoned);
+        let whole = find_deadlock(&sys, 1_000_000).expect("poisoning deadlocks");
+        assert_eq!(whole.vars, vec![2]);
+        // A cap past the deadlock's (tiny) future but short of the space:
+        // same state, first in graph order.
+        assert!(Search::new(&sys).max_states(64).graph().truncated());
+        assert_eq!(find_deadlock(&sys, 64), Some(whole));
+        // A cap that cuts every trying state's future proves nothing.
+        assert_eq!(find_deadlock(&sys, 8), None);
     }
 }

@@ -111,32 +111,29 @@ impl<L: impossible_explore::Encode> impossible_explore::Encode for MutexState<L>
 /// identical code — `on_try`/`on_exit`/`target`/`step` ignore `i` — and all
 /// processes participate. Shared variables are global (not per-process), so
 /// only `locals` is permuted; `vars` rides along unchanged. The hook returns
-/// the `Ord`-minimum of `locals` over the full symmetric group
-/// ([`impossible_explore::canon::all_permutations`] of `locals.len()`),
-/// which is idempotent because the minimum of an orbit is a fixed
-/// representative of that orbit. The §2.1 counting arguments are themselves
-/// symmetric (mutual exclusion, deadlock and value-space predicates are
-/// invariant under relabeling), so checking representatives suffices —
-/// mirror of `consensus::quorum::value_swap_canon` on the shared-memory
-/// side.
+/// the `Ord`-minimum of `locals` over the full symmetric group, which is
+/// idempotent because the minimum of an orbit is a fixed representative of
+/// that orbit. The §2.1 counting arguments are themselves symmetric (mutual
+/// exclusion, deadlock and value-space predicates are invariant under
+/// relabeling), so checking representatives suffices — mirror of
+/// `consensus::quorum::value_swap_canon` on the shared-memory side.
+///
+/// **Cost:** one clone and one sort, `O(n log n)` comparisons. The orbit of
+/// `locals` under the symmetric group is every arrangement of the same
+/// multiset, and the lexicographically least arrangement is the sorted one,
+/// so nothing is enumerated; equal locals are interchangeable, so sort
+/// stability is immaterial. The definition —
+/// [`min_under_permutations`](impossible_explore::canon::min_under_permutations)
+/// over [`all_permutations`](impossible_explore::canon::all_permutations),
+/// `n!` candidates per call — is the oracle the tests compare against.
 ///
 /// **Not** sound for asymmetric algorithms (distinct roles, per-process
 /// variable targets, or restricted participant sets); the caller owns that
 /// precondition, exactly as with every [`impossible_explore::Search::canon`]
 /// hook.
 pub fn process_perm_canon<L: Clone + Ord>(s: &MutexState<L>) -> MutexState<L> {
-    let perms = impossible_explore::canon::all_permutations(s.locals.len());
-    let locals = impossible_explore::canon::min_under_permutations(
-        &s.locals,
-        &perms,
-        |ls: &Vec<L>, p: &[usize]| {
-            let mut t = ls.clone();
-            for (i, l) in ls.iter().enumerate() {
-                t[p[i]] = l.clone();
-            }
-            t
-        },
-    );
+    let mut locals = s.locals.clone();
+    locals.sort();
     MutexState {
         locals,
         vars: s.vars.clone(),
@@ -375,6 +372,35 @@ mod tests {
             // Idempotence on every representative the search kept.
             for s in &quotient.terminal_states {
                 assert_eq!(process_perm_canon(&process_perm_canon(s)), process_perm_canon(s));
+            }
+        }
+    }
+
+    #[test]
+    fn process_perm_canon_is_the_minimum_over_the_symmetric_group() {
+        // The sort against its definition, on every reachable state of the
+        // unquotiented TAS space — which is full of equal locals (the
+        // all-remainder start, several processes trying), where sort
+        // stability must not matter.
+        use impossible_explore::canon::{all_permutations, min_under_permutations};
+        use impossible_explore::Search;
+        for n in 1..=4usize {
+            let alg = TasLock::new(n);
+            let sys = MutexSystem::new(&alg);
+            let perms = all_permutations(n);
+            let states = Search::new(&sys).reachable_states();
+            for s in &states {
+                let by_definition =
+                    min_under_permutations(&s.locals, &perms, |ls: &Vec<_>, p: &[usize]| {
+                        let mut t = ls.clone();
+                        for (i, l) in ls.iter().enumerate() {
+                            t[p[i]] = *l;
+                        }
+                        t
+                    });
+                let canon = process_perm_canon(s);
+                assert_eq!(canon.locals, by_definition, "n={n}: {s:?}");
+                assert_eq!(canon.vars, s.vars);
             }
         }
     }

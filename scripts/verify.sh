@@ -6,9 +6,10 @@
 #
 #   ./scripts/verify.sh
 #
-# Seven stages: build, lint, tests, docs, check smoke, trace smoke and
-# `ledger.sh --check` — the last is the only stage that touches timing
-# code, and the ledger is the only place a measured number comes from.
+# Seven stages: build, lint, tests, docs, check smoke, trace smoke and the
+# ledger (`ledger.sh --check`, then the ledger package's own tests) — the
+# last is the only stage that touches timing code, and the ledger is the
+# only place a measured number comes from.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -114,6 +115,16 @@ ledger_out="$(bash ledger/ledger.sh --check)"
 printf '%s\n' "$ledger_out"
 if ! printf '%s' "$ledger_out" | grep -q "ledger --check: OK (8 workloads"; then
     echo "error: ledger.sh --check did not report 'ledger --check: OK (8 workloads, ...)'" >&2
+    exit 1
+fi
+
+# The ledger's own tests (its statistics, the compare rule, "BENCHMARK.json
+# metrics == harness tables"): the package is outside the workspace, so the
+# tests stage above never runs them.
+if ! ledger_tests="$(cargo test --release --offline --manifest-path ledger/Cargo.toml 2>&1)" \
+    || ! printf '%s\n' "$ledger_tests" | grep '^test result: ok'; then
+    printf '%s\n' "$ledger_tests" >&2
+    echo "error: ledger package tests failed or printed no 'test result: ok'" >&2
     exit 1
 fi
 

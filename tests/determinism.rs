@@ -8,6 +8,9 @@
 //! running twice with the same seed must produce **byte-identical
 //! transcripts**, and varying the seed must actually vary the run (the
 //! coins are real, not frozen).
+//!
+//! The last test pins the deterministic side the same way: checksums of the
+//! rotation-quotient reports, so a canon hook that drifts fails here.
 
 use impossible::consensus::benor::run_benor;
 use impossible::election::itai_rodeh::run_itai_rodeh;
@@ -73,4 +76,45 @@ fn transcripts_are_stable_under_crash_injection_too() {
         let b = run_benor(&[0, 1, 1, 0, 1], 2, seed, &[(0, 1, 2), (3, 4, 1)], 300);
         assert_eq!(a, b, "crash-injected Ben-Or diverged on seed {seed}");
     }
+}
+
+/// `FpHasher` checksum of a rendered report.
+fn checksum(rendered: &str) -> u64 {
+    let mut h = impossible::explore::FpHasher::new(0);
+    h.write_bytes(rendered.as_bytes());
+    h.finish()
+}
+
+#[test]
+fn quotient_reports_are_pinned_by_checksum() {
+    // The rotation quotient's reports name concrete canonical states (lasso
+    // stems and cycles, BFS-order counts), so any drift in the canon hook —
+    // a different representative, a split or merged orbit — changes these
+    // bytes. Pinned from the commit before the hook became the linear-time
+    // scan, so plain `cargo test` catches drift without a parent build.
+    use impossible::election::ring_search::{
+        election_evades_free_schedulers, election_under_greedy_merges, explore_quotient,
+    };
+    const PINNED: [(usize, u64, u64); 6] = [
+        (5, 0xfba3c0022f6ea3dc, 0x69ee0d7d38915e40),
+        (6, 0x8c26af0158021849, 0xc7f7e321e6268b30),
+        (7, 0x863ae7c2a1093438, 0x6080a98ecd59e5ed),
+        (8, 0xed6f07dfb344501d, 0x107c40d36ed9bd65),
+        (9, 0x082285f0772a02b7, 0x7bc5a7ee22aaf629),
+        (10, 0xa2bf7ac93ca3573d, 0x01f70b69217b290b),
+    ];
+    for (n, evades, greedy) in PINNED {
+        let got_evades = checksum(&election_evades_free_schedulers(n, 100_000).to_json());
+        let got_greedy = checksum(&election_under_greedy_merges(n, 100_000).to_json());
+        assert_eq!(
+            (got_evades, got_greedy),
+            (evades, greedy),
+            "n={n}: got ({got_evades:#018x}, {got_greedy:#018x})"
+        );
+    }
+    let quotient = checksum(&format!("{:?}", explore_quotient(12, 100_000)));
+    assert_eq!(
+        quotient, 0xc9bfb4d6529491b6,
+        "explore_quotient(12): got {quotient:#018x}"
+    );
 }
