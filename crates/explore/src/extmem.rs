@@ -1,16 +1,18 @@
 //! External-memory BFS: exploration past RAM with byte-identical reports.
 //!
-//! ROADMAP item 1. The resident backend ([`crate::search`]) holds the whole
-//! visited set in [`ShardedFpMap`] and the whole frontier in partitioned
-//! `Vec`s; at 10⁷–10⁸ states that is gigabytes of tables, and the
-//! interesting model-checking instances (the survey's arguments are only
-//! as convincing as the spaces we can exhaust) go further. This module is
-//! the *spilling* visited backend of the same search: `explore_extmem` is
-//! the resident init, level loop (`Search::bfs_levels`), two-pass level
-//! body and finish, driven over `Spill`, which pages *cold visited shards*
-//! — and optionally frontier partitions — to deterministic per-shard run
-//! files and streams them back per level, without changing a single byte
-//! of the report:
+//! The resident backend ([`crate::search`]) holds the whole visited set in
+//! [`ShardedFpMap`] and the whole frontier in partitioned `Vec`s; at
+//! 10⁷–10⁸ states that is gigabytes of tables, and the interesting
+//! model-checking instances (the survey's arguments are only as convincing
+//! as the spaces we can exhaust) go further. This module is the *spilling*
+//! visited backend of the same search: `explore_extmem` is the resident
+//! init, level loop (`Search::bfs_levels`) and finish, driven over `Spill`,
+//! which pages *cold visited shards* — and optionally frontier partitions
+//! — to deterministic per-shard run files, streams them back per level, and
+//! expands each level with its own two-pass body on its own
+//! [`WorkerPool`] (the one place the search threads: paged partitions
+//! decode and run files merge inside workers, which is where
+//! [`Search::workers`] pays), without changing a single byte of the report:
 //!
 //! * **Spill unit = shard, boundary = level.** When the resident visited
 //!   set exceeds [`SpillPolicy::ram_keys`] at a level boundary, every
@@ -20,23 +22,25 @@
 //!   key lives in RAM **or** in exactly one run file, never both: spilled
 //!   keys are never re-inserted, because membership is probed before every
 //!   commit.
-//! * **Per-level probe/stage/commit.** Pass 1 is the shared parallel
-//!   expansion, children bucketed by destination shard (a paged frontier
-//!   partition decodes inside its worker). In pass 2 each shard's worker
-//!   probes its resident shard and a level-local dedup table, stages
-//!   tentatively-fresh children in traversal order, intersects the staged
-//!   keys against the shard's run files (sorted-merge over the run pages'
-//!   key blocks — values never decoded), and commits the survivors in
-//!   staged order. The committed sequence per shard is provably the
+//! * **Per-level probe/stage/commit.** Pass 1 expands the frontier
+//!   partitions on the pool, children bucketed by destination shard (a
+//!   paged frontier partition decodes inside its worker), and returns its
+//!   records in partition order whatever the worker count. In pass 2 each
+//!   shard's worker probes its resident shard and a level-local dedup
+//!   table, stages tentatively-fresh children in traversal order,
+//!   intersects the staged keys against the shard's run files
+//!   (sorted-merge over the run pages' key blocks — values never decoded),
+//!   and commits the survivors in staged order. The committed sequence per
+//!   shard is provably the
 //!   first-occurrence order of genuinely-new keys — exactly what the
-//!   resident backend's worker-local insert produces — so `next_parts`,
+//!   resident backend's fused insert produces — so `next_parts`,
 //!   `dedup_hits`, terminals and every other report byte agree.
 //! * **Cap levels replay j-major.** On the rare level where
 //!   `visited + children > max_states`, dedup-vs-cap precedence for keys
-//!   recurring in-level matters, so the level body replays sequentially in
-//!   exact j-major order via the pass-1 `route` — the one replay both
-//!   backends share — asking this backend only for the spilled-key count
-//!   and each shard's disk membership.
+//!   recurring in-level matters, so pass 2 is replaced by a sequential
+//!   replay in exact j-major order via the pass-1 `route`, with the same
+//!   inline cap the resident body applies (less the spilled-key count) and
+//!   each shard's disk membership precomputed.
 //! * **Memory is accounted, not guessed.** [`crate::SearchStats::peak_bytes`]
 //!   is the level loop's one shallow formula (table slot arrays + resident
 //!   frontier records at fixed widths) sampled at every level boundary —
@@ -55,14 +59,15 @@
 //! search must be given its own [`SpillPolicy`] directory. See
 //! `docs/EXTMEM.md` for the full determinism argument and page layout.
 
-use crate::fingerprint::Encode;
+use crate::fingerprint::{BatchScratch, Encode};
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
 use crate::persist::Persist;
 use crate::pool::WorkerPool;
-use crate::search::{BfsRun, Child, Parent, PauseBudget, Search, SearchReport, VisitedBackend};
+use crate::search::{BfsRun, Parent, PauseBudget, Search, SearchReport, VisitedBackend};
 use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
+use impossible_core::explore::Truncation;
 use impossible_core::system::System;
-use impossible_obs::NoopTracer;
+use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -132,11 +137,37 @@ impl SpillPolicy {
     }
 }
 
+/// A staged child: `(fingerprint, canonical state, action, parent fp)`.
+type Child<S, A> = (u64, S, A, u64);
+
+/// Per-partition expansion record produced by pass-1 workers. Children come
+/// back already bucketed by destination shard (`fp % partitions`), so pass 2
+/// can hand bucket `k` of every partition straight to the worker that owns
+/// visited-set shard `k` — the main thread never touches a child.
+struct Expanded<S, A> {
+    /// Terminal states of this partition, in frontier order.
+    terminals: Vec<S>,
+    /// Frontier items expanded (`enabled` calls).
+    expansions: usize,
+    /// Successors changed by the canonicalization hook.
+    canon_hits: usize,
+    /// Children bucketed by destination shard; in-bucket order is traversal
+    /// order (frontier order, in-state action order).
+    by_shard: Vec<Vec<Child<S, A>>>,
+    /// Destination shard of each child in traversal order — lets the
+    /// sequential cap fallback replay the exact global insert order from
+    /// the bucketed layout.
+    route: Vec<u32>,
+}
+
 /// The spilling [`VisitedBackend`]: run files per shard, paged frontier
-/// partitions, and the key counts that keep `num_states` and the cap exact
-/// without touching disk.
+/// partitions, the key counts that keep `num_states` and the cap exact
+/// without touching disk, and the pool its two level passes run on.
 struct Spill {
     policy: SpillPolicy,
+    /// [`Search::workers`] threads for pass 1 and pass 2. Its steal
+    /// counters are folded into the run's stats after every level.
+    pool: WorkerPool,
     /// Completed visited flushes (names the next run generation).
     flushes: usize,
     /// Run files per shard, in flush order. Key-disjoint by construction.
@@ -158,11 +189,12 @@ struct Spill {
 }
 
 impl Spill {
-    fn new(partitions: usize, policy: &SpillPolicy) -> Self {
+    fn new(partitions: usize, workers: usize, policy: &SpillPolicy) -> Self {
         std::fs::create_dir_all(policy.dir())
             .unwrap_or_else(|e| panic!("spill dir {}: {e}", policy.dir().display()));
         Spill {
             policy: policy.clone(),
+            pool: WorkerPool::new(workers),
             flushes: 0,
             runs: (0..partitions).map(|_| Vec::new()).collect(),
             spilled: 0,
@@ -255,15 +287,178 @@ impl Spill {
         old.sort_unstable();
         old
     }
+
+    /// Pass 2 for shard `k` on a level the cap cannot bind: dedup `groups`
+    /// (partition-major, traversal order within each) against everything
+    /// visited and insert the first occurrence of each new key. Probes the
+    /// resident shard and a level-local table, stages tentative-fresh
+    /// children in traversal order, subtracts disk membership, commits
+    /// survivors. Returns the shard's fresh `(fp, state)` list in insert
+    /// order and its dedup hits.
+    ///
+    /// Extensionally equal to the fused body's insert loop restricted to
+    /// shard `k`: a child keys as a dedup hit here iff its key was visited
+    /// before the level (resident shard ∪ run files) or committed earlier
+    /// in this shard's traversal sequence — the same predicate
+    /// `try_insert_with` evaluates when every key is resident — and commits
+    /// happen in first-occurrence order, which is the resident fresh-list
+    /// order (see docs/EXTMEM.md for why the two traversals insert
+    /// identical parent links).
+    fn classify_shard<S, A>(
+        &self,
+        k: usize,
+        shard: &mut FpMap<Parent<A>>,
+        groups: Vec<Vec<Child<S, A>>>,
+    ) -> (Vec<(u64, S)>, usize) {
+        let mut dedup = 0usize;
+        let mut staged: Vec<Child<S, A>> = Vec::new();
+        let mut level_seen: FpMap<()> = FpMap::new();
+        for group in groups {
+            for (fp, tc, a, parent) in group {
+                if shard.contains(fp) {
+                    dedup += 1;
+                    continue;
+                }
+                match level_seen.try_insert_with(fp, Cap::Unbounded, || ()) {
+                    TryInsert::Present => dedup += 1,
+                    TryInsert::Inserted => staged.push((fp, tc, a, parent)),
+                    TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
+                }
+            }
+        }
+        let mut staged_keys: Vec<u64> = staged.iter().map(|&(fp, ..)| key_of(fp)).collect();
+        staged_keys.sort_unstable();
+        let old = self.disk_membership(k, &staged_keys);
+        let mut fresh: Vec<(u64, S)> = Vec::new();
+        for (fp, tc, a, parent) in staged {
+            if old.binary_search(&key_of(fp)).is_ok() {
+                dedup += 1;
+            } else {
+                let r = shard.try_insert_with(fp, Cap::Unbounded, || Parent::Child {
+                    parent,
+                    action: a,
+                });
+                debug_assert_eq!(r, TryInsert::Inserted, "staged keys are level-unique");
+                fresh.push((fp, tc));
+            }
+        }
+        (fresh, dedup)
+    }
+
+    /// The cap could bind this level: dedup-vs-cap precedence for keys
+    /// recurring in-level depends on the exact insert sequence, so replay
+    /// the children in exact j-major order with the same inline global cap
+    /// the fused body applies. `route` recovers that order from the
+    /// bucketed layout; membership among spilled keys is precomputed per
+    /// shard (nothing to ask before the first flush).
+    fn replay_capped<Sys: System>(
+        &self,
+        max_states: usize,
+        recs: Vec<Expanded<Sys::State, Sys::Action>>,
+        run: &mut BfsRun<Sys>,
+        next_parts: &mut [Vec<(u64, Sys::State)>],
+        tracer: &mut dyn Tracer,
+    ) {
+        let on_disk: Vec<Vec<u64>> = if self.spilled == 0 {
+            Vec::new()
+        } else {
+            (0..self.runs.len())
+                .map(|k| {
+                    let mut keys: Vec<u64> = recs
+                        .iter()
+                        .flat_map(|rec| rec.by_shard[k].iter().map(|&(fp, ..)| key_of(fp)))
+                        .collect();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    self.disk_membership(k, &keys)
+                })
+                .collect()
+        };
+        // Spilled keys are disjoint from the resident table, so the global
+        // cap is the resident cap less their count.
+        let cap = Cap::At(max_states - self.spilled);
+        for rec in recs {
+            let mut buckets: Vec<std::vec::IntoIter<_>> =
+                rec.by_shard.into_iter().map(Vec::into_iter).collect();
+            for &k in &rec.route {
+                let k = k as usize;
+                let (fp_t, tc, a, parent) = buckets[k]
+                    .next()
+                    .expect("route covers every bucketed child");
+                let spilled_hit = |old: &Vec<u64>| old.binary_search(&key_of(fp_t)).is_ok();
+                if on_disk.get(k).is_some_and(spilled_hit) {
+                    run.stats.dedup_hits += 1;
+                    continue;
+                }
+                let link = || Parent::Child { parent, action: a };
+                match run.visited.try_insert_with(fp_t, cap, link) {
+                    TryInsert::Present => run.stats.dedup_hits += 1,
+                    TryInsert::Full => {
+                        if run.truncated_by.is_none() {
+                            trace_event!(tracer, "search", "truncate",
+                                "cause": "states",
+                                "level": run.depth,
+                            );
+                        }
+                        run.truncated_by.get_or_insert(Truncation::States);
+                    }
+                    TryInsert::Inserted => next_parts[k].push((fp_t, tc)),
+                }
+            }
+        }
+    }
 }
 
-impl<Sys: System> VisitedBackend<Sys> for Spill
+/// Expand one frontier partition (the pass-1 worker body): successors,
+/// canon, fingerprints, children bucketed by destination shard. Pure —
+/// touches no shared state — so a paged frontier partition can decode
+/// inside a worker and feed straight through here.
+fn expand_one_partition<Sys: System>(
+    search: &Search<'_, Sys>,
+    part: &[(u64, Sys::State)],
+) -> Expanded<Sys::State, Sys::Action>
 where
-    Sys::State: Persist,
-    Sys::Action: Persist,
+    Sys::State: Encode,
 {
-    const RESIDENT: bool = false;
+    let shard_n = search.partitions_value();
+    let mut rec = Expanded {
+        terminals: Vec::new(),
+        expansions: part.len(),
+        canon_hits: 0,
+        by_shard: (0..shard_n).map(|_| Vec::new()).collect(),
+        route: Vec::new(),
+    };
+    // One batch pipeline per partition-expansion (i.e. worker-local): the
+    // seeded hasher init and the staging buffers are shared by every state
+    // the partition fingerprints.
+    let mut batch = BatchScratch::new(search.seed_value());
+    // Phase A — generate the partition's children in traversal order
+    // (frontier order, in-state action order), staged for the batch.
+    let mut pending: Vec<(Sys::State, Sys::Action, u64)> = Vec::new();
+    for (pfp, s) in part {
+        let stage = |tc, a| pending.push((tc, a, *pfp));
+        if !search.stage_successors(s, |_| true, &mut rec.canon_hits, stage) {
+            rec.terminals.push(s.clone());
+        }
+    }
+    // Phase B — fingerprint the batch in one tight loop (bit-identical to
+    // the scalar path per the BatchScratch contract).
+    let fps = batch.fingerprints(pending.iter().map(|(tc, _, _)| tc));
+    // Phase C — bucket by destination shard in the same traversal order,
+    // recording the route so cap levels can replay it exactly.
+    for ((tc, a, pfp), &fp) in pending.into_iter().zip(fps) {
+        let k = shard_index(fp, shard_n);
+        rec.by_shard[k].push((fp, tc, a, pfp));
+        rec.route.push(k as u32);
+    }
+    rec
+}
 
+impl<Sys: System + Sync> VisitedBackend<Sys> for Spill
+where
+    Sys::State: Encode + Persist + Send + Sync,
+    Sys::Action: Persist + Send + Sync,
+{
     fn spilled(&self) -> usize {
         self.spilled
     }
@@ -292,59 +487,76 @@ where
         }
     }
 
-    /// Probe the resident shard and a level-local table, stage
-    /// tentative-fresh children in traversal order, subtract disk
-    /// membership, commit survivors.
-    ///
-    /// Extensionally equal to [`crate::search::Resident`]'s insert loop: a child keys as a
-    /// dedup hit here iff its key was visited before the level (resident
-    /// shard ∪ run files) or committed earlier in this shard's traversal
-    /// sequence — the same predicate `try_insert_with` evaluates when every
-    /// key is resident — and commits happen in first-occurrence order,
-    /// which is the resident fresh-list order.
-    fn classify_shard(
+    /// One BFS level in two passes, for any worker count. Pass 1 expands
+    /// the frontier partitions on the pool (a paged partition decodes
+    /// inside its worker), touching no shared state; records come back in
+    /// partition order regardless of worker count, and their
+    /// counters/terminals are stitched sequentially in that order. Pass 2
+    /// runs dedup + insert worker-locally per visited shard — or replays
+    /// the exact j-major order sequentially on the rare levels where the
+    /// state cap could bind. Byte-identical in effect to the resident
+    /// backend's fused body for every worker count and spill threshold
+    /// (`tests/extmem_spill.rs` is the oracle).
+    #[inline(never)]
+    fn expand_level(
         &self,
-        k: usize,
-        shard: &mut FpMap<Parent<Sys::Action>>,
-        groups: Vec<Vec<Child<Sys::State, Sys::Action>>>,
-    ) -> (Vec<(u64, Sys::State)>, usize) {
-        let mut dedup = 0usize;
-        let mut staged: Vec<Child<Sys::State, Sys::Action>> = Vec::new();
-        let mut level_seen: FpMap<()> = FpMap::new();
-        for group in groups {
-            for (fp, tc, a, parent) in group {
-                if shard.contains(fp) {
-                    dedup += 1;
-                    continue;
-                }
-                match level_seen.try_insert_with(fp, Cap::Unbounded, || ()) {
-                    TryInsert::Present => dedup += 1,
-                    TryInsert::Inserted => staged.push((fp, tc, a, parent)),
-                    TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
-                }
-            }
-        }
-        let mut staged_keys: Vec<u64> = staged.iter().map(|&(fp, ..)| key_of(fp)).collect();
-        staged_keys.sort_unstable();
-        let old = self.disk_membership(k, &staged_keys);
-        let mut fresh: Vec<(u64, Sys::State)> = Vec::new();
-        for (fp, tc, a, parent) in staged {
-            if old.binary_search(&key_of(fp)).is_ok() {
-                dedup += 1;
-            } else {
-                let r = shard.try_insert_with(fp, Cap::Unbounded, || Parent::Child {
-                    parent,
-                    action: a,
-                });
-                debug_assert_eq!(r, TryInsert::Inserted, "staged keys are level-unique");
-                fresh.push((fp, tc));
-            }
-        }
-        (fresh, dedup)
-    }
+        search: &Search<'_, Sys>,
+        run: &mut BfsRun<Sys>,
+        next_parts: &mut [Vec<(u64, Sys::State)>],
+        tracer: &mut dyn Tracer,
+    ) -> usize {
+        let shard_n = search.partitions_value();
+        let max_states = search.bounds().0;
+        let parts = &run.parts;
+        let mut recs = self.pool.map_indexed((0..shard_n).collect(), |_, k: usize| {
+            expand_one_partition(search, &VisitedBackend::<Sys>::partition(self, parts, k))
+        });
 
-    fn on_disk(&self, k: usize, keys: &[u64]) -> Vec<u64> {
-        self.disk_membership(k, keys)
+        // Stitch the per-partition counters and terminals, in
+        // partition order.
+        let mut level_children = 0usize;
+        for rec in &mut recs {
+            run.stats.expansions += rec.expansions;
+            run.stats.canon_hits += rec.canon_hits;
+            level_children += rec.route.len();
+            run.terminal.append(&mut rec.terminals);
+        }
+
+        if run.visited.len() + self.spilled + level_children <= max_states {
+            // Pass 2 — the state cap cannot bind this level (children are
+            // an upper bound on inserts), so each visited shard is handed
+            // to the worker that owns it, with its children grouped
+            // j-major. Transpose [partition][shard] → [shard][partition]:
+            // O(partitions²) Vec moves, no child copied.
+            let mut per_shard: Vec<Vec<Vec<Child<Sys::State, Sys::Action>>>> = (0..shard_n)
+                .map(|_| Vec::with_capacity(recs.len()))
+                .collect();
+            for rec in &mut recs {
+                for (k, bucket) in rec.by_shard.iter_mut().enumerate() {
+                    per_shard[k].push(std::mem::take(bucket));
+                }
+            }
+            let jobs: Vec<_> = run.visited.shards_mut().iter_mut().zip(per_shard).collect();
+            let results = self
+                .pool
+                .map_indexed(jobs, |k, (shard, groups)| self.classify_shard(k, shard, groups));
+            run.visited.refresh_len();
+            for (k, (fresh, dedup)) in results.into_iter().enumerate() {
+                run.stats.dedup_hits += dedup;
+                next_parts[k] = fresh;
+            }
+        } else {
+            self.replay_capped(max_states, recs, run, next_parts, tracer);
+        }
+
+        // Fold the pool's steal counters into the stats at the level
+        // boundary. Deterministic at a fixed worker count (each pass over n
+        // items steals exactly n - min(workers, n) shards — see `pool`); a
+        // one-worker pool runs inline, so both stay 0 at workers == 1.
+        let (steal_passes, stolen) = self.pool.take_steals();
+        run.stats.steals += steal_passes as usize;
+        run.stats.stolen_shards += stolen as usize;
+        level_children
     }
 
     fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>) {
@@ -404,7 +616,7 @@ where
         policy: &SpillPolicy,
     ) -> SearchReport<Sys::State, Sys::Action>
     where
-        F: Fn(&Sys::State) -> bool + Sync,
+        F: Fn(&Sys::State) -> bool,
     {
         self.run_extmem(Some(pred), policy)
     }
@@ -423,11 +635,10 @@ where
             !self.audit_enabled(),
             "collision audit keeps full states resident; not supported in external-memory mode"
         );
-        let pool = WorkerPool::new(self.workers_value());
         let (pred, never, tracer) = (pred.as_ref(), PauseBudget::never(), &mut NoopTracer);
-        let mut run = self.bfs_init(&pool, pred, tracer);
-        let mut spill = Spill::new(self.partitions_value(), policy);
-        let paused = self.bfs_levels(&pool, &mut run, &mut spill, pred, &never, tracer);
+        let mut run = self.bfs_init(pred, tracer);
+        let mut spill = Spill::new(self.partitions_value(), self.workers_value(), policy);
+        let paused = self.bfs_levels(&mut run, &mut spill, pred, &never, tracer);
         debug_assert!(!paused, "PauseBudget::never cannot pause");
         self.bfs_finish(run, &spill, tracer)
     }

@@ -16,12 +16,14 @@
 //! previous builder paid (the ledger's `graph.build_s` / `graph.self_s`
 //! on `mutex_dijkstra4` and `ring_quotient20` track the cost).
 //!
-//! Construction itself stays sequential: graph indices are assigned in
-//! global BFS discovery order, which downstream engines treat as stable,
-//! and the builder is available under an `Encode`-only bound (the analysis
-//! crates call it from generic contexts without `Send + Sync`). The perf
-//! win comes from the shared sharded-table + batched-fingerprint machinery,
-//! not from threads.
+//! This is a separate loop from the BFS engine's because it stores what
+//! that engine exists to avoid storing — every state and every edge — and
+//! because its indices are assigned in global FIFO discovery order, which
+//! downstream engines treat as stable (the BFS engine's merge order is
+//! shard-major within a level). The bounds are the same on both: a
+//! `System` whose state is [`Encode`], nothing about threads. What the two
+//! share is the machinery underneath: `Search::stage_successors`, the
+//! sharded table and the batched fingerprint pipeline.
 //!
 //! Graphs honor the search's bounds — `max_states`, and (since the
 //! spill-to-disk PR fixed the builder silently ignoring it) `max_depth`:

@@ -13,17 +13,19 @@
 //! * [`canon`] — symmetry canonicalization hooks (plug
 //!   [`impossible_core::symmetry`]'s permutation machinery into the visited
 //!   set so each orbit is explored once);
-//! * [`pool`] — the deterministic fork-join worker pool: fixed
-//!   fingerprint-partitioned frontiers, fixed index→worker ownership,
-//!   results merged in item order, so reports are byte-identical for any
-//!   worker count;
+//! * [`pool`] — the deterministic fork-join worker pool: whole items
+//!   claimed off an atomic counter, results merged in item order, so its
+//!   output is identical for any worker count. Two callers: the spill
+//!   route's level passes ([`extmem`]) and `impossible-ckpt`'s manifest
+//!   jobs; resident searches are single-threaded;
 //! * [`search`] — the unified [`Search`] API: BFS shortest-witness search,
 //!   with per-run counters exported as deterministic JSON
 //!   ([`SearchStats`]);
 //! * [`table`] — the open-addressing fingerprint tables behind the visited
 //!   set: flat [`FpMap`] and [`ShardedFpMap`], sharded by the same
-//!   `fp % partitions` function that splits frontiers, so workers dedup and
-//!   insert into the shards they own without locks;
+//!   `fp % partitions` function that splits frontiers, so a shard's next
+//!   frontier is its own fresh-insert list and the spill route's workers
+//!   dedup and insert into the shards they own without locks;
 //! * [`graph`] — the exact fingerprint-accelerated reachable-graph builder
 //!   feeding `ValenceEngine::analyze_from_graph` and the product-space
 //!   engines;

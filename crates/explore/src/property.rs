@@ -18,7 +18,7 @@
 //!   decomposition restricted to that region, visiting vertices in fixed
 //!   graph-index order**, so the decomposition — and hence the verdict,
 //!   the chosen lasso head, and every witness byte — is a pure function of
-//!   the graph, never of worker count or timing.
+//!   the graph, never of the fingerprint seed or timing.
 //!
 //! [`Checker`] adds the survey's admissibility discipline: an
 //! `admissible` state filter restricts which states may repeat forever
@@ -232,7 +232,7 @@ fn push_debug_list<T: Debug>(out: &mut String, items: impl Iterator<Item = T>) {
 impl<S: Clone + Debug, A: Clone + Debug> PropertyReport<S, A> {
     /// Deterministic single-line JSON: fixed key order, no whitespace
     /// variation; states and actions rendered through `Debug` and escaped.
-    /// Equal reports encode to equal bytes (the worker-invariance tests
+    /// Equal reports encode to equal bytes (the seed-invariance tests
     /// compare exactly these strings).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -291,8 +291,8 @@ struct SccDecomposition {
 /// Everything the checker computes — SCC decomposition, lasso head
 /// choice, stem and cycle — visits vertices in **graph index order** and
 /// neighbors in successor-list order, both of which the graph builder
-/// fixes independently of worker count. Verdicts and witnesses are
-/// therefore byte-identical for any `Search::workers` value.
+/// fixes independently of the fingerprint seed. Verdicts and witnesses
+/// are therefore byte-identical for any `Search::seed` value.
 pub struct Checker<'a, S, A> {
     g: &'a ReachableGraph<S, A>,
     admissible: Option<Box<dyn Fn(&S) -> bool + 'a>>,

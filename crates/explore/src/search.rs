@@ -1,26 +1,25 @@
 //! The unified search engine: BFS shortest-witness search behind one
 //! [`Search`] builder.
 //!
-//! # BFS (fingerprint dedup, deterministic parallel frontiers)
+//! # BFS (fingerprint dedup, one traversal order)
 //!
 //! The breadth-first engine is level-synchronized. Each level is
 //! partitioned by `fingerprint % partitions` into a **fixed** number of
-//! partitions (independent of the worker count), expanded by the
-//! [`crate::pool::WorkerPool`], and the visited set is a
-//! [`ShardedFpMap`] sharded by that *same* function — shard `k` holds
-//! exactly the fingerprints partition `k` can produce next level, so the
-//! worker that owns partition `k` also owns shard `k` and performs dedup +
-//! insert locally, with no locks. The main thread only stitches per-shard
-//! outputs in shard order: partition `k`'s next frontier *is* shard `k`'s
-//! newly-inserted list, handed over without re-partitioning. Every name the
-//! report can mention — discovery order, witness, terminal list, counters —
-//! is derived from that fixed order, so the report is a pure function of
-//! `(system, bounds, seed, canon, partitions)`: the worker count never
-//! changes a byte of output (`tests/determinism.rs` pins this for 1/2/8
-//! workers). See `docs/EXPLORE.md` ("Sharding & determinism") for the full
-//! ordering argument, including why the state cap falls back to a
-//! sequential replay on the (rare) levels where it could bind
-//! ([`SearchStats::cap_fallbacks`] counts them).
+//! partitions, and the visited set is a [`ShardedFpMap`] sharded by that
+//! *same* function — shard `k` holds exactly the fingerprints partition `k`
+//! can produce next level, so partition `k`'s next frontier *is* shard
+//! `k`'s newly-inserted list, handed over without re-partitioning. The
+//! level loop (`Search::bfs_levels`) is the only one; *how* a level is
+//! expanded is the crate-private visited backend's answer, never an
+//! option's: `Resident` runs the fused single-threaded body on the calling
+//! thread, for any [`Search::workers`] value, and `crate::extmem`'s `Spill`
+//! runs its own two-pass body on its own [`crate::pool::WorkerPool`].
+//! Every name the report can mention — discovery order, witness, terminal
+//! list, counters — is derived from the fixed partition order, so the
+//! report is a pure function of `(system, bounds, seed, canon, partitions)`. See
+//! `docs/EXPLORE.md` ("Sharding & determinism") for the ordering argument
+//! and `docs/EXTMEM.md` for why the spill route's worker count cannot
+//! change a byte.
 //!
 //! The visited set stores 64-bit fingerprints, not states (see
 //! [`crate::fingerprint`] for the collision policy and
@@ -37,15 +36,14 @@
 //! agree on witness *length* (both are shortest) but may return a different
 //! shortest witness; this engine checks the predicate over each completed
 //! level (a post-level scan of the newly-inserted states, which is what
-//! keeps the check worker-count invariant), so state/transition counts of
-//! `search` runs are not comparable — legacy stops mid-level. The
+//! keeps the check identical on both backends), so state/transition counts
+//! of `search` runs are not comparable — legacy stops mid-level. The
 //! cross-engine equivalence suite in `tests/explore_equivalence.rs` pins
 //! all of this per model crate.
 
 use crate::fingerprint::{BatchScratch, Encode};
-use crate::pool::WorkerPool;
 use crate::stats::SearchStats;
-use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
+use crate::table::{shard_index, Cap, ShardedFpMap, TryInsert};
 use impossible_core::exec::Execution;
 use impossible_core::explore::Truncation;
 use impossible_core::system::System;
@@ -104,8 +102,8 @@ pub enum Parent<A> {
 
 /// Pause thresholds for [`Search::run_resumable`] / [`Search::resume`]: the
 /// run suspends at the first **completed level** where either bound is met
-/// (levels are the engine's atomic unit — pausing mid-level would make the
-/// suspended state depend on worker scheduling). `usize::MAX` disables a
+/// (levels are the engine's atomic unit: the checkpoint carries whole
+/// frontier partitions, never a cursor into one). `usize::MAX` disables a
 /// bound; [`PauseBudget::never`] never pauses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PauseBudget {
@@ -171,21 +169,21 @@ impl<S, A> Resumable<S, A> {
 }
 
 /// A BFS run suspended at a level boundary: everything the level loop
-/// carries between levels, in canonical (worker-count invariant) order.
+/// carries between levels, in canonical order.
 ///
 /// * `visited[k]` is visited-set shard `k` in ascending stored-key order
-///   (the canonical order [`FpMap::iter_ordered`] defines) — parent links
-///   included, so witness replay survives the round trip;
+///   (the canonical order [`crate::table::FpMap::iter_ordered`] defines) —
+///   parent links included, so witness replay survives the round trip;
 /// * `frontier[k]` is frontier partition `k` in the exact in-partition
-///   order the expansion left it (traversal order, which every worker
-///   count reproduces);
+///   order the expansion left it (traversal order);
 /// * the counter fields are the [`SearchStats`] counters minus `workers`
-///   (a resumed run reports the *resuming* pool's worker count, exactly as
-///   an uninterrupted run would).
+///   (a resumed run reports the *resuming* builder's requested count,
+///   exactly as an uninterrupted run would) and minus the steal counters
+///   (0 on every resident run, and only resident runs pause).
 ///
 /// Two runs of the same `(system, bounds, seed, canon, partitions)` paused
-/// at the same budget produce `==` checkpoints for any worker counts —
-/// pinned by `tests/determinism.rs` and serialized byte-identically by
+/// at the same budget produce `==` checkpoints — pinned by
+/// `tests/determinism.rs` and serialized byte-identically by
 /// `impossible-ckpt`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchCheckpoint<S, A> {
@@ -283,8 +281,11 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
-    /// Expand frontiers on `w` threads (clamped to ≥ 1). Output-invariant:
-    /// any worker count produces byte-identical reports.
+    /// Size the spill route's two pool passes ([`Search::explore_extmem`],
+    /// [`Search::search_extmem`]) at `w` threads (clamped to ≥ 1). Resident
+    /// searches are single-threaded whatever `w` is. Output-invariant on
+    /// both: only `stats.workers` (the requested count) and, under spill,
+    /// the two steal counters record it.
     pub fn workers(mut self, w: usize) -> Self {
         self.workers = w.max(1);
         self
@@ -360,8 +361,8 @@ impl<'a, Sys: System> Search<'a, Sys> {
         }
     }
 
-    /// The one successor-generation step every route shares — the fused and
-    /// two-pass BFS bodies and the graph builder: `enabled → step →
+    /// The one successor-generation step every route shares — the fused
+    /// body, the spill route's pass 1 and the graph builder: `enabled → step →
     /// canon`, each child whose action passes `keep` handed to `stage` in
     /// action order. Returns whether `s` had any enabled action at all
     /// (the terminal test, which `keep` does not affect). `inline(always)`:
@@ -387,29 +388,6 @@ impl<'a, Sys: System> Search<'a, Sys> {
     }
 }
 
-/// A staged child: `(fingerprint, canonical state, action, parent fp)`.
-pub(crate) type Child<S, A> = (u64, S, A, u64);
-
-/// Per-partition expansion record produced by pass-1 workers. Children come
-/// back already bucketed by destination shard (`fp % partitions`), so pass 2
-/// can hand bucket `k` of every partition straight to the worker that owns
-/// visited-set shard `k` — the main thread never touches a child.
-struct Expanded<S, A> {
-    /// Terminal states of this partition, in frontier order.
-    terminals: Vec<S>,
-    /// Frontier items expanded (`enabled` calls).
-    expansions: usize,
-    /// Successors changed by the canonicalization hook.
-    canon_hits: usize,
-    /// Children bucketed by destination shard; in-bucket order is traversal
-    /// order (frontier order, in-state action order).
-    by_shard: Vec<Vec<Child<S, A>>>,
-    /// Destination shard of each child in traversal order — lets the
-    /// sequential cap fallback replay the exact global insert order from
-    /// the bucketed layout.
-    route: Vec<u32>,
-}
-
 /// In-flight BFS state: everything the level loop carries between levels.
 /// One struct so the straight (`run_bfs`), resumable (`run_resumable`),
 /// resumed (`resume`) and external-memory (`crate::extmem`) entry points
@@ -419,33 +397,30 @@ pub(crate) struct BfsRun<Sys: System> {
     pub(crate) stats: SearchStats,
     pub(crate) visited: ShardedFpMap<Parent<Sys::Action>>,
     audit_states: BTreeMap<u64, Sys::State>,
-    terminal: Vec<Sys::State>,
+    pub(crate) terminal: Vec<Sys::State>,
     transitions: usize,
-    truncated_by: Option<Truncation>,
+    pub(crate) truncated_by: Option<Truncation>,
     pub(crate) found: Option<u64>,
     /// Frontier, pre-partitioned: `parts[k]` holds the states whose
     /// fingerprints shard to `k`.
     pub(crate) parts: Vec<Vec<(u64, Sys::State)>>,
     /// Completed levels (the next level to expand).
-    depth: usize,
+    pub(crate) depth: usize,
     /// Batched fingerprint pipeline shared by the sequential control path
     /// and the fused level loop (rebuilt fresh on restore — it is a
     /// buffer, never state).
     batch: BatchScratch,
 }
 
-/// Where visited keys and frontier records live. [`Search::bfs_levels`] is
-/// the only level loop and its two level bodies the only expansion code;
-/// they ask the backend exactly the questions the resident and spilled
-/// routes answer differently, and nothing else. [`Resident`] keeps
-/// everything in `BfsRun`; `crate::extmem`'s `Spill` pages cold shards and
-/// frontier partitions to run files (and needs `Persist` bounds to do so,
-/// which is why this is a trait and not an optional field).
-pub(crate) trait VisitedBackend<Sys: System>: Sync {
-    /// Every visited key and frontier record is in RAM, so the fused
-    /// one-worker level body (which reads only `BfsRun`) applies.
-    const RESIDENT: bool;
-
+/// Where visited keys and frontier records live, and how a level over
+/// them is expanded. [`Search::bfs_levels`] is the only level loop; it asks
+/// the backend exactly the questions the resident and spilled routes answer
+/// differently, and nothing else. [`Resident`] keeps everything in
+/// `BfsRun` and expands on the calling thread; `crate::extmem`'s `Spill`
+/// pages cold shards and frontier partitions to run files and expands in
+/// two pool passes (it needs `Persist` and thread bounds to do so, which is
+/// why this is a trait and not an optional field).
+pub(crate) trait VisitedBackend<Sys: System> {
     /// Visited keys held outside the resident table. They are disjoint
     /// from it, so `num_states` and the cap stay exact without touching
     /// disk.
@@ -461,21 +436,18 @@ pub(crate) trait VisitedBackend<Sys: System>: Sync {
         k: usize,
     ) -> Cow<'p, [(u64, Sys::State)]>;
 
-    /// Pass 2 for shard `k` on a level the cap cannot bind: dedup `groups`
-    /// (partition-major, traversal order within each) against everything
-    /// visited and insert the first occurrence of each new key. Returns the
-    /// shard's fresh `(fp, state)` list in insert order and its dedup hits.
-    fn classify_shard(
+    /// One BFS level: expand the run's frontier in the reference order
+    /// (partition order, in-partition frontier order, in-state action
+    /// order), dedup + insert with the state cap applied per child in that
+    /// order, fill `next_parts` and return the level's child count (its
+    /// transition delta).
+    fn expand_level(
         &self,
-        k: usize,
-        shard: &mut FpMap<Parent<Sys::Action>>,
-        groups: Vec<Vec<Child<Sys::State, Sys::Action>>>,
-    ) -> (Vec<(u64, Sys::State)>, usize);
-
-    /// Which of `keys` (stored keys of shard `k`, sorted, unique) are held
-    /// outside the resident table; sorted. Asked only when
-    /// [`Self::spilled`] is non-zero.
-    fn on_disk(&self, k: usize, keys: &[u64]) -> Vec<u64>;
+        search: &Search<'_, Sys>,
+        run: &mut BfsRun<Sys>,
+        next_parts: &mut [Vec<(u64, Sys::State)>],
+        tracer: &mut dyn Tracer,
+    ) -> usize;
 
     /// Level boundary, everything synchronized: install `next` as the
     /// run's frontier. The spill hooks live here.
@@ -489,9 +461,10 @@ pub(crate) trait VisitedBackend<Sys: System>: Sync {
 /// The all-in-RAM backend of [`Search::explore`] and friends.
 pub(crate) struct Resident;
 
-impl<Sys: System> VisitedBackend<Sys> for Resident {
-    const RESIDENT: bool = true;
-
+impl<Sys: System> VisitedBackend<Sys> for Resident
+where
+    Sys::State: Encode,
+{
     fn spilled(&self) -> usize {
         0
     }
@@ -509,34 +482,14 @@ impl<Sys: System> VisitedBackend<Sys> for Resident {
         Cow::Borrowed(&parts[k])
     }
 
-    /// Worker-local and lock-free: shard `k`'s children arrive grouped
-    /// j-major, exactly the order the fused body would have offered them
-    /// (see docs/EXPLORE.md for why the two traversals insert identical
-    /// parent links).
-    fn classify_shard(
+    fn expand_level(
         &self,
-        _k: usize,
-        shard: &mut FpMap<Parent<Sys::Action>>,
-        groups: Vec<Vec<Child<Sys::State, Sys::Action>>>,
-    ) -> (Vec<(u64, Sys::State)>, usize) {
-        let mut fresh = Vec::new();
-        let mut dedup = 0usize;
-        for group in groups {
-            for (fp, tc, a, parent) in group {
-                match shard
-                    .try_insert_with(fp, Cap::Unbounded, || Parent::Child { parent, action: a })
-                {
-                    TryInsert::Present => dedup += 1,
-                    TryInsert::Inserted => fresh.push((fp, tc)),
-                    TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
-                }
-            }
-        }
-        (fresh, dedup)
-    }
-
-    fn on_disk(&self, _k: usize, _keys: &[u64]) -> Vec<u64> {
-        Vec::new()
+        search: &Search<'_, Sys>,
+        run: &mut BfsRun<Sys>,
+        next_parts: &mut [Vec<(u64, Sys::State)>],
+        tracer: &mut dyn Tracer,
+    ) -> usize {
+        search.expand_level_fused(run, next_parts, tracer)
     }
 
     fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>) {
@@ -550,9 +503,7 @@ impl<Sys: System> VisitedBackend<Sys> for Resident {
 
 impl<'a, Sys: System> Search<'a, Sys>
 where
-    Sys: Sync,
-    Sys::State: Encode + Send + Sync,
-    Sys::Action: Send + Sync,
+    Sys::State: Encode,
 {
     /// Explore the full reachable space (within bounds), no predicate.
     pub fn explore(&self) -> SearchReport<Sys::State, Sys::Action> {
@@ -561,8 +512,8 @@ where
 
     /// [`Search::explore`], recording trace events into `tracer` (scope
     /// `"search"`). The trace is a pure function of
-    /// `(system, bounds, seed, canon, partitions)` — the worker count never
-    /// changes a byte (`tests/trace_determinism.rs` pins this).
+    /// `(system, bounds, seed, canon, partitions)`
+    /// (`tests/trace_determinism.rs` pins this).
     pub fn explore_traced(
         &self,
         tracer: &mut dyn Tracer,
@@ -596,9 +547,8 @@ where
     /// first. The suspended checkpoint continues — in this process via
     /// [`Search::resume`], or in a fresh one via `impossible-ckpt`'s
     /// snapshot format — and the eventual [`SearchReport`] is byte-identical
-    /// to an uninterrupted [`Search::explore`] at any worker count on
-    /// either side of the pause (the level loop is literally the same code;
-    /// `tests/determinism.rs` pins the equality). Exploration only
+    /// to an uninterrupted [`Search::explore`] (the level loop is literally
+    /// the same code; `tests/determinism.rs` pins the equality). Exploration only
     /// (no predicate: a paused run has no `found` state by construction)
     /// and incompatible with [`Search::collision_audit`].
     pub fn run_resumable(
@@ -616,13 +566,11 @@ where
         tracer: &mut dyn Tracer,
     ) -> Resumable<Sys::State, Sys::Action> {
         assert!(!self.audit, "collision audit is not resumable");
-        let pool = WorkerPool::new(self.workers);
-        let run = self.bfs_init(&pool, None::<&fn(&Sys::State) -> bool>, tracer);
-        self.run_to_budget(&pool, run, &budget, tracer)
+        let run = self.bfs_init(None::<&fn(&Sys::State) -> bool>, tracer);
+        self.run_to_budget(run, &budget, tracer)
     }
 
-    /// Continue a paused run (possibly under a different worker count —
-    /// the report never depends on it) until done or `budget` trips again.
+    /// Continue a paused run until done or `budget` trips again.
     /// The builder must carry the same `(system, bounds, seed, canon,
     /// partitions)` the checkpoint was taken under; seed/partition drift is
     /// detected here, model drift by `impossible-ckpt`'s fingerprint check.
@@ -644,7 +592,6 @@ where
         tracer: &mut dyn Tracer,
     ) -> Resumable<Sys::State, Sys::Action> {
         assert!(!self.audit, "collision audit is not resumable");
-        let pool = WorkerPool::new(self.workers);
         trace_event!(tracer, "search", "start",
             "strategy": "bfs",
             "partitions": self.partitions,
@@ -653,14 +600,14 @@ where
             "max_depth": self.max_depth,
             "canon": self.canon.is_some(),
         );
-        let run = self.restore(&pool, ckpt);
+        let run = self.restore(ckpt);
         trace_event!(tracer, "search", "resume",
             "level": run.depth,
             "states": run.visited.len(),
             "frontier": run.parts.iter().map(Vec::len).sum::<usize>(),
             "transitions": run.transitions,
         );
-        self.run_to_budget(&pool, run, &budget, tracer)
+        self.run_to_budget(run, &budget, tracer)
     }
 
     /// Drive a resident, predicate-free run until it finishes or `budget`
@@ -668,23 +615,20 @@ where
     /// [`Search::resume_traced`].
     fn run_to_budget(
         &self,
-        pool: &WorkerPool,
         mut run: BfsRun<Sys>,
         budget: &PauseBudget,
         tracer: &mut dyn Tracer,
     ) -> Resumable<Sys::State, Sys::Action> {
         let pred = None::<&fn(&Sys::State) -> bool>;
-        if self.bfs_levels(pool, &mut run, &mut Resident, pred, budget, tracer) {
+        if self.bfs_levels(&mut run, &mut Resident, pred, budget, tracer) {
             Resumable::Paused(self.suspend(run))
         } else {
             Resumable::Done(self.bfs_finish(run, &Resident, tracer))
         }
     }
 
-    /// The BFS engine. Trace emissions happen only on the sequential
-    /// control path (init loop, level boundaries, and the ordered merge) —
-    /// never inside worker closures — and no event carries the worker
-    /// count, which is what makes traces worker-count invariant.
+    /// The resident BFS engine: init, the level loop over [`Resident`],
+    /// finish. No trace event carries the requested worker count.
     fn run_bfs<F>(
         &self,
         pred: Option<F>,
@@ -693,10 +637,9 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        let pool = WorkerPool::new(self.workers);
         let (pred, never) = (pred.as_ref(), PauseBudget::never());
-        let mut run = self.bfs_init(&pool, pred, tracer);
-        let paused = self.bfs_levels(&pool, &mut run, &mut Resident, pred, &never, tracer);
+        let mut run = self.bfs_init(pred, tracer);
+        let paused = self.bfs_levels(&mut run, &mut Resident, pred, &never, tracer);
         debug_assert!(!paused, "PauseBudget::never cannot pause");
         self.bfs_finish(run, &Resident, tracer)
     }
@@ -704,21 +647,19 @@ where
     /// BFS init: seed the visited set and the partitioned root frontier.
     pub(crate) fn bfs_init<F>(
         &self,
-        pool: &WorkerPool,
         pred: Option<&F>,
         tracer: &mut dyn Tracer,
     ) -> BfsRun<Sys>
     where
         F: Fn(&Sys::State) -> bool,
     {
-        let mut stats = SearchStats::new("bfs", pool.workers(), self.partitions, self.seed);
+        let mut stats = SearchStats::new("bfs", self.workers, self.partitions, self.seed);
         let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(self.partitions);
         let mut audit_states: BTreeMap<u64, Sys::State> = BTreeMap::new();
         let mut truncated_by: Option<Truncation> = None;
         let mut found: Option<u64> = None;
-        // Batched fingerprint pipeline for this (sequential) control path
-        // and the fused level loop; parallel expansions carry their own
-        // (one per partition-expansion, reused across all of its states).
+        // Batched fingerprint pipeline for this control path and the fused
+        // level loop; the spill route's pass-1 workers carry their own.
         let mut batch = BatchScratch::new(self.seed);
         let mut roots: Vec<(u64, Sys::State)> = Vec::new();
 
@@ -746,7 +687,9 @@ where
             if visited.try_insert_with(fp, Cap::Unbounded, || Parent::Root(i)) == TryInsert::Present
             {
                 stats.dedup_hits += 1;
-                self.audit_check(&audit_states, fp, &sc);
+                if self.audit {
+                    self.audit_check_slow(&audit_states, fp, &sc);
+                }
                 continue;
             }
             if self.audit {
@@ -809,7 +752,6 @@ where
     /// `PauseBudget::never` guarantees.
     pub(crate) fn bfs_levels<F, B>(
         &self,
-        pool: &WorkerPool,
         run: &mut BfsRun<Sys>,
         backend: &mut B,
         pred: Option<&F>,
@@ -840,10 +782,9 @@ where
             run.stats.peak_frontier = run.stats.peak_frontier.max(frontier_len);
             // Byte accounting, sampled at the same boundary: visited-table
             // slot arrays plus the frontier records actually resident, at
-            // their shallow width. Worker-count-invariant (both are pure
-            // functions of the entry sets), and one formula for both
-            // backends, so a spilled run's lower number is comparable
-            // evidence.
+            // their shallow width. Both are pure functions of the entry
+            // sets, and it is one formula for both backends, so a spilled
+            // run's lower number is comparable evidence.
             let bytes =
                 run.visited.approx_bytes() + resident_frontier * Self::frontier_item_bytes();
             run.stats.peak_bytes = run.stats.peak_bytes.max(bytes);
@@ -882,41 +823,25 @@ where
             let mut next_parts: Vec<Vec<(u64, Sys::State)>> =
                 (0..self.partitions).map(|_| Vec::new()).collect();
 
-            // Each level body lives in its own function (not inlined here):
-            // the expand loops are the hottest code in the crate, and giving
-            // them their own functions keeps the optimizer's inlining budget
-            // focused on `fingerprints`/`try_insert_with` instead of
-            // exhausting it on the orchestration around them. The fused
-            // body is the two-pass body's one-worker, all-resident special
-            // case — kept because it is measurably cheaper there
-            // (ledger/LEDGER.md, anomaly (a): 1.6–1.9×, all of it route
-            // work).
-            let level_children = if pool.workers() == 1 && B::RESIDENT {
-                self.expand_level_fused(run, &mut next_parts, tracer)
-            } else {
-                self.expand_level_two_pass(pool, &*backend, run, &mut next_parts, tracer)
-            };
+            // The level body is the backend's, and lives in its own
+            // function (not inlined here): the expand loops are the hottest
+            // code in the crate, and giving them their own functions keeps
+            // the optimizer's inlining budget focused on
+            // `fingerprints`/`try_insert_with` instead of exhausting it on
+            // the orchestration around them.
+            let level_children = backend.expand_level(self, run, &mut next_parts, tracer);
             run.transitions += level_children;
-            // Fold the pool's steal counters into the stats at the level
-            // boundary. Deterministic at a fixed worker count (each pass
-            // over n items steals exactly n - min(workers, n) shards — see
-            // `pool`); a one-worker pool runs inline, so both stay 0 at
-            // workers == 1.
-            let (steal_passes, stolen) = pool.take_steals();
-            run.stats.steals += steal_passes as usize;
-            run.stats.stolen_shards += stolen as usize;
-            // Worker-invariant by construction: both counters are pure
-            // functions of the state space and bounds, never of the
-            // schedule or of which insert path ran.
+            // A pure function of the state space and bounds, never of
+            // which backend's body ran.
             if visited_before + level_children > self.max_states {
                 run.stats.cap_fallbacks += 1;
             }
 
             // Predicate scan over the level's newly-inserted states, in
             // shard-major order. Running it here (not inside the insert
-            // paths) is what makes `found` identical for every worker
-            // count; the cost is that a matching level is always completed
-            // before the search stops.
+            // paths) is what makes `found` identical on both backends; the
+            // cost is that a matching level is always completed before the
+            // search stops.
             if let Some(p) = pred {
                 'scan: for bucket in &next_parts {
                     for (fp, s) in bucket {
@@ -983,7 +908,7 @@ where
     }
 
     /// Package a paused run as a checkpoint, in canonical order: visited
-    /// shards page out via [`FpMap::iter_ordered`] (ascending stored key),
+    /// shards page out via [`crate::table::FpMap::iter_ordered`] (ascending key),
     /// frontier partitions keep their in-partition traversal order.
     fn suspend(&self, run: BfsRun<Sys>) -> SearchCheckpoint<Sys::State, Sys::Action> {
         debug_assert!(run.found.is_none(), "paused runs carry no witness");
@@ -1020,13 +945,9 @@ where
     /// Rebuild in-flight state from a checkpoint. Stored keys are already
     /// folded (fingerprint `0` → `1`) and the fold is idempotent, so
     /// re-inserting them shard-locally reproduces the exact table contents;
-    /// `workers` in the restored stats is the *resuming* pool's count,
-    /// matching what an uninterrupted run under that pool would record.
-    fn restore(
-        &self,
-        pool: &WorkerPool,
-        ckpt: SearchCheckpoint<Sys::State, Sys::Action>,
-    ) -> BfsRun<Sys> {
+    /// `workers` in the restored stats is the *resuming* builder's count,
+    /// matching what an uninterrupted run under that builder would record.
+    fn restore(&self, ckpt: SearchCheckpoint<Sys::State, Sys::Action>) -> BfsRun<Sys> {
         assert_eq!(ckpt.seed, self.seed, "checkpoint seed mismatch");
         assert_eq!(
             ckpt.partitions, self.partitions,
@@ -1042,7 +963,7 @@ where
             self.partitions,
             "checkpoint frontier-partition count mismatch"
         );
-        let mut stats = SearchStats::new("bfs", pool.workers(), self.partitions, self.seed);
+        let mut stats = SearchStats::new("bfs", self.workers, self.partitions, self.seed);
         stats.levels = ckpt.levels;
         stats.expansions = ckpt.expansions;
         stats.dedup_hits = ckpt.dedup_hits;
@@ -1050,23 +971,6 @@ where
         stats.peak_frontier = ckpt.peak_frontier;
         stats.cap_fallbacks = ckpt.cap_fallbacks;
         stats.peak_bytes = ckpt.peak_bytes;
-        // Steal counters are not persisted (the checkpoint stays a pure
-        // function of the space, worker-count-invariant); re-derive them
-        // as if the completed prefix had run at the *resuming* pool's
-        // width, matching what an uninterrupted run under that pool would
-        // record. Every completed level ran two pool passes of exactly
-        // `partitions` items (expand + shard insert) except cap-fallback
-        // levels, whose insert replays sequentially — and a pass over n
-        // items at width w steals n - min(w, n) of them (see `pool`).
-        let w = pool.workers();
-        if w > 1 {
-            let stolen_per_pass = self.partitions - w.min(self.partitions);
-            if stolen_per_pass > 0 {
-                let passes = 2 * ckpt.levels - ckpt.cap_fallbacks;
-                stats.steals = passes;
-                stats.stolen_shards = passes * stolen_per_pass;
-            }
-        }
 
         let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(self.partitions);
         for (k, page) in ckpt.visited.into_iter().enumerate() {
@@ -1092,13 +996,13 @@ where
         }
     }
 
-    /// One BFS level, single worker, everything resident: fused expand +
-    /// dedup + insert in one pass. This is the reference traversal —
-    /// partition order, in-partition frontier order, in-state action order
-    /// ("j-major"), cap checked inline per child — that
-    /// [`Search::expand_level_two_pass`] is extensionally equal to. Fills
-    /// `next_parts` and returns the level's child count (its transition
-    /// delta).
+    /// One BFS level, single-threaded, everything resident — [`Resident`]'s
+    /// level body: fused expand + dedup + insert in one pass. This is the
+    /// reference traversal — partition order, in-partition frontier order,
+    /// in-state action order ("j-major"), cap checked inline per child —
+    /// that `crate::extmem`'s two-pass body is extensionally equal to.
+    /// Fills `next_parts` and returns the level's child count (its
+    /// transition delta).
     ///
     /// Deliberately its own function (as is the two-pass body): the expand
     /// loop is the hottest code in the crate, and carving it out of
@@ -1207,175 +1111,6 @@ where
         level_children
     }
 
-    /// Expand one frontier partition (the pass-1 worker body): successors,
-    /// canon, fingerprints, children bucketed by destination shard. Pure —
-    /// touches no shared state — so a paged frontier partition can decode
-    /// inside a worker and feed straight through here.
-    fn expand_one_partition(
-        &self,
-        part: &[(u64, Sys::State)],
-    ) -> Expanded<Sys::State, Sys::Action> {
-        let shard_n = self.partitions;
-        let mut rec = Expanded {
-            terminals: Vec::new(),
-            expansions: part.len(),
-            canon_hits: 0,
-            by_shard: (0..shard_n).map(|_| Vec::new()).collect(),
-            route: Vec::new(),
-        };
-        // One batch pipeline per partition-expansion (i.e. worker-local):
-        // the seeded hasher init and the staging buffers are shared by
-        // every state the partition fingerprints.
-        let mut batch = BatchScratch::new(self.seed);
-        // Phase A — generate the partition's children in traversal order
-        // (frontier order, in-state action order), staged for the batch.
-        let mut pending: Vec<(Sys::State, Sys::Action, u64)> = Vec::new();
-        for (pfp, s) in part {
-            let stage = |tc, a| pending.push((tc, a, *pfp));
-            if !self.stage_successors(s, |_| true, &mut rec.canon_hits, stage) {
-                rec.terminals.push(s.clone());
-            }
-        }
-        // Phase B — fingerprint the batch in one tight loop (bit-identical
-        // to the scalar path per the BatchScratch contract).
-        let fps = batch.fingerprints(pending.iter().map(|(tc, _, _)| tc));
-        // Phase C — bucket by destination shard in the same traversal
-        // order, recording the route so cap levels can replay it exactly.
-        for ((tc, a, pfp), &fp) in pending.into_iter().zip(fps) {
-            let k = shard_index(fp, shard_n);
-            rec.by_shard[k].push((fp, tc, a, pfp));
-            rec.route.push(k as u32);
-        }
-        rec
-    }
-
-    /// One BFS level in two passes, for any worker count and either
-    /// backend. Pass 1 expands the frontier partitions on the pool (a paged
-    /// partition decodes inside its worker), touching no shared state;
-    /// records come back in partition order regardless of worker count, and
-    /// their counters/terminals are stitched sequentially in that order.
-    /// Pass 2 runs dedup + insert worker-locally per visited shard — or
-    /// replays the exact j-major order sequentially on the rare levels
-    /// where the state cap could bind (or under the collision audit).
-    /// Fills `next_parts` and returns the level's child count; byte-identical
-    /// in effect to [`Search::expand_level_fused`] for every worker count.
-    #[inline(never)]
-    fn expand_level_two_pass<B: VisitedBackend<Sys>>(
-        &self,
-        pool: &WorkerPool,
-        backend: &B,
-        run: &mut BfsRun<Sys>,
-        next_parts: &mut [Vec<(u64, Sys::State)>],
-        tracer: &mut dyn Tracer,
-    ) -> usize {
-        let shard_n = self.partitions;
-        let spilled = backend.spilled();
-        let parts = &run.parts;
-        let mut recs = pool.map_indexed((0..shard_n).collect(), |_, k: usize| {
-            self.expand_one_partition(&backend.partition(parts, k))
-        });
-
-        // Stitch the per-partition counters and terminals, in
-        // partition order.
-        let mut level_children = 0usize;
-        for rec in &mut recs {
-            run.stats.expansions += rec.expansions;
-            run.stats.canon_hits += rec.canon_hits;
-            level_children += rec.route.len();
-            run.terminal.append(&mut rec.terminals);
-        }
-
-        // Pass 2 — dedup + insert. When the state cap cannot bind this
-        // level (children are an upper bound on inserts) and no audit wants
-        // full states in sequence, each visited shard is handed to the
-        // worker that owns it, with its children grouped j-major.
-        if run.visited.len() + spilled + level_children <= self.max_states && !self.audit {
-            // Transpose [partition][shard] → [shard][partition]:
-            // O(partitions²) Vec moves, no child copied.
-            let mut per_shard: Vec<Vec<Vec<Child<Sys::State, Sys::Action>>>> = (0..shard_n)
-                .map(|_| Vec::with_capacity(recs.len()))
-                .collect();
-            for rec in &mut recs {
-                for (k, bucket) in rec.by_shard.iter_mut().enumerate() {
-                    per_shard[k].push(std::mem::take(bucket));
-                }
-            }
-            let jobs: Vec<_> = run.visited.shards_mut().iter_mut().zip(per_shard).collect();
-            let results = pool.map_indexed(jobs, |k, (shard, groups)| {
-                backend.classify_shard(k, shard, groups)
-            });
-            run.visited.refresh_len();
-            for (k, (fresh, dedup)) in results.into_iter().enumerate() {
-                run.stats.dedup_hits += dedup;
-                next_parts[k] = fresh;
-            }
-            return level_children;
-        }
-
-        // Cap could bind (or audit mode): dedup-vs-cap precedence for keys
-        // recurring in-level depends on the exact insert sequence, so
-        // replay the children in exact j-major order with the same inline
-        // global cap the fused body applies. `route` recovers that order
-        // from the bucketed layout; membership among spilled keys is
-        // precomputed per shard (nothing to ask before the first flush).
-        let on_disk: Vec<Vec<u64>> = if spilled == 0 {
-            Vec::new()
-        } else {
-            (0..shard_n)
-                .map(|k| {
-                    let mut keys: Vec<u64> = recs
-                        .iter()
-                        .flat_map(|rec| rec.by_shard[k].iter().map(|&(fp, ..)| key_of(fp)))
-                        .collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    backend.on_disk(k, &keys)
-                })
-                .collect()
-        };
-        // Spilled keys are disjoint from the resident table, so the global
-        // cap is the resident cap less their count.
-        let cap = Cap::At(self.max_states - spilled);
-        for rec in recs {
-            let mut buckets: Vec<std::vec::IntoIter<_>> =
-                rec.by_shard.into_iter().map(Vec::into_iter).collect();
-            for &k in &rec.route {
-                let k = k as usize;
-                let (fp_t, tc, a, parent) = buckets[k]
-                    .next()
-                    .expect("route covers every bucketed child");
-                let spilled_hit = |old: &Vec<u64>| old.binary_search(&key_of(fp_t)).is_ok();
-                if on_disk.get(k).is_some_and(spilled_hit) {
-                    run.stats.dedup_hits += 1;
-                    continue;
-                }
-                let link = || Parent::Child { parent, action: a };
-                match run.visited.try_insert_with(fp_t, cap, link) {
-                    TryInsert::Present => {
-                        run.stats.dedup_hits += 1;
-                        self.audit_check(&run.audit_states, fp_t, &tc);
-                    }
-                    TryInsert::Full => {
-                        if run.truncated_by.is_none() {
-                            trace_event!(tracer, "search", "truncate",
-                                "cause": "states",
-                                "level": run.depth,
-                            );
-                        }
-                        run.truncated_by.get_or_insert(Truncation::States);
-                    }
-                    TryInsert::Inserted => {
-                        if self.audit {
-                            run.audit_states.insert(fp_t, tc.clone());
-                        }
-                        next_parts[k].push((fp_t, tc));
-                    }
-                }
-            }
-        }
-        level_children
-    }
-
     /// Walk the fingerprint parent map back to a root through `lookup`
     /// (resident table first, then whatever the backend spilled), then
     /// replay forward through `step` (+ canon) to materialize the actual
@@ -1413,19 +1148,9 @@ where
         exec
     }
 
-    /// Per-dedup-hit collision audit. The wrapper must stay trivially
-    /// inlinable: it runs on *every* dedup hit (the majority of children on
-    /// dense spaces), and routing non-audit runs through an out-of-line call
-    /// whose assert/format body defeats inlining costs ~25% of total search
-    /// wall-clock (the ledger's `grid_w1`, four children in five a dedup hit,
-    /// is where it shows).
-    #[inline(always)]
-    fn audit_check(&self, audit_states: &BTreeMap<u64, Sys::State>, fp: u64, state: &Sys::State) {
-        if self.audit {
-            self.audit_check_slow(audit_states, fp, state);
-        }
-    }
-
+    /// The collision audit's check on a dedup hit. Out of line and cold:
+    /// non-audit runs must never carry this assert/format body in a loop
+    /// (the fused body erases even the call via its `AUDIT` const).
     #[cold]
     #[inline(never)]
     fn audit_check_slow(

@@ -14,7 +14,9 @@
 pub struct SearchStats {
     /// Search strategy: always `"bfs"`, the only one there is.
     pub strategy: &'static str,
-    /// Worker threads configured (output-invariant; recorded for the log).
+    /// Worker threads requested ([`crate::Search::workers`]), recorded for
+    /// the log on every route. Only the spill route starts any; resident
+    /// runs are single-threaded whatever this says. Output-invariant.
     pub workers: usize,
     /// Fixed partition count the frontier is split across.
     pub partitions: usize,
@@ -31,9 +33,11 @@ pub struct SearchStats {
     /// Largest frontier held at once.
     pub peak_frontier: usize,
     /// BFS levels where the `max_states` cap could have bound
-    /// (`visited + level children > max_states`), forcing the sequential
-    /// exact-cap insert path instead of worker-local shard inserts. A pure
-    /// function of the space and bounds — never of the worker count.
+    /// (`visited + level children > max_states`). On the spill route those
+    /// levels replay the exact-cap insert order sequentially instead of
+    /// running worker-local shard inserts; the resident body checks the cap
+    /// inline on every level, so there the count is only a census. A pure
+    /// function of the space and bounds — identical on both routes.
     pub cap_fallbacks: usize,
     /// Peak bytes held by the visited set and frontier together, sampled
     /// at level boundaries. Deterministic *shallow* accounting (table
@@ -43,15 +47,17 @@ pub struct SearchStats {
     /// stat that legitimately differs between a resident and a spilled run
     /// of the same model — report comparisons mask it.
     pub peak_bytes: usize,
-    /// Parallel pool passes in which at least one shard was claimed as a
-    /// steal (an idle worker taking a whole shard beyond its first from the
-    /// shared claim counter). A deterministic projection of the claim
+    /// Spill-route pool passes in which at least one shard was claimed as
+    /// a steal (an idle worker taking a whole shard beyond its first from
+    /// the shared claim counter). A deterministic projection of the claim
     /// protocol: a pass over `n` items with `W` workers steals exactly
-    /// `n - min(W, n)` of them, so the count is a pure function of the run
-    /// shape and worker count — never of thread scheduling. Always 0 at
-    /// `workers == 1` (the fused inline path uses no pool). Like
+    /// `n - min(W, n)` of them, so under spill the count is
+    /// `2 * levels - cap_fallbacks` whenever `1 < W < partitions` — a pure
+    /// function of the run shape and worker count, never of thread
+    /// scheduling. Always 0 on resident runs (no pool) and at
+    /// `workers == 1` (the pool runs inline). Like
     /// [`SearchStats::workers`], legitimately differs *across* worker
-    /// counts; determinism tests zero both before comparing.
+    /// counts; spilled-vs-resident comparisons zero both.
     pub steals: usize,
     /// Total whole shards claimed as steals across those passes (same
     /// determinism contract as [`SearchStats::steals`]).

@@ -316,7 +316,7 @@ impl<V> ShardedFpMap<V> {
     /// Sequential insert with a *global* cap across all shards. Same
     /// semantics as [`FpMap::try_insert_with`], with the dedup check taking
     /// precedence over the cap, in a single probe (this is the hot path of
-    /// every single-worker search).
+    /// every resident search).
     pub fn try_insert_with(&mut self, fp: u64, cap: Cap, make: impl FnOnce() -> V) -> TryInsert {
         // One key fold serves both the shard routing and the probe.
         let key = key_of(fp);

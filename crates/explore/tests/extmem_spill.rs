@@ -4,6 +4,13 @@
 //! seed, worker count, and spill threshold. Only `stats.peak_bytes` may
 //! (and should) differ, downward.
 //!
+//! This suite is also the only fused-vs-two-pass oracle: the resident route
+//! runs the fused single-threaded level body whatever `Search::workers`
+//! says, the spill route runs its two-pass body on its own pool, and
+//! `ram_keys(usize::MAX)` (never flushes) runs that body with every key
+//! resident. It is what `crates/explore/src/pool.rs`'s `thread::scope`
+//! waiver rests on (docs/LINTS.md).
+//!
 //! `DET_SEED` replays the property cases.
 
 use impossible_det::{det_assert, det_assert_eq, det_prop};
@@ -18,7 +25,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// Strip the legitimately-differing stats (worker count and the steal
-/// counters are recorded by design and vary with the pool size,
+/// counters are recorded by design and vary with the spill pool's size,
 /// `peak_bytes` is the whole point of spilling) before byte comparison.
 fn masked(r: &SearchReport<Vec<u8>, usize>) -> String {
     let mut stats = r.stats;
@@ -50,49 +57,37 @@ fn run_files(dir: &std::path::Path, r: usize) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn spilled_exploration_matches_resident_bytes() {
-    let sys = Grid { n: 4, max: 3 }; // 256 states, several levels
-    let resident = Search::new(&sys).explore();
-    for (i, (ram_keys, front)) in [(0usize, false), (0, true), (40, false), (40, true)]
-        .iter()
-        .enumerate()
-    {
-        let dir = tmp(&format!("spill-match-{i}"));
-        let policy = SpillPolicy::new(&dir)
-            .ram_keys(*ram_keys)
-            .spill_frontier(*front);
-        let spilled = Search::new(&sys).explore_extmem(&policy);
-        assert!(
-            spilled.stats.peak_bytes <= resident.stats.peak_bytes,
-            "spilling must not raise peak bytes (ram_keys={ram_keys} front={front})"
-        );
-        assert_eq!(
-            masked(&spilled),
-            masked(&resident),
-            "ram_keys={ram_keys} front={front}"
-        );
-    }
+/// Every `(workers, ram_keys)` the byte-identity contract is pinned at:
+/// spill every level, spill a few times, never flush.
+fn worker_and_threshold_sweep() -> impl Iterator<Item = (usize, usize)> {
+    [1usize, 2, 8]
+        .into_iter()
+        .flat_map(|w| [0usize, 40, usize::MAX].into_iter().map(move |ram_keys| (w, ram_keys)))
 }
 
 #[test]
-fn spilled_reports_are_worker_count_invariant() {
-    // The headline contract from docs/EXTMEM.md, pinned at the canonical
-    // 1/2/8 worker counts (matching tests/determinism.rs for the resident
-    // engine): spill run files are ordered-concatenated per shard, so the
-    // bytes cannot depend on who wrote them.
-    let sys = Grid { n: 4, max: 3 };
-    let render = |workers: usize| {
-        let dir = tmp(&format!("spill-workers-{workers}"));
-        let policy = SpillPolicy::new(&dir).ram_keys(50).spill_frontier(true);
-        let r = Search::new(&sys).workers(workers).explore_extmem(&policy);
-        masked(&r)
-    };
-    let one = render(1);
-    assert_eq!(one, render(2));
-    assert_eq!(one, render(8));
-    // And all of them equal the resident engine's bytes.
-    assert_eq!(one, masked(&Search::new(&sys).explore()));
+fn spilled_exploration_matches_resident_bytes() {
+    // The headline contract from docs/EXTMEM.md: run files are
+    // ordered-concatenated per shard and pass-1 records come back in
+    // partition order, so neither the worker count nor the spill threshold
+    // can reach the report.
+    let sys = Grid { n: 4, max: 3 }; // 256 states, several levels
+    let resident = Search::new(&sys).explore();
+    for (w, ram_keys) in worker_and_threshold_sweep() {
+        for front in [false, true] {
+            let dir = tmp(&format!("spill-match-{w}-{ram_keys}-{front}"));
+            let policy = SpillPolicy::new(&dir).ram_keys(ram_keys).spill_frontier(front);
+            let spilled = Search::new(&sys).workers(w).explore_extmem(&policy);
+            let case = format!("w={w} ram_keys={ram_keys} front={front}");
+            assert!(
+                spilled.stats.peak_bytes <= resident.stats.peak_bytes,
+                "spilling must not raise peak bytes ({case})"
+            );
+            assert_eq!(masked(&spilled), masked(&resident), "{case}");
+            // Never flushing leaves the two-pass body all-resident.
+            assert_eq!(run_files(&dir, 0).is_empty(), ram_keys == usize::MAX, "{case}");
+        }
+    }
 }
 
 #[test]
@@ -114,16 +109,27 @@ fn spilled_witness_replays_through_run_files() {
 #[test]
 fn cap_truncation_is_exact_under_spill() {
     // The cap binds mid-level: the j-major replay path must produce the
-    // resident engine's exact truncation, state count, and fallback count.
-    let sys = Grid { n: 4, max: 3 };
-    let cap = 97;
-    let resident = Search::new(&sys).max_states(cap).explore();
-    assert_eq!(resident.truncated_by, Some(Truncation::States));
-    assert!(resident.stats.cap_fallbacks > 0);
-    let policy = SpillPolicy::new(tmp("spill-cap")).ram_keys(0);
-    let spilled = Search::new(&sys).max_states(cap).explore_extmem(&policy);
-    assert_eq!(spilled.num_states, cap);
-    assert_eq!(masked(&spilled), masked(&resident));
+    // resident engine's exact truncation, state count, and fallback count,
+    // with everything before the straddling level inserted worker-locally.
+    for (sys, cap) in [
+        (Grid { n: 4, max: 3 }, 97),
+        (Grid { n: 4, max: 4 }, 97),
+        (Grid { n: 4, max: 4 }, 301),
+    ] {
+        let resident = Search::new(&sys).max_states(cap).explore();
+        assert_eq!(resident.truncated_by, Some(Truncation::States));
+        assert!(resident.stats.cap_fallbacks > 0);
+        for (w, ram_keys) in worker_and_threshold_sweep() {
+            let dir = tmp(&format!("spill-cap-{}-{cap}-{w}-{ram_keys}", sys.max));
+            let policy = SpillPolicy::new(dir).ram_keys(ram_keys);
+            let spilled = Search::new(&sys)
+                .max_states(cap)
+                .workers(w)
+                .explore_extmem(&policy);
+            assert_eq!(spilled.num_states, cap);
+            assert_eq!(masked(&spilled), masked(&resident), "w={w} ram_keys={ram_keys}");
+        }
+    }
 }
 
 #[test]
@@ -198,26 +204,48 @@ fn depth_truncation_is_exact_under_spill() {
 }
 
 #[test]
-fn spilled_runs_record_the_same_steal_counters_as_resident() {
-    // The extmem engine drives the identical two-pass pool schedule per
-    // level (expansion, then shard classify/merge), so its steal counters
-    // must equal the resident engine's at the same worker count — and
-    // stay zero at w=1 where the claim protocol is bypassed.
+fn steal_counters_are_derivable_from_the_report() {
+    // Each expanded level submits two pool passes of `partitions` items
+    // (minus one pass per cap-fallback level, which replays the exact
+    // sequential insert instead). A pass with W workers claims
+    // min(W, partitions) shards eagerly; the remainder are steals. The
+    // counters are therefore a pure function of the report's own
+    // `levels`/`cap_fallbacks`/`partitions` and W — zero at W = 1, where
+    // the pool runs inline — and schedule noise must never leak in.
     let sys = Grid { n: 4, max: 3 };
-    let resident = Search::new(&sys).workers(2).explore();
-    let policy = SpillPolicy::new(tmp("spill-steals"))
-        .ram_keys(0)
-        .spill_frontier(true);
-    let spilled = Search::new(&sys).workers(2).explore_extmem(&policy);
-    assert!(spilled.stats.steals > 0, "w=2 spill ran the claim protocol");
-    assert_eq!(spilled.stats.steals, resident.stats.steals);
-    assert_eq!(spilled.stats.stolen_shards, resident.stats.stolen_shards);
+    let run = |w: usize, tag: &str| {
+        let policy = SpillPolicy::new(tmp(&format!("spill-steals-{w}-{tag}")))
+            .ram_keys(0)
+            .spill_frontier(true);
+        Search::new(&sys).workers(w).explore_extmem(&policy)
+    };
+    for w in [1usize, 2, 8] {
+        let r = run(w, "a");
+        assert_eq!(r.stats.cap_fallbacks, 0, "uncapped run");
+        let passes = if w == 1 { 0 } else { 2 * r.stats.levels };
+        let per_pass = r.stats.partitions - w.min(r.stats.partitions);
+        assert_eq!(r.stats.steals, passes, "w={w}");
+        assert_eq!(r.stats.stolen_shards, passes * per_pass, "w={w}");
+        assert_eq!(r, run(w, "b"), "w={w}: repeated runs agree to the byte");
+    }
+}
 
-    let w1 = Search::new(&sys)
-        .workers(1)
-        .explore_extmem(&SpillPolicy::new(tmp("spill-steals-w1")).ram_keys(0));
-    assert_eq!(w1.stats.steals, 0);
-    assert_eq!(w1.stats.stolen_shards, 0);
+#[test]
+fn cap_fallback_levels_skip_the_second_steal_pass() {
+    // When the cap forces the sequential exact-insert replay, that level
+    // runs only one pool pass — the steal counters must track
+    // `2 * levels - cap_fallbacks`, not `2 * levels`.
+    let sys = Grid { n: 4, max: 4 };
+    let policy = SpillPolicy::new(tmp("spill-steals-cap")).ram_keys(40);
+    let r = Search::new(&sys)
+        .max_states(301)
+        .workers(2)
+        .explore_extmem(&policy);
+    assert!(r.stats.cap_fallbacks > 0, "the cap must bind mid-level");
+    let passes = 2 * r.stats.levels - r.stats.cap_fallbacks;
+    let per_pass = r.stats.partitions - 2;
+    assert_eq!(r.stats.steals, passes);
+    assert_eq!(r.stats.stolen_shards, passes * per_pass);
 }
 
 #[test]

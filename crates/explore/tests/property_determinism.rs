@@ -1,13 +1,15 @@
 //! The property layer's determinism contract: SCC decomposition, verdicts
-//! and lasso witnesses are byte-identical for any worker count and any
-//! fingerprint seed, and the `PropertyReport` JSON rendering is pinned.
+//! and lasso witnesses are byte-identical for any fingerprint seed, and the
+//! `PropertyReport` JSON rendering is pinned.
 //!
-//! Worker count and seed reach the checker only through the graph builder,
-//! which is exact (fingerprints are an index acceleration with equality
-//! fallback) and assigns indices in sequential BFS discovery order; the
-//! checker then visits vertices in index order and neighbors in
-//! successor-list order. Nothing downstream of `Search::new` may change a
-//! byte of the report. `DET_SEED` replays the property cases.
+//! The seed reaches the checker only through the graph builder, which is
+//! exact (fingerprints are an index acceleration with equality fallback)
+//! and assigns indices in sequential BFS discovery order; the checker then
+//! visits vertices in index order and neighbors in successor-list order.
+//! Nothing downstream of `Search::new` may change a byte of the report
+//! (the builder never reads `Search::workers`:
+//! `tests/determinism.rs::resident_runs_ignore_the_worker_count`).
+//! `DET_SEED` replays the property cases.
 
 use impossible_det::{det_assert, det_assert_eq, det_prop};
 use impossible_explore::property::{eventually, leads_to, never, Checker};
@@ -53,8 +55,8 @@ impl System for Gears {
 
 /// One safety and two liveness checks, rendered to canonical JSON. The
 /// concatenation is the byte-level comparison unit.
-fn render_all(workers: usize, seed: u64) -> String {
-    let g = Search::new(&Gears).workers(workers).seed(seed).graph();
+fn render_all(seed: u64) -> String {
+    let g = Search::new(&Gears).seed(seed).graph();
     let checker = Checker::new(&g);
     let live = checker.check(&eventually("stops", |_: &G| false)).to_json();
     let resp = checker
@@ -62,39 +64,25 @@ fn render_all(workers: usize, seed: u64) -> String {
         .to_json();
     let grid = Grid { n: 3, max: 3 };
     let safe = Search::new(&grid)
-        .workers(workers)
         .seed(seed)
         .check_property(&never("diagonal", |s: &Vec<u8>| s.iter().all(|&x| x == 2)))
         .to_json();
     format!("{live}\n{resp}\n{safe}")
 }
 
-#[test]
-fn property_reports_are_byte_identical_for_1_2_and_8_workers() {
-    let baseline = render_all(1, impossible_explore::DEFAULT_SEED);
-    for workers in [2, 8] {
-        assert_eq!(
-            baseline,
-            render_all(workers, impossible_explore::DEFAULT_SEED),
-            "worker count {workers} changed the property bytes"
-        );
+det_prop! {
+    fn any_seed_same_property_bytes(cases = 12, seed in 0u64..1_000_000) {
+        let baseline = render_all(impossible_explore::DEFAULT_SEED);
+        det_assert_eq!(baseline, render_all(seed));
+        det_assert!(baseline.contains("\"type\":\"lasso\""), "liveness case must produce a lasso");
     }
 }
 
 det_prop! {
-    fn any_seed_any_split_same_property_bytes(cases = 12, seed in 0u64..1_000_000, w in 2usize..9) {
-        let sequential = render_all(1, impossible_explore::DEFAULT_SEED);
-        let parallel = render_all(w, seed);
-        det_assert_eq!(sequential, parallel);
-        det_assert!(sequential.contains("\"type\":\"lasso\""), "liveness case must produce a lasso");
-    }
-}
-
-det_prop! {
-    fn scc_decomposition_is_seed_and_split_invariant(cases = 12, seed in 0u64..1_000_000, w in 1usize..9) {
+    fn scc_decomposition_is_seed_invariant(cases = 12, seed in 0u64..1_000_000) {
         // The decomposition stats (region, sccs, candidates) are part of
-        // the report; pin them directly across seeds and splits.
-        let g = Search::new(&Gears).workers(w).seed(seed).graph();
+        // the report; pin them directly across seeds.
+        let g = Search::new(&Gears).seed(seed).graph();
         let r = Checker::new(&g).check(&eventually("stops", |_: &G| false));
         det_assert_eq!(r.region, 10);
         det_assert_eq!(r.sccs, 4);

@@ -1,22 +1,11 @@
 //! Pins the trace determinism contract (docs/OBS.md): search traces are a
-//! pure function of `(system, bounds, seed, canon, partitions)` — the
-//! worker count never changes a byte of JSONL — and `trace_diff`
-//! localizes a deliberately seeded divergence to the exact event.
+//! pure function of `(system, bounds, seed, canon, partitions)` and
+//! `trace_diff` localizes a deliberately seeded divergence to the exact
+//! event. (That `Search::workers` never reaches a trace is
+//! `tests/determinism.rs::resident_runs_ignore_the_worker_count`.)
 
 use impossible_explore::{Grid, Search};
 use impossible_obs::{trace_diff, RingTracer, TraceDiff};
-
-fn search_trace(workers: usize, seed: u64, max: u8) -> String {
-    let sys = Grid { n: 3, max };
-    let mut tracer = RingTracer::new(4096);
-    let r = Search::new(&sys)
-        .workers(workers)
-        .seed(seed)
-        .search_traced(|s| s.iter().all(|&c| c == max), &mut tracer);
-    assert!(r.witness.is_some(), "corner reachable");
-    assert_eq!(tracer.dropped(), 0, "trace fits the ring");
-    tracer.to_jsonl()
-}
 
 fn explore_trace(max: u8) -> Vec<impossible_obs::Event> {
     let sys = Grid { n: 2, max };
@@ -24,43 +13,6 @@ fn explore_trace(max: u8) -> Vec<impossible_obs::Event> {
     let r = Search::new(&sys).explore_traced(&mut tracer);
     assert!(!r.truncated());
     tracer.into_events()
-}
-
-#[test]
-fn traces_are_byte_identical_for_1_2_8_workers() {
-    let one = search_trace(1, 42, 4);
-    let two = search_trace(2, 42, 4);
-    let eight = search_trace(8, 42, 4);
-    assert_eq!(one, two, "1 vs 2 workers");
-    assert_eq!(one, eight, "1 vs 8 workers");
-    // The invariance is byte-level on the canonical JSONL encoding, and the
-    // trace is non-trivial (spans + counters for every level).
-    assert!(one.lines().count() > 10, "trace has real content:\n{one}");
-    assert!(one.contains("\"kind\":\"level.exit\""));
-    assert!(one.contains("\"kind\":\"found\""));
-}
-
-#[test]
-fn truncated_traces_are_byte_identical_for_1_2_8_workers() {
-    // A state cap that binds mid-level routes inserts through the
-    // sequential exact-cap path on the straddling level and the worker-local
-    // shard path everywhere else; the emitted trace (including the
-    // `truncate` event's position) must not reveal which was which.
-    let render = |workers: usize| {
-        let sys = Grid { n: 3, max: 4 };
-        let mut tracer = RingTracer::new(4096);
-        let r = Search::new(&sys)
-            .workers(workers)
-            .max_states(73)
-            .explore_traced(&mut tracer);
-        assert!(r.truncated());
-        assert_eq!(r.num_states, 73);
-        tracer.to_jsonl()
-    };
-    let one = render(1);
-    assert_eq!(one, render(2), "1 vs 2 workers");
-    assert_eq!(one, render(8), "1 vs 8 workers");
-    assert!(one.contains("\"kind\":\"truncate\""));
 }
 
 #[test]

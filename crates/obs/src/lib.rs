@@ -25,13 +25,11 @@
 //!
 //! A trace is evidence only if re-running the same seed reproduces the same
 //! bytes. Every instrumented engine therefore emits events **only from its
-//! sequential control path** — in the parallel search engine that is the
-//! ordered partition merge, never the worker closures — so a trace is a
-//! pure function of `(system, bounds, seed, canon, partitions)` and the
-//! worker count never changes a byte
-//! (`crates/explore/tests/trace_determinism.rs` pins 1/2/8 workers
-//! byte-identical). Events carry no wall-clock field at all; ordering is
-//! the logical `seq` stamp.
+//! sequential control path** — never from a pool worker — so a search trace
+//! is a pure function of `(system, bounds, seed, canon, partitions)`
+//! (`crates/explore/tests/trace_determinism.rs`; that the requested worker
+//! count never reaches it is pinned in `tests/determinism.rs`). Events carry
+//! no wall-clock field at all; ordering is the logical `seq` stamp.
 //!
 //! ```
 //! use impossible_obs::{trace_diff, RingTracer, TraceDiff, Tracer, Value};

@@ -27,8 +27,8 @@ pub fn find_mutex_violation<A>(
     max_states: usize,
 ) -> Option<Execution<MutexState<A::Local>, MutexAction>>
 where
-    A: MutexAlgorithm + Sync,
-    A::Local: Encode + Send + Sync,
+    A: MutexAlgorithm,
+    A::Local: Encode,
 {
     let report = Search::new(sys)
         .max_states(max_states)

@@ -25,8 +25,8 @@ pub fn first_write_before_critical<A>(
     max_states: usize,
 ) -> Result<(), Vec<MutexAction>>
 where
-    A: MutexAlgorithm + Sync,
-    A::Local: Encode + Send + Sync,
+    A: MutexAlgorithm,
+    A::Local: Encode,
 {
     // Explore the solo system for each process: if it can reach Critical
     // without any variable changing, report the silent path.

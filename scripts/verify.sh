@@ -68,7 +68,8 @@ fi
 echo "check smoke: OK (cache hit on rerun; resumed == straight bytes)"
 # External-memory twin: force every shard and frontier page through run
 # files in a scratch dir; the report must be byte-identical to the fully
-# resident search (workers and peak_bytes masked inside the binary).
+# resident search (workers, steal counters and peak_bytes masked inside
+# the binary).
 ./target/release/check extmem > "$check_tmp/ext_resident.txt"
 ./target/release/check extmem-spill "$check_tmp/spill" > "$check_tmp/ext_spilled.txt"
 if ! cmp -s "$check_tmp/ext_resident.txt" "$check_tmp/ext_spilled.txt"; then
@@ -77,10 +78,11 @@ if ! cmp -s "$check_tmp/ext_resident.txt" "$check_tmp/ext_spilled.txt"; then
     exit 1
 fi
 echo "extmem smoke: OK (spilled == resident bytes)"
-# Work-stealing byte-identity: the claim-counter pool must keep reports
-# byte-identical at w ∈ {1,2,4,8}. Valid on any core count; the w2-vs-w1
-# cost is the ledger's `grid_w2` workload, not a gate here.
-scaling_out="$(./target/release/check scaling)"
+# Worker-count byte-identity, on the one level body that threads: the
+# spilled search at w ∈ {1,2,4,8} must render identical reports (steal
+# counters in their closed form), and a resident search must not read the
+# worker count at all. Valid on any core count.
+scaling_out="$(./target/release/check scaling "$check_tmp/scaling")"
 printf '%s\n' "$scaling_out"
 if ! printf '%s' "$scaling_out" | grep -q "check: scaling OK"; then
     echo "error: check scaling did not report byte-identity across worker counts" >&2

@@ -10,7 +10,7 @@
 //! cargo run --bin check -- straight          # the same search, uninterrupted
 //! cargo run --bin check -- extmem            # reference search, fully resident
 //! cargo run --bin check -- extmem-spill <dir> # same search, spilled to <dir>
-//! cargo run --bin check -- scaling           # w ∈ {1,2,4,8} byte-identity probe
+//! cargo run --bin check -- scaling <dir>     # spilled to <dir> at w ∈ {1,2,4,8}
 //! ```
 //!
 //! Manifest lines are `<model> <params…> <property>`, one job per line
@@ -34,9 +34,13 @@
 //! `extmem` / `extmem-spill` are the external-memory twin of that probe:
 //! the first explores a reference grid fully resident, the second forces
 //! every shard and frontier page through run files in `<dir>` — and both
-//! print the same canonical line (with `peak_bytes` masked alongside
-//! `workers`, the only counters allowed to differ; also pinned by
-//! `scripts/verify.sh`).
+//! print the same canonical line (with `peak_bytes` and the steal counters
+//! masked alongside `workers`, the only counters allowed to differ; also
+//! pinned by `scripts/verify.sh`). `scaling` is the worker-count probe, on
+//! the one level body that threads: the same forced-spill search at
+//! w ∈ {1,2,4,8} must agree byte for byte once `workers` and the two steal
+//! counters are masked, and a resident run at w=8 must equal the one at
+//! w=1 in everything but `stats.workers`.
 
 use impossible::ckpt::{job_key, model_fp, CheckJob, Snapshot, Verdict, VerdictCache};
 use impossible::consensus::quorum;
@@ -56,7 +60,7 @@ const PROBE_PAUSE: usize = 60;
 fn usage() -> String {
     "usage: check manifest <path> [--cache <path>] [--workers N]\n\
      \x20      check snapshot <path> | resume <path> | straight\n\
-     \x20      check extmem | extmem-spill <dir> | scaling"
+     \x20      check extmem | extmem-spill <dir> | scaling <dir>"
         .to_string()
 }
 
@@ -163,7 +167,7 @@ fn run_manifest_mode(path: &str, cache_path: Option<&str>, workers: usize) -> Re
 }
 
 /// Canonical report line for the snapshot probe: everything except
-/// `stats.workers`, which deliberately records the pool size.
+/// `stats.workers`, which deliberately records the requested count.
 fn report_line(r: &SearchReport<Vec<u8>, usize>) -> String {
     let mut stats = r.stats;
     stats.workers = 0;
@@ -179,7 +183,6 @@ fn probe_fp() -> u64 {
 
 fn snapshot_mode(path: &str) -> Result<(), String> {
     let ckpt = Search::new(&PROBE)
-        .workers(1)
         .run_resumable(PauseBudget::states(PROBE_PAUSE))
         .paused()
         .ok_or("probe search finished before the pause budget?!")?;
@@ -198,7 +201,6 @@ fn resume_mode(path: &str) -> Result<(), String> {
     let snap = Snapshot::<Vec<u8>, usize>::load(path).map_err(|e| format!("{path}: {e}"))?;
     snap.expect_model(probe_fp()).map_err(|e| e.to_string())?;
     let report = Search::new(&PROBE)
-        .workers(2)
         .resume(snap.ckpt, PauseBudget::never())
         .done()
         .ok_or("unbounded resume paused?!")?;
@@ -207,7 +209,7 @@ fn resume_mode(path: &str) -> Result<(), String> {
 }
 
 fn straight_mode() -> Result<(), String> {
-    let report = Search::new(&PROBE).workers(2).explore();
+    let report = Search::new(&PROBE).explore();
     println!("{}", report_line(&report));
     Ok(())
 }
@@ -217,12 +219,15 @@ fn straight_mode() -> Result<(), String> {
 const EXT_PROBE: Grid = Grid { n: 4, max: 4 };
 
 /// Canonical report line for the extmem probe: like [`report_line`] but
-/// also masking `stats.peak_bytes` — resident and spilled runs necessarily
-/// differ in RAM held, and the contract is that *nothing else* does.
+/// also masking `stats.peak_bytes` and the steal counters — resident and
+/// spilled runs necessarily differ in RAM held and only the spilled one
+/// runs pool passes, and the contract is that *nothing else* differs.
 fn extmem_report_line(r: &SearchReport<Vec<u8>, usize>) -> String {
     let mut stats = r.stats;
     stats.workers = 0;
     stats.peak_bytes = 0;
+    stats.steals = 0;
+    stats.stolen_shards = 0;
     format!(
         "extmem-report {:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
         r.num_states, r.num_transitions, r.terminal_states, r.truncated_by, r.witness, stats
@@ -230,27 +235,35 @@ fn extmem_report_line(r: &SearchReport<Vec<u8>, usize>) -> String {
 }
 
 fn extmem_mode() -> Result<(), String> {
-    let report = Search::new(&EXT_PROBE).workers(2).explore();
+    let report = Search::new(&EXT_PROBE).explore();
     println!("{}", extmem_report_line(&report));
     Ok(())
 }
 
-/// The work-stealing byte-identity probe: the same search at w ∈ {1,2,4,8}
-/// must render identical lines once `stats.workers` and the steal counters
-/// — the three deliberately pool-shaped stats — are masked. Unlike a
-/// speed-up claim this holds on *any* machine, single-core included, so
-/// `scripts/verify.sh` runs it unconditionally.
-fn scaling_mode() -> Result<(), String> {
-    let run = |workers: usize| Search::new(&EXT_PROBE).workers(workers).explore();
+/// `ram_keys(0)` evicts every shard at every level and pages the frontier
+/// too: the maximally hostile spill schedule.
+fn hostile_policy(dir: impl Into<std::path::PathBuf>) -> SpillPolicy {
+    SpillPolicy::new(dir).ram_keys(0).spill_frontier(true)
+}
+
+/// The worker-count byte-identity probe. Only the spill route threads, so
+/// that is what it sweeps: the same spilled search at w ∈ {1,2,4,8} must
+/// render identical lines once `stats.workers` and the steal counters — the
+/// three deliberately pool-shaped stats — are masked, w=1 must record no
+/// steal, and w=2 one stealing pass per pool pass (two a level, one on a
+/// cap-fallback level). The resident route must not notice the worker count
+/// at all. Unlike a speed-up claim this holds on *any* machine, single-core
+/// included, so `scripts/verify.sh` runs it unconditionally.
+fn scaling_mode(dir: &str) -> Result<(), String> {
+    let run = |workers: usize| {
+        let policy = hostile_policy(std::path::Path::new(dir).join(format!("w{workers}")));
+        Search::new(&EXT_PROBE).workers(workers).explore_extmem(&policy)
+    };
     let masked = |r: &SearchReport<Vec<u8>, usize>| {
-        let mut stats = r.stats;
-        stats.workers = 0;
-        stats.steals = 0;
-        stats.stolen_shards = 0;
-        format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            r.num_states, r.num_transitions, r.terminal_states, r.truncated_by, r.witness, stats
-        )
+        let mut masked = r.clone();
+        masked.stats.steals = 0;
+        masked.stats.stolen_shards = 0;
+        report_line(&masked)
     };
     let base = run(1);
     if base.stats.steals != 0 || base.stats.stolen_shards != 0 {
@@ -265,8 +278,9 @@ fn scaling_mode() -> Result<(), String> {
         let r = run(w);
         if w == 2 {
             w2_steals = r.stats.steals;
-            if r.stats.steals == 0 {
-                return Err("w=2 ran the claim protocol but recorded zero steal passes".into());
+            let passes = 2 * r.stats.levels - r.stats.cap_fallbacks;
+            if w2_steals != passes {
+                return Err(format!("w=2 recorded {w2_steals} steal passes, not {passes}"));
             }
         }
         let got = masked(&r);
@@ -276,18 +290,21 @@ fn scaling_mode() -> Result<(), String> {
             ));
         }
     }
+    let resident = |workers: usize| report_line(&Search::new(&EXT_PROBE).workers(workers).explore());
+    if resident(8) != resident(1) {
+        return Err("a resident search read the worker count".into());
+    }
     println!(
-        "check: scaling OK (states={} workers=1/2/4/8 byte-identical, w2 steal passes={})",
+        "check: scaling OK (states={} spilled at workers=1/2/4/8 byte-identical, w2 steal passes={}; resident w8 == w1)",
         base.num_states, w2_steals
     );
     Ok(())
 }
 
 fn extmem_spill_mode(dir: &str) -> Result<(), String> {
-    // ram_keys(0) evicts every shard at every level and pages the
-    // frontier too: the maximally hostile spill schedule.
-    let policy = SpillPolicy::new(dir).ram_keys(0).spill_frontier(true);
-    let report = Search::new(&EXT_PROBE).workers(2).explore_extmem(&policy);
+    let report = Search::new(&EXT_PROBE)
+        .workers(2)
+        .explore_extmem(&hostile_policy(dir));
     println!("{}", extmem_report_line(&report));
     Ok(())
 }
@@ -332,7 +349,7 @@ fn run() -> Result<(), String> {
         ["straight"] => straight_mode(),
         ["extmem"] => extmem_mode(),
         ["extmem-spill", dir] => extmem_spill_mode(dir),
-        ["scaling"] => scaling_mode(),
+        ["scaling", dir] => scaling_mode(dir),
         _ => Err(usage()),
     }
 }

@@ -8,7 +8,7 @@
 //! suite pins the order-independent facts the engines must agree on:
 //! state count, transition count, the terminal set (sorted), the truncation
 //! verdict, and — for predicate searches — the *length* of the shortest
-//! witness. Each comparison runs the new engine with 1 and 2 workers.
+//! witness.
 
 use impossible::core::explore::Explorer;
 use impossible::core::system::System;
@@ -18,28 +18,19 @@ use std::collections::BTreeSet;
 /// Explore `sys` with both engines and pin the order-independent facts.
 fn assert_full_equivalence<Sys>(sys: &Sys, max_states: usize)
 where
-    Sys: System + Sync,
-    Sys::State: Encode + Send + Sync,
-    Sys::Action: Send + Sync,
+    Sys: System,
+    Sys::State: Encode,
 {
     let legacy = Explorer::new(sys).max_states(max_states).explore();
-    for workers in [1, 2] {
-        let new = Search::new(sys)
-            .max_states(max_states)
-            .workers(workers)
-            .explore();
-        assert_eq!(new.num_states, legacy.num_states, "workers={workers}");
-        assert_eq!(
-            new.num_transitions, legacy.num_transitions,
-            "workers={workers}"
-        );
-        assert_eq!(new.truncated(), legacy.truncated, "workers={workers}");
-        let mut lt = legacy.terminal_states.clone();
-        let mut nt = new.terminal_states.clone();
-        lt.sort();
-        nt.sort();
-        assert_eq!(nt, lt, "terminal sets differ (workers={workers})");
-    }
+    let new = Search::new(sys).max_states(max_states).explore();
+    assert_eq!(new.num_states, legacy.num_states);
+    assert_eq!(new.num_transitions, legacy.num_transitions);
+    assert_eq!(new.truncated(), legacy.truncated);
+    let mut lt = legacy.terminal_states.clone();
+    let mut nt = new.terminal_states.clone();
+    lt.sort();
+    nt.sort();
+    assert_eq!(nt, lt, "terminal sets differ");
     // Every engine fingerprints through `BatchScratch`: on this model's
     // real states it must equal the scalar reference item for item, and
     // distinct states must get distinct fingerprints.
@@ -56,23 +47,17 @@ where
 /// Search both engines for `pred`; shortest-witness lengths must agree.
 fn assert_search_equivalence<Sys, F>(sys: &Sys, max_states: usize, pred: F)
 where
-    Sys: System + Sync,
-    Sys::State: Encode + Send + Sync,
-    Sys::Action: Send + Sync,
+    Sys: System,
+    Sys::State: Encode,
     F: Fn(&Sys::State) -> bool + Copy,
 {
     let legacy = Explorer::new(sys).max_states(max_states).search(pred);
-    for workers in [1, 2] {
-        let new = Search::new(sys)
-            .max_states(max_states)
-            .workers(workers)
-            .search(pred);
-        assert_eq!(
-            new.witness.as_ref().map(|w| w.len()),
-            legacy.witness.as_ref().map(|w| w.len()),
-            "shortest-witness length differs (workers={workers})"
-        );
-    }
+    let new = Search::new(sys).max_states(max_states).search(pred);
+    assert_eq!(
+        new.witness.as_ref().map(|w| w.len()),
+        legacy.witness.as_ref().map(|w| w.len()),
+        "shortest-witness length differs"
+    );
 }
 
 #[test]
