@@ -10,23 +10,26 @@
 //! lists back in everywhere else.
 //!
 //! The contract is *equivalence, cheaper*: [`reexplore_incremental`]
-//! produces a graph equal (states, order, edges) to a full
+//! produces a graph equal (states, order, edges, truncation) to a full
 //! [`Search::graph`](impossible_explore::Search::graph) of the edited
-//! system. That holds because discovery order is a pure function of the
-//! per-state successor sequences, and `dirty` must over-approximate the
-//! edit: for every clean state the edited system's `(action, child)`
-//! sequence equals the old graph's. [`ActionEdit::dirty_state`] derives
-//! such a predicate for action-dropping edits mechanically; the equivalence
-//! test in `tests/incr_equivalence.rs` sweeps it against full rebuilds.
+//! system. It is the same loop: the pass is
+//! [`Search::graph_from`](impossible_explore::Search::graph_from) — the
+//! workspace's one graph builder, so interning, discovery order, the state
+//! cap and every other bound are that search's — handed a successor source
+//! that reads the old graph where it may. Equality then rests on `dirty`
+//! alone, which must over-approximate the edit: for every clean state the
+//! edited system's `(action, child)` sequence equals the old graph's.
+//! [`ActionEdit::dirty_state`] derives such a predicate for action-dropping
+//! edits mechanically; `crates/explore/tests/graph_oracle.rs` sweeps it
+//! against full rebuilds on generated systems.
 //!
 //! Reuse is disabled wholesale when the old graph was truncated: a capped
 //! builder drops children of *clean* states too, so old successor lists
 //! are not trustworthy — correctness first, savings second.
 
-use impossible_core::explore::Truncation;
 use impossible_core::ids::ProcessId;
 use impossible_core::system::System;
-use impossible_explore::ReachableGraph;
+use impossible_explore::{Encode, ReachableGraph, Search};
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::collections::BTreeMap;
 
@@ -125,7 +128,8 @@ impl IncrStats {
 /// graph's successor lists for every state that is present in `old`, not
 /// `dirty`, and `old` itself is untruncated. Equal to a full
 /// `Search::new(sys).max_states(max_states).graph()` — same states, same
-/// discovery order, same edges — with `enabled`/`step` paid only on the
+/// discovery order, same edges, same truncation, that search's default
+/// depth bound included — with `enabled`/`step` paid only on the
 /// recomputed states.
 pub fn reexplore_incremental<Sys, D>(
     old: &ReachableGraph<Sys::State, Sys::Action>,
@@ -135,6 +139,7 @@ pub fn reexplore_incremental<Sys, D>(
 ) -> (ReachableGraph<Sys::State, Sys::Action>, IncrStats)
 where
     Sys: System,
+    Sys::State: Encode,
     D: Fn(&Sys::State) -> bool,
 {
     reexplore_incremental_traced(old, sys, dirty, max_states, &mut NoopTracer)
@@ -152,6 +157,7 @@ pub fn reexplore_incremental_traced<Sys, D>(
 ) -> (ReachableGraph<Sys::State, Sys::Action>, IncrStats)
 where
     Sys: System,
+    Sys::State: Encode,
     D: Fn(&Sys::State) -> bool,
 {
     trace_event!(tracer, "ckpt", "incr.start",
@@ -163,77 +169,34 @@ where
     let reuse_ok = !old.truncated();
     let old_index: BTreeMap<&Sys::State, usize> =
         old.order.iter().enumerate().map(|(i, s)| (s, i)).collect();
-
-    let mut order: Vec<Sys::State> = Vec::new();
-    let mut succ: Vec<Vec<(Sys::Action, usize)>> = Vec::new();
-    let mut index: BTreeMap<Sys::State, usize> = BTreeMap::new();
-    let mut truncated_by: Option<Truncation> = None;
     let mut stats = IncrStats {
         reused: 0,
         recomputed: 0,
     };
 
-    for s0 in sys.initial_states() {
-        if index.contains_key(&s0) {
-            continue;
-        }
-        index.insert(s0.clone(), order.len());
-        order.push(s0);
-        succ.push(Vec::new());
-    }
-    let initials = order.len();
-
-    // FIFO discovery over `order`, exactly the exact-graph builder's
-    // traversal; only where each state's `(action, child)` sequence comes
-    // from differs, and on clean states the two sources agree by the
-    // `dirty` over-approximation contract.
-    let mut children: Vec<(Sys::Action, Sys::State)> = Vec::new();
-    let mut i = 0usize;
-    while i < order.len() {
-        {
-            let state = &order[i];
-            match old_index.get(state) {
-                Some(&oi) if reuse_ok && !dirty(state) => {
-                    stats.reused += 1;
-                    for (a, t) in &old.succ[oi] {
-                        children.push((a.clone(), old.order[*t].clone()));
-                    }
-                }
-                _ => {
-                    stats.recomputed += 1;
-                    for a in sys.enabled(state) {
-                        let t = sys.step(state, &a);
-                        children.push((a, t));
-                    }
+    // The exact-graph builder's own traversal; only where each state's
+    // `(action, child)` sequence comes from differs, and on clean states
+    // the two sources agree by the `dirty` over-approximation contract.
+    let g = Search::new(sys)
+        .max_states(max_states)
+        .graph_from(|state, children| match old_index.get(state) {
+            Some(&oi) if reuse_ok && !dirty(state) => {
+                stats.reused += 1;
+                children.extend(
+                    old.succ[oi]
+                        .iter()
+                        .map(|(a, t)| (a.clone(), old.order[*t].clone())),
+                );
+            }
+            _ => {
+                stats.recomputed += 1;
+                for a in sys.enabled(state) {
+                    let t = sys.step(state, &a);
+                    children.push((a, t));
                 }
             }
-        }
-        for (a, t) in children.drain(..) {
-            let ti = match index.get(&t) {
-                Some(&j) => j,
-                None => {
-                    if order.len() >= max_states {
-                        truncated_by.get_or_insert(Truncation::States);
-                        continue;
-                    }
-                    let j = order.len();
-                    index.insert(t.clone(), j);
-                    order.push(t);
-                    succ.push(Vec::new());
-                    j
-                }
-            };
-            succ[i].push((a, ti));
-        }
-        i += 1;
-    }
+        });
 
-    let g = ReachableGraph {
-        order,
-        succ,
-        initials,
-        truncated_by,
-    };
     trace_event!(tracer, "ckpt", "incr.end",
         "states": g.len(),
         "edges": g.num_edges(),
@@ -247,7 +210,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impossible_explore::{Grid, Search};
+    use impossible_explore::Grid;
 
     /// Render a graph for byte-level comparison.
     fn bytes(g: &ReachableGraph<Vec<u8>, usize>) -> String {

@@ -15,7 +15,7 @@
 
 use crate::cache::{Verdict, VerdictCache};
 use impossible_explore::WorkerPool;
-use impossible_obs::{trace_event, NoopTracer, Tracer};
+use impossible_obs::{escape_into, trace_event, NoopTracer, Tracer};
 
 /// One manifest entry: a labeled, keyed, runnable check.
 pub struct CheckJob<'a> {
@@ -67,9 +67,10 @@ impl ManifestReport {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"label\":\"");
+            escape_into(&o.label, &mut out);
             out.push_str(&format!(
-                "{{\"label\":\"{}\",\"key\":\"{:016x}\",\"cached\":{},\"holds\":{},\"states\":{},\"edges\":{}}}",
-                escape(&o.label),
+                "\",\"key\":\"{:016x}\",\"cached\":{},\"holds\":{},\"states\":{},\"edges\":{}}}",
                 o.key,
                 o.cached,
                 o.verdict.holds,
@@ -80,21 +81,6 @@ impl ManifestReport {
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping for labels.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run a manifest: resolve hits from `cache`, compute misses on `pool`,

@@ -21,8 +21,9 @@
 use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceReport;
-use impossible_explore::property::{eventually, Checker, Counterexample};
+use impossible_explore::property::{eventually, Checker, Counterexample, PropertyReport};
 use impossible_explore::{Encode, FpHasher, Search};
+use impossible_obs::{NoopTracer, Tracer};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -205,21 +206,22 @@ pub struct NonTermination<S> {
     pub cycle: Vec<FlpAction>,
 }
 
-/// Search for a [`NonTermination`] witness with a single crashed process.
-///
-/// This is one instantiation of the temporal-property layer
-/// (`explore::property`): build the reachable graph with the failed
-/// process's actions dropped (it crashes at time zero), then check
-/// `eventually(every live process decides)` under FLP's admissibility —
-/// loop states must leave no message to a live process pending (else the
-/// loop starves a delivery), and the cycle must contain a step of every
-/// live process (weak fairness, one class per live process). A violating
-/// lasso *is* the admissible non-deciding run.
-pub fn find_nontermination<C: AsyncCandidate>(
+/// The crash-liveness check behind [`find_nontermination`] and
+/// `quorum::exhibit_flp_lasso`, as one instantiation of the
+/// temporal-property layer (`explore::property`): build the reachable graph
+/// with the failed process's actions dropped (it crashes at time zero),
+/// then check `eventually(every live process decides)` under FLP's
+/// admissibility — loop states must leave no message to a live process
+/// pending (else the loop starves a delivery), and the cycle must contain a
+/// step of every live process (weak fairness, one class per live process).
+/// A violating lasso *is* the admissible non-deciding run. The checker's
+/// `scope: "property"` events go to `tracer`.
+pub(crate) fn check_live_processes_decide<C: AsyncCandidate>(
     sys: &FlpSystem<'_, C>,
     failed: usize,
     max_states: usize,
-) -> Option<NonTermination<FlpState<C::Local, C::M>>>
+    tracer: &mut dyn Tracer,
+) -> PropertyReport<FlpState<C::Local, C::M>, FlpAction>
 where
     C::Local: Encode,
     C::M: Encode,
@@ -242,9 +244,22 @@ where
         .fairness(live.len(), |a: &FlpAction| {
             sys.owner(a).and_then(|p| class.get(&p.index()).copied())
         })
-        .check(&prop);
+        .check_traced(&prop, tracer);
+    report
+}
 
-    match report.counterexample {
+/// Search for a [`NonTermination`] witness with a single crashed process:
+/// the lasso of the crash-liveness check, if it has one.
+pub fn find_nontermination<C: AsyncCandidate>(
+    sys: &FlpSystem<'_, C>,
+    failed: usize,
+    max_states: usize,
+) -> Option<NonTermination<FlpState<C::Local, C::M>>>
+where
+    C::Local: Encode,
+    C::M: Encode,
+{
+    match check_live_processes_decide(sys, failed, max_states, &mut NoopTracer).counterexample {
         Some(Counterexample::Lasso(l)) => Some(NonTermination {
             failed,
             head: l.stem.last().clone(),
@@ -584,7 +599,6 @@ impl AsyncCandidate for WaitForAll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impossible_core::valence::ValenceEngine;
 
     #[test]
     fn arbiter_has_bivalent_initial_configurations() {
@@ -613,7 +627,7 @@ mod tests {
     fn arbiter_has_a_decider_figure_2() {
         let arb = Arbiter::new(3);
         let sys = FlpSystem::all_binary(&arb);
-        let decider = ValenceEngine::new(&sys)
+        let decider = Search::new(&sys)
             .max_states(500_000)
             .find_decider()
             .expect("the arbiter is a decider");

@@ -48,11 +48,9 @@
 //! assert!(matches!(report.counterexample, Some(Counterexample::Lasso(_))));
 //! ```
 
-use crate::flp::{AsyncCandidate, FlpAction, FlpState, FlpSystem};
-use impossible_core::ids::ProcessId;
-use impossible_core::system::System;
-use impossible_explore::property::{eventually, Checker, PropertyReport};
-use impossible_explore::{Encode, FpHasher, Search};
+use crate::flp::{check_live_processes_decide, AsyncCandidate, FlpAction, FlpState, FlpSystem};
+use impossible_explore::property::PropertyReport;
+use impossible_explore::{Encode, FpHasher};
 use impossible_obs::{NoopTracer, Tracer};
 use std::collections::BTreeMap;
 
@@ -234,7 +232,8 @@ pub fn value_swap_canon(
 /// Mechanically exhibit the quorum protocol's FLP lasso: crash `failed`,
 /// drop its actions from the reachable graph (over every binary input
 /// vector), and check `eventually(every live process decides)` under FLP
-/// admissibility and per-live-process fairness. The report's
+/// admissibility and per-live-process fairness (`flp`'s crash-liveness
+/// check, the one `flp::find_nontermination` runs). The report's
 /// counterexample is the admissible non-deciding run: a stem into a
 /// mixed-vote configuration plus a cycle of live null steps the adversary
 /// repeats forever.
@@ -260,32 +259,17 @@ pub fn exhibit_flp_lasso_traced(
         "n": n,
         "quorum": cand.quorum(),
         "failed": failed);
-    let sys = FlpSystem::all_binary(&cand);
-    let g = Search::new(&sys)
-        .max_states(max_states)
-        .graph_filtered(|a| sys.owner(a) != Some(ProcessId(failed)));
-    let live: Vec<usize> = (0..n).filter(|&p| p != failed).collect();
-    let class: BTreeMap<usize, usize> = live.iter().enumerate().map(|(k, &p)| (p, k)).collect();
-
-    let prop = eventually("live-processes-decide", |s: &FlpState<QuorumLocal, QuorumMsg>| {
-        live.iter().all(|&p| cand.decision(&s.locals[p]).is_some())
-    });
-    let report = Checker::new(&g)
-        .admissible(|s: &FlpState<QuorumLocal, QuorumMsg>| {
-            s.pending.iter().all(|(_, to, _)| *to == failed)
-        })
-        .fairness(live.len(), |a: &FlpAction| {
-            sys.owner(a).and_then(|p| class.get(&p.index()).copied())
-        })
-        .check_traced(&prop, tracer);
-    report
+    check_live_processes_decide(&FlpSystem::all_binary(&cand), failed, max_states, tracer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flp::{check_candidate, FlpVerdict};
-    use impossible_explore::property::{always, never, Counterexample};
+    use impossible_core::ids::ProcessId;
+    use impossible_core::system::System;
+    use impossible_explore::property::{always, eventually, never, Checker, Counterexample};
+    use impossible_explore::Search;
     use impossible_obs::RingTracer;
 
     const CAP: usize = 400_000;

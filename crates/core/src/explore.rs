@@ -1,18 +1,20 @@
-//! Explicit-state exploration.
+//! Explicit-state exploration: the reference engine.
 //!
-//! The impossibility engines need the reachable configuration graph of small
-//! protocol instances: the valence engine classifies every reachable
-//! configuration, the mutex checkers search for safety violations, the
-//! synthesis refuters enumerate algorithm spaces. [`Explorer`] is a bounded
-//! breadth-first reachability engine with state deduplication, predicate
-//! search and trace reconstruction.
+//! [`Explorer`] is a bounded breadth-first reachability engine with state
+//! deduplication, predicate search and trace reconstruction. It dedups by
+//! storing full cloned states in a `BTreeMap` and runs single-threaded,
+//! and it has exactly one job left: being the simple **oracle** the
+//! `impossible-explore` crate is compared against
+//! (`tests/explore_equivalence.rs`, and the ledger's `--regen-expected`).
+//! It counts and searches; it does not build graphs — the one loop that
+//! interns a system into `(order, succ)` is `impossible-explore`'s
+//! `Search::graph_from`, which the valence engine, the mutex checkers and
+//! the property layer all consume. New code should use that crate, which
+//! reaches the same reports through a fingerprint visited-set, optional
+//! symmetry canonicalization and spill-to-disk.
 //!
-//! `Explorer` dedups by storing full cloned states in a `BTreeMap` and runs
-//! single-threaded; it is kept as the simple **reference engine** (and as the
-//! oracle for the cross-engine equivalence suite). New code should prefer the
-//! `impossible-explore` crate, which reaches the same reports through a
-//! fingerprint visited-set, optional symmetry canonicalization, and
-//! deterministic parallel frontier expansion.
+//! [`Truncation`], the vocabulary both engines report a tripped bound in,
+//! lives here so that core's consumers can name it.
 
 use crate::exec::Execution;
 use crate::system::System;
@@ -126,34 +128,6 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
         F: Fn(&Sys::State) -> bool,
     {
         self.run(Some(pred))
-    }
-
-    /// Enumerate all distinct reachable states (within bounds).
-    pub fn reachable_states(&self) -> Vec<Sys::State> {
-        let mut seen: BTreeMap<Sys::State, ()> = BTreeMap::new();
-        let mut queue: VecDeque<(Sys::State, usize)> = VecDeque::new();
-        for s in self.sys.initial_states() {
-            if seen.len() >= self.max_states {
-                break;
-            }
-            if !seen.contains_key(&s) {
-                seen.insert(s.clone(), ());
-                queue.push_back((s, 0));
-            }
-        }
-        while let Some((s, d)) = queue.pop_front() {
-            if d >= self.max_depth {
-                continue;
-            }
-            for a in self.sys.enabled(&s) {
-                let t = self.sys.step(&s, &a);
-                if !seen.contains_key(&t) && seen.len() < self.max_states {
-                    seen.insert(t.clone(), ());
-                    queue.push_back((t, d + 1));
-                }
-            }
-        }
-        seen.into_keys().collect()
     }
 
     fn run<F>(&self, pred: Option<F>) -> ExploreReport<Sys::State, Sys::Action>
@@ -281,13 +255,6 @@ mod tests {
         assert!(r.truncated);
         assert_eq!(r.truncated_by, Some(Truncation::Depth));
         assert_eq!(r.num_states, 4); // depth 0..=3
-    }
-
-    #[test]
-    fn reachable_states_matches_explore() {
-        let sys = Counters { n: 2, max: 3 };
-        let states = Explorer::new(&sys).reachable_states();
-        assert_eq!(states.len(), 16);
     }
 
     #[test]

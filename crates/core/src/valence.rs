@@ -19,6 +19,14 @@
 //! lives with the liveness checker: `consensus::flp::find_nontermination`
 //! over `explore::property::Checker`.
 //!
+//! This crate does not build reachable graphs. The one builder is
+//! `impossible-explore`'s (`Search::graph_from`); [`ValenceEngine`] takes
+//! its result as plain slices — `order[i]` is configuration `i`, `succ[i]`
+//! its `(action, target index)` edges — so the classification fixpoint and
+//! the decider hunt run over whatever that builder produced (capped,
+//! depth-bounded, quotiented) without core naming it. Callers go through
+//! `Search::valence` / `Search::find_decider`.
+//!
 //! ```
 //! use impossible_core::ids::ProcessId;
 //! use impossible_core::system::{DecisionSystem, System};
@@ -43,14 +51,18 @@
 //!     }
 //! }
 //!
-//! let report = ValenceEngine::new(&FreeChoice).analyze();
+//! // Its reachable graph, written out by hand: three configurations, the
+//! // undecided one leading to each decided one.
+//! let order = [None, Some(0), Some(1)];
+//! let succ = [vec![(0, 1), (1, 2)], vec![], vec![]];
+//! let report = ValenceEngine::new(&FreeChoice).analyze_from_graph(&order, &succ, false);
 //! assert_eq!(report.bivalent_initials.len(), 1);
 //! assert_eq!(report.critical.len(), 1);
 //! ```
 
 use crate::exec::Execution;
 use crate::ids::ProcessId;
-use crate::system::{DecisionSystem, SystemExt};
+use crate::system::DecisionSystem;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -112,49 +124,24 @@ pub struct Decider<S, A> {
     pub to_second: Execution<S, A>,
 }
 
-/// The bivalence engine over a [`DecisionSystem`].
+/// The bivalence engine over a [`DecisionSystem`] and a reachable graph of
+/// it built elsewhere.
 pub struct ValenceEngine<'a, Sys: DecisionSystem> {
     sys: &'a Sys,
-    max_states: usize,
 }
 
 impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
-    /// New engine with a default bound of 2M states.
+    /// New engine over `sys`.
     pub fn new(sys: &'a Sys) -> Self {
-        ValenceEngine {
-            sys,
-            max_states: 2_000_000,
-        }
+        ValenceEngine { sys }
     }
 
-    /// Cap the reachable-graph size.
-    pub fn max_states(mut self, n: usize) -> Self {
-        self.max_states = n;
-        self
-    }
-
-    /// Build the reachable graph and classify every configuration's valence.
-    pub fn analyze(&self) -> ValenceReport<Sys::State> {
-        self.analyze_traced(&mut NoopTracer)
-    }
-
-    /// [`ValenceEngine::analyze`], recording trace events into `tracer`
-    /// (scope `"valence"`): graph size, fixpoint effort, the valence of
-    /// each initial configuration, and the classification tallies.
-    pub fn analyze_traced(&self, tracer: &mut dyn Tracer) -> ValenceReport<Sys::State> {
-        let (order, succ, truncated) = self.reachable_graph();
-        self.analyze_from_graph_traced(&order, &succ, truncated, tracer)
-    }
-
-    /// Classify valences over an externally built reachable graph.
-    ///
-    /// This is the seam that lets faster graph builders (notably
-    /// `impossible-explore`'s fingerprint-indexed builder) reuse the
-    /// classification fixpoint without this crate depending on them:
+    /// Classify the valence of every configuration of a reachable graph:
     /// `order[i]` is state `i`, `succ[i]` its `(action, target_index)`
-    /// successors, and `truncated` whether the builder hit a bound. The
-    /// graph must be closed under `succ` (every target index < `order.len()`)
-    /// and contain every initial state it reached.
+    /// successors, and `truncated` whether the builder hit a bound
+    /// (classification then incomplete). The graph must be closed under
+    /// `succ` (every target index < `order.len()`) and contain every
+    /// initial state it reached.
     pub fn analyze_from_graph(
         &self,
         order: &[Sys::State],
@@ -165,7 +152,9 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     }
 
     /// [`ValenceEngine::analyze_from_graph`], recording trace events into
-    /// `tracer` (scope `"valence"`).
+    /// `tracer` (scope `"valence"`): graph size, fixpoint effort, the
+    /// valence of each initial configuration, and the classification
+    /// tallies.
     pub fn analyze_from_graph_traced(
         &self,
         order: &[Sys::State],
@@ -180,46 +169,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         let index: BTreeMap<&Sys::State, usize> =
             order.iter().enumerate().map(|(i, s)| (s, i)).collect();
 
-        // Immediate decisions per state.
-        let own: Vec<BTreeSet<u64>> = order
-            .iter()
-            .map(|s| self.sys.decisions(s).into_iter().map(|(_, v)| v).collect())
-            .collect();
-
-        // Fixpoint: val(s) = own(s) ∪ ⋃ val(succ(s)), via reverse worklist.
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-        for (i, ts) in succ.iter().enumerate() {
-            for &(_, t) in ts {
-                preds[t].push(i);
-            }
-        }
-        let mut val: Vec<BTreeSet<u64>> = own.clone();
-        let mut queue: VecDeque<usize> = (0..order.len()).collect();
-        let mut queued: Vec<bool> = vec![true; order.len()];
-        let mut pops = 0usize;
-        let mut changed = 0usize;
-        while let Some(i) = queue.pop_front() {
-            pops += 1;
-            queued[i] = false;
-            // Recompute val[i] from own + successors.
-            let mut v = own[i].clone();
-            for &(_, t) in &succ[i] {
-                for x in &val[t] {
-                    v.insert(*x);
-                }
-            }
-            if v != val[i] {
-                changed += 1;
-                val[i] = v;
-                for &p in &preds[i] {
-                    if !queued[p] {
-                        queued[p] = true;
-                        queue.push_back(p);
-                    }
-                }
-            }
-        }
-        trace_event!(tracer, "valence", "fixpoint", "pops": pops, "changed": changed);
+        let (own, val) = self.fixpoint(order, succ, tracer);
 
         // Agreement diagnostics: a state where two distinct values are
         // *already decided* simultaneously.
@@ -289,52 +239,104 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         }
     }
 
-    /// Search for a Bridgeland–Watro decider configuration (Figure 2).
-    pub fn find_decider(&self) -> Option<Decider<Sys::State, Sys::Action>> {
-        self.find_decider_traced(&mut NoopTracer)
+    /// `val(s) = own(s) ∪ ⋃ val(succ(s))` per graph index, where `own` is
+    /// what is already decided in `s`, by reverse worklist (its effort goes
+    /// to `tracer` as one `fixpoint` event). Returns `(own, val)`.
+    fn fixpoint(
+        &self,
+        order: &[Sys::State],
+        succ: &[Vec<(Sys::Action, usize)>],
+        tracer: &mut dyn Tracer,
+    ) -> (Vec<BTreeSet<u64>>, Vec<BTreeSet<u64>>) {
+        let own: Vec<BTreeSet<u64>> = order
+            .iter()
+            .map(|s| self.sys.decisions(s).into_iter().map(|(_, v)| v).collect())
+            .collect();
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
+        for (i, ts) in succ.iter().enumerate() {
+            for &(_, t) in ts {
+                preds[t].push(i);
+            }
+        }
+        let mut val: Vec<BTreeSet<u64>> = own.clone();
+        let mut queue: VecDeque<usize> = (0..order.len()).collect();
+        let mut queued: Vec<bool> = vec![true; order.len()];
+        let mut pops = 0usize;
+        let mut changed = 0usize;
+        while let Some(i) = queue.pop_front() {
+            pops += 1;
+            queued[i] = false;
+            // Recompute val[i] from own + successors.
+            let mut v = own[i].clone();
+            for &(_, t) in &succ[i] {
+                for x in &val[t] {
+                    v.insert(*x);
+                }
+            }
+            if v != val[i] {
+                changed += 1;
+                val[i] = v;
+                for &p in &preds[i] {
+                    if !queued[p] {
+                        queued[p] = true;
+                        queue.push_back(p);
+                    }
+                }
+            }
+        }
+        trace_event!(tracer, "valence", "fixpoint", "pops": pops, "changed": changed);
+        (own, val)
     }
 
-    /// [`ValenceEngine::find_decider`], recording trace events into
-    /// `tracer` (scope `"valence"`): one `decider.probe` per
+    /// Search a reachable graph (as for
+    /// [`ValenceEngine::analyze_from_graph`]) for a Bridgeland–Watro decider
+    /// configuration (Figure 2): the first bivalent configuration, in graph
+    /// order, from which some process's solo runs *inside the graph* reach
+    /// two different univalent valences.
+    pub fn find_decider_from_graph(
+        &self,
+        order: &[Sys::State],
+        succ: &[Vec<(Sys::Action, usize)>],
+    ) -> Option<Decider<Sys::State, Sys::Action>> {
+        self.find_decider_from_graph_traced(order, succ, &mut NoopTracer)
+    }
+
+    /// [`ValenceEngine::find_decider_from_graph`], recording trace events
+    /// into `tracer` (scope `"valence"`): one `decider.probe` per
     /// (bivalent configuration, process) solo-run attempt, then
     /// `decider.found` or `decider.none`.
-    pub fn find_decider_traced(
+    pub fn find_decider_from_graph_traced(
         &self,
+        order: &[Sys::State],
+        succ: &[Vec<(Sys::Action, usize)>],
         tracer: &mut dyn Tracer,
     ) -> Option<Decider<Sys::State, Sys::Action>> {
-        let (order, succ, truncated) = self.reachable_graph();
-        let report = self.analyze_from_graph(&order, &succ, truncated);
+        let (_, val) = self.fixpoint(order, succ, &mut NoopTracer);
         let n = self.sys.num_processes()?;
         trace_event!(tracer, "valence", "decider.hunt",
             "states": order.len(),
             "processes": n,
         );
         for (i, s) in order.iter().enumerate() {
-            if !report.valence[s].is_bivalent() {
+            if val[i].len() < 2 {
                 continue;
             }
             for p in ProcessId::all(n) {
-                // Explore p-solo executions from s; collect reachable
-                // valences.
-                let mut reached: Vec<(Valence, Execution<Sys::State, Sys::Action>)> = Vec::new();
-                let mut seen: BTreeSet<Sys::State> = BTreeSet::new();
-                let mut q: VecDeque<Execution<Sys::State, Sys::Action>> = VecDeque::new();
-                q.push_back(Execution::start(s.clone()));
-                seen.insert(s.clone());
-                while let Some(e) = q.pop_front() {
-                    let v = &report.valence[e.last()];
-                    if v.is_univalent() && !reached.iter().any(|(rv, _)| rv == v) {
-                        reached.push((v.clone(), e.clone()));
+                // Explore p-solo executions from s, FIFO; keep the first to
+                // reach each univalent valence.
+                let mut reached = Vec::new();
+                let mut seen = BTreeSet::from([i]);
+                let mut q = VecDeque::from([(i, Execution::start(s.clone()))]);
+                while let Some((v, e)) = q.pop_front() {
+                    if val[v].len() == 1 && !reached.iter().any(|(rv, _)| *rv == &val[v]) {
+                        reached.push((&val[v], e.clone()));
                         if reached.len() >= 2 {
                             break;
                         }
                     }
-                    for (a, t) in self.sys.successors(e.last()) {
-                        if self.sys.owner(&a) == Some(p)
-                            && report.valence.contains_key(&t)
-                            && seen.insert(t.clone())
-                        {
-                            q.push_back(e.extended(a, t));
+                    for (a, t) in &succ[v] {
+                        if self.sys.owner(a) == Some(p) && seen.insert(*t) {
+                            q.push_back((*t, e.extended(a.clone(), order[*t].clone())));
                         }
                     }
                 }
@@ -362,179 +364,5 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         }
         trace_event!(tracer, "valence", "decider.none");
         None
-    }
-
-    /// Reachable graph: state order, successor lists `(action, target_index)`,
-    /// truncation flag.
-    #[allow(clippy::type_complexity)]
-    fn reachable_graph(&self) -> (Vec<Sys::State>, Vec<Vec<(Sys::Action, usize)>>, bool) {
-        let mut order: Vec<Sys::State> = Vec::new();
-        let mut index: BTreeMap<Sys::State, usize> = BTreeMap::new();
-        let mut succ: Vec<Vec<(Sys::Action, usize)>> = Vec::new();
-        let mut truncated = false;
-
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for s in self.sys.initial_states() {
-            if !index.contains_key(&s) {
-                let i = order.len();
-                index.insert(s.clone(), i);
-                order.push(s);
-                succ.push(Vec::new());
-                queue.push_back(i);
-            }
-        }
-        while let Some(i) = queue.pop_front() {
-            let state = order[i].clone();
-            for a in self.sys.enabled(&state) {
-                let t = self.sys.step(&state, &a);
-                let ti = match index.get(&t) {
-                    Some(&ti) => ti,
-                    None => {
-                        if order.len() >= self.max_states {
-                            truncated = true;
-                            continue;
-                        }
-                        let ti = order.len();
-                        index.insert(t.clone(), ti);
-                        order.push(t);
-                        succ.push(Vec::new());
-                        queue.push_back(ti);
-                        ti
-                    }
-                };
-                succ[i].push((a, ti));
-            }
-        }
-        (order, succ, truncated)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::system::System;
-
-    /// A toy 2-process "consensus" where each process i has input bit b_i and
-    /// the *first* process to move decides its own input; the other then
-    /// copies. Correct agreement, but configurations before the first move
-    /// are bivalent when inputs differ.
-    #[derive(Clone)]
-    struct FirstMover;
-
-    type FmState = (Option<u64>, [u64; 2], [Option<u64>; 2]); // (decided value, inputs, decisions)
-
-    impl System for FirstMover {
-        type State = FmState;
-        type Action = usize; // which process moves
-
-        fn initial_states(&self) -> Vec<FmState> {
-            let mut v = Vec::new();
-            for b0 in 0..2u64 {
-                for b1 in 0..2u64 {
-                    v.push((None, [b0, b1], [None, None]));
-                }
-            }
-            v
-        }
-
-        fn enabled(&self, s: &FmState) -> Vec<usize> {
-            (0..2).filter(|&i| s.2[i].is_none()).collect()
-        }
-
-        fn step(&self, s: &FmState, a: &usize) -> FmState {
-            let mut t = s.clone();
-            let v = t.0.unwrap_or(t.1[*a]);
-            t.0 = Some(v);
-            t.2[*a] = Some(v);
-            t
-        }
-
-        fn owner(&self, a: &usize) -> Option<ProcessId> {
-            Some(ProcessId(*a))
-        }
-
-        fn num_processes(&self) -> Option<usize> {
-            Some(2)
-        }
-    }
-
-    impl DecisionSystem for FirstMover {
-        fn decisions(&self, s: &FmState) -> Vec<(ProcessId, u64)> {
-            s.2.iter()
-                .enumerate()
-                .filter_map(|(i, d)| d.map(|v| (ProcessId(i), v)))
-                .collect()
-        }
-    }
-
-    #[test]
-    fn classifies_initial_valences() {
-        let report = ValenceEngine::new(&FirstMover).analyze();
-        // Mixed-input initials are bivalent; same-input initials univalent.
-        assert_eq!(report.bivalent_initials.len(), 2);
-        assert_eq!(report.univalent_initials.len(), 2);
-        assert!(!report.truncated);
-        assert!(report.agreement_violations.is_empty());
-    }
-
-    #[test]
-    fn mixed_input_initial_is_critical_here() {
-        // From a mixed-input initial, every successor decides a value =>
-        // univalent, so the initial is critical.
-        let report = ValenceEngine::new(&FirstMover).analyze();
-        let mixed: Vec<_> = report
-            .bivalent_initials
-            .iter()
-            .cloned()
-            .collect();
-        for m in mixed {
-            assert!(report.critical.contains(&m));
-        }
-    }
-
-    #[test]
-    fn decider_exists_for_first_mover() {
-        // Either process can, alone, decide either value from a mixed initial
-        // — wait: moving decides own input only; p0 solo from (0,1) reaches
-        // only decision 0. So p alone reaches ONE valence; no decider.
-        let d = ValenceEngine::new(&FirstMover).find_decider();
-        assert!(d.is_none());
-    }
-
-    /// A deliberately *non-deciding* protocol: two processes pass a token
-    /// around forever and never decide. Valence is empty-set everywhere;
-    /// no decisions reachable at all.
-    struct TokenLoop;
-    impl System for TokenLoop {
-        type State = u8; // who holds the token
-        type Action = u8; // holder passes
-        fn initial_states(&self) -> Vec<u8> {
-            vec![0]
-        }
-        fn enabled(&self, s: &u8) -> Vec<u8> {
-            vec![*s]
-        }
-        fn step(&self, s: &u8, _a: &u8) -> u8 {
-            1 - *s
-        }
-        fn owner(&self, a: &u8) -> Option<ProcessId> {
-            Some(ProcessId(*a as usize))
-        }
-        fn num_processes(&self) -> Option<usize> {
-            Some(2)
-        }
-    }
-    impl DecisionSystem for TokenLoop {
-        fn decisions(&self, _s: &u8) -> Vec<(ProcessId, u64)> {
-            Vec::new()
-        }
-    }
-
-    #[test]
-    fn token_loop_has_empty_valence() {
-        let report = ValenceEngine::new(&TokenLoop).analyze();
-        assert_eq!(report.num_states, 2);
-        // Valence sets are empty (no decision reachable): not bivalent.
-        assert!(report.bivalent_initials.is_empty());
     }
 }

@@ -1,4 +1,5 @@
-//! Exact reachable-graph construction for the analysis engines.
+//! The exact reachable-graph builder: the one loop in the workspace that
+//! interns a [`System`] into `(order, succ)`.
 //!
 //! The valence fixpoint, deadlock backward-reachability and lasso product
 //! searches all need the full graph — states *and* successor lists — so a
@@ -11,10 +12,20 @@
 //! comparison; the (astronomically rare) colliding fingerprints spill into
 //! an overflow chain. A collision costs extra comparisons, never a wrong
 //! graph — so graph-based classifications (valence, deadlock,
-//! non-termination) are exact under any seed, while skipping the
-//! per-fingerprint bucket allocations and per-expansion state clones the
-//! previous builder paid (the ledger's `graph.build_s` / `graph.self_s`
-//! on `mutex_dijkstra4` and `ring_quotient20` track the cost).
+//! non-termination) are exact under any seed (the ledger's `graph.build_s`
+//! / `graph.self_s` on `mutex_dijkstra4` and `ring_quotient20` track the
+//! cost).
+//!
+//! **One builder, one seam.** [`Search::graph_from`] is the loop; what it
+//! leaves to its caller is the successor *source*, a closure that stages a
+//! state's `(action, child)` batch in action order. [`Search::graph`] and
+//! [`Search::graph_filtered`] source it from `Search::stage_successors`
+//! (`enabled → step → canon`, the step every search route shares);
+//! `ckpt::incr` sources it from an older graph's successor lists wherever
+//! the model edit left a state clean. Roots are canonised by the loop;
+//! children are interned exactly as the closure hands them over, so in
+//! `graph_from` the canon hook is the closure's business. The closure is a
+//! generic parameter — monomorphised into the loop, never `dyn`.
 //!
 //! This is a separate loop from the BFS engine's because it stores what
 //! that engine exists to avoid storing — every state and every edge — and
@@ -25,22 +36,29 @@
 //! share is the machinery underneath: `Search::stage_successors`, the
 //! sharded table and the batched fingerprint pipeline.
 //!
-//! Graphs honor the search's bounds — `max_states`, and (since the
-//! spill-to-disk PR fixed the builder silently ignoring it) `max_depth`:
-//! the FIFO cursor tracks BFS level boundaries, stops expanding at the
-//! depth bound, and reports [`Truncation::Depth`] when unexpanded
-//! non-terminal states remain, exactly like `Search::explore`. Interned
-//! node indices are `u32`; the conversion is checked, surfacing as
+//! Graphs honor the search's bounds — `max_states` and `max_depth`: the
+//! FIFO cursor tracks BFS level boundaries, stops expanding at the depth
+//! bound, and reports [`Truncation::Depth`] when unexpanded non-terminal
+//! states remain, exactly like `Search::explore`. Interned node indices
+//! are `u32`; the conversion is checked, surfacing as
 //! [`Truncation::Index`] instead of a silent wrap, should a space ever
-//! outgrow the index width before the state cap binds.
+//! outgrow the index width before the state cap binds. A cut, a depth
+//! bound or an index overflow therefore has this one place to be right.
+//!
+//! [`ReachableGraph`] also owns the two derived searches its consumers
+//! share: [`ReachableGraph::can_reach`] (backward closure over a
+//! compressed predecessor index — deadlock detection, `leads_to` pivots)
+//! and [`ReachableGraph::covering_cycle`] (shortest cycle through a head
+//! covering a set of action classes — fair lassos, mutex lockout).
 
 use crate::fingerprint::{BatchScratch, Encode};
 use crate::search::Search;
 use crate::table::{Cap, ShardedFpMap, TryInsert};
 use impossible_core::explore::Truncation;
 use impossible_core::system::{DecisionSystem, System};
-use impossible_core::valence::{ValenceEngine, ValenceReport};
-use std::collections::BTreeMap;
+use impossible_core::valence::{Decider, ValenceEngine, ValenceReport};
+use impossible_obs::{NoopTracer, Tracer};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A reachable configuration graph: `order[i]` is state `i`, `succ[i]` its
 /// `(action, target_index)` edges in action order.
@@ -78,6 +96,112 @@ impl<S, A> ReachableGraph<S, A> {
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
+
+    /// Every edge `v → t` with both ends `allowed`, in graph order.
+    fn each_edge(&self, allowed: &impl Fn(usize) -> bool, mut f: impl FnMut(usize, usize)) {
+        for (v, ts) in self.succ.iter().enumerate() {
+            if allowed(v) {
+                for &(_, t) in ts {
+                    if allowed(t) {
+                        f(v, t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Which states can reach a `goal` state along a path that stays inside
+    /// `allowed` (both predicates over state indices: `allowed` is asked at
+    /// both ends of every edge, so keep it a table lookup; `goal` about
+    /// `allowed` states only, once each, in index order). Multi-source
+    /// backward closure — pure membership, so order-free.
+    pub fn can_reach(
+        &self,
+        allowed: impl Fn(usize) -> bool,
+        goal: impl Fn(usize) -> bool,
+    ) -> Vec<bool> {
+        let n = self.len();
+        // Predecessor lists in compressed-row form, one counting pass and
+        // one filling pass over the edges: the predecessors of `t` are
+        // `pred[start[t]..start[t + 1]]`.
+        let mut start = vec![0usize; n + 1];
+        self.each_edge(&allowed, |_, t| start[t + 1] += 1);
+        for t in 0..n {
+            start[t + 1] += start[t];
+        }
+        let mut pred = vec![0usize; start[n]];
+        let mut fill = start.clone();
+        self.each_edge(&allowed, |v, t| {
+            pred[fill[t]] = v;
+            fill[t] += 1;
+        });
+
+        let mut can = vec![false; n];
+        let mut queue: Vec<usize> = Vec::with_capacity(n);
+        queue.extend((0..n).filter(|&v| allowed(v) && goal(v)));
+        for &v in &queue {
+            can[v] = true;
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            for &u in &pred[start[v]..start[v + 1]] {
+                if !can[u] {
+                    can[u] = true;
+                    queue.push(u);
+                }
+            }
+        }
+        can
+    }
+
+    /// Shortest cycle from `head` back to `head` through `allowed` states
+    /// whose actions' `class_bits` together cover `full` (`full == 0` asks
+    /// for any cycle), as `(source, edge index)` pairs into `succ`. BFS
+    /// over `(state, bits of full seen)` product nodes, FIFO, neighbors in
+    /// successor order — so the cycle is a pure function of the graph.
+    /// `None` when no such cycle exists.
+    pub fn covering_cycle(
+        &self,
+        head: usize,
+        allowed: impl Fn(usize) -> bool,
+        class_bits: impl Fn(&A) -> u32,
+        full: u32,
+    ) -> Option<Vec<(usize, usize)>> {
+        let mut parent: BTreeMap<(usize, u32), (usize, u32, usize)> = BTreeMap::new();
+        let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
+        let mut q: VecDeque<(usize, u32)> = VecDeque::new();
+        seen.insert((head, 0));
+        q.push_back((head, 0));
+        while let Some((v, mask)) = q.pop_front() {
+            for (ei, (a, t)) in self.succ[v].iter().enumerate() {
+                if !allowed(*t) {
+                    continue;
+                }
+                let nmask = mask | (class_bits(a) & full);
+                if *t == head && nmask == full {
+                    // Reconstruct: parent chain back to (head, 0), then
+                    // this closing edge.
+                    let mut edges: Vec<(usize, usize)> = vec![(v, ei)];
+                    let mut cur = (v, mask);
+                    while cur != (head, 0) {
+                        let (pv, pm, pei) = parent[&cur];
+                        edges.push((pv, pei));
+                        cur = (pv, pm);
+                    }
+                    edges.reverse();
+                    return Some(edges);
+                }
+                let node = (*t, nmask);
+                if seen.insert(node) {
+                    parent.insert(node, (v, mask, ei));
+                    q.push_back(node);
+                }
+            }
+        }
+        None
+    }
 }
 
 impl<'a, Sys: System> Search<'a, Sys>
@@ -103,6 +227,23 @@ where
     pub fn graph_filtered<F>(&self, keep: F) -> ReachableGraph<Sys::State, Sys::Action>
     where
         F: Fn(&Sys::Action) -> bool,
+    {
+        self.graph_from(|s, out| {
+            self.stage_successors(s, &keep, &mut 0, |tc, a| out.push((a, tc)));
+        })
+    }
+
+    /// The builder itself, over any successor source: `successors(s, out)`
+    /// pushes the `(action, child)` pairs of `s` onto `out` in action order
+    /// (`out` arrives empty). Initial states come from the system and are
+    /// canonised here; children are interned as staged — a source that
+    /// wants the quotient applies the canon hook itself, as
+    /// [`Search::graph_filtered`]'s does. Everything else — FIFO discovery
+    /// order, `max_states` / `max_depth` / index-width truncation — is this
+    /// loop's, whatever the source.
+    pub fn graph_from<F>(&self, mut successors: F) -> ReachableGraph<Sys::State, Sys::Action>
+    where
+        F: FnMut(&Sys::State, &mut Vec<(Sys::Action, Sys::State)>),
     {
         let sys = self.sys();
         let (max_states, max_depth) = self.bounds();
@@ -192,20 +333,16 @@ where
                 depth += 1;
                 level_end = order.len();
             }
-            if depth >= max_depth {
-                // Depth cutoff, matching `Search::explore`: the remaining
-                // states stay in the graph with empty successor lists, and
-                // the truncation is flagged iff any of them still had kept
-                // work to expand.
-                if order[i..]
-                    .iter()
-                    .any(|s| sys.enabled(s).iter().any(|a| keep(a)))
-                {
-                    truncated_by.get_or_insert(Truncation::Depth);
-                }
+            successors(&order[i], &mut children);
+            if depth >= max_depth && !children.is_empty() {
+                // Depth cutoff, matching `Search::explore`: the states from
+                // here on stay in the graph with empty successor lists, and
+                // the truncation is flagged iff the source still has work
+                // for any of them (a state it has none for passes through
+                // the loop below untouched).
+                truncated_by.get_or_insert(Truncation::Depth);
                 break;
             }
-            self.stage_successors(&order[i], &keep, &mut 0, |tc, a| children.push((a, tc)));
             // One batched fingerprint pass over the staged children — the
             // same hot-path shape as the fused search engine.
             let fps = batch.fingerprints(children.iter().map(|(_, tc)| tc));
@@ -243,15 +380,43 @@ impl<'a, Sys: DecisionSystem> Search<'a, Sys>
 where
     Sys::State: Encode,
 {
-    /// Valence-classify the reachable space: build the graph here, run the
-    /// classification fixpoint through
-    /// [`ValenceEngine::analyze_from_graph`]. Drop-in for
-    /// `ValenceEngine::analyze` with the fast graph builder underneath.
+    /// Valence-classify the reachable space (Figures 2–3): build the graph
+    /// here, run the classification fixpoint through
+    /// [`ValenceEngine::analyze_from_graph`].
     pub fn valence(&self) -> ValenceReport<Sys::State> {
+        self.valence_traced(&mut NoopTracer)
+    }
+
+    /// [`Search::valence`], recording trace events into `tracer` (scope
+    /// `"valence"`): graph size, fixpoint effort, the valence of each
+    /// initial configuration, and the classification tallies.
+    pub fn valence_traced(&self, tracer: &mut dyn Tracer) -> ValenceReport<Sys::State> {
         let g = self.graph();
-        ValenceEngine::new(self.sys())
-            .max_states(self.bounds().0)
-            .analyze_from_graph(&g.order, &g.succ, g.truncated())
+        ValenceEngine::new(self.sys()).analyze_from_graph_traced(
+            &g.order,
+            &g.succ,
+            g.truncated(),
+            tracer,
+        )
+    }
+
+    /// Search the reachable space for a Bridgeland–Watro decider
+    /// configuration (Figure 2), through
+    /// [`ValenceEngine::find_decider_from_graph`].
+    pub fn find_decider(&self) -> Option<Decider<Sys::State, Sys::Action>> {
+        self.find_decider_traced(&mut NoopTracer)
+    }
+
+    /// [`Search::find_decider`], recording trace events into `tracer`
+    /// (scope `"valence"`): one `decider.probe` per (bivalent
+    /// configuration, process) solo-run attempt, then `decider.found` or
+    /// `decider.none`.
+    pub fn find_decider_traced(
+        &self,
+        tracer: &mut dyn Tracer,
+    ) -> Option<Decider<Sys::State, Sys::Action>> {
+        let g = self.graph();
+        ValenceEngine::new(self.sys()).find_decider_from_graph_traced(&g.order, &g.succ, tracer)
     }
 }
 
@@ -260,6 +425,7 @@ mod tests {
     use super::*;
     use crate::fingerprint::FpHasher;
     use crate::grid::Grid;
+    use impossible_core::ids::ProcessId;
 
     #[test]
     fn graph_matches_full_exploration() {
@@ -367,5 +533,178 @@ mod tests {
         let g = Search::new(&sys).max_states(7).graph();
         assert_eq!(g.len(), 7);
         assert_eq!(g.truncated_by, Some(Truncation::States));
+    }
+
+    /// A hand-written graph over unit states: `edges[i]` lists `i`'s
+    /// `(action, target)` pairs.
+    fn hand_graph(edges: &[&[(u32, usize)]]) -> ReachableGraph<(), u32> {
+        ReachableGraph {
+            order: vec![(); edges.len()],
+            succ: edges.iter().map(|es| es.to_vec()).collect(),
+            initials: 1,
+            truncated_by: None,
+        }
+    }
+
+    #[test]
+    fn can_reach_is_the_backward_closure_inside_allowed() {
+        // 0 → 1 → 2 → 3, 1 → 4 (a dead end), 5 → 3 (off to the side).
+        let g = hand_graph(&[&[(0, 1)], &[(0, 2), (1, 4)], &[(0, 3)], &[], &[], &[(0, 3)]]);
+        assert_eq!(
+            g.can_reach(|_| true, |i| i == 3),
+            [true, true, true, true, false, true]
+        );
+        // Forbid 2: the only way from {0, 1} to 3 is gone; 5 still has its own.
+        assert_eq!(
+            g.can_reach(|i| i != 2, |i| i == 3),
+            [false, false, false, true, false, true]
+        );
+        // A goal outside `allowed` seeds nothing, and nothing reaches a
+        // goal nobody satisfies.
+        assert_eq!(g.can_reach(|i| i != 3, |i| i == 3), [false; 6]);
+        assert_eq!(g.can_reach(|_| true, |_| false), [false; 6]);
+    }
+
+    #[test]
+    fn covering_cycle_finds_the_shortest_cycle_covering_every_class() {
+        // Handshake: 0 and 1 each carry a private self-loop (classes 1 and
+        // 2) and hop to each other (class 0 — no bits).
+        let g = hand_graph(&[&[(1, 0), (0, 1)], &[(2, 1), (0, 0)]]);
+        let bits = |a: &u32| *a;
+        // `full == 0`: any cycle will do, and the self-loop at the head is
+        // the shortest.
+        assert_eq!(g.covering_cycle(0, |_| true, bits, 0), Some(vec![(0, 0)]));
+        // Class 1 alone: the same self-loop.
+        assert_eq!(g.covering_cycle(0, |_| true, bits, 1), Some(vec![(0, 0)]));
+        // Both classes: loop here, hop, loop there, hop back.
+        assert_eq!(
+            g.covering_cycle(0, |_| true, bits, 3),
+            Some(vec![(0, 0), (0, 1), (1, 0), (1, 1)])
+        );
+        // With state 1 off limits its class is out of reach.
+        assert_eq!(g.covering_cycle(0, |t| t != 1, bits, 3), None);
+        // A class no edge carries is never covered.
+        assert_eq!(g.covering_cycle(0, |_| true, bits, 7), None);
+        // And a head with no way back has no cycle at all.
+        let line = hand_graph(&[&[(0, 1)], &[]]);
+        assert_eq!(line.covering_cycle(0, |_| true, bits, 0), None);
+    }
+
+    /// A toy 2-process "consensus" where each process i has input bit b_i and
+    /// the *first* process to move decides its own input; the other then
+    /// copies. Correct agreement, but configurations before the first move
+    /// are bivalent when inputs differ.
+    struct FirstMover;
+
+    type FmState = (Option<u64>, [u64; 2], [Option<u64>; 2]); // (decided value, inputs, decisions)
+
+    impl System for FirstMover {
+        type State = FmState;
+        type Action = usize; // which process moves
+
+        fn initial_states(&self) -> Vec<FmState> {
+            let mut v = Vec::new();
+            for b0 in 0..2u64 {
+                for b1 in 0..2u64 {
+                    v.push((None, [b0, b1], [None, None]));
+                }
+            }
+            v
+        }
+
+        fn enabled(&self, s: &FmState) -> Vec<usize> {
+            (0..2).filter(|&i| s.2[i].is_none()).collect()
+        }
+
+        fn step(&self, s: &FmState, a: &usize) -> FmState {
+            let mut t = *s;
+            let v = t.0.unwrap_or(t.1[*a]);
+            t.0 = Some(v);
+            t.2[*a] = Some(v);
+            t
+        }
+
+        fn owner(&self, a: &usize) -> Option<ProcessId> {
+            Some(ProcessId(*a))
+        }
+
+        fn num_processes(&self) -> Option<usize> {
+            Some(2)
+        }
+    }
+
+    impl DecisionSystem for FirstMover {
+        fn decisions(&self, s: &FmState) -> Vec<(ProcessId, u64)> {
+            s.2.iter()
+                .enumerate()
+                .filter_map(|(i, d)| d.map(|v| (ProcessId(i), v)))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn classifies_initial_valences() {
+        let report = Search::new(&FirstMover).valence();
+        // Mixed-input initials are bivalent; same-input initials univalent.
+        assert_eq!(report.bivalent_initials.len(), 2);
+        assert_eq!(report.univalent_initials.len(), 2);
+        assert!(!report.truncated);
+        assert!(report.agreement_violations.is_empty());
+    }
+
+    #[test]
+    fn mixed_input_initial_is_critical_here() {
+        // From a mixed-input initial, every successor decides a value =>
+        // univalent, so the initial is critical.
+        let report = Search::new(&FirstMover).valence();
+        for m in &report.bivalent_initials {
+            assert!(report.critical.contains(m));
+        }
+    }
+
+    #[test]
+    fn decider_exists_for_first_mover() {
+        // Either process can, alone, decide either value from a mixed initial
+        // — wait: moving decides own input only; p0 solo from (0,1) reaches
+        // only decision 0. So p alone reaches ONE valence; no decider.
+        let d = Search::new(&FirstMover).find_decider();
+        assert!(d.is_none());
+    }
+
+    /// A deliberately *non-deciding* protocol: two processes pass a token
+    /// around forever and never decide. Valence is empty-set everywhere;
+    /// no decisions reachable at all.
+    struct TokenLoop;
+    impl System for TokenLoop {
+        type State = u8; // who holds the token
+        type Action = u8; // holder passes
+        fn initial_states(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn enabled(&self, s: &u8) -> Vec<u8> {
+            vec![*s]
+        }
+        fn step(&self, s: &u8, _a: &u8) -> u8 {
+            1 - *s
+        }
+        fn owner(&self, a: &u8) -> Option<ProcessId> {
+            Some(ProcessId(*a as usize))
+        }
+        fn num_processes(&self) -> Option<usize> {
+            Some(2)
+        }
+    }
+    impl DecisionSystem for TokenLoop {
+        fn decisions(&self, _s: &u8) -> Vec<(ProcessId, u64)> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn token_loop_has_empty_valence() {
+        let report = Search::new(&TokenLoop).valence();
+        assert_eq!(report.num_states, 2);
+        // Valence sets are empty (no decision reachable): not bivalent.
+        assert!(report.bivalent_initials.is_empty());
     }
 }

@@ -26,9 +26,11 @@
 //!   `fp % partitions` function that splits frontiers, so a shard's next
 //!   frontier is its own fresh-insert list and the spill route's workers
 //!   dedup and insert into the shards they own without locks;
-//! * [`graph`] — the exact fingerprint-accelerated reachable-graph builder
-//!   feeding `ValenceEngine::analyze_from_graph` and the product-space
-//!   engines;
+//! * [`graph`] — the one exact, fingerprint-accelerated reachable-graph
+//!   builder ([`Search::graph_from`]) behind the valence engine
+//!   ([`Search::valence`]), the mutex checkers, the property layer and
+//!   `impossible-ckpt`'s incremental re-exploration, plus the backward-
+//!   closure and covering-cycle searches over its result;
 //! * [`persist`] — the reversible little-endian [`Persist`] byte codec
 //!   (moved here from `impossible-ckpt` so snapshots and spill share one
 //!   format), plus [`page`] — delta+varint-compressed key/run/frontier
@@ -48,8 +50,9 @@
 //!   cross-engine equivalence suite.
 //!
 //! The legacy [`impossible_core::explore::Explorer`] remains as the simple
-//! reference engine; `tests/explore_equivalence.rs` (workspace root) pins
-//! agreement between the two on a system from every model crate. See
+//! reference engine for [`Search::explore`] / [`Search::search`];
+//! `tests/explore_equivalence.rs` (workspace root) pins agreement between
+//! the two on a system from every model crate. See
 //! `docs/EXPLORE.md` for the architecture and the determinism argument.
 
 pub mod canon;

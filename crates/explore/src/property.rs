@@ -76,8 +76,8 @@ use crate::graph::ReachableGraph;
 use crate::search::Search;
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
-use impossible_obs::{trace_event, NoopTracer, Tracer};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use impossible_obs::{escape_into, trace_event, NoopTracer, Tracer};
+use std::collections::VecDeque;
 use std::fmt::Debug;
 
 type Pred<'p, S> = Box<dyn Fn(&S) -> bool + 'p>;
@@ -204,17 +204,7 @@ pub struct PropertyReport<S, A> {
 
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(s, out);
     out.push('"');
 }
 
@@ -496,7 +486,7 @@ where
             // earliest reachable p∧¬q state that can reach a candidate
             // head inside ¬q, then bridge pivot → head inside ¬q.
             Some(p) => {
-                let can_reach = self.reverse_reachable(&region, &is_candidate);
+                let can_reach = self.g.can_reach(|i| region[i], is_candidate);
                 self.bfs_to(&self.initial_indices(), &|_| true, &|i| {
                     region[i] && can_reach[i] && p(&self.g.order[i])
                 })
@@ -517,10 +507,27 @@ where
 
         if let Some((path, actions, pivot)) = lasso {
             let head = *path.last().expect("paths are nonempty");
+            // The shortest cycle through `head` inside its SCC containing
+            // an action of every fairness class. The SCC is strongly
+            // connected and (for candidates) its internal edges cover every
+            // class, so the cycle exists.
             let cycle = if self.g.succ[head].is_empty() {
                 Vec::new()
             } else {
-                self.fair_cycle(head, &cyc_ok, &scc.id, full)
+                self.g
+                    .covering_cycle(
+                        head,
+                        |t| cyc_ok[t] && scc.id[t] == scc.id[head],
+                        |a| self.class_bit(a),
+                        full,
+                    )
+                    .expect("candidate SCCs admit a fair cycle through every member")
+                    .into_iter()
+                    .map(|(src, ei)| {
+                        let (a, dst) = &self.g.succ[src][ei];
+                        (a.clone(), self.g.order[*dst].clone())
+                    })
+                    .collect()
             };
             report.holds = false;
             report.counterexample = Some(Counterexample::Lasso(Lasso {
@@ -596,44 +603,6 @@ where
             }
         }
         None
-    }
-
-    /// Which `allowed` states can reach a `goal` state through `allowed`
-    /// states (multi-source reverse BFS; pure membership, order-free).
-    fn reverse_reachable(
-        &self,
-        allowed: &[bool],
-        goal: &dyn Fn(usize) -> bool,
-    ) -> Vec<bool> {
-        let n = self.g.len();
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for v in 0..n {
-            if !allowed[v] {
-                continue;
-            }
-            for (_, t) in &self.g.succ[v] {
-                if allowed[*t] {
-                    rev[*t].push(v);
-                }
-            }
-        }
-        let mut can = vec![false; n];
-        let mut q: VecDeque<usize> = VecDeque::new();
-        for v in 0..n {
-            if allowed[v] && goal(v) {
-                can[v] = true;
-                q.push_back(v);
-            }
-        }
-        while let Some(v) = q.pop_front() {
-            for &u in &rev[v] {
-                if !can[u] {
-                    can[u] = true;
-                    q.push_back(u);
-                }
-            }
-        }
-        can
     }
 
     /// Iterative Tarjan over the subgraph induced by `keep`, visiting
@@ -713,54 +682,6 @@ where
         }
         SccDecomposition { id, count, cyclic }
     }
-
-    /// Shortest cycle through `head` inside its SCC containing an action
-    /// of every fairness class: BFS over `(state, classes-seen)` product
-    /// nodes, FIFO, neighbors in successor order — deterministic. The SCC
-    /// is strongly connected and (for candidates) its internal edges cover
-    /// every class, so the cycle exists.
-    fn fair_cycle(&self, head: usize, cyc_ok: &[bool], id: &[u32], full: u32) -> Vec<(A, S)> {
-        let cid = id[head];
-        let mut parent: BTreeMap<(usize, u32), (usize, u32, usize)> = BTreeMap::new();
-        let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
-        let mut q: VecDeque<(usize, u32)> = VecDeque::new();
-        seen.insert((head, 0));
-        q.push_back((head, 0));
-        while let Some((v, mask)) = q.pop_front() {
-            for (ei, (a, t)) in self.g.succ[v].iter().enumerate() {
-                if !cyc_ok[*t] || id[*t] != cid {
-                    continue;
-                }
-                let nmask = mask | self.class_bit(a);
-                if *t == head && nmask == full {
-                    // Reconstruct: parent chain back to (head, 0), then
-                    // this closing edge.
-                    let mut edges: Vec<(usize, usize)> = vec![(v, ei)];
-                    let mut cur = (v, mask);
-                    while cur != (head, 0) {
-                        let (pv, pm, pei) = parent[&cur];
-                        edges.push((pv, pei));
-                        cur = (pv, pm);
-                    }
-                    edges.reverse();
-                    return edges
-                        .into_iter()
-                        .map(|(src, ei)| {
-                            let (a, dst) = &self.g.succ[src][ei];
-                            (a.clone(), self.g.order[*dst].clone())
-                        })
-                        .collect();
-                }
-                let node = (*t, nmask);
-                if !seen.contains(&node) {
-                    seen.insert(node);
-                    parent.insert(node, (v, mask, ei));
-                    q.push_back(node);
-                }
-            }
-        }
-        unreachable!("candidate SCCs admit a fair cycle through every member")
-    }
 }
 
 impl<'a, Sys: System> Search<'a, Sys>
@@ -796,6 +717,7 @@ mod tests {
     use crate::fingerprint::FpHasher;
     use crate::grid::Grid;
     use impossible_obs::RingTracer;
+    use std::collections::BTreeSet;
 
     /// `0 → 1 → … → max → wrap_to → …`: a stem into a cycle.
     struct Loop {

@@ -1,0 +1,214 @@
+//! A generated-system differential oracle for the one exact graph builder
+//! (`Search::graph_from` and everything sourced from it).
+//!
+//! Every graph consumer in the workspace — valence, deadlock, lockout, the
+//! property layer, `ckpt::incr` — now runs on that single loop, so no other
+//! engine is left to cross-check it against, and `Grid` plus one hand-picked
+//! system per crate exercise few of its corners. This suite draws small
+//! transition tables instead (≤ 24 states, out-degree ≤ 3, 1–3 initial
+//! states with duplicates, self-loops, optionally a planted rotation
+//! symmetry with its canon hook) and compares the builder, field by field,
+//! with a naive `BTreeMap` FIFO written here — per-state depths instead of
+//! a level cursor, map lookups instead of fingerprints — under state caps
+//! that cut and depth bounds that bind. The same tables then check that
+//! `reexplore_incremental` equals a full rebuild of an action-dropping edit.
+
+use impossible_ckpt::{reexplore_incremental, ActionEdit};
+use impossible_core::system::System;
+use impossible_det::{det_assert_eq, det_prop, prop};
+use impossible_explore::{Encode, FpHasher, ReachableGraph, Search, Truncation};
+use std::collections::BTreeMap;
+
+/// A state of a generated system: a row of the transition table. It carries
+/// the table's rotation period so that the canon hook — a plain fn pointer,
+/// which can capture nothing — can read it off the state.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct Node {
+    at: u8,
+    period: u8,
+}
+
+impl Encode for Node {
+    fn encode(&self, h: &mut FpHasher) {
+        self.at.encode(h);
+        self.period.encode(h);
+    }
+}
+
+/// `copies` rotated images of a `period`-row fundamental domain: row
+/// `s + c·period` is row `s` with every target shifted by `c·period`, so
+/// `s ↦ s + period (mod n)` is an automorphism and `s mod period` the
+/// orbit minimum. `copies == 1` plants nothing.
+struct Table {
+    rows: Vec<Vec<u8>>,
+    period: u8,
+    inits: Vec<u8>,
+}
+
+impl Table {
+    fn new(raw: &[Vec<u8>], copies: usize, inits: &[u8]) -> Table {
+        let (m, n) = (raw.len(), raw.len() * copies);
+        let rows = (0..n)
+            .map(|s| {
+                raw[s % m]
+                    .iter()
+                    .map(|&t| ((t as usize + (s / m) * m) % n) as u8)
+                    .collect()
+            })
+            .collect();
+        Table {
+            rows,
+            period: m as u8,
+            inits: inits.iter().map(|&i| (i as usize % n) as u8).collect(),
+        }
+    }
+
+    fn node(&self, at: u8) -> Node {
+        Node {
+            at,
+            period: self.period,
+        }
+    }
+}
+
+impl System for Table {
+    type State = Node;
+    type Action = u8;
+
+    fn initial_states(&self) -> Vec<Node> {
+        self.inits.iter().map(|&i| self.node(i)).collect()
+    }
+
+    fn enabled(&self, s: &Node) -> Vec<u8> {
+        (0..self.rows[s.at as usize].len() as u8).collect()
+    }
+
+    fn step(&self, s: &Node, a: &u8) -> Node {
+        self.node(self.rows[s.at as usize][*a as usize])
+    }
+}
+
+fn orbit_minimum(s: &Node) -> Node {
+    Node {
+        at: s.at % s.period,
+        period: s.period,
+    }
+}
+
+type Parts<S, A> = (Vec<S>, Vec<Vec<(A, usize)>>, usize, Option<Truncation>);
+
+fn parts<S, A>(g: ReachableGraph<S, A>) -> Parts<S, A> {
+    (g.order, g.succ, g.initials, g.truncated_by)
+}
+
+/// The reference: what `graph_filtered(keep)` under `canon` must return.
+/// Initial states are interned uncapped, as the builder does.
+fn naive<Sys: System>(
+    sys: &Sys,
+    keep: impl Fn(&Sys::Action) -> bool,
+    canon: impl Fn(&Sys::State) -> Sys::State,
+    max_states: usize,
+    max_depth: usize,
+) -> Parts<Sys::State, Sys::Action> {
+    let (mut order, mut depth, mut succ) = (Vec::new(), Vec::new(), Vec::new());
+    let mut index: BTreeMap<Sys::State, usize> = BTreeMap::new();
+    let mut truncated_by = None;
+    for s in sys.initial_states().iter().map(&canon) {
+        if !index.contains_key(&s) {
+            index.insert(s.clone(), order.len());
+            order.push(s);
+            depth.push(0);
+        }
+    }
+    let initials = order.len();
+    let mut i = 0;
+    while i < order.len() {
+        succ.push(Vec::new());
+        let s = order[i].clone();
+        for a in sys.enabled(&s).into_iter().filter(&keep) {
+            if depth[i] >= max_depth {
+                truncated_by.get_or_insert(Truncation::Depth);
+                break;
+            }
+            let t = canon(&sys.step(&s, &a));
+            if !index.contains_key(&t) {
+                if order.len() >= max_states {
+                    truncated_by.get_or_insert(Truncation::States);
+                    continue;
+                }
+                index.insert(t.clone(), order.len());
+                order.push(t.clone());
+                depth.push(depth[i] + 1);
+            }
+            succ[i].push((a, index[&t]));
+        }
+        i += 1;
+    }
+    (order, succ, initials, truncated_by)
+}
+
+det_prop! {
+    fn the_builder_matches_a_naive_fifo(
+        cases = 256,
+        raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
+        copies in 1usize..=3,
+        inits in prop::vec(0u8..24, 1..4),
+        keep_mask in 0u8..8,
+        cap in 1usize..=24,
+        quotient in 0u8..2
+    ) {
+        let sys = Table::new(&raw, copies, &inits);
+        let keep = |a: &u8| keep_mask >> a & 1 == 1;
+        for max_states in [usize::MAX, cap] {
+            for max_depth in [usize::MAX, 2] {
+                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
+                let canon = if quotient == 1 {
+                    search = search.canon(orbit_minimum);
+                    orbit_minimum
+                } else {
+                    Node::clone
+                };
+                det_assert_eq!(
+                    parts(search.graph_filtered(keep)),
+                    naive(&sys, keep, canon, max_states, max_depth)
+                );
+                det_assert_eq!(
+                    parts(search.graph()),
+                    naive(&sys, |_| true, canon, max_states, max_depth)
+                );
+            }
+        }
+    }
+
+    fn incremental_reexploration_matches_a_full_rebuild(
+        cases = 256,
+        raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
+        copies in 1usize..=3,
+        inits in prop::vec(0u8..24, 1..4),
+        drops in prop::vec(0u8..96, 0..6),
+        cap in 1usize..=24
+    ) {
+        // Each drop removes one (row, action) pair — a state-dependent
+        // edit, so some states stay clean and keep their old lists.
+        let sys = Table::new(&raw, copies, &inits);
+        let n = sys.rows.len();
+        let edit = ActionEdit::new(&sys, |s: &Node, a: &u8| {
+            !drops.iter().any(|&d| (d / 4) as usize % n == s.at as usize && d % 4 == *a)
+        });
+        for old_cap in [usize::MAX, cap] {
+            let old = Search::new(&sys).max_states(old_cap).graph();
+            for new_cap in [usize::MAX, cap] {
+                let (g, stats) =
+                    reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), new_cap);
+                det_assert_eq!(stats.reused + stats.recomputed, g.len());
+                if old.truncated() {
+                    det_assert_eq!(stats.reused, 0);
+                }
+                det_assert_eq!(
+                    parts(g),
+                    parts(Search::new(&edit).max_states(new_cap).graph())
+                );
+            }
+        }
+    }
+}

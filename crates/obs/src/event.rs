@@ -185,8 +185,12 @@ impl Event {
     }
 }
 
-/// JSON string escaping: the canonical subset the encoder emits.
-fn escape_into(s: &str, out: &mut String) {
+/// JSON string escaping, appended to `out` without the surrounding quotes:
+/// the canonical subset the encoder emits (`\"`, `\\`, `\n`, `\t`, `\r`,
+/// `\u00XX` for the other control characters). The workspace's one escaper —
+/// every hand-built JSON rendering (`PropertyReport::to_json`,
+/// `ManifestReport::to_json`) goes through it.
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -85,5 +85,5 @@ macro_rules! trace_event {
 }
 
 pub use diff::{trace_diff, TraceDiff};
-pub use event::{Event, Value};
+pub use event::{escape_into, Event, Value};
 pub use tracer::{NoopTracer, RingTracer, Tracer};

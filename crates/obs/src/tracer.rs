@@ -49,7 +49,7 @@ pub trait Tracer {
 /// The default sink: discards everything, reports inactive.
 ///
 /// Every untraced engine entry point (`Search::explore`,
-/// `ValenceEngine::analyze`, …) delegates to its traced twin with a
+/// `Search::valence`, …) delegates to its traced twin with a
 /// `NoopTracer`, so the zero-cost claim is structural: the only overhead on
 /// the untraced path is the inlined `active()` check.
 #[derive(Debug, Clone, Copy, Default)]

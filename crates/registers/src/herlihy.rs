@@ -837,9 +837,7 @@ mod tests {
         // The Loui–Abu-Amara transfer: a bivalent initial configuration for
         // the TAS protocol (mixed inputs — the race decides).
         let sys = ObjectSystem::all_binary(&TasConsensus2);
-        let report = impossible_core::valence::ValenceEngine::new(&sys)
-            .max_states(500_000)
-            .analyze();
+        let report = Search::new(&sys).max_states(500_000).valence();
         assert!(!report.bivalent_initials.is_empty());
         assert!(report.agreement_violations.is_empty());
     }

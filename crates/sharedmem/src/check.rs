@@ -18,7 +18,7 @@ use crate::mutex::{MutexAction, MutexAlgorithm, MutexState, MutexSystem, Region}
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
 use impossible_explore::{Encode, Search};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A mutual-exclusion violation: a shortest execution ending with two or
 /// more processes simultaneously critical.
@@ -54,56 +54,24 @@ where
     A::Local: Encode,
 {
     let g = Search::new(sys).max_states(max_states).graph();
-    let n = g.order.len();
     let alg = sys.algorithm();
     let some_process_in =
         |s: &MutexState<A::Local>, region: Region| s.locals.iter().any(|l| alg.region(l) == region);
 
-    // Predecessor lists in compressed-row form, one counting pass and one
-    // filling pass over the edges: the predecessors of `t` are
-    // `pred[start[t]..start[t + 1]]`.
-    let mut start = vec![0usize; n + 1];
-    for &(_, t) in g.succ.iter().flatten() {
-        start[t + 1] += 1;
-    }
-    for t in 0..n {
-        start[t + 1] += start[t];
-    }
-    let mut pred = vec![0usize; start[n]];
-    let mut fill = start.clone();
-    for (i, ts) in g.succ.iter().enumerate() {
-        for &(_, t) in ts {
-            pred[fill[t]] = i;
-            fill[t] += 1;
-        }
-    }
-
     // Backward reachability from "some process critical" states — and, on a
     // cut graph, from every state the cap took a successor from.
     let cut = g.truncated();
-    let mut can_reach_crit = vec![false; n];
-    let mut queue: Vec<usize> = Vec::with_capacity(n);
-    for (i, s) in g.order.iter().enumerate() {
-        if some_process_in(s, Region::Critical) || (cut && g.succ[i].len() < sys.enabled(s).len()) {
-            can_reach_crit[i] = true;
-            queue.push(i);
-        }
-    }
-    let mut head = 0;
-    while head < queue.len() {
-        let i = queue[head];
-        head += 1;
-        for &p in &pred[start[i]..start[i + 1]] {
-            if !can_reach_crit[p] {
-                can_reach_crit[p] = true;
-                queue.push(p);
-            }
-        }
-    }
+    let can_reach_crit = g.can_reach(
+        |_| true,
+        |i| {
+            let s = &g.order[i];
+            some_process_in(s, Region::Critical) || (cut && g.succ[i].len() < sys.enabled(s).len())
+        },
+    );
 
     // Critical states seeded the pass, so an unreached state has nobody
     // critical; it is a deadlock iff somebody is trying.
-    (0..n)
+    (0..g.len())
         .find(|&i| !can_reach_crit[i] && some_process_in(&g.order[i], Region::Trying))
         .map(|i| g.order[i].clone())
 }
@@ -134,15 +102,15 @@ where
     A::Local: Encode,
 {
     let g = Search::new(sys).max_states(max_states).graph();
-    let (order, succ) = (g.order, g.succ);
     let n = sys.algorithm().num_processes();
 
-    let victim_trying: Vec<bool> = order
+    let victim_trying: Vec<bool> = g
+        .order
         .iter()
         .map(|s| sys.algorithm().region(&s.locals[victim]) == Region::Trying)
         .collect();
 
-    for (h, head) in order.iter().enumerate() {
+    for (h, head) in g.order.iter().enumerate() {
         if !victim_trying[h] {
             continue;
         }
@@ -162,45 +130,16 @@ where
             .collect();
         let full: u32 = (1u32 << obligated.len()) - 1;
 
-        // BFS over (state, coverage mask); only through victim-trying states.
-        let mut parent: BTreeMap<(usize, u32), (usize, u32, MutexAction)> = BTreeMap::new();
-        let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
-        let mut q: VecDeque<(usize, u32)> = VecDeque::new();
-        seen.insert((h, 0));
-        q.push_back((h, 0));
-        let mut goal: Option<(usize, u32)> = None;
-        'bfs: while let Some((s, mask)) = q.pop_front() {
-            for (a, t) in &succ[s] {
-                if !victim_trying[*t] {
-                    continue;
-                }
-                let nmask = match a {
-                    MutexAction::Step(p) => mask | bit.get(p).copied().unwrap_or(0),
-                    _ => mask,
-                };
-                let node = (*t, nmask);
-                if seen.insert(node) {
-                    parent.insert(node, (s, mask, *a));
-                    if *t == h && nmask == full {
-                        goal = Some(node);
-                        break 'bfs;
-                    }
-                    q.push_back(node);
-                }
-            }
-        }
-        if let Some(g) = goal {
-            let mut cycle = Vec::new();
-            let mut cur = g;
-            while cur != (h, 0) {
-                let (ps, pm, a) = parent[&cur];
-                cycle.push(a);
-                cur = (ps, pm);
-            }
-            cycle.reverse();
+        // A cycle through victim-trying states only, covering a step of
+        // every obligated process.
+        let class_bits = |a: &MutexAction| match a {
+            MutexAction::Step(p) => bit.get(p).copied().unwrap_or(0),
+            _ => 0,
+        };
+        if let Some(edges) = g.covering_cycle(h, |t| victim_trying[t], class_bits, full) {
             return Some(LockoutWitness {
                 head: head.clone(),
-                cycle,
+                cycle: edges.into_iter().map(|(s, ei)| g.succ[s][ei].0).collect(),
                 victim,
             });
         }

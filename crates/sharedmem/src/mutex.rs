@@ -422,28 +422,8 @@ mod tests {
         // Every representative with a trying process can still reach a
         // critical region — progress survives the quotient.
         let g = Search::new(&sys).canon(process_perm_canon).graph();
-        let mut can_reach_crit = vec![false; g.order.len()];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); g.order.len()];
-        for (i, ts) in g.succ.iter().enumerate() {
-            for &(_, t) in ts {
-                preds[t].push(i);
-            }
-        }
-        let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        for (i, s) in g.order.iter().enumerate() {
-            if !sys.critical_processes(s).is_empty() {
-                can_reach_crit[i] = true;
-                queue.push_back(i);
-            }
-        }
-        while let Some(i) = queue.pop_front() {
-            for &p in &preds[i] {
-                if !can_reach_crit[p] {
-                    can_reach_crit[p] = true;
-                    queue.push_back(p);
-                }
-            }
-        }
+        let can_reach_crit =
+            g.can_reach(|_| true, |i| !sys.critical_processes(&g.order[i]).is_empty());
         for (i, s) in g.order.iter().enumerate() {
             if !sys.trying_processes(s).is_empty() {
                 assert!(can_reach_crit[i], "quotient state {i} lost progress");

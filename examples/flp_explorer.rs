@@ -5,7 +5,6 @@
 
 use impossible::consensus::flp::{analyze, find_nontermination, Arbiter, FlpSystem};
 use impossible::core::exec::Admissibility;
-use impossible::core::valence::ValenceEngine;
 use impossible::explore::Search;
 
 fn main() {
@@ -28,8 +27,7 @@ fn main() {
     }
 
     let sys = FlpSystem::all_binary(&candidate);
-    let engine = ValenceEngine::new(&sys).max_states(500_000);
-    if let Some(decider) = engine.find_decider() {
+    if let Some(decider) = Search::new(&sys).max_states(500_000).find_decider() {
         println!(
             "\nDecider (Figure 2): process {} can drive the outcome either way alone:",
             decider.process

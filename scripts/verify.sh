@@ -6,10 +6,10 @@
 #
 #   ./scripts/verify.sh
 #
-# Seven stages: build, lint, tests, docs, check smoke, trace smoke and the
-# ledger (`ledger.sh --check`, then the ledger package's own tests) — the
-# last is the only stage that touches timing code, and the ledger is the
-# only place a measured number comes from.
+# Eight stages: build, lint, tests, docs, check smoke, trace smoke,
+# experiments smoke and the ledger (`ledger.sh --check`, then the ledger
+# package's own tests) — the last is the only stage that touches timing
+# code, and the ledger is the only place a measured number comes from.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,6 +108,23 @@ if ! printf '%s' "$unknown_err" | grep -q 'unknown dump target `no-such-target`'
     exit 1
 fi
 echo "trace smoke: OK (5 targets identical on rerun; unknown target refused)"
+
+echo "== experiments smoke (the paper-facing artefact: every id, deterministic) =="
+# All 26 experiments (F1–F3, E1–E23), twice: the regenerated figures and
+# tables must be byte-identical on rerun, and none may go missing.
+./target/release/experiments > "$check_tmp/experiments_a.txt"
+./target/release/experiments > "$check_tmp/experiments_b.txt"
+if ! cmp -s "$check_tmp/experiments_a.txt" "$check_tmp/experiments_b.txt"; then
+    echo "error: two runs of the experiments binary differ:" >&2
+    diff "$check_tmp/experiments_a.txt" "$check_tmp/experiments_b.txt" >&2 || true
+    exit 1
+fi
+experiment_headers="$(grep -cE '^[FE][0-9]+:' "$check_tmp/experiments_a.txt" || true)"
+if [ "$experiment_headers" != 26 ]; then
+    echo "error: experiments printed $experiment_headers experiment headers, expected 26" >&2
+    exit 1
+fi
+echo "experiments smoke: OK (26 experiments, identical on rerun)"
 
 echo "== performance ledger --check (public API + every verdict and count) =="
 # The ledger is its own package compiled against the engines' public API;

@@ -8,10 +8,10 @@ use impossible::consensus::{approx, benor, commit, eig, flp, round_lb, scenario3
 use impossible::core::pigeonhole::bounds;
 use impossible::core::symmetry::{bit_reversal_ring, comparison_symmetry_classes, min_symmetry_class};
 use impossible::core::task::Task;
-use impossible::core::valence::ValenceEngine;
 use impossible::datalink::{abp, stealing, two_generals};
 use impossible::election::ring::RingSchedule;
 use impossible::election::{anonymous, complete, hs, itai_rodeh, lcr, peterson, timeslice};
+use impossible::explore::Search;
 use impossible::msgpass::asyncnet::{DelayModel, UNIT};
 use impossible::msgpass::sessions::run_sessions;
 use impossible::msgpass::topology::Topology;
@@ -69,7 +69,7 @@ fn f2() {
         report.critical.len()
     );
     let sys = flp::FlpSystem::all_binary(&arb);
-    if let Some(d) = ValenceEngine::new(&sys).max_states(500_000).find_decider() {
+    if let Some(d) = Search::new(&sys).max_states(500_000).find_decider() {
         println!("decider process (Figure 2): {}", d.process);
     }
     fn horn<S>(verdict: &flp::FlpVerdict<S>) -> String {
@@ -717,7 +717,6 @@ fn e23() {
     use impossible::consensus::{flp, quorum};
     use impossible::core::ids::ProcessId;
     use impossible::core::system::System;
-    use impossible::explore::Search;
 
     // The survey's workload: re-run the same impossibility argument against
     // small protocol variations. Build the full quorum-vote graph once,

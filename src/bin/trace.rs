@@ -16,7 +16,6 @@
 //! localizes the first divergent event.
 
 use impossible::consensus::{benor, flp, quorum};
-use impossible::core::valence::ValenceEngine;
 use impossible::election::lcr::Lcr;
 use impossible::election::ring::{RingRunner, RingSchedule};
 use impossible::explore::{Grid, Search, DEFAULT_SEED};
@@ -47,9 +46,9 @@ fn dump(target: &str, seed: u64) -> Result<RingTracer, String> {
             let n = 2 + (seed % 2) as usize;
             let arb = flp::Arbiter::new(n);
             let sys = flp::FlpSystem::all_binary(&arb);
-            let engine = ValenceEngine::new(&sys).max_states(200_000);
-            let _ = engine.analyze_traced(&mut tracer);
-            let _ = engine.find_decider_traced(&mut tracer);
+            let search = Search::new(&sys).max_states(200_000);
+            let _ = search.valence_traced(&mut tracer);
+            let _ = search.find_decider_traced(&mut tracer);
         }
         "benor" => {
             let run = benor::run_benor_traced(&[0, 1, 0, 1, 1], 2, seed, &[], 200, &mut tracer);

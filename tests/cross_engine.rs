@@ -9,7 +9,7 @@ use impossible::core::cert::Technique;
 use impossible::core::exec::Admissibility;
 use impossible::core::scenario::{ScenarioRing, ScenarioVerdict};
 use impossible::core::task::Task;
-use impossible::core::valence::ValenceEngine;
+use impossible::explore::Search;
 use impossible::registers::herlihy::{ObjectSystem, TasConsensus2};
 
 #[test]
@@ -19,12 +19,12 @@ fn valence_engine_spans_message_passing_and_shared_objects() {
     // same analyzer (the Loui–Abu-Amara transfer).
     let arb = Arbiter::new(3);
     let msg_sys = FlpSystem::all_binary(&arb);
-    let msg_report = ValenceEngine::new(&msg_sys).max_states(500_000).analyze();
+    let msg_report = Search::new(&msg_sys).max_states(500_000).valence();
     assert!(!msg_report.bivalent_initials.is_empty());
     assert!(msg_report.agreement_violations.is_empty());
 
     let obj_sys = ObjectSystem::all_binary(&TasConsensus2);
-    let obj_report = ValenceEngine::new(&obj_sys).max_states(500_000).analyze();
+    let obj_report = Search::new(&obj_sys).max_states(500_000).valence();
     assert!(!obj_report.bivalent_initials.is_empty());
     assert!(obj_report.agreement_violations.is_empty());
 }
