@@ -22,7 +22,7 @@ use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceReport;
 use impossible_explore::property::{eventually, Checker, Counterexample, PropertyReport};
-use impossible_explore::{Encode, FpHasher, Search};
+use impossible_explore::{Encode, Search};
 use impossible_obs::{NoopTracer, Tracer};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -65,12 +65,7 @@ pub struct FlpState<L, M> {
     pub pending: Vec<(usize, usize, M)>,
 }
 
-impl<L: Encode, M: Encode> Encode for FlpState<L, M> {
-    fn encode(&self, h: &mut FpHasher) {
-        self.locals.encode(h);
-        self.pending.encode(h);
-    }
-}
+impossible_explore::impl_encode_struct!(FlpState<L, M> { locals, pending });
 
 /// Scheduler choices.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -377,13 +372,7 @@ pub enum ArbiterMsg {
     Verdict(u64),
 }
 
-impl Encode for ArbiterLocal {
-    fn encode(&self, h: &mut FpHasher) {
-        self.input.encode(h);
-        self.started.encode(h);
-        self.decided.encode(h);
-    }
-}
+impossible_explore::impl_encode_struct!(ArbiterLocal { input, started, decided });
 
 impossible_explore::impl_encode_enum!(ArbiterMsg {
     0: Claim(v),
@@ -534,14 +523,7 @@ pub struct WaitLocal {
     decided: Option<u64>,
 }
 
-impl Encode for WaitLocal {
-    fn encode(&self, h: &mut FpHasher) {
-        self.input.encode(h);
-        self.started.encode(h);
-        self.heard.encode(h);
-        self.decided.encode(h);
-    }
-}
+impossible_explore::impl_encode_struct!(WaitLocal { input, started, heard, decided });
 
 impl AsyncCandidate for WaitForAll {
     type Local = WaitLocal;

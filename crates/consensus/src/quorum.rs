@@ -50,7 +50,6 @@
 
 use crate::flp::{check_live_processes_decide, AsyncCandidate, FlpAction, FlpState, FlpSystem};
 use impossible_explore::property::PropertyReport;
-use impossible_explore::{Encode, FpHasher};
 use impossible_obs::{NoopTracer, Tracer};
 use std::collections::BTreeMap;
 
@@ -93,14 +92,7 @@ pub enum QuorumMsg {
     Commit(u64),
 }
 
-impl Encode for QuorumLocal {
-    fn encode(&self, h: &mut FpHasher) {
-        self.input.encode(h);
-        self.started.encode(h);
-        self.votes.encode(h);
-        self.decided.encode(h);
-    }
-}
+impossible_explore::impl_encode_struct!(QuorumLocal { input, started, votes, decided });
 
 impossible_explore::impl_encode_enum!(QuorumMsg {
     0: Vote(v),

@@ -15,7 +15,7 @@
 
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
-use impossible_explore::{Encode, FpHasher, Search};
+use impossible_explore::Search;
 
 /// Global configuration of the bounded ABP instance.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,16 +34,7 @@ pub struct AbpState {
     pub acks: Vec<u8>,
 }
 
-impl Encode for AbpState {
-    fn encode(&self, h: &mut FpHasher) {
-        self.sbit.encode(h);
-        self.acked.encode(h);
-        self.rbit.encode(h);
-        self.delivered.encode(h);
-        self.data.encode(h);
-        self.acks.encode(h);
-    }
-}
+impossible_explore::impl_encode_struct!(AbpState { sbit, acked, rbit, delivered, data, acks });
 
 /// Scheduler/adversary choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -8,10 +8,15 @@
 //!
 //! Three deliberate design points:
 //!
-//! * **Derive-free.** [`Fingerprint`] has a blanket impl for every
-//!   [`Encode`] type, and `Encode` is a tiny hand-written visitor over the
+//! * **Derive-free, compiler-audited.** [`Fingerprint`] has a blanket impl
+//!   for every [`Encode`] type, and `Encode` is a tiny visitor over the
 //!   state's structure — no `Ord`/`Hash` bounds, no derive machinery, no
-//!   dependence on `std::hash`'s unstable-by-design hasher selection.
+//!   dependence on `std::hash`'s unstable-by-design hasher selection. The
+//!   impls for primitives and collections are written here; a state type
+//!   lists its fields or variants through [`crate::impl_encode_struct!`] or
+//!   [`crate::impl_encode_enum!`], whose exhaustive expansions make a
+//!   skipped one a build error, and nothing else may `impl Encode` by hand
+//!   (the `encode-coverage` lint, `docs/LINTS.md`).
 //! * **Seeded.** The hash is keyed by an explicit `seed` (mixed through
 //!   [`impossible_det::rng::splitmix64`]), so a collision is not a fixed property
 //!   of a state pair: re-running under a different seed (or under
@@ -20,8 +25,10 @@
 //! * **Auditable.** Fingerprint equality is *assumed* to mean state equality
 //!   (a 64-bit hash over ≤ a few million states has collision probability
 //!   ≈ `n²/2⁶⁵`); the search engine's collision-audit mode keeps the full
-//!   states alongside and panics on a genuine collision, which is how the
-//!   test suite validates the policy on every engine's real state types.
+//!   states alongside and panics on a genuine collision.
+//!   `tests/explore_equivalence.rs` runs it on a real system for every
+//!   state type that goes through either macro, beside a pinned checksum
+//!   of those states' fingerprints.
 //!
 //! Encodings must be *prefix-unambiguous*: variable-length collections
 //! write their length first, enums write a variant tag first. That makes
@@ -87,9 +94,10 @@ impl FpHasher {
 /// type's reachable values: equal values produce equal streams, distinct
 /// values produce distinct streams (given the length/tag prefixing rules in
 /// the module docs). All primitive scalars, tuples, `Option`, `Vec`, slices,
-/// arrays and the ordered collections are covered here; model crates add
-/// impls for their own state structs/enums (see [`crate::impl_encode_enum!`]
-/// for C-like and field-carrying enums).
+/// arrays and the ordered collections are covered here; model crates list
+/// their own state types through [`crate::impl_encode_struct!`] (named and
+/// tuple structs) and [`crate::impl_encode_enum!`] (C-like and
+/// field-carrying enums).
 pub trait Encode {
     /// Feed this value's canonical encoding to `h`.
     fn encode(&self, h: &mut FpHasher);
@@ -312,41 +320,126 @@ impl Encode for impossible_core::ids::ProcessId {
 ///     Phase::Done(3).fingerprint(7),
 /// );
 /// ```
+///
+/// The listing is audited by the compiler, not by a lint: it expands to
+/// exhaustive `match`es with no rest pattern and no wildcard arm, so an
+/// encoder that would merge two distinct values does not build. A variant
+/// left out is a non-exhaustive `match`:
+///
+/// ```compile_fail,E0004
+/// use impossible_explore::impl_encode_enum;
+/// enum Phase { Idle, Waiting { round: usize }, Done(u64) }
+/// impl_encode_enum!(Phase { 0: Idle, 1: Waiting { round } });
+/// ```
+///
+/// a struct variant listed without one of its fields is a pattern that
+/// does not mention it ("pattern requires `..`", an error rustc gives no
+/// code):
+///
+/// ```compile_fail
+/// use impossible_explore::impl_encode_enum;
+/// enum Phase { Idle, Waiting { round: usize, since: u64 } }
+/// impl_encode_enum!(Phase { 0: Idle, 1: Waiting { round } });
+/// ```
+///
+/// (a tuple variant at the wrong arity is E0023, as for
+/// [`crate::impl_encode_struct!`]) and a reused tag — the tag is all that
+/// separates two variants' streams — is a repeated discriminant:
+///
+/// ```compile_fail,E0081
+/// use impossible_explore::impl_encode_enum;
+/// enum Phase { Idle, Done(u64) }
+/// impl_encode_enum!(Phase { 0: Idle, 0: Done(v) });
+/// ```
 #[macro_export]
 macro_rules! impl_encode_enum {
-    ($ty:ty { $($body:tt)* }) => {
+    ($ty:ty { $(
+        $tag:literal : $v:ident
+            $({ $($sf:ident),+ $(,)? })?
+            $(( $($tf:ident),+ $(,)? ))?
+    ),+ $(,)? }) => {
+        // The tags as discriminants: the compiler wants those distinct.
+        const _: () = {
+            #[allow(dead_code)]
+            #[repr(u64)]
+            enum Tags { $($v = $tag),+ }
+        };
         impl $crate::Encode for $ty {
+            #[inline]
             fn encode(&self, h: &mut $crate::FpHasher) {
-                $crate::__encode_enum_variants!(self, h; $($body)*);
+                #[allow(unused_variables)]
+                let tag: u64 = match self {
+                    $(Self::$v $({ $($sf),+ })? $(( $($tf),+ ))? => $tag,)+
+                };
+                h.write_u64(tag);
+                match self {
+                    $(Self::$v $({ $($sf),+ })? $(( $($tf),+ ))? => {
+                        $($($crate::Encode::encode($sf, h);)+)?
+                        $($($crate::Encode::encode($tf, h);)+)?
+                    })+
+                }
             }
         }
     };
 }
 
-/// Recursive helper for [`impl_encode_enum!`] — one `if let` per variant.
-#[doc(hidden)]
+/// Implement [`Encode`] for a struct by listing every field (named) or
+/// binding every position (tuple); fields encode in the listed order. Type
+/// parameters, if any, are listed after the name and each gets an
+/// `Encode` bound.
+///
+/// ```
+/// use impossible_explore::{impl_encode_struct, Fingerprint};
+///
+/// struct Config<L> {
+///     locals: Vec<L>,
+///     clock: u64,
+/// }
+/// impl_encode_struct!(Config<L> { locals, clock });
+///
+/// struct Pair(u8, u8);
+/// impl_encode_struct!(Pair(a, b));
+///
+/// let at = |clock| Config { locals: vec![1u8, 2], clock };
+/// assert_ne!(at(0).fingerprint(7), at(1).fingerprint(7));
+/// assert_ne!(Pair(0, 1).fingerprint(7), Pair(1, 0).fingerprint(7));
+/// ```
+///
+/// Like [`impl_encode_enum!`] it expands to an irrefutable pattern with no
+/// rest pattern, so the compiler rejects a listing that drops a field —
+///
+/// ```compile_fail
+/// use impossible_explore::impl_encode_struct;
+/// struct Config { locals: Vec<u8>, clock: u64 }
+/// impl_encode_struct!(Config { locals });
+/// ```
+///
+/// — or binds a tuple struct at the wrong arity:
+///
+/// ```compile_fail,E0023
+/// use impossible_explore::impl_encode_struct;
+/// struct Pair(u8, u8);
+/// impl_encode_struct!(Pair(a));
+/// ```
 #[macro_export]
-macro_rules! __encode_enum_variants {
-    ($s:expr, $h:expr; ) => {};
-    ($s:expr, $h:expr; $tag:literal : $v:ident, $($rest:tt)*) => {
-        if let Self::$v = $s {
-            $h.write_u64($tag);
+macro_rules! impl_encode_struct {
+    ($ty:ident $(<$($g:ident),+>)? { $($f:ident),+ $(,)? }) => {
+        impl$(<$($g: $crate::Encode),+>)? $crate::Encode for $ty$(<$($g),+>)? {
+            #[inline]
+            fn encode(&self, h: &mut $crate::FpHasher) {
+                let Self { $($f),+ } = self;
+                $($crate::Encode::encode($f, h);)+
+            }
         }
-        $crate::__encode_enum_variants!($s, $h; $($rest)*);
     };
-    ($s:expr, $h:expr; $tag:literal : $v:ident { $($f:ident),+ $(,)? }, $($rest:tt)*) => {
-        if let Self::$v { $($f),+ } = $s {
-            $h.write_u64($tag);
-            $($crate::Encode::encode($f, $h);)+
+    ($ty:ident $(<$($g:ident),+>)? ( $($f:ident),+ $(,)? )) => {
+        impl$(<$($g: $crate::Encode),+>)? $crate::Encode for $ty$(<$($g),+>)? {
+            #[inline]
+            fn encode(&self, h: &mut $crate::FpHasher) {
+                let Self($($f),+) = self;
+                $($crate::Encode::encode($f, h);)+
+            }
         }
-        $crate::__encode_enum_variants!($s, $h; $($rest)*);
-    };
-    ($s:expr, $h:expr; $tag:literal : $v:ident ( $($f:ident),+ $(,)? ), $($rest:tt)*) => {
-        if let Self::$v($($f),+) = $s {
-            $h.write_u64($tag);
-            $($crate::Encode::encode($f, $h);)+
-        }
-        $crate::__encode_enum_variants!($s, $h; $($rest)*);
     };
 }
 
@@ -416,6 +509,38 @@ mod tests {
         1: B { x, y },
         2: C(b),
     });
+
+    struct Rec<T> {
+        xs: Vec<T>,
+        n: u64,
+    }
+    impl_encode_struct!(Rec<T> { xs, n });
+    struct Tup(u8, Option<u8>);
+    impl_encode_struct!(Tup(a, b));
+
+    #[test]
+    fn struct_macro_encodes_every_field_in_listed_order() {
+        // The expansion is the hand-written impl it replaces: one
+        // `encode` per field, in the order listed.
+        let mut want = FpHasher::new(5);
+        vec![1u8, 2].encode(&mut want);
+        9u64.encode(&mut want);
+        let rec = Rec { xs: vec![1u8, 2], n: 9 };
+        assert_eq!(rec.fingerprint(5), want.finish());
+        assert_ne!(rec.fingerprint(5), Rec { xs: vec![1u8], n: 9 }.fingerprint(5));
+        assert_eq!(Tup(3, None).fingerprint(5), (3u8, None::<u8>).fingerprint(5));
+        assert_ne!(Tup(3, None).fingerprint(5), Tup(3, Some(0)).fingerprint(5));
+    }
+
+    #[test]
+    fn enum_macro_writes_the_tag_then_the_fields() {
+        let mut want = FpHasher::new(5);
+        want.write_u64(1);
+        4usize.encode(&mut want);
+        6u64.encode(&mut want);
+        assert_eq!(Demo::B { x: 4, y: 6 }.fingerprint(5), want.finish());
+        assert_eq!(Demo::A.fingerprint(5), 0u64.fingerprint(5));
+    }
 
     #[test]
     fn batched_fingerprints_equal_the_scalar_path() {

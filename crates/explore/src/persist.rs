@@ -1,8 +1,9 @@
 //! The reversible little-endian byte codec shared by snapshots and spill.
 //!
 //! Deliberately *not* the [`crate::Encode`] trait: `Encode` feeds a one-way
-//! hasher (its contract is injectivity, and the `encode-coverage` lint
-//! audits completeness against that contract), while [`Persist`] is a
+//! hasher (its contract is injectivity, and the exhaustive expansions of
+//! `impl_encode_struct!` / `impl_encode_enum!` make the compiler audit
+//! completeness against that contract), while [`Persist`] is a
 //! reversible byte codec whose contract is `read(write(x)) == x`.
 //! Conflating the two would let a state type's fingerprint encoding
 //! silently double as its wire format — the fields a fingerprint may fold

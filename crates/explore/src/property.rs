@@ -31,16 +31,14 @@
 //!
 //! ```
 //! use impossible_core::system::System;
-//! use impossible_explore::{Encode, FpHasher, Search};
+//! use impossible_explore::{impl_encode_struct, Search};
 //! use impossible_explore::property::{always, eventually, Counterexample};
 //!
 //! /// A wrapping counter: 0 → 1 → 2 → 0 → … (a 3-cycle, never terminates).
 //! struct Wrap;
 //! #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 //! struct W(u64);
-//! impl Encode for W {
-//!     fn encode(&self, h: &mut FpHasher) { self.0.encode(h); }
-//! }
+//! impl_encode_struct!(W(n));
 //! impl System for Wrap {
 //!     type State = W;
 //!     type Action = u64;
@@ -436,8 +434,10 @@ where
         };
 
         let scc = self.tarjan(&cyc_ok);
+        // Not `(1 << classes) - 1`: the shift overflows at the documented
+        // maximum of 32 classes.
         let full: u32 = if self.classes > 0 {
-            (1u32 << self.classes) - 1
+            u32::MAX >> (32 - self.classes)
         } else {
             0
         };
@@ -714,7 +714,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::FpHasher;
     use crate::grid::Grid;
     use impossible_obs::RingTracer;
     use std::collections::BTreeSet;
@@ -726,11 +725,7 @@ mod tests {
     }
     #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
     struct L(u64);
-    impl Encode for L {
-        fn encode(&self, h: &mut FpHasher) {
-            self.0.encode(h);
-        }
-    }
+    crate::impl_encode_struct!(L(n));
     impl System for Loop {
         type State = L;
         type Action = u64;
@@ -913,6 +908,39 @@ mod tests {
             }
             other => panic!("expected lasso, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn fairness_mask_is_exact_up_to_the_documented_32_classes() {
+        // A two-state toggle; "done" never happens, so without fairness
+        // the toggle itself is a violating cycle.
+        let sys = Loop { max: 1, wrap_to: 0 };
+        let g = Search::new(&sys).graph();
+        let prop = eventually("done", |_: &L| false);
+        assert!(!Checker::new(&g).check(&prop).holds);
+        // Its one action covers no class (or class 0 alone), so under 31
+        // or 32 classes no cycle is fair and the property holds. At 32
+        // the mask used to be `(1 << 32) - 1`: a panic in debug builds,
+        // `0` in release — which accepted the cycle covering nothing.
+        for classes in [31, 32] {
+            for class in [None, Some(0)] {
+                let r = Checker::new(&g)
+                    .fairness(classes, move |_: &u64| class)
+                    .check(&prop);
+                assert!(r.holds, "classes={classes} class={class:?}");
+                assert_eq!(r.candidate_sccs, 0);
+            }
+        }
+        // One class, covered: the toggle is fair again.
+        let r = Checker::new(&g).fairness(1, |_: &u64| Some(0)).check(&prop);
+        assert!(!r.holds);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 fairness classes")]
+    fn more_than_32_fairness_classes_are_refused() {
+        let g = Search::new(&Loop { max: 1, wrap_to: 0 }).graph();
+        let _ = Checker::new(&g).fairness(33, |_: &u64| None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::system::System;
 use impossible_det::{det_assert_eq, det_prop, prop};
-use impossible_explore::{Encode, FpHasher, ReachableGraph, Search, Truncation};
+use impossible_explore::{impl_encode_struct, ReachableGraph, Search, Truncation};
 use std::collections::BTreeMap;
 
 /// A state of a generated system: a row of the transition table. It carries
@@ -28,12 +28,7 @@ struct Node {
     period: u8,
 }
 
-impl Encode for Node {
-    fn encode(&self, h: &mut FpHasher) {
-        self.at.encode(h);
-        self.period.encode(h);
-    }
-}
+impl_encode_struct!(Node { at, period });
 
 /// `copies` rotated images of a `period`-row fundamental domain: row
 /// `s + c·period` is row `s` with every target shifted by `c·period`, so

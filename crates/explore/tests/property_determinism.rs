@@ -13,7 +13,7 @@
 
 use impossible_det::{det_assert, det_assert_eq, det_prop};
 use impossible_explore::property::{eventually, leads_to, never, Checker};
-use impossible_explore::{Encode, FpHasher, Grid, Search};
+use impossible_explore::{impl_encode_struct, Grid, Search};
 use impossible_core::system::System;
 
 /// A hub state fanning out into three disjoint cycles ("gears") of
@@ -24,12 +24,7 @@ struct Gears;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct G(u8, u8); // (ring, position); ring 0 is the hub
 
-impl Encode for G {
-    fn encode(&self, h: &mut FpHasher) {
-        self.0.encode(h);
-        self.1.encode(h);
-    }
-}
+impl_encode_struct!(G(ring, position));
 
 const LENS: [u8; 3] = [2, 3, 4];
 

@@ -10,13 +10,14 @@
 //! proves it *statically*, by source inspection: no proof-engine or protocol
 //! crate can even mention a nondeterminism source.
 //!
-//! The analyzer runs in two stages, both hand-rolled (no `syn`, no
-//! `regex` — the workspace must stay hermetic). Stage 1 ([`lex`]) is a
-//! string-, comment- and char-literal-aware lexer, so `"HashMap"` inside a
-//! string literal or a comment never fires. Stage 2 ([`parse`]) is a
-//! lightweight item parser over the lexer's code shadow — structs/enums
-//! with field lists, `impl` blocks with method signatures,
-//! `impl_encode_enum!` listings — feeding the item-aware soundness rules.
+//! The analyzer is hand-rolled (no `syn`, no `regex` — the workspace must
+//! stay hermetic) and purely lexical: [`lex`] is a string-, comment- and
+//! char-literal-aware lexer, so `"HashMap"` inside a string literal or a
+//! comment never fires, and every rule reads the code / comment / doc
+//! shadows it produces. Nothing here parses items, types or signatures:
+//! what used to need that — is every field of a state type encoded, does a
+//! `_traced` twin's signature match — is now the compiler's job (see
+//! `encode-coverage` and `twin-drift` in [`rules`]).
 //! Ten rules are enforced (see `docs/LINTS.md` for the full rationale):
 //!
 //! | rule | forbids |
@@ -28,8 +29,8 @@
 //! | `hermetic-deps` | any non-`path` dependency in any `Cargo.toml` |
 //! | `doc-cite` | bare `\[NN\]` citation brackets in rustdoc |
 //! | `map-coverage` | module files absent from `docs/PAPER_MAP.md` |
-//! | `encode-coverage` | `Encode` impls that skip a field or variant |
-//! | `twin-drift` | `foo_traced` signatures drifting from their `foo` twin |
+//! | `encode-coverage` | hand-written `impl … Encode for` outside `explore::fingerprint` |
+//! | `twin-drift` | a `foo_traced` whose `foo` is not `foo_traced(…, &mut NoopTracer)` |
 //! | `waiver-doc-sync` | `docs/LINTS.md` inventory drifting from the tree |
 //!
 //! Legitimate exceptions carry an inline waiver on (or immediately above)
@@ -46,7 +47,6 @@
 
 pub mod lex;
 pub mod manifest;
-pub mod parse;
 pub mod rules;
 pub mod walk;
 

@@ -7,19 +7,21 @@
 //! `hermetic-deps` keeps the offline build machine-checked, `doc-cite`
 //! keeps rustdoc's strict-docs gate from regressing, and `map-coverage`
 //! keeps `docs/PAPER_MAP.md` an exhaustive paper-to-module index. Two
-//! item-aware soundness rules ride on [`crate::parse`]: `encode-coverage`
-//! audits that every field/variant of a type with a hand-written `Encode`
-//! impl (or `impl_encode_enum!` listing) is actually consumed — a skipped
-//! field merges distinct states in the fingerprint visited set — and
-//! `twin-drift` machine-enforces the zero-cost-twin contract from
-//! `docs/OBS.md`: every `foo_traced` needs a sibling `foo` whose
-//! signature matches modulo the tracer parameter. The file-set-level
-//! `waiver-doc-sync` rule (in [`crate::walk`]) keeps the waiver
-//! inventory in `docs/LINTS.md` machine-checked against the tree.
+//! rules guard contracts whose substance the compiler checks, and deny
+//! only the way around it. `encode-coverage` denies a hand-written
+//! `impl … Encode for`: the `impl_encode_enum!` / `impl_encode_struct!`
+//! expansions are exhaustive, so a listing that skips a field (two states
+//! merged in the fingerprint visited set) does not build, and a
+//! hand-written impl is the one place a skipped field can still hide.
+//! `twin-drift` holds `docs/OBS.md`'s zero-cost-twin contract to its
+//! letter — beside every `fn foo_traced` a `fn foo` whose whole body is
+//! `foo_traced(…, &mut NoopTracer)` — which leaves only the signature to
+//! drift, and a drifted signature fails to build. Every rule reads
+//! [`crate::lex`]'s shadows; none parses items, types or signatures. The
+//! file-set-level `waiver-doc-sync` rule (in [`crate::walk`]) keeps the
+//! waiver inventory in `docs/LINTS.md` machine-checked against the tree.
 
-use crate::lex::{classify, waivers, ClassifiedLine, Waivers};
-use crate::parse::{parse_file, FieldsShape, FileItems, FnSig, TypeDef, TypeKind};
-use std::collections::BTreeMap;
+use crate::lex::{classify, is_ident_byte, waivers, ClassifiedLine, Waivers};
 
 /// The names of all ten rules, in reporting order.
 pub const RULE_NAMES: [&str; 10] = [
@@ -100,8 +102,9 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// `(rule, forbidden code patterns)` for the three determinism rules.
-const DET_PATTERNS: [(&str, &[&str]); 3] = [
+/// `(rule, forbidden code patterns)` for the rules that are a substring
+/// scan of the code shadow.
+const CODE_PATTERNS: [(&str, &[&str]); 4] = [
     ("det-order", &["HashMap", "HashSet"]),
     ("det-time", &["Instant::now", "SystemTime"]),
     (
@@ -115,9 +118,10 @@ const DET_PATTERNS: [(&str, &[&str]); 3] = [
             "env::args",
         ],
     ),
+    ("encode-coverage", &["Encode for"]),
 ];
 
-fn det_message(rule: &str, pattern: &str) -> String {
+fn pattern_message(rule: &str, pattern: &str) -> String {
     match rule {
         "det-order" => format!(
             "`{pattern}` iterates in hash order, which varies between runs and \
@@ -129,10 +133,17 @@ fn det_message(rule: &str, pattern: &str) -> String {
              model time explicitly (timed executors) or time the call from \
              outside, in the `ledger/` package"
         ),
-        _ => format!(
+        "det-ambient" => format!(
             "ambient authority `{pattern}` escapes the modeled schedule; all \
              nondeterminism must flow through the seeded `impossible-det` \
              adversary"
+        ),
+        _ => format!(
+            "hand-written `impl … {pattern}`: an encoder that skips a field \
+             merges distinct states in the fingerprint visited set, and \
+             nothing checks a hand-written one; list the fields through \
+             `impl_encode_struct!` / `impl_encode_enum!`, whose exhaustive \
+             expansion the compiler checks, or waive with a reason"
         ),
     }
 }
@@ -150,7 +161,7 @@ pub fn lint_rust_source(path: &str, src: &str, rules: &[&str]) -> Vec<Diagnostic
     let w = waivers(&lines);
     let mut out = Vec::new();
 
-    for (rule, patterns) in DET_PATTERNS {
+    for (rule, patterns) in CODE_PATTERNS {
         if !rules.contains(&rule) {
             continue;
         }
@@ -162,14 +173,8 @@ pub fn lint_rust_source(path: &str, src: &str, rules: &[&str]) -> Vec<Diagnostic
     if rules.contains(&"doc-cite") {
         scan_doc_citations(path, &lines, &w, &mut out);
     }
-    if rules.contains(&"encode-coverage") || rules.contains(&"twin-drift") {
-        let items = parse_file(&lines);
-        if rules.contains(&"encode-coverage") {
-            check_encode_coverage(path, &items, &w, &mut out);
-        }
-        if rules.contains(&"twin-drift") {
-            check_twin_drift(path, &items, &w, &mut out);
-        }
+    if rules.contains(&"twin-drift") {
+        scan_traced_twins(path, &lines, &w, &mut out);
     }
     out.sort();
     out
@@ -232,251 +237,113 @@ fn scan_float_types(
     }
 }
 
-/// `encode-coverage`: every field/variant of a locally-defined type with
-/// a hand-written `impl Encode` (or `impl_encode_enum!` listing) must be
-/// consumed by the impl.
+/// Byte offset of every `fn NAME`'s `NAME` in `code`, in source order.
+fn fn_names(code: &str) -> Vec<(&str, usize)> {
+    let b = code.as_bytes();
+    let mut out = Vec::new();
+    for (kw, _) in code.match_indices("fn") {
+        let after = &code[kw + 2..];
+        let at = kw + 2 + (after.len() - after.trim_start().len());
+        let len = b[at..].iter().take_while(|&&c| is_ident_byte(c)).count();
+        // Not `fn(` (a pointer type), `fn $name` (a macro) or `…fn` (an identifier).
+        if at > kw + 2 && len > 0 && (kw == 0 || !is_ident_byte(b[kw - 1])) {
+            out.push((&code[at..at + len], at));
+        }
+    }
+    out
+}
+
+/// Is the body of the fn whose signature continues at `sig` exactly
+/// `[self.]TRACED(…, &mut NoopTracer)`? Purely lexical: the body opens at
+/// the first `{` outside `(…)` / `[…]` (a `;` there first is a bodiless
+/// declaration), and with whitespace removed — strings, chars and comments
+/// are blank in the code shadow already — it must be that one call, its
+/// closing parenthesis directly before the fn's closing brace.
+fn delegates_to(sig: &str, traced: &str) -> bool {
+    let mut depth = 0i32;
+    let open = sig.bytes().position(|c| {
+        depth += matches!(c, b'(' | b'[') as i32 - matches!(c, b')' | b']') as i32;
+        depth == 0 && matches!(c, b'{' | b';')
+    });
+    let Some(open) = open.filter(|&o| sig.as_bytes()[o] == b'{') else {
+        return false;
+    };
+    let body: String = sig[open + 1..].split_whitespace().collect();
+    let call = body.strip_prefix("self.").unwrap_or(&body);
+    let Some(rest) = call.strip_prefix(traced).and_then(|r| r.strip_prefix('(')) else {
+        return false;
+    };
+    let mut depth = 1i32;
+    let Some(close) = rest.bytes().position(|c| {
+        depth += (c == b'(') as i32 - (c == b')') as i32;
+        depth == 0
+    }) else {
+        return false;
+    };
+    let args = rest[..close].strip_suffix(',').unwrap_or(&rest[..close]);
+    rest[close + 1..].starts_with('}')
+        && (args == "&mutNoopTracer" || args.ends_with(",&mutNoopTracer"))
+}
+
+/// `twin-drift`: for every `fn X_traced` the same file holds a `fn X`
+/// whose whole body is the single delegating call
+/// `[self.]X_traced(…, &mut NoopTracer)`; the k-th `fn X_traced` of a file
+/// pairs with its k-th `fn X`.
 ///
-/// A skipped field compiles silently but makes two states that differ
-/// only there fingerprint identically — the visited set then merges
-/// them, and every downstream witness, valence verdict, and lasso is
-/// built on an unsound state graph. A *missing enum variant* in
-/// `impl_encode_enum!` is worse still: the generated chained `if let`
-/// simply writes nothing for it, not even a tag.
-fn check_encode_coverage(
+/// The zero-cost-twin contract (`docs/OBS.md`) is that the untraced form
+/// *is* the traced form under the no-op tracer. A sibling with a body of
+/// its own can run something else than what the trace shows; a sibling
+/// that only delegates cannot, and whether its parameters and return type
+/// still fit the traced signature is the compiler's to say. An orphan is
+/// reported at the `_traced` name, a non-delegating sibling at its own.
+fn scan_traced_twins(
     path: &str,
-    items: &FileItems,
+    lines: &[ClassifiedLine],
     w: &Waivers,
     out: &mut Vec<Diagnostic>,
 ) {
-    // Local type definitions by name; names defined more than once in
-    // the file (e.g. test-local shadows) are ambiguous — skip those.
-    let mut defs: BTreeMap<&str, &TypeDef> = BTreeMap::new();
-    let mut dup: Vec<&str> = Vec::new();
-    for td in &items.types {
-        if defs.insert(td.name.as_str(), td).is_some() {
-            dup.push(td.name.as_str());
-        }
+    let mut code = String::new();
+    let mut starts = Vec::with_capacity(lines.len());
+    for l in lines {
+        starts.push(code.len());
+        code.push_str(&l.code);
+        code.push('\n');
     }
-    for name in dup {
-        defs.remove(name);
-    }
-
-    for im in &items.encode_impls {
-        let Some(def) = defs.get(im.type_name.as_str()) else {
-            continue; // type defined elsewhere (or ambiguous): out of scope
-        };
-        let mut missing: Vec<String> = Vec::new();
-        match &def.kind {
-            TypeKind::Struct(FieldsShape::Named(fields)) => {
-                for f in fields {
-                    if !im.body_idents.contains(f) {
-                        missing.push(format!("field `{f}`"));
-                    }
-                }
-            }
-            TypeKind::Struct(FieldsShape::Tuple(n)) => {
-                for idx in 0..*n {
-                    if !im.self_fields.contains(&idx.to_string()) {
-                        missing.push(format!("field `.{idx}`"));
-                    }
-                }
-            }
-            TypeKind::Struct(FieldsShape::Unit) => {}
-            TypeKind::Enum(variants) => {
-                for v in variants {
-                    if !im.body_idents.contains(&v.name) {
-                        missing.push(format!("variant `{}`", v.name));
-                        continue;
-                    }
-                    if let FieldsShape::Named(fields) = &v.shape {
-                        for f in fields {
-                            if !im.body_idents.contains(f) {
-                                missing.push(format!("field `{}::{f}`", v.name));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !missing.is_empty() && !w.allows(im.line, "encode-coverage") {
-            out.push(Diagnostic {
-                path: path.to_string(),
-                line: im.line,
-                col: im.col,
-                rule: "encode-coverage",
-                message: format!(
-                    "`impl Encode for {}` does not consume {}: states \
-                     differing only there fingerprint identically, silently \
-                     merging distinct states in the visited set (collision \
-                     soundness hole); encode it or waive with a reason",
-                    im.type_name,
-                    missing.join(", "),
-                ),
-            });
-        }
-    }
-
-    for mac in &items.encode_macros {
-        let Some(def) = defs.get(mac.type_name.as_str()) else {
+    let fns = fn_names(&code);
+    for (k, &(traced, traced_at)) in fns.iter().enumerate() {
+        let Some(base) = traced.strip_suffix("_traced").filter(|b| !b.is_empty()) else {
             continue;
         };
-        let TypeKind::Enum(variants) = &def.kind else {
-            continue;
-        };
-        let listed: Vec<&str> = mac.entries.iter().map(|e| e.variant.as_str()).collect();
-        let missing: Vec<String> = variants
-            .iter()
-            .filter(|v| !listed.contains(&v.name.as_str()))
-            .map(|v| format!("`{}`", v.name))
-            .collect();
-        if !missing.is_empty() && !w.allows(mac.line, "encode-coverage") {
-            out.push(Diagnostic {
-                path: path.to_string(),
-                line: mac.line,
-                col: mac.col,
-                rule: "encode-coverage",
-                message: format!(
-                    "`impl_encode_enum!({} …)` is missing variant{} {}: the \
-                     generated encoder writes *nothing* (not even a tag) for \
-                     an unlisted variant, so such values collide with every \
-                     other state (fingerprint soundness hole); list every \
-                     variant with a distinct tag",
-                    mac.type_name,
-                    if missing.len() == 1 { "" } else { "s" },
-                    missing.join(", "),
+        let nth = fns[..k].iter().filter(|f| f.0 == traced).count();
+        let (at, message) = match fns.iter().filter(|f| f.0 == base).nth(nth) {
+            None => (
+                traced_at,
+                format!(
+                    "`{traced}` has no untraced twin `fn {base}` in this file; \
+                     the zero-cost-twin contract (docs/OBS.md) wants \
+                     `fn {base}(…) {{ {traced}(…, &mut NoopTracer) }}` beside it"
                 ),
-            });
-        }
-        // Duplicate tags un-prefix the variant encodings just as badly.
-        let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
-        for e in &mac.entries {
-            if let Some(prev) = seen.insert(e.tag.as_str(), e.variant.as_str()) {
-                if !w.allows(mac.line, "encode-coverage") {
-                    out.push(Diagnostic {
-                        path: path.to_string(),
-                        line: mac.line,
-                        col: mac.col,
-                        rule: "encode-coverage",
-                        message: format!(
-                            "`impl_encode_enum!({} …)` assigns tag `{}` to both \
-                             `{prev}` and `{}`: the tag is the only thing \
-                             separating variant encodings, so duplicates merge \
-                             the two variants' fingerprints",
-                            mac.type_name, e.tag, e.variant,
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// `twin-drift`: every `foo_traced` must have an untraced sibling `foo`
-/// (same impl block / same file scope) whose signature matches modulo
-/// the tracer parameter.
-///
-/// The zero-cost-twin contract (`docs/OBS.md`) is what lets callers mix
-/// traced and untraced paths and expect identical behaviour; a drifted
-/// twin means the untraced wrapper silently runs something else than
-/// what the trace shows.
-fn check_twin_drift(path: &str, items: &FileItems, w: &Waivers, out: &mut Vec<Diagnostic>) {
-    let mut deny = |f: &FnSig, msg: String| {
-        if !w.allows(f.line, "twin-drift") {
+            ),
+            Some(&(_, at)) if !delegates_to(&code[at..], traced) => (
+                at,
+                format!(
+                    "`{base}` is not the single delegating call \
+                     `{traced}(…, &mut NoopTracer)`: an untraced twin with a \
+                     body of its own can run something else than what the \
+                     trace shows (docs/OBS.md); delegate, or waive with a reason"
+                ),
+            ),
+            Some(_) => continue,
+        };
+        let line = starts.partition_point(|&s| s <= at);
+        if !w.allows(line, "twin-drift") {
             out.push(Diagnostic {
                 path: path.to_string(),
-                line: f.line,
-                col: f.col,
+                line,
+                col: at - starts[line - 1] + 1,
                 rule: "twin-drift",
-                message: msg,
+                message,
             });
-        }
-    };
-    for f in &items.fns {
-        let Some(base) = f.name.strip_suffix("_traced").filter(|b| !b.is_empty()) else {
-            continue;
-        };
-        let Some(twin) = items
-            .fns
-            .iter()
-            .find(|t| t.name == base && t.owner == f.owner)
-        else {
-            deny(
-                f,
-                format!(
-                    "`{}` has no untraced twin `{base}` in the same scope; the \
-                     zero-cost-twin contract (docs/OBS.md) requires an untraced \
-                     sibling whose signature matches modulo the tracer parameter",
-                    f.name,
-                ),
-            );
-            continue;
-        };
-        let reduced: Vec<&(String, String)> = f
-            .params
-            .iter()
-            .filter(|(_, ty)| !ty.contains("Tracer"))
-            .collect();
-        if reduced.len() == f.params.len() {
-            deny(
-                f,
-                format!(
-                    "`{}` has no tracer parameter: a `_traced` twin must take \
-                     a `&mut dyn Tracer` (or equivalent) that `{base}` omits",
-                    f.name,
-                ),
-            );
-            continue;
-        }
-        let drift = if f.receiver != twin.receiver {
-            Some(format!(
-                "receiver is `{}` but `{base}` takes `{}`",
-                f.receiver, twin.receiver,
-            ))
-        } else if f.generics != twin.generics {
-            Some(format!(
-                "generics are `{}` but `{base}` has `{}`",
-                f.generics, twin.generics,
-            ))
-        } else if f.ret != twin.ret {
-            Some(format!(
-                "returns `{}` but `{base}` returns `{}`",
-                f.ret, twin.ret,
-            ))
-        } else if f.where_clause != twin.where_clause {
-            Some(format!(
-                "`where` clause `{}` differs from `{base}`'s `{}`",
-                f.where_clause, twin.where_clause,
-            ))
-        } else if reduced.len() != twin.params.len() {
-            Some(format!(
-                "takes {} non-tracer parameter{} but `{base}` takes {}",
-                reduced.len(),
-                if reduced.len() == 1 { "" } else { "s" },
-                twin.params.len(),
-            ))
-        } else {
-            reduced
-                .iter()
-                .zip(&twin.params)
-                .enumerate()
-                .find(|(_, (a, b))| *a != b)
-                .map(|(k, ((an, at), (bn, bt)))| {
-                    format!(
-                        "parameter {} is `{an}: {at}` but `{base}` has `{bn}: {bt}`",
-                        k + 1,
-                    )
-                })
-        };
-        if let Some(what) = drift {
-            deny(
-                f,
-                format!(
-                    "`{}` drifts from its untraced twin `{base}`: {what}; the \
-                     twins must stay signature-identical modulo the tracer \
-                     parameter (docs/OBS.md)",
-                    f.name,
-                ),
-            );
         }
     }
 }
@@ -503,7 +370,7 @@ fn scan_code_patterns(
                     line: lineno,
                     col: col + 1,
                     rule,
-                    message: det_message(rule, pattern),
+                    message: pattern_message(rule, pattern),
                 });
             }
         }

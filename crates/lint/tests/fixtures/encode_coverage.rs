@@ -4,39 +4,23 @@ pub struct Pair {
 }
 impl Encode for Pair {
     fn encode(&self, h: &mut FpHasher) {
-        h.write_u32(self.a);
+        self.a.encode(h);
+        debug_assert!(self.b < 10);
     }
 }
-pub struct Tup(u8, u16);
-impl Encode for Tup {
-    fn encode(&self, h: &mut FpHasher) {
-        h.write_u8(self.0);
-    }
-}
-pub enum Mode {
-    Off,
-    On { level: u8 },
-}
-impl Encode for Mode {
-    fn encode(&self, h: &mut FpHasher) {
-        if let Mode::On { level } = self {
-            h.write_u8(*level);
-        }
-    }
+impl<L: Encode> impossible_explore::Encode for super::Wrapper<L> {
+    fn encode(&self, _h: &mut FpHasher) {}
 }
 // LINT-ALLOW: encode-coverage -- fixture: deliberately blind, waived
 impl Encode for Waived {
     fn encode(&self, _h: &mut FpHasher) {}
 }
-pub struct Waived {
-    z: u8,
-}
-pub enum Tag {
-    A,
-    B,
-    C,
-}
+impl_encode_struct!(Listed { a, b });
 impl_encode_enum!(Tag {
     0: A,
-    0: B,
+    1: B { x },
 });
+pub fn prose() -> &'static str {
+    // impl Encode for Comment is prose, not code
+    "impl Encode for Str is data, not code"
+}

@@ -164,36 +164,63 @@ fn det_float_scope_is_engine_crates_minus_continuous_subjects() {
 }
 
 #[test]
-fn encode_coverage_audits_fields_variants_and_macro_listings() {
+fn encode_coverage_denies_hand_written_impls_only() {
     let src = include_str!("fixtures/encode_coverage.rs");
     let d = lint_rust_source("fixtures/encode_coverage.rs", src, &["encode-coverage"]);
-    // `Pair` skips a named field, `Tup` skips `.1`, `Mode` never matches
-    // `Off`, and the `Tag` macro both duplicates a tag and omits `C`.
-    // The blind `Waived` impl (line 28) is covered by the waiver above it.
-    assert_eq!(
-        positions(&d),
-        vec![(5, 17), (11, 17), (20, 17), (39, 19), (39, 19)]
-    );
+    // Line 5: `Pair`'s impl names `b` in a `debug_assert!` and drops it —
+    // what an identifier-occurrence audit let through. Line 11: an impl
+    // for a type defined in another file. Neither is examined: a
+    // hand-written impl is denied wherever it stands. The waived impl
+    // (line 15), the two macro listings (18, 19), the comment (24) and
+    // the string (25) stay silent.
+    assert_eq!(positions(&d), vec![(5, 6), (11, 37)]);
     assert!(d.iter().all(|d| d.rule == "encode-coverage"));
-    assert!(d[0].message.contains("field `b`"));
-    assert!(d[1].message.contains("field `.1`"));
-    assert!(d[2].message.contains("variant `Off`"));
-    // The two macro findings sort by message: duplicate tag first.
-    assert!(d[3].message.contains("tag `0`"));
-    assert!(d[4].message.contains("missing variant `C`"));
+    assert!(d[0].message.contains("impl_encode_struct!"));
+    // The encoding's definition site is the one structural exemption.
+    let path = "crates/explore/src/fingerprint.rs";
+    assert!(lint_rust_source(path, src, &rules_for(path))
+        .iter()
+        .all(|d| d.rule != "encode-coverage"));
 }
 
 #[test]
-fn twin_drift_catches_orphans_missing_tracers_and_signature_drift() {
+fn twin_drift_wants_a_delegating_sibling_for_every_traced_fn() {
     let src = include_str!("fixtures/twin_drift.rs");
     let d = lint_rust_source("fixtures/twin_drift.rs", src, &["twin-drift"]);
-    // `run`/`run_traced` match modulo the tracer and stay silent; the
-    // waived orphan on line 23 is covered by the comment above it.
-    assert_eq!(positions(&d), vec![(7, 8), (13, 8), (19, 8)]);
+    // Both `run` / `run_traced` pairs delegate (the second `run` pairs
+    // with the second `run_traced`; its call is spread over lines with a
+    // trailing comma) and stay silent, and the waived orphan on line 24
+    // is covered by the comment above it. The orphan is reported at the
+    // `_traced` name; a sibling that does not delegate — its own body
+    // (10), work after the call (16), two calls (38), a bodiless
+    // declaration that must not borrow the next fn's body (45) — at its own.
+    // `fn $name_traced` in a macro and the `fn(u32)` pointer type (51) name
+    // no fn and stay silent.
+    assert_eq!(positions(&d), vec![(7, 8), (10, 8), (16, 8), (38, 8), (45, 8)]);
     assert!(d.iter().all(|d| d.rule == "twin-drift"));
-    assert!(d[0].message.contains("no untraced twin `orphan`"));
-    assert!(d[1].message.contains("no tracer parameter"));
-    assert!(d[2].message.contains("returns `u64` but `drift` returns `u32`"));
+    assert!(d[0].message.contains("no untraced twin `fn orphan`"));
+    for (k, base) in [(1, "own_body"), (2, "more_work"), (3, "twice"), (4, "step")] {
+        let want = format!("`{base}` is not the single delegating call `{base}_traced(");
+        assert!(d[k].message.contains(&want), "{}", d[k].message);
+    }
+}
+
+#[test]
+fn live_twins_are_load_bearing_for_twin_drift() {
+    // The rule is not vacuous on the tree: a live file with two same-named
+    // pairs passes as written, and giving one untraced twin a body of its
+    // own — same signature, so it would still build — re-arms it.
+    let path = "crates/election/src/ring.rs";
+    let src = include_str!("../../election/src/ring.rs");
+    assert!(lint_rust_source(path, src, &["twin-drift"]).is_empty());
+    let drifted = src.replacen(
+        "self.run_traced(max_rounds, &mut NoopTracer)",
+        "self.run_traced(max_rounds.min(1), &mut NoopTracer); unreachable!()",
+        1,
+    );
+    let d = lint_rust_source(path, &drifted, &["twin-drift"]);
+    assert_eq!(d.len(), 1, "{d:?}");
+    assert!(d[0].message.contains("`run` is not the single delegating call"));
 }
 
 #[test]
@@ -300,9 +327,9 @@ fn verify_script_invokes_the_linter() {
         script.contains("-p impossible-lint") && script.contains("--deny-all"),
         "scripts/verify.sh no longer runs `impossible-lint --deny-all`"
     );
-    // The gate self-checks that the item-aware rules are actually wired
-    // into the binary it runs (via `--help`), and guards the ledger check
-    // on its OK marker instead of trusting the exit code alone.
+    // The gate self-checks that the newest rules are actually wired into
+    // the binary it runs (via `--help`), and guards the ledger check on
+    // its OK marker instead of trusting the exit code alone.
     for rule in ["det-float", "encode-coverage", "twin-drift", "waiver-doc-sync"] {
         assert!(
             script.contains(rule),

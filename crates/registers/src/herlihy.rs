@@ -18,7 +18,7 @@
 
 use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
-use impossible_explore::{Encode, FpHasher, Search};
+use impossible_explore::{Encode, Search};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -321,12 +321,7 @@ pub enum SimpleLocal {
     },
 }
 
-impl<L: Encode> Encode for ObjState<L> {
-    fn encode(&self, h: &mut FpHasher) {
-        self.locals.encode(h);
-        self.objects.encode(h);
-    }
-}
+impossible_explore::impl_encode_struct!(ObjState<L> { locals, objects });
 
 impossible_explore::impl_encode_enum!(SimpleLocal {
     0: WriteOwn { input },

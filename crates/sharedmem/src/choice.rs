@@ -20,7 +20,7 @@
 use impossible_core::ids::ProcessId;
 use impossible_core::system::System;
 use impossible_det::DetRng;
-use impossible_explore::{Encode, FpHasher, Search};
+use impossible_explore::Search;
 
 /// Sentinel for a marked board.
 pub const MARK: u64 = u64::MAX;
@@ -45,20 +45,8 @@ pub struct ChoiceState {
     pub locals: Vec<ChoiceLocal>,
 }
 
-impl Encode for ChoiceLocal {
-    fn encode(&self, h: &mut FpHasher) {
-        self.board.encode(h);
-        self.count.encode(h);
-        self.decided.encode(h);
-    }
-}
-
-impl Encode for ChoiceState {
-    fn encode(&self, h: &mut FpHasher) {
-        self.boards.encode(h);
-        self.locals.encode(h);
-    }
-}
+impossible_explore::impl_encode_struct!(ChoiceLocal { board, count, decided });
+impossible_explore::impl_encode_struct!(ChoiceState { boards, locals });
 
 /// One step of a process; `coin` is meaningful only when the protocol
 /// actually flips (the `v == c` case) — the scheduler-adversary chooses the

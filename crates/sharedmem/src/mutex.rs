@@ -99,12 +99,7 @@ pub struct MutexState<L> {
     pub vars: Vec<u64>,
 }
 
-impl<L: impossible_explore::Encode> impossible_explore::Encode for MutexState<L> {
-    fn encode(&self, h: &mut impossible_explore::FpHasher) {
-        self.locals.encode(h);
-        self.vars.encode(h);
-    }
-}
+impossible_explore::impl_encode_struct!(MutexState<L> { locals, vars });
 
 /// Canonicalization hook for **process-symmetric** algorithms: permuting
 /// process indices is a system automorphism whenever every process runs

@@ -18,7 +18,7 @@ cargo build --release --offline --workspace
 
 echo "== impossible-lint (determinism & soundness, deny-all) =="
 # Self-check: the gate must be running the full ten-rule analyzer (the
-# item-aware rules included), not a stale binary with fewer rules.
+# newest rules included), not a stale binary with fewer rules.
 lint_help="$(cargo run -q -p impossible-lint --release --offline -- --help)"
 for rule in det-float encode-coverage twin-drift waiver-doc-sync; do
     if ! printf '%s' "$lint_help" | grep -q "$rule"; then
@@ -109,9 +109,13 @@ if ! printf '%s' "$unknown_err" | grep -q 'unknown dump target `no-such-target`'
 fi
 echo "trace smoke: OK (5 targets identical on rerun; unknown target refused)"
 
-echo "== experiments smoke (the paper-facing artefact: every id, deterministic) =="
+echo "== experiments smoke (the paper-facing artefact: every id, deterministic, pinned) =="
 # All 26 experiments (F1–F3, E1–E23), twice: the regenerated figures and
-# tables must be byte-identical on rerun, and none may go missing.
+# tables must be byte-identical on rerun, none may go missing, and the
+# bytes must be the pinned ones — which shortest witness a search returns
+# depends on fingerprint order, so a change to an encoding, the hash or
+# the level merge shows here without a parent build to diff against.
+experiments_sha256=65e7e43f3fdeeb95f45c67f9f3dcfc52a80c04788d3ddd371b42d155bde32cc8
 ./target/release/experiments > "$check_tmp/experiments_a.txt"
 ./target/release/experiments > "$check_tmp/experiments_b.txt"
 if ! cmp -s "$check_tmp/experiments_a.txt" "$check_tmp/experiments_b.txt"; then
@@ -124,7 +128,15 @@ if [ "$experiment_headers" != 26 ]; then
     echo "error: experiments printed $experiment_headers experiment headers, expected 26" >&2
     exit 1
 fi
-echo "experiments smoke: OK (26 experiments, identical on rerun)"
+experiments_got="$(sha256sum < "$check_tmp/experiments_a.txt" | cut -d' ' -f1)"
+if [ "$experiments_got" != "$experiments_sha256" ]; then
+    echo "error: experiments stdout moved: sha256 $experiments_got, pinned $experiments_sha256" >&2
+    echo "  to see what moved, build the parent commit in a second checkout and run" >&2
+    echo "    diff <(path/to/parent/target/release/experiments) <(./target/release/experiments)" >&2
+    echo "  if the new output is intended, update experiments_sha256 in scripts/verify.sh" >&2
+    exit 1
+fi
+echo "experiments smoke: OK (26 experiments, identical on rerun, sha256 pinned)"
 
 echo "== performance ledger --check (public API + every verdict and count) =="
 # The ledger is its own package compiled against the engines' public API;

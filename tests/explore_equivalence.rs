@@ -9,14 +9,60 @@
 //! state count, transition count, the terminal set (sorted), the truncation
 //! verdict, and — for predicate searches — the *length* of the shortest
 //! witness.
+//!
+//! The same walk pins the *encodings*: every state type that implements
+//! `Encode` through `impl_encode_enum!` / `impl_encode_struct!` is reached
+//! by one of the systems below (the table is in `CHANGES.md`, PR 18), and
+//! the `DEFAULT_SEED` fingerprints of `graph().order` — sequential BFS
+//! discovery order, which does not depend on fingerprints — are folded into
+//! one checksum per system. A change to either macro's expansion, or to a
+//! listing's field order, that moves a single word of a single state's
+//! encoding fails here without a parent build to diff against. The pinned
+//! values were computed at the commit before the macros were rewritten.
 
 use impossible::core::explore::Explorer;
 use impossible::core::system::System;
-use impossible::explore::{BatchScratch, Encode, Fingerprint, Search, DEFAULT_SEED};
+use impossible::explore::{BatchScratch, Encode, Fingerprint, FpHasher, Search, DEFAULT_SEED};
 use std::collections::BTreeSet;
 
-/// Explore `sys` with both engines and pin the order-independent facts.
-fn assert_full_equivalence<Sys>(sys: &Sys, max_states: usize)
+/// Pin `sys`'s encodings: batch == scalar fingerprints on the first
+/// `max_states` states in BFS order, no two states share one, their
+/// `DEFAULT_SEED` fingerprints fold to `pinned`, and a collision-audited
+/// exploration of the same prefix (full states kept beside the
+/// fingerprints, panic on a genuine collision) runs clean.
+fn assert_encoding_pinned<Sys>(sys: &Sys, max_states: usize, pinned: u64)
+where
+    Sys: System,
+    Sys::State: Encode,
+{
+    // Every engine fingerprints through `BatchScratch`: on this model's
+    // real states it must equal the scalar reference item for item, and
+    // distinct states must get distinct fingerprints.
+    let states = Search::new(sys).max_states(max_states).graph().order;
+    for seed in [DEFAULT_SEED, 7] {
+        let scalar: Vec<u64> = states.iter().map(|s| s.fingerprint(seed)).collect();
+        let mut batch = BatchScratch::new(seed);
+        assert_eq!(batch.fingerprints(states.iter()), &scalar[..], "seed={seed}");
+        if seed == DEFAULT_SEED {
+            let mut sum = FpHasher::new(0);
+            scalar.iter().for_each(|&fp| sum.write_u64(fp));
+            let sum = sum.finish();
+            let n = states.len();
+            assert_eq!(sum, pinned, "encoding moved: {n} states fold to {sum:#018x}");
+        }
+        let distinct: BTreeSet<u64> = scalar.into_iter().collect();
+        assert_eq!(distinct.len(), states.len(), "collision under seed={seed}");
+    }
+    let audited = Search::new(sys)
+        .max_states(max_states)
+        .collision_audit(true)
+        .explore();
+    assert_eq!(audited.num_states, states.len());
+}
+
+/// Explore `sys` with both engines and pin the order-independent facts,
+/// then the encodings ([`assert_encoding_pinned`]).
+fn assert_full_equivalence<Sys>(sys: &Sys, max_states: usize, pinned: u64)
 where
     Sys: System,
     Sys::State: Encode,
@@ -31,17 +77,7 @@ where
     lt.sort();
     nt.sort();
     assert_eq!(nt, lt, "terminal sets differ");
-    // Every engine fingerprints through `BatchScratch`: on this model's
-    // real states it must equal the scalar reference item for item, and
-    // distinct states must get distinct fingerprints.
-    let states = Search::new(sys).max_states(max_states).graph().order;
-    for seed in [DEFAULT_SEED, 7] {
-        let scalar: Vec<u64> = states.iter().map(|s| s.fingerprint(seed)).collect();
-        let mut batch = BatchScratch::new(seed);
-        assert_eq!(batch.fingerprints(states.iter()), &scalar[..], "seed={seed}");
-        let distinct: BTreeSet<u64> = scalar.into_iter().collect();
-        assert_eq!(distinct.len(), states.len(), "collision under seed={seed}");
-    }
+    assert_encoding_pinned(sys, max_states, pinned);
 }
 
 /// Search both engines for `pred`; shortest-witness lengths must agree.
@@ -60,13 +96,23 @@ where
     );
 }
 
+/// [`assert_full_equivalence`] on `alg`'s (bounded) `MutexSystem`.
+fn assert_mutex_equivalence<A>(alg: &A, pinned: u64)
+where
+    A: impossible::sharedmem::mutex::MutexAlgorithm,
+    A::Local: Encode,
+{
+    use impossible::sharedmem::mutex::MutexSystem;
+    assert_full_equivalence(&MutexSystem::new(alg), 100_000, pinned);
+}
+
 #[test]
 fn sharedmem_tas_lock_agrees() {
     use impossible::sharedmem::algorithms::tas_lock::TasLock;
     use impossible::sharedmem::mutex::MutexSystem;
     let alg = TasLock::new(2);
     let sys = MutexSystem::new(&alg);
-    assert_full_equivalence(&sys, 100_000);
+    assert_full_equivalence(&sys, 100_000, 0xd069_8ca7_2e99_a858);
     assert_search_equivalence(&sys, 100_000, |s| {
         s.locals
             .iter()
@@ -81,7 +127,7 @@ fn msgpass_flood_agrees() {
     use impossible::msgpass::flood::FloodSystem;
     use impossible::msgpass::topology::Topology;
     let sys = FloodSystem::new(Topology::mesh(2, 3), 0);
-    assert_full_equivalence(&sys, 100_000);
+    assert_full_equivalence(&sys, 100_000, 0x051a_24d0_8205_3a62);
     assert_search_equivalence(&sys, 100_000, |s| s.iter().all(|&b| b));
 }
 
@@ -90,7 +136,7 @@ fn consensus_flp_arbiter_agrees() {
     use impossible::consensus::flp::{Arbiter, FlpSystem};
     let candidate = Arbiter::new(2);
     let sys = FlpSystem::all_binary(&candidate);
-    assert_full_equivalence(&sys, 200_000);
+    assert_full_equivalence(&sys, 200_000, 0x27a0_096d_19e6_3e84);
     assert_search_equivalence(&sys, 200_000, |s| {
         s.locals.iter().all(|l| format!("{l:?}").contains("Some"))
     });
@@ -100,7 +146,7 @@ fn consensus_flp_arbiter_agrees() {
 fn election_token_ring_agrees() {
     use impossible::election::ring_search::TokenRing;
     let sys = TokenRing { n: 5 };
-    assert_full_equivalence(&sys, 100_000);
+    assert_full_equivalence(&sys, 100_000, 0x7d6b_8e8c_19cc_61ca);
     assert_search_equivalence(&sys, 100_000, |s| {
         s.iter().filter(|&&b| b == 1).count() == 1
     });
@@ -110,8 +156,85 @@ fn election_token_ring_agrees() {
 fn datalink_abp_agrees() {
     use impossible::datalink::abp_search::AbpSearchSystem;
     let sys = AbpSearchSystem::new(2, 2);
-    assert_full_equivalence(&sys, 200_000);
+    assert_full_equivalence(&sys, 200_000, 0xc2ec_0118_65f3_f11d);
     assert_search_equivalence(&sys, 200_000, |s| s.delivered == 2);
+}
+
+#[test]
+fn sharedmem_every_algorithm_module_is_pinned() {
+    // One `MutexSystem` per module of `sharedmem::algorithms` (TAS is
+    // above): eight `*Local` enums through `impl_encode_enum!`, each under
+    // `MutexState<L>`. Bakery's tickets are unbounded, so it is capped and
+    // only its encodings are pinned.
+    use impossible::sharedmem::algorithms::{
+        bakery::Bakery,
+        broken::{OwnerOverwrite, SingleFlag},
+        dijkstra::Dijkstra,
+        handoff::HandoffLock,
+        one_bit::OneBit,
+        peterson::Peterson2,
+    };
+    use impossible::sharedmem::mutex::MutexSystem;
+    assert_mutex_equivalence(&Peterson2::new(), 0x5a08_e778_02b1_ab1e);
+    assert_mutex_equivalence(&OwnerOverwrite::new(2), 0x8966_69d0_508a_588e);
+    assert_mutex_equivalence(&SingleFlag::new(2), 0xbddb_53f2_cb16_2dc1);
+    assert_mutex_equivalence(&HandoffLock::new(), 0x9b93_03c3_f1f0_d86d);
+    assert_mutex_equivalence(&Dijkstra::new(2), 0x2eb1_577e_c2de_8a17);
+    assert_mutex_equivalence(&OneBit::new(3), 0xb432_287b_9e6b_3a7a);
+    let bakery = Bakery::new(2);
+    assert_encoding_pinned(&MutexSystem::new(&bakery), 5_000, 0xaace_0557_5888_b818);
+}
+
+#[test]
+fn sharedmem_remaining_state_types_are_pinned() {
+    // The `MutexAlgorithm`s outside `algorithms/` and the one sharedmem
+    // `System` that is not a `MutexSystem`.
+    use impossible::sharedmem::choice::ChoiceSystem;
+    use impossible::sharedmem::kexclusion::CounterSemaphore;
+    use impossible::sharedmem::rw_lowerbound::TwoVarThree;
+    use impossible::sharedmem::synthesis::SynthProtocol;
+    assert_mutex_equivalence(&CounterSemaphore::new(3, 2), 0xcc1c_a665_1a89_a8cf);
+    assert_mutex_equivalence(&TwoVarThree, 0x9e01_3ac8_8fdb_ac6a);
+    // Spin on a held lock, exit frees it: walks all four `SynthLocal`s.
+    let spin = SynthProtocol {
+        k: 1,
+        v: 2,
+        table: vec![(1, 1), (0, 1)],
+        exit_write: vec![0, 0],
+        init_value: 0,
+    };
+    assert_mutex_equivalence(&spin, 0xb982_8f4c_a41d_30ed);
+    // Board counts grow without bound: capped, encodings only.
+    assert_encoding_pinned(&ChoiceSystem::new(vec![0, 1, 0]), 5_000, 0x2fe8_ad7d_6825_4fb1);
+}
+
+#[test]
+fn consensus_quorum_and_wait_for_all_are_pinned() {
+    use impossible::consensus::flp::{FlpSystem, WaitForAll};
+    use impossible::consensus::quorum::QuorumVote;
+    let quorum = QuorumVote::new(3);
+    assert_full_equivalence(&FlpSystem::all_binary(&quorum), 100_000, 0x89a4_fe82_8e0b_1509);
+    let wait = WaitForAll::new(2);
+    assert_full_equivalence(&FlpSystem::all_binary(&wait), 100_000, 0x72e6_b585_6c03_11ee);
+}
+
+#[test]
+fn registers_object_systems_agree() {
+    // `registers` is the one model crate whose `System` this suite used to
+    // skip: `ObjState<L>` over each of Herlihy's three local-state enums.
+    use impossible::registers::herlihy::{
+        CasConsensus, ObjectSystem, TasConsensus2, TasConsensus3,
+    };
+    let cas = CasConsensus::new(2);
+    let sys = ObjectSystem::all_binary(&cas);
+    assert_full_equivalence(&sys, 100_000, 0x453d_048e_4dcb_0677);
+    assert_search_equivalence(&sys, 100_000, |s| {
+        s.locals.iter().all(|l| format!("{l:?}").contains("Done"))
+    });
+    let tas2 = ObjectSystem::all_binary(&TasConsensus2);
+    assert_full_equivalence(&tas2, 100_000, 0xfbde_f721_49a3_0805);
+    let tas3 = ObjectSystem::all_binary(&TasConsensus3);
+    assert_full_equivalence(&tas3, 100_000, 0xb831_6b2a_a2bf_c768);
 }
 
 #[test]
