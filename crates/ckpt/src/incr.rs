@@ -94,6 +94,10 @@ where
         self.base.step(state, action)
     }
 
+    fn step_into(&self, state: &Self::State, action: &Self::Action, out: &mut Self::State) {
+        self.base.step_into(state, action, out)
+    }
+
     fn owner(&self, action: &Self::Action) -> Option<ProcessId> {
         self.base.owner(action)
     }
@@ -177,9 +181,11 @@ where
     // The exact-graph builder's own traversal; only where each state's
     // `(action, child)` sequence comes from differs, and on clean states
     // the two sources agree by the `dirty` over-approximation contract.
+    // The builder's spare pool is left alone: most children here are clones
+    // spliced from the old graph, not steps.
     let g = Search::new(sys)
         .max_states(max_states)
-        .graph_from(|state, children| match old_index.get(state) {
+        .graph_from(|state, children, _spares| match old_index.get(state) {
             Some(&oi) if reuse_ok && !dirty(state) => {
                 stats.reused += 1;
                 children.extend(

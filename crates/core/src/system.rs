@@ -49,6 +49,34 @@ pub trait System {
     /// the engines only ever apply enabled actions.
     fn step(&self, state: &Self::State, action: &Self::Action) -> Self::State;
 
+    /// [`System::step`] into storage the caller already owns: `out` may hold
+    /// **any** value of the state type on entry — a stale successor of some
+    /// other state, a state of a different shape (shorter or longer `Vec`s),
+    /// anything — and must be `==` to `self.step(state, action)` on return.
+    /// Nothing else about `out` may be observed.
+    ///
+    /// The one caller is the search engines' successor-generation step
+    /// (`impossible_explore`'s `Search::stage_successors`): three of four
+    /// successors of a typical space are duplicates the visited set rejects
+    /// at once, and the engines hand those rejected states back here instead
+    /// of freeing them, so a model that overwrites `out` in place
+    /// (`clone_from` field by field, then its transition) never touches the
+    /// allocator on the duplicate path. The default simply assigns, which
+    /// is exactly `step`'s cost; overriding is an optimisation, never a
+    /// requirement, and the engines do not ask which a model does.
+    ///
+    /// A model that overrides keeps **one** transition body: a private
+    /// `apply(state, action, next)` that assumes `next == state`, called by
+    /// `step` after `state.clone()` and by `step_into` after a reusing
+    /// `clone_from` (note that `#[derive(Clone)]` does not generate one — a
+    /// derived `clone_from` reallocates every field, so a struct state
+    /// calls `clone_from` on its fields). `tests/explore_equivalence.rs`
+    /// checks every overriding model against `step` over its reachable
+    /// space, from junk of every shape.
+    fn step_into(&self, state: &Self::State, action: &Self::Action, out: &mut Self::State) {
+        *out = self.step(state, action);
+    }
+
     /// The process controlling `action`, if any.
     ///
     /// Actions owned by the environment (e.g. a message loss chosen by a

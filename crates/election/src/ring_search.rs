@@ -48,9 +48,21 @@ impl System for TokenRing {
 
     fn step(&self, s: &Vec<u8>, &i: &usize) -> Vec<u8> {
         let mut t = s.clone();
-        t[i] = 0;
-        t[(i + 1) % self.n] = 1; // merge: target may already hold one
+        self.apply(i, &mut t);
         t
+    }
+
+    fn step_into(&self, s: &Vec<u8>, &i: &usize, out: &mut Vec<u8>) {
+        out.clone_from(s);
+        self.apply(i, out);
+    }
+}
+
+impl TokenRing {
+    /// The transition body, on `next ==` the pre-state.
+    fn apply(&self, i: usize, next: &mut [u8]) {
+        next[i] = 0;
+        next[(i + 1) % self.n] = 1; // merge: target may already hold one
     }
 }
 
@@ -120,6 +132,10 @@ impl System for GreedyMergeRing {
 
     fn step(&self, s: &Vec<u8>, i: &usize) -> Vec<u8> {
         TokenRing { n: self.n }.step(s, i)
+    }
+
+    fn step_into(&self, s: &Vec<u8>, i: &usize, out: &mut Vec<u8>) {
+        TokenRing { n: self.n }.step_into(s, i, out)
     }
 }
 

@@ -435,9 +435,14 @@ where
     // Phase A — generate the partition's children in traversal order
     // (frontier order, in-state action order), staged for the batch.
     let mut pending: Vec<(Sys::State, Sys::Action, u64)> = Vec::new();
+    // `stage_successors`' spare pool, local to this item. Only a canon hook
+    // feeds it (the pre-canon state, taken back by the next step): the
+    // children are judged in pass 2, on other threads, which drops the
+    // rejected ones where it finds them.
+    let mut spares: Vec<Sys::State> = Vec::new();
     for (pfp, s) in part {
         let stage = |tc, a| pending.push((tc, a, *pfp));
-        if !search.stage_successors(s, |_| true, &mut rec.canon_hits, stage) {
+        if !search.stage_successors(s, |_| true, &mut rec.canon_hits, &mut spares, stage) {
             rec.terminals.push(s.clone());
         }
     }

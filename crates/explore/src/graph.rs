@@ -20,12 +20,17 @@
 //! leaves to its caller is the successor *source*, a closure that stages a
 //! state's `(action, child)` batch in action order. [`Search::graph`] and
 //! [`Search::graph_filtered`] source it from `Search::stage_successors`
-//! (`enabled → step → canon`, the step every search route shares);
-//! `ckpt::incr` sources it from an older graph's successor lists wherever
-//! the model edit left a state clean. Roots are canonised by the loop;
-//! children are interned exactly as the closure hands them over, so in
-//! `graph_from` the canon hook is the closure's business. The closure is a
-//! generic parameter — monomorphised into the loop, never `dyn`.
+//! (`enabled → step_into(spare) | step → canon`, the step every search
+//! route shares); `ckpt::incr` sources it from an older graph's successor
+//! lists wherever the model edit left a state clean. Roots are canonised by
+//! the loop; children are interned exactly as the closure hands them over,
+//! so in `graph_from` the canon hook is the closure's business. The closure
+//! also receives the loop's *spare pool* — the children that turned out to
+//! be interned already, at most one batch of them, kept instead of dropped
+//! so that `stage_successors` can build the next children in their storage;
+//! a source that has no use for dead states (`ckpt::incr`'s) ignores it.
+//! The closure is a generic parameter — monomorphised into the loop, never
+//! `dyn`.
 //!
 //! This is a separate loop from the BFS engine's because it stores what
 //! that engine exists to avoid storing — every state and every edge — and
@@ -228,22 +233,25 @@ where
     where
         F: Fn(&Sys::Action) -> bool,
     {
-        self.graph_from(|s, out| {
-            self.stage_successors(s, &keep, &mut 0, |tc, a| out.push((a, tc)));
+        self.graph_from(|s, out, spares| {
+            self.stage_successors(s, &keep, &mut 0, spares, |tc, a| out.push((a, tc)));
         })
     }
 
-    /// The builder itself, over any successor source: `successors(s, out)`
-    /// pushes the `(action, child)` pairs of `s` onto `out` in action order
-    /// (`out` arrives empty). Initial states come from the system and are
-    /// canonised here; children are interned as staged — a source that
-    /// wants the quotient applies the canon hook itself, as
+    /// The builder itself, over any successor source: `successors(s, out,
+    /// spares)` pushes the `(action, child)` pairs of `s` onto `out` in
+    /// action order (`out` arrives empty). `spares` holds dead states — the
+    /// children of earlier batches that were already interned, never more
+    /// than one batch of them — whose storage the source may take over for
+    /// the children it builds, or leave alone. Initial states come from the
+    /// system and are canonised here; children are interned as staged — a
+    /// source that wants the quotient applies the canon hook itself, as
     /// [`Search::graph_filtered`]'s does. Everything else — FIFO discovery
     /// order, `max_states` / `max_depth` / index-width truncation — is this
     /// loop's, whatever the source.
     pub fn graph_from<F>(&self, mut successors: F) -> ReachableGraph<Sys::State, Sys::Action>
     where
-        F: FnMut(&Sys::State, &mut Vec<(Sys::Action, Sys::State)>),
+        F: FnMut(&Sys::State, &mut Vec<(Sys::Action, Sys::State)>, &mut Vec<Sys::State>),
     {
         let sys = self.sys();
         let (max_states, max_depth) = self.bounds();
@@ -263,32 +271,37 @@ where
 
         // Look up the interned index of `sc` under `fp`, with exact
         // equality confirmation (a fingerprint match alone is never
-        // trusted).
+        // trusted): `Ok(index)`, or `Err(whether the fingerprint is taken)`
+        // for a state not interned yet, which is all `intern_new!` needs to
+        // know to place it without probing again.
         macro_rules! lookup {
             ($fp:expr, $sc:expr) => {
                 match first_by_fp.get($fp) {
-                    None => None,
-                    Some(&j0) if order[j0 as usize] == *$sc => Some(j0 as usize),
+                    None => Err(false),
+                    Some(&j0) if order[j0 as usize] == *$sc => Ok(j0 as usize),
                     Some(_) => spill
                         .get(&$fp)
                         .and_then(|chain| {
                             chain.iter().copied().find(|&j| order[j as usize] == *$sc)
                         })
-                        .map(|j| j as usize),
+                        .map(|j| j as usize)
+                        .ok_or(true),
                 }
             };
         }
-        // Intern a known-new state as index `$j`. Evaluates to `false` —
-        // without interning — when `$j` no longer fits the `u32` index
-        // width: the caller records `Truncation::Index` and stops adding
-        // states, instead of the old `as u32` silently wrapping the index
-        // into a bogus (and aliased) slot.
+        // Intern a known-new state as index `$j`; `$taken` is `lookup!`'s
+        // answer to whether another state already holds the fingerprint.
+        // Evaluates to `false` — without interning — when `$j` no longer
+        // fits the `u32` index width: the caller records
+        // `Truncation::Index` and stops adding states, instead of the old
+        // `as u32` silently wrapping the index into a bogus (and aliased)
+        // slot.
         macro_rules! intern_new {
-            ($fp:expr, $sc:expr, $j:expr) => {{
+            ($fp:expr, $sc:expr, $j:expr, $taken:expr) => {{
                 match u32::try_from($j) {
                     Err(_) => false,
                     Ok(j32) => {
-                        if first_by_fp.contains($fp) {
+                        if $taken {
                             spill.entry($fp).or_default().push(j32);
                         } else {
                             let r = first_by_fp.try_insert_with($fp, Cap::Unbounded, || j32);
@@ -303,13 +316,13 @@ where
         }
 
         for s0 in sys.initial_states() {
-            let sc = self.canonize(s0, &mut 0);
+            let sc = self.canonize(s0, &mut 0, drop);
             let fp = batch.fingerprint_one(&sc);
-            if lookup!(fp, &sc).is_some() {
+            let Err(taken) = lookup!(fp, &sc) else {
                 continue;
-            }
+            };
             let j = order.len();
-            if !intern_new!(fp, sc, j) {
+            if !intern_new!(fp, sc, j, taken) {
                 truncated_by.get_or_insert(Truncation::Index);
                 break;
             }
@@ -322,6 +335,11 @@ where
         // expand it (children are staged in a reusable buffer instead, so
         // `order` is never grown while a state borrow is live).
         let mut children: Vec<(Sys::Action, Sys::State)> = Vec::new();
+        // Children that were interned already, kept for the source to
+        // overwrite (`stage_successors`' spare pool) instead of dropped —
+        // never more than one batch of them: on the canon route the source
+        // returns every spare it takes, so nothing else would bound it.
+        let mut spares: Vec<Sys::State> = Vec::new();
         let mut i = 0usize;
         // BFS level boundary: indices `[0, level_end)` are at most `depth`
         // steps from an initial state. FIFO order makes the boundary a
@@ -333,7 +351,7 @@ where
                 depth += 1;
                 level_end = order.len();
             }
-            successors(&order[i], &mut children);
+            successors(&order[i], &mut children, &mut spares);
             if depth >= max_depth && !children.is_empty() {
                 // Depth cutoff, matching `Search::explore`: the states from
                 // here on stay in the graph with empty successor lists, and
@@ -343,19 +361,26 @@ where
                 truncated_by.get_or_insert(Truncation::Depth);
                 break;
             }
+            let batch_len = children.len();
+            succ[i].reserve_exact(batch_len);
             // One batched fingerprint pass over the staged children — the
             // same hot-path shape as the fused search engine.
             let fps = batch.fingerprints(children.iter().map(|(_, tc)| tc));
             for ((a, tc), &fp) in children.drain(..).zip(fps) {
                 let ti = match lookup!(fp, &tc) {
-                    Some(j) => j,
-                    None => {
+                    Ok(j) => {
+                        if spares.len() < batch_len {
+                            spares.push(tc);
+                        }
+                        j
+                    }
+                    Err(taken) => {
                         if order.len() >= max_states {
                             truncated_by.get_or_insert(Truncation::States);
                             continue;
                         }
                         let j = order.len();
-                        if !intern_new!(fp, tc, j) {
+                        if !intern_new!(fp, tc, j, taken) {
                             truncated_by.get_or_insert(Truncation::Index);
                             continue;
                         }

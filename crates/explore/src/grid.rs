@@ -32,8 +32,20 @@ impl System for Grid {
 
     fn step(&self, s: &Vec<u8>, a: &usize) -> Vec<u8> {
         let mut t = s.clone();
-        t[*a] += 1;
+        Grid::apply(*a, &mut t);
         t
+    }
+
+    fn step_into(&self, s: &Vec<u8>, a: &usize, out: &mut Vec<u8>) {
+        out.clone_from(s);
+        Grid::apply(*a, out);
+    }
+}
+
+impl Grid {
+    /// The transition body, on `next ==` the pre-state.
+    fn apply(a: usize, next: &mut [u8]) {
+        next[a] += 1;
     }
 }
 

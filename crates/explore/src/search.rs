@@ -347,8 +347,16 @@ impl<'a, Sys: System> Search<'a, Sys> {
         8 + std::mem::size_of::<Sys::State>()
     }
 
-    /// Canonicalize (if a hook is installed), counting orbit collapses.
-    pub(crate) fn canonize(&self, s: Sys::State, hits: &mut usize) -> Sys::State {
+    /// Canonicalize (if a hook is installed), counting orbit collapses. The
+    /// hook allocates its own result, so the state it was applied to is
+    /// handed to `displaced` — `drop` for the roots and the witness replay,
+    /// the spare pool in [`Search::stage_successors`].
+    pub(crate) fn canonize(
+        &self,
+        s: Sys::State,
+        hits: &mut usize,
+        displaced: impl FnOnce(Sys::State),
+    ) -> Sys::State {
         match self.canon {
             None => s,
             Some(c) => {
@@ -356,31 +364,52 @@ impl<'a, Sys: System> Search<'a, Sys> {
                 if cs != s {
                     *hits += 1;
                 }
+                displaced(s);
                 cs
             }
         }
     }
 
     /// The one successor-generation step every route shares — the fused
-    /// body, the spill route's pass 1 and the graph builder: `enabled → step →
-    /// canon`, each child whose action passes `keep` handed to `stage` in
-    /// action order. Returns whether `s` had any enabled action at all
-    /// (the terminal test, which `keep` does not affect). `inline(always)`:
-    /// every caller is a hot loop that wants this body, with its closures,
-    /// folded into its own.
+    /// body, the spill route's pass 1 and the graph builder: `enabled →
+    /// step_into(spare) | step → canon`, each child whose action passes
+    /// `keep` handed to `stage` in action order. Returns whether `s` had any
+    /// enabled action at all (the terminal test, which `keep` does not
+    /// affect).
+    ///
+    /// `spares` is a pool of dead states whose storage the next child may
+    /// take over: a popped spare is overwritten through
+    /// [`System::step_into`], an empty pool falls back to [`System::step`],
+    /// and the two are `==` by that method's contract, so the pool's
+    /// contents never reach an output. The caller feeds it the children its
+    /// visited structure rejects — three of four on the ledger's spaces —
+    /// instead of dropping them, never past the length of the batch it
+    /// staged; with a canon hook the pre-canon state goes straight back on
+    /// the pool here (the hook's own allocation is the child), which is why
+    /// that bound is the caller's to keep: on the canon route nothing
+    /// net-consumes the pool. `inline(always)`: every caller is a hot loop
+    /// that wants this body, with its closures, folded into its own.
     #[inline(always)]
     pub(crate) fn stage_successors(
         &self,
         s: &Sys::State,
         keep: impl Fn(&Sys::Action) -> bool,
         canon_hits: &mut usize,
+        spares: &mut Vec<Sys::State>,
         mut stage: impl FnMut(Sys::State, Sys::Action),
     ) -> bool {
         let acts = self.sys.enabled(s);
         let live = !acts.is_empty();
         for a in acts {
             if keep(&a) {
-                let tc = self.canonize(self.sys.step(s, &a), canon_hits);
+                let t = match spares.pop() {
+                    Some(mut t) => {
+                        self.sys.step_into(s, &a, &mut t);
+                        t
+                    }
+                    None => self.sys.step(s, &a),
+                };
+                let tc = self.canonize(t, canon_hits, |t| spares.push(t));
                 stage(tc, a);
             }
         }
@@ -680,7 +709,7 @@ where
                 truncated_by.get_or_insert(Truncation::States);
                 break;
             }
-            let sc = self.canonize(s0, &mut stats.canon_hits);
+            let sc = self.canonize(s0, &mut stats.canon_hits, drop);
             let fp = batch.fingerprint_one(&sc);
             // The explicit length check above is the cap here, so the
             // insert itself is unbounded.
@@ -1057,25 +1086,34 @@ where
         // `(canonical child, action, parent fp)` in generation order. The
         // buffer is reused across the level's partitions.
         let mut pending: Vec<(Sys::State, Sys::Action, u64)> = Vec::new();
+        // The children phase C rejects, kept for phase A of the next
+        // partition to overwrite (`stage_successors`' spare pool): a
+        // duplicate costs neither a `malloc` nor a `free`.
+        let mut spares: Vec<Sys::State> = Vec::new();
         for part in parts.iter() {
             // Phase A — generate this partition's children in the j-major
-            // reference order (frontier order, in-state action order).
-            // Terminals and children land in separate streams, each keeping
-            // its own order, so splitting the phases reorders nothing.
+            // reference order (frontier order, in-state action order), into
+            // spares while the pool has any. Terminals and children land in
+            // separate streams, each keeping its own order, so splitting
+            // the phases reorders nothing.
             for (pfp, s) in part {
                 expansions += 1;
                 let stage = |tc, a| pending.push((tc, a, *pfp));
-                if !self.stage_successors(s, |_| true, &mut canon_hits, stage) {
+                if !self.stage_successors(s, |_| true, &mut canon_hits, &mut spares, stage) {
                     terminal.push(s.clone());
                 }
             }
-            level_children += pending.len();
+            let batch_len = pending.len();
+            level_children += batch_len;
             // Phase B — fingerprint the whole batch in one tight loop
             // (bit-identical to the scalar path per the BatchScratch
             // contract).
             let fps = batch.fingerprints(pending.iter().map(|(tc, _, _)| tc));
             // Phase C — dedup + insert, same j-major order, cap checked
-            // inline per child exactly as the fused loop always has.
+            // inline per child exactly as the fused loop always has. A
+            // rejected child is not dropped: it joins the pool, which the
+            // `batch_len` guard bounds by one batch (on the canon route
+            // phase A returns every spare it takes, so nothing else would).
             for ((tc, a, pfp), &fp_t) in pending.drain(..).zip(fps) {
                 match visited.try_insert_with(fp_t, cap, || {
                     Parent::Child { parent: pfp, action: a }
@@ -1084,6 +1122,9 @@ where
                         dedup_hits += 1;
                         if AUDIT {
                             self.audit_check_slow(audit_states, fp_t, &tc);
+                        }
+                        if spares.len() < batch_len {
+                            spares.push(tc);
                         }
                     }
                     TryInsert::Full => {
@@ -1139,10 +1180,10 @@ where
             .nth(root)
             .expect("root index valid");
         let mut sink = 0usize;
-        let mut exec = Execution::start(self.canonize(init, &mut sink));
+        let mut exec = Execution::start(self.canonize(init, &mut sink, drop));
         for a in rev_actions {
             let t = self.sys.step(exec.last(), &a);
-            let tc = self.canonize(t, &mut sink);
+            let tc = self.canonize(t, &mut sink, drop);
             exec.push(a, tc);
         }
         exec
@@ -1310,6 +1351,110 @@ mod tests {
             .witness
             .expect("reachable");
         assert_eq!(w.len(), 6);
+    }
+
+    #[test]
+    fn spare_pool_never_holds_more_than_one_batch() {
+        // Every live state of the system below is counted (a token whose
+        // `Clone` and `Drop` keep a per-thread tally), so a run's
+        // high-water mark is observable: the states the route keeps, one
+        // staged batch, and — the bound under test — at most one more batch
+        // of spares. Sorted counters are a high-duplicate space, and on the
+        // canon route nothing consumes the pool: without the `batch_len`
+        // guards it holds one state per duplicate (of the whole run in
+        // `graph()`, of a level in `explore()`), far past either bound.
+        use std::cell::Cell;
+        thread_local! {
+            static LIVE: Cell<usize> = const { Cell::new(0) };
+            static PEAK: Cell<usize> = const { Cell::new(0) };
+        }
+        #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        struct Token {
+            unit: (),
+        }
+        impl Token {
+            fn new() -> Token {
+                LIVE.set(LIVE.get() + 1);
+                PEAK.set(PEAK.get().max(LIVE.get()));
+                Token { unit: () }
+            }
+        }
+        impl Clone for Token {
+            fn clone(&self) -> Token {
+                Token::new()
+            }
+        }
+        impl Drop for Token {
+            fn drop(&mut self) {
+                LIVE.set(LIVE.get() - 1);
+            }
+        }
+        crate::impl_encode_struct!(Token { unit });
+        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        struct Counted {
+            at: Vec<u8>,
+            token: Token,
+        }
+        crate::impl_encode_struct!(Counted { at, token });
+        struct CountedGrid(Grid);
+        impl System for CountedGrid {
+            type State = Counted;
+            type Action = usize;
+            fn initial_states(&self) -> Vec<Counted> {
+                let at = self.0.initial_states().swap_remove(0);
+                vec![Counted { at, token: Token::new() }]
+            }
+            fn enabled(&self, s: &Counted) -> Vec<usize> {
+                self.0.enabled(&s.at)
+            }
+            fn step(&self, s: &Counted, a: &usize) -> Counted {
+                Counted { at: self.0.step(&s.at, a), token: Token::new() }
+            }
+        }
+        fn sorted(s: &Counted) -> Counted {
+            let mut t = s.clone();
+            t.at.sort();
+            t
+        }
+        fn assert_peak(bound: usize) {
+            assert_eq!(LIVE.get(), 0, "every state is dropped with its run");
+            assert!(PEAK.get() <= bound, "{} live states at once, bound {bound}", PEAK.get());
+            PEAK.set(0);
+        }
+
+        const N: usize = 6;
+        let sys = CountedGrid(Grid { n: N, max: 9 });
+        for canon in [Some(sorted as fn(&Counted) -> Counted), None] {
+            // Capped: without the hook this is the ledger's 10⁶-state grid.
+            let search = || {
+                let search = Search::new(&sys).max_states(20_000);
+                match canon {
+                    Some(c) => search.canon(c),
+                    None => search,
+                }
+            };
+            // `graph()` keeps every state and stages one state's children.
+            let states = search().graph().len();
+            assert_peak(states + 2 * N);
+
+            // `explore()` keeps two frontiers and the terminals, and stages
+            // one frontier partition's children: the largest such batch is
+            // read off the run paused at every level in turn.
+            let (mut largest_batch, mut level) = (0, 0);
+            while let Resumable::Paused(ckpt) = search().run_resumable(PauseBudget::levels(level)) {
+                for part in &ckpt.frontier {
+                    let batch = part.iter().map(|(_, s)| sys.enabled(s).len()).sum();
+                    largest_batch = largest_batch.max(batch);
+                }
+                level += 1;
+            }
+            PEAK.set(0);
+            let r = search().explore();
+            assert!(r.stats.dedup_hits > r.num_states, "a high-duplicate space");
+            let kept = 2 * r.stats.peak_frontier + r.terminal_states.len();
+            drop(r);
+            assert_peak(kept + 2 * largest_batch);
+        }
     }
 
     #[test]

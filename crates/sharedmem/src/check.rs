@@ -32,7 +32,7 @@ where
 {
     let report = Search::new(sys)
         .max_states(max_states)
-        .search(|s| sys.critical_processes(s).len() >= 2);
+        .search(|s| sys.processes_in(s, Region::Critical).count() >= 2);
     report.witness
 }
 
@@ -54,9 +54,8 @@ where
     A::Local: Encode,
 {
     let g = Search::new(sys).max_states(max_states).graph();
-    let alg = sys.algorithm();
     let some_process_in =
-        |s: &MutexState<A::Local>, region: Region| s.locals.iter().any(|l| alg.region(l) == region);
+        |s: &MutexState<A::Local>, region: Region| sys.processes_in(s, region).next().is_some();
 
     // Backward reachability from "some process critical" states — and, on a
     // cut graph, from every state the cap took a successor from.

@@ -124,7 +124,7 @@ pub fn find_kexclusion_violation(
     let sys = MutexSystem::new(alg);
     Search::new(&sys)
         .max_states(max_states)
-        .search(|s| sys.critical_processes(s).len() > k)
+        .search(|s| sys.processes_in(s, Region::Critical).count() > k)
         .witness
 }
 
@@ -186,7 +186,7 @@ mod tests {
         // Reach a state with exactly 2 concurrent holders.
         let hit = Search::new(&sys)
             .max_states(100_000)
-            .search(|s| sys.critical_processes(s).len() == 2);
+            .search(|s| sys.processes_in(s, Region::Critical).count() == 2);
         assert!(hit.witness.is_some());
         let _ = sys.initial_states();
     }

@@ -186,26 +186,53 @@ impl<'a, A: MutexAlgorithm> MutexSystem<'a, A> {
         self.alg
     }
 
-    /// Processes currently in the critical region.
-    pub fn critical_processes(&self, state: &MutexState<A::Local>) -> Vec<usize> {
+    /// Processes currently in `region`, in index order — the one
+    /// definition of "who is in region R"; the safety predicates count it
+    /// per scanned state, so it allocates nothing.
+    pub fn processes_in<'s>(
+        &'s self,
+        state: &'s MutexState<A::Local>,
+        region: Region,
+    ) -> impl Iterator<Item = usize> + 's {
         state
             .locals
             .iter()
             .enumerate()
-            .filter(|(_, l)| self.alg.region(l) == Region::Critical)
+            .filter(move |(_, l)| self.alg.region(l) == region)
             .map(|(i, _)| i)
-            .collect()
+    }
+
+    /// Processes currently in the critical region.
+    pub fn critical_processes(&self, state: &MutexState<A::Local>) -> Vec<usize> {
+        self.processes_in(state, Region::Critical).collect()
     }
 
     /// Processes currently in the trying region.
     pub fn trying_processes(&self, state: &MutexState<A::Local>) -> Vec<usize> {
-        state
-            .locals
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| self.alg.region(l) == Region::Trying)
-            .map(|(i, _)| i)
-            .collect()
+        self.processes_in(state, Region::Trying).collect()
+    }
+
+    /// The transition body, on `next ==` the pre-state `state`.
+    fn apply(
+        &self,
+        state: &MutexState<A::Local>,
+        action: &MutexAction,
+        next: &mut MutexState<A::Local>,
+    ) {
+        match *action {
+            MutexAction::Try(i) => {
+                next.locals[i] = self.alg.on_try(i, &state.locals[i]);
+            }
+            MutexAction::Exit(i) => {
+                next.locals[i] = self.alg.on_exit(i, &state.locals[i]);
+            }
+            MutexAction::Step(i) => {
+                let var = self.alg.target(i, &state.locals[i]);
+                let (local, stored) = self.alg.step(i, &state.locals[i], state.vars[var]);
+                next.locals[i] = local;
+                next.vars[var] = stored;
+            }
+        }
     }
 }
 
@@ -247,21 +274,15 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
 
     fn step(&self, state: &Self::State, action: &MutexAction) -> Self::State {
         let mut next = state.clone();
-        match *action {
-            MutexAction::Try(i) => {
-                next.locals[i] = self.alg.on_try(i, &state.locals[i]);
-            }
-            MutexAction::Exit(i) => {
-                next.locals[i] = self.alg.on_exit(i, &state.locals[i]);
-            }
-            MutexAction::Step(i) => {
-                let var = self.alg.target(i, &state.locals[i]);
-                let (local, stored) = self.alg.step(i, &state.locals[i], state.vars[var]);
-                next.locals[i] = local;
-                next.vars[var] = stored;
-            }
-        }
+        self.apply(state, action, &mut next);
         next
+    }
+
+    fn step_into(&self, state: &Self::State, action: &MutexAction, out: &mut Self::State) {
+        // Field by field: the derived `Clone` has no reusing `clone_from`.
+        out.locals.clone_from(&state.locals);
+        out.vars.clone_from(&state.vars);
+        self.apply(state, action, out);
     }
 
     fn owner(&self, action: &MutexAction) -> Option<ProcessId> {

@@ -19,10 +19,21 @@
 //! listing's field order, that moves a single word of a single state's
 //! encoding fails here without a parent build to diff against. The pinned
 //! values were computed at the commit before the macros were rewritten.
+//!
+//! Last, the `System::step_into` contract: every model that overrides it is
+//! checked against its own `step` over its reachable space, from junk of
+//! every shape ([`assert_step_into_agrees`]), and every search route is
+//! checked to return the same bytes whether or not the model reuses storage
+//! ([`NoReuse`], [`assert_reuse_is_invisible`]).
 
 use impossible::core::explore::Explorer;
+use impossible::core::ids::ProcessId;
 use impossible::core::system::System;
-use impossible::explore::{BatchScratch, Encode, Fingerprint, FpHasher, Search, DEFAULT_SEED};
+use impossible::explore::{
+    BatchScratch, Encode, Fingerprint, FpHasher, PauseBudget, ReachableGraph, Resumable, Search,
+    SearchCheckpoint, SearchReport, Truncation, DEFAULT_SEED,
+};
+use impossible::obs::RingTracer;
 use std::collections::BTreeSet;
 
 /// Pin `sys`'s encodings: batch == scalar fingerprints on the first
@@ -247,4 +258,201 @@ fn truncated_explorations_agree_on_the_cap() {
     assert!(legacy.truncated && new.truncated());
     assert_eq!(legacy.num_states, 40);
     assert_eq!(new.num_states, 40);
+}
+
+/// The [`System::step_into`] contract on a model that overrides it: for
+/// every `(s, a)` over the first `cap` reachable states, `step_into` leaves
+/// `step(s, a)` in `out` whatever `out` held — the previous child, a copy of
+/// `s`, an initial state, or one of `other_shapes` (states of the same type
+/// from an instance of another size, so shorter and longer `Vec`s). A body
+/// that forgets to overwrite a field, or trusts `out`'s length, fails here.
+fn assert_step_into_agrees<Sys>(sys: &Sys, cap: usize, other_shapes: &[Sys::State])
+where
+    Sys: System,
+    Sys::State: Encode,
+{
+    let states = Search::new(sys).max_states(cap).graph().order;
+    let init = sys.initial_states().swap_remove(0);
+    let mut previous_child = init.clone();
+    let mut pairs = 0usize;
+    for s in &states {
+        for a in sys.enabled(s) {
+            let want = sys.step(s, &a);
+            let junks = [&previous_child, s, &init].into_iter().chain(other_shapes);
+            for (kind, junk) in junks.enumerate() {
+                let mut out = junk.clone();
+                sys.step_into(s, &a, &mut out);
+                assert_eq!(out, want, "step_into({s:?}, {a:?}) over junk #{kind} {junk:?}");
+            }
+            previous_child = want;
+            pairs += 1;
+        }
+    }
+    assert!(pairs >= states.len() / 2, "only {pairs} transitions checked");
+}
+
+#[test]
+fn every_overriding_model_keeps_the_step_into_contract() {
+    use impossible::election::ring_search::{GreedyMergeRing, TokenRing};
+    use impossible::explore::Grid;
+    use impossible::sharedmem::algorithms::{dijkstra::Dijkstra, tas_lock::TasLock};
+    use impossible::sharedmem::mutex::MutexSystem;
+
+    assert_step_into_agrees(&Grid { n: 3, max: 4 }, 1_000, &[vec![0], vec![9; 7]]);
+    let ring_shapes = [vec![1; 2], vec![0, 1, 0, 1, 1, 0, 1, 1, 1]];
+    assert_step_into_agrees(&TokenRing { n: 6 }, 1_000, &ring_shapes);
+    assert_step_into_agrees(&GreedyMergeRing { n: 6 }, 1_000, &ring_shapes);
+
+    // `MutexState`: both `Vec`s change length with `n` under Dijkstra
+    // (2n + 1 variables), `locals` alone under the one-variable TAS lock.
+    let initial_of = |n| MutexSystem::new(&Dijkstra::new(n)).initial_states().swap_remove(0);
+    let dijkstra_shapes = [initial_of(1), initial_of(5)];
+    let dijkstra = Dijkstra::new(3);
+    assert_step_into_agrees(&MutexSystem::new(&dijkstra), 10_000, &dijkstra_shapes);
+    let two_of_three = MutexSystem::with_participants(&dijkstra, vec![true, false, true]);
+    assert_step_into_agrees(&two_of_three, 10_000, &dijkstra_shapes);
+    let initial_of = |n| MutexSystem::new(&TasLock::new(n)).initial_states().swap_remove(0);
+    let tas = TasLock::new(2);
+    assert_step_into_agrees(&MutexSystem::new(&tas), 1_000, &[initial_of(1), initial_of(4)]);
+}
+
+/// `S` with [`System::step_into`] put back to the trait's default: forwards
+/// everything else, so any difference between a search over `S` and one
+/// over `NoReuse<S>` is storage reuse showing through.
+struct NoReuse<'a, S>(&'a S);
+
+impl<S: System> System for NoReuse<'_, S> {
+    type State = S::State;
+    type Action = S::Action;
+
+    fn initial_states(&self) -> Vec<S::State> {
+        self.0.initial_states()
+    }
+
+    fn enabled(&self, s: &S::State) -> Vec<S::Action> {
+        self.0.enabled(s)
+    }
+
+    fn step(&self, s: &S::State, a: &S::Action) -> S::State {
+        self.0.step(s, a)
+    }
+
+    fn owner(&self, a: &S::Action) -> Option<ProcessId> {
+        self.0.owner(a)
+    }
+
+    fn num_processes(&self) -> Option<usize> {
+        self.0.num_processes()
+    }
+}
+
+/// A [`Search::canon`] hook.
+type Canon<S> = fn(&<S as System>::State) -> <S as System>::State;
+
+/// A [`ReachableGraph`]'s fields (it has no `PartialEq` of its own).
+type GraphParts<S, A> = (Vec<S>, Vec<Vec<(A, usize)>>, usize, Option<Truncation>);
+
+/// What [`route_outputs`] collects, route by route.
+type RouteOutputs<S, A> = (
+    SearchReport<S, A>,
+    SearchReport<S, A>,
+    GraphParts<S, A>,
+    GraphParts<S, A>,
+    (SearchReport<S, A>, String),
+    Option<(SearchCheckpoint<S, A>, Resumable<S, A>)>,
+);
+
+/// Everything the resident routes return for one builder: `explore`,
+/// `search(pred)`, `graph`, `graph_filtered(keep)`, `explore_traced` with
+/// its JSONL, and a run paused after two levels with its resumption.
+fn route_outputs<Sys>(
+    search: &Search<'_, Sys>,
+    audit: bool,
+    pred: impl Fn(&Sys::State) -> bool + Copy,
+    keep: impl Fn(&Sys::Action) -> bool + Copy,
+) -> RouteOutputs<Sys::State, Sys::Action>
+where
+    Sys: System,
+    Sys::State: Encode,
+{
+    fn parts<S, A>(g: ReachableGraph<S, A>) -> GraphParts<S, A> {
+        (g.order, g.succ, g.initials, g.truncated_by)
+    }
+    let mut tracer = RingTracer::new(1 << 16);
+    let traced = search.explore_traced(&mut tracer);
+    // A collision-audited run is not resumable; everything else is.
+    let resumed = (!audit).then(|| {
+        let ckpt = search.run_resumable(PauseBudget::levels(2)).paused();
+        let ckpt = ckpt.expect("every space here is deeper than two levels");
+        (ckpt.clone(), search.resume(ckpt, PauseBudget::never()))
+    });
+    (
+        search.explore(),
+        search.search(pred),
+        parts(search.graph()),
+        parts(search.graph_filtered(keep)),
+        (traced, tracer.to_jsonl()),
+        resumed,
+    )
+}
+
+/// `S` and [`NoReuse<S>`] agree on every route — `explore`, `search`,
+/// `graph`, `graph_filtered`, the `explore_traced` JSONL and a
+/// paused-and-resumed run — whole and at a `max_states` that cuts, with and
+/// without the collision audit.
+fn assert_reuse_is_invisible<Sys>(
+    sys: &Sys,
+    canon: Option<Canon<Sys>>,
+    cut: usize,
+    pred: impl Fn(&Sys::State) -> bool + Copy,
+    keep: impl Fn(&Sys::Action) -> bool + Copy,
+) where
+    Sys: System,
+    Sys::State: Encode,
+{
+    fn builder<S: System>(
+        sys: &S,
+        canon: Option<Canon<S>>,
+        max_states: usize,
+        audit: bool,
+    ) -> Search<'_, S> {
+        let search = Search::new(sys).max_states(max_states).collision_audit(audit);
+        match canon {
+            Some(c) => search.canon(c),
+            None => search,
+        }
+    }
+    let plain = NoReuse(sys);
+    for max_states in [1_000_000, cut] {
+        for audit in [false, true] {
+            let reusing = route_outputs(&builder(sys, canon, max_states, audit), audit, pred, keep);
+            let dropping =
+                route_outputs(&builder(&plain, canon, max_states, audit), audit, pred, keep);
+            assert_eq!(reusing, dropping, "max_states={max_states} audit={audit}");
+        }
+    }
+    assert!(Search::new(sys).max_states(cut).explore().truncated(), "cut={cut} must cut");
+}
+
+#[test]
+fn storage_reuse_changes_no_byte_on_any_route() {
+    use impossible::election::ring_search::{rotation_canon, TokenRing};
+    use impossible::explore::Grid;
+    use impossible::sharedmem::algorithms::dijkstra::Dijkstra;
+    use impossible::sharedmem::mutex::{MutexState, MutexSystem, Region};
+
+    let grid = Grid { n: 3, max: 4 };
+    assert_reuse_is_invisible(&grid, None, 60, |s| s.iter().all(|&c| c == 4), |a| *a != 1);
+
+    // The rotation quotient: the canon hook's allocation is the child and
+    // every pre-canon state goes back on the pool.
+    let ring = TokenRing { n: 8 };
+    let one_token = |s: &Vec<u8>| s.iter().filter(|&&b| b == 1).count() == 1;
+    assert_reuse_is_invisible(&ring, Some(rotation_canon), 20, one_token, |a| *a != 0);
+
+    let dijkstra = Dijkstra::new(3);
+    let mutex = MutexSystem::new(&dijkstra);
+    let last_is_critical =
+        |s: &MutexState<_>| mutex.processes_in(s, Region::Critical).any(|i| i == 2);
+    assert_reuse_is_invisible(&mutex, None, 2_000, last_is_critical, |a| a.process() != 1);
 }
