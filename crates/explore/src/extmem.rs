@@ -6,7 +6,7 @@
 //! model-checking instances (the survey's arguments are only as convincing
 //! as the spaces we can exhaust) go further. This module is the *spilling*
 //! visited backend of the same search: `explore_extmem` is the resident
-//! init, level loop (`Search::bfs_levels`) and finish, driven over `Spill`,
+//! init, level loop and finish (`Search::run_on`), driven over `Spill`,
 //! which pages *cold visited shards* — and optionally frontier partitions
 //! — to deterministic per-shard run files, streams them back per level, and
 //! expands each level with its own two-pass body on its own
@@ -20,27 +20,28 @@
 //!   canonical order checkpoints already use) into a delta+varint
 //!   [run page](crate::page) at `shard{k:03}.run{r:03}`, then clears. A
 //!   key lives in RAM **or** in exactly one run file, never both: spilled
-//!   keys are never re-inserted, because membership is probed before every
-//!   commit.
-//! * **Per-level probe/stage/commit.** Pass 1 expands the frontier
-//!   partitions on the pool, children bucketed by destination shard (a
-//!   paged frontier partition decodes inside its worker), and returns its
-//!   records in partition order whatever the worker count. In pass 2 each
-//!   shard's worker probes its resident shard and a level-local dedup
-//!   table, stages tentatively-fresh children in traversal order,
-//!   intersects the staged keys against the shard's run files
-//!   (sorted-merge over the run pages' key blocks — values never decoded),
-//!   and commits the survivors in staged order. The committed sequence per
-//!   shard is provably the
-//!   first-occurrence order of genuinely-new keys — exactly what the
-//!   resident backend's fused insert produces — so `next_parts`,
-//!   `dedup_hits`, terminals and every other report byte agree.
-//! * **Cap levels replay j-major.** On the rare level where
-//!   `visited + children > max_states`, dedup-vs-cap precedence for keys
-//!   recurring in-level matters, so pass 2 is replaced by a sequential
-//!   replay in exact j-major order via the pass-1 `route`, with the same
-//!   inline cap the resident body applies (less the spilled-key count) and
-//!   each shard's disk membership precomputed.
+//!   keys are never re-inserted, because every commit asks the run files
+//!   first.
+//! * **One commit step per child.** Pass 1 expands the frontier partitions
+//!   on the pool (a paged partition decodes inside its worker) and hands
+//!   each partition's children back flat, in traversal order; concatenated
+//!   in partition order they are the resident body's j-major insert order,
+//!   whatever the worker count. Every child is then judged by `commit`: a
+//!   key its shard's run files hold (a sorted-merge of the level's keys
+//!   against the run pages' key blocks — values never decoded) is a dedup
+//!   hit, any other goes to `try_insert_with` on the table that holds
+//!   everything visited since the last flush, this level's earlier commits
+//!   included. That is the resident backend's predicate in the resident
+//!   backend's order, so the first occurrence wins the parent link on both
+//!   routes and `next_parts`, `dedup_hits`, terminals and every other
+//!   report byte agree.
+//! * **Two arms, chosen by the cap.** On a level the state cap cannot bind
+//!   (`visited + children ≤ max_states`) the calling thread buckets the
+//!   children per shard and each shard's worker commits its own, uncapped.
+//!   On the rare level where it can, dedup-vs-cap precedence for keys
+//!   recurring in-level matters, so the children are walked as they are,
+//!   sequentially, against the whole table under the resident body's
+//!   inline cap less the spilled-key count.
 //! * **Memory is accounted, not guessed.** [`crate::SearchStats::peak_bytes`]
 //!   is the level loop's one shallow formula (table slot arrays + resident
 //!   frontier records at fixed widths) sampled at every level boundary —
@@ -63,14 +64,13 @@ use crate::fingerprint::{BatchScratch, Encode};
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
 use crate::persist::Persist;
 use crate::pool::WorkerPool;
-use crate::search::{BfsRun, Parent, PauseBudget, Search, SearchReport, VisitedBackend};
+use crate::search::{BfsRun, Parent, Search, SearchReport, VisitedBackend};
 use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
 use impossible_core::explore::Truncation;
 use impossible_core::system::System;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::borrow::Cow;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 /// Where and when the external-memory engine spills.
 ///
@@ -125,25 +125,13 @@ impl SpillPolicy {
     pub fn dir(&self) -> &std::path::Path {
         &self.dir
     }
-
-    /// The resident visited-key budget.
-    pub fn ram_keys_value(&self) -> usize {
-        self.ram_keys
-    }
-
-    /// Whether frontier partitions page to disk between levels.
-    pub fn spill_frontier_value(&self) -> bool {
-        self.spill_frontier
-    }
 }
 
-/// A staged child: `(fingerprint, canonical state, action, parent fp)`.
+/// A child awaiting its commit:
+/// `(fingerprint, canonical state, action, parent fp)`.
 type Child<S, A> = (u64, S, A, u64);
 
-/// Per-partition expansion record produced by pass-1 workers. Children come
-/// back already bucketed by destination shard (`fp % partitions`), so pass 2
-/// can hand bucket `k` of every partition straight to the worker that owns
-/// visited-set shard `k` — the main thread never touches a child.
+/// Per-partition expansion record produced by pass-1 workers.
 struct Expanded<S, A> {
     /// Terminal states of this partition, in frontier order.
     terminals: Vec<S>,
@@ -151,13 +139,10 @@ struct Expanded<S, A> {
     expansions: usize,
     /// Successors changed by the canonicalization hook.
     canon_hits: usize,
-    /// Children bucketed by destination shard; in-bucket order is traversal
-    /// order (frontier order, in-state action order).
-    by_shard: Vec<Vec<Child<S, A>>>,
-    /// Destination shard of each child in traversal order — lets the
-    /// sequential cap fallback replay the exact global insert order from
-    /// the bucketed layout.
-    route: Vec<u32>,
+    /// The partition's children, flat, in traversal order (frontier order,
+    /// in-state action order): concatenated in partition order these lists
+    /// *are* the j-major reference order.
+    children: Vec<Child<S, A>>,
 }
 
 /// The spilling [`VisitedBackend`]: run files per shard, paged frontier
@@ -177,34 +162,28 @@ struct Spill {
     /// Per-partition lengths of the current frontier while it lives in
     /// `front{k:03}.page` files; `None` while it is resident.
     paged: Option<Vec<usize>>,
-    /// One reusable read buffer per shard for membership probes: run files
-    /// are re-read every level, and a fresh `fs::read` allocation per file
-    /// per level is pure churn. The buffer is cleared (capacity retained)
-    /// before each read; the lock is never contended (shard `k`'s buffer is
-    /// only touched by whoever holds shard `k` this pass). Deliberately
-    /// *not* counted in `peak_bytes` — the accounting formula covers table
-    /// slots and frontier records only, and must not change between the
-    /// buffered and unbuffered read paths.
-    read_bufs: Vec<Mutex<Vec<u8>>>,
 }
 
 impl Spill {
-    fn new(partitions: usize, workers: usize, policy: &SpillPolicy) -> Self {
+    fn new<Sys: System>(search: &Search<'_, Sys>, policy: &SpillPolicy) -> Self {
+        assert!(
+            !search.audit_enabled(),
+            "collision audit keeps full states resident; not supported in external-memory mode"
+        );
         std::fs::create_dir_all(policy.dir())
             .unwrap_or_else(|e| panic!("spill dir {}: {e}", policy.dir().display()));
         Spill {
             policy: policy.clone(),
-            pool: WorkerPool::new(workers),
+            pool: WorkerPool::new(search.workers_value()),
             flushes: 0,
-            runs: (0..partitions).map(|_| Vec::new()).collect(),
+            runs: (0..search.partitions_value()).map(|_| Vec::new()).collect(),
             spilled: 0,
             paged: None,
-            read_bufs: (0..partitions).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
     /// Page every non-empty visited shard out as one run file and clear it.
-    /// Probes keep spilled keys from ever being re-committed, so each key
+    /// `commit` keeps spilled keys from ever being re-inserted, so each key
     /// lands in exactly one run across the whole search.
     fn flush_visited<A: Persist + Clone>(&mut self, visited: &mut ShardedFpMap<Parent<A>>) {
         let r = self.flushes;
@@ -255,13 +234,25 @@ impl Spill {
         self.policy.dir().join(format!("front{k:03}.page"))
     }
 
+    /// The stored keys among `keys` (a level's children bound for shard `k`,
+    /// any order, repeats included) that the shard's run files already
+    /// hold, sorted. Nothing to read before the shard's first flush.
+    fn on_disk(&self, k: usize, mut keys: Vec<u64>) -> Vec<u64> {
+        if self.runs[k].is_empty() {
+            return Vec::new();
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        self.disk_membership(k, &keys)
+    }
+
     /// Which `keys` (sorted, unique) are already in shard `k`'s run files:
     /// a sorted-merge against each run page's key block — values never
-    /// decoded, file bytes staged through the shard's reusable buffer.
-    /// Returns the matches, sorted.
+    /// decoded, file bytes staged through one buffer reused across the
+    /// shard's runs. Returns the matches, sorted.
     fn disk_membership(&self, k: usize, keys: &[u64]) -> Vec<u64> {
         use std::io::Read;
-        let mut buf = self.read_bufs[k].lock().expect("read buffer poisoned");
+        let mut buf = Vec::new();
         let mut old = Vec::new();
         for path in &self.runs[k] {
             buf.clear();
@@ -288,70 +279,35 @@ impl Spill {
         old
     }
 
-    /// Pass 2 for shard `k` on a level the cap cannot bind: dedup `groups`
-    /// (partition-major, traversal order within each) against everything
-    /// visited and insert the first occurrence of each new key. Probes the
-    /// resident shard and a level-local table, stages tentative-fresh
-    /// children in traversal order, subtracts disk membership, commits
-    /// survivors. Returns the shard's fresh `(fp, state)` list in insert
-    /// order and its dedup hits.
-    ///
-    /// Extensionally equal to the fused body's insert loop restricted to
-    /// shard `k`: a child keys as a dedup hit here iff its key was visited
-    /// before the level (resident shard ∪ run files) or committed earlier
-    /// in this shard's traversal sequence — the same predicate
-    /// `try_insert_with` evaluates when every key is resident — and commits
-    /// happen in first-occurrence order, which is the resident fresh-list
-    /// order (see docs/EXTMEM.md for why the two traversals insert
-    /// identical parent links).
+    /// The worker-local arm, for shard `k` on a level the cap cannot bind:
+    /// commit the shard's `children` (j-major order) against its own table,
+    /// uncapped. Returns the shard's fresh `(fp, state)` list in insert
+    /// order — next level's partition `k` — and its dedup hits.
     fn classify_shard<S, A>(
         &self,
         k: usize,
         shard: &mut FpMap<Parent<A>>,
-        groups: Vec<Vec<Child<S, A>>>,
+        children: Vec<Child<S, A>>,
     ) -> (Vec<(u64, S)>, usize) {
-        let mut dedup = 0usize;
-        let mut staged: Vec<Child<S, A>> = Vec::new();
-        let mut level_seen: FpMap<()> = FpMap::new();
-        for group in groups {
-            for (fp, tc, a, parent) in group {
-                if shard.contains(fp) {
-                    dedup += 1;
-                    continue;
-                }
-                match level_seen.try_insert_with(fp, Cap::Unbounded, || ()) {
-                    TryInsert::Present => dedup += 1,
-                    TryInsert::Inserted => staged.push((fp, tc, a, parent)),
-                    TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
-                }
-            }
-        }
-        let mut staged_keys: Vec<u64> = staged.iter().map(|&(fp, ..)| key_of(fp)).collect();
-        staged_keys.sort_unstable();
-        let old = self.disk_membership(k, &staged_keys);
-        let mut fresh: Vec<(u64, S)> = Vec::new();
-        for (fp, tc, a, parent) in staged {
-            if old.binary_search(&key_of(fp)).is_ok() {
-                dedup += 1;
-            } else {
-                let r = shard.try_insert_with(fp, Cap::Unbounded, || Parent::Child {
-                    parent,
-                    action: a,
-                });
-                debug_assert_eq!(r, TryInsert::Inserted, "staged keys are level-unique");
-                fresh.push((fp, tc));
+        let old = self.on_disk(k, children.iter().map(|&(fp, ..)| key_of(fp)).collect());
+        let (mut fresh, mut dedup) = (Vec::new(), 0usize);
+        for (fp, tc, action, parent) in children {
+            let link = || Parent::Child { parent, action };
+            match commit(&old, fp, || shard.try_insert_with(fp, Cap::Unbounded, link)) {
+                TryInsert::Present => dedup += 1,
+                TryInsert::Inserted => fresh.push((fp, tc)),
+                TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
             }
         }
         (fresh, dedup)
     }
 
-    /// The cap could bind this level: dedup-vs-cap precedence for keys
-    /// recurring in-level depends on the exact insert sequence, so replay
-    /// the children in exact j-major order with the same inline global cap
-    /// the fused body applies. `route` recovers that order from the
-    /// bucketed layout; membership among spilled keys is precomputed per
-    /// shard (nothing to ask before the first flush).
-    fn replay_capped<Sys: System>(
+    /// The capped arm: the cap could bind this level, and dedup-vs-cap
+    /// precedence for keys recurring in-level depends on the exact insert
+    /// sequence, so walk the children in j-major order as pass 1 left them
+    /// and commit each against the whole table under the same inline
+    /// global cap the fused body applies.
+    fn classify_capped<Sys: System>(
         &self,
         max_states: usize,
         recs: Vec<Expanded<Sys::State, Sys::Action>>,
@@ -359,60 +315,55 @@ impl Spill {
         next_parts: &mut [Vec<(u64, Sys::State)>],
         tracer: &mut dyn Tracer,
     ) {
-        let on_disk: Vec<Vec<u64>> = if self.spilled == 0 {
-            Vec::new()
-        } else {
-            (0..self.runs.len())
-                .map(|k| {
-                    let mut keys: Vec<u64> = recs
-                        .iter()
-                        .flat_map(|rec| rec.by_shard[k].iter().map(|&(fp, ..)| key_of(fp)))
-                        .collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    self.disk_membership(k, &keys)
-                })
-                .collect()
-        };
+        let shard_n = self.runs.len();
+        let mut keys: Vec<Vec<u64>> = vec![Vec::new(); shard_n];
+        for &(fp, ..) in recs.iter().flat_map(|rec| &rec.children) {
+            keys[shard_index(fp, shard_n)].push(key_of(fp));
+        }
+        let old: Vec<Vec<u64>> =
+            keys.into_iter().enumerate().map(|(k, keys)| self.on_disk(k, keys)).collect();
         // Spilled keys are disjoint from the resident table, so the global
         // cap is the resident cap less their count.
         let cap = Cap::At(max_states - self.spilled);
-        for rec in recs {
-            let mut buckets: Vec<std::vec::IntoIter<_>> =
-                rec.by_shard.into_iter().map(Vec::into_iter).collect();
-            for &k in &rec.route {
-                let k = k as usize;
-                let (fp_t, tc, a, parent) = buckets[k]
-                    .next()
-                    .expect("route covers every bucketed child");
-                let spilled_hit = |old: &Vec<u64>| old.binary_search(&key_of(fp_t)).is_ok();
-                if on_disk.get(k).is_some_and(spilled_hit) {
-                    run.stats.dedup_hits += 1;
-                    continue;
-                }
-                let link = || Parent::Child { parent, action: a };
-                match run.visited.try_insert_with(fp_t, cap, link) {
-                    TryInsert::Present => run.stats.dedup_hits += 1,
-                    TryInsert::Full => {
-                        if run.truncated_by.is_none() {
-                            trace_event!(tracer, "search", "truncate",
-                                "cause": "states",
-                                "level": run.depth,
-                            );
-                        }
-                        run.truncated_by.get_or_insert(Truncation::States);
+        for (fp, tc, action, parent) in recs.into_iter().flat_map(|rec| rec.children) {
+            let k = shard_index(fp, shard_n);
+            let link = || Parent::Child { parent, action };
+            match commit(&old[k], fp, || run.visited.try_insert_with(fp, cap, link)) {
+                TryInsert::Present => run.stats.dedup_hits += 1,
+                TryInsert::Full => {
+                    if run.truncated_by.is_none() {
+                        trace_event!(tracer, "search", "truncate",
+                            "cause": "states",
+                            "level": run.depth,
+                        );
                     }
-                    TryInsert::Inserted => next_parts[k].push((fp_t, tc)),
+                    run.truncated_by.get_or_insert(Truncation::States);
                 }
+                TryInsert::Inserted => next_parts[k].push((fp, tc)),
             }
         }
     }
 }
 
+/// The one commit step, shared by both arms: a child whose key its shard's
+/// run files hold (`old`, from [`Spill::on_disk`]) is a dedup hit; any
+/// other is `insert`'s to decide — `try_insert_with` on the table that
+/// holds everything visited since the last flush, this level's earlier
+/// commits included. Resident ∪ committed-this-level ∪ on-disk is what the
+/// fused body's single probe evaluates when every key is resident, and a
+/// disk hit is `Present` before any cap is asked, as there.
+fn commit(old: &[u64], fp: u64, insert: impl FnOnce() -> TryInsert) -> TryInsert {
+    if old.binary_search(&key_of(fp)).is_ok() {
+        TryInsert::Present
+    } else {
+        insert()
+    }
+}
+
 /// Expand one frontier partition (the pass-1 worker body): successors,
-/// canon, fingerprints, children bucketed by destination shard. Pure —
-/// touches no shared state — so a paged frontier partition can decode
-/// inside a worker and feed straight through here.
+/// canon, fingerprints. Pure — touches no shared state — so a paged
+/// frontier partition can decode inside a worker and feed straight through
+/// here.
 fn expand_one_partition<Sys: System>(
     search: &Search<'_, Sys>,
     part: &[(u64, Sys::State)],
@@ -420,41 +371,33 @@ fn expand_one_partition<Sys: System>(
 where
     Sys::State: Encode,
 {
-    let shard_n = search.partitions_value();
     let mut rec = Expanded {
         terminals: Vec::new(),
         expansions: part.len(),
         canon_hits: 0,
-        by_shard: (0..shard_n).map(|_| Vec::new()).collect(),
-        route: Vec::new(),
+        children: Vec::new(),
     };
-    // One batch pipeline per partition-expansion (i.e. worker-local): the
-    // seeded hasher init and the staging buffers are shared by every state
-    // the partition fingerprints.
-    let mut batch = BatchScratch::new(search.seed_value());
-    // Phase A — generate the partition's children in traversal order
-    // (frontier order, in-state action order), staged for the batch.
-    let mut pending: Vec<(Sys::State, Sys::Action, u64)> = Vec::new();
     // `stage_successors`' spare pool, local to this item. Only a canon hook
     // feeds it (the pre-canon state, taken back by the next step): the
-    // children are judged in pass 2, on other threads, which drops the
-    // rejected ones where it finds them.
+    // children are judged after pass 1, on other threads, which drop the
+    // rejected ones where they find them.
     let mut spares: Vec<Sys::State> = Vec::new();
+    // Phase A — generate the partition's children in traversal order
+    // (frontier order, in-state action order); the fingerprint slot waits
+    // for phase B.
     for (pfp, s) in part {
-        let stage = |tc, a| pending.push((tc, a, *pfp));
+        let stage = |tc, a| rec.children.push((0, tc, a, *pfp));
         if !search.stage_successors(s, |_| true, &mut rec.canon_hits, &mut spares, stage) {
             rec.terminals.push(s.clone());
         }
     }
     // Phase B — fingerprint the batch in one tight loop (bit-identical to
-    // the scalar path per the BatchScratch contract).
-    let fps = batch.fingerprints(pending.iter().map(|(tc, _, _)| tc));
-    // Phase C — bucket by destination shard in the same traversal order,
-    // recording the route so cap levels can replay it exactly.
-    for ((tc, a, pfp), &fp) in pending.into_iter().zip(fps) {
-        let k = shard_index(fp, shard_n);
-        rec.by_shard[k].push((fp, tc, a, pfp));
-        rec.route.push(k as u32);
+    // the scalar path per the BatchScratch contract) on a pipeline local to
+    // this partition-expansion, i.e. to its worker.
+    let mut batch = BatchScratch::new(search.seed_value());
+    let fps = batch.fingerprints(rec.children.iter().map(|(_, tc, ..)| tc));
+    for (child, &fp) in rec.children.iter_mut().zip(fps) {
+        child.0 = fp;
     }
     rec
 }
@@ -495,11 +438,12 @@ where
     /// One BFS level in two passes, for any worker count. Pass 1 expands
     /// the frontier partitions on the pool (a paged partition decodes
     /// inside its worker), touching no shared state; records come back in
-    /// partition order regardless of worker count, and their
-    /// counters/terminals are stitched sequentially in that order. Pass 2
-    /// runs dedup + insert worker-locally per visited shard — or replays
-    /// the exact j-major order sequentially on the rare levels where the
-    /// state cap could bind. Byte-identical in effect to the resident
+    /// partition order regardless of worker count, their counters and
+    /// terminals are stitched sequentially in that order, and their
+    /// children, concatenated in it, are the j-major reference order. Pass
+    /// 2 commits them: bucketed per shard here, on the calling thread, for
+    /// each shard's worker — or walked as they are on the rare levels where
+    /// the state cap could bind. Byte-identical in effect to the resident
     /// backend's fused body for every worker count and spill threshold
     /// (`tests/extmem_spill.rs` is the oracle).
     #[inline(never)]
@@ -523,35 +467,31 @@ where
         for rec in &mut recs {
             run.stats.expansions += rec.expansions;
             run.stats.canon_hits += rec.canon_hits;
-            level_children += rec.route.len();
+            level_children += rec.children.len();
             run.terminal.append(&mut rec.terminals);
         }
 
         if run.visited.len() + self.spilled + level_children <= max_states {
-            // Pass 2 — the state cap cannot bind this level (children are
-            // an upper bound on inserts), so each visited shard is handed
-            // to the worker that owns it, with its children grouped
-            // j-major. Transpose [partition][shard] → [shard][partition]:
-            // O(partitions²) Vec moves, no child copied.
-            let mut per_shard: Vec<Vec<Vec<Child<Sys::State, Sys::Action>>>> = (0..shard_n)
-                .map(|_| Vec::with_capacity(recs.len()))
-                .collect();
-            for rec in &mut recs {
-                for (k, bucket) in rec.by_shard.iter_mut().enumerate() {
-                    per_shard[k].push(std::mem::take(bucket));
-                }
+            // The state cap cannot bind this level (children are an upper
+            // bound on inserts), so each visited shard goes to the worker
+            // that owns it, with its children in j-major order: one move
+            // per child, the only per-child work the calling thread does.
+            let mut per_shard: Vec<Vec<Child<Sys::State, Sys::Action>>> =
+                (0..shard_n).map(|_| Vec::new()).collect();
+            for child in recs.into_iter().flat_map(|rec| rec.children) {
+                per_shard[shard_index(child.0, shard_n)].push(child);
             }
             let jobs: Vec<_> = run.visited.shards_mut().iter_mut().zip(per_shard).collect();
             let results = self
                 .pool
-                .map_indexed(jobs, |k, (shard, groups)| self.classify_shard(k, shard, groups));
+                .map_indexed(jobs, |k, (shard, children)| self.classify_shard(k, shard, children));
             run.visited.refresh_len();
             for (k, (fresh, dedup)) in results.into_iter().enumerate() {
                 run.stats.dedup_hits += dedup;
                 next_parts[k] = fresh;
             }
         } else {
-            self.replay_capped(max_states, recs, run, next_parts, tracer);
+            self.classify_capped(max_states, recs, run, next_parts, tracer);
         }
 
         // Fold the pool's steal counters into the stats at the level
@@ -570,10 +510,10 @@ where
         let next_len: usize = next.iter().map(Vec::len).sum();
         let bytes = run.visited.approx_bytes() + next_len * Search::<Sys>::frontier_item_bytes();
         run.stats.peak_bytes = run.stats.peak_bytes.max(bytes);
-        if run.visited.len() >= self.policy.ram_keys_value() {
+        if run.visited.len() >= self.policy.ram_keys {
             self.flush_visited(&mut run.visited);
         }
-        if self.policy.spill_frontier_value() && run.found.is_none() {
+        if self.policy.spill_frontier && run.found.is_none() {
             self.store_frontier(&next);
             run.parts = next.iter().map(|_| Vec::new()).collect();
         } else {
@@ -609,7 +549,7 @@ where
     /// (modulo [`crate::SearchStats::peak_bytes`], which is the point), bounded
     /// resident memory per `policy`.
     pub fn explore_extmem(&self, policy: &SpillPolicy) -> SearchReport<Sys::State, Sys::Action> {
-        self.run_extmem(None::<fn(&Sys::State) -> bool>, policy)
+        self.run_on(Spill::new(self, policy), None::<fn(&Sys::State) -> bool>, &mut NoopTracer)
     }
 
     /// [`Search::search`], external-memory mode: BFS until `pred` matches;
@@ -623,28 +563,6 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        self.run_extmem(Some(pred), policy)
-    }
-
-    /// The resident engine's init, level loop and finish, over a [`Spill`]
-    /// backend.
-    fn run_extmem<F>(
-        &self,
-        pred: Option<F>,
-        policy: &SpillPolicy,
-    ) -> SearchReport<Sys::State, Sys::Action>
-    where
-        F: Fn(&Sys::State) -> bool,
-    {
-        assert!(
-            !self.audit_enabled(),
-            "collision audit keeps full states resident; not supported in external-memory mode"
-        );
-        let (pred, never, tracer) = (pred.as_ref(), PauseBudget::never(), &mut NoopTracer);
-        let mut run = self.bfs_init(pred, tracer);
-        let mut spill = Spill::new(self.partitions_value(), self.workers_value(), policy);
-        let paused = self.bfs_levels(&mut run, &mut spill, pred, &never, tracer);
-        debug_assert!(!paused, "PauseBudget::never cannot pause");
-        self.bfs_finish(run, &spill, tracer)
+        self.run_on(Spill::new(self, policy), Some(pred), &mut NoopTracer)
     }
 }

@@ -418,7 +418,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
 }
 
 /// In-flight BFS state: everything the level loop carries between levels.
-/// One struct so the straight (`run_bfs`), resumable (`run_resumable`),
+/// One struct so the straight (`run_on`), resumable (`run_resumable`),
 /// resumed (`resume`) and external-memory (`crate::extmem`) entry points
 /// share the *same* setup, loop and finish — any budget/truncation fix
 /// lands on all of them at once.
@@ -445,25 +445,34 @@ pub(crate) struct BfsRun<Sys: System> {
 /// them is expanded. [`Search::bfs_levels`] is the only level loop; it asks
 /// the backend exactly the questions the resident and spilled routes answer
 /// differently, and nothing else. [`Resident`] keeps everything in
-/// `BfsRun` and expands on the calling thread; `crate::extmem`'s `Spill`
-/// pages cold shards and frontier partitions to run files and expands in
-/// two pool passes (it needs `Persist` and thread bounds to do so, which is
-/// why this is a trait and not an optional field).
+/// `BfsRun` and expands on the calling thread: the bookkeeping defaults
+/// below are its answers, so the level body is all it implements.
+/// `crate::extmem`'s `Spill` pages cold shards and frontier partitions to
+/// run files and expands in two pool passes (it needs `Persist` and thread
+/// bounds to do so, which is why this is a trait and not an optional
+/// field).
 pub(crate) trait VisitedBackend<Sys: System> {
     /// Visited keys held outside the resident table. They are disjoint
     /// from it, so `num_states` and the cap stay exact without touching
     /// disk.
-    fn spilled(&self) -> usize;
+    fn spilled(&self) -> usize {
+        0
+    }
 
     /// `(records in the current frontier, records of it resident at once)`.
-    fn frontier_lens(&self, parts: &[Vec<(u64, Sys::State)>]) -> (usize, usize);
+    fn frontier_lens(&self, parts: &[Vec<(u64, Sys::State)>]) -> (usize, usize) {
+        let len = parts.iter().map(Vec::len).sum();
+        (len, len)
+    }
 
     /// Frontier partition `k`, in its exact traversal order.
     fn partition<'p>(
         &self,
         parts: &'p [Vec<(u64, Sys::State)>],
         k: usize,
-    ) -> Cow<'p, [(u64, Sys::State)]>;
+    ) -> Cow<'p, [(u64, Sys::State)]> {
+        Cow::Borrowed(&parts[k])
+    }
 
     /// One BFS level: expand the run's frontier in the reference order
     /// (partition order, in-partition frontier order, in-state action
@@ -480,11 +489,15 @@ pub(crate) trait VisitedBackend<Sys: System> {
 
     /// Level boundary, everything synchronized: install `next` as the
     /// run's frontier. The spill hooks live here.
-    fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>);
+    fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>) {
+        run.parts = next;
+    }
 
     /// Parent link of a key held outside the resident table, for witness
     /// replay.
-    fn spilled_parent(&self, fp: u64) -> Option<Parent<Sys::Action>>;
+    fn spilled_parent(&self, _fp: u64) -> Option<Parent<Sys::Action>> {
+        None
+    }
 }
 
 /// The all-in-RAM backend of [`Search::explore`] and friends.
@@ -494,23 +507,6 @@ impl<Sys: System> VisitedBackend<Sys> for Resident
 where
     Sys::State: Encode,
 {
-    fn spilled(&self) -> usize {
-        0
-    }
-
-    fn frontier_lens(&self, parts: &[Vec<(u64, Sys::State)>]) -> (usize, usize) {
-        let len = parts.iter().map(Vec::len).sum();
-        (len, len)
-    }
-
-    fn partition<'p>(
-        &self,
-        parts: &'p [Vec<(u64, Sys::State)>],
-        k: usize,
-    ) -> Cow<'p, [(u64, Sys::State)]> {
-        Cow::Borrowed(&parts[k])
-    }
-
     fn expand_level(
         &self,
         search: &Search<'_, Sys>,
@@ -519,14 +515,6 @@ where
         tracer: &mut dyn Tracer,
     ) -> usize {
         search.expand_level_fused(run, next_parts, tracer)
-    }
-
-    fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>) {
-        run.parts = next;
-    }
-
-    fn spilled_parent(&self, _fp: u64) -> Option<Parent<Sys::Action>> {
-        None
     }
 }
 
@@ -547,7 +535,7 @@ where
         &self,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action> {
-        self.run_bfs(None::<fn(&Sys::State) -> bool>, tracer)
+        self.run_on(Resident, None::<fn(&Sys::State) -> bool>, tracer)
     }
 
     /// BFS until `pred` matches; `witness` is a shortest execution from an
@@ -569,7 +557,7 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        self.run_bfs(Some(pred), tracer)
+        self.run_on(Resident, Some(pred), tracer)
     }
 
     /// Run the full reachable exploration, pausing at `budget` if it trips
@@ -656,25 +644,29 @@ where
         }
     }
 
-    /// The resident BFS engine: init, the level loop over [`Resident`],
-    /// finish. No trace event carries the requested worker count.
-    fn run_bfs<F>(
+    /// The BFS engine, whole: init, the level loop over `backend`, finish.
+    /// The resident and the external-memory entry points differ in the
+    /// backend they pass and in nothing else. No trace event carries the
+    /// requested worker count.
+    pub(crate) fn run_on<F, B>(
         &self,
+        mut backend: B,
         pred: Option<F>,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action>
     where
         F: Fn(&Sys::State) -> bool,
+        B: VisitedBackend<Sys>,
     {
         let (pred, never) = (pred.as_ref(), PauseBudget::never());
         let mut run = self.bfs_init(pred, tracer);
-        let paused = self.bfs_levels(&mut run, &mut Resident, pred, &never, tracer);
+        let paused = self.bfs_levels(&mut run, &mut backend, pred, &never, tracer);
         debug_assert!(!paused, "PauseBudget::never cannot pause");
-        self.bfs_finish(run, &Resident, tracer)
+        self.bfs_finish(run, &backend, tracer)
     }
 
     /// BFS init: seed the visited set and the partitioned root frontier.
-    pub(crate) fn bfs_init<F>(
+    fn bfs_init<F>(
         &self,
         pred: Option<&F>,
         tracer: &mut dyn Tracer,
@@ -779,7 +771,7 @@ where
     /// do — the caller suspends; `false` means the run finished (witness
     /// found, frontier exhausted, or depth cutoff), which
     /// `PauseBudget::never` guarantees.
-    pub(crate) fn bfs_levels<F, B>(
+    fn bfs_levels<F, B>(
         &self,
         run: &mut BfsRun<Sys>,
         backend: &mut B,
@@ -903,7 +895,7 @@ where
 
     /// Finish a run: the `end` event, witness replay (parent links the
     /// backend holds outside the resident table included), and the report.
-    pub(crate) fn bfs_finish<B: VisitedBackend<Sys>>(
+    fn bfs_finish<B: VisitedBackend<Sys>>(
         &self,
         run: BfsRun<Sys>,
         backend: &B,

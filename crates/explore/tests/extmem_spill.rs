@@ -57,6 +57,24 @@ fn run_files(dir: &std::path::Path, r: usize) -> Vec<String> {
         .collect()
 }
 
+/// Asserts that the run files a `ram_keys(0)` search left in `dir` (it
+/// flushes every level, the last included) hold each of the report's states
+/// exactly once. Clear `dir` before the search: the listing is read back.
+fn assert_each_state_is_in_exactly_one_run(
+    dir: &std::path::Path,
+    report: &SearchReport<Vec<u8>, usize>,
+    case: &str,
+) {
+    let mut keys: Vec<u64> = (0..report.stats.levels)
+        .flat_map(|r| run_files(dir, r))
+        .flat_map(|n| run_page_keys(&std::fs::read(dir.join(n)).unwrap()).unwrap())
+        .collect();
+    assert_eq!(keys.len(), report.num_states, "{case}");
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), report.num_states, "runs are key-disjoint ({case})");
+}
+
 /// Every `(workers, ram_keys)` the byte-identity contract is pinned at:
 /// spill every level, spill a few times, never flush.
 fn worker_and_threshold_sweep() -> impl Iterator<Item = (usize, usize)> {
@@ -279,6 +297,77 @@ fn run_files_are_deterministically_named_and_disjoint() {
     all_keys.dedup();
     assert_eq!(all_keys.len(), total, "runs are key-disjoint");
     assert_eq!(total, report.num_states);
+
+    // Both arms share one commit step, so the same holds when a run
+    // straddles the cap under a canon hook: its last levels commit through
+    // the capped arm, against keys both arms flushed.
+    let dir = tmp("spill-names-capped");
+    let _ = std::fs::remove_dir_all(&dir);
+    let policy = SpillPolicy::new(&dir).ram_keys(0);
+    let report = Search::new(&Grid { n: 4, max: 5 })
+        .canon(sort_canon)
+        .max_states(60)
+        .explore_extmem(&policy);
+    assert!(report.stats.cap_fallbacks > 0 && report.stats.cap_fallbacks < report.stats.levels);
+    assert_each_state_is_in_exactly_one_run(&dir, &report, "cap-straddling under canon");
+}
+
+/// [`Grid`] with wrap-around: action `i` steps counter `i` to
+/// `(c + 1) % (max + 1)`. On `Grid` the counter sum grows by one a level,
+/// so no child is ever a state of an earlier level and no run over it
+/// finds a child's key in a run file; here every counter wraps onto states
+/// visited — and flushed — levels before.
+struct Torus {
+    n: usize,
+    max: u8,
+}
+
+impl impossible_core::system::System for Torus {
+    type State = Vec<u8>;
+    type Action = usize;
+
+    fn initial_states(&self) -> Vec<Vec<u8>> {
+        vec![vec![0; self.n]]
+    }
+
+    fn enabled(&self, _: &Vec<u8>) -> Vec<usize> {
+        (0..self.n).collect()
+    }
+
+    fn step(&self, s: &Vec<u8>, a: &usize) -> Vec<u8> {
+        let mut t = s.clone();
+        t[*a] = (t[*a] + 1) % (self.max + 1);
+        t
+    }
+}
+
+#[test]
+fn children_already_on_disk_are_dedup_hits_on_both_arms() {
+    // The disk half of the commit step, which only a space with back edges
+    // reaches: a child whose key a run file holds must count as a dedup hit
+    // — on the worker-local arm (the whole run) and on the capped arm (from
+    // level 3 on under the cap, the level the first counters wrap) — or it
+    // is inserted a second time, which moves the report and, flushing every
+    // level, lands the key in a second run file.
+    let sys = Torus { n: 3, max: 3 }; // 64 states, the grid's levels plus wraps
+    // 1000 never binds (and ends a run that re-inserts flushed keys, which
+    // on a cyclic space would otherwise wander to the default cap); 40 does.
+    for cap in [1000, 40] {
+        let resident = Search::new(&sys).max_states(cap).explore();
+        assert_eq!(resident.truncated(), cap == 40);
+        assert_eq!(resident.stats.cap_fallbacks > 0, cap == 40);
+        for (w, ram_keys) in worker_and_threshold_sweep() {
+            let case = format!("cap={cap} w={w} ram_keys={ram_keys}");
+            let dir = tmp(&format!("spill-torus-{cap}-{w}-{ram_keys}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let policy = SpillPolicy::new(&dir).ram_keys(ram_keys).spill_frontier(w == 2);
+            let spilled = Search::new(&sys).max_states(cap).workers(w).explore_extmem(&policy);
+            assert_eq!(masked(&spilled), masked(&resident), "{case}");
+            if ram_keys == 0 {
+                assert_each_state_is_in_exactly_one_run(&dir, &spilled, &case);
+            }
+        }
+    }
 }
 
 #[test]

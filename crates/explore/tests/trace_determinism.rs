@@ -5,6 +5,8 @@
 //! `tests/determinism.rs::resident_runs_ignore_the_worker_count`.)
 
 use impossible_explore::{Grid, Search};
+use impossible_explore::{PauseBudget, Resumable};
+use impossible_obs::Event;
 use impossible_obs::{trace_diff, RingTracer, TraceDiff};
 
 fn explore_trace(max: u8) -> Vec<impossible_obs::Event> {
@@ -104,4 +106,59 @@ fn jsonl_round_trips_through_the_parser() {
         .map(|l| impossible_obs::Event::parse_jsonl(l).expect("canonical line"))
         .collect();
     assert_eq!(parsed, tracer.into_events());
+}
+
+#[test]
+fn a_paused_then_resumed_trace_is_the_straight_trace_cut_in_two() {
+    // `run_resumable_traced` / `resume_traced` wrap the one level loop, so
+    // a pause may add events — `pause` closes the first trace, a fresh
+    // `start` and one `resume` open the second — but never moves one: with
+    // those three kinds dropped and `seq` renumbered, paused ++ resumed is
+    // the uninterrupted trace, whichever level boundary the pause fell on.
+    fn spine(traces: [Vec<Event>; 2]) -> Vec<Event> {
+        let kept = traces.into_iter().flatten();
+        let kept = kept.filter(|e| !["start", "pause", "resume"].contains(&e.kind.as_str()));
+        kept.zip(0..).map(|(e, seq)| Event { seq, ..e }).collect()
+    }
+    fn fields(named: &[(&str, usize)]) -> Vec<(String, impossible_obs::Value)> {
+        named.iter().map(|&(name, v)| (name.to_string(), v.into())).collect()
+    }
+    let sys = Grid { n: 3, max: 3 };
+    // Whole, and cut by the state cap (a `truncate` event mid-trace).
+    for cap in [usize::MAX, 40] {
+        let search = || Search::new(&sys).max_states(cap);
+        let mut straight = RingTracer::new(4096);
+        let report = search().explore_traced(&mut straight);
+        assert_eq!(report.truncated(), cap == 40);
+        let want = spine([straight.into_events(), Vec::new()]);
+        let mut level = 0;
+        loop {
+            let mut first = RingTracer::new(4096);
+            let ckpt = match search().run_resumable_traced(PauseBudget::levels(level), &mut first) {
+                Resumable::Paused(ckpt) => ckpt,
+                Resumable::Done(done) => {
+                    assert_eq!(done, report);
+                    break;
+                }
+            };
+            let at = [
+                ("level", ckpt.depth),
+                ("states", ckpt.num_states()),
+                ("frontier", ckpt.frontier_len()),
+                ("transitions", ckpt.transitions),
+            ];
+            let mut second = RingTracer::new(4096);
+            let resumed = search().resume_traced(ckpt, PauseBudget::never(), &mut second);
+            assert_eq!(resumed.done().expect("an unbounded resume finishes"), report);
+
+            let (first, second) = (first.into_events(), second.into_events());
+            let pause = first.last().expect("a paused trace ends in its pause");
+            assert_eq!((pause.kind.as_str(), &pause.fields), ("pause", &fields(&at[..3])));
+            assert_eq!(second[0], first[0], "the resumed trace opens with the same start");
+            assert_eq!((second[1].kind.as_str(), &second[1].fields), ("resume", &fields(&at)));
+            assert_eq!(spine([first, second]), want, "paused before level {level} (cap {cap})");
+            level += 1;
+        }
+        assert_eq!(level, report.stats.levels, "every level boundary was paused at");
+    }
 }

@@ -8,9 +8,6 @@
 //! cargo run --bin check -- snapshot <path>   # pause a search, seal it to <path>
 //! cargo run --bin check -- resume <path>     # load <path>, finish the search
 //! cargo run --bin check -- straight          # the same search, uninterrupted
-//! cargo run --bin check -- extmem            # reference search, fully resident
-//! cargo run --bin check -- extmem-spill <dir> # same search, spilled to <dir>
-//! cargo run --bin check -- scaling <dir>     # spilled to <dir> at w ∈ {1,2,4,8}
 //! ```
 //!
 //! Manifest lines are `<model> <params…> <property>`, one job per line
@@ -31,21 +28,15 @@
 //! pauses the reference grid search and seals it; `resume` (a fresh
 //! process) finishes it; `straight` never pauses — and both print the same
 //! canonical report line, byte for byte (pinned by `scripts/verify.sh`).
-//! `extmem` / `extmem-spill` are the external-memory twin of that probe:
-//! the first explores a reference grid fully resident, the second forces
-//! every shard and frontier page through run files in `<dir>` — and both
-//! print the same canonical line (with `peak_bytes` and the steal counters
-//! masked alongside `workers`, the only counters allowed to differ; also
-//! pinned by `scripts/verify.sh`). `scaling` is the worker-count probe, on
-//! the one level body that threads: the same forced-spill search at
-//! w ∈ {1,2,4,8} must agree byte for byte once `workers` and the two steal
-//! counters are masked, and a resident run at w=8 must equal the one at
-//! w=1 in everything but `stats.workers`.
+//! Nothing else is probed from here: what a spilled search or a worker
+//! count may change is asserted in-process by
+//! `crates/explore/tests/{extmem_spill,determinism}.rs`, over a wider sweep
+//! than a subcommand could print.
 
 use impossible::ckpt::{job_key, model_fp, CheckJob, Snapshot, Verdict, VerdictCache};
 use impossible::consensus::quorum;
 use impossible::election::ring_search;
-use impossible::explore::{Grid, PauseBudget, Search, SearchReport, SpillPolicy, WorkerPool};
+use impossible::explore::{Grid, PauseBudget, Search, SearchReport, WorkerPool};
 
 /// State-space ceiling for every manifest job; large enough that nothing
 /// in the registry truncates.
@@ -59,8 +50,7 @@ const PROBE_PAUSE: usize = 60;
 
 fn usage() -> String {
     "usage: check manifest <path> [--cache <path>] [--workers N]\n\
-     \x20      check snapshot <path> | resume <path> | straight\n\
-     \x20      check extmem | extmem-spill <dir> | scaling <dir>"
+     \x20      check snapshot <path> | resume <path> | straight"
         .to_string()
 }
 
@@ -68,14 +58,15 @@ fn usage() -> String {
 /// line-numbered error.
 fn parse_job(line: &str, lineno: usize) -> Result<CheckJob<'static>, String> {
     let toks: Vec<&str> = line.split_whitespace().collect();
-    let int = |s: &str, what: &str| -> Result<u64, String> {
-        s.parse::<u64>()
-            .map_err(|_| format!("line {lineno}: bad {what} `{s}`"))
-    };
+    // Parsed at the width the model takes, so an out-of-range parameter is
+    // refused here instead of wrapping into a different model.
+    fn int<T: std::str::FromStr>(s: &str, what: &str, lineno: usize) -> Result<T, String> {
+        s.parse().map_err(|_| format!("line {lineno}: bad {what} `{s}`"))
+    }
     let label = toks.join(" ");
     let (key, run): (u64, Box<dyn Fn() -> Verdict + Send + Sync>) = match toks.as_slice() {
         ["grid", n, max, prop @ "reaches-corner"] => {
-            let (n, max) = (int(n, "grid size")? as usize, int(max, "grid max")? as u8);
+            let (n, max): (usize, u8) = (int(n, "grid size", lineno)?, int(max, "grid max", lineno)?);
             let key = job_key(model_fp("grid", &[n as u64, max as u64]), prop);
             (
                 key,
@@ -90,7 +81,7 @@ fn parse_job(line: &str, lineno: usize) -> Result<CheckJob<'static>, String> {
             )
         }
         ["ring", n, prop @ "evades-free"] => {
-            let n = int(n, "ring size")? as usize;
+            let n: usize = int(n, "ring size", lineno)?;
             let key = job_key(model_fp("ring", &[n as u64]), prop);
             (
                 key,
@@ -100,7 +91,7 @@ fn parse_job(line: &str, lineno: usize) -> Result<CheckJob<'static>, String> {
             )
         }
         ["ring", n, prop @ "greedy-elects"] => {
-            let n = int(n, "ring size")? as usize;
+            let n: usize = int(n, "ring size", lineno)?;
             let key = job_key(model_fp("greedy-ring", &[n as u64]), prop);
             (
                 key,
@@ -110,7 +101,8 @@ fn parse_job(line: &str, lineno: usize) -> Result<CheckJob<'static>, String> {
             )
         }
         ["quorum", n, failed, prop @ "nonterm"] => {
-            let (n, failed) = (int(n, "quorum size")? as usize, int(failed, "failed id")? as usize);
+            let (n, failed): (usize, usize) =
+                (int(n, "quorum size", lineno)?, int(failed, "failed id", lineno)?);
             if failed >= n {
                 return Err(format!("line {lineno}: failed process {failed} out of range"));
             }
@@ -214,101 +206,6 @@ fn straight_mode() -> Result<(), String> {
     Ok(())
 }
 
-/// The external-memory probe's workload: a few thousand states across
-/// enough shards and levels that forced spilling exercises every path.
-const EXT_PROBE: Grid = Grid { n: 4, max: 4 };
-
-/// Canonical report line for the extmem probe: like [`report_line`] but
-/// also masking `stats.peak_bytes` and the steal counters — resident and
-/// spilled runs necessarily differ in RAM held and only the spilled one
-/// runs pool passes, and the contract is that *nothing else* differs.
-fn extmem_report_line(r: &SearchReport<Vec<u8>, usize>) -> String {
-    let mut stats = r.stats;
-    stats.workers = 0;
-    stats.peak_bytes = 0;
-    stats.steals = 0;
-    stats.stolen_shards = 0;
-    format!(
-        "extmem-report {:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        r.num_states, r.num_transitions, r.terminal_states, r.truncated_by, r.witness, stats
-    )
-}
-
-fn extmem_mode() -> Result<(), String> {
-    let report = Search::new(&EXT_PROBE).explore();
-    println!("{}", extmem_report_line(&report));
-    Ok(())
-}
-
-/// `ram_keys(0)` evicts every shard at every level and pages the frontier
-/// too: the maximally hostile spill schedule.
-fn hostile_policy(dir: impl Into<std::path::PathBuf>) -> SpillPolicy {
-    SpillPolicy::new(dir).ram_keys(0).spill_frontier(true)
-}
-
-/// The worker-count byte-identity probe. Only the spill route threads, so
-/// that is what it sweeps: the same spilled search at w ∈ {1,2,4,8} must
-/// render identical lines once `stats.workers` and the steal counters — the
-/// three deliberately pool-shaped stats — are masked, w=1 must record no
-/// steal, and w=2 one stealing pass per pool pass (two a level, one on a
-/// cap-fallback level). The resident route must not notice the worker count
-/// at all. Unlike a speed-up claim this holds on *any* machine, single-core
-/// included, so `scripts/verify.sh` runs it unconditionally.
-fn scaling_mode(dir: &str) -> Result<(), String> {
-    let run = |workers: usize| {
-        let policy = hostile_policy(std::path::Path::new(dir).join(format!("w{workers}")));
-        Search::new(&EXT_PROBE).workers(workers).explore_extmem(&policy)
-    };
-    let masked = |r: &SearchReport<Vec<u8>, usize>| {
-        let mut masked = r.clone();
-        masked.stats.steals = 0;
-        masked.stats.stolen_shards = 0;
-        report_line(&masked)
-    };
-    let base = run(1);
-    if base.stats.steals != 0 || base.stats.stolen_shards != 0 {
-        return Err(format!(
-            "w=1 must never steal, recorded steals={} stolen_shards={}",
-            base.stats.steals, base.stats.stolen_shards
-        ));
-    }
-    let want = masked(&base);
-    let mut w2_steals = 0usize;
-    for w in [2usize, 4, 8] {
-        let r = run(w);
-        if w == 2 {
-            w2_steals = r.stats.steals;
-            let passes = 2 * r.stats.levels - r.stats.cap_fallbacks;
-            if w2_steals != passes {
-                return Err(format!("w=2 recorded {w2_steals} steal passes, not {passes}"));
-            }
-        }
-        let got = masked(&r);
-        if got != want {
-            return Err(format!(
-                "scaling divergence at w={w}:\n  w1: {want}\n  w{w}: {got}"
-            ));
-        }
-    }
-    let resident = |workers: usize| report_line(&Search::new(&EXT_PROBE).workers(workers).explore());
-    if resident(8) != resident(1) {
-        return Err("a resident search read the worker count".into());
-    }
-    println!(
-        "check: scaling OK (states={} spilled at workers=1/2/4/8 byte-identical, w2 steal passes={}; resident w8 == w1)",
-        base.num_states, w2_steals
-    );
-    Ok(())
-}
-
-fn extmem_spill_mode(dir: &str) -> Result<(), String> {
-    let report = Search::new(&EXT_PROBE)
-        .workers(2)
-        .explore_extmem(&hostile_policy(dir));
-    println!("{}", extmem_report_line(&report));
-    Ok(())
-}
-
 /// What `main` fails with. The runtime prints a failed `main`'s error
 /// through `Debug`, which for a bare `String` quotes it and escapes every
 /// newline of the usage text; this `Debug` writes the message as it is.
@@ -347,9 +244,6 @@ fn run() -> Result<(), String> {
         ["snapshot", path] => snapshot_mode(path),
         ["resume", path] => resume_mode(path),
         ["straight"] => straight_mode(),
-        ["extmem"] => extmem_mode(),
-        ["extmem-spill", dir] => extmem_spill_mode(dir),
-        ["scaling", dir] => scaling_mode(dir),
         _ => Err(usage()),
     }
 }
