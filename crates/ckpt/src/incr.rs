@@ -83,11 +83,14 @@ where
     }
 
     fn enabled(&self, state: &Self::State) -> Vec<Self::Action> {
-        self.base
-            .enabled(state)
-            .into_iter()
-            .filter(|a| (self.keep)(state, a))
-            .collect()
+        let mut acts = Vec::new();
+        self.enabled_into(state, &mut acts);
+        acts
+    }
+
+    fn enabled_into(&self, state: &Self::State, out: &mut Vec<Self::Action>) {
+        self.base.enabled_into(state, out);
+        out.retain(|a| (self.keep)(state, a));
     }
 
     fn step(&self, state: &Self::State, action: &Self::Action) -> Self::State {

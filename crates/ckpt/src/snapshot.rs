@@ -45,8 +45,9 @@
 
 use impossible_core::explore::Truncation;
 use impossible_explore::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page};
-use impossible_explore::persist::{take, Persist, PersistError};
+use impossible_explore::persist::{read_blob, take, write_blob, Persist, PersistError};
 use impossible_explore::search::{Parent, SearchCheckpoint};
+use impossible_explore::table::shard_index;
 use impossible_explore::FpHasher;
 
 /// The 8-byte file magic.
@@ -84,7 +85,9 @@ pub enum CkptError {
         /// Fingerprint of the model being resumed.
         expected: u64,
     },
-    /// A section failed to decode (truncation, bad tag, hostile length).
+    /// A section failed to decode (truncation, bad tag, hostile length), or
+    /// decoded to pages a resume could not use (wrong page count, a zero
+    /// key, a key in another shard's page).
     Malformed(&'static str),
     /// Bytes left over after a complete decode.
     TrailingBytes,
@@ -170,11 +173,11 @@ impl<S: Persist, A: Persist> Snapshot<S, A> {
         // included.
         self.ckpt.visited.len().write(&mut out);
         for shard in &self.ckpt.visited {
-            encode_run_page(shard).write(&mut out);
+            write_blob(&mut out, &encode_run_page(shard));
         }
         self.ckpt.frontier.len().write(&mut out);
         for part in &self.ckpt.frontier {
-            encode_frontier_page(part).write(&mut out);
+            write_blob(&mut out, &encode_frontier_page(part));
         }
         self.ckpt.terminal.write(&mut out);
         checksum(&out).write(&mut out);
@@ -229,16 +232,25 @@ impl<S: Persist, A: Persist> Snapshot<S, A> {
         let peak_frontier = usize::read(buf, &mut pos)?;
         let cap_fallbacks = usize::read(buf, &mut pos)?;
         let peak_bytes = usize::read(buf, &mut pos)?;
-        let visited_pages = Vec::<Vec<u8>>::read(buf, &mut pos)?;
-        let visited = visited_pages
-            .iter()
-            .map(|page| decode_run_page::<Parent<A>>(page))
-            .collect::<Result<Vec<_>, _>>()?;
-        let frontier_pages = Vec::<Vec<u8>>::read(buf, &mut pos)?;
-        let frontier = frontier_pages
-            .iter()
-            .map(|page| decode_frontier_page::<S>(page))
-            .collect::<Result<Vec<_>, _>>()?;
+        let visited = read_pages(
+            buf,
+            &mut pos,
+            partitions,
+            decode_run_page::<Parent<A>>,
+            ["visited page", "visited page count", "visited key in the wrong shard"],
+        )?;
+        // `0` is the table's empty-slot sentinel, never a stored key; pages
+        // ascend, so only a first key can be it.
+        if visited.iter().any(|page| page.first().is_some_and(|e| e.0 == 0)) {
+            return Err(CkptError::Malformed("visited key zero"));
+        }
+        let frontier = read_pages(
+            buf,
+            &mut pos,
+            partitions,
+            decode_frontier_page::<S>,
+            ["frontier page", "frontier page count", "frontier key in the wrong shard"],
+        )?;
         let terminal = Vec::<S>::read(buf, &mut pos)?;
         if pos != body_len {
             return Err(CkptError::TrailingBytes);
@@ -285,7 +297,9 @@ impl<S: Persist, A: Persist> Snapshot<S, A> {
     /// idempotent rather than racy.
     pub fn save(&self, path: &str) -> Result<(), CkptError> {
         let bytes = self.to_bytes();
-        let tmp = format!("{path}.{:016x}.tmp", checksum(&bytes));
+        let mut sum_at = bytes.len() - 8;
+        let sum = u64::read(&bytes, &mut sum_at).expect("to_bytes ends in its checksum");
+        let tmp = format!("{path}.{sum:016x}.tmp");
         std::fs::write(&tmp, &bytes).map_err(|e| CkptError::Io(e.to_string()))?;
         std::fs::rename(&tmp, path).map_err(|e| {
             let _ = std::fs::remove_file(&tmp);
@@ -298,6 +312,39 @@ impl<S: Persist, A: Persist> Snapshot<S, A> {
         let bytes = std::fs::read(path).map_err(|e| CkptError::Io(e.to_string()))?;
         Self::from_bytes(&bytes)
     }
+}
+
+/// One page section: a count, then that many length-prefixed pages, each
+/// decoded straight from its slice of the file buffer. What
+/// `Search::resume` would otherwise assert — or, for a key filed under the
+/// wrong shard, silently never find again — is checked here, where a file
+/// can still be refused with a typed error: one page per partition, every
+/// key in the page [`shard_index`] routes it to. `names` are the
+/// [`CkptError::Malformed`] sections for a bad page length, a bad count
+/// and a misrouted key.
+fn read_pages<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    partitions: usize,
+    decode: impl Fn(&[u8]) -> Result<Vec<(u64, T)>, PersistError>,
+    names: [&'static str; 3],
+) -> Result<Vec<Vec<(u64, T)>>, CkptError> {
+    let [blob, count, routing] = names;
+    let n = usize::read(buf, pos)?;
+    // Before any allocation: `partitions` came out of the same file, and
+    // every page costs at least its length prefix.
+    if n != partitions || n > buf.len().saturating_sub(*pos) {
+        return Err(CkptError::Malformed(count));
+    }
+    let mut pages = Vec::with_capacity(n);
+    for k in 0..n {
+        let page = decode(read_blob(buf, pos, blob)?)?;
+        if page.iter().any(|&(key, _)| shard_index(key, partitions) != k) {
+            return Err(CkptError::Malformed(routing));
+        }
+        pages.push(page);
+    }
+    Ok(pages)
 }
 
 /// The trailing integrity checksum: an [`FpHasher`] pass over the bytes.
@@ -337,6 +384,13 @@ mod tests {
         )
     }
 
+    /// Recompute the trailing checksum over an edited body.
+    fn reseal(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 8;
+        let sum = super::checksum(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn bytes_round_trip_exactly() {
         let snap = sample();
@@ -369,9 +423,7 @@ mod tests {
         // too, so rewrite both.
         let vpos = MAGIC.len();
         bytes[vpos] = 3;
-        let body_len = bytes.len() - 8;
-        let sum = super::checksum(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         assert_eq!(
             Snapshot::<u64, u8>::from_bytes(&bytes),
             Err(CkptError::VersionMismatch {
@@ -382,14 +434,66 @@ mod tests {
         // A v1 file (pre-page sections) is likewise refused up front.
         let mut bytes = sample().to_bytes();
         bytes[vpos] = 1;
-        let sum = super::checksum(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         assert_eq!(
             Snapshot::<u64, u8>::from_bytes(&bytes),
             Err(CkptError::VersionMismatch {
                 found: 1,
                 expected: FORMAT_VERSION
             })
+        );
+    }
+
+    /// `sample()` with its checkpoint edited, sealed by `to_bytes`: a file
+    /// whose checksum holds, so only a check made while decoding can refuse
+    /// it.
+    fn sealed(edit: impl FnOnce(&mut SearchCheckpoint<u64, u8>)) -> Vec<u8> {
+        let mut snap = sample();
+        edit(&mut snap.ckpt);
+        snap.to_bytes()
+    }
+
+    #[test]
+    fn what_resume_would_assert_is_a_typed_error_of_the_file() {
+        type Edit = fn(&mut SearchCheckpoint<u64, u8>);
+        let cases: [(&str, Edit); 8] = [
+            ("visited page count", |c| drop(c.visited.pop())),
+            ("visited page count", |c| c.visited.push(vec![])),
+            ("visited page count", |c| c.partitions = 3),
+            ("frontier page count", |c| drop(c.frontier.pop())),
+            // Page 1 is where the fold routes key 0, so only the zero check
+            // can object — to `[0, 1]` as much as to `[0, 3]`.
+            ("visited key zero", |c| c.visited[1] = vec![(0, Parent::Root(0)), (1, Parent::Root(1))]),
+            ("visited key zero", |c| c.visited[1].insert(0, (0, Parent::Root(0)))),
+            // A key the resumed table would hold but never find again.
+            ("visited key in the wrong shard", |c| c.visited.swap(0, 1)),
+            ("frontier key in the wrong shard", |c| c.frontier[1].push((8, 800))),
+        ];
+        for (what, edit) in cases {
+            assert_eq!(
+                Snapshot::<u64, u8>::from_bytes(&sealed(edit)),
+                Err(CkptError::Malformed(what))
+            );
+        }
+        // The edits are what is refused, not the sealing.
+        assert_eq!(Snapshot::<u64, u8>::from_bytes(&sealed(|_| {})), Ok(sample()));
+    }
+
+    #[test]
+    fn a_hostile_page_count_is_refused_before_it_sizes_anything() {
+        // `partitions` and the visited count agree on 2⁶² pages: the count
+        // check cannot object, the bytes-remaining guard must.
+        let mut bytes = sample().to_bytes();
+        let partitions_at = MAGIC.len() + 4 + 2 * 8;
+        let visited_count_at = partitions_at + 3 * 8 + 1 + 7 * 8;
+        for at in [partitions_at, visited_count_at] {
+            assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes(), "layout drifted");
+            bytes[at..at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        }
+        reseal(&mut bytes);
+        assert_eq!(
+            Snapshot::<u64, u8>::from_bytes(&bytes),
+            Err(CkptError::Malformed("visited page count"))
         );
     }
 

@@ -41,6 +41,20 @@ pub trait System {
     /// terminated (or deadlocked — the checkers distinguish the two).
     fn enabled(&self, state: &Self::State) -> Vec<Self::Action>;
 
+    /// [`System::enabled`] into a list the caller already owns: whatever
+    /// `out` holds on entry is discarded, and on return it is `==` to
+    /// `self.enabled(state)`. The search engines expand every state through
+    /// this with one list they keep for the whole run, so a model that
+    /// overrides it (`clear`, then push) allocates no action list per
+    /// expansion; the default simply assigns. As with
+    /// [`System::step_into`], a model that overrides keeps one body —
+    /// `enabled` calls this on an empty list — and
+    /// `tests/explore_equivalence.rs` checks every overriding model against
+    /// `enabled` over its reachable space, from junk of every length.
+    fn enabled_into(&self, state: &Self::State, out: &mut Vec<Self::Action>) {
+        *out = self.enabled(state);
+    }
+
     /// Apply `action` to `state`.
     ///
     /// # Panics

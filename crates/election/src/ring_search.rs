@@ -41,9 +41,16 @@ impl System for TokenRing {
     }
 
     fn enabled(&self, s: &Vec<u8>) -> Vec<usize> {
+        let mut acts = Vec::new();
+        self.enabled_into(s, &mut acts);
+        acts
+    }
+
+    fn enabled_into(&self, s: &Vec<u8>, out: &mut Vec<usize>) {
         // A lone token still circulates, so the system never terminates;
         // searches are for *reaching* configurations, not terminals.
-        (0..self.n).filter(|&i| s[i] == 1).collect()
+        out.clear();
+        out.extend((0..self.n).filter(|&i| s[i] == 1));
     }
 
     fn step(&self, s: &Vec<u8>, &i: &usize) -> Vec<u8> {
@@ -105,14 +112,6 @@ pub struct GreedyMergeRing {
     pub n: usize,
 }
 
-impl GreedyMergeRing {
-    fn merging(&self, s: &[u8]) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&i| s[i] == 1 && s[(i + 1) % self.n] == 1)
-            .collect()
-    }
-}
-
 impl System for GreedyMergeRing {
     type State = Vec<u8>;
     type Action = usize;
@@ -122,11 +121,16 @@ impl System for GreedyMergeRing {
     }
 
     fn enabled(&self, s: &Vec<u8>) -> Vec<usize> {
-        let merges = self.merging(s);
-        if merges.is_empty() {
-            TokenRing { n: self.n }.enabled(s)
-        } else {
-            merges
+        let mut acts = Vec::new();
+        self.enabled_into(s, &mut acts);
+        acts
+    }
+
+    fn enabled_into(&self, s: &Vec<u8>, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.n).filter(|&i| s[i] == 1 && s[(i + 1) % self.n] == 1));
+        if out.is_empty() {
+            TokenRing { n: self.n }.enabled_into(s, out);
         }
     }
 

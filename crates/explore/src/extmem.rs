@@ -182,24 +182,23 @@ impl Spill {
         }
     }
 
-    /// Page every non-empty visited shard out as one run file and clear it.
+    /// Page every non-empty visited shard out as one run file, emptying it
+    /// (`take_ordered`).
     /// `commit` keeps spilled keys from ever being re-inserted, so each key
     /// lands in exactly one run across the whole search.
-    fn flush_visited<A: Persist + Clone>(&mut self, visited: &mut ShardedFpMap<Parent<A>>) {
+    fn flush_visited<A: Persist>(&mut self, visited: &mut ShardedFpMap<Parent<A>>) {
         let r = self.flushes;
         for (k, shard) in visited.shards_mut().iter_mut().enumerate() {
             if shard.is_empty() {
                 continue;
             }
-            let entries: Vec<(u64, Parent<A>)> =
-                shard.iter_ordered().map(|(key, v)| (key, v.clone())).collect();
+            let entries = shard.take_ordered();
             let page = encode_run_page(&entries);
             let path = self.policy.dir().join(format!("shard{k:03}.run{r:03}"));
             std::fs::write(&path, page)
                 .unwrap_or_else(|e| panic!("spill write {}: {e}", path.display()));
             self.runs[k].push(path);
             self.spilled += entries.len();
-            shard.clear();
         }
         self.flushes += 1;
         visited.refresh_len();
@@ -382,12 +381,13 @@ where
     // children are judged after pass 1, on other threads, which drop the
     // rejected ones where they find them.
     let mut spares: Vec<Sys::State> = Vec::new();
+    let mut acts: Vec<Sys::Action> = Vec::new();
     // Phase A — generate the partition's children in traversal order
     // (frontier order, in-state action order); the fingerprint slot waits
     // for phase B.
     for (pfp, s) in part {
         let stage = |tc, a| rec.children.push((0, tc, a, *pfp));
-        if !search.stage_successors(s, |_| true, &mut rec.canon_hits, &mut spares, stage) {
+        if !search.stage_successors(s, |_| true, &mut rec.canon_hits, &mut spares, &mut acts, stage) {
             rec.terminals.push(s.clone());
         }
     }

@@ -233,8 +233,9 @@ where
     where
         F: Fn(&Sys::Action) -> bool,
     {
+        let mut acts = Vec::new();
         self.graph_from(|s, out, spares| {
-            self.stage_successors(s, &keep, &mut 0, spares, |tc, a| out.push((a, tc)));
+            self.stage_successors(s, &keep, &mut 0, spares, &mut acts, |tc, a| out.push((a, tc)));
         })
     }
 

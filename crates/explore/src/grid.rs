@@ -27,7 +27,14 @@ impl System for Grid {
     }
 
     fn enabled(&self, s: &Vec<u8>) -> Vec<usize> {
-        (0..self.n).filter(|&i| s[i] < self.max).collect()
+        let mut acts = Vec::new();
+        self.enabled_into(s, &mut acts);
+        acts
+    }
+
+    fn enabled_into(&self, s: &Vec<u8>, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.n).filter(|&i| s[i] < self.max));
     }
 
     fn step(&self, s: &Vec<u8>, a: &usize) -> Vec<u8> {

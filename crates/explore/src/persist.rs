@@ -150,15 +150,34 @@ impl Persist for bool {
     }
 }
 
+/// Append `bytes` as one length-prefixed blob: a `u64` length, then the
+/// bytes in one copy. Byte-identical to `Vec<u8>`'s [`Persist`] encoding,
+/// which pushes them one at a time — this pair is how a page or a string
+/// travels inside a larger encoding.
+pub fn write_blob(out: &mut Vec<u8>, bytes: &[u8]) {
+    bytes.len().write(out);
+    out.extend_from_slice(bytes);
+}
+
+/// Borrow the blob [`write_blob`] wrote, advancing `*pos` past it. Nothing
+/// is allocated, and [`take`] bounds the length by the bytes that remain,
+/// so a hostile prefix is `Malformed(what)` before it can size anything.
+pub fn read_blob<'b>(
+    buf: &'b [u8],
+    pos: &mut usize,
+    what: &'static str,
+) -> Result<&'b [u8], PersistError> {
+    let n = usize::read(buf, pos)?;
+    take(buf, pos, n, what)
+}
+
 impl Persist for String {
     fn write(&self, out: &mut Vec<u8>) {
-        self.len().write(out);
-        out.extend_from_slice(self.as_bytes());
+        write_blob(out, self.as_bytes());
     }
 
     fn read(buf: &[u8], pos: &mut usize) -> Result<Self, PersistError> {
-        let n = usize::read(buf, pos)?;
-        let bytes = take(buf, pos, n, "string bytes")?;
+        let bytes = read_blob(buf, pos, "string bytes")?;
         String::from_utf8(bytes.to_vec()).map_err(|_| PersistError::Malformed("string utf-8"))
     }
 }

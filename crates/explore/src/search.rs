@@ -43,7 +43,7 @@
 
 use crate::fingerprint::{BatchScratch, Encode};
 use crate::stats::SearchStats;
-use crate::table::{shard_index, Cap, ShardedFpMap, TryInsert};
+use crate::table::{shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
 use impossible_core::exec::Execution;
 use impossible_core::explore::Truncation;
 use impossible_core::system::System;
@@ -387,8 +387,11 @@ impl<'a, Sys: System> Search<'a, Sys> {
     /// staged; with a canon hook the pre-canon state goes straight back on
     /// the pool here (the hook's own allocation is the child), which is why
     /// that bound is the caller's to keep: on the canon route nothing
-    /// net-consumes the pool. `inline(always)`: every caller is a hot loop
-    /// that wants this body, with its closures, folded into its own.
+    /// net-consumes the pool. `acts` is the caller's action list, refilled
+    /// through [`System::enabled_into`] and drained here: its contents never
+    /// outlive the call, only its allocation does. `inline(always)`: every
+    /// caller is a hot loop that wants this body, with its closures, folded
+    /// into its own.
     #[inline(always)]
     pub(crate) fn stage_successors(
         &self,
@@ -396,11 +399,12 @@ impl<'a, Sys: System> Search<'a, Sys> {
         keep: impl Fn(&Sys::Action) -> bool,
         canon_hits: &mut usize,
         spares: &mut Vec<Sys::State>,
+        acts: &mut Vec<Sys::Action>,
         mut stage: impl FnMut(Sys::State, Sys::Action),
     ) -> bool {
-        let acts = self.sys.enabled(s);
+        self.sys.enabled_into(s, acts);
         let live = !acts.is_empty();
-        for a in acts {
+        for a in acts.drain(..) {
             if keep(&a) {
                 let t = match spares.pop() {
                     Some(mut t) => {
@@ -929,20 +933,16 @@ where
     }
 
     /// Package a paused run as a checkpoint, in canonical order: visited
-    /// shards page out via [`crate::table::FpMap::iter_ordered`] (ascending key),
-    /// frontier partitions keep their in-partition traversal order.
-    fn suspend(&self, run: BfsRun<Sys>) -> SearchCheckpoint<Sys::State, Sys::Action> {
+    /// shards are moved out by [`crate::table::FpMap::take_ordered`]
+    /// (ascending key — the run is over, so nothing is cloned), frontier
+    /// partitions keep their in-partition traversal order.
+    fn suspend(&self, mut run: BfsRun<Sys>) -> SearchCheckpoint<Sys::State, Sys::Action> {
         debug_assert!(run.found.is_none(), "paused runs carry no witness");
         let visited = run
             .visited
-            .shards()
-            .iter()
-            .map(|shard| {
-                shard
-                    .iter_ordered()
-                    .map(|(k, v)| (k, v.clone()))
-                    .collect::<Vec<_>>()
-            })
+            .shards_mut()
+            .iter_mut()
+            .map(FpMap::take_ordered)
             .collect();
         SearchCheckpoint {
             seed: self.seed,
@@ -963,11 +963,17 @@ where
         }
     }
 
-    /// Rebuild in-flight state from a checkpoint. Stored keys are already
-    /// folded (fingerprint `0` → `1`) and the fold is idempotent, so
-    /// re-inserting them shard-locally reproduces the exact table contents;
-    /// `workers` in the restored stats is the *resuming* builder's count,
-    /// matching what an uninterrupted run under that builder would record.
+    /// Rebuild in-flight state from a checkpoint: shard `k` is
+    /// [`crate::table::FpMap::from_ascending`] of page `k` — the table
+    /// inserting its keys one by one would have grown, so `peak_bytes`
+    /// continues as if the run had never paused. `workers` in the restored
+    /// stats is the *resuming* builder's count, matching what an
+    /// uninterrupted run under that builder would record.
+    ///
+    /// A checkpoint from this process meets the asserts below by
+    /// construction; one decoded from a file was checked against them (and
+    /// for keys in the wrong page) by `impossible-ckpt`'s
+    /// `Snapshot::from_bytes`.
     fn restore(&self, ckpt: SearchCheckpoint<Sys::State, Sys::Action>) -> BfsRun<Sys> {
         assert_eq!(ckpt.seed, self.seed, "checkpoint seed mismatch");
         assert_eq!(
@@ -994,12 +1000,8 @@ where
         stats.peak_bytes = ckpt.peak_bytes;
 
         let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(self.partitions);
-        for (k, page) in ckpt.visited.into_iter().enumerate() {
-            let shard = &mut visited.shards_mut()[k];
-            for (key, parent) in page {
-                let r = shard.try_insert_with(key, Cap::Unbounded, || parent);
-                assert_eq!(r, TryInsert::Inserted, "duplicate key in checkpoint page");
-            }
+        for (shard, page) in visited.shards_mut().iter_mut().zip(ckpt.visited) {
+            *shard = FpMap::from_ascending(page);
         }
         visited.refresh_len();
 
@@ -1082,6 +1084,7 @@ where
         // partition to overwrite (`stage_successors`' spare pool): a
         // duplicate costs neither a `malloc` nor a `free`.
         let mut spares: Vec<Sys::State> = Vec::new();
+        let mut acts: Vec<Sys::Action> = Vec::new();
         for part in parts.iter() {
             // Phase A — generate this partition's children in the j-major
             // reference order (frontier order, in-state action order), into
@@ -1091,7 +1094,8 @@ where
             for (pfp, s) in part {
                 expansions += 1;
                 let stage = |tc, a| pending.push((tc, a, *pfp));
-                if !self.stage_successors(s, |_| true, &mut canon_hits, &mut spares, stage) {
+                if !self.stage_successors(s, |_| true, &mut canon_hits, &mut spares, &mut acts, stage)
+                {
                     terminal.push(s.clone());
                 }
             }

@@ -22,12 +22,13 @@
 //!
 //! Determinism: the tables are only ever *probed* (by fingerprint) on hot
 //! paths — nothing hot iterates them — so neither probe order nor growth
-//! timing can influence a report. The ordered iteration below
-//! ([`FpMap::iter_ordered`], [`ShardedFpMap::iter_ordered`]) runs once per
-//! shard when a run pauses or spills, and is defined as ascending key
-//! order, which makes the sharded aggregate order equal to the flat table's
-//! order for the same key set — pinned by a `det_prop!` sweep in
-//! `tests/determinism.rs`.
+//! timing can influence a report. The canonical order below
+//! ([`FpMap::iter_ordered`], [`FpMap::take_ordered`],
+//! [`ShardedFpMap::iter_ordered`]) is walked once per shard when a run
+//! pauses or spills, and is defined as ascending key order, which makes the
+//! sharded aggregate order equal to the flat table's order for the same key
+//! set — pinned by a `det_prop!` sweep in `tests/determinism.rs`. A page in
+//! that order goes back into a table through [`FpMap::from_ascending`].
 //!
 //! The unoccupied sentinel is fingerprint `0`; real zero fingerprints are
 //! folded onto key `1`. That conflates a zero-fingerprint state with a
@@ -231,18 +232,94 @@ impl<V> FpMap<V> {
         self.keys.len()
     }
 
+    /// The occupied slots in ascending stored-key order — the one definition
+    /// of the canonical order, in one pass over the slot array. The home
+    /// slot is the key's high bits and probing only moves forward, so every
+    /// entry of a probe cluster (a maximal run of occupied slots) has its
+    /// home inside that cluster: clusters in slot order are disjoint
+    /// ascending key ranges, and only the entries inside one (a handful at
+    /// ≤ 50 % load) need sorting. The exception is a cluster that runs off
+    /// the last slot and continues at slot 0: the entries that wrapped sit
+    /// below their home slot, are the largest keys of the table, and are
+    /// ordered with the last cluster instead of the first.
+    fn ordered_slots(&self) -> Vec<usize> {
+        let shift = 64 - self.keys.len().trailing_zeros();
+        let mut idx = Vec::with_capacity(self.len);
+        let mut wrapped = Vec::new();
+        let mut cluster = 0;
+        for (i, &k) in self.keys.iter().enumerate() {
+            if k == EMPTY {
+                idx[cluster..].sort_unstable_by_key(|&j| self.keys[j]);
+                cluster = idx.len();
+            } else if (k >> shift) as usize > i {
+                wrapped.push(i);
+            } else {
+                idx.push(i);
+            }
+        }
+        idx.append(&mut wrapped);
+        idx[cluster..].sort_unstable_by_key(|&j| self.keys[j]);
+        idx
+    }
+
     /// Entries in ascending key order (the stored key: fingerprint `0`
-    /// folds onto `1`). O(n log n), once per shard: it is what
-    /// `Search::suspend` and the spill path's visited flush page shards
-    /// out with, never a per-state path. This is the canonical iteration
-    /// order both table shapes share.
+    /// folds onto `1`). Linear, once per shard, never a per-state path.
+    /// This is the canonical iteration order both table shapes share.
     pub fn iter_ordered(&self) -> impl Iterator<Item = (u64, &V)> {
-        let mut idx: Vec<usize> = (0..self.keys.len())
-            .filter(|&i| self.keys[i] != EMPTY)
-            .collect();
-        idx.sort_by_key(|&i| self.keys[i]);
-        idx.into_iter()
+        self.ordered_slots()
+            .into_iter()
             .map(|i| (self.keys[i], self.vals[i].as_ref().expect("occupied")))
+    }
+
+    /// Move every entry out, in [`FpMap::iter_ordered`]'s order, leaving
+    /// the 64-slot empty table [`FpMap::clear`] leaves. It is what
+    /// `Search::suspend` and the spill path's visited flush page shards out
+    /// with: both are done with the table, so nothing is cloned.
+    pub fn take_ordered(&mut self) -> Vec<(u64, V)> {
+        let entries = self
+            .ordered_slots()
+            .into_iter()
+            .map(|i| (self.keys[i], self.vals[i].take().expect("occupied")))
+            .collect();
+        self.clear();
+        entries
+    }
+
+    /// The table holding `entries`, which must be in strictly ascending
+    /// order of non-zero stored keys — a checkpoint page, i.e. what
+    /// [`FpMap::take_ordered`] returned. The slot arrays are allocated once
+    /// at the capacity inserting the entries one by one would have doubled
+    /// up to (the smallest power of two ≥ max(64, 2·len): growth happens at
+    /// 50 % load), so [`FpMap::approx_bytes`] cannot tell the two tables
+    /// apart. Ascending keys have non-decreasing home slots, so each entry
+    /// lands on the first free slot at or after its home with everything in
+    /// between occupied — findable by the forward probe — and only the last
+    /// few can run off the end and wrap.
+    ///
+    /// # Panics
+    ///
+    /// If a key is zero or not greater than its predecessor.
+    pub fn from_ascending(entries: Vec<(u64, V)>) -> Self {
+        let cap = (entries.len() * 2).max(64).next_power_of_two();
+        let (shift, mask) = (64 - cap.trailing_zeros(), cap - 1);
+        let mut map = FpMap {
+            keys: vec![EMPTY; cap],
+            vals: (0..cap).map(|_| None).collect(),
+            len: entries.len(),
+        };
+        let (mut prev, mut free) = (EMPTY, 0);
+        for (key, v) in entries {
+            assert!(key > prev, "page keys must be non-zero and strictly ascending");
+            prev = key;
+            let mut i = free.max((key >> shift) as usize) & mask;
+            while map.keys[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            map.keys[i] = key;
+            map.vals[i] = Some(v);
+            free = i + 1;
+        }
+        map
     }
 }
 
@@ -347,10 +424,7 @@ impl<V> ShardedFpMap<V> {
         TryInsert::Inserted
     }
 
-    /// Read-only view of the shard array, in shard order. The checkpoint
-    /// layer serializes each shard's [`FpMap::iter_ordered`] page from
-    /// this; restoring inserts straight back into [`Self::shards_mut`]
-    /// (stored keys are already folded, and the fold is idempotent).
+    /// Read-only view of the shard array, in shard order.
     pub fn shards(&self) -> &[FpMap<V>] {
         &self.shards
     }
@@ -358,6 +432,9 @@ impl<V> ShardedFpMap<V> {
     /// Exclusive access to the shard array, for the worker pool: each shard
     /// is claimed by exactly one worker per pass (whole shards off the
     /// atomic claim counter), so the borrows are disjoint by construction.
+    /// Pausing and spilling page shard `k` out through it with
+    /// [`FpMap::take_ordered`], and a resume assigns
+    /// [`FpMap::from_ascending`] of that page back to slot `k`.
     /// Call [`Self::refresh_len`] afterwards.
     pub fn shards_mut(&mut self) -> &mut [FpMap<V>] {
         &mut self.shards

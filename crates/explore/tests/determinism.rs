@@ -9,6 +9,7 @@
 
 use impossible_det::{det_assert, det_assert_eq, det_prop, DetRng};
 use impossible_explore::property::{eventually, never};
+use impossible_explore::table::TryInsert;
 use impossible_core::system::System;
 use impossible_explore::{
     Cap, Encode, FpHasher, FpMap, Grid, PauseBudget, Resumable, Search, SearchReport,
@@ -295,4 +296,110 @@ det_prop! {
         det_assert_eq!(a, b);
         det_assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "strictly ascending");
     }
+}
+
+/// `n` distinct non-zero keys, ascending, from `rng`.
+fn ascending_keys(rng: &mut DetRng, n: usize) -> Vec<u64> {
+    let mut keys = std::collections::BTreeSet::new();
+    while keys.len() < n {
+        keys.insert(rng.next_u64().max(1));
+    }
+    keys.into_iter().collect()
+}
+
+det_prop! {
+    fn from_ascending_is_the_table_incremental_insertion_grows(cases = 3, seed in 0u64..u64::MAX) {
+        // The bulk load against the incremental oracle, at every length a
+        // small shard sees and on both sides of every doubling up to 2¹⁴
+        // slots (the table doubles when entry cap/2 + 1 arrives): same
+        // capacity — so the same `approx_bytes`, i.e. the same `peak_bytes`
+        // after a resume — and every key where a probe finds it.
+        let mut rng = DetRng::seed_from_u64(seed);
+        let doublings = (5..=13).flat_map(|p| [(1usize << p) - 1, 1 << p, (1 << p) + 1]);
+        for len in (0..=300).chain(doublings) {
+            let keys = ascending_keys(&mut rng, len);
+            let bulk = FpMap::from_ascending(keys.iter().map(|&k| (k, !k)).collect());
+            let mut shuffled = keys.clone();
+            rng.shuffle(&mut shuffled);
+            let mut grown: FpMap<u64> = FpMap::new();
+            for &k in &shuffled {
+                grown.try_insert_with(k, Cap::Unbounded, || !k);
+            }
+            det_assert!(bulk.capacity() == grown.capacity(), "len {len}: {} slots, grown {}", bulk.capacity(), grown.capacity());
+            det_assert_eq!(bulk.approx_bytes(), grown.approx_bytes());
+            det_assert_eq!(bulk.len(), len);
+            for &k in &keys {
+                det_assert!(bulk.get(k) == Some(&!k), "len {len}: key {k:#x} is not where a probe looks");
+                // Neighbours share the home slot and so walk the same cluster.
+                for absent in [k - 1, k.wrapping_add(1)] {
+                    if absent != 0 && keys.binary_search(&absent).is_err() {
+                        det_assert!(!bulk.contains(absent), "len {len}: {absent:#x} was never inserted");
+                    }
+                }
+            }
+            let pairs = |m: &FpMap<u64>| m.iter_ordered().map(|(k, &v)| (k, v)).collect::<Vec<_>>();
+            det_assert_eq!(pairs(&bulk), pairs(&grown));
+        }
+    }
+}
+
+det_prop! {
+    fn take_ordered_is_collect_and_sort_then_an_empty_table(cases = 48, seed in 0u64..u64::MAX, n in 0usize..600, crowd in 0usize..40) {
+        // Keys built to break "slot order is key order": `crowd` of them
+        // share the top 24 bits (one home slot at any capacity here, so one
+        // long cluster), `crowd` more sit just below `u64::MAX` (home slot =
+        // the last one: they probe off the end and wrap to slot 0, where the
+        // smallest keys live), plus the folded zero and `u64::MAX` itself —
+        // inserted in shuffled order among `n` uniform ones.
+        let mut rng = DetRng::seed_from_u64(seed);
+        let prefix = rng.next_u64() & !((1u64 << 40) - 1);
+        let mut fps: Vec<u64> = ascending_keys(&mut rng, n);
+        fps.extend((0..crowd as u64).map(|j| prefix | (1 + j * 0x10_0001)));
+        fps.extend((0..crowd as u64).map(|j| u64::MAX - 1 - j));
+        fps.extend([0, u64::MAX]);
+        rng.shuffle(&mut fps);
+
+        let mut table: FpMap<u64> = FpMap::new();
+        let mut oracle = std::collections::BTreeMap::new();
+        for &fp in &fps {
+            let key = fp.max(1); // the fold
+            let inserted = table.try_insert_with(fp, Cap::Unbounded, || !key) == TryInsert::Inserted;
+            det_assert_eq!(inserted, oracle.insert(key, !key).is_none());
+        }
+        let sorted: Vec<(u64, u64)> = oracle.into_iter().collect();
+        let walked: Vec<(u64, u64)> = table.iter_ordered().map(|(k, &v)| (k, v)).collect();
+        det_assert_eq!(walked, sorted);
+        let taken = table.take_ordered();
+        det_assert_eq!(taken, sorted);
+
+        // What is left is `FpMap::new()`: empty, 64 slots, usable.
+        det_assert_eq!((table.len(), table.capacity()), (0, 64));
+        det_assert_eq!(table.approx_bytes(), FpMap::<u64>::new().approx_bytes());
+        det_assert!(sorted.iter().all(|&(k, _)| !table.contains(k)), "a taken key is still found");
+        table.try_insert_with(7, Cap::Unbounded, || 7);
+        det_assert_eq!(table.get(7), Some(&7));
+
+        // And the page goes back: the wrapped crowd lands where probes look.
+        let mut back = FpMap::from_ascending(taken);
+        det_assert!(sorted.iter().all(|&(k, v)| back.get(k) == Some(&v)), "a reloaded key is lost");
+        det_assert_eq!(back.take_ordered(), sorted);
+    }
+}
+
+#[test]
+#[should_panic(expected = "non-zero and strictly ascending")]
+fn from_ascending_refuses_descending_keys() {
+    FpMap::from_ascending(vec![(5, ()), (9, ()), (7, ())]);
+}
+
+#[test]
+#[should_panic(expected = "non-zero and strictly ascending")]
+fn from_ascending_refuses_a_duplicate_key() {
+    FpMap::from_ascending(vec![(5, ()), (9, ()), (9, ())]);
+}
+
+#[test]
+#[should_panic(expected = "non-zero and strictly ascending")]
+fn from_ascending_refuses_the_zero_key() {
+    FpMap::from_ascending(vec![(0, ()), (9, ())]);
 }

@@ -258,6 +258,12 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
 
     fn enabled(&self, state: &Self::State) -> Vec<MutexAction> {
         let mut acts = Vec::new();
+        self.enabled_into(state, &mut acts);
+        acts
+    }
+
+    fn enabled_into(&self, state: &Self::State, acts: &mut Vec<MutexAction>) {
+        acts.clear();
         for (i, l) in state.locals.iter().enumerate() {
             match self.alg.region(l) {
                 Region::Remainder => {
@@ -269,7 +275,6 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
                 Region::Critical => acts.push(MutexAction::Exit(i)),
             }
         }
-        acts
     }
 
     fn step(&self, state: &Self::State, action: &MutexAction) -> Self::State {

@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs of one ledger workload — the measurement
+# Alternating parent/change pairs of ledger workloads — the measurement
 # `ledger/LEDGER.md` and the choosing-metrics guide (§8) ask of every claim.
 #
-#   scripts/pairs.sh <parent-rev> <workload> [pairs=10] [seconds=26]
+#   scripts/pairs.sh <parent-rev> <workload>[,<workload>…]|all [pairs=10] [seconds=26]
+#
+# `all` is BENCHMARK.json's workloads — the four rows every `perf_opt` PR
+# owes. Both trees are built once; then each workload gets its own
+# alternating pairs and its own summary table, one after the other.
 #
 # "Change" is this working tree as it stands (uncommitted edits included);
 # "parent" is <parent-rev>, exported with `git archive` into
 # <target>/pairs/parent-src (an archive, not `git worktree add`: it leaves
 # nothing in .git to prune) and removed again on exit. Each tree builds its
 # own ledger into its own CARGO_TARGET_DIR under <target>/pairs (kept, so a
-# second invocation is warm) and every run goes through that tree's own
+# second invocation against the same parent is warm) and every run goes
+# through that tree's own
 #   ledger/ledger.sh --workload W --seed i --trace 0
 # with seed i = pair number; odd pairs run the parent first, even pairs the
 # change. Any run whose result line is not `"correct":true` fails the
@@ -23,10 +28,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ] || [ $# -gt 4 ]; then
-    echo "usage: scripts/pairs.sh <parent-rev> <workload> [pairs=10] [seconds=26]" >&2
+    echo "usage: scripts/pairs.sh <parent-rev> <workload>[,<workload>...]|all [pairs=10] [seconds=26]" >&2
     exit 2
 fi
-rev="$1" workload="$2" pairs="${3:-10}" seconds="${4:-26}"
+rev="$1" pairs="${3:-10}" seconds="${4:-26}"
+if [ "$2" = all ]; then
+    mapfile -t workloads < <(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 } on' BENCHMARK.json \
+        | sed -n 's/.*"name": *"\([^"]*\)".*/\1/p')
+else
+    IFS=, read -r -a workloads <<< "$2"
+fi
+[ "${#workloads[@]}" -gt 0 ] || { echo "pairs.sh: no workload in '$2'" >&2; exit 2; }
 sha="$(git rev-parse --verify --quiet "$rev^{commit}")" || {
     echo "pairs.sh: '$rev' is not a commit" >&2
     exit 2
@@ -38,20 +50,26 @@ rm -rf "$parent_src"
 mkdir -p "$parent_src"
 trap 'rm -rf "$parent_src"' EXIT
 git archive "$sha" | tar -x -C "$parent_src"
+# The archive's files carry the commit's date, so cargo would take a target
+# dir warmed by a different parent for up to date: keep it only for the
+# same commit.
+if [ "$(cat "$work/parent-target.sha" 2>/dev/null)" != "$sha" ]; then
+    rm -rf "$work/parent-target"
+    echo "$sha" > "$work/parent-target.sha"
+fi
 
 metrics=(verdict_s states_per_s peak_rss_mb setup_s)
 
-echo "pairs.sh: parent ${sha:0:7} vs working tree, $workload, $pairs pairs x $seconds s" >&2
+echo "pairs.sh: parent ${sha:0:7} vs working tree, ${workloads[*]}, $pairs pairs x $seconds s" >&2
 for side in parent change; do
     tree="$PWD"
     [ "$side" = parent ] && tree="$parent_src"
     CARGO_TARGET_DIR="$work/$side-target" \
         cargo build --release --offline --quiet --manifest-path "$tree/ledger/Cargo.toml" >&2
-    : > "$work/$side.tsv"
 done
 
-# run_side <parent|change> <seed>: one measured run; appends the four
-# metrics, attempted and failed to the side's table and echoes them.
+# run_side <parent|change> <seed>: one measured run of $workload; appends
+# the four metrics, attempted and failed to the side's table and echoes them.
 run_side() {
     local side="$1" seed="$2" tree="$PWD" line row="" m v
     [ "$side" = parent ] && tree="$parent_src"
@@ -71,60 +89,65 @@ run_side() {
     printf '%s' "$row"
 }
 
-printf 'pair\tfirst\tside\t%s\tattempted\tfailed\n' "$(IFS=$'\t'; echo "${metrics[*]}")"
-for i in $(seq 1 "$pairs"); do
-    order=(parent change)
-    [ $((i % 2)) -eq 0 ] && order=(change parent)
-    for side in "${order[@]}"; do
-        row="$(run_side "$side" "$i")" # an assignment, so a failed run stops the script
-        printf '%s\t%s\t%s\t%s\n' "$i" "${order[0]}" "$side" "$row"
+for workload in "${workloads[@]}"; do
+    printf '\n== %s ==\n' "$workload"
+    : > "$work/parent.tsv"
+    : > "$work/change.tsv"
+    printf 'pair\tfirst\tside\t%s\tattempted\tfailed\n' "$(IFS=$'\t'; echo "${metrics[*]}")"
+    for i in $(seq 1 "$pairs"); do
+        order=(parent change)
+        [ $((i % 2)) -eq 0 ] && order=(change parent)
+        for side in "${order[@]}"; do
+            row="$(run_side "$side" "$i")" # an assignment, so a failed run stops the script
+            printf '%s\t%s\t%s\t%s\n' "$i" "${order[0]}" "$side" "$row"
+        done
     done
-done
 
-# Summary: row k of parent.tsv and change.tsv are pair k's two runs.
-paste "$work/parent.tsv" "$work/change.tsv" | awk -F'\t' -v names="${metrics[*]}" '
-function sort_into(src, dst, n,    i, j, t) {
-    for (i = 1; i <= n; i++) dst[i] = src[i]
-    for (i = 2; i <= n; i++) {
-        t = dst[i]
-        for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]
-        dst[j + 1] = t
-    }
-}
-# Quartile i (1..3) of sorted v[1..n], exclusive method.
-function quant(v, n, i,    m, j, d) {
-    if (n == 1) return v[1]
-    m = n + 1
-    j = int(i * m / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
-    d = i * m - j * 4
-    return (v[j] * (4 - d) + v[j + 1] * d) / 4
-}
-{
-    n = NR
-    for (c = 1; c <= 6; c++) { p[c, n] = $c + 0; q[c, n] = $(c + 6) + 0 }
-}
-END {
-    split(names, name, " ")
-    higher["states_per_s"] = 1
-    printf "\n%-13s %-34s %-34s %8s %9s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "delta", "pairs won", "gain by the 9/10 + IQR rule"
-    for (c = 1; c <= 4; c++) {
-        wins = 0; ties = 0
-        for (k = 1; k <= n; k++) {
-            a[k] = p[c, k]; b[k] = q[c, k]
-            if (a[k] == b[k]) ties++
-            else if ((b[k] > a[k]) == ((name[c] in higher) ? 1 : 0)) wins++
+    # Summary: row k of parent.tsv and change.tsv are pair k's two runs.
+    paste "$work/parent.tsv" "$work/change.tsv" | awk -F'\t' -v names="${metrics[*]}" '
+    function sort_into(src, dst, n,    i, j, t) {
+        for (i = 1; i <= n; i++) dst[i] = src[i]
+        for (i = 2; i <= n; i++) {
+            t = dst[i]
+            for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]
+            dst[j + 1] = t
         }
-        sort_into(a, sa, n); sort_into(b, sb, n)
-        pm = quant(sa, n, 2); cm = quant(sb, n, 2)
-        pq1 = quant(sa, n, 1); pq3 = quant(sa, n, 3)
-        better = (name[c] in higher) ? (cm > pm) : (cm < pm)
-        gap = cm - pm; if (gap < 0) gap = -gap
-        met = (wins * 10 >= n * 9 && better && gap > pq3 - pq1) ? "met" : "not met"
-        printf "%-13s %-34s %-34s %+7.1f%% %6d/%-2d  %s\n", name[c],
-            sprintf("%.6g [%.6g, %.6g]", pm, pq1, pq3),
-            sprintf("%.6g [%.6g, %.6g]", cm, quant(sb, n, 1), quant(sb, n, 3)),
-            (cm - pm) / pm * 100, wins, n, met (ties ? sprintf(" (%d ties)", ties) : "")
     }
-    for (k = 1; k <= n; k++) { pa += p[5, k]; pf += p[6, k]; ca += q[5, k]; cf += q[6, k] }
-    printf "operations failed/attempted: parent %d/%d, change %d/%d\n", pf, pa, cf, ca
-}'
+    # Quartile i (1..3) of sorted v[1..n], exclusive method.
+    function quant(v, n, i,    m, j, d) {
+        if (n == 1) return v[1]
+        m = n + 1
+        j = int(i * m / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
+        d = i * m - j * 4
+        return (v[j] * (4 - d) + v[j + 1] * d) / 4
+    }
+    {
+        n = NR
+        for (c = 1; c <= 6; c++) { p[c, n] = $c + 0; q[c, n] = $(c + 6) + 0 }
+    }
+    END {
+        split(names, name, " ")
+        higher["states_per_s"] = 1
+        printf "\n%-13s %-34s %-34s %8s %9s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "delta", "pairs won", "gain by the 9/10 + IQR rule"
+        for (c = 1; c <= 4; c++) {
+            wins = 0; ties = 0
+            for (k = 1; k <= n; k++) {
+                a[k] = p[c, k]; b[k] = q[c, k]
+                if (a[k] == b[k]) ties++
+                else if ((b[k] > a[k]) == ((name[c] in higher) ? 1 : 0)) wins++
+            }
+            sort_into(a, sa, n); sort_into(b, sb, n)
+            pm = quant(sa, n, 2); cm = quant(sb, n, 2)
+            pq1 = quant(sa, n, 1); pq3 = quant(sa, n, 3)
+            better = (name[c] in higher) ? (cm > pm) : (cm < pm)
+            gap = cm - pm; if (gap < 0) gap = -gap
+            met = (wins * 10 >= n * 9 && better && gap > pq3 - pq1) ? "met" : "not met"
+            printf "%-13s %-34s %-34s %+7.1f%% %6d/%-2d  %s\n", name[c],
+                sprintf("%.6g [%.6g, %.6g]", pm, pq1, pq3),
+                sprintf("%.6g [%.6g, %.6g]", cm, quant(sb, n, 1), quant(sb, n, 3)),
+                (cm - pm) / pm * 100, wins, n, met (ties ? sprintf(" (%d ties)", ties) : "")
+        }
+        for (k = 1; k <= n; k++) { pa += p[5, k]; pf += p[6, k]; ca += q[5, k]; cf += q[6, k] }
+        printf "operations failed/attempted: parent %d/%d, change %d/%d\n", pf, pa, cf, ca
+    }'
+done

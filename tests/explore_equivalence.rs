@@ -20,11 +20,12 @@
 //! encoding fails here without a parent build to diff against. The pinned
 //! values were computed at the commit before the macros were rewritten.
 //!
-//! Last, the `System::step_into` contract: every model that overrides it is
-//! checked against its own `step` over its reachable space, from junk of
-//! every shape ([`assert_step_into_agrees`]), and every search route is
-//! checked to return the same bytes whether or not the model reuses storage
-//! ([`NoReuse`], [`assert_reuse_is_invisible`]).
+//! Last, the `System::step_into` and `System::enabled_into` contracts: every
+//! model that overrides them is checked against its own `step` / `enabled`
+//! over its reachable space, from junk of every shape and length
+//! ([`assert_step_into_agrees`], [`assert_enabled_into_agrees`]), and every
+//! search route is checked to return the same bytes whether or not the model
+//! reuses storage ([`NoReuse`], [`assert_reuse_is_invisible`]).
 
 use impossible::core::explore::Explorer;
 use impossible::core::ids::ProcessId;
@@ -266,6 +267,7 @@ fn truncated_explorations_agree_on_the_cap() {
 /// `s`, an initial state, or one of `other_shapes` (states of the same type
 /// from an instance of another size, so shorter and longer `Vec`s). A body
 /// that forgets to overwrite a field, or trusts `out`'s length, fails here.
+/// Every state visited is also put through [`assert_enabled_into_agrees`].
 fn assert_step_into_agrees<Sys>(sys: &Sys, cap: usize, other_shapes: &[Sys::State])
 where
     Sys: System,
@@ -275,7 +277,9 @@ where
     let init = sys.initial_states().swap_remove(0);
     let mut previous_child = init.clone();
     let mut pairs = 0usize;
+    let junk_actions = sys.enabled(&init);
     for s in &states {
+        assert_enabled_into_agrees(sys, s, &junk_actions);
         for a in sys.enabled(s) {
             let want = sys.step(s, &a);
             let junks = [&previous_child, s, &init].into_iter().chain(other_shapes);
@@ -291,6 +295,20 @@ where
     assert!(pairs >= states.len() / 2, "only {pairs} transitions checked");
 }
 
+/// The [`System::enabled_into`] contract at `s`: whatever `out` held —
+/// nothing, or `junk` cycled to every length up to past the answer's — it
+/// is `enabled(s)` afterwards. A body that appends without clearing, or an
+/// [`ActionEdit`](impossible::ckpt::ActionEdit) that filters what was
+/// already there, fails here.
+fn assert_enabled_into_agrees<Sys: System>(sys: &Sys, s: &Sys::State, junk: &[Sys::Action]) {
+    let want = sys.enabled(s);
+    for len in 0..=want.len() + 2 {
+        let mut out: Vec<Sys::Action> = junk.iter().cycle().take(len).cloned().collect();
+        sys.enabled_into(s, &mut out);
+        assert_eq!(out, want, "enabled_into({s:?}) over {len} junk actions");
+    }
+}
+
 #[test]
 fn every_overriding_model_keeps_the_step_into_contract() {
     use impossible::election::ring_search::{GreedyMergeRing, TokenRing};
@@ -298,7 +316,11 @@ fn every_overriding_model_keeps_the_step_into_contract() {
     use impossible::sharedmem::algorithms::{dijkstra::Dijkstra, tas_lock::TasLock};
     use impossible::sharedmem::mutex::MutexSystem;
 
-    assert_step_into_agrees(&Grid { n: 3, max: 4 }, 1_000, &[vec![0], vec![9; 7]]);
+    let grid = Grid { n: 3, max: 4 };
+    assert_step_into_agrees(&grid, 1_000, &[vec![0], vec![9; 7]]);
+    // `ActionEdit` forwards both methods and filters the list in place.
+    let edited = impossible::ckpt::ActionEdit::new(&grid, |s: &Vec<u8>, a: &usize| s[*a] != 2);
+    assert_step_into_agrees(&edited, 1_000, &[vec![0], vec![9; 7]]);
     let ring_shapes = [vec![1; 2], vec![0, 1, 0, 1, 1, 0, 1, 1, 1]];
     assert_step_into_agrees(&TokenRing { n: 6 }, 1_000, &ring_shapes);
     assert_step_into_agrees(&GreedyMergeRing { n: 6 }, 1_000, &ring_shapes);
@@ -316,9 +338,10 @@ fn every_overriding_model_keeps_the_step_into_contract() {
     assert_step_into_agrees(&MutexSystem::new(&tas), 1_000, &[initial_of(1), initial_of(4)]);
 }
 
-/// `S` with [`System::step_into`] put back to the trait's default: forwards
-/// everything else, so any difference between a search over `S` and one
-/// over `NoReuse<S>` is storage reuse showing through.
+/// `S` with [`System::step_into`] and [`System::enabled_into`] put back to
+/// the trait's defaults: forwards everything else, so any difference between
+/// a search over `S` and one over `NoReuse<S>` is storage reuse showing
+/// through.
 struct NoReuse<'a, S>(&'a S);
 
 impl<S: System> System for NoReuse<'_, S> {
