@@ -19,6 +19,8 @@
 //!   valence classification, bivalent initial configurations, decider /
 //!   critical configurations. (The admissible non-deciding execution is
 //!   `consensus::flp::find_nontermination` over `explore::property`.)
+//! * [`succ`] — compressed successor rows, the edge storage of the
+//!   reachable graphs [`valence`] classifies (built by `impossible-explore`).
 //! * [`scenario`] — the Fischer–Lynch–Merritt *scenario* composer (Figure 1):
 //!   glue copies of a protocol into a ring and extract contradictory
 //!   obligations.
@@ -74,6 +76,7 @@ pub mod ids;
 pub mod knowledge;
 pub mod pigeonhole;
 pub mod scenario;
+pub mod succ;
 pub mod symmetry;
 pub mod system;
 pub mod task;

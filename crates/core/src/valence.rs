@@ -21,14 +21,15 @@
 //!
 //! This crate does not build reachable graphs. The one builder is
 //! `impossible-explore`'s (`Search::graph_from`); [`ValenceEngine`] takes
-//! its result as plain slices — `order[i]` is configuration `i`, `succ[i]`
-//! its `(action, target index)` edges — so the classification fixpoint and
-//! the decider hunt run over whatever that builder produced (capped,
-//! depth-bounded, quotiented) without core naming it. Callers go through
-//! `Search::valence` / `Search::find_decider`.
+//! its result as it stands — `order[i]` is configuration `i`, `succ[i]`
+//! its `(action, target index)` edges, in [`Succ`]'s compressed rows — so
+//! the classification fixpoint and the decider hunt run over whatever that
+//! builder produced (capped, depth-bounded, quotiented) without core naming
+//! it. Callers go through `Search::valence` / `Search::find_decider`.
 //!
 //! ```
 //! use impossible_core::ids::ProcessId;
+//! use impossible_core::succ::Succ;
 //! use impossible_core::system::{DecisionSystem, System};
 //! use impossible_core::valence::ValenceEngine;
 //!
@@ -54,7 +55,7 @@
 //! // Its reachable graph, written out by hand: three configurations, the
 //! // undecided one leading to each decided one.
 //! let order = [None, Some(0), Some(1)];
-//! let succ = [vec![(0, 1), (1, 2)], vec![], vec![]];
+//! let succ = Succ::from_rows([vec![(0, 1), (1, 2)], vec![], vec![]]);
 //! let report = ValenceEngine::new(&FreeChoice).analyze_from_graph(&order, &succ, false);
 //! assert_eq!(report.bivalent_initials.len(), 1);
 //! assert_eq!(report.critical.len(), 1);
@@ -62,6 +63,7 @@
 
 use crate::exec::Execution;
 use crate::ids::ProcessId;
+use crate::succ::Succ;
 use crate::system::DecisionSystem;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -145,7 +147,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     pub fn analyze_from_graph(
         &self,
         order: &[Sys::State],
-        succ: &[Vec<(Sys::Action, usize)>],
+        succ: &Succ<Sys::Action>,
         truncated: bool,
     ) -> ValenceReport<Sys::State> {
         self.analyze_from_graph_traced(order, succ, truncated, &mut NoopTracer)
@@ -158,7 +160,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     pub fn analyze_from_graph_traced(
         &self,
         order: &[Sys::State],
-        succ: &[Vec<(Sys::Action, usize)>],
+        succ: &Succ<Sys::Action>,
         truncated: bool,
         tracer: &mut dyn Tracer,
     ) -> ValenceReport<Sys::State> {
@@ -245,7 +247,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     fn fixpoint(
         &self,
         order: &[Sys::State],
-        succ: &[Vec<(Sys::Action, usize)>],
+        succ: &Succ<Sys::Action>,
         tracer: &mut dyn Tracer,
     ) -> (Vec<BTreeSet<u64>>, Vec<BTreeSet<u64>>) {
         let own: Vec<BTreeSet<u64>> = order
@@ -296,7 +298,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     pub fn find_decider_from_graph(
         &self,
         order: &[Sys::State],
-        succ: &[Vec<(Sys::Action, usize)>],
+        succ: &Succ<Sys::Action>,
     ) -> Option<Decider<Sys::State, Sys::Action>> {
         self.find_decider_from_graph_traced(order, succ, &mut NoopTracer)
     }
@@ -308,7 +310,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     pub fn find_decider_from_graph_traced(
         &self,
         order: &[Sys::State],
-        succ: &[Vec<(Sys::Action, usize)>],
+        succ: &Succ<Sys::Action>,
         tracer: &mut dyn Tracer,
     ) -> Option<Decider<Sys::State, Sys::Action>> {
         let (_, val) = self.fixpoint(order, succ, &mut NoopTracer);

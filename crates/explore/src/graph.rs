@@ -44,11 +44,24 @@
 //! Graphs honor the search's bounds — `max_states` and `max_depth`: the
 //! FIFO cursor tracks BFS level boundaries, stops expanding at the depth
 //! bound, and reports [`Truncation::Depth`] when unexpanded non-terminal
-//! states remain, exactly like `Search::explore`. Interned node indices
-//! are `u32`; the conversion is checked, surfacing as
-//! [`Truncation::Index`] instead of a silent wrap, should a space ever
-//! outgrow the index width before the state cap binds. A cut, a depth
-//! bound or an index overflow therefore has this one place to be right.
+//! states remain, exactly like `Search::explore`. Two widths are `u32`,
+//! and both conversions are checked, surfacing as [`Truncation::Index`]
+//! instead of a silent wrap, should a space ever outgrow them before the
+//! state cap binds: interned node indices (stored as `index + 1` in a
+//! `NonZeroU32`, so the last internable index is `u32::MAX − 1`) and the
+//! row offsets of the edge array (at most `u32::MAX` edges). A cut, a
+//! depth bound or an index overflow therefore has this one place to be
+//! right.
+//!
+//! **Edges are flat.** [`ReachableGraph::succ`] is a [`Succ`]: one edge
+//! array and one `u32` offset per state, not a heap block per state. States
+//! are expanded in index order, so rows complete in index order and the
+//! builder writes them in place — push a state's edges, close its row, and
+//! after the loop (exhausted, depth cut or cap) pad the states that were
+//! never expanded with empty rows. Edge *targets* stay `usize`: the
+//! performance ledger (`ledger/src/replay.rs`, outside the workspace)
+//! indexes its own per-state arrays with them, so narrowing them to `u32`
+//! waits for the PR that may edit the ledger (ROADMAP item 1).
 //!
 //! [`ReachableGraph`] also owns the two derived searches its consumers
 //! share: [`ReachableGraph::can_reach`] (backward closure over a
@@ -60,10 +73,12 @@ use crate::fingerprint::{BatchScratch, Encode};
 use crate::search::Search;
 use crate::table::{Cap, ShardedFpMap, TryInsert};
 use impossible_core::explore::Truncation;
+use impossible_core::succ::Succ;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::{Decider, ValenceEngine, ValenceReport};
 use impossible_obs::{NoopTracer, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::num::NonZeroU32;
 
 /// A reachable configuration graph: `order[i]` is state `i`, `succ[i]` its
 /// `(action, target_index)` edges in action order.
@@ -71,8 +86,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub struct ReachableGraph<S, A> {
     /// States in discovery (BFS) order; initial states first.
     pub order: Vec<S>,
-    /// Successor lists, indices into `order`.
-    pub succ: Vec<Vec<(A, usize)>>,
+    /// Successor rows, targets indexing `order`; one row per state.
+    pub succ: Succ<A>,
     /// Number of (distinct, canonical) initial states: `order[..initials]`.
     /// The property checker's stem searches start here.
     pub initials: usize,
@@ -92,9 +107,9 @@ impl<S, A> ReachableGraph<S, A> {
         self.order.len()
     }
 
-    /// Number of edges (sum of successor-list lengths).
+    /// Number of edges (sum of successor-row lengths), in O(1).
     pub fn num_edges(&self) -> usize {
-        self.succ.iter().map(Vec::len).sum()
+        self.succ.num_edges()
     }
 
     /// True when no state was reached (no initial states).
@@ -126,34 +141,40 @@ impl<S, A> ReachableGraph<S, A> {
         goal: impl Fn(usize) -> bool,
     ) -> Vec<bool> {
         let n = self.len();
+        // Node indices fit `u32` by construction (`graph_from` interns no
+        // more) and a `Succ` holds at most `u32::MAX` edges; a hand-built
+        // graph has to fit too, so that the `as u32`s below are lossless.
+        assert!(u32::try_from(n).is_ok(), "can_reach: more than u32::MAX states");
         // Predecessor lists in compressed-row form, one counting pass and
-        // one filling pass over the edges: the predecessors of `t` are
-        // `pred[start[t]..start[t + 1]]`.
-        let mut start = vec![0usize; n + 1];
-        self.each_edge(&allowed, |_, t| start[t + 1] += 1);
+        // one filling pass over the edges, in one offset array: count the
+        // predecessors of `t` into `start[t + 2]`, prefix-sum so that
+        // `start[t + 1]` is where `t`'s list begins, and fill through
+        // `start[t + 1]`, which leaves it where `t + 1`'s list begins —
+        // the predecessors of `t` are `pred[start[t]..start[t + 1]]`.
+        let mut start = vec![0u32; n + 2];
+        self.each_edge(&allowed, |_, t| start[t + 2] += 1);
         for t in 0..n {
-            start[t + 1] += start[t];
+            start[t + 2] += start[t + 1];
         }
-        let mut pred = vec![0usize; start[n]];
-        let mut fill = start.clone();
+        let mut pred = vec![0u32; start[n + 1] as usize];
         self.each_edge(&allowed, |v, t| {
-            pred[fill[t]] = v;
-            fill[t] += 1;
+            pred[start[t + 1] as usize] = v as u32;
+            start[t + 1] += 1;
         });
 
         let mut can = vec![false; n];
-        let mut queue: Vec<usize> = Vec::with_capacity(n);
-        queue.extend((0..n).filter(|&v| allowed(v) && goal(v)));
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        queue.extend((0..n).filter(|&v| allowed(v) && goal(v)).map(|v| v as u32));
         for &v in &queue {
-            can[v] = true;
+            can[v as usize] = true;
         }
         let mut head = 0;
         while head < queue.len() {
-            let v = queue[head];
+            let v = queue[head] as usize;
             head += 1;
-            for &u in &pred[start[v]..start[v + 1]] {
-                if !can[u] {
-                    can[u] = true;
+            for &u in &pred[start[v] as usize..start[v + 1] as usize] {
+                if !can[u as usize] {
+                    can[u as usize] = true;
                     queue.push(u);
                 }
             }
@@ -259,14 +280,18 @@ where
         let seed = self.seed_value();
 
         let mut order: Vec<Sys::State> = Vec::new();
-        let mut succ: Vec<Vec<(Sys::Action, usize)>> = Vec::new();
-        // First state index interned under each fingerprint. Indices are
-        // `u32`: the graph stores full states, so memory runs out long
-        // before 2³² of them. Genuine collisions (distinct states sharing a
-        // fingerprint) chain into `spill`, which stays empty on honest
-        // encodings.
-        let mut first_by_fp: ShardedFpMap<u32> = ShardedFpMap::new(self.partitions_value());
-        let mut spill: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        // Rows are written in place: the loop below expands states in index
+        // order, so row `i` is pushed and closed while `i` is the cursor,
+        // and the states it never reaches are padded after it.
+        let mut succ: Succ<Sys::Action> = Succ::new();
+        // First state index interned under each fingerprint, as a 4-byte
+        // slot (`slot_of`: `index + 1`, so `Option<slot>` needs no tag).
+        // The graph stores full states, so memory runs out long before the
+        // `u32::MAX − 1` indices a slot can name. Genuine collisions
+        // (distinct states sharing a fingerprint) chain into `spill`,
+        // which stays empty on honest encodings.
+        let mut first_by_fp: ShardedFpMap<NonZeroU32> = ShardedFpMap::new(self.partitions_value());
+        let mut spill: BTreeMap<u64, Vec<NonZeroU32>> = BTreeMap::new();
         let mut batch = BatchScratch::new(seed);
         let mut truncated_by: Option<Truncation> = None;
 
@@ -277,15 +302,14 @@ where
         // know to place it without probing again.
         macro_rules! lookup {
             ($fp:expr, $sc:expr) => {
-                match first_by_fp.get($fp) {
+                match first_by_fp.get($fp).map(|&slot| index_of(slot)) {
                     None => Err(false),
-                    Some(&j0) if order[j0 as usize] == *$sc => Ok(j0 as usize),
+                    Some(j0) if order[j0] == *$sc => Ok(j0),
                     Some(_) => spill
                         .get(&$fp)
                         .and_then(|chain| {
-                            chain.iter().copied().find(|&j| order[j as usize] == *$sc)
+                            chain.iter().map(|&slot| index_of(slot)).find(|&j| order[j] == *$sc)
                         })
-                        .map(|j| j as usize)
                         .ok_or(true),
                 }
             };
@@ -293,23 +317,20 @@ where
         // Intern a known-new state as index `$j`; `$taken` is `lookup!`'s
         // answer to whether another state already holds the fingerprint.
         // Evaluates to `false` — without interning — when `$j` no longer
-        // fits the `u32` index width: the caller records
-        // `Truncation::Index` and stops adding states, instead of the old
-        // `as u32` silently wrapping the index into a bogus (and aliased)
-        // slot.
+        // fits a slot (a wrapped index would alias another state's): the
+        // caller records `Truncation::Index` and stops adding states.
         macro_rules! intern_new {
             ($fp:expr, $sc:expr, $j:expr, $taken:expr) => {{
-                match u32::try_from($j) {
-                    Err(_) => false,
-                    Ok(j32) => {
+                match slot_of($j) {
+                    None => false,
+                    Some(slot) => {
                         if $taken {
-                            spill.entry($fp).or_default().push(j32);
+                            spill.entry($fp).or_default().push(slot);
                         } else {
-                            let r = first_by_fp.try_insert_with($fp, Cap::Unbounded, || j32);
+                            let r = first_by_fp.try_insert_with($fp, Cap::Unbounded, || slot);
                             debug_assert_eq!(r, TryInsert::Inserted);
                         }
                         order.push($sc);
-                        succ.push(Vec::new());
                         true
                     }
                 }
@@ -363,7 +384,6 @@ where
                 break;
             }
             let batch_len = children.len();
-            succ[i].reserve_exact(batch_len);
             // One batched fingerprint pass over the staged children — the
             // same hot-path shape as the fused search engine.
             let fps = batch.fingerprints(children.iter().map(|(_, tc)| tc));
@@ -388,10 +408,19 @@ where
                         j
                     }
                 };
-                succ[i].push((a, ti));
+                succ.push(a, ti);
+            }
+            if !succ.close_row() {
+                // More edges than a `u32` row offset can address: state
+                // `i` keeps no row (the padding drops what was pushed).
+                truncated_by.get_or_insert(Truncation::Index);
+                break;
             }
             i += 1;
         }
+        // Whatever ended the loop — space exhausted, depth cut, a cap —
+        // every state from `i` on was never expanded: empty rows.
+        succ.pad_rows(order.len());
 
         ReachableGraph {
             order,
@@ -400,6 +429,18 @@ where
             truncated_by,
         }
     }
+}
+
+/// The intern table's slot for node index `j`: `j + 1` in a `NonZeroU32`,
+/// so that the table's `Option<slot>` is 4 bytes, not 8. `None` past the
+/// last internable index, `u32::MAX − 1`.
+fn slot_of(j: usize) -> Option<NonZeroU32> {
+    NonZeroU32::new(u32::try_from(j).ok()?.checked_add(1)?)
+}
+
+/// The node index a slot stands for.
+fn index_of(slot: NonZeroU32) -> usize {
+    (slot.get() - 1) as usize
 }
 
 impl<'a, Sys: DecisionSystem> Search<'a, Sys>
@@ -452,6 +493,7 @@ mod tests {
     use crate::fingerprint::FpHasher;
     use crate::grid::Grid;
     use impossible_core::ids::ProcessId;
+    use impossible_det::{det_assert_eq, det_prop, prop};
 
     #[test]
     fn graph_matches_full_exploration() {
@@ -459,10 +501,8 @@ mod tests {
         let g = Search::new(&sys).graph();
         let r = Search::new(&sys).explore();
         assert_eq!(g.len(), r.num_states);
-        assert_eq!(
-            g.succ.iter().map(Vec::len).sum::<usize>(),
-            r.num_transitions
-        );
+        assert_eq!(g.num_edges(), r.num_transitions);
+        assert_eq!(g.succ.iter().map(<[_]>::len).sum::<usize>(), g.num_edges());
         assert!(!g.truncated());
         // Initial state first, edges index-closed.
         assert_eq!(g.order[0], vec![0, 0]);
@@ -566,7 +606,7 @@ mod tests {
     fn hand_graph(edges: &[&[(u32, usize)]]) -> ReachableGraph<(), u32> {
         ReachableGraph {
             order: vec![(); edges.len()],
-            succ: edges.iter().map(|es| es.to_vec()).collect(),
+            succ: Succ::from_rows(edges),
             initials: 1,
             truncated_by: None,
         }
@@ -589,6 +629,70 @@ mod tests {
         // goal nobody satisfies.
         assert_eq!(g.can_reach(|i| i != 3, |i| i == 3), [false; 6]);
         assert_eq!(g.can_reach(|_| true, |_| false), [false; 6]);
+    }
+
+    /// `can_reach` by its definition: the least set holding every allowed
+    /// goal state and every allowed state with an edge into the set.
+    fn can_reach_naive(rows: &[Vec<(u32, usize)>], allowed: &[bool], goal: &[bool]) -> Vec<bool> {
+        let n = rows.len();
+        let mut can: Vec<bool> = (0..n).map(|v| allowed[v] && goal[v]).collect();
+        loop {
+            let grown: Vec<bool> = (0..n)
+                .map(|v| can[v] || (allowed[v] && rows[v].iter().any(|&(_, t)| can[t])))
+                .collect();
+            if grown == can {
+                return can;
+            }
+            can = grown;
+        }
+    }
+
+    det_prop! {
+        /// Generated graphs — up to 24 nodes (none included), out-degree up
+        /// to 3, self-loops and parallel edges as drawn — under generated
+        /// masks: `allowed` everything or a drawn subset, `goal` nothing or
+        /// a drawn subset, drawn independently, so goals outside `allowed`
+        /// are common.
+        fn can_reach_matches_a_naive_fixpoint(
+            cases = 2048,
+            raw in prop::vec(prop::vec(0u8..24, 0..4), 0..25),
+            allowed_bits in 0u32..1 << 24,
+            all_allowed in 0u8..3,
+            goal_bits in 0u32..1 << 24,
+            no_goal in 0u8..4
+        ) {
+            let n = raw.len();
+            let rows: Vec<Vec<(u32, usize)>> = raw
+                .iter()
+                .map(|ts| ts.iter().map(|&t| (0, t as usize % n)).collect())
+                .collect();
+            let mask = |bits: u32| (0..n).map(|v| bits >> v & 1 == 1).collect::<Vec<bool>>();
+            let allowed = mask(if all_allowed == 0 { u32::MAX } else { allowed_bits });
+            let goal = mask(if no_goal == 0 { 0 } else { goal_bits });
+            let g = ReachableGraph {
+                order: vec![(); n],
+                succ: Succ::from_rows(&rows),
+                initials: n.min(1),
+                truncated_by: None,
+            };
+            det_assert_eq!(
+                g.can_reach(|v| allowed[v], |v| goal[v]),
+                can_reach_naive(&rows, &allowed, &goal)
+            );
+        }
+    }
+
+    #[test]
+    fn the_last_internable_index_is_one_short_of_the_u32_range() {
+        // Slots are `index + 1`, so `u32::MAX` itself has none: the builder
+        // reports `Truncation::Index` there instead of wrapping to slot 0.
+        let last = u32::MAX as usize - 1;
+        for j in [0, 1, 335_022, last] {
+            assert_eq!(slot_of(j).map(index_of), Some(j));
+        }
+        assert_eq!(slot_of(last + 1), None);
+        assert_eq!(slot_of(usize::MAX), None);
+        assert_eq!(std::mem::size_of::<Option<NonZeroU32>>(), 4);
     }
 
     #[test]

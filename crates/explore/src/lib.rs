@@ -82,6 +82,7 @@ pub use search::{
 pub use stats::SearchStats;
 pub use table::{Cap, FpMap, ShardedFpMap};
 
-// Re-export so downstream code can name the truncation cause without also
-// depending on `impossible-core` explicitly.
+// Re-exports so downstream code can name the truncation cause and a graph's
+// successor rows without also depending on `impossible-core` explicitly.
 pub use impossible_core::explore::Truncation;
+pub use impossible_core::succ::Succ;

@@ -10,12 +10,15 @@
 //! symmetry with its canon hook) and compares the builder, field by field,
 //! with a naive `BTreeMap` FIFO written here — per-state depths instead of
 //! a level cursor, map lookups instead of fingerprints — under state caps
-//! that cut and depth bounds that bind. The same tables then check that
-//! `reexplore_incremental` equals a full rebuild of an action-dropping edit.
+//! that cut and depth bounds that bind (the builder's compressed rows are
+//! copied out as nested lists first, so the comparison is row by row), and
+//! once more on a planted shape — a terminal state between expanded ones,
+//! cut by the cap. The same tables then check that `reexplore_incremental`
+//! equals a full rebuild of an action-dropping edit.
 
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::system::System;
-use impossible_det::{det_assert_eq, det_prop, prop};
+use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
 use impossible_explore::{impl_encode_struct, ReachableGraph, Search, Truncation};
 use std::collections::BTreeMap;
 
@@ -92,8 +95,11 @@ fn orbit_minimum(s: &Node) -> Node {
 
 type Parts<S, A> = (Vec<S>, Vec<Vec<(A, usize)>>, usize, Option<Truncation>);
 
-fn parts<S, A>(g: ReachableGraph<S, A>) -> Parts<S, A> {
-    (g.order, g.succ, g.initials, g.truncated_by)
+/// The builder's graph with its compressed rows copied out as the nested
+/// lists [`naive`] builds, so that equality is row by row.
+fn parts<S, A: Clone>(g: ReachableGraph<S, A>) -> Parts<S, A> {
+    let rows = g.succ.iter().map(<[_]>::to_vec).collect();
+    (g.order, rows, g.initials, g.truncated_by)
 }
 
 /// The reference: what `graph_filtered(keep)` under `canon` must return.
@@ -144,7 +150,7 @@ fn naive<Sys: System>(
 
 det_prop! {
     fn the_builder_matches_a_naive_fifo(
-        cases = 256,
+        cases = 1024,
         raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
         copies in 1usize..=3,
         inits in prop::vec(0u8..24, 1..4),
@@ -175,8 +181,38 @@ det_prop! {
         }
     }
 
+    /// The shape the property above hardly ever draws: a terminal state in
+    /// the *middle* of the index order — index 1, an initial state — with
+    /// expanded states on both sides of it, under a cap that cuts. A row the
+    /// builder forgot to close, or states it forgot to pad, cannot hide
+    /// here behind the trailing empty rows every cut graph has.
+    fn a_terminal_state_between_expanded_ones_keeps_its_empty_row(
+        cases = 1024,
+        extra in prop::vec(prop::vec(0u8..24, 0..3), 7..13),
+        cap in 6usize..12
+    ) {
+        // Row `s` is `s → s + 1 (mod n)` and then the drawn extras, except
+        // row 1, which is empty; 0, 1 and 2 are initial. All `n` states are
+        // reachable (2 → 3 → … → 0), so any cap below `n` cuts, and from 6
+        // up it cannot take state 2's first edge.
+        let n = extra.len();
+        let mut raw: Vec<Vec<u8>> = (0..n)
+            .map(|s| [&[((s + 1) % n) as u8][..], &extra[s]].concat())
+            .collect();
+        raw[1].clear();
+        let sys = Table::new(&raw, 1, &[0, 1, 2]);
+        let cap = cap.min(n - 1);
+        for max_states in [cap, usize::MAX] {
+            let g = Search::new(&sys).max_states(max_states).graph();
+            det_assert_eq!(g.truncated_by, (max_states == cap).then_some(Truncation::States));
+            det_assert_eq!(g.succ.len(), g.len());
+            det_assert!(!g.succ[0].is_empty() && g.succ[1].is_empty() && !g.succ[2].is_empty());
+            det_assert_eq!(parts(g), naive(&sys, |_| true, Node::clone, max_states, usize::MAX));
+        }
+    }
+
     fn incremental_reexploration_matches_a_full_rebuild(
-        cases = 256,
+        cases = 1024,
         raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
         copies in 1usize..=3,
         inits in prop::vec(0u8..24, 1..4),

@@ -57,15 +57,25 @@ where
     let some_process_in =
         |s: &MutexState<A::Local>, region: Region| sys.processes_in(s, region).next().is_some();
 
+    // On a cut graph, the states the cap took a successor from: a row
+    // shorter than the enabled list (one reused action buffer; empty when
+    // nothing was cut).
+    let mut acts = Vec::new();
+    let lost_successor: Vec<bool> = if g.truncated() {
+        let lost = |(s, row): (_, &[_])| {
+            sys.enabled_into(s, &mut acts);
+            row.len() < acts.len()
+        };
+        g.order.iter().zip(g.succ.iter()).map(lost).collect()
+    } else {
+        Vec::new()
+    };
+
     // Backward reachability from "some process critical" states — and, on a
-    // cut graph, from every state the cap took a successor from.
-    let cut = g.truncated();
+    // cut graph, from every state that lost a successor.
     let can_reach_crit = g.can_reach(
         |_| true,
-        |i| {
-            let s = &g.order[i];
-            some_process_in(s, Region::Critical) || (cut && g.succ[i].len() < sys.enabled(s).len())
-        },
+        |i| some_process_in(&g.order[i], Region::Critical) || lost_successor.get(i) == Some(&true),
     );
 
     // Critical states seeded the pass, so an unreached state has nobody

@@ -20,7 +20,10 @@
 # change. Any run whose result line is not `"correct":true` fails the
 # script. Prints the four end-to-end metrics per pair, then per metric both
 # medians with quartiles (the ledger's rule: Python's exclusive
-# `statistics.quantiles`), pairs won, and whether §8's rule for a gain — the
+# `statistics.quantiles`), the difference of the medians in the metric's
+# unit and in percent of the parent's (`peak_rss_mb` quartiles sit ≈ 0.1 MB
+# apart, so the size of a gain is not readable off the IQR verdict), pairs
+# won, and whether §8's rule for a gain — the
 # change wins ≥ 9/10 of all pairs, ties counting for neither, and the
 # medians differ by more than the distance between the parent's quartiles —
 # is met.
@@ -59,6 +62,7 @@ if [ "$(cat "$work/parent-target.sha" 2>/dev/null)" != "$sha" ]; then
 fi
 
 metrics=(verdict_s states_per_s peak_rss_mb setup_s)
+units=(s 1/s MB s)
 
 echo "pairs.sh: parent ${sha:0:7} vs working tree, ${workloads[*]}, $pairs pairs x $seconds s" >&2
 for side in parent change; do
@@ -104,7 +108,7 @@ for workload in "${workloads[@]}"; do
     done
 
     # Summary: row k of parent.tsv and change.tsv are pair k's two runs.
-    paste "$work/parent.tsv" "$work/change.tsv" | awk -F'\t' -v names="${metrics[*]}" '
+    paste "$work/parent.tsv" "$work/change.tsv" | awk -F'\t' -v names="${metrics[*]}" -v units="${units[*]}" '
     function sort_into(src, dst, n,    i, j, t) {
         for (i = 1; i <= n; i++) dst[i] = src[i]
         for (i = 2; i <= n; i++) {
@@ -128,7 +132,8 @@ for workload in "${workloads[@]}"; do
     END {
         split(names, name, " ")
         higher["states_per_s"] = 1
-        printf "\n%-13s %-34s %-34s %8s %9s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "delta", "pairs won", "gain by the 9/10 + IQR rule"
+        split(units, unit, " ")
+        printf "\n%-13s %-34s %-34s %-26s %9s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change - parent", "pairs won", "gain by the 9/10 + IQR rule"
         for (c = 1; c <= 4; c++) {
             wins = 0; ties = 0
             for (k = 1; k <= n; k++) {
@@ -142,10 +147,11 @@ for workload in "${workloads[@]}"; do
             better = (name[c] in higher) ? (cm > pm) : (cm < pm)
             gap = cm - pm; if (gap < 0) gap = -gap
             met = (wins * 10 >= n * 9 && better && gap > pq3 - pq1) ? "met" : "not met"
-            printf "%-13s %-34s %-34s %+7.1f%% %6d/%-2d  %s\n", name[c],
+            printf "%-13s %-34s %-34s %-26s %6d/%-2d  %s\n", name[c],
                 sprintf("%.6g [%.6g, %.6g]", pm, pq1, pq3),
                 sprintf("%.6g [%.6g, %.6g]", cm, quant(sb, n, 1), quant(sb, n, 3)),
-                (cm - pm) / pm * 100, wins, n, met (ties ? sprintf(" (%d ties)", ties) : "")
+                sprintf("%+.6g %s, %+.1f%%", cm - pm, unit[c], (cm - pm) / pm * 100),
+                wins, n, met (ties ? sprintf(" (%d ties)", ties) : "")
         }
         for (k = 1; k <= n; k++) { pa += p[5, k]; pf += p[6, k]; ca += q[5, k]; cf += q[6, k] }
         printf "operations failed/attempted: parent %d/%d, change %d/%d\n", pf, pa, cf, ca

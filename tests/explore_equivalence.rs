@@ -32,7 +32,7 @@ use impossible::core::ids::ProcessId;
 use impossible::core::system::System;
 use impossible::explore::{
     BatchScratch, Encode, Fingerprint, FpHasher, PauseBudget, ReachableGraph, Resumable, Search,
-    SearchCheckpoint, SearchReport, Truncation, DEFAULT_SEED,
+    SearchCheckpoint, SearchReport, Succ, Truncation, DEFAULT_SEED,
 };
 use impossible::obs::RingTracer;
 use std::collections::BTreeSet;
@@ -373,7 +373,7 @@ impl<S: System> System for NoReuse<'_, S> {
 type Canon<S> = fn(&<S as System>::State) -> <S as System>::State;
 
 /// A [`ReachableGraph`]'s fields (it has no `PartialEq` of its own).
-type GraphParts<S, A> = (Vec<S>, Vec<Vec<(A, usize)>>, usize, Option<Truncation>);
+type GraphParts<S, A> = (Vec<S>, Succ<A>, usize, Option<Truncation>);
 
 /// What [`route_outputs`] collects, route by route.
 type RouteOutputs<S, A> = (
