@@ -324,21 +324,25 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
                 continue;
             }
             for p in ProcessId::all(n) {
-                // Explore p-solo executions from s, FIFO; keep the first to
-                // reach each univalent valence.
-                let mut reached = Vec::new();
-                let mut seen = BTreeSet::from([i]);
-                let mut q = VecDeque::from([(i, Execution::start(s.clone()))]);
-                while let Some((v, e)) = q.pop_front() {
+                // Explore p-solo executions from s, FIFO; keep the first
+                // state to reach each univalent valence. Each discovered
+                // state keeps its BFS-tree link `(predecessor, edge index
+                // into its row)`, not a copy of the execution reaching it:
+                // the two runs a decider reports are rebuilt at the end.
+                let mut reached: Vec<(&BTreeSet<u64>, usize)> = Vec::new();
+                let mut parent = BTreeMap::from([(i, None)]);
+                let mut q = VecDeque::from([i]);
+                while let Some(v) = q.pop_front() {
                     if val[v].len() == 1 && !reached.iter().any(|(rv, _)| *rv == &val[v]) {
-                        reached.push((&val[v], e.clone()));
+                        reached.push((&val[v], v));
                         if reached.len() >= 2 {
                             break;
                         }
                     }
-                    for (a, t) in &succ[v] {
-                        if self.sys.owner(a) == Some(p) && seen.insert(*t) {
-                            q.push_back((*t, e.extended(a.clone(), order[*t].clone())));
+                    for (ei, (a, t)) in succ[v].iter().enumerate() {
+                        if self.sys.owner(a) == Some(p) && !parent.contains_key(t) {
+                            parent.insert(*t, Some((v, ei)));
+                            q.push_back(*t);
                         }
                     }
                 }
@@ -352,19 +356,113 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
                         "config": i,
                         "process": p.0,
                     );
-                    let mut it = reached.into_iter();
-                    let (_, to_first) = it.next().expect("len >= 2");
-                    let (_, to_second) = it.next().expect("len >= 2");
+                    let run_to = |v| tree_path(order, succ, &parent, v);
                     return Some(Decider {
                         config: s.clone(),
                         process: p,
-                        to_first,
-                        to_second,
+                        to_first: run_to(reached[0].1),
+                        to_second: run_to(reached[1].1),
                     });
                 }
             }
         }
         trace_event!(tracer, "valence", "decider.none");
         None
+    }
+}
+
+/// The execution from a BFS root to `v` along `parent`'s tree links —
+/// `(predecessor, edge index into its row)`, `None` at the root — with
+/// `order`'s states and `succ`'s actions.
+fn tree_path<S: Clone, A: Clone>(
+    order: &[S],
+    succ: &Succ<A>,
+    parent: &BTreeMap<usize, Option<(usize, usize)>>,
+    mut v: usize,
+) -> Execution<S, A> {
+    let mut steps = Vec::new();
+    while let Some((pv, ei)) = parent[&v] {
+        steps.push((succ[pv][ei].0.clone(), v));
+        v = pv;
+    }
+    let mut run = Execution::start(order[v].clone());
+    for (a, t) in steps.into_iter().rev() {
+        run.push(a, order[t].clone());
+    }
+    run
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system::System;
+
+    /// Configurations `0..=6` wired by hand: from `0`, process 0 alone
+    /// reaches `3` (1-valent) in one step and `2` (0-valent) in two, through
+    /// `1` (bivalent, also leading to `4 → 5`); action `9` — process 1's —
+    /// leads to `6`. Action `a` is the edge's label, its target the state
+    /// the rows below name.
+    struct Wired;
+    const ROWS: [&[(u8, usize)]; 7] = [
+        &[(1, 1), (9, 6), (3, 3)],
+        &[(6, 4), (2, 2)],
+        &[],
+        &[],
+        &[(5, 5)],
+        &[],
+        &[],
+    ];
+    impl System for Wired {
+        type State = u8;
+        type Action = u8;
+        fn initial_states(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn enabled(&self, s: &u8) -> Vec<u8> {
+            ROWS[*s as usize].iter().map(|&(a, _)| a).collect()
+        }
+        fn step(&self, s: &u8, a: &u8) -> u8 {
+            let &(_, t) = ROWS[*s as usize]
+                .iter()
+                .find(|(b, _)| b == a)
+                .expect("enabled");
+            t as u8
+        }
+        fn owner(&self, a: &u8) -> Option<ProcessId> {
+            Some(ProcessId(usize::from(*a == 9)))
+        }
+        fn num_processes(&self) -> Option<usize> {
+            Some(2)
+        }
+    }
+    impl DecisionSystem for Wired {
+        fn decisions(&self, s: &u8) -> Vec<(ProcessId, u64)> {
+            match s {
+                2 => vec![(ProcessId(0), 0)],
+                3 | 5 => vec![(ProcessId(0), 1)],
+                6 => vec![(ProcessId(1), 1)],
+                _ => vec![],
+            }
+        }
+    }
+
+    #[test]
+    fn decider_runs_are_the_solo_bfs_tree_paths() {
+        // The two runs are rebuilt from parent links: each action is the
+        // one on the tree edge (row 1 lists `4` before `2`, row 0 lists
+        // process 1's edge between process 0's), each state the edge's
+        // target, and the tree is first-discovery FIFO, so the 1-valent run
+        // is the one-step `0 → 3`, found before `2`.
+        let order: Vec<u8> = (0..7).collect();
+        let succ = Succ::from_rows(ROWS.map(<[_]>::to_vec));
+        let d = ValenceEngine::new(&Wired)
+            .find_decider_from_graph(&order, &succ)
+            .expect("0 is a decider for process 0");
+        assert_eq!((d.config, d.process), (0, ProcessId(0)));
+        assert_eq!(d.to_first, Execution::from_parts(vec![0, 3], vec![3]));
+        assert_eq!(
+            d.to_second,
+            Execution::from_parts(vec![0, 1, 2], vec![1, 2])
+        );
     }
 }

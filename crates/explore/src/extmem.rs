@@ -49,9 +49,9 @@
 //!   RSS" is a recorded number, and the spilled run's lower figure is
 //!   directly comparable.
 //!
-//! What is *not* supported: collision audit (it keeps full states resident
-//!   by design) and pause/resume (a spilled run already has durable pages;
-//!   wiring `SearchCheckpoint` to reference them is ROADMAP follow-on).
+//! What is *not* supported: pause/resume (a spilled run already has
+//! durable pages; wiring `SearchCheckpoint` to reference them is ROADMAP
+//! follow-on).
 //! Witness replay works — parent links live in the run pages, and the
 //! cold lookup walks them from disk.
 //!
@@ -64,7 +64,9 @@ use crate::fingerprint::{BatchScratch, Encode};
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
 use crate::persist::Persist;
 use crate::pool::WorkerPool;
-use crate::search::{BfsRun, Parent, Search, SearchReport, VisitedBackend};
+use crate::search::{
+    BfsRun, Child, Parent, Search, SearchReport, VisitedBackend, DEFAULT_PARTITIONS,
+};
 use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
 use impossible_core::explore::Truncation;
 use impossible_core::system::System;
@@ -127,16 +129,10 @@ impl SpillPolicy {
     }
 }
 
-/// A child awaiting its commit:
-/// `(fingerprint, canonical state, action, parent fp)`.
-type Child<S, A> = (u64, S, A, u64);
-
 /// Per-partition expansion record produced by pass-1 workers.
 struct Expanded<S, A> {
     /// Terminal states of this partition, in frontier order.
     terminals: Vec<S>,
-    /// Frontier items expanded (`enabled` calls).
-    expansions: usize,
     /// Successors changed by the canonicalization hook.
     canon_hits: usize,
     /// The partition's children, flat, in traversal order (frontier order,
@@ -166,17 +162,13 @@ struct Spill {
 
 impl Spill {
     fn new<Sys: System>(search: &Search<'_, Sys>, policy: &SpillPolicy) -> Self {
-        assert!(
-            !search.audit_enabled(),
-            "collision audit keeps full states resident; not supported in external-memory mode"
-        );
         std::fs::create_dir_all(policy.dir())
             .unwrap_or_else(|e| panic!("spill dir {}: {e}", policy.dir().display()));
         Spill {
             policy: policy.clone(),
             pool: WorkerPool::new(search.workers_value()),
             flushes: 0,
-            runs: (0..search.partitions_value()).map(|_| Vec::new()).collect(),
+            runs: (0..DEFAULT_PARTITIONS).map(|_| Vec::new()).collect(),
             spilled: 0,
             paged: None,
         }
@@ -359,49 +351,6 @@ fn commit(old: &[u64], fp: u64, insert: impl FnOnce() -> TryInsert) -> TryInsert
     }
 }
 
-/// Expand one frontier partition (the pass-1 worker body): successors,
-/// canon, fingerprints. Pure — touches no shared state — so a paged
-/// frontier partition can decode inside a worker and feed straight through
-/// here.
-fn expand_one_partition<Sys: System>(
-    search: &Search<'_, Sys>,
-    part: &[(u64, Sys::State)],
-) -> Expanded<Sys::State, Sys::Action>
-where
-    Sys::State: Encode,
-{
-    let mut rec = Expanded {
-        terminals: Vec::new(),
-        expansions: part.len(),
-        canon_hits: 0,
-        children: Vec::new(),
-    };
-    // `stage_successors`' spare pool, local to this item. Only a canon hook
-    // feeds it (the pre-canon state, taken back by the next step): the
-    // children are judged after pass 1, on other threads, which drop the
-    // rejected ones where they find them.
-    let mut spares: Vec<Sys::State> = Vec::new();
-    let mut acts: Vec<Sys::Action> = Vec::new();
-    // Phase A — generate the partition's children in traversal order
-    // (frontier order, in-state action order); the fingerprint slot waits
-    // for phase B.
-    for (pfp, s) in part {
-        let stage = |tc, a| rec.children.push((0, tc, a, *pfp));
-        if !search.stage_successors(s, |_| true, &mut rec.canon_hits, &mut spares, &mut acts, stage) {
-            rec.terminals.push(s.clone());
-        }
-    }
-    // Phase B — fingerprint the batch in one tight loop (bit-identical to
-    // the scalar path per the BatchScratch contract) on a pipeline local to
-    // this partition-expansion, i.e. to its worker.
-    let mut batch = BatchScratch::new(search.seed_value());
-    let fps = batch.fingerprints(rec.children.iter().map(|(_, tc, ..)| tc));
-    for (child, &fp) in rec.children.iter_mut().zip(fps) {
-        child.0 = fp;
-    }
-    rec
-}
-
 impl<Sys: System + Sync> VisitedBackend<Sys> for Spill
 where
     Sys::State: Encode + Persist + Send + Sync,
@@ -454,18 +403,35 @@ where
         next_parts: &mut [Vec<(u64, Sys::State)>],
         tracer: &mut dyn Tracer,
     ) -> usize {
-        let shard_n = search.partitions_value();
+        let shard_n = DEFAULT_PARTITIONS;
         let max_states = search.bounds().0;
         let parts = &run.parts;
         let mut recs = self.pool.map_indexed((0..shard_n).collect(), |_, k: usize| {
-            expand_one_partition(search, &VisitedBackend::<Sys>::partition(self, parts, k))
+            // Pure — touches no shared state — so a paged partition decodes
+            // inside its worker and feeds straight through. The spare pool
+            // is local to the item and only a canon hook feeds it (the
+            // pre-canon state, taken back by the next step): the children
+            // are judged after this pass, on other threads, which drop the
+            // rejected ones where they find them.
+            let part = VisitedBackend::<Sys>::partition(self, parts, k);
+            let mut batch = BatchScratch::new(search.seed_value());
+            let (mut spares, mut acts) = (Vec::new(), Vec::new());
+            let (mut terminals, mut children) = (Vec::new(), Vec::new());
+            let canon_hits = search.expand_partition(
+                &part,
+                &mut batch,
+                &mut spares,
+                &mut acts,
+                &mut children,
+                &mut terminals,
+            );
+            Expanded { terminals, canon_hits, children }
         });
 
         // Stitch the per-partition counters and terminals, in
         // partition order.
         let mut level_children = 0usize;
         for rec in &mut recs {
-            run.stats.expansions += rec.expansions;
             run.stats.canon_hits += rec.canon_hits;
             level_children += rec.children.len();
             run.terminal.append(&mut rec.terminals);

@@ -22,13 +22,16 @@
 //!   of a state pair: re-running under a different seed (or under
 //!   `DET_SEED`) re-randomizes the fingerprint function. Same seed → same
 //!   fingerprints, bit for bit, on every platform.
-//! * **Auditable.** Fingerprint equality is *assumed* to mean state equality
-//!   (a 64-bit hash over ≤ a few million states has collision probability
-//!   ≈ `n²/2⁶⁵`); the search engine's collision-audit mode keeps the full
-//!   states alongside and panics on a genuine collision.
-//!   `tests/explore_equivalence.rs` runs it on a real system for every
-//!   state type that goes through either macro, beside a pinned checksum
-//!   of those states' fingerprints.
+//! * **Checked where it matters.** Fingerprint equality is *assumed* to
+//!   mean state equality in the search's visited set (a 64-bit hash over ≤
+//!   a few million states has collision probability ≈ `n²/2⁶⁵`). The exact
+//!   graph builder ([`crate::graph`]) never assumes it — it confirms every
+//!   fingerprint match by full equality — and `tests/explore_equivalence.rs`
+//!   fingerprints every state that builder reaches, on a real system for
+//!   every state type that goes through either macro, under two seeds,
+//!   asserting them pairwise distinct beside a pinned checksum. The policy
+//!   is stated once, in `docs/EXPLORE.md` ("Fingerprint dedup and the
+//!   collision policy").
 //!
 //! Encodings must be *prefix-unambiguous*: variable-length collections
 //! write their length first, enums write a variant tag first. That makes

@@ -70,7 +70,7 @@
 //! covering a set of action classes — fair lassos, mutex lockout).
 
 use crate::fingerprint::{BatchScratch, Encode};
-use crate::search::Search;
+use crate::search::{Search, DEFAULT_PARTITIONS};
 use crate::table::{Cap, ShardedFpMap, TryInsert};
 use impossible_core::explore::Truncation;
 use impossible_core::succ::Succ;
@@ -290,7 +290,7 @@ where
         // `u32::MAX − 1` indices a slot can name. Genuine collisions
         // (distinct states sharing a fingerprint) chain into `spill`,
         // which stays empty on honest encodings.
-        let mut first_by_fp: ShardedFpMap<NonZeroU32> = ShardedFpMap::new(self.partitions_value());
+        let mut first_by_fp: ShardedFpMap<NonZeroU32> = ShardedFpMap::new(DEFAULT_PARTITIONS);
         let mut spill: BTreeMap<u64, Vec<NonZeroU32>> = BTreeMap::new();
         let mut batch = BatchScratch::new(seed);
         let mut truncated_by: Option<Truncation> = None;
@@ -525,7 +525,7 @@ mod tests {
         struct Degenerate;
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
         struct Blind(u8);
-        // LINT-ALLOW: encode-coverage -- deliberately blind: the audit must fire
+        // LINT-ALLOW: encode-coverage -- deliberately blind: every fingerprint collides, so only the equality fallback can tell states apart
         impl Encode for Blind {
             fn encode(&self, _h: &mut FpHasher) {}
         }

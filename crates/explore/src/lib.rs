@@ -8,8 +8,7 @@
 //! the determinism discipline the repo is built on:
 //!
 //! * [`fingerprint`] — seeded 64-bit fingerprint visited-sets over a
-//!   derive-free byte/word [`Encode`] trait, with a full-state
-//!   collision-audit mode for tests;
+//!   derive-free byte/word [`Encode`] trait, and the collision policy;
 //! * [`canon`] — symmetry canonicalization hooks (plug
 //!   [`impossible_core::symmetry`]'s permutation machinery into the visited
 //!   set so each orbit is explored once);
@@ -20,7 +19,8 @@
 //!   jobs; resident searches are single-threaded;
 //! * [`search`] — the unified [`Search`] API: BFS shortest-witness search,
 //!   with per-run counters exported as deterministic JSON
-//!   ([`SearchStats`]);
+//!   ([`SearchStats`]); one partition expander serves the resident level
+//!   body and the spill route's pass 1;
 //! * [`table`] — the open-addressing fingerprint tables behind the visited
 //!   set: flat [`FpMap`] and [`ShardedFpMap`], sharded by the same
 //!   `fp % partitions` function that splits frontiers, so a shard's next
@@ -33,7 +33,7 @@
 //!   closure and covering-cycle searches over its result;
 //! * [`persist`] — the reversible little-endian [`Persist`] byte codec
 //!   (moved here from `impossible-ckpt` so snapshots and spill share one
-//!   format), plus [`page`] — delta+varint-compressed key/run/frontier
+//!   format), plus [`page`] — delta+varint-compressed run and frontier
 //!   pages;
 //! * [`extmem`] — external-memory BFS: a [`SpillPolicy`] writes cold
 //!   visited shards (and optionally frontier partitions) to deterministic

@@ -6,14 +6,13 @@
 //! reversible [`Persist`] codec so checkpoint
 //! snapshots and spill runs share one encoding:
 //!
-//! * **key pages** — a strictly-ascending list of 64-bit fingerprints as
-//!   `count · first · deltas`, all LEB128 varints. `ShardedFpMap`'s
-//!   `iter_ordered` already yields stored keys ascending, so deltas are
-//!   small and the page compresses to a few bytes per key instead of 8;
-//! * **run pages** — a key page plus a value block (each value via
-//!   `Persist`, in key order). The key block is self-delimiting, so the
-//!   per-level membership filter decodes *only* the keys and never pays
-//!   for parent records it does not need;
+//! * **run pages** — a key block plus a value block (each value via
+//!   `Persist`, in key order). The key block is the shard's strictly
+//!   ascending 64-bit stored keys as `count · first · deltas`, all LEB128
+//!   varints: `FpMap::take_ordered` already yields them ascending, so
+//!   deltas are small and a key costs a few bytes instead of 8. The block
+//!   is self-delimiting, so the per-level membership filter decodes *only*
+//!   the keys and never pays for parent records it does not need;
 //! * **frontier pages** — `(fingerprint, state)` records in traversal
 //!   order. Frontier fingerprints are unsorted (traversal order is part of
 //!   the determinism contract), so keys are plain varints, not deltas —
@@ -61,18 +60,11 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
     Err(PersistError::Malformed("varint overflow"))
 }
 
-/// Encode a strictly-ascending key list as `count · first · deltas`.
+/// Append a key block (`count · first · deltas`) to an open page.
 ///
-/// The input **must** be strictly ascending — the decoder treats a zero
+/// The keys **must** be strictly ascending — the decoder treats a zero
 /// delta as corruption (debug builds assert; release builds produce a page
 /// the decoder rejects, never a silently wrong one).
-pub fn encode_key_page(keys: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(keys.len() + 10);
-    write_key_block(&mut out, keys);
-    out
-}
-
-/// Append a key block (`count · first · deltas`) to an open page.
 fn write_key_block(out: &mut Vec<u8>, keys: &[u64]) {
     write_varint(out, keys.len() as u64);
     let mut prev = None;
@@ -80,7 +72,7 @@ fn write_key_block(out: &mut Vec<u8>, keys: &[u64]) {
         match prev {
             None => write_varint(out, k),
             Some(p) => {
-                debug_assert!(k > p, "key pages require strictly ascending keys");
+                debug_assert!(k > p, "key blocks require strictly ascending keys");
                 write_varint(out, k.wrapping_sub(p));
             }
         }
@@ -116,17 +108,6 @@ fn read_key_block(buf: &[u8], pos: &mut usize) -> Result<Vec<u64>, PersistError>
     Ok(keys)
 }
 
-/// Decode a key page produced by [`encode_key_page`], consuming the whole
-/// buffer (trailing bytes are malformed, not ignored).
-pub fn decode_key_page(buf: &[u8]) -> Result<Vec<u64>, PersistError> {
-    let mut pos = 0;
-    let keys = read_key_block(buf, &mut pos)?;
-    if pos != buf.len() {
-        return Err(PersistError::Malformed("key page trailing bytes"));
-    }
-    Ok(keys)
-}
-
 /// Encode a visited run page: ascending `(key, value)` entries as a key
 /// block followed by the values in key order.
 pub fn encode_run_page<V: Persist>(entries: &[(u64, V)]) -> Vec<u8> {
@@ -140,7 +121,8 @@ pub fn encode_run_page<V: Persist>(entries: &[(u64, V)]) -> Vec<u8> {
 }
 
 /// Decode only a run page's key block — the per-level membership filter's
-/// path, which never touches the value bytes.
+/// path, which never touches the value bytes (so it cannot see trailing
+/// ones either: [`decode_run_page`] rejects those).
 pub fn run_page_keys(buf: &[u8]) -> Result<Vec<u64>, PersistError> {
     let mut pos = 0;
     read_key_block(buf, &mut pos)
@@ -228,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn key_pages_round_trip_identity() {
+    fn key_blocks_round_trip_identity() {
         for keys in [
             vec![],
             vec![0u64],
@@ -236,54 +218,75 @@ mod tests {
             vec![1, 2, 3, 4, 5],
             vec![7, 1000, 1001, 1 << 40, u64::MAX],
         ] {
-            let page = encode_key_page(&keys);
-            assert_eq!(decode_key_page(&page).unwrap(), keys, "{keys:?}");
+            let entries: Vec<(u64, u8)> = keys.iter().map(|&k| (k, k as u8)).collect();
+            let page = encode_run_page(&entries);
+            assert_eq!(run_page_keys(&page).unwrap(), keys, "{keys:?}");
+            assert_eq!(decode_run_page::<u8>(&page).unwrap(), entries, "{keys:?}");
         }
     }
 
     #[test]
-    fn dense_key_pages_compress_far_below_raw_width() {
+    fn dense_key_blocks_compress_far_below_raw_width() {
         // Shard-ordered fingerprints stride by the shard count; the delta
         // coding should beat 8 bytes/key by a wide margin.
-        let keys: Vec<u64> = (0..10_000u64).map(|i| 1_000_000 + i * 64).collect();
-        let page = encode_key_page(&keys);
+        let entries: Vec<(u64, u8)> = (0..10_000u64).map(|i| (1_000_000 + i * 64, 0)).collect();
+        let page = encode_run_page(&entries);
+        // One byte per `u8` value; the rest is the key block.
+        let key_block = page.len() - entries.len();
         assert!(
-            page.len() < keys.len() * 2 + 16,
-            "page is {} bytes for {} keys",
-            page.len(),
-            keys.len()
+            key_block < entries.len() * 2 + 16,
+            "key block is {key_block} bytes for {} keys",
+            entries.len()
         );
     }
 
     #[test]
-    fn corrupt_key_pages_are_rejected() {
-        let page = encode_key_page(&[10, 20, 30]);
+    fn corrupt_key_blocks_are_rejected_by_both_run_page_decoders() {
+        // `read_key_block`'s validation, through both of its callers.
+        let page = encode_run_page(&[(10u64, 1u8), (20, 2), (30, 3)]);
+        let mut key_block = 0;
+        read_key_block(&page, &mut key_block).unwrap();
+        assert!(key_block < page.len(), "values follow the key block");
         for cut in 0..page.len() {
-            assert!(decode_key_page(&page[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_run_page::<u8>(&page[..cut]).is_err(), "cut at {cut}");
+            // The keys-only path never reads past the key block.
+            assert_eq!(
+                run_page_keys(&page[..cut]).is_err(),
+                cut < key_block,
+                "cut at {cut}"
+            );
         }
         let mut trailing = page.clone();
         trailing.push(0);
-        assert!(decode_key_page(&trailing).is_err());
-        // Zero delta (a duplicate key) is corruption, not a quiet merge.
-        let mut dup = Vec::new();
-        write_varint(&mut dup, 2);
-        write_varint(&mut dup, 10);
-        write_varint(&mut dup, 0);
-        assert!(matches!(
-            decode_key_page(&dup),
-            Err(PersistError::Malformed("key page zero delta"))
-        ));
-        // Delta pushing the accumulator past u64::MAX overflows.
-        let mut over = Vec::new();
-        write_varint(&mut over, 2);
-        write_varint(&mut over, u64::MAX);
-        write_varint(&mut over, 1);
-        assert!(decode_key_page(&over).is_err());
-        // A count larger than the page can hold is rejected before any
-        // allocation of that size.
-        let mut lying = Vec::new();
-        write_varint(&mut lying, u64::MAX - 1);
-        assert!(decode_key_page(&lying).is_err());
+        assert!(decode_run_page::<u8>(&trailing).is_err());
+        // Hand-built key blocks (`count · first · deltas`, as varints).
+        let block = |words: &[u64]| {
+            let mut out = Vec::new();
+            words.iter().for_each(|&w| write_varint(&mut out, w));
+            out
+        };
+        let mut overlong = block(&[1]);
+        overlong.extend([0xFF; 11]);
+        for (bad, why) in [
+            // Zero delta (a duplicate key) is corruption, not a quiet merge.
+            (block(&[2, 10, 0]), "key page zero delta"),
+            // A descending key is a delta that wraps the accumulator.
+            (
+                block(&[2, 20, 10u64.wrapping_sub(20)]),
+                "key page delta overflow",
+            ),
+            (block(&[2, u64::MAX, 1]), "key page delta overflow"),
+            (overlong, "varint overflow"),
+            // A count larger than the page can hold is rejected before any
+            // allocation of that size.
+            (block(&[u64::MAX - 1]), "key page count"),
+        ] {
+            assert_eq!(run_page_keys(&bad), Err(PersistError::Malformed(why)));
+            assert_eq!(
+                decode_run_page::<u8>(&bad),
+                Err(PersistError::Malformed(why))
+            );
+        }
     }
 
     #[test]

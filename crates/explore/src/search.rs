@@ -22,10 +22,16 @@
 //! change a byte.
 //!
 //! The visited set stores 64-bit fingerprints, not states (see
-//! [`crate::fingerprint`] for the collision policy and
-//! [`Search::collision_audit`] for the test-mode check). Witnesses are
-//! reconstructed by walking a fingerprint-keyed parent map back to an
-//! initial state and replaying the actions through [`System::step`].
+//! [`crate::fingerprint`] for the collision policy; routes that must be
+//! exact build [`Search::graph`], which confirms every fingerprint match by
+//! full equality). Witnesses are reconstructed by walking a
+//! fingerprint-keyed parent map back to an initial state and replaying the
+//! actions through [`System::step`].
+//!
+//! Both level bodies expand a frontier partition through one function,
+//! `Search::expand_partition` (stage the children in j-major order,
+//! collect the terminals, fingerprint the batch); they differ only in how
+//! they commit the children it hands back.
 //!
 //! # Semantics vs. the legacy `Explorer`
 //!
@@ -49,7 +55,6 @@ use impossible_core::explore::Truncation;
 use impossible_core::system::System;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 /// Trace field value for a truncation cause ("none" when unbounded).
 fn truncation_name(t: &Option<Truncation>) -> &'static str {
@@ -60,10 +65,15 @@ fn truncation_name(t: &Option<Truncation>) -> &'static str {
 /// collision re-randomization and `DET_SEED` integration).
 pub const DEFAULT_SEED: u64 = 0x5EED_FACE_0FDA_7A5E;
 
-/// Default number of frontier partitions. Fixed (never derived from the
-/// worker count) so reports are worker-count invariant; 64 keeps ≥ 8
-/// partitions per worker at the maximum sensible pool size.
+/// Number of frontier partitions (and visited-set shards) of every search.
+/// Fixed (never derived from the worker count) so reports are worker-count
+/// invariant; 64 keeps ≥ 8 partitions per worker at the maximum sensible
+/// pool size.
 pub const DEFAULT_PARTITIONS: usize = 64;
+
+/// A staged child: `(fingerprint, canonical state, action, parent fp)` —
+/// the one record [`Search::expand_partition`] hands both level bodies.
+pub(crate) type Child<S, A> = (u64, S, A, u64);
 
 /// Result of a [`Search`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,10 +257,8 @@ pub struct Search<'a, Sys: System> {
     max_states: usize,
     max_depth: usize,
     workers: usize,
-    partitions: usize,
     seed: u64,
     canon: Option<fn(&Sys::State) -> Sys::State>,
-    audit: bool,
 }
 
 impl<'a, Sys: System> Search<'a, Sys> {
@@ -262,10 +270,8 @@ impl<'a, Sys: System> Search<'a, Sys> {
             max_states: 1_000_000,
             max_depth: 10_000,
             workers: 1,
-            partitions: DEFAULT_PARTITIONS,
             seed: DEFAULT_SEED,
             canon: None,
-            audit: false,
         }
     }
 
@@ -305,15 +311,6 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
-    /// Keep full states beside their fingerprints and panic if two distinct
-    /// states ever share one — the collision-audit mode the test suite runs
-    /// against every engine's real state types. Costs the memory the
-    /// fingerprint set exists to avoid; not for production searches.
-    pub fn collision_audit(mut self, on: bool) -> Self {
-        self.audit = on;
-        self
-    }
-
     pub(crate) fn sys(&self) -> &'a Sys {
         self.sys
     }
@@ -326,16 +323,8 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self.seed
     }
 
-    pub(crate) fn partitions_value(&self) -> usize {
-        self.partitions
-    }
-
     pub(crate) fn workers_value(&self) -> usize {
         self.workers
-    }
-
-    pub(crate) fn audit_enabled(&self) -> bool {
-        self.audit
     }
 
     /// Shallow byte width of one frontier record: the 8-byte fingerprint
@@ -429,7 +418,6 @@ impl<'a, Sys: System> Search<'a, Sys> {
 pub(crate) struct BfsRun<Sys: System> {
     pub(crate) stats: SearchStats,
     pub(crate) visited: ShardedFpMap<Parent<Sys::Action>>,
-    audit_states: BTreeMap<u64, Sys::State>,
     pub(crate) terminal: Vec<Sys::State>,
     transitions: usize,
     pub(crate) truncated_by: Option<Truncation>,
@@ -570,8 +558,7 @@ where
     /// snapshot format — and the eventual [`SearchReport`] is byte-identical
     /// to an uninterrupted [`Search::explore`] (the level loop is literally
     /// the same code; `tests/determinism.rs` pins the equality). Exploration only
-    /// (no predicate: a paused run has no `found` state by construction)
-    /// and incompatible with [`Search::collision_audit`].
+    /// (no predicate: a paused run has no `found` state by construction).
     pub fn run_resumable(
         &self,
         budget: PauseBudget,
@@ -586,7 +573,6 @@ where
         budget: PauseBudget,
         tracer: &mut dyn Tracer,
     ) -> Resumable<Sys::State, Sys::Action> {
-        assert!(!self.audit, "collision audit is not resumable");
         let run = self.bfs_init(None::<&fn(&Sys::State) -> bool>, tracer);
         self.run_to_budget(run, &budget, tracer)
     }
@@ -612,10 +598,9 @@ where
         budget: PauseBudget,
         tracer: &mut dyn Tracer,
     ) -> Resumable<Sys::State, Sys::Action> {
-        assert!(!self.audit, "collision audit is not resumable");
         trace_event!(tracer, "search", "start",
             "strategy": "bfs",
-            "partitions": self.partitions,
+            "partitions": DEFAULT_PARTITIONS,
             "seed": self.seed,
             "max_states": self.max_states,
             "max_depth": self.max_depth,
@@ -678,9 +663,8 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        let mut stats = SearchStats::new("bfs", self.workers, self.partitions, self.seed);
-        let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(self.partitions);
-        let mut audit_states: BTreeMap<u64, Sys::State> = BTreeMap::new();
+        let mut stats = SearchStats::new("bfs", self.workers, DEFAULT_PARTITIONS, self.seed);
+        let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
         let mut truncated_by: Option<Truncation> = None;
         let mut found: Option<u64> = None;
         // Batched fingerprint pipeline for this control path and the fused
@@ -690,7 +674,7 @@ where
 
         trace_event!(tracer, "search", "start",
             "strategy": "bfs",
-            "partitions": self.partitions,
+            "partitions": DEFAULT_PARTITIONS,
             "seed": self.seed,
             "max_states": self.max_states,
             "max_depth": self.max_depth,
@@ -712,13 +696,7 @@ where
             if visited.try_insert_with(fp, Cap::Unbounded, || Parent::Root(i)) == TryInsert::Present
             {
                 stats.dedup_hits += 1;
-                if self.audit {
-                    self.audit_check_slow(&audit_states, fp, &sc);
-                }
                 continue;
-            }
-            if self.audit {
-                audit_states.insert(fp, sc.clone());
             }
             if found.is_none() && pred.is_some_and(|p| p(&sc)) {
                 found = Some(fp);
@@ -748,16 +726,15 @@ where
         // for free — partition `k`'s next frontier *is* visited shard `k`'s
         // newly-inserted list — so only the roots are partitioned here.
         let mut parts: Vec<Vec<(u64, Sys::State)>> =
-            (0..self.partitions).map(|_| Vec::new()).collect();
+            (0..DEFAULT_PARTITIONS).map(|_| Vec::new()).collect();
         for item in roots {
-            let k = shard_index(item.0, self.partitions);
+            let k = shard_index(item.0, DEFAULT_PARTITIONS);
             parts[k].push(item);
         }
 
         BfsRun {
             stats,
             visited,
-            audit_states,
             terminal: Vec::new(),
             transitions: 0,
             truncated_by,
@@ -813,6 +790,9 @@ where
             let bytes =
                 run.visited.approx_bytes() + resident_frontier * Self::frontier_item_bytes();
             run.stats.peak_bytes = run.stats.peak_bytes.max(bytes);
+            // Every frontier state is expanded below, by the cutoff scan or
+            // by the backend's level body.
+            run.stats.expansions += frontier_len;
             if run.depth >= self.max_depth {
                 // Cutoff level: record terminals, flag unexpanded work.
                 // (Shard-major traversal — the only loop left that sees a
@@ -821,9 +801,8 @@ where
                     "level": run.depth,
                     "frontier": frontier_len,
                 );
-                for k in 0..self.partitions {
+                for k in 0..DEFAULT_PARTITIONS {
                     for (_, s) in backend.partition(&run.parts, k).iter() {
-                        run.stats.expansions += 1;
                         if self.sys.enabled(s).is_empty() {
                             run.terminal.push(s.clone());
                         } else {
@@ -846,7 +825,7 @@ where
 
             run.stats.levels += 1;
             let mut next_parts: Vec<Vec<(u64, Sys::State)>> =
-                (0..self.partitions).map(|_| Vec::new()).collect();
+                (0..DEFAULT_PARTITIONS).map(|_| Vec::new()).collect();
 
             // The level body is the backend's, and lives in its own
             // function (not inlined here): the expand loops are the hottest
@@ -946,7 +925,7 @@ where
             .collect();
         SearchCheckpoint {
             seed: self.seed,
-            partitions: self.partitions,
+            partitions: DEFAULT_PARTITIONS,
             depth: run.depth,
             transitions: run.transitions,
             truncated_by: run.truncated_by,
@@ -977,20 +956,20 @@ where
     fn restore(&self, ckpt: SearchCheckpoint<Sys::State, Sys::Action>) -> BfsRun<Sys> {
         assert_eq!(ckpt.seed, self.seed, "checkpoint seed mismatch");
         assert_eq!(
-            ckpt.partitions, self.partitions,
+            ckpt.partitions, DEFAULT_PARTITIONS,
             "checkpoint partition-count mismatch"
         );
         assert_eq!(
             ckpt.visited.len(),
-            self.partitions,
+            DEFAULT_PARTITIONS,
             "checkpoint shard-page count mismatch"
         );
         assert_eq!(
             ckpt.frontier.len(),
-            self.partitions,
+            DEFAULT_PARTITIONS,
             "checkpoint frontier-partition count mismatch"
         );
-        let mut stats = SearchStats::new("bfs", self.workers, self.partitions, self.seed);
+        let mut stats = SearchStats::new("bfs", self.workers, DEFAULT_PARTITIONS, self.seed);
         stats.levels = ckpt.levels;
         stats.expansions = ckpt.expansions;
         stats.dedup_hits = ckpt.dedup_hits;
@@ -999,7 +978,7 @@ where
         stats.cap_fallbacks = ckpt.cap_fallbacks;
         stats.peak_bytes = ckpt.peak_bytes;
 
-        let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(self.partitions);
+        let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
         for (shard, page) in visited.shards_mut().iter_mut().zip(ckpt.visited) {
             *shard = FpMap::from_ascending(page);
         }
@@ -1008,7 +987,6 @@ where
         BfsRun {
             stats,
             visited,
-            audit_states: BTreeMap::new(),
             terminal: ckpt.terminal,
             transitions: ckpt.transitions,
             truncated_by: ckpt.truncated_by,
@@ -1034,26 +1012,8 @@ where
     /// `fingerprints`/`try_insert_with` out of line. The ledger workload
     /// that is nothing but this loop is `grid_w1` (`verdict_s`,
     /// `search.self_s`); re-measure there before restructuring.
-    fn expand_level_fused(
-        &self,
-        run: &mut BfsRun<Sys>,
-        next_parts: &mut [Vec<(u64, Sys::State)>],
-        tracer: &mut dyn Tracer,
-    ) -> usize {
-        // Audit on/off are separate monomorphizations: with `AUDIT = false`
-        // the compiler erases every audit branch *and* the calls they guard
-        // from the loop. This is not cosmetic — leaving even a never-taken
-        // cold call in the dedup arm measurably deoptimizes the whole loop
-        // (~25% wall-clock; `grid_w1` is the ledger workload that shows it).
-        if self.audit {
-            self.expand_level_fused_impl::<true>(run, next_parts, tracer)
-        } else {
-            self.expand_level_fused_impl::<false>(run, next_parts, tracer)
-        }
-    }
-
     #[inline(never)]
-    fn expand_level_fused_impl<const AUDIT: bool>(
+    fn expand_level_fused(
         &self,
         run: &mut BfsRun<Sys>,
         next_parts: &mut [Vec<(u64, Sys::State)>],
@@ -1062,7 +1022,6 @@ where
         let BfsRun {
             stats,
             visited,
-            audit_states,
             terminal,
             truncated_by,
             parts,
@@ -1071,54 +1030,33 @@ where
             ..
         } = run;
         let cap = Cap::At(self.max_states);
-        let nparts = self.partitions;
         let mut level_children = 0usize;
-        let mut expansions = 0usize;
         let mut dedup_hits = 0usize;
         let mut canon_hits = 0usize;
-        // Per-partition staging for the batched fingerprint phase:
-        // `(canonical child, action, parent fp)` in generation order. The
-        // buffer is reused across the level's partitions.
-        let mut pending: Vec<(Sys::State, Sys::Action, u64)> = Vec::new();
+        // One partition's staged children, reused across the level's
+        // partitions (phase C drains it).
+        let mut children: Vec<Child<Sys::State, Sys::Action>> = Vec::new();
         // The children phase C rejects, kept for phase A of the next
         // partition to overwrite (`stage_successors`' spare pool): a
         // duplicate costs neither a `malloc` nor a `free`.
         let mut spares: Vec<Sys::State> = Vec::new();
         let mut acts: Vec<Sys::Action> = Vec::new();
         for part in parts.iter() {
-            // Phase A — generate this partition's children in the j-major
-            // reference order (frontier order, in-state action order), into
-            // spares while the pool has any. Terminals and children land in
-            // separate streams, each keeping its own order, so splitting
-            // the phases reorders nothing.
-            for (pfp, s) in part {
-                expansions += 1;
-                let stage = |tc, a| pending.push((tc, a, *pfp));
-                if !self.stage_successors(s, |_| true, &mut canon_hits, &mut spares, &mut acts, stage)
-                {
-                    terminal.push(s.clone());
-                }
-            }
-            let batch_len = pending.len();
+            canon_hits +=
+                self.expand_partition(part, batch, &mut spares, &mut acts, &mut children, terminal);
+            let batch_len = children.len();
             level_children += batch_len;
-            // Phase B — fingerprint the whole batch in one tight loop
-            // (bit-identical to the scalar path per the BatchScratch
-            // contract).
-            let fps = batch.fingerprints(pending.iter().map(|(tc, _, _)| tc));
             // Phase C — dedup + insert, same j-major order, cap checked
             // inline per child exactly as the fused loop always has. A
             // rejected child is not dropped: it joins the pool, which the
             // `batch_len` guard bounds by one batch (on the canon route
             // phase A returns every spare it takes, so nothing else would).
-            for ((tc, a, pfp), &fp_t) in pending.drain(..).zip(fps) {
+            for (fp_t, tc, a, pfp) in children.drain(..) {
                 match visited.try_insert_with(fp_t, cap, || {
                     Parent::Child { parent: pfp, action: a }
                 }) {
                     TryInsert::Present => {
                         dedup_hits += 1;
-                        if AUDIT {
-                            self.audit_check_slow(audit_states, fp_t, &tc);
-                        }
                         if spares.len() < batch_len {
                             spares.push(tc);
                         }
@@ -1133,19 +1071,55 @@ where
                         truncated_by.get_or_insert(Truncation::States);
                     }
                     TryInsert::Inserted => {
-                        if AUDIT {
-                            audit_states.insert(fp_t, tc.clone());
-                        }
-                        let k = shard_index(fp_t, nparts);
+                        let k = shard_index(fp_t, DEFAULT_PARTITIONS);
                         next_parts[k].push((fp_t, tc));
                     }
                 }
             }
         }
-        stats.expansions += expansions;
         stats.dedup_hits += dedup_hits;
         stats.canon_hits += canon_hits;
         level_children
+    }
+
+    /// Phases A and B of one frontier partition — the one expansion both
+    /// level bodies share (the fused body above, the spill route's pass-1
+    /// worker), which differ only in how they commit what it hands back.
+    ///
+    /// Phase A stages every child in the j-major reference order (frontier
+    /// order, in-state action order) onto `children` through
+    /// [`Search::stage_successors`], overwriting `spares` while the pool
+    /// has any, and clones each state with no enabled action onto
+    /// `terminals`. The two streams keep their own orders, so splitting
+    /// phase A from the commit reorders nothing. Phase B fingerprints the
+    /// staged batch in one tight loop through `batch` (bit-identical to the
+    /// scalar path per the [`BatchScratch`] contract) into each record's
+    /// first slot. Appends only — records already on `children` keep their
+    /// fingerprints — and returns the canon hook's hits.
+    #[inline(always)]
+    pub(crate) fn expand_partition(
+        &self,
+        part: &[(u64, Sys::State)],
+        batch: &mut BatchScratch,
+        spares: &mut Vec<Sys::State>,
+        acts: &mut Vec<Sys::Action>,
+        children: &mut Vec<Child<Sys::State, Sys::Action>>,
+        terminals: &mut Vec<Sys::State>,
+    ) -> usize {
+        let mut canon_hits = 0usize;
+        let staged = children.len();
+        for (pfp, s) in part {
+            let stage = |tc, a| children.push((0, tc, a, *pfp));
+            if !self.stage_successors(s, |_| true, &mut canon_hits, spares, acts, stage) {
+                terminals.push(s.clone());
+            }
+        }
+        let fresh = &mut children[staged..];
+        let fps = batch.fingerprints(fresh.iter().map(|(_, tc, ..)| tc));
+        for (child, &fp) in fresh.iter_mut().zip(fps) {
+            child.0 = fp;
+        }
+        canon_hits
     }
 
     /// Walk the fingerprint parent map back to a root through `lookup`
@@ -1183,28 +1157,6 @@ where
             exec.push(a, tc);
         }
         exec
-    }
-
-    /// The collision audit's check on a dedup hit. Out of line and cold:
-    /// non-audit runs must never carry this assert/format body in a loop
-    /// (the fused body erases even the call via its `AUDIT` const).
-    #[cold]
-    #[inline(never)]
-    fn audit_check_slow(
-        &self,
-        audit_states: &BTreeMap<u64, Sys::State>,
-        fp: u64,
-        state: &Sys::State,
-    ) {
-        let prev = audit_states.get(&fp).expect("audit map tracks visited");
-        assert!(
-            prev == state,
-            "fingerprint collision under seed {:#x}: fp {:#x} covers two distinct states\n  {:?}\n  {:?}\nre-run with a different .seed(...)",
-            self.seed,
-            fp,
-            prev,
-            state,
-        );
     }
 }
 
@@ -1285,43 +1237,70 @@ mod tests {
     }
 
     #[test]
-    fn collision_audit_passes_on_honest_encodings() {
-        let sys = Grid { n: 3, max: 3 };
-        let r = Search::new(&sys).collision_audit(true).explore();
-        assert_eq!(r.num_states, 64);
-    }
-
-    #[test]
-    fn collision_audit_catches_a_lying_encoding() {
-        // A system whose states all encode identically: the audit must trip.
-        struct Degenerate;
-        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        struct Blind(u8);
-        // LINT-ALLOW: encode-coverage -- deliberately blind: the audit must fire
-        impl Encode for Blind {
-            fn encode(&self, _h: &mut crate::fingerprint::FpHasher) {}
+    fn expand_partition_stages_terminals_and_fingerprints_exactly_what_it_appends() {
+        // `expand_partition` against its definition, written out naively:
+        // per frontier state in order, `enabled` empty ⇒ a terminal, else
+        // per action `step`, the canon hook, and the child's own scalar
+        // fingerprint, parent fp attached. Records already on `children`
+        // (and `terminals`) stay as they were, junk spares of every length
+        // are overwritten, and the hits are the children the hook moved.
+        fn sort_canon(s: &Vec<u8>) -> Vec<u8> {
+            let mut t = s.clone();
+            t.sort();
+            t
         }
-        impl System for Degenerate {
-            type State = Blind;
-            type Action = u8;
-            fn initial_states(&self) -> Vec<Blind> {
-                vec![Blind(0)]
-            }
-            fn enabled(&self, s: &Blind) -> Vec<u8> {
-                if s.0 < 2 {
-                    vec![0]
-                } else {
-                    vec![]
+        use crate::fingerprint::Fingerprint;
+        let sys = Grid { n: 3, max: 2 };
+        let seed = 0x5EED;
+        // A terminal between expanded states, one with a single action.
+        let part: Vec<(u64, Vec<u8>)> =
+            [vec![0, 1, 0], vec![2, 2, 2], vec![2, 2, 1], vec![1, 0, 2]]
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| (100 + i as u64, s))
+                .collect();
+        for canon in [None, Some(sort_canon as fn(&Vec<u8>) -> Vec<u8>)] {
+            let mut want_children = vec![(7, vec![9], 9, 9)];
+            let mut want_terminals = vec![vec![9, 9]];
+            let mut want_hits = 0;
+            for (pfp, s) in &part {
+                let acts = sys.enabled(s);
+                if acts.is_empty() {
+                    want_terminals.push(s.clone());
+                }
+                for a in acts {
+                    let t = sys.step(s, &a);
+                    let tc = canon.map_or(t.clone(), |c| c(&t));
+                    want_hits += usize::from(tc != t);
+                    want_children.push((tc.fingerprint(seed), tc, a, *pfp));
                 }
             }
-            fn step(&self, s: &Blind, _a: &u8) -> Blind {
-                Blind(s.0 + 1)
-            }
+
+            let search = Search::new(&sys).seed(seed);
+            let search = match canon {
+                Some(c) => search.canon(c),
+                None => search,
+            };
+            let mut batch = BatchScratch::new(seed);
+            let mut spares = vec![vec![], vec![5; 7], vec![1]];
+            let (mut acts, mut children, mut terminals) = (
+                vec![9],
+                want_children[..1].to_vec(),
+                want_terminals[..1].to_vec(),
+            );
+            let hits = search.expand_partition(
+                &part,
+                &mut batch,
+                &mut spares,
+                &mut acts,
+                &mut children,
+                &mut terminals,
+            );
+            assert_eq!(children, want_children, "canon: {}", canon.is_some());
+            assert_eq!(terminals, want_terminals);
+            assert_eq!(hits, want_hits);
+            assert_eq!(hits > 0, canon.is_some(), "the hook moved some child");
         }
-        let caught = std::panic::catch_unwind(|| {
-            Search::new(&Degenerate).collision_audit(true).explore()
-        });
-        assert!(caught.is_err(), "collision audit failed to trip");
     }
 
     #[test]

@@ -23,18 +23,17 @@
 //! Determinism: the tables are only ever *probed* (by fingerprint) on hot
 //! paths — nothing hot iterates them — so neither probe order nor growth
 //! timing can influence a report. The canonical order below
-//! ([`FpMap::iter_ordered`], [`FpMap::take_ordered`],
-//! [`ShardedFpMap::iter_ordered`]) is walked once per shard when a run
-//! pauses or spills, and is defined as ascending key order, which makes the
-//! sharded aggregate order equal to the flat table's order for the same key
-//! set — pinned by a `det_prop!` sweep in `tests/determinism.rs`. A page in
-//! that order goes back into a table through [`FpMap::from_ascending`].
+//! ([`FpMap::iter_ordered`], [`FpMap::take_ordered`]) is walked once per
+//! shard when a run pauses or spills, and is defined as ascending key
+//! order — pinned against a sorted oracle by a `det_prop!` sweep in
+//! `tests/determinism.rs`. A page in that order goes back into a table
+//! through [`FpMap::from_ascending`].
 //!
 //! The unoccupied sentinel is fingerprint `0`; real zero fingerprints are
 //! folded onto key `1`. That conflates a zero-fingerprint state with a
 //! one-fingerprint state at the same 2⁻⁶⁴-ish odds as any other fingerprint
-//! collision, which the collision policy (and the audit mode that checks
-//! it) already covers.
+//! collision, which the collision policy ([`crate::fingerprint`]) already
+//! covers.
 
 /// Capacity policy for [`FpMap::try_insert_with`]: either no bound, or an
 /// explicit entry cap. Replaces the old `usize::MAX`-as-sentinel
@@ -264,7 +263,7 @@ impl<V> FpMap<V> {
 
     /// Entries in ascending key order (the stored key: fingerprint `0`
     /// folds onto `1`). Linear, once per shard, never a per-state path.
-    /// This is the canonical iteration order both table shapes share.
+    /// This is the canonical iteration order.
     pub fn iter_ordered(&self) -> impl Iterator<Item = (u64, &V)> {
         self.ordered_slots()
             .into_iter()
@@ -451,27 +450,6 @@ impl<V> ShardedFpMap<V> {
     pub fn approx_bytes(&self) -> usize {
         self.shards.iter().map(FpMap::approx_bytes).sum()
     }
-
-    /// Entries in ascending key order, aggregated across shards by a
-    /// `shards`-way merge of the per-shard ordered iterators. Because every
-    /// shard's order and the flat [`FpMap`]'s order are both "ascending
-    /// key", the aggregate sequence equals what a single `FpMap` holding
-    /// the same keys would produce (`tests/determinism.rs` sweeps this).
-    pub fn iter_ordered(&self) -> impl Iterator<Item = (u64, &V)> {
-        let mut cursors: Vec<std::iter::Peekable<_>> = self
-            .shards
-            .iter()
-            .map(|s| s.iter_ordered().peekable())
-            .collect();
-        std::iter::from_fn(move || {
-            let (best, _) = cursors
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(i, c)| c.peek().map(|&(k, _)| (i, k)))
-                .min_by_key(|&(_, k)| k)?;
-            cursors[best].next()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -636,27 +614,6 @@ mod tests {
         for fp in 1..=10u64 {
             assert!(m.contains(fp));
         }
-    }
-
-    #[test]
-    fn sharded_iteration_matches_flat_iteration() {
-        // The deterministic aggregate order: merging per-shard ordered
-        // iterators equals the flat table's ordered iteration on the same
-        // key set (the property the det_prop! sweep in tests/determinism.rs
-        // randomizes).
-        let keys: Vec<u64> = (1..=64u64)
-            .map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D))
-            .collect();
-        let mut flat: FpMap<u64> = FpMap::new();
-        let mut sharded: ShardedFpMap<u64> = ShardedFpMap::new(7);
-        for &k in &keys {
-            flat.try_insert_with(k, Cap::Unbounded, || k);
-            sharded.try_insert_with(k, Cap::Unbounded, || k);
-        }
-        let a: Vec<(u64, u64)> = flat.iter_ordered().map(|(k, &v)| (k, v)).collect();
-        let b: Vec<(u64, u64)> = sharded.iter_ordered().map(|(k, &v)| (k, v)).collect();
-        assert_eq!(a, b);
-        assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "ascending, duplicate-free");
     }
 
     #[test]

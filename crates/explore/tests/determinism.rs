@@ -13,7 +13,7 @@ use impossible_explore::table::TryInsert;
 use impossible_core::system::System;
 use impossible_explore::{
     Cap, Encode, FpHasher, FpMap, Grid, PauseBudget, Resumable, Search, SearchReport,
-    ShardedFpMap, DEFAULT_SEED,
+    DEFAULT_SEED,
 };
 use impossible_obs::RingTracer;
 
@@ -113,13 +113,6 @@ fn resident_runs_ignore_the_worker_count() {
         tracer.to_jsonl()
     });
     assert!(trace.contains("\"kind\":\"truncate\""));
-
-    // Collision audit: the fused body's `AUDIT = true` instantiation.
-    same_at_1_2_8("audited hunt", |w| {
-        let sys = Grid { n: 3, max: 3 };
-        let search = Search::new(&sys).workers(w).collision_audit(true);
-        render(search.search(corner(3)), w)
-    });
 
     // The suspended state itself — canonical shard pages + partition-
     // ordered frontier — and the run resumed from it, at every pause
@@ -273,28 +266,6 @@ det_prop! {
                 .expect("resume to completion"),
         };
         det_assert_eq!(straight, finished);
-    }
-}
-
-det_prop! {
-    fn sharded_iteration_equals_flat_iteration(cases = 24, seed in 0u64..u64::MAX, shards in 1usize..9, n in 0usize..400) {
-        // The deterministic aggregate order: a ShardedFpMap's merged
-        // iteration must equal a flat FpMap's ordered iteration on the same
-        // (random) fingerprint set, for any shard count.
-        let mut rng = DetRng::seed_from_u64(seed);
-        let mut flat: FpMap<u64> = FpMap::new();
-        let mut sharded: ShardedFpMap<u64> = ShardedFpMap::new(shards * 8);
-        for i in 0..n {
-            // A narrow range on purpose: collisions exercise the dedup arm.
-            let fp = rng.bounded_u64(1 + n as u64 * 2);
-            flat.try_insert_with(fp, Cap::Unbounded, || i as u64);
-            sharded.try_insert_with(fp, Cap::Unbounded, || i as u64);
-        }
-        det_assert_eq!(flat.len(), sharded.len());
-        let a: Vec<(u64, u64)> = flat.iter_ordered().map(|(k, &v)| (k, v)).collect();
-        let b: Vec<(u64, u64)> = sharded.iter_ordered().map(|(k, &v)| (k, v)).collect();
-        det_assert_eq!(a, b);
-        det_assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "strictly ascending");
     }
 }
 

@@ -22,11 +22,16 @@
 # medians with quartiles (the ledger's rule: Python's exclusive
 # `statistics.quantiles`), the difference of the medians in the metric's
 # unit and in percent of the parent's (`peak_rss_mb` quartiles sit ≈ 0.1 MB
-# apart, so the size of a gain is not readable off the IQR verdict), pairs
-# won, and whether §8's rule for a gain — the
+# apart, so the size of a gain is not readable off the IQR verdict), the
+# no-regression verdict, pairs won, and whether §8's rule for a gain — the
 # change wins ≥ 9/10 of all pairs, ties counting for neither, and the
 # medians differ by more than the distance between the parent's quartiles —
-# is met.
+# is met. The no-regression verdict reads the metric's `bound` from
+# BENCHMARK.json's "end_to_end" list (read, never written) as a fraction b
+# of the parent's median: "worse" when the change's median trails the
+# parent's by more than b·median; else "unresolved" when the parent's IQR
+# is wider than b·median, unless every change run beats every parent run;
+# else "ok".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +68,15 @@ fi
 
 metrics=(verdict_s states_per_s peak_rss_mb setup_s)
 units=(s 1/s MB s)
+# Each metric's `bound`: the first one after its name in "end_to_end".
+bounds=()
+for m in "${metrics[@]}"; do
+    b="$(awk -v m="$m" '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+        on && $0 ~ "\"name\": *\"" m "\"" { hit = 1 }
+        hit && /"bound"/ { sub(/.*"bound": */, ""); sub(/[^0-9.eE+-].*/, ""); print; exit }' BENCHMARK.json)"
+    [ -n "$b" ] || { echo "pairs.sh: BENCHMARK.json has no bound for $m" >&2; exit 2; }
+    bounds+=("$b")
+done
 
 echo "pairs.sh: parent ${sha:0:7} vs working tree, ${workloads[*]}, $pairs pairs x $seconds s" >&2
 for side in parent change; do
@@ -108,7 +122,8 @@ for workload in "${workloads[@]}"; do
     done
 
     # Summary: row k of parent.tsv and change.tsv are pair k's two runs.
-    paste "$work/parent.tsv" "$work/change.tsv" | awk -F'\t' -v names="${metrics[*]}" -v units="${units[*]}" '
+    paste "$work/parent.tsv" "$work/change.tsv" | awk -F'\t' -v names="${metrics[*]}" -v units="${units[*]}" \
+        -v bounds="${bounds[*]}" '
     function sort_into(src, dst, n,    i, j, t) {
         for (i = 1; i <= n; i++) dst[i] = src[i]
         for (i = 2; i <= n; i++) {
@@ -133,7 +148,8 @@ for workload in "${workloads[@]}"; do
         split(names, name, " ")
         higher["states_per_s"] = 1
         split(units, unit, " ")
-        printf "\n%-13s %-34s %-34s %-26s %9s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change - parent", "pairs won", "gain by the 9/10 + IQR rule"
+        split(bounds, bound, " ")
+        printf "\n%-13s %-34s %-34s %-26s %-23s %9s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change - parent", "no regression (bound)", "pairs won", "gain by the 9/10 + IQR rule"
         for (c = 1; c <= 4; c++) {
             wins = 0; ties = 0
             for (k = 1; k <= n; k++) {
@@ -147,10 +163,18 @@ for workload in "${workloads[@]}"; do
             better = (name[c] in higher) ? (cm > pm) : (cm < pm)
             gap = cm - pm; if (gap < 0) gap = -gap
             met = (wins * 10 >= n * 9 && better && gap > pq3 - pq1) ? "met" : "not met"
-            printf "%-13s %-34s %-34s %-26s %6d/%-2d  %s\n", name[c],
+            # No regression: the bound is a fraction of the parent median.
+            tol = bound[c] * pm
+            if (name[c] in higher) { trail = pm - cm; beats_all = sb[1] > sa[n] }
+            else { trail = cm - pm; beats_all = sb[n] < sa[1] }
+            if (trail > tol) nr = "worse"
+            else if (pq3 - pq1 > tol && !beats_all) nr = "unresolved"
+            else nr = "ok"
+            printf "%-13s %-34s %-34s %-26s %-23s %6d/%-2d  %s\n", name[c],
                 sprintf("%.6g [%.6g, %.6g]", pm, pq1, pq3),
                 sprintf("%.6g [%.6g, %.6g]", cm, quant(sb, n, 1), quant(sb, n, 3)),
                 sprintf("%+.6g %s, %+.1f%%", cm - pm, unit[c], (cm - pm) / pm * 100),
+                sprintf("%s (%g%%)", nr, bound[c] * 100),
                 wins, n, met (ties ? sprintf(" (%d ties)", ties) : "")
         }
         for (k = 1; k <= n; k++) { pa += p[5, k]; pf += p[6, k]; ca += q[5, k]; cf += q[6, k] }

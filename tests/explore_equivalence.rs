@@ -38,10 +38,12 @@ use impossible::obs::RingTracer;
 use std::collections::BTreeSet;
 
 /// Pin `sys`'s encodings: batch == scalar fingerprints on the first
-/// `max_states` states in BFS order, no two states share one, their
-/// `DEFAULT_SEED` fingerprints fold to `pinned`, and a collision-audited
-/// exploration of the same prefix (full states kept beside the
-/// fingerprints, panic on a genuine collision) runs clean.
+/// `max_states` states in BFS order, no two states share one under either
+/// seed, and their `DEFAULT_SEED` fingerprints fold to `pinned`. The
+/// distinctness sweep is the collision policy's check on real state types
+/// (`docs/EXPLORE.md`, "Fingerprint dedup and the collision policy"): the
+/// exact graph builder produced `states`, so a repeat among their
+/// fingerprints is a genuine collision, not a dedup.
 fn assert_encoding_pinned<Sys>(sys: &Sys, max_states: usize, pinned: u64)
 where
     Sys: System,
@@ -65,11 +67,6 @@ where
         let distinct: BTreeSet<u64> = scalar.into_iter().collect();
         assert_eq!(distinct.len(), states.len(), "collision under seed={seed}");
     }
-    let audited = Search::new(sys)
-        .max_states(max_states)
-        .collision_audit(true)
-        .explore();
-    assert_eq!(audited.num_states, states.len());
 }
 
 /// Explore `sys` with both engines and pin the order-independent facts,
@@ -382,7 +379,7 @@ type RouteOutputs<S, A> = (
     GraphParts<S, A>,
     GraphParts<S, A>,
     (SearchReport<S, A>, String),
-    Option<(SearchCheckpoint<S, A>, Resumable<S, A>)>,
+    (SearchCheckpoint<S, A>, Resumable<S, A>),
 );
 
 /// Everything the resident routes return for one builder: `explore`,
@@ -390,7 +387,6 @@ type RouteOutputs<S, A> = (
 /// its JSONL, and a run paused after two levels with its resumption.
 fn route_outputs<Sys>(
     search: &Search<'_, Sys>,
-    audit: bool,
     pred: impl Fn(&Sys::State) -> bool + Copy,
     keep: impl Fn(&Sys::Action) -> bool + Copy,
 ) -> RouteOutputs<Sys::State, Sys::Action>
@@ -403,12 +399,9 @@ where
     }
     let mut tracer = RingTracer::new(1 << 16);
     let traced = search.explore_traced(&mut tracer);
-    // A collision-audited run is not resumable; everything else is.
-    let resumed = (!audit).then(|| {
-        let ckpt = search.run_resumable(PauseBudget::levels(2)).paused();
-        let ckpt = ckpt.expect("every space here is deeper than two levels");
-        (ckpt.clone(), search.resume(ckpt, PauseBudget::never()))
-    });
+    let ckpt = search.run_resumable(PauseBudget::levels(2)).paused();
+    let ckpt = ckpt.expect("every space here is deeper than two levels");
+    let resumed = (ckpt.clone(), search.resume(ckpt, PauseBudget::never()));
     (
         search.explore(),
         search.search(pred),
@@ -421,8 +414,7 @@ where
 
 /// `S` and [`NoReuse<S>`] agree on every route — `explore`, `search`,
 /// `graph`, `graph_filtered`, the `explore_traced` JSONL and a
-/// paused-and-resumed run — whole and at a `max_states` that cuts, with and
-/// without the collision audit.
+/// paused-and-resumed run — whole and at a `max_states` that cuts.
 fn assert_reuse_is_invisible<Sys>(
     sys: &Sys,
     canon: Option<Canon<Sys>>,
@@ -433,13 +425,8 @@ fn assert_reuse_is_invisible<Sys>(
     Sys: System,
     Sys::State: Encode,
 {
-    fn builder<S: System>(
-        sys: &S,
-        canon: Option<Canon<S>>,
-        max_states: usize,
-        audit: bool,
-    ) -> Search<'_, S> {
-        let search = Search::new(sys).max_states(max_states).collision_audit(audit);
+    fn builder<S: System>(sys: &S, canon: Option<Canon<S>>, max_states: usize) -> Search<'_, S> {
+        let search = Search::new(sys).max_states(max_states);
         match canon {
             Some(c) => search.canon(c),
             None => search,
@@ -447,12 +434,9 @@ fn assert_reuse_is_invisible<Sys>(
     }
     let plain = NoReuse(sys);
     for max_states in [1_000_000, cut] {
-        for audit in [false, true] {
-            let reusing = route_outputs(&builder(sys, canon, max_states, audit), audit, pred, keep);
-            let dropping =
-                route_outputs(&builder(&plain, canon, max_states, audit), audit, pred, keep);
-            assert_eq!(reusing, dropping, "max_states={max_states} audit={audit}");
-        }
+        let reusing = route_outputs(&builder(sys, canon, max_states), pred, keep);
+        let dropping = route_outputs(&builder(&plain, canon, max_states), pred, keep);
+        assert_eq!(reusing, dropping, "max_states={max_states}");
     }
     assert!(Search::new(sys).max_states(cut).explore().truncated(), "cut={cut} must cut");
 }
