@@ -21,6 +21,8 @@
 //!   `consensus::flp::find_nontermination` over `explore::property`.)
 //! * [`succ`] — compressed successor rows, the edge storage of the
 //!   reachable graphs [`valence`] classifies (built by `impossible-explore`).
+//! * [`row`] — fixed-capacity inline rows, the heap-free fields of small
+//!   model states.
 //! * [`scenario`] — the Fischer–Lynch–Merritt *scenario* composer (Figure 1):
 //!   glue copies of a protocol into a ring and extract contradictory
 //!   obligations.
@@ -75,6 +77,7 @@ pub mod explore;
 pub mod ids;
 pub mod knowledge;
 pub mod pigeonhole;
+pub mod row;
 pub mod scenario;
 pub mod succ;
 pub mod symmetry;

@@ -97,10 +97,10 @@ impl FpHasher {
 /// type's reachable values: equal values produce equal streams, distinct
 /// values produce distinct streams (given the length/tag prefixing rules in
 /// the module docs). All primitive scalars, tuples, `Option`, `Vec`, slices,
-/// arrays and the ordered collections are covered here; model crates list
-/// their own state types through [`crate::impl_encode_struct!`] (named and
-/// tuple structs) and [`crate::impl_encode_enum!`] (C-like and
-/// field-carrying enums).
+/// arrays, `core::row::Row` and the ordered collections are covered here;
+/// model crates list their own state types through
+/// [`crate::impl_encode_struct!`] (named and tuple structs) and
+/// [`crate::impl_encode_enum!`] (C-like and field-carrying enums).
 pub trait Encode {
     /// Feed this value's canonical encoding to `h`.
     fn encode(&self, h: &mut FpHasher);
@@ -236,6 +236,13 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Encode, const N: usize> Encode for [T; N] {
     fn encode(&self, h: &mut FpHasher) {
         self.as_slice().encode(h);
+    }
+}
+
+/// The slice's words, so a `Row` fingerprints as the `Vec` of its values.
+impl<T: Encode, const N: usize> Encode for impossible_core::row::Row<T, N> {
+    fn encode(&self, h: &mut FpHasher) {
+        (**self).encode(h);
     }
 }
 

@@ -46,12 +46,12 @@ pub enum DijkstraLocal {
     /// `c[i] := 1` then inspect `b[k]` (we are not the turn-holder).
     SetCTrue {
         /// The turn value read at [`DijkstraLocal::ReadK`].
-        k: usize,
+        k: u8,
     },
     /// Read `b[k]`; if the turn-holder is passive, claim the turn.
     ReadBk {
         /// The turn value read at [`DijkstraLocal::ReadK`].
-        k: usize,
+        k: u8,
     },
     /// Write `k := i`.
     WriteK,
@@ -60,7 +60,7 @@ pub enum DijkstraLocal {
     /// Scan `c[j]` for all `j != i`; any claim by another aborts to `ReadK`.
     CheckC {
         /// Next index to check.
-        j: usize,
+        j: u8,
     },
     /// Critical region.
     Crit,
@@ -79,6 +79,7 @@ impl Dijkstra {
         if j >= self.n {
             DijkstraLocal::Crit
         } else {
+            let j = u8::try_from(j).expect("the scan index is a process index");
             DijkstraLocal::CheckC { j }
         }
     }
@@ -135,8 +136,8 @@ impl MutexAlgorithm for Dijkstra {
             DijkstraLocal::SetCTrue { .. }
             | DijkstraLocal::SetCFalse
             | DijkstraLocal::ExitC => self.c(i),
-            DijkstraLocal::ReadBk { k } => self.b(*k),
-            DijkstraLocal::CheckC { j } => self.c(*j),
+            DijkstraLocal::ReadBk { k } => self.b(usize::from(*k)),
+            DijkstraLocal::CheckC { j } => self.c(usize::from(*j)),
             other => unreachable!("no access in {other:?}"),
         }
     }
@@ -145,8 +146,8 @@ impl MutexAlgorithm for Dijkstra {
         match local {
             DijkstraLocal::SetB => (DijkstraLocal::ReadK, 0),
             DijkstraLocal::ReadK => {
-                let k = value as usize;
-                if k == i {
+                let k = u8::try_from(value).expect("the turn variable holds a process index");
+                if usize::from(k) == i {
                     (DijkstraLocal::SetCFalse, value)
                 } else {
                     (DijkstraLocal::SetCTrue { k }, value)
@@ -168,7 +169,7 @@ impl MutexAlgorithm for Dijkstra {
                     // Someone else also claims: retreat to the k-loop.
                     (DijkstraLocal::ReadK, value)
                 } else {
-                    (self.next_check(i, j + 1), value)
+                    (self.next_check(i, usize::from(*j) + 1), value)
                 }
             }
             DijkstraLocal::ExitC => (DijkstraLocal::ExitB, 1),

@@ -129,9 +129,7 @@ where
             .filter(|&i| sys.algorithm().region(&head.locals[i]) != Region::Remainder)
             .collect();
         debug_assert!(obligated.contains(&victim));
-        if obligated.len() > 20 {
-            continue; // mask width guard; never hit for checkable instances
-        }
+        // One bit per obligated process: a `MutexState` holds at most 8, so `u32` always fits.
         let bit: BTreeMap<usize, u32> = obligated
             .iter()
             .enumerate()
@@ -142,7 +140,7 @@ where
         // A cycle through victim-trying states only, covering a step of
         // every obligated process.
         let class_bits = |a: &MutexAction| match a {
-            MutexAction::Step(p) => bit.get(p).copied().unwrap_or(0),
+            MutexAction::Step(_) => bit.get(&a.process()).copied().unwrap_or(0),
             _ => 0,
         };
         if let Some(edges) = g.covering_cycle(h, |t| victim_trying[t], class_bits, full) {
@@ -203,7 +201,7 @@ mod tests {
         assert!(w
             .cycle
             .iter()
-            .any(|a| matches!(a, MutexAction::Step(p) if *p == w.victim)));
+            .any(|a| matches!(a, MutexAction::Step(_) if a.process() == w.victim)));
         // The victim is never critical along the cycle.
         let mut cur = w.head.clone();
         for a in &w.cycle {

@@ -19,6 +19,7 @@
 //! [`MutexAlgorithm::read_write_only`].
 
 use impossible_core::ids::ProcessId;
+use impossible_core::row::Row;
 use impossible_core::system::System;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -40,7 +41,8 @@ pub enum Region {
 /// set of shared variables.
 pub trait MutexAlgorithm {
     /// Per-process local state (encodes the region and the program counter).
-    type Local: Clone + Eq + Ord + Hash + Debug;
+    /// `Copy`, so a [`MutexState`] is two inline arrays and copies as one.
+    type Local: Copy + Eq + Ord + Hash + Debug;
 
     /// Display name used in reports.
     fn name(&self) -> &'static str;
@@ -90,13 +92,18 @@ pub trait MutexAlgorithm {
     }
 }
 
-/// Global configuration of a [`MutexSystem`].
+/// Global configuration of a [`MutexSystem`]: two inline [`Row`]s, no heap
+/// block. The caps — 8 processes, 12 variables — cover the largest instances
+/// in the tree (`OneBit::new(5)`, `Dijkstra::new(5)`'s 11 variables);
+/// [`System::initial_states`] panics, naming the cap, on an algorithm that
+/// needs more. A `Row` compares, hashes, prints and encodes as the `Vec` of
+/// its values, so no order, trace or fingerprint depends on the storage.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MutexState<L> {
     /// Per-process local states.
-    pub locals: Vec<L>,
+    pub locals: Row<L, 8>,
     /// Shared variable values.
-    pub vars: Vec<u64>,
+    pub vars: Row<u64, 12>,
 }
 
 impossible_explore::impl_encode_struct!(MutexState<L> { locals, vars });
@@ -113,7 +120,8 @@ impossible_explore::impl_encode_struct!(MutexState<L> { locals, vars });
 /// relabeling), so checking representatives suffices — mirror of
 /// `consensus::quorum::value_swap_canon` on the shared-memory side.
 ///
-/// **Cost:** one clone and one sort, `O(n log n)` comparisons. The orbit of
+/// **Cost:** one copy of the state (no heap block: both fields are inline
+/// [`Row`]s) and one in-place sort, `O(n log n)` comparisons. The orbit of
 /// `locals` under the symmetric group is every arrangement of the same
 /// multiset, and the lexicographically least arrangement is the sorted one,
 /// so nothing is enumerated; equal locals are interchangeable, so sort
@@ -126,33 +134,33 @@ impossible_explore::impl_encode_struct!(MutexState<L> { locals, vars });
 /// variable targets, or restricted participant sets); the caller owns that
 /// precondition, exactly as with every [`impossible_explore::Search::canon`]
 /// hook.
-pub fn process_perm_canon<L: Clone + Ord>(s: &MutexState<L>) -> MutexState<L> {
-    let mut locals = s.locals.clone();
-    locals.sort();
-    MutexState {
-        locals,
-        vars: s.vars.clone(),
-    }
+pub fn process_perm_canon<L: Copy + Ord>(s: &MutexState<L>) -> MutexState<L> {
+    let mut canon = s.clone();
+    canon.locals.sort_unstable();
+    canon
 }
 
 /// Actions of the composed system. `Try` and `Exit` belong to the
 /// environment (but are attributed to the process for fairness accounting);
 /// `Step` is one atomic variable access by the algorithm.
+///
+/// The process index is a `u32` (a [`MutexState`] holds at most 8
+/// processes), so a reachable-graph edge `(MutexAction, usize)` is 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MutexAction {
     /// Environment: process requests the resource.
-    Try(usize),
+    Try(u32),
     /// Algorithm: process performs its next atomic access.
-    Step(usize),
+    Step(u32),
     /// Environment: process releases the resource.
-    Exit(usize),
+    Exit(u32),
 }
 
 impl MutexAction {
     /// The process this action concerns.
     pub fn process(&self) -> usize {
-        match self {
-            MutexAction::Try(i) | MutexAction::Step(i) | MutexAction::Exit(i) => *i,
+        match *self {
+            MutexAction::Try(p) | MutexAction::Step(p) | MutexAction::Exit(p) => p as usize,
         }
     }
 }
@@ -219,14 +227,15 @@ impl<'a, A: MutexAlgorithm> MutexSystem<'a, A> {
         action: &MutexAction,
         next: &mut MutexState<A::Local>,
     ) {
-        match *action {
-            MutexAction::Try(i) => {
+        let i = action.process();
+        match action {
+            MutexAction::Try(_) => {
                 next.locals[i] = self.alg.on_try(i, &state.locals[i]);
             }
-            MutexAction::Exit(i) => {
+            MutexAction::Exit(_) => {
                 next.locals[i] = self.alg.on_exit(i, &state.locals[i]);
             }
-            MutexAction::Step(i) => {
+            MutexAction::Step(_) => {
                 let var = self.alg.target(i, &state.locals[i]);
                 let (local, stored) = self.alg.step(i, &state.locals[i], state.vars[var]);
                 next.locals[i] = local;
@@ -242,17 +251,19 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
 
     fn initial_states(&self) -> Vec<Self::State> {
         let n = self.alg.num_processes();
-        let locals: Vec<A::Local> = (0..n).map(|i| self.alg.initial_local(i)).collect();
-        for (i, l) in locals.iter().enumerate() {
+        let mut locals = Row::filled(self.alg.initial_local(0), n);
+        for (i, l) in locals.iter_mut().enumerate() {
+            *l = self.alg.initial_local(i);
             assert_eq!(
                 self.alg.region(l),
                 Region::Remainder,
                 "process {i} must start in the remainder region"
             );
         }
-        let vars = (0..self.alg.num_vars())
-            .map(|v| self.alg.initial_var(v))
-            .collect();
+        let mut vars = Row::filled(0, self.alg.num_vars());
+        for (v, x) in vars.iter_mut().enumerate() {
+            *x = self.alg.initial_var(v);
+        }
         vec![MutexState { locals, vars }]
     }
 
@@ -264,15 +275,15 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
 
     fn enabled_into(&self, state: &Self::State, acts: &mut Vec<MutexAction>) {
         acts.clear();
-        for (i, l) in state.locals.iter().enumerate() {
+        for (p, (l, &may_try)) in (0u32..).zip(state.locals.iter().zip(&self.participants)) {
             match self.alg.region(l) {
                 Region::Remainder => {
-                    if self.participants[i] {
-                        acts.push(MutexAction::Try(i));
+                    if may_try {
+                        acts.push(MutexAction::Try(p));
                     }
                 }
-                Region::Trying | Region::Exit => acts.push(MutexAction::Step(i)),
-                Region::Critical => acts.push(MutexAction::Exit(i)),
+                Region::Trying | Region::Exit => acts.push(MutexAction::Step(p)),
+                Region::Critical => acts.push(MutexAction::Exit(p)),
             }
         }
     }
@@ -284,9 +295,9 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
     }
 
     fn step_into(&self, state: &Self::State, action: &MutexAction, out: &mut Self::State) {
-        // Field by field: the derived `Clone` has no reusing `clone_from`.
-        out.locals.clone_from(&state.locals);
-        out.vars.clone_from(&state.vars);
+        // One copy: both fields are inline rows, so nothing of `out` is
+        // worth keeping and nothing is allocated.
+        out.clone_from(state);
         self.apply(state, action, out);
     }
 
@@ -412,8 +423,8 @@ mod tests {
             let states = Search::new(&sys).reachable_states();
             for s in &states {
                 let by_definition =
-                    min_under_permutations(&s.locals, &perms, |ls: &Vec<_>, p: &[usize]| {
-                        let mut t = ls.clone();
+                    min_under_permutations(&s.locals, &perms, |ls: &Row<_, 8>, p: &[usize]| {
+                        let mut t = *ls;
                         for (i, l) in ls.iter().enumerate() {
                             t[p[i]] = *l;
                         }
@@ -458,5 +469,24 @@ mod tests {
             seen.insert(s.vars[0]);
         }
         assert_eq!(seen.len(), 2, "quotient kept both lock values");
+    }
+
+    #[test]
+    fn dijkstra_states_and_edges_keep_their_pinned_sizes() {
+        // What `mutex_dijkstra4`'s reachable graph holds per state and per
+        // edge: the interned `MutexState` (no heap block behind it), one
+        // local, and one `Succ` edge.
+        use crate::algorithms::dijkstra::DijkstraLocal;
+        use std::mem::size_of;
+        assert!(size_of::<MutexState<DijkstraLocal>>() <= 128);
+        assert_eq!(size_of::<DijkstraLocal>(), 2);
+        assert_eq!(size_of::<(MutexAction, usize)>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "a Row holds at most 12 items, not 13")]
+    fn an_instance_past_the_variable_cap_is_refused_naming_it() {
+        use crate::algorithms::dijkstra::Dijkstra;
+        MutexSystem::new(&Dijkstra::new(6)).initial_states();
     }
 }

@@ -95,7 +95,8 @@ pub fn simulate_random<A: MutexAlgorithm>(
         }
         // Start the bypass clock at the waiter's first protocol step (but
         // not if that very step entered the critical region).
-        if let MutexAction::Step(i) = action {
+        if let MutexAction::Step(_) = action {
+            let i = action.process();
             if before_regions[i] == Region::Trying
                 && after_regions[i] == Region::Trying
                 && waiting[i].is_none()

@@ -6,10 +6,11 @@
 #
 #   ./scripts/verify.sh
 #
-# Eight stages: build, lint, tests, docs, check smoke, trace smoke,
-# experiments smoke and the ledger (`ledger.sh --check`, then the ledger
-# package's own tests) — the last is the only stage that touches timing
-# code, and the ledger is the only place a measured number comes from.
+# Nine stages: build, lint, tests, docs, check smoke, trace smoke,
+# experiments smoke, mutex gallery smoke and the ledger (`ledger.sh
+# --check`, then the ledger package's own tests) — the last is the only
+# stage that touches timing code, and the ledger is the only place a
+# measured number comes from.
 # The check smoke drives only what crosses a process boundary (a manifest,
 # the verdict cache file, a snapshot file); spilled == resident and
 # worker-count byte-identity are the tests stage's
@@ -131,6 +132,19 @@ if [ "$experiments_got" != "$experiments_sha256" ]; then
     exit 1
 fi
 echo "experiments smoke: OK (26 experiments, identical on rerun, sha256 pinned)"
+
+echo "== mutex gallery smoke (the largest MutexStates in the tree, pinned) =="
+# `cargo test` builds examples but never runs them. This one drives every
+# §2.1 checker and the widest `MutexState`s (Bakery(4)'s 8 variables,
+# OneBit(5)'s 5 processes) through `simulate_random`, so a state-layout
+# change that moves a verdict, a count or a seeded schedule shows here.
+gallery_sha256=e14bff03cb5a4d74ef94b1534b7642215334a2a677c23457689f92f2f521c1d0
+gallery_got="$(cargo run -q --release --offline --example mutex_gallery | sha256sum | cut -d' ' -f1)"
+if [ "$gallery_got" != "$gallery_sha256" ]; then
+    echo "error: mutex_gallery stdout moved: sha256 $gallery_got, pinned $gallery_sha256" >&2
+    exit 1
+fi
+echo "mutex gallery smoke: OK (sha256 pinned)"
 
 echo "== performance ledger --check (public API + every verdict and count) =="
 # The ledger is its own package compiled against the engines' public API;
