@@ -1,4 +1,5 @@
-//! Compressed successor rows — the edge storage of a reachable graph.
+//! Compressed successor rows — the edge storage of a reachable graph, and
+//! the graph algorithms every engine runs over it.
 //!
 //! A configuration graph over `n` states is `n` rows of `(action, target
 //! index)` edges. Stored as `Vec<Vec<_>>` that is a 24-byte header and one
@@ -13,6 +14,28 @@
 //! consumes it and `impossible-explore` — whose `Search::graph_from` is the
 //! one loop that fills it from a [`crate::system::System`] — depends on
 //! this crate, not the other way round.
+//!
+//! **Algorithms.** Every argument the engines make executable is a query
+//! over these rows, and each query is written once, here, where both
+//! `core::valence` and `impossible-explore` reach it:
+//!
+//! * [`Succ::preds`] — the reverse rows as a `u32` CSR index, sources
+//!   ascending, parallel edges kept (the valence fixpoint's worklist, and
+//!   [`Succ::can_reach`]);
+//! * [`Succ::can_reach`] — backward closure inside an allowed set
+//!   (deadlock, `leads_to` pivots);
+//! * [`Succ::bfs_tree`] — a reusable FIFO BFS tree with an edge filter and
+//!   a stop-at-dequeue visitor, and [`BfsTree::path`] back to a start
+//!   (safety witnesses, lasso stems, the decider's solo runs);
+//! * [`Succ::sccs`] — iterative Tarjan over a kept subgraph (liveness);
+//! * [`Succ::covering_cycle`] — the shortest cycle through a head covering
+//!   a set of action classes (fair lassos, mutex lockout).
+//!
+//! Each visits nodes in index order and neighbours in row order, so every
+//! answer — a path, an SCC count, a cycle — is a pure function of the
+//! rows. Node indices are stored as `u32`: a graph with more than
+//! `u32::MAX` rows is refused by a panic, never wrapped
+//! (`Search::graph_from` interns no more).
 //!
 //! **Building.** Rows are appended in index order: [`Succ::push`] the
 //! row's edges, [`Succ::close_row`] it, and once no more rows will be
@@ -36,6 +59,7 @@
 //! assert_eq!(format!("{succ:?}"), "[[('a', 1), ('b', 2)], [], []]");
 //! ```
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Index;
 
@@ -157,6 +181,306 @@ impl<A: fmt::Debug> fmt::Debug for Succ<A> {
     }
 }
 
+/// The graph algorithms. Each expects finished rows whose targets are all
+/// `< len()` (what `Search::graph_from` and [`Succ::from_rows`] over a
+/// closed graph produce).
+impl<A> Succ<A> {
+    /// The row count, checked to fit the `u32` node indices the
+    /// algorithms store.
+    fn nodes(&self) -> usize {
+        let n = self.len();
+        assert!(u32::try_from(n).is_ok(), "more than u32::MAX states");
+        n
+    }
+
+    /// The predecessor index: `preds()[t]` lists the source of every edge
+    /// into `t`, ascending, once per edge (parallel edges repeat it).
+    pub fn preds(&self) -> Preds {
+        let n = self.nodes();
+        // One counting pass and one filling pass over the edges, in one
+        // offset array: count the predecessors of `t` into `start[t + 2]`,
+        // prefix-sum so that `start[t + 1]` is where `t`'s list begins, and
+        // fill through `start[t + 1]`, which leaves it where `t + 1`'s list
+        // begins — the predecessors of `t` are `src[start[t]..start[t + 1]]`.
+        let mut start = vec![0u32; n + 2];
+        for &(_, t) in self.iter().flatten() {
+            start[t + 2] += 1;
+        }
+        for t in 0..n {
+            start[t + 2] += start[t + 1];
+        }
+        let mut src = vec![0u32; self.num_edges()];
+        for (v, row) in self.iter().enumerate() {
+            for &(_, t) in row {
+                src[start[t + 1] as usize] = v as u32;
+                start[t + 1] += 1;
+            }
+        }
+        start.pop();
+        Preds { start, src }
+    }
+
+    /// Which states can reach a `goal` state along a path that stays inside
+    /// `allowed` (both predicates over state indices: `allowed` is asked
+    /// once per state and once per predecessor edge of a state found, so
+    /// keep it a table lookup; `goal` about `allowed` states only, once
+    /// each, in index order). Multi-source backward closure over
+    /// [`Succ::preds`] — pure membership, so order-free.
+    pub fn can_reach(
+        &self,
+        allowed: impl Fn(usize) -> bool,
+        goal: impl Fn(usize) -> bool,
+    ) -> Vec<bool> {
+        let preds = self.preds();
+        let n = self.len();
+        let mut can: Vec<bool> = (0..n).map(|v| allowed(v) && goal(v)).collect();
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        queue.extend((0..n).filter(|&v| can[v]).map(|v| v as u32));
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &u in &preds[v as usize] {
+                if !can[u as usize] && allowed(u as usize) {
+                    can[u as usize] = true;
+                    queue.push(u);
+                }
+            }
+        }
+        can
+    }
+
+    /// An empty BFS tree over these rows; [`BfsTree::search`] grows it.
+    /// Its `n`-sized link array is allocated here, once, however many
+    /// searches the tree then runs.
+    pub fn bfs_tree(&self) -> BfsTree<'_, A> {
+        BfsTree {
+            succ: self,
+            link: vec![UNREACHED; self.nodes()],
+            reached: Vec::new(),
+        }
+    }
+
+    /// The strongly connected components of the subgraph induced by `keep`
+    /// (one flag per row): iterative Tarjan, roots in ascending index
+    /// order, neighbours in row order — the decomposition (ids, count,
+    /// cyclic flags) is a pure function of the rows.
+    pub fn sccs(&self, keep: &[bool]) -> Sccs {
+        let n = self.nodes();
+        assert_eq!(keep.len(), n, "one keep flag per row");
+        let mut index = vec![Sccs::NONE; n];
+        let mut low = vec![0u32; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<usize> = Vec::new();
+        let mut id = vec![Sccs::NONE; n];
+        let mut cyclic: Vec<bool> = Vec::new();
+        let mut next_index = 0u32;
+        // DFS frames `(node, next edge index)`; a node is numbered and
+        // pushed when its frame first comes up.
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        for root in 0..n {
+            if keep[root] && index[root] == Sccs::NONE {
+                frames.push((root, 0));
+            }
+            while let Some(&(v, ei)) = frames.last() {
+                if ei == 0 {
+                    index[v] = next_index;
+                    low[v] = next_index;
+                    next_index += 1;
+                    stack.push(v);
+                    on_stack[v] = true;
+                }
+                if ei < self[v].len() {
+                    frames.last_mut().expect("nonempty").1 += 1;
+                    let w = self[v][ei].1;
+                    if keep[w] && index[w] == Sccs::NONE {
+                        frames.push((w, 0));
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
+                    }
+                } else {
+                    frames.pop();
+                    if let Some(&(u, _)) = frames.last() {
+                        low[u] = low[u].min(low[v]);
+                    }
+                    if low[v] == index[v] {
+                        // `v` roots a component: it and everything above it
+                        // on the stack. A single member cycles only through
+                        // a self-loop.
+                        let at = stack.iter().rposition(|&w| w == v).expect("on the stack");
+                        cyclic.push(stack.len() - at >= 2 || self[v].iter().any(|&(_, t)| t == v));
+                        for w in stack.drain(at..) {
+                            on_stack[w] = false;
+                            id[w] = cyclic.len() as u32 - 1;
+                        }
+                    }
+                }
+            }
+        }
+        Sccs { id, cyclic }
+    }
+
+    /// Shortest cycle from `head` back to `head` through `allowed` states
+    /// whose actions' `class_bits` together cover `full` (`full == 0` asks
+    /// for any cycle), as `(source, edge index)` pairs into the rows. BFS
+    /// over `(state, bits of full seen)` product nodes, FIFO, neighbours in
+    /// row order — so the cycle is a pure function of the rows. `None` when
+    /// no such cycle exists.
+    pub fn covering_cycle(
+        &self,
+        head: usize,
+        allowed: impl Fn(usize) -> bool,
+        class_bits: impl Fn(&A) -> u32,
+        full: u32,
+    ) -> Option<Vec<(usize, usize)>> {
+        // The FIFO queue keeps every product node it dequeued, each with
+        // the edge that discovered it — `(queue index of its source, source
+        // state, edge index)` — so the cycle is read back off the queue,
+        // entry 0 being `(head, 0)`.
+        let mut seen = BTreeSet::from([(head, 0)]);
+        let mut queue: Vec<((usize, u32), (usize, usize, usize))> = vec![((head, 0), (0, head, 0))];
+        let mut k = 0;
+        while let Some(&((v, mask), _)) = queue.get(k) {
+            for (ei, (a, t)) in self[v].iter().enumerate() {
+                if !allowed(*t) {
+                    continue;
+                }
+                let node = (*t, mask | (class_bits(a) & full));
+                if node == (head, full) {
+                    let mut edges = vec![(v, ei)];
+                    let mut j = k;
+                    while j != 0 {
+                        let (_, (from, src, e)) = queue[j];
+                        edges.push((src, e));
+                        j = from;
+                    }
+                    edges.reverse();
+                    return Some(edges);
+                }
+                if seen.insert(node) {
+                    queue.push((node, (k, v, ei)));
+                }
+            }
+            k += 1;
+        }
+        None
+    }
+}
+
+/// [`Succ::preds`]' answer: `preds[t]` is the slice of `t`'s predecessor
+/// indices. Two arrays, `u32` throughout: one offset per row plus one, one
+/// source per edge.
+pub struct Preds {
+    /// `rows + 1` monotone offsets into `src`.
+    start: Vec<u32>,
+    src: Vec<u32>,
+}
+
+impl Index<usize> for Preds {
+    type Output = [u32];
+
+    fn index(&self, t: usize) -> &[u32] {
+        &self.src[self.start[t] as usize..self.start[t + 1] as usize]
+    }
+}
+
+/// [`BfsTree`]'s link of a node the current search has not reached.
+const UNREACHED: (u32, u32) = (u32::MAX, u32::MAX);
+/// [`BfsTree`]'s link of a start: no edge discovered it. (`u32::MAX` is
+/// never a node index: a graph has at most `u32::MAX` rows.)
+const START: (u32, u32) = (u32::MAX, 0);
+
+/// A FIFO breadth-first search tree over a [`Succ`]'s rows
+/// ([`Succ::bfs_tree`]). It can be grown again and again: each
+/// [`BfsTree::search`] first forgets the nodes the previous one reached —
+/// only those, so a caller that runs one small search per configuration
+/// pays for what each search touches, not for the graph.
+pub struct BfsTree<'s, A> {
+    succ: &'s Succ<A>,
+    /// Per node: `UNREACHED`, `START`, or the `(source, edge index into
+    /// its row)` that discovered it.
+    link: Vec<(u32, u32)>,
+    /// The nodes reached, in discovery order: the FIFO queue, and what the
+    /// next search clears.
+    reached: Vec<u32>,
+}
+
+impl<'s, A: Clone> BfsTree<'s, A> {
+    /// Search breadth-first from `starts` (in order; a repeat is ignored),
+    /// dequeuing FIFO and following, in row order, the edges `(action,
+    /// target)` that `edge` admits into nodes not reached yet — the first
+    /// edge to reach a node is its tree link. `stop` is asked about each
+    /// node as it is dequeued, before its row is expanded: the search ends
+    /// at the first `true` and returns that node (the nearest one, ties
+    /// broken by discovery order), or `None` once the queue runs dry.
+    pub fn search(
+        &mut self,
+        starts: impl IntoIterator<Item = usize>,
+        mut edge: impl FnMut(&A, usize) -> bool,
+        mut stop: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
+        for v in self.reached.drain(..) {
+            self.link[v as usize] = UNREACHED;
+        }
+        for s in starts {
+            if self.link[s] == UNREACHED {
+                self.link[s] = START;
+                self.reached.push(s as u32);
+            }
+        }
+        let succ = self.succ;
+        let mut head = 0;
+        while let Some(v) = self.reached.get(head).map(|&v| v as usize) {
+            head += 1;
+            if stop(v) {
+                return Some(v);
+            }
+            for (ei, (a, t)) in succ[v].iter().enumerate() {
+                if self.link[*t] == UNREACHED && edge(a, *t) {
+                    self.link[*t] = (v as u32, ei as u32);
+                    self.reached.push(*t as u32);
+                }
+            }
+        }
+        None
+    }
+
+    /// The tree path from a start to `v`, a node the last search reached:
+    /// its nodes, start first, and the action on each of its edges.
+    ///
+    /// # Panics
+    /// If the last search did not reach `v`.
+    pub fn path(&self, mut v: usize) -> (Vec<usize>, Vec<A>) {
+        assert_ne!(self.link[v], UNREACHED, "node {v} is not in the BFS tree");
+        let (mut nodes, mut actions) = (vec![v], Vec::new());
+        while self.link[v] != START {
+            let (src, ei) = self.link[v];
+            v = src as usize;
+            actions.push(self.succ[v][ei as usize].0.clone());
+            nodes.push(v);
+        }
+        nodes.reverse();
+        actions.reverse();
+        (nodes, actions)
+    }
+}
+
+/// [`Succ::sccs`]' answer: the strongly connected components of the kept
+/// subgraph, numbered in the order Tarjan closes them (so an edge between
+/// two components runs from the higher id to the lower).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sccs {
+    /// Component id per node; [`Sccs::NONE`] for a node not kept.
+    pub id: Vec<u32>,
+    /// One flag per component — its length is the component count: can
+    /// the component sustain a cycle (two or more nodes, or a self-loop)?
+    pub cyclic: Vec<bool>,
+}
+
+impl Sccs {
+    /// The id of a node outside the kept subgraph.
+    pub const NONE: u32 = u32::MAX;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +566,296 @@ mod tests {
             // Padding to fewer rows than there are changes nothing.
             succ.pad_rows(0);
             det_assert!(succ == Succ::from_rows(&rows));
+        }
+    }
+
+    // ---- the algorithms -------------------------------------------------
+
+    /// [`nested`]'s rows closed into a graph: every target taken modulo
+    /// the row count, so self-loops and parallel edges are common.
+    fn graph(front: usize, middle: &[Vec<u8>], back: usize) -> Rows {
+        let mut rows = nested(front, middle, back);
+        let n = rows.len();
+        for (_, t) in rows.iter_mut().flatten() {
+            *t %= n;
+        }
+        rows
+    }
+
+    /// Bit `v` of `bits` per node, or every node when `all`.
+    fn mask(bits: u32, all: bool, n: usize) -> Vec<bool> {
+        (0..n).map(|v| all || bits >> v & 1 == 1).collect()
+    }
+
+    /// `reach[u][v]`: a path of zero or more edges leads from `u` to `v`
+    /// through `keep` nodes only (`u` itself kept).
+    fn closure(rows: &Rows, keep: &[bool]) -> Vec<Vec<bool>> {
+        let n = rows.len();
+        let mut reach: Vec<Vec<bool>> = (0..n)
+            .map(|u| (0..n).map(|v| keep[u] && u == v).collect())
+            .collect();
+        loop {
+            let mut grew = false;
+            for from_u in reach.iter_mut() {
+                for v in 0..n {
+                    if from_u[v] {
+                        for &(_, t) in &rows[v] {
+                            if keep[t] && !from_u[t] {
+                                from_u[t] = true;
+                                grew = true;
+                            }
+                        }
+                    }
+                }
+            }
+            if !grew {
+                return reach;
+            }
+        }
+    }
+
+    #[test]
+    fn can_reach_is_the_backward_closure_inside_allowed() {
+        // 0 → 1 → 2 → 3, 1 → 4 (a dead end), 5 → 3 (off to the side).
+        let succ = Succ::from_rows([
+            &[(0, 1)][..],
+            &[(0, 2), (1, 4)],
+            &[(0, 3)],
+            &[],
+            &[],
+            &[(0, 3)],
+        ]);
+        assert_eq!(
+            succ.can_reach(|_| true, |i| i == 3),
+            [true, true, true, true, false, true]
+        );
+        // Forbid 2: the only way from {0, 1} to 3 is gone; 5 still has its own.
+        assert_eq!(
+            succ.can_reach(|i| i != 2, |i| i == 3),
+            [false, false, false, true, false, true]
+        );
+        // A goal outside `allowed` seeds nothing, and nothing reaches a
+        // goal nobody satisfies.
+        assert_eq!(succ.can_reach(|i| i != 3, |i| i == 3), [false; 6]);
+        assert_eq!(succ.can_reach(|_| true, |_| false), [false; 6]);
+    }
+
+    /// `can_reach` by its definition: the least set holding every allowed
+    /// goal state and every allowed state with an edge into the set.
+    fn can_reach_naive(rows: &[Vec<(u32, usize)>], allowed: &[bool], goal: &[bool]) -> Vec<bool> {
+        let n = rows.len();
+        let mut can: Vec<bool> = (0..n).map(|v| allowed[v] && goal[v]).collect();
+        loop {
+            let grown: Vec<bool> = (0..n)
+                .map(|v| can[v] || (allowed[v] && rows[v].iter().any(|&(_, t)| can[t])))
+                .collect();
+            if grown == can {
+                return can;
+            }
+            can = grown;
+        }
+    }
+
+    #[test]
+    fn covering_cycle_finds_the_shortest_cycle_covering_every_class() {
+        // Handshake: 0 and 1 each carry a private self-loop (classes 1 and
+        // 2) and hop to each other (class 0 — no bits).
+        let succ = Succ::from_rows([[(1, 0), (0, 1)], [(2, 1), (0, 0)]]);
+        let bits = |a: &u32| *a;
+        // `full == 0`: any cycle will do, and the self-loop at the head is
+        // the shortest.
+        assert_eq!(
+            succ.covering_cycle(0, |_| true, bits, 0),
+            Some(vec![(0, 0)])
+        );
+        // Class 1 alone: the same self-loop.
+        assert_eq!(
+            succ.covering_cycle(0, |_| true, bits, 1),
+            Some(vec![(0, 0)])
+        );
+        // Both classes: loop here, hop, loop there, hop back.
+        assert_eq!(
+            succ.covering_cycle(0, |_| true, bits, 3),
+            Some(vec![(0, 0), (0, 1), (1, 0), (1, 1)])
+        );
+        // With state 1 off limits its class is out of reach.
+        assert_eq!(succ.covering_cycle(0, |t| t != 1, bits, 3), None);
+        // A class no edge carries is never covered.
+        assert_eq!(succ.covering_cycle(0, |_| true, bits, 7), None);
+        // And a head with no way back has no cycle at all.
+        let line = Succ::from_rows([&[(0u32, 1)][..], &[]]);
+        assert_eq!(line.covering_cycle(0, |_| true, bits, 0), None);
+    }
+
+    det_prop! {
+        /// Generated graphs — up to 24 nodes (none included), out-degree up
+        /// to 3, self-loops and parallel edges as drawn — under generated
+        /// masks: `allowed` everything or a drawn subset, `goal` nothing or
+        /// a drawn subset, drawn independently, so goals outside `allowed`
+        /// are common.
+        fn can_reach_matches_a_naive_fixpoint(
+            cases = 2048,
+            raw in prop::vec(prop::vec(0u8..24, 0..4), 0..25),
+            allowed_bits in 0u32..1 << 24,
+            all_allowed in 0u8..3,
+            goal_bits in 0u32..1 << 24,
+            no_goal in 0u8..4
+        ) {
+            let n = raw.len();
+            let rows: Vec<Vec<(u32, usize)>> = raw
+                .iter()
+                .map(|ts| ts.iter().map(|&t| (0, t as usize % n)).collect())
+                .collect();
+            let allowed = mask(allowed_bits, all_allowed == 0, n);
+            let goal = mask(if no_goal == 0 { 0 } else { goal_bits }, false, n);
+            det_assert_eq!(
+                Succ::from_rows(&rows).can_reach(|v| allowed[v], |v| goal[v]),
+                can_reach_naive(&rows, &allowed, &goal)
+            );
+        }
+
+        /// `preds()[t]` is every edge into `t`, by source, ascending, a
+        /// parallel edge once per copy. Kills: the filling pass walking the
+        /// rows in reverse (sources descending — a membership query such as
+        /// `can_reach` cannot tell).
+        fn preds_is_the_reversed_edge_multiset_sources_ascending(
+            cases = 1024,
+            front in 0usize..3,
+            middle in prop::vec(prop::vec(0u8..160, 0..4), 0..14),
+            back in 0usize..3
+        ) {
+            let rows = graph(front, &middle, back);
+            let mut naive: Vec<Vec<u32>> = vec![Vec::new(); rows.len()];
+            for (v, row) in rows.iter().enumerate() {
+                for &(_, t) in row {
+                    naive[t].push(v as u32);
+                }
+            }
+            let preds = Succ::from_rows(&rows).preds();
+            for (t, sources) in naive.iter().enumerate() {
+                det_assert_eq!(&preds[t], sources.as_slice());
+            }
+        }
+
+        /// Tarjan against mutual reachability: same id ⇔ each reaches the
+        /// other inside `keep`; `Sccs::NONE` ⇔ not kept; ids `0..cyclic.len()`;
+        /// cyclic ⇔ two or more members or a self-loop; every kept edge
+        /// runs from a higher id to a lower or equal one. Kills: a visited
+        /// neighbour lowering `low` whether or not it is still on the stack
+        /// (`else if on_stack[w]` → `else if index[w] != Sccs::NONE`: a
+        /// cross edge into a closed component strands kept nodes on the
+        /// stack, without an id).
+        fn sccs_are_the_mutual_reachability_classes_inside_keep(
+            cases = 1024,
+            front in 0usize..3,
+            middle in prop::vec(prop::vec(0u8..160, 0..4), 0..14),
+            back in 0usize..3,
+            keep_bits in 0u32..1 << 20,
+            keep_all in 0u8..3
+        ) {
+            let rows = graph(front, &middle, back);
+            let n = rows.len();
+            let keep = mask(keep_bits, keep_all == 0, n);
+            let sccs = Succ::from_rows(&rows).sccs(&keep);
+            let reach = closure(&rows, &keep);
+            let mut size = vec![0usize; sccs.cyclic.len()];
+            let mut self_loop = vec![false; sccs.cyclic.len()];
+            for u in 0..n {
+                det_assert_eq!(sccs.id[u] == Sccs::NONE, !keep[u]);
+                if !keep[u] {
+                    continue;
+                }
+                let c = sccs.id[u] as usize;
+                det_assert!(c < sccs.cyclic.len());
+                size[c] += 1;
+                for &(_, t) in &rows[u] {
+                    self_loop[c] |= t == u;
+                    if keep[t] {
+                        det_assert!(sccs.id[u] >= sccs.id[t]);
+                    }
+                }
+                for v in (0..n).filter(|&v| keep[v]) {
+                    det_assert_eq!(sccs.id[u] == sccs.id[v], reach[u][v] && reach[v][u]);
+                }
+            }
+            for c in 0..sccs.cyclic.len() {
+                det_assert!(size[c] > 0);
+                det_assert_eq!(sccs.cyclic[c], size[c] >= 2 || self_loop[c]);
+            }
+        }
+
+        /// One tree, three searches: an unrelated one (so the next must
+        /// forget what it reached), one stopping at a goal, one exhaustive.
+        /// The stop node is the first goal in FIFO order; every path is a
+        /// real path inside the filter, as long as the naive BFS distance,
+        /// through the first dequeued node with an admitted edge onward,
+        /// along that node's first admitted edge. Kills: a search that
+        /// clears `reached` without resetting its links (what the previous
+        /// search reached stays unreachable).
+        fn bfs_tree_paths_are_shortest_filtered_paths_in_fifo_order(
+            cases = 1024,
+            front in 0usize..3,
+            middle in prop::vec(prop::vec(0u8..160, 0..4), 0..14),
+            back in 0usize..3,
+            starts in prop::vec(0usize..20, 0..4),
+            earlier in prop::vec(0usize..20, 0..3),
+            actions in 0u8..16,
+            allowed_bits in 0u32..1 << 20,
+            goal_bits in 0u32..1 << 20
+        ) {
+            let rows = graph(front, &middle, back);
+            let n = rows.len();
+            let starts: Vec<usize> = starts.iter().filter(|_| n > 0).map(|s| s % n).collect();
+            let earlier: Vec<usize> = earlier.iter().filter(|_| n > 0).map(|s| s % n).collect();
+            let allowed = mask(allowed_bits, false, n);
+            let goal = mask(goal_bits, false, n);
+            let admit = |a: u8, t: usize| actions >> a & 1 == 1 && allowed[t];
+
+            // The reference: the FIFO dequeue order, and each node's level.
+            let mut fifo: Vec<usize> = Vec::new();
+            let mut dist: Vec<Option<usize>> = vec![None; n];
+            for &s in &starts {
+                if dist[s].is_none() {
+                    dist[s] = Some(0);
+                    fifo.push(s);
+                }
+            }
+            let mut head = 0;
+            while let Some(&v) = fifo.get(head) {
+                head += 1;
+                for &(a, t) in &rows[v] {
+                    if dist[t].is_none() && admit(a, t) {
+                        dist[t] = dist[v].map(|d| d + 1);
+                        fifo.push(t);
+                    }
+                }
+            }
+
+            let succ = Succ::from_rows(&rows);
+            let mut tree = succ.bfs_tree();
+            det_assert_eq!(tree.search(earlier, |_, _| true, |_| false), None);
+            let stop = tree.search(starts.iter().copied(), |a, t| admit(*a, t), |v| goal[v]);
+            det_assert_eq!(stop, fifo.iter().copied().find(|&v| goal[v]));
+            let check_path = |tree: &BfsTree<'_, u8>, v: usize| -> Result<(), String> {
+                let (nodes, acts) = tree.path(v);
+                det_assert!(starts.contains(&nodes[0]));
+                det_assert_eq!(nodes.last(), Some(&v));
+                det_assert_eq!(Some(acts.len()), dist[v]);
+                for (k, step) in nodes.windows(2).enumerate() {
+                    let (u, w) = (step[0], step[1]);
+                    let edge_into_w = |&(a, t): &(u8, usize)| t == w && admit(a, t);
+                    det_assert_eq!(fifo.iter().find(|&&x| rows[x].iter().any(edge_into_w)), Some(&u));
+                    det_assert_eq!(rows[u].iter().find(|e| edge_into_w(e)).map(|e| e.0), Some(acts[k]));
+                }
+                Ok(())
+            };
+            if let Some(v) = stop {
+                check_path(&tree, v)?;
+            }
+            det_assert_eq!(tree.search(starts.iter().copied(), |a, t| admit(*a, t), |_| false), None);
+            for &v in &fifo {
+                check_path(&tree, v)?;
+            }
         }
     }
 }

@@ -27,6 +27,14 @@
 //! builder produced (capped, depth-bounded, quotiented) without core naming
 //! it. Callers go through `Search::valence` / `Search::find_decider`.
 //!
+//! Nor does it walk the rows by hand: both are queries through
+//! [`crate::succ`]'s graph layer. The fixpoint's worklist re-queues a
+//! changed configuration's sources from [`Succ::preds`]; the decider hunt
+//! grows one [`crate::succ::BfsTree`] per (bivalent configuration,
+//! process) — an edge filter admitting that process's actions, a visitor
+//! stopping at the second univalent valence — and reports the two tree
+//! paths ([`crate::succ::BfsTree::path`]) as its runs.
+//!
 //! ```
 //! use impossible_core::ids::ProcessId;
 //! use impossible_core::succ::Succ;
@@ -254,12 +262,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
             .iter()
             .map(|s| self.sys.decisions(s).into_iter().map(|(_, v)| v).collect())
             .collect();
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-        for (i, ts) in succ.iter().enumerate() {
-            for &(_, t) in ts {
-                preds[t].push(i);
-            }
-        }
+        let preds = succ.preds();
         let mut val: Vec<BTreeSet<u64>> = own.clone();
         let mut queue: VecDeque<usize> = (0..order.len()).collect();
         let mut queued: Vec<bool> = vec![true; order.len()];
@@ -278,7 +281,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
             if v != val[i] {
                 changed += 1;
                 val[i] = v;
-                for &p in &preds[i] {
+                for p in preds[i].iter().map(|&p| p as usize) {
                     if !queued[p] {
                         queued[p] = true;
                         queue.push_back(p);
@@ -319,33 +322,28 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
             "states": order.len(),
             "processes": n,
         );
+        // One tree for every probe: each search clears only the states the
+        // previous one reached.
+        let mut tree = succ.bfs_tree();
         for (i, s) in order.iter().enumerate() {
             if val[i].len() < 2 {
                 continue;
             }
             for p in ProcessId::all(n) {
                 // Explore p-solo executions from s, FIFO; keep the first
-                // state to reach each univalent valence. Each discovered
-                // state keeps its BFS-tree link `(predecessor, edge index
-                // into its row)`, not a copy of the execution reaching it:
-                // the two runs a decider reports are rebuilt at the end.
+                // state to reach each univalent valence. The two runs a
+                // decider reports are the tree paths to those states.
                 let mut reached: Vec<(&BTreeSet<u64>, usize)> = Vec::new();
-                let mut parent = BTreeMap::from([(i, None)]);
-                let mut q = VecDeque::from([i]);
-                while let Some(v) = q.pop_front() {
-                    if val[v].len() == 1 && !reached.iter().any(|(rv, _)| *rv == &val[v]) {
-                        reached.push((&val[v], v));
-                        if reached.len() >= 2 {
-                            break;
+                tree.search(
+                    [i],
+                    |a, _| self.sys.owner(a) == Some(p),
+                    |v| {
+                        if val[v].len() == 1 && !reached.iter().any(|(rv, _)| *rv == &val[v]) {
+                            reached.push((&val[v], v));
                         }
-                    }
-                    for (ei, (a, t)) in succ[v].iter().enumerate() {
-                        if self.sys.owner(a) == Some(p) && !parent.contains_key(t) {
-                            parent.insert(*t, Some((v, ei)));
-                            q.push_back(*t);
-                        }
-                    }
-                }
+                        reached.len() >= 2
+                    },
+                );
                 trace_event!(tracer, "valence", "decider.probe",
                     "config": i,
                     "process": p.0,
@@ -356,7 +354,13 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
                         "config": i,
                         "process": p.0,
                     );
-                    let run_to = |v| tree_path(order, succ, &parent, v);
+                    let run_to = |v| {
+                        let (path, actions) = tree.path(v);
+                        Execution::from_parts(
+                            path.iter().map(|&j| order[j].clone()).collect(),
+                            actions,
+                        )
+                    };
                     return Some(Decider {
                         config: s.clone(),
                         process: p,
@@ -369,27 +373,6 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         trace_event!(tracer, "valence", "decider.none");
         None
     }
-}
-
-/// The execution from a BFS root to `v` along `parent`'s tree links —
-/// `(predecessor, edge index into its row)`, `None` at the root — with
-/// `order`'s states and `succ`'s actions.
-fn tree_path<S: Clone, A: Clone>(
-    order: &[S],
-    succ: &Succ<A>,
-    parent: &BTreeMap<usize, Option<(usize, usize)>>,
-    mut v: usize,
-) -> Execution<S, A> {
-    let mut steps = Vec::new();
-    while let Some((pv, ei)) = parent[&v] {
-        steps.push((succ[pv][ei].0.clone(), v));
-        v = pv;
-    }
-    let mut run = Execution::start(order[v].clone());
-    for (a, t) in steps.into_iter().rev() {
-        run.push(a, order[t].clone());
-    }
-    run
 }
 
 #[cfg(test)]

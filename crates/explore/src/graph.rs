@@ -63,11 +63,10 @@
 //! indexes its own per-state arrays with them, so narrowing them to `u32`
 //! waits for the PR that may edit the ledger (ROADMAP item 1).
 //!
-//! [`ReachableGraph`] also owns the two derived searches its consumers
-//! share: [`ReachableGraph::can_reach`] (backward closure over a
-//! compressed predecessor index — deadlock detection, `leads_to` pivots)
-//! and [`ReachableGraph::covering_cycle`] (shortest cycle through a head
-//! covering a set of action classes — fair lassos, mutex lockout).
+//! The graph *queries* are not here: a consumer runs them on the rows,
+//! `g.succ.can_reach(..)`, `g.succ.bfs_tree()`, `g.succ.sccs(..)`,
+//! `g.succ.covering_cycle(..)` — one implementation of each, in
+//! `core::succ`, which `core::valence` reaches too.
 
 use crate::fingerprint::{BatchScratch, Encode};
 use crate::search::{Search, DEFAULT_PARTITIONS};
@@ -77,7 +76,7 @@ use impossible_core::succ::Succ;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::{Decider, ValenceEngine, ValenceReport};
 use impossible_obs::{NoopTracer, Tracer};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::num::NonZeroU32;
 
 /// A reachable configuration graph: `order[i]` is state `i`, `succ[i]` its
@@ -115,118 +114,6 @@ impl<S, A> ReachableGraph<S, A> {
     /// True when no state was reached (no initial states).
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
-    }
-
-    /// Every edge `v → t` with both ends `allowed`, in graph order.
-    fn each_edge(&self, allowed: &impl Fn(usize) -> bool, mut f: impl FnMut(usize, usize)) {
-        for (v, ts) in self.succ.iter().enumerate() {
-            if allowed(v) {
-                for &(_, t) in ts {
-                    if allowed(t) {
-                        f(v, t);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Which states can reach a `goal` state along a path that stays inside
-    /// `allowed` (both predicates over state indices: `allowed` is asked at
-    /// both ends of every edge, so keep it a table lookup; `goal` about
-    /// `allowed` states only, once each, in index order). Multi-source
-    /// backward closure — pure membership, so order-free.
-    pub fn can_reach(
-        &self,
-        allowed: impl Fn(usize) -> bool,
-        goal: impl Fn(usize) -> bool,
-    ) -> Vec<bool> {
-        let n = self.len();
-        // Node indices fit `u32` by construction (`graph_from` interns no
-        // more) and a `Succ` holds at most `u32::MAX` edges; a hand-built
-        // graph has to fit too, so that the `as u32`s below are lossless.
-        assert!(u32::try_from(n).is_ok(), "can_reach: more than u32::MAX states");
-        // Predecessor lists in compressed-row form, one counting pass and
-        // one filling pass over the edges, in one offset array: count the
-        // predecessors of `t` into `start[t + 2]`, prefix-sum so that
-        // `start[t + 1]` is where `t`'s list begins, and fill through
-        // `start[t + 1]`, which leaves it where `t + 1`'s list begins —
-        // the predecessors of `t` are `pred[start[t]..start[t + 1]]`.
-        let mut start = vec![0u32; n + 2];
-        self.each_edge(&allowed, |_, t| start[t + 2] += 1);
-        for t in 0..n {
-            start[t + 2] += start[t + 1];
-        }
-        let mut pred = vec![0u32; start[n + 1] as usize];
-        self.each_edge(&allowed, |v, t| {
-            pred[start[t + 1] as usize] = v as u32;
-            start[t + 1] += 1;
-        });
-
-        let mut can = vec![false; n];
-        let mut queue: Vec<u32> = Vec::with_capacity(n);
-        queue.extend((0..n).filter(|&v| allowed(v) && goal(v)).map(|v| v as u32));
-        for &v in &queue {
-            can[v as usize] = true;
-        }
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head] as usize;
-            head += 1;
-            for &u in &pred[start[v] as usize..start[v + 1] as usize] {
-                if !can[u as usize] {
-                    can[u as usize] = true;
-                    queue.push(u);
-                }
-            }
-        }
-        can
-    }
-
-    /// Shortest cycle from `head` back to `head` through `allowed` states
-    /// whose actions' `class_bits` together cover `full` (`full == 0` asks
-    /// for any cycle), as `(source, edge index)` pairs into `succ`. BFS
-    /// over `(state, bits of full seen)` product nodes, FIFO, neighbors in
-    /// successor order — so the cycle is a pure function of the graph.
-    /// `None` when no such cycle exists.
-    pub fn covering_cycle(
-        &self,
-        head: usize,
-        allowed: impl Fn(usize) -> bool,
-        class_bits: impl Fn(&A) -> u32,
-        full: u32,
-    ) -> Option<Vec<(usize, usize)>> {
-        let mut parent: BTreeMap<(usize, u32), (usize, u32, usize)> = BTreeMap::new();
-        let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
-        let mut q: VecDeque<(usize, u32)> = VecDeque::new();
-        seen.insert((head, 0));
-        q.push_back((head, 0));
-        while let Some((v, mask)) = q.pop_front() {
-            for (ei, (a, t)) in self.succ[v].iter().enumerate() {
-                if !allowed(*t) {
-                    continue;
-                }
-                let nmask = mask | (class_bits(a) & full);
-                if *t == head && nmask == full {
-                    // Reconstruct: parent chain back to (head, 0), then
-                    // this closing edge.
-                    let mut edges: Vec<(usize, usize)> = vec![(v, ei)];
-                    let mut cur = (v, mask);
-                    while cur != (head, 0) {
-                        let (pv, pm, pei) = parent[&cur];
-                        edges.push((pv, pei));
-                        cur = (pv, pm);
-                    }
-                    edges.reverse();
-                    return Some(edges);
-                }
-                let node = (*t, nmask);
-                if seen.insert(node) {
-                    parent.insert(node, (v, mask, ei));
-                    q.push_back(node);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -493,7 +380,6 @@ mod tests {
     use crate::fingerprint::FpHasher;
     use crate::grid::Grid;
     use impossible_core::ids::ProcessId;
-    use impossible_det::{det_assert_eq, det_prop, prop};
 
     #[test]
     fn graph_matches_full_exploration() {
@@ -601,87 +487,6 @@ mod tests {
         assert_eq!(g.truncated_by, Some(Truncation::States));
     }
 
-    /// A hand-written graph over unit states: `edges[i]` lists `i`'s
-    /// `(action, target)` pairs.
-    fn hand_graph(edges: &[&[(u32, usize)]]) -> ReachableGraph<(), u32> {
-        ReachableGraph {
-            order: vec![(); edges.len()],
-            succ: Succ::from_rows(edges),
-            initials: 1,
-            truncated_by: None,
-        }
-    }
-
-    #[test]
-    fn can_reach_is_the_backward_closure_inside_allowed() {
-        // 0 → 1 → 2 → 3, 1 → 4 (a dead end), 5 → 3 (off to the side).
-        let g = hand_graph(&[&[(0, 1)], &[(0, 2), (1, 4)], &[(0, 3)], &[], &[], &[(0, 3)]]);
-        assert_eq!(
-            g.can_reach(|_| true, |i| i == 3),
-            [true, true, true, true, false, true]
-        );
-        // Forbid 2: the only way from {0, 1} to 3 is gone; 5 still has its own.
-        assert_eq!(
-            g.can_reach(|i| i != 2, |i| i == 3),
-            [false, false, false, true, false, true]
-        );
-        // A goal outside `allowed` seeds nothing, and nothing reaches a
-        // goal nobody satisfies.
-        assert_eq!(g.can_reach(|i| i != 3, |i| i == 3), [false; 6]);
-        assert_eq!(g.can_reach(|_| true, |_| false), [false; 6]);
-    }
-
-    /// `can_reach` by its definition: the least set holding every allowed
-    /// goal state and every allowed state with an edge into the set.
-    fn can_reach_naive(rows: &[Vec<(u32, usize)>], allowed: &[bool], goal: &[bool]) -> Vec<bool> {
-        let n = rows.len();
-        let mut can: Vec<bool> = (0..n).map(|v| allowed[v] && goal[v]).collect();
-        loop {
-            let grown: Vec<bool> = (0..n)
-                .map(|v| can[v] || (allowed[v] && rows[v].iter().any(|&(_, t)| can[t])))
-                .collect();
-            if grown == can {
-                return can;
-            }
-            can = grown;
-        }
-    }
-
-    det_prop! {
-        /// Generated graphs — up to 24 nodes (none included), out-degree up
-        /// to 3, self-loops and parallel edges as drawn — under generated
-        /// masks: `allowed` everything or a drawn subset, `goal` nothing or
-        /// a drawn subset, drawn independently, so goals outside `allowed`
-        /// are common.
-        fn can_reach_matches_a_naive_fixpoint(
-            cases = 2048,
-            raw in prop::vec(prop::vec(0u8..24, 0..4), 0..25),
-            allowed_bits in 0u32..1 << 24,
-            all_allowed in 0u8..3,
-            goal_bits in 0u32..1 << 24,
-            no_goal in 0u8..4
-        ) {
-            let n = raw.len();
-            let rows: Vec<Vec<(u32, usize)>> = raw
-                .iter()
-                .map(|ts| ts.iter().map(|&t| (0, t as usize % n)).collect())
-                .collect();
-            let mask = |bits: u32| (0..n).map(|v| bits >> v & 1 == 1).collect::<Vec<bool>>();
-            let allowed = mask(if all_allowed == 0 { u32::MAX } else { allowed_bits });
-            let goal = mask(if no_goal == 0 { 0 } else { goal_bits });
-            let g = ReachableGraph {
-                order: vec![(); n],
-                succ: Succ::from_rows(&rows),
-                initials: n.min(1),
-                truncated_by: None,
-            };
-            det_assert_eq!(
-                g.can_reach(|v| allowed[v], |v| goal[v]),
-                can_reach_naive(&rows, &allowed, &goal)
-            );
-        }
-    }
-
     #[test]
     fn the_last_internable_index_is_one_short_of_the_u32_range() {
         // Slots are `index + 1`, so `u32::MAX` itself has none: the builder
@@ -693,31 +498,6 @@ mod tests {
         assert_eq!(slot_of(last + 1), None);
         assert_eq!(slot_of(usize::MAX), None);
         assert_eq!(std::mem::size_of::<Option<NonZeroU32>>(), 4);
-    }
-
-    #[test]
-    fn covering_cycle_finds_the_shortest_cycle_covering_every_class() {
-        // Handshake: 0 and 1 each carry a private self-loop (classes 1 and
-        // 2) and hop to each other (class 0 — no bits).
-        let g = hand_graph(&[&[(1, 0), (0, 1)], &[(2, 1), (0, 0)]]);
-        let bits = |a: &u32| *a;
-        // `full == 0`: any cycle will do, and the self-loop at the head is
-        // the shortest.
-        assert_eq!(g.covering_cycle(0, |_| true, bits, 0), Some(vec![(0, 0)]));
-        // Class 1 alone: the same self-loop.
-        assert_eq!(g.covering_cycle(0, |_| true, bits, 1), Some(vec![(0, 0)]));
-        // Both classes: loop here, hop, loop there, hop back.
-        assert_eq!(
-            g.covering_cycle(0, |_| true, bits, 3),
-            Some(vec![(0, 0), (0, 1), (1, 0), (1, 1)])
-        );
-        // With state 1 off limits its class is out of reach.
-        assert_eq!(g.covering_cycle(0, |t| t != 1, bits, 3), None);
-        // A class no edge carries is never covered.
-        assert_eq!(g.covering_cycle(0, |_| true, bits, 7), None);
-        // And a head with no way back has no cycle at all.
-        let line = hand_graph(&[&[(0, 1)], &[]]);
-        assert_eq!(line.covering_cycle(0, |_| true, bits, 0), None);
     }
 
     /// A toy 2-process "consensus" where each process i has input bit b_i and

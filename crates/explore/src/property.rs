@@ -64,7 +64,12 @@
 //! }
 //! ```
 //!
-//! Verdicts are advisory when the graph was truncated by `max_states`
+//! The traversals themselves — the BFS tree behind every stem and witness,
+//! Tarjan, backward reachability, the class-covering cycle — are
+//! `core::succ`'s, run on the graph's rows; this module decides what to
+//! ask them and assembles the answer.
+//!
+//! Verdicts are advisory when the graph was truncated
 //! ([`PropertyReport::truncated`]): "holds" then means "no counterexample
 //! within the explored prefix". See `docs/PROPERTIES.md` for the DSL
 //! semantics, the witness JSON format, and the determinism contract.
@@ -75,7 +80,6 @@ use crate::search::Search;
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
 use impossible_obs::{escape_into, trace_event, NoopTracer, Tracer};
-use std::collections::VecDeque;
 use std::fmt::Debug;
 
 type Pred<'p, S> = Box<dyn Fn(&S) -> bool + 'p>;
@@ -193,8 +197,11 @@ pub struct PropertyReport<S, A> {
     /// Region SCCs that can sustain a violating run: cycle-capable and
     /// covering every fairness class (0 for safety checks).
     pub candidate_sccs: usize,
-    /// The graph hit `max_states`; absence of a counterexample is then
-    /// only "none within bounds".
+    /// The graph hit a bound (`max_states`, `max_depth`); absence of a
+    /// counterexample is then only "none within bounds". A cut graph
+    /// offers no stutter lasso — an empty row there may be a state never
+    /// expanded, or one whose children all fell past the cap — while a
+    /// lasso with a cycle is still a real run.
     pub truncated: bool,
     /// Present exactly when `holds` is false.
     pub counterexample: Option<Counterexample<S, A>>,
@@ -260,17 +267,6 @@ impl<S: Clone + Debug, A: Clone + Debug> PropertyReport<S, A> {
         out.push('}');
         out
     }
-}
-
-const NO_SCC: u32 = u32::MAX;
-
-struct SccDecomposition {
-    /// SCC id per vertex; `NO_SCC` for vertices outside the region.
-    id: Vec<u32>,
-    /// Number of SCCs found in the region.
-    count: usize,
-    /// Per SCC: can it sustain a cycle (size ≥ 2, or a self-loop)?
-    cyclic: Vec<bool>,
 }
 
 /// Evaluates [`Property`]s over a [`ReachableGraph`], with optional
@@ -400,11 +396,13 @@ where
         // index sits at minimal depth; the BFS below recovers the
         // (shortest) path to it.
         if let Some(target) = bad.iter().position(|&b| b) {
-            let (path, actions) = self
-                .bfs_to(&self.initial_indices(), &|_| true, &|i| i == target)
+            let mut tree = self.g.succ.bfs_tree();
+            tree.search(0..self.g.initials, |_, _| true, |i| i == target)
                 .expect("every graph state is reachable from the initials");
+            let (path, actions) = tree.path(target);
             report.holds = false;
-            report.counterexample = Some(Counterexample::BadState(self.execution_of(path, actions)));
+            report.counterexample =
+                Some(Counterexample::BadState(self.execution_of(path, actions)));
         }
         report
     }
@@ -433,7 +431,7 @@ where
                 .collect(),
         };
 
-        let scc = self.tarjan(&cyc_ok);
+        let scc = self.g.succ.sccs(&cyc_ok);
         // Not `(1 << classes) - 1`: the shift overflows at the documented
         // maximum of 32 classes.
         let full: u32 = if self.classes > 0 {
@@ -442,7 +440,7 @@ where
             0
         };
         // Per SCC, the fairness classes its *internal* edges cover.
-        let mut cover: Vec<u32> = vec![0; scc.count];
+        let mut cover: Vec<u32> = vec![0; scc.cyclic.len()];
         for v in 0..n {
             if !cyc_ok[v] {
                 continue;
@@ -453,59 +451,68 @@ where
                 }
             }
         }
-        let candidate_scc: Vec<bool> = (0..scc.count)
+        let candidate_scc: Vec<bool> = (0..scc.cyclic.len())
             .map(|c| scc.cyclic[c] && cover[c] == full)
             .collect();
         // A terminal state stutters forever (an implicit self-loop). That
         // sustains a violation only when no fairness class demands real
-        // steps around the loop.
-        let stutter_ok = self.classes == 0;
+        // steps around the loop, and only on a whole graph: on a cut one an
+        // empty row may be a state never expanded, or one whose children
+        // all fell past the cap. (A cycle stays evidence on a cut graph —
+        // its edges are real.)
+        let stutter_ok = self.classes == 0 && !self.g.truncated();
         let is_candidate = |i: usize| {
             cyc_ok[i]
-                && ((scc.id[i] != NO_SCC && candidate_scc[scc.id[i] as usize])
-                    || (stutter_ok && self.g.succ[i].is_empty()))
+                && (candidate_scc[scc.id[i] as usize] || (stutter_ok && self.g.succ[i].is_empty()))
         };
 
         let mut report = self.report_shell(prop);
         report.region = cyc_ok.iter().filter(|&&b| b).count();
-        report.sccs = scc.count;
+        report.sccs = scc.cyclic.len();
         report.candidate_sccs = candidate_scc.iter().filter(|&&b| b).count();
         trace_event!(tracer, "property", "scc",
             "region": report.region,
             "sccs": report.sccs,
             "candidates": report.candidate_sccs);
 
+        let mut tree = self.g.succ.bfs_tree();
+        let initials = 0..self.g.initials;
         let lasso = match trigger {
             // eventually(p): the whole violating run avoids p, so the stem
             // must stay inside the region too.
-            None => self
-                .bfs_to(&self.initial_indices(), &|i| region[i], &is_candidate)
-                .map(|(path, actions)| (path, actions, None)),
+            None => tree
+                .search(
+                    initials.filter(|&i| region[i]),
+                    |_, t| region[t],
+                    is_candidate,
+                )
+                .map(|head| (tree.path(head), None)),
             // leads_to(p, q): the run may satisfy q freely before the
             // trigger; only the suffix from the p-state avoids q. Find the
             // earliest reachable p∧¬q state that can reach a candidate
             // head inside ¬q, then bridge pivot → head inside ¬q.
             Some(p) => {
-                let can_reach = self.g.can_reach(|i| region[i], is_candidate);
-                self.bfs_to(&self.initial_indices(), &|_| true, &|i| {
-                    region[i] && can_reach[i] && p(&self.g.order[i])
-                })
-                .map(|(path, actions)| {
-                    let pivot = *path.last().expect("paths are nonempty");
-                    let (tail, tail_actions) = self
-                        .bfs_to(&[pivot], &|i| region[i], &is_candidate)
+                let can_reach = self.g.succ.can_reach(|i| region[i], is_candidate);
+                tree.search(
+                    initials,
+                    |_, _| true,
+                    |i| region[i] && can_reach[i] && p(&self.g.order[i]),
+                )
+                .map(|pivot| {
+                    let (mut path, mut actions) = tree.path(pivot);
+                    let head = tree
+                        .search([pivot], |_, t| region[t], is_candidate)
                         .expect("reverse reachability admitted this pivot");
+                    let (tail, tail_actions) = tree.path(head);
                     let pivot_at = path.len() - 1;
-                    let mut path = path;
-                    let mut actions = actions;
                     path.extend_from_slice(&tail[1..]);
                     actions.extend(tail_actions);
-                    (path, actions, Some(pivot_at))
+                    ((path, actions), Some(pivot_at))
                 })
             }
         };
 
-        if let Some((path, actions, pivot)) = lasso {
+        if let Some(((path, actions), pivot)) = lasso {
             let head = *path.last().expect("paths are nonempty");
             // The shortest cycle through `head` inside its SCC containing
             // an action of every fairness class. The SCC is strongly
@@ -515,6 +522,7 @@ where
                 Vec::new()
             } else {
                 self.g
+                    .succ
                     .covering_cycle(
                         head,
                         |t| cyc_ok[t] && scc.id[t] == scc.id[head],
@@ -549,138 +557,11 @@ where
         }
     }
 
-    fn initial_indices(&self) -> Vec<usize> {
-        (0..self.g.initials).collect()
-    }
-
     fn execution_of(&self, path: Vec<usize>, actions: Vec<A>) -> Execution<S, A> {
         Execution::from_parts(
             path.iter().map(|&i| self.g.order[i].clone()).collect(),
             actions,
         )
-    }
-
-    /// Deterministic FIFO BFS from `starts` (in order) over `allowed`
-    /// states; returns the index path and actions to the first `goal`
-    /// state dequeued — the nearest one, ties broken by discovery order.
-    fn bfs_to(
-        &self,
-        starts: &[usize],
-        allowed: &dyn Fn(usize) -> bool,
-        goal: &dyn Fn(usize) -> bool,
-    ) -> Option<(Vec<usize>, Vec<A>)> {
-        let n = self.g.len();
-        let mut seen = vec![false; n];
-        // parent[v] = (previous state, edge index into succ[previous]).
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut q: VecDeque<usize> = VecDeque::new();
-        for &s in starts {
-            if allowed(s) && !seen[s] {
-                seen[s] = true;
-                q.push_back(s);
-            }
-        }
-        while let Some(v) = q.pop_front() {
-            if goal(v) {
-                let mut path = vec![v];
-                let mut actions = Vec::new();
-                let mut cur = v;
-                while let Some((pv, ei)) = parent[cur] {
-                    actions.push(self.g.succ[pv][ei].0.clone());
-                    path.push(pv);
-                    cur = pv;
-                }
-                path.reverse();
-                actions.reverse();
-                return Some((path, actions));
-            }
-            for (ei, (_, t)) in self.g.succ[v].iter().enumerate() {
-                if allowed(*t) && !seen[*t] {
-                    seen[*t] = true;
-                    parent[*t] = Some((v, ei));
-                    q.push_back(*t);
-                }
-            }
-        }
-        None
-    }
-
-    /// Iterative Tarjan over the subgraph induced by `keep`, visiting
-    /// roots in ascending index order and neighbors in successor-list
-    /// order — the decomposition (ids, count, cyclic flags) is a pure
-    /// function of the graph.
-    fn tarjan(&self, keep: &[bool]) -> SccDecomposition {
-        let n = keep.len();
-        let mut index = vec![NO_SCC; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut id = vec![NO_SCC; n];
-        let mut cyclic: Vec<bool> = Vec::new();
-        let mut count = 0usize;
-        let mut next_index = 0u32;
-        let mut frames: Vec<(usize, usize)> = Vec::new();
-
-        for root in 0..n {
-            if !keep[root] || index[root] != NO_SCC {
-                continue;
-            }
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-            frames.push((root, 0));
-            while let Some(&(v, ei)) = frames.last() {
-                if ei < self.g.succ[v].len() {
-                    frames.last_mut().expect("nonempty").1 += 1;
-                    let w = self.g.succ[v][ei].1;
-                    if !keep[w] {
-                        continue;
-                    }
-                    if index[w] == NO_SCC {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(u, _)) = frames.last() {
-                        low[u] = low[u].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let cid = count as u32;
-                        let mut size = 0usize;
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            id[w] = cid;
-                            size += 1;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        cyclic.push(size >= 2);
-                        count += 1;
-                    }
-                }
-            }
-        }
-        // Size-1 SCCs still cycle if they carry a self-loop.
-        for v in 0..n {
-            if !keep[v] || cyclic[id[v] as usize] {
-                continue;
-            }
-            if self.g.succ[v].iter().any(|(_, t)| *t == v && keep[*t]) {
-                cyclic[id[v] as usize] = true;
-            }
-        }
-        SccDecomposition { id, count, cyclic }
     }
 }
 
@@ -965,6 +846,32 @@ mod tests {
             .check_property(&always("in-range", |_: &Vec<u8>| true));
         assert!(r.holds);
         assert!(r.truncated);
+    }
+
+    #[test]
+    fn a_cut_graph_offers_no_stutter_lasso_but_keeps_its_cycles() {
+        // A 5-cycle: every state has an enabled action. Cut by either
+        // bound, L(1)'s row is empty — never expanded, or its child fell
+        // past the cap — which is no terminal state to stutter in.
+        let sys = Loop { max: 4, wrap_to: 0 };
+        let prop = eventually("never", |_: &L| false);
+        for search in [
+            Search::new(&sys).max_depth(1),
+            Search::new(&sys).max_states(2),
+        ] {
+            let r = search.check_property(&prop);
+            assert!(r.truncated);
+            assert!(r.holds, "{}", r.to_json());
+            assert_eq!(r.counterexample, None);
+        }
+        // A cycle on a cut graph is still a violation: its edges are real.
+        // Capped at one state, Handshake keeps L(0)'s self-loop.
+        let r = Search::new(&Handshake).max_states(1).check_property(&prop);
+        assert!(r.truncated);
+        match r.counterexample.expect("the self-loop is a lasso") {
+            Counterexample::Lasso(l) => assert_eq!(l.cycle, vec![(0, L(0))]),
+            other => panic!("expected lasso, got {other:?}"),
+        }
     }
 
     #[test]

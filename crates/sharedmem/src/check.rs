@@ -73,7 +73,7 @@ where
 
     // Backward reachability from "some process critical" states — and, on a
     // cut graph, from every state that lost a successor.
-    let can_reach_crit = g.can_reach(
+    let can_reach_crit = g.succ.can_reach(
         |_| true,
         |i| some_process_in(&g.order[i], Region::Critical) || lost_successor.get(i) == Some(&true),
     );
@@ -143,7 +143,10 @@ where
             MutexAction::Step(_) => bit.get(&a.process()).copied().unwrap_or(0),
             _ => 0,
         };
-        if let Some(edges) = g.covering_cycle(h, |t| victim_trying[t], class_bits, full) {
+        if let Some(edges) = g
+            .succ
+            .covering_cycle(h, |t| victim_trying[t], class_bits, full)
+        {
             return Some(LockoutWitness {
                 head: head.clone(),
                 cycle: edges.into_iter().map(|(s, ei)| g.succ[s][ei].0).collect(),

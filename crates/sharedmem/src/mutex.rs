@@ -454,8 +454,10 @@ mod tests {
         // Every representative with a trying process can still reach a
         // critical region — progress survives the quotient.
         let g = Search::new(&sys).canon(process_perm_canon).graph();
-        let can_reach_crit =
-            g.can_reach(|_| true, |i| !sys.critical_processes(&g.order[i]).is_empty());
+        let can_reach_crit = g.succ.can_reach(
+            |_| true,
+            |i| !sys.critical_processes(&g.order[i]).is_empty(),
+        );
         for (i, s) in g.order.iter().enumerate() {
             if !sys.trying_processes(s).is_empty() {
                 assert!(can_reach_crit[i], "quotient state {i} lost progress");

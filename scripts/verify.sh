@@ -84,13 +84,31 @@ if ! printf '%s' "$wide_err" | grep -q 'line 2: bad grid max `256`'; then
 fi
 echo "check smoke: OK (cache hit on rerun; resumed == straight bytes; grid max 256 refused)"
 
-echo "== trace smoke (every dump target deterministic; unknown target refused) =="
+echo "== trace smoke (every dump target deterministic and pinned; unknown target refused) =="
+# Each target's stdout sha256 is pinned, as experiments_sha256 is below: a
+# rerun only shows nondeterminism, while the pin also catches a drift in
+# what a dump counts (the valence fixpoint's pops / changed, the property
+# check's SCC counts). Update a value only when the dump is meant to move.
+declare -A trace_sha256=(
+    [search]=9c7ad77975a2d95aa41375837435d02fac8744faea61ea33c3d6db2898aed084
+    [valence]=b7f88acdf0f51c11668335127a24bb50b0aed952a12ef1b805ff341128afab20
+    [benor]=013ea0b686fc00e41e92f9b809c1de685f998d81feeee08e091f20443d239087
+    [election]=3762c5f7bddb90cd5fcd3d9a1214233a7b1d9aa9a9bc191321c6c74fe7a88af4
+    [property]=25a0b9bb762374934c11cada9751efd1e44d9078017fecf82eb7a71555b3f72c
+)
 for target in search valence benor election property; do
     ./target/release/trace dump "$target" > "$check_tmp/trace_a.jsonl"
     ./target/release/trace dump "$target" > "$check_tmp/trace_b.jsonl"
     if ! ./target/release/trace diff "$check_tmp/trace_a.jsonl" "$check_tmp/trace_b.jsonl" \
         | grep -q "traces identical"; then
         echo "error: two dumps of trace target '$target' differ" >&2
+        exit 1
+    fi
+    trace_got="$(sha256sum < "$check_tmp/trace_a.jsonl" | cut -d' ' -f1)"
+    if [ "$trace_got" != "${trace_sha256[$target]}" ]; then
+        echo "error: trace dump '$target' moved: sha256 $trace_got, pinned ${trace_sha256[$target]}" >&2
+        echo "  diff it against a parent build's \`trace dump $target\`; if the new dump is" >&2
+        echo "  intended, update trace_sha256[$target] in scripts/verify.sh" >&2
         exit 1
     fi
 done
@@ -102,7 +120,7 @@ if ! printf '%s' "$unknown_err" | grep -q 'unknown dump target `no-such-target`'
     echo "error: trace dump did not name the unknown target: $unknown_err" >&2
     exit 1
 fi
-echo "trace smoke: OK (5 targets identical on rerun; unknown target refused)"
+echo "trace smoke: OK (5 targets identical on rerun, sha256 pinned; unknown target refused)"
 
 echo "== experiments smoke (the paper-facing artefact: every id, deterministic, pinned) =="
 # All 26 experiments (F1–F3, E1–E23), twice: the regenerated figures and
