@@ -9,39 +9,29 @@
 //! init, level loop and finish (`Search::run_on`), driven over `Spill`,
 //! which pages *cold visited shards* — and optionally frontier partitions
 //! — to deterministic per-shard run files, streams them back per level, and
-//! expands each level with its own two-pass body on its own
-//! [`WorkerPool`] (the one place the search threads: paged partitions
-//! decode and run files merge inside workers, which is where
-//! [`Search::workers`] pays), without changing a single byte of the report:
+//! expands each level on the calling thread, without changing a single
+//! byte of the report:
 //!
 //! * **Spill unit = shard, boundary = level.** When the resident visited
 //!   set exceeds [`SpillPolicy::ram_keys`] at a level boundary, every
-//!   shard pages out via `FpMap::iter_ordered` (ascending stored key — the
+//!   shard pages out via `FpMap::take_ordered` (ascending stored key — the
 //!   canonical order checkpoints already use) into a delta+varint
 //!   [run page](crate::page) at `shard{k:03}.run{r:03}`, then clears. A
 //!   key lives in RAM **or** in exactly one run file, never both: spilled
 //!   keys are never re-inserted, because every commit asks the run files
 //!   first.
-//! * **One commit step per child.** Pass 1 expands the frontier partitions
-//!   on the pool (a paged partition decodes inside its worker) and hands
-//!   each partition's children back flat, in traversal order; concatenated
-//!   in partition order they are the resident body's j-major insert order,
-//!   whatever the worker count. Every child is then judged by `commit`: a
-//!   key its shard's run files hold (a sorted-merge of the level's keys
-//!   against the run pages' key blocks — values never decoded) is a dedup
-//!   hit, any other goes to `try_insert_with` on the table that holds
-//!   everything visited since the last flush, this level's earlier commits
-//!   included. That is the resident backend's predicate in the resident
+//! * **One commit step per child.** The level's partitions expand, in
+//!   partition order, one list each; in that order they are the resident
+//!   body's j-major insert order. Each shard's run files are then asked
+//!   once for the level's keys (a sorted-merge against the run pages' key
+//!   blocks — values never decoded), and `Search::commit_children` judges
+//!   every child, list by list, as it does for the resident body: a key on
+//!   disk is a dedup hit, any other
+//!   goes to `try_insert_with` under the resident cap less the spilled-key
+//!   count. That is the resident backend's predicate in the resident
 //!   backend's order, so the first occurrence wins the parent link on both
 //!   routes and `next_parts`, `dedup_hits`, terminals and every other
 //!   report byte agree.
-//! * **Two arms, chosen by the cap.** On a level the state cap cannot bind
-//!   (`visited + children ≤ max_states`) the calling thread buckets the
-//!   children per shard and each shard's worker commits its own, uncapped.
-//!   On the rare level where it can, dedup-vs-cap precedence for keys
-//!   recurring in-level matters, so the children are walked as they are,
-//!   sequentially, against the whole table under the resident body's
-//!   inline cap less the spilled-key count.
 //! * **Memory is accounted, not guessed.** [`crate::SearchStats::peak_bytes`]
 //!   is the level loop's one shallow formula (table slot arrays + resident
 //!   frontier records at fixed widths) sampled at every level boundary —
@@ -60,17 +50,15 @@
 //! search must be given its own [`SpillPolicy`] directory. See
 //! `docs/EXTMEM.md` for the full determinism argument and page layout.
 
-use crate::fingerprint::{BatchScratch, Encode};
+use crate::fingerprint::Encode;
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
 use crate::persist::Persist;
-use crate::pool::WorkerPool;
 use crate::search::{
     BfsRun, Child, Parent, Search, SearchReport, VisitedBackend, DEFAULT_PARTITIONS,
 };
-use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
-use impossible_core::explore::Truncation;
+use crate::table::{key_of, shard_index, Cap, ShardedFpMap};
 use impossible_core::system::System;
-use impossible_obs::{trace_event, NoopTracer, Tracer};
+use impossible_obs::{NoopTracer, Tracer};
 use std::borrow::Cow;
 use std::path::PathBuf;
 
@@ -115,9 +103,9 @@ impl SpillPolicy {
         self
     }
 
-    /// Also page frontier partitions to disk between levels; pass-1
-    /// workers stream their partitions back one at a time, so no level
-    /// start holds the whole frontier resident.
+    /// Also page frontier partitions to disk between levels; the level
+    /// body streams them back one at a time, so no level start holds the
+    /// whole frontier resident.
     pub fn spill_frontier(mut self, on: bool) -> Self {
         self.spill_frontier = on;
         self
@@ -129,26 +117,11 @@ impl SpillPolicy {
     }
 }
 
-/// Per-partition expansion record produced by pass-1 workers.
-struct Expanded<S, A> {
-    /// Terminal states of this partition, in frontier order.
-    terminals: Vec<S>,
-    /// Successors changed by the canonicalization hook.
-    canon_hits: usize,
-    /// The partition's children, flat, in traversal order (frontier order,
-    /// in-state action order): concatenated in partition order these lists
-    /// *are* the j-major reference order.
-    children: Vec<Child<S, A>>,
-}
-
 /// The spilling [`VisitedBackend`]: run files per shard, paged frontier
-/// partitions, the key counts that keep `num_states` and the cap exact
-/// without touching disk, and the pool its two level passes run on.
+/// partitions, and the key counts that keep `num_states` and the cap exact
+/// without touching disk.
 struct Spill {
     policy: SpillPolicy,
-    /// [`Search::workers`] threads for pass 1 and pass 2. Its steal
-    /// counters are folded into the run's stats after every level.
-    pool: WorkerPool,
     /// Completed visited flushes (names the next run generation).
     flushes: usize,
     /// Run files per shard, in flush order. Key-disjoint by construction.
@@ -161,12 +134,11 @@ struct Spill {
 }
 
 impl Spill {
-    fn new<Sys: System>(search: &Search<'_, Sys>, policy: &SpillPolicy) -> Self {
+    fn new(policy: &SpillPolicy) -> Self {
         std::fs::create_dir_all(policy.dir())
             .unwrap_or_else(|e| panic!("spill dir {}: {e}", policy.dir().display()));
         Spill {
             policy: policy.clone(),
-            pool: WorkerPool::new(search.workers_value()),
             flushes: 0,
             runs: (0..DEFAULT_PARTITIONS).map(|_| Vec::new()).collect(),
             spilled: 0,
@@ -176,8 +148,9 @@ impl Spill {
 
     /// Page every non-empty visited shard out as one run file, emptying it
     /// (`take_ordered`).
-    /// `commit` keeps spilled keys from ever being re-inserted, so each key
-    /// lands in exactly one run across the whole search.
+    /// The commit step asks the run files before the table, so spilled keys
+    /// are never re-inserted and each key lands in exactly one run across
+    /// the whole search.
     fn flush_visited<A: Persist>(&mut self, visited: &mut ShardedFpMap<Parent<A>>) {
         let r = self.flushes;
         for (k, shard) in visited.shards_mut().iter_mut().enumerate() {
@@ -269,92 +242,12 @@ impl Spill {
         old.sort_unstable();
         old
     }
-
-    /// The worker-local arm, for shard `k` on a level the cap cannot bind:
-    /// commit the shard's `children` (j-major order) against its own table,
-    /// uncapped. Returns the shard's fresh `(fp, state)` list in insert
-    /// order — next level's partition `k` — and its dedup hits.
-    fn classify_shard<S, A>(
-        &self,
-        k: usize,
-        shard: &mut FpMap<Parent<A>>,
-        children: Vec<Child<S, A>>,
-    ) -> (Vec<(u64, S)>, usize) {
-        let old = self.on_disk(k, children.iter().map(|&(fp, ..)| key_of(fp)).collect());
-        let (mut fresh, mut dedup) = (Vec::new(), 0usize);
-        for (fp, tc, action, parent) in children {
-            let link = || Parent::Child { parent, action };
-            match commit(&old, fp, || shard.try_insert_with(fp, Cap::Unbounded, link)) {
-                TryInsert::Present => dedup += 1,
-                TryInsert::Inserted => fresh.push((fp, tc)),
-                TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
-            }
-        }
-        (fresh, dedup)
-    }
-
-    /// The capped arm: the cap could bind this level, and dedup-vs-cap
-    /// precedence for keys recurring in-level depends on the exact insert
-    /// sequence, so walk the children in j-major order as pass 1 left them
-    /// and commit each against the whole table under the same inline
-    /// global cap the fused body applies.
-    fn classify_capped<Sys: System>(
-        &self,
-        max_states: usize,
-        recs: Vec<Expanded<Sys::State, Sys::Action>>,
-        run: &mut BfsRun<Sys>,
-        next_parts: &mut [Vec<(u64, Sys::State)>],
-        tracer: &mut dyn Tracer,
-    ) {
-        let shard_n = self.runs.len();
-        let mut keys: Vec<Vec<u64>> = vec![Vec::new(); shard_n];
-        for &(fp, ..) in recs.iter().flat_map(|rec| &rec.children) {
-            keys[shard_index(fp, shard_n)].push(key_of(fp));
-        }
-        let old: Vec<Vec<u64>> =
-            keys.into_iter().enumerate().map(|(k, keys)| self.on_disk(k, keys)).collect();
-        // Spilled keys are disjoint from the resident table, so the global
-        // cap is the resident cap less their count.
-        let cap = Cap::At(max_states - self.spilled);
-        for (fp, tc, action, parent) in recs.into_iter().flat_map(|rec| rec.children) {
-            let k = shard_index(fp, shard_n);
-            let link = || Parent::Child { parent, action };
-            match commit(&old[k], fp, || run.visited.try_insert_with(fp, cap, link)) {
-                TryInsert::Present => run.stats.dedup_hits += 1,
-                TryInsert::Full => {
-                    if run.truncated_by.is_none() {
-                        trace_event!(tracer, "search", "truncate",
-                            "cause": "states",
-                            "level": run.depth,
-                        );
-                    }
-                    run.truncated_by.get_or_insert(Truncation::States);
-                }
-                TryInsert::Inserted => next_parts[k].push((fp, tc)),
-            }
-        }
-    }
 }
 
-/// The one commit step, shared by both arms: a child whose key its shard's
-/// run files hold (`old`, from [`Spill::on_disk`]) is a dedup hit; any
-/// other is `insert`'s to decide — `try_insert_with` on the table that
-/// holds everything visited since the last flush, this level's earlier
-/// commits included. Resident ∪ committed-this-level ∪ on-disk is what the
-/// fused body's single probe evaluates when every key is resident, and a
-/// disk hit is `Present` before any cap is asked, as there.
-fn commit(old: &[u64], fp: u64, insert: impl FnOnce() -> TryInsert) -> TryInsert {
-    if old.binary_search(&key_of(fp)).is_ok() {
-        TryInsert::Present
-    } else {
-        insert()
-    }
-}
-
-impl<Sys: System + Sync> VisitedBackend<Sys> for Spill
+impl<Sys: System> VisitedBackend<Sys> for Spill
 where
-    Sys::State: Encode + Persist + Send + Sync,
-    Sys::Action: Persist + Send + Sync,
+    Sys::State: Encode + Persist,
+    Sys::Action: Persist,
 {
     fn spilled(&self) -> usize {
         self.spilled
@@ -384,17 +277,16 @@ where
         }
     }
 
-    /// One BFS level in two passes, for any worker count. Pass 1 expands
-    /// the frontier partitions on the pool (a paged partition decodes
-    /// inside its worker), touching no shared state; records come back in
-    /// partition order regardless of worker count, their counters and
-    /// terminals are stitched sequentially in that order, and their
-    /// children, concatenated in it, are the j-major reference order. Pass
-    /// 2 commits them: bucketed per shard here, on the calling thread, for
-    /// each shard's worker — or walked as they are on the rare levels where
-    /// the state cap could bind. Byte-identical in effect to the resident
-    /// backend's fused body for every worker count and spill threshold
-    /// (`tests/extmem_spill.rs` is the oracle).
+    /// One BFS level, on the calling thread: expand every partition in
+    /// partition order (a paged one decodes first) into its own `children`
+    /// list, ask each shard's run files once for the level's keys they
+    /// already hold, then commit the lists in partition order — the j-major
+    /// reference order — through `Search::commit_children` under the
+    /// resident cap less the spilled-key count (spilled keys are disjoint
+    /// from the table). Committing list by list drops each partition's
+    /// children and duplicates as it goes, as the fused body does.
+    /// Byte-identical in effect to the resident body for every spill
+    /// threshold (`tests/extmem_spill.rs` is the oracle).
     #[inline(never)]
     fn expand_level(
         &self,
@@ -404,69 +296,55 @@ where
         tracer: &mut dyn Tracer,
     ) -> usize {
         let shard_n = DEFAULT_PARTITIONS;
-        let max_states = search.bounds().0;
-        let parts = &run.parts;
-        let mut recs = self.pool.map_indexed((0..shard_n).collect(), |_, k: usize| {
-            // Pure — touches no shared state — so a paged partition decodes
-            // inside its worker and feeds straight through. The spare pool
-            // is local to the item and only a canon hook feeds it (the
-            // pre-canon state, taken back by the next step): the children
-            // are judged after this pass, on other threads, which drop the
-            // rejected ones where they find them.
-            let part = VisitedBackend::<Sys>::partition(self, parts, k);
-            let mut batch = BatchScratch::new(search.seed_value());
-            let (mut spares, mut acts) = (Vec::new(), Vec::new());
-            let (mut terminals, mut children) = (Vec::new(), Vec::new());
-            let canon_hits = search.expand_partition(
-                &part,
-                &mut batch,
+        let BfsRun {
+            stats,
+            visited,
+            terminal,
+            truncated_by,
+            parts,
+            depth,
+            batch,
+            ..
+        } = run;
+        let (mut spares, mut acts) = (Vec::new(), Vec::new());
+        let children: Vec<Vec<Child<Sys::State, Sys::Action>>> = (0..shard_n)
+            .map(|k| {
+                let part = VisitedBackend::<Sys>::partition(self, parts, k);
+                let mut children = Vec::new();
+                stats.canon_hits += search.expand_partition(
+                    &part,
+                    batch,
+                    &mut spares,
+                    &mut acts,
+                    &mut children,
+                    terminal,
+                );
+                children
+            })
+            .collect();
+        let level_children = children.iter().map(Vec::len).sum();
+
+        let mut keys: Vec<Vec<u64>> = vec![Vec::new(); shard_n];
+        for &(fp, ..) in children.iter().flatten() {
+            keys[shard_index(fp, shard_n)].push(key_of(fp));
+        }
+        let old: Vec<Vec<u64>> =
+            keys.into_iter().enumerate().map(|(k, keys)| self.on_disk(k, keys)).collect();
+        let on_disk = |fp| old[shard_index(fp, shard_n)].binary_search(&key_of(fp)).is_ok();
+        let cap = Cap::At(search.bounds().0 - self.spilled);
+        for mut part in children {
+            stats.dedup_hits += Search::<Sys>::commit_children(
+                &mut part,
+                on_disk,
+                cap,
+                visited,
+                truncated_by,
+                *depth,
                 &mut spares,
-                &mut acts,
-                &mut children,
-                &mut terminals,
+                next_parts,
+                tracer,
             );
-            Expanded { terminals, canon_hits, children }
-        });
-
-        // Stitch the per-partition counters and terminals, in
-        // partition order.
-        let mut level_children = 0usize;
-        for rec in &mut recs {
-            run.stats.canon_hits += rec.canon_hits;
-            level_children += rec.children.len();
-            run.terminal.append(&mut rec.terminals);
         }
-
-        if run.visited.len() + self.spilled + level_children <= max_states {
-            // The state cap cannot bind this level (children are an upper
-            // bound on inserts), so each visited shard goes to the worker
-            // that owns it, with its children in j-major order: one move
-            // per child, the only per-child work the calling thread does.
-            let mut per_shard: Vec<Vec<Child<Sys::State, Sys::Action>>> =
-                (0..shard_n).map(|_| Vec::new()).collect();
-            for child in recs.into_iter().flat_map(|rec| rec.children) {
-                per_shard[shard_index(child.0, shard_n)].push(child);
-            }
-            let jobs: Vec<_> = run.visited.shards_mut().iter_mut().zip(per_shard).collect();
-            let results = self
-                .pool
-                .map_indexed(jobs, |k, (shard, children)| self.classify_shard(k, shard, children));
-            run.visited.refresh_len();
-            for (k, (fresh, dedup)) in results.into_iter().enumerate() {
-                run.stats.dedup_hits += dedup;
-                next_parts[k] = fresh;
-            }
-        } else {
-            self.classify_capped(max_states, recs, run, next_parts, tracer);
-        }
-
-        // Fold the pool's steal counters into the stats at the level
-        // boundary. Deterministic at a fixed worker count (each pass over n
-        // items steals exactly n - min(workers, n) shards — see `pool`); a
-        // one-worker pool runs inline, so both stay 0 at workers == 1.
-        let (steal_passes, stolen) = self.pool.take_steals();
-        run.stats.steals += steal_passes as usize;
-        run.stats.stolen_shards += stolen as usize;
         level_children
     }
 
@@ -507,15 +385,14 @@ where
 
 impl<'a, Sys: System> Search<'a, Sys>
 where
-    Sys: Sync,
-    Sys::State: Encode + Persist + Send + Sync,
-    Sys::Action: Persist + Send + Sync,
+    Sys::State: Encode + Persist,
+    Sys::Action: Persist,
 {
     /// [`Search::explore`], external-memory mode: identical report bytes
     /// (modulo [`crate::SearchStats::peak_bytes`], which is the point), bounded
     /// resident memory per `policy`.
     pub fn explore_extmem(&self, policy: &SpillPolicy) -> SearchReport<Sys::State, Sys::Action> {
-        self.run_on(Spill::new(self, policy), None::<fn(&Sys::State) -> bool>, &mut NoopTracer)
+        self.run_on(Spill::new(policy), None::<fn(&Sys::State) -> bool>, &mut NoopTracer)
     }
 
     /// [`Search::search`], external-memory mode: BFS until `pred` matches;
@@ -529,6 +406,6 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        self.run_on(Spill::new(self, policy), Some(pred), &mut NoopTracer)
+        self.run_on(Spill::new(policy), Some(pred), &mut NoopTracer)
     }
 }

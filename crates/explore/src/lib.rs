@@ -14,18 +14,17 @@
 //!   set so each orbit is explored once);
 //! * [`pool`] — the deterministic fork-join worker pool: whole items
 //!   claimed off an atomic counter, results merged in item order, so its
-//!   output is identical for any worker count. Two callers: the spill
-//!   route's level passes ([`extmem`]) and `impossible-ckpt`'s manifest
-//!   jobs; resident searches are single-threaded;
+//!   output is identical for any worker count. One caller,
+//!   `impossible-ckpt`'s manifest jobs; every search is single-threaded;
 //! * [`search`] — the unified [`Search`] API: BFS shortest-witness search,
 //!   with per-run counters exported as deterministic JSON
-//!   ([`SearchStats`]); one partition expander serves the resident level
-//!   body and the spill route's pass 1;
+//!   ([`SearchStats`]); one partition expander and one commit step serve
+//!   the resident level body and the spill route's;
 //! * [`table`] — the open-addressing fingerprint tables behind the visited
 //!   set: flat [`FpMap`] and [`ShardedFpMap`], sharded by the same
 //!   `fp % partitions` function that splits frontiers, so a shard's next
-//!   frontier is its own fresh-insert list and the spill route's workers
-//!   dedup and insert into the shards they own without locks;
+//!   frontier is its own fresh-insert list and the spill route pages whole
+//!   shards;
 //! * [`graph`] — the one exact, fingerprint-accelerated reachable-graph
 //!   builder ([`Search::graph_from`]) behind the valence engine
 //!   ([`Search::valence`]), the mutex checkers, the property layer and

@@ -3,10 +3,9 @@
 //! The one place in the workspace allowed to touch OS threads. The contract
 //! that keeps it deterministic is structural, not synchronization-based:
 //!
-//! * work arrives as an ordered list of indexed items — the spill route's
-//!   frontier **partitions** and visited-set **shards**, both keyed by the
-//!   same fixed `fingerprint % partitions` function (a constant independent
-//!   of the worker count), or `impossible-ckpt`'s manifest jobs;
+//! * work arrives as an ordered list of indexed items — its one client is
+//!   `check manifest` (`impossible-ckpt`'s `run_manifest`), whose items
+//!   are the manifest's jobs;
 //! * idle workers claim the next *whole* item from a shared atomic claim
 //!   counter (`fetch_add` over the item index). A shard's item stream is
 //!   never split: whichever worker claims item `k` runs all of `f(k, item)`
@@ -18,11 +17,12 @@
 //!   only on the input, never on thread scheduling.
 //!
 //! Consequently the mapper here is extensionally identical for any worker
-//! count — `tests/extmem_spill.rs` pins byte-equal spilled search reports
-//! for 1, 2 and 8 workers. Threads are *scoped* (joined
-//! before return) and share only the read-only closure plus the claim
-//! counter, so no state leaks across calls. Panics in workers propagate to
-//! the caller.
+//! count — `impossible-ckpt`'s
+//! `outcomes_keep_manifest_order_for_any_worker_count` pins manifest
+//! outcomes at 1, 2 and 8 workers, the tests below order and exclusive
+//! access. No search uses the pool. Threads are *scoped* (joined before
+//! return) and share only the read-only closure plus the claim counter, so
+//! no state leaks across calls. Panics in workers propagate to the caller.
 //!
 //! ## Steal accounting
 //!
@@ -31,11 +31,7 @@
 //! scheduling-dependent and deliberately not recorded; the *number* of
 //! steals is not: a parallel pass over `n` items with `W` workers spawns
 //! `min(W, n)` threads whose first claims are their own, so exactly
-//! `n - min(W, n)` claims are steals — a pure function of `(n, W)`. The
-//! spill route folds these into `SearchStats::{steals, stolen_shards}`,
-//! which therefore stay byte-identical across runs at the same worker
-//! count (and are zeroed alongside `workers` when tests compare across
-//! worker counts).
+//! `n - min(W, n)` claims are steals — a pure function of `(n, W)`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -11,15 +11,14 @@
 //! `k`'s newly-inserted list, handed over without re-partitioning. The
 //! level loop (`Search::bfs_levels`) is the only one; *how* a level is
 //! expanded is the crate-private visited backend's answer, never an
-//! option's: `Resident` runs the fused single-threaded body on the calling
-//! thread, for any [`Search::workers`] value, and `crate::extmem`'s `Spill`
-//! runs its own two-pass body on its own [`crate::pool::WorkerPool`].
-//! Every name the report can mention — discovery order, witness, terminal
-//! list, counters — is derived from the fixed partition order, so the
-//! report is a pure function of `(system, bounds, seed, canon, partitions)`. See
+//! option's: `Resident` commits each partition as soon as it is expanded,
+//! `crate::extmem`'s `Spill` once the whole level is expanded and its run
+//! files asked, both on the calling thread. Every name
+//! the report can mention — discovery order, witness, terminal list,
+//! counters — is derived from the fixed partition order, so the report is
+//! a pure function of `(system, bounds, seed, canon, partitions)`. See
 //! `docs/EXPLORE.md` ("Sharding & determinism") for the ordering argument
-//! and `docs/EXTMEM.md` for why the spill route's worker count cannot
-//! change a byte.
+//! and `docs/EXTMEM.md` for why the spill route cannot change a byte.
 //!
 //! The visited set stores 64-bit fingerprints, not states (see
 //! [`crate::fingerprint`] for the collision policy; routes that must be
@@ -30,8 +29,10 @@
 //!
 //! Both level bodies expand a frontier partition through one function,
 //! `Search::expand_partition` (stage the children in j-major order,
-//! collect the terminals, fingerprint the batch); they differ only in how
-//! they commit the children it hands back.
+//! collect the terminals, fingerprint the batch), and commit what it hands
+//! back through one function, `Search::commit_children`, partition by
+//! partition; they differ only in whether every partition is expanded
+//! before the first commit.
 //!
 //! # Semantics vs. the legacy `Explorer`
 //!
@@ -66,9 +67,8 @@ fn truncation_name(t: &Option<Truncation>) -> &'static str {
 pub const DEFAULT_SEED: u64 = 0x5EED_FACE_0FDA_7A5E;
 
 /// Number of frontier partitions (and visited-set shards) of every search.
-/// Fixed (never derived from the worker count) so reports are worker-count
-/// invariant; 64 keeps ≥ 8 partitions per worker at the maximum sensible
-/// pool size.
+/// Fixed (never derived from the worker count), so reports are
+/// worker-count invariant.
 pub const DEFAULT_PARTITIONS: usize = 64;
 
 /// A staged child: `(fingerprint, canonical state, action, parent fp)` —
@@ -189,7 +189,7 @@ impl<S, A> Resumable<S, A> {
 /// * the counter fields are the [`SearchStats`] counters minus `workers`
 ///   (a resumed run reports the *resuming* builder's requested count,
 ///   exactly as an uninterrupted run would) and minus the steal counters
-///   (0 on every resident run, and only resident runs pause).
+///   (0 on every run).
 ///
 /// Two runs of the same `(system, bounds, seed, canon, partitions)` paused
 /// at the same budget produce `==` checkpoints — pinned by
@@ -287,11 +287,10 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
-    /// Size the spill route's two pool passes ([`Search::explore_extmem`],
-    /// [`Search::search_extmem`]) at `w` threads (clamped to ≥ 1). Resident
-    /// searches are single-threaded whatever `w` is. Output-invariant on
-    /// both: only `stats.workers` (the requested count) and, under spill,
-    /// the two steal counters record it.
+    /// Record `w` (clamped to ≥ 1) as `stats.workers`, and nothing else:
+    /// no search route threads, so the report is the same for every `w`.
+    /// Kept only because the ledger's `grid` workloads call it; ROADMAP
+    /// item 1 retires it.
     pub fn workers(mut self, w: usize) -> Self {
         self.workers = w.max(1);
         self
@@ -321,10 +320,6 @@ impl<'a, Sys: System> Search<'a, Sys> {
 
     pub(crate) fn seed_value(&self) -> u64 {
         self.seed
-    }
-
-    pub(crate) fn workers_value(&self) -> usize {
-        self.workers
     }
 
     /// Shallow byte width of one frontier record: the 8-byte fingerprint
@@ -359,8 +354,8 @@ impl<'a, Sys: System> Search<'a, Sys> {
         }
     }
 
-    /// The one successor-generation step every route shares — the fused
-    /// body, the spill route's pass 1 and the graph builder: `enabled →
+    /// The one successor-generation step every route shares — both BFS
+    /// level bodies and the graph builder: `enabled →
     /// step_into(spare) | step → canon`, each child whose action passes
     /// `keep` handed to `stage` in action order. Returns whether `s` had any
     /// enabled action at all (the terminal test, which `keep` does not
@@ -427,10 +422,10 @@ pub(crate) struct BfsRun<Sys: System> {
     pub(crate) parts: Vec<Vec<(u64, Sys::State)>>,
     /// Completed levels (the next level to expand).
     pub(crate) depth: usize,
-    /// Batched fingerprint pipeline shared by the sequential control path
-    /// and the fused level loop (rebuilt fresh on restore — it is a
-    /// buffer, never state).
-    batch: BatchScratch,
+    /// Batched fingerprint pipeline shared by the control path and both
+    /// level bodies (rebuilt fresh on restore — it is a buffer, never
+    /// state).
+    pub(crate) batch: BatchScratch,
 }
 
 /// Where visited keys and frontier records live, and how a level over
@@ -440,8 +435,8 @@ pub(crate) struct BfsRun<Sys: System> {
 /// `BfsRun` and expands on the calling thread: the bookkeeping defaults
 /// below are its answers, so the level body is all it implements.
 /// `crate::extmem`'s `Spill` pages cold shards and frontier partitions to
-/// run files and expands in two pool passes (it needs `Persist` and thread
-/// bounds to do so, which is why this is a trait and not an optional
+/// run files and expands a whole level before committing it (it needs
+/// `Persist` to do so, which is why this is a trait and not an optional
 /// field).
 pub(crate) trait VisitedBackend<Sys: System> {
     /// Visited keys held outside the resident table. They are disjoint
@@ -667,8 +662,8 @@ where
         let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
         let mut truncated_by: Option<Truncation> = None;
         let mut found: Option<u64> = None;
-        // Batched fingerprint pipeline for this control path and the fused
-        // level loop; the spill route's pass-1 workers carry their own.
+        // Batched fingerprint pipeline for this control path and both
+        // level bodies.
         let mut batch = BatchScratch::new(self.seed);
         let mut roots: Vec<(u64, Sys::State)> = Vec::new();
 
@@ -1001,11 +996,11 @@ where
     /// level body: fused expand + dedup + insert in one pass. This is the
     /// reference traversal — partition order, in-partition frontier order,
     /// in-state action order ("j-major"), cap checked inline per child —
-    /// that `crate::extmem`'s two-pass body is extensionally equal to.
+    /// that `crate::extmem`'s level-wide body is extensionally equal to.
     /// Fills `next_parts` and returns the level's child count (its
     /// transition delta).
     ///
-    /// Deliberately its own function (as is the two-pass body): the expand
+    /// Deliberately its own function (as is the spill body): the expand
     /// loop is the hottest code in the crate, and carving it out of
     /// `bfs_levels` gives it a private inlining budget — leaving it inline
     /// cost ~25% wall-clock because the surrounding function's size pushed
@@ -1044,38 +1039,18 @@ where
         for part in parts.iter() {
             canon_hits +=
                 self.expand_partition(part, batch, &mut spares, &mut acts, &mut children, terminal);
-            let batch_len = children.len();
-            level_children += batch_len;
-            // Phase C — dedup + insert, same j-major order, cap checked
-            // inline per child exactly as the fused loop always has. A
-            // rejected child is not dropped: it joins the pool, which the
-            // `batch_len` guard bounds by one batch (on the canon route
-            // phase A returns every spare it takes, so nothing else would).
-            for (fp_t, tc, a, pfp) in children.drain(..) {
-                match visited.try_insert_with(fp_t, cap, || {
-                    Parent::Child { parent: pfp, action: a }
-                }) {
-                    TryInsert::Present => {
-                        dedup_hits += 1;
-                        if spares.len() < batch_len {
-                            spares.push(tc);
-                        }
-                    }
-                    TryInsert::Full => {
-                        if truncated_by.is_none() {
-                            trace_event!(tracer, "search", "truncate",
-                                "cause": "states",
-                                "level": *depth,
-                            );
-                        }
-                        truncated_by.get_or_insert(Truncation::States);
-                    }
-                    TryInsert::Inserted => {
-                        let k = shard_index(fp_t, DEFAULT_PARTITIONS);
-                        next_parts[k].push((fp_t, tc));
-                    }
-                }
-            }
+            level_children += children.len();
+            dedup_hits += Self::commit_children(
+                &mut children,
+                |_| false,
+                cap,
+                visited,
+                truncated_by,
+                *depth,
+                &mut spares,
+                next_parts,
+                tracer,
+            );
         }
         stats.dedup_hits += dedup_hits;
         stats.canon_hits += canon_hits;
@@ -1083,8 +1058,8 @@ where
     }
 
     /// Phases A and B of one frontier partition — the one expansion both
-    /// level bodies share (the fused body above, the spill route's pass-1
-    /// worker), which differ only in how they commit what it hands back.
+    /// level bodies share (the fused body above, the spill body), which
+    /// commit what it hands back through [`Search::commit_children`].
     ///
     /// Phase A stages every child in the j-major reference order (frontier
     /// order, in-state action order) onto `children` through
@@ -1120,6 +1095,61 @@ where
             child.0 = fp;
         }
         canon_hits
+    }
+
+    /// Phase C of both level bodies — the one commit step: drain
+    /// `children` in j-major order and judge each against the visited set.
+    /// A child `on_disk` holds (a key the spill route paged out; `|_| false`
+    /// when everything is resident) or `try_insert_with` finds `Present` is
+    /// a dedup hit, and joins `spares` for the next expansion to overwrite —
+    /// never past the batch's length, since on the canon route the
+    /// expansion returns every spare it takes and nothing else would bound
+    /// the pool. `Full` trips the state cap; `Inserted` goes onto
+    /// `next_parts[shard_index(fp)]`. A disk hit is `Present` before the
+    /// cap is asked, as the table's own probe is. Returns the dedup hits.
+    #[inline(always)]
+    pub(crate) fn commit_children(
+        children: &mut Vec<Child<Sys::State, Sys::Action>>,
+        on_disk: impl Fn(u64) -> bool,
+        cap: Cap,
+        visited: &mut ShardedFpMap<Parent<Sys::Action>>,
+        truncated_by: &mut Option<Truncation>,
+        depth: usize,
+        spares: &mut Vec<Sys::State>,
+        next_parts: &mut [Vec<(u64, Sys::State)>],
+        tracer: &mut dyn Tracer,
+    ) -> usize {
+        let batch_len = children.len();
+        let mut dedup_hits = 0usize;
+        for (fp, tc, action, parent) in children.drain(..) {
+            let link = || Parent::Child { parent, action };
+            let verdict = if on_disk(fp) {
+                TryInsert::Present
+            } else {
+                visited.try_insert_with(fp, cap, link)
+            };
+            match verdict {
+                TryInsert::Present => {
+                    dedup_hits += 1;
+                    if spares.len() < batch_len {
+                        spares.push(tc);
+                    }
+                }
+                TryInsert::Full => {
+                    if truncated_by.is_none() {
+                        trace_event!(tracer, "search", "truncate",
+                            "cause": "states",
+                            "level": depth,
+                        );
+                    }
+                    truncated_by.get_or_insert(Truncation::States);
+                }
+                TryInsert::Inserted => {
+                    next_parts[shard_index(fp, DEFAULT_PARTITIONS)].push((fp, tc));
+                }
+            }
+        }
+        dedup_hits
     }
 
     /// Walk the fingerprint parent map back to a root through `lookup`

@@ -15,8 +15,8 @@ pub struct SearchStats {
     /// Search strategy: always `"bfs"`, the only one there is.
     pub strategy: &'static str,
     /// Worker threads requested ([`crate::Search::workers`]), recorded for
-    /// the log on every route. Only the spill route starts any; resident
-    /// runs are single-threaded whatever this says. Output-invariant.
+    /// the log on every route. No route starts any; every search is
+    /// single-threaded whatever this says. Output-invariant.
     pub workers: usize,
     /// Fixed partition count the frontier is split across.
     pub partitions: usize,
@@ -33,11 +33,10 @@ pub struct SearchStats {
     /// Largest frontier held at once.
     pub peak_frontier: usize,
     /// BFS levels where the `max_states` cap could have bound
-    /// (`visited + level children > max_states`). On the spill route those
-    /// levels replay the exact-cap insert order sequentially instead of
-    /// running worker-local shard inserts; the resident body checks the cap
-    /// inline on every level, so there the count is only a census. A pure
-    /// function of the space and bounds — identical on both routes.
+    /// (`visited + level children > max_states`). Both level bodies check
+    /// the cap inline per child on every level, so the count is only a
+    /// census. A pure function of the space and bounds — identical on both
+    /// routes.
     pub cap_fallbacks: usize,
     /// Peak bytes held by the visited set and frontier together, sampled
     /// at level boundaries. Deterministic *shallow* accounting (table
@@ -47,20 +46,12 @@ pub struct SearchStats {
     /// stat that legitimately differs between a resident and a spilled run
     /// of the same model — report comparisons mask it.
     pub peak_bytes: usize,
-    /// Spill-route pool passes in which at least one shard was claimed as
-    /// a steal (an idle worker taking a whole shard beyond its first from
-    /// the shared claim counter). A deterministic projection of the claim
-    /// protocol: a pass over `n` items with `W` workers steals exactly
-    /// `n - min(W, n)` of them, so under spill the count is
-    /// `2 * levels - cap_fallbacks` whenever `1 < W < partitions` — a pure
-    /// function of the run shape and worker count, never of thread
-    /// scheduling. Always 0 on resident runs (no pool) and at
-    /// `workers == 1` (the pool runs inline). Like
-    /// [`SearchStats::workers`], legitimately differs *across* worker
-    /// counts; spilled-vs-resident comparisons zero both.
+    /// Always 0 on every search: no route runs a worker pool to steal
+    /// from. Kept only for the ledger's `pool.steals` row; ROADMAP item
+    /// 1(a) retires it.
     pub steals: usize,
-    /// Total whole shards claimed as steals across those passes (same
-    /// determinism contract as [`SearchStats::steals`]).
+    /// Always 0 on every search, like [`SearchStats::steals`], and kept
+    /// for the same reason.
     pub stolen_shards: usize,
 }
 

@@ -331,13 +331,11 @@ impl<V> Default for FpMap<V> {
 /// A visited set split into a fixed number of independent [`FpMap`] shards:
 /// fingerprint `fp` lives in shard `fp % shards`.
 ///
-/// The shard function is a pure function of the fingerprint — never of the
-/// schedule — which is what lets the search engine hand each worker
-/// exclusive `&mut` access to whole shards ([`Self::shards_mut`]): a shard
-/// is claimed atomically as a unit, mutated by exactly one worker per pass,
-/// and merged back in fixed shard order, so reports stay byte-identical for
-/// any worker count and any steal schedule. Each shard
-/// grows independently, so a hot shard doubling never rehashes the others.
+/// The shard function is a pure function of the fingerprint, so shard `k`
+/// holds exactly the keys frontier partition `k` can produce, and whole
+/// shards ([`Self::shards_mut`]) page out, checkpoint and restore as units.
+/// Each shard grows independently, so a hot shard doubling never rehashes
+/// the others.
 #[derive(Debug, Clone)]
 pub struct ShardedFpMap<V> {
     shards: Vec<FpMap<V>>,

@@ -3,9 +3,9 @@
 //! `Search::workers` says, across pauses, and for any budget.
 //!
 //! The resident route has one traversal order and one level body (the fused
-//! single-threaded one); `workers` only sizes the spill route's pool, whose
-//! fused-vs-two-pass oracle is `tests/extmem_spill.rs`. `DET_SEED` replays
-//! the property cases.
+//! single-threaded one); `workers` is only recorded, on every route. The
+//! spill route's oracle is `tests/extmem_spill.rs`. `DET_SEED` replays the
+//! property cases.
 
 use impossible_det::{det_assert, det_assert_eq, det_prop, DetRng};
 use impossible_explore::property::{eventually, never};

@@ -4,12 +4,12 @@
 //! seed, worker count, and spill threshold. Only `stats.peak_bytes` may
 //! (and should) differ, downward.
 //!
-//! This suite is also the only fused-vs-two-pass oracle: the resident route
-//! runs the fused single-threaded level body whatever `Search::workers`
-//! says, the spill route runs its two-pass body on its own pool, and
-//! `ram_keys(usize::MAX)` (never flushes) runs that body with every key
-//! resident. It is what `crates/explore/src/pool.rs`'s `thread::scope`
-//! waiver rests on (docs/LINTS.md).
+//! This suite is also the only oracle between the two level bodies: the
+//! resident route runs the fused per-partition body, the spill route its
+//! level-wide one (both single-threaded whatever `Search::workers` says,
+//! both committing through `Search::commit_children`), and
+//! `ram_keys(usize::MAX)` (never flushes) runs the spill body with every
+//! key resident.
 //!
 //! `DET_SEED` replays the property cases.
 
@@ -22,14 +22,12 @@ fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
 
-/// Strip the legitimately-differing stats (worker count and the steal
-/// counters are recorded by design and vary with the spill pool's size,
-/// `peak_bytes` is the whole point of spilling) before byte comparison.
+/// Strip the legitimately-differing stats (the requested worker count is
+/// recorded by design, `peak_bytes` is the whole point of spilling) before
+/// byte comparison. The steal counters stay in: no route steals.
 fn masked(r: &SearchReport<Vec<u8>, usize>) -> String {
     let mut stats = r.stats;
     stats.workers = 0;
-    stats.steals = 0;
-    stats.stolen_shards = 0;
     stats.peak_bytes = 0;
     format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
@@ -84,9 +82,9 @@ fn worker_and_threshold_sweep() -> impl Iterator<Item = (usize, usize)> {
 #[test]
 fn spilled_exploration_matches_resident_bytes() {
     // The headline contract from docs/EXTMEM.md: run files are
-    // ordered-concatenated per shard and pass-1 records come back in
-    // partition order, so neither the worker count nor the spill threshold
-    // can reach the report.
+    // ordered-concatenated per shard and the level's children are committed
+    // in partition order, so neither the worker count nor the spill
+    // threshold can reach the report.
     let sys = Grid { n: 4, max: 3 }; // 256 states, several levels
     let resident = Search::new(&sys).explore();
     for (w, ram_keys) in worker_and_threshold_sweep() {
@@ -100,7 +98,7 @@ fn spilled_exploration_matches_resident_bytes() {
                 "spilling must not raise peak bytes ({case})"
             );
             assert_eq!(masked(&spilled), masked(&resident), "{case}");
-            // Never flushing leaves the two-pass body all-resident.
+            // Never flushing leaves the spill body all-resident.
             assert_eq!(run_files(&dir, 0).is_empty(), ram_keys == usize::MAX, "{case}");
         }
     }
@@ -124,9 +122,8 @@ fn spilled_witness_replays_through_run_files() {
 
 #[test]
 fn cap_truncation_is_exact_under_spill() {
-    // The cap binds mid-level: the j-major replay path must produce the
-    // resident engine's exact truncation, state count, and fallback count,
-    // with everything before the straddling level inserted worker-locally.
+    // The cap binds mid-level: the spill body's commit must produce the
+    // resident engine's exact truncation, state count, and fallback count.
     for (sys, cap) in [
         (Grid { n: 4, max: 3 }, 97),
         (Grid { n: 4, max: 4 }, 97),
@@ -220,51 +217,6 @@ fn depth_truncation_is_exact_under_spill() {
 }
 
 #[test]
-fn steal_counters_are_derivable_from_the_report() {
-    // Each expanded level submits two pool passes of `partitions` items
-    // (minus one pass per cap-fallback level, which replays the exact
-    // sequential insert instead). A pass with W workers claims
-    // min(W, partitions) shards eagerly; the remainder are steals. The
-    // counters are therefore a pure function of the report's own
-    // `levels`/`cap_fallbacks`/`partitions` and W — zero at W = 1, where
-    // the pool runs inline — and schedule noise must never leak in.
-    let sys = Grid { n: 4, max: 3 };
-    let run = |w: usize, tag: &str| {
-        let policy = SpillPolicy::new(tmp(&format!("spill-steals-{w}-{tag}")))
-            .ram_keys(0)
-            .spill_frontier(true);
-        Search::new(&sys).workers(w).explore_extmem(&policy)
-    };
-    for w in [1usize, 2, 8] {
-        let r = run(w, "a");
-        assert_eq!(r.stats.cap_fallbacks, 0, "uncapped run");
-        let passes = if w == 1 { 0 } else { 2 * r.stats.levels };
-        let per_pass = r.stats.partitions - w.min(r.stats.partitions);
-        assert_eq!(r.stats.steals, passes, "w={w}");
-        assert_eq!(r.stats.stolen_shards, passes * per_pass, "w={w}");
-        assert_eq!(r, run(w, "b"), "w={w}: repeated runs agree to the byte");
-    }
-}
-
-#[test]
-fn cap_fallback_levels_skip_the_second_steal_pass() {
-    // When the cap forces the sequential exact-insert replay, that level
-    // runs only one pool pass — the steal counters must track
-    // `2 * levels - cap_fallbacks`, not `2 * levels`.
-    let sys = Grid { n: 4, max: 4 };
-    let policy = SpillPolicy::new(tmp("spill-steals-cap")).ram_keys(40);
-    let r = Search::new(&sys)
-        .max_states(301)
-        .workers(2)
-        .explore_extmem(&policy);
-    assert!(r.stats.cap_fallbacks > 0, "the cap must bind mid-level");
-    let passes = 2 * r.stats.levels - r.stats.cap_fallbacks;
-    let per_pass = r.stats.partitions - 2;
-    assert_eq!(r.stats.steals, passes);
-    assert_eq!(r.stats.stolen_shards, passes * per_pass);
-}
-
-#[test]
 fn run_files_are_deterministically_named_and_disjoint() {
     let sys = Grid { n: 3, max: 3 };
     let dir = tmp("spill-names");
@@ -296,9 +248,9 @@ fn run_files_are_deterministically_named_and_disjoint() {
     assert_eq!(all_keys.len(), total, "runs are key-disjoint");
     assert_eq!(total, report.num_states);
 
-    // Both arms share one commit step, so the same holds when a run
-    // straddles the cap under a canon hook: its last levels commit through
-    // the capped arm, against keys both arms flushed.
+    // The same holds when a run straddles the cap under a canon hook: its
+    // last levels commit under a cap that binds, against keys flushed by
+    // levels it could not.
     let dir = tmp("spill-names-capped");
     let _ = std::fs::remove_dir_all(&dir);
     let policy = SpillPolicy::new(&dir).ram_keys(0);
@@ -343,10 +295,10 @@ impl impossible_core::system::System for Torus {
 fn children_already_on_disk_are_dedup_hits_on_both_arms() {
     // The disk half of the commit step, which only a space with back edges
     // reaches: a child whose key a run file holds must count as a dedup hit
-    // — on the worker-local arm (the whole run) and on the capped arm (from
-    // level 3 on under the cap, the level the first counters wrap) — or it
-    // is inserted a second time, which moves the report and, flushing every
-    // level, lands the key in a second run file.
+    // — on levels the cap cannot bind (the whole run) and on those it can
+    // (from level 3 on under the cap, the level the first counters wrap) —
+    // or it is inserted a second time, which moves the report and, flushing
+    // every level, lands the key in a second run file.
     let sys = Torus { n: 3, max: 3 }; // 64 states, the grid's levels plus wraps
     // 1000 never binds (and ends a run that re-inserts flushed keys, which
     // on a cyclic space would otherwise wander to the default cap); 40 does.

@@ -12,8 +12,9 @@
 # stage that touches timing code, and the ledger is the only place a
 # measured number comes from.
 # The check smoke drives only what crosses a process boundary (a manifest,
-# the verdict cache file, a snapshot file); spilled == resident and
-# worker-count byte-identity are the tests stage's
+# the verdict cache file, a snapshot file); spilled == resident (every
+# search runs on the calling thread, so the requested worker count is only
+# recorded) is the tests stage's
 # (crates/explore/tests/{extmem_spill,determinism}.rs) and, through the
 # release binary, the ledger stage's `grid_spill`.
 set -euo pipefail
