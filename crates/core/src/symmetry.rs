@@ -80,10 +80,13 @@ pub fn order_equivalent(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// The radius-`k` neighbourhood of ring position `i`: the IDs at positions
-/// `i-k ..= i+k`, in ring order.
+/// `i-k ..= i+k`, in ring order. A radius past the ring size wraps around
+/// it as often as it takes.
 pub fn neighborhood(ring: &[u64], i: usize, k: usize) -> Vec<u64> {
     let n = ring.len();
-    (0..=2 * k).map(|d| ring[(i + n + d - k) % n]).collect()
+    // `i - k ≡ i + (n - k mod n)`: no subtraction that can underflow.
+    let back = n - k % n;
+    (0..=2 * k).map(|d| ring[(i + back + d) % n]).collect()
 }
 
 /// Partition ring positions into classes whose radius-`k` neighbourhoods are
@@ -159,12 +162,12 @@ pub fn min_symmetry_class(ring: &[u64], k: usize) -> usize {
 /// scan — two candidate starts `i`, `j` and a matched length `k`; a mismatch
 /// at offset `k` rules out all `k + 1` starts `i..=i+k` (or `j..=j+k`) at
 /// once, so `i + j + k` only grows and the scan ends within `3n` steps —
-/// and the result is the two slices either side of that start. A quotient
-/// search calls this on every successor, so it must not be the
+/// and the result is the two slices either side of that start. The
 /// enumerate-all-rotations definition
-/// (`impossible_explore::canon::min_under_permutations` over `rotations(n)`,
-/// `O(n²)` and `n` allocations); that definition is the oracle this
-/// function is tested against.
+/// (`impossible_explore::canon::min_under_permutations` over `rotations(n)`)
+/// is the oracle this function is tested against; what either costs on a
+/// quotient search, and when [`canonical_binary_rotation`] takes over, is
+/// stated once in `docs/EXPLORE.md`, "What a hook costs".
 ///
 /// ```
 /// use impossible_core::symmetry::canonical_rotation;
@@ -210,6 +213,53 @@ pub fn canonical_rotation<T: Ord + Clone>(xs: &[T]) -> Vec<T> {
     out.extend_from_slice(&xs[start..]);
     out.extend_from_slice(&xs[..start]);
     out
+}
+
+/// [`canonical_rotation`] of a binary necklace, in one machine word:
+/// `Some` of exactly the vector `canonical_rotation(xs)` returns when `xs`
+/// is a 0/1 word of 1 to 64 beads, `None` otherwise (an empty word, a byte
+/// above 1, or more than 64 beads) — the caller falls back to the generic
+/// scan there.
+///
+/// The word is packed MSB-first into a `u64`, where numeric order is
+/// lexicographic order, so the least rotation is the minimum of the `n`
+/// masked word rotations: a fixed loop of shifts and `min`s with no branch
+/// on the data, unpacked into one `vec![0; n]`. Where this pays is stated
+/// in `docs/EXPLORE.md`, "What a hook costs".
+///
+/// ```
+/// use impossible_core::symmetry::canonical_binary_rotation;
+/// assert_eq!(canonical_binary_rotation(&[1, 0, 1, 0]), Some(vec![0, 1, 0, 1]));
+/// assert_eq!(canonical_binary_rotation(&[1, 1, 0]), Some(vec![0, 1, 1]));
+/// assert_eq!(canonical_binary_rotation(&[2, 0, 1]), None);
+/// assert_eq!(canonical_binary_rotation(&[]), None);
+/// ```
+pub fn canonical_binary_rotation(xs: &[u8]) -> Option<Vec<u8>> {
+    let n = xs.len();
+    if n == 0 || n > 64 {
+        return None;
+    }
+    let (mut word, mut seen) = (0u64, 0u8);
+    for &x in xs {
+        word = word << 1 | u64::from(x & 1);
+        seen |= x;
+    }
+    if seen > 1 {
+        return None;
+    }
+    // The low `n` bits; `n = 64` keeps all of them.
+    let mask = u64::MAX >> (64 - n);
+    let (mut best, mut rot) = (word, word);
+    for _ in 1..n {
+        // One bead from the front to the back: `xs.rotate_left(1)`.
+        rot = (rot << 1 | rot >> (n - 1)) & mask;
+        best = best.min(rot);
+    }
+    let mut out = vec![0u8; n];
+    for (i, bead) in out.iter_mut().enumerate() {
+        *bead = (best >> (n - 1 - i)) as u8 & 1;
+    }
+    Some(out)
 }
 
 /// Outcome of running an anonymous deterministic ring protocol in lockstep.
@@ -451,6 +501,89 @@ mod tests {
                 let xs: Vec<u8> = (0..n).map(|i| (bits >> i & 1) as u8).collect();
                 check_canonical_rotation(&xs).unwrap_or_else(|e| panic!("{xs:?}: {e}"));
             }
+        }
+    }
+
+    /// The word kernel's contract: the generic scan's vector on a 0/1 word
+    /// of 1..=64 beads, `None` on anything else.
+    fn check_binary_rotation(xs: &[u8]) -> Result<(), String> {
+        let word = !xs.is_empty() && xs.len() <= 64 && xs.iter().all(|&x| x <= 1);
+        let want = word.then(|| canonical_rotation(xs));
+        det_assert_eq!(canonical_binary_rotation(xs), want);
+        Ok(())
+    }
+
+    #[test]
+    fn binary_rotation_matches_the_scan_on_every_word_to_sixteen_beads() {
+        for n in 0..=16usize {
+            for bits in 0u32..1 << n {
+                let xs: Vec<u8> = (0..n).map(|i| (bits >> i & 1) as u8).collect();
+                check_binary_rotation(&xs).unwrap_or_else(|e| panic!("{xs:?}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn binary_rotation_pins_both_sides_of_the_word_width() {
+        // n = 0 and n = 65 take the fallback; n = 1, 63 and 64 the word
+        // (64: the all-ones mask). A lone 1, a lone 0, a periodic word and
+        // an aperiodic one at each length.
+        for n in [0usize, 1, 63, 64, 65] {
+            let words: [Vec<u8>; 4] = [
+                (0..n).map(|i| u8::from(i == n / 3)).collect(),
+                (0..n).map(|i| u8::from(i != n / 2)).collect(),
+                (0..n).map(|i| (i % 2) as u8).collect(),
+                (0..n).map(|i| u8::from(i * i % 7 < 3)).collect(),
+            ];
+            for xs in &words {
+                check_binary_rotation(xs).unwrap_or_else(|e| panic!("n={n} {xs:?}: {e}"));
+            }
+        }
+        assert_eq!(
+            canonical_binary_rotation(&[1, 0, 0, 1, 1, 0]),
+            Some(vec![0, 0, 1, 1, 0, 1])
+        );
+    }
+
+    det_prop! {
+        /// Lengths 0..=72 over {0, 1} and {0..=3}: the word path below 65
+        /// beads, the fallback past it or on a byte above 1.
+        fn binary_rotation_matches_the_scan(
+            cases = 1024,
+            len in 0usize..=72,
+            wide in 0usize..2,
+            raw in prop::vec(0u8..=255, 72..73)
+        ) {
+            let size = [2u8, 4][wide];
+            let xs: Vec<u8> = raw[..len].iter().map(|&b| b % size).collect();
+            check_binary_rotation(&xs)?;
+        }
+    }
+
+    #[test]
+    fn neighborhood_wraps_a_radius_past_the_ring() {
+        // Radius 4 on a 3-ring: positions -4..=4 around 0. It used to
+        // underflow `i + n + d - k` (a panic in debug, a wrap in release).
+        assert_eq!(
+            neighborhood(&[10, 20, 30], 0, 4),
+            vec![30, 10, 20, 30, 10, 20, 30, 10, 20]
+        );
+    }
+
+    det_prop! {
+        /// Every position and radius, against the signed definition.
+        fn neighborhood_matches_its_definition(
+            cases = 512,
+            ring in prop::vec(0u64..=1000, 1..9),
+            i in 0usize..=8,
+            k in 0usize..=20
+        ) {
+            let n = ring.len();
+            let i = i % n;
+            let want: Vec<u64> = (-(k as i64)..=k as i64)
+                .map(|d| ring[(i as i64 + d).rem_euclid(n as i64) as usize])
+                .collect();
+            det_assert_eq!(neighborhood(&ring, i, k), want);
         }
     }
 

@@ -4,9 +4,8 @@
 //! about *rotations*: in an anonymous uniform ring every rotation of a
 //! configuration is another reachable configuration, indistinguishable to
 //! the processes. That is exactly the precondition for exploring the
-//! quotient space instead of the full one — plug
-//! [`canonical_rotation`] in as the
-//! [`Search::canon`](impossible_explore::Search::canon) hook and the
+//! quotient space instead of the full one — plug [`rotation_canon`] in as
+//! the [`Search::canon`](impossible_explore::Search::canon) hook and the
 //! visited set keeps one representative per rotation orbit (a *necklace*),
 //! shrinking the space without changing any verdict on
 //! rotation-invariant predicates.
@@ -18,7 +17,7 @@
 //! token *merging* breaks symmetry, the loophole the deterministic
 //! message-passing candidates of [`crate::anonymous`] don't have.
 
-use impossible_core::symmetry::canonical_rotation;
+use impossible_core::symmetry::{canonical_binary_rotation, canonical_rotation};
 use impossible_core::system::System;
 use impossible_explore::property::{eventually, leads_to};
 use impossible_explore::{Checker, PropertyReport, Search, SearchReport};
@@ -76,11 +75,12 @@ impl TokenRing {
 /// The rotation-canonicalization hook: lexicographically least rotation.
 /// Idempotent and orbit-respecting (rotations commute with token passing),
 /// as the [`Search::canon`](impossible_explore::Search::canon) contract
-/// requires. `O(n)` comparisons and one allocation per call
-/// ([`canonical_rotation`]'s two-pointer scan) — it runs on every successor
-/// of every quotient search in this module.
+/// requires. Token-ring states are 0/1 words, so up to 64 slots the
+/// one-word kernel [`canonical_binary_rotation`] answers; any other state
+/// falls back to [`canonical_rotation`], which returns the same vector.
+/// What each costs per successor: `docs/EXPLORE.md`, "What a hook costs".
 pub fn rotation_canon(s: &Vec<u8>) -> Vec<u8> {
-    canonical_rotation(s)
+    canonical_binary_rotation(s).unwrap_or_else(|| canonical_rotation(s))
 }
 
 /// Explore the full configuration space (every nonempty token placement

@@ -24,13 +24,10 @@
 //! and violation-existence, and every witness it returns is a genuine
 //! execution of the quotient system (each step is `step` followed by `c`).
 //!
-//! **Cost.** The hook runs on every successor the search generates, before
-//! the fingerprint, so on a quotient route it is as hot as `System::step`.
-//! A hook should therefore be the *closed form* of its group's minimum, not
-//! an enumeration of the group: `election`'s anonymous-ring search uses
-//! [`impossible_core::symmetry::canonical_rotation`] (least rotation in
-//! `O(n)`), `sharedmem`'s `process_perm_canon` sorts the process-indexed
-//! component (`O(n log n)` for the full symmetric group).
+//! **Cost.** The hook runs on every successor the search generates, so it
+//! should be the *closed form* of its group's minimum, not an enumeration
+//! of the group. `docs/EXPLORE.md`, "What a hook costs", states the rule
+//! once, with what the ring and mutex hooks cost.
 //!
 //! The functions below are the executable *definition* of the contract —
 //! enumerate the group, keep the `Ord`-minimum — and cost `|G|` candidate

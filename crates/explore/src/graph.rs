@@ -6,15 +6,16 @@
 //! fingerprint-only visited set is not enough, and a hash-indexed one would
 //! make graph shape depend on collision luck. This builder keeps every
 //! state (it must, to return them) and uses fingerprints purely as an
-//! **index acceleration**: dedup probes a [`ShardedFpMap`] (the same
-//! sharded table the BFS engine's visited set uses) for the first state
-//! index seen under a fingerprint, then confirms with one full equality
-//! comparison; the (astronomically rare) colliding fingerprints spill into
-//! an overflow chain. A collision costs extra comparisons, never a wrong
-//! graph — so graph-based classifications (valence, deadlock,
-//! non-termination) are exact under any seed (the ledger's `graph.build_s`
-//! / `graph.self_s` on `mutex_dijkstra4` and `ring_quotient20` track the
-//! cost).
+//! **index acceleration**: dedup probes the crate's `InternIndex` (sharded
+//! like the BFS engine's visited set, one 8-byte word per entry: the
+//! fingerprint's high 32 bits over `index + 1`), and every word whose tag
+//! matches is confirmed by one full equality comparison against
+//! `order[index]`. A tag or fingerprint shared by distinct states only
+//! makes the probe go on — there is no collision chain — so a collision
+//! costs extra comparisons, never a wrong graph, and graph-based
+//! classifications (valence, deadlock, non-termination) are exact under any
+//! seed (the ledger's `graph.build_s` / `graph.self_s` on `mutex_dijkstra4`
+//! and `ring_quotient20` track the cost).
 //!
 //! **One builder, one seam.** [`Search::graph_from`] is the loop; what it
 //! leaves to its caller is the successor *source*, a closure that stages a
@@ -47,8 +48,9 @@
 //! states remain, exactly like `Search::explore`. Two widths are `u32`,
 //! and both conversions are checked, surfacing as [`Truncation::Index`]
 //! instead of a silent wrap, should a space ever outgrow them before the
-//! state cap binds: interned node indices (stored as `index + 1` in a
-//! `NonZeroU32`, so the last internable index is `u32::MAX − 1`) and the
+//! state cap binds: interned node indices (stored as `index + 1` in the
+//! low half of an index word, so the last internable index is
+//! `u32::MAX − 1`) and the
 //! row offsets of the edge array (at most `u32::MAX` edges). A cut, a
 //! depth bound or an index overflow therefore has this one place to be
 //! right.
@@ -70,14 +72,12 @@
 
 use crate::fingerprint::{BatchScratch, Encode};
 use crate::search::{Search, DEFAULT_PARTITIONS};
-use crate::table::{Cap, ShardedFpMap, TryInsert};
+use crate::table::InternIndex;
 use impossible_core::explore::Truncation;
 use impossible_core::succ::Succ;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::{Decider, ValenceEngine, ValenceReport};
 use impossible_obs::{NoopTracer, Tracer};
-use std::collections::BTreeMap;
-use std::num::NonZeroU32;
 
 /// A reachable configuration graph: `order[i]` is state `i`, `succ[i]` its
 /// `(action, target_index)` edges in action order.
@@ -171,70 +171,23 @@ where
         // order, so row `i` is pushed and closed while `i` is the cursor,
         // and the states it never reaches are padded after it.
         let mut succ: Succ<Sys::Action> = Succ::new();
-        // First state index interned under each fingerprint, as a 4-byte
-        // slot (`slot_of`: `index + 1`, so `Option<slot>` needs no tag).
-        // The graph stores full states, so memory runs out long before the
-        // `u32::MAX − 1` indices a slot can name. Genuine collisions
-        // (distinct states sharing a fingerprint) chain into `spill`,
-        // which stays empty on honest encodings.
-        let mut first_by_fp: ShardedFpMap<NonZeroU32> = ShardedFpMap::new(DEFAULT_PARTITIONS);
-        let mut spill: BTreeMap<u64, Vec<NonZeroU32>> = BTreeMap::new();
+        // Fingerprint → node index, one 8-byte word per entry; a fingerprint
+        // only proposes a node, `order[j] == state` decides.
+        let mut index = InternIndex::new(DEFAULT_PARTITIONS);
         let mut batch = BatchScratch::new(seed);
         let mut truncated_by: Option<Truncation> = None;
-
-        // Look up the interned index of `sc` under `fp`, with exact
-        // equality confirmation (a fingerprint match alone is never
-        // trusted): `Ok(index)`, or `Err(whether the fingerprint is taken)`
-        // for a state not interned yet, which is all `intern_new!` needs to
-        // know to place it without probing again.
-        macro_rules! lookup {
-            ($fp:expr, $sc:expr) => {
-                match first_by_fp.get($fp).map(|&slot| index_of(slot)) {
-                    None => Err(false),
-                    Some(j0) if order[j0] == *$sc => Ok(j0),
-                    Some(_) => spill
-                        .get(&$fp)
-                        .and_then(|chain| {
-                            chain.iter().map(|&slot| index_of(slot)).find(|&j| order[j] == *$sc)
-                        })
-                        .ok_or(true),
-                }
-            };
-        }
-        // Intern a known-new state as index `$j`; `$taken` is `lookup!`'s
-        // answer to whether another state already holds the fingerprint.
-        // Evaluates to `false` — without interning — when `$j` no longer
-        // fits a slot (a wrapped index would alias another state's): the
-        // caller records `Truncation::Index` and stops adding states.
-        macro_rules! intern_new {
-            ($fp:expr, $sc:expr, $j:expr, $taken:expr) => {{
-                match slot_of($j) {
-                    None => false,
-                    Some(slot) => {
-                        if $taken {
-                            spill.entry($fp).or_default().push(slot);
-                        } else {
-                            let r = first_by_fp.try_insert_with($fp, Cap::Unbounded, || slot);
-                            debug_assert_eq!(r, TryInsert::Inserted);
-                        }
-                        order.push($sc);
-                        true
-                    }
-                }
-            }};
-        }
 
         for s0 in sys.initial_states() {
             let sc = self.canonize(s0, &mut 0, drop);
             let fp = batch.fingerprint_one(&sc);
-            let Err(taken) = lookup!(fp, &sc) else {
+            let Err(vacant) = index.find(fp, |j| order[j] == sc) else {
                 continue;
             };
-            let j = order.len();
-            if !intern_new!(fp, sc, j, taken) {
+            if !index.insert(vacant, fp, order.len()) {
                 truncated_by.get_or_insert(Truncation::Index);
                 break;
             }
+            order.push(sc);
         }
         let initials = order.len();
 
@@ -275,23 +228,24 @@ where
             // same hot-path shape as the fused search engine.
             let fps = batch.fingerprints(children.iter().map(|(_, tc)| tc));
             for ((a, tc), &fp) in children.drain(..).zip(fps) {
-                let ti = match lookup!(fp, &tc) {
+                let ti = match index.find(fp, |j| order[j] == tc) {
                     Ok(j) => {
                         if spares.len() < batch_len {
                             spares.push(tc);
                         }
                         j
                     }
-                    Err(taken) => {
+                    Err(vacant) => {
                         if order.len() >= max_states {
                             truncated_by.get_or_insert(Truncation::States);
                             continue;
                         }
                         let j = order.len();
-                        if !intern_new!(fp, tc, j, taken) {
+                        if !index.insert(vacant, fp, j) {
                             truncated_by.get_or_insert(Truncation::Index);
                             continue;
                         }
+                        order.push(tc);
                         j
                     }
                 };
@@ -316,18 +270,6 @@ where
             truncated_by,
         }
     }
-}
-
-/// The intern table's slot for node index `j`: `j + 1` in a `NonZeroU32`,
-/// so that the table's `Option<slot>` is 4 bytes, not 8. `None` past the
-/// last internable index, `u32::MAX − 1`.
-fn slot_of(j: usize) -> Option<NonZeroU32> {
-    NonZeroU32::new(u32::try_from(j).ok()?.checked_add(1)?)
-}
-
-/// The node index a slot stands for.
-fn index_of(slot: NonZeroU32) -> usize {
-    (slot.get() - 1) as usize
 }
 
 impl<'a, Sys: DecisionSystem> Search<'a, Sys>
@@ -485,19 +427,6 @@ mod tests {
         let g = Search::new(&sys).max_states(7).graph();
         assert_eq!(g.len(), 7);
         assert_eq!(g.truncated_by, Some(Truncation::States));
-    }
-
-    #[test]
-    fn the_last_internable_index_is_one_short_of_the_u32_range() {
-        // Slots are `index + 1`, so `u32::MAX` itself has none: the builder
-        // reports `Truncation::Index` there instead of wrapping to slot 0.
-        let last = u32::MAX as usize - 1;
-        for j in [0, 1, 335_022, last] {
-            assert_eq!(slot_of(j).map(index_of), Some(j));
-        }
-        assert_eq!(slot_of(last + 1), None);
-        assert_eq!(slot_of(usize::MAX), None);
-        assert_eq!(std::mem::size_of::<Option<NonZeroU32>>(), 4);
     }
 
     /// A toy 2-process "consensus" where each process i has input bit b_i and

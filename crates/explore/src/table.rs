@@ -8,7 +8,7 @@
 //! speed over the legacy explorer (the ledger's `table.probe_s` /
 //! `table.insert_s` on `grid_w1` price it).
 //!
-//! Two table shapes live here:
+//! Three table shapes live here:
 //!
 //! * [`FpMap`] — a single open-addressing table, the building block below.
 //! * [`ShardedFpMap`] — a fixed number of independent `FpMap` shards, where
@@ -19,6 +19,10 @@
 //!   worker-locally with no locks, and the sequential merge degrades to
 //!   stitching per-shard outputs in shard order (see `docs/EXPLORE.md`,
 //!   "Sharding & determinism").
+//! * `InternIndex` (crate-private) — the exact graph builder's
+//!   fingerprint → node-index map: the same sharding, probing and growth,
+//!   with key and value packed into one 8-byte word, and every match
+//!   confirmed by the caller's state equality instead of trusted.
 //!
 //! Determinism: the tables are only ever *probed* (by fingerprint) on hot
 //! paths — nothing hot iterates them — so neither probe order nor growth
@@ -450,9 +454,218 @@ impl<V> ShardedFpMap<V> {
     }
 }
 
+/// The high half of an [`InternIndex`] word: the fingerprint's top 32 bits.
+const TAG: u64 = !0 << 32;
+
+/// The index word for node `index` under fingerprint `fp`: the
+/// fingerprint's tag over `index + 1`, so no entry is the empty word `0`.
+/// `None` past the last internable index, `u32::MAX − 1`.
+fn intern_word(fp: u64, index: usize) -> Option<u64> {
+    let low = u32::try_from(index).ok()?.checked_add(1)?;
+    Some(fp & TAG | u64::from(low))
+}
+
+/// The node index an occupied word stands for.
+fn word_index(word: u64) -> usize {
+    (word as u32 - 1) as usize
+}
+
+/// The exact graph builder's intern index: fingerprint → node index, where
+/// a fingerprint only *proposes* a node and the caller's state equality
+/// decides.
+///
+/// Each entry is one `u64`, `tag << 32 | (index + 1)`, with `tag` the
+/// fingerprint's high 32 bits and `0` the empty word: one probe line per
+/// lookup, where a [`ShardedFpMap`] of indices reads a key array and then a
+/// value array (12 B per slot). Shards are routed by [`shard_index`], as
+/// the visited set's are, and each is an open-addressing table probed
+/// linearly from the tag's high bits and doubled at 50 % load, so growth
+/// rehashes every entry from its word alone. The shards stay for memory,
+/// not routing: each doubles on its own, so growth never holds two copies
+/// of the whole index at once (ROADMAP, "Measured and lost").
+///
+/// [`Self::find`] confirms every word whose tag matches with `eq`. A tag
+/// shared by different fingerprints, or a fingerprint shared by different
+/// states, costs one more comparison and the probe goes on: there is no
+/// collision chain, and no collision can merge two states.
+#[derive(Debug)]
+pub(crate) struct InternIndex {
+    shards: Vec<InternShard>,
+}
+
+/// One shard of an [`InternIndex`]: a power-of-two word array (≥ 64).
+#[derive(Debug)]
+struct InternShard {
+    words: Vec<u64>,
+    len: usize,
+}
+
+/// Where [`InternIndex::find`] stopped on a miss: the empty slot an insert
+/// of that fingerprint takes, unless the shard grows first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Vacant {
+    shard: usize,
+    slot: usize,
+}
+
+impl InternShard {
+    /// The home slot of a tag (a fingerprint or a word: only the high 32
+    /// bits count): its top bits, as [`FpMap`] homes a key — the low bits
+    /// are the shard's.
+    #[inline]
+    fn home(&self, fp_or_word: u64) -> usize {
+        let shift = 64 - self.words.len().trailing_zeros();
+        ((fp_or_word & TAG) >> shift) as usize
+    }
+
+    /// The first empty slot at or after `word`'s home.
+    fn free_slot(&self, word: u64) -> usize {
+        let mask = self.words.len() - 1;
+        let mut i = self.home(word);
+        while self.words[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![0; self.words.len() * 2];
+        let old = std::mem::replace(&mut self.words, doubled);
+        for w in old.into_iter().filter(|&w| w != 0) {
+            let i = self.free_slot(w);
+            self.words[i] = w;
+        }
+    }
+}
+
+impl InternIndex {
+    /// An empty index of `shards` shards (clamped to ≥ 1), 64 slots each.
+    pub(crate) fn new(shards: usize) -> Self {
+        InternIndex {
+            shards: (0..shards.max(1))
+                .map(|_| InternShard {
+                    words: vec![0; 64],
+                    len: 0,
+                })
+                .collect(),
+        }
+    }
+
+    /// The node interned under `fp` for which `eq(index)` holds, or where
+    /// to insert one. `eq` is asked about every node whose word carries
+    /// `fp`'s tag, in probe order, until it says yes.
+    #[inline]
+    pub(crate) fn find(&self, fp: u64, mut eq: impl FnMut(usize) -> bool) -> Result<usize, Vacant> {
+        let shard_no = shard_index(fp, self.shards.len());
+        let shard = &self.shards[shard_no];
+        let mask = shard.words.len() - 1;
+        let tag = fp & TAG;
+        let mut i = shard.home(fp);
+        loop {
+            let w = shard.words[i];
+            if w == 0 {
+                return Err(Vacant {
+                    shard: shard_no,
+                    slot: i,
+                });
+            }
+            if w & TAG == tag && eq(word_index(w)) {
+                return Ok(word_index(w));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Intern node `index` under `fp`, at the slot `find(fp, ..)` returned
+    /// (re-probed if the shard doubles). `false`, with nothing inserted,
+    /// for an index past `u32::MAX − 1`: its word would alias another.
+    pub(crate) fn insert(&mut self, vacant: Vacant, fp: u64, index: usize) -> bool {
+        let Some(word) = intern_word(fp, index) else {
+            return false;
+        };
+        let shard = &mut self.shards[vacant.shard];
+        let slot = if (shard.len + 1) * 2 > shard.words.len() {
+            shard.grow();
+            shard.free_slot(word)
+        } else {
+            vacant.slot
+        };
+        shard.words[slot] = word;
+        shard.len += 1;
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impossible_det::{det_assert_eq, det_prop, prop};
+    use std::collections::BTreeMap;
+
+    #[test]
+    fn the_last_internable_index_is_one_short_of_the_u32_range() {
+        // Words hold `index + 1`, so `u32::MAX` itself has none: the graph
+        // builder reports `Truncation::Index` there instead of wrapping to
+        // the empty word's low half.
+        let last = u32::MAX as usize - 1;
+        for fp in [0, 1, u64::MAX, 0xDEAD_BEEF_0000_0000] {
+            for j in [0, 1, 335_022, last] {
+                let w = intern_word(fp, j).expect("internable");
+                assert_ne!(w, 0, "an entry is never the empty word");
+                assert_eq!((word_index(w), w & TAG), (j, fp & TAG));
+            }
+            assert_eq!(intern_word(fp, last + 1), None);
+            assert_eq!(intern_word(fp, usize::MAX), None);
+        }
+        // And the index refuses it, inserting nothing.
+        let mut ix = InternIndex::new(4);
+        let Err(vacant) = ix.find(7, |_| true) else {
+            panic!("empty index")
+        };
+        assert!(!ix.insert(vacant, 7, last + 1));
+        assert!(ix.find(7, |_| true).is_err());
+        assert!(ix.insert(vacant, 7, last));
+        assert_eq!(ix.find(7, |_| true), Ok(last));
+    }
+
+    det_prop! {
+        /// The index against a `BTreeMap<state, index>` oracle, under a
+        /// deliberately weak fingerprint of the state `v`: tag a bijection
+        /// of `v >> shift` (an odd multiplier, so homes spread over the
+        /// slots), low half `v & low`. A `low` below `2^shift - 1` gives
+        /// distinct states equal fingerprints; a `low` above it gives
+        /// distinct fingerprints equal tags; `low = 0` routes everything to
+        /// one shard, which then doubles several times.
+        fn intern_index_matches_a_btreemap(
+            cases = 96,
+            shift in 0u32..=6,
+            low_choice in 0usize..5,
+            shards in 1usize..=8,
+            ops in prop::vec(0u32..=600, 0..1500)
+        ) {
+            let low = [0u64, 1, 7, 63, 0xFFFF][low_choice];
+            let tag = |v: u32| u64::from((v >> shift).wrapping_mul(0x9E37_79B9));
+            let fp = |v: u32| tag(v) << 32 | (u64::from(v) & low);
+            let mut ix = InternIndex::new(shards);
+            let mut order: Vec<u32> = Vec::new();
+            let mut oracle: BTreeMap<u32, usize> = BTreeMap::new();
+            for &v in &ops {
+                match ix.find(fp(v), |j| order[j] == v) {
+                    Ok(j) => det_assert_eq!(oracle.get(&v), Some(&j)),
+                    Err(vacant) => {
+                        det_assert_eq!(oracle.get(&v), None);
+                        let j = order.len();
+                        det_assert_eq!(ix.insert(vacant, fp(v), j), true);
+                        order.push(v);
+                        oracle.insert(v, j);
+                    }
+                }
+            }
+            for (&v, &j) in &oracle {
+                det_assert_eq!(ix.find(fp(v), |k| order[k] == v).ok(), Some(j));
+            }
+        }
+    }
 
     #[test]
     fn insert_lookup_and_dedup() {

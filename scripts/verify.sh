@@ -47,18 +47,29 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 echo "== check service smoke (manifest cache + refusal, cross-process resume) =="
 check_tmp="$(mktemp -d)"
 trap 'rm -rf "$check_tmp"' EXIT
-printf 'ring 4 evades-free\nquorum 3 0 nonterm\n' > "$check_tmp/manifest.txt"
-# First run: cold cache, both jobs computed.
+# `ring 20` is the ledger's whole `ring_quotient20` instance (52 487
+# necklaces, both liveness checks) through the release binary.
+printf 'ring 4 evades-free\nquorum 3 0 nonterm\nring 20 evades-free\nring 20 greedy-elects\n' \
+    > "$check_tmp/manifest.txt"
+# First run: cold cache, every job computed. Its JSON line (labels, keys,
+# verdicts, state and edge counts) is pinned like experiments_sha256 below.
+check_cold_sha256=0fe29e9e877487c4005e61ffa38c74de8478c6c4e6ef2636aafeac6216f43ee6
 first="$(./target/release/check manifest "$check_tmp/manifest.txt" --cache "$check_tmp/cache.txt")"
 printf '%s\n' "$first" | tail -1
-if ! printf '%s' "$first" | grep -q "check: OK (jobs=2 hits=0 misses=2)"; then
-    echo "error: first check run was not a 2-job cold-cache run" >&2
+if ! printf '%s' "$first" | grep -q "check: OK (jobs=4 hits=0 misses=4)"; then
+    echo "error: first check run was not a 4-job cold-cache run" >&2
+    exit 1
+fi
+check_cold_got="$(printf '%s\n' "$first" | head -1 | sha256sum | cut -d' ' -f1)"
+if [ "$check_cold_got" != "$check_cold_sha256" ]; then
+    echo "error: cold check manifest JSON moved: sha256 $check_cold_got, pinned $check_cold_sha256" >&2
+    echo "  if the new report is intended, update check_cold_sha256 in scripts/verify.sh" >&2
     exit 1
 fi
 # Second run over the unchanged manifest: served entirely from the cache.
 second="$(./target/release/check manifest "$check_tmp/manifest.txt" --cache "$check_tmp/cache.txt")"
 printf '%s\n' "$second" | tail -1
-if ! printf '%s' "$second" | grep -q "check: OK (jobs=2 hits=2 misses=0)"; then
+if ! printf '%s' "$second" | grep -q "check: OK (jobs=4 hits=4 misses=0)"; then
     echo "error: second check run was not served entirely from the verdict cache" >&2
     exit 1
 fi
@@ -83,7 +94,7 @@ if ! printf '%s' "$wide_err" | grep -q 'line 2: bad grid max `256`'; then
     echo "error: check manifest did not name the out-of-range grid max: $wide_err" >&2
     exit 1
 fi
-echo "check smoke: OK (cache hit on rerun; resumed == straight bytes; grid max 256 refused)"
+echo "check smoke: OK (cold JSON sha256 pinned; cache hit on rerun; resumed == straight bytes; grid max 256 refused)"
 
 echo "== trace smoke (every dump target deterministic and pinned; unknown target refused) =="
 # Each target's stdout sha256 is pinned, as experiments_sha256 is below: a
