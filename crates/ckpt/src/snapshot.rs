@@ -30,6 +30,13 @@
 //! guards, and the delta compression the run files get for free. It also
 //! added `peak_bytes` as the seventh counter.
 //!
+//! Version 3 changed no section: it changed what `peak_bytes` counts. The
+//! visited table's accounting (`FpMap::approx_bytes`, stated once in
+//! `docs/EXPLORE.md`, "The visited table") dropped the value width from
+//! every slot, so a v2 file carries a high-water mark the resumed run
+//! would mix with smaller samples; it is refused rather than resumed into
+//! a `peak_bytes` neither formula produces.
+//!
 //! Because every section is either a counter or a canonically-ordered page
 //! of a worker-count-invariant structure, the byte stream is a pure
 //! function of `(system, bounds, seed, canon, partitions, budget)`: any
@@ -55,7 +62,9 @@ pub const MAGIC: [u8; 8] = *b"IMPCKPT1";
 
 /// Current snapshot format version. v2: page-encoded visited/frontier
 /// sections shared with the extmem spill format, `peak_bytes` counter.
-pub const FORMAT_VERSION: u32 = 2;
+/// v3: the same layout, `peak_bytes` under the dense-value table's
+/// accounting.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Seed for the trailing integrity checksum (fixed: the checksum is part of
 /// the format, not of any run's fingerprint universe).
@@ -418,30 +427,23 @@ mod tests {
 
     #[test]
     fn version_bump_is_a_typed_mismatch() {
-        let mut bytes = sample().to_bytes();
         // Version field sits right after the magic; the checksum guards it
         // too, so rewrite both.
         let vpos = MAGIC.len();
-        bytes[vpos] = 3;
-        reseal(&mut bytes);
-        assert_eq!(
-            Snapshot::<u64, u8>::from_bytes(&bytes),
-            Err(CkptError::VersionMismatch {
-                found: 3,
-                expected: FORMAT_VERSION
-            })
-        );
-        // A v1 file (pre-page sections) is likewise refused up front.
-        let mut bytes = sample().to_bytes();
-        bytes[vpos] = 1;
-        reseal(&mut bytes);
-        assert_eq!(
-            Snapshot::<u64, u8>::from_bytes(&bytes),
-            Err(CkptError::VersionMismatch {
-                found: 1,
-                expected: FORMAT_VERSION
-            })
-        );
+        // The next version, a v2 file (old `peak_bytes` accounting) and a
+        // v1 file (pre-page sections) are all refused up front.
+        for found in [FORMAT_VERSION + 1, 2, 1] {
+            let mut bytes = sample().to_bytes();
+            bytes[vpos..vpos + 4].copy_from_slice(&found.to_le_bytes());
+            reseal(&mut bytes);
+            assert_eq!(
+                Snapshot::<u64, u8>::from_bytes(&bytes),
+                Err(CkptError::VersionMismatch {
+                    found,
+                    expected: FORMAT_VERSION
+                })
+            );
+        }
     }
 
     /// `sample()` with its checkpoint edited, sealed by `to_bytes`: a file

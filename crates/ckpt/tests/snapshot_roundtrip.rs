@@ -100,6 +100,23 @@ fn version_drift_is_rejected_by_name() {
 }
 
 #[test]
+fn a_version_2_snapshot_is_refused() {
+    // v2 files carry a `peak_bytes` high-water mark under the old table
+    // accounting (a value slot per table slot); resuming one would mix it
+    // with samples of the dense layout.
+    let ckpt = Search::new(&GRID)
+        .run_resumable(PauseBudget::states(60))
+        .paused()
+        .expect("must pause");
+    let mut bytes = Snapshot::new(grid_fp(), ckpt).to_bytes();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        Snapshot::<Vec<u8>, usize>::from_bytes(&bytes),
+        Err(CkptError::VersionMismatch { found: 2, expected: 3 })
+    );
+}
+
+#[test]
 fn foreign_models_are_refused() {
     let ckpt = Search::new(&GRID)
         .run_resumable(PauseBudget::states(60))

@@ -33,7 +33,7 @@
 //!   routes and `next_parts`, `dedup_hits`, terminals and every other
 //!   report byte agree.
 //! * **Memory is accounted, not guessed.** [`crate::SearchStats::peak_bytes`]
-//!   is the level loop's one shallow formula (table slot arrays + resident
+//!   is the level loop's one shallow formula (table `approx_bytes` + resident
 //!   frontier records at fixed widths) sampled at every level boundary —
 //!   deterministic integer accounting, no RSS syscall — so "bounded peak
 //!   RSS" is a recorded number, and the spilled run's lower figure is

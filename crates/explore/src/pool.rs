@@ -22,7 +22,9 @@
 //! outcomes at 1, 2 and 8 workers, the tests below order and exclusive
 //! access. No search uses the pool. Threads are *scoped* (joined before
 //! return) and share only the read-only closure plus the claim counter, so
-//! no state leaks across calls. Panics in workers propagate to the caller.
+//! no state leaks across calls. A panicking item does not stop the pass:
+//! every item runs, and the caller gets the lowest failing item's own
+//! panic payload — the one the inline single-worker path raises.
 //!
 //! ## Steal accounting
 //!
@@ -33,6 +35,7 @@
 //! `min(W, n)` threads whose first claims are their own, so exactly
 //! `n - min(W, n)` claims are steals — a pure function of `(n, W)`.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -83,6 +86,12 @@ impl WorkerPool {
     /// disjoint because each item is taken from its slot exactly once. The
     /// output is a pure function of `(items, f)`; the worker count only
     /// affects wall-clock time.
+    ///
+    /// # Panics
+    ///
+    /// With the payload of the lowest-indexed item whose `f` panicked, for
+    /// any worker count: each item runs under `catch_unwind`, and the
+    /// payload is re-raised after every worker has joined.
     pub fn map_indexed<T, O, F>(&self, items: Vec<T>, f: F) -> Vec<O>
     where
         T: Send,
@@ -106,19 +115,18 @@ impl WorkerPool {
         // the claim counter takes the item out and is its only toucher.
         let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let next = AtomicUsize::new(0);
-        let mut out: Vec<O> = Vec::with_capacity(n);
         // Scoped threads: joined before return, sharing only `f`, the slots
         // and the claim counter. Results are placed by item index, so
         // scheduling order cannot influence the output.
         // LINT-ALLOW: det-ambient -- deterministic fork-join pool: atomic whole-shard claim counter, ordered merge (docs/EXPLORE.md)
-        std::thread::scope(|scope| {
+        let merged = std::thread::scope(|scope| {
             let f = &f;
             let slots = &slots;
             let next = &next;
             let handles: Vec<_> = (0..spawned)
                 .map(|_| {
                     scope.spawn(move || {
-                        let mut done: Vec<(usize, O)> = Vec::new();
+                        let mut done = Vec::new();
                         loop {
                             let k = next.fetch_add(1, Ordering::Relaxed);
                             if k >= n {
@@ -129,21 +137,27 @@ impl WorkerPool {
                                 .expect("claim slot poisoned")
                                 .take()
                                 .expect("item claimed twice");
-                            done.push((k, f(k, t)));
+                            done.push((k, catch_unwind(AssertUnwindSafe(|| f(k, t)))));
                         }
                         done
                     })
                 })
                 .collect();
-            let mut merged: Vec<Option<O>> = (0..n).map(|_| None).collect();
+            let mut merged: Vec<Option<std::thread::Result<O>>> = (0..n).map(|_| None).collect();
             for h in handles {
-                for (k, v) in h.join().expect("explore worker panicked") {
-                    merged[k] = Some(v);
+                for (k, r) in h.join().expect("pool worker panicked outside its items") {
+                    merged[k] = Some(r);
                 }
             }
-            out.extend(merged.into_iter().map(|s| s.expect("item covered")));
+            merged
         });
-        out
+        merged
+            .into_iter()
+            .map(|r| match r.expect("item covered") {
+                Ok(v) => v,
+                Err(payload) => resume_unwind(payload),
+            })
+            .collect()
     }
 }
 
@@ -207,6 +221,28 @@ mod tests {
             });
         }
         assert!(cells.iter().enumerate().all(|(k, &v)| v == (k as u64) * 10));
+    }
+
+    #[test]
+    fn the_lowest_failing_items_own_panic_reaches_the_caller() {
+        // Items 5 and 11 panic with distinct messages; whatever worker
+        // claims which, the caller sees item 5's, as the inline path does.
+        for w in [1, 2, 3, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                WorkerPool::new(w).map_indexed((0..16u64).collect(), |k, x| {
+                    if k == 5 || k == 11 {
+                        panic!("item {k} failed");
+                    }
+                    x
+                })
+            });
+            let payload = caught.expect_err("two items panicked");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("item 5 failed"),
+                "workers={w}"
+            );
+        }
     }
 
     #[test]

@@ -777,9 +777,9 @@ where
                 return true;
             }
             run.stats.peak_frontier = run.stats.peak_frontier.max(frontier_len);
-            // Byte accounting, sampled at the same boundary: visited-table
-            // slot arrays plus the frontier records actually resident, at
-            // their shallow width. Both are pure functions of the entry
+            // Byte accounting, sampled at the same boundary: the visited
+            // tables' `approx_bytes` plus the frontier records actually
+            // resident, at their shallow width. Both are pure functions of the entry
             // sets, and it is one formula for both backends, so a spilled
             // run's lower number is comparable evidence.
             let bytes =

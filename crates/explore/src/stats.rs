@@ -40,7 +40,7 @@ pub struct SearchStats {
     pub cap_fallbacks: usize,
     /// Peak bytes held by the visited set and frontier together, sampled
     /// at level boundaries. Deterministic *shallow* accounting (table
-    /// slots + frontier records at fixed per-item widths — see
+    /// slots and entries + frontier records at fixed per-item widths — see
     /// `docs/EXTMEM.md`), not an RSS syscall: the same run always reports
     /// the same number, and spilling shards to disk lowers it. The one
     /// stat that legitimately differs between a resident and a spilled run

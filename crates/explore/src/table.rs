@@ -11,6 +11,9 @@
 //! Three table shapes live here:
 //!
 //! * [`FpMap`] — a single open-addressing table, the building block below.
+//!   Its slots hold only a key and a 4-byte entry index; the values live
+//!   densely in insertion order, so an empty slot costs 12 bytes, not the
+//!   width of a value.
 //! * [`ShardedFpMap`] — a fixed number of independent `FpMap` shards, where
 //!   fingerprint `fp` lives in shard `fp % shards`. The shard function is
 //!   the *same* fixed partition function the search engine uses to split
@@ -63,11 +66,17 @@ impl Cap {
 }
 
 /// A `u64 → V` map keyed by (pre-mixed) fingerprints.
+///
+/// Three arrays: `keys`, the probed slot array; `at`, slot → entry index;
+/// and `vals`, the entries in insertion order. A slot costs `8 + 4` bytes
+/// whether or not it is occupied, a value only `size_of::<V>()` once
+/// inserted — at ≤ 50 % load most slots are empty, so the values stay out
+/// of the slot arrays. A `Present` hit reads `keys` alone.
 #[derive(Debug, Clone)]
 pub struct FpMap<V> {
     keys: Vec<u64>,
-    vals: Vec<Option<V>>,
-    len: usize,
+    at: Vec<u32>,
+    vals: Vec<V>,
 }
 
 /// Outcome of [`FpMap::try_insert_with`].
@@ -114,42 +123,55 @@ pub fn shard_index(fp: u64, shards: usize) -> usize {
     }
 }
 
+/// The entry index the `len`-th insert into one [`FpMap`] gets.
+///
+/// # Panics
+///
+/// Past `u32::MAX`: a slot stores its entry index in 4 bytes, so one table
+/// (one shard of a [`ShardedFpMap`]) holds at most `u32::MAX + 1` entries.
+/// With the search's 24-byte parent links and at least two 12-byte slots
+/// per entry that is over 200 GB in one shard, far beyond any resident
+/// search.
+#[inline]
+fn entry_index(len: usize) -> u32 {
+    u32::try_from(len).expect("FpMap entry index past u32::MAX: one table holds at most 2^32 entries")
+}
+
 impl<V> FpMap<V> {
     /// An empty table.
     pub fn new() -> Self {
         FpMap {
             keys: vec![EMPTY; 64],
-            vals: (0..64).map(|_| None).collect(),
-            len: 0,
+            at: vec![0; 64],
+            vals: Vec::new(),
         }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.vals.len()
     }
 
     /// True if no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.vals.is_empty()
     }
 
-    /// Shallow byte footprint of the slot arrays: `capacity × (8 + value
-    /// slot width)`. A pure function of the entry set (capacity doubles at
-    /// fixed load thresholds), so the same search samples the same number
-    /// on every run — the deterministic memory accounting behind
+    /// Shallow byte footprint: `capacity × (8 + 4) + len × size_of::<V>()`
+    /// — the key and entry-index slot arrays plus the dense values. A pure
+    /// function of the entry set (capacity doubles at fixed load
+    /// thresholds), so the same search samples the same number on every run
+    /// — the deterministic memory accounting behind
     /// `SearchStats::peak_bytes`, deliberately *not* an RSS syscall.
     pub fn approx_bytes(&self) -> usize {
-        self.keys.len() * (8 + std::mem::size_of::<Option<V>>())
+        self.keys.len() * (8 + 4) + self.vals.len() * std::mem::size_of::<V>()
     }
 
     /// Drop every entry and shrink back to the empty table's 64-slot
-    /// footprint, releasing the grown slot arrays. The spill path calls
-    /// this after paging a shard to disk; `approx_bytes` drops with it.
+    /// footprint, releasing the grown arrays. The spill path calls this
+    /// after paging a shard to disk; `approx_bytes` drops with it.
     pub fn clear(&mut self) {
-        self.keys = vec![EMPTY; 64];
-        self.vals = (0..64).map(|_| None).collect();
-        self.len = 0;
+        *self = FpMap::new();
     }
 
     #[inline]
@@ -172,20 +194,33 @@ impl<V> FpMap<V> {
         }
     }
 
+    /// Double the slot arrays, rehashing each key with its entry index; the
+    /// values stay where they are.
     fn grow(&mut self) {
         let new_cap = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        let old_vals = std::mem::replace(
-            &mut self.vals,
-            (0..new_cap).map(|_| None).collect(),
-        );
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+        let old_at = std::mem::replace(&mut self.at, vec![0; new_cap]);
+        for (k, e) in old_keys.into_iter().zip(old_at) {
             if k != EMPTY {
                 let i = self.slot(k);
                 self.keys[i] = k;
-                self.vals[i] = v;
+                self.at[i] = e;
             }
         }
+    }
+
+    /// Fill the empty slot `i` that [`Self::slot`] found for `key` with
+    /// `make()`, doubling first (and re-probing) at the 50 % load threshold.
+    #[inline]
+    fn occupy(&mut self, mut i: usize, key: u64, make: impl FnOnce() -> V) {
+        let e = entry_index(self.vals.len());
+        if (self.vals.len() + 1) * 2 > self.keys.len() {
+            self.grow();
+            i = self.slot(key);
+        }
+        self.keys[i] = key;
+        self.at[i] = e;
+        self.vals.push(make());
     }
 
     /// Is `fp` present?
@@ -199,7 +234,7 @@ impl<V> FpMap<V> {
         let key = key_of(fp);
         let i = self.slot(key);
         if self.keys[i] == key {
-            self.vals[i].as_ref()
+            Some(&self.vals[self.at[i] as usize])
         } else {
             None
         }
@@ -212,20 +247,14 @@ impl<V> FpMap<V> {
     /// insertions.
     pub fn try_insert_with(&mut self, fp: u64, cap: Cap, make: impl FnOnce() -> V) -> TryInsert {
         let key = key_of(fp);
-        let mut i = self.slot(key);
+        let i = self.slot(key);
         if self.keys[i] == key {
             return TryInsert::Present;
         }
-        if !cap.admits(self.len) {
+        if !cap.admits(self.vals.len()) {
             return TryInsert::Full;
         }
-        if (self.len + 1) * 2 > self.keys.len() {
-            self.grow();
-            i = self.slot(key);
-        }
-        self.keys[i] = key;
-        self.vals[i] = Some(make());
-        self.len += 1;
+        self.occupy(i, key, make);
         TryInsert::Inserted
     }
 
@@ -247,7 +276,7 @@ impl<V> FpMap<V> {
     /// ordered with the last cluster instead of the first.
     fn ordered_slots(&self) -> Vec<usize> {
         let shift = 64 - self.keys.len().trailing_zeros();
-        let mut idx = Vec::with_capacity(self.len);
+        let mut idx = Vec::with_capacity(self.vals.len());
         let mut wrapped = Vec::new();
         let mut cluster = 0;
         for (i, &k) in self.keys.iter().enumerate() {
@@ -271,20 +300,46 @@ impl<V> FpMap<V> {
     pub fn iter_ordered(&self) -> impl Iterator<Item = (u64, &V)> {
         self.ordered_slots()
             .into_iter()
-            .map(|i| (self.keys[i], self.vals[i].as_ref().expect("occupied")))
+            .map(|i| (self.keys[i], &self.vals[self.at[i] as usize]))
     }
 
     /// Move every entry out, in [`FpMap::iter_ordered`]'s order, leaving
     /// the 64-slot empty table [`FpMap::clear`] leaves. It is what
     /// `Search::suspend` and the spill path's visited flush page shards out
     /// with: both are done with the table, so nothing is cloned.
+    ///
+    /// The values move into the returned vector in insertion order, each
+    /// gets its key from its slot, and the vector is then permuted into key
+    /// order in place, cycle by cycle — the ordered slot list, turned into
+    /// entry indices, is the only transient buffer.
     pub fn take_ordered(&mut self) -> Vec<(u64, V)> {
-        let entries = self
-            .ordered_slots()
+        let mut order = self.ordered_slots();
+        let mut entries: Vec<(u64, V)> = std::mem::take(&mut self.vals)
             .into_iter()
-            .map(|i| (self.keys[i], self.vals[i].take().expect("occupied")))
+            .map(|v| (EMPTY, v))
             .collect();
+        for s in order.iter_mut() {
+            let e = self.at[*s] as usize;
+            entries[e].0 = self.keys[*s];
+            *s = e;
+        }
         self.clear();
+        // Position p takes entry order[p]: each cycle is walked once, and a
+        // filled position is marked `DONE`. The walk stops at the first
+        // marked position, so it ends within n steps on any input.
+        const DONE: usize = usize::MAX;
+        for start in 0..order.len() {
+            let mut p = start;
+            while order[p] != DONE {
+                let q = order[p];
+                order[p] = DONE;
+                if order[q] == DONE {
+                    break;
+                }
+                entries.swap(p, q);
+                p = q;
+            }
+        }
         entries
     }
 
@@ -297,7 +352,7 @@ impl<V> FpMap<V> {
     /// apart. Ascending keys have non-decreasing home slots, so each entry
     /// lands on the first free slot at or after its home with everything in
     /// between occupied — findable by the forward probe — and only the last
-    /// few can run off the end and wrap.
+    /// few can run off the end and wrap. The values keep the page's order.
     ///
     /// # Panics
     ///
@@ -307,8 +362,8 @@ impl<V> FpMap<V> {
         let (shift, mask) = (64 - cap.trailing_zeros(), cap - 1);
         let mut map = FpMap {
             keys: vec![EMPTY; cap],
-            vals: (0..cap).map(|_| None).collect(),
-            len: entries.len(),
+            at: vec![0; cap],
+            vals: Vec::with_capacity(entries.len()),
         };
         let (mut prev, mut free) = (EMPTY, 0);
         for (key, v) in entries {
@@ -319,7 +374,8 @@ impl<V> FpMap<V> {
                 i = (i + 1) & mask;
             }
             map.keys[i] = key;
-            map.vals[i] = Some(v);
+            map.at[i] = entry_index(map.vals.len());
+            map.vals.push(v);
             free = i + 1;
         }
         map
@@ -405,7 +461,7 @@ impl<V> ShardedFpMap<V> {
             (key % n as u64) as usize
         };
         let shard = &mut self.shards[si];
-        let mut i = shard.slot(key);
+        let i = shard.slot(key);
         // Dedup before cap, mirroring the flat table: a present fingerprint
         // is never reported Full.
         if shard.keys[i] == key {
@@ -414,13 +470,7 @@ impl<V> ShardedFpMap<V> {
         if !cap.admits(self.len) {
             return TryInsert::Full;
         }
-        if (shard.len + 1) * 2 > shard.keys.len() {
-            shard.grow();
-            i = shard.slot(key);
-        }
-        shard.keys[i] = key;
-        shard.vals[i] = Some(make());
-        shard.len += 1;
+        shard.occupy(i, key, make);
         self.len += 1;
         TryInsert::Inserted
     }
@@ -667,6 +717,83 @@ mod tests {
         }
     }
 
+    det_prop! {
+        /// `FpMap<Vec<u8>>` (a value neither `Copy` nor slot-sized) against
+        /// a `BTreeMap` oracle. Op `v` is fingerprint `0` or `1` (the folded
+        /// zero key: both are stored as `1`), `u64::MAX − v` for `v < 40`
+        /// (home slot the last one, so they wrap to slot 0), and a spread
+        /// key otherwise; up to ~1600 distinct keys double the table five
+        /// times. Every verdict, `len`, `get`, `iter_ordered`, the
+        /// accounting, `take_ordered` → `from_ascending` → `get`, and
+        /// inserts into the reloaded table that make it double again.
+        fn fp_map_of_vectors_matches_a_btreemap(
+            cases = 64,
+            cap_choice in 0usize..4,
+            ops in prop::vec(0u64..1600, 0..2500)
+        ) {
+            let cap = [Cap::Unbounded, Cap::At(7), Cap::At(150), Cap::At(1000)][cap_choice];
+            let fp = |v: u64| match v {
+                0 | 1 => v,
+                2..=39 => u64::MAX - v,
+                _ => v.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            };
+            let value = |v: u64, step: usize| format!("{v}@{step}").into_bytes();
+            let mut m: FpMap<Vec<u8>> = FpMap::new();
+            let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            for (step, &v) in ops.iter().enumerate() {
+                let key = key_of(fp(v));
+                let want = if oracle.contains_key(&key) {
+                    TryInsert::Present
+                } else if !cap.admits(oracle.len()) {
+                    TryInsert::Full
+                } else {
+                    oracle.insert(key, value(v, step));
+                    TryInsert::Inserted
+                };
+                det_assert_eq!(m.try_insert_with(fp(v), cap, || value(v, step)), want);
+                det_assert_eq!(m.len(), oracle.len());
+            }
+            let bytes = |m: &FpMap<Vec<u8>>| m.capacity() * 12 + m.len() * std::mem::size_of::<Vec<u8>>();
+            det_assert_eq!(m.approx_bytes(), bytes(&m));
+            for v in 0..1600 {
+                det_assert_eq!(m.get(fp(v)), oracle.get(&key_of(fp(v))));
+            }
+            let sorted: Vec<(u64, Vec<u8>)> = oracle.into_iter().collect();
+            let walked: Vec<(u64, Vec<u8>)> = m.iter_ordered().map(|(k, v)| (k, v.clone())).collect();
+            det_assert_eq!(walked, sorted);
+            let taken = m.take_ordered();
+            det_assert_eq!(taken, sorted);
+            det_assert_eq!((m.len(), m.capacity(), m.approx_bytes()), (0, 64, 64 * 12));
+
+            let mut back = FpMap::from_ascending(taken);
+            det_assert_eq!(back.approx_bytes(), bytes(&back));
+            for (k, v) in &sorted {
+                det_assert_eq!(back.get(*k), Some(v));
+            }
+            let grown_from = back.capacity();
+            let fresh = |j: u64| (j + 2000).wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let mut j = 0;
+            while back.capacity() == grown_from {
+                det_assert_eq!(back.try_insert_with(fresh(j), Cap::Unbounded, || vec![j as u8]), TryInsert::Inserted);
+                j += 1;
+            }
+            for (k, v) in &sorted {
+                det_assert_eq!(back.get(*k), Some(v));
+            }
+            for i in 0..j {
+                det_assert_eq!(back.get(fresh(i)), Some(&vec![i as u8]));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "entry index past u32::MAX")]
+    fn entry_indices_end_at_u32_max() {
+        assert_eq!(entry_index(0), 0);
+        assert_eq!(entry_index(u32::MAX as usize), u32::MAX);
+        entry_index(u32::MAX as usize + 1);
+    }
+
     #[test]
     fn insert_lookup_and_dedup() {
         let mut m: FpMap<usize> = FpMap::new();
@@ -829,30 +956,38 @@ mod tests {
 
     #[test]
     fn approx_bytes_tracks_growth_and_clear_releases_it() {
-        let slot = 8 + std::mem::size_of::<Option<u64>>();
+        // capacity × (8-byte key + 4-byte entry index) + len × size_of::<V>().
         let mut m: FpMap<u64> = FpMap::new();
-        assert_eq!(m.approx_bytes(), 64 * slot);
+        assert_eq!(m.approx_bytes(), 64 * 12);
         // Push past the 50% load threshold a few times; the footprint is a
         // pure function of the entry count, not of insertion history.
         for fp in 1..=200u64 {
             m.try_insert_with(fp, Cap::Unbounded, || fp);
         }
-        assert_eq!(m.approx_bytes(), 512 * slot);
+        assert_eq!(m.capacity(), 512);
+        assert_eq!(m.approx_bytes(), 512 * 12 + 200 * 8);
         m.clear();
         assert_eq!(m.len(), 0);
-        assert_eq!(m.approx_bytes(), 64 * slot);
+        assert_eq!(m.approx_bytes(), 64 * 12);
         assert!(!m.contains(7));
         // Cleared tables accept fresh inserts from a clean slate.
         m.try_insert_with(7, Cap::Unbounded, || 7);
         assert_eq!(m.get(7), Some(&7));
+        assert_eq!(m.approx_bytes(), 64 * 12 + 8);
+
+        // A parent link's width: the values are counted per entry, not per slot.
+        let mut wide: FpMap<(u64, u64, u64)> = FpMap::new();
+        for fp in 1..=100u64 {
+            wide.try_insert_with(fp, Cap::Unbounded, || (fp, fp, fp));
+        }
+        assert_eq!(wide.approx_bytes(), 256 * 12 + 100 * 24);
 
         let mut sharded: ShardedFpMap<u64> = ShardedFpMap::new(4);
-        assert_eq!(sharded.approx_bytes(), 4 * 64 * slot);
+        assert_eq!(sharded.approx_bytes(), 4 * 64 * 12);
         for fp in 1..=500u64 {
             sharded.try_insert_with(fp, Cap::Unbounded, || fp);
         }
-        let grown: usize = sharded.shards().iter().map(FpMap::approx_bytes).sum();
-        assert_eq!(sharded.approx_bytes(), grown);
-        assert!(sharded.approx_bytes() > 4 * 64 * slot);
+        // 125 entries per shard, 256 slots each.
+        assert_eq!(sharded.approx_bytes(), 4 * (256 * 12 + 125 * 8));
     }
 }

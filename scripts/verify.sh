@@ -83,6 +83,17 @@ if ! cmp -s "$check_tmp/resumed.txt" "$check_tmp/straight.txt"; then
     diff "$check_tmp/resumed.txt" "$check_tmp/straight.txt" >&2 || true
     exit 1
 fi
+# The straight line renders `SearchStats`, `peak_bytes` included, so its
+# pin also holds the visited table's byte accounting (`FpMap::approx_bytes`,
+# docs/EXPLORE.md "The visited table") end to end.
+check_straight_sha256=73224e0d36973bc7f8d018858492e2ee67246267d1102466db961d7dae2a6012
+check_straight_got="$(sha256sum < "$check_tmp/straight.txt" | cut -d' ' -f1)"
+if [ "$check_straight_got" != "$check_straight_sha256" ]; then
+    echo "error: check straight moved: sha256 $check_straight_got, pinned $check_straight_sha256" >&2
+    cat "$check_tmp/straight.txt" >&2
+    echo "  if the new report is intended, update check_straight_sha256 in scripts/verify.sh" >&2
+    exit 1
+fi
 # A parameter the model cannot hold is refused with its line number, not
 # wrapped into a different model (`grid 2 256` used to run as max = 0).
 printf 'ring 4 evades-free\ngrid 2 256 reaches-corner\n' > "$check_tmp/wide.txt"
@@ -94,7 +105,7 @@ if ! printf '%s' "$wide_err" | grep -q 'line 2: bad grid max `256`'; then
     echo "error: check manifest did not name the out-of-range grid max: $wide_err" >&2
     exit 1
 fi
-echo "check smoke: OK (cold JSON sha256 pinned; cache hit on rerun; resumed == straight bytes; grid max 256 refused)"
+echo "check smoke: OK (cold JSON sha256 pinned; cache hit on rerun; resumed == straight bytes, straight sha256 pinned; grid max 256 refused)"
 
 echo "== trace smoke (every dump target deterministic and pinned; unknown target refused) =="
 # Each target's stdout sha256 is pinned, as experiments_sha256 is below: a
