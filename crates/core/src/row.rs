@@ -5,9 +5,11 @@
 //! a 24-byte header plus a heap block, so every interned state, frontier
 //! state and successor chases a pointer per field. [`Row<T, N>`] stores up
 //! to `N` values in an array next to a `u8` length: no heap block, `Copy`
-//! when `T` is, and a fixed size (`size_of::<Row<u64, 12>>()` is 104 bytes;
-//! a `Vec` of 12 `u64`s is a 24-byte header, a 96-byte block and the
-//! allocator's header).
+//! when `T` is, and a fixed size. `MutexState`'s registers are a
+//! `Row<u32, 12>`, 52 bytes (a `Vec` of 12 `u64`s is a 24-byte header, a
+//! 96-byte block and the allocator's header); its `MutexAlgorithm` trait
+//! still reads and writes `u64`, and `MutexSystem` narrows each stored
+//! value in one checked step.
 //!
 //! It is a slice to every reader: [`Deref`] / [`DerefMut`] to `[T]` (so
 //! `row[i]`, `row.iter()`, `row.sort_unstable()` work unchanged), and `==`,

@@ -57,3 +57,11 @@ det_prop! {
 fn filling_past_the_capacity_panics_naming_it() {
     Row::<u16, 8>::filled(0, 9);
 }
+
+#[test]
+fn rows_keep_their_pinned_layouts() {
+    use std::mem::size_of;
+    // `sharedmem::MutexState`'s register row, and the `u64` row it was.
+    assert_eq!(size_of::<Row<u32, 12>>(), 52);
+    assert_eq!(size_of::<Row<u64, 12>>(), 104);
+}

@@ -41,7 +41,7 @@
 //!
 //! What is *not* supported: pause/resume (a spilled run already has
 //! durable pages; wiring `SearchCheckpoint` to reference them is ROADMAP
-//! follow-on).
+//! item 13).
 //! Witness replay works — parent links live in the run pages, and the
 //! cold lookup walks them from disk.
 //!

@@ -18,7 +18,7 @@ use crate::mutex::{MutexAction, MutexAlgorithm, MutexState, MutexSystem, Region}
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
 use impossible_explore::{Encode, Search};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A mutual-exclusion violation: a shortest execution ending with two or
 /// more processes simultaneously critical.
@@ -124,23 +124,23 @@ where
             continue;
         }
         // Obligated processes at the head: non-remainder ones. Each must take
-        // at least one Step in the cycle (victim included).
-        let obligated: Vec<usize> = (0..n)
-            .filter(|&i| sys.algorithm().region(&head.locals[i]) != Region::Remainder)
-            .collect();
-        debug_assert!(obligated.contains(&victim));
-        // One bit per obligated process: a `MutexState` holds at most 8, so `u32` always fits.
-        let bit: BTreeMap<usize, u32> = obligated
-            .iter()
-            .enumerate()
-            .map(|(k, &p)| (p, 1u32 << k))
-            .collect();
-        let full: u32 = (1u32 << obligated.len()) - 1;
+        // at least one Step in the cycle (victim included). The k-th obligated
+        // process gets bit k, indexed by process (0: not obligated); a
+        // `MutexState` holds at most 8 processes.
+        let mut bit = [0u32; 8];
+        let mut full = 0u32;
+        let obligated =
+            (0..n).filter(|&i| sys.algorithm().region(&head.locals[i]) != Region::Remainder);
+        for (k, p) in obligated.enumerate() {
+            bit[p] = 1 << k;
+            full |= bit[p];
+        }
+        debug_assert_ne!(bit[victim], 0);
 
         // A cycle through victim-trying states only, covering a step of
         // every obligated process.
         let class_bits = |a: &MutexAction| match a {
-            MutexAction::Step(_) => bit.get(&a.process()).copied().unwrap_or(0),
+            MutexAction::Step(_) => bit[a.process()],
             _ => 0,
         };
         if let Some(edges) = g
@@ -172,7 +172,7 @@ where
     let mut seen: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); m];
     for s in &states {
         for (v, val) in s.vars.iter().enumerate() {
-            seen[v].insert(*val);
+            seen[v].insert(u64::from(*val));
         }
     }
     seen.into_iter().map(|s| s.len()).collect()

@@ -144,7 +144,7 @@ pub fn find_counter_inaccuracy(
             .iter()
             .filter(|l| matches!(alg.region(l), Region::Critical | Region::Exit))
             .count() as u64;
-        s.vars[0] != holders
+        u64::from(s.vars[0]) != holders
     })
 }
 

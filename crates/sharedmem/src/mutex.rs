@@ -98,12 +98,21 @@ pub trait MutexAlgorithm {
 /// [`System::initial_states`] panics, naming the cap, on an algorithm that
 /// needs more. A `Row` compares, hashes, prints and encodes as the `Vec` of
 /// its values, so no order, trace or fingerprint depends on the storage.
+///
+/// The registers are stored as `u32`: `MutexState<DijkstraLocal>` is 72
+/// bytes (a 17-byte locals row, a 52-byte register row), not the 128 of a
+/// `u64` row. [`MutexAlgorithm`] still reads and writes `u64`; the one
+/// narrowing step is in [`MutexSystem`] (initial values and every stored
+/// value), a checked conversion that panics naming the variable and the
+/// value, never a truncation — Bakery's tickets are unbounded in principle.
+/// A `u32` below 2³² encodes as the same `u64` word and orders and prints as
+/// the `u64`, so the narrowing moves no fingerprint, order or output.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MutexState<L> {
     /// Per-process local states.
     pub locals: Row<L, 8>,
-    /// Shared variable values.
-    pub vars: Row<u64, 12>,
+    /// Shared variable values, narrowed from the algorithm's `u64`.
+    pub vars: Row<u32, 12>,
 }
 
 impossible_explore::impl_encode_struct!(MutexState<L> { locals, vars });
@@ -237,12 +246,24 @@ impl<'a, A: MutexAlgorithm> MutexSystem<'a, A> {
             }
             MutexAction::Step(_) => {
                 let var = self.alg.target(i, &state.locals[i]);
-                let (local, stored) = self.alg.step(i, &state.locals[i], state.vars[var]);
+                let value = u64::from(state.vars[var]);
+                let (local, stored) = self.alg.step(i, &state.locals[i], value);
                 next.locals[i] = local;
-                next.vars[var] = stored;
+                next.vars[var] = register(var, stored);
             }
         }
     }
+}
+
+/// The one narrowing step: `value` as stored in shared variable `var` of a
+/// [`MutexState`].
+///
+/// # Panics
+/// If `value` does not fit a `u32`; the message names `var` and `value`.
+fn register(var: usize, value: u64) -> u32 {
+    u32::try_from(value).unwrap_or_else(|_| {
+        panic!("shared variable {var} cannot hold {value}: a MutexState register is a u32")
+    })
 }
 
 impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
@@ -262,7 +283,7 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
         }
         let mut vars = Row::filled(0, self.alg.num_vars());
         for (v, x) in vars.iter_mut().enumerate() {
-            *x = self.alg.initial_var(v);
+            *x = register(v, self.alg.initial_var(v));
         }
         vec![MutexState { locals, vars }]
     }
@@ -316,9 +337,12 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::dijkstra::DijkstraLocal;
     use crate::algorithms::tas_lock::TasLock;
     use impossible_core::explore::Explorer;
     use impossible_core::system::SystemExt;
+    use impossible_det::{det_assert_eq, prop};
+    use impossible_explore::Fingerprint;
 
     #[test]
     fn initial_state_all_remainder() {
@@ -478,9 +502,8 @@ mod tests {
         // What `mutex_dijkstra4`'s reachable graph holds per state and per
         // edge: the interned `MutexState` (no heap block behind it), one
         // local, and one `Succ` edge.
-        use crate::algorithms::dijkstra::DijkstraLocal;
         use std::mem::size_of;
-        assert!(size_of::<MutexState<DijkstraLocal>>() <= 128);
+        assert_eq!(size_of::<MutexState<DijkstraLocal>>(), 72);
         assert_eq!(size_of::<DijkstraLocal>(), 2);
         assert_eq!(size_of::<(MutexAction, usize)>(), 16);
     }
@@ -490,5 +513,176 @@ mod tests {
     fn an_instance_past_the_variable_cap_is_refused_naming_it() {
         use crate::algorithms::dijkstra::Dijkstra;
         MutexSystem::new(&Dijkstra::new(6)).initial_states();
+    }
+
+    /// One process, three variables, all starting at 0 but variable 1,
+    /// which starts at `init_1`. The process's one trying step stores
+    /// `stored` into variable 2 and enters the critical region.
+    struct Stores {
+        init_1: u64,
+        stored: u64,
+    }
+
+    impl MutexAlgorithm for Stores {
+        type Local = Region;
+        fn name(&self) -> &'static str {
+            "stores(test)"
+        }
+        fn num_processes(&self) -> usize {
+            1
+        }
+        fn num_vars(&self) -> usize {
+            3
+        }
+        fn initial_var(&self, var: usize) -> u64 {
+            if var == 1 {
+                self.init_1
+            } else {
+                0
+            }
+        }
+        fn initial_local(&self, _i: usize) -> Region {
+            Region::Remainder
+        }
+        fn region(&self, local: &Region) -> Region {
+            *local
+        }
+        fn on_try(&self, _i: usize, _local: &Region) -> Region {
+            Region::Trying
+        }
+        fn on_exit(&self, _i: usize, _local: &Region) -> Region {
+            Region::Remainder
+        }
+        fn target(&self, _i: usize, _local: &Region) -> usize {
+            2
+        }
+        fn step(&self, _i: usize, _local: &Region, _value: u64) -> (Region, u64) {
+            (Region::Critical, self.stored)
+        }
+    }
+
+    /// The first value a `u32` register cannot hold.
+    const PAST_U32: u64 = u32::MAX as u64 + 1;
+
+    #[test]
+    fn the_widest_register_value_round_trips() {
+        let alg = Stores {
+            init_1: u64::from(u32::MAX),
+            stored: u64::from(u32::MAX),
+        };
+        let sys = MutexSystem::new(&alg);
+        let init = sys.initial_states()[0].clone();
+        let s = sys.step(
+            &sys.step(&init, &MutexAction::Try(0)),
+            &MutexAction::Step(0),
+        );
+        assert_eq!(s.vars, vec![0, u32::MAX, u32::MAX]);
+    }
+
+    #[test]
+    #[should_panic(expected = "shared variable 1 cannot hold 4294967296")]
+    fn an_initial_value_past_u32_is_refused_naming_it() {
+        let alg = Stores {
+            init_1: PAST_U32,
+            stored: 0,
+        };
+        MutexSystem::new(&alg).initial_states();
+    }
+
+    #[test]
+    #[should_panic(expected = "shared variable 2 cannot hold 4294967296")]
+    fn a_stored_value_past_u32_is_refused_naming_it() {
+        let alg = Stores {
+            init_1: 0,
+            stored: PAST_U32,
+        };
+        let sys = MutexSystem::new(&alg);
+        let tried = sys.step(&sys.initial_states()[0], &MutexAction::Try(0));
+        sys.step(&tried, &MutexAction::Step(0));
+    }
+
+    /// A [`MutexState`] as it was before the registers narrowed: the same
+    /// fields, as `Vec`s of the algorithm's `u64`.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct WideState {
+        locals: Vec<DijkstraLocal>,
+        vars: Vec<u64>,
+    }
+
+    impossible_explore::impl_encode_struct!(WideState { locals, vars });
+
+    /// Every `DijkstraLocal` with its `u8` fields below 3, by index.
+    fn dijkstra_local(code: u8) -> DijkstraLocal {
+        use DijkstraLocal::*;
+        let k = code % 3;
+        match code / 3 {
+            0 => [Rem, SetB, ReadK][usize::from(k)],
+            1 => SetCTrue { k },
+            2 => ReadBk { k },
+            3 => [WriteK, SetCFalse, Crit][usize::from(k)],
+            4 => CheckC { j: k },
+            _ => [ExitC, ExitB, ExitB][usize::from(k)],
+        }
+    }
+
+    /// A register value from a generated word below 2³²: even words give
+    /// 0, 1 or 2 (so states tie on a register), odd words themselves (so
+    /// the high bits are exercised).
+    fn register_value(word: u64) -> u64 {
+        if word.is_multiple_of(2) {
+            word % 6 / 2
+        } else {
+            word
+        }
+    }
+
+    /// The narrow state and its wide reference from generated codes.
+    fn both(locals: &[u8], words: &[u64]) -> (MutexState<DijkstraLocal>, WideState) {
+        let wide = WideState {
+            locals: locals.iter().map(|&c| dijkstra_local(c)).collect(),
+            vars: words.iter().map(|&w| register_value(w)).collect(),
+        };
+        let mut narrow = MutexState {
+            locals: Row::filled(DijkstraLocal::Rem, wide.locals.len()),
+            vars: Row::filled(0, wide.vars.len()),
+        };
+        narrow.locals.copy_from_slice(&wide.locals);
+        for (x, &v) in narrow.vars.iter_mut().zip(&wide.vars) {
+            *x = u32::try_from(v).unwrap();
+        }
+        (narrow, wide)
+    }
+
+    impossible_det::det_prop! {
+        /// The contract that makes the narrowing invisible: a `MutexState`
+        /// fingerprints, orders and prints exactly as the `u64` `Vec` state
+        /// holding the same values. `share` makes the second state's locals
+        /// the first's (1), and also the first half of its registers (2),
+        /// so the order is decided by the registers too.
+        fn registers_encode_and_order_as_u64(
+            cases = 512,
+            xs in prop::vec(0u8..18, 0..9),
+            xw in prop::vec(0u64..=u64::from(u32::MAX), 0..13),
+            ys in prop::vec(0u8..18, 0..9),
+            yw in prop::vec(0u64..=u64::from(u32::MAX), 0..13),
+            share in 0u8..3
+        ) {
+            let ys = if share > 0 { xs.clone() } else { ys };
+            let yw = if share > 1 {
+                let half = xw.len() / 2;
+                xw[..half].iter().chain(&yw).take(12).copied().collect()
+            } else {
+                yw
+            };
+            let (nx, wx) = both(&xs, &xw);
+            let (ny, wy) = both(&ys, &yw);
+            for seed in [0, 0x9E37_79B9_7F4A_7C15] {
+                det_assert_eq!(nx.fingerprint(seed), wx.fingerprint(seed));
+                det_assert_eq!(ny.fingerprint(seed), wy.fingerprint(seed));
+            }
+            det_assert_eq!(nx.cmp(&ny), wx.cmp(&wy));
+            let wide_debug = format!("{wx:?}").replacen("WideState", "MutexState", 1);
+            det_assert_eq!(format!("{nx:?}"), wide_debug);
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! the matching upper bound.
 
 use crate::mutex::{MutexAction, MutexAlgorithm, MutexSystem, Region};
+use impossible_core::system::System;
 use impossible_explore::{Encode, Search};
 
 /// Check idea (1): on every path from `Try` to the critical region, the
@@ -33,7 +34,7 @@ where
     for i in 0..alg.num_processes() {
         let participants = (0..alg.num_processes()).map(|p| p == i).collect();
         let sys = MutexSystem::with_participants(alg, participants);
-        let initial_vars: Vec<u64> = (0..alg.num_vars()).map(|v| alg.initial_var(v)).collect();
+        let initial_vars = sys.initial_states()[0].vars;
         let report = Search::new(&sys).max_states(max_states).search(|s| {
             s.locals
                 .iter()
