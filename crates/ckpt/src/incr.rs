@@ -30,7 +30,7 @@
 use impossible_core::ids::ProcessId;
 use impossible_core::system::System;
 use impossible_explore::{Encode, ReachableGraph, Search};
-use impossible_obs::{trace_event, NoopTracer, Tracer};
+use impossible_obs::{trace_event, Tracer};
 use std::collections::BTreeMap;
 
 /// A model edit expressed as an action filter over a base system: the
@@ -137,25 +137,10 @@ impl IncrStats {
 /// `Search::new(sys).max_states(max_states).graph()` — same states, same
 /// discovery order, same edges, same truncation, that search's default
 /// depth bound included — with `enabled`/`step` paid only on the
-/// recomputed states.
+/// recomputed states. Records `scope: "ckpt"` events into `tracer`: one
+/// `incr.start` with the old graph's size, one `incr.end` with the result
+/// size and the reuse split.
 pub fn reexplore_incremental<Sys, D>(
-    old: &ReachableGraph<Sys::State, Sys::Action>,
-    sys: &Sys,
-    dirty: D,
-    max_states: usize,
-) -> (ReachableGraph<Sys::State, Sys::Action>, IncrStats)
-where
-    Sys: System,
-    Sys::State: Encode,
-    D: Fn(&Sys::State) -> bool,
-{
-    reexplore_incremental_traced(old, sys, dirty, max_states, &mut NoopTracer)
-}
-
-/// [`reexplore_incremental`], recording trace events into `tracer` (scope
-/// `"ckpt"`): one `incr.start` with the old graph's size, one `incr.end`
-/// with the result size and the reuse split.
-pub fn reexplore_incremental_traced<Sys, D>(
     old: &ReachableGraph<Sys::State, Sys::Action>,
     sys: &Sys,
     dirty: D,
@@ -220,6 +205,7 @@ where
 mod tests {
     use super::*;
     use impossible_explore::Grid;
+    use impossible_obs::NoopTracer;
 
     /// Render a graph for byte-level comparison.
     fn bytes(g: &ReachableGraph<Vec<u8>, usize>) -> String {
@@ -232,7 +218,7 @@ mod tests {
         let old = Search::new(&sys).graph();
         let edit = ActionEdit::new(&sys, |_: &Vec<u8>, _: &usize| true);
         let (g, stats) =
-            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 1_000_000);
+            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 1_000_000, &mut NoopTracer);
         assert_eq!(bytes(&g), bytes(&old));
         assert_eq!(stats.recomputed, 0);
         assert_eq!(stats.reused, old.len());
@@ -246,7 +232,7 @@ mod tests {
         let old = Search::new(&sys).graph();
         let edit = ActionEdit::new(&sys, |s: &Vec<u8>, a: &usize| !(*a == 2 && s[0] > s[1]));
         let (g, stats) =
-            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 1_000_000);
+            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 1_000_000, &mut NoopTracer);
         let full = Search::new(&edit).graph();
         assert_eq!(bytes(&g), bytes(&full));
         assert!(stats.reused > 0, "clean states must be spliced");
@@ -259,7 +245,8 @@ mod tests {
         let old = Search::new(&sys).max_states(20).graph();
         assert!(old.truncated());
         let edit = ActionEdit::new(&sys, |_: &Vec<u8>, _: &usize| true);
-        let (g, stats) = reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 20);
+        let (g, stats) =
+            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 20, &mut NoopTracer);
         let full = Search::new(&edit).max_states(20).graph();
         assert_eq!(bytes(&g), bytes(&full));
         assert_eq!(stats.reused, 0, "capped succ lists must never be trusted");
@@ -296,7 +283,7 @@ mod tests {
         let old = Search::new(&sys).graph();
         let edit = crash_process(&sys, ProcessId(1));
         let (g, stats) =
-            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 1_000_000);
+            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 1_000_000, &mut NoopTracer);
         let full = Search::new(&sys).graph_filtered(|a| sys.owner(a) != Some(ProcessId(1)));
         assert_eq!(bytes(&g), bytes(&full));
         // Crashing a process dirties every state where it could still move,

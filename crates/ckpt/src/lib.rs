@@ -24,8 +24,8 @@
 //! * [`manifest`] — [`run_manifest`], the batch scheduler behind
 //!   `src/bin/check`: hits served from the cache, misses computed on the
 //!   [`WorkerPool`](impossible_explore::WorkerPool), outcomes reported in
-//!   manifest order with `scope:"ckpt"` trace events behind the usual
-//!   `*_traced` twin.
+//!   manifest order with `scope:"ckpt"` trace events through
+//!   [`run_manifest_traced`].
 //!
 //! The determinism contract everywhere is the repo's usual one: every
 //! artifact (snapshot bytes, cache file, manifest report JSON, trace) is a
@@ -39,6 +39,6 @@ pub mod snapshot;
 
 pub use cache::{job_key, model_fp, Verdict, VerdictCache};
 pub use impossible_explore::Persist;
-pub use incr::{crash_process, reexplore_incremental, reexplore_incremental_traced, ActionEdit, IncrStats};
+pub use incr::{crash_process, reexplore_incremental, ActionEdit, IncrStats};
 pub use manifest::{run_manifest, run_manifest_traced, CheckJob, JobOutcome, ManifestReport};
 pub use snapshot::{CkptError, Snapshot, FORMAT_VERSION, MAGIC};

@@ -201,17 +201,6 @@ impl BenOrRun {
     }
 }
 
-/// Run Ben-Or with crash faults until everyone decides (or `max_phases`).
-pub fn run_benor(
-    inputs: &[u64],
-    t: usize,
-    seed: u64,
-    crashes: &[(usize, usize, usize)],
-    max_phases: usize,
-) -> BenOrRun {
-    run_benor_traced(inputs, t, seed, crashes, max_phases, &mut NoopTracer)
-}
-
 /// One-character-per-process snapshot used by Ben-Or trace fields:
 /// `x` = crashed, `-` = no value, otherwise the (binary) value.
 fn census(net: &SyncNet<BenOr>, value_of: impl Fn(&BenOr) -> Option<u64>) -> String {
@@ -232,13 +221,13 @@ fn census(net: &SyncNet<BenOr>, value_of: impl Fn(&BenOr) -> Option<u64>) -> Str
         .collect()
 }
 
-/// [`run_benor`], recording a round transcript into `tracer` (scope
-/// `"benor"`): one `phase` event per completed report+proposal exchange
-/// (with the estimate census), one `decide` event per process the moment
-/// it decides, then `end`. Emission is sequential with the lock-step
-/// round loop, so the trace is a pure function of
-/// `(inputs, t, seed, crashes, max_phases)`.
-pub fn run_benor_traced(
+/// Run Ben-Or with crash faults until everyone decides (or `max_phases`),
+/// recording a round transcript into `tracer` (scope `"benor"`): one
+/// `phase` event per completed report+proposal exchange (with the estimate
+/// census), one `decide` event per process the moment it decides, then
+/// `end`. Emission is sequential with the lock-step round loop, so the
+/// trace is a pure function of `(inputs, t, seed, crashes, max_phases)`.
+pub fn run_benor(
     inputs: &[u64],
     t: usize,
     seed: u64,
@@ -343,7 +332,7 @@ pub fn phase_distribution(
     max_phases: usize,
 ) -> Vec<usize> {
     (0..samples)
-        .map(|seed| run_benor(inputs, t, seed, &[], max_phases).phases)
+        .map(|seed| run_benor(inputs, t, seed, &[], max_phases, &mut NoopTracer).phases)
         .collect()
 }
 
@@ -354,7 +343,7 @@ mod tests {
     #[test]
     fn unanimous_inputs_decide_in_one_phase() {
         for v in [0u64, 1] {
-            let run = run_benor(&[v; 5], 2, 7, &[], 50);
+            let run = run_benor(&[v; 5], 2, 7, &[], 50, &mut NoopTracer);
             assert!(run.complete);
             assert!(run.agreement());
             assert_eq!(run.decisions[0], Some(v)); // validity
@@ -365,7 +354,7 @@ mod tests {
     #[test]
     fn mixed_inputs_terminate_with_agreement_across_seeds() {
         for seed in 0..25 {
-            let run = run_benor(&[0, 1, 0, 1, 1], 2, seed, &[], 200);
+            let run = run_benor(&[0, 1, 0, 1, 1], 2, seed, &[], 200, &mut NoopTracer);
             assert!(run.complete, "seed {seed} did not terminate");
             assert!(run.agreement(), "seed {seed}: {:?}", run.decisions);
             let v = run.decisions.iter().flatten().next().unwrap();
@@ -376,7 +365,8 @@ mod tests {
     #[test]
     fn tolerates_crashes_without_violating_safety() {
         for seed in 0..10 {
-            let run = run_benor(&[0, 1, 1, 0, 1], 2, seed, &[(0, 1, 2), (3, 4, 1)], 300);
+            let crashes = [(0, 1, 2), (3, 4, 1)];
+            let run = run_benor(&[0, 1, 1, 0, 1], 2, seed, &crashes, 300, &mut NoopTracer);
             assert!(run.agreement(), "seed {seed}: {:?}", run.decisions);
         }
     }

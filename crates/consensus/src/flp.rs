@@ -239,7 +239,8 @@ where
         .fairness(live.len(), |a: &FlpAction| {
             sys.owner(a).and_then(|p| class.get(&p.index()).copied())
         })
-        .check_traced(&prop, tracer);
+        .tracer(tracer)
+        .check(&prop);
     report
 }
 

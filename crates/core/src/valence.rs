@@ -40,6 +40,7 @@
 //! use impossible_core::succ::Succ;
 //! use impossible_core::system::{DecisionSystem, System};
 //! use impossible_core::valence::ValenceEngine;
+//! use impossible_obs::NoopTracer;
 //!
 //! // One process free to decide either bit: the initial configuration is
 //! // bivalent and every successor univalent — a minimal Figure 3
@@ -64,7 +65,8 @@
 //! // undecided one leading to each decided one.
 //! let order = [None, Some(0), Some(1)];
 //! let succ = Succ::from_rows([vec![(0, 1), (1, 2)], vec![], vec![]]);
-//! let report = ValenceEngine::new(&FreeChoice).analyze_from_graph(&order, &succ, false);
+//! let report =
+//!     ValenceEngine::new(&FreeChoice).analyze_from_graph(&order, &succ, false, &mut NoopTracer);
 //! assert_eq!(report.bivalent_initials.len(), 1);
 //! assert_eq!(report.critical.len(), 1);
 //! ```
@@ -151,21 +153,10 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     /// successors, and `truncated` whether the builder hit a bound
     /// (classification then incomplete). The graph must be closed under
     /// `succ` (every target index < `order.len()`) and contain every
-    /// initial state it reached.
+    /// initial state it reached. Records `scope: "valence"` events into
+    /// `tracer`: graph size, fixpoint effort, the valence of each initial
+    /// configuration, and the classification tallies.
     pub fn analyze_from_graph(
-        &self,
-        order: &[Sys::State],
-        succ: &Succ<Sys::Action>,
-        truncated: bool,
-    ) -> ValenceReport<Sys::State> {
-        self.analyze_from_graph_traced(order, succ, truncated, &mut NoopTracer)
-    }
-
-    /// [`ValenceEngine::analyze_from_graph`], recording trace events into
-    /// `tracer` (scope `"valence"`): graph size, fixpoint effort, the
-    /// valence of each initial configuration, and the classification
-    /// tallies.
-    pub fn analyze_from_graph_traced(
         &self,
         order: &[Sys::State],
         succ: &Succ<Sys::Action>,
@@ -297,20 +288,10 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     /// [`ValenceEngine::analyze_from_graph`]) for a Bridgeland–Watro decider
     /// configuration (Figure 2): the first bivalent configuration, in graph
     /// order, from which some process's solo runs *inside the graph* reach
-    /// two different univalent valences.
+    /// two different univalent valences. Records `scope: "valence"` events
+    /// into `tracer`: one `decider.probe` per (bivalent configuration,
+    /// process) solo-run attempt, then `decider.found` or `decider.none`.
     pub fn find_decider_from_graph(
-        &self,
-        order: &[Sys::State],
-        succ: &Succ<Sys::Action>,
-    ) -> Option<Decider<Sys::State, Sys::Action>> {
-        self.find_decider_from_graph_traced(order, succ, &mut NoopTracer)
-    }
-
-    /// [`ValenceEngine::find_decider_from_graph`], recording trace events
-    /// into `tracer` (scope `"valence"`): one `decider.probe` per
-    /// (bivalent configuration, process) solo-run attempt, then
-    /// `decider.found` or `decider.none`.
-    pub fn find_decider_from_graph_traced(
         &self,
         order: &[Sys::State],
         succ: &Succ<Sys::Action>,
@@ -439,7 +420,7 @@ mod tests {
         let order: Vec<u8> = (0..7).collect();
         let succ = Succ::from_rows(ROWS.map(<[_]>::to_vec));
         let d = ValenceEngine::new(&Wired)
-            .find_decider_from_graph(&order, &succ)
+            .find_decider_from_graph(&order, &succ, &mut NoopTracer)
             .expect("0 is a decider for process 0");
         assert_eq!((d.config, d.process), (0, ProcessId(0)));
         assert_eq!(d.to_first, Execution::from_parts(vec![0, 3], vec![3]));

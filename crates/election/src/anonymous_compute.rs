@@ -13,6 +13,7 @@
 //! anonymity premium, measured.
 
 use crate::ring::{Dir, Status, SyncRingProcess, SyncRingRunner};
+use impossible_obs::NoopTracer;
 
 /// A rotation process: anonymous, knows `n`, accumulates the input vector.
 #[derive(Debug, Clone)]
@@ -101,7 +102,7 @@ where
     let n = inputs.len();
     let procs: Vec<Rotation> = inputs.iter().map(|&v| Rotation::new(n, v)).collect();
     let mut runner = SyncRingRunner::new(procs);
-    let out = runner.run(n + 1);
+    let out = runner.run(n + 1, &mut NoopTracer);
     let results = runner
         .processes()
         .iter()

@@ -11,6 +11,7 @@
 //! price of asynchrony the synchronous textbook version never mentions.
 
 use crate::ring::{Dir, ElectionOutcome, RingProcess, RingRunner, RingSchedule, Status};
+use impossible_obs::NoopTracer;
 
 /// Franklin wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +141,7 @@ impl RingProcess for Franklin {
 /// Run Franklin election on a ring with the given IDs (ring order).
 pub fn run_franklin(ids: &[u64], schedule: RingSchedule) -> ElectionOutcome {
     let procs: Vec<Franklin> = ids.iter().map(|&id| Franklin::new(id)).collect();
-    RingRunner::new(procs).run(schedule, 50_000_000)
+    RingRunner::new(procs).run(schedule, 50_000_000, &mut NoopTracer)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! bound (Figure 4) — the tightness half of experiment F3/E7.
 
 use crate::ring::{Dir, ElectionOutcome, RingProcess, RingRunner, RingSchedule, Status};
+use impossible_obs::NoopTracer;
 
 /// HS wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +121,7 @@ impl RingProcess for Hs {
 /// Run HS on a ring with the given IDs (ring order).
 pub fn run_hs(ids: &[u64], schedule: RingSchedule) -> ElectionOutcome {
     let procs: Vec<Hs> = ids.iter().map(|&id| Hs::new(id)).collect();
-    RingRunner::new(procs).run(schedule, 50_000_000)
+    RingRunner::new(procs).run(schedule, 50_000_000, &mut NoopTracer)
 }
 
 #[cfg(test)]

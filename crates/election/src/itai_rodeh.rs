@@ -11,6 +11,7 @@
 
 use crate::ring::{Dir, ElectionOutcome, Status, SyncRingProcess, SyncRingRunner};
 use impossible_det::DetRng;
+use impossible_obs::NoopTracer;
 
 /// A circulating token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +142,7 @@ pub fn run_itai_rodeh(n: usize, seed: u64, max_rounds: usize) -> (ElectionOutcom
         .map(|i| ItaiRodeh::new(n, seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64)))
         .collect();
     let mut runner = SyncRingRunner::new(procs);
-    let out = runner.run(max_rounds);
+    let out = runner.run(max_rounds, &mut NoopTracer);
     let phases = runner.processes().iter().map(|p| p.phases).max().unwrap_or(0);
     (out, phases)
 }

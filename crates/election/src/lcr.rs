@@ -6,6 +6,7 @@
 //! O(n log n) — the gap the Ω(n log n) lower bound \[25\] pins from below.
 
 use crate::ring::{Dir, ElectionOutcome, RingProcess, RingRunner, RingSchedule, Status};
+use impossible_obs::NoopTracer;
 
 /// LCR wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +72,7 @@ impl RingProcess for Lcr {
 /// Run LCR on a ring with the given IDs (in ring order).
 pub fn run_lcr(ids: &[u64], schedule: RingSchedule) -> ElectionOutcome {
     let procs: Vec<Lcr> = ids.iter().map(|&id| Lcr::new(id)).collect();
-    RingRunner::new(procs).run(schedule, 10_000_000)
+    RingRunner::new(procs).run(schedule, 10_000_000, &mut NoopTracer)
 }
 
 /// The LCR worst-case ring: IDs ascending in the direction of travel, so
@@ -98,7 +99,7 @@ mod tests {
         let ids = [4, 9, 2, 6];
         let procs: Vec<Lcr> = ids.iter().map(|&id| Lcr::new(id)).collect();
         let mut ring = RingRunner::new(procs);
-        let out = ring.run(RingSchedule::RoundRobin, 100_000);
+        let out = ring.run(RingSchedule::RoundRobin, 100_000, &mut NoopTracer);
         assert!(out.complete);
         for (i, p) in ring.processes().iter().enumerate() {
             if ids[i] == 9 {

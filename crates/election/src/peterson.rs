@@ -6,6 +6,7 @@
 //! active (halving the candidates), and everyone else becomes a relay.
 
 use crate::ring::{Dir, ElectionOutcome, RingProcess, RingRunner, RingSchedule, Status};
+use impossible_obs::NoopTracer;
 
 /// Peterson wire format (everything travels clockwise / `Right`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +126,7 @@ impl RingProcess for Peterson {
 /// Run Peterson election on a ring with the given IDs (ring order).
 pub fn run_peterson(ids: &[u64], schedule: RingSchedule) -> ElectionOutcome {
     let procs: Vec<Peterson> = ids.iter().map(|&id| Peterson::new(id)).collect();
-    RingRunner::new(procs).run(schedule, 50_000_000)
+    RingRunner::new(procs).run(schedule, 50_000_000, &mut NoopTracer)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! the resource the TimeSlice counterexample algorithm trades away.
 
 use impossible_det::DetRng;
-use impossible_obs::{trace_event, NoopTracer, Tracer};
+use impossible_obs::{trace_event, Tracer};
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
@@ -109,18 +109,13 @@ impl<P: RingProcess> RingRunner<P> {
         }
     }
 
-    /// Run to quiescence (or `max_events`); returns the outcome.
-    pub fn run(&mut self, schedule: RingSchedule, max_events: usize) -> ElectionOutcome {
-        self.run_traced(schedule, max_events, &mut NoopTracer)
-    }
-
-    /// [`RingRunner::run`], recording trace events into `tracer` (scope
-    /// `"election"`): one `deliver` event per message delivery (the
-    /// scheduler's full decision sequence), plus `elected` the moment a
-    /// process declares leadership, then `end`. The runner is sequential,
-    /// so the trace is a pure function of `(processes, schedule,
-    /// max_events)`.
-    pub fn run_traced(
+    /// Run to quiescence (or `max_events`); returns the outcome. Records
+    /// `scope: "election"` events into `tracer`: one `deliver` event per
+    /// message delivery (the scheduler's full decision sequence), plus
+    /// `elected` the moment a process declares leadership, then `end`. The
+    /// runner is sequential, so the trace is a pure function of
+    /// `(processes, schedule, max_events)`.
+    pub fn run(
         &mut self,
         schedule: RingSchedule,
         max_events: usize,
@@ -255,15 +250,10 @@ impl<P: SyncRingProcess> SyncRingRunner<P> {
     }
 
     /// Run until some process declares leadership and everyone else has
-    /// resolved, or `max_rounds` pass.
-    pub fn run(&mut self, max_rounds: usize) -> ElectionOutcome {
-        self.run_traced(max_rounds, &mut NoopTracer)
-    }
-
-    /// [`SyncRingRunner::run`], recording trace events into `tracer`
-    /// (scope `"election"`): one `round` event per synchronous round with
+    /// resolved, or `max_rounds` pass. Records `scope: "election"` events
+    /// into `tracer`: one `round` event per synchronous round with
     /// cumulative message and resolution counts, then `end`.
-    pub fn run_traced(&mut self, max_rounds: usize, tracer: &mut dyn Tracer) -> ElectionOutcome {
+    pub fn run(&mut self, max_rounds: usize, tracer: &mut dyn Tracer) -> ElectionOutcome {
         let n = self.procs.len();
         trace_event!(tracer, "election", "start",
             "mode": "sync",
@@ -343,6 +333,7 @@ impl<P: SyncRingProcess> SyncRingRunner<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impossible_obs::NoopTracer;
 
     /// A trivial token-forwarding process: forward anything right; the
     /// process with id 0 absorbs.
@@ -378,7 +369,7 @@ mod tests {
             })
             .collect();
         let mut ring = RingRunner::new(procs);
-        let out = ring.run(RingSchedule::RoundRobin, 10_000);
+        let out = ring.run(RingSchedule::RoundRobin, 10_000, &mut NoopTracer);
         assert!(out.complete);
         // Sink 0 hears tokens 1, 2, 3 plus its own after a full lap.
         let sink = &ring.processes()[0];
@@ -402,8 +393,8 @@ mod tests {
                     .collect::<Vec<_>>(),
             )
         };
-        let a = build().run(RingSchedule::Random(4), 10_000);
-        let b = build().run(RingSchedule::Random(4), 10_000);
+        let a = build().run(RingSchedule::Random(4), 10_000, &mut NoopTracer);
+        let b = build().run(RingSchedule::Random(4), 10_000, &mut NoopTracer);
         assert_eq!(a, b);
     }
 }

@@ -18,6 +18,7 @@
 //!   messages stay ≤ 2n.
 
 use crate::ring::{Dir, ElectionOutcome, Status, SyncRingProcess, SyncRingRunner};
+use impossible_obs::NoopTracer;
 
 /// A TimeSlice process (synchronous, ring size known).
 #[derive(Debug, Clone)]
@@ -83,7 +84,7 @@ pub fn run_timeslice(ids: &[u64]) -> ElectionOutcome {
     let n = ids.len();
     let max_id = *ids.iter().max().expect("nonempty") as usize;
     let procs: Vec<TimeSlice> = ids.iter().map(|&id| TimeSlice::new(id, n)).collect();
-    SyncRingRunner::new(procs).run(n * (max_id + 2))
+    SyncRingRunner::new(procs).run(n * (max_id + 2), &mut NoopTracer)
 }
 
 /// A VariableSpeeds process (synchronous, ring size unknown).
@@ -160,7 +161,7 @@ pub fn run_variable_speeds(ids: &[u64]) -> ElectionOutcome {
     let procs: Vec<VariableSpeeds> = ids.iter().map(|&id| VariableSpeeds::new(id)).collect();
     // The winner's token needs n · 2^min rounds to circle.
     let budget = (n * (1u64 << min_id.min(20)) + 4 * n) as usize;
-    SyncRingRunner::new(procs).run(budget)
+    SyncRingRunner::new(procs).run(budget, &mut NoopTracer)
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ use crate::fingerprint::Encode;
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
 use crate::persist::Persist;
 use crate::search::{
-    BfsRun, Child, Parent, Search, SearchReport, VisitedBackend, DEFAULT_PARTITIONS,
+    with_tracer, BfsRun, Child, Parent, Search, SearchReport, VisitedBackend, DEFAULT_PARTITIONS,
 };
 use crate::table::{key_of, shard_index, Cap, ShardedFpMap};
 use impossible_core::system::System;
@@ -392,7 +392,9 @@ where
     /// (modulo [`crate::SearchStats::peak_bytes`], which is the point), bounded
     /// resident memory per `policy`.
     pub fn explore_extmem(&self, policy: &SpillPolicy) -> SearchReport<Sys::State, Sys::Action> {
-        self.run_on(Spill::new(policy), None::<fn(&Sys::State) -> bool>, &mut NoopTracer)
+        with_tracer(&self.tracer, &mut NoopTracer, |t| {
+            self.run_on(Spill::new(policy), None::<fn(&Sys::State) -> bool>, t)
+        })
     }
 
     /// [`Search::search`], external-memory mode: BFS until `pred` matches;
@@ -406,6 +408,8 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        self.run_on(Spill::new(policy), Some(pred), &mut NoopTracer)
+        with_tracer(&self.tracer, &mut NoopTracer, |t| {
+            self.run_on(Spill::new(policy), Some(pred), t)
+        })
     }
 }

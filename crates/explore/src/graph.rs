@@ -71,13 +71,13 @@
 //! `core::succ`, which `core::valence` reaches too.
 
 use crate::fingerprint::{BatchScratch, Encode};
-use crate::search::{Search, DEFAULT_PARTITIONS};
+use crate::search::{with_tracer, Search, DEFAULT_PARTITIONS};
 use crate::table::InternIndex;
 use impossible_core::explore::Truncation;
 use impossible_core::succ::Succ;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::{Decider, ValenceEngine, ValenceReport};
-use impossible_obs::{NoopTracer, Tracer};
+use impossible_obs::NoopTracer;
 
 /// A reachable configuration graph: `order[i]` is state `i`, `succ[i]` its
 /// `(action, target_index)` edges in action order.
@@ -278,41 +278,24 @@ where
 {
     /// Valence-classify the reachable space (Figures 2–3): build the graph
     /// here, run the classification fixpoint through
-    /// [`ValenceEngine::analyze_from_graph`].
+    /// [`ValenceEngine::analyze_from_graph`], tracing into the tracer
+    /// [`Search::tracer`] set (scope `"valence"`).
     pub fn valence(&self) -> ValenceReport<Sys::State> {
-        self.valence_traced(&mut NoopTracer)
-    }
-
-    /// [`Search::valence`], recording trace events into `tracer` (scope
-    /// `"valence"`): graph size, fixpoint effort, the valence of each
-    /// initial configuration, and the classification tallies.
-    pub fn valence_traced(&self, tracer: &mut dyn Tracer) -> ValenceReport<Sys::State> {
         let g = self.graph();
-        ValenceEngine::new(self.sys()).analyze_from_graph_traced(
-            &g.order,
-            &g.succ,
-            g.truncated(),
-            tracer,
-        )
+        with_tracer(&self.tracer, &mut NoopTracer, |t| {
+            ValenceEngine::new(self.sys()).analyze_from_graph(&g.order, &g.succ, g.truncated(), t)
+        })
     }
 
     /// Search the reachable space for a Bridgeland–Watro decider
     /// configuration (Figure 2), through
-    /// [`ValenceEngine::find_decider_from_graph`].
+    /// [`ValenceEngine::find_decider_from_graph`], tracing into the tracer
+    /// [`Search::tracer`] set (scope `"valence"`).
     pub fn find_decider(&self) -> Option<Decider<Sys::State, Sys::Action>> {
-        self.find_decider_traced(&mut NoopTracer)
-    }
-
-    /// [`Search::find_decider`], recording trace events into `tracer`
-    /// (scope `"valence"`): one `decider.probe` per (bivalent
-    /// configuration, process) solo-run attempt, then `decider.found` or
-    /// `decider.none`.
-    pub fn find_decider_traced(
-        &self,
-        tracer: &mut dyn Tracer,
-    ) -> Option<Decider<Sys::State, Sys::Action>> {
         let g = self.graph();
-        ValenceEngine::new(self.sys()).find_decider_from_graph_traced(&g.order, &g.succ, tracer)
+        with_tracer(&self.tracer, &mut NoopTracer, |t| {
+            ValenceEngine::new(self.sys()).find_decider_from_graph(&g.order, &g.succ, t)
+        })
     }
 }
 

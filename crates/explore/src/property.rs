@@ -76,10 +76,11 @@
 
 use crate::fingerprint::Encode;
 use crate::graph::ReachableGraph;
-use crate::search::Search;
+use crate::search::{with_tracer, Search};
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
 use impossible_obs::{escape_into, trace_event, NoopTracer, Tracer};
+use std::cell::RefCell;
 use std::fmt::Debug;
 
 type Pred<'p, S> = Box<dyn Fn(&S) -> bool + 'p>;
@@ -282,6 +283,7 @@ pub struct Checker<'a, S, A> {
     admissible: Option<Box<dyn Fn(&S) -> bool + 'a>>,
     classes: usize,
     class_of: Option<Box<dyn Fn(&A) -> Option<usize> + 'a>>,
+    tracer: RefCell<Option<&'a mut dyn Tracer>>,
 }
 
 impl<'a, S, A> Checker<'a, S, A>
@@ -296,6 +298,7 @@ where
             admissible: None,
             classes: 0,
             class_of: None,
+            tracer: RefCell::new(None),
         }
     }
 
@@ -329,42 +332,42 @@ where
         self
     }
 
-    /// Check `prop`, untraced.
-    pub fn check(&self, prop: &Property<'_, S>) -> PropertyReport<S, A> {
-        self.check_traced(prop, &mut NoopTracer)
+    /// Record every later check's `scope: "property"` events into
+    /// `tracer` (see `docs/PROPERTIES.md` for the vocabulary). Unset, a
+    /// check records nothing, through `NoopTracer`.
+    pub fn tracer(mut self, tracer: &'a mut dyn Tracer) -> Self {
+        self.tracer = Some(tracer).into();
+        self
     }
 
-    /// Check `prop`, emitting `scope: "property"` events (see
-    /// `docs/PROPERTIES.md` for the vocabulary).
-    pub fn check_traced(
-        &self,
-        prop: &Property<'_, S>,
-        tracer: &mut dyn Tracer,
-    ) -> PropertyReport<S, A> {
-        trace_event!(tracer, "property", "check.start",
-            "name": prop.name.as_str(),
-            "property": prop.kind_name(),
-            "states": self.g.len(),
-            "edges": self.g.num_edges(),
-            "truncated": self.g.truncated());
-        let report = match &prop.kind {
-            PropKind::Always(p) => self.safety(prop, |s| !p(s)),
-            PropKind::Never(p) => self.safety(prop, |s| p(s)),
-            PropKind::Eventually(p) => self.liveness(prop, |s| !p(s), None, tracer),
-            PropKind::LeadsTo(p, q) => self.liveness(prop, |s| !q(s), Some(p), tracer),
-        };
-        let (ce, stem, cycle) = match &report.counterexample {
-            None => ("none", 0usize, 0usize),
-            Some(Counterexample::BadState(e)) => ("bad-state", e.len(), 0),
-            Some(Counterexample::Lasso(l)) => ("lasso", l.stem.len(), l.cycle.len()),
-        };
-        trace_event!(tracer, "property", "verdict",
-            "name": prop.name.as_str(),
-            "holds": report.holds,
-            "counterexample": ce,
-            "stem": stem,
-            "cycle": cycle);
-        report
+    /// Check `prop`, tracing into the tracer [`Checker::tracer`] set.
+    pub fn check(&self, prop: &Property<'_, S>) -> PropertyReport<S, A> {
+        with_tracer(&self.tracer, &mut NoopTracer, |tracer| {
+            trace_event!(tracer, "property", "check.start",
+                "name": prop.name.as_str(),
+                "property": prop.kind_name(),
+                "states": self.g.len(),
+                "edges": self.g.num_edges(),
+                "truncated": self.g.truncated());
+            let report = match &prop.kind {
+                PropKind::Always(p) => self.safety(prop, |s| !p(s)),
+                PropKind::Never(p) => self.safety(prop, |s| p(s)),
+                PropKind::Eventually(p) => self.liveness(prop, |s| !p(s), None, tracer),
+                PropKind::LeadsTo(p, q) => self.liveness(prop, |s| !q(s), Some(p), tracer),
+            };
+            let (ce, stem, cycle) = match &report.counterexample {
+                None => ("none", 0usize, 0usize),
+                Some(Counterexample::BadState(e)) => ("bad-state", e.len(), 0),
+                Some(Counterexample::Lasso(l)) => ("lasso", l.stem.len(), l.cycle.len()),
+            };
+            trace_event!(tracer, "property", "verdict",
+                "name": prop.name.as_str(),
+                "holds": report.holds,
+                "counterexample": ce,
+                "stem": stem,
+                "cycle": cycle);
+            report
+        })
     }
 
     fn report_shell(&self, prop: &Property<'_, S>) -> PropertyReport<S, A> {
@@ -570,25 +573,16 @@ where
     Sys::State: Encode,
 {
     /// Build the reachable graph and check `prop` over it, with no
-    /// admissibility or fairness constraints. Use [`Checker`] directly
-    /// (over [`Search::graph`] / [`Search::graph_filtered`]) when cycles
-    /// must be admissible or fair.
+    /// admissibility or fairness constraints, tracing into the tracer
+    /// [`Search::tracer`] set (scope `"property"`). Use [`Checker`]
+    /// directly (over [`Search::graph`] / [`Search::graph_filtered`]) when
+    /// cycles must be admissible or fair.
     pub fn check_property(
         &self,
         prop: &Property<'_, Sys::State>,
     ) -> PropertyReport<Sys::State, Sys::Action> {
-        self.check_property_traced(prop, &mut NoopTracer)
-    }
-
-    /// [`Search::check_property`] with `scope: "property"` trace events.
-    pub fn check_property_traced(
-        &self,
-        prop: &Property<'_, Sys::State>,
-        tracer: &mut dyn Tracer,
-    ) -> PropertyReport<Sys::State, Sys::Action> {
         let g = self.graph();
-        let report = Checker::new(&g).check_traced(prop, tracer);
-        report
+        with_tracer(&self.tracer, &mut NoopTracer, |t| Checker::new(&g).tracer(t).check(prop))
     }
 }
 
@@ -903,12 +897,13 @@ mod tests {
         let sys = Loop { max: 4, wrap_to: 2 };
         let mut tracer = RingTracer::new(64);
         let r = Search::new(&sys)
-            .check_property_traced(&eventually("reaches-9", |s: &L| s.0 == 9), &mut tracer);
+            .tracer(&mut tracer)
+            .check_property(&eventually("reaches-9", |s: &L| s.0 == 9));
         assert!(!r.holds);
         let kinds: Vec<&str> = tracer.events().iter().map(|e| e.kind.as_str()).collect();
         assert_eq!(kinds, ["check.start", "scc", "verdict"]);
         assert!(tracer.events().iter().all(|e| e.scope == "property"));
-        // The untraced twin returns the identical report.
+        // Untraced, the same call returns the identical report.
         let untraced = Search::new(&sys).check_property(&eventually("reaches-9", |s: &L| s.0 == 9));
         assert_eq!(r.to_json(), untraced.to_json());
     }

@@ -56,6 +56,7 @@ use impossible_core::explore::Truncation;
 use impossible_core::system::System;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// Trace field value for a truncation cause ("none" when unbounded).
 fn truncation_name(t: &Option<Truncation>) -> &'static str {
@@ -259,6 +260,7 @@ pub struct Search<'a, Sys: System> {
     workers: usize,
     seed: u64,
     canon: Option<fn(&Sys::State) -> Sys::State>,
+    pub(crate) tracer: RefCell<Option<&'a mut dyn Tracer>>,
 }
 
 impl<'a, Sys: System> Search<'a, Sys> {
@@ -272,6 +274,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
             workers: 1,
             seed: DEFAULT_SEED,
             canon: None,
+            tracer: RefCell::new(None),
         }
     }
 
@@ -307,6 +310,14 @@ impl<'a, Sys: System> Search<'a, Sys> {
     /// to every successor before fingerprinting.
     pub fn canon(mut self, c: fn(&Sys::State) -> Sys::State) -> Self {
         self.canon = c.into();
+        self
+    }
+
+    /// Record every later run's trace events into `tracer` (scope
+    /// `"search"`, `"valence"` or `"property"` by entry point; see
+    /// `docs/OBS.md`). Unset, a run records nothing, through `NoopTracer`.
+    pub fn tracer(mut self, tracer: &'a mut dyn Tracer) -> Self {
+        self.tracer = Some(tracer).into();
         self
     }
 
@@ -402,6 +413,20 @@ impl<'a, Sys: System> Search<'a, Sys> {
             }
         }
         live
+    }
+}
+
+/// Run `f` on the tracer a builder's `tracer` setter put in `slot`, else on
+/// `fallback` ([`Search`], [`crate::Checker`]): one borrow per entry-point
+/// call, never per state.
+pub(crate) fn with_tracer<R>(
+    slot: &RefCell<Option<&mut dyn Tracer>>,
+    fallback: &mut dyn Tracer,
+    f: impl FnOnce(&mut dyn Tracer) -> R,
+) -> R {
+    match slot.borrow_mut().as_deref_mut() {
+        Some(tracer) => f(tracer),
+        None => f(fallback),
     }
 }
 
@@ -514,37 +539,27 @@ where
         self.explore_traced(&mut NoopTracer)
     }
 
-    /// [`Search::explore`], recording trace events into `tracer` (scope
-    /// `"search"`). The trace is a pure function of
-    /// `(system, bounds, seed, canon, partitions)`
+    /// [`Search::explore`], recording trace events (scope `"search"`) into
+    /// the tracer [`Search::tracer`] set, else into `tracer`. The trace is
+    /// a pure function of `(system, bounds, seed, canon, partitions)`
     /// (`tests/trace_determinism.rs` pins this).
     pub fn explore_traced(
         &self,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action> {
-        self.run_on(Resident, None::<fn(&Sys::State) -> bool>, tracer)
+        with_tracer(&self.tracer, tracer, |t| {
+            self.run_on(Resident, None::<fn(&Sys::State) -> bool>, t)
+        })
     }
 
     /// BFS until `pred` matches; `witness` is a shortest execution from an
-    /// initial state to a matching state.
+    /// initial state to a matching state. Traced (scope `"search"`) like
+    /// [`Search::explore`].
     pub fn search<F>(&self, pred: F) -> SearchReport<Sys::State, Sys::Action>
     where
         F: Fn(&Sys::State) -> bool,
     {
-        self.search_traced(pred, &mut NoopTracer)
-    }
-
-    /// [`Search::search`], recording trace events into `tracer` (scope
-    /// `"search"`); same determinism contract as [`Search::explore_traced`].
-    pub fn search_traced<F>(
-        &self,
-        pred: F,
-        tracer: &mut dyn Tracer,
-    ) -> SearchReport<Sys::State, Sys::Action>
-    where
-        F: Fn(&Sys::State) -> bool,
-    {
-        self.run_on(Resident, Some(pred), tracer)
+        with_tracer(&self.tracer, &mut NoopTracer, |t| self.run_on(Resident, Some(pred), t))
     }
 
     /// Run the full reachable exploration, pausing at `budget` if it trips
@@ -554,66 +569,52 @@ where
     /// to an uninterrupted [`Search::explore`] (the level loop is literally
     /// the same code; `tests/determinism.rs` pins the equality). Exploration only
     /// (no predicate: a paused run has no `found` state by construction).
+    /// Traced (scope `"search"`) like [`Search::explore`]; a pause emits
+    /// one final `pause` event.
     pub fn run_resumable(
         &self,
         budget: PauseBudget,
     ) -> Resumable<Sys::State, Sys::Action> {
-        self.run_resumable_traced(budget, &mut NoopTracer)
-    }
-
-    /// [`Search::run_resumable`], recording trace events into `tracer`
-    /// (scope `"search"`); a pause emits one final `pause` event.
-    pub fn run_resumable_traced(
-        &self,
-        budget: PauseBudget,
-        tracer: &mut dyn Tracer,
-    ) -> Resumable<Sys::State, Sys::Action> {
-        let run = self.bfs_init(None::<&fn(&Sys::State) -> bool>, tracer);
-        self.run_to_budget(run, &budget, tracer)
+        with_tracer(&self.tracer, &mut NoopTracer, |tracer| {
+            let run = self.bfs_init(None::<&fn(&Sys::State) -> bool>, tracer);
+            self.run_to_budget(run, &budget, tracer)
+        })
     }
 
     /// Continue a paused run until done or `budget` trips again.
     /// The builder must carry the same `(system, bounds, seed, canon,
     /// partitions)` the checkpoint was taken under; seed/partition drift is
     /// detected here, model drift by `impossible-ckpt`'s fingerprint check.
+    /// Traced (scope `"search"`): a fresh `start` event, one `resume` event
+    /// with the restored position, then the usual level events.
     pub fn resume(
         &self,
         ckpt: SearchCheckpoint<Sys::State, Sys::Action>,
         budget: PauseBudget,
     ) -> Resumable<Sys::State, Sys::Action> {
-        self.resume_traced(ckpt, budget, &mut NoopTracer)
-    }
-
-    /// [`Search::resume`], recording trace events into `tracer` (scope
-    /// `"search"`): a fresh `start` event, one `resume` event with the
-    /// restored position, then the usual level events.
-    pub fn resume_traced(
-        &self,
-        ckpt: SearchCheckpoint<Sys::State, Sys::Action>,
-        budget: PauseBudget,
-        tracer: &mut dyn Tracer,
-    ) -> Resumable<Sys::State, Sys::Action> {
-        trace_event!(tracer, "search", "start",
-            "strategy": "bfs",
-            "partitions": DEFAULT_PARTITIONS,
-            "seed": self.seed,
-            "max_states": self.max_states,
-            "max_depth": self.max_depth,
-            "canon": self.canon.is_some(),
-        );
-        let run = self.restore(ckpt);
-        trace_event!(tracer, "search", "resume",
-            "level": run.depth,
-            "states": run.visited.len(),
-            "frontier": run.parts.iter().map(Vec::len).sum::<usize>(),
-            "transitions": run.transitions,
-        );
-        self.run_to_budget(run, &budget, tracer)
+        with_tracer(&self.tracer, &mut NoopTracer, |tracer| {
+            trace_event!(tracer, "search", "start",
+                "strategy": "bfs",
+                "partitions": DEFAULT_PARTITIONS,
+                "seed": self.seed,
+                "max_states": self.max_states,
+                "max_depth": self.max_depth,
+                "canon": self.canon.is_some(),
+            );
+            let run = self.restore(ckpt);
+            trace_event!(tracer, "search", "resume",
+                "level": run.depth,
+                "states": run.visited.len(),
+                "frontier": run.parts.iter().map(Vec::len).sum::<usize>(),
+                "transitions": run.transitions,
+            );
+            self.run_to_budget(run, &budget, tracer)
+        })
     }
 
     /// Drive a resident, predicate-free run until it finishes or `budget`
-    /// trips — the shared tail of [`Search::run_resumable_traced`] and
-    /// [`Search::resume_traced`].
+    /// trips — the shared tail of [`Search::run_resumable`] and
+    /// [`Search::resume`].
     fn run_to_budget(
         &self,
         mut run: BfsRun<Sys>,

@@ -17,11 +17,10 @@
 //! * [`ShardedFpMap`] — a fixed number of independent `FpMap` shards, where
 //!   fingerprint `fp` lives in shard `fp % shards`. The shard function is
 //!   the *same* fixed partition function the search engine uses to split
-//!   BFS frontiers, so whichever worker claims partition `k` off the shared
-//!   claim counter gets shard `k` with it — dedup and insert run
-//!   worker-locally with no locks, and the sequential merge degrades to
-//!   stitching per-shard outputs in shard order (see `docs/EXPLORE.md`,
-//!   "Sharding & determinism").
+//!   BFS frontiers, so a child bound for shard `k` is deduped against
+//!   shard `k` alone and partition `k`'s next frontier *is* shard `k`'s
+//!   newly-inserted list (see `docs/EXPLORE.md`, "Sharding &
+//!   determinism").
 //! * `InternIndex` (crate-private) — the exact graph builder's
 //!   fingerprint → node-index map: the same sharding, probing and growth,
 //!   with key and value packed into one 8-byte word, and every match
@@ -103,8 +102,8 @@ pub(crate) fn key_of(fp: u64) -> u64 {
 
 /// The shard/partition owning fingerprint `fp` out of `shards` — the one
 /// routing function shared by [`ShardedFpMap`] and the search engine's
-/// frontier partitioner, so whichever worker claims partition `k` holds
-/// visited shard `k` exclusively for that pass.
+/// frontier partitioner (why they must agree: `docs/EXPLORE.md`,
+/// "Sharding & determinism").
 ///
 /// Routing happens on the *stored key* (fingerprint `0` folds onto `1`,
 /// matching the table's sentinel fold): the flat and sharded tables must
@@ -480,10 +479,9 @@ impl<V> ShardedFpMap<V> {
         &self.shards
     }
 
-    /// Exclusive access to the shard array, for the worker pool: each shard
-    /// is claimed by exactly one worker per pass (whole shards off the
-    /// atomic claim counter), so the borrows are disjoint by construction.
-    /// Pausing and spilling page shard `k` out through it with
+    /// Exclusive access to the shard array, for paging whole shards (level
+    /// bodies insert through [`Self::try_insert_with`]). Pausing and
+    /// spilling page shard `k` out through it with
     /// [`FpMap::take_ordered`], and a resume assigns
     /// [`FpMap::from_ascending`] of that page back to slot `k`.
     /// Call [`Self::refresh_len`] afterwards.

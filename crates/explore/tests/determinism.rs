@@ -69,7 +69,8 @@ fn resident_runs_ignore_the_worker_count() {
             let r = Search::new(&sys)
                 .workers(w)
                 .seed(seed)
-                .search_traced(corner(4), &mut tracer);
+                .tracer(&mut tracer)
+                .search(corner(4));
             assert!(r.witness.is_some(), "corner reachable");
             assert_eq!(tracer.dropped(), 0, "trace fits the ring");
             tracer.to_jsonl()
@@ -108,7 +109,8 @@ fn resident_runs_ignore_the_worker_count() {
         let r = Search::new(&sys)
             .workers(w)
             .max_states(73)
-            .explore_traced(&mut tracer);
+            .tracer(&mut tracer)
+            .explore();
         assert_eq!(r.num_states, 73);
         tracer.to_jsonl()
     });

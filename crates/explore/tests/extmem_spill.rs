@@ -16,6 +16,7 @@
 use impossible_det::{det_assert, det_assert_eq, det_prop};
 use impossible_explore::page::{decode_run_page, encode_run_page, run_page_keys};
 use impossible_explore::{Grid, Search, SearchReport, SpillPolicy, Truncation};
+use impossible_obs::RingTracer;
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -108,16 +109,19 @@ fn spilled_exploration_matches_resident_bytes() {
 fn spilled_witness_replays_through_run_files() {
     let sys = Grid { n: 3, max: 4 };
     let target = |s: &Vec<u8>| s.iter().all(|&c| c == 4);
-    let resident = Search::new(&sys).search(target);
+    let (mut resident_trace, mut spilled_trace) = (RingTracer::new(4096), RingTracer::new(4096));
+    let resident = Search::new(&sys).tracer(&mut resident_trace).search(target);
     let policy = SpillPolicy::new(tmp("spill-witness"))
         .ram_keys(0)
         .spill_frontier(true);
-    let spilled = Search::new(&sys).search_extmem(target, &policy);
+    let spilled = Search::new(&sys).tracer(&mut spilled_trace).search_extmem(target, &policy);
     // ram_keys(0) flushes every level, so the witness's parent chain
     // crosses several run files; the replay must walk them from disk and
-    // land on the identical shortest execution.
+    // land on the identical shortest execution — and the builder's tracer
+    // records the same events on both routes.
     assert!(spilled.witness.is_some());
     assert_eq!(masked(&spilled), masked(&resident));
+    assert_eq!(spilled_trace.to_jsonl(), resident_trace.to_jsonl());
 }
 
 #[test]

@@ -20,6 +20,7 @@ use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::system::System;
 use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
 use impossible_explore::{impl_encode_struct, ReachableGraph, Search, Truncation};
+use impossible_obs::NoopTracer;
 use std::collections::BTreeMap;
 
 /// A state of a generated system: a row of the transition table. It carries
@@ -229,8 +230,9 @@ det_prop! {
         for old_cap in [usize::MAX, cap] {
             let old = Search::new(&sys).max_states(old_cap).graph();
             for new_cap in [usize::MAX, cap] {
+                let dirty = |s: &_| edit.dirty_state(s);
                 let (g, stats) =
-                    reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), new_cap);
+                    reexplore_incremental(&old, &edit, dirty, new_cap, &mut NoopTracer);
                 det_assert_eq!(stats.reused + stats.recomputed, g.len());
                 if old.truncated() {
                     det_assert_eq!(stats.reused, 0);

@@ -12,7 +12,7 @@ use impossible_obs::{trace_diff, RingTracer, TraceDiff};
 fn explore_trace(max: u8) -> Vec<impossible_obs::Event> {
     let sys = Grid { n: 2, max };
     let mut tracer = RingTracer::new(4096);
-    let r = Search::new(&sys).explore_traced(&mut tracer);
+    let r = Search::new(&sys).tracer(&mut tracer).explore();
     assert!(!r.truncated());
     tracer.into_events()
 }
@@ -23,7 +23,7 @@ fn trace_event_kinds_are_pinned_for_a_small_search() {
     // witness at depth 4 on the 3x3 grid emits exactly this span sequence.
     let sys = Grid { n: 2, max: 2 };
     let mut tracer = RingTracer::new(4096);
-    let r = Search::new(&sys).search_traced(|s| s.iter().all(|&c| c == 2), &mut tracer);
+    let r = Search::new(&sys).tracer(&mut tracer).search(|s| s.iter().all(|&c| c == 2));
     assert_eq!(r.witness.expect("corner reachable").len(), 4);
     let kinds: Vec<&str> = tracer.events().iter().map(|e| e.kind.as_str()).collect();
     assert_eq!(
@@ -54,8 +54,8 @@ fn different_fingerprint_seeds_diverge_at_the_start_event() {
     let sys = Grid { n: 2, max: 3 };
     let mut a = RingTracer::new(4096);
     let mut b = RingTracer::new(4096);
-    let _ = Search::new(&sys).seed(1).explore_traced(&mut a);
-    let _ = Search::new(&sys).seed(2).explore_traced(&mut b);
+    let _ = Search::new(&sys).seed(1).tracer(&mut a).explore();
+    let _ = Search::new(&sys).seed(2).tracer(&mut b).explore();
     match trace_diff(a.events(), b.events()) {
         TraceDiff::Diverged { index, left, right } => {
             // The seed is stamped into the start event, so runs keyed
@@ -99,7 +99,7 @@ fn jsonl_round_trips_through_the_parser() {
     // the identity on every event a real engine emits.
     let sys = Grid { n: 2, max: 3 };
     let mut tracer = RingTracer::new(4096);
-    let _ = Search::new(&sys).search_traced(|s| s == &vec![3, 3], &mut tracer);
+    let _ = Search::new(&sys).tracer(&mut tracer).search(|s| s == &vec![3, 3]);
     let jsonl = tracer.to_jsonl();
     let parsed: Vec<_> = jsonl
         .lines()
@@ -110,7 +110,7 @@ fn jsonl_round_trips_through_the_parser() {
 
 #[test]
 fn a_paused_then_resumed_trace_is_the_straight_trace_cut_in_two() {
-    // `run_resumable_traced` / `resume_traced` wrap the one level loop, so
+    // `run_resumable` / `resume` wrap the one level loop, so
     // a pause may add events — `pause` closes the first trace, a fresh
     // `start` and one `resume` open the second — but never moves one: with
     // those three kinds dropped and `seq` renumbered, paused ++ resumed is
@@ -126,15 +126,19 @@ fn a_paused_then_resumed_trace_is_the_straight_trace_cut_in_two() {
     let sys = Grid { n: 3, max: 3 };
     // Whole, and cut by the state cap (a `truncate` event mid-trace).
     for cap in [usize::MAX, 40] {
-        let search = || Search::new(&sys).max_states(cap);
+        // A fn, not a closure: each builder borrows its own tracer.
+        fn search(sys: &Grid, cap: usize) -> Search<'_, Grid> {
+            Search::new(sys).max_states(cap)
+        }
         let mut straight = RingTracer::new(4096);
-        let report = search().explore_traced(&mut straight);
+        let report = search(&sys, cap).tracer(&mut straight).explore();
         assert_eq!(report.truncated(), cap == 40);
         let want = spine([straight.into_events(), Vec::new()]);
         let mut level = 0;
         loop {
             let mut first = RingTracer::new(4096);
-            let ckpt = match search().run_resumable_traced(PauseBudget::levels(level), &mut first) {
+            let budget = PauseBudget::levels(level);
+            let ckpt = match search(&sys, cap).tracer(&mut first).run_resumable(budget) {
                 Resumable::Paused(ckpt) => ckpt,
                 Resumable::Done(done) => {
                     assert_eq!(done, report);
@@ -148,7 +152,7 @@ fn a_paused_then_resumed_trace_is_the_straight_trace_cut_in_two() {
                 ("transitions", ckpt.transitions),
             ];
             let mut second = RingTracer::new(4096);
-            let resumed = search().resume_traced(ckpt, PauseBudget::never(), &mut second);
+            let resumed = search(&sys, cap).tracer(&mut second).resume(ckpt, PauseBudget::never());
             assert_eq!(resumed.done().expect("an unbounded resume finishes"), report);
 
             let (first, second) = (first.into_events(), second.into_events());

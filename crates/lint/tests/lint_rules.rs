@@ -207,20 +207,74 @@ fn twin_drift_wants_a_delegating_sibling_for_every_traced_fn() {
 
 #[test]
 fn live_twins_are_load_bearing_for_twin_drift() {
-    // The rule is not vacuous on the tree: a live file with two same-named
-    // pairs passes as written, and giving one untraced twin a body of its
-    // own — same signature, so it would still build — re-arms it.
-    let path = "crates/election/src/ring.rs";
-    let src = include_str!("../../election/src/ring.rs");
+    // The rule is not vacuous on the tree: a live twin passes as written,
+    // and giving its untraced form a body of its own — same signature, so
+    // it would still build — re-arms it.
+    let path = "crates/explore/src/search.rs";
+    let src = include_str!("../../explore/src/search.rs");
     assert!(lint_rust_source(path, src, &["twin-drift"]).is_empty());
     let drifted = src.replacen(
-        "self.run_traced(max_rounds, &mut NoopTracer)",
-        "self.run_traced(max_rounds.min(1), &mut NoopTracer); unreachable!()",
+        "self.explore_traced(&mut NoopTracer)",
+        "self.explore_traced(&mut NoopTracer); unreachable!()",
         1,
     );
     let d = lint_rust_source(path, &drifted, &["twin-drift"]);
     assert_eq!(d.len(), 1, "{d:?}");
-    assert!(d[0].message.contains("`run` is not the single delegating call"));
+    assert!(d[0].message.contains("`explore` is not the single delegating call"));
+}
+
+#[test]
+fn only_the_three_ledger_twins_remain() {
+    // Every engine operation has one entry point; the three `_traced`
+    // names left are the ones whose call shapes `ledger/` pins (ROADMAP
+    // item 1(b) retires them). A new twin fails here. The walk is the
+    // lint walker's (same roots, `target` / `fixtures` / hidden dirs
+    // skipped), the scan reads the lexer's code shadow, so names in
+    // strings, comments and docs do not count.
+    fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        let mut entries: Vec<_> = std::fs::read_dir(dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|e| e.path())
+            .collect();
+        entries.sort();
+        for path in entries {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() {
+                if name != "target" && name != "fixtures" && !name.starts_with('.') {
+                    walk(&path, out);
+                }
+            } else if name.ends_with(".rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for sub in ["crates", "src", "tests"] {
+        walk(&root.join(sub), &mut files);
+    }
+    assert_eq!(files.len(), lint_workspace(&root).rust_files, "the lint walker's file set");
+    let mut twins = Vec::new();
+    for path in &files {
+        let src = std::fs::read_to_string(path).expect("readable source");
+        for line in classify(&src) {
+            let words: Vec<&str> = line.code.split_whitespace().collect();
+            for pair in words.windows(2).filter(|w| w[0] == "fn") {
+                let name = pair[1].split(|c: char| !c.is_alphanumeric() && c != '_').next();
+                if let Some(name) = name.filter(|n| n.ends_with("_traced")) {
+                    twins.push(name.to_string());
+                }
+            }
+        }
+    }
+    twins.sort();
+    assert_eq!(
+        twins,
+        ["exhibit_flp_lasso_traced", "explore_traced", "run_manifest_traced"],
+        "a `fn *_traced` other than the three the ledger calls"
+    );
 }
 
 #[test]

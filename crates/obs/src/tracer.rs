@@ -22,8 +22,8 @@
 //!
 //! With [`NoopTracer`] the gate is a constant `false`, so the field vector
 //! is never built — the untraced path costs one predictable branch (the
-//! ledger's `obs.traced_overhead_ratio` on `grid_w1` prices the traced
-//! side of the twin against it).
+//! ledger's `obs.traced_overhead_ratio` on `grid_w1` prices a traced run
+//! against it).
 //!
 //! The sequence stamp is **logical**: each sink numbers the events it
 //! accepts 0, 1, 2, …. No wall clock is read anywhere in this crate (the
@@ -48,10 +48,11 @@ pub trait Tracer {
 
 /// The default sink: discards everything, reports inactive.
 ///
-/// Every untraced engine entry point (`Search::explore`,
-/// `Search::valence`, …) delegates to its traced twin with a
-/// `NoopTracer`, so the zero-cost claim is structural: the only overhead on
-/// the untraced path is the inlined `active()` check.
+/// An engine entry point records into `NoopTracer` unless given another
+/// tracer — a builder's `.tracer(…)` setter (`Search`, `Checker`) or a
+/// plain function's last argument (`run_benor`, `RingRunner::run`, …) —
+/// so the zero-cost claim is structural: the only overhead on the untraced
+/// path is the inlined `active()` check.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopTracer;
 

@@ -15,6 +15,7 @@ use impossible::explore::Search;
 use impossible::msgpass::asyncnet::{DelayModel, UNIT};
 use impossible::msgpass::sessions::run_sessions;
 use impossible::msgpass::topology::Topology;
+use impossible::obs::NoopTracer;
 use impossible::registers::constructions;
 use impossible::registers::herlihy::{
     consensus_verdict, CasConsensus, HierarchyVerdict, QueueConsensus2, RegisterMin2,
@@ -227,7 +228,8 @@ fn e3() {
     for (p, count) in hist.iter().enumerate().filter(|(_, c)| **c > 0) {
         println!("  {p:>3} phases: {}", "#".repeat(*count));
     }
-    let crashed = benor::run_benor(&[0, 1, 1, 0, 1], 2, 3, &[(0, 1, 2), (3, 4, 1)], 300);
+    let crashes = [(0, 1, 2), (3, 4, 1)];
+    let crashed = benor::run_benor(&[0, 1, 1, 0, 1], 2, 3, &crashes, 300, &mut NoopTracer);
     println!(
         "with 2 crashes (n=5,t=2): complete={} agreement={} decisions {:?}",
         crashed.complete,
@@ -738,7 +740,7 @@ fn e23() {
     for failed in 0..3 {
         let edit = crash_process(&sys, ProcessId(failed));
         let (g, stats) =
-            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 400_000);
+            reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 400_000, &mut NoopTracer);
         let full = Search::new(&sys)
             .max_states(400_000)
             .graph_filtered(|a| sys.owner(a) != Some(ProcessId(failed)));
@@ -763,7 +765,8 @@ fn e23() {
     let edit = impossible::ckpt::ActionEdit::new(&sys, |s: &flp::FlpState<_, _>, a| {
         !(matches!(a, flp::FlpAction::Null(2)) && s.pending.is_empty())
     });
-    let (g, stats) = reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 400_000);
+    let (g, stats) =
+        reexplore_incremental(&old, &edit, |s| edit.dirty_state(s), 400_000, &mut NoopTracer);
     let full = Search::new(&edit).max_states(400_000).graph();
     assert!(
         format!("{:?}|{:?}|{}", g.order, g.succ, g.initials)

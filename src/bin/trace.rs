@@ -38,7 +38,8 @@ fn dump(target: &str, seed: u64) -> Result<RingTracer, String> {
             let sys = Grid { n: 3, max: 5 };
             let r = Search::new(&sys)
                 .seed(seed)
-                .search_traced(|s| s.iter().all(|&c| c == 5), &mut tracer);
+                .tracer(&mut tracer)
+                .search(|s| s.iter().all(|&c| c == 5));
             r.witness.ok_or("grid corner unreachable?!")?;
         }
         "valence" => {
@@ -46,12 +47,12 @@ fn dump(target: &str, seed: u64) -> Result<RingTracer, String> {
             let n = 2 + (seed % 2) as usize;
             let arb = flp::Arbiter::new(n);
             let sys = flp::FlpSystem::all_binary(&arb);
-            let search = Search::new(&sys).max_states(200_000);
-            let _ = search.valence_traced(&mut tracer);
-            let _ = search.find_decider_traced(&mut tracer);
+            let search = Search::new(&sys).max_states(200_000).tracer(&mut tracer);
+            let _ = search.valence();
+            let _ = search.find_decider();
         }
         "benor" => {
-            let run = benor::run_benor_traced(&[0, 1, 0, 1, 1], 2, seed, &[], 200, &mut tracer);
+            let run = benor::run_benor(&[0, 1, 0, 1, 1], 2, seed, &[], 200, &mut tracer);
             if !run.complete {
                 return Err(format!("ben-or did not terminate within budget (seed {seed})"));
             }
@@ -59,11 +60,7 @@ fn dump(target: &str, seed: u64) -> Result<RingTracer, String> {
         "election" => {
             let ids = [11, 3, 8, 20, 5, 17, 2, 14];
             let procs: Vec<Lcr> = ids.iter().map(|&id| Lcr::new(id)).collect();
-            let out = RingRunner::new(procs).run_traced(
-                RingSchedule::Random(seed),
-                100_000,
-                &mut tracer,
-            );
+            let out = RingRunner::new(procs).run(RingSchedule::Random(seed), 100_000, &mut tracer);
             if out.leader.is_none() {
                 return Err("LCR elected no unique leader?!".to_string());
             }

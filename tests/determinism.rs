@@ -14,10 +14,11 @@
 
 use impossible::consensus::benor::run_benor;
 use impossible::election::itai_rodeh::run_itai_rodeh;
+use impossible::obs::NoopTracer;
 
 /// The Ben-Or transcript for one seed: every observable of the run.
 fn benor_transcript(seed: u64) -> String {
-    let run = run_benor(&[0, 1, 0, 1, 1], 2, seed, &[], 400);
+    let run = run_benor(&[0, 1, 0, 1, 1], 2, seed, &[], 400, &mut NoopTracer);
     format!("{run:?}")
 }
 
@@ -41,7 +42,7 @@ fn benor_different_seeds_give_different_transcripts() {
     // A perfectly split input (2–2) forces Ben-Or to the coin-flip branch,
     // so across 16 seeds the runs must not all collapse to one transcript.
     let transcripts: std::collections::BTreeSet<String> = (0..16)
-        .map(|seed| format!("{:?}", run_benor(&[0, 0, 1, 1], 1, seed, &[], 400)))
+        .map(|seed| format!("{:?}", run_benor(&[0, 0, 1, 1], 1, seed, &[], 400, &mut NoopTracer)))
         .collect();
     assert!(
         transcripts.len() > 1,
@@ -72,8 +73,8 @@ fn itai_rodeh_different_seeds_give_different_transcripts() {
 fn transcripts_are_stable_under_crash_injection_too() {
     // Fault injection must not introduce hidden nondeterminism either.
     for seed in [2u64, 13] {
-        let a = run_benor(&[0, 1, 1, 0, 1], 2, seed, &[(0, 1, 2), (3, 4, 1)], 300);
-        let b = run_benor(&[0, 1, 1, 0, 1], 2, seed, &[(0, 1, 2), (3, 4, 1)], 300);
+        let a = run_benor(&[0, 1, 1, 0, 1], 2, seed, &[(0, 1, 2), (3, 4, 1)], 300, &mut NoopTracer);
+        let b = run_benor(&[0, 1, 1, 0, 1], 2, seed, &[(0, 1, 2), (3, 4, 1)], 300, &mut NoopTracer);
         assert_eq!(a, b, "crash-injected Ben-Or diverged on seed {seed}");
     }
 }

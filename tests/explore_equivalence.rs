@@ -382,11 +382,22 @@ type RouteOutputs<S, A> = (
     (SearchCheckpoint<S, A>, Resumable<S, A>),
 );
 
-/// Everything the resident routes return for one builder: `explore`,
-/// `search(pred)`, `graph`, `graph_filtered(keep)`, `explore_traced` with
+/// A `max_states`-capped builder over `sys`, with `canon` if given.
+fn builder<S: System>(sys: &S, canon: Option<Canon<S>>, max_states: usize) -> Search<'_, S> {
+    let search = Search::new(sys).max_states(max_states);
+    match canon {
+        Some(c) => search.canon(c),
+        None => search,
+    }
+}
+
+/// Everything the resident routes return for one [`builder`]: `explore`,
+/// `search(pred)`, `graph`, `graph_filtered(keep)`, a traced `explore` with
 /// its JSONL, and a run paused after two levels with its resumption.
 fn route_outputs<Sys>(
-    search: &Search<'_, Sys>,
+    sys: &Sys,
+    canon: Option<Canon<Sys>>,
+    max_states: usize,
     pred: impl Fn(&Sys::State) -> bool + Copy,
     keep: impl Fn(&Sys::Action) -> bool + Copy,
 ) -> RouteOutputs<Sys::State, Sys::Action>
@@ -398,7 +409,8 @@ where
         (g.order, g.succ, g.initials, g.truncated_by)
     }
     let mut tracer = RingTracer::new(1 << 16);
-    let traced = search.explore_traced(&mut tracer);
+    let traced = builder(sys, canon, max_states).tracer(&mut tracer).explore();
+    let search = builder(sys, canon, max_states);
     let ckpt = search.run_resumable(PauseBudget::levels(2)).paused();
     let ckpt = ckpt.expect("every space here is deeper than two levels");
     let resumed = (ckpt.clone(), search.resume(ckpt, PauseBudget::never()));
@@ -413,7 +425,7 @@ where
 }
 
 /// `S` and [`NoReuse<S>`] agree on every route — `explore`, `search`,
-/// `graph`, `graph_filtered`, the `explore_traced` JSONL and a
+/// `graph`, `graph_filtered`, the traced `explore` JSONL and a
 /// paused-and-resumed run — whole and at a `max_states` that cuts.
 fn assert_reuse_is_invisible<Sys>(
     sys: &Sys,
@@ -425,17 +437,10 @@ fn assert_reuse_is_invisible<Sys>(
     Sys: System,
     Sys::State: Encode,
 {
-    fn builder<S: System>(sys: &S, canon: Option<Canon<S>>, max_states: usize) -> Search<'_, S> {
-        let search = Search::new(sys).max_states(max_states);
-        match canon {
-            Some(c) => search.canon(c),
-            None => search,
-        }
-    }
     let plain = NoReuse(sys);
     for max_states in [1_000_000, cut] {
-        let reusing = route_outputs(&builder(sys, canon, max_states), pred, keep);
-        let dropping = route_outputs(&builder(&plain, canon, max_states), pred, keep);
+        let reusing = route_outputs(sys, canon, max_states, pred, keep);
+        let dropping = route_outputs(&plain, canon, max_states, pred, keep);
         assert_eq!(reusing, dropping, "max_states={max_states}");
     }
     assert!(Search::new(sys).max_states(cut).explore().truncated(), "cut={cut} must cut");

@@ -12,6 +12,7 @@ use impossible::datalink::abp::run_abp;
 use impossible::election::lcr::run_lcr;
 use impossible::election::ring::RingSchedule;
 use impossible::election::{hs, peterson};
+use impossible::obs::NoopTracer;
 use impossible::registers::constructions::{
     simulate_mrsw_with_reader_writes, simulate_regular_to_atomic_srsw, simulate_safe_to_regular,
 };
@@ -51,7 +52,7 @@ det_prop! {
         inputs in prop::vec(0u64..2, 5..6),
         seed in 0u64..1000,
     ) {
-        let run = run_benor(&inputs, 2, seed, &[], 400);
+        let run = run_benor(&inputs, 2, seed, &[], 400, &mut NoopTracer);
         det_assert!(run.agreement());
         if let Some(v) = run.decisions.iter().flatten().next() {
             det_assert!(inputs.contains(v));
