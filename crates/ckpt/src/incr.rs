@@ -29,7 +29,7 @@
 
 use impossible_core::ids::ProcessId;
 use impossible_core::system::System;
-use impossible_explore::{Encode, ReachableGraph, Search};
+use impossible_explore::{ReachableGraph, Search};
 use impossible_obs::{trace_event, Tracer};
 use std::collections::BTreeMap;
 
@@ -149,7 +149,6 @@ pub fn reexplore_incremental<Sys, D>(
 ) -> (ReachableGraph<Sys::State, Sys::Action>, IncrStats)
 where
     Sys: System,
-    Sys::State: Encode,
     D: Fn(&Sys::State) -> bool,
 {
     trace_event!(tracer, "ckpt", "incr.start",

@@ -22,7 +22,7 @@ use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceReport;
 use impossible_explore::property::{eventually, Checker, Counterexample, PropertyReport};
-use impossible_explore::{Encode, Search};
+use impossible_explore::Search;
 use impossible_obs::{NoopTracer, Tracer};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -216,11 +216,7 @@ pub(crate) fn check_live_processes_decide<C: AsyncCandidate>(
     failed: usize,
     max_states: usize,
     tracer: &mut dyn Tracer,
-) -> PropertyReport<FlpState<C::Local, C::M>, FlpAction>
-where
-    C::Local: Encode,
-    C::M: Encode,
-{
+) -> PropertyReport<FlpState<C::Local, C::M>, FlpAction> {
     let n = sys.candidate.n();
     let g = Search::new(sys)
         .max_states(max_states)
@@ -250,11 +246,7 @@ pub fn find_nontermination<C: AsyncCandidate>(
     sys: &FlpSystem<'_, C>,
     failed: usize,
     max_states: usize,
-) -> Option<NonTermination<FlpState<C::Local, C::M>>>
-where
-    C::Local: Encode,
-    C::M: Encode,
-{
+) -> Option<NonTermination<FlpState<C::Local, C::M>>> {
     match check_live_processes_decide(sys, failed, max_states, &mut NoopTracer).counterexample {
         Some(Counterexample::Lasso(l)) => Some(NonTermination {
             failed,
@@ -289,11 +281,7 @@ pub enum FlpVerdict<S> {
 pub fn check_candidate<C: AsyncCandidate>(
     candidate: &C,
     max_states: usize,
-) -> FlpVerdict<FlpState<C::Local, C::M>>
-where
-    C::Local: Encode,
-    C::M: Encode,
-{
+) -> FlpVerdict<FlpState<C::Local, C::M>> {
     let sys = FlpSystem::all_binary(candidate);
     let report = Search::new(&sys).max_states(max_states).valence();
     if let Some(s) = report.agreement_violations.first() {
@@ -326,11 +314,7 @@ where
 pub fn analyze<C: AsyncCandidate>(
     candidate: &C,
     max_states: usize,
-) -> ValenceReport<FlpState<C::Local, C::M>>
-where
-    C::Local: Encode,
-    C::M: Encode,
-{
+) -> ValenceReport<FlpState<C::Local, C::M>> {
     let sys = FlpSystem::all_binary(candidate);
     Search::new(&sys).max_states(max_states).valence()
 }

@@ -28,7 +28,12 @@ use std::hash::Hash;
 /// between the algorithm (the transition function) and the environment (who
 /// gets to move).
 pub trait System {
-    /// Global configuration of the system.
+    /// Global configuration of the system. Its `Hash` must agree with its
+    /// `Eq` (equal states hash equal): the exact graph builder in
+    /// `impossible-explore` dedups through both, and a disagreement would
+    /// intern one state as two nodes (`docs/EXPLORE.md`, "Fingerprint dedup
+    /// and the collision policy"; the `hash-eq` lint denies the usual way to
+    /// break it, a derive beside a hand-written twin).
     type State: Clone + Eq + Ord + Hash + Debug;
     /// A transition label (a step of one process, a message delivery, ...).
     type Action: Clone + Eq + Hash + Debug;

@@ -25,13 +25,15 @@
 //! * **Checked where it matters.** Fingerprint equality is *assumed* to
 //!   mean state equality in the search's visited set (a 64-bit hash over ≤
 //!   a few million states has collision probability ≈ `n²/2⁶⁵`). The exact
-//!   graph builder ([`crate::graph`]) never assumes it — it confirms every
-//!   fingerprint match by full equality — and `tests/explore_equivalence.rs`
-//!   fingerprints every state that builder reaches, on a real system for
-//!   every state type that goes through either macro, under two seeds,
-//!   asserting them pairwise distinct beside a pinned checksum. The policy
-//!   is stated once, in `docs/EXPLORE.md` ("Fingerprint dedup and the
-//!   collision policy").
+//!   graph builder ([`crate::graph`]) does not fingerprint at all: it keys
+//!   its index by the state's `std::hash::Hash`, which nothing observable
+//!   depends on, and confirms every match by full equality. Over the states
+//!   that builder reaches, `tests/explore_equivalence.rs` fingerprints
+//!   every one, on a real system for every state type that goes through
+//!   either macro, under two seeds, asserting them pairwise distinct beside
+//!   a pinned checksum. Which hash is observable and which is not — the
+//!   two-hash policy — and the collision policy are stated once, in
+//!   `docs/EXPLORE.md` ("Fingerprint dedup and the collision policy").
 //!
 //! Encodings must be *prefix-unambiguous*: variable-length collections
 //! write their length first, enums write a variant tag first. That makes

@@ -3,19 +3,27 @@
 //!
 //! The valence fixpoint, deadlock backward-reachability and lasso product
 //! searches all need the full graph — states *and* successor lists — so a
-//! fingerprint-only visited set is not enough, and a hash-indexed one would
-//! make graph shape depend on collision luck. This builder keeps every
-//! state (it must, to return them) and uses fingerprints purely as an
-//! **index acceleration**: dedup probes the crate's `InternIndex` (sharded
-//! like the BFS engine's visited set, one 8-byte word per entry: the
-//! fingerprint's high 32 bits over `index + 1`), and every word whose tag
-//! matches is confirmed by one full equality comparison against
-//! `order[index]`. A tag or fingerprint shared by distinct states only
-//! makes the probe go on — there is no collision chain — so a collision
-//! costs extra comparisons, never a wrong graph, and graph-based
-//! classifications (valence, deadlock, non-termination) are exact under any
-//! seed (the ledger's `graph.build_s` / `graph.self_s` on `mutex_dijkstra4`
-//! and `ring_quotient20` track the cost).
+//! fingerprint-only visited set is not enough, and one that trusted a hash
+//! would make graph shape depend on collision luck. This builder keeps every
+//! state (it must, to return them) and uses a hash purely as an **index
+//! acceleration**: dedup probes the crate's `InternIndex` (sharded like the
+//! BFS engine's visited set, one 8-byte word per entry: the key's high 32
+//! bits over `index + 1`), and every word whose tag matches is confirmed by
+//! one full equality comparison against `order[index]`. A tag or key shared
+//! by distinct states only makes the probe go on — there is no collision
+//! chain — so a collision costs extra comparisons, never a wrong graph, and
+//! graph-based classifications (valence, deadlock, non-termination) are
+//! exact under any seed (the ledger's `graph.build_s` / `graph.self_s` on
+//! `mutex_dijkstra4` and `ring_quotient20` track the cost).
+//!
+//! The key is not the search route's fingerprint. No output depends on
+//! it, so it is whatever hash is cheapest: the state's own
+//! `std::hash::Hash` (a [`System::State`] bound) fed to `table.rs`'s
+//! `IndexHasher`, seeded by `Search::seed` — a few words per state where
+//! the seeded [`Encode`](crate::Encode) fingerprint, which is observable
+//! and is not computed here at all, spends a `splitmix64` round per word.
+//! Dedup relies on that `Hash` agreeing with `Eq` (the two-hash policy:
+//! `docs/EXPLORE.md`, "Fingerprint dedup and the collision policy").
 //!
 //! **One builder, one seam.** [`Search::graph_from`] is the loop; what it
 //! leaves to its caller is the successor *source*, a closure that stages a
@@ -37,10 +45,10 @@
 //! that engine exists to avoid storing — every state and every edge — and
 //! because its indices are assigned in global FIFO discovery order, which
 //! downstream engines treat as stable (the BFS engine's merge order is
-//! shard-major within a level). The bounds are the same on both: a
-//! `System` whose state is [`Encode`], nothing about threads. What the two
-//! share is the machinery underneath: `Search::stage_successors`, the
-//! sharded table and the batched fingerprint pipeline.
+//! shard-major within a level). It asks less of the model than that
+//! engine: any [`System`], no [`Encode`](crate::Encode) and nothing about
+//! threads. What the two share is the machinery underneath:
+//! `Search::stage_successors` and the table's shard routing and probing.
 //!
 //! Graphs honor the search's bounds — `max_states` and `max_depth`: the
 //! FIFO cursor tracks BFS level boundaries, stops expanding at the depth
@@ -70,9 +78,8 @@
 //! `g.succ.covering_cycle(..)` — one implementation of each, in
 //! `core::succ`, which `core::valence` reaches too.
 
-use crate::fingerprint::{BatchScratch, Encode};
 use crate::search::{with_tracer, Search, DEFAULT_PARTITIONS};
-use crate::table::InternIndex;
+use crate::table::{IndexHasher, InternIndex};
 use impossible_core::explore::Truncation;
 use impossible_core::succ::Succ;
 use impossible_core::system::{DecisionSystem, System};
@@ -117,12 +124,9 @@ impl<S, A> ReachableGraph<S, A> {
     }
 }
 
-impl<'a, Sys: System> Search<'a, Sys>
-where
-    Sys::State: Encode,
-{
+impl<'a, Sys: System> Search<'a, Sys> {
     /// Build the reachable graph (within `max_states`), dedup accelerated by
-    /// fingerprint buckets with exact equality fallback.
+    /// a hash index with exact equality fallback.
     pub fn graph(&self) -> ReachableGraph<Sys::State, Sys::Action> {
         self.graph_filtered(|_| true)
     }
@@ -164,26 +168,25 @@ where
     {
         let sys = self.sys();
         let (max_states, max_depth) = self.bounds();
-        let seed = self.seed_value();
 
         let mut order: Vec<Sys::State> = Vec::new();
         // Rows are written in place: the loop below expands states in index
         // order, so row `i` is pushed and closed while `i` is the cursor,
         // and the states it never reaches are padded after it.
         let mut succ: Succ<Sys::Action> = Succ::new();
-        // Fingerprint → node index, one 8-byte word per entry; a fingerprint
-        // only proposes a node, `order[j] == state` decides.
+        // Key → node index, one 8-byte word per entry; a key only proposes
+        // a node, `order[j] == state` decides.
         let mut index = InternIndex::new(DEFAULT_PARTITIONS);
-        let mut batch = BatchScratch::new(seed);
+        let keys = IndexHasher::new(self.seed_value());
         let mut truncated_by: Option<Truncation> = None;
 
         for s0 in sys.initial_states() {
             let sc = self.canonize(s0, &mut 0, drop);
-            let fp = batch.fingerprint_one(&sc);
-            let Err(vacant) = index.find(fp, |j| order[j] == sc) else {
+            let key = keys.key(&sc);
+            let Err(vacant) = index.find(key, |j| order[j] == sc) else {
                 continue;
             };
-            if !index.insert(vacant, fp, order.len()) {
+            if !index.insert(vacant, key, order.len()) {
                 truncated_by.get_or_insert(Truncation::Index);
                 break;
             }
@@ -224,11 +227,9 @@ where
                 break;
             }
             let batch_len = children.len();
-            // One batched fingerprint pass over the staged children — the
-            // same hot-path shape as the fused search engine.
-            let fps = batch.fingerprints(children.iter().map(|(_, tc)| tc));
-            for ((a, tc), &fp) in children.drain(..).zip(fps) {
-                let ti = match index.find(fp, |j| order[j] == tc) {
+            for (a, tc) in children.drain(..) {
+                let key = keys.key(&tc);
+                let ti = match index.find(key, |j| order[j] == tc) {
                     Ok(j) => {
                         if spares.len() < batch_len {
                             spares.push(tc);
@@ -241,7 +242,7 @@ where
                             continue;
                         }
                         let j = order.len();
-                        if !index.insert(vacant, fp, j) {
+                        if !index.insert(vacant, key, j) {
                             truncated_by.get_or_insert(Truncation::Index);
                             continue;
                         }
@@ -272,10 +273,7 @@ where
     }
 }
 
-impl<'a, Sys: DecisionSystem> Search<'a, Sys>
-where
-    Sys::State: Encode,
-{
+impl<'a, Sys: DecisionSystem> Search<'a, Sys> {
     /// Valence-classify the reachable space (Figures 2–3): build the graph
     /// here, run the classification fixpoint through
     /// [`ValenceEngine::analyze_from_graph`], tracing into the tracer
@@ -302,7 +300,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::FpHasher;
     use crate::grid::Grid;
     use impossible_core::ids::ProcessId;
 
@@ -330,15 +327,22 @@ mod tests {
     }
 
     #[test]
-    fn graph_is_exact_even_under_total_fingerprint_collision() {
-        // All states encode identically — every fingerprint collides. The
-        // equality fallback must still produce the exact graph.
+    fn graph_is_exact_even_under_total_index_key_collision() {
+        // All states hash identically — every index key collides, so every
+        // probe meets every interned state. The equality fallback must
+        // still produce the exact graph. (`Blind` hashes nothing, which
+        // agrees with any `Eq`; its `PartialEq` is hand-written beside it
+        // because the `hash-eq` lint wants both or neither derived.)
         struct Degenerate;
-        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[derive(Debug, Clone, Eq, PartialOrd, Ord)]
         struct Blind(u8);
-        // LINT-ALLOW: encode-coverage -- deliberately blind: every fingerprint collides, so only the equality fallback can tell states apart
-        impl Encode for Blind {
-            fn encode(&self, _h: &mut FpHasher) {}
+        impl PartialEq for Blind {
+            fn eq(&self, other: &Blind) -> bool {
+                self.0 == other.0
+            }
+        }
+        impl std::hash::Hash for Blind {
+            fn hash<H: std::hash::Hasher>(&self, _h: &mut H) {}
         }
         impl System for Degenerate {
             type State = Blind;
@@ -358,7 +362,11 @@ mod tests {
             }
         }
         let g = Search::new(&Degenerate).graph();
-        assert_eq!(g.len(), 10);
+        assert_eq!(g.order, (0..10).map(Blind).collect::<Vec<_>>());
+        for (i, row) in g.succ.iter().enumerate() {
+            let want: &[(u8, usize)] = if i < 9 { &[(0, i + 1)] } else { &[] };
+            assert_eq!(row, want);
+        }
         assert!(!g.truncated());
     }
 

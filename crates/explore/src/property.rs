@@ -74,7 +74,6 @@
 //! within the explored prefix". See `docs/PROPERTIES.md` for the DSL
 //! semantics, the witness JSON format, and the determinism contract.
 
-use crate::fingerprint::Encode;
 use crate::graph::ReachableGraph;
 use crate::search::{with_tracer, Search};
 use impossible_core::exec::Execution;
@@ -568,10 +567,7 @@ where
     }
 }
 
-impl<'a, Sys: System> Search<'a, Sys>
-where
-    Sys::State: Encode,
-{
+impl<'a, Sys: System> Search<'a, Sys> {
     /// Build the reachable graph and check `prop` over it, with no
     /// admissibility or fairness constraints, tracing into the tracer
     /// [`Search::tracer`] set (scope `"property"`). Use [`Checker`]

@@ -299,7 +299,11 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
-    /// Re-key the fingerprint function.
+    /// Re-key the fingerprint function, and the exact graph builder's
+    /// index key with it. The fingerprint is observable (shard order,
+    /// snapshots, run files, `found` events); the index key is not, so a
+    /// graph is the same under every seed (`docs/EXPLORE.md`, "Fingerprint
+    /// dedup and the collision policy").
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

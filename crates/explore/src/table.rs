@@ -22,9 +22,12 @@
 //!   newly-inserted list (see `docs/EXPLORE.md`, "Sharding &
 //!   determinism").
 //! * `InternIndex` (crate-private) — the exact graph builder's
-//!   fingerprint → node-index map: the same sharding, probing and growth,
-//!   with key and value packed into one 8-byte word, and every match
-//!   confirmed by the caller's state equality instead of trusted.
+//!   key → node-index map: the same sharding, probing and growth, with key
+//!   and value packed into one 8-byte word, and every match confirmed by
+//!   the caller's state equality instead of trusted. Its keys are not
+//!   fingerprints but `IndexHasher` keys of the state's `Hash`: no output
+//!   depends on them (`docs/EXPLORE.md`, "Fingerprint dedup and the
+//!   collision policy", states the two-hash policy).
 //!
 //! Determinism: the tables are only ever *probed* (by fingerprint) on hot
 //! paths — nothing hot iterates them — so neither probe order nor growth
@@ -40,6 +43,9 @@
 //! one-fingerprint state at the same 2⁻⁶⁴-ish odds as any other fingerprint
 //! collision, which the collision policy ([`crate::fingerprint`]) already
 //! covers.
+
+use impossible_det::rng::splitmix64;
+use std::hash::{Hash, Hasher};
 
 /// Capacity policy for [`FpMap::try_insert_with`]: either no bound, or an
 /// explicit entry cap. Replaces the old `usize::MAX`-as-sentinel
@@ -502,15 +508,111 @@ impl<V> ShardedFpMap<V> {
     }
 }
 
-/// The high half of an [`InternIndex`] word: the fingerprint's top 32 bits.
+/// The exact graph builder's index key: a seeded word hasher fed through
+/// the state's `std::hash::Hash`, never its [`crate::fingerprint::Encode`].
+///
+/// Each word is absorbed with one rotate-xor-multiply, a bijection of the
+/// running state for any fixed word, so two word streams of one length
+/// that differ anywhere leave different states; `write` folds its bytes 8
+/// to a word (a `Vec<u8>` is its length and ⌈len / 8⌉ words, where
+/// [`crate::fingerprint::FpHasher`] spends a `splitmix64` round per byte),
+/// and `finish` is one `splitmix64` round, so both the tag (high 32 bits)
+/// and the shard (low bits) of the key are avalanched. The seed is
+/// `Search::seed`'s. Nothing observable depends on this key — every tag
+/// match is confirmed by state equality — which is what lets it differ
+/// from the fingerprint and skip its per-word cost (the two-hash policy:
+/// `docs/EXPLORE.md`, "Fingerprint dedup and the collision policy").
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IndexHasher {
+    h: u64,
+}
+
+impl IndexHasher {
+    /// A hasher keyed by `seed`.
+    pub(crate) fn new(seed: u64) -> Self {
+        let mut s = seed;
+        IndexHasher {
+            h: splitmix64(&mut s),
+        }
+    }
+
+    /// The index key of `value` under this hasher's seed.
+    #[inline]
+    pub(crate) fn key<T: Hash + ?Sized>(self, value: &T) -> u64 {
+        let mut h = self;
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.h = (self.h.rotate_left(26) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for IndexHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.word(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.word(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.word(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        self.word(n as u64);
+        self.word((n >> 64) as u64);
+    }
+
+    /// As a `u64`, so a key does not depend on the platform's width.
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut s = self.h;
+        splitmix64(&mut s)
+    }
+}
+
+/// The high half of an [`InternIndex`] word: the key's top 32 bits.
 const TAG: u64 = !0 << 32;
 
-/// The index word for node `index` under fingerprint `fp`: the
-/// fingerprint's tag over `index + 1`, so no entry is the empty word `0`.
-/// `None` past the last internable index, `u32::MAX − 1`.
-fn intern_word(fp: u64, index: usize) -> Option<u64> {
+/// The index word for node `index` under `key`: the key's tag over
+/// `index + 1`, so no entry is the empty word `0`. `None` past the last
+/// internable index, `u32::MAX − 1`.
+fn intern_word(key: u64, index: usize) -> Option<u64> {
     let low = u32::try_from(index).ok()?.checked_add(1)?;
-    Some(fp & TAG | u64::from(low))
+    Some(key & TAG | u64::from(low))
 }
 
 /// The node index an occupied word stands for.
@@ -518,12 +620,12 @@ fn word_index(word: u64) -> usize {
     (word as u32 - 1) as usize
 }
 
-/// The exact graph builder's intern index: fingerprint → node index, where
-/// a fingerprint only *proposes* a node and the caller's state equality
-/// decides.
+/// The exact graph builder's intern index: key → node index, where a key
+/// (an [`IndexHasher`] key of the state) only *proposes* a node and the
+/// caller's state equality decides.
 ///
 /// Each entry is one `u64`, `tag << 32 | (index + 1)`, with `tag` the
-/// fingerprint's high 32 bits and `0` the empty word: one probe line per
+/// key's high 32 bits and `0` the empty word: one probe line per
 /// lookup, where a [`ShardedFpMap`] of indices reads a key array and then a
 /// value array (12 B per slot). Shards are routed by [`shard_index`], as
 /// the visited set's are, and each is an open-addressing table probed
@@ -533,9 +635,9 @@ fn word_index(word: u64) -> usize {
 /// of the whole index at once (ROADMAP, "Measured and lost").
 ///
 /// [`Self::find`] confirms every word whose tag matches with `eq`. A tag
-/// shared by different fingerprints, or a fingerprint shared by different
-/// states, costs one more comparison and the probe goes on: there is no
-/// collision chain, and no collision can merge two states.
+/// shared by different keys, or a key shared by different states, costs
+/// one more comparison and the probe goes on: there is no collision chain,
+/// and no collision can merge two states.
 #[derive(Debug)]
 pub(crate) struct InternIndex {
     shards: Vec<InternShard>,
@@ -549,7 +651,7 @@ struct InternShard {
 }
 
 /// Where [`InternIndex::find`] stopped on a miss: the empty slot an insert
-/// of that fingerprint takes, unless the shard grows first.
+/// of that key takes, unless the shard grows first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Vacant {
     shard: usize,
@@ -557,13 +659,13 @@ pub(crate) struct Vacant {
 }
 
 impl InternShard {
-    /// The home slot of a tag (a fingerprint or a word: only the high 32
-    /// bits count): its top bits, as [`FpMap`] homes a key — the low bits
-    /// are the shard's.
+    /// The home slot of a tag (a key or a word: only the high 32 bits
+    /// count): its top bits, as [`FpMap`] homes a key — the low bits are
+    /// the shard's.
     #[inline]
-    fn home(&self, fp_or_word: u64) -> usize {
+    fn home(&self, key_or_word: u64) -> usize {
         let shift = 64 - self.words.len().trailing_zeros();
-        ((fp_or_word & TAG) >> shift) as usize
+        ((key_or_word & TAG) >> shift) as usize
     }
 
     /// The first empty slot at or after `word`'s home.
@@ -599,16 +701,16 @@ impl InternIndex {
         }
     }
 
-    /// The node interned under `fp` for which `eq(index)` holds, or where
+    /// The node interned under `key` for which `eq(index)` holds, or where
     /// to insert one. `eq` is asked about every node whose word carries
-    /// `fp`'s tag, in probe order, until it says yes.
+    /// `key`'s tag, in probe order, until it says yes.
     #[inline]
-    pub(crate) fn find(&self, fp: u64, mut eq: impl FnMut(usize) -> bool) -> Result<usize, Vacant> {
-        let shard_no = shard_index(fp, self.shards.len());
+    pub(crate) fn find(&self, key: u64, mut eq: impl FnMut(usize) -> bool) -> Result<usize, Vacant> {
+        let shard_no = shard_index(key, self.shards.len());
         let shard = &self.shards[shard_no];
         let mask = shard.words.len() - 1;
-        let tag = fp & TAG;
-        let mut i = shard.home(fp);
+        let tag = key & TAG;
+        let mut i = shard.home(key);
         loop {
             let w = shard.words[i];
             if w == 0 {
@@ -624,11 +726,11 @@ impl InternIndex {
         }
     }
 
-    /// Intern node `index` under `fp`, at the slot `find(fp, ..)` returned
+    /// Intern node `index` under `key`, at the slot `find(key, ..)` returned
     /// (re-probed if the shard doubles). `false`, with nothing inserted,
     /// for an index past `u32::MAX − 1`: its word would alias another.
-    pub(crate) fn insert(&mut self, vacant: Vacant, fp: u64, index: usize) -> bool {
-        let Some(word) = intern_word(fp, index) else {
+    pub(crate) fn insert(&mut self, vacant: Vacant, key: u64, index: usize) -> bool {
+        let Some(word) = intern_word(key, index) else {
             return false;
         };
         let shard = &mut self.shards[vacant.shard];
@@ -648,7 +750,7 @@ impl InternIndex {
 mod tests {
     use super::*;
     use impossible_det::{det_assert_eq, det_prop, prop};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn the_last_internable_index_is_one_short_of_the_u32_range() {
@@ -674,6 +776,32 @@ mod tests {
         assert!(ix.find(7, |_| true).is_err());
         assert!(ix.insert(vacant, 7, last));
         assert_eq!(ix.find(7, |_| true), Ok(last));
+    }
+
+    #[test]
+    fn index_keys_are_seeded_and_spread() {
+        // Every byte string of length ≤ 3 over 16 letters — partial words
+        // through `write`'s tail — gets its own key under two seeds, the
+        // seed moves every key, and the low bits (the shard) and the tag
+        // are both spread.
+        let strings: Vec<Vec<u8>> = (0..=3u32)
+            .flat_map(|len| {
+                (0..16u32.pow(len)).map(move |m| (0..len).map(|i| (m >> (4 * i)) as u8 & 15).collect())
+            })
+            .collect();
+        let keys = |seed: u64| -> Vec<u64> {
+            let h = IndexHasher::new(seed);
+            strings.iter().map(|v| h.key(v)).collect()
+        };
+        let (a, b) = (keys(1), keys(2));
+        for ks in [&a, &b] {
+            assert_eq!(ks.iter().collect::<BTreeSet<_>>().len(), strings.len());
+            let shards: BTreeSet<u64> = ks.iter().map(|k| k & 63).collect();
+            let tags: BTreeSet<u64> = ks.iter().map(|k| k >> 32).collect();
+            assert_eq!(shards.len(), 64);
+            assert!(tags.len() + 8 >= strings.len(), "{} tags", tags.len());
+        }
+        assert!(a.iter().zip(&b).all(|(x, y)| x != y));
     }
 
     det_prop! {

@@ -1,4 +1,4 @@
-//! The ten lint rules and their source-level scanners.
+//! The eleven lint rules and their source-level scanners.
 //!
 //! Each rule protects a proof technique (see `docs/LINTS.md`):
 //! `det-order` keeps transcript-replay (bivalence/scenario) arguments
@@ -16,15 +16,18 @@
 //! `twin-drift` holds `docs/OBS.md`'s zero-cost-twin contract to its
 //! letter — beside every `fn foo_traced` a `fn foo` whose whole body is
 //! `foo_traced(…, &mut NoopTracer)` — which leaves only the signature to
-//! drift, and a drifted signature fails to build. Every rule reads
+//! drift, and a drifted signature fails to build. `hash-eq` denies half
+//! a derive: a type that derives one of `Hash` / `PartialEq` and writes
+//! the other by hand, the one way a state's `Hash` can disagree with its
+//! `Eq` (the exact graph builder dedups through both). Every rule reads
 //! [`crate::lex`]'s shadows; none parses items, types or signatures. The
 //! file-set-level `waiver-doc-sync` rule (in [`crate::walk`]) keeps the
 //! waiver inventory in `docs/LINTS.md` machine-checked against the tree.
 
 use crate::lex::{classify, is_ident_byte, waivers, ClassifiedLine, Waivers};
 
-/// The names of all ten rules, in reporting order.
-pub const RULE_NAMES: [&str; 10] = [
+/// The names of all eleven rules, in reporting order.
+pub const RULE_NAMES: [&str; 11] = [
     "det-order",
     "det-time",
     "det-ambient",
@@ -34,6 +37,7 @@ pub const RULE_NAMES: [&str; 10] = [
     "map-coverage",
     "encode-coverage",
     "twin-drift",
+    "hash-eq",
     "waiver-doc-sync",
 ];
 
@@ -176,6 +180,9 @@ pub fn lint_rust_source(path: &str, src: &str, rules: &[&str]) -> Vec<Diagnostic
     if rules.contains(&"twin-drift") {
         scan_traced_twins(path, &lines, &w, &mut out);
     }
+    if rules.contains(&"hash-eq") {
+        scan_hash_eq(path, &lines, &w, &mut out);
+    }
     out.sort();
     out
 }
@@ -237,20 +244,175 @@ fn scan_float_types(
     }
 }
 
-/// Byte offset of every `fn NAME`'s `NAME` in `code`, in source order.
-fn fn_names(code: &str) -> Vec<(&str, usize)> {
+/// The file's code shadow as one string, lines joined by `\n`, and the
+/// byte offset at which each line starts in it.
+fn code_shadow(lines: &[ClassifiedLine]) -> (String, Vec<usize>) {
+    let mut code = String::new();
+    let mut starts = Vec::with_capacity(lines.len());
+    for l in lines {
+        starts.push(code.len());
+        code.push_str(&l.code);
+        code.push('\n');
+    }
+    (code, starts)
+}
+
+/// The identifier starting at byte `at` of `code` (empty if none).
+fn ident_at(code: &str, at: usize) -> &str {
+    let len = code.as_bytes()[at..].iter().take_while(|&&c| is_ident_byte(c)).count();
+    &code[at..at + len]
+}
+
+/// Byte offsets of every word-bounded `word` in `code`.
+fn word_positions<'c>(code: &'c str, word: &'c str) -> impl Iterator<Item = usize> + 'c {
     let b = code.as_bytes();
+    code.match_indices(word).map(|(k, _)| k).filter(move |&k| {
+        (k == 0 || !is_ident_byte(b[k - 1]))
+            && !b.get(k + word.len()).is_some_and(|&c| is_ident_byte(c))
+    })
+}
+
+/// The offset of the first non-whitespace byte at or after `at`.
+fn skip_ws(code: &str, at: usize) -> usize {
+    at + (code[at..].len() - code[at..].trim_start().len())
+}
+
+/// `(type name, derived trait names)` for every `#[derive(…)]` in `code`
+/// that stands on a `struct`, `enum` or `union`; each trait by its last
+/// path segment (`std::hash::Hash` is `Hash`). Attributes between the
+/// derive and the item, and a `pub` / `pub(…)`, are skipped.
+fn derived_traits(code: &str) -> Vec<(&str, Vec<&str>)> {
     let mut out = Vec::new();
-    for (kw, _) in code.match_indices("fn") {
-        let after = &code[kw + 2..];
-        let at = kw + 2 + (after.len() - after.trim_start().len());
-        let len = b[at..].iter().take_while(|&&c| is_ident_byte(c)).count();
-        // Not `fn(` (a pointer type), `fn $name` (a macro) or `…fn` (an identifier).
-        if at > kw + 2 && len > 0 && (kw == 0 || !is_ident_byte(b[kw - 1])) {
-            out.push((&code[at..at + len], at));
+    for (k, _) in code.match_indices("#[derive(") {
+        let list_at = k + "#[derive(".len();
+        let Some(len) = code[list_at..].find(')') else {
+            continue;
+        };
+        let traits = code[list_at..list_at + len]
+            .split(',')
+            .map(|t| t.rsplit("::").next().unwrap_or_default().trim())
+            .filter(|t| !t.is_empty())
+            .collect();
+        let mut at = skip_ws(code, list_at + len + 1);
+        if code[at..].starts_with(']') {
+            at = skip_ws(code, at + 1);
+        }
+        // Further attributes, then the visibility.
+        while code[at..].starts_with("#[") {
+            let mut depth = 0i32;
+            let Some(end) = code[at..].bytes().position(|c| {
+                depth += (c == b'[') as i32 - (c == b']') as i32;
+                c == b']' && depth == 0
+            }) else {
+                break;
+            };
+            at = skip_ws(code, at + end + 1);
+        }
+        if ident_at(code, at) == "pub" {
+            at = skip_ws(code, at + 3);
+            if code[at..].starts_with('(') {
+                at = skip_ws(code, at + code[at..].find(')').map_or(0, |e| e + 1));
+            }
+        }
+        let keyword = ident_at(code, at);
+        if matches!(keyword, "struct" | "enum" | "union") {
+            let name = ident_at(code, skip_ws(code, at + keyword.len()));
+            if !name.is_empty() {
+                out.push((name, traits));
+            }
         }
     }
     out
+}
+
+/// `(trait offset, trait name, type name)` for every hand-written
+/// `impl … TRAIT for TYPE` header in `code`: the trait by its last path
+/// segment, with no generic arguments (so `PartialEq<Vec<T>>`, an
+/// equality with another type, is not `PartialEq`), the type by its last
+/// path segment before any `<`. A `for<'a>` bound in the generics is not
+/// the header's `for`.
+fn impl_headers(code: &str) -> Vec<(usize, &str, &str)> {
+    let b = code.as_bytes();
+    let mut out = Vec::new();
+    for k in word_positions(code, "impl") {
+        let end = code[k..].find(['{', ';']).map_or(code.len(), |e| k + e);
+        let Some(for_at) = word_positions(&code[k..end], "for")
+            .map(|f| k + f)
+            .find(|&f| !code[f + 3..].trim_start().starts_with('<'))
+        else {
+            continue;
+        };
+        let head = code[k..for_at].trim_end();
+        let trait_len = head.bytes().rev().take_while(|&c| is_ident_byte(c)).count();
+        let trait_at = k + head.len() - trait_len;
+        let after_path = trait_at > k && matches!(b[trait_at - 1], b':' | b'>' | b' ' | b'\n');
+        if trait_len == 0 || !after_path {
+            continue;
+        }
+        let mut ty_at = skip_ws(code, for_at + 3);
+        let mut ty = ident_at(code, ty_at);
+        while code[ty_at + ty.len()..].starts_with("::") {
+            ty_at += ty.len() + 2;
+            ty = ident_at(code, ty_at);
+        }
+        if !ty.is_empty() {
+            out.push((trait_at, &code[trait_at..trait_at + trait_len], ty));
+        }
+    }
+    out
+}
+
+/// `hash-eq`: in one file, a hand-written `impl … PartialEq for T` where
+/// `T` derives `Hash`, or a hand-written `impl … Hash for T` where `T`
+/// derives `PartialEq` — clippy's `derived_hash_with_manual_eq`, which the
+/// tier-1 gate does not run.
+///
+/// The exact graph builder dedups states through `Hash` and `Eq` together
+/// (`docs/EXPLORE.md`, "Fingerprint dedup and the collision policy"): a
+/// `Hash` that tells equal states apart splits one state into two graph
+/// nodes. Two derives agree by construction, and so can two impls written
+/// side by side (`core::row::Row` hands both to its slice); a derive and a
+/// hand-written impl are the mismatch this rule denies. Reported at the
+/// hand-written trait name.
+fn scan_hash_eq(path: &str, lines: &[ClassifiedLine], w: &Waivers, out: &mut Vec<Diagnostic>) {
+    let (code, starts) = code_shadow(lines);
+    let derived = derived_traits(&code);
+    for (at, written, ty) in impl_headers(&code) {
+        let derive = match written {
+            "PartialEq" => "Hash",
+            "Hash" => "PartialEq",
+            _ => continue,
+        };
+        if !derived.iter().any(|(name, traits)| *name == ty && traits.contains(&derive)) {
+            continue;
+        }
+        let line = starts.partition_point(|&s| s <= at);
+        if !w.allows(line, "hash-eq") {
+            out.push(Diagnostic {
+                path: path.to_string(),
+                line,
+                col: at - starts[line - 1] + 1,
+                rule: "hash-eq",
+                message: format!(
+                    "`{ty}` derives `{derive}` but writes `{written}` by hand: if \
+                     they disagree, equal states hash apart and the exact graph \
+                     builder, which dedups through `Hash` and `Eq`, splits them \
+                     into two nodes; derive both, write both by hand (as \
+                     `core::row::Row` does), or waive with a reason"
+                ),
+            });
+        }
+    }
+}
+
+/// Byte offset of every `fn NAME`'s `NAME` in `code`, in source order.
+fn fn_names(code: &str) -> Vec<(&str, usize)> {
+    // Not `fn(` (a pointer type), `fn $name` (a macro) or `…fn` (an identifier).
+    word_positions(code, "fn")
+        .map(|kw| skip_ws(code, kw + 2))
+        .map(|at| (ident_at(code, at), at))
+        .filter(|(name, _)| !name.is_empty())
+        .collect()
 }
 
 /// Is the body of the fn whose signature continues at `sig` exactly
@@ -302,13 +464,7 @@ fn scan_traced_twins(
     w: &Waivers,
     out: &mut Vec<Diagnostic>,
 ) {
-    let mut code = String::new();
-    let mut starts = Vec::with_capacity(lines.len());
-    for l in lines {
-        starts.push(code.len());
-        code.push_str(&l.code);
-        code.push('\n');
-    }
+    let (code, starts) = code_shadow(lines);
     let fns = fn_names(&code);
     for (k, &(traced, traced_at)) in fns.iter().enumerate() {
         let Some(base) = traced.strip_suffix("_traced").filter(|b| !b.is_empty()) else {

@@ -92,6 +92,7 @@ pub fn rules_for(rel: &str) -> Vec<&'static str> {
         rules.push("encode-coverage");
     }
     rules.push("twin-drift");
+    rules.push("hash-eq");
     rules
 }
 

@@ -184,6 +184,38 @@ fn encode_coverage_denies_hand_written_impls_only() {
 }
 
 #[test]
+fn hash_eq_denies_a_derive_beside_a_hand_written_twin() {
+    let src = include_str!("fixtures/hash_eq.rs");
+    let d = lint_rust_source("fixtures/hash_eq.rs", src, &["hash-eq"]);
+    // Line 5: `PartialEq` by hand for a type deriving `Hash`. Line 16:
+    // `Hash` by hand, by path, for a type deriving `PartialEq` by path
+    // under a second attribute and `pub(crate)`, the header carrying a
+    // `for<'a>` bound. Silent: both derived (1), both by hand (20, 25),
+    // an equality with another type (30), the waived impl (38), the
+    // comment, the string and the `for` loop in `prose`.
+    assert_eq!(positions(&d), vec![(5, 6), (16, 20)]);
+    assert!(d.iter().all(|d| d.rule == "hash-eq"));
+    assert!(d[0].message.contains("`DerivesHash` derives `Hash` but writes `PartialEq` by hand"));
+    assert!(d[1].message.contains("`DerivesEq` derives `PartialEq` but writes `Hash` by hand"));
+}
+
+#[test]
+fn row_writes_both_and_a_derive_beside_them_fires() {
+    // `core::row::Row` hands both `PartialEq` and `Hash` to its slice and
+    // passes as written; deriving `PartialEq` beside its hand-written
+    // `Hash` re-arms the rule at the `Hash` impl (the rule is lexical, so
+    // the mutated text need not build).
+    let path = "crates/core/src/row.rs";
+    let src = include_str!("../../core/src/row.rs");
+    assert!(rules_for(path).contains(&"hash-eq"));
+    assert!(lint_rust_source(path, src, &["hash-eq"]).is_empty());
+    let derived = src.replacen("#[derive(Clone, Copy)]", "#[derive(Clone, Copy, PartialEq)]", 1);
+    let d = lint_rust_source(path, &derived, &["hash-eq"]);
+    assert_eq!(d.len(), 1, "{d:?}");
+    assert!(d[0].message.contains("`Row` derives `PartialEq` but writes `Hash` by hand"));
+}
+
+#[test]
 fn twin_drift_wants_a_delegating_sibling_for_every_traced_fn() {
     let src = include_str!("fixtures/twin_drift.rs");
     let d = lint_rust_source("fixtures/twin_drift.rs", src, &["twin-drift"]);
@@ -384,7 +416,7 @@ fn verify_script_invokes_the_linter() {
     // The gate self-checks that the newest rules are actually wired into
     // the binary it runs (via `--help`), and guards the ledger check on
     // its OK marker instead of trusting the exit code alone.
-    for rule in ["det-float", "encode-coverage", "twin-drift", "waiver-doc-sync"] {
+    for rule in ["det-float", "encode-coverage", "twin-drift", "hash-eq", "waiver-doc-sync"] {
         assert!(
             script.contains(rule),
             "scripts/verify.sh no longer self-checks rule `{rule}`"

@@ -18,7 +18,7 @@
 
 use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
-use impossible_explore::{Encode, Search};
+use impossible_explore::Search;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -236,10 +236,7 @@ pub enum HierarchyVerdict {
 }
 
 /// Exhaustively check a candidate protocol.
-pub fn consensus_verdict<P: ObjectProtocol>(proto: &P, max_states: usize) -> HierarchyVerdict
-where
-    P::Local: Encode,
-{
+pub fn consensus_verdict<P: ObjectProtocol>(proto: &P, max_states: usize) -> HierarchyVerdict {
     let sys = ObjectSystem::all_binary(proto);
     let report = Search::new(&sys).max_states(max_states).valence();
     if !report.agreement_violations.is_empty() {

@@ -49,10 +49,7 @@ where
 pub fn find_deadlock<A: MutexAlgorithm>(
     sys: &MutexSystem<'_, A>,
     max_states: usize,
-) -> Option<MutexState<A::Local>>
-where
-    A::Local: Encode,
-{
+) -> Option<MutexState<A::Local>> {
     let g = Search::new(sys).max_states(max_states).graph();
     let some_process_in =
         |s: &MutexState<A::Local>, region: Region| sys.processes_in(s, region).next().is_some();
@@ -106,10 +103,7 @@ pub fn find_lockout<A: MutexAlgorithm>(
     sys: &MutexSystem<'_, A>,
     victim: usize,
     max_states: usize,
-) -> Option<LockoutWitness<A::Local>>
-where
-    A::Local: Encode,
-{
+) -> Option<LockoutWitness<A::Local>> {
     let g = Search::new(sys).max_states(max_states).graph();
     let n = sys.algorithm().num_processes();
 
@@ -163,10 +157,7 @@ where
 pub fn observed_value_spaces<A: MutexAlgorithm>(
     sys: &MutexSystem<'_, A>,
     max_states: usize,
-) -> Vec<usize>
-where
-    A::Local: Encode,
-{
+) -> Vec<usize> {
     let states = Search::new(sys).max_states(max_states).reachable_states();
     let m = sys.algorithm().num_vars();
     let mut seen: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); m];

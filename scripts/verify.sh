@@ -24,10 +24,10 @@ echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
 echo "== impossible-lint (determinism & soundness, deny-all) =="
-# Self-check: the gate must be running the full ten-rule analyzer (the
+# Self-check: the gate must be running the full eleven-rule analyzer (the
 # newest rules included), not a stale binary with fewer rules.
 lint_help="$(cargo run -q -p impossible-lint --release --offline -- --help)"
-for rule in det-float encode-coverage twin-drift waiver-doc-sync; do
+for rule in det-float encode-coverage twin-drift hash-eq waiver-doc-sync; do
     if ! printf '%s' "$lint_help" | grep -q "$rule"; then
         echo "error: impossible-lint --help does not list rule '$rule'" >&2
         exit 1

@@ -52,7 +52,7 @@ where
     // Every engine fingerprints through `BatchScratch`: on this model's
     // real states it must equal the scalar reference item for item, and
     // distinct states must get distinct fingerprints.
-    let states = Search::new(sys).max_states(max_states).graph().order;
+    let states = graph_ignoring_the_seed(sys, max_states);
     for seed in [DEFAULT_SEED, 7] {
         let scalar: Vec<u64> = states.iter().map(|s| s.fingerprint(seed)).collect();
         let mut batch = BatchScratch::new(seed);
@@ -67,6 +67,26 @@ where
         let distinct: BTreeSet<u64> = scalar.into_iter().collect();
         assert_eq!(distinct.len(), states.len(), "collision under seed={seed}");
     }
+}
+
+/// Build `sys`'s exact graph under `DEFAULT_SEED` and under 7, uncapped and
+/// capped at half its states, and return the uncapped `DEFAULT_SEED` build's
+/// states. The seed keys only the builder's intern index, on which no output
+/// may depend (`docs/EXPLORE.md`, "Fingerprint dedup and the collision
+/// policy"): each pair must agree on `order`, the rows' `{:?}`, `initials`
+/// and `truncated_by`, so the capped pair is cut at the same index.
+fn graph_ignoring_the_seed<Sys: System>(sys: &Sys, max_states: usize) -> Vec<Sys::State> {
+    let build = |cap: usize, seed: u64| Search::new(sys).max_states(cap).seed(seed).graph();
+    let full = build(max_states, DEFAULT_SEED);
+    let cut = full.len() / 2;
+    for (g, cap) in [(&full, max_states), (&build(cut, DEFAULT_SEED), cut)] {
+        let h = build(cap, 7);
+        assert_eq!(h.order, g.order, "order moved with the seed (cap {cap})");
+        let rows = |g: &ReachableGraph<_, _>| format!("{:?}", g.succ);
+        assert_eq!(rows(&h), rows(g), "rows moved with the seed (cap {cap})");
+        assert_eq!((h.initials, h.truncated_by), (g.initials, g.truncated_by), "cap {cap}");
+    }
+    full.order
 }
 
 /// Explore `sys` with both engines and pin the order-independent facts,
