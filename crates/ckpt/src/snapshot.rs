@@ -37,6 +37,12 @@
 //! would mix with smaller samples; it is refused rather than resumed into
 //! a `peak_bytes` neither formula produces.
 //!
+//! Version 4 changed no section either. The visited table holds its parent
+//! links narrower than the `Parent` pages encode them (16 bytes for a
+//! `usize` action, 24 before), and `approx_bytes` counts the values at that
+//! width, so a v3 file's `peak_bytes` is a high-water mark of the wider
+//! table. It is refused for the same reason. The pages are byte-identical.
+//!
 //! Because every section is either a counter or a canonically-ordered page
 //! of a worker-count-invariant structure, the byte stream is a pure
 //! function of `(system, bounds, seed, canon, partitions, budget)`: any
@@ -63,8 +69,9 @@ pub const MAGIC: [u8; 8] = *b"IMPCKPT1";
 /// Current snapshot format version. v2: page-encoded visited/frontier
 /// sections shared with the extmem spill format, `peak_bytes` counter.
 /// v3: the same layout, `peak_bytes` under the dense-value table's
-/// accounting.
-pub const FORMAT_VERSION: u32 = 3;
+/// accounting. v4: the same layout, `peak_bytes` counting the table's
+/// values at the width of the search's parent links.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Seed for the trailing integrity checksum (fixed: the checksum is part of
 /// the format, not of any run's fingerprint universe).
@@ -430,9 +437,9 @@ mod tests {
         // Version field sits right after the magic; the checksum guards it
         // too, so rewrite both.
         let vpos = MAGIC.len();
-        // The next version, a v2 file (old `peak_bytes` accounting) and a
-        // v1 file (pre-page sections) are all refused up front.
-        for found in [FORMAT_VERSION + 1, 2, 1] {
+        // The next version, v3 and v2 files (older `peak_bytes` accounting)
+        // and a v1 file (pre-page sections) are all refused up front.
+        for found in [FORMAT_VERSION + 1, 3, 2, 1] {
             let mut bytes = sample().to_bytes();
             bytes[vpos..vpos + 4].copy_from_slice(&found.to_le_bytes());
             reseal(&mut bytes);

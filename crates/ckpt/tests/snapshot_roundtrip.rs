@@ -99,20 +99,37 @@ fn version_drift_is_rejected_by_name() {
     }
 }
 
-#[test]
-fn a_version_2_snapshot_is_refused() {
-    // v2 files carry a `peak_bytes` high-water mark under the old table
-    // accounting (a value slot per table slot); resuming one would mix it
-    // with samples of the dense layout.
+/// A paused grid run's snapshot, relabelled as format `version` (no
+/// reseal: the version check comes before the checksum's).
+fn relabelled_as(version: u32) -> Result<Snapshot<Vec<u8>, usize>, CkptError> {
     let ckpt = Search::new(&GRID)
         .run_resumable(PauseBudget::states(60))
         .paused()
         .expect("must pause");
     let mut bytes = Snapshot::new(grid_fp(), ckpt).to_bytes();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&version.to_le_bytes());
+    Snapshot::<Vec<u8>, usize>::from_bytes(&bytes)
+}
+
+#[test]
+fn a_version_2_snapshot_is_refused() {
+    // v2 files carry a `peak_bytes` high-water mark under the old table
+    // accounting (a value slot per table slot); resuming one would mix it
+    // with samples of the dense layout.
     assert_eq!(
-        Snapshot::<Vec<u8>, usize>::from_bytes(&bytes),
-        Err(CkptError::VersionMismatch { found: 2, expected: 3 })
+        relabelled_as(2),
+        Err(CkptError::VersionMismatch { found: 2, expected: 4 })
+    );
+}
+
+#[test]
+fn a_version_3_snapshot_is_refused() {
+    // v3 files count the visited table's values at `Parent`'s width (24
+    // bytes for a `usize` action) where the table now holds 16-byte links,
+    // so their `peak_bytes` is a high-water mark of the wider table.
+    assert_eq!(
+        relabelled_as(3),
+        Err(CkptError::VersionMismatch { found: 3, expected: 4 })
     );
 }
 

@@ -14,12 +14,12 @@
 //!
 //! * **Spill unit = shard, boundary = level.** When the resident visited
 //!   set exceeds [`SpillPolicy::ram_keys`] at a level boundary, every
-//!   shard pages out via `FpMap::take_ordered` (ascending stored key — the
-//!   canonical order checkpoints already use) into a delta+varint
-//!   [run page](crate::page) at `shard{k:03}.run{r:03}`, then clears. A
-//!   key lives in RAM **or** in exactly one run file, never both: spilled
-//!   keys are never re-inserted, because every commit asks the run files
-//!   first.
+//!   shard pages out via `FpMap::take_ordered_as` (ascending stored key —
+//!   the canonical order checkpoints already use), its links turned back
+//!   into `Parent`s, into a delta+varint [run page](crate::page) at
+//!   `shard{k:03}.run{r:03}`, then clears. A key lives in RAM **or** in
+//!   exactly one run file, never both: spilled keys are never re-inserted,
+//!   because every commit asks the run files first.
 //! * **One commit step per child.** The level's partitions expand, in
 //!   partition order, one list each; in that order they are the resident
 //!   body's j-major insert order. Each shard's run files are then asked
@@ -54,7 +54,8 @@ use crate::fingerprint::Encode;
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
 use crate::persist::Persist;
 use crate::search::{
-    with_tracer, BfsRun, Child, Parent, Search, SearchReport, VisitedBackend, DEFAULT_PARTITIONS,
+    with_tracer, BfsRun, Child, Link, Parent, Search, SearchReport, VisitedBackend,
+    DEFAULT_PARTITIONS,
 };
 use crate::table::{key_of, shard_index, Cap, ShardedFpMap};
 use impossible_core::system::System;
@@ -147,17 +148,17 @@ impl Spill {
     }
 
     /// Page every non-empty visited shard out as one run file, emptying it
-    /// (`take_ordered`).
+    /// (`take_ordered_as`, each link back to the `Parent` the page encodes).
     /// The commit step asks the run files before the table, so spilled keys
     /// are never re-inserted and each key lands in exactly one run across
     /// the whole search.
-    fn flush_visited<A: Persist>(&mut self, visited: &mut ShardedFpMap<Parent<A>>) {
+    fn flush_visited<A: Persist>(&mut self, visited: &mut ShardedFpMap<Link<A>>) {
         let r = self.flushes;
         for (k, shard) in visited.shards_mut().iter_mut().enumerate() {
             if shard.is_empty() {
                 continue;
             }
-            let entries = shard.take_ordered();
+            let entries = shard.take_ordered_as(Parent::from);
             let page = encode_run_page(&entries);
             let path = self.policy.dir().join(format!("shard{k:03}.run{r:03}"));
             std::fs::write(&path, page)

@@ -57,6 +57,7 @@ use impossible_core::system::System;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::num::NonZeroU64;
 
 /// Trace field value for a truncation cause ("none" when unbounded).
 fn truncation_name(t: &Option<Truncation>) -> &'static str {
@@ -109,6 +110,49 @@ pub enum Parent<A> {
     Root(usize),
     /// Reached from the state fingerprinted `parent` via `action`.
     Child { parent: u64, action: A },
+}
+
+/// The visited table's value: a [`Parent`] whose parent is stored as its
+/// table key. A stored key is never 0 (the table folds fingerprint 0 onto
+/// key 1), so it is a `NonZeroU64` and rustc keeps the variant in its
+/// niche: `Link<usize>` is 16 bytes where `Parent<usize>` is 24 (the
+/// `search.rs` tests pin the widths). Checkpoints and run pages stay
+/// `Parent`; the routes convert one shard at a time, as they page.
+///
+/// Converting a `Parent` applies the same fold, so `Child { parent: 0 }`
+/// comes back as `parent: 1`: `table::key_of`'s fold, the key any lookup of
+/// fingerprint 0 probes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Link<A> {
+    Root(usize),
+    Child { parent: NonZeroU64, action: A },
+}
+
+impl<A> Link<A> {
+    /// The link to a child of the state fingerprinted `parent`.
+    #[inline]
+    pub(crate) fn child(parent: u64, action: A) -> Self {
+        let parent = NonZeroU64::new(parent).unwrap_or(NonZeroU64::MIN);
+        Link::Child { parent, action }
+    }
+}
+
+impl<A> From<Parent<A>> for Link<A> {
+    fn from(p: Parent<A>) -> Self {
+        match p {
+            Parent::Root(i) => Link::Root(i),
+            Parent::Child { parent, action } => Link::child(parent, action),
+        }
+    }
+}
+
+impl<A> From<Link<A>> for Parent<A> {
+    fn from(l: Link<A>) -> Self {
+        match l {
+            Link::Root(i) => Parent::Root(i),
+            Link::Child { parent, action } => Parent::Child { parent: parent.get(), action },
+        }
+    }
 }
 
 /// Pause thresholds for [`Search::run_resumable`] / [`Search::resume`]: the
@@ -441,7 +485,7 @@ pub(crate) fn with_tracer<R>(
 /// lands on all of them at once.
 pub(crate) struct BfsRun<Sys: System> {
     pub(crate) stats: SearchStats,
-    pub(crate) visited: ShardedFpMap<Parent<Sys::Action>>,
+    pub(crate) visited: ShardedFpMap<Link<Sys::Action>>,
     pub(crate) terminal: Vec<Sys::State>,
     transitions: usize,
     pub(crate) truncated_by: Option<Truncation>,
@@ -663,8 +707,8 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        let mut stats = SearchStats::new("bfs", self.workers, DEFAULT_PARTITIONS, self.seed);
-        let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
+        let mut stats = SearchStats::new(self.workers, DEFAULT_PARTITIONS, self.seed);
+        let mut visited: ShardedFpMap<Link<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
         let mut truncated_by: Option<Truncation> = None;
         let mut found: Option<u64> = None;
         // Batched fingerprint pipeline for this control path and both
@@ -693,8 +737,7 @@ where
             let fp = batch.fingerprint_one(&sc);
             // The explicit length check above is the cap here, so the
             // insert itself is unbounded.
-            if visited.try_insert_with(fp, Cap::Unbounded, || Parent::Root(i)) == TryInsert::Present
-            {
+            if visited.try_insert_with(fp, Cap::Unbounded, || Link::Root(i)) == TryInsert::Present {
                 stats.dedup_hits += 1;
                 continue;
             }
@@ -896,7 +939,7 @@ where
         );
 
         let witness = run.found.map(|target| {
-            let resident = |fp| run.visited.get(fp).cloned();
+            let resident = |fp| run.visited.get(fp).cloned().map(Parent::from);
             let lookup = |fp| resident(fp).or_else(|| backend.spilled_parent(fp));
             self.replay_witness_with(target, lookup)
         });
@@ -912,8 +955,9 @@ where
     }
 
     /// Package a paused run as a checkpoint, in canonical order: visited
-    /// shards are moved out by [`crate::table::FpMap::take_ordered`]
-    /// (ascending key — the run is over, so nothing is cloned), frontier
+    /// shards are moved out by [`crate::table::FpMap::take_ordered_as`]
+    /// (ascending key — the run is over, so nothing is cloned), each link
+    /// turned into its [`Parent`] in that same pass, and frontier
     /// partitions keep their in-partition traversal order.
     fn suspend(&self, mut run: BfsRun<Sys>) -> SearchCheckpoint<Sys::State, Sys::Action> {
         debug_assert!(run.found.is_none(), "paused runs carry no witness");
@@ -921,7 +965,7 @@ where
             .visited
             .shards_mut()
             .iter_mut()
-            .map(FpMap::take_ordered)
+            .map(|shard| shard.take_ordered_as(Parent::from))
             .collect();
         SearchCheckpoint {
             seed: self.seed,
@@ -943,7 +987,8 @@ where
     }
 
     /// Rebuild in-flight state from a checkpoint: shard `k` is
-    /// [`crate::table::FpMap::from_ascending`] of page `k` — the table
+    /// [`crate::table::FpMap::from_ascending`] of page `k`, each
+    /// [`Parent`] turned into its [`Link`] as it is placed — the table
     /// inserting its keys one by one would have grown, so `peak_bytes`
     /// continues as if the run had never paused. `workers` in the restored
     /// stats is the *resuming* builder's count, matching what an
@@ -969,7 +1014,7 @@ where
             DEFAULT_PARTITIONS,
             "checkpoint frontier-partition count mismatch"
         );
-        let mut stats = SearchStats::new("bfs", self.workers, DEFAULT_PARTITIONS, self.seed);
+        let mut stats = SearchStats::new(self.workers, DEFAULT_PARTITIONS, self.seed);
         stats.levels = ckpt.levels;
         stats.expansions = ckpt.expansions;
         stats.dedup_hits = ckpt.dedup_hits;
@@ -978,9 +1023,9 @@ where
         stats.cap_fallbacks = ckpt.cap_fallbacks;
         stats.peak_bytes = ckpt.peak_bytes;
 
-        let mut visited: ShardedFpMap<Parent<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
+        let mut visited: ShardedFpMap<Link<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
         for (shard, page) in visited.shards_mut().iter_mut().zip(ckpt.visited) {
-            *shard = FpMap::from_ascending(page);
+            *shard = FpMap::from_ascending(page.into_iter().map(|(k, p)| (k, Link::from(p))));
         }
         visited.refresh_len();
 
@@ -1117,7 +1162,7 @@ where
         children: &mut Vec<Child<Sys::State, Sys::Action>>,
         on_disk: impl Fn(u64) -> bool,
         cap: Cap,
-        visited: &mut ShardedFpMap<Parent<Sys::Action>>,
+        visited: &mut ShardedFpMap<Link<Sys::Action>>,
         truncated_by: &mut Option<Truncation>,
         depth: usize,
         spares: &mut Vec<Sys::State>,
@@ -1127,7 +1172,7 @@ where
         let batch_len = children.len();
         let mut dedup_hits = 0usize;
         for (fp, tc, action, parent) in children.drain(..) {
-            let link = || Parent::Child { parent, action };
+            let link = || Link::child(parent, action);
             let verdict = if on_disk(fp) {
                 TryInsert::Present
             } else {
@@ -1465,6 +1510,52 @@ mod tests {
             drop(r);
             assert_peak(kept + 2 * largest_batch);
         }
+    }
+
+    #[test]
+    fn links_are_never_wider_than_parents_and_16_bytes_for_usize() {
+        // Kills a plain `u64` parent field (no niche: `Link<usize>` is 24
+        // bytes again, the `== 16` pin) and any extra field or wider
+        // payload (the `<=` pins).
+        use std::mem::size_of;
+        #[allow(dead_code)]
+        enum MutexShaped {
+            Try(u32),
+            Step(u32),
+            Exit(u32),
+        }
+        fn no_wider<A>() -> bool {
+            size_of::<Link<A>>() <= size_of::<Parent<A>>()
+        }
+        assert!(no_wider::<usize>());
+        assert!(no_wider::<u64>());
+        assert!(no_wider::<u8>());
+        assert!(no_wider::<(usize, usize)>());
+        assert!(no_wider::<MutexShaped>());
+        assert_eq!(size_of::<Link<usize>>(), 16);
+        assert_eq!(size_of::<Parent<usize>>(), 24);
+    }
+
+    #[test]
+    fn links_round_trip_parents_but_for_the_zero_fold() {
+        // Kills a conversion that swaps or drops a variant, loses the
+        // action, or stores anything but the parent itself (an off-by-one
+        // `parent + 1` key, say): every round trip must be exact.
+        let round = |p: Parent<u32>| Parent::from(Link::from(p));
+        for i in [0, 1, 7, usize::MAX] {
+            assert_eq!(round(Parent::Root(i)), Parent::Root(i));
+        }
+        for parent in [1, 2, 0x8000_0000_0000_0000, u64::MAX] {
+            let p = Parent::Child { parent, action: 9 };
+            assert_eq!(round(p.clone()), p);
+        }
+        // Kills a conversion that panics on parent 0 or maps it anywhere
+        // but the table's own fold (`key_of(0) == 1`).
+        assert_eq!(
+            round(Parent::Child { parent: 0, action: 3 }),
+            Parent::Child { parent: 1, action: 3 }
+        );
+        assert_eq!(crate::table::key_of(0), 1);
     }
 
     #[test]

@@ -56,9 +56,9 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    pub(crate) fn new(strategy: &'static str, workers: usize, partitions: usize, seed: u64) -> Self {
+    pub(crate) fn new(workers: usize, partitions: usize, seed: u64) -> Self {
         SearchStats {
-            strategy,
+            strategy: "bfs",
             workers,
             partitions,
             seed,
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_complete() {
-        let mut s = SearchStats::new("bfs", 2, 64, 7);
+        let mut s = SearchStats::new(2, 64, 7);
         s.levels = 3;
         s.expansions = 10;
         s.dedup_hits = 4;

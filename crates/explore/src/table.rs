@@ -134,9 +134,9 @@ pub fn shard_index(fp: u64, shards: usize) -> usize {
 ///
 /// Past `u32::MAX`: a slot stores its entry index in 4 bytes, so one table
 /// (one shard of a [`ShardedFpMap`]) holds at most `u32::MAX + 1` entries.
-/// With the search's 24-byte parent links and at least two 12-byte slots
-/// per entry that is over 200 GB in one shard, far beyond any resident
-/// search.
+/// With the search's 16-byte parent links (a `usize` action) and at least
+/// two 12-byte slots per entry that is over 170 GB in one shard, far beyond
+/// any resident search.
 #[inline]
 fn entry_index(len: usize) -> u32 {
     u32::try_from(len).expect("FpMap entry index past u32::MAX: one table holds at most 2^32 entries")
@@ -318,10 +318,17 @@ impl<V> FpMap<V> {
     /// order in place, cycle by cycle — the ordered slot list, turned into
     /// entry indices, is the only transient buffer.
     pub fn take_ordered(&mut self) -> Vec<(u64, V)> {
+        self.take_ordered_as(|v| v)
+    }
+
+    /// [`FpMap::take_ordered`], each value turned into `f(value)` in the
+    /// same pass that moves it out: a search's visited shard pages out its
+    /// links as checkpoint and run-page parents without a second copy.
+    pub(crate) fn take_ordered_as<W>(&mut self, mut f: impl FnMut(V) -> W) -> Vec<(u64, W)> {
         let mut order = self.ordered_slots();
-        let mut entries: Vec<(u64, V)> = std::mem::take(&mut self.vals)
+        let mut entries: Vec<(u64, W)> = std::mem::take(&mut self.vals)
             .into_iter()
-            .map(|v| (EMPTY, v))
+            .map(|v| (EMPTY, f(v)))
             .collect();
         for s in order.iter_mut() {
             let e = self.at[*s] as usize;
@@ -358,11 +365,18 @@ impl<V> FpMap<V> {
     /// lands on the first free slot at or after its home with everything in
     /// between occupied — findable by the forward probe — and only the last
     /// few can run off the end and wrap. The values keep the page's order.
+    /// Any exact-size iterator will do, so a page can be converted entry by
+    /// entry as it is placed.
     ///
     /// # Panics
     ///
     /// If a key is zero or not greater than its predecessor.
-    pub fn from_ascending(entries: Vec<(u64, V)>) -> Self {
+    pub fn from_ascending<I>(entries: I) -> Self
+    where
+        I: IntoIterator<Item = (u64, V)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let entries = entries.into_iter();
         let cap = (entries.len() * 2).max(64).next_power_of_two();
         let (shift, mask) = (64 - cap.trailing_zeros(), cap - 1);
         let mut map = FpMap {

@@ -291,7 +291,7 @@ det_prop! {
         let doublings = (5..=13).flat_map(|p| [(1usize << p) - 1, 1 << p, (1 << p) + 1]);
         for len in (0..=300).chain(doublings) {
             let keys = ascending_keys(&mut rng, len);
-            let bulk = FpMap::from_ascending(keys.iter().map(|&k| (k, !k)).collect());
+            let bulk = FpMap::from_ascending(keys.iter().map(|&k| (k, !k)));
             let mut shuffled = keys.clone();
             rng.shuffle(&mut shuffled);
             let mut grown: FpMap<u64> = FpMap::new();

@@ -86,7 +86,7 @@ fi
 # The straight line renders `SearchStats`, `peak_bytes` included, so its
 # pin also holds the visited table's byte accounting (`FpMap::approx_bytes`,
 # docs/EXPLORE.md "The visited table") end to end.
-check_straight_sha256=73224e0d36973bc7f8d018858492e2ee67246267d1102466db961d7dae2a6012
+check_straight_sha256=665980d5bc5d463b5dc1c8f4880edf781dacbd894d05d00bcb96a484e97a993d
 check_straight_got="$(sha256sum < "$check_tmp/straight.txt" | cut -d' ' -f1)"
 if [ "$check_straight_got" != "$check_straight_sha256" ]; then
     echo "error: check straight moved: sha256 $check_straight_got, pinned $check_straight_sha256" >&2
