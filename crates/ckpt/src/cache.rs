@@ -113,7 +113,7 @@ impl VerdictCache {
 
     /// Render the canonical file bytes (header + ascending-key lines +
     /// count trailer).
-    pub fn to_text(&self) -> String {
+    fn to_text(&self) -> String {
         let mut out = String::from(HEADER);
         out.push('\n');
         for (key, (label, v)) in &self.entries {
@@ -134,7 +134,7 @@ impl VerdictCache {
     /// mid-line or between lines — fails the `count` trailer check and
     /// surfaces as [`CkptError::Malformed`], never as a silently smaller
     /// cache.
-    pub fn from_text(text: &str) -> Result<Self, CkptError> {
+    fn from_text(text: &str) -> Result<Self, CkptError> {
         let mut lines = text.lines();
         match lines.next() {
             Some(h) if h == HEADER => {}
@@ -205,25 +205,16 @@ impl VerdictCache {
         }
     }
 
-    /// Write the canonical bytes to `path`, atomically: temp file in the
-    /// same directory, then rename. The old code was a bare
-    /// `std::fs::write`, which truncates the destination *before* writing
-    /// — a crash in the window left a short file that (pre-v2) parsed as a
-    /// valid empty-ish cache. Rename is atomic on POSIX filesystems, so
-    /// readers now see the old bytes or the new bytes, nothing between.
-    /// The temp name is derived from the content fingerprint (no ambient
-    /// pid/clock — the workspace lints ban both), so identical concurrent
-    /// saves collide harmlessly on identical bytes.
+    /// Write the canonical text to `path`, atomically: a bare
+    /// `std::fs::write` truncates the destination *before* writing, and a
+    /// crash in that window left a short file that (pre-v2) parsed as a
+    /// valid empty-ish cache. The temp name carries the text's
+    /// fingerprint.
     pub fn save(&self, path: &str) -> Result<(), CkptError> {
         let text = self.to_text();
         let mut h = FpHasher::new(KEY_SEED);
         h.write_bytes(text.as_bytes());
-        let tmp = format!("{path}.{:016x}.tmp", h.finish());
-        std::fs::write(&tmp, &text).map_err(|e| CkptError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            CkptError::Io(e.to_string())
-        })
+        crate::write_atomically(path, text.as_bytes(), h.finish())
     }
 }
 

@@ -41,4 +41,18 @@ pub use cache::{job_key, model_fp, Verdict, VerdictCache};
 pub use impossible_explore::Persist;
 pub use incr::{crash_process, reexplore_incremental, ActionEdit, IncrStats};
 pub use manifest::{run_manifest, run_manifest_traced, CheckJob, JobOutcome, ManifestReport};
-pub use snapshot::{CkptError, Snapshot, FORMAT_VERSION, MAGIC};
+pub use snapshot::{CkptError, Snapshot, FORMAT_VERSION};
+
+/// Write `bytes` to `path` atomically: into the same-directory temp file
+/// `{path}.{tag:016x}.tmp` first, then renamed into place, so a crash
+/// mid-write leaves the old file or the new one, never a truncated
+/// hybrid. `tag` is a digest of `bytes` (no ambient pid or clock), so
+/// concurrent saves of identical bytes collide harmlessly.
+fn write_atomically(path: &str, bytes: &[u8], tag: u64) -> Result<(), CkptError> {
+    let tmp = format!("{path}.{tag:016x}.tmp");
+    std::fs::write(&tmp, bytes).map_err(|e| CkptError::Io(e.to_string()))?;
+    std::fs::rename(&tmp, path).map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        CkptError::Io(e.to_string())
+    })
+}

@@ -64,7 +64,7 @@ use impossible_explore::table::shard_index;
 use impossible_explore::FpHasher;
 
 /// The 8-byte file magic.
-pub const MAGIC: [u8; 8] = *b"IMPCKPT1";
+const MAGIC: [u8; 8] = *b"IMPCKPT1";
 
 /// Current snapshot format version. v2: page-encoded visited/frontier
 /// sections shared with the extmem spill format, `peak_bytes` counter.
@@ -83,7 +83,7 @@ const CHECKSUM_SEED: u64 = 0xC4EC_50FF_1CE5_EED5;
 pub enum CkptError {
     /// Shorter than the fixed header + checksum can be.
     TooShort,
-    /// The first 8 bytes are not [`MAGIC`].
+    /// The first 8 bytes are not the magic `IMPCKPT1`.
     BadMagic,
     /// Written by a different format version than this build reads.
     VersionMismatch {
@@ -304,23 +304,15 @@ impl<S: Persist, A: Persist> Snapshot<S, A> {
         Ok(())
     }
 
-    /// Write the canonical bytes to `path`, atomically: the bytes land in
-    /// a same-directory temp file first and are renamed into place, so a
-    /// crash mid-write leaves either the old snapshot or the new one —
-    /// never a truncated hybrid that [`Snapshot::load`] would refuse as
-    /// corrupt. The temp name is derived from the content checksum (no
-    /// ambient pid/clock), so concurrent saves of identical bytes are
-    /// idempotent rather than racy.
+    /// Write the canonical bytes to `path`, atomically, so a crash
+    /// mid-write never leaves a truncated hybrid that [`Snapshot::load`]
+    /// would refuse as corrupt. The temp name carries the content
+    /// checksum.
     pub fn save(&self, path: &str) -> Result<(), CkptError> {
         let bytes = self.to_bytes();
         let mut sum_at = bytes.len() - 8;
         let sum = u64::read(&bytes, &mut sum_at).expect("to_bytes ends in its checksum");
-        let tmp = format!("{path}.{sum:016x}.tmp");
-        std::fs::write(&tmp, &bytes).map_err(|e| CkptError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            CkptError::Io(e.to_string())
-        })
+        crate::write_atomically(path, &bytes, sum)
     }
 
     /// Read, decode and validate a snapshot file.

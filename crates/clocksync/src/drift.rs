@@ -9,7 +9,7 @@
 //! `u·(1−1/n)` floor — so the long-run envelope is
 //! `u·(1−1/n) + 2ρR`, measured here against its two parameters.
 
-use crate::model::{averaging_adjustments, ClockParams, Observations};
+use crate::model::{averaging_adjustments, ClockParams};
 use impossible_det::DetRng;
 
 /// A drifting hardware clock: `H(t) = offset + rate·t`.
@@ -47,7 +47,7 @@ pub struct DriftParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftRun {
     /// Skew measured immediately after each resynchronization.
-    pub post_sync_skews: Vec<f64>,
+    post_sync_skews: Vec<f64>,
     /// Skew measured immediately before each resynchronization (the
     /// envelope's worst points).
     pub pre_sync_skews: Vec<f64>,
@@ -114,12 +114,6 @@ fn skew_at(clocks: &[DriftingClock], t: f64) -> f64 {
     let lo = readings.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = readings.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     hi - lo
-}
-
-/// An algorithm-shaped hook matching [`crate::shifting`]'s signature, for
-/// plugging drift-aware strategies into the lower-bound engine.
-pub fn averaging(params: &ClockParams, obs: &[Observations]) -> Vec<f64> {
-    averaging_adjustments(params, obs)
 }
 
 #[cfg(test)]

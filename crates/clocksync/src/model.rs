@@ -61,7 +61,7 @@ pub struct SyncOutcome {
     /// The execution diagram (for the shifting engine).
     pub diagram: Diagram,
     /// Raw observations (for indistinguishability checks).
-    pub observations: Vec<Observations>,
+    observations: Vec<Observations>,
 }
 
 /// Per-message delays: `delays[i][j]` is the delay of the message `i → j`.

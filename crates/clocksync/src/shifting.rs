@@ -18,7 +18,7 @@ use impossible_msgpass::stretch::Diagram;
 #[derive(Debug, Clone, PartialEq)]
 pub struct LowerBoundDemo {
     /// Skew of the (single, forced) output in each world `E_k`.
-    pub skews: Vec<f64>,
+    skews: Vec<f64>,
     /// The theoretical tight bound `u·(1 − 1/n)`.
     pub bound: f64,
     /// True iff all worlds produced identical observations and every
@@ -37,7 +37,7 @@ impl LowerBoundDemo {
 
 /// The chain's base delay matrix: forward (`i < j`) at `hi`, backward at
 /// `lo` — the unique pattern that leaves headroom for every prefix shift.
-pub fn chain_delays(params: &ClockParams) -> DelayMatrix {
+fn chain_delays(params: &ClockParams) -> DelayMatrix {
     let n = params.n();
     let mut d = vec![vec![0.0; n]; n];
     for i in 0..n {

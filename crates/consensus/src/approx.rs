@@ -17,7 +17,7 @@ use impossible_det::DetRng;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApproxRun {
     /// Honest values after each round (row per round, including round 0).
-    pub trajectory: Vec<Vec<f64>>,
+    trajectory: Vec<Vec<f64>>,
     /// (range after k rounds) / (range at start).
     pub ratio: f64,
     /// The round-by-round achievable curve `(t/n)^k`.

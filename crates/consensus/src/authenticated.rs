@@ -25,13 +25,13 @@ pub struct SignedValue {
     /// The value being broadcast.
     pub value: u64,
     /// Signature chain; `signers[0]` must be the dealer.
-    pub signers: Vec<usize>,
+    signers: Vec<usize>,
 }
 
 impl SignedValue {
     /// Chain validity for round `r` with dealer `d`: starts at the dealer,
     /// has `r` *distinct* signers.
-    pub fn valid(&self, dealer: usize, round: usize) -> bool {
+    fn valid(&self, dealer: usize, round: usize) -> bool {
         if self.signers.first() != Some(&dealer) || self.signers.len() != round {
             return false;
         }
@@ -148,7 +148,7 @@ impl SyncProcess for DolevStrong {
 
 /// A Byzantine dealer strategy: equivocates, sending value `to % 2` to each
 /// process with its own (legitimate — it owns its key) signature.
-pub fn equivocating_dealer(t: usize) -> Box<dyn FnMut(usize, usize) -> Option<Vec<SignedValue>>> {
+fn equivocating_dealer(t: usize) -> Box<dyn FnMut(usize, usize) -> Option<Vec<SignedValue>>> {
     let _ = t;
     Box::new(move |round: usize, to: usize| {
         (round == 1).then(|| {

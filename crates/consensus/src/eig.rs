@@ -147,6 +147,7 @@ impl EigProcess {
 
     /// Number of entries in the information-gathering tree — the quantity
     /// that grows exponentially with `t`.
+    // LINT-ALLOW: dead-pub -- EIG's information tree grows like n^t while the message count stays linear; test information_grows_exponentially_with_t
     pub fn tree_size(&self) -> usize {
         self.state.tree.len()
     }

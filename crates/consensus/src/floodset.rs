@@ -26,7 +26,7 @@ pub struct FloodSet {
     prev_seen: Option<BTreeSet<u64>>,
     decision: Option<u64>,
     /// Round in which the decision was made (for round-count experiments).
-    pub decided_at: Option<usize>,
+    decided_at: Option<usize>,
 }
 
 impl FloodSet {
@@ -45,7 +45,7 @@ impl FloodSet {
     }
 
     /// Early-stopping variant: decide once the view is stable.
-    pub fn early_stopping(mut self) -> Self {
+    fn early_stopping(mut self) -> Self {
         self.early_stopping = true;
         self
     }

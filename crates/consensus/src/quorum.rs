@@ -194,6 +194,7 @@ impl AsyncCandidate for QuorumVote {
 /// because flipping is an involution. No reachable state is flip-fixed
 /// (`locals[0].input` always flips), so every orbit has size exactly two
 /// and the quotient halves the explored space.
+// LINT-ALLOW: dead-pub -- FLP [55]: the non-termination lasso survives the 0/1 flip quotient; tests quotient_preserves_agreement_and_the_flp_stall, value_swap_canon_halves_the_binary_input_space
 pub fn value_swap_canon(
     s: &FlpState<QuorumLocal, QuorumMsg>,
 ) -> FlpState<QuorumLocal, QuorumMsg> {

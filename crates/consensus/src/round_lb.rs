@@ -71,7 +71,7 @@ pub struct OneRoundExec {
     pub inputs: Vec<u64>,
     /// `Some((p, k))`: `p` crashes having sent to only its first `k`
     /// destinations (ascending order, skipping itself).
-    pub crash: Option<(usize, usize)>,
+    crash: Option<(usize, usize)>,
     /// Per-process received maps (crashed process receives nothing).
     pub received: Vec<BTreeMap<usize, u64>>,
     /// Per-process decisions (`None` for the crashed process).
@@ -127,7 +127,7 @@ fn all_agree(e: &OneRoundExec) -> Option<u64> {
 /// Build the full flip-every-input chain for `n ≥ 3` processes.
 ///
 /// Returns the executions in order with the witness process of each link.
-pub fn build_chain<R: OneRoundRule>(rule: &R, n: usize) -> Chain<OneRoundExec> {
+fn build_chain<R: OneRoundRule>(rule: &R, n: usize) -> Chain<OneRoundExec> {
     assert!(n >= 3, "need n ≥ 3 so a witness always exists");
     let mut inputs = vec![0u64; n];
     let mut chain = Chain::start(execute(rule, &inputs, None));

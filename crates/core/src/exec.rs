@@ -8,9 +8,7 @@
 //! that the engines never hand back a counterexample that the problem
 //! statement would disqualify.
 
-use crate::ids::ProcessId;
 use crate::system::System;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A finite execution fragment: `s0 -a1-> s1 -a2-> ... -ak-> sk`.
@@ -49,13 +47,6 @@ impl<S: Clone, A: Clone> Execution<S, A> {
     pub fn push(&mut self, action: A, state: S) {
         self.actions.push(action);
         self.states.push(state);
-    }
-
-    /// Extend this execution by one step, returning the new execution.
-    pub fn extended(&self, action: A, state: S) -> Self {
-        let mut e = self.clone();
-        e.push(action, state);
-        e
     }
 
     /// The initial state.
@@ -114,11 +105,6 @@ impl<A: Clone> Schedule<A> {
         }
     }
 
-    /// A schedule from an action list.
-    pub fn from_actions(actions: Vec<A>) -> Self {
-        Schedule { actions }
-    }
-
     /// The underlying actions.
     pub fn actions(&self) -> &[A] {
         &self.actions
@@ -174,14 +160,6 @@ pub struct Admissibility {
 }
 
 impl Admissibility {
-    /// Fully fair runs: no failures allowed, weak fairness required.
-    pub fn failure_free() -> Self {
-        Admissibility {
-            max_failures: 0,
-            weak_fairness: true,
-        }
-    }
-
     /// `t`-resilient admissibility: up to `t` processes may stop.
     pub fn resilient(t: usize) -> Self {
         Admissibility {
@@ -197,41 +175,6 @@ impl Admissibility {
             max_failures: n.saturating_sub(1),
             weak_fairness: false,
         }
-    }
-}
-
-/// Per-process step counts of a (lasso-shaped) execution fragment — the data
-/// the engines use to certify that a constructed infinite run is admissible.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StepCensus {
-    counts: BTreeMap<ProcessId, usize>,
-    /// Steps owned by the environment (no process).
-    pub environment_steps: usize,
-}
-
-impl StepCensus {
-    /// Count steps per owner over an execution.
-    pub fn of<Sys: System>(sys: &Sys, exec: &Execution<Sys::State, Sys::Action>) -> Self {
-        let mut census = StepCensus::default();
-        for a in exec.actions() {
-            match sys.owner(a) {
-                Some(p) => *census.counts.entry(p).or_insert(0) += 1,
-                None => census.environment_steps += 1,
-            }
-        }
-        census
-    }
-
-    /// Steps taken by `p`.
-    pub fn steps_of(&self, p: ProcessId) -> usize {
-        self.counts.get(&p).copied().unwrap_or(0)
-    }
-
-    /// The processes that took **no** step.
-    pub fn silent(&self, n: usize) -> Vec<ProcessId> {
-        ProcessId::all(n)
-            .filter(|p| self.steps_of(*p) == 0)
-            .collect()
     }
 }
 
@@ -275,21 +218,10 @@ mod tests {
     fn schedule_run_success_and_failure() {
         let sys = Counters { n: 2, max: 1 };
         let init = sys.initial_states()[0].clone();
-        let ok = Schedule::from_actions(vec![0usize, 1]).run(&sys, &init).unwrap();
+        let ok = [0usize, 1].into_iter().collect::<Schedule<_>>().run(&sys, &init).unwrap();
         assert_eq!(*ok.last(), vec![1, 1]);
-        let err = Schedule::from_actions(vec![0usize, 0]).run(&sys, &init);
+        let err = [0usize, 0].into_iter().collect::<Schedule<_>>().run(&sys, &init);
         assert_eq!(err.unwrap_err(), 1);
-    }
-
-    #[test]
-    fn census_counts_owners_and_silents() {
-        let sys = Counters { n: 3, max: 2 };
-        let init = sys.initial_states()[0].clone();
-        let e = Schedule::from_actions(vec![0usize, 0, 2]).run(&sys, &init).unwrap();
-        let census = StepCensus::of(&sys, &e);
-        assert_eq!(census.steps_of(ProcessId(0)), 2);
-        assert_eq!(census.steps_of(ProcessId(1)), 0);
-        assert_eq!(census.silent(3), vec![ProcessId(1)]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   equal (an equivalence relation, the Kripke frame of S5 knowledge).
 //! * [`KnowledgeFrame::knows`] — `K_p(φ)` holds at `s` iff `φ` holds at
 //!   every state `p` cannot distinguish from `s`.
-//! * [`KnowledgeFrame::everyone_knows`] — `E(φ) = ⋀_p K_p(φ)`.
+//! * [`KnowledgeFrame::iterated_knowledge`] — `E^k(φ)`, where
+//!   `E(φ) = ⋀_p K_p(φ)` is `k = 1`.
 //! * [`KnowledgeFrame::common_knowledge`] — `C(φ)`: the greatest fixpoint
 //!   of `X ↦ φ ∧ E(X)`, i.e. the union of the indistinguishability
 //!   equivalence classes (under the transitive closure over all processes)
@@ -81,23 +82,12 @@ impl<S, V: Eq + Hash + Clone> KnowledgeFrame<S, V> {
 
     /// `K_p(φ)` as a per-state truth vector: `p` knows `φ` at `s` iff `φ`
     /// holds at every state `p` cannot distinguish from `s`.
+    // LINT-ALLOW: dead-pub -- K_p, the knowledge operator every indistinguishability argument restates; tests knowledge_is_truthful, first_general_knows_after_two_trips
     pub fn knows<F: Fn(&S) -> bool>(&self, p: ProcessId, fact: F) -> Vec<bool> {
         let base = self.eval(fact);
         (0..self.states.len())
             .map(|i| self.indistinguishable(i, p).into_iter().all(|j| base[j]))
             .collect()
-    }
-
-    /// `E(φ)`: everyone knows `φ`.
-    pub fn everyone_knows<F: Fn(&S) -> bool + Copy>(&self, fact: F) -> Vec<bool> {
-        let mut result = vec![true; self.states.len()];
-        for p in ProcessId::all(self.num_processes) {
-            let k = self.knows(p, fact);
-            for (r, ki) in result.iter_mut().zip(k) {
-                *r &= ki;
-            }
-        }
-        result
     }
 
     /// `C(φ)`: common knowledge — the greatest fixpoint of `φ ∧ E(·)`.

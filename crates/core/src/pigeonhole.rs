@@ -1,86 +1,19 @@
-//! Pigeonhole helpers and the §2.1 bound formulas.
+//! The §2.1 bound formulas.
 //!
 //! The earliest impossibility proofs in the survey (Cremers–Hibbard \[35\],
 //! Burns–Fischer–Jackson–Lynch–Peterson \[26\]) are pigeonhole arguments on the
 //! values of shared memory: run the algorithm into many situations, observe
 //! that the shared variable takes fewer values than there are situations, and
 //! exhibit two "incompatible" situations that look identical to some process.
-//! This module provides the counting utilities those refuters use, and the
+//! The refuters run those arguments as searches; this module holds the
 //! closed-form bound functions of §2.1 that the experiments plot.
-
-/// Find two indices whose keys collide, if `items` outnumber distinct keys —
-/// the executable pigeonhole principle.
-///
-/// Returns the first `(i, j)` with `i < j` and `key(items[i]) ==
-/// key(items[j])`, scanning in order (so the witness is deterministic).
-///
-/// # Examples
-///
-/// ```
-/// use impossible_core::pigeonhole::find_collision;
-/// // 4 items, keys mod 3: a collision must exist.
-/// let items = [10, 11, 12, 13];
-/// let (i, j) = find_collision(&items, |x| x % 3).unwrap();
-/// assert_eq!((i, j), (0, 3)); // 10 % 3 == 13 % 3 == 1
-/// ```
-pub fn find_collision<T, K: PartialEq, F: Fn(&T) -> K>(
-    items: &[T],
-    key: F,
-) -> Option<(usize, usize)> {
-    let keys: Vec<K> = items.iter().map(&key).collect();
-    for i in 0..keys.len() {
-        for j in (i + 1)..keys.len() {
-            if keys[i] == keys[j] {
-                return Some((i, j));
-            }
-        }
-    }
-    None
-}
-
-/// Group item indices by key.
-pub fn group_by_key<T, K: Ord, F: Fn(&T) -> K>(
-    items: &[T],
-    key: F,
-) -> std::collections::BTreeMap<K, Vec<usize>> {
-    let mut groups: std::collections::BTreeMap<K, Vec<usize>> = Default::default();
-    for (i, item) in items.iter().enumerate() {
-        groups.entry(key(item)).or_default().push(i);
-    }
-    groups
-}
 
 /// Bound formulas from §2.1 of the paper, for the experiment harness.
 pub mod bounds {
-    /// Cremers–Hibbard \[35\]: minimum test-and-set values for 2-process
-    /// mutual exclusion **with fairness** — 3 (2 are insufficient).
-    pub const CREMERS_HIBBARD_TAS_VALUES: u64 = 3;
-
     /// Burns et al. \[26\]: n-process mutual exclusion with *bounded waiting*
     /// on one test-and-set variable needs at least `n + 1` values.
     pub fn bounded_waiting_values(n: u64) -> u64 {
         n + 1
-    }
-
-    /// Burns et al. \[26\]: with only *no-lockout* required, Ω(√n) values are
-    /// required — and (surprisingly) ≈ n/2 suffice via the counterexample
-    /// algorithm. Returns the lower-bound curve `⌈√n⌉`, computed with
-    /// integer arithmetic (`f64::sqrt` loses exactness above 2^53).
-    pub fn no_lockout_values_lower(n: u64) -> u64 {
-        let r = n.isqrt();
-        r + u64::from(r * r < n)
-    }
-
-    /// Burns et al. \[26\] with the "forgetting" technical assumption: the
-    /// no-lockout lower bound rises to `n / 2`.
-    pub fn no_lockout_values_with_forgetting(n: u64) -> u64 {
-        n / 2
-    }
-
-    /// Burns–Lynch \[27\]: mutual exclusion with read/write registers needs
-    /// `n` separate shared variables (one per process).
-    pub fn read_write_mutex_variables(n: u64) -> u64 {
-        n
     }
 
     /// Fischer–Lynch–Burns–Borodin \[57, 53\]: strong simulation of a shared
@@ -136,13 +69,6 @@ pub mod bounds {
         eps * (1.0 - 1.0 / n as f64) // LINT-ALLOW: det-float -- real-valued curve
     }
 
-    /// Arjomandi–Fischer–Lynch \[8\]: performing `s` sessions in an
-    /// asynchronous network of diameter `d` takes time ≥ about `(s - 1) * d`
-    /// (a synchronous system needs only `s`).
-    pub fn sessions_min_time(s: u64, d: u64) -> u64 {
-        (s.saturating_sub(1)) * d
-    }
-
     /// Burns \[25\], Frederickson–Lynch \[58\]: leader election in rings needs
     /// Ω(n log n) messages. Returns the curve `n·⌈log2 n⌉`.
     pub fn ring_election_messages(n: u64) -> u64 {
@@ -171,31 +97,10 @@ pub mod bounds {
 #[cfg(test)]
 mod tests {
     use super::bounds::*;
-    use super::*;
-
-    #[test]
-    fn collision_found_when_forced() {
-        // 5 items into 4 buckets: guaranteed collision.
-        let items = [0u64, 1, 2, 3, 4];
-        assert!(find_collision(&items, |x| x % 4).is_some());
-        // 3 items into 3 distinct buckets: none.
-        assert!(find_collision(&[0u64, 1, 2], |x| *x).is_none());
-    }
-
-    #[test]
-    fn groups_partition_indices() {
-        let groups = group_by_key(&[1u64, 2, 3, 4, 5], |x| x % 2);
-        assert_eq!(groups[&0], vec![1, 3]);
-        assert_eq!(groups[&1], vec![0, 2, 4]);
-    }
 
     #[test]
     fn bound_formulas() {
-        assert_eq!(CREMERS_HIBBARD_TAS_VALUES, 3);
         assert_eq!(bounded_waiting_values(5), 6);
-        assert_eq!(no_lockout_values_lower(16), 4);
-        assert_eq!(no_lockout_values_with_forgetting(10), 5);
-        assert_eq!(read_write_mutex_variables(7), 7);
         assert_eq!(fifo_queue_values(4), 16);
         assert_eq!(choice_coordination_values(27), 3);
         assert_eq!(byzantine_min_processes(1), 4);
@@ -203,7 +108,6 @@ mod tests {
         assert_eq!(consensus_min_rounds(3), 4);
         assert_eq!(commit_min_messages(5), 8);
         assert!((clock_sync_skew(1.0, 2) - 0.5).abs() < 1e-12);
-        assert_eq!(sessions_min_time(4, 3), 9);
         assert_eq!(ring_election_messages(8), 24);
         assert_eq!(ring_election_messages(1), 0);
     }

@@ -121,13 +121,14 @@ pub enum Obligation {
 #[derive(Debug, Clone)]
 pub struct ScenarioContradiction {
     /// The violated obligation.
+    // LINT-ALLOW: dead-pub -- Figure 1 (FLM): the broken window obligation; tests own_input_violates_agreement, always_zero_violates_validity
     pub obligation: Obligation,
     /// Decisions of every ring node (`None` = undecided after all rounds).
     pub decisions: Vec<Option<u64>>,
     /// The ring layout.
     pub nodes: Vec<RingNode>,
     /// Human-readable explanation in the style of the paper's Figure 1.
-    pub explanation: String,
+    explanation: String,
 }
 
 impl fmt::Display for ScenarioContradiction {

@@ -469,7 +469,7 @@ impl<'s, A: Clone> BfsTree<'s, A> {
 /// two components runs from the higher id to the lower).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sccs {
-    /// Component id per node; [`Sccs::NONE`] for a node not kept.
+    /// Component id per node; `u32::MAX` for a node not kept.
     pub id: Vec<u32>,
     /// One flag per component — its length is the component count: can
     /// the component sustain a cycle (two or more nodes, or a self-loop)?
@@ -478,7 +478,7 @@ pub struct Sccs {
 
 impl Sccs {
     /// The id of a node outside the kept subgraph.
-    pub const NONE: u32 = u32::MAX;
+    const NONE: u32 = u32::MAX;
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ pub fn order_equivalent(a: &[u64], b: &[u64]) -> bool {
 /// The radius-`k` neighbourhood of ring position `i`: the IDs at positions
 /// `i-k ..= i+k`, in ring order. A radius past the ring size wraps around
 /// it as often as it takes.
-pub fn neighborhood(ring: &[u64], i: usize, k: usize) -> Vec<u64> {
+fn neighborhood(ring: &[u64], i: usize, k: usize) -> Vec<u64> {
     let n = ring.len();
     // `i - k ≡ i + (n - k mod n)`: no subtraction that can underflow.
     let back = n - k % n;
@@ -111,29 +111,6 @@ pub fn comparison_symmetry_classes(ring: &[u64], k: usize) -> Vec<Vec<usize>> {
     }
     classes.sort_by_key(|c| std::cmp::Reverse(c.len()));
     classes
-}
-
-/// Lower bound on messages forced by symmetry for a comparison-based
-/// algorithm on `ring`, following the counting of Frederickson–Lynch: while
-/// no message chain has spanned distance `2^k`, every position behaves like
-/// all members of its radius-`2^k` order-equivalence class — so any message
-/// is mirrored by at least `min class size` peers, for at least `2^(k-1)`
-/// rounds at that scale.
-///
-/// Returns `Σ_j min_class_size(radius 2^j) · 2^j` over doubling radii — the
-/// standard Ω(n log n) counting shape (for the bit-reversal ring every term
-/// is ≈ n/2). Used by the experiments to plot the bound curve.
-pub fn symmetry_message_bound(ring: &[u64]) -> u64 {
-    let n = ring.len();
-    let mut total = 0u64;
-    let mut k = 1usize;
-    while k <= n / 2 {
-        let classes = comparison_symmetry_classes(ring, k);
-        let min_class = classes.iter().map(|c| c.len()).min().unwrap_or(0) as u64;
-        total += min_class * k as u64;
-        k *= 2;
-    }
-    total
 }
 
 /// The size of the smallest radius-`k` order-equivalence class — `1` means
@@ -327,7 +304,7 @@ impl<'a, P: AnonymousRingProtocol> LockstepRing<'a, P> {
     }
 
     /// The smallest period of the input labelling (divides `n`).
-    pub fn input_period(&self) -> usize {
+    fn input_period(&self) -> usize {
         let n = self.inputs.len();
         (1..=n)
             .filter(|d| n % d == 0)
@@ -654,13 +631,6 @@ mod tests {
         let ring = vec![10, 20, 30, 40];
         assert_eq!(neighborhood(&ring, 0, 1), vec![40, 10, 20]);
         assert_eq!(neighborhood(&ring, 3, 1), vec![30, 40, 10]);
-    }
-
-    #[test]
-    fn symmetry_bound_grows_with_n() {
-        let b8 = symmetry_message_bound(&bit_reversal_ring(8));
-        let b32 = symmetry_message_bound(&bit_reversal_ring(32));
-        assert!(b32 > b8);
     }
 
     /// Candidate anonymous "max-finding" protocol: everyone starts with the

@@ -33,7 +33,7 @@ pub struct MoranWolfstahlWitness {
     /// components of the decision graph, so somewhere along the connecting
     /// input path the decision must jump components — which one faulty
     /// process can always prevent.
-    pub component_reps: (Vec<u64>, Vec<u64>),
+    component_reps: (Vec<u64>, Vec<u64>),
 }
 
 impl fmt::Display for MoranWolfstahlWitness {
@@ -77,14 +77,6 @@ impl Task {
         self.allowed.keys().collect()
     }
 
-    /// Allowed decisions for `input` (empty if unknown input).
-    pub fn outputs_for(&self, input: &[u64]) -> Vec<&Vec<u64>> {
-        self.allowed
-            .get(input)
-            .map(|s| s.iter().collect())
-            .unwrap_or_default()
-    }
-
     /// The binary consensus task for `n` processes: inputs are all 0/1
     /// vectors; allowed outputs are the all-0 and/or all-1 vectors subject to
     /// validity (the decided value must be someone's input).
@@ -99,24 +91,6 @@ impl Task {
             }
             if has1 {
                 t.allow(input.clone(), vec![1; n]);
-            }
-        }
-        t
-    }
-
-    /// The *k-set agreement* task: processes decide values such that at most
-    /// `k` distinct values are decided, each some process's input. For
-    /// `k = 1` this is consensus.
-    pub fn set_agreement(n: usize, k: usize, num_values: u64) -> Self {
-        let mut t = Task::new(n);
-        let inputs = all_vectors(n, num_values);
-        for input in inputs {
-            let in_set: BTreeSet<u64> = input.iter().copied().collect();
-            for output in all_vectors(n, num_values) {
-                let out_set: BTreeSet<u64> = output.iter().copied().collect();
-                if out_set.len() <= k && out_set.iter().all(|v| in_set.contains(v)) {
-                    t.allow(input.clone(), output);
-                }
             }
         }
         t
@@ -185,23 +159,6 @@ impl Task {
     }
 }
 
-/// All length-`n` vectors over values `0..num_values`.
-fn all_vectors(n: usize, num_values: u64) -> Vec<Vec<u64>> {
-    let mut out = vec![Vec::new()];
-    for _ in 0..n {
-        let mut next = Vec::new();
-        for v in &out {
-            for x in 0..num_values {
-                let mut w = v.clone();
-                w.push(x);
-                next.push(w);
-            }
-        }
-        out = next;
-    }
-    out
-}
-
 /// Differ in exactly one component.
 fn adjacent(a: &[u64], b: &[u64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).filter(|(x, y)| x != y).count() == 1
@@ -267,21 +224,10 @@ mod tests {
     }
 
     #[test]
-    fn two_set_agreement_escapes_the_one_dim_criterion() {
-        // 2-set agreement with 2 values: outputs may mix values, so the
-        // decision graph is connected; criterion does not fire. (Its true
-        // impossibility for t=2 needs topology beyond this paper.)
-        let t = Task::set_agreement(3, 2, 2);
-        assert!(t.moran_wolfstahl().is_none());
-    }
-
-    #[test]
-    fn adjacency_and_vectors_helpers() {
+    fn adjacency_helper() {
         assert!(adjacent(&[0, 1], &[1, 1]));
         assert!(!adjacent(&[0, 1], &[1, 0]));
         assert!(!adjacent(&[0, 1], &[0, 1]));
-        assert_eq!(all_vectors(2, 2).len(), 4);
-        assert_eq!(all_vectors(3, 3).len(), 27);
     }
 
     #[test]
@@ -297,13 +243,5 @@ mod tests {
     fn witness_displays() {
         let w = Task::consensus(2).moran_wolfstahl().unwrap();
         assert!(w.to_string().contains("unsolvable"));
-    }
-
-    #[test]
-    fn outputs_for_lookup() {
-        let t = Task::consensus(2);
-        let outs = t.outputs_for(&[0, 1]);
-        assert_eq!(outs.len(), 2); // both all-0 and all-1 permitted
-        assert!(t.outputs_for(&[9, 9]).is_empty());
     }
 }

@@ -84,23 +84,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Valence(pub BTreeSet<u64>);
 
-impl Valence {
-    /// Exactly one decision value is reachable.
-    pub fn is_univalent(&self) -> bool {
-        self.0.len() == 1
-    }
-
-    /// At least two decision values are reachable.
-    pub fn is_bivalent(&self) -> bool {
-        self.0.len() >= 2
-    }
-
-    /// `v`-valent: univalent with value `v`.
-    pub fn is_valent(&self, v: u64) -> bool {
-        self.is_univalent() && self.0.contains(&v)
-    }
-}
-
 /// Full valence classification of a protocol instance's reachable graph.
 #[derive(Debug)]
 pub struct ValenceReport<S> {
@@ -121,18 +104,18 @@ pub struct ValenceReport<S> {
     pub agreement_violations: Vec<S>,
 }
 
-/// A Bridgeland–Watro decider: from `config`, process `p` can reach, by
-/// taking steps *alone*, both a configuration of valence `{v0}` and one of
-/// valence `{v1}` with `v0 != v1`.
+/// A Bridgeland–Watro decider: from a bivalent configuration (the first
+/// state of both executions), process `p` can reach, by taking steps
+/// *alone*, both a configuration of valence `{v0}` and one of valence
+/// `{v1}` with `v0 != v1`.
 #[derive(Debug, Clone)]
 pub struct Decider<S, A> {
-    /// The bivalent configuration.
-    pub config: S,
     /// The deciding process.
     pub process: ProcessId,
-    /// A `process`-solo schedule from `config` to a 0-side univalent config.
+    /// A `process`-solo schedule from the bivalent configuration to a
+    /// 0-side univalent config.
     pub to_first: Execution<S, A>,
-    /// A `process`-solo schedule from `config` to the other valence.
+    /// A `process`-solo schedule from the same configuration to the other valence.
     pub to_second: Execution<S, A>,
 }
 
@@ -306,12 +289,12 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         // One tree for every probe: each search clears only the states the
         // previous one reached.
         let mut tree = succ.bfs_tree();
-        for (i, s) in order.iter().enumerate() {
+        for i in 0..order.len() {
             if val[i].len() < 2 {
                 continue;
             }
             for p in ProcessId::all(n) {
-                // Explore p-solo executions from s, FIFO; keep the first
+                // Explore p-solo executions from `order[i]`, FIFO; keep the first
                 // state to reach each univalent valence. The two runs a
                 // decider reports are the tree paths to those states.
                 let mut reached: Vec<(&BTreeSet<u64>, usize)> = Vec::new();
@@ -343,7 +326,6 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
                         )
                     };
                     return Some(Decider {
-                        config: s.clone(),
                         process: p,
                         to_first: run_to(reached[0].1),
                         to_second: run_to(reached[1].1),
@@ -422,7 +404,7 @@ mod tests {
         let d = ValenceEngine::new(&Wired)
             .find_decider_from_graph(&order, &succ, &mut NoopTracer)
             .expect("0 is a decider for process 0");
-        assert_eq!((d.config, d.process), (0, ProcessId(0)));
+        assert_eq!((*d.to_first.first(), d.process), (0, ProcessId(0)));
         assert_eq!(d.to_first, Execution::from_parts(vec![0, 3], vec![3]));
         assert_eq!(
             d.to_second,

@@ -23,7 +23,7 @@ pub struct Sender {
     pending: Vec<u64>,
     cursor: usize,
     /// Packets transmitted (including retransmissions).
-    pub transmissions: usize,
+    transmissions: usize,
 }
 
 impl Sender {
@@ -43,7 +43,7 @@ impl Sender {
     }
 
     /// (Re)transmit the current packet.
-    pub fn transmit(&mut self) -> Option<Packet> {
+    fn transmit(&mut self) -> Option<Packet> {
         if self.done() {
             return None;
         }
@@ -52,7 +52,7 @@ impl Sender {
     }
 
     /// Process an acknowledgement.
-    pub fn on_ack(&mut self, ack: Ack) {
+    fn on_ack(&mut self, ack: Ack) {
         if !self.done() && ack == self.bit {
             self.cursor += 1;
             self.bit ^= 1;

@@ -21,15 +21,15 @@ use impossible_explore::Search;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AbpState {
     /// Sender's current header bit.
-    pub sbit: u8,
+    sbit: u8,
     /// Messages fully acknowledged so far.
-    pub acked: u8,
+    acked: u8,
     /// Receiver's expected bit.
-    pub rbit: u8,
+    rbit: u8,
     /// Messages the receiver has delivered to its client.
     pub delivered: u8,
     /// In-flight data packets (header bits), FIFO order.
-    pub data: Vec<u8>,
+    data: Vec<u8>,
     /// In-flight acknowledgements (header bits), FIFO order.
     pub acks: Vec<u8>,
 }
@@ -60,7 +60,7 @@ pub struct AbpSearchSystem {
     pub cap: usize,
     /// Model the *broken* headerless protocol: the receiver accepts every
     /// packet and the sender trusts every ack.
-    pub headerless: bool,
+    headerless: bool,
 }
 
 impl AbpSearchSystem {
@@ -74,6 +74,7 @@ impl AbpSearchSystem {
     }
 
     /// The headerless straw man the checker refutes.
+    // LINT-ALLOW: dead-pub -- data link [78]: without a header bit loss forces a duplicate; test headerless_protocol_duplicates_under_loss
     pub fn headerless(messages: u8, cap: usize) -> Self {
         AbpSearchSystem {
             messages,
@@ -152,6 +153,7 @@ impl System for AbpSearchSystem {
 /// messages than the sender has even finished sending — the duplicate the
 /// alternating bit exists to prevent. `None` means exactly-once delivery
 /// holds on the whole bounded space.
+// LINT-ALLOW: dead-pub -- data link [78]: one header bit gives exactly-once delivery, none duplicates; tests one_bit_header_gives_exactly_once_delivery, headerless_protocol_duplicates_under_loss
 pub fn find_overdelivery(
     sys: &AbpSearchSystem,
     max_states: usize,

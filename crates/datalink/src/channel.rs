@@ -1,10 +1,10 @@
 //! The physical layer: an unreliable packet channel.
 //!
-//! The channel is the adversary. It may **drop** packets, **duplicate**
-//! them, and — when configured non-FIFO — deliver them out of order. The
-//! [`LossyChannel::steal`] / [`LossyChannel::inject`] pair exposes the
-//! "message stealing" capability directly: withhold a packet now, replay
-//! it much later (the move that breaks every bounded-header protocol).
+//! The channel is the adversary. It may **drop** packets and **duplicate**
+//! them, each with a seeded per-mille probability, and delivers the rest in
+//! order. Message stealing — withhold a packet now, replay it much later,
+//! the move that breaks every bounded-header protocol — is
+//! [`crate::stealing`]'s.
 
 use impossible_det::DetRng;
 use std::collections::VecDeque;
@@ -21,23 +21,16 @@ pub struct LossyChannel<M> {
     pub drop_pm: u32,
     /// Per-mille probability (0..=1000) a sent packet is duplicated.
     pub dup_pm: u32,
-    /// Deliver in order (true) or let the adversary pick (false).
-    pub fifo: bool,
-    sent: usize,
-    delivered: usize,
 }
 
 impl<M: Clone> LossyChannel<M> {
     /// A reliable FIFO channel (no loss, no duplication).
-    pub fn reliable(seed: u64) -> Self {
+    fn reliable(seed: u64) -> Self {
         LossyChannel {
             queue: VecDeque::new(),
             rng: DetRng::seed_from_u64(seed),
             drop_pm: 0,
             dup_pm: 0,
-            fifo: true,
-            sent: 0,
-            delivered: 0,
         }
     }
 
@@ -51,15 +44,8 @@ impl<M: Clone> LossyChannel<M> {
         }
     }
 
-    /// Allow out-of-order delivery.
-    pub fn reordering(mut self) -> Self {
-        self.fifo = false;
-        self
-    }
-
     /// Send a packet (the channel applies loss/duplication).
     pub fn send(&mut self, m: M) {
-        self.sent += 1;
         if self.drop_pm > 0 && self.rng.gen_ratio(self.drop_pm, 1000) {
             return; // lost
         }
@@ -69,29 +55,9 @@ impl<M: Clone> LossyChannel<M> {
         self.queue.push_back(m);
     }
 
-    /// Receive the next packet (FIFO: front; non-FIFO: adversarial-random
-    /// position).
+    /// Receive the oldest packet in flight.
     pub fn recv(&mut self) -> Option<M> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let idx = if self.fifo {
-            0
-        } else {
-            self.rng.gen_range(0..self.queue.len())
-        };
-        self.delivered += 1;
-        self.queue.remove(idx)
-    }
-
-    /// Adversary: withhold the packet at `idx` in the queue ("steal" it).
-    pub fn steal(&mut self, idx: usize) -> Option<M> {
-        self.queue.remove(idx)
-    }
-
-    /// Adversary: replay a previously stolen (or fabricated) packet.
-    pub fn inject(&mut self, m: M) {
-        self.queue.push_back(m);
+        self.queue.pop_front()
     }
 
     /// Packets currently in flight.
@@ -102,16 +68,6 @@ impl<M: Clone> LossyChannel<M> {
     /// Peek at the in-flight packets (adversary planning).
     pub fn peek(&self) -> impl Iterator<Item = &M> {
         self.queue.iter()
-    }
-
-    /// Total packets accepted for sending.
-    pub fn packets_sent(&self) -> usize {
-        self.sent
-    }
-
-    /// Total packets handed to the receiver.
-    pub fn packets_delivered(&self) -> usize {
-        self.delivered
     }
 }
 
@@ -146,33 +102,5 @@ mod tests {
             ch.send(i);
         }
         assert!(ch.in_flight() > 110);
-    }
-
-    #[test]
-    fn steal_and_inject_replays() {
-        let mut ch = LossyChannel::reliable(1);
-        ch.send("a");
-        ch.send("b");
-        let stolen = ch.steal(0).unwrap();
-        assert_eq!(stolen, "a");
-        assert_eq!(ch.recv(), Some("b"));
-        ch.inject(stolen);
-        assert_eq!(ch.recv(), Some("a")); // replayed much later
-    }
-
-    #[test]
-    fn reordering_channel_can_invert() {
-        let mut ch = LossyChannel::reliable(7).reordering();
-        let mut inverted = false;
-        for _ in 0..50 {
-            ch.send(1);
-            ch.send(2);
-            let a = ch.recv().unwrap();
-            let b = ch.recv().unwrap();
-            if (a, b) == (2, 1) {
-                inverted = true;
-            }
-        }
-        assert!(inverted, "random reordering should invert eventually");
     }
 }

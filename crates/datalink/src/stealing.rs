@@ -105,14 +105,6 @@ pub fn refute_bounded_header(k: u64) -> Certificate {
     )
 }
 
-/// How many genuine messages the adversary must let through before the
-/// replay works — exactly `K`. The number of packets the adversary must
-/// "spend" grows with the header space, but is always finite: the
-/// quantitative heart of \[78\]'s bound.
-pub fn steal_cost(k: u64) -> u64 {
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,14 +123,6 @@ mod tests {
             let cert = refute_bounded_header(k);
             assert_eq!(cert.technique, Technique::MessageStealing, "k={k}");
         }
-    }
-
-    #[test]
-    fn steal_cost_grows_linearly_with_header_space() {
-        assert_eq!(steal_cost(2), 2);
-        assert_eq!(steal_cost(1024), 1024);
-        // Bigger headers buy time, never safety.
-        assert!(steal_cost(1 << 20) > steal_cost(2));
     }
 
     #[test]

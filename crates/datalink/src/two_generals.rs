@@ -51,7 +51,7 @@ pub struct GeneralsExec {
     /// Messages received by general 0 and general 1.
     pub received: [usize; 2],
     /// Attack decisions under the rule being examined.
-    pub attacks: [bool; 2],
+    attacks: [bool; 2],
 }
 
 /// Build execution `e_k` for a rule with `r` round trips.

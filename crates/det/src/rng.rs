@@ -104,7 +104,7 @@ impl DetRng {
 
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         // Top 53 bits scaled by 2^-53: the standard uniform-double recipe.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -194,15 +194,6 @@ impl DetRng {
         for i in (1..xs.len()).rev() {
             let j = self.bounded_u64(i as u64 + 1) as usize;
             xs.swap(i, j);
-        }
-    }
-
-    /// A uniformly chosen element of `xs`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.bounded_u64(xs.len() as u64) as usize])
         }
     }
 }
@@ -366,18 +357,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(xs, sorted, "a 50-element shuffle should move something");
-    }
-
-    #[test]
-    fn choose_covers_the_slice() {
-        let mut rng = DetRng::seed_from_u64(3);
-        let xs = [10, 20, 30];
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..200 {
-            seen.insert(*rng.choose(&xs).unwrap());
-        }
-        assert_eq!(seen.len(), 3);
-        assert_eq!(rng.choose::<u8>(&[]), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use impossible_obs::NoopTracer;
 pub struct Rotation {
     n: usize,
     /// Inputs gathered so far, in ring order starting at this process.
-    pub gathered: Vec<u64>,
+    gathered: Vec<u64>,
     /// Value to forward this round.
     outgoing: Option<Vec<u64>>,
     done: bool,
@@ -90,7 +90,7 @@ pub struct ComputeOutcome {
     /// Messages used.
     pub messages: usize,
     /// The n² matching-algorithm curve.
-    pub quadratic_curve: usize,
+    quadratic_curve: usize,
 }
 
 /// Rotate inputs for `n` rounds and fold each process's gathered vector

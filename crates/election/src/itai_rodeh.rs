@@ -21,9 +21,9 @@ pub struct Token {
     /// Hops travelled so far.
     pub hops: usize,
     /// Saw another candidate with an equal drawn value.
-    pub saw_equal: bool,
+    saw_equal: bool,
     /// Saw a candidate with a strictly greater drawn value.
-    pub saw_greater: bool,
+    saw_greater: bool,
 }
 
 /// Wire format: a batch of tokens plus an optional election announcement.
@@ -32,7 +32,7 @@ pub struct IrMsg {
     /// Tokens moving one hop.
     pub tokens: Vec<Token>,
     /// Leader announcement in transit.
-    pub elected: bool,
+    elected: bool,
 }
 
 /// An Itai–Rodeh process: anonymous (no ID), knows the ring size, has coins.

@@ -83,13 +83,6 @@ pub fn rotation_canon(s: &Vec<u8>) -> Vec<u8> {
     canonical_binary_rotation(s).unwrap_or_else(|| canonical_rotation(s))
 }
 
-/// Explore the full configuration space (every nonempty token placement
-/// reachable from the uniform start).
-pub fn explore_full(n: usize, max_states: usize) -> SearchReport<Vec<u8>, usize> {
-    let sys = TokenRing { n };
-    Search::new(&sys).max_states(max_states).explore()
-}
-
 /// Explore the rotation quotient: one representative per necklace of
 /// tokens. Same truncation/verdict semantics, far fewer states.
 pub fn explore_quotient(n: usize, max_states: usize) -> SearchReport<Vec<u8>, usize> {
@@ -154,7 +147,7 @@ fn tokens(s: &[u8]) -> usize {
 /// lasso in the rotation quotient (for `n = 4`: the alternating necklace
 /// `0101` and the adjacent pair `0011` feed each other without merging).
 /// This is the model-checking rendition of the survey's scheduler-adversary
-/// arguments: reachability (`shortest_election`) says a leader *can*
+/// arguments: reachability (of a one-token state) says a leader *can*
 /// emerge; this lasso says no free schedule *must* produce one.
 pub fn election_evades_free_schedulers(
     n: usize,
@@ -198,18 +191,6 @@ pub fn election_under_greedy_merges(
     report
 }
 
-/// Shortest schedule electing a leader (reducing to a single token) in the
-/// rotation quotient, as a number of token-passing steps.
-pub fn shortest_election(n: usize, max_states: usize) -> Option<usize> {
-    let sys = TokenRing { n };
-    Search::new(&sys)
-        .max_states(max_states)
-        .canon(rotation_canon)
-        .search(|s| s.iter().filter(|&&b| b == 1).count() == 1)
-        .witness
-        .map(|w| w.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +199,7 @@ mod tests {
     fn full_space_is_all_nonempty_placements() {
         // From all-ones every nonempty subset of slots is reachable:
         // 2^6 - 1 = 63 configurations.
-        let r = explore_full(6, 100_000);
+        let r = Search::new(&TokenRing { n: 6 }).max_states(100_000).explore();
         assert_eq!(r.num_states, 63);
         assert!(!r.truncated());
     }
@@ -263,7 +244,11 @@ mod tests {
     fn quotient_never_changes_the_election_verdict() {
         // Merging one token per step is optimal: n - 1 passes.
         for n in 2..=6 {
-            assert_eq!(shortest_election(n, 100_000), Some(n - 1));
+            let w = Search::new(&TokenRing { n })
+                .canon(rotation_canon)
+                .search(|s| tokens(s) == 1)
+                .witness;
+            assert_eq!(w.map(|w| w.len()), Some(n - 1));
         }
     }
 
@@ -276,7 +261,7 @@ mod tests {
             assert_eq!(&rotation_canon(s), s); // quotient keeps canonical forms
         }
         // And the quotient really is smaller than the full space.
-        assert!(explore_full(5, 100_000).num_states > states.len());
+        assert!(Search::new(&sys).explore().num_states > states.len());
     }
 }
 

@@ -25,11 +25,12 @@
 //!   `fp % partitions` function that splits frontiers, so a shard's next
 //!   frontier is its own fresh-insert list and the spill route pages whole
 //!   shards;
-//! * [`graph`] — the one exact, fingerprint-accelerated reachable-graph
-//!   builder ([`Search::graph_from`]) behind the valence engine
-//!   ([`Search::valence`]), the mutex checkers, the property layer and
-//!   `impossible-ckpt`'s incremental re-exploration, plus the backward-
-//!   closure and covering-cycle searches over its result;
+//! * [`graph`] — the one exact reachable-graph builder
+//!   ([`Search::graph_from`]), interning states through a `Hash`-keyed
+//!   index whose every match is confirmed by equality, behind the valence
+//!   engine ([`Search::valence`]), the mutex checkers, the property layer
+//!   and `impossible-ckpt`'s incremental re-exploration; the traversals
+//!   over its result are `core::succ`'s;
 //! * [`persist`] — the reversible little-endian [`Persist`] byte codec
 //!   (moved here from `impossible-ckpt` so snapshots and spill share one
 //!   format), plus [`page`] — delta+varint-compressed run and frontier

@@ -27,7 +27,7 @@ use crate::persist::{Persist, PersistError};
 
 /// Append `v` as an LEB128 varint (7 bits per byte, low group first,
 /// high bit = continuation): 1 byte for values < 128, at most 10 bytes.
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -40,7 +40,7 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Decode one LEB128 varint, advancing `*pos` past it.
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
+fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
     let mut v: u64 = 0;
     for i in 0..10 {
         let Some(&byte) = buf.get(*pos) else {

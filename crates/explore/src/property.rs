@@ -105,7 +105,7 @@ impl<'p, S> Property<'p, S> {
     }
 
     /// The connective: `"always"`, `"never"`, `"eventually"` or `"leads-to"`.
-    pub fn kind_name(&self) -> &'static str {
+    fn kind_name(&self) -> &'static str {
         match self.kind {
             PropKind::Always(_) => "always",
             PropKind::Never(_) => "never",

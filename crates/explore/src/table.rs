@@ -62,7 +62,7 @@ pub enum Cap {
 impl Cap {
     /// Would a table currently holding `len` entries admit one more?
     #[inline]
-    pub fn admits(self, len: usize) -> bool {
+    fn admits(self, len: usize) -> bool {
         match self {
             Cap::Unbounded => true,
             Cap::At(cap) => len < cap,
@@ -439,7 +439,7 @@ impl<V> ShardedFpMap<V> {
     /// The shard that owns `fp` — [`shard_index`], the same partition
     /// function the search engine uses to split frontiers.
     #[inline]
-    pub fn shard_of(&self, fp: u64) -> usize {
+    fn shard_of(&self, fp: u64) -> usize {
         shard_index(fp, self.shards.len())
     }
 

@@ -18,20 +18,9 @@
 //! what used to need that — is every field of a state type encoded, does a
 //! `_traced` twin's signature match — is now the compiler's job (see
 //! `encode-coverage` and `twin-drift` in [`rules`]).
-//! Ten rules are enforced (see `docs/LINTS.md` for the full rationale):
-//!
-//! | rule | forbids |
-//! |---|---|
-//! | `det-order` | `HashMap`/`HashSet` in engine & protocol crates |
-//! | `det-time` | `Instant::now`/`SystemTime` in any workspace crate |
-//! | `det-ambient` | `thread::spawn`, `std::process`, `std::env` reads |
-//! | `det-float` | `f32`/`f64` in engine/protocol crates (NaN vs `Ord`) |
-//! | `hermetic-deps` | any non-`path` dependency in any `Cargo.toml` |
-//! | `doc-cite` | bare `\[NN\]` citation brackets in rustdoc |
-//! | `map-coverage` | module files absent from `docs/PAPER_MAP.md` |
-//! | `encode-coverage` | hand-written `impl … Encode for` outside `explore::fingerprint` |
-//! | `twin-drift` | a `foo_traced` whose `foo` is not `foo_traced(…, &mut NoopTracer)` |
-//! | `waiver-doc-sync` | `docs/LINTS.md` inventory drifting from the tree |
+//! The rules, what each denies and why, and the per-path scope table are
+//! stated once, in [`docs/LINTS.md`](../../../docs/LINTS.md);
+//! [`RULE_NAMES`] lists them in reporting order.
 //!
 //! Legitimate exceptions carry an inline waiver on (or immediately above)
 //! the offending line, so every exception is visible and grep-able:

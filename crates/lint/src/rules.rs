@@ -1,4 +1,4 @@
-//! The eleven lint rules and their source-level scanners.
+//! The twelve lint rules and their source-level scanners.
 //!
 //! Each rule protects a proof technique (see `docs/LINTS.md`):
 //! `det-order` keeps transcript-replay (bivalence/scenario) arguments
@@ -21,13 +21,14 @@
 //! the other by hand, the one way a state's `Hash` can disagree with its
 //! `Eq` (the exact graph builder dedups through both). Every rule reads
 //! [`crate::lex`]'s shadows; none parses items, types or signatures. The
-//! file-set-level `waiver-doc-sync` rule (in [`crate::walk`]) keeps the
+//! file-set-level rules live in [`crate::walk`]: `dead-pub` denies a
+//! `pub` item no other file names, and `waiver-doc-sync` keeps the
 //! waiver inventory in `docs/LINTS.md` machine-checked against the tree.
 
 use crate::lex::{classify, is_ident_byte, waivers, ClassifiedLine, Waivers};
 
-/// The names of all eleven rules, in reporting order.
-pub const RULE_NAMES: [&str; 11] = [
+/// The names of all twelve rules, in reporting order.
+pub const RULE_NAMES: [&str; 12] = [
     "det-order",
     "det-time",
     "det-ambient",
@@ -38,6 +39,7 @@ pub const RULE_NAMES: [&str; 11] = [
     "encode-coverage",
     "twin-drift",
     "hash-eq",
+    "dead-pub",
     "waiver-doc-sync",
 ];
 
@@ -246,7 +248,7 @@ fn scan_float_types(
 
 /// The file's code shadow as one string, lines joined by `\n`, and the
 /// byte offset at which each line starts in it.
-fn code_shadow(lines: &[ClassifiedLine]) -> (String, Vec<usize>) {
+pub(crate) fn code_shadow(lines: &[ClassifiedLine]) -> (String, Vec<usize>) {
     let mut code = String::new();
     let mut starts = Vec::with_capacity(lines.len());
     for l in lines {
@@ -258,13 +260,13 @@ fn code_shadow(lines: &[ClassifiedLine]) -> (String, Vec<usize>) {
 }
 
 /// The identifier starting at byte `at` of `code` (empty if none).
-fn ident_at(code: &str, at: usize) -> &str {
+pub(crate) fn ident_at(code: &str, at: usize) -> &str {
     let len = code.as_bytes()[at..].iter().take_while(|&&c| is_ident_byte(c)).count();
     &code[at..at + len]
 }
 
 /// Byte offsets of every word-bounded `word` in `code`.
-fn word_positions<'c>(code: &'c str, word: &'c str) -> impl Iterator<Item = usize> + 'c {
+pub(crate) fn word_positions<'c>(code: &'c str, word: &'c str) -> impl Iterator<Item = usize> + 'c {
     let b = code.as_bytes();
     code.match_indices(word).map(|(k, _)| k).filter(move |&k| {
         (k == 0 || !is_ident_byte(b[k - 1]))
@@ -273,7 +275,7 @@ fn word_positions<'c>(code: &'c str, word: &'c str) -> impl Iterator<Item = usiz
 }
 
 /// The offset of the first non-whitespace byte at or after `at`.
-fn skip_ws(code: &str, at: usize) -> usize {
+pub(crate) fn skip_ws(code: &str, at: usize) -> usize {
     at + (code[at..].len() - code[at..].trim_start().len())
 }
 

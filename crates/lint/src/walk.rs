@@ -1,8 +1,11 @@
-//! Workspace walking, per-path rule scoping, and the `map-coverage` rule.
+//! Workspace walking, per-path rule scoping, and the file-set-level
+//! `map-coverage` and `dead-pub` rules.
 //!
 //! The walker visits `crates/**`, `src/**` and `tests/**` in sorted order
 //! (the linter itself must be deterministic), skipping `target/` output and
 //! the linter's own `fixtures/` (which contain deliberate violations).
+//! `examples/**`, `ledger/src/**` and `ledger/tests/**` are read too, but
+//! only as `dead-pub` uses: no rule reports on them.
 //!
 //! # Scope table
 //!
@@ -33,12 +36,14 @@
 //! * `hermetic-deps` — every `Cargo.toml`.
 //! * `map-coverage` — every `crates/*/src/**` module file except crate
 //!   roots (`lib.rs`, `mod.rs`, `main.rs`).
+//! * `dead-pub` — declarations in every `crates/*/src/**` file except
+//!   `crates/lint/**`, minus `#[cfg(test)]` items; uses in every file read.
 //! * `waiver-doc-sync` — the whole tree against `docs/LINTS.md`.
 
-use crate::lex::{classify, waiver_records, waivers};
+use crate::lex::{classify, is_ident_byte, waiver_records, waivers, ClassifiedLine};
 use crate::manifest::{lint_manifest, manifest_waiver_records};
-use crate::rules::{lint_rust_source, Diagnostic};
-use std::collections::BTreeMap;
+use crate::rules::{code_shadow, ident_at, lint_rust_source, skip_ws, word_positions, Diagnostic};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// One row of the canonical waiver inventory: `(path, rule, count)`.
@@ -119,6 +124,148 @@ pub fn module_token(rel: &str) -> Option<String> {
     Some(format!("{krate}::{module}"))
 }
 
+/// Does `dead-pub` audit the `pub` items declared in `rel`? Library
+/// sources only (`crates/*/src/**`), and not the linter's own.
+fn in_dead_pub_scope(rel: &str) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .is_some_and(|(krate, rest)| krate != "lint" && rest.starts_with("src/"))
+}
+
+/// `(start, end)` byte spans of every `#[cfg(test)]` item in `code`: the
+/// attribute through the `}` that closes the item's body, or through its
+/// `;` when it has none (`(…)`, `[…]` and `{…}` nesting tracked).
+fn cfg_test_spans(code: &str) -> Vec<(usize, usize)> {
+    let b = code.as_bytes();
+    code.match_indices("#[cfg(test)]")
+        .map(|(k, attr)| {
+            let mut depth = 0i32;
+            let end = (k + attr.len()..b.len()).find(|&i| {
+                depth += i32::from(matches!(b[i], b'(' | b'[' | b'{'))
+                    - i32::from(matches!(b[i], b')' | b']' | b'}'));
+                depth == 0 && matches!(b[i], b';' | b'}')
+            });
+            (k, end.map_or(b.len(), |i| i + 1))
+        })
+        .collect()
+}
+
+/// `code` with every `pub use …;` re-export blanked: naming an item in
+/// a re-export is not using it.
+fn without_reexports(code: &str) -> String {
+    let mut out = code.as_bytes().to_vec();
+    for kw in word_positions(code, "pub") {
+        let mut at = kw + 3;
+        if code[at..].starts_with('(') {
+            at += code[at..].find(')').map_or(0, |e| e + 1);
+        }
+        at = skip_ws(code, at);
+        if ident_at(code, at) == "use" {
+            let end = code[at..].find(';').map_or(code.len(), |e| at + e + 1);
+            for c in out[kw..end].iter_mut().filter(|c| **c != b'\n') {
+                *c = b' ';
+            }
+        }
+    }
+    String::from_utf8(out).expect("blanking ASCII spans keeps UTF-8")
+}
+
+/// Every identifier in `code`.
+fn idents(code: &str) -> BTreeSet<&str> {
+    code.split(|c: char| !c.is_ascii() || !is_ident_byte(c as u8)).collect()
+}
+
+/// `(name offset, kind)` of every `pub fn` (`const` / `unsafe` / `async`
+/// qualifiers skipped), `pub const`, `pub static` and `pub` named field
+/// in `code`. A restricted `pub(…)` is not `pub`, and a macro's
+/// `pub fn $name` names nothing.
+fn pub_items(code: &str) -> Vec<(usize, &'static str)> {
+    let mut out = Vec::new();
+    'items: for kw in word_positions(code, "pub") {
+        if code[kw + 3..].starts_with('(') {
+            continue;
+        }
+        let mut at = skip_ws(code, kw + 3);
+        let item = loop {
+            let word = ident_at(code, at);
+            let next = skip_ws(code, at + word.len());
+            match (word, ident_at(code, next)) {
+                ("fn", _) => break (next, "fn"),
+                ("static", _) => break (next, "static"),
+                ("const" | "unsafe" | "async", "fn" | "unsafe" | "async") => at = next,
+                ("const", _) => break (next, "const"),
+                (w, _)
+                    if !w.is_empty()
+                        && code[next..].starts_with(':')
+                        && !code[next..].starts_with("::") =>
+                {
+                    break (at, "field")
+                }
+                _ => continue 'items,
+            }
+        };
+        if !ident_at(code, item.0).is_empty() {
+            out.push(item);
+        }
+    }
+    out
+}
+
+/// `dead-pub`: a `pub fn`, `pub const`, `pub static` or `pub` named
+/// field declared in a library source ([`in_dead_pub_scope`]) whose name
+/// no *other* file of `files` has in its code shadow. A `pub use`
+/// re-export is not a use, and comments, doc comments and string
+/// literals are not code. `#[cfg(test)]` items are not audited, though
+/// their code counts as uses of everything else. Lexical like every rule
+/// here: an item shares its fate with every same-named identifier, so the
+/// rule under-reports and never needs a type to decide.
+fn check_dead_pub(files: &[(String, Vec<ClassifiedLine>)]) -> Vec<Diagnostic> {
+    let shadows: Vec<(String, Vec<usize>)> = files.iter().map(|(_, l)| code_shadow(l)).collect();
+    let used: Vec<String> = shadows.iter().map(|(code, _)| without_reexports(code)).collect();
+    let named: Vec<BTreeSet<&str>> = used.iter().map(|code| idents(code)).collect();
+    let mut files_naming: BTreeMap<&str, usize> = BTreeMap::new();
+    for set in &named {
+        for &id in set {
+            *files_naming.entry(id).or_default() += 1;
+        }
+    }
+    let mut out = Vec::new();
+    for (i, (rel, lines)) in files.iter().enumerate() {
+        if !in_dead_pub_scope(rel) {
+            continue;
+        }
+        let (code, starts) = &shadows[i];
+        let tests = cfg_test_spans(code);
+        let w = waivers(lines);
+        for (at, kind) in pub_items(code) {
+            if tests.iter().any(|&(from, to)| (from..to).contains(&at)) {
+                continue;
+            }
+            let name = ident_at(code, at);
+            let elsewhere = files_naming.get(name).copied().unwrap_or(0)
+                - usize::from(named[i].contains(name));
+            let line = starts.partition_point(|&s| s <= at);
+            if elsewhere > 0 || w.allows(line, "dead-pub") {
+                continue;
+            }
+            out.push(Diagnostic {
+                path: rel.clone(),
+                line,
+                col: at - starts[line - 1] + 1,
+                rule: "dead-pub",
+                message: format!(
+                    "{kind} `{name}` is `pub` but named in no other file of the \
+                     workspace, its tests and examples or `ledger/`: delete \
+                     it, narrow it to private or `pub(crate)` so rustc's \
+                     `dead_code` decides, or waive with the paper claim and \
+                     the test that reproduces it"
+                ),
+            });
+        }
+    }
+    out
+}
+
 fn should_skip_dir(name: &str) -> bool {
     name == "target" || name == "fixtures" || name.starts_with('.')
 }
@@ -173,6 +320,9 @@ pub fn lint_workspace(root: &Path) -> WorkspaceReport {
 
     let map_src = std::fs::read_to_string(root.join("docs/PAPER_MAP.md")).unwrap_or_default();
 
+    // Every file read, as `(path, classified lines)`: what `dead-pub`
+    // counts uses in.
+    let mut read: Vec<(String, Vec<ClassifiedLine>)> = Vec::new();
     for path in &rust {
         let rel = rel_str(root, path);
         let Ok(src) = std::fs::read_to_string(path) else {
@@ -204,7 +354,23 @@ pub fn lint_workspace(root: &Path) -> WorkspaceReport {
                 }
             }
         }
+        read.push((rel, lines));
     }
+
+    let mut use_only: Vec<PathBuf> = Vec::new();
+    for sub in ["examples", "ledger/src", "ledger/tests"] {
+        collect(
+            &root.join(sub),
+            &|p| p.extension().is_some_and(|e| e == "rs"),
+            &mut use_only,
+        );
+    }
+    for path in &use_only {
+        if let Ok(src) = std::fs::read_to_string(path) {
+            read.push((rel_str(root, path), classify(&src)));
+        }
+    }
+    diagnostics.extend(check_dead_pub(&read));
 
     for path in &manifests {
         let rel = rel_str(root, path);

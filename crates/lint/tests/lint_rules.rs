@@ -310,6 +310,25 @@ fn only_the_three_ledger_twins_remain() {
 }
 
 #[test]
+fn dead_pub_fires_only_where_no_other_file_names_the_item() {
+    // A fixture workspace with one planted case per clause of the rule.
+    // Its other findings (it has no docs/LINTS.md) are other rules'.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dead_pub");
+    let report = lint_workspace(&root);
+    let dead: Vec<_> = report.diagnostics.iter().filter(|d| d.rule == "dead-pub").collect();
+    let alpha = "crates/alpha/src/lib.rs";
+    // Named nowhere else (3); only in beta's `pub use` (5); only in beta's
+    // doc comment, comment and string literal (7); a field no other file
+    // reads (14). Silent: called from beta's tests (9), read by the
+    // ledger (11), read by beta's code (15), waived (19), `pub(crate)`
+    // (21), `#[cfg(test)]` (25).
+    let at: Vec<_> = dead.iter().map(|d| (d.path.as_str(), d.line, d.col)).collect();
+    assert_eq!(at, vec![(alpha, 3, 8), (alpha, 5, 14), (alpha, 7, 12), (alpha, 14, 9)]);
+    assert!(dead[0].message.starts_with("fn `unused_anywhere` is `pub` but named in no other file"));
+    assert!(dead[3].message.starts_with("field `unread_field`"));
+}
+
+#[test]
 fn diagnostic_json_is_canonical_single_line() {
     let src = include_str!("fixtures/det_time.rs");
     let d = lint_rust_source("crates/x/src/y.rs", src, &["det-time"]);
@@ -416,7 +435,14 @@ fn verify_script_invokes_the_linter() {
     // The gate self-checks that the newest rules are actually wired into
     // the binary it runs (via `--help`), and guards the ledger check on
     // its OK marker instead of trusting the exit code alone.
-    for rule in ["det-float", "encode-coverage", "twin-drift", "hash-eq", "waiver-doc-sync"] {
+    for rule in [
+        "det-float",
+        "encode-coverage",
+        "twin-drift",
+        "hash-eq",
+        "dead-pub",
+        "waiver-doc-sync",
+    ] {
         assert!(
             script.contains(rule),
             "scripts/verify.sh no longer self-checks rule `{rule}`"

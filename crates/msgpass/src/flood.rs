@@ -13,7 +13,6 @@
 
 use crate::topology::Topology;
 use impossible_core::system::System;
-use impossible_explore::Search;
 
 /// Flooding from a root: state is the informed-set indicator vector, action
 /// `(u, v)` is "informed `u` tells uninformed neighbor `v`".
@@ -69,64 +68,10 @@ impl System for FloodSystem {
     }
 }
 
-/// Canonicalization hook for flooding on a **ring rooted at node 0**
-/// (`FloodSystem::new(Topology::ring(n), 0)`): the reflection `i ↦ (n − i)
-/// mod n` is a ring automorphism fixing the root, and informed-set
-/// dynamics commute with every graph automorphism — `(u, v)` is enabled in
-/// `s` iff `(σu, σv)` is enabled in `σs`, and `step` then lands on `σt`.
-/// The hook returns the `Ord`-minimum of the state and its mirror image,
-/// which is idempotent (the candidate set `{s, mirror(s)}` is
-/// reflection-closed), so the quotient search preserves reachability,
-/// terminal structure and witness existence while halving the
-/// asymmetric-arc orbits.
-pub fn flood_ring_mirror_canon(s: &Vec<bool>) -> Vec<bool> {
-    let n = s.len();
-    let mirrored: Vec<bool> = (0..n).map(|i| s[(n - i) % n]).collect();
-    if mirrored < *s {
-        mirrored
-    } else {
-        s.clone()
-    }
-}
-
-/// Canonicalization hook for flooding on a **complete graph rooted at
-/// node 0**: every permutation of the non-root nodes is an automorphism
-/// fixing the root, so an informed set is characterized up to symmetry by
-/// its size. The representative sorts the non-root indicator slice
-/// (`false` before `true` — the lexicographic minimum of the orbit), which
-/// is trivially idempotent. The 2^(n−1) up-sets of the root collapse to
-/// `n` representatives, exponential quotient compression.
-pub fn flood_complete_canon(s: &Vec<bool>) -> Vec<bool> {
-    let mut t = s.clone();
-    t[1..].sort_unstable();
-    t
-}
-
-/// Does flooding from `root` inform the whole network? Checked by
-/// exhaustive search: the flood stalls exactly on the terminal states, and
-/// a connected graph has a single terminal (everyone informed).
-pub fn floods_everyone(sys: &FloodSystem, max_states: usize) -> bool {
-    let report = Search::new(sys).max_states(max_states).explore();
-    !report.truncated()
-        && report
-            .terminal_states
-            .iter()
-            .all(|s| s.iter().all(|&b| b))
-}
-
-/// A stalled partial broadcast: a terminal state leaving some node
-/// uninformed (exists iff some node is unreachable from the root).
-pub fn find_stalled_flood(sys: &FloodSystem, max_states: usize) -> Option<Vec<bool>> {
-    let report = Search::new(sys).max_states(max_states).explore();
-    report
-        .terminal_states
-        .into_iter()
-        .find(|s| s.iter().any(|&b| !b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impossible_explore::Search;
 
     #[test]
     fn ring_flood_counts_connected_supersets_of_root() {
@@ -136,59 +81,7 @@ mod tests {
         let r = Search::new(&sys).explore();
         assert_eq!(r.num_states, 11);
         assert_eq!(r.terminal_states.len(), 1);
-        assert!(floods_everyone(&sys, 10_000));
-    }
-
-    #[test]
-    fn ring_mirror_canon_halves_asymmetric_arcs() {
-        // The 11 informed sets of the 5-ring fall into 7 reflection
-        // orbits: by arc length 1..=5 the orbit counts are 1, 1, 2, 2, 1
-        // (the two length-2 arcs are mirror images; one length-3 arc is
-        // mirror-fixed and the other two pair up; the four length-4 arcs
-        // pair into two orbits).
-        let sys = FloodSystem::new(Topology::ring(5), 0);
-        let r = Search::new(&sys).canon(flood_ring_mirror_canon).explore();
-        assert_eq!(r.num_states, 7);
-        assert!(r.stats.canon_hits > 0);
-        // The quotient preserves the conclusion: a single terminal, fully
-        // informed.
-        assert_eq!(r.terminal_states.len(), 1);
         assert!(r.terminal_states[0].iter().all(|&b| b));
-
-        // Idempotence spot-check across all 32 indicator vectors.
-        for bits in 0u32..32 {
-            let s: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
-            let once = flood_ring_mirror_canon(&s);
-            assert_eq!(flood_ring_mirror_canon(&once), once);
-        }
-    }
-
-    #[test]
-    fn complete_graph_canon_collapses_to_informed_count() {
-        // K_5 rooted at 0: 2^4 = 16 up-sets resident, but only the
-        // informed-set size matters under the S_4 stabilizer — 5 orbits.
-        let sys = FloodSystem::new(Topology::complete(5), 0);
-        let resident = Search::new(&sys).explore();
-        assert_eq!(resident.num_states, 16);
-        let quotient = Search::new(&sys).canon(flood_complete_canon).explore();
-        assert_eq!(quotient.num_states, 5);
-        assert!(quotient.stats.canon_hits > 0);
-        assert_eq!(quotient.terminal_states.len(), 1);
-        assert!(quotient.terminal_states[0].iter().all(|&b| b));
-    }
-
-    #[test]
-    fn canon_quotient_agrees_on_reachability_witness() {
-        // A search under the quotient still finds the fully-informed
-        // state, with a witness no longer than the concrete one.
-        let sys = FloodSystem::new(Topology::ring(6), 0);
-        let concrete = Search::new(&sys).search(|s| s.iter().all(|&b| b));
-        let quotient = Search::new(&sys)
-            .canon(flood_ring_mirror_canon)
-            .search(|s| s.iter().all(|&b| b));
-        let cw = concrete.witness.expect("ring is connected");
-        let qw = quotient.witness.expect("quotient preserves reachability");
-        assert_eq!(cw.len(), qw.len()); // BFS depth is orbit-invariant
     }
 
     #[test]
@@ -196,9 +89,8 @@ mod tests {
         // Two disjoint edges: flooding from 0 never reaches {2, 3}.
         let topo = Topology::from_edges(4, &[(0, 1), (2, 3)]);
         let sys = FloodSystem::new(topo, 0);
-        let stalled = find_stalled_flood(&sys, 10_000).expect("must stall");
-        assert_eq!(stalled, vec![true, true, false, false]);
-        assert!(!floods_everyone(&sys, 10_000));
+        let r = Search::new(&sys).explore();
+        assert_eq!(r.terminal_states, vec![vec![true, true, false, false]]);
     }
 
     #[test]

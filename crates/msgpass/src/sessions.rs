@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Done {
     /// Session index.
-    pub session: usize,
+    session: usize,
     /// The process whose output this wave announces.
     pub origin: usize,
 }
@@ -36,7 +36,7 @@ pub struct SessionProcess {
     current: usize,
     seen: BTreeSet<Done>,
     /// Times at which this process performed each session's output event.
-    pub output_times: Vec<Time>,
+    output_times: Vec<Time>,
 }
 
 impl SessionProcess {

@@ -11,10 +11,7 @@
 //! no algorithm can synchronize clocks more tightly than the delay
 //! uncertainty allows.
 //!
-//! [`Diagram::shift`] performs the transformation and validates the band;
-//! [`Diagram::max_shift_against`] computes how far one process can be
-//! shifted against the others — the quantity the clock-sync lower bound
-//! maximizes.
+//! [`Diagram::shift`] performs the transformation and validates the band.
 
 use std::fmt;
 
@@ -26,9 +23,9 @@ pub struct MessageRecord {
     /// Receiver.
     pub to: usize,
     /// Real time of sending.
-    pub send_time: f64,
+    send_time: f64,
     /// Real time of receipt.
-    pub recv_time: f64,
+    recv_time: f64,
 }
 
 impl MessageRecord {
@@ -56,7 +53,7 @@ pub struct ShiftError {
     /// Index of the offending message.
     pub message: usize,
     /// Its delay after the shift.
-    pub new_delay: f64,
+    new_delay: f64,
 }
 
 impl fmt::Display for ShiftError {
@@ -143,24 +140,6 @@ impl Diagram {
         Ok(out)
     }
 
-    /// The largest `x ≥ 0` such that shifting process `p` by `+x` (and no
-    /// one else) keeps the diagram admissible: limited by the headroom of
-    /// `p`'s incoming messages (delay may rise to `hi`) and outgoing
-    /// messages (delay may fall to `lo`).
-    pub fn max_shift_against(&self, p: usize) -> f64 {
-        let (lo, hi) = self.delay_bounds;
-        let mut limit = f64::INFINITY;
-        for m in &self.messages {
-            if m.to == p && m.from != p {
-                limit = limit.min(hi - m.delay());
-            }
-            if m.from == p && m.to != p {
-                limit = limit.min(m.delay() - lo);
-            }
-        }
-        limit.max(0.0)
-    }
-
     /// The per-process *views* of the diagram: for each process, the
     /// sequence of its send/receive events with only **logical** content
     /// (peer, direction, order) — what the process can actually observe.
@@ -211,30 +190,6 @@ mod tests {
         let err = d.shift(&[0.0, 0.6]).unwrap_err();
         assert_eq!(err.message, 0);
         assert!(err.new_delay > 2.0);
-    }
-
-    #[test]
-    fn max_shift_is_the_minimum_headroom() {
-        let d = simple_diagram();
-        // p1's incoming delay is 1.5 (headroom to hi: 0.5); its outgoing
-        // delay is 1.5 (headroom to lo: 0.5).
-        assert!((d.max_shift_against(1) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn asymmetric_headroom() {
-        let mut d = Diagram::new(2, 0.0, 4.0);
-        d.record(0, 1, 0.0, 1.0); // delay 1, can rise by 3
-        d.record(1, 0, 1.0, 4.5); // delay 3.5, can fall by 3.5
-        assert!((d.max_shift_against(1) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn self_messages_do_not_constrain() {
-        let mut d = Diagram::new(2, 1.0, 2.0);
-        d.record(0, 0, 0.0, 1.5);
-        assert_eq!(d.max_shift_against(0), f64::INFINITY.min(d.max_shift_against(0)));
-        assert!(d.max_shift_against(0).is_infinite() || d.max_shift_against(0) >= 0.0);
     }
 
     #[test]

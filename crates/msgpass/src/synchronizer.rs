@@ -55,7 +55,7 @@ pub struct AlphaProcess<A: SimpleSync> {
     beats: BTreeMap<usize, usize>,                // round -> neighbours heard
     max_rounds: usize,
     /// Simulated rounds completed.
-    pub rounds_done: usize,
+    rounds_done: usize,
 }
 
 impl<A: SimpleSync> AlphaProcess<A> {

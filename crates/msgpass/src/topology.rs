@@ -106,7 +106,7 @@ impl Topology {
     }
 
     /// BFS distances from `src` (`usize::MAX` = unreachable).
-    pub fn distances(&self, src: usize) -> Vec<usize> {
+    fn distances(&self, src: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.n];
         dist[src] = 0;
         let mut q = VecDeque::from([src]);
@@ -140,18 +140,6 @@ impl Topology {
             .max()
             .expect("nonempty")
     }
-
-    /// True if the graph is connected.
-    pub fn is_connected(&self) -> bool {
-        self.n == 0 || !self.distances(0).contains(&usize::MAX)
-    }
-
-    /// Minimum node degree — a cheap lower bound proxy for connectivity used
-    /// by the Dolev `2t+1`-connectivity experiments (exact vertex
-    /// connectivity equals min degree on the symmetric graphs we build).
-    pub fn min_degree(&self) -> usize {
-        self.adj.iter().map(|l| l.len()).min().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +168,6 @@ mod tests {
         let t = Topology::complete(4);
         assert_eq!(t.num_edges(), 6);
         assert_eq!(t.diameter(), 1);
-        assert_eq!(t.min_degree(), 3);
     }
 
     #[test]
@@ -201,7 +188,7 @@ mod tests {
     #[test]
     fn disconnected_detected() {
         let t = Topology::from_edges(4, &[(0, 1), (2, 3)]);
-        assert!(!t.is_connected());
+        assert!(t.distances(0).contains(&usize::MAX));
     }
 
     #[test]

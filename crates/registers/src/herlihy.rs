@@ -99,7 +99,7 @@ pub struct ObjState<L> {
     /// Per-process locals.
     pub locals: Vec<L>,
     /// Object states (registers/TAS/CAS use index 0; queues their items).
-    pub objects: Vec<Vec<u64>>,
+    objects: Vec<Vec<u64>>,
 }
 
 /// The compiled transition system: action = "process `i` performs its next

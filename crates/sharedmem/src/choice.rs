@@ -23,13 +23,13 @@ use impossible_det::DetRng;
 use impossible_explore::Search;
 
 /// Sentinel for a marked board.
-pub const MARK: u64 = u64::MAX;
+const MARK: u64 = u64::MAX;
 
 /// Per-process protocol state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChoiceLocal {
     /// Which board the process is currently at (0 or 1).
-    pub board: usize,
+    board: usize,
     /// The largest board value adopted so far.
     pub count: u64,
     /// The board this process has committed to, if decided.
@@ -40,7 +40,7 @@ pub struct ChoiceLocal {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChoiceState {
     /// The two shared boards.
-    pub boards: [u64; 2],
+    boards: [u64; 2],
     /// Process states.
     pub locals: Vec<ChoiceLocal>,
 }
@@ -56,7 +56,7 @@ pub struct ChoiceAction {
     /// The stepping process.
     pub process: usize,
     /// The coin outcome supplied to this step (ignored if no flip happens).
-    pub coin: bool,
+    coin: bool,
 }
 
 /// The choice-coordination system for `n` processes with given starting
@@ -64,7 +64,7 @@ pub struct ChoiceAction {
 #[derive(Debug, Clone)]
 pub struct ChoiceSystem {
     /// Starting board of each process (models the lack of common naming).
-    pub start_boards: Vec<usize>,
+    start_boards: Vec<usize>,
 }
 
 impl ChoiceSystem {
@@ -180,7 +180,7 @@ pub struct ChoiceRun {
     /// Steps until every process decided.
     pub steps: usize,
     /// The chosen board (all processes agree, or the run is a bug).
-    pub chosen: usize,
+    chosen: usize,
     /// Largest non-mark value ever written (Rabin's value-space measure).
     pub max_value: u64,
 }

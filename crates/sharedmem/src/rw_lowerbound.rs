@@ -21,6 +21,7 @@ use impossible_explore::{Encode, Search};
 /// (a write). Returns a counterexample execution if some process can reach
 /// the critical region silently — which would let it be invisible to the
 /// others, an immediate mutex violation setup.
+// LINT-ALLOW: dead-pub -- Burns–Lynch [27] idea (1): a process writes before it enters the critical region; tests correct_algorithms_always_write_before_entering, a_silent_entry_candidate_is_caught
 pub fn first_write_before_critical<A>(
     alg: &A,
     max_states: usize,
