@@ -12,20 +12,26 @@
 //! snapshot format uses for its model field.
 //!
 //! The on-disk format is a sorted, line-oriented text file (header line
-//! `impossible-ckpt-cache v2`, one `key holds states edges label` line per
+//! `impossible-ckpt-cache v3`, one `key holds states edges label` line per
 //! entry in ascending key order, and a `count N` trailer). Sorted text
 //! keeps the file deterministic — saving the same cache twice produces the
 //! same bytes — and reviewable in a diff, mirroring the canonical-JSONL
 //! discipline.
 //!
-//! The v2 trailer and the atomic [`VerdictCache::save`] are durability
-//! fixes: v1 had no end-of-file marker, so a file truncated mid-write (a
-//! crash during the old bare `std::fs::write`) parsed as a *shorter valid
-//! cache* — silently forgetting verdicts, the one failure mode a cache
-//! must turn into a loud error rather than absorb. A v2 file whose line
-//! count disagrees with its trailer is typed corruption; a v1-headered
-//! file is treated as a cold start (verdicts are content-addressed and
-//! recomputable, so discarding the stale format is always sound).
+//! The trailer (since v2) and the atomic [`VerdictCache::save`] are
+//! durability fixes: v1 had no end-of-file marker, so a file truncated
+//! mid-write (a crash during the old bare `std::fs::write`) parsed as a
+//! *shorter valid cache* — silently forgetting verdicts, the one failure
+//! mode a cache must turn into a loud error rather than absorb. A file
+//! whose line count disagrees with its trailer is typed corruption.
+//!
+//! v3 changed no byte of the layout. It retires every v2 entry: before
+//! it, `check manifest` cached a "holds" that a state cap had cut (a
+//! verdict only about the explored prefix), and a cache hit never re-runs
+//! its job, so such an entry would have outlived the fix. A v1- or
+//! v2-headered file is therefore a cold start (verdicts are
+//! content-addressed and recomputable, so discarding a retired format is
+//! always sound).
 
 use crate::snapshot::CkptError;
 use impossible_explore::FpHasher;
@@ -36,11 +42,12 @@ use std::collections::BTreeMap;
 const KEY_SEED: u64 = 0x1DEA_CAC4_E5EE_D000;
 
 /// Header line of the cache file format.
-const HEADER: &str = "impossible-ckpt-cache v2";
+const HEADER: &str = "impossible-ckpt-cache v3";
 
-/// Header of the retired v1 format (no trailer; cannot detect truncation).
-/// Loading one is a cold start, not an error.
-const HEADER_V1: &str = "impossible-ckpt-cache v1";
+/// Headers of the retired formats: v1 (no trailer; cannot detect
+/// truncation) and v2 (may hold a cut "holds"). Loading one is a cold
+/// start, not an error.
+const RETIRED: [&str; 2] = ["impossible-ckpt-cache v1", "impossible-ckpt-cache v2"];
 
 /// The canonical fingerprint of a model instance: registry name plus full
 /// parameter vector. Everything a workload's construction depends on must
@@ -111,6 +118,12 @@ impl VerdictCache {
         self.entries.insert(key, (label.to_string(), verdict));
     }
 
+    /// Forget the verdict under `key`, if any: a verdict that is no
+    /// evidence (a "holds" over a cut graph) must not be served again.
+    pub fn remove(&mut self, key: u64) {
+        self.entries.remove(&key);
+    }
+
     /// Render the canonical file bytes (header + ascending-key lines +
     /// count trailer).
     fn to_text(&self) -> String {
@@ -138,7 +151,7 @@ impl VerdictCache {
         let mut lines = text.lines();
         match lines.next() {
             Some(h) if h == HEADER => {}
-            Some(h) if h == HEADER_V1 => return Ok(Self::new()),
+            Some(h) if RETIRED.contains(&h) => return Ok(Self::new()),
             _ => return Err(CkptError::Malformed("cache header")),
         }
         let mut entries = BTreeMap::new();
@@ -259,7 +272,7 @@ mod tests {
             },
         );
         let text = c.to_text();
-        assert!(text.starts_with("impossible-ckpt-cache v2\n"));
+        assert!(text.starts_with("impossible-ckpt-cache v3\n"));
         assert!(text.ends_with("count 2\n"), "trailer seals the file");
         let back = VerdictCache::from_text(&text).expect("round trip");
         assert_eq!(back, c);
@@ -270,8 +283,8 @@ mod tests {
     fn truncated_files_are_typed_errors_not_smaller_caches() {
         // Regression: v1 had no trailer, so a file cut short by a crashed
         // write parsed as a valid cache with fewer (or zero) entries —
-        // silent data loss. Every proper prefix of a v2 file must now be
-        // refused.
+        // silent data loss. Every proper prefix of a current file must now
+        // be refused.
         let mut c = VerdictCache::new();
         for i in 0..4u64 {
             c.insert(
@@ -301,13 +314,33 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_are_a_cold_start_not_an_error() {
-        // The retired format cannot prove it is complete; verdicts are
-        // recomputable, so the service restarts cold instead of trusting
-        // or rejecting it.
+    fn retired_files_are_a_cold_start_not_an_error() {
+        // v1 cannot prove it is complete, and v2 may hold a "holds" a
+        // state cap cut; verdicts are recomputable, so the service
+        // restarts cold instead of trusting or rejecting either.
         let v1 = "impossible-ckpt-cache v1\n00000000000000aa 1 2 3 old\n";
-        let c = VerdictCache::from_text(v1).expect("cold start");
-        assert!(c.is_empty());
+        let v2 = "impossible-ckpt-cache v2\n00000000000000aa 1 2 3 cut\ncount 1\n";
+        for retired in [v1, v2] {
+            let c = VerdictCache::from_text(retired).expect("cold start");
+            assert!(c.is_empty());
+        }
+    }
+
+    #[test]
+    fn removed_verdicts_are_gone_from_the_file() {
+        let mut c = VerdictCache::new();
+        let v = Verdict {
+            holds: true,
+            states: 1,
+            edges: 0,
+        };
+        c.insert(7, "kept", v);
+        c.insert(9, "cut", v);
+        c.remove(9);
+        c.remove(11);
+        assert_eq!(c.get(9), None);
+        assert_eq!(c.len(), 1);
+        assert!(!c.to_text().contains("cut"));
     }
 
     #[test]
@@ -330,12 +363,12 @@ mod tests {
     fn malformed_lines_are_typed_errors() {
         for bad in [
             "wrong header\n",
-            "impossible-ckpt-cache v2\nnothex 1 2 3 x\ncount 1\n",
-            "impossible-ckpt-cache v2\n00000000000000aa 7 2 3 x\ncount 1\n",
-            "impossible-ckpt-cache v2\n00000000000000aa 1 no 3 x\ncount 1\n",
-            "impossible-ckpt-cache v2\n00000000000000aa 1 2 3 x\ncount 2\n",
-            "impossible-ckpt-cache v2\n00000000000000aa 1 2 3 x\ncount nan\n",
-            "impossible-ckpt-cache v2\n00000000000000aa 1 2 3 x\n",
+            "impossible-ckpt-cache v3\nnothex 1 2 3 x\ncount 1\n",
+            "impossible-ckpt-cache v3\n00000000000000aa 7 2 3 x\ncount 1\n",
+            "impossible-ckpt-cache v3\n00000000000000aa 1 no 3 x\ncount 1\n",
+            "impossible-ckpt-cache v3\n00000000000000aa 1 2 3 x\ncount 2\n",
+            "impossible-ckpt-cache v3\n00000000000000aa 1 2 3 x\ncount nan\n",
+            "impossible-ckpt-cache v3\n00000000000000aa 1 2 3 x\n",
         ] {
             assert!(VerdictCache::from_text(bad).is_err(), "{bad:?} must fail");
         }

@@ -18,10 +18,11 @@
 //! (Figure 2), and the admissible non-deciding execution when the arbiter
 //! crashes.
 
+use impossible_core::cert::{verify, Counterexample, Lasso, Spec};
 use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceReport;
-use impossible_explore::property::{eventually, Checker, Counterexample, PropertyReport};
+use impossible_explore::property::{eventually, Checker, PropertyReport};
 use impossible_explore::Search;
 use impossible_obs::{NoopTracer, Tracer};
 use std::collections::BTreeMap;
@@ -188,20 +189,7 @@ impl<'a, C: AsyncCandidate> DecisionSystem for FlpSystem<'a, C> {
     }
 }
 
-/// A non-terminating admissible execution: the `failed` process takes no
-/// step, every other process keeps stepping, no message addressed to a live
-/// process is left undelivered, and some live process never decides.
-#[derive(Debug, Clone)]
-pub struct NonTermination<S> {
-    /// The crashed process.
-    pub failed: usize,
-    /// A reachable configuration that the run loops at.
-    pub head: S,
-    /// The repeatable action cycle.
-    pub cycle: Vec<FlpAction>,
-}
-
-/// The crash-liveness check behind [`find_nontermination`] and
+/// The crash-liveness check behind [`check_candidate`] and
 /// `quorum::exhibit_flp_lasso`, as one instantiation of the
 /// temporal-property layer (`explore::property`): build the reachable graph
 /// with the failed process's actions dropped (it crashes at time zero),
@@ -209,8 +197,9 @@ pub struct NonTermination<S> {
 /// admissibility — loop states must leave no message to a live process
 /// pending (else the loop starves a delivery), and the cycle must contain a
 /// step of every live process (weak fairness, one class per live process).
-/// A violating lasso *is* the admissible non-deciding run. The checker's
-/// `scope: "property"` events go to `tracer`.
+/// A violating lasso *is* the admissible non-deciding run; it is
+/// [`verify`]d through the compiled system before it is returned. The
+/// checker's `scope: "property"` events go to `tracer`.
 pub(crate) fn check_live_processes_decide<C: AsyncCandidate>(
     sys: &FlpSystem<'_, C>,
     failed: usize,
@@ -218,9 +207,8 @@ pub(crate) fn check_live_processes_decide<C: AsyncCandidate>(
     tracer: &mut dyn Tracer,
 ) -> PropertyReport<FlpState<C::Local, C::M>, FlpAction> {
     let n = sys.candidate.n();
-    let g = Search::new(sys)
-        .max_states(max_states)
-        .graph_filtered(|a| sys.owner(a) != Some(ProcessId(failed)));
+    let alive = |a: &FlpAction| sys.owner(a) != Some(ProcessId(failed));
+    let g = Search::new(sys).max_states(max_states).graph_filtered(alive);
     let live: Vec<usize> = (0..n).filter(|&p| p != failed).collect();
     let class: BTreeMap<usize, usize> = live.iter().enumerate().map(|(k, &p)| (p, k)).collect();
 
@@ -228,33 +216,20 @@ pub(crate) fn check_live_processes_decide<C: AsyncCandidate>(
         live.iter()
             .all(|&p| sys.candidate.decision(&s.locals[p]).is_some())
     });
-    let report = Checker::new(&g)
+    let checker = Checker::new(&g)
         .admissible(|s: &FlpState<C::Local, C::M>| {
             s.pending.iter().all(|(_, to, _)| *to == failed)
         })
         .fairness(live.len(), |a: &FlpAction| {
             sys.owner(a).and_then(|p| class.get(&p.index()).copied())
         })
-        .tracer(tracer)
-        .check(&prop);
-    report
-}
-
-/// Search for a [`NonTermination`] witness with a single crashed process:
-/// the lasso of the crash-liveness check, if it has one.
-pub fn find_nontermination<C: AsyncCandidate>(
-    sys: &FlpSystem<'_, C>,
-    failed: usize,
-    max_states: usize,
-) -> Option<NonTermination<FlpState<C::Local, C::M>>> {
-    match check_live_processes_decide(sys, failed, max_states, &mut NoopTracer).counterexample {
-        Some(Counterexample::Lasso(l)) => Some(NonTermination {
-            failed,
-            head: l.stem.last().clone(),
-            cycle: l.cycle.into_iter().map(|(a, _)| a).collect(),
-        }),
-        _ => None,
+        .tracer(tracer);
+    let report = checker.check(&prop);
+    if let Some(ce) = &report.counterexample {
+        let spec = Spec { allowed: Some(&alive), ..checker.spec(&prop) };
+        verify(sys, &spec, ce).unwrap_or_else(|e| panic!("{e}"));
     }
+    report
 }
 
 /// The verdict of the FLP dilemma on a candidate.
@@ -269,8 +244,16 @@ pub enum FlpVerdict<S> {
         /// A decision value reachable from it.
         decided: u64,
     },
-    /// A single crash admits an admissible non-deciding execution.
-    NonTerminating(NonTermination<S>),
+    /// A single crash admits an admissible non-deciding execution: with
+    /// `failed` taking no step, the lasso's cycle repeats forever, every
+    /// live process steps around it, no message to a live process stays
+    /// pending, and some live process never decides.
+    NonTerminating {
+        /// The crashed process.
+        failed: usize,
+        /// The run, verified against the compiled system.
+        lasso: Lasso<S, FlpAction>,
+    },
     /// Nothing found within bounds — impossible for a real candidate, per
     /// FLP; indicates the exploration bound was too small.
     CleanWithinBounds,
@@ -303,8 +286,9 @@ pub fn check_candidate<C: AsyncCandidate>(
         }
     }
     for failed in 0..candidate.n() {
-        if let Some(nt) = find_nontermination(&sys, failed, max_states) {
-            return FlpVerdict::NonTerminating(nt);
+        let report = check_live_processes_decide(&sys, failed, max_states, &mut NoopTracer);
+        if let Some(Counterexample::Lasso(lasso)) = report.counterexample {
+            return FlpVerdict::NonTerminating { failed, lasso };
         }
     }
     FlpVerdict::CleanWithinBounds
@@ -605,14 +589,15 @@ mod tests {
     fn arbiter_crash_yields_admissible_nondeciding_run() {
         let arb = Arbiter::new(3);
         let sys = FlpSystem::all_binary(&arb);
-        let nt = find_nontermination(&sys, 0, 500_000)
-            .expect("killing the arbiter must stall the clients");
-        assert_eq!(nt.failed, 0);
+        let report = check_live_processes_decide(&sys, 0, 500_000, &mut NoopTracer);
+        let Some(Counterexample::Lasso(lasso)) = report.counterexample else {
+            panic!("killing the arbiter must stall the clients");
+        };
         // The cycle is pure null steps of the live clients.
-        assert!(nt
+        assert!(lasso
             .cycle
             .iter()
-            .all(|a| matches!(a, FlpAction::Null(p) if *p != 0)));
+            .all(|(a, _)| matches!(a, FlpAction::Null(p) if *p != 0)));
     }
 
     #[test]
@@ -629,8 +614,8 @@ mod tests {
     #[test]
     fn wait_for_all_stalls_on_one_crash() {
         match check_candidate(&WaitForAll::new(2), 500_000) {
-            FlpVerdict::NonTerminating(nt) => {
-                assert!(nt.cycle.iter().all(|a| matches!(a, FlpAction::Null(_))));
+            FlpVerdict::NonTerminating { lasso, .. } => {
+                assert!(lasso.cycle.iter().all(|(a, _)| matches!(a, FlpAction::Null(_))));
             }
             other => panic!("expected non-termination, got {other:?}"),
         }
@@ -639,7 +624,7 @@ mod tests {
     #[test]
     fn wait_for_all_n3_also_stalls() {
         match check_candidate(&WaitForAll::new(3), 800_000) {
-            FlpVerdict::NonTerminating(_) => {}
+            FlpVerdict::NonTerminating { .. } => {}
             other => panic!("expected non-termination, got {other:?}"),
         }
     }
@@ -648,7 +633,7 @@ mod tests {
     fn arbiter_is_caught_by_the_dilemma_too() {
         // Safe but not 1-resilient: the checker lands on the termination horn.
         match check_candidate(&Arbiter::new(3), 500_000) {
-            FlpVerdict::NonTerminating(nt) => assert_eq!(nt.failed, 0),
+            FlpVerdict::NonTerminating { failed, .. } => assert_eq!(failed, 0),
             other => panic!("expected non-termination via arbiter crash, got {other:?}"),
         }
     }

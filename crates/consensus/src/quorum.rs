@@ -226,10 +226,10 @@ pub fn value_swap_canon(
 /// drop its actions from the reachable graph (over every binary input
 /// vector), and check `eventually(every live process decides)` under FLP
 /// admissibility and per-live-process fairness (`flp`'s crash-liveness
-/// check, the one `flp::find_nontermination` runs). The report's
-/// counterexample is the admissible non-deciding run: a stem into a
-/// mixed-vote configuration plus a cycle of live null steps the adversary
-/// repeats forever.
+/// check, the one `flp::check_candidate` runs). The report's
+/// counterexample is the admissible non-deciding run, verified against the
+/// compiled system: a stem into a mixed-vote configuration plus a cycle of
+/// live null steps the adversary repeats forever.
 pub fn exhibit_flp_lasso(
     n: usize,
     failed: usize,
@@ -259,6 +259,7 @@ pub fn exhibit_flp_lasso_traced(
 mod tests {
     use super::*;
     use crate::flp::{check_candidate, FlpVerdict};
+    use impossible_core::cert::{verify, Goal, Spec};
     use impossible_core::ids::ProcessId;
     use impossible_core::system::System;
     use impossible_explore::property::{always, eventually, never, Checker, Counterexample};
@@ -305,7 +306,26 @@ mod tests {
         let r = exhibit_flp_lasso(3, 0, CAP);
         assert!(!r.holds, "a crashed voter leaves mixed instances undecided");
         assert!(!r.truncated);
-        match r.counterexample.expect("violated") {
+        // The claim restated here, independently of the engine: with voter
+        // 0 crashed, a fair admissible run on which the live voters never
+        // both decide.
+        let q = QuorumVote::new(3);
+        let sys = FlpSystem::all_binary(&q);
+        let alive = |a: &FlpAction| sys.owner(a) != Some(ProcessId(0));
+        let owed = |s: &FlpState<QuorumLocal, QuorumMsg>| s.pending.iter().all(|m| m.1 == 0);
+        let class = |a: &FlpAction| sys.owner(a).and_then(|p| p.index().checked_sub(1));
+        let decided = |s: &FlpState<QuorumLocal, QuorumMsg>| {
+            s.locals[1..].iter().all(|l| q.decision(l).is_some())
+        };
+        let spec = Spec {
+            allowed: Some(&alive),
+            admissible: Some(&owed),
+            fairness: Some((2, &class)),
+            ..Spec::new(Goal::Eventually(&decided))
+        };
+        let ce = r.counterexample.expect("violated");
+        assert_eq!(verify(&sys, &spec, &ce), Ok(()));
+        match ce {
             Counterexample::Lasso(l) => {
                 assert!(!l.cycle.is_empty());
                 // The cycle is live null steps: every message to a live
@@ -317,7 +337,6 @@ mod tests {
                 // The head really is stuck: both live processes undecided
                 // with split votes.
                 let head = l.stem.last();
-                let q = QuorumVote::new(3);
                 assert!(head.locals[1..].iter().all(|loc| q.decision(loc).is_none()));
             }
             other => panic!("expected lasso, got {other:?}"),
@@ -344,6 +363,24 @@ mod tests {
         for s in &quotient.terminal_states {
             assert_eq!(value_swap_canon(&value_swap_canon(s)), value_swap_canon(s));
         }
+    }
+
+    #[test]
+    fn value_swap_canon_passes_the_audit_on_every_reachable_state() {
+        use impossible_explore::canon::audit;
+        let q = QuorumVote::new(3);
+        let sys = FlpSystem::all_binary(&q);
+        let states = Search::new(&sys).max_states(CAP).reachable_states();
+        let agree = |s: &FlpState<QuorumLocal, QuorumMsg>| {
+            let d: Vec<u64> = s.locals.iter().filter_map(|l| q.decision(l)).collect();
+            d.windows(2).all(|w| w[0] == w[1])
+        };
+        let all_decided = |s: &FlpState<QuorumLocal, QuorumMsg>| {
+            s.locals.iter().all(|l| q.decision(l).is_some())
+        };
+        let preds: [(&str, &dyn Fn(&FlpState<QuorumLocal, QuorumMsg>) -> bool); 2] =
+            [("agreement", &agree), ("all-decided", &all_decided)];
+        assert_eq!(audit(&sys, value_swap_canon, &states, &preds), Ok(()));
     }
 
     #[test]
@@ -424,11 +461,11 @@ mod tests {
     #[test]
     fn check_candidate_lands_on_the_termination_horn() {
         match check_candidate(&QuorumVote::new(3), 800_000) {
-            FlpVerdict::NonTerminating(nt) => {
-                assert!(nt
+            FlpVerdict::NonTerminating { failed, lasso } => {
+                assert!(lasso
                     .cycle
                     .iter()
-                    .all(|a| matches!(a, FlpAction::Null(p) if *p != nt.failed)));
+                    .all(|(a, _)| matches!(a, FlpAction::Null(p) if *p != failed)));
             }
             other => panic!("expected non-termination, got {other:?}"),
         }

@@ -1,53 +1,40 @@
-//! Impossibility certificates.
+//! Impossibility certificates, and the one checker for run evidence.
 //!
 //! The survey insists that "it is not possible to fake an impossibility
 //! proof". The executable analogue: every engine in this workspace, when it
-//! refutes a candidate algorithm, produces a [`Certificate`] — a concrete
-//! object (a bad execution, a broken obligation, a symmetric run) that a
-//! human or another program can independently re-check. Certificates are
-//! what the experiment harness prints, and what the tests assert on.
+//! refutes a candidate algorithm, produces a concrete object that a human
+//! or another program can independently re-check — a [`Certificate`] (the
+//! scenario, chain, symmetry and message-stealing refuters), or a
+//! [`Counterexample`] of a [`System`]: a bad execution, or a [`Lasso`], the
+//! finite form of an infinite admissible run. Every engine that returns a
+//! counterexample re-checks it with [`verify`] first, through the system
+//! alone, so a wrong witness is an engine bug that panics.
 
+use crate::exec::Execution;
+use crate::system::System;
 use std::fmt;
 
-/// The proof technique that produced a certificate — the paper's §3.1
-/// taxonomy, verbatim.
+/// The proof technique behind a [`Certificate`]: the families of the
+/// paper's §3.1 taxonomy that an engine here builds a certificate for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technique {
-    /// Pigeonhole on shared-memory values (Cremers–Hibbard, Burns et al.).
-    Pigeonhole,
     /// Scenario composition (Fischer–Lynch–Merritt, Figure 1).
     Scenario,
     /// Chain of indistinguishable executions (t+1 rounds, Two Generals).
     Chain,
-    /// Bivalence analysis (FLP, Figures 2–3).
-    Bivalence,
-    /// Communication-diagram stretching (sessions, clock sync).
-    Stretching,
     /// Symmetry / crossing-sequence (rings, Figure 4).
     Symmetry,
-    /// Distance: information needs k messages to travel distance k.
-    Distance,
     /// Message stealing (data-link protocols).
     MessageStealing,
-    /// Reduction from a previously refuted problem.
-    Reducibility,
-    /// Finite-state counting arguments.
-    FiniteState,
 }
 
 impl fmt::Display for Technique {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            Technique::Pigeonhole => "pigeonhole",
             Technique::Scenario => "scenario",
             Technique::Chain => "chain",
-            Technique::Bivalence => "bivalence",
-            Technique::Stretching => "stretching",
             Technique::Symmetry => "symmetry",
-            Technique::Distance => "distance",
             Technique::MessageStealing => "message stealing",
-            Technique::Reducibility => "reducibility",
-            Technique::FiniteState => "finite state",
         };
         f.write_str(name)
     }
@@ -89,13 +76,223 @@ impl fmt::Display for Certificate {
     }
 }
 
+/// A liveness counterexample: a finite stem from an initial state to a
+/// loop head, plus a cycle the adversary can repeat forever.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lasso<S, A> {
+    /// Initial state to the loop head (the stem's last state).
+    pub stem: Execution<S, A>,
+    /// Steps around the cycle; the last state equals the loop head. Empty
+    /// means the head is terminal and the run stutters there forever.
+    pub cycle: Vec<(A, S)>,
+    /// For `leads_to(p, q)`: index into `stem.states()` of the triggering
+    /// `p`-state that `q` never answers. `None` for `eventually`.
+    pub pivot: Option<usize>,
+}
+
+/// Why a property failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Counterexample<S, A> {
+    /// Safety: the shortest execution reaching a violating state.
+    BadState(Execution<S, A>),
+    /// Liveness: a stem plus a repeatable cycle avoiding the goal.
+    Lasso(Lasso<S, A>),
+}
+
+/// The temporal claim a [`Counterexample`] refutes.
+pub enum Goal<'a, S> {
+    /// `□p`: a bad state violates `p`.
+    Always(&'a dyn Fn(&S) -> bool),
+    /// `□¬p`: a bad state satisfies `p`.
+    Never(&'a dyn Fn(&S) -> bool),
+    /// `◇p`: a lasso, no pivot, avoids `p`.
+    Eventually(&'a dyn Fn(&S) -> bool),
+    /// `□(p → ◇q)`: a lasso pivots on a `p` state and avoids `q` from it on.
+    LeadsTo(&'a dyn Fn(&S) -> bool, &'a dyn Fn(&S) -> bool),
+}
+
+/// What [`verify`] checks a counterexample against: the claim, and the
+/// system as the engine explored it (`explore::property::Checker::spec`
+/// fills in a checker's part).
+pub struct Spec<'a, S, A> {
+    /// The claim refuted.
+    pub goal: Goal<'a, S>,
+    /// The quotient's canon hook, applied to initial states and successors.
+    pub canon: Option<fn(&S) -> S>,
+    /// The actions the run may take (a crashed process takes none).
+    pub allowed: Option<&'a dyn Fn(&A) -> bool>,
+    /// The states a lasso may repeat forever (head and cycle).
+    pub admissible: Option<&'a dyn Fn(&S) -> bool>,
+    /// `(classes, class_of)`: the cycle takes an action of every class.
+    pub fairness: Option<(usize, &'a dyn Fn(&A) -> Option<usize>)>,
+}
+
+impl<'a, S, A> Spec<'a, S, A> {
+    /// `goal` over the plain system, with no constraint on the cycle.
+    pub fn new(goal: Goal<'a, S>) -> Self {
+        Spec {
+            goal,
+            canon: None,
+            allowed: None,
+            admissible: None,
+            fairness: None,
+        }
+    }
+}
+
+/// The first clause of [`verify`]'s contract a counterexample breaks; its
+/// `Display` is the clause.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WitnessError {
+    /// The stem does not start at an initial state.
+    NotInitial,
+    /// Stem step `k` is not a step of the system.
+    StemStep(usize),
+    /// The last state does not violate the property.
+    NotBad,
+    /// A bad state against a liveness claim, or a lasso against safety.
+    WrongKind,
+    /// Cycle step `k` is not a step of the system.
+    CycleStep(usize),
+    /// The cycle does not close on the loop head.
+    CycleOpen,
+    /// An empty cycle on a head with an allowed action.
+    NotTerminal,
+    /// Loop state `k` (0: the head, then the cycle's) is not admissible.
+    Inadmissible(usize),
+    /// The cycle takes no action of fairness class `c`.
+    Unfair(usize),
+    /// The pivot is missing, stray or not a trigger state.
+    Pivot,
+    /// Run state `k` (stem, then cycle) meets the goal it claims to avoid.
+    MeetsGoal(usize),
+}
+
+impl fmt::Display for WitnessError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let clause = match self {
+            WitnessError::NotInitial => "the stem does not start at an initial state".into(),
+            WitnessError::StemStep(k) => format!("stem step {k} is not a step of the system"),
+            WitnessError::NotBad => "the last state does not violate the property".into(),
+            WitnessError::WrongKind => {
+                "a bad state against liveness, or a lasso against safety".into()
+            }
+            WitnessError::CycleStep(k) => format!("cycle step {k} is not a step of the system"),
+            WitnessError::CycleOpen => "the cycle does not close on the loop head".into(),
+            WitnessError::NotTerminal => "an empty cycle on a head with an allowed action".into(),
+            WitnessError::Inadmissible(k) => format!("loop state {k} is not admissible"),
+            WitnessError::Unfair(c) => format!("the cycle takes no action of fairness class {c}"),
+            WitnessError::Pivot => "the pivot is missing, stray or not a trigger state".into(),
+            WitnessError::MeetsGoal(k) => {
+                format!("run state {k} meets the goal it claims to avoid")
+            }
+        };
+        write!(f, "witness rejected: {clause}")
+    }
+}
+
+/// Re-check `ce` as a run of `sys` refuting `spec.goal`, with
+/// `initial_states` / `enabled` / `step`, the canon hook and the
+/// predicates only. In order, the first clause to fail is returned:
+///
+/// 1. the stem starts at a canonized initial state;
+/// 2. every step is an enabled, allowed action, and its canonized
+///    successor is the recorded state;
+/// 3. a bad state violates its property ([`Goal::Always`] /
+///    [`Goal::Never`]); a lasso is offered only for a liveness goal;
+/// 4. the cycle's steps satisfy (2) and close on the head, or the cycle is
+///    empty on a head with no allowed action;
+/// 5. the head and every cycle state are admissible, and the cycle takes
+///    an action of every fairness class;
+/// 6. the pivot is absent for [`Goal::Eventually`], and for
+///    [`Goal::LeadsTo`] marks a trigger state; from it on (from the start,
+///    without one) no state of the run meets the goal.
+///
+/// A lasso over a quotient is a run of the canonized system; see
+/// `docs/PROPERTIES.md`, "Witnesses are verified".
+pub fn verify<Sys: System>(
+    sys: &Sys,
+    spec: &Spec<'_, Sys::State, Sys::Action>,
+    ce: &Counterexample<Sys::State, Sys::Action>,
+) -> Result<(), WitnessError> {
+    let canonize = |s: Sys::State| match spec.canon {
+        Some(c) => c(&s),
+        None => s,
+    };
+    let allowed = |a: &Sys::Action| spec.allowed.map_or(true, |f| f(a));
+    let follows = |pre: &Sys::State, a: &Sys::Action, post: &Sys::State| {
+        allowed(a) && sys.enabled(pre).contains(a) && canonize(sys.step(pre, a)) == *post
+    };
+
+    let stem = match ce {
+        Counterexample::BadState(e) => e,
+        Counterexample::Lasso(l) => &l.stem,
+    };
+    if !sys.initial_states().into_iter().any(|s| canonize(s) == *stem.first()) {
+        return Err(WitnessError::NotInitial);
+    }
+    if let Some(k) = stem.steps().position(|(pre, a, post)| !follows(pre, a, post)) {
+        return Err(WitnessError::StemStep(k));
+    }
+
+    let lasso = match (ce, &spec.goal) {
+        (Counterexample::BadState(e), Goal::Always(p)) => {
+            return (!p(e.last())).then_some(()).ok_or(WitnessError::NotBad);
+        }
+        (Counterexample::BadState(e), Goal::Never(p)) => {
+            return p(e.last()).then_some(()).ok_or(WitnessError::NotBad);
+        }
+        (Counterexample::Lasso(l), Goal::Eventually(_) | Goal::LeadsTo(..)) => l,
+        _ => return Err(WitnessError::WrongKind),
+    };
+
+    let head = stem.last();
+    let mut cur = head;
+    for (k, (a, post)) in lasso.cycle.iter().enumerate() {
+        if !follows(cur, a, post) {
+            return Err(WitnessError::CycleStep(k));
+        }
+        cur = post;
+    }
+    if cur != head {
+        return Err(WitnessError::CycleOpen);
+    }
+    if lasso.cycle.is_empty() && sys.enabled(head).iter().any(allowed) {
+        return Err(WitnessError::NotTerminal);
+    }
+
+    let cycle_states = || lasso.cycle.iter().map(|(_, s)| s);
+    let loop_states = || std::iter::once(head).chain(cycle_states());
+    if let Some(k) = spec.admissible.and_then(|f| loop_states().position(|s| !f(s))) {
+        return Err(WitnessError::Inadmissible(k));
+    }
+    let uncovered = |(classes, class_of): (usize, &dyn Fn(&Sys::Action) -> Option<usize>)| {
+        (0..classes).find(|&c| !lasso.cycle.iter().any(|(a, _)| class_of(a) == Some(c)))
+    };
+    if let Some(c) = spec.fairness.and_then(uncovered) {
+        return Err(WitnessError::Unfair(c));
+    }
+
+    let states = stem.states();
+    let (from, goal) = match (&spec.goal, lasso.pivot) {
+        (Goal::Eventually(p), None) => (0, p),
+        (Goal::LeadsTo(p, q), Some(k)) if k < states.len() && p(&states[k]) => (k, q),
+        _ => return Err(WitnessError::Pivot),
+    };
+    match states[from..].iter().chain(cycle_states()).position(|s| goal(s)) {
+        Some(k) => Err(WitnessError::MeetsGoal(from + k)),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::test_systems::Counters;
 
     #[test]
     fn technique_names_render() {
-        assert_eq!(Technique::Bivalence.to_string(), "bivalence");
+        assert_eq!(Technique::Scenario.to_string(), "scenario");
         assert_eq!(Technique::MessageStealing.to_string(), "message stealing");
     }
 
@@ -116,5 +313,55 @@ mod tests {
         let a = Certificate::new(Technique::Chain, "x", "y");
         let b = Certificate::new(Technique::Chain, "x", "y");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn verify_accepts_a_bad_state_and_a_stutter_and_names_each_failure() {
+        // Two counters up to 1: (0,0) → (1,0) → (1,1), which is terminal.
+        let sys = Counters { n: 2, max: 1 };
+        let run = Execution::from_parts(vec![vec![0, 0], vec![1, 0], vec![1, 1]], vec![0, 1]);
+        let full = |s: &Vec<u8>| s.iter().all(|&c| c == 1);
+        let bad = Counterexample::BadState(run.clone());
+        assert_eq!(verify(&sys, &Spec::new(Goal::Never(&full)), &bad), Ok(()));
+        assert_eq!(
+            verify(&sys, &Spec::new(Goal::Always(&full)), &bad),
+            Err(WitnessError::NotBad)
+        );
+        // A stutter at the terminal corner refutes "eventually 2".
+        let two = |s: &Vec<u8>| s.contains(&2);
+        let lasso = |cycle, pivot| {
+            Counterexample::Lasso(Lasso {
+                stem: run.clone(),
+                cycle,
+                pivot,
+            })
+        };
+        let eventually_two = Spec::new(Goal::Eventually(&two));
+        assert_eq!(verify(&sys, &eventually_two, &lasso(vec![], None)), Ok(()));
+        assert_eq!(verify(&sys, &eventually_two, &bad), Err(WitnessError::WrongKind));
+        assert_eq!(
+            verify(&sys, &eventually_two, &lasso(vec![], Some(0))),
+            Err(WitnessError::Pivot)
+        );
+        assert_eq!(
+            verify(&sys, &eventually_two, &lasso(vec![(0, vec![1, 1])], None)),
+            Err(WitnessError::CycleStep(0))
+        );
+        // Under a fairness class, a stutter takes no action at all.
+        let class = |_: &usize| Some(0);
+        let fair = Spec {
+            fairness: Some((1, &class)),
+            ..Spec::new(Goal::Eventually(&two))
+        };
+        assert_eq!(
+            verify(&sys, &fair, &lasso(vec![], None)),
+            Err(WitnessError::Unfair(0))
+        );
+        // The corner meets "eventually full" at run state 2.
+        assert_eq!(
+            verify(&sys, &Spec::new(Goal::Eventually(&full)), &lasso(vec![], None)),
+            Err(WitnessError::MeetsGoal(2))
+        );
+        assert!(WitnessError::MeetsGoal(2).to_string().contains("run state 2"));
     }
 }

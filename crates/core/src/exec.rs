@@ -1,4 +1,4 @@
-//! Executions, schedules and admissibility.
+//! Executions and admissibility.
 //!
 //! The survey stresses that "the proper treatment of admissibility was one of
 //! the most difficult aspects of this work": an impossibility proof must
@@ -8,8 +8,6 @@
 //! that the engines never hand back a counterexample that the problem
 //! statement would disqualify.
 
-use crate::system::System;
-use std::fmt;
 
 /// A finite execution fragment: `s0 -a1-> s1 -a2-> ... -ak-> sk`.
 ///
@@ -88,64 +86,6 @@ impl<S: Clone, A: Clone> Execution<S, A> {
     }
 }
 
-/// A schedule: the action sequence of an execution, without the states.
-///
-/// The paper's constructions are phrased as schedules applied to
-/// configurations ("run σ from C"); [`Schedule::run`] realizes that.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Schedule<A> {
-    actions: Vec<A>,
-}
-
-impl<A: Clone> Schedule<A> {
-    /// The empty schedule.
-    pub fn new() -> Self {
-        Schedule {
-            actions: Vec::new(),
-        }
-    }
-
-    /// The underlying actions.
-    pub fn actions(&self) -> &[A] {
-        &self.actions
-    }
-
-    /// Append an action.
-    pub fn push(&mut self, action: A) {
-        self.actions.push(action);
-    }
-
-    /// Run this schedule on `sys` from `state`, producing the full execution.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(i)` if the `i`-th action is not enabled when reached —
-    /// the classic way a paper proof says "σ is not applicable to C".
-    pub fn run<Sys>(&self, sys: &Sys, state: &Sys::State) -> Result<Execution<Sys::State, A>, usize>
-    where
-        Sys: System<Action = A>,
-        A: PartialEq,
-    {
-        let mut exec = Execution::start(state.clone());
-        for (i, a) in self.actions.iter().enumerate() {
-            if !sys.enabled(exec.last()).contains(a) {
-                return Err(i);
-            }
-            let next = sys.step(exec.last(), a);
-            exec.push(a.clone(), next);
-        }
-        Ok(exec)
-    }
-}
-
-impl<A> FromIterator<A> for Schedule<A> {
-    fn from_iter<I: IntoIterator<Item = A>>(iter: I) -> Self {
-        Schedule {
-            actions: iter.into_iter().collect(),
-        }
-    }
-}
-
 /// Admissibility policy: which infinite behaviours count as "the system really
 /// ran" (as opposed to the scheduler simply starving everyone).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,22 +118,9 @@ impl Admissibility {
     }
 }
 
-impl<S: fmt::Debug, A: fmt::Debug> fmt::Display for Execution<S, A> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "execution ({} steps):", self.actions.len())?;
-        writeln!(f, "  {:?}", self.states[0])?;
-        for (i, a) in self.actions.iter().enumerate() {
-            writeln!(f, "  --{a:?}-->")?;
-            writeln!(f, "  {:?}", self.states[i + 1])?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::test_systems::Counters;
 
     #[test]
     fn execution_push_and_views() {
@@ -212,21 +139,5 @@ mod tests {
     #[should_panic(expected = "one more state")]
     fn from_parts_validates() {
         let _ = Execution::from_parts(vec![0u8], vec!['a']);
-    }
-
-    #[test]
-    fn schedule_run_success_and_failure() {
-        let sys = Counters { n: 2, max: 1 };
-        let init = sys.initial_states()[0].clone();
-        let ok = [0usize, 1].into_iter().collect::<Schedule<_>>().run(&sys, &init).unwrap();
-        assert_eq!(*ok.last(), vec![1, 1]);
-        let err = [0usize, 0].into_iter().collect::<Schedule<_>>().run(&sys, &init);
-        assert_eq!(err.unwrap_err(), 1);
-    }
-
-    #[test]
-    fn schedule_from_iterator() {
-        let s: Schedule<u32> = (0..3).collect();
-        assert_eq!(s.actions(), &[0, 1, 2]);
     }
 }

@@ -12,13 +12,14 @@
 //! * [`system`] — labelled transition systems with per-process action
 //!   ownership, the common foundation the paper asks for ("it would be very
 //!   nice if there were some body of common definitions ...").
-//! * [`exec`] — executions, schedules and *admissibility*, which the paper
-//!   calls "one of the most difficult aspects of this work".
+//! * [`exec`] — executions and *admissibility*, which the paper calls
+//!   "one of the most difficult aspects of this work".
 //! * [`explore`] — explicit-state exploration of small systems.
 //! * [`valence`] — the FLP *bivalence* engine (Figures 2–3 of the paper):
 //!   valence classification, bivalent initial configurations, decider /
 //!   critical configurations. (The admissible non-deciding execution is
-//!   `consensus::flp::find_nontermination` over `explore::property`.)
+//!   the lasso of `consensus::flp::check_candidate`'s
+//!   `FlpVerdict::NonTerminating`, found by `explore::property`.)
 //! * [`succ`] — compressed successor rows, the edge storage of the
 //!   reachable graphs [`valence`] classifies (built by `impossible-explore`).
 //! * [`row`] — fixed-capacity inline rows, the heap-free fields of small
@@ -35,8 +36,9 @@
 //! * [`knowledge`] — the epistemic layer (Halpern–Moses, Dwork–Moses):
 //!   `K_p`, `E`, iterated and common knowledge over finite frames, with the
 //!   "no common knowledge over uncertain channels" theorem executable.
-//! * [`cert`] — counterexample *certificates*: the concrete bad executions
-//!   that every impossibility proof in the survey constructs.
+//! * [`cert`] — counterexample *certificates*, and [`cert::verify`], the
+//!   one checker of the bad executions and lassos every impossibility
+//!   proof in the survey constructs.
 //!
 //! ## Quick start
 //!
@@ -86,6 +88,6 @@ pub mod task;
 pub mod valence;
 
 pub use cert::Certificate;
-pub use exec::{Execution, Schedule};
+pub use exec::Execution;
 pub use ids::ProcessId;
 pub use system::System;

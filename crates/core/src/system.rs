@@ -138,41 +138,6 @@ pub trait DecisionSystem: System {
     }
 }
 
-/// Blanket helpers available on every [`System`].
-pub trait SystemExt: System {
-    /// Run a straight-line schedule from `state`, returning the final state.
-    ///
-    /// Skips (and reports) any action that is not enabled when its turn
-    /// comes. Returns `Err(index)` of the first non-enabled action.
-    fn apply_schedule(
-        &self,
-        state: &Self::State,
-        actions: &[Self::Action],
-    ) -> Result<Self::State, usize> {
-        let mut cur = state.clone();
-        for (i, a) in actions.iter().enumerate() {
-            if !self.enabled(&cur).contains(a) {
-                return Err(i);
-            }
-            cur = self.step(&cur, a);
-        }
-        Ok(cur)
-    }
-
-    /// All successor `(action, state)` pairs of `state`.
-    fn successors(&self, state: &Self::State) -> Vec<(Self::Action, Self::State)> {
-        self.enabled(state)
-            .into_iter()
-            .map(|a| {
-                let s = self.step(state, &a);
-                (a, s)
-            })
-            .collect()
-    }
-}
-
-impl<S: System + ?Sized> SystemExt for S {}
-
 #[cfg(test)]
 pub(crate) mod test_systems {
     use super::*;
@@ -216,31 +181,6 @@ pub(crate) mod test_systems {
 mod tests {
     use super::test_systems::Counters;
     use super::*;
-
-    #[test]
-    fn apply_schedule_runs_enabled_actions() {
-        let sys = Counters { n: 2, max: 2 };
-        let init = &sys.initial_states()[0];
-        let end = sys.apply_schedule(init, &[0, 0, 1]).unwrap();
-        assert_eq!(end, vec![2, 1]);
-    }
-
-    #[test]
-    fn apply_schedule_reports_first_disabled() {
-        let sys = Counters { n: 2, max: 1 };
-        let init = &sys.initial_states()[0];
-        // Second `0` is disabled because counter 0 is saturated.
-        assert_eq!(sys.apply_schedule(init, &[0, 0]), Err(1));
-    }
-
-    #[test]
-    fn successors_enumerates_all_moves() {
-        let sys = Counters { n: 3, max: 1 };
-        let init = &sys.initial_states()[0];
-        let succ = sys.successors(init);
-        assert_eq!(succ.len(), 3);
-        assert!(succ.iter().any(|(a, s)| *a == 1 && s[1] == 1));
-    }
 
     #[test]
     fn ownership() {

@@ -15,9 +15,11 @@
 //!   system to either valence (Figure 2).
 //!
 //! The counterexample every bivalence proof then constructs — an admissible
-//! non-deciding execution, a fair "lasso" — is a liveness check, so it
-//! lives with the liveness checker: `consensus::flp::find_nontermination`
-//! over `explore::property::Checker`.
+//! non-deciding execution, a fair [`Lasso`](crate::cert::Lasso) — is a
+//! liveness check, so it lives with the liveness checker:
+//! `consensus::flp::check_candidate` finds it with
+//! `explore::property::Checker` and re-checks it with
+//! [`verify`](crate::cert::verify).
 //!
 //! This crate does not build reachable graphs. The one builder is
 //! `impossible-explore`'s (`Search::graph_from`); [`ValenceEngine`] takes

@@ -20,7 +20,7 @@
 use impossible_core::symmetry::{canonical_binary_rotation, canonical_rotation};
 use impossible_core::system::System;
 use impossible_explore::property::{eventually, leads_to};
-use impossible_explore::{Checker, PropertyReport, Search, SearchReport};
+use impossible_explore::{PropertyReport, Search, SearchReport};
 
 /// An anonymous unidirectional token ring: `state[i] == 1` iff slot `i`
 /// holds a token; action `i` moves that token to slot `i+1 (mod n)`,
@@ -148,19 +148,17 @@ fn tokens(s: &[u8]) -> usize {
 /// `0101` and the adjacent pair `0011` feed each other without merging).
 /// This is the model-checking rendition of the survey's scheduler-adversary
 /// arguments: reachability (of a one-token state) says a leader *can*
-/// emerge; this lasso says no free schedule *must* produce one.
+/// emerge; this lasso says no free schedule *must* produce one. Like every
+/// [`Search::check_property`] lasso, it is verified as a run of the
+/// quotient system before it is returned.
 pub fn election_evades_free_schedulers(
     n: usize,
     max_states: usize,
 ) -> PropertyReport<Vec<u8>, usize> {
-    let sys = TokenRing { n };
-    let g = Search::new(&sys)
+    Search::new(&TokenRing { n })
         .max_states(max_states)
         .canon(rotation_canon)
-        .graph();
-    let report =
-        Checker::new(&g).check(&eventually("one-token", |s: &Vec<u8>| tokens(s) == 1));
-    report
+        .check_property(&eventually("one-token", |s: &Vec<u8>| tokens(s) == 1))
 }
 
 /// The matching positive claim — with a sharp edge. Under the greedy-merge
@@ -178,18 +176,16 @@ pub fn election_under_greedy_merges(
     n: usize,
     max_states: usize,
 ) -> PropertyReport<Vec<u8>, usize> {
-    let sys = GreedyMergeRing { n };
-    let g = Search::new(&sys)
+    Search::new(&GreedyMergeRing { n })
         .max_states(max_states)
         .canon(rotation_canon)
-        .graph();
-    let report = Checker::new(&g).check(&leads_to(
-        "merges-elect",
-        |s: &Vec<u8>| tokens(s) >= 2,
-        |s: &Vec<u8>| tokens(s) == 1,
-    ));
-    report
+        .check_property(&leads_to(
+            "merges-elect",
+            |s: &Vec<u8>| tokens(s) >= 2,
+            |s: &Vec<u8>| tokens(s) == 1,
+        ))
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -249,6 +245,23 @@ mod tests {
                 .search(|s| tokens(s) == 1)
                 .witness;
             assert_eq!(w.map(|w| w.len()), Some(n - 1));
+        }
+    }
+
+    #[test]
+    fn rotation_canon_passes_the_audit_on_every_reachable_ring_state() {
+        use impossible_explore::canon::audit;
+        let one = |s: &Vec<u8>| tokens(s) == 1;
+        let many = |s: &Vec<u8>| tokens(s) >= 2;
+        let preds: [(&str, &dyn Fn(&Vec<u8>) -> bool); 2] =
+            [("one-token", &one), ("multi-token", &many)];
+        for n in 1..=8 {
+            let free = TokenRing { n };
+            let states = Search::new(&free).reachable_states();
+            assert_eq!(audit(&free, rotation_canon, &states, &preds), Ok(()), "n={n}");
+            let greedy = GreedyMergeRing { n };
+            let states = Search::new(&greedy).reachable_states();
+            assert_eq!(audit(&greedy, rotation_canon, &states, &preds), Ok(()), "n={n}");
         }
     }
 

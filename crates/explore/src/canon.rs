@@ -23,6 +23,10 @@
 //! Under those two conditions the quotient search preserves reachability
 //! and violation-existence, and every witness it returns is a genuine
 //! execution of the quotient system (each step is `step` followed by `c`).
+//! [`audit`] checks the contract state by state — idempotence, and
+//! equivariance as equal enabled counts, equal canonized successor
+//! multisets and invariant predicates — so a hook's tests can run it over
+//! a whole reachable space.
 //!
 //! **Cost.** The hook runs on every successor the search generates, so it
 //! should be the *closed form* of its group's minimum, not an enumeration
@@ -35,6 +39,56 @@
 //! They are the oracle every closed-form hook is tested against, and the
 //! fallback for a group that has no closed form; build the permutation
 //! list once, outside the hook, never per call.
+
+use impossible_core::system::System;
+
+/// The clause of the hook contract a state breaks, as [`audit`] names it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CanonFault {
+    /// `c(c(s)) != c(s)`.
+    NotIdempotent,
+    /// `enabled(s)` and `enabled(c(s))` differ in size.
+    EnabledSize,
+    /// The successors of `s` and of `c(s)`, each canonized, differ as
+    /// multisets.
+    Successors,
+    /// The named predicate tells `s` and `c(s)` apart.
+    Predicate(String),
+}
+
+/// Check the hook contract, clause by clause in [`CanonFault`]'s order,
+/// for `canon` on each of `states` (typically a whole reachable space of
+/// the unquotiented system) and the named predicates `preds`. Returns the
+/// index of the first state that breaks a clause, with the clause.
+pub fn audit<Sys: System>(
+    sys: &Sys,
+    canon: fn(&Sys::State) -> Sys::State,
+    states: &[Sys::State],
+    preds: &[(&str, &dyn Fn(&Sys::State) -> bool)],
+) -> Result<(), (usize, CanonFault)> {
+    let successors = |s: &Sys::State, acts: &[Sys::Action]| {
+        let mut out: Vec<Sys::State> = acts.iter().map(|a| canon(&sys.step(s, a))).collect();
+        out.sort();
+        out
+    };
+    for (i, s) in states.iter().enumerate() {
+        let c = canon(s);
+        if canon(&c) != c {
+            return Err((i, CanonFault::NotIdempotent));
+        }
+        let (from_s, from_c) = (sys.enabled(s), sys.enabled(&c));
+        if from_s.len() != from_c.len() {
+            return Err((i, CanonFault::EnabledSize));
+        }
+        if successors(s, &from_s) != successors(&c, &from_c) {
+            return Err((i, CanonFault::Successors));
+        }
+        if let Some((name, _)) = preds.iter().find(|(_, p)| p(s) != p(&c)) {
+            return Err((i, CanonFault::Predicate(name.to_string())));
+        }
+    }
+    Ok(())
+}
 
 /// The canonical representative of `state`'s orbit under an explicit set of
 /// process permutations.

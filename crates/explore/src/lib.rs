@@ -11,7 +11,7 @@
 //!   derive-free byte/word [`Encode`] trait, and the collision policy;
 //! * [`canon`] — symmetry canonicalization hooks (plug
 //!   [`impossible_core::symmetry`]'s permutation machinery into the visited
-//!   set so each orbit is explored once);
+//!   set so each orbit is explored once), and the audit of their contract;
 //! * [`pool`] — the deterministic fork-join worker pool: whole items
 //!   claimed off an atomic counter, results merged in item order, so its
 //!   output is identical for any worker count. One caller,

@@ -27,6 +27,12 @@
 //! class (FLP: every live process keeps stepping). `consensus::flp`'s
 //! non-termination engine is one instantiation of exactly this pair.
 //!
+//! The witness types, [`Lasso`] and [`Counterexample`], are
+//! `impossible_core::cert`'s, re-exported here. [`Checker::spec`] maps a
+//! property plus a checker's admissibility and fairness onto the arguments
+//! of their checker, `cert::verify`, and [`Search::check_property`]
+//! verifies what it returns.
+//!
 //! # Example: one safety check and one liveness check
 //!
 //! ```
@@ -76,11 +82,14 @@
 
 use crate::graph::ReachableGraph;
 use crate::search::{with_tracer, Search};
+use impossible_core::cert::{verify, Goal, Spec};
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
 use impossible_obs::{escape_into, trace_event, NoopTracer, Tracer};
 use std::cell::RefCell;
 use std::fmt::Debug;
+
+pub use impossible_core::cert::{Counterexample, Lasso};
 
 type Pred<'p, S> = Box<dyn Fn(&S) -> bool + 'p>;
 
@@ -151,29 +160,6 @@ pub fn leads_to<'p, S>(
         name: name.to_string(),
         kind: PropKind::LeadsTo(Box::new(p), Box::new(q)),
     }
-}
-
-/// A liveness counterexample: a finite stem from an initial state to a
-/// loop head, plus a cycle the adversary can repeat forever.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lasso<S, A> {
-    /// Initial state to the loop head (the stem's last state).
-    pub stem: Execution<S, A>,
-    /// Steps around the cycle; the last state equals the loop head. Empty
-    /// means the head is terminal and the run stutters there forever.
-    pub cycle: Vec<(A, S)>,
-    /// For `leads_to(p, q)`: index into `stem.states()` of the triggering
-    /// `p`-state that `q` never answers. `None` for `eventually`.
-    pub pivot: Option<usize>,
-}
-
-/// Why a property failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Counterexample<S, A> {
-    /// Safety: the shortest execution reaching a violating state.
-    BadState(Execution<S, A>),
-    /// Liveness: a stem plus a repeatable cycle avoiding the goal.
-    Lasso(Lasso<S, A>),
 }
 
 /// The outcome of one property check, with a deterministic JSON rendering.
@@ -367,6 +353,24 @@ where
                 "cycle": cycle);
             report
         })
+    }
+
+    /// [`verify`]'s arguments for a counterexample this checker found for
+    /// `prop`: the property as a [`Goal`], with this checker's
+    /// admissibility and fairness. The engine that built the graph adds
+    /// the canon hook and action filter it was built with, then verifies.
+    pub fn spec<'s>(&'s self, prop: &'s Property<'_, S>) -> Spec<'s, S, A> {
+        let goal = match &prop.kind {
+            PropKind::Always(p) => Goal::Always(p.as_ref()),
+            PropKind::Never(p) => Goal::Never(p.as_ref()),
+            PropKind::Eventually(p) => Goal::Eventually(p.as_ref()),
+            PropKind::LeadsTo(p, q) => Goal::LeadsTo(p.as_ref(), q.as_ref()),
+        };
+        Spec {
+            admissible: self.admissible.as_deref(),
+            fairness: self.class_of.as_deref().map(|f| (self.classes, f)),
+            ..Spec::new(goal)
+        }
     }
 
     fn report_shell(&self, prop: &Property<'_, S>) -> PropertyReport<S, A> {
@@ -570,15 +574,29 @@ where
 impl<'a, Sys: System> Search<'a, Sys> {
     /// Build the reachable graph and check `prop` over it, with no
     /// admissibility or fairness constraints, tracing into the tracer
-    /// [`Search::tracer`] set (scope `"property"`). Use [`Checker`]
-    /// directly (over [`Search::graph`] / [`Search::graph_filtered`]) when
-    /// cycles must be admissible or fair.
+    /// [`Search::tracer`] set (scope `"property"`). A counterexample is
+    /// [`verify`]d through the system (and the canon hook) before it is
+    /// returned. Use [`Checker`] directly (over [`Search::graph`] /
+    /// [`Search::graph_filtered`]) when cycles must be admissible or fair.
+    ///
+    /// # Panics
+    ///
+    /// If the counterexample fails [`verify`] — an engine bug, named by
+    /// the clause it breaks.
     pub fn check_property(
         &self,
         prop: &Property<'_, Sys::State>,
     ) -> PropertyReport<Sys::State, Sys::Action> {
         let g = self.graph();
-        with_tracer(&self.tracer, &mut NoopTracer, |t| Checker::new(&g).tracer(t).check(prop))
+        with_tracer(&self.tracer, &mut NoopTracer, |t| {
+            let checker = Checker::new(&g).tracer(t);
+            let report = checker.check(prop);
+            if let Some(ce) = &report.counterexample {
+                let spec = Spec { canon: self.canon_hook(), ..checker.spec(prop) };
+                verify(self.sys(), &spec, ce).unwrap_or_else(|e| panic!("{e}"));
+            }
+            report
+        })
     }
 }
 

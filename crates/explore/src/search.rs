@@ -369,6 +369,10 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
+    pub(crate) fn canon_hook(&self) -> Option<fn(&Sys::State) -> Sys::State> {
+        self.canon
+    }
+
     pub(crate) fn sys(&self) -> &'a Sys {
         self.sys
     }

@@ -44,6 +44,15 @@ fn sort_canon(s: &Vec<u8>) -> Vec<u8> {
     t
 }
 
+#[test]
+fn sort_canon_passes_the_audit_on_every_reachable_grid_state() {
+    use impossible_explore::canon::audit;
+    let sys = Grid { n: 4, max: 5 };
+    let states = Search::new(&sys).reachable_states();
+    let corner = |s: &Vec<u8>| s.iter().all(|&c| c == 5);
+    assert_eq!(audit(&sys, sort_canon, &states, &[("corner", &corner)]), Ok(()));
+}
+
 /// Names of the run files of flush generation `r` in `dir`.
 fn run_files(dir: &std::path::Path, r: usize) -> Vec<String> {
     let suffix = format!(".run{r:03}");

@@ -9,12 +9,17 @@
 //!   in the critical region (safety).
 //! * [`find_deadlock`] — a reachable configuration with a trying process
 //!   from which no critical entry is reachable at all (progress).
-//! * [`find_lockout`] — an admissible *lasso*: a cycle in which the victim
-//!   keeps taking steps in its trying region, every other obligated process
-//!   also steps, yet the victim never enters the critical region (fairness;
-//!   "a demonstration of lockout requires an infinite admissible execution").
+//! * [`find_lockout`] — an admissible *lasso*: a run to a state where the
+//!   victim is trying, then a cycle in which the victim keeps taking steps
+//!   in its trying region, every other obligated process also steps, yet
+//!   the victim never enters the critical region (fairness; "a
+//!   demonstration of lockout requires an infinite admissible execution").
+//!
+//! Both counterexamples are re-checked with `core::cert::verify` before
+//! they are returned.
 
 use crate::mutex::{MutexAction, MutexAlgorithm, MutexState, MutexSystem, Region};
+use impossible_core::cert::{verify, Counterexample, Goal, Lasso, Spec};
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
 use impossible_explore::{Encode, Search};
@@ -30,10 +35,13 @@ where
     A: MutexAlgorithm,
     A::Local: Encode,
 {
-    let report = Search::new(sys)
-        .max_states(max_states)
-        .search(|s| sys.processes_in(s, Region::Critical).count() >= 2);
-    report.witness
+    let two_critical =
+        |s: &MutexState<A::Local>| sys.processes_in(s, Region::Critical).count() >= 2;
+    let report = Search::new(sys).max_states(max_states).search(two_critical);
+    let ce = Counterexample::BadState(report.witness?);
+    verify(sys, &Spec::new(Goal::Never(&two_critical)), &ce).unwrap_or_else(|e| panic!("{e}"));
+    let Counterexample::BadState(witness) = ce else { unreachable!("built as a bad state") };
+    Some(witness)
 }
 
 /// A progress (deadlock-freedom) violation: a reachable state in which some
@@ -82,36 +90,24 @@ pub fn find_deadlock<A: MutexAlgorithm>(
         .map(|i| g.order[i].clone())
 }
 
-/// A lockout witness: head state plus a cycle establishing an admissible
-/// infinite execution in which `victim` is trying forever.
-#[derive(Debug, Clone)]
-pub struct LockoutWitness<L> {
-    /// The configuration at the start (and end) of the repeatable cycle.
-    pub head: MutexState<L>,
-    /// The action cycle. Repeating it forever starves the victim while every
-    /// obligated process keeps taking steps.
-    pub cycle: Vec<MutexAction>,
-    /// The starved process.
-    pub victim: usize,
-}
-
 /// Search for a lockout of `victim`: a reachable cycle through states where
 /// the victim is in its trying region and never critical, in which the
 /// victim takes at least one protocol step and so does every process that is
-/// obligated (non-remainder) at the cycle head.
+/// obligated (non-remainder) at the cycle head. The lasso's stem is a
+/// shortest run to that head, and its pivot is the head: the refuted claim
+/// is "the victim trying leads to the victim critical", under fairness to
+/// every process obligated at the head.
 pub fn find_lockout<A: MutexAlgorithm>(
     sys: &MutexSystem<'_, A>,
     victim: usize,
     max_states: usize,
-) -> Option<LockoutWitness<A::Local>> {
+) -> Option<Lasso<MutexState<A::Local>, MutexAction>> {
     let g = Search::new(sys).max_states(max_states).graph();
     let n = sys.algorithm().num_processes();
-
-    let victim_trying: Vec<bool> = g
-        .order
-        .iter()
-        .map(|s| sys.algorithm().region(&s.locals[victim]) == Region::Trying)
-        .collect();
+    let region = |s: &MutexState<A::Local>| sys.algorithm().region(&s.locals[victim]);
+    let trying = |s: &MutexState<A::Local>| region(s) == Region::Trying;
+    let critical = |s: &MutexState<A::Local>| region(s) == Region::Critical;
+    let victim_trying: Vec<bool> = g.order.iter().map(trying).collect();
 
     for (h, head) in g.order.iter().enumerate() {
         if !victim_trying[h] {
@@ -119,33 +115,54 @@ pub fn find_lockout<A: MutexAlgorithm>(
         }
         // Obligated processes at the head: non-remainder ones. Each must take
         // at least one Step in the cycle (victim included). The k-th obligated
-        // process gets bit k, indexed by process (0: not obligated); a
+        // process gets class k, indexed by process (None: not obligated); a
         // `MutexState` holds at most 8 processes.
-        let mut bit = [0u32; 8];
-        let mut full = 0u32;
+        let mut class = [None; 8];
         let obligated =
             (0..n).filter(|&i| sys.algorithm().region(&head.locals[i]) != Region::Remainder);
+        let mut classes = 0;
         for (k, p) in obligated.enumerate() {
-            bit[p] = 1 << k;
-            full |= bit[p];
+            class[p] = Some(k);
+            classes = k + 1;
         }
-        debug_assert_ne!(bit[victim], 0);
+        debug_assert!(class[victim].is_some());
+        let class_of = |a: &MutexAction| match a {
+            MutexAction::Step(_) => class[a.process()],
+            _ => None,
+        };
+        let full = u32::MAX >> (32 - classes);
 
         // A cycle through victim-trying states only, covering a step of
         // every obligated process.
-        let class_bits = |a: &MutexAction| match a {
-            MutexAction::Step(_) => bit[a.process()],
-            _ => 0,
-        };
+        let class_bits = |a: &MutexAction| class_of(a).map_or(0, |k| 1 << k);
         if let Some(edges) = g
             .succ
             .covering_cycle(h, |t| victim_trying[t], class_bits, full)
         {
-            return Some(LockoutWitness {
-                head: head.clone(),
-                cycle: edges.into_iter().map(|(s, ei)| g.succ[s][ei].0).collect(),
-                victim,
+            let mut tree = g.succ.bfs_tree();
+            tree.search(0..g.initials, |_, _| true, |i| i == h)
+                .expect("every graph state is reachable from the initials");
+            let (path, actions) = tree.path(h);
+            let states = path.iter().map(|&i| g.order[i].clone()).collect();
+            let ce = Counterexample::Lasso(Lasso {
+                stem: Execution::from_parts(states, actions),
+                cycle: edges
+                    .into_iter()
+                    .map(|(s, ei)| {
+                        let (a, t) = g.succ[s][ei];
+                        (a, g.order[t].clone())
+                    })
+                    .collect(),
+                pivot: Some(path.len() - 1),
             });
+            let spec = Spec {
+                admissible: Some(&trying),
+                fairness: Some((classes, &class_of)),
+                ..Spec::new(Goal::LeadsTo(&trying, &critical))
+            };
+            verify(sys, &spec, &ce).unwrap_or_else(|e| panic!("{e}"));
+            let Counterexample::Lasso(lasso) = ce else { unreachable!("built as a lasso") };
+            return Some(lasso);
         }
     }
     None
@@ -173,7 +190,7 @@ pub fn observed_value_spaces<A: MutexAlgorithm>(
 mod tests {
     use super::*;
     use crate::algorithms::dijkstra::Dijkstra;
-    use crate::algorithms::tas_lock::TasLock;
+    use crate::algorithms::tas_lock::{TasLocal, TasLock};
 
     #[test]
     fn tas_lock_value_space_is_two() {
@@ -184,27 +201,25 @@ mod tests {
 
     #[test]
     fn lockout_witness_cycle_replays() {
-        use impossible_core::system::SystemExt;
         let alg = TasLock::new(2);
         let sys = MutexSystem::new(&alg);
         let w = find_lockout(&sys, 1, 100_000).expect("tas lock is unfair");
-        // The cycle must really return to its head.
-        let end = sys.apply_schedule(&w.head, &w.cycle).expect("cycle valid");
-        assert_eq!(end, w.head);
-        // The victim steps at least once within it.
-        assert!(w
-            .cycle
-            .iter()
-            .any(|a| matches!(a, MutexAction::Step(_) if a.process() == w.victim)));
-        // The victim is never critical along the cycle.
-        let mut cur = w.head.clone();
-        for a in &w.cycle {
-            cur = sys.step(&cur, a);
-            assert_ne!(
-                sys.algorithm().region(&cur.locals[w.victim]),
-                Region::Critical
-            );
-        }
+        // The claim restated here, independently of the engine: a run on
+        // which victim 1, once trying, is never critical, while it steps.
+        let region = |s: &MutexState<TasLocal>| alg.region(&s.locals[1]);
+        let trying = |s: &MutexState<TasLocal>| region(s) == Region::Trying;
+        let critical = |s: &MutexState<TasLocal>| region(s) == Region::Critical;
+        let victim_steps = |a: &MutexAction| (*a == MutexAction::Step(1)).then_some(0);
+        let spec = Spec {
+            fairness: Some((1, &victim_steps)),
+            ..Spec::new(Goal::LeadsTo(&trying, &critical))
+        };
+        assert_eq!(verify(&sys, &spec, &Counterexample::Lasso(w.clone())), Ok(()));
+        // The stem is a shortest run from the start to the loop head.
+        assert_eq!(w.stem.first(), &sys.initial_states()[0]);
+        assert_eq!(w.pivot, Some(w.stem.len()));
+        // The victim is trying at every state of the cycle.
+        assert!(w.cycle.iter().all(|(_, s)| trying(s)));
     }
 
     #[test]

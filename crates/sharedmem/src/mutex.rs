@@ -336,7 +336,6 @@ mod tests {
     use crate::algorithms::dijkstra::DijkstraLocal;
     use crate::algorithms::tas_lock::TasLock;
     use impossible_core::explore::Explorer;
-    use impossible_core::system::SystemExt;
     use impossible_det::{det_assert_eq, prop};
     use impossible_explore::Fingerprint;
 
@@ -378,17 +377,17 @@ mod tests {
         let alg = TasLock::new(1);
         let sys = MutexSystem::new(&alg);
         let init = sys.initial_states()[0].clone();
-        let end = sys
-            .apply_schedule(
-                &init,
-                &[
-                    MutexAction::Try(0),
-                    MutexAction::Step(0), // acquire
-                    MutexAction::Exit(0),
-                    MutexAction::Step(0), // release
-                ],
-            )
-            .unwrap();
+        let end = [
+            MutexAction::Try(0),
+            MutexAction::Step(0), // acquire
+            MutexAction::Exit(0),
+            MutexAction::Step(0), // release
+        ]
+        .iter()
+        .fold(init.clone(), |s, a| {
+            assert!(sys.enabled(&s).contains(a), "{a:?} disabled at {s:?}");
+            sys.step(&s, a)
+        });
         assert_eq!(end, init);
     }
 
@@ -455,6 +454,34 @@ mod tests {
                 assert_eq!(canon.vars, s.vars);
             }
         }
+    }
+
+    #[test]
+    fn process_perm_canon_passes_the_audit_only_where_processes_are_symmetric() {
+        // Over every reachable state of the unquotiented space. TAS runs
+        // identical code on one global variable: the hook is sound.
+        // Dijkstra's `b[i]`, `c[i]` and turn `k` are per-process, so
+        // permuting `locals` alone is no automorphism there — the hook's
+        // documented precondition — and the audit names the clause.
+        use crate::algorithms::dijkstra::Dijkstra;
+        use impossible_explore::canon::{audit, CanonFault};
+        use impossible_explore::Search;
+        fn audited<A: MutexAlgorithm>(alg: &A) -> Result<(), (usize, CanonFault)>
+        where
+            A::Local: Copy + Ord,
+        {
+            let sys = MutexSystem::new(alg);
+            let count = |s: &MutexState<A::Local>, r| sys.processes_in(s, r).count();
+            let two = |s: &MutexState<A::Local>| count(s, Region::Critical) >= 2;
+            let trying = |s: &MutexState<A::Local>| count(s, Region::Trying) > 0;
+            let states = Search::new(&sys).reachable_states();
+            let preds: [(&str, &dyn Fn(&MutexState<A::Local>) -> bool); 2] =
+                [("two-critical", &two), ("someone-trying", &trying)];
+            audit(&sys, process_perm_canon, &states, &preds)
+        }
+        assert_eq!(audited(&TasLock::new(3)), Ok(()));
+        let fault = audited(&Dijkstra::new(3));
+        assert_eq!(fault.clone().map_err(|(_, f)| f), Err(CanonFault::Successors), "{fault:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example flp_explorer`.
 
-use impossible::consensus::flp::{analyze, find_nontermination, Arbiter, FlpSystem};
+use impossible::consensus::flp::{analyze, check_candidate, Arbiter, FlpSystem, FlpVerdict};
 use impossible::core::exec::Admissibility;
 use impossible::explore::Search;
 
@@ -40,12 +40,13 @@ fn main() {
     }
 
     println!("\nThe 1-resilience failure:");
-    if let Some(nt) = find_nontermination(&sys, 0, 500_000) {
+    if let FlpVerdict::NonTerminating { failed, lasso } = check_candidate(&candidate, 500_000) {
         println!(
             "  crash p{} and the clients loop on {:?} forever — an admissible \
              non-deciding execution (every live process keeps stepping, no message \
              to a live process is withheld).",
-            nt.failed, nt.cycle
+            failed,
+            lasso.cycle.iter().map(|(a, _)| a).collect::<Vec<_>>()
         );
     }
 

@@ -32,10 +32,11 @@ fn main() {
     // ------------------------------------------------------------------
     println!("2) Bivalence argument — asynchronous consensus with 1 crash:");
     match check_candidate(&WaitForAll::new(2), 200_000) {
-        FlpVerdict::NonTerminating(nt) => println!(
+        FlpVerdict::NonTerminating { failed, lasso } => println!(
             "   WaitForAll is refuted: with p{} crashed, the cycle {:?} repeats \
              forever and nobody ever decides.\n",
-            nt.failed, nt.cycle
+            failed,
+            lasso.cycle.iter().map(|(a, _)| a).collect::<Vec<_>>()
         ),
         other => println!("   unexpected verdict: {other:?}\n"),
     }
@@ -51,8 +52,8 @@ fn main() {
     assert!(find_mutex_violation(&sys, 100_000).is_none());
     let lockout = find_lockout(&sys, 1, 100_000).expect("2 values cannot be fair");
     println!(
-        "   mutual exclusion holds, yet p{} starves under the repeatable cycle {:?}",
-        lockout.victim, lockout.cycle
+        "   mutual exclusion holds, yet p1 starves under the repeatable cycle {:?}",
+        lockout.cycle.iter().map(|(a, _)| a).collect::<Vec<_>>()
     );
     println!("\nSee `cargo run --release --bin experiments` for all 25 reproductions.");
 }

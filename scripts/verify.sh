@@ -54,7 +54,7 @@ cargo test -q --offline --workspace
 echo "== docs (no warnings allowed) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== check service smoke (manifest cache + refusal, cross-process resume) =="
+echo "== check service smoke (manifest cache + refusals, cross-process resume) =="
 check_tmp="$(mktemp -d)"
 trap 'rm -rf "$check_tmp"' EXIT
 # `ring 20` is the ledger's whole `ring_quotient20` instance (52 487
@@ -115,7 +115,33 @@ if ! printf '%s' "$wide_err" | grep -q 'line 2: bad grid max `256`'; then
     echo "error: check manifest did not name the out-of-range grid max: $wide_err" >&2
     exit 1
 fi
-echo "check smoke: OK (cold JSON sha256 pinned; cache hit on rerun; resumed == straight bytes, straight sha256 pinned; grid max 256 refused)"
+# A "holds" over a graph the state cap cut is no verdict: `grid 20 1` has
+# 2^20 states against the binary's 400 000-state cap. The run must exit
+# non-zero, name the job on an INCONCLUSIVE line, and cache nothing, so a
+# rerun computes it again.
+printf 'grid 20 1 reaches-corner\n' > "$check_tmp/cut.txt"
+for run in 1 2; do
+    if cut_out="$(./target/release/check manifest "$check_tmp/cut.txt" \
+        --cache "$check_tmp/cut_cache.txt" 2> "$check_tmp/cut_err.txt")"; then
+        echo "error: check manifest exited 0 on a holds the state cap cut" >&2
+        exit 1
+    fi
+    if ! grep -q 'check: INCONCLUSIVE (jobs=1 inconclusive=1)' "$check_tmp/cut_err.txt" \
+        || ! grep -q 'grid 20 1 reaches-corner' "$check_tmp/cut_err.txt"; then
+        echo "error: run $run of the cut manifest did not report it INCONCLUSIVE:" >&2
+        cat "$check_tmp/cut_err.txt" >&2
+        exit 1
+    fi
+    if ! printf '%s' "$cut_out" | grep -q '"hits":0,"misses":1'; then
+        echo "error: run $run of the cut manifest was served from the verdict cache" >&2
+        exit 1
+    fi
+done
+if grep -q 1de2a0bdc626e762 "$check_tmp/cut_cache.txt"; then
+    echo "error: the cut verdict was cached" >&2
+    exit 1
+fi
+echo "check smoke: OK (cold JSON sha256 pinned; cache hit on rerun; resumed == straight bytes, straight sha256 pinned; grid max 256 refused; cut holds inconclusive and uncached)"
 
 echo "== trace smoke (every dump target deterministic and pinned; unknown target refused) =="
 # Each target's stdout sha256 is pinned, as experiments_sha256 is below: a

@@ -23,8 +23,13 @@
 //! The `manifest` run prints the [`ManifestReport`](impossible::ckpt::ManifestReport) JSON and a final
 //! `check: OK (jobs=… hits=… misses=…)` marker; with `--cache` the verdict
 //! cache is loaded before and saved after, so a second run over an
-//! unchanged manifest is served entirely from the cache. `snapshot` /
-//! `resume` / `straight` are the cross-*process* resume probe: `snapshot`
+//! unchanged manifest is served entirely from the cache. A job whose
+//! property holds only on a graph the state cap cut has checked a prefix,
+//! not the model: its verdict is left out of the cache, and the run ends
+//! in failure, with `check: INCONCLUSIVE (jobs=… inconclusive=…)` and each
+//! such label on stderr.
+//!
+//! `snapshot` / `resume` / `straight` are the cross-*process* resume probe: `snapshot`
 //! pauses the reference grid search and seals it; `resume` (a fresh
 //! process) finishes it; `straight` never pauses — and both print the same
 //! canonical report line, byte for byte (pinned by `scripts/verify.sh`).
@@ -36,7 +41,9 @@
 use impossible::ckpt::{job_key, model_fp, CheckJob, Snapshot, Verdict, VerdictCache};
 use impossible::consensus::quorum;
 use impossible::election::ring_search;
-use impossible::explore::{Grid, PauseBudget, Search, SearchReport, WorkerPool};
+use impossible::explore::{Grid, PauseBudget, PropertyReport, Search, SearchReport, WorkerPool};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 /// State-space ceiling for every manifest job; large enough that nothing
 /// in the registry truncates.
@@ -54,9 +61,17 @@ fn usage() -> String {
         .to_string()
 }
 
+/// The keys of the jobs whose property held on a truncated graph.
+type Inconclusive = Arc<Mutex<BTreeSet<u64>>>;
+
 /// Parse one manifest line into a runnable job, or reject it with a
-/// line-numbered error.
-fn parse_job(line: &str, lineno: usize) -> Result<CheckJob<'static>, String> {
+/// line-numbered error. The job records its key in `inconclusive` when
+/// its report holds on a truncated graph.
+fn parse_job(
+    line: &str,
+    lineno: usize,
+    inconclusive: &Inconclusive,
+) -> Result<CheckJob<'static>, String> {
     let toks: Vec<&str> = line.split_whitespace().collect();
     // Parsed at the width the model takes, so an out-of-range parameter is
     // refused here instead of wrapping into a different model.
@@ -64,7 +79,8 @@ fn parse_job(line: &str, lineno: usize) -> Result<CheckJob<'static>, String> {
         s.parse().map_err(|_| format!("line {lineno}: bad {what} `{s}`"))
     }
     let label = toks.join(" ");
-    let (key, run): (u64, Box<dyn Fn() -> Verdict + Send + Sync>) = match toks.as_slice() {
+    type Run = Box<dyn Fn() -> (Verdict, bool) + Send + Sync>;
+    let (key, job): (u64, Run) = match toks.as_slice() {
         ["grid", n, max, prop @ "reaches-corner"] => {
             let (n, max): (usize, u8) = (int(n, "grid size", lineno)?, int(max, "grid max", lineno)?);
             let key = job_key(model_fp("grid", &[n as u64, max as u64]), prop);
@@ -115,29 +131,40 @@ fn parse_job(line: &str, lineno: usize) -> Result<CheckJob<'static>, String> {
         [] => unreachable!("blank lines are filtered before parsing"),
         _ => return Err(format!("line {lineno}: unknown job `{label}`\n{}", usage())),
     };
+    let inconclusive = Arc::clone(inconclusive);
+    let run = Box::new(move || {
+        let (verdict, cut) = job();
+        if cut {
+            inconclusive.lock().expect("inconclusive set").insert(key);
+        }
+        verdict
+    });
     Ok(CheckJob { label, key, run })
 }
 
-/// Collapse a property report to its cacheable core.
+/// Collapse a property report to its cacheable core, and whether it holds
+/// only within a truncated graph.
 fn verdict<S: Clone + std::fmt::Debug, A: Clone + std::fmt::Debug>(
-    r: &impossible::explore::PropertyReport<S, A>,
-) -> Verdict {
-    Verdict {
+    r: &PropertyReport<S, A>,
+) -> (Verdict, bool) {
+    let verdict = Verdict {
         holds: r.holds,
         states: r.states,
         edges: r.edges,
-    }
+    };
+    (verdict, r.holds && r.truncated)
 }
 
 fn run_manifest_mode(path: &str, cache_path: Option<&str>, workers: usize) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let inconclusive = Inconclusive::default();
     let mut jobs = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        jobs.push(parse_job(line, i + 1)?);
+        jobs.push(parse_job(line, i + 1, &inconclusive)?);
     }
     let mut cache = match cache_path {
         Some(p) => VerdictCache::load(p).map_err(|e| format!("{p}: {e}"))?,
@@ -145,17 +172,35 @@ fn run_manifest_mode(path: &str, cache_path: Option<&str>, workers: usize) -> Re
     };
     let pool = WorkerPool::new(workers);
     let report = impossible::ckpt::run_manifest(jobs, &mut cache, &pool);
+    let inconclusive = inconclusive.lock().expect("inconclusive set");
+    for &key in inconclusive.iter() {
+        cache.remove(key);
+    }
     if let Some(p) = cache_path {
         cache.save(p).map_err(|e| format!("{p}: {e}"))?;
     }
     println!("{}", report.to_json());
-    println!(
-        "check: OK (jobs={} hits={} misses={})",
+    if inconclusive.is_empty() {
+        println!(
+            "check: OK (jobs={} hits={} misses={})",
+            report.outcomes.len(),
+            report.hits,
+            report.misses
+        );
+        return Ok(());
+    }
+    let mut err = format!(
+        "check: INCONCLUSIVE (jobs={} inconclusive={})",
         report.outcomes.len(),
-        report.hits,
-        report.misses
+        inconclusive.len()
     );
-    Ok(())
+    for o in report.outcomes.iter().filter(|o| inconclusive.contains(&o.key)) {
+        err.push_str(&format!(
+            "\n  {}: holds only within the {MAX_STATES}-state cap; not cached",
+            o.label
+        ));
+    }
+    Err(err)
 }
 
 /// Canonical report line for the snapshot probe: everything except

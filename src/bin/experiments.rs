@@ -79,9 +79,8 @@ fn f2() {
                 "agreement violated (decided too eagerly)".into()
             }
             flp::FlpVerdict::ValidityViolation { .. } => "validity violated".into(),
-            flp::FlpVerdict::NonTerminating(nt) => format!(
-                "non-terminating with p{} crashed (waited too patiently)",
-                nt.failed
+            flp::FlpVerdict::NonTerminating { failed, .. } => format!(
+                "non-terminating with p{failed} crashed (waited too patiently)"
             ),
             flp::FlpVerdict::CleanWithinBounds => "CLEAN?! (bound too small)".into(),
         }

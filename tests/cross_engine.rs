@@ -97,24 +97,37 @@ fn wait_free_admissibility_is_weaker_than_resilient() {
 
 #[test]
 fn flp_nontermination_cycle_replays_in_the_compiled_system() {
-    use impossible::core::system::{System, SystemExt};
+    use impossible::consensus::flp::{AsyncCandidate, FlpAction, FlpVerdict};
+    use impossible::core::cert::{verify, Counterexample, Goal, Spec};
+    use impossible::core::ids::ProcessId;
+    use impossible::core::system::System;
     let arb = Arbiter::new(3);
     let sys = FlpSystem::all_binary(&arb);
-    let nt = flp::find_nontermination(&sys, 0, 500_000).expect("arbiter crash stalls");
-    // Replaying the cycle from its head returns to the head: a true lasso.
-    let end = sys.apply_schedule(&nt.head, &nt.cycle).expect("cycle valid");
-    assert_eq!(end, nt.head);
-    // And nobody decides anywhere along it.
-    let mut cur = nt.head.clone();
-    for a in &nt.cycle {
-        cur = sys.step(&cur, a);
-        for (p, local) in cur.locals.iter().enumerate() {
-            if p != nt.failed {
-                // live clients stay undecided
-                use impossible::consensus::flp::AsyncCandidate;
-                let _ = local;
-                assert!(arb.decision(&cur.locals[p]).is_none() || p == 0);
-            }
-        }
+    let FlpVerdict::NonTerminating { failed, lasso } = flp::check_candidate(&arb, 500_000) else {
+        panic!("arbiter crash stalls");
+    };
+    assert_eq!(failed, 0, "the arbiter is the process whose crash stalls everyone");
+    // The claim restated here, independently of the engine, and checked
+    // against the compiled system: with the arbiter crashed, a run on
+    // which both clients keep stepping, nothing owed to a client stays
+    // pending forever, and the clients never both decide.
+    let alive = |a: &FlpAction| sys.owner(a) != Some(ProcessId(0));
+    let owed = |s: &<FlpSystem<'_, Arbiter> as System>::State| {
+        s.pending.iter().all(|&(_, to, _)| to == 0)
+    };
+    let class = |a: &FlpAction| sys.owner(a).and_then(|p| p.index().checked_sub(1));
+    let decided = |s: &<FlpSystem<'_, Arbiter> as System>::State| {
+        s.locals[1..].iter().all(|l| arb.decision(l).is_some())
+    };
+    let spec = Spec {
+        allowed: Some(&alive),
+        admissible: Some(&owed),
+        fairness: Some((2, &class)),
+        ..Spec::new(Goal::Eventually(&decided))
+    };
+    // No client decides anywhere around the loop.
+    for (_, s) in &lasso.cycle {
+        assert!(s.locals[1..].iter().all(|l| arb.decision(l).is_none()));
     }
+    assert_eq!(verify(&sys, &spec, &Counterexample::Lasso(lasso)), Ok(()));
 }
