@@ -47,7 +47,7 @@ const HEADER: &str = "impossible-ckpt-cache v3";
 /// Headers of the retired formats: v1 (no trailer; cannot detect
 /// truncation) and v2 (may hold a cut "holds"). Loading one is a cold
 /// start, not an error.
-const RETIRED: [&str; 2] = ["impossible-ckpt-cache v1", "impossible-ckpt-cache v2"];
+pub(crate) const RETIRED: [&str; 2] = ["impossible-ckpt-cache v1", "impossible-ckpt-cache v2"];
 
 /// The canonical fingerprint of a model instance: registry name plus full
 /// parameter vector. Everything a workload's construction depends on must
@@ -126,7 +126,7 @@ impl VerdictCache {
 
     /// Render the canonical file bytes (header + ascending-key lines +
     /// count trailer).
-    fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::from(HEADER);
         out.push('\n');
         for (key, (label, v)) in &self.entries {
@@ -146,8 +146,8 @@ impl VerdictCache {
     /// Parse [`VerdictCache::to_text`] output. A file cut short anywhere —
     /// mid-line or between lines — fails the `count` trailer check and
     /// surfaces as [`CkptError::Malformed`], never as a silently smaller
-    /// cache.
-    fn from_text(text: &str) -> Result<Self, CkptError> {
+    /// cache; so does any text `to_text` would not have written.
+    pub(crate) fn from_text(text: &str) -> Result<Self, CkptError> {
         let mut lines = text.lines();
         match lines.next() {
             Some(h) if h == HEADER => {}
@@ -201,11 +201,19 @@ impl VerdictCache {
                 ),
             );
         }
-        match sealed {
-            Some(n) if n == entries.len() => Ok(VerdictCache { entries }),
-            Some(_) => Err(CkptError::Malformed("cache count mismatch")),
-            None => Err(CkptError::Malformed("cache count trailer missing")),
+        let cache = match sealed {
+            Some(n) if n == entries.len() => VerdictCache { entries },
+            Some(_) => return Err(CkptError::Malformed("cache count mismatch")),
+            None => return Err(CkptError::Malformed("cache count trailer missing")),
+        };
+        // Only `to_text`'s own bytes load: a key in upper case or short of
+        // 16 digits, a `+5` or `05`, a blank or `\r`-ended line, a missing
+        // label separator or final newline — each parses above, and each
+        // would be one more text for the same cache.
+        if cache.to_text() != text {
+            return Err(CkptError::Malformed("cache text not canonical"));
         }
+        Ok(cache)
     }
 
     /// Load from `path`; a missing file is an empty cache (cold start), any

@@ -37,6 +37,9 @@ pub mod incr;
 pub mod manifest;
 pub mod snapshot;
 
+#[cfg(test)]
+mod mutation_sweep;
+
 pub use cache::{job_key, model_fp, Verdict, VerdictCache};
 pub use impossible_explore::Persist;
 pub use incr::{crash_process, reexplore_incremental, ActionEdit, IncrStats};

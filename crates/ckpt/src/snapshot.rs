@@ -356,7 +356,7 @@ fn read_pages<T>(
 }
 
 /// The trailing integrity checksum: an [`FpHasher`] pass over the bytes.
-fn checksum(bytes: &[u8]) -> u64 {
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     let mut h = FpHasher::new(CHECKSUM_SEED);
     h.write_bytes(bytes);
     h.finish()

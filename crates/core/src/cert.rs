@@ -285,6 +285,21 @@ pub fn verify<Sys: System>(
     }
 }
 
+/// `witness`, a run of `sys` ending in a state that satisfies `bad`,
+/// re-checked by [`verify`] against [`Goal::Never`]`(bad)` and handed
+/// back: the one exit of every bad-state engine. A rejection panics,
+/// naming the clause — a wrong witness is an engine bug.
+pub fn verified_bad_state<Sys: System>(
+    sys: &Sys,
+    bad: &dyn Fn(&Sys::State) -> bool,
+    witness: Execution<Sys::State, Sys::Action>,
+) -> Execution<Sys::State, Sys::Action> {
+    let ce = Counterexample::BadState(witness);
+    verify(sys, &Spec::new(Goal::Never(bad)), &ce).unwrap_or_else(|e| panic!("{e}"));
+    let Counterexample::BadState(witness) = ce else { unreachable!("built as a bad state") };
+    witness
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,5 +378,17 @@ mod tests {
             Err(WitnessError::MeetsGoal(2))
         );
         assert!(WitnessError::MeetsGoal(2).to_string().contains("run state 2"));
+    }
+
+    #[test]
+    #[should_panic(expected = "the last state does not violate the property")]
+    fn verified_bad_state_hands_back_a_good_run_and_panics_on_a_wrong_one() {
+        let sys = Counters { n: 2, max: 1 };
+        let run = Execution::from_parts(vec![vec![0, 0], vec![1, 0], vec![1, 1]], vec![0, 1]);
+        let full = |s: &Vec<u8>| s.iter().all(|&c| c == 1);
+        assert_eq!(verified_bad_state(&sys, &full, run.clone()), run);
+        // One step short, the run never reaches the full state.
+        let short = Execution::from_parts(vec![vec![0, 0], vec![1, 0]], vec![0]);
+        verified_bad_state(&sys, &full, short);
     }
 }

@@ -13,6 +13,7 @@
 //!   duplicate delivery — the reason *some* header is necessary before the
 //!   \[78\] bound says a *bounded* one is still not enough.
 
+use impossible_core::cert::verified_bad_state;
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
 use impossible_explore::Search;
@@ -152,16 +153,17 @@ impl System for AbpSearchSystem {
 /// Search for an *over-delivery*: the receiver handing its client more
 /// messages than the sender has even finished sending — the duplicate the
 /// alternating bit exists to prevent. `None` means exactly-once delivery
-/// holds on the whole bounded space.
+/// holds on the whole bounded space. A witness is re-checked by
+/// `verified_bad_state` against the over-delivery before it is returned (a
+/// rejection panics, naming the clause).
 // LINT-ALLOW: dead-pub -- data link [78]: one header bit gives exactly-once delivery, none duplicates; tests one_bit_header_gives_exactly_once_delivery, headerless_protocol_duplicates_under_loss
 pub fn find_overdelivery(
     sys: &AbpSearchSystem,
     max_states: usize,
 ) -> Option<Execution<AbpState, AbpAction>> {
-    Search::new(sys)
-        .max_states(max_states)
-        .search(|s| s.delivered > s.acked + 1 || s.delivered > sys.messages)
-        .witness
+    let over = |s: &AbpState| s.delivered > s.acked + 1 || s.delivered > sys.messages;
+    let report = Search::new(sys).max_states(max_states).search(over);
+    Some(verified_bad_state(sys, &over, report.witness?))
 }
 
 #[cfg(test)]
@@ -181,6 +183,25 @@ mod tests {
         // The shortest refutation really replays: send, send (retransmit),
         // deliver both — the receiver cannot tell them apart.
         assert!(w.len() >= 3);
+    }
+
+    #[test]
+    fn a_witness_with_a_step_swapped_is_rejected() {
+        // The engine's witness passes `verify` against the claim restated
+        // here. Its first step is a send, which no drop can replace: with
+        // nothing in flight, dropping is not enabled, so `verify` names the
+        // step (`StemStep(0)`).
+        use impossible_core::cert::{verify, Counterexample, Goal, Spec, WitnessError};
+        let sys = AbpSearchSystem::headerless(2, 2);
+        let w = find_overdelivery(&sys, 200_000).expect("loss must duplicate");
+        let over = |s: &AbpState| s.delivered > s.acked + 1 || s.delivered > sys.messages;
+        let spec = Spec::new(Goal::Never(&over));
+        assert_eq!(verify(&sys, &spec, &Counterexample::BadState(w.clone())), Ok(()));
+        let mut actions = w.actions().to_vec();
+        actions[0] = AbpAction::DropData;
+        let swapped = Execution::from_parts(w.states().to_vec(), actions);
+        let rejected = verify(&sys, &spec, &Counterexample::BadState(swapped));
+        assert_eq!(rejected, Err(WitnessError::StemStep(0)));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   the determinism contract), so keys are plain varints, not deltas —
 //!   delta-coding unsorted data would *grow* the page.
 //!
-//! Every decoder tolerates hostile input: truncation, overflowing varints,
-//! non-ascending keys and lying length prefixes all surface as
-//! [`PersistError::Malformed`], never a panic or an OOM-sized
+//! Every decoder tolerates hostile input: truncation, overflowing or
+//! overlong varints, non-ascending keys and lying length prefixes all
+//! surface as [`PersistError::Malformed`], never a panic or an OOM-sized
 //! pre-allocation.
 
 use crate::persist::{Persist, PersistError};
@@ -54,6 +54,11 @@ fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
         }
         v |= group << (7 * i);
         if byte & 0x80 == 0 {
+            // A last group of zero is an overlong spelling of a shorter
+            // varint: refused, so that every value has one encoding.
+            if byte == 0 && i > 0 {
+                return Err(PersistError::Malformed("varint overlong"));
+            }
             return Ok(v);
         }
     }
@@ -207,6 +212,14 @@ mod tests {
         assert!(read_varint(&buf, &mut pos).is_err());
         let mut pos = 0;
         assert!(read_varint(&[0x80], &mut pos).is_err());
+        // An overlong spelling — 5 as `0x85 0x00`, 0 as `0x80 0x00` — is
+        // refused; only the one-byte forms read.
+        for overlong in [[0x85u8, 0x00], [0x80, 0x00]] {
+            let mut pos = 0;
+            assert!(read_varint(&overlong, &mut pos).is_err());
+        }
+        let mut pos = 0;
+        assert_eq!(read_varint(&[0x00], &mut pos), Ok(0));
     }
 
     #[test]

@@ -1417,11 +1417,13 @@ mod tests {
         // Every live state of the system below is counted (a token whose
         // `Clone` and `Drop` keep a per-thread tally), so a run's
         // high-water mark is observable: the states the route keeps, one
-        // staged batch, and — the bound under test — at most one more batch
-        // of spares. Sorted counters are a high-duplicate space, and on the
-        // canon route nothing consumes the pool: without the `batch_len`
-        // guards it holds one state per duplicate (of the whole run in
-        // `graph()`, of a level in `explore()`), far past either bound.
+        // staged batch (a block of states' children in `graph()`, a
+        // frontier partition's in `explore()`), and — the bound under test
+        // — at most one more batch of spares. Sorted counters are a
+        // high-duplicate space, and on the canon route nothing consumes
+        // the pool: without the `batch_len` guards it holds one state per
+        // duplicate (of the whole run in `graph()`, of a level in
+        // `explore()`), far past either bound.
         use std::cell::Cell;
         thread_local! {
             static LIVE: Cell<usize> = const { Cell::new(0) };
@@ -1492,9 +1494,9 @@ mod tests {
                     None => search,
                 }
             };
-            // `graph()` keeps every state and stages one state's children.
+            // `graph()` keeps every state and stages one block's children.
             let states = search().graph().len();
-            assert_peak(states + 2 * N);
+            assert_peak(states + 2 * crate::graph::BLOCK * N);
 
             // `explore()` keeps two frontiers and the terminals, and stages
             // one frontier partition's children: the largest such batch is

@@ -720,11 +720,10 @@ impl InternIndex {
     /// `key`'s tag, in probe order, until it says yes.
     #[inline]
     pub(crate) fn find(&self, key: u64, mut eq: impl FnMut(usize) -> bool) -> Result<usize, Vacant> {
-        let shard_no = shard_index(key, self.shards.len());
+        let (shard_no, mut i) = self.home_slot(key);
         let shard = &self.shards[shard_no];
         let mask = shard.words.len() - 1;
         let tag = key & TAG;
-        let mut i = shard.home(key);
         loop {
             let w = shard.words[i];
             if w == 0 {
@@ -738,6 +737,22 @@ impl InternIndex {
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// The word in `key`'s home slot, whatever it holds: one plain read,
+    /// so that a caller can pull the words of a block of keys into cache
+    /// before it probes any of them (the graph builder's read-ahead).
+    #[inline]
+    pub(crate) fn home_word(&self, key: u64) -> u64 {
+        let (shard_no, i) = self.home_slot(key);
+        self.shards[shard_no].words[i]
+    }
+
+    /// `key`'s shard and the slot its probe starts at.
+    #[inline]
+    fn home_slot(&self, key: u64) -> (usize, usize) {
+        let shard_no = shard_index(key, self.shards.len());
+        (shard_no, self.shards[shard_no].home(key))
     }
 
     /// Intern node `index` under `key`, at the slot `find(key, ..)` returned

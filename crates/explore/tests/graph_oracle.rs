@@ -149,6 +149,21 @@ fn naive<Sys: System>(
     (order, succ, initials, truncated_by)
 }
 
+/// Each state's BFS depth, read off a FIFO graph's rows: the first row
+/// that names a non-initial state discovered it.
+fn fifo_depths<S, A>((order, rows, initials, _): &Parts<S, A>) -> Vec<usize> {
+    let mut depth: Vec<Option<usize>> = vec![None; order.len()];
+    depth[..*initials].fill(Some(0));
+    for (i, row) in rows.iter().enumerate() {
+        for &(_, t) in row {
+            if depth[t].is_none() {
+                depth[t] = depth[i].map(|d| d + 1);
+            }
+        }
+    }
+    depth.into_iter().map(|d| d.expect("every state is reached")).collect()
+}
+
 det_prop! {
     fn the_builder_matches_a_naive_fifo(
         cases = 1024,
@@ -209,6 +224,50 @@ det_prop! {
             det_assert_eq!(g.succ.len(), g.len());
             det_assert!(!g.succ[0].is_empty() && g.succ[1].is_empty() && !g.succ[2].is_empty());
             det_assert_eq!(parts(g), naive(&sys, |_| true, Node::clone, max_states, usize::MAX));
+        }
+    }
+
+    /// Levels several blocks wide. The builder stages, keys and reads
+    /// ahead the children of up to `BLOCK` FIFO states of one level before
+    /// it interns any of them; the tables above rarely have a level wider
+    /// than one block. Here a table has up to `4·BLOCK` states, with up to
+    /// `4·BLOCK` initial states (duplicates included) or out-degree up to
+    /// 8, so one level spans several blocks and a child's first discoverer
+    /// and its duplicates sit in different blocks. The cap is drawn over
+    /// the whole range, so it binds in the middle of a block; depth bounds
+    /// 0–3 land on the wide levels. Besides the graph, the source's calls
+    /// are checked: every state once, in index order — up to and including
+    /// the first state a depth cut finds work for, and none after it.
+    fn wide_levels_match_a_naive_fifo(
+        cases = 512,
+        raw in prop::vec(prop::vec(0u8..64, 0..9), 1..33),
+        copies in 1usize..=2,
+        inits in prop::vec(0u8..64, 1..65),
+        cap in 1usize..=64,
+        max_depth in 0usize..=3,
+        quotient in 0u8..2
+    ) {
+        let sys = Table::new(&raw, copies, &inits);
+        let canon = if quotient == 1 { orbit_minimum } else { Node::clone };
+        for max_states in [usize::MAX, cap] {
+            for max_depth in [usize::MAX, max_depth] {
+                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
+                if quotient == 1 {
+                    search = search.canon(orbit_minimum);
+                }
+                let mut calls = Vec::new();
+                let g = search.graph_from(|s, out, _spares| {
+                    calls.push(s.clone());
+                    out.extend(sys.enabled(s).into_iter().map(|a| (a, canon(&sys.step(s, &a)))));
+                });
+                let want = naive(&sys, |_| true, canon, max_states, max_depth);
+                let depths = fifo_depths(&want);
+                let expanded = (0..want.0.len())
+                    .find(|&i| depths[i] >= max_depth && !sys.enabled(&want.0[i]).is_empty())
+                    .map_or(want.0.len(), |cut| cut + 1);
+                det_assert_eq!(&calls[..], &want.0[..expanded]);
+                det_assert_eq!(parts(g), want);
+            }
         }
     }
 

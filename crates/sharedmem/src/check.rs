@@ -19,7 +19,7 @@
 //! they are returned.
 
 use crate::mutex::{MutexAction, MutexAlgorithm, MutexState, MutexSystem, Region};
-use impossible_core::cert::{verify, Counterexample, Goal, Lasso, Spec};
+use impossible_core::cert::{verified_bad_state, verify, Counterexample, Goal, Lasso, Spec};
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
 use impossible_explore::{Encode, Search};
@@ -35,13 +35,25 @@ where
     A: MutexAlgorithm,
     A::Local: Encode,
 {
-    let two_critical =
-        |s: &MutexState<A::Local>| sys.processes_in(s, Region::Critical).count() >= 2;
-    let report = Search::new(sys).max_states(max_states).search(two_critical);
-    let ce = Counterexample::BadState(report.witness?);
-    verify(sys, &Spec::new(Goal::Never(&two_critical)), &ce).unwrap_or_else(|e| panic!("{e}"));
-    let Counterexample::BadState(witness) = ce else { unreachable!("built as a bad state") };
-    Some(witness)
+    find_crowded_critical(sys, 1, max_states)
+}
+
+/// A shortest execution ending with more than `k` processes critical at
+/// once, re-checked by `verified_bad_state` before it is returned (a
+/// rejection panics, naming the clause): mutual exclusion is `k = 1`,
+/// `kexclusion`'s checker the semaphore's own `k`.
+pub(crate) fn find_crowded_critical<A>(
+    sys: &MutexSystem<'_, A>,
+    k: usize,
+    max_states: usize,
+) -> Option<Execution<MutexState<A::Local>, MutexAction>>
+where
+    A: MutexAlgorithm,
+    A::Local: Encode,
+{
+    let crowded = |s: &MutexState<A::Local>| sys.processes_in(s, Region::Critical).count() > k;
+    let report = Search::new(sys).max_states(max_states).search(crowded);
+    Some(verified_bad_state(sys, &crowded, report.witness?))
 }
 
 /// A progress (deadlock-freedom) violation: a reachable state in which some

@@ -9,9 +9,9 @@
 //! and value-space accounting that the experiments compare against the
 //! quadratic queue-simulation curve.
 
+use crate::check;
 use crate::mutex::{MutexAction, MutexAlgorithm, MutexState, MutexSystem, Region};
 use impossible_core::exec::Execution;
-use impossible_explore::Search;
 
 /// A counting semaphore over one (k+1)-valued test-and-set variable: the
 /// variable holds the number of current holders.
@@ -115,24 +115,21 @@ impl MutexAlgorithm for CounterSemaphore {
 }
 
 /// Search for a k-exclusion violation: more than `k` processes
-/// simultaneously critical.
+/// simultaneously critical, verified against that claim before it is
+/// returned.
 // LINT-ALLOW: dead-pub -- k-exclusion [57, 53]: never more than k holders at once; test never_exceeds_k_holders
 pub fn find_kexclusion_violation(
     alg: &CounterSemaphore,
     max_states: usize,
 ) -> Option<Execution<MutexState<SemLocal>, MutexAction>> {
-    let k = alg.k() as usize;
-    let sys = MutexSystem::new(alg);
-    Search::new(&sys)
-        .max_states(max_states)
-        .search(|s| sys.processes_in(s, Region::Critical).count() > k)
-        .witness
+    check::find_crowded_critical(&MutexSystem::new(alg), alg.k() as usize, max_states)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check;
+    use impossible_core::cert::{verify, Counterexample, Goal, Spec, WitnessError};
+    use impossible_explore::Search;
 
     #[test]
     fn never_exceeds_k_holders() {
@@ -143,6 +140,25 @@ mod tests {
                 "k={k} violated"
             );
         }
+    }
+
+    #[test]
+    fn a_witness_cut_short_of_its_crowded_state_is_rejected() {
+        // Two slots break 1-exclusion: the engine's witness ends with two
+        // holders and passes `verify` against the claim restated here; the
+        // same run without its last step ends with one (it is a shortest
+        // witness) and is rejected as `NotBad`.
+        let alg = CounterSemaphore::new(3, 2);
+        let sys = MutexSystem::new(&alg);
+        let w = check::find_crowded_critical(&sys, 1, 100_000).expect("two slots, two holders");
+        let crowded = |s: &MutexState<SemLocal>| sys.processes_in(s, Region::Critical).count() > 1;
+        let spec = Spec::new(Goal::Never(&crowded));
+        assert_eq!(verify(&sys, &spec, &Counterexample::BadState(w.clone())), Ok(()));
+        let steps = w.len() - 1;
+        let (states, actions) = (w.states()[..=steps].to_vec(), w.actions()[..steps].to_vec());
+        let cut = Execution::from_parts(states, actions);
+        let rejected = verify(&sys, &spec, &Counterexample::BadState(cut));
+        assert_eq!(rejected, Err(WitnessError::NotBad));
     }
 
     #[test]

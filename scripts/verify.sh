@@ -6,9 +6,9 @@
 #
 #   ./scripts/verify.sh
 #
-# Nine stages: build, lint, tests, docs, check smoke, trace smoke,
-# experiments smoke, mutex gallery smoke and the ledger (`ledger.sh
-# --check`, then the ledger package's own tests) — the last is the only
+# Nine stages: build, lint, tests (and their count floor), docs, check
+# smoke, trace smoke, experiments smoke, mutex gallery smoke and the ledger
+# (`ledger.sh --check`, then the ledger package's own tests) — the last is the only
 # stage that touches timing code, and the ledger is the only place a
 # measured number comes from.
 # The check smoke drives only what crosses a process boundary (a manifest,
@@ -50,6 +50,16 @@ echo "lint stage: $(( (lint_end - lint_start) / 1000000 )) ms wall"
 
 echo "== tests (all crates, offline) =="
 cargo test -q --offline --workspace
+# The test-count floor: a change cannot lose tests unnoticed. Raise it
+# when tests are added; lower it only with the removed tests named in
+# CHANGES.md.
+test_floor=692
+test_count="$(cargo test -q --offline --workspace -- --list 2>/dev/null | grep -c ': test$')"
+echo "tests listed: $test_count (floor $test_floor)"
+if [ "$test_count" -lt "$test_floor" ]; then
+    echo "error: $test_count tests listed, below the floor of $test_floor" >&2
+    exit 1
+fi
 
 echo "== docs (no warnings allowed) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
