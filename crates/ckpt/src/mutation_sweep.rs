@@ -1,8 +1,8 @@
 //! One mutation sweep over the decoders that read what a file holds: a
 //! spilled run page (`decode_run_page::<Parent<usize>>`), a frontier page
 //! (`decode_frontier_page::<Vec<u8>>`), a snapshot
-//! ([`Snapshot::from_bytes`]) and the verdict cache's text
-//! (`VerdictCache::from_text`).
+//! ([`Snapshot::from_bytes`]), the verdict cache's text
+//! (`VerdictCache::from_text`) and a trace line (`Event::parse_jsonl`).
 //!
 //! Each case encodes a drawn value, then mutates the bytes four ways —
 //! truncate them, extend them by a byte, flip one bit at byte *k*, and
@@ -11,9 +11,11 @@
 //! bytes (so a decoder never reads two encodings as one value), and never
 //! a panic. A snapshot's mutants are decoded twice: as mutated (the
 //! checksum must catch them), and with the checksum recomputed over the
-//! mutated body, so the structural checks behind it are reached too. The
-//! one designed exception is the cache's: a retired header is a cold start,
-//! an empty cache, whatever follows it.
+//! mutated body, so the structural checks behind it are reached too. A
+//! trace line's forged count is its `seq`, respelled as a number the
+//! encoder never writes (a leading zero, `-0`, one past a type's range).
+//! The one designed exception is the cache's: a retired header is a cold
+//! start, an empty cache, whatever follows it.
 
 use crate::cache::{Verdict, VerdictCache, RETIRED};
 use crate::snapshot::{checksum, Snapshot};
@@ -22,6 +24,7 @@ use impossible_explore::page::{
     decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page,
 };
 use impossible_explore::{Grid, Parent, PauseBudget, Resumable, Search};
+use impossible_obs::{Event, Value};
 
 /// The four mutants of `bytes`, the last with the bytes in `count` (the
 /// leading count) replaced by `forged`.
@@ -177,6 +180,51 @@ det_prop! {
                 Ok(c) => c.to_text() == m,
                 Err(_) => true,
             });
+        }
+
+        // Trace line: every value shape, strings over the whole Latin-1
+        // range (quotes, backslashes, control characters, two-byte UTF-8),
+        // signed fields down to `i64::MIN`.
+        let fields = keys
+            .iter()
+            .zip(values.iter().cycle())
+            .enumerate()
+            .map(|(i, (&k, &v))| {
+                let value = match v % 5 {
+                    0 => Value::U64(k),
+                    1 => Value::I64(-(k as i64)),
+                    2 => Value::I64(i64::MIN),
+                    3 => Value::Bool(k % 2 == 1),
+                    _ => Value::Str(
+                        values.iter().skip(i).take(6).map(|&b| char::from(b)).collect(),
+                    ),
+                };
+                (format!("f{i}"), value)
+            })
+            .collect();
+        let event = Event {
+            seq: keys.len() as u64 * 7,
+            scope: "sweep".into(),
+            kind: "case".into(),
+            fields,
+        };
+        let line = event.to_jsonl();
+        let seq = 7..7 + event.seq.to_string().len();
+        let respelled = [
+            "007",
+            "-0",
+            "-9223372036854775808",
+            "-18446744073709551615",
+            "18446744073709551616",
+        ];
+        let forged_seq = respelled
+            .get(forged as usize % 8)
+            .map_or(forge(0).to_string(), |s| s.to_string());
+        for m in mutants(line.as_bytes(), knobs, seq, forged_seq.into_bytes()) {
+            // A non-UTF-8 file never reaches the decoder: `trace diff`
+            // fails reading it.
+            let Ok(m) = std::str::from_utf8(&m) else { continue };
+            det_assert!(Event::parse_jsonl(m).is_none_or(|e| e.to_jsonl() == m), "{m:?}");
         }
     }
 }

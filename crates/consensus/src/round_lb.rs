@@ -4,20 +4,19 @@
 //! one-round decision rule, [`refute_one_round`] builds the Fischer–Lynch
 //! chain of executions — flip one input at a time, threading through crash
 //! faults with ever-longer *partial send prefixes* so each adjacent pair of
-//! executions is indistinguishable to some witness process — and reports
-//! which correctness condition the candidate loses:
+//! executions is indistinguishable to some witness process — and returns
+//! the chain with the [`RoundHorn`] the candidate falls on:
 //!
-//! * if every execution in the chain agrees internally and decides, the
-//!   chain transports decision 0 from the all-zeros run to the all-ones run,
-//!   contradicting validity (the certificate);
-//! * otherwise some execution in the chain already violates agreement,
-//!   validity or termination under a single crash — also a certificate.
+//! * some execution of the chain already violates agreement under a
+//!   single crash ([`RoundHorn::Disagreement`]); or
+//! * every execution agrees, so the chain transports one decision from the
+//!   all-zeros run to the all-ones run, and validity fails at one of the
+//!   two ends ([`RoundHorn::Validity`]).
 //!
 //! FloodSet with `t + 1 = 2` rounds survives every crash pattern the chain
 //! uses (asserted in the tests), matching the bound from above.
 
-use impossible_core::cert::{Certificate, Technique};
-use impossible_core::chain::Chain;
+use impossible_core::chain::{Chain, ChainError};
 use impossible_core::ids::ProcessId;
 use std::collections::BTreeMap;
 
@@ -26,9 +25,6 @@ use std::collections::BTreeMap;
 pub trait OneRoundRule {
     /// Decide from `(own input, received map from → value)`.
     fn decide(&self, me: usize, input: u64, received: &BTreeMap<usize, u64>) -> u64;
-
-    /// Display name for certificates.
-    fn name(&self) -> &'static str;
 }
 
 /// "Decide the minimum value seen."
@@ -38,9 +34,6 @@ pub struct MinRule;
 impl OneRoundRule for MinRule {
     fn decide(&self, _me: usize, input: u64, received: &BTreeMap<usize, u64>) -> u64 {
         received.values().copied().chain([input]).min().expect("nonempty")
-    }
-    fn name(&self) -> &'static str {
-        "min-of-seen"
     }
 }
 
@@ -57,9 +50,6 @@ impl OneRoundRule for MajorityRule {
             std::cmp::Ordering::Less => 0,
             std::cmp::Ordering::Equal => input,
         }
-    }
-    fn name(&self) -> &'static str {
-        "majority-of-seen"
     }
 }
 
@@ -172,71 +162,60 @@ fn build_chain<R: OneRoundRule>(rule: &R, n: usize) -> Chain<OneRoundExec> {
     chain
 }
 
-/// Refute a one-round rule as a 1-crash-resilient consensus protocol.
-///
-/// Always returns a certificate for `n ≥ 3` — that is the theorem.
-pub fn refute_one_round<R: OneRoundRule>(rule: &R, n: usize) -> Certificate {
-    let chain = build_chain(rule, n);
-    let claim = format!(
-        "one-round rule '{}' solves 1-crash-resilient consensus for n = {n}",
-        rule.name()
-    );
+/// Which correctness condition a one-round rule loses on the chain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RoundHorn {
+    /// Execution `k` of the chain violates agreement under one crash: its
+    /// live processes decide different values.
+    Disagreement(usize),
+    /// Every execution agrees, yet the all-zeros run decides `zeros` or the
+    /// all-ones run decides `ones` against validity.
+    Validity {
+        /// The decision of the chain's first execution (all inputs 0).
+        zeros: u64,
+        /// The decision of its last (all inputs 1).
+        ones: u64,
+    },
+    /// The chain failed to carry a decision from end to end — a rule whose
+    /// decision is not a function of the deciding process's view.
+    Broken(ChainError),
+}
 
-    // First look for a direct violation inside some execution of the chain.
-    for (idx, e) in chain.executions().iter().enumerate() {
-        if all_agree(e).is_none() {
-            return Certificate::new(
-                Technique::Chain,
-                claim,
-                format!(
-                    "execution {idx} of the chain (inputs {:?}, crash {:?}) decides {:?} — \
-                     agreement already fails under one crash",
-                    e.inputs, e.crash, e.decisions
-                ),
-            );
-        }
+/// Refute a one-round rule as a 1-crash-resilient consensus protocol:
+/// the horn it falls on, and the chain that shows it.
+///
+/// Always refutes for `n ≥ 3` — that is the theorem. For a rule that
+/// decides from its view alone, [`RoundHorn::Broken`] never fires: if every
+/// execution agrees, the indistinguishable links carry the all-zeros run's
+/// decision to the all-ones run, so the two ends cannot decide 0 and 1.
+pub fn refute_one_round<R: OneRoundRule>(rule: &R, n: usize) -> (RoundHorn, Chain<OneRoundExec>) {
+    let chain = build_chain(rule, n);
+    let execs = chain.executions();
+    if let Some(k) = execs.iter().position(|e| all_agree(e).is_none()) {
+        return (RoundHorn::Disagreement(k), chain);
     }
-    // Validity endpoints.
-    let head = all_agree(&chain.executions()[0]).expect("checked above");
-    let tail = all_agree(chain.executions().last().expect("nonempty")).expect("checked above");
-    if head != 0 || tail != 1 {
-        return Certificate::new(
-            Technique::Chain,
-            claim,
-            format!(
-                "validity fails at an endpoint: all-zeros run decides {head}, \
-                 all-ones run decides {tail}"
-            ),
-        );
+    let decided = |e: &OneRoundExec| all_agree(e).expect("every execution agrees");
+    let (zeros, ones) = (decided(&execs[0]), decided(&execs[execs.len() - 1]));
+    if zeros != 0 || ones != 1 {
+        return (RoundHorn::Validity { zeros, ones }, chain);
     }
-    // All executions agree internally and endpoints satisfy validity: the
-    // chain transport forces head == tail, contradiction.
-    match chain.transport(view, |e, p| view(e, p).and(e.decisions[p.index()]), all_agree) {
-        Ok(cert) => {
-            debug_assert!(cert.values_equal(), "transport forces equality");
-            Certificate::new(
-                Technique::Chain,
-                claim,
-                format!(
-                    "chain of {} indistinguishable links transports decision {} from the \
-                     all-zeros run to the all-ones run, which validity requires to decide 1 — \
-                     contradiction ({cert})",
-                    cert.links, cert.head_value
-                ),
-            )
-        }
-        Err(err) => Certificate::new(
-            Technique::Chain,
-            claim,
-            format!("chain exposed a direct violation: {err}"),
-        ),
-    }
+    let err = chain
+        .transport(
+            view,
+            |e, p| view(e, p).and(e.decisions[p.index()]),
+            all_agree,
+        )
+        .expect_err("the chain cannot carry decision 0 to a run deciding 1");
+    (RoundHorn::Broken(err), chain)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::floodset::run_floodset;
+    use impossible_det::{det_assert, det_assert_eq, det_prop, DetRng};
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
 
     #[test]
     fn chain_links_are_indistinguishable_until_violation() {
@@ -247,37 +226,126 @@ mod tests {
         assert!(chain.len() > 8);
     }
 
+    /// `horn` re-checked on the chain's executions alone, without the rule.
+    fn rechecks(horn: &RoundHorn, chain: &Chain<OneRoundExec>) -> bool {
+        let execs = chain.executions();
+        let decided =
+            |e: &OneRoundExec| -> BTreeSet<u64> { e.decisions.iter().flatten().copied().collect() };
+        let all = |e: &OneRoundExec, v: u64| e.inputs.iter().all(|&x| x == v);
+        match *horn {
+            RoundHorn::Disagreement(k) => decided(&execs[k]).len() > 1,
+            RoundHorn::Validity { zeros, ones } => {
+                let (first, last) = (&execs[0], &execs[execs.len() - 1]);
+                execs.iter().all(|e| decided(e).len() == 1)
+                    && all(first, 0)
+                    && all(last, 1)
+                    && decided(first) == BTreeSet::from([zeros])
+                    && decided(last) == BTreeSet::from([ones])
+                    && (zeros, ones) != (0, 1)
+            }
+            RoundHorn::Broken(_) => false,
+        }
+    }
+
     #[test]
     fn min_rule_is_refuted() {
-        let cert = refute_one_round(&MinRule, 4);
-        assert_eq!(cert.technique, Technique::Chain);
         // Min rule breaks agreement somewhere in the chain (a partial crash
         // splits who heard the lone 0).
-        assert!(cert.witness.contains("agreement") || cert.witness.contains("contradiction"));
+        let (horn, chain) = refute_one_round(&MinRule, 4);
+        assert!(matches!(horn, RoundHorn::Disagreement(_)), "{horn:?}");
+        assert!(rechecks(&horn, &chain));
+        assert_eq!(chain.verify(view), Ok(()));
     }
 
     #[test]
     fn majority_rule_is_refuted() {
-        let cert = refute_one_round(&MajorityRule, 4);
-        assert_eq!(cert.technique, Technique::Chain);
+        let (horn, chain) = refute_one_round(&MajorityRule, 4);
+        assert!(matches!(horn, RoundHorn::Disagreement(_)), "{horn:?}");
+        assert!(rechecks(&horn, &chain));
     }
 
     #[test]
     fn every_one_round_rule_in_a_family_is_refuted() {
-        // Threshold rules: decide 1 iff (#ones seen) ≥ θ.
+        // Threshold rules: decide 1 iff (#ones seen) ≥ θ. θ = 0 decides 1
+        // everywhere and θ = 5 (past n) 0: both agree on every run and
+        // fail validity at an end.
         struct Threshold(usize);
         impl OneRoundRule for Threshold {
             fn decide(&self, _m: usize, input: u64, r: &BTreeMap<usize, u64>) -> u64 {
                 let ones = r.values().chain([&input]).filter(|&&v| v == 1).count();
                 (ones >= self.0) as u64
             }
-            fn name(&self) -> &'static str {
-                "threshold"
-            }
         }
         for theta in 0..=5 {
-            let cert = refute_one_round(&Threshold(theta), 4);
-            assert_eq!(cert.technique, Technique::Chain, "θ = {theta}");
+            let (horn, chain) = refute_one_round(&Threshold(theta), 4);
+            assert!(rechecks(&horn, &chain), "θ = {theta}: {horn:?}");
+            let ends = matches!(horn, RoundHorn::Validity { .. });
+            assert_eq!(ends, theta == 0 || theta == 5, "θ = {theta}: {horn:?}");
+        }
+    }
+
+    #[test]
+    fn rules_that_read_more_than_their_view_are_caught_at_the_ends_or_the_links() {
+        // Decides `1 - last` until the chain's last execution (all ones, no
+        // crash: the last 3 of n + n·(2n·(n − 1) + n) = 48 calls at n = 3),
+        // then `last`: every run agrees internally.
+        struct Clocked {
+            calls: Cell<usize>,
+            last: u64,
+        }
+        impl OneRoundRule for Clocked {
+            fn decide(&self, _m: usize, _i: u64, _r: &BTreeMap<usize, u64>) -> u64 {
+                self.calls.set(self.calls.get() + 1);
+                if self.calls.get() > 45 {
+                    self.last
+                } else {
+                    1 - self.last
+                }
+            }
+        }
+        let clocked = |last| Clocked {
+            calls: Cell::new(0),
+            last,
+        };
+        // Both ends are wrong: validity is broken at each.
+        let (horn, chain) = refute_one_round(&clocked(0), 3);
+        assert_eq!(horn, RoundHorn::Validity { zeros: 1, ones: 0 });
+        assert!(rechecks(&horn, &chain));
+        // Both ends are right, so only the transport can catch it: the last
+        // link's witness decides differently on a view that did not change.
+        let (horn, chain) = refute_one_round(&clocked(1), 3);
+        let last = chain.len() - 1;
+        let RoundHorn::Broken(ChainError::Distinguishable { link, .. }) = horn else {
+            panic!("{horn:?}");
+        };
+        assert_eq!(link, last);
+    }
+
+    /// A rule drawn from a seed: the decision is a pseudo-random bit of the
+    /// deciding process's whole view.
+    #[derive(Debug, Clone)]
+    struct Seeded(u64);
+    impl OneRoundRule for Seeded {
+        fn decide(&self, me: usize, input: u64, received: &BTreeMap<usize, u64>) -> u64 {
+            let view = received
+                .iter()
+                .fold(me as u64 * 2 + input, |h, (&from, &v)| {
+                    h * 16 + 1 + from as u64 * 2 + v
+                });
+            DetRng::seed_from_u64(self.0 ^ view).next_u64() & 1
+        }
+    }
+
+    det_prop! {
+        fn every_generated_rule_falls_on_a_horn_its_chain_shows(
+            cases = 256,
+            n in 3usize..=5,
+            seed in 0u64..u64::MAX
+        ) {
+            let (horn, chain) = refute_one_round(&Seeded(seed), n);
+            det_assert!(!matches!(horn, RoundHorn::Broken(_)), "{horn:?}");
+            det_assert!(rechecks(&horn, &chain), "{horn:?}");
+            det_assert_eq!(chain.verify(view), Ok(()));
         }
     }
 

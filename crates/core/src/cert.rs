@@ -1,80 +1,23 @@
-//! Impossibility certificates, and the one checker for run evidence.
+//! The one checker for run evidence.
 //!
 //! The survey insists that "it is not possible to fake an impossibility
 //! proof". The executable analogue: every engine in this workspace, when it
-//! refutes a candidate algorithm, produces a concrete object that a human
-//! or another program can independently re-check — a [`Certificate`] (the
-//! scenario, chain, symmetry and message-stealing refuters), or a
-//! [`Counterexample`] of a [`System`]: a bad execution, or a [`Lasso`], the
+//! refutes a candidate algorithm, returns a concrete object that a human
+//! or another program can independently re-check. For a [`System`] that
+//! object is a [`Counterexample`]: a bad execution, or a [`Lasso`], the
 //! finite form of an infinite admissible run. Every engine that returns a
 //! counterexample re-checks it with [`verify`] first, through the system
-//! alone, so a wrong witness is an engine bug that panics.
+//! alone, so a wrong witness is an engine bug that panics. The
+//! combinatorial refuters outside `System` return the evidence their own
+//! argument builds instead — a `scenario::ScenarioContradiction`, a typed
+//! horn beside a [`Chain`](crate::chain::Chain) of executions, a
+//! `symmetry::SymmetryVerdict` — and their tests re-check it with the
+//! engine's own checker (`Chain::verify`, the window obligation evaluated
+//! over the ring's decisions).
 
 use crate::exec::Execution;
 use crate::system::System;
 use std::fmt;
-
-/// The proof technique behind a [`Certificate`]: the families of the
-/// paper's §3.1 taxonomy that an engine here builds a certificate for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Technique {
-    /// Scenario composition (Fischer–Lynch–Merritt, Figure 1).
-    Scenario,
-    /// Chain of indistinguishable executions (t+1 rounds, Two Generals).
-    Chain,
-    /// Symmetry / crossing-sequence (rings, Figure 4).
-    Symmetry,
-    /// Message stealing (data-link protocols).
-    MessageStealing,
-}
-
-impl fmt::Display for Technique {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Technique::Scenario => "scenario",
-            Technique::Chain => "chain",
-            Technique::Symmetry => "symmetry",
-            Technique::MessageStealing => "message stealing",
-        };
-        f.write_str(name)
-    }
-}
-
-/// A refutation certificate: which technique fired, against what claim, and
-/// the concrete witness (rendered, plus any structured payload the caller
-/// keeps separately).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
-    /// The proof technique.
-    pub technique: Technique,
-    /// The claim refuted, e.g. "candidate X solves 1-resilient consensus".
-    pub claim: String,
-    /// Human-readable witness description (a rendered bad execution, a
-    /// violated obligation, ...).
-    pub witness: String,
-}
-
-impl Certificate {
-    /// Build a certificate.
-    pub fn new(
-        technique: Technique,
-        claim: impl Into<String>,
-        witness: impl Into<String>,
-    ) -> Self {
-        Certificate {
-            technique,
-            claim: claim.into(),
-            witness: witness.into(),
-        }
-    }
-}
-
-impl fmt::Display for Certificate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "REFUTED [{} argument]: {}", self.technique, self.claim)?;
-        write!(f, "  witness: {}", self.witness)
-    }
-}
 
 /// A liveness counterexample: a finite stem from an initial state to a
 /// loop head, plus a cycle the adversary can repeat forever.
@@ -304,31 +247,6 @@ pub fn verified_bad_state<Sys: System>(
 mod tests {
     use super::*;
     use crate::system::test_systems::Counters;
-
-    #[test]
-    fn technique_names_render() {
-        assert_eq!(Technique::Scenario.to_string(), "scenario");
-        assert_eq!(Technique::MessageStealing.to_string(), "message stealing");
-    }
-
-    #[test]
-    fn certificate_renders_claim_and_witness() {
-        let c = Certificate::new(
-            Technique::Scenario,
-            "3 processes tolerate 1 Byzantine fault",
-            "hexagon run decided 0 at p0q0 and 1 at q1r1",
-        );
-        let s = c.to_string();
-        assert!(s.contains("REFUTED [scenario argument]"));
-        assert!(s.contains("hexagon"));
-    }
-
-    #[test]
-    fn certificates_compare() {
-        let a = Certificate::new(Technique::Chain, "x", "y");
-        let b = Certificate::new(Technique::Chain, "x", "y");
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn verify_accepts_a_bad_state_and_a_stutter_and_names_each_failure() {

@@ -106,14 +106,6 @@ pub struct ChainCertificate {
     pub links: usize,
 }
 
-impl ChainCertificate {
-    /// True if head and tail are forced to the *same* value — the essence of
-    /// the contradiction when the problem statement demands they differ.
-    pub fn values_equal(&self) -> bool {
-        self.head_value == self.tail_value
-    }
-}
-
 impl fmt::Display for ChainCertificate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -122,7 +114,7 @@ impl fmt::Display for ChainCertificate {
             self.links,
             self.head_value,
             self.tail_value,
-            if self.values_equal() {
+            if self.head_value == self.tail_value {
                 " (forced equal)"
             } else {
                 " (BROKEN: values differ)"
@@ -166,11 +158,6 @@ impl<E> Chain<E> {
     /// The executions.
     pub fn executions(&self) -> &[E] {
         &self.executions
-    }
-
-    /// The link witnesses.
-    pub fn witnesses(&self) -> &[ProcessId] {
-        &self.witnesses
     }
 
     /// Number of links.
@@ -316,7 +303,6 @@ mod tests {
         let cert = chain.transport(view, decision, all_agree).unwrap();
         assert_eq!(cert.head_value, 0);
         assert_eq!(cert.tail_value, 0);
-        assert!(cert.values_equal());
         assert_eq!(cert.links, 2);
     }
 

@@ -36,9 +36,10 @@
 //! * [`knowledge`] — the epistemic layer (Halpern–Moses, Dwork–Moses):
 //!   `K_p`, `E`, iterated and common knowledge over finite frames, with the
 //!   "no common knowledge over uncertain channels" theorem executable.
-//! * [`cert`] — counterexample *certificates*, and [`cert::verify`], the
-//!   one checker of the bad executions and lassos every impossibility
-//!   proof in the survey constructs.
+//! * [`cert`] — [`cert::verify`], the one checker of the bad executions
+//!   and lassos the survey's operational impossibility proofs construct
+//!   (the scenario, chain and symmetry engines above return their own
+//!   structured evidence).
 //!
 //! ## Quick start
 //!
@@ -87,7 +88,6 @@ pub mod system;
 pub mod task;
 pub mod valence;
 
-pub use cert::Certificate;
 pub use exec::Execution;
 pub use ids::ProcessId;
 pub use system::System;

@@ -11,9 +11,9 @@
 //! obligations contradict one another.
 //!
 //! [`ScenarioRing`] performs the composition for any [`RoundProtocol`], runs
-//! it, and checks the window obligations, returning a
-//! [`ScenarioContradiction`] certificate when (necessarily, for any candidate
-//! protocol) they cannot all hold.
+//! it, and checks the window obligations, returning the broken obligation
+//! with the ring's decisions as a [`ScenarioContradiction`] when
+//! (necessarily, for any candidate protocol) they cannot all hold.
 //!
 //! ```
 //! use impossible_core::scenario::{RoundProtocol, ScenarioRing};
@@ -116,24 +116,47 @@ pub enum Obligation {
     },
 }
 
-/// Certificate that the ring run violates a window obligation — the
-/// executable content of the Figure 1 contradiction.
+/// The obligation as the paper's Figure 1 argues it: why the window must
+/// meet it, and that the ring run does not.
+impl fmt::Display for Obligation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Obligation::Termination { window } => write!(
+                f,
+                "window {window:?} corresponds to a genuine execution with ≤t faults, \
+                 so all its members must decide; some did not"
+            ),
+            Obligation::Validity { window, value } => write!(
+                f,
+                "window {window:?} has uniform input {value}; validity in the \
+                 corresponding genuine execution forces decision {value}"
+            ),
+            Obligation::Agreement { window } => write!(
+                f,
+                "window {window:?} corresponds to a genuine execution with ≤t faults, \
+                 so agreement forces equal decisions; they differ"
+            ),
+        }
+    }
+}
+
+/// The ring run's evidence that it violates a window obligation — the
+/// executable content of the Figure 1 contradiction. A reader re-checks it
+/// by evaluating `obligation` over `decisions` and `nodes`, without the
+/// candidate.
 #[derive(Debug, Clone)]
 pub struct ScenarioContradiction {
     /// The violated obligation.
-    // LINT-ALLOW: dead-pub -- Figure 1 (FLM): the broken window obligation; tests own_input_violates_agreement, always_zero_violates_validity
     pub obligation: Obligation,
     /// Decisions of every ring node (`None` = undecided after all rounds).
     pub decisions: Vec<Option<u64>>,
     /// The ring layout.
     pub nodes: Vec<RingNode>,
-    /// Human-readable explanation in the style of the paper's Figure 1.
-    explanation: String,
 }
 
 impl fmt::Display for ScenarioContradiction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "scenario contradiction: {}", self.explanation)?;
+        writeln!(f, "scenario contradiction: {}", self.obligation)?;
         for (i, (n, d)) in self.nodes.iter().zip(&self.decisions).enumerate() {
             writeln!(
                 f,
@@ -305,54 +328,35 @@ impl<'a, P: RoundProtocol> ScenarioRing<'a, P> {
             .map(|start| (0..self.window).map(|k| (start + k) % len).collect())
             .collect();
 
-        for w in &windows {
-            if w.iter().any(|&i| decisions[i].is_none()) {
-                return ScenarioVerdict::Contradiction(ScenarioContradiction {
-                    explanation: format!(
-                        "window {w:?} corresponds to a genuine execution with ≤t faults, \
-                         so all its members must decide; some did not"
-                    ),
-                    obligation: Obligation::Termination { window: w.clone() },
-                    decisions,
-                    nodes,
-                });
-            }
+        let at = |w: &[usize]| -> Vec<Option<u64>> { w.iter().map(|&i| decisions[i]).collect() };
+        let termination = windows
+            .iter()
+            .find(|w| at(w).contains(&None))
+            .map(|w| Obligation::Termination { window: w.clone() });
+        let validity = || {
+            windows.iter().find_map(|w| {
+                let value = nodes[w[0]].input;
+                let uniform = w.iter().all(|&i| nodes[i].input == value);
+                (uniform && at(w).iter().any(|&d| d != Some(value))).then(|| Obligation::Validity {
+                    window: w.clone(),
+                    value,
+                })
+            })
+        };
+        let agreement = || {
+            windows
+                .iter()
+                .find(|w| at(w).windows(2).any(|p| p[0] != p[1]))
+                .map(|w| Obligation::Agreement { window: w.clone() })
+        };
+        match termination.or_else(validity).or_else(agreement) {
+            Some(obligation) => ScenarioVerdict::Contradiction(ScenarioContradiction {
+                obligation,
+                decisions,
+                nodes,
+            }),
+            None => ScenarioVerdict::ObligationsHold,
         }
-        for w in &windows {
-            let inputs: Vec<u64> = w.iter().map(|&i| nodes[i].input).collect();
-            if inputs.windows(2).all(|p| p[0] == p[1]) {
-                let v = inputs[0];
-                if w.iter().any(|&i| decisions[i] != Some(v)) {
-                    return ScenarioVerdict::Contradiction(ScenarioContradiction {
-                        explanation: format!(
-                            "window {w:?} has uniform input {v}; validity in the \
-                             corresponding genuine execution forces decision {v}"
-                        ),
-                        obligation: Obligation::Validity {
-                            window: w.clone(),
-                            value: v,
-                        },
-                        decisions,
-                        nodes,
-                    });
-                }
-            }
-        }
-        for w in &windows {
-            let ds: Vec<Option<u64>> = w.iter().map(|&i| decisions[i]).collect();
-            if ds.windows(2).any(|p| p[0] != p[1]) {
-                return ScenarioVerdict::Contradiction(ScenarioContradiction {
-                    explanation: format!(
-                        "window {w:?} corresponds to a genuine execution with ≤t faults, \
-                         so agreement forces equal decisions; they differ"
-                    ),
-                    obligation: Obligation::Agreement { window: w.clone() },
-                    decisions,
-                    nodes,
-                });
-            }
-        }
-        ScenarioVerdict::ObligationsHold
     }
 }
 

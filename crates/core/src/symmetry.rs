@@ -20,7 +20,7 @@
 //!    bound counts with.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// The bit-reversal ring of size `n = 2^k`: position `i` holds the ID whose
 /// binary representation is `i` reversed in `k` bits. For `k = 3` this is the
@@ -249,8 +249,13 @@ pub enum SymmetryVerdict {
         /// The orbit period `d` (states repeat with period `d` around the
         /// ring, `d` divides `n`).
         period: usize,
-        /// Rounds simulated before the global configuration repeated.
+        /// Rounds simulated before the global configuration repeated (the
+        /// round budget, if it never did).
         rounds_to_repeat: usize,
+        /// The most processes claiming leadership in one configuration:
+        /// `0` or a multiple of `n / period`, so never exactly `1` when
+        /// `period < n` (e.g. the uniform ring).
+        leaders: usize,
     },
     /// Symmetry was broken — only possible if the protocol is not actually
     /// anonymous/deterministic (a bug in the candidate).
@@ -312,8 +317,12 @@ impl<'a, P: AnonymousRingProtocol> LockstepRing<'a, P> {
             .expect("n is always a period")
     }
 
-    /// Run until the global configuration repeats (or `max_rounds`), checking
-    /// the periodicity invariant each round.
+    /// Run until the global configuration repeats (or `max_rounds`),
+    /// checking the periodicity invariant on every configuration the
+    /// verdict covers — rounds `0..=rounds_to_repeat` — and counting the
+    /// largest number of processes that claim leadership in one of them.
+    /// A repeated configuration closes the run's cycle, so that count is
+    /// the whole infinite run's.
     ///
     /// For a uniform ring (`period == 1` with `n ≥ 2`), a verdict of
     /// [`SymmetryVerdict::SymmetricForever`] is precisely the impossibility
@@ -327,72 +336,37 @@ impl<'a, P: AnonymousRingProtocol> LockstepRing<'a, P> {
             .iter()
             .map(|&inp| self.protocol.init(n, inp))
             .collect();
-
-        let mut seen: BTreeMap<Vec<P::State>, usize> = BTreeMap::new();
-        seen.insert(states.clone(), 0);
-
-        for round in 1..=max_rounds {
-            // Check d-periodicity.
-            if let Some(i) = (0..n).find(|&i| states[i] != states[(i + d) % n]) {
-                let _ = i;
-                return SymmetryVerdict::SymmetryBroken { round: round - 1 };
+        let mut seen: BTreeSet<Vec<P::State>> = BTreeSet::new();
+        let mut leaders = 0;
+        let mut round = 0;
+        loop {
+            if (0..n).any(|i| states[i] != states[(i + d) % n]) {
+                return SymmetryVerdict::SymmetryBroken { round };
             }
-            // Synchronous exchange.
-            let sends: Vec<(Option<P::Msg>, Option<P::Msg>)> =
-                states.iter().map(|s| self.protocol.send(s)).collect();
-            let mut next = Vec::with_capacity(n);
-            for i in 0..n {
-                // from_left = right-bound message of left neighbour;
-                // from_right = left-bound message of right neighbour.
-                let from_left = sends[(i + n - 1) % n].1.clone();
-                let from_right = sends[(i + 1) % n].0.clone();
-                next.push(self.protocol.recv(states[i].clone(), from_left, from_right));
-            }
-            states = next;
-            if let Some(&first) = seen.get(&states) {
-                let _ = first;
+            let claims = states.iter().filter(|s| self.protocol.is_leader(s)).count();
+            leaders = leaders.max(claims);
+            // No repeat within the budget still certifies: the invariant
+            // held on every configuration (the state space may be large).
+            if round == max_rounds || !seen.insert(states.clone()) {
                 return SymmetryVerdict::SymmetricForever {
                     period: d,
                     rounds_to_repeat: round,
+                    leaders,
                 };
             }
-            seen.insert(states.clone(), round);
-        }
-        // No repeat within budget; the periodicity invariant held throughout,
-        // which is still the certificate (states space may just be large).
-        SymmetryVerdict::SymmetricForever {
-            period: d,
-            rounds_to_repeat: max_rounds,
-        }
-    }
-
-    /// Count, over `max_rounds`, how many processes ever declare leadership
-    /// simultaneously in some round; by symmetry this is always `0` or a
-    /// multiple of `n / period`.
-    pub fn simultaneous_leaders(&self, max_rounds: usize) -> usize {
-        let n = self.inputs.len();
-        let mut states: Vec<P::State> = self
-            .inputs
-            .iter()
-            .map(|&inp| self.protocol.init(n, inp))
-            .collect();
-        let mut max_leaders = 0;
-        for _ in 0..max_rounds {
-            let leaders = states
-                .iter()
-                .filter(|s| self.protocol.is_leader(s))
-                .count();
-            max_leaders = max_leaders.max(leaders);
+            // Synchronous exchange: from_left = right-bound message of the
+            // left neighbour; from_right = left-bound message of the right
+            // neighbour.
             let sends: Vec<_> = states.iter().map(|s| self.protocol.send(s)).collect();
-            let mut next = Vec::with_capacity(n);
-            for i in 0..n {
-                let from_left = sends[(i + n - 1) % n].1.clone();
-                let from_right = sends[(i + 1) % n].0.clone();
-                next.push(self.protocol.recv(states[i].clone(), from_left, from_right));
-            }
-            states = next;
+            states = (0..n)
+                .map(|i| {
+                    let from_left = sends[(i + n - 1) % n].1.clone();
+                    let from_right = sends[(i + 1) % n].0.clone();
+                    self.protocol.recv(states[i].clone(), from_left, from_right)
+                })
+                .collect();
+            round += 1;
         }
-        max_leaders
     }
 }
 
@@ -661,12 +635,66 @@ mod tests {
         let sim = LockstepRing::new(&FloodMax, vec![7; 6]);
         assert_eq!(sim.input_period(), 1);
         match sim.run(100) {
-            SymmetryVerdict::SymmetricForever { period, .. } => assert_eq!(period, 1),
+            // Everyone claims leadership simultaneously — the "election"
+            // is void.
+            SymmetryVerdict::SymmetricForever {
+                period, leaders, ..
+            } => {
+                assert_eq!(period, 1);
+                assert_eq!(leaders, 6, "by symmetry all 6 claim leadership at once");
+            }
             v => panic!("uniform ring must stay symmetric, got {v:?}"),
         }
-        // Everyone claims leadership simultaneously — the "election" is void.
-        let leaders = sim.simultaneous_leaders(10);
-        assert_eq!(leaders, 6, "by symmetry all 6 claim leadership at once");
+    }
+
+    /// Not anonymous: a shared counter hands every process a distinct
+    /// label once `at` rounds have passed.
+    struct LabelsAt {
+        at: u32,
+        next: std::cell::Cell<u32>,
+    }
+    impl AnonymousRingProtocol for LabelsAt {
+        type State = (u32, u32); // (round, label)
+        type Msg = ();
+        fn init(&self, _n: usize, _input: u64) -> Self::State {
+            (0, 0)
+        }
+        fn send(&self, _s: &Self::State) -> (Option<()>, Option<()>) {
+            (None, None)
+        }
+        fn recv(&self, s: Self::State, _l: Option<()>, _r: Option<()>) -> Self::State {
+            let round = s.0 + 1;
+            if round < self.at {
+                return (round, 0);
+            }
+            self.next.set(self.next.get() + 1);
+            (round, self.next.get())
+        }
+        fn is_leader(&self, s: &Self::State) -> bool {
+            s.1 == 1
+        }
+    }
+
+    #[test]
+    fn the_last_configuration_of_the_budget_is_checked_too() {
+        let labels = LabelsAt {
+            at: 5,
+            next: std::cell::Cell::new(0),
+        };
+        let verdict = LockstepRing::new(&labels, vec![0; 4]).run(5);
+        assert_eq!(verdict, SymmetryVerdict::SymmetryBroken { round: 5 });
+        let labels = LabelsAt {
+            at: 6,
+            next: std::cell::Cell::new(0),
+        };
+        assert_eq!(
+            LockstepRing::new(&labels, vec![0; 4]).run(5),
+            SymmetryVerdict::SymmetricForever {
+                period: 1,
+                rounds_to_repeat: 5,
+                leaders: 0
+            }
+        );
     }
 
     #[test]

@@ -67,8 +67,9 @@
 //! // undecided one leading to each decided one.
 //! let order = [None, Some(0), Some(1)];
 //! let succ = Succ::from_rows([vec![(0, 1), (1, 2)], vec![], vec![]]);
-//! let report =
-//!     ValenceEngine::new(&FreeChoice).analyze_from_graph(&order, &succ, false, &mut NoopTracer);
+//! // One initial configuration, `order[0]`; nothing truncated.
+//! let engine = ValenceEngine::new(&FreeChoice);
+//! let report = engine.analyze_from_graph(&order, &succ, 1, false, &mut NoopTracer);
 //! assert_eq!(report.bivalent_initials.len(), 1);
 //! assert_eq!(report.critical.len(), 1);
 //! ```
@@ -135,16 +136,18 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
 
     /// Classify the valence of every configuration of a reachable graph:
     /// `order[i]` is state `i`, `succ[i]` its `(action, target_index)`
-    /// successors, and `truncated` whether the builder hit a bound
-    /// (classification then incomplete). The graph must be closed under
-    /// `succ` (every target index < `order.len()`) and contain every
-    /// initial state it reached. Records `scope: "valence"` events into
+    /// successors, `order[..initials]` the initial configurations as the
+    /// builder interned them (canonised, under a canon hook), and
+    /// `truncated` whether the builder hit a bound (classification then
+    /// incomplete). The graph must be closed under `succ` (every target
+    /// index < `order.len()`). Records `scope: "valence"` events into
     /// `tracer`: graph size, fixpoint effort, the valence of each initial
     /// configuration, and the classification tallies.
     pub fn analyze_from_graph(
         &self,
         order: &[Sys::State],
         succ: &Succ<Sys::Action>,
+        initials: usize,
         truncated: bool,
         tracer: &mut dyn Tracer,
     ) -> ValenceReport<Sys::State> {
@@ -152,9 +155,6 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
             "states": order.len(),
             "truncated": truncated,
         );
-        let index: BTreeMap<&Sys::State, usize> =
-            order.iter().enumerate().map(|(i, s)| (s, i)).collect();
-
         let (own, val) = self.fixpoint(order, succ, tracer);
 
         // Agreement diagnostics: a state where two distinct values are
@@ -173,18 +173,16 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
 
         let mut bivalent_initials = Vec::new();
         let mut univalent_initials = Vec::new();
-        for s in self.sys.initial_states() {
-            if let Some(i) = index.get(&s) {
-                trace_event!(tracer, "valence", "initial",
-                    "index": *i,
-                    "values": val[*i].len(),
-                    "bivalent": val[*i].len() >= 2,
-                );
-                if val[*i].len() >= 2 {
-                    bivalent_initials.push(s);
-                } else {
-                    univalent_initials.push(s);
-                }
+        for (i, s) in order[..initials].iter().enumerate() {
+            trace_event!(tracer, "valence", "initial",
+                "index": i,
+                "values": val[i].len(),
+                "bivalent": val[i].len() >= 2,
+            );
+            if val[i].len() >= 2 {
+                bivalent_initials.push(s.clone());
+            } else {
+                univalent_initials.push(s.clone());
             }
         }
 

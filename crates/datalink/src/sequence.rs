@@ -76,8 +76,12 @@ mod tests {
     fn the_same_attack_kills_every_bounded_modulus() {
         // The contrast, side by side: finite wraps, infinite doesn't.
         for k in [2u64, 16, 1024] {
-            let cert = refute_bounded_header(k);
-            assert!(cert.witness.contains("delivered twice"), "k={k}");
+            let (before, after) = refute_bounded_header(k);
+            assert_eq!(
+                after,
+                [&before[..], &[1000]].concat(),
+                "k={k}: message 0 twice"
+            );
         }
         let (b, a) = steal_replay_attack(1024);
         assert_eq!(b, a);

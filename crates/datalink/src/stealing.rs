@@ -17,8 +17,6 @@
 //! bound, Attiya–Fischer–Wang–Zuck's counterexample algorithm escapes —
 //! the open question the survey lists).
 
-use impossible_core::cert::{Certificate, Technique};
-
 /// A stop-and-wait data-link protocol with sequence numbers mod `K`.
 #[derive(Debug, Clone)]
 pub struct ModKProtocol {
@@ -58,51 +56,25 @@ impl ModKReceiver {
 /// The steal-and-replay run: the adversary lets `K` messages through while
 /// withholding one copy of the packet for message 0, then replays it.
 ///
-/// Returns the refutation certificate with the corrupted delivery stream.
-pub fn refute_bounded_header(k: u64) -> Certificate {
+/// Returns the receiver's delivered stream before and after the replay.
+/// The refutation is that `after` is `before` with message 0's payload
+/// delivered a second time, although the sender never sent a `(K+1)`-th
+/// message — and it holds for every modulus: finitely many headers always
+/// wrap.
+pub fn refute_bounded_header(k: u64) -> (Vec<u64>, Vec<u64>) {
     assert!(k >= 1);
     let mut receiver = ModKReceiver::new(k);
-
-    // Messages 0..K delivered normally; the channel duplicates message 0's
-    // packet and withholds ("steals") the copy.
-    let stolen = (0u64, 1000u64); // (seq 0, payload of message 0)
+    // Messages 0..K delivered normally, payload 1000 + m under sequence
+    // number m mod K; the channel duplicates message 0's packet and
+    // withholds ("steals") the copy.
     for m in 0..k {
-        let seq = m % k;
-        let payload = 1000 + m;
-        receiver.on_packet(seq, payload);
+        receiver.on_packet(m % k, 1000 + m);
     }
-    // After K messages the receiver expects seq 0 again. Replay the stolen
-    // packet: it is accepted as message K, although the sender never sent a
-    // (K+1)-th message.
+    // After K messages the receiver expects seq 0 again: replay the stolen
+    // packet.
     let before = receiver.delivered.clone();
-    receiver.on_packet(stolen.0, stolen.1);
-    let after = receiver.delivered.clone();
-
-    assert_eq!(
-        after.len(),
-        before.len() + 1,
-        "the stale packet is accepted as fresh"
-    );
-    assert_eq!(
-        *after.last().expect("nonempty"),
-        1000,
-        "the duplicate payload re-delivers"
-    );
-
-    Certificate::new(
-        Technique::MessageStealing,
-        format!(
-            "stop-and-wait with sequence numbers mod {k} implements a reliable \
-             data link over a withholding channel"
-        ),
-        format!(
-            "adversary steals a copy of message 0's packet (seq 0), lets messages \
-             0..{k} deliver (sequence space wraps), then replays it: the receiver's \
-             stream grows from {before:?} to {after:?} — message 0's payload is \
-             delivered twice, violating exactly-once. The construction works for \
-             every modulus: finitely many headers always wrap."
-        ),
-    )
+    receiver.on_packet(0, 1000);
+    (before, receiver.delivered)
 }
 
 #[cfg(test)]
@@ -112,16 +84,17 @@ mod tests {
     #[test]
     fn abp_header_space_is_broken_by_stealing() {
         // ABP = mod 2: the classic failure under non-FIFO replay.
-        let cert = refute_bounded_header(2);
-        assert_eq!(cert.technique, Technique::MessageStealing);
-        assert!(cert.witness.contains("delivered twice"));
+        let (before, after) = refute_bounded_header(2);
+        assert_eq!(before, [1000, 1001]);
+        assert_eq!(after, [1000, 1001, 1000], "message 0 delivered twice");
     }
 
     #[test]
     fn every_modulus_is_broken() {
         for k in 1..=16 {
-            let cert = refute_bounded_header(k);
-            assert_eq!(cert.technique, Technique::MessageStealing, "k={k}");
+            let (before, after) = refute_bounded_header(k);
+            assert_eq!(before, (1000..1000 + k).collect::<Vec<_>>(), "k={k}");
+            assert_eq!(after, [&before[..], &[1000]].concat(), "k={k}");
         }
     }
 

@@ -13,10 +13,10 @@
 //!   adjacent pair indistinguishable to the general who missed the last
 //!   message) forces the attack decision all the way down to `e_0`.
 //!
-//! [`refute`] runs the chain for any rule and produces the certificate.
+//! [`refute`] runs the chain for any rule and returns it with the
+//! [`AttackHorn`] the rule falls on.
 
-use impossible_core::cert::{Certificate, Technique};
-use impossible_core::chain::Chain;
+use impossible_core::chain::{Chain, ChainCertificate, ChainError};
 use impossible_core::ids::ProcessId;
 
 /// A deterministic attack rule: general `me` (0 or 1) decides from the
@@ -24,8 +24,6 @@ use impossible_core::ids::ProcessId;
 pub trait AttackRule {
     /// Does this general attack?
     fn attacks(&self, me: usize, received: usize) -> bool;
-    /// Display name.
-    fn name(&self) -> &'static str;
 }
 
 /// "Attack if I heard at least `threshold` messages."
@@ -35,9 +33,6 @@ pub struct Threshold(pub usize);
 impl AttackRule for Threshold {
     fn attacks(&self, _me: usize, received: usize) -> bool {
         received >= self.0
-    }
-    fn name(&self) -> &'static str {
-        "threshold"
     }
 }
 
@@ -66,120 +61,123 @@ pub fn execution<Rule: AttackRule>(rule: &Rule, k: usize) -> GeneralsExec {
     }
 }
 
+/// What general `p` observes of an execution: how many messages it got.
+fn view(e: &GeneralsExec, p: ProcessId) -> usize {
+    e.received[p.index()]
+}
+
+/// Which requirement an attack rule loses on the chain `e_{2r} ~ … ~ e_0`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttackHorn {
+    /// Liveness: with every message delivered (`e_{2r}`, the chain's first
+    /// execution), the generals do not both attack.
+    Liveness,
+    /// Coordination: in `e_k` one general attacks alone.
+    Coordination(usize),
+    /// Coordination and liveness hold, so the chain carries the attack all
+    /// the way to `e_0`, where no message was ever delivered: attacking on
+    /// zero information.
+    AttackOnNothing(ChainCertificate),
+    /// The chain failed to carry the attack — a rule whose decision is not
+    /// a function of the general's received count.
+    Broken(ChainError),
+}
+
 /// Refute `rule` as a solution to the coordinated-attack problem with `r`
-/// round trips. Always produces a certificate: either a coordination
-/// failure in some `e_k`, a liveness failure at `e_{2r}`, or the chain
-/// transporting the attack to `e_0` (attacking on zero information).
-pub fn refute<Rule: AttackRule>(rule: &Rule, r: usize) -> Certificate {
+/// round trips: the horn it falls on, and the chain of `e_{2r}, …, e_0`
+/// that shows it. Every rule falls on one.
+pub fn refute<Rule: AttackRule>(rule: &Rule, r: usize) -> (AttackHorn, Chain<GeneralsExec>) {
     let total = 2 * r;
-    let claim = format!(
-        "rule '{}' coordinates an attack over an unreliable channel ({r} round trips)",
-        rule.name()
+    // Witness of link (e_k, e_{k-1}): the general that did NOT receive
+    // trip k — general 1 receives the odd trips, so its view changes there.
+    let chain = Chain::from_parts(
+        (0..=total).rev().map(|k| execution(rule, k)).collect(),
+        (1..=total).rev().map(|k| ProcessId(1 - k % 2)).collect(),
     );
-
-    let execs: Vec<GeneralsExec> = (0..=total).rev().map(|k| execution(rule, k)).collect();
-
-    // Liveness at full delivery.
-    if !execs[0].attacks[0] || !execs[0].attacks[1] {
-        return Certificate::new(
-            Technique::Chain,
-            claim,
-            format!(
-                "liveness fails: with all {total} messages delivered the generals \
-                 still do not both attack ({:?})",
-                execs[0].attacks
-            ),
-        );
-    }
-    // Coordination in every execution.
-    for e in &execs {
-        if e.attacks[0] != e.attacks[1] {
-            return Certificate::new(
-                Technique::Chain,
-                claim,
-                format!(
-                    "coordination fails at e_{}: deliveries {:?} make general 0 \
-                     decide {} and general 1 decide {} — one attacks alone",
-                    e.k, e.received, e.attacks[0], e.attacks[1]
-                ),
-            );
+    let execs = chain.executions();
+    let horn = if execs[0].attacks != [true, true] {
+        AttackHorn::Liveness
+    } else if let Some(e) = execs.iter().find(|e| e.attacks[0] != e.attacks[1]) {
+        AttackHorn::Coordination(e.k)
+    } else {
+        let decision = |e: &GeneralsExec, p: ProcessId| Some(e.attacks[p.index()] as u64);
+        let agree =
+            |e: &GeneralsExec| (e.attacks[0] == e.attacks[1]).then_some(e.attacks[0] as u64);
+        match chain.transport(view, decision, agree) {
+            Ok(cert) => AttackHorn::AttackOnNothing(cert),
+            Err(err) => AttackHorn::Broken(err),
         }
-    }
-    // All coordinated and e_total attacks: run the chain to e_0. Witness of
-    // link (e_k, e_{k-1}): the general that did NOT receive trip k.
-    let witnesses: Vec<ProcessId> = (1..=total)
-        .rev()
-        .map(|k| {
-            // Trip k is received by general (k % 2 == 1) ? 1 : 0; the OTHER
-            // general's view is unchanged.
-            ProcessId(if k % 2 == 1 { 0 } else { 1 })
-        })
-        .collect();
-    let chain = Chain::from_parts(execs, witnesses);
-    let view = |e: &GeneralsExec, p: ProcessId| e.received[p.index()];
-    let decision = |e: &GeneralsExec, p: ProcessId| Some(e.attacks[p.index()] as u64);
-    let agree = |e: &GeneralsExec| {
-        (e.attacks[0] == e.attacks[1]).then_some(e.attacks[0] as u64)
     };
-    match chain.transport(view, decision, agree) {
-        Ok(cert) => {
-            debug_assert_eq!(cert.head_value, 1, "full delivery attacks");
-            debug_assert_eq!(cert.tail_value, 1, "transported to e_0");
-            Certificate::new(
-                Technique::Chain,
-                claim,
-                format!(
-                    "the chain e_{total} ~ ... ~ e_0 ({cert}) forces both generals to \
-                     attack in e_0, where NO message was ever delivered — attacking on \
-                     zero information, indistinguishable from the enemy-holds-the-pass \
-                     world. No rule escapes: coordination + liveness ⇒ attack-on-nothing."
-                ),
-            )
-        }
-        Err(err) => Certificate::new(
-            Technique::Chain,
-            claim,
-            format!("chain exposed an inconsistency: {err}"),
-        ),
-    }
+    (horn, chain)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
+
+    /// `horn` re-checked on the chain's executions alone, without the rule.
+    fn rechecks(horn: &AttackHorn, chain: &Chain<GeneralsExec>) -> bool {
+        let execs = chain.executions();
+        let (full, none) = (&execs[0], &execs[execs.len() - 1]);
+        match horn {
+            AttackHorn::Liveness => full.k == chain.len() && full.attacks != [true, true],
+            AttackHorn::Coordination(k) => execs
+                .iter()
+                .any(|e| e.k == *k && e.attacks[0] != e.attacks[1]),
+            AttackHorn::AttackOnNothing(cert) => {
+                none.received == [0, 0]
+                    && none.attacks == [true, true]
+                    && (cert.head_value, cert.tail_value, cert.links) == (1, 1, chain.len())
+            }
+            // The link's witness saw the same count on both sides of it yet
+            // decided differently.
+            AttackHorn::Broken(ChainError::Distinguishable { link, witness }) => {
+                let (a, b) = (&execs[*link], &execs[link + 1]);
+                view(a, *witness) == view(b, *witness)
+                    && a.attacks[witness.index()] != b.attacks[witness.index()]
+            }
+            AttackHorn::Broken(_) => false,
+        }
+    }
 
     #[test]
     fn every_threshold_rule_is_refuted() {
+        // θ = 0 attacks on nothing (the chain reaches e_0 consistently —
+        // which IS the contradiction); θ past r fails liveness; the middle
+        // θ break coordination.
         let r = 5;
         for theta in 0..=2 * r + 1 {
-            let cert = refute(&Threshold(theta), r);
-            assert_eq!(cert.technique, Technique::Chain, "θ={theta}");
-            // θ = 0 attacks on nothing (caught by the chain reaching e_0
-            // consistently — which IS the contradiction: the certificate
-            // narrates it); large θ fails liveness; middle θ breaks
-            // coordination.
-            if theta > r {
-                assert!(cert.witness.contains("liveness"), "θ={theta}: {}", cert.witness);
+            let (horn, chain) = refute(&Threshold(theta), r);
+            assert!(rechecks(&horn, &chain), "θ={theta}: {horn:?}");
+            match theta {
+                0 => assert!(matches!(horn, AttackHorn::AttackOnNothing(_)), "{horn:?}"),
+                1..=5 => assert!(
+                    matches!(horn, AttackHorn::Coordination(_)),
+                    "θ={theta}: {horn:?}"
+                ),
+                _ => assert_eq!(horn, AttackHorn::Liveness, "θ={theta}"),
             }
         }
     }
 
     #[test]
     fn middle_thresholds_break_coordination() {
-        let cert = refute(&Threshold(3), 5);
-        assert!(
-            cert.witness.contains("coordination") || cert.witness.contains("zero information"),
-            "{}",
-            cert.witness
-        );
+        // Threshold 3 of 5 trips each way: e_5 gives general 1 its third
+        // message (trips 1, 3, 5) and general 0 only two.
+        let (horn, chain) = refute(&Threshold(3), 5);
+        assert_eq!(horn, AttackHorn::Coordination(5));
+        assert!(rechecks(&horn, &chain));
     }
 
     #[test]
     fn zero_threshold_attacks_on_nothing() {
         // θ=0 satisfies coordination and liveness — so the chain drags it
         // to the absurd endpoint.
-        let cert = refute(&Threshold(0), 4);
-        assert!(cert.witness.contains("zero information"), "{}", cert.witness);
+        let (horn, chain) = refute(&Threshold(0), 4);
+        assert!(matches!(horn, AttackHorn::AttackOnNothing(_)), "{horn:?}");
+        assert!(rechecks(&horn, &chain));
+        assert_eq!(chain.verify(view), Ok(()));
     }
 
     #[test]
@@ -197,11 +195,64 @@ mod tests {
             fn attacks(&self, me: usize, received: usize) -> bool {
                 me == 0 && received > 0
             }
-            fn name(&self) -> &'static str {
-                "only-general-zero"
+        }
+        let (horn, chain) = refute(&OnlyGeneralZero, 3);
+        assert_eq!(horn, AttackHorn::Liveness);
+        assert!(rechecks(&horn, &chain));
+    }
+
+    #[test]
+    fn a_rule_that_is_no_function_of_its_view_breaks_the_chain() {
+        // Attacks on every call but the two that build the chain's
+        // execution `quiet`: every execution is internally coordinated and
+        // e_{2r} attacks, so only the transport catches the witness of the
+        // link into `quiet` changing its decision on an unchanged count.
+        struct Clocked {
+            calls: std::cell::Cell<usize>,
+            quiet: usize,
+        }
+        impl AttackRule for Clocked {
+            fn attacks(&self, _me: usize, _received: usize) -> bool {
+                self.calls.set(self.calls.get() + 1);
+                (self.calls.get() + 1) / 2 != self.quiet + 1
             }
         }
-        let cert = refute(&OnlyGeneralZero, 3);
-        assert!(cert.witness.contains("coordination") || cert.witness.contains("liveness"));
+        let rule = Clocked {
+            calls: std::cell::Cell::new(0),
+            quiet: 4,
+        };
+        let (horn, chain) = refute(&rule, 3);
+        // Link 3 joins e_3 and e_2; general 0 did not receive trip 3.
+        assert_eq!(
+            horn,
+            AttackHorn::Broken(ChainError::Distinguishable {
+                link: 3,
+                witness: ProcessId(0),
+            })
+        );
+        assert!(rechecks(&horn, &chain));
+        assert_eq!(chain.verify(view), Ok(()));
+    }
+
+    /// An arbitrary rule: `table[me * (r + 1) + received]`.
+    struct Table(Vec<bool>);
+    impl AttackRule for Table {
+        fn attacks(&self, me: usize, received: usize) -> bool {
+            self.0[me * self.0.len() / 2 + received]
+        }
+    }
+
+    det_prop! {
+        fn every_generated_rule_falls_on_a_horn_its_chain_shows(
+            cases = 256,
+            r in 1usize..=5,
+            bits in prop::vec(0u8..2, 12..13)
+        ) {
+            let rule = Table(bits[..2 * (r + 1)].iter().map(|&b| b == 1).collect());
+            let (horn, chain) = refute(&rule, r);
+            det_assert!(!matches!(horn, AttackHorn::Broken(_)), "{horn:?}");
+            det_assert!(rechecks(&horn, &chain), "{horn:?}");
+            det_assert_eq!(chain.verify(view), Ok(()));
+        }
     }
 }

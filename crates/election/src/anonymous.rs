@@ -5,10 +5,8 @@
 //! keeps the configuration rotation-periodic forever, so leadership (a
 //! state exactly one process is in) is unreachable. The engine is
 //! [`impossible_core::symmetry::LockstepRing`]; this module supplies
-//! concrete doomed candidates and wraps the verdict in a
-//! [`Certificate`].
+//! concrete doomed candidates and runs them on the uniform ring.
 
-use impossible_core::cert::{Certificate, Technique};
 use impossible_core::symmetry::{AnonymousRingProtocol, LockstepRing, SymmetryVerdict};
 
 /// A natural doomed candidate: flood a "max" of hash-mixed neighbour
@@ -63,37 +61,17 @@ fn mix(x: u64) -> u64 {
 }
 
 /// Refute a deterministic anonymous candidate on the uniform ring of size
-/// `n`: run it in lockstep and certify that symmetry never breaks, so the
-/// protocol elects either nobody or everybody.
+/// `n`: run it in lockstep for up to `rounds` rounds. The verdict
+/// [`SymmetryVerdict::SymmetricForever`] is the refutation — symmetry never
+/// breaks, so the protocol elects nobody or `leaders`, a multiple of `n`,
+/// at once; [`SymmetryVerdict::SymmetryBroken`] means the candidate is not
+/// deterministic and anonymous after all.
 pub fn refute_deterministic<P: AnonymousRingProtocol>(
     protocol: &P,
     n: usize,
     rounds: usize,
-) -> Certificate {
-    let sim = LockstepRing::new(protocol, vec![0; n]);
-    match sim.run(rounds) {
-        SymmetryVerdict::SymmetricForever {
-            period,
-            rounds_to_repeat,
-        } => {
-            let leaders = sim.simultaneous_leaders(rounds);
-            Certificate::new(
-                Technique::Symmetry,
-                format!("deterministic anonymous protocol elects a leader on a uniform {n}-ring"),
-                format!(
-                    "configuration stays period-{period} symmetric (repeats within \
-                     {rounds_to_repeat} rounds); simultaneous leadership claims: {leaders} \
-                     (must be 0 or a multiple of {n} — never exactly 1)"
-                ),
-            )
-        }
-        SymmetryVerdict::SymmetryBroken { round } => Certificate::new(
-            Technique::Symmetry,
-            "candidate is deterministic and anonymous",
-            format!("symmetry broke at round {round}: the candidate is not actually \
-                     deterministic/anonymous — claim rejected on shape"),
-        ),
-    }
+) -> SymmetryVerdict {
+    LockstepRing::new(protocol, vec![0; n]).run(rounds)
 }
 
 #[cfg(test)]
@@ -103,20 +81,24 @@ mod tests {
     #[test]
     fn hash_chain_stays_symmetric_on_uniform_rings() {
         for n in [2usize, 3, 5, 8] {
-            let cert = refute_deterministic(&HashChain, n, 200);
-            assert_eq!(cert.technique, Technique::Symmetry);
-            assert!(
-                cert.witness.contains("period-1"),
-                "n={n}: {}",
-                cert.witness
-            );
+            match refute_deterministic(&HashChain, n, 200) {
+                SymmetryVerdict::SymmetricForever {
+                    period, leaders, ..
+                } => {
+                    assert_eq!(period, 1, "n={n}");
+                    assert!(leaders == 0 || leaders == n, "n={n}: {leaders} leaders");
+                }
+                v => panic!("n={n}: {v:?}"),
+            }
         }
     }
 
     #[test]
     fn claims_are_all_or_none() {
-        let sim = LockstepRing::new(&HashChain, vec![0; 6]);
-        let leaders = sim.simultaneous_leaders(100);
+        let verdict = refute_deterministic(&HashChain, 6, 100);
+        let SymmetryVerdict::SymmetricForever { leaders, .. } = verdict else {
+            panic!("{verdict:?}");
+        };
         assert!(
             leaders == 0 || leaders == 6,
             "exactly-one is impossible; got {leaders}"
@@ -128,16 +110,11 @@ mod tests {
         // The candidate is not vacuous: it does claim leadership — just at
         // every position at once somewhere along the run.
         let found = (2..=16).any(|n| {
-            LockstepRing::new(&HashChain, vec![0; n]).simultaneous_leaders(64) > 0
+            matches!(
+                refute_deterministic(&HashChain, n, 64),
+                SymmetryVerdict::SymmetricForever { leaders, .. } if leaders > 0
+            )
         });
         assert!(found, "candidate never claims anywhere — too timid to be interesting");
-    }
-
-    #[test]
-    fn certificate_text_explains_the_argument() {
-        let cert = refute_deterministic(&HashChain, 4, 100);
-        let text = cert.to_string();
-        assert!(text.contains("REFUTED [symmetry argument]"));
-        assert!(text.contains("uniform 4-ring"));
     }
 }

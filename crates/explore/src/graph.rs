@@ -341,7 +341,8 @@ impl<'a, Sys: DecisionSystem> Search<'a, Sys> {
     pub fn valence(&self) -> ValenceReport<Sys::State> {
         let g = self.graph();
         with_tracer(&self.tracer, &mut NoopTracer, |t| {
-            ValenceEngine::new(self.sys()).analyze_from_graph(&g.order, &g.succ, g.truncated(), t)
+            let engine = ValenceEngine::new(self.sys());
+            engine.analyze_from_graph(&g.order, &g.succ, g.initials, g.truncated(), t)
         })
     }
 
@@ -588,6 +589,53 @@ mod tests {
         fn decisions(&self, _s: &u8) -> Vec<(ProcessId, u64)> {
             Vec::new()
         }
+    }
+
+    /// From `10` (or `11`, its canonical twin) one process decides either
+    /// bit: `0` and `1` are the decided states.
+    struct Pick;
+    impl System for Pick {
+        type State = u8;
+        type Action = u8;
+        fn initial_states(&self) -> Vec<u8> {
+            vec![10]
+        }
+        fn enabled(&self, s: &u8) -> Vec<u8> {
+            if *s >= 10 {
+                vec![0, 1]
+            } else {
+                vec![]
+            }
+        }
+        fn step(&self, _s: &u8, a: &u8) -> u8 {
+            *a
+        }
+    }
+    impl DecisionSystem for Pick {
+        fn decisions(&self, s: &u8) -> Vec<(ProcessId, u64)> {
+            if *s < 10 {
+                vec![(ProcessId(0), u64::from(*s))]
+            } else {
+                vec![]
+            }
+        }
+    }
+
+    #[test]
+    fn a_canonised_initial_state_is_still_classified() {
+        // Regression: the initials were looked up as `initial_states()`
+        // returns them, so under a hook that moves `10` to `11` the graph's
+        // initial node was never found and classified.
+        let plain = Search::new(&Pick).valence();
+        assert_eq!(
+            (plain.bivalent_initials, plain.critical),
+            (vec![10], vec![10])
+        );
+        let twin = |s: &u8| if *s == 10 { 11 } else { *s };
+        let canon = Search::new(&Pick).canon(twin).valence();
+        assert_eq!(canon.bivalent_initials, vec![11]);
+        assert!(canon.univalent_initials.is_empty());
+        assert_eq!(canon.critical, vec![11]);
     }
 
     #[test]

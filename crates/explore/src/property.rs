@@ -210,6 +210,14 @@ fn push_debug_list<T: Debug>(out: &mut String, items: impl Iterator<Item = T>) {
     out.push(']');
 }
 
+impl<S, A> PropertyReport<S, A> {
+    /// The property held, but only within a graph a bound cut: no verdict.
+    /// Every printer and cache of a report treats this case as "unknown".
+    pub fn inconclusive(&self) -> bool {
+        self.holds && self.truncated
+    }
+}
+
 impl<S: Clone + Debug, A: Clone + Debug> PropertyReport<S, A> {
     /// Deterministic single-line JSON: fixed key order, no whitespace
     /// variation; states and actions rendered through `Debug` and escaped.

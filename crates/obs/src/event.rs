@@ -125,12 +125,19 @@ impl Event {
 
     /// Parse one canonical JSONL line produced by [`Event::to_jsonl`].
     ///
-    /// Returns `None` on anything that encoder cannot have written. This is
-    /// deliberately *not* a general JSON parser (no nesting, no floats, no
-    /// reordered keys) — traces are our own artifact, and rejecting
-    /// free-form input keeps the decoder small and the round-trip exact.
+    /// Returns `None` on anything that encoder cannot have written: an
+    /// event is returned only if it re-encodes to exactly `line`. So
+    /// surrounding whitespace, a leading zero, `-0`, a `\u` escape of a
+    /// printable character or a number out of its type's range is refused,
+    /// and two lines never decode to one event. This is deliberately *not*
+    /// a general JSON parser (no nesting, no floats, no reordered keys) —
+    /// traces are our own artifact, and rejecting free-form input keeps the
+    /// decoder small and the round-trip exact.
     pub fn parse_jsonl(line: &str) -> Option<Event> {
-        let mut p = Parser { b: line.trim().as_bytes(), i: 0 };
+        let mut p = Parser {
+            b: line.as_bytes(),
+            i: 0,
+        };
         p.expect(b'{')?;
         let seq = match (p.key()?.as_str(), p.value()?) {
             ("seq", Value::U64(v)) => v,
@@ -154,10 +161,13 @@ impl Event {
             fields.push((k, v));
         }
         p.expect(b'}')?;
-        if p.i != p.b.len() {
-            return None;
-        }
-        Some(Event { seq, scope, kind, fields })
+        let event = Event {
+            seq,
+            scope,
+            kind,
+            fields,
+        };
+        (event.to_jsonl() == line).then_some(event)
     }
 
     /// Render for humans: `seq scope kind {k: v, …}` — what the diff
@@ -293,11 +303,16 @@ impl<'a> Parser<'a> {
                 Some(Value::Bool(false))
             }
             b'-' => {
+                let start = self.i;
                 self.i += 1;
-                let n = self.digits()?;
-                Some(Value::I64(-(n as i64)))
+                self.digits()?;
+                Some(Value::I64(self.number_from(start)?))
             }
-            b'0'..=b'9' => Some(Value::U64(self.digits()?)),
+            b'0'..=b'9' => {
+                let start = self.i;
+                self.digits()?;
+                Some(Value::U64(self.number_from(start)?))
+            }
             _ => None,
         }
     }
@@ -311,14 +326,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn digits(&mut self) -> Option<u64> {
+    /// Skip one or more ASCII digits.
+    fn digits(&mut self) -> Option<()> {
         let start = self.i;
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.i += 1;
         }
-        if self.i == start {
-            return None;
-        }
+        (self.i > start).then_some(())
+    }
+
+    /// The number spelled from `start` to the cursor; `None` past its
+    /// type's range.
+    fn number_from<T: std::str::FromStr>(&self, start: usize) -> Option<T> {
         std::str::from_utf8(&self.b[start..self.i]).ok()?.parse().ok()
     }
 }
@@ -381,6 +400,37 @@ mod tests {
             Event::parse_jsonl("{\"seq\":1,\"scope\":\"s\",\"kind\":\"k\"}x"),
             None
         );
+    }
+
+    #[test]
+    fn refuses_every_spelling_the_encoder_never_writes() {
+        let line = |v: &str| format!("{{\"seq\":1,\"scope\":\"s\",\"kind\":\"k\",\"x\":{v}}}");
+        // A signed field at the edge of its range decodes; one past it
+        // used to flip sign or overflow the negation.
+        let min = Event::parse_jsonl(&line("-9223372036854775808")).expect("i64::MIN");
+        assert_eq!(min.fields[0].1, Value::I64(i64::MIN));
+        for bad in [
+            "-18446744073709551615",
+            "-9223372036854775809",
+            "18446744073709551616",
+        ] {
+            assert_eq!(Event::parse_jsonl(&line(bad)), None, "{bad}");
+        }
+        for bad in ["007", "-0", "\"\\u0041\""] {
+            assert_eq!(Event::parse_jsonl(&line(bad)), None, "{bad}");
+        }
+        assert_eq!(
+            Event::parse_jsonl("{\"seq\":007,\"scope\":\"s\",\"kind\":\"k\"}"),
+            None
+        );
+        let canonical = sample().to_jsonl();
+        for padded in [
+            format!(" {canonical}"),
+            format!("{canonical}\n"),
+            format!("{canonical}\t"),
+        ] {
+            assert_eq!(Event::parse_jsonl(&padded), None, "{padded:?}");
+        }
     }
 
     #[test]

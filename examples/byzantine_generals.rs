@@ -32,9 +32,11 @@ fn main() {
 
     // At the threshold: the scenario engine refutes the very same algorithm.
     for (n, t) in [(3usize, 1usize), (6, 2)] {
-        let cert = refute_3t(&Eig::new(n, t), t).expect("n = 3t contradicts");
-        println!("n = {n}, t = {t}: REFUTED by the {} argument", cert.technique);
-        println!("  {}", cert.claim);
+        let Some(c) = refute_3t(&Eig::new(n, t), t) else {
+            panic!("n = 3t contradicts");
+        };
+        println!("n = {n}, t = {t}: REFUTED by the scenario argument");
+        println!("  {}", c.obligation);
     }
 
     println!("\nThe same code is correct at n = 3t+1 and provably broken at n = 3t —");

@@ -10,7 +10,7 @@
 
 use impossible::core::knowledge::KnowledgeFrame;
 use impossible::core::ids::ProcessId;
-use impossible::datalink::two_generals::{refute, Threshold};
+use impossible::datalink::two_generals::{refute, AttackHorn, Threshold};
 
 fn main() {
     let trips = 10usize;
@@ -45,8 +45,14 @@ fn main() {
     );
 
     println!("\nOperational cross-check (the chain argument on the same structure):");
-    let cert = refute(&Threshold(0), trips / 2);
-    println!("{cert}");
+    match refute(&Threshold(0), trips / 2) {
+        (AttackHorn::AttackOnNothing(cert), chain) => println!(
+            "attack-on-any-signal is REFUTED: the chain e_{} ~ ... ~ e_0 ({cert}) forces \
+             both generals to attack in e_0, where no message was ever delivered.",
+            chain.len()
+        ),
+        (horn, _) => println!("attack-on-any-signal fell on another horn: {horn:?}"),
+    }
 
     println!("\nSame theorem, two proofs: the fixpoint computation and the execution");
     println!("chain are the epistemic and operational faces of one indistinguishability.");

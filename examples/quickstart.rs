@@ -22,8 +22,11 @@ fn main() {
     // ------------------------------------------------------------------
     println!("1) Scenario argument — Byzantine agreement at n = 3, t = 1:");
     let candidate = Eig::new(3, 1);
-    let cert = refute_3t(&candidate, 1).expect("n = 3t always contradicts");
-    println!("{cert}\n");
+    let Some(contradiction) = refute_3t(&candidate, 1) else {
+        panic!("n = 3t always contradicts");
+    };
+    println!("   EIG(3, 1) is refuted — the hexagon breaks a window obligation:");
+    println!("   {contradiction}");
 
     // ------------------------------------------------------------------
     // 2. Bivalence argument (Figures 2–3): an async consensus candidate

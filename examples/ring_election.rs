@@ -8,7 +8,7 @@
 //! counterexample algorithm that trades time for messages.
 
 use impossible::core::pigeonhole::bounds;
-use impossible::core::symmetry::{bit_reversal_ring, min_symmetry_class};
+use impossible::core::symmetry::{bit_reversal_ring, min_symmetry_class, SymmetryVerdict};
 use impossible::election::anonymous::{refute_deterministic, HashChain};
 use impossible::election::itai_rodeh::run_itai_rodeh;
 use impossible::election::lcr::{run_lcr, worst_case_ids};
@@ -40,9 +40,17 @@ fn main() {
         min_symmetry_class(&ring, 1));
 
     println!("\nAnonymous rings (no IDs at all):");
-    let cert = refute_deterministic(&HashChain, 6, 200);
-    println!("  deterministic: {}", cert.claim);
-    println!("    -> refuted: {}", cert.witness);
+    match refute_deterministic(&HashChain, 6, 200) {
+        SymmetryVerdict::SymmetricForever {
+            period, leaders, ..
+        } => println!(
+            "  deterministic: refuted — the 6-ring stays period-{period} symmetric, \
+             and {leaders} processes claim leadership at once (never exactly 1)"
+        ),
+        SymmetryVerdict::SymmetryBroken { round } => {
+            println!("  deterministic: HashChain broke symmetry at round {round}?!")
+        }
+    }
     let (out, phases) = run_itai_rodeh(6, 42, 100_000);
     println!(
         "  randomized (Itai–Rodeh): leader at {:?} in {} messages, {phases} phase(s)",

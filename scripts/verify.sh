@@ -7,7 +7,7 @@
 #   ./scripts/verify.sh
 #
 # Nine stages: build, lint, tests (and their count floor), docs, check
-# smoke, trace smoke, experiments smoke, mutex gallery smoke and the ledger
+# smoke, trace smoke, experiments smoke, examples smoke and the ledger
 # (`ledger.sh --check`, then the ledger package's own tests) — the last is the only
 # stage that touches timing code, and the ledger is the only place a
 # measured number comes from.
@@ -53,7 +53,7 @@ cargo test -q --offline --workspace
 # The test-count floor: a change cannot lose tests unnoticed. Raise it
 # when tests are added; lower it only with the removed tests named in
 # CHANGES.md.
-test_floor=692
+test_floor=694
 test_count="$(cargo test -q --offline --workspace -- --list 2>/dev/null | grep -c ': test$')"
 echo "tests listed: $test_count (floor $test_floor)"
 if [ "$test_count" -lt "$test_floor" ]; then
@@ -220,18 +220,31 @@ if [ "$experiments_got" != "$experiments_sha256" ]; then
 fi
 echo "experiments smoke: OK (26 experiments, identical on rerun, sha256 pinned)"
 
-echo "== mutex gallery smoke (the largest MutexStates in the tree, pinned) =="
-# `cargo test` builds examples but never runs them. This one drives every
-# §2.1 checker and the widest `MutexState`s (Bakery(4)'s 8 variables,
-# OneBit(5)'s 5 processes) through `simulate_random`, so a state-layout
-# change that moves a verdict, a count or a seeded schedule shows here.
+echo "== examples smoke (every example runs once; the mutex gallery pinned) =="
+# `cargo test` builds examples but never runs them. Each one runs here once
+# in release and must exit 0; their stdout is unpinned, except the mutex
+# gallery's: it drives every §2.1 checker and the widest `MutexState`s
+# (Bakery(4)'s 8 variables, OneBit(5)'s 5 processes) through
+# `simulate_random`, so a state-layout change that moves a verdict, a count
+# or a seeded schedule shows here.
 gallery_sha256=e14bff03cb5a4d74ef94b1534b7642215334a2a677c23457689f92f2f521c1d0
-gallery_got="$(cargo run -q --release --offline --example mutex_gallery | sha256sum | cut -d' ' -f1)"
-if [ "$gallery_got" != "$gallery_sha256" ]; then
-    echo "error: mutex_gallery stdout moved: sha256 $gallery_got, pinned $gallery_sha256" >&2
-    exit 1
-fi
-echo "mutex gallery smoke: OK (sha256 pinned)"
+examples_run=0
+for example_src in examples/*.rs; do
+    example="$(basename "$example_src" .rs)"
+    if ! cargo run -q --release --offline --example "$example" > "$check_tmp/example.txt"; then
+        echo "error: example $example exited non-zero" >&2
+        exit 1
+    fi
+    examples_run=$((examples_run + 1))
+    if [ "$example" = mutex_gallery ]; then
+        gallery_got="$(sha256sum < "$check_tmp/example.txt" | cut -d' ' -f1)"
+        if [ "$gallery_got" != "$gallery_sha256" ]; then
+            echo "error: mutex_gallery stdout moved: sha256 $gallery_got, pinned $gallery_sha256" >&2
+            exit 1
+        fi
+    fi
+done
+echo "examples smoke: OK ($examples_run examples exit 0; mutex gallery sha256 pinned)"
 
 echo "== performance ledger --check (public API + every verdict and count) =="
 # The ledger is its own package compiled against the engines' public API;

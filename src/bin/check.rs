@@ -152,7 +152,7 @@ fn verdict<S: Clone + std::fmt::Debug, A: Clone + std::fmt::Debug>(
         states: r.states,
         edges: r.edges,
     };
-    (verdict, r.holds && r.truncated)
+    (verdict, r.inconclusive())
 }
 
 fn run_manifest_mode(path: &str, cache_path: Option<&str>, workers: usize) -> Result<(), String> {

@@ -71,6 +71,9 @@ fn dump(target: &str, seed: u64) -> Result<RingTracer, String> {
             let n = 3;
             let failed = (seed % n as u64) as usize;
             let report = quorum::exhibit_flp_lasso_traced(n, failed, 400_000, &mut tracer);
+            if report.inconclusive() {
+                return Err("quorum vote held only within the state cap: inconclusive".to_string());
+            }
             if report.holds {
                 return Err("quorum vote terminated despite a crashed voter?!".to_string());
             }

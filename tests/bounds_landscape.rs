@@ -4,7 +4,7 @@
 use impossible::consensus::commit::run_2pc;
 use impossible::consensus::eig::run_eig;
 use impossible::consensus::floodset::run_floodset;
-use impossible::consensus::round_lb::{refute_one_round, MajorityRule, MinRule};
+use impossible::consensus::round_lb::{refute_one_round, MajorityRule, MinRule, RoundHorn};
 use impossible::core::pigeonhole::bounds;
 use impossible::datalink::abp::run_abp;
 use impossible::datalink::stealing::refute_bounded_header;
@@ -16,6 +16,7 @@ use impossible::msgpass::sessions::run_sessions;
 use impossible::msgpass::topology::Topology;
 use impossible::clocksync::model::{averaging_adjustments, ClockParams};
 use impossible::clocksync::shifting::demonstrate_lower_bound;
+use std::collections::BTreeSet;
 
 #[test]
 fn byzantine_threshold_is_sharp() {
@@ -30,9 +31,18 @@ fn byzantine_threshold_is_sharp() {
 
 #[test]
 fn round_bound_is_sharp() {
-    // 1 round: every natural rule refuted.
-    refute_one_round(&MinRule, 4);
-    refute_one_round(&MajorityRule, 5);
+    // 1 round: every natural rule refuted — some run of its chain, one
+    // crash away from the next, decides two values.
+    for (horn, chain) in [
+        refute_one_round(&MinRule, 4),
+        refute_one_round(&MajorityRule, 5),
+    ] {
+        let RoundHorn::Disagreement(k) = horn else {
+            panic!("{horn:?}")
+        };
+        let decided: BTreeSet<_> = chain.executions()[k].decisions.iter().flatten().collect();
+        assert_eq!(decided.len(), 2);
+    }
     // t + 1 rounds: FloodSet agrees under every single-crash pattern with
     // adversarial prefixes.
     for crash_round in 1..=2usize {
@@ -109,8 +119,12 @@ fn datalink_split_by_channel_power() {
     assert_eq!(delivered, msgs);
     // Withholding channel: every finite header space loses.
     for k in [2u64, 3, 8] {
-        let cert = refute_bounded_header(k);
-        assert!(cert.witness.contains("delivered twice"));
+        let (before, after) = refute_bounded_header(k);
+        assert_eq!(
+            after,
+            [&before[..], &before[..1]].concat(),
+            "message 0 twice"
+        );
     }
 }
 

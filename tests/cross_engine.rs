@@ -5,7 +5,6 @@
 
 use impossible::consensus::eig::Eig;
 use impossible::consensus::flp::{self, Arbiter, FlpSystem};
-use impossible::core::cert::Technique;
 use impossible::core::exec::Admissibility;
 use impossible::core::scenario::{ScenarioRing, ScenarioVerdict};
 use impossible::core::task::Task;
@@ -67,21 +66,59 @@ fn task_criterion_agrees_with_the_operational_engines() {
 }
 
 #[test]
-fn certificates_name_their_techniques() {
-    use impossible::consensus::round_lb::{refute_one_round, MinRule};
+fn refuters_return_the_horn_their_argument_found() {
+    use impossible::consensus::round_lb::{refute_one_round, MinRule, RoundHorn};
     use impossible::consensus::scenario3t::refute_3t;
+    use impossible::core::scenario::Obligation;
+    use impossible::core::symmetry::SymmetryVerdict;
     use impossible::datalink::stealing::refute_bounded_header;
-    use impossible::datalink::two_generals::{refute, Threshold};
+    use impossible::datalink::two_generals::{refute, AttackHorn, Threshold};
     use impossible::election::anonymous::{refute_deterministic, HashChain};
+    use impossible::registers::constructions::inversion_without_reader_writes;
+    use impossible::registers::spec::check_linearizable;
+    use std::collections::BTreeSet;
 
-    assert_eq!(refute_3t(&Eig::new(3, 1), 1).unwrap().technique, Technique::Scenario);
-    assert_eq!(refute_one_round(&MinRule, 4).technique, Technique::Chain);
-    assert_eq!(refute(&Threshold(0), 3).technique, Technique::Chain);
-    assert_eq!(refute_bounded_header(4).technique, Technique::MessageStealing);
-    assert_eq!(
-        refute_deterministic(&HashChain, 5, 100).technique,
-        Technique::Symmetry
-    );
+    // Scenario: copy 1's window of input-1 nodes decides 0.
+    let c = refute_3t(&Eig::new(3, 1), 1).expect("n = 3t contradicts");
+    let Obligation::Validity { window, value: 1 } = &c.obligation else {
+        panic!("{:?}", c.obligation);
+    };
+    assert!(window
+        .iter()
+        .all(|&i| c.nodes[i].input == 1 && c.decisions[i] == Some(0)));
+
+    // Chain (t + 1 rounds): some execution's live processes disagree.
+    let (horn, chain) = refute_one_round(&MinRule, 4);
+    let RoundHorn::Disagreement(k) = horn else {
+        panic!("{horn:?}")
+    };
+    let decided: BTreeSet<_> = chain.executions()[k].decisions.iter().flatten().collect();
+    assert_eq!(decided.len(), 2);
+
+    // Chain (Two Generals): the attack is carried to e_0, which heard nothing.
+    let (horn, chain) = refute(&Threshold(0), 3);
+    let AttackHorn::AttackOnNothing(cert) = horn else {
+        panic!("{horn:?}")
+    };
+    assert_eq!((cert.tail_value, cert.links), (1, 6));
+    assert_eq!(chain.executions()[6].received, [0, 0]);
+
+    // Message stealing: message 0's payload is delivered a second time.
+    let (before, after) = refute_bounded_header(4);
+    assert_eq!(after, [&before[..], &before[..1]].concat());
+
+    // Symmetry: all five claim at once, or none does.
+    let verdict = refute_deterministic(&HashChain, 5, 100);
+    let SymmetryVerdict::SymmetricForever {
+        period: 1, leaders, ..
+    } = verdict
+    else {
+        panic!("{verdict:?}");
+    };
+    assert!(leaders == 0 || leaders == 5);
+
+    // Lamport's inversion: the linearizability checker rejects the history.
+    assert!(check_linearizable(&inversion_without_reader_writes()).is_none());
 }
 
 #[test]
