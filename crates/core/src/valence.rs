@@ -24,10 +24,14 @@
 //! This crate does not build reachable graphs. The one builder is
 //! `impossible-explore`'s (`Search::graph_from`); [`ValenceEngine`] takes
 //! its result as it stands — `order[i]` is configuration `i`, `succ[i]`
-//! its `(action, target index)` edges, in [`Succ`]'s compressed rows — so
+//! its `(label, target index)` edges, in [`Succ`]'s compressed rows — so
 //! the classification fixpoint and the decider hunt run over whatever that
 //! builder produced (capped, depth-bounded, quotiented) without core naming
-//! it. Callers go through `Search::valence` / `Search::find_decider`.
+//! it. Callers go through `Search::valence` / `Search::find_decider`. The
+//! classification reads targets only, so `Search::valence` hands it the
+//! label-free graph (`Search::shape`, 8 B per edge); the decider hunt
+//! filters edges by the process that owns their action, so it takes the
+//! labelled one.
 //!
 //! Nor does it walk the rows by hand: both are queries through
 //! [`crate::succ`]'s graph layer. The fixpoint's worklist re-queues a
@@ -88,7 +92,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub struct Valence(pub BTreeSet<u64>);
 
 /// Full valence classification of a protocol instance's reachable graph.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ValenceReport<S> {
     /// Valence of every reachable configuration.
     pub valence: BTreeMap<S, Valence>,
@@ -135,18 +139,20 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     }
 
     /// Classify the valence of every configuration of a reachable graph:
-    /// `order[i]` is state `i`, `succ[i]` its `(action, target_index)`
-    /// successors, `order[..initials]` the initial configurations as the
-    /// builder interned them (canonised, under a canon hook), and
+    /// `order[i]` is state `i`, `succ[i]` its `(label, target_index)`
+    /// successors (labels are never read: a label-free `Succ<()>` serves
+    /// as well as a labelled one), `order[..initials]` the initial
+    /// configurations as the builder interned them (canonised, under a
+    /// canon hook), and
     /// `truncated` whether the builder hit a bound (classification then
     /// incomplete). The graph must be closed under `succ` (every target
     /// index < `order.len()`). Records `scope: "valence"` events into
     /// `tracer`: graph size, fixpoint effort, the valence of each initial
     /// configuration, and the classification tallies.
-    pub fn analyze_from_graph(
+    pub fn analyze_from_graph<L>(
         &self,
         order: &[Sys::State],
-        succ: &Succ<Sys::Action>,
+        succ: &Succ<L>,
         initials: usize,
         truncated: bool,
         tracer: &mut dyn Tracer,
@@ -226,10 +232,10 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     /// `val(s) = own(s) ∪ ⋃ val(succ(s))` per graph index, where `own` is
     /// what is already decided in `s`, by reverse worklist (its effort goes
     /// to `tracer` as one `fixpoint` event). Returns `(own, val)`.
-    fn fixpoint(
+    fn fixpoint<L>(
         &self,
         order: &[Sys::State],
-        succ: &Succ<Sys::Action>,
+        succ: &Succ<L>,
         tracer: &mut dyn Tracer,
     ) -> (Vec<BTreeSet<u64>>, Vec<BTreeSet<u64>>) {
         let own: Vec<BTreeSet<u64>> = order

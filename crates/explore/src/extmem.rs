@@ -49,6 +49,13 @@
 //! wholesale per flush, a crash mid-write only aborts the search, and each
 //! search must be given its own [`SpillPolicy`] directory. See
 //! `docs/EXTMEM.md` for the full determinism argument and page layout.
+//!
+//! **Failure.** Every file step here — creating the directory, writing and
+//! reading a run or frontier page, decoding one — returns a `SpillError`
+//! naming the step, the file and the cause. The level loop's backend hooks
+//! cannot return one, and neither can the public entry points (their
+//! signatures are the resident route's), so the error ends the search in
+//! one place, `spill_step`, as a panic carrying its text.
 
 use crate::fingerprint::Encode;
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
@@ -61,7 +68,8 @@ use crate::table::{key_of, shard_index, Cap, ShardedFpMap};
 use impossible_core::system::System;
 use impossible_obs::{NoopTracer, Tracer};
 use std::borrow::Cow;
-use std::path::PathBuf;
+use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// Where and when the external-memory engine spills.
 ///
@@ -134,17 +142,51 @@ struct Spill {
     paged: Option<Vec<usize>>,
 }
 
+/// A spill file step that failed: which step, on which file, and why (an
+/// `io::Error`, or the `PersistError` of a page that does not decode).
+#[derive(Debug)]
+struct SpillError {
+    step: &'static str,
+    path: PathBuf,
+    cause: Box<dyn std::error::Error>,
+}
+
+impl fmt::Display for SpillError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}: {}", self.step, self.path.display(), self.cause)
+    }
+}
+
+/// Tag a file step's result with the step and the file.
+fn at<T, E: std::error::Error + 'static>(
+    step: &'static str,
+    path: &Path,
+    r: Result<T, E>,
+) -> Result<T, SpillError> {
+    r.map_err(|e| SpillError {
+        step,
+        path: path.to_path_buf(),
+        cause: Box::new(e),
+    })
+}
+
+/// The value of a spill step, or the end of the search: the one panic of
+/// the spill route, documented on [`Search::explore_extmem`] and
+/// [`Search::search_extmem`].
+fn spill_step<T>(r: Result<T, SpillError>) -> T {
+    r.unwrap_or_else(|e| panic!("external-memory search failed: {e}"))
+}
+
 impl Spill {
-    fn new(policy: &SpillPolicy) -> Self {
-        std::fs::create_dir_all(policy.dir())
-            .unwrap_or_else(|e| panic!("spill dir {}: {e}", policy.dir().display()));
-        Spill {
+    fn new(policy: &SpillPolicy) -> Result<Self, SpillError> {
+        at("create spill dir", policy.dir(), std::fs::create_dir_all(policy.dir()))?;
+        Ok(Spill {
             policy: policy.clone(),
             flushes: 0,
             runs: (0..DEFAULT_PARTITIONS).map(|_| Vec::new()).collect(),
             spilled: 0,
             paged: None,
-        }
+        })
     }
 
     /// Page every non-empty visited shard out as one run file, emptying it
@@ -152,7 +194,10 @@ impl Spill {
     /// The commit step asks the run files before the table, so spilled keys
     /// are never re-inserted and each key lands in exactly one run across
     /// the whole search.
-    fn flush_visited<A: Persist>(&mut self, visited: &mut ShardedFpMap<Link<A>>) {
+    fn flush_visited<A: Persist>(
+        &mut self,
+        visited: &mut ShardedFpMap<Link<A>>,
+    ) -> Result<(), SpillError> {
         let r = self.flushes;
         for (k, shard) in visited.shards_mut().iter_mut().enumerate() {
             if shard.is_empty() {
@@ -161,38 +206,36 @@ impl Spill {
             let entries = shard.take_ordered_as(Parent::from);
             let page = encode_run_page(&entries);
             let path = self.policy.dir().join(format!("shard{k:03}.run{r:03}"));
-            std::fs::write(&path, page)
-                .unwrap_or_else(|e| panic!("spill write {}: {e}", path.display()));
+            at("write run", &path, std::fs::write(&path, page))?;
             self.runs[k].push(path);
             self.spilled += entries.len();
         }
         self.flushes += 1;
         visited.refresh_len();
+        Ok(())
     }
 
     /// Page the next frontier out, one file per non-empty partition
     /// (overwritten each level), keeping only the lengths resident.
-    fn store_frontier<S: Persist>(&mut self, parts: &[Vec<(u64, S)>]) {
+    fn store_frontier<S: Persist>(&mut self, parts: &[Vec<(u64, S)>]) -> Result<(), SpillError> {
         for (k, part) in parts.iter().enumerate() {
             if part.is_empty() {
                 continue;
             }
             let path = self.frontier_path(k);
-            std::fs::write(&path, encode_frontier_page(part))
-                .unwrap_or_else(|e| panic!("frontier write {}: {e}", path.display()));
+            at("write frontier", &path, std::fs::write(&path, encode_frontier_page(part)))?;
         }
         self.paged = Some(parts.iter().map(Vec::len).collect());
+        Ok(())
     }
 
     /// Stream one non-empty paged frontier partition back, in its exact
     /// stored (traversal) order. `Persist` round trips are identities, so
     /// the decoded partition is the one the previous level produced.
-    fn load_partition<S: Persist>(&self, k: usize) -> Vec<(u64, S)> {
+    fn load_partition<S: Persist>(&self, k: usize) -> Result<Vec<(u64, S)>, SpillError> {
         let path = self.frontier_path(k);
-        let buf = std::fs::read(&path)
-            .unwrap_or_else(|e| panic!("frontier read {}: {e}", path.display()));
-        decode_frontier_page(&buf)
-            .unwrap_or_else(|e| panic!("frontier page {}: {e}", path.display()))
+        let buf = at("read frontier", &path, std::fs::read(&path))?;
+        at("decode frontier", &path, decode_frontier_page(&buf))
     }
 
     fn frontier_path(&self, k: usize) -> PathBuf {
@@ -202,9 +245,9 @@ impl Spill {
     /// The stored keys among `keys` (a level's children bound for shard `k`,
     /// any order, repeats included) that the shard's run files already
     /// hold, sorted. Nothing to read before the shard's first flush.
-    fn on_disk(&self, k: usize, mut keys: Vec<u64>) -> Vec<u64> {
+    fn on_disk(&self, k: usize, mut keys: Vec<u64>) -> Result<Vec<u64>, SpillError> {
         if self.runs[k].is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         keys.sort_unstable();
         keys.dedup();
@@ -215,17 +258,15 @@ impl Spill {
     /// a sorted-merge against each run page's key block — values never
     /// decoded, file bytes staged through one buffer reused across the
     /// shard's runs. Returns the matches, sorted.
-    fn disk_membership(&self, k: usize, keys: &[u64]) -> Vec<u64> {
+    fn disk_membership(&self, k: usize, keys: &[u64]) -> Result<Vec<u64>, SpillError> {
         use std::io::Read;
         let mut buf = Vec::new();
         let mut old = Vec::new();
         for path in &self.runs[k] {
             buf.clear();
-            std::fs::File::open(path)
-                .and_then(|mut f| f.read_to_end(&mut buf))
-                .unwrap_or_else(|e| panic!("run read {}: {e}", path.display()));
-            let run_keys = run_page_keys(&buf)
-                .unwrap_or_else(|e| panic!("run page {}: {e}", path.display()));
+            let read = std::fs::File::open(path).and_then(|mut f| f.read_to_end(&mut buf));
+            at("read run", path, read)?;
+            let run_keys = at("decode run", path, run_page_keys(&buf))?;
             let (mut i, mut j) = (0usize, 0usize);
             while i < keys.len() && j < run_keys.len() {
                 match keys[i].cmp(&run_keys[j]) {
@@ -241,7 +282,21 @@ impl Spill {
         }
         // Runs are key-disjoint, but their key ranges interleave.
         old.sort_unstable();
-        old
+        Ok(old)
+    }
+
+    /// The parent link of `fp` if a run file of its shard holds it,
+    /// decoding the shard's run pages until the key surfaces.
+    fn find_spilled<A: Persist>(&self, fp: u64) -> Result<Option<Parent<A>>, SpillError> {
+        let key = key_of(fp);
+        for path in &self.runs[shard_index(fp, self.runs.len())] {
+            let buf = at("read run", path, std::fs::read(path))?;
+            let entries = at("decode run", path, decode_run_page::<Parent<A>>(&buf))?;
+            if let Ok(i) = entries.binary_search_by_key(&key, |&(k, _)| k) {
+                return Ok(Some(entries.into_iter().nth(i).expect("index in range").1));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -273,7 +328,7 @@ where
         k: usize,
     ) -> Cow<'p, [(u64, Sys::State)]> {
         match &self.paged {
-            Some(lens) if lens[k] > 0 => Cow::Owned(self.load_partition(k)),
+            Some(lens) if lens[k] > 0 => Cow::Owned(spill_step(self.load_partition(k))),
             _ => Cow::Borrowed(&parts[k]),
         }
     }
@@ -329,8 +384,9 @@ where
         for &(fp, ..) in children.iter().flatten() {
             keys[shard_index(fp, shard_n)].push(key_of(fp));
         }
-        let old: Vec<Vec<u64>> =
-            keys.into_iter().enumerate().map(|(k, keys)| self.on_disk(k, keys)).collect();
+        let old: Vec<Vec<u64>> = spill_step(
+            keys.into_iter().enumerate().map(|(k, keys)| self.on_disk(k, keys)).collect(),
+        );
         let on_disk = |fp| old[shard_index(fp, shard_n)].binary_search(&key_of(fp)).is_ok();
         let cap = Cap::At(search.bounds().0 - self.spilled);
         for mut part in children {
@@ -356,10 +412,10 @@ where
         let bytes = run.visited.approx_bytes() + next_len * Search::<Sys>::frontier_item_bytes();
         run.stats.peak_bytes = run.stats.peak_bytes.max(bytes);
         if run.visited.len() >= self.policy.ram_keys {
-            self.flush_visited(&mut run.visited);
+            spill_step(self.flush_visited(&mut run.visited));
         }
         if self.policy.spill_frontier && run.found.is_none() {
-            self.store_frontier(&next);
+            spill_step(self.store_frontier(&next));
             run.parts = next.iter().map(|_| Vec::new()).collect();
         } else {
             run.parts = next;
@@ -367,20 +423,9 @@ where
         }
     }
 
-    /// Cold path: decode the owning shard's run pages until the key
-    /// surfaces.
+    /// Cold path: the owning shard's run files.
     fn spilled_parent(&self, fp: u64) -> Option<Parent<Sys::Action>> {
-        let key = key_of(fp);
-        for path in &self.runs[shard_index(fp, self.runs.len())] {
-            let buf = std::fs::read(path)
-                .unwrap_or_else(|e| panic!("run read {}: {e}", path.display()));
-            let entries = decode_run_page::<Parent<Sys::Action>>(&buf)
-                .unwrap_or_else(|e| panic!("run page {}: {e}", path.display()));
-            if let Ok(i) = entries.binary_search_by_key(&key, |&(k, _)| k) {
-                return Some(entries.into_iter().nth(i).expect("index in range").1);
-            }
-        }
-        None
+        spill_step(self.find_spilled(fp))
     }
 }
 
@@ -392,15 +437,24 @@ where
     /// [`Search::explore`], external-memory mode: identical report bytes
     /// (modulo [`crate::SearchStats::peak_bytes`], which is the point), bounded
     /// resident memory per `policy`.
+    ///
+    /// # Panics
+    /// If a spill file step fails — the directory cannot be created, a run
+    /// or frontier page cannot be written or read back, or one read back
+    /// does not decode — with `external-memory search failed: ` and the
+    /// step, the file and the cause.
     pub fn explore_extmem(&self, policy: &SpillPolicy) -> SearchReport<Sys::State, Sys::Action> {
         with_tracer(&self.tracer, &mut NoopTracer, |t| {
-            self.run_on(Spill::new(policy), None::<fn(&Sys::State) -> bool>, t)
+            self.run_on(spill_step(Spill::new(policy)), None::<fn(&Sys::State) -> bool>, t)
         })
     }
 
     /// [`Search::search`], external-memory mode: BFS until `pred` matches;
     /// the witness replays through parent links even when they live in run
     /// files.
+    ///
+    /// # Panics
+    /// As [`Search::explore_extmem`], if a spill file step fails.
     pub fn search_extmem<F>(
         &self,
         pred: F,
@@ -410,7 +464,7 @@ where
         F: Fn(&Sys::State) -> bool,
     {
         with_tracer(&self.tracer, &mut NoopTracer, |t| {
-            self.run_on(Spill::new(policy), Some(pred), t)
+            self.run_on(spill_step(Spill::new(policy)), Some(pred), t)
         })
     }
 }

@@ -27,13 +27,14 @@
 //!
 //! **One builder, one seam.** [`Search::graph_from`] is the loop; what it
 //! leaves to its caller is the successor *source*, a closure that stages a
-//! state's `(action, child)` batch in action order. [`Search::graph`] and
-//! [`Search::graph_filtered`] source it from `Search::stage_successors`
-//! (`enabled → step_into(spare) | step → canon`, the step every search
-//! route shares); `ckpt::incr` sources it from an older graph's successor
-//! lists wherever the model edit left a state clean. Roots are canonised by
-//! the loop; children are interned exactly as the closure hands them over,
-//! so in `graph_from` the canon hook is the closure's business. The closure
+//! state's `(label, child)` batch in action order. [`Search::graph`],
+//! [`Search::graph_filtered`] and [`Search::shape`] source it from
+//! `Search::stage_successors` (`enabled → step_into(spare) | step →
+//! canon`, the step every search route shares); `ckpt::incr` sources it
+//! from an older graph's successor lists wherever the model edit left a
+//! state clean. Roots are canonised by the loop; children are interned
+//! exactly as the closure hands them over, so in `graph_from` the canon
+//! hook is the closure's business. The closure
 //! also receives the loop's *spare pool* — the children that turned out to
 //! be interned already, at most one block's batch of them, kept instead of
 //! dropped so that `stage_successors` can build the next children in their
@@ -97,10 +98,25 @@
 //! are expanded in index order, so rows complete in index order and the
 //! builder writes them in place — push a state's edges, close its row, and
 //! after the loop (exhausted, depth cut or cap) pad the states that were
-//! never expanded with empty rows. Edge *targets* stay `usize`: the
-//! performance ledger (`ledger/src/replay.rs`, outside the workspace)
-//! indexes its own per-state arrays with them, so narrowing them to `u32`
-//! waits for the PR that may edit the ledger (ROADMAP item 1).
+//! never expanded with empty rows.
+//!
+//! **Labels only where they are read.** The edge label is `graph_from`'s
+//! type parameter: an edge is `(label, target)`. [`Search::graph`] and
+//! [`Search::graph_filtered`] label it with its action, for the consumers
+//! that read one: the property layer (`Checker`: action predicates and
+//! fairness classes), `find_lockout` (which process stepped),
+//! [`Search::find_decider`] (solo runs follow one process's actions) and
+//! `ckpt::incr` (it re-stages an old row's actions). [`Search::shape`]
+//! labels it `()`, for those that read targets only: the valence
+//! classification ([`Search::valence`]), the mutex deadlock check and
+//! [`Search::reachable_states`]. An edge costs `size_of::<(L, usize)>()`:
+//! 16 B labelled on the mutex models (an 8-byte `MutexAction`), 8 B
+//! label-free — on `Dijkstra(4)`'s 1 340 092 edges, 21.4 MB against
+//! 10.7 MB. `graph()` keeps its `(action, usize)` rows and `usize` targets
+//! because the performance ledger (`ledger/src/replay.rs`, outside the
+//! workspace) reads `&g.succ[i]` as a slice of `(A, usize)` and indexes
+//! its own per-state arrays with the targets; narrowing them to `u32`
+//! waits for the PR that may edit the ledger (ROADMAP item 1(e)).
 //!
 //! The graph *queries* are not here: a consumer runs them on the rows,
 //! `g.succ.can_reach(..)`, `g.succ.bfs_tree()`, `g.succ.sccs(..)`,
@@ -120,7 +136,8 @@ use impossible_obs::NoopTracer;
 pub(crate) const BLOCK: usize = 16;
 
 /// A reachable configuration graph: `order[i]` is state `i`, `succ[i]` its
-/// `(action, target_index)` edges in action order.
+/// `(label, target_index)` edges in action order — the label an action
+/// ([`Search::graph`]) or `()` ([`Search::shape`]).
 #[derive(Debug, Clone)]
 pub struct ReachableGraph<S, A> {
     /// States in discovery (BFS) order; initial states first.
@@ -164,9 +181,25 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self.graph_filtered(|_| true)
     }
 
+    /// The reachable graph without its action labels: [`Search::graph`]'s
+    /// states, initials, truncation and row targets, node for node and edge
+    /// for edge (the same source, loop, cuts, FIFO numbering and canon),
+    /// with every edge `((), target)` — 8 bytes, where a labelled edge is
+    /// `(action, target)`. For the consumers that read targets only:
+    /// [`Search::reachable_states`], [`Search::valence`] and the mutex
+    /// deadlock check.
+    pub fn shape(&self) -> ReachableGraph<Sys::State, ()> {
+        let mut acts = Vec::new();
+        self.graph_from(|s, out, spares| {
+            self.stage_successors(s, |_| true, &mut 0, spares, &mut acts, |tc, _| {
+                out.push(((), tc))
+            });
+        })
+    }
+
     /// All distinct reachable states (within `max_states`), sorted.
     pub fn reachable_states(&self) -> Vec<Sys::State> {
-        let mut order = self.graph().order;
+        let mut order = self.shape().order;
         order.sort();
         order
     }
@@ -185,11 +218,12 @@ impl<'a, Sys: System> Search<'a, Sys> {
     }
 
     /// The builder itself, over any successor source: `successors(s, out,
-    /// spares)` pushes the `(action, child)` pairs of `s` onto `out` in
-    /// action order (`out` arrives empty). `spares` holds dead states — the
-    /// children of earlier blocks that were already interned, never more
-    /// than one block's batch of them — whose storage the source may take
-    /// over for the children it builds, or leave alone. The source is called
+    /// spares)` pushes the `(label, child)` pairs of `s` onto `out` in
+    /// action order (`out` arrives empty); the label, an action or `()`,
+    /// is the edge's. `spares` holds dead states — the children of earlier
+    /// blocks that were already interned, never more than one block's
+    /// batch of them — whose storage the source may take over for the
+    /// children it builds, or leave alone. The source is called
     /// on the states of a block (up to `BLOCK` = 16 FIFO states of one BFS
     /// level) before any of their children is interned. Initial states
     /// come from the system and are canonised here; children are interned
@@ -197,9 +231,9 @@ impl<'a, Sys: System> Search<'a, Sys> {
     /// itself, as [`Search::graph_filtered`]'s does. Everything else —
     /// FIFO discovery order, `max_states` / `max_depth` / index-width
     /// truncation — is this loop's, whatever the source.
-    pub fn graph_from<F>(&self, mut successors: F) -> ReachableGraph<Sys::State, Sys::Action>
+    pub fn graph_from<L, F>(&self, mut successors: F) -> ReachableGraph<Sys::State, L>
     where
-        F: FnMut(&Sys::State, &mut Vec<(Sys::Action, Sys::State)>, &mut Vec<Sys::State>),
+        F: FnMut(&Sys::State, &mut Vec<(L, Sys::State)>, &mut Vec<Sys::State>),
     {
         let sys = self.sys();
         let (max_states, max_depth) = self.bounds();
@@ -208,7 +242,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
         // Rows are written in place: the loop below expands states in index
         // order, so row `i` is pushed and closed while `i` is the cursor,
         // and the states it never reaches are padded after it.
-        let mut succ: Succ<Sys::Action> = Succ::new();
+        let mut succ: Succ<L> = Succ::new();
         // Key → node index, one 8-byte word per entry; a key only proposes
         // a node, `order[j] == state` decides.
         let mut index = InternIndex::new(DEFAULT_PARTITIONS);
@@ -236,7 +270,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
         // as it is staged; the block's home index words are read in one
         // pass, and only then are the children interned and the rows
         // closed, in state order and action order.
-        let mut children: Vec<(Sys::Action, Sys::State)> = Vec::new();
+        let mut children: Vec<(L, Sys::State)> = Vec::new();
         let mut child_keys: Vec<u64> = Vec::new();
         // One state's batch, as the source hands it over (empty on arrival).
         let mut out = Vec::new();
@@ -285,7 +319,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
             let batch_len = children.len();
             let mut staged = children.drain(..).zip(child_keys.drain(..));
             for &len in &row_lens {
-                for ((a, tc), key) in staged.by_ref().take(len) {
+                for ((label, tc), key) in staged.by_ref().take(len) {
                     let ti = match index.find(key, |j| order[j] == tc) {
                         Ok(j) => {
                             if spares.len() < batch_len {
@@ -307,7 +341,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
                             j
                         }
                     };
-                    succ.push(a, ti);
+                    succ.push(label, ti);
                 }
                 if !succ.close_row() {
                     // More edges than a `u32` row offset can address: this
@@ -334,12 +368,12 @@ impl<'a, Sys: System> Search<'a, Sys> {
 }
 
 impl<'a, Sys: DecisionSystem> Search<'a, Sys> {
-    /// Valence-classify the reachable space (Figures 2–3): build the graph
-    /// here, run the classification fixpoint through
-    /// [`ValenceEngine::analyze_from_graph`], tracing into the tracer
-    /// [`Search::tracer`] set (scope `"valence"`).
+    /// Valence-classify the reachable space (Figures 2–3): build the
+    /// label-free graph ([`Search::shape`]) here, run the classification
+    /// fixpoint through [`ValenceEngine::analyze_from_graph`], tracing into
+    /// the tracer [`Search::tracer`] set (scope `"valence"`).
     pub fn valence(&self) -> ValenceReport<Sys::State> {
-        let g = self.graph();
+        let g = self.shape();
         with_tracer(&self.tracer, &mut NoopTracer, |t| {
             let engine = ValenceEngine::new(self.sys());
             engine.analyze_from_graph(&g.order, &g.succ, g.initials, g.truncated(), t)

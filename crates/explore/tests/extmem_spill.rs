@@ -333,6 +333,75 @@ fn children_already_on_disk_are_dedup_hits_on_both_arms() {
     }
 }
 
+/// `Grid`, except that expanding a state whose counters sum to 1 first
+/// cuts every run file in `dir` to half its length: the torn page a crash
+/// or a full disk leaves behind. A `ram_keys(0)` search has flushed the
+/// roots' level by then and reads that level's runs next.
+struct Tearing {
+    grid: Grid,
+    dir: PathBuf,
+}
+
+impl impossible_core::system::System for Tearing {
+    type State = Vec<u8>;
+    type Action = usize;
+
+    fn initial_states(&self) -> Vec<Vec<u8>> {
+        self.grid.initial_states()
+    }
+
+    fn enabled(&self, s: &Vec<u8>) -> Vec<usize> {
+        if s.iter().sum::<u8>() == 1 {
+            for name in run_files(&self.dir, 0) {
+                let path = self.dir.join(name);
+                let bytes = std::fs::read(&path).unwrap();
+                std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+            }
+        }
+        self.grid.enabled(s)
+    }
+
+    fn step(&self, s: &Vec<u8>, a: &usize) -> Vec<u8> {
+        self.grid.step(s, a)
+    }
+}
+
+/// The text a spill search panicked with.
+fn spill_failure(search: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(search))
+        .expect_err("the spill search must fail");
+    payload.downcast::<String>().map(|s| *s).expect("a formatted panic message")
+}
+
+#[test]
+fn spill_file_failures_end_the_search_with_one_message() {
+    // A directory that cannot be created (its parent is a file) and a run
+    // file torn mid-search both surface as the spill route's one panic,
+    // naming the step and the file.
+    let parent = tmp("spill-parent-is-a-file");
+    std::fs::write(&parent, b"").unwrap();
+    let dir = parent.join("spill");
+    let policy = SpillPolicy::new(&dir);
+    let msg = spill_failure(|| {
+        Search::new(&Grid { n: 2, max: 2 }).explore_extmem(&policy);
+    });
+    let want = format!("external-memory search failed: create spill dir {}: ", dir.display());
+    assert!(msg.starts_with(&want), "{msg}");
+
+    let dir = tmp("spill-torn-run");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sys = Tearing {
+        grid: Grid { n: 3, max: 3 },
+        dir: dir.clone(),
+    };
+    let policy = SpillPolicy::new(&dir).ram_keys(0);
+    let msg = spill_failure(|| {
+        Search::new(&sys).explore_extmem(&policy);
+    });
+    let want = format!("external-memory search failed: decode run {}", dir.display());
+    assert!(msg.starts_with(&want) && msg.contains(".run000: malformed encoding"), "{msg}");
+}
+
 #[test]
 fn page_codec_decode_then_encode_is_identity() {
     // The round trip the other way: any bytes the encoder produced decode

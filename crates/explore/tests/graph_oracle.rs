@@ -14,10 +14,13 @@
 //! copied out as nested lists first, so the comparison is row by row), and
 //! once more on a planted shape — a terminal state between expanded ones,
 //! cut by the cap. The same tables then check that `reexplore_incremental`
-//! equals a full rebuild of an action-dropping edit.
+//! equals a full rebuild of an action-dropping edit, and that the
+//! label-free `Search::shape` is `Search::graph` with its labels erased.
 
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
-use impossible_core::system::System;
+use impossible_core::ids::ProcessId;
+use impossible_core::system::{DecisionSystem, System};
+use impossible_core::valence::ValenceEngine;
 use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
 use impossible_explore::{impl_encode_struct, ReachableGraph, Search, Truncation};
 use impossible_obs::NoopTracer;
@@ -84,6 +87,18 @@ impl System for Table {
 
     fn step(&self, s: &Node, a: &u8) -> Node {
         self.node(self.rows[s.at as usize][*a as usize])
+    }
+}
+
+/// Every third row decides a bit, so a table has univalent, bivalent and
+/// undecided configurations.
+impl DecisionSystem for Table {
+    fn decisions(&self, s: &Node) -> Vec<(ProcessId, u64)> {
+        if s.at.is_multiple_of(3) {
+            vec![(ProcessId(0), u64::from(s.at / 3 % 2))]
+        } else {
+            Vec::new()
+        }
     }
 }
 
@@ -267,6 +282,53 @@ det_prop! {
                     .map_or(want.0.len(), |cut| cut + 1);
                 det_assert_eq!(&calls[..], &want.0[..expanded]);
                 det_assert_eq!(parts(g), want);
+            }
+        }
+    }
+
+    /// `shape()` is `graph()` with the action labels erased: the same
+    /// states, initials, truncation and row targets in row order, under
+    /// duplicate initials, self-loops, a canon hook and both cuts. The
+    /// valence classification reads targets only, so it cannot tell the
+    /// two graphs apart. A `shape()` whose source skipped the canon hook
+    /// fails here.
+    fn the_label_free_graph_is_the_labelled_one_without_labels(
+        cases = 1024,
+        raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
+        copies in 1usize..=3,
+        inits in prop::vec(0u8..24, 1..4),
+        cap in 1usize..=24,
+        max_depth in 0usize..=3,
+        quotient in 0u8..2
+    ) {
+        let sys = Table::new(&raw, copies, &inits);
+        for max_states in [usize::MAX, cap] {
+            for max_depth in [usize::MAX, max_depth] {
+                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
+                if quotient == 1 {
+                    search = search.canon(orbit_minimum);
+                }
+                let (labelled, shape) = (search.graph(), search.shape());
+                let engine = ValenceEngine::new(&sys);
+                let by_labels = engine.analyze_from_graph(
+                    &labelled.order,
+                    &labelled.succ,
+                    labelled.initials,
+                    labelled.truncated(),
+                    &mut NoopTracer,
+                );
+                let by_shape = engine.analyze_from_graph(
+                    &shape.order,
+                    &shape.succ,
+                    shape.initials,
+                    shape.truncated(),
+                    &mut NoopTracer,
+                );
+                det_assert_eq!(&by_shape, &by_labels);
+                det_assert_eq!(search.valence(), by_shape);
+                let (order, rows, initials, truncated_by) = parts(labelled);
+                let erased = rows.iter().map(|row| row.iter().map(|&(_, t)| ((), t)).collect());
+                det_assert_eq!(parts(shape), (order, erased.collect(), initials, truncated_by));
             }
         }
     }

@@ -70,7 +70,8 @@ pub fn find_deadlock<A: MutexAlgorithm>(
     sys: &MutexSystem<'_, A>,
     max_states: usize,
 ) -> Option<MutexState<A::Local>> {
-    let g = Search::new(sys).max_states(max_states).graph();
+    // Targets only: the check never reads an action label.
+    let g = Search::new(sys).max_states(max_states).shape();
     let some_process_in =
         |s: &MutexState<A::Local>, region: Region| sys.processes_in(s, region).next().is_some();
 
