@@ -25,8 +25,9 @@
 //! * [`Succ::can_reach`] — backward closure inside an allowed set
 //!   (deadlock, `leads_to` pivots);
 //! * [`Succ::bfs_tree`] — a reusable FIFO BFS tree with an edge filter and
-//!   a stop-at-dequeue visitor, and [`BfsTree::path`] back to a start
-//!   (safety witnesses, lasso stems, the decider's solo runs);
+//!   a stop-at-dequeue visitor, and [`BfsTree::path`] back to a start, as
+//!   nodes and edge indices (safety witnesses, lasso stems, the decider's
+//!   solo runs);
 //! * [`Succ::sccs`] — iterative Tarjan over a kept subgraph (liveness);
 //! * [`Succ::covering_cycle`] — the shortest cycle through a head covering
 //!   a set of action classes (fair lassos, mutex lockout).
@@ -404,7 +405,7 @@ pub struct BfsTree<'s, A> {
     reached: Vec<u32>,
 }
 
-impl<'s, A: Clone> BfsTree<'s, A> {
+impl<'s, A> BfsTree<'s, A> {
     /// Search breadth-first from `starts` (in order; a repeat is ignored),
     /// dequeuing FIFO and following, in row order, the edges `(action,
     /// target)` that `edge` admits into nodes not reached yet — the first
@@ -445,22 +446,24 @@ impl<'s, A: Clone> BfsTree<'s, A> {
     }
 
     /// The tree path from a start to `v`, a node the last search reached:
-    /// its nodes, start first, and the action on each of its edges.
+    /// its nodes, start first, and for each of its edges the edge's index
+    /// in its source's row — edge `k` is `succ[nodes[k]][edges[k]]`, so a
+    /// caller reads the stored label there or derives it elsewhere.
     ///
     /// # Panics
     /// If the last search did not reach `v`.
-    pub fn path(&self, mut v: usize) -> (Vec<usize>, Vec<A>) {
+    pub fn path(&self, mut v: usize) -> (Vec<usize>, Vec<usize>) {
         assert_ne!(self.link[v], UNREACHED, "node {v} is not in the BFS tree");
-        let (mut nodes, mut actions) = (vec![v], Vec::new());
+        let (mut nodes, mut edges) = (vec![v], Vec::new());
         while self.link[v] != START {
             let (src, ei) = self.link[v];
             v = src as usize;
-            actions.push(self.succ[v][ei as usize].0.clone());
+            edges.push(ei as usize);
             nodes.push(v);
         }
         nodes.reverse();
-        actions.reverse();
-        (nodes, actions)
+        edges.reverse();
+        (nodes, edges)
     }
 }
 
@@ -837,15 +840,15 @@ mod tests {
             let stop = tree.search(starts.iter().copied(), |a, t| admit(*a, t), |v| goal[v]);
             det_assert_eq!(stop, fifo.iter().copied().find(|&v| goal[v]));
             let check_path = |tree: &BfsTree<'_, u8>, v: usize| -> Result<(), String> {
-                let (nodes, acts) = tree.path(v);
+                let (nodes, eis) = tree.path(v);
                 det_assert!(starts.contains(&nodes[0]));
                 det_assert_eq!(nodes.last(), Some(&v));
-                det_assert_eq!(Some(acts.len()), dist[v]);
+                det_assert_eq!(Some(eis.len()), dist[v]);
                 for (k, step) in nodes.windows(2).enumerate() {
                     let (u, w) = (step[0], step[1]);
                     let edge_into_w = |&(a, t): &(u8, usize)| t == w && admit(a, t);
                     det_assert_eq!(fifo.iter().find(|&&x| rows[x].iter().any(edge_into_w)), Some(&u));
-                    det_assert_eq!(rows[u].iter().find(|e| edge_into_w(e)).map(|e| e.0), Some(acts[k]));
+                    det_assert_eq!(rows[u].iter().position(edge_into_w), Some(eis[k]));
                 }
                 Ok(())
             };

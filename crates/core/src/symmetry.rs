@@ -200,9 +200,12 @@ pub fn canonical_rotation<T: Ord + Clone>(xs: &[T]) -> Vec<T> {
 ///
 /// The word is packed MSB-first into a `u64`, where numeric order is
 /// lexicographic order, so the least rotation is the minimum of the `n`
-/// masked word rotations: a fixed loop of shifts and `min`s with no branch
-/// on the data, unpacked into one `vec![0; n]`. Where this pays is stated
-/// in `docs/EXPLORE.md`, "What a hook costs".
+/// masked word rotations. Nothing in it is a serial chain: eight beads
+/// are packed per byte-gathering multiply, each rotation is computed from
+/// the word itself (not from the previous rotation) and folded into one of
+/// two `min` accumulators, and the result is unpacked eight beads per
+/// byte-spreading multiply into one `vec![0; n]` — no branch on the data.
+/// Where this pays is stated in `docs/EXPLORE.md`, "What a hook costs".
 ///
 /// ```
 /// use impossible_core::symmetry::canonical_binary_rotation;
@@ -212,29 +215,56 @@ pub fn canonical_rotation<T: Ord + Clone>(xs: &[T]) -> Vec<T> {
 /// assert_eq!(canonical_binary_rotation(&[]), None);
 /// ```
 pub fn canonical_binary_rotation(xs: &[u8]) -> Option<Vec<u8>> {
+    /// One set bit per byte: the `0/1` bead each byte of a chunk holds.
+    const BEADS: u64 = 0x0101_0101_0101_0101;
+    /// `Σ 2^(9i)`, `i < 8`. Times a chunk of beads (bead `i` at bit `8i`),
+    /// it moves bead `i` to bit `63 − i` and nothing else to bits 56–63;
+    /// times a byte (bead `i` at bit `7 − i`), it moves bead `i` to bit
+    /// `8i + 7`. No two partial products share a bit, so nothing carries.
+    const SPREAD: u64 = 0x8040_2010_0804_0201;
     let n = xs.len();
     if n == 0 || n > 64 {
         return None;
     }
-    let (mut word, mut seen) = (0u64, 0u8);
-    for &x in xs {
-        word = word << 1 | u64::from(x & 1);
-        seen |= x;
+    let (mut word, mut above_one) = (0u64, 0u64);
+    let mut chunks = xs.chunks_exact(8);
+    for chunk in &mut chunks {
+        let beads = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
+        above_one |= beads & !BEADS;
+        word = word << 8 | beads.wrapping_mul(SPREAD) >> 56;
     }
-    if seen > 1 {
+    for &x in chunks.remainder() {
+        above_one |= u64::from(x & !1);
+        word = word << 1 | u64::from(x & 1);
+    }
+    if above_one != 0 {
         return None;
     }
-    // The low `n` bits; `n = 64` keeps all of them.
+    // The low `n` bits; `n = 64` keeps all of them. Rotation `r` moves `r`
+    // beads from the front to the back: `xs.rotate_left(r)`.
     let mask = u64::MAX >> (64 - n);
-    let (mut best, mut rot) = (word, word);
-    for _ in 1..n {
-        // One bead from the front to the back: `xs.rotate_left(1)`.
-        rot = (rot << 1 | rot >> (n - 1)) & mask;
-        best = best.min(rot);
+    let rotation = |r: usize| (word << r | word >> (n - r)) & mask;
+    let (mut even, mut odd) = (word, word);
+    let mut r = 1;
+    while r + 1 < n {
+        odd = odd.min(rotation(r));
+        even = even.min(rotation(r + 1));
+        r += 2;
     }
+    if r < n {
+        odd = odd.min(rotation(r));
+    }
+    let best = even.min(odd);
     let mut out = vec![0u8; n];
-    for (i, bead) in out.iter_mut().enumerate() {
-        *bead = (best >> (n - 1 - i)) as u8 & 1;
+    let mut chunks = out.chunks_exact_mut(8);
+    for (c, chunk) in (&mut chunks).enumerate() {
+        let byte = best >> (n - 8 * (c + 1)) & 0xFF;
+        chunk.copy_from_slice(&(byte.wrapping_mul(SPREAD) >> 7 & BEADS).to_le_bytes());
+    }
+    let tail = chunks.into_remainder();
+    let len = tail.len();
+    for (i, bead) in tail.iter_mut().enumerate() {
+        *bead = (best >> (len - 1 - i)) as u8 & 1;
     }
     Some(out)
 }
@@ -497,17 +527,24 @@ mod tests {
     }
 
     det_prop! {
-        /// Lengths 0..=72 over {0, 1} and {0..=3}: the word path below 65
-        /// beads, the fallback past it or on a byte above 1.
+        /// Every length 0..=72 of one drawn 0/1 word, and of the same word
+        /// with a byte above 1 planted at a drawn position: the word path
+        /// at 1..=64 beads (every chunk count and tail length), `None` on
+        /// the empty word, past 64 beads, and wherever the planted byte is
+        /// in the prefix.
         fn binary_rotation_matches_the_scan(
             cases = 1024,
-            len in 0usize..=72,
-            wide in 0usize..2,
-            raw in prop::vec(0u8..=255, 72..73)
+            raw in prop::vec(0u8..=255, 72..73),
+            at in 0usize..72,
+            wide in 2u8..=255
         ) {
-            let size = [2u8, 4][wide];
-            let xs: Vec<u8> = raw[..len].iter().map(|&b| b % size).collect();
-            check_binary_rotation(&xs)?;
+            let word: Vec<u8> = raw.iter().map(|&b| b & 1).collect();
+            let mut planted = word.clone();
+            planted[at] = wide;
+            for len in 0..=72 {
+                check_binary_rotation(&word[..len])?;
+                check_binary_rotation(&planted[..len])?;
+            }
         }
     }
 

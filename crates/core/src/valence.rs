@@ -325,10 +325,10 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
                         "process": p.0,
                     );
                     let run_to = |v| {
-                        let (path, actions) = tree.path(v);
+                        let (path, edges) = tree.path(v);
                         Execution::from_parts(
                             path.iter().map(|&j| order[j].clone()).collect(),
-                            actions,
+                            path.iter().zip(edges).map(|(&j, e)| succ[j][e].0.clone()).collect(),
                         )
                     };
                     return Some(Decider {

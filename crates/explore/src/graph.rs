@@ -103,20 +103,26 @@
 //! **Labels only where they are read.** The edge label is `graph_from`'s
 //! type parameter: an edge is `(label, target)`. [`Search::graph`] and
 //! [`Search::graph_filtered`] label it with its action, for the consumers
-//! that read one: the property layer (`Checker`: action predicates and
-//! fairness classes), `find_lockout` (which process stepped),
-//! [`Search::find_decider`] (solo runs follow one process's actions) and
-//! `ckpt::incr` (it re-stages an old row's actions). [`Search::shape`]
-//! labels it `()`, for those that read targets only: the valence
-//! classification ([`Search::valence`]), the mutex deadlock check and
-//! [`Search::reachable_states`]. An edge costs `size_of::<(L, usize)>()`:
-//! 16 B labelled on the mutex models (an 8-byte `MutexAction`), 8 B
-//! label-free — on `Dijkstra(4)`'s 1 340 092 edges, 21.4 MB against
-//! 10.7 MB. `graph()` keeps its `(action, usize)` rows and `usize` targets
-//! because the performance ledger (`ledger/src/replay.rs`, outside the
-//! workspace) reads `&g.succ[i]` as a slice of `(A, usize)` and indexes
-//! its own per-state arrays with the targets; narrowing them to `u32`
-//! waits for the PR that may edit the ledger (ROADMAP item 1(e)).
+//! that read labels across the graph: a fair `Checker` (fairness classes
+//! over every edge of an SCC: FLP crash-liveness, `quorum`),
+//! `find_lockout` (which process stepped), [`Search::find_decider`] (solo
+//! runs follow one process's actions) and `ckpt::incr` (it re-stages an
+//! old row's actions). [`Search::shape`] labels it `()`, for those that
+//! read targets only: the valence classification ([`Search::valence`]),
+//! the mutex deadlock check, [`Search::reachable_states`] and
+//! [`Search::check_property`], which sets no fairness and so reads an
+//! action only on the witness it returns — it derives those few with
+//! `Search::edge_action` (re-staging the edge's source state; exact on
+//! rows a cap cut, `docs/PROPERTIES.md`, "Witness actions"). An edge costs
+//! `size_of::<(L, usize)>()`: 16 B labelled on the mutex models (an 8-byte
+//! `MutexAction`) and on the token ring (a `usize` action), 8 B label-free
+//! — on `Dijkstra(4)`'s 1 340 092 edges, 21.4 MB against 10.7 MB; on
+//! `TokenRing{20}`'s quotient, 524 880 edges, 8.4 MB against 4.2 MB.
+//! `graph()` keeps its `(action, usize)` rows and `usize` targets because
+//! the performance ledger (`ledger/src/replay.rs`, outside the workspace)
+//! reads `&g.succ[i]` as a slice of `(A, usize)` and indexes its own
+//! per-state arrays with the targets; narrowing them to `u32` waits for a
+//! change that may edit the ledger (ROADMAP item 1(e)).
 //!
 //! The graph *queries* are not here: a consumer runs them on the rows,
 //! `g.succ.can_reach(..)`, `g.succ.bfs_tree()`, `g.succ.sccs(..)`,
@@ -195,6 +201,42 @@ impl<'a, Sys: System> Search<'a, Sys> {
                 out.push(((), tc))
             });
         })
+    }
+
+    /// The action on edge `k` of row `i` of `g`, a graph this search's
+    /// [`Search::shape`] (or [`Search::graph`]) built: the `k`-th child, in
+    /// action order, that `stage_successors` stages for `g.order[i]` and
+    /// that is in the graph — found by walking the staged children and the
+    /// row's targets together, an edge matched when `order[target] ==
+    /// child`. Exact on every row: the builder pushes an edge for each
+    /// staged child it interns or finds, in staging order, and skips one
+    /// only when a cap (`max_states`, the index width) refused it — after
+    /// which it interns nothing more, so a skipped child is in no row and
+    /// matches no target. A plain action index would be wrong on such a
+    /// row; two actions into one target are two edges, matched in turn.
+    /// One `enabled` and one `step` per action of `g.order[i]`: witness
+    /// edges only, never a pass over the graph.
+    ///
+    /// # Panics
+    /// If row `i` has no edge `k`, or `g` is not this search's graph.
+    pub(crate) fn edge_action<L>(
+        &self,
+        g: &ReachableGraph<Sys::State, L>,
+        i: usize,
+        k: usize,
+    ) -> Sys::Action {
+        let row = &g.succ[i];
+        let (mut next, mut action) = (0, None);
+        let (mut spares, mut acts) = (Vec::new(), Vec::new());
+        self.stage_successors(&g.order[i], |_| true, &mut 0, &mut spares, &mut acts, |child, a| {
+            if next <= k && row.get(next).is_some_and(|&(_, t)| g.order[t] == child) {
+                if next == k {
+                    action = Some(a);
+                }
+                next += 1;
+            }
+        });
+        action.unwrap_or_else(|| panic!("row {i} has no edge {k} among its staged children"))
     }
 
     /// All distinct reachable states (within `max_states`), sorted.

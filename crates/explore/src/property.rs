@@ -113,6 +113,16 @@ impl<'p, S> Property<'p, S> {
         &self.name
     }
 
+    /// The property as the [`Goal`] [`verify`] checks a witness against.
+    fn goal(&self) -> Goal<'_, S> {
+        match &self.kind {
+            PropKind::Always(p) => Goal::Always(p.as_ref()),
+            PropKind::Never(p) => Goal::Never(p.as_ref()),
+            PropKind::Eventually(p) => Goal::Eventually(p.as_ref()),
+            PropKind::LeadsTo(p, q) => Goal::LeadsTo(p.as_ref(), q.as_ref()),
+        }
+    }
+
     /// The connective: `"always"`, `"never"`, `"eventually"` or `"leads-to"`.
     fn kind_name(&self) -> &'static str {
         match self.kind {
@@ -271,11 +281,21 @@ impl<S: Clone + Debug, A: Clone + Debug> PropertyReport<S, A> {
 /// neighbors in successor-list order, both of which the graph builder
 /// fixes independently of the fingerprint seed. Verdicts and witnesses
 /// are therefore byte-identical for any `Search::seed` value.
-pub struct Checker<'a, S, A> {
-    g: &'a ReachableGraph<S, A>,
+///
+/// `L` is the graph's edge label. The analysis reads labels only through
+/// fairness, which classifies them, so it runs on any graph; a witness
+/// needs the action on each of its edges, and asks the checker's action
+/// source for it. [`Checker::new`] takes a graph labelled with actions
+/// (`L = A`) and reads the stored label; [`Search::check_property`] checks
+/// the label-free [`Search::shape`] and derives each witness edge's action
+/// through the system (`docs/PROPERTIES.md`, "Witness actions").
+pub struct Checker<'a, S, A, L = A> {
+    g: &'a ReachableGraph<S, L>,
+    /// The action on edge `k` of row `i`, asked only for witness edges.
+    action: Box<dyn Fn(usize, usize) -> A + 'a>,
     admissible: Option<Box<dyn Fn(&S) -> bool + 'a>>,
     classes: usize,
-    class_of: Option<Box<dyn Fn(&A) -> Option<usize> + 'a>>,
+    class_of: Option<Box<dyn Fn(&L) -> Option<usize> + 'a>>,
     tracer: RefCell<Option<&'a mut dyn Tracer>>,
 }
 
@@ -286,13 +306,7 @@ where
 {
     /// A checker over `g` with no admissibility or fairness constraints.
     pub fn new(g: &'a ReachableGraph<S, A>) -> Self {
-        Checker {
-            g,
-            admissible: None,
-            classes: 0,
-            class_of: None,
-            tracer: RefCell::new(None),
-        }
+        Checker::with_actions(g, move |i, k| g.succ[i][k].0.clone())
     }
 
     /// Restrict which states may repeat forever: liveness cycles (and
@@ -323,6 +337,41 @@ where
         self.classes = classes;
         self.class_of = Some(Box::new(class_of));
         self
+    }
+
+    /// [`verify`]'s arguments for a counterexample this checker found for
+    /// `prop`: the property as a [`Goal`], with this checker's
+    /// admissibility and fairness. The engine that built the graph adds
+    /// the canon hook and action filter it was built with, then verifies.
+    pub fn spec<'s>(&'s self, prop: &'s Property<'_, S>) -> Spec<'s, S, A> {
+        Spec {
+            admissible: self.admissible.as_deref(),
+            fairness: self.class_of.as_deref().map(|f| (self.classes, f)),
+            ..Spec::new(prop.goal())
+        }
+    }
+}
+
+impl<'a, S, A, L> Checker<'a, S, A, L>
+where
+    S: Clone + Debug,
+    A: Clone + Debug,
+{
+    /// A checker over `g` whose witnesses take the action on edge `k` of
+    /// row `i` from `action(i, k)`, with no admissibility or fairness
+    /// constraints.
+    fn with_actions(
+        g: &'a ReachableGraph<S, L>,
+        action: impl Fn(usize, usize) -> A + 'a,
+    ) -> Self {
+        Checker {
+            g,
+            action: Box::new(action),
+            admissible: None,
+            classes: 0,
+            class_of: None,
+            tracer: RefCell::new(None),
+        }
     }
 
     /// Record every later check's `scope: "property"` events into
@@ -363,24 +412,6 @@ where
         })
     }
 
-    /// [`verify`]'s arguments for a counterexample this checker found for
-    /// `prop`: the property as a [`Goal`], with this checker's
-    /// admissibility and fairness. The engine that built the graph adds
-    /// the canon hook and action filter it was built with, then verifies.
-    pub fn spec<'s>(&'s self, prop: &'s Property<'_, S>) -> Spec<'s, S, A> {
-        let goal = match &prop.kind {
-            PropKind::Always(p) => Goal::Always(p.as_ref()),
-            PropKind::Never(p) => Goal::Never(p.as_ref()),
-            PropKind::Eventually(p) => Goal::Eventually(p.as_ref()),
-            PropKind::LeadsTo(p, q) => Goal::LeadsTo(p.as_ref(), q.as_ref()),
-        };
-        Spec {
-            admissible: self.admissible.as_deref(),
-            fairness: self.class_of.as_deref().map(|f| (self.classes, f)),
-            ..Spec::new(goal)
-        }
-    }
-
     fn report_shell(&self, prop: &Property<'_, S>) -> PropertyReport<S, A> {
         PropertyReport {
             name: prop.name.clone(),
@@ -413,10 +444,9 @@ where
             let mut tree = self.g.succ.bfs_tree();
             tree.search(0..self.g.initials, |_, _| true, |i| i == target)
                 .expect("every graph state is reachable from the initials");
-            let (path, actions) = tree.path(target);
+            let (path, edges) = tree.path(target);
             report.holds = false;
-            report.counterexample =
-                Some(Counterexample::BadState(self.execution_of(path, actions)));
+            report.counterexample = Some(Counterexample::BadState(self.execution_of(path, edges)));
         }
         report
     }
@@ -453,12 +483,10 @@ where
         } else {
             0
         };
-        // Per SCC, the fairness classes its *internal* edges cover.
+        // Per SCC, the fairness classes its *internal* edges cover (with
+        // no class to cover, every SCC covers all of them).
         let mut cover: Vec<u32> = vec![0; scc.cyclic.len()];
-        for v in 0..n {
-            if !cyc_ok[v] {
-                continue;
-            }
+        for v in (0..n).filter(|&v| full != 0 && cyc_ok[v]) {
             for (a, t) in &self.g.succ[v] {
                 if cyc_ok[*t] && scc.id[*t] == scc.id[v] {
                     cover[scc.id[v] as usize] |= self.class_bit(a);
@@ -513,20 +541,20 @@ where
                     |i| region[i] && can_reach[i] && p(&self.g.order[i]),
                 )
                 .map(|pivot| {
-                    let (mut path, mut actions) = tree.path(pivot);
+                    let (mut path, mut edges) = tree.path(pivot);
                     let head = tree
                         .search([pivot], |_, t| region[t], is_candidate)
                         .expect("reverse reachability admitted this pivot");
-                    let (tail, tail_actions) = tree.path(head);
+                    let (tail, tail_edges) = tree.path(head);
                     let pivot_at = path.len() - 1;
                     path.extend_from_slice(&tail[1..]);
-                    actions.extend(tail_actions);
-                    ((path, actions), Some(pivot_at))
+                    edges.extend(tail_edges);
+                    ((path, edges), Some(pivot_at))
                 })
             }
         };
 
-        if let Some(((path, actions), pivot)) = lasso {
+        if let Some(((path, edges), pivot)) = lasso {
             let head = *path.last().expect("paths are nonempty");
             // The shortest cycle through `head` inside its SCC containing
             // an action of every fairness class. The SCC is strongly
@@ -546,14 +574,14 @@ where
                     .expect("candidate SCCs admit a fair cycle through every member")
                     .into_iter()
                     .map(|(src, ei)| {
-                        let (a, dst) = &self.g.succ[src][ei];
-                        (a.clone(), self.g.order[*dst].clone())
+                        let dst = self.g.succ[src][ei].1;
+                        ((self.action)(src, ei), self.g.order[dst].clone())
                     })
                     .collect()
             };
             report.holds = false;
             report.counterexample = Some(Counterexample::Lasso(Lasso {
-                stem: self.execution_of(path, actions),
+                stem: self.execution_of(path, edges),
                 cycle,
                 pivot,
             }));
@@ -561,7 +589,7 @@ where
         report
     }
 
-    fn class_bit(&self, a: &A) -> u32 {
+    fn class_bit(&self, a: &L) -> u32 {
         match (&self.class_of, self.classes) {
             (Some(f), c) if c > 0 => match f(a) {
                 Some(k) if k < c => 1 << k,
@@ -571,18 +599,23 @@ where
         }
     }
 
-    fn execution_of(&self, path: Vec<usize>, actions: Vec<A>) -> Execution<S, A> {
+    /// The run along a tree path: its states, and the action on each edge.
+    fn execution_of(&self, path: Vec<usize>, edges: Vec<usize>) -> Execution<S, A> {
         Execution::from_parts(
             path.iter().map(|&i| self.g.order[i].clone()).collect(),
-            actions,
+            path.iter().zip(edges).map(|(&i, k)| (self.action)(i, k)).collect(),
         )
     }
 }
 
 impl<'a, Sys: System> Search<'a, Sys> {
-    /// Build the reachable graph and check `prop` over it, with no
-    /// admissibility or fairness constraints, tracing into the tracer
-    /// [`Search::tracer`] set (scope `"property"`). A counterexample is
+    /// Build the label-free reachable graph ([`Search::shape`]) and check
+    /// `prop` over it, with no admissibility or fairness constraints,
+    /// tracing into the tracer [`Search::tracer`] set (scope
+    /// `"property"`). The report is the one [`Checker::new`] gives over
+    /// [`Search::graph`], byte for byte: only a witness reads actions, and
+    /// each of its edges gets its action by re-staging its source state
+    /// (`docs/PROPERTIES.md`, "Witness actions"). A counterexample is
     /// [`verify`]d through the system (and the canon hook) before it is
     /// returned. Use [`Checker`] directly (over [`Search::graph`] /
     /// [`Search::graph_filtered`]) when cycles must be admissible or fair.
@@ -595,12 +628,13 @@ impl<'a, Sys: System> Search<'a, Sys> {
         &self,
         prop: &Property<'_, Sys::State>,
     ) -> PropertyReport<Sys::State, Sys::Action> {
-        let g = self.graph();
+        let g = self.shape();
         with_tracer(&self.tracer, &mut NoopTracer, |t| {
-            let checker = Checker::new(&g).tracer(t);
-            let report = checker.check(prop);
+            let report = Checker::with_actions(&g, |i, k| self.edge_action(&g, i, k))
+                .tracer(t)
+                .check(prop);
             if let Some(ce) = &report.counterexample {
-                let spec = Spec { canon: self.canon_hook(), ..checker.spec(prop) };
+                let spec = Spec { canon: self.canon_hook(), ..Spec::new(prop.goal()) };
                 verify(self.sys(), &spec, ce).unwrap_or_else(|e| panic!("{e}"));
             }
             report

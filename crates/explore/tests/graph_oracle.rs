@@ -14,15 +14,18 @@
 //! copied out as nested lists first, so the comparison is row by row), and
 //! once more on a planted shape — a terminal state between expanded ones,
 //! cut by the cap. The same tables then check that `reexplore_incremental`
-//! equals a full rebuild of an action-dropping edit, and that the
-//! label-free `Search::shape` is `Search::graph` with its labels erased.
+//! equals a full rebuild of an action-dropping edit, that the label-free
+//! `Search::shape` is `Search::graph` with its labels erased, and that
+//! `Search::check_property`, which checks `shape()` and derives its
+//! witness's actions, reports what a `Checker` over `graph()` reports.
 
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceEngine;
 use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
-use impossible_explore::{impl_encode_struct, ReachableGraph, Search, Truncation};
+use impossible_explore::property::{always, eventually, leads_to};
+use impossible_explore::{impl_encode_struct, Checker, ReachableGraph, Search, Truncation};
 use impossible_obs::NoopTracer;
 use std::collections::BTreeMap;
 
@@ -329,6 +332,46 @@ det_prop! {
                 let (order, rows, initials, truncated_by) = parts(labelled);
                 let erased = rows.iter().map(|row| row.iter().map(|&(_, t)| ((), t)).collect());
                 det_assert_eq!(parts(shape), (order, erased.collect(), initials, truncated_by));
+            }
+        }
+    }
+
+    /// `check_property` checks the label-free graph and derives only its
+    /// witness's actions, re-staging each witness edge's source state; its
+    /// report must be what the labelled checker reports, byte for byte —
+    /// safety and both liveness forms, under caps that cut rows mid-way (a
+    /// child the cap refused sits before a kept edge, so edge `k` is not
+    /// action `k`), two actions into one target, self-loops and the
+    /// rotation canon hook. Deriving edge `k` as the `k`-th enabled action
+    /// fails here, and so does re-staging without the canon hook.
+    fn check_property_reports_what_the_labelled_checker_reports(
+        cases = 1024,
+        raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
+        copies in 1usize..=3,
+        inits in prop::vec(0u8..24, 1..4),
+        cap in 1usize..=24,
+        max_depth in 0usize..=3,
+        p_bits in 0u32..1 << 24,
+        q_bits in 0u32..1 << 24,
+        quotient in 0u8..2
+    ) {
+        let sys = Table::new(&raw, copies, &inits);
+        let p = |s: &Node| p_bits >> s.at & 1 == 1;
+        let q = |s: &Node| q_bits >> s.at & 1 == 1;
+        let props = [always("p", p), eventually("q", q), leads_to("p-leads-to-q", p, q)];
+        for max_states in [usize::MAX, cap] {
+            for max_depth in [usize::MAX, max_depth] {
+                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
+                if quotient == 1 {
+                    search = search.canon(orbit_minimum);
+                }
+                let g = search.graph();
+                for prop in &props {
+                    det_assert_eq!(
+                        search.check_property(prop).to_json(),
+                        Checker::new(&g).check(prop).to_json()
+                    );
+                }
             }
         }
     }

@@ -155,8 +155,9 @@ pub fn find_lockout<A: MutexAlgorithm>(
             let mut tree = g.succ.bfs_tree();
             tree.search(0..g.initials, |_, _| true, |i| i == h)
                 .expect("every graph state is reachable from the initials");
-            let (path, actions) = tree.path(h);
+            let (path, stem) = tree.path(h);
             let states = path.iter().map(|&i| g.order[i].clone()).collect();
+            let actions = path.iter().zip(stem).map(|(&i, e)| g.succ[i][e].0).collect();
             let ce = Counterexample::Lasso(Lasso {
                 stem: Execution::from_parts(states, actions),
                 cycle: edges

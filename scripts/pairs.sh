@@ -8,13 +8,18 @@
 # owes. Both trees are built once; then each workload gets its own
 # alternating pairs and its own summary table, one after the other.
 #
-# "Change" is this working tree as it stands (uncommitted edits included);
-# "parent" is <parent-rev>, exported with `git archive` into
-# <target>/pairs/parent-src (an archive, not `git worktree add`: it leaves
-# nothing in .git to prune) and removed again on exit. Each tree builds its
-# own ledger into its own CARGO_TARGET_DIR under <target>/pairs (kept, so a
-# second invocation against the same parent is warm) and every run goes
-# through that tree's own
+# "Change" is this working tree as it stands when the script starts
+# (uncommitted edits and untracked, non-ignored files included), copied
+# once into <target>/pairs/change-src; "parent" is <parent-rev>, exported
+# with `git archive` into <target>/pairs/parent-src (an archive, not `git
+# worktree add`: it leaves nothing in .git to prune). Both copies are
+# removed again on exit. Every pair runs from the two copies, never from
+# the working tree: `ledger.sh` rebuilds its tree before each run, so an
+# edit made while the pairs run would otherwise change the "change" side
+# between pairs. Each copy builds its own ledger into its own
+# CARGO_TARGET_DIR under <target>/pairs (kept, so a second invocation
+# against the same parent is warm) and every run goes through that copy's
+# own
 #   ledger/ledger.sh --workload W --seed i --trace 0
 # with seed i = pair number; odd pairs run the parent first, even pairs the
 # change. Any run whose result line is not `"correct":true` fails the
@@ -54,10 +59,21 @@ sha="$(git rev-parse --verify --quiet "$rev^{commit}")" || {
 
 work="${CARGO_TARGET_DIR:-$PWD/target}/pairs"
 parent_src="$work/parent-src"
-rm -rf "$parent_src"
-mkdir -p "$parent_src"
-trap 'rm -rf "$parent_src"' EXIT
+change_src="$work/change-src"
+rm -rf "$parent_src" "$change_src"
+mkdir -p "$parent_src" "$change_src"
+trap 'rm -rf "$parent_src" "$change_src"' EXIT
 git archive "$sha" | tar -x -C "$parent_src"
+# The working tree's files as they are now: tracked ones (a tracked file
+# deleted from the tree is left out) and untracked ones .gitignore does not
+# exclude. `tar` keeps their modification times, so cargo rebuilds in the
+# kept change target exactly what differs from the last snapshot.
+git ls-files -z --cached --others --exclude-standard \
+    | while IFS= read -r -d '' f; do
+        if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+    done \
+    | tar --null -T - -cf - | tar -x -C "$change_src"
+echo "pairs.sh: change side is $PWD as of now (HEAD $(git rev-parse --short HEAD), $(git status --porcelain | wc -l) paths differ), snapshotted into $change_src" >&2
 # The archive's files carry the commit's date, so cargo would take a target
 # dir warmed by a different parent for up to date: keep it only for the
 # same commit.
@@ -78,9 +94,9 @@ for m in "${metrics[@]}"; do
     bounds+=("$b")
 done
 
-echo "pairs.sh: parent ${sha:0:7} vs working tree, ${workloads[*]}, $pairs pairs x $seconds s" >&2
+echo "pairs.sh: parent ${sha:0:7} vs the change snapshot, ${workloads[*]}, $pairs pairs x $seconds s" >&2
 for side in parent change; do
-    tree="$PWD"
+    tree="$change_src"
     [ "$side" = parent ] && tree="$parent_src"
     CARGO_TARGET_DIR="$work/$side-target" \
         cargo build --release --offline --quiet --manifest-path "$tree/ledger/Cargo.toml" >&2
@@ -89,7 +105,7 @@ done
 # run_side <parent|change> <seed>: one measured run of $workload; appends
 # the four metrics, attempted and failed to the side's table and echoes them.
 run_side() {
-    local side="$1" seed="$2" tree="$PWD" line row="" m v
+    local side="$1" seed="$2" tree="$change_src" line row="" m v
     [ "$side" = parent ] && tree="$parent_src"
     line="$(CARGO_TARGET_DIR="$work/$side-target" bash "$tree/ledger/ledger.sh" \
         --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)"
