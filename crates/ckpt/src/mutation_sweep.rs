@@ -1,6 +1,8 @@
 //! One mutation sweep over the decoders that read what a file holds: a
 //! spilled run page (`decode_run_page::<Parent<usize>>`), a frontier page
-//! (`decode_frontier_page::<Vec<u8>>`), a snapshot
+//! (`decode_frontier_page::<Vec<u8>>`), the same two pages over a §2.1
+//! model's states and actions (`MutexState<DijkstraLocal>` — its `Row`s and
+//! its local's tags — and `Parent<MutexAction>`), a snapshot
 //! ([`Snapshot::from_bytes`]), the verdict cache's text
 //! (`VerdictCache::from_text`) and a trace line (`Event::parse_jsonl`).
 //!
@@ -25,6 +27,9 @@ use impossible_explore::page::{
 };
 use impossible_explore::{Grid, Parent, PauseBudget, Resumable, Search};
 use impossible_obs::{Event, Value};
+use impossible_sharedmem::algorithms::dijkstra::{Dijkstra, DijkstraLocal};
+use impossible_sharedmem::mutex::{MutexAction, MutexState};
+use impossible_sharedmem::MutexSystem;
 
 /// The four mutants of `bytes`, the last with the bytes in `count` (the
 /// leading count) replaced by `forged`.
@@ -139,6 +144,43 @@ det_prop! {
         let count = 0..varint_len(&bytes);
         for m in mutants(&bytes, knobs, count, varint(forge(items.len()))) {
             det_assert!(holds(&m, decode_frontier_page::<Vec<u8>>, |v| encode_frontier_page(v)));
+        }
+
+        // The same two pages over Dijkstra's states (reachable ones of one
+        // or two processes, so rows of several lengths) and actions.
+        let alg = Dijkstra::new(1 + grid % 2);
+        let states = Search::new(&MutexSystem::new(&alg)).reachable_states();
+        let items: Vec<(u64, MutexState<DijkstraLocal>)> = keys
+            .iter()
+            .zip(values.iter().cycle())
+            .map(|(&fp, &v)| (fp, states[usize::from(v) % states.len()].clone()))
+            .collect();
+        let bytes = encode_frontier_page(&items);
+        let count = 0..varint_len(&bytes);
+        for m in mutants(&bytes, knobs, count, varint(forge(items.len()))) {
+            let decode = decode_frontier_page::<MutexState<DijkstraLocal>>;
+            det_assert!(holds(&m, decode, |v| encode_frontier_page(v)));
+        }
+        let entries: Vec<(u64, Parent<MutexAction>)> = entries
+            .iter()
+            .map(|(k, parent)| {
+                let parent = match *parent {
+                    Parent::Root(i) => Parent::Root(i),
+                    Parent::Child { parent, action: v } => {
+                        let p = v as u32 / 3;
+                        let actions =
+                            [MutexAction::Try(p), MutexAction::Step(p), MutexAction::Exit(p)];
+                        Parent::Child { parent, action: actions[v % 3] }
+                    }
+                };
+                (*k, parent)
+            })
+            .collect();
+        let bytes = encode_run_page(&entries);
+        let count = 0..varint_len(&bytes);
+        for m in mutants(&bytes, knobs, count, varint(forge(entries.len()))) {
+            let decode = decode_run_page::<Parent<MutexAction>>;
+            det_assert!(holds(&m, decode, |v| encode_run_page(v)));
         }
 
         // Snapshot: as mutated, then resealed.

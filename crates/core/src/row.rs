@@ -6,7 +6,9 @@
 //! state and successor chases a pointer per field. [`Row<T, N>`] stores up
 //! to `N` values in an array next to a `u8` length: no heap block, `Copy`
 //! when `T` is, and a fixed size. `MutexState`'s registers are a
-//! `Row<u32, 12>`, 52 bytes (a `Vec` of 12 `u64`s is a 24-byte header, a
+//! `Row<R, 12>` at the width `R` its algorithm declares: for every bounded
+//! algorithm a `Row<u8, 12>`, 13 bytes, and for Bakery's unbounded tickets
+//! a `Row<u32, 12>`, 52 bytes (a `Vec` of 12 `u64`s is a 24-byte header, a
 //! 96-byte block and the allocator's header); its `MutexAlgorithm` trait
 //! still reads and writes `u64`, and `MutexSystem` narrows each stored
 //! value in one checked step.

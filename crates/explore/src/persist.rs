@@ -27,6 +27,7 @@
 
 use crate::search::Parent;
 use impossible_core::explore::Truncation;
+use impossible_core::row::Row;
 
 /// Decoding failed: the input is truncated or contains invalid bytes.
 ///
@@ -249,6 +250,32 @@ impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
     }
 }
 
+/// One length byte, then the items: the `Vec` encoding with its count
+/// narrowed to the `u8` a row stores, so the spare capacity never reaches
+/// the bytes and two equal rows write the same ones. A length past `N` is
+/// malformed. `Default` fills the spare capacity of a decoded row.
+impl<T: Persist + Copy + Default, const N: usize> Persist for Row<T, N> {
+    fn write(&self, out: &mut Vec<u8>) {
+        // `Row::filled` caps `N` at `u8::MAX`, so the length fits.
+        out.push(self.len() as u8);
+        for item in self.iter() {
+            item.write(out);
+        }
+    }
+
+    fn read(buf: &[u8], pos: &mut usize) -> Result<Self, PersistError> {
+        let len = usize::from(u8::read(buf, pos)?);
+        if len > N {
+            return Err(PersistError::Malformed("row length"));
+        }
+        let mut row = Row::filled(T::default(), len);
+        for item in row.iter_mut() {
+            *item = T::read(buf, pos)?;
+        }
+        Ok(row)
+    }
+}
+
 /// Tagged encoding (1 = `States`, 2 = `Depth`, 3 = `Index`). Tag 0 is
 /// reserved: `Option<Truncation>` in the snapshot header writes it for
 /// `None`, so the bare encoding must never produce it.
@@ -297,6 +324,136 @@ impl<A: Persist> Persist for Parent<A> {
             _ => Err(PersistError::Malformed("parent tag")),
         }
     }
+}
+
+/// Implement [`Persist`] for a struct with named fields by listing every
+/// field: the fields, concatenated in the listed order. The twin of
+/// [`crate::impl_encode_struct!`] — the same listing and the same
+/// irrefutable pattern with no rest pattern, so the compiler rejects a
+/// listing that drops a field — kept a separate macro for the reason this
+/// module's header gives. Type parameters get a `Persist` bound; a
+/// trailing `where` adds what the fields' own impls need.
+///
+/// ```
+/// use impossible_core::row::Row;
+/// use impossible_explore::{impl_persist_struct, Persist};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Config<L> {
+///     locals: Row<L, 4>,
+///     clock: u64,
+/// }
+/// impl_persist_struct!(Config<L> { locals, clock } where L: Copy + Default);
+///
+/// let c = Config { locals: Row::filled(7u8, 2), clock: 9 };
+/// let mut bytes = Vec::new();
+/// c.write(&mut bytes);
+/// assert_eq!(bytes, [2, 7, 7, 9, 0, 0, 0, 0, 0, 0, 0]);
+/// assert_eq!(Config::read(&bytes, &mut 0), Ok(c));
+/// ```
+///
+/// A listing that leaves a field out does not build:
+///
+/// ```compile_fail
+/// use impossible_explore::impl_persist_struct;
+/// struct Config { locals: Vec<u8>, clock: u64 }
+/// impl_persist_struct!(Config { locals });
+/// ```
+#[macro_export]
+macro_rules! impl_persist_struct {
+    ($ty:ident $(<$($g:ident),+>)? { $($f:ident),+ $(,)? } $(where $($w:tt)+)?) => {
+        impl$(<$($g: $crate::Persist),+>)? $crate::Persist for $ty$(<$($g),+>)?
+        $(where $($w)+)?
+        {
+            fn write(&self, out: &mut Vec<u8>) {
+                let Self { $($f),+ } = self;
+                $($crate::Persist::write($f, out);)+
+            }
+
+            fn read(buf: &[u8], pos: &mut usize) -> Result<Self, $crate::PersistError> {
+                $(let $f = $crate::Persist::read(buf, pos)?;)+
+                Ok(Self { $($f),+ })
+            }
+        }
+    };
+}
+
+/// Implement [`Persist`] for an enum by listing every variant with an
+/// explicit one-byte tag: the tag, then the variant's fields in the listed
+/// order. A tag no variant lists is malformed. The twin of
+/// [`crate::impl_encode_enum!`], with its listing and its audits: a variant
+/// left out is a non-exhaustive `match`, and a reused tag a repeated
+/// discriminant.
+///
+/// ```
+/// use impossible_explore::{impl_persist_enum, Persist, PersistError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Phase {
+///     Idle,
+///     Waiting { round: u8 },
+///     Done(u64),
+/// }
+/// impl_persist_enum!(Phase {
+///     0: Idle,
+///     1: Waiting { round },
+///     2: Done(v),
+/// });
+///
+/// let mut bytes = Vec::new();
+/// Phase::Waiting { round: 3 }.write(&mut bytes);
+/// assert_eq!(bytes, [1, 3]);
+/// assert_eq!(Phase::read(&bytes, &mut 0), Ok(Phase::Waiting { round: 3 }));
+/// assert_eq!(Phase::read(&[3], &mut 0), Err(PersistError::Malformed("enum tag")));
+/// ```
+///
+/// ```compile_fail,E0004
+/// use impossible_explore::impl_persist_enum;
+/// enum Phase { Idle, Waiting { round: u8 }, Done(u64) }
+/// impl_persist_enum!(Phase { 0: Idle, 1: Waiting { round } });
+/// ```
+///
+/// ```compile_fail,E0081
+/// use impossible_explore::impl_persist_enum;
+/// enum Phase { Idle, Done(u64) }
+/// impl_persist_enum!(Phase { 0: Idle, 0: Done(v) });
+/// ```
+#[macro_export]
+macro_rules! impl_persist_enum {
+    ($ty:ty { $(
+        $tag:literal : $v:ident
+            $({ $($sf:ident),+ $(,)? })?
+            $(( $($tf:ident),+ $(,)? ))?
+    ),+ $(,)? }) => {
+        // The tags as discriminants: the compiler wants those distinct.
+        const _: () = {
+            #[allow(dead_code)]
+            #[repr(u8)]
+            enum Tags { $($v = $tag),+ }
+        };
+        impl $crate::Persist for $ty {
+            fn write(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$v $({ $($sf),+ })? $(( $($tf),+ ))? => {
+                        out.push($tag);
+                        $($($crate::Persist::write($sf, out);)+)?
+                        $($($crate::Persist::write($tf, out);)+)?
+                    })+
+                }
+            }
+
+            fn read(buf: &[u8], pos: &mut usize) -> Result<Self, $crate::PersistError> {
+                match <u8 as $crate::Persist>::read(buf, pos)? {
+                    $($tag => {
+                        $($(let $sf = $crate::Persist::read(buf, pos)?;)+)?
+                        $($(let $tf = $crate::Persist::read(buf, pos)?;)+)?
+                        Ok(Self::$v $({ $($sf),+ })? $(( $($tf),+ ))?)
+                    })+
+                    _ => Err($crate::PersistError::Malformed("enum tag")),
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]

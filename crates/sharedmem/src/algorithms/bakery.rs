@@ -87,6 +87,7 @@ pub enum BakeryLocal {
 
 impl MutexAlgorithm for Bakery {
     type Local = BakeryLocal;
+    type Register = u32;
 
     fn name(&self) -> &'static str {
         "bakery"

@@ -47,6 +47,7 @@ pub enum OwnerLocal {
 
 impl MutexAlgorithm for OwnerOverwrite {
     type Local = OwnerLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "owner-overwrite(1 RW var, broken)"
@@ -149,6 +150,7 @@ pub enum FlagLocal {
 
 impl MutexAlgorithm for SingleFlag {
     type Local = FlagLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "single-flag(1 RW var, broken)"

@@ -34,10 +34,12 @@ impl Dijkstra {
     }
 }
 
-/// Program counter of a [`Dijkstra`] process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Program counter of a [`Dijkstra`] process. The default is the
+/// remainder region, every process's initial local.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DijkstraLocal {
     /// Remainder region.
+    #[default]
     Rem,
     /// `b[i] := 0` (announce interest).
     SetB,
@@ -87,6 +89,7 @@ impl Dijkstra {
 
 impl MutexAlgorithm for Dijkstra {
     type Local = DijkstraLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "dijkstra-1965"
@@ -236,6 +239,20 @@ mod tests {
 }
 
 impossible_explore::impl_encode_enum!(DijkstraLocal {
+    0: Rem,
+    1: SetB,
+    2: ReadK,
+    3: SetCTrue { k },
+    4: ReadBk { k },
+    5: WriteK,
+    6: SetCFalse,
+    7: CheckC { j },
+    8: Crit,
+    9: ExitC,
+    10: ExitB,
+});
+
+impossible_explore::impl_persist_enum!(DijkstraLocal {
     0: Rem,
     1: SetB,
     2: ReadK,

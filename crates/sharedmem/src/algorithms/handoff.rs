@@ -52,6 +52,7 @@ pub enum HandoffLocal {
 
 impl MutexAlgorithm for HandoffLock {
     type Local = HandoffLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "handoff-lock(4 values)"

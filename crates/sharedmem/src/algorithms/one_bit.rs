@@ -57,6 +57,7 @@ pub enum OneBitLocal {
 
 impl MutexAlgorithm for OneBit {
     type Local = OneBitLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "one-bit"

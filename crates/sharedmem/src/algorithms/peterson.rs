@@ -45,6 +45,7 @@ pub enum PetersonLocal {
 
 impl MutexAlgorithm for Peterson2 {
     type Local = PetersonLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "peterson(2)"

@@ -41,6 +41,7 @@ pub enum TasLocal {
 
 impl MutexAlgorithm for TasLock {
     type Local = TasLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "tas-lock(2 values)"

@@ -18,7 +18,7 @@
 //! Both counterexamples are re-checked with `core::cert::verify` before
 //! they are returned.
 
-use crate::mutex::{MutexAction, MutexAlgorithm, MutexState, MutexSystem, Region};
+use crate::mutex::{MutexAction, MutexAlgorithm, MutexStateOf, MutexSystem, Region};
 use impossible_core::cert::{verified_bad_state, verify, Counterexample, Goal, Lasso, Spec};
 use impossible_core::exec::Execution;
 use impossible_core::system::System;
@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 pub fn find_mutex_violation<A>(
     sys: &MutexSystem<'_, A>,
     max_states: usize,
-) -> Option<Execution<MutexState<A::Local>, MutexAction>>
+) -> Option<Execution<MutexStateOf<A>, MutexAction>>
 where
     A: MutexAlgorithm,
     A::Local: Encode,
@@ -46,12 +46,12 @@ pub(crate) fn find_crowded_critical<A>(
     sys: &MutexSystem<'_, A>,
     k: usize,
     max_states: usize,
-) -> Option<Execution<MutexState<A::Local>, MutexAction>>
+) -> Option<Execution<MutexStateOf<A>, MutexAction>>
 where
     A: MutexAlgorithm,
     A::Local: Encode,
 {
-    let crowded = |s: &MutexState<A::Local>| sys.processes_in(s, Region::Critical).count() > k;
+    let crowded = |s: &MutexStateOf<A>| sys.processes_in(s, Region::Critical).count() > k;
     let report = Search::new(sys).max_states(max_states).search(crowded);
     Some(verified_bad_state(sys, &crowded, report.witness?))
 }
@@ -69,11 +69,11 @@ where
 pub fn find_deadlock<A: MutexAlgorithm>(
     sys: &MutexSystem<'_, A>,
     max_states: usize,
-) -> Option<MutexState<A::Local>> {
+) -> Option<MutexStateOf<A>> {
     // Targets only: the check never reads an action label.
     let g = Search::new(sys).max_states(max_states).shape();
     let some_process_in =
-        |s: &MutexState<A::Local>, region: Region| sys.processes_in(s, region).next().is_some();
+        |s: &MutexStateOf<A>, region: Region| sys.processes_in(s, region).next().is_some();
 
     // On a cut graph, the states the cap took a successor from: a row
     // shorter than the enabled list (one reused action buffer; empty when
@@ -114,12 +114,12 @@ pub fn find_lockout<A: MutexAlgorithm>(
     sys: &MutexSystem<'_, A>,
     victim: usize,
     max_states: usize,
-) -> Option<Lasso<MutexState<A::Local>, MutexAction>> {
+) -> Option<Lasso<MutexStateOf<A>, MutexAction>> {
     let g = Search::new(sys).max_states(max_states).graph();
     let n = sys.algorithm().num_processes();
-    let region = |s: &MutexState<A::Local>| sys.algorithm().region(&s.locals[victim]);
-    let trying = |s: &MutexState<A::Local>| region(s) == Region::Trying;
-    let critical = |s: &MutexState<A::Local>| region(s) == Region::Critical;
+    let region = |s: &MutexStateOf<A>| sys.algorithm().region(&s.locals[victim]);
+    let trying = |s: &MutexStateOf<A>| region(s) == Region::Trying;
+    let critical = |s: &MutexStateOf<A>| region(s) == Region::Critical;
     let victim_trying: Vec<bool> = g.order.iter().map(trying).collect();
 
     for (h, head) in g.order.iter().enumerate() {
@@ -194,7 +194,7 @@ pub fn observed_value_spaces<A: MutexAlgorithm>(
     let mut seen: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); m];
     for s in &states {
         for (v, val) in s.vars.iter().enumerate() {
-            seen[v].insert(u64::from(*val));
+            seen[v].insert((*val).into());
         }
     }
     seen.into_iter().map(|s| s.len()).collect()
@@ -205,6 +205,7 @@ mod tests {
     use super::*;
     use crate::algorithms::dijkstra::Dijkstra;
     use crate::algorithms::tas_lock::{TasLocal, TasLock};
+    use crate::mutex::MutexState;
 
     #[test]
     fn tas_lock_value_space_is_two() {
@@ -272,6 +273,7 @@ mod tests {
 
     impl MutexAlgorithm for Poisoned {
         type Local = u8;
+        type Register = u8;
         fn name(&self) -> &'static str {
             "poisoned(test)"
         }

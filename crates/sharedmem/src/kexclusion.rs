@@ -53,6 +53,7 @@ pub enum SemLocal {
 
 impl MutexAlgorithm for CounterSemaphore {
     type Local = SemLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "counter-semaphore"

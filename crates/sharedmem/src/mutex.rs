@@ -21,6 +21,7 @@
 use impossible_core::ids::ProcessId;
 use impossible_core::row::Row;
 use impossible_core::system::System;
+use impossible_explore::Encode;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -43,6 +44,18 @@ pub trait MutexAlgorithm {
     /// Per-process local state (encodes the region and the program counter).
     /// `Copy`, so a [`MutexState`] is two inline arrays and copies as one.
     type Local: Copy + Eq + Ord + Hash + Debug;
+
+    /// How a [`MutexState`] stores each shared variable: an unsigned
+    /// integer wide enough for every value the algorithm stores. Every
+    /// bounded algorithm in the tree declares `u8` (none stores a value
+    /// past 255); [`Bakery`](crate::algorithms::bakery::Bakery) declares
+    /// `u32`, because its tickets grow without bound. The algorithm itself
+    /// still reads and writes `u64`: [`MutexSystem`] widens each read with
+    /// `Into<u64>` and narrows each stored value through one checked
+    /// `TryFrom<u64>` that panics, naming the width, rather than truncate.
+    /// A register encodes, orders and prints as the `u64` it holds, so the
+    /// width moves no fingerprint, order or output.
+    type Register: Copy + Default + Ord + Hash + Debug + Encode + Into<u64> + TryFrom<u64>;
 
     /// Display name used in reports.
     fn name(&self) -> &'static str;
@@ -99,23 +112,32 @@ pub trait MutexAlgorithm {
 /// needs more. A `Row` compares, hashes, prints and encodes as the `Vec` of
 /// its values, so no order, trace or fingerprint depends on the storage.
 ///
-/// The registers are stored as `u32`: `MutexState<DijkstraLocal>` is 72
-/// bytes (a 17-byte locals row, a 52-byte register row), not the 128 of a
-/// `u64` row. [`MutexAlgorithm`] still reads and writes `u64`; the one
-/// narrowing step is in [`MutexSystem`] (initial values and every stored
-/// value), a checked conversion that panics naming the variable and the
-/// value, never a truncation — Bakery's tickets are unbounded in principle.
-/// A `u32` below 2³² encodes as the same `u64` word and orders and prints as
-/// the `u64`, so the narrowing moves no fingerprint, order or output.
+/// The registers are stored at the algorithm's declared width `R`
+/// ([`MutexAlgorithm::Register`]; `u8` unless said otherwise):
+/// `MutexState<DijkstraLocal>` is 30 bytes (a 17-byte locals row, a 13-byte
+/// register row), not the 72 of a `u32` row or the 128 of a `u64` row.
+/// [`MutexAlgorithm`] still reads and writes `u64`; the one narrowing step
+/// is in [`MutexSystem`] (initial values and every stored value), a checked
+/// conversion that panics naming the variable, the value and the width,
+/// never a truncation, and [`MutexSystem::new`] refuses an algorithm whose
+/// declared value space its width cannot hold. A register encodes as the
+/// same `u64` word as the value it holds and orders and prints as that
+/// `u64`, so the width moves no fingerprint, order or output.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MutexState<L> {
+pub struct MutexState<L, R = u8> {
     /// Per-process local states.
     pub locals: Row<L, 8>,
     /// Shared variable values, narrowed from the algorithm's `u64`.
-    pub vars: Row<u32, 12>,
+    pub vars: Row<R, 12>,
 }
 
-impossible_explore::impl_encode_struct!(MutexState<L> { locals, vars });
+/// The state of algorithm `A`'s [`MutexSystem`]: its locals, its registers.
+pub type MutexStateOf<A> =
+    MutexState<<A as MutexAlgorithm>::Local, <A as MutexAlgorithm>::Register>;
+
+impossible_explore::impl_encode_struct!(MutexState<L, R> { locals, vars });
+impossible_explore::impl_persist_struct!(MutexState<L, R> { locals, vars }
+    where L: Copy + Default, R: Copy + Default);
 
 /// Canonicalization hook for **process-symmetric** algorithms: permuting
 /// process indices is a system automorphism whenever every process runs
@@ -144,7 +166,7 @@ impossible_explore::impl_encode_struct!(MutexState<L> { locals, vars });
 /// precondition, exactly as with every [`impossible_explore::Search::canon`]
 /// hook.
 // LINT-ALLOW: dead-pub -- symmetry [7]: identical-code mutex algorithms explored one state per orbit; tests process_perm_canon_shrinks_the_symmetric_space, process_perm_canon_is_the_minimum_over_the_symmetric_group
-pub fn process_perm_canon<L: Copy + Ord>(s: &MutexState<L>) -> MutexState<L> {
+pub fn process_perm_canon<L: Copy + Ord, R: Copy>(s: &MutexState<L, R>) -> MutexState<L, R> {
     let mut canon = s.clone();
     canon.locals.sort_unstable();
     canon
@@ -166,6 +188,12 @@ pub enum MutexAction {
     Exit(u32),
 }
 
+impossible_explore::impl_persist_enum!(MutexAction {
+    0: Try(p),
+    1: Step(p),
+    2: Exit(p),
+});
+
 impl MutexAction {
     /// The process this action concerns.
     pub fn process(&self) -> usize {
@@ -186,16 +214,35 @@ pub struct MutexSystem<'a, A: MutexAlgorithm> {
 
 impl<'a, A: MutexAlgorithm> MutexSystem<'a, A> {
     /// System in which every process may request the resource.
+    ///
+    /// # Panics
+    /// If a declared [`value_space`](MutexAlgorithm::value_space) holds
+    /// more values than [`MutexAlgorithm::Register`] can; the message names
+    /// the algorithm, the variable and the width.
     pub fn new(alg: &'a A) -> Self {
-        MutexSystem {
-            participants: vec![true; alg.num_processes()],
-            alg,
-        }
+        Self::with_participants(alg, vec![true; alg.num_processes()])
     }
 
     /// System in which only the listed processes ever try.
+    ///
+    /// # Panics
+    /// As [`MutexSystem::new`], and if `participants` is not one flag per
+    /// process.
     pub fn with_participants(alg: &'a A, participants: Vec<bool>) -> Self {
         assert_eq!(participants.len(), alg.num_processes());
+        // `values` values fit iff the largest, `values - 1`, does.
+        for var in 0..alg.num_vars() {
+            if let Some(values) = alg.value_space(var) {
+                let top = values.saturating_sub(1);
+                assert!(
+                    A::Register::try_from(top).is_ok(),
+                    "{} declares {values} values for shared variable {var}, \
+                     more than its {} registers hold",
+                    alg.name(),
+                    std::any::type_name::<A::Register>()
+                );
+            }
+        }
         MutexSystem { alg, participants }
     }
 
@@ -209,7 +256,7 @@ impl<'a, A: MutexAlgorithm> MutexSystem<'a, A> {
     /// per scanned state, so it allocates nothing.
     pub fn processes_in<'s>(
         &'s self,
-        state: &'s MutexState<A::Local>,
+        state: &'s MutexStateOf<A>,
         region: Region,
     ) -> impl Iterator<Item = usize> + 's {
         state
@@ -221,16 +268,16 @@ impl<'a, A: MutexAlgorithm> MutexSystem<'a, A> {
     }
 
     /// Processes currently in the critical region.
-    pub fn critical_processes(&self, state: &MutexState<A::Local>) -> Vec<usize> {
+    pub fn critical_processes(&self, state: &MutexStateOf<A>) -> Vec<usize> {
         self.processes_in(state, Region::Critical).collect()
     }
 
     /// The transition body, on `next ==` the pre-state `state`.
     fn apply(
         &self,
-        state: &MutexState<A::Local>,
+        state: &MutexStateOf<A>,
         action: &MutexAction,
-        next: &mut MutexState<A::Local>,
+        next: &mut MutexStateOf<A>,
     ) {
         let i = action.process();
         match action {
@@ -242,7 +289,7 @@ impl<'a, A: MutexAlgorithm> MutexSystem<'a, A> {
             }
             MutexAction::Step(_) => {
                 let var = self.alg.target(i, &state.locals[i]);
-                let value = u64::from(state.vars[var]);
+                let value: u64 = state.vars[var].into();
                 let (local, stored) = self.alg.step(i, &state.locals[i], value);
                 next.locals[i] = local;
                 next.vars[var] = register(var, stored);
@@ -252,18 +299,22 @@ impl<'a, A: MutexAlgorithm> MutexSystem<'a, A> {
 }
 
 /// The one narrowing step: `value` as stored in shared variable `var` of a
-/// [`MutexState`].
+/// [`MutexState`] whose registers are `R`s.
 ///
 /// # Panics
-/// If `value` does not fit a `u32`; the message names `var` and `value`.
-fn register(var: usize, value: u64) -> u32 {
-    u32::try_from(value).unwrap_or_else(|_| {
-        panic!("shared variable {var} cannot hold {value}: a MutexState register is a u32")
+/// If `value` does not fit an `R`; the message names `var`, `value` and
+/// the width.
+fn register<R: TryFrom<u64>>(var: usize, value: u64) -> R {
+    R::try_from(value).unwrap_or_else(|_| {
+        panic!(
+            "shared variable {var} cannot hold {value}: its register is a {}",
+            std::any::type_name::<R>()
+        )
     })
 }
 
 impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
-    type State = MutexState<A::Local>;
+    type State = MutexStateOf<A>;
     type Action = MutexAction;
 
     fn initial_states(&self) -> Vec<Self::State> {
@@ -277,7 +328,7 @@ impl<'a, A: MutexAlgorithm> System for MutexSystem<'a, A> {
                 "process {i} must start in the remainder region"
             );
         }
-        let mut vars = Row::filled(0, self.alg.num_vars());
+        let mut vars = Row::filled(A::Register::default(), self.alg.num_vars());
         for (v, x) in vars.iter_mut().enumerate() {
             *x = register(v, self.alg.initial_var(v));
         }
@@ -337,7 +388,8 @@ mod tests {
     use crate::algorithms::tas_lock::TasLock;
     use impossible_core::explore::Explorer;
     use impossible_det::{det_assert_eq, prop};
-    use impossible_explore::Fingerprint;
+    use impossible_explore::{Fingerprint, Persist};
+    use std::marker::PhantomData;
 
     #[test]
     fn initial_state_all_remainder() {
@@ -471,11 +523,11 @@ mod tests {
             A::Local: Copy + Ord,
         {
             let sys = MutexSystem::new(alg);
-            let count = |s: &MutexState<A::Local>, r| sys.processes_in(s, r).count();
-            let two = |s: &MutexState<A::Local>| count(s, Region::Critical) >= 2;
-            let trying = |s: &MutexState<A::Local>| count(s, Region::Trying) > 0;
+            let count = |s: &MutexStateOf<A>, r| sys.processes_in(s, r).count();
+            let two = |s: &MutexStateOf<A>| count(s, Region::Critical) >= 2;
+            let trying = |s: &MutexStateOf<A>| count(s, Region::Trying) > 0;
             let states = Search::new(&sys).reachable_states();
-            let preds: [(&str, &dyn Fn(&MutexState<A::Local>) -> bool); 2] =
+            let preds: [(&str, &dyn Fn(&MutexStateOf<A>) -> bool); 2] =
                 [("two-critical", &two), ("someone-trying", &trying)];
             audit(&sys, process_perm_canon, &states, &preds)
         }
@@ -523,10 +575,17 @@ mod tests {
     #[test]
     fn dijkstra_states_and_edges_keep_their_pinned_sizes() {
         // What `mutex_dijkstra4`'s reachable graph holds per state and per
-        // edge: the interned `MutexState` (no heap block behind it), one
-        // local, and one `Succ` edge.
+        // edge: the interned `MutexState` (no heap block behind it: a
+        // 17-byte locals row and a 13-byte `u8` register row), one local,
+        // and one `Succ` edge. Bakery's `u32` registers keep the size they
+        // had before the width was the algorithm's.
+        use crate::algorithms::bakery::BakeryLocal;
         use std::mem::size_of;
-        assert_eq!(size_of::<MutexState<DijkstraLocal>>(), 72);
+        assert_eq!(size_of::<MutexState<DijkstraLocal>>(), 30);
+        assert_eq!(
+            size_of::<MutexState<BakeryLocal, u32>>(),
+            BAKERY_STATE_BYTES
+        );
         assert_eq!(size_of::<DijkstraLocal>(), 2);
         assert_eq!(size_of::<(MutexAction, usize)>(), 16);
     }
@@ -538,16 +597,40 @@ mod tests {
         MutexSystem::new(&Dijkstra::new(6)).initial_states();
     }
 
-    /// One process, three variables, all starting at 0 but variable 1,
+    /// The register widths the tests run at: what
+    /// [`MutexAlgorithm::Register`] asks, and `Persist`.
+    trait Width:
+        Copy + Default + Ord + Hash + Debug + Encode + Persist + Into<u64> + TryFrom<u64>
+    {
+    }
+    impl Width for u8 {}
+    impl Width for u32 {}
+
+    /// One process, three `R` registers, all starting at 0 but variable 1,
     /// which starts at `init_1`. The process's one trying step stores
-    /// `stored` into variable 2 and enters the critical region.
-    struct Stores {
+    /// `stored` into variable 2 and enters the critical region. Every
+    /// variable declares `declared` values, if that is `Some`.
+    struct Stores<R> {
         init_1: u64,
         stored: u64,
+        declared: Option<u64>,
+        width: PhantomData<R>,
     }
 
-    impl MutexAlgorithm for Stores {
+    impl<R> Stores<R> {
+        fn new(init_1: u64, stored: u64) -> Self {
+            Stores {
+                init_1,
+                stored,
+                declared: None,
+                width: PhantomData,
+            }
+        }
+    }
+
+    impl<R: Width> MutexAlgorithm for Stores<R> {
         type Local = Region;
+        type Register = R;
         fn name(&self) -> &'static str {
             "stores(test)"
         }
@@ -582,46 +665,115 @@ mod tests {
         fn step(&self, _i: usize, _local: &Region, _value: u64) -> (Region, u64) {
             (Region::Critical, self.stored)
         }
+        fn value_space(&self, _var: usize) -> Option<u64> {
+            self.declared
+        }
     }
 
     /// The first value a `u32` register cannot hold.
     const PAST_U32: u64 = u32::MAX as u64 + 1;
 
+    /// The first value a `u8` register cannot hold.
+    const PAST_U8: u64 = u8::MAX as u64 + 1;
+
+    /// `size_of::<MutexState<BakeryLocal, u32>>()`, as it was when every
+    /// register was a `u32`.
+    const BAKERY_STATE_BYTES: usize = 256;
+
+    /// The state `Stores` reaches by trying and taking its one step.
+    fn stored<R: Width>(alg: &Stores<R>) -> MutexState<Region, R> {
+        let sys = MutexSystem::new(alg);
+        let tried = sys.step(&sys.initial_states()[0], &MutexAction::Try(0));
+        sys.step(&tried, &MutexAction::Step(0))
+    }
+
     #[test]
     fn the_widest_register_value_round_trips() {
-        let alg = Stores {
-            init_1: u64::from(u32::MAX),
-            stored: u64::from(u32::MAX),
-        };
-        let sys = MutexSystem::new(&alg);
-        let init = sys.initial_states()[0].clone();
-        let s = sys.step(
-            &sys.step(&init, &MutexAction::Try(0)),
-            &MutexAction::Step(0),
+        let wide = u64::from(u32::MAX);
+        assert_eq!(
+            stored(&Stores::<u32>::new(wide, wide)).vars,
+            vec![0, u32::MAX, u32::MAX]
         );
-        assert_eq!(s.vars, vec![0, u32::MAX, u32::MAX]);
+        let wide = u64::from(u8::MAX);
+        assert_eq!(
+            stored(&Stores::<u8>::new(wide, wide)).vars,
+            vec![0, u8::MAX, u8::MAX]
+        );
     }
 
     #[test]
-    #[should_panic(expected = "shared variable 1 cannot hold 4294967296")]
+    #[should_panic(expected = "shared variable 1 cannot hold 4294967296: its register is a u32")]
     fn an_initial_value_past_u32_is_refused_naming_it() {
-        let alg = Stores {
-            init_1: PAST_U32,
-            stored: 0,
-        };
-        MutexSystem::new(&alg).initial_states();
+        MutexSystem::new(&Stores::<u32>::new(PAST_U32, 0)).initial_states();
     }
 
     #[test]
-    #[should_panic(expected = "shared variable 2 cannot hold 4294967296")]
+    #[should_panic(expected = "shared variable 2 cannot hold 4294967296: its register is a u32")]
     fn a_stored_value_past_u32_is_refused_naming_it() {
-        let alg = Stores {
-            init_1: 0,
-            stored: PAST_U32,
+        stored(&Stores::<u32>::new(0, PAST_U32));
+    }
+
+    #[test]
+    #[should_panic(expected = "shared variable 1 cannot hold 256: its register is a u8")]
+    fn an_initial_value_past_u8_is_refused_naming_it() {
+        MutexSystem::new(&Stores::<u8>::new(PAST_U8, 0)).initial_states();
+    }
+
+    #[test]
+    #[should_panic(expected = "shared variable 2 cannot hold 256: its register is a u8")]
+    fn a_stored_value_past_u8_is_refused_naming_it() {
+        stored(&Stores::<u8>::new(0, PAST_U8));
+    }
+
+    #[test]
+    fn every_in_tree_algorithm_fits_its_declared_width() {
+        // `MutexSystem::new` checks each declared value space against the
+        // register width; every algorithm in the tree passes, at a size
+        // where its widest variable is widest (Dijkstra's turn holds 5
+        // values, the semaphore's counter 4), and a `u8` register holds
+        // exactly 256 declared values.
+        use crate::algorithms::{
+            Bakery, Dijkstra, HandoffLock, OneBit, OwnerOverwrite, Peterson2, SingleFlag, TasLock,
         };
-        let sys = MutexSystem::new(&alg);
-        let tried = sys.step(&sys.initial_states()[0], &MutexAction::Try(0));
-        sys.step(&tried, &MutexAction::Step(0));
+        use crate::kexclusion::CounterSemaphore;
+        use crate::rw_lowerbound::TwoVarThree;
+        use crate::synthesis::SynthProtocol;
+        fn builds<A: MutexAlgorithm>(alg: &A) {
+            let sys = MutexSystem::new(alg);
+            assert_eq!(sys.initial_states().len(), 1, "{}", alg.name());
+        }
+        builds(&TasLock::new(2));
+        builds(&HandoffLock::new());
+        builds(&Peterson2::new());
+        builds(&Dijkstra::new(5));
+        builds(&OneBit::new(5));
+        builds(&Bakery::new(4));
+        builds(&OwnerOverwrite::new(2));
+        builds(&SingleFlag::new(2));
+        builds(&CounterSemaphore::new(4, 3));
+        builds(&TwoVarThree);
+        builds(&SynthProtocol {
+            k: 1,
+            v: 2,
+            table: vec![(1, 1), (0, 1)],
+            exit_write: vec![0, 0],
+            init_value: 0,
+        });
+        builds(&Stores::<u8> {
+            declared: Some(PAST_U8),
+            ..Stores::new(0, 0)
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "stores(test) declares 300 values for shared variable 0, more than its u8 registers hold"
+    )]
+    fn a_value_space_past_the_register_width_is_refused_naming_it() {
+        MutexSystem::new(&Stores::<u8> {
+            declared: Some(300),
+            ..Stores::new(0, 0)
+        });
     }
 
     /// A [`MutexState`] as it was before the registers narrowed: the same
@@ -648,40 +800,103 @@ mod tests {
         }
     }
 
+    /// The largest value an `R` register holds.
+    fn top<R>() -> u64 {
+        u64::MAX >> (64 - 8 * std::mem::size_of::<R>())
+    }
+
     /// A register value from a generated word below 2³²: even words give
-    /// 0, 1 or 2 (so states tie on a register), odd words themselves (so
-    /// the high bits are exercised).
-    fn register_value(word: u64) -> u64 {
+    /// 0, 1 or 2 (so states tie on a register), odd words themselves up to
+    /// `top` (so the high bits are exercised), wrapped past it.
+    fn register_value(word: u64, top: u64) -> u64 {
         if word.is_multiple_of(2) {
             word % 6 / 2
         } else {
-            word
+            word % (top + 1)
         }
     }
 
-    /// The narrow state and its wide reference from generated codes.
-    fn both(locals: &[u8], words: &[u64]) -> (MutexState<DijkstraLocal>, WideState) {
+    /// The `R`-register state and its wide reference from generated codes;
+    /// `spare` fills both rows' spare capacity.
+    fn both<R: Width>(
+        locals: &[u8],
+        words: &[u64],
+        spare: u8,
+    ) -> (MutexState<DijkstraLocal, R>, WideState) {
+        let narrowed = |v: u64| R::try_from(v).ok().expect("drawn below the width");
         let wide = WideState {
             locals: locals.iter().map(|&c| dijkstra_local(c)).collect(),
-            vars: words.iter().map(|&w| register_value(w)).collect(),
+            vars: words
+                .iter()
+                .map(|&w| register_value(w, top::<R>()))
+                .collect(),
         };
         let mut narrow = MutexState {
-            locals: Row::filled(DijkstraLocal::Rem, wide.locals.len()),
-            vars: Row::filled(0, wide.vars.len()),
+            locals: Row::filled(dijkstra_local(spare), wide.locals.len()),
+            vars: Row::filled(narrowed(u64::from(spare)), wide.vars.len()),
         };
         narrow.locals.copy_from_slice(&wide.locals);
         for (x, &v) in narrow.vars.iter_mut().zip(&wide.vars) {
-            *x = u32::try_from(v).unwrap();
+            *x = narrowed(v);
         }
         (narrow, wide)
     }
 
+    /// `registers_encode_and_order_as_u64` at one register width.
+    fn encodes_as_u64<R: Width>(x: (&[u8], &[u64]), y: (&[u8], &[u64])) -> Result<(), String> {
+        let (nx, wx) = both::<R>(x.0, x.1, 0);
+        let (ny, wy) = both::<R>(y.0, y.1, 0);
+        for seed in [0, 0x9E37_79B9_7F4A_7C15] {
+            det_assert_eq!(nx.fingerprint(seed), wx.fingerprint(seed));
+            det_assert_eq!(ny.fingerprint(seed), wy.fingerprint(seed));
+        }
+        det_assert_eq!(nx.cmp(&ny), wx.cmp(&wy));
+        let wide_debug = format!("{wx:?}").replacen("WideState", "MutexState", 1);
+        det_assert_eq!(format!("{nx:?}"), wide_debug);
+        Ok(())
+    }
+
+    /// `x`'s `Persist` bytes.
+    fn bytes<T: Persist>(x: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        x.write(&mut out);
+        out
+    }
+
+    /// `states_persist_canonically` at one register width.
+    fn persists<R: Width>(x: (&[u8], &[u64]), y: (&[u8], &[u64]), spare: u8) -> Result<(), String> {
+        let (nx, _) = both::<R>(x.0, x.1, 0);
+        let (ny, _) = both::<R>(y.0, y.1, 0);
+        let encoded = bytes(&nx);
+        let mut pos = 0;
+        det_assert_eq!(MutexState::read(&encoded, &mut pos), Ok(nx.clone()));
+        det_assert_eq!(pos, encoded.len());
+        // The spare capacity never reaches the bytes, and distinct states
+        // never share them.
+        det_assert_eq!(bytes(&both::<R>(x.0, x.1, spare).0), encoded);
+        det_assert_eq!(bytes(&ny) == encoded, ny == nx);
+        Ok(())
+    }
+
+    /// The second state's codes: its own, or the first's locals (`share`
+    /// 1), and also the first half of its registers (2), so the order is
+    /// decided by the registers too.
+    fn shared(xs: &[u8], xw: &[u64], ys: Vec<u8>, yw: Vec<u64>, share: u8) -> (Vec<u8>, Vec<u64>) {
+        let ys = if share > 0 { xs.to_vec() } else { ys };
+        let yw = if share > 1 {
+            let half = xw.len() / 2;
+            xw[..half].iter().chain(&yw).take(12).copied().collect()
+        } else {
+            yw
+        };
+        (ys, yw)
+    }
+
     impossible_det::det_prop! {
-        /// The contract that makes the narrowing invisible: a `MutexState`
-        /// fingerprints, orders and prints exactly as the `u64` `Vec` state
-        /// holding the same values. `share` makes the second state's locals
-        /// the first's (1), and also the first half of its registers (2),
-        /// so the order is decided by the registers too.
+        /// The contract that makes the register width invisible: a
+        /// `MutexState` fingerprints, orders and prints exactly as the
+        /// `u64` `Vec` state holding the same values, with `u8` and with
+        /// `u32` registers.
         fn registers_encode_and_order_as_u64(
             cases = 512,
             xs in prop::vec(0u8..18, 0..9),
@@ -690,22 +905,36 @@ mod tests {
             yw in prop::vec(0u64..=u64::from(u32::MAX), 0..13),
             share in 0u8..3
         ) {
-            let ys = if share > 0 { xs.clone() } else { ys };
-            let yw = if share > 1 {
-                let half = xw.len() / 2;
-                xw[..half].iter().chain(&yw).take(12).copied().collect()
-            } else {
-                yw
-            };
-            let (nx, wx) = both(&xs, &xw);
-            let (ny, wy) = both(&ys, &yw);
-            for seed in [0, 0x9E37_79B9_7F4A_7C15] {
-                det_assert_eq!(nx.fingerprint(seed), wx.fingerprint(seed));
-                det_assert_eq!(ny.fingerprint(seed), wy.fingerprint(seed));
+            let (ys, yw) = shared(&xs, &xw, ys, yw, share);
+            encodes_as_u64::<u8>((&xs, &xw), (&ys, &yw))?;
+            encodes_as_u64::<u32>((&xs, &xw), (&ys, &yw))?;
+        }
+
+        /// `Persist` on a `MutexState` at both widths: `read(write(x)) ==
+        /// x`, consuming exactly the bytes, and `write` is canonical —
+        /// whatever a row's spare capacity holds, and injective. Every
+        /// `MutexAction` round trips through its one tag byte.
+        fn states_persist_canonically(
+            cases = 256,
+            xs in prop::vec(0u8..18, 0..9),
+            xw in prop::vec(0u64..=u64::from(u32::MAX), 0..13),
+            ys in prop::vec(0u8..18, 0..9),
+            yw in prop::vec(0u64..=u64::from(u32::MAX), 0..13),
+            share in 0u8..3,
+            spare in 0u8..18,
+            p in 0u32..8
+        ) {
+            let (ys, yw) = shared(&xs, &xw, ys, yw, share);
+            persists::<u8>((&xs, &xw), (&ys, &yw), spare)?;
+            persists::<u32>((&xs, &xw), (&ys, &yw), spare)?;
+            for (tag, action) in [MutexAction::Try(p), MutexAction::Step(p), MutexAction::Exit(p)]
+                .into_iter()
+                .enumerate()
+            {
+                let encoded = bytes(&action);
+                det_assert_eq!(encoded[0], tag as u8);
+                det_assert_eq!(MutexAction::read(&encoded, &mut 0), Ok(action));
             }
-            det_assert_eq!(nx.cmp(&ny), wx.cmp(&wy));
-            let wide_debug = format!("{wx:?}").replacen("WideState", "MutexState", 1);
-            det_assert_eq!(format!("{nx:?}"), wide_debug);
         }
     }
 }

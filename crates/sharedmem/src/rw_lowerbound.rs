@@ -80,6 +80,7 @@ pub enum TwoVarLocal {
 
 impl MutexAlgorithm for TwoVarThree {
     type Local = TwoVarLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "two-vars-three-procs(broken)"
@@ -202,6 +203,7 @@ mod tests {
         });
         impl MutexAlgorithm for Silent {
             type Local = L;
+            type Register = u8;
             fn name(&self) -> &'static str {
                 "silent"
             }

@@ -56,6 +56,7 @@ pub enum SynthLocal {
 
 impl MutexAlgorithm for SynthProtocol {
     type Local = SynthLocal;
+    type Register = u8;
 
     fn name(&self) -> &'static str {
         "synthesized"
