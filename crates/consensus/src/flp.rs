@@ -5,11 +5,10 @@
 //! somewhere: *decide eagerly and you break agreement; wait and a single
 //! crash stops you forever*. [`AsyncCandidate`] expresses message-driven
 //! protocols (with null steps, as in FLP's model); [`FlpSystem`] compiles a
-//! candidate into a finite transition system; [`check_candidate`] then hands
-//! it to the valence classifier (via [`Search::valence`], the
-//! fingerprint-accelerated graph builder feeding
-//! `ValenceEngine::analyze_from_graph`) and to the non-termination lasso
-//! search, and reports which horn of the dilemma kills it.
+//! candidate into a finite transition system; [`check_candidate`] then
+//! checks agreement and validity as safety properties and termination as
+//! a fair liveness one, and reports which horn of the dilemma kills it,
+//! with the run that does; [`analyze`] classifies valences (Figures 2–3).
 //!
 //! The [`Arbiter`] candidate is the pedagogical centerpiece: it is
 //! agreement-safe but schedule-dependent, so the engine exhibits a
@@ -19,10 +18,11 @@
 //! crashes.
 
 use impossible_core::cert::{verify, Counterexample, Lasso, Spec};
+use impossible_core::exec::Execution;
 use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceReport;
-use impossible_explore::property::{eventually, Checker, PropertyReport};
+use impossible_explore::property::{eventually, never, Checker, PropertyReport};
 use impossible_explore::Search;
 use impossible_obs::{NoopTracer, Tracer};
 use std::collections::BTreeMap;
@@ -232,17 +232,20 @@ pub(crate) fn check_live_processes_decide<C: AsyncCandidate>(
     report
 }
 
-/// The verdict of the FLP dilemma on a candidate.
+/// The verdict of the FLP dilemma on a candidate; every run in it is
+/// [`verify`]d through the compiled system.
 #[derive(Debug)]
 pub enum FlpVerdict<S> {
-    /// Two processes decide differently in a reachable configuration.
-    AgreementViolation(S),
+    /// Two processes decide differently: a run to such a configuration.
+    AgreementViolation(Execution<S, FlpAction>),
     /// A unanimous-input instance can reach a decision other than the input.
     ValidityViolation {
         /// The unanimous input value.
         input: u64,
         /// A decision value reachable from it.
         decided: u64,
+        /// A run from the unanimous input to a decision of `decided`.
+        run: Execution<S, FlpAction>,
     },
     /// A single crash admits an admissible non-deciding execution: with
     /// `failed` taking no step, the lasso's cycle repeats forever, every
@@ -259,30 +262,29 @@ pub enum FlpVerdict<S> {
     CleanWithinBounds,
 }
 
-/// Run the full dilemma check: valence analysis for safety, lasso search for
-/// 1-resilient termination.
+/// Run the full dilemma check: agreement as `never(disagrees)` over every
+/// binary input and validity as `never(decided ≠ v)` on each unanimous
+/// input `v` ([`Search::check_property`]), then 1-resilient termination.
 pub fn check_candidate<C: AsyncCandidate>(
     candidate: &C,
     max_states: usize,
 ) -> FlpVerdict<FlpState<C::Local, C::M>> {
     let sys = FlpSystem::all_binary(candidate);
-    let report = Search::new(&sys).max_states(max_states).valence();
-    if let Some(s) = report.agreement_violations.first() {
-        return FlpVerdict::AgreementViolation(s.clone());
+    let agreement = never("agreement", |s| sys.disagrees(s));
+    let report = Search::new(&sys).max_states(max_states).check_property(&agreement);
+    if let Some(Counterexample::BadState(run)) = report.counterexample {
+        return FlpVerdict::AgreementViolation(run);
     }
-    // Validity on unanimous instances.
     for v in [0u64, 1] {
         let unanimous = FlpSystem::with_inputs(candidate, vec![vec![v; candidate.n()]]);
-        let r = Search::new(&unanimous).max_states(max_states).valence();
-        for init in unanimous.initial_states() {
-            if let Some(val) = r.valence.get(&init) {
-                if let Some(bad) = val.0.iter().find(|&&d| d != v) {
-                    return FlpVerdict::ValidityViolation {
-                        input: v,
-                        decided: *bad,
-                    };
-                }
-            }
+        let other = |s: &FlpState<C::Local, C::M>| {
+            unanimous.decisions(s).into_iter().map(|(_, d)| d).find(|&d| d != v)
+        };
+        let validity = never("validity", |s| other(s).is_some());
+        let report = Search::new(&unanimous).max_states(max_states).check_property(&validity);
+        if let Some(Counterexample::BadState(run)) = report.counterexample {
+            let decided = other(run.last()).expect("the run ends in a bad state");
+            return FlpVerdict::ValidityViolation { input: v, decided, run };
         }
     }
     for failed in 0..candidate.n() {
@@ -550,13 +552,17 @@ impl AsyncCandidate for WaitForAll {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impossible_core::cert::verified_bad_state;
 
     #[test]
     fn arbiter_has_bivalent_initial_configurations() {
         // Mixed client inputs: the schedule (which claim reaches the
         // arbiter first) picks the outcome — FLP Lemma 2's structure.
-        let report = analyze(&Arbiter::new(3), 500_000);
-        assert!(report.agreement_violations.is_empty());
+        let arb = Arbiter::new(3);
+        let sys = FlpSystem::all_binary(&arb);
+        let agreement = never("agreement", |s| sys.disagrees(s));
+        assert!(Search::new(&sys).max_states(500_000).check_property(&agreement).holds);
+        let report = analyze(&arb, 500_000);
         assert!(
             !report.bivalent_initials.is_empty(),
             "mixed-input initials must be bivalent"
@@ -602,12 +608,61 @@ mod tests {
 
     #[test]
     fn first_wins_breaks_agreement() {
-        match check_candidate(&FirstWins::new(2), 500_000) {
-            FlpVerdict::AgreementViolation(state) => {
-                let d: Vec<_> = state.locals.iter().map(|l| l.decided).collect();
+        let fw = FirstWins::new(2);
+        match check_candidate(&fw, 500_000) {
+            FlpVerdict::AgreementViolation(run) => {
+                let d: Vec<_> = run.last().locals.iter().map(|l| l.decided).collect();
                 assert!(d.contains(&Some(0)) && d.contains(&Some(1)));
+                // Replays through the system, through `cert::verify`.
+                let sys = FlpSystem::all_binary(&fw);
+                verified_bad_state(&sys, &|s| sys.disagrees(s), run);
             }
             other => panic!("expected agreement violation, got {other:?}"),
+        }
+    }
+
+    /// Decides 1 on its start step, whatever its input.
+    struct AlwaysOne;
+
+    impl AsyncCandidate for AlwaysOne {
+        type Local = Option<u64>;
+        type M = ();
+
+        fn n(&self) -> usize {
+            2
+        }
+
+        fn init(&self, _i: usize, _input: u64) -> Option<u64> {
+            None
+        }
+
+        fn on_step(
+            &self,
+            _i: usize,
+            _local: &Option<u64>,
+            _incoming: Option<(usize, &())>,
+        ) -> (Option<u64>, Vec<(usize, ())>) {
+            (Some(1), Vec::new())
+        }
+
+        fn decision(&self, local: &Option<u64>) -> Option<u64> {
+            *local
+        }
+    }
+
+    #[test]
+    fn a_constant_decision_breaks_validity_with_a_replayable_run() {
+        // Agreement holds (everyone decides 1), so the validity horn is
+        // the one that fires, on the all-0 input.
+        match check_candidate(&AlwaysOne, 500_000) {
+            FlpVerdict::ValidityViolation { input, decided, run } => {
+                assert_eq!((input, decided), (0, 1));
+                assert_eq!(run.len(), 1, "the start step decides");
+                let sys = FlpSystem::with_inputs(&AlwaysOne, vec![vec![0; 2]]);
+                let decided_other = |s: &_| sys.decisions(s).iter().any(|&(_, d)| d != 0);
+                verified_bad_state(&sys, &decided_other, run);
+            }
+            other => panic!("expected a validity violation, got {other:?}"),
         }
     }
 

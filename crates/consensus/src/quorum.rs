@@ -23,22 +23,18 @@
 //! # Example: one safety check and one liveness check
 //!
 //! ```
-//! use impossible_consensus::flp::{AsyncCandidate, FlpState, FlpSystem};
-//! use impossible_consensus::quorum::{exhibit_flp_lasso, QuorumLocal, QuorumMsg, QuorumVote};
-//! use impossible_explore::property::{always, Counterexample};
+//! use impossible_consensus::flp::FlpSystem;
+//! use impossible_consensus::quorum::{exhibit_flp_lasso, QuorumVote};
+//! use impossible_core::system::DecisionSystem;
+//! use impossible_explore::property::{never, Counterexample};
 //! use impossible_explore::Search;
 //!
 //! // Safety: no two processes ever decide differently (quorum
 //! // intersection), over every binary input vector.
 //! let q = QuorumVote::new(2);
 //! let sys = FlpSystem::all_binary(&q);
-//! let safe = Search::new(&sys).max_states(100_000).check_property(&always(
-//!     "agreement",
-//!     |s: &FlpState<QuorumLocal, QuorumMsg>| {
-//!         let d: Vec<u64> = s.locals.iter().filter_map(|l| q.decision(l)).collect();
-//!         d.windows(2).all(|w| w[0] == w[1])
-//!     },
-//! ));
+//! let agreement = never("agreement", |s| sys.disagrees(s));
+//! let safe = Search::new(&sys).max_states(100_000).check_property(&agreement);
 //! assert!(safe.holds && !safe.truncated);
 //!
 //! // Liveness: crash one voter and the survivor can never assemble a
@@ -261,8 +257,8 @@ mod tests {
     use crate::flp::{check_candidate, FlpVerdict};
     use impossible_core::cert::{verify, Goal, Spec};
     use impossible_core::ids::ProcessId;
-    use impossible_core::system::System;
-    use impossible_explore::property::{always, eventually, never, Checker, Counterexample};
+    use impossible_core::system::{DecisionSystem, System};
+    use impossible_explore::property::{eventually, never, Checker, Counterexample};
     use impossible_explore::Search;
     use impossible_obs::RingTracer;
 
@@ -274,13 +270,8 @@ mod tests {
         // holds two different decisions, over all binary inputs.
         let q = QuorumVote::new(3);
         let sys = FlpSystem::all_binary(&q);
-        let r = Search::new(&sys).max_states(CAP).check_property(&always(
-            "agreement",
-            |s: &FlpState<QuorumLocal, QuorumMsg>| {
-                let d: Vec<u64> = s.locals.iter().filter_map(|l| q.decision(l)).collect();
-                d.windows(2).all(|w| w[0] == w[1])
-            },
-        ));
+        let agreement = never("agreement", |s| sys.disagrees(s));
+        let r = Search::new(&sys).max_states(CAP).check_property(&agreement);
         assert!(r.holds, "quorum intersection forbids split decisions");
         assert!(!r.truncated, "the n=3 space must fit the cap");
     }
@@ -389,16 +380,11 @@ mod tests {
         // split decisions, so checking representatives suffices.
         let q = QuorumVote::new(3);
         let sys = FlpSystem::all_binary(&q);
+        let agreement = never("agreement", |s| sys.disagrees(s));
         let safe = Search::new(&sys)
             .max_states(CAP)
             .canon(value_swap_canon)
-            .check_property(&always(
-                "agreement",
-                |s: &FlpState<QuorumLocal, QuorumMsg>| {
-                    let d: Vec<u64> = s.locals.iter().filter_map(|l| q.decision(l)).collect();
-                    d.windows(2).all(|w| w[0] == w[1])
-                },
-            ));
+            .check_property(&agreement);
         assert!(safe.holds && !safe.truncated);
 
         // Liveness violation survives too: the crash-filtered quotient

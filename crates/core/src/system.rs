@@ -125,9 +125,19 @@ pub trait DecisionSystem: System {
     /// The decisions already made in `state`: `(process, value)` pairs.
     ///
     /// A decision is irrevocable: if `(p, v)` appears in a state it must
-    /// appear, with the same `v`, in every successor. The engines check this
-    /// invariant and report a protocol bug if it is violated.
+    /// appear, with the same `v`, in every successor. No engine checks
+    /// this; the valence classification ([`crate::valence`]) assumes it,
+    /// since it reads a decided value as fixed for every run through the
+    /// state. `tests/cross_engine.rs` checks it on every edge of the FLP
+    /// candidates and the Herlihy protocols.
     fn decisions(&self, state: &Self::State) -> Vec<(ProcessId, u64)>;
+
+    /// Two processes have decided different values in `state`: the bad
+    /// state of agreement, checked as `never(disagrees)`.
+    fn disagrees(&self, state: &Self::State) -> bool {
+        let d = self.decisions(state);
+        d.iter().any(|&(_, v)| v != d[0].1)
+    }
 
     /// The decision of `process` in `state`, if it has decided.
     fn decision_of(&self, state: &Self::State, process: ProcessId) -> Option<u64> {

@@ -5,7 +5,9 @@
 //! all analyze how a decision protocol's configurations move from *bivalent*
 //! (both decision values still reachable) to *univalent*. This module
 //! computes the valence of every reachable configuration of a finite-instance
-//! [`DecisionSystem`] and searches for the structures those proofs need:
+//! [`DecisionSystem`] — a bitmask per graph node, bit *k* standing for the
+//! *k*-th smallest value decided anywhere in the graph, so binary consensus
+//! uses two bits — and searches for the structures those proofs need:
 //!
 //! * **bivalent initial configurations** (FLP Lemma 2),
 //! * **critical configurations** — bivalent, with every successor univalent
@@ -14,24 +16,22 @@
 //!   configuration from which a single process *on its own* can drive the
 //!   system to either valence (Figure 2).
 //!
-//! The counterexample every bivalence proof then constructs — an admissible
-//! non-deciding execution, a fair [`Lasso`](crate::cert::Lasso) — is a
-//! liveness check, so it lives with the liveness checker:
-//! `consensus::flp::check_candidate` finds it with
-//! `explore::property::Checker` and re-checks it with
+//! It only classifies. Agreement and validity are safety properties, and
+//! the counterexample every bivalence proof then constructs — an
+//! admissible non-deciding execution — a liveness one: `consensus::flp`
+//! and `registers::herlihy` check them with `explore::property`
+//! (`never(`[`DecisionSystem::disagrees`]`)`, `never(decided ≠ input)`, a
+//! fair [`Lasso`](crate::cert::Lasso)), each witness replayed by
 //! [`verify`](crate::cert::verify).
 //!
-//! This crate does not build reachable graphs. The one builder is
-//! `impossible-explore`'s (`Search::graph_from`); [`ValenceEngine`] takes
-//! its result as it stands — `order[i]` is configuration `i`, `succ[i]`
-//! its `(label, target index)` edges, in [`Succ`]'s compressed rows — so
-//! the classification fixpoint and the decider hunt run over whatever that
-//! builder produced (capped, depth-bounded, quotiented) without core naming
-//! it. Callers go through `Search::valence` / `Search::find_decider`. The
-//! classification reads targets only, so `Search::valence` hands it the
-//! label-free graph (`Search::shape`, 8 B per edge); the decider hunt
-//! filters edges by the process that owns their action, so it takes the
-//! labelled one.
+//! [`ValenceEngine`] takes a graph built by `impossible-explore`'s one
+//! builder (`Search::graph_from`) as it stands — `order[i]` is
+//! configuration `i`, `succ[i]` its `(label, target index)` edges in
+//! [`Succ`]'s compressed rows, capped, depth-bounded or quotiented as the
+//! caller asked. Callers go through `Search::valence`, which hands it the
+//! label-free graph (`Search::shape`: the classification reads targets
+//! only), and `Search::find_decider`, which hands it the labelled one
+//! (the hunt filters edges by the process owning their action).
 //!
 //! Nor does it walk the rows by hand: both are queries through
 //! [`crate::succ`]'s graph layer. The fixpoint's worklist re-queues a
@@ -83,19 +83,15 @@ use crate::ids::ProcessId;
 use crate::succ::Succ;
 use crate::system::DecisionSystem;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-/// The valence of a configuration: the set of decision values reachable from
-/// it. (The paper treats the binary case; we allow any `u64` values, so
-/// "bivalent" generalizes to "multivalent".)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Valence(pub BTreeSet<u64>);
-
-/// Full valence classification of a protocol instance's reachable graph.
+/// The valence classification of a protocol instance's reachable graph: the
+/// configurations the bivalence proofs name. A configuration's valence is
+/// the set of decision values reachable from it; the paper treats the
+/// binary case, and any `u64` values are allowed here, so "bivalent" means
+/// "at least two values".
 #[derive(Debug, PartialEq, Eq)]
 pub struct ValenceReport<S> {
-    /// Valence of every reachable configuration.
-    pub valence: BTreeMap<S, Valence>,
     /// Initial configurations that are bivalent.
     pub bivalent_initials: Vec<S>,
     /// Initial configurations that are univalent.
@@ -106,9 +102,6 @@ pub struct ValenceReport<S> {
     pub truncated: bool,
     /// Number of reachable configurations analyzed.
     pub num_states: usize,
-    /// Configurations where a process has decided but agreement is violated
-    /// somewhere below — diagnostic for buggy candidate protocols.
-    pub agreement_violations: Vec<S>,
 }
 
 /// A Bridgeland–Watro decider: from a bivalent configuration (the first
@@ -143,12 +136,18 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     /// successors (labels are never read: a label-free `Succ<()>` serves
     /// as well as a labelled one), `order[..initials]` the initial
     /// configurations as the builder interned them (canonised, under a
-    /// canon hook), and
-    /// `truncated` whether the builder hit a bound (classification then
-    /// incomplete). The graph must be closed under `succ` (every target
-    /// index < `order.len()`). Records `scope: "valence"` events into
-    /// `tracer`: graph size, fixpoint effort, the valence of each initial
-    /// configuration, and the classification tallies.
+    /// canon hook), and `truncated` whether the builder hit a bound
+    /// (classification then incomplete). The graph must be closed under
+    /// `succ` (every target index < `order.len()`). Records `scope:
+    /// "valence"` events into `tracer`: graph size, fixpoint effort, the
+    /// valence of each initial configuration, and the classification
+    /// tallies (`violations` counts the configurations already holding two
+    /// decided values).
+    ///
+    /// # Panics
+    ///
+    /// If more than 64 distinct values are decided in the graph: a
+    /// valence is a `u64` bitmask.
     pub fn analyze_from_graph<L>(
         &self,
         order: &[Sys::State],
@@ -163,29 +162,15 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         );
         let (own, val) = self.fixpoint(order, succ, tracer);
 
-        // Agreement diagnostics: a state where two distinct values are
-        // *already decided* simultaneously.
-        let agreement_violations: Vec<Sys::State> = order
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| own[*i].len() >= 2)
-            .map(|(_, s)| s.clone())
-            .collect();
-
-        let mut valence = BTreeMap::new();
-        for (i, s) in order.iter().enumerate() {
-            valence.insert(s.clone(), Valence(val[i].clone()));
-        }
-
         let mut bivalent_initials = Vec::new();
         let mut univalent_initials = Vec::new();
         for (i, s) in order[..initials].iter().enumerate() {
             trace_event!(tracer, "valence", "initial",
                 "index": i,
-                "values": val[i].len(),
-                "bivalent": val[i].len() >= 2,
+                "values": val[i].count_ones(),
+                "bivalent": val[i].count_ones() >= 2,
             );
-            if val[i].len() >= 2 {
+            if val[i].count_ones() >= 2 {
                 bivalent_initials.push(s.clone());
             } else {
                 univalent_initials.push(s.clone());
@@ -199,14 +184,10 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
             .iter()
             .enumerate()
             .filter(|(i, _)| {
-                let real: Vec<usize> = succ[*i]
-                    .iter()
-                    .map(|&(_, t)| t)
-                    .filter(|t| t != i)
-                    .collect();
-                val[*i].len() >= 2
-                    && !real.is_empty()
-                    && real.iter().all(|&t| val[t].len() == 1)
+                let mut real = succ[*i].iter().map(|&(_, t)| t).filter(|t| t != i).peekable();
+                val[*i].count_ones() >= 2
+                    && real.peek().is_some()
+                    && real.all(|t| val[t].count_ones() == 1)
             })
             .map(|(_, s)| s.clone())
             .collect();
@@ -215,35 +196,49 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
             "bivalent_initials": bivalent_initials.len(),
             "univalent_initials": univalent_initials.len(),
             "critical": critical.len(),
-            "violations": agreement_violations.len(),
+            "violations": own.iter().filter(|m| m.count_ones() >= 2).count(),
         );
 
         ValenceReport {
-            valence,
             bivalent_initials,
             univalent_initials,
             critical,
             truncated,
             num_states: order.len(),
-            agreement_violations,
         }
     }
 
     /// `val(s) = own(s) ∪ ⋃ val(succ(s))` per graph index, where `own` is
     /// what is already decided in `s`, by reverse worklist (its effort goes
-    /// to `tracer` as one `fixpoint` event). Returns `(own, val)`.
+    /// to `tracer` as one `fixpoint` event). Both are bitmasks: bit `k` is
+    /// the `k`-th smallest value decided anywhere in the graph. Returns
+    /// `(own, val)`.
     fn fixpoint<L>(
         &self,
         order: &[Sys::State],
         succ: &Succ<L>,
         tracer: &mut dyn Tracer,
-    ) -> (Vec<BTreeSet<u64>>, Vec<BTreeSet<u64>>) {
-        let own: Vec<BTreeSet<u64>> = order
+    ) -> (Vec<u64>, Vec<u64>) {
+        let mut values: Vec<u64> = Vec::new();
+        for (_, v) in order.iter().flat_map(|s| self.sys.decisions(s)) {
+            if let Err(k) = values.binary_search(&v) {
+                assert!(
+                    values.len() < 64,
+                    "valence: more than 64 distinct decision values, a u64 mask holds 64"
+                );
+                values.insert(k, v);
+            }
+        }
+        let own: Vec<u64> = order
             .iter()
-            .map(|s| self.sys.decisions(s).into_iter().map(|(_, v)| v).collect())
+            .map(|s| {
+                self.sys.decisions(s).iter().fold(0, |m, (_, v)| {
+                    m | 1 << values.binary_search(v).expect("collected above")
+                })
+            })
             .collect();
         let preds = succ.preds();
-        let mut val: Vec<BTreeSet<u64>> = own.clone();
+        let mut val = own.clone();
         let mut queue: VecDeque<usize> = (0..order.len()).collect();
         let mut queued: Vec<bool> = vec![true; order.len()];
         let mut pops = 0usize;
@@ -251,13 +246,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         while let Some(i) = queue.pop_front() {
             pops += 1;
             queued[i] = false;
-            // Recompute val[i] from own + successors.
-            let mut v = own[i].clone();
-            for &(_, t) in &succ[i] {
-                for x in &val[t] {
-                    v.insert(*x);
-                }
-            }
+            let v = succ[i].iter().fold(own[i], |m, &(_, t)| m | val[t]);
             if v != val[i] {
                 changed += 1;
                 val[i] = v;
@@ -280,6 +269,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     /// two different univalent valences. Records `scope: "valence"` events
     /// into `tracer`: one `decider.probe` per (bivalent configuration,
     /// process) solo-run attempt, then `decider.found` or `decider.none`.
+    /// Panics where [`ValenceEngine::analyze_from_graph`] does.
     pub fn find_decider_from_graph(
         &self,
         order: &[Sys::State],
@@ -296,20 +286,21 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         // previous one reached.
         let mut tree = succ.bfs_tree();
         for i in 0..order.len() {
-            if val[i].len() < 2 {
+            if val[i].count_ones() < 2 {
                 continue;
             }
             for p in ProcessId::all(n) {
                 // Explore p-solo executions from `order[i]`, FIFO; keep the first
                 // state to reach each univalent valence. The two runs a
                 // decider reports are the tree paths to those states.
-                let mut reached: Vec<(&BTreeSet<u64>, usize)> = Vec::new();
+                let mut reached: Vec<(u64, usize)> = Vec::new();
                 tree.search(
                     [i],
                     |a, _| self.sys.owner(a) == Some(p),
                     |v| {
-                        if val[v].len() == 1 && !reached.iter().any(|(rv, _)| *rv == &val[v]) {
-                            reached.push((&val[v], v));
+                        let fresh = !reached.iter().any(|&(rv, _)| rv == val[v]);
+                        if val[v].count_ones() == 1 && fresh {
+                            reached.push((val[v], v));
                         }
                         reached.len() >= 2
                     },
@@ -396,6 +387,47 @@ mod tests {
                 _ => vec![],
             }
         }
+    }
+
+    /// State `0` leads to each of `1..=n`; state `k` decides `1000 + k`.
+    struct Fan;
+    impl System for Fan {
+        type State = u8;
+        type Action = u8;
+        fn initial_states(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn enabled(&self, _s: &u8) -> Vec<u8> {
+            Vec::new()
+        }
+        fn step(&self, s: &u8, _a: &u8) -> u8 {
+            *s
+        }
+    }
+    impl DecisionSystem for Fan {
+        fn decisions(&self, s: &u8) -> Vec<(ProcessId, u64)> {
+            (*s > 0).then_some((ProcessId(0), 1000 + u64::from(*s))).into_iter().collect()
+        }
+    }
+
+    fn fan(n: u8) -> ValenceReport<u8> {
+        let order: Vec<u8> = (0..=n).collect();
+        let mut rows = vec![vec![]; usize::from(n) + 1];
+        rows[0] = (1..=n).map(|t| (t, usize::from(t))).collect();
+        let succ = Succ::from_rows(rows);
+        ValenceEngine::new(&Fan).analyze_from_graph(&order, &succ, 1, false, &mut NoopTracer)
+    }
+
+    #[test]
+    fn sixty_four_decided_values_fit_the_mask() {
+        let report = fan(64);
+        assert_eq!((report.bivalent_initials, report.critical), (vec![0], vec![0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 64 distinct decision values")]
+    fn a_sixty_fifth_decided_value_is_refused() {
+        fan(65);
     }
 
     #[test]

@@ -438,6 +438,7 @@ impl<'a, Sys: DecisionSystem> Search<'a, Sys> {
 mod tests {
     use super::*;
     use crate::grid::Grid;
+    use crate::property::never;
     use impossible_core::ids::ProcessId;
 
     #[test]
@@ -616,7 +617,8 @@ mod tests {
         assert_eq!(report.bivalent_initials.len(), 2);
         assert_eq!(report.univalent_initials.len(), 2);
         assert!(!report.truncated);
-        assert!(report.agreement_violations.is_empty());
+        let agreement = never("agreement", |s: &FmState| FirstMover.disagrees(s));
+        assert!(Search::new(&FirstMover).check_property(&agreement).holds);
     }
 
     #[test]

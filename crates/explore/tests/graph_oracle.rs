@@ -15,19 +15,21 @@
 //! once more on a planted shape — a terminal state between expanded ones,
 //! cut by the cap. The same tables then check that `reexplore_incremental`
 //! equals a full rebuild of an action-dropping edit, that the label-free
-//! `Search::shape` is `Search::graph` with its labels erased, and that
+//! `Search::shape` is `Search::graph` with its labels erased, that
 //! `Search::check_property`, which checks `shape()` and derives its
-//! witness's actions, reports what a `Checker` over `graph()` reports.
+//! witness's actions, reports what a `Checker` over `graph()` reports, and
+//! that the bitmask valence classification is the one a `BTreeSet`
+//! fixpoint gives.
 
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceEngine;
 use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
-use impossible_explore::property::{always, eventually, leads_to};
+use impossible_explore::property::{always, eventually, leads_to, never};
 use impossible_explore::{impl_encode_struct, Checker, ReachableGraph, Search, Truncation};
 use impossible_obs::NoopTracer;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A state of a generated system: a row of the transition table. It carries
 /// the table's rotation period so that the canon hook — a plain fn pointer,
@@ -93,16 +95,56 @@ impl System for Table {
     }
 }
 
-/// Every third row decides a bit, so a table has univalent, bivalent and
-/// undecided configurations.
+/// On every third row process 0 decides a bit, and on every fourth from
+/// row 1 process 1 does, so a table has univalent, bivalent and undecided
+/// configurations — and in row 9, where the two disagree, a broken
+/// agreement.
 impl DecisionSystem for Table {
     fn decisions(&self, s: &Node) -> Vec<(ProcessId, u64)> {
+        let mut d = Vec::new();
         if s.at.is_multiple_of(3) {
-            vec![(ProcessId(0), u64::from(s.at / 3 % 2))]
-        } else {
-            Vec::new()
+            d.push((ProcessId(0), u64::from(s.at / 3 % 2)));
         }
+        if s.at % 4 == 1 {
+            d.push((ProcessId(1), u64::from(s.at / 4 % 2)));
+        }
+        d
     }
+}
+
+/// The values decided in `s`.
+fn decided(sys: &Table, s: &Node) -> BTreeSet<u64> {
+    sys.decisions(s).into_iter().map(|(_, v)| v).collect()
+}
+
+/// The reference classification of a graph: a `BTreeSet` of values per
+/// state, iterated in whole rounds until nothing changes (no worklist, no
+/// masks), and the bivalent initials, univalent initials and critical
+/// configurations read off it.
+fn set_valence(sys: &Table, g: &ReachableGraph<Node, ()>) -> [Vec<Node>; 3] {
+    let own: Vec<BTreeSet<u64>> = g.order.iter().map(|s| decided(sys, s)).collect();
+    let mut val = own.clone();
+    loop {
+        let next: Vec<BTreeSet<u64>> = (0..g.len())
+            .map(|i| g.succ[i].iter().fold(own[i].clone(), |v, &(_, t)| &v | &val[t]))
+            .collect();
+        if next == val {
+            break;
+        }
+        val = next;
+    }
+    let states = |keep: &dyn Fn(usize) -> bool, n| {
+        (0..n).filter(|&i| keep(i)).map(|i| g.order[i].clone()).collect()
+    };
+    let critical = |i: usize| {
+        let real: Vec<usize> = g.succ[i].iter().map(|&(_, t)| t).filter(|&t| t != i).collect();
+        val[i].len() >= 2 && !real.is_empty() && real.iter().all(|&t| val[t].len() == 1)
+    };
+    [
+        states(&|i| val[i].len() >= 2, g.initials),
+        states(&|i| val[i].len() < 2, g.initials),
+        states(&critical, g.len()),
+    ]
 }
 
 fn orbit_minimum(s: &Node) -> Node {
@@ -372,6 +414,41 @@ det_prop! {
                         Checker::new(&g).check(prop).to_json()
                     );
                 }
+            }
+        }
+    }
+
+    /// The bitmask valence engine against [`set_valence`], on graphs cut
+    /// by caps and depth bounds and under the canon hook; and agreement,
+    /// checked as `never(disagrees)`, against a scan of the reachable rows
+    /// for two decided values.
+    fn valence_matches_a_set_fixpoint(
+        cases = 1024,
+        raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
+        copies in 1usize..=3,
+        inits in prop::vec(0u8..24, 1..4),
+        cap in 1usize..=24,
+        max_depth in 0usize..=3,
+        quotient in 0u8..2
+    ) {
+        let sys = Table::new(&raw, copies, &inits);
+        for max_states in [usize::MAX, cap] {
+            for max_depth in [usize::MAX, max_depth] {
+                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
+                if quotient == 1 {
+                    search = search.canon(orbit_minimum);
+                }
+                let report = search.valence();
+                let shape = search.shape();
+                det_assert_eq!(
+                    [report.bivalent_initials, report.univalent_initials, report.critical],
+                    set_valence(&sys, &shape)
+                );
+                let agreement = never("agreement", |s| sys.disagrees(s));
+                det_assert_eq!(
+                    search.check_property(&agreement).holds,
+                    !shape.order.iter().any(|s| decided(&sys, s).len() >= 2)
+                );
             }
         }
     }

@@ -3,21 +3,25 @@
 //! Herlihy connected wait-free implementability to consensus: registers
 //! cannot solve 2-process wait-free consensus, test-and-set and FIFO queues
 //! solve exactly 2, compare-and-swap solves any `n`. The engine here is the
-//! same bivalence machinery as FLP (Loui–Abu-Amara \[76\] did exactly this
+//! same machinery as FLP's (Loui–Abu-Amara \[76\] did exactly this
 //! transfer — "the similarity between the ideas used in these two settings
 //! reinforces my intuition that there is an awful lot that is fundamentally
-//! the same").
+//! the same"): an [`ObjectSystem`] is a `DecisionSystem`, so `Search::valence`
+//! classifies its configurations as it does FLP's.
 //!
 //! [`ObjectProtocol`] expresses a wait-free consensus protocol over typed
 //! shared objects; [`ObjectSystem`] compiles it to a transition system;
-//! [`consensus_verdict`] checks agreement and validity through the valence
-//! engine and wait-freedom through bounded solo runs. The verified
-//! protocols ([`TasConsensus2`], [`QueueConsensus2`], [`CasConsensus`])
-//! and refuted candidates ([`RegisterMin2`], [`RegisterWait2`],
-//! [`TasConsensus3`]) trace out the hierarchy's first levels.
+//! [`consensus_verdict`] checks agreement and validity as safety
+//! properties (`never(disagrees)`, `never(decided ∉ inputs)`, through
+//! `Search::check_property`, as FLP's candidates are checked) and
+//! wait-freedom through bounded solo runs. The verified protocols
+//! ([`TasConsensus2`], [`QueueConsensus2`], [`CasConsensus`]) and refuted
+//! candidates ([`RegisterMin2`], [`RegisterWait2`], [`TasConsensus3`])
+//! trace out the hierarchy's first levels.
 
 use impossible_core::ids::ProcessId;
 use impossible_core::system::{DecisionSystem, System};
+use impossible_explore::property::never;
 use impossible_explore::Search;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -238,27 +242,21 @@ pub enum HierarchyVerdict {
 /// Exhaustively check a candidate protocol.
 pub fn consensus_verdict<P: ObjectProtocol>(proto: &P, max_states: usize) -> HierarchyVerdict {
     let sys = ObjectSystem::all_binary(proto);
-    let report = Search::new(&sys).max_states(max_states).valence();
-    if !report.agreement_violations.is_empty() {
+    let agreement = never("agreement", |s| sys.disagrees(s));
+    if !Search::new(&sys).max_states(max_states).check_property(&agreement).holds {
         return HierarchyVerdict::AgreementViolation;
     }
-    // Validity: decided values must be inputs (binary world: decided ≤ 1 and
-    // matches some process's input in that instance).
-    for (k, input) in
-        (0..(1u64 << proto.n())).map(|m| (m, (0..proto.n()).map(|i| (m >> i) & 1).collect::<Vec<u64>>()))
-    {
-        let _ = k;
+    // Validity: decided values must be inputs, checked per input vector.
+    for input in &sys.inputs {
         let single = ObjectSystem {
             proto,
             inputs: vec![input.clone()],
         };
-        let r = Search::new(&single).max_states(max_states).valence();
-        for init in single.initial_states() {
-            if let Some(val) = r.valence.get(&init) {
-                if val.0.iter().any(|v| !input.contains(v)) {
-                    return HierarchyVerdict::ValidityViolation;
-                }
-            }
+        let validity = never("validity", |s| {
+            single.decisions(s).iter().any(|(_, v)| !input.contains(v))
+        });
+        if !Search::new(&single).max_states(max_states).check_property(&validity).holds {
+            return HierarchyVerdict::ValidityViolation;
         }
     }
     // Wait-freedom: from every reachable configuration, every undecided
@@ -831,6 +829,47 @@ mod tests {
         let sys = ObjectSystem::all_binary(&TasConsensus2);
         let report = Search::new(&sys).max_states(500_000).valence();
         assert!(!report.bivalent_initials.is_empty());
-        assert!(report.agreement_violations.is_empty());
+        let agreement = never("agreement", |s| sys.disagrees(s));
+        assert!(Search::new(&sys).max_states(500_000).check_property(&agreement).holds);
+    }
+
+    /// Decides 0 on its first step, whatever its input.
+    struct DecideZero;
+
+    impl ObjectProtocol for DecideZero {
+        type Local = Option<u64>;
+
+        fn n(&self) -> usize {
+            2
+        }
+
+        fn objects(&self) -> Vec<ObjectSpec> {
+            vec![ObjectSpec::Register { init: 0 }]
+        }
+
+        fn init(&self, _i: usize, _input: u64) -> Option<u64> {
+            None
+        }
+
+        fn next_op(&self, _i: usize, local: &Option<u64>) -> Option<(usize, ObjOp)> {
+            local.is_none().then_some((0, ObjOp::Read))
+        }
+
+        fn on_response(&self, _i: usize, _local: &Option<u64>, _response: u64) -> Option<u64> {
+            Some(0)
+        }
+
+        fn decision(&self, local: &Option<u64>) -> Option<u64> {
+            *local
+        }
+    }
+
+    #[test]
+    fn a_constant_decision_breaks_validity() {
+        // Everyone agrees on 0, which is nobody's input on the all-1 vector.
+        assert_eq!(
+            consensus_verdict(&DecideZero, 500_000),
+            HierarchyVerdict::ValidityViolation
+        );
     }
 }

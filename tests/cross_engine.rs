@@ -4,28 +4,73 @@
 //! results; these tests apply *one* engine to *several* domains each.
 
 use impossible::consensus::eig::Eig;
-use impossible::consensus::flp::{self, Arbiter, FlpSystem};
+use impossible::consensus::flp::{self, Arbiter, FirstWins, FlpSystem, WaitForAll};
 use impossible::core::exec::Admissibility;
 use impossible::core::scenario::{ScenarioRing, ScenarioVerdict};
+use impossible::core::system::DecisionSystem;
 use impossible::core::task::Task;
+use impossible::explore::property::never;
 use impossible::explore::Search;
-use impossible::registers::herlihy::{ObjectSystem, TasConsensus2};
+use impossible::registers::herlihy::{
+    CasConsensus, ObjectSystem, QueueConsensus2, RegisterMin2, RegisterWait2, TasConsensus2,
+    TasConsensus3,
+};
+
+/// Agreement as a safety check: no reachable configuration of `sys` holds
+/// two decided values.
+fn agrees<Sys: DecisionSystem>(sys: &Sys, max_states: usize) -> bool {
+    let agreement = never("agreement", |s| sys.disagrees(s));
+    Search::new(sys).max_states(max_states).check_property(&agreement).holds
+}
 
 #[test]
 fn valence_engine_spans_message_passing_and_shared_objects() {
     // One engine, two worlds: the FLP message system and the Herlihy
     // object system both expose bivalent initial configurations to the
-    // same analyzer (the Loui–Abu-Amara transfer).
+    // same analyzer (the Loui–Abu-Amara transfer), and both agree.
     let arb = Arbiter::new(3);
     let msg_sys = FlpSystem::all_binary(&arb);
     let msg_report = Search::new(&msg_sys).max_states(500_000).valence();
     assert!(!msg_report.bivalent_initials.is_empty());
-    assert!(msg_report.agreement_violations.is_empty());
+    assert!(agrees(&msg_sys, 500_000));
 
     let obj_sys = ObjectSystem::all_binary(&TasConsensus2);
     let obj_report = Search::new(&obj_sys).max_states(500_000).valence();
     assert!(!obj_report.bivalent_initials.is_empty());
-    assert!(obj_report.agreement_violations.is_empty());
+    assert!(agrees(&obj_sys, 500_000));
+}
+
+/// Every edge of `sys`'s reachable graph keeps the source's decisions:
+/// the irrevocability the valence classification assumes.
+fn decisions_are_irrevocable<Sys: DecisionSystem>(sys: &Sys, max_states: usize) -> bool {
+    let g = Search::new(sys).max_states(max_states).shape();
+    let kept = g.succ.iter().enumerate().all(|(i, row)| {
+        let before = sys.decisions(&g.order[i]);
+        row.iter().all(|&((), t)| {
+            let after = sys.decisions(&g.order[t]);
+            before.iter().all(|d| after.contains(d))
+        })
+    });
+    kept
+}
+
+#[test]
+fn decisions_are_irrevocable_on_every_edge() {
+    // The FLP candidates of F2 and the Herlihy protocols of E12, at the
+    // caps those experiments use.
+    assert!(decisions_are_irrevocable(&FlpSystem::all_binary(&FirstWins::new(2)), 500_000));
+    assert!(decisions_are_irrevocable(&FlpSystem::all_binary(&WaitForAll::new(2)), 500_000));
+    assert!(decisions_are_irrevocable(&FlpSystem::all_binary(&Arbiter::new(3)), 500_000));
+    assert!(decisions_are_irrevocable(&ObjectSystem::all_binary(&RegisterMin2), 500_000));
+    assert!(decisions_are_irrevocable(&ObjectSystem::all_binary(&RegisterWait2), 500_000));
+    assert!(decisions_are_irrevocable(&ObjectSystem::all_binary(&TasConsensus2), 500_000));
+    assert!(decisions_are_irrevocable(&ObjectSystem::all_binary(&TasConsensus3), 2_000_000));
+    assert!(decisions_are_irrevocable(&ObjectSystem::all_binary(&QueueConsensus2), 500_000));
+    assert!(decisions_are_irrevocable(&ObjectSystem::all_binary(&CasConsensus::new(3)), 500_000));
+    assert!(decisions_are_irrevocable(
+        &ObjectSystem::all_binary(&CasConsensus::new(4)),
+        2_000_000
+    ));
 }
 
 #[test]
