@@ -571,6 +571,22 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_leaves_initials_undecided_not_univalent() {
+        // Uncut, each of the 8 initials reaches a decision: 4 bivalent
+        // (mixed client inputs), 4 univalent.
+        let whole = analyze(&Arbiter::new(3), 500_000);
+        let sizes = |r: &ValenceReport<_>| {
+            let buckets = [&r.bivalent_initials, &r.univalent_initials, &r.undecided_initials];
+            buckets.map(Vec::len)
+        };
+        assert_eq!((sizes(&whole), whole.truncated), ([4, 4, 0], false));
+        // Cut at 64 of its 416 configurations, two initials keep no decision
+        // inside the graph: undecided, not univalent.
+        let cut = analyze(&Arbiter::new(3), 64);
+        assert_eq!((sizes(&cut), cut.truncated), ([4, 2, 2], true));
+    }
+
+    #[test]
     fn arbiter_has_critical_configuration_figure_3() {
         let report = analyze(&Arbiter::new(3), 500_000);
         assert!(

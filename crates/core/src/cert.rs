@@ -67,8 +67,12 @@ pub struct Spec<'a, S, A> {
     /// The states a lasso may repeat forever (head and cycle).
     pub admissible: Option<&'a dyn Fn(&S) -> bool>,
     /// `(classes, class_of)`: the cycle takes an action of every class.
-    pub fairness: Option<(usize, &'a dyn Fn(&A) -> Option<usize>)>,
+    pub fairness: Option<Fairness<'a, A>>,
 }
+
+/// [`Spec::fairness`]: a class count and the class of each action (`None`:
+/// unclassified).
+pub type Fairness<'a, A> = (usize, &'a dyn Fn(&A) -> Option<usize>);
 
 impl<'a, S, A> Spec<'a, S, A> {
     /// `goal` over the plain system, with no constraint on the cycle.
@@ -162,7 +166,7 @@ pub fn verify<Sys: System>(
         Some(c) => c(&s),
         None => s,
     };
-    let allowed = |a: &Sys::Action| spec.allowed.map_or(true, |f| f(a));
+    let allowed = |a: &Sys::Action| spec.allowed.is_none_or(|f| f(a));
     let follows = |pre: &Sys::State, a: &Sys::Action, post: &Sys::State| {
         allowed(a) && sys.enabled(pre).contains(a) && canonize(sys.step(pre, a)) == *post
     };
@@ -209,7 +213,7 @@ pub fn verify<Sys: System>(
     if let Some(k) = spec.admissible.and_then(|f| loop_states().position(|s| !f(s))) {
         return Err(WitnessError::Inadmissible(k));
     }
-    let uncovered = |(classes, class_of): (usize, &dyn Fn(&Sys::Action) -> Option<usize>)| {
+    let uncovered = |(classes, class_of): Fairness<'_, Sys::Action>| {
         (0..classes).find(|&c| !lasso.cycle.iter().any(|(a, _)| class_of(a) == Some(c)))
     };
     if let Some(c) = spec.fairness.and_then(uncovered) {
@@ -222,7 +226,7 @@ pub fn verify<Sys: System>(
         (Goal::LeadsTo(p, q), Some(k)) if k < states.len() && p(&states[k]) => (k, q),
         _ => return Err(WitnessError::Pivot),
     };
-    match states[from..].iter().chain(cycle_states()).position(|s| goal(s)) {
+    match states[from..].iter().chain(cycle_states()).position(goal) {
         Some(k) => Err(WitnessError::MeetsGoal(from + k)),
         None => Ok(()),
     }

@@ -94,6 +94,10 @@ pub struct Explorer<'a, Sys: System> {
     max_depth: usize,
 }
 
+/// [`Explorer`]'s witness map: each visited state's BFS parent and the
+/// action taken from it (`None` for an initial state).
+type Parents<S, A> = BTreeMap<S, Option<(S, A)>>;
+
 impl<'a, Sys: System> Explorer<'a, Sys> {
     /// Explorer with generous default bounds (1M states, depth 10k).
     pub fn new(sys: &'a Sys) -> Self {
@@ -135,7 +139,7 @@ impl<'a, Sys: System> Explorer<'a, Sys> {
         F: Fn(&Sys::State) -> bool,
     {
         // Parent map for witness reconstruction: state -> (parent, action).
-        let mut parent: BTreeMap<Sys::State, Option<(Sys::State, Sys::Action)>> = BTreeMap::new();
+        let mut parent: Parents<Sys::State, Sys::Action> = BTreeMap::new();
         let mut queue: VecDeque<(Sys::State, usize)> = VecDeque::new();
         let mut terminal = Vec::new();
         let mut transitions = 0usize;

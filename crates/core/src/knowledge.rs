@@ -138,9 +138,9 @@ impl<S, V: Eq + Hash + Clone> KnowledgeFrame<S, V> {
         for _ in 0..k {
             let mut next = vec![true; self.states.len()];
             for p in ProcessId::all(self.num_processes) {
-                for i in 0..self.states.len() {
-                    if next[i] {
-                        next[i] = self
+                for (i, known) in next.iter_mut().enumerate() {
+                    if *known {
+                        *known = self
                             .indistinguishable(i, p)
                             .into_iter()
                             .all(|j| cur[j]);

@@ -34,9 +34,18 @@
 //!
 //! Each visits nodes in index order and neighbours in row order, so every
 //! answer — a path, an SCC count, a cycle — is a pure function of the
-//! rows. Node indices are stored as `u32`: a graph with more than
-//! `u32::MAX` rows is refused by a panic, never wrapped
+//! rows. Node indices in their scratch arrays are stored as `u32`: a graph
+//! with more than `u32::MAX` rows is refused by a panic, never wrapped
 //! (`Search::graph_from` interns no more).
+//!
+//! **Target width.** An edge's target is a [`Target`]: `usize` (the
+//! default, `Succ<A>`) or `u32` (`Succ<A, u32>`, half the bytes of a
+//! label-free edge — `size_of::<((), u32)>()` is 4 where `((), usize)` is
+//! 8). A target is converted into the width when it is pushed, and one
+//! past it is refused, never truncated. The algorithms read targets back
+//! as `usize` ([`Target::to_usize`]), so they answer the same on either
+//! width, and the `Debug` output is the same too: a `u32` prints as the
+//! `usize` of the same value.
 //!
 //! **Building.** Rows are appended in index order: [`Succ::push`] the
 //! row's edges, [`Succ::close_row`] it, and once no more rows will be
@@ -50,8 +59,8 @@
 //! use impossible_core::succ::Succ;
 //!
 //! let mut succ = Succ::new();
-//! succ.push('a', 1);
-//! succ.push('b', 2);
+//! assert!(succ.push('a', 1));
+//! assert!(succ.push('b', 2));
 //! assert!(succ.close_row()); // row 0
 //! succ.pad_rows(3); // rows 1 and 2: never expanded, so empty
 //! assert_eq!(succ, Succ::from_rows([vec![('a', 1), ('b', 2)], vec![], vec![]]));
@@ -64,28 +73,63 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Index;
 
+/// The width an edge stores its target index in: `usize` or `u32`, and no
+/// other (the trait is sealed).
+pub trait Target: sealed::Sealed + Copy + Eq + fmt::Debug {
+    /// `index` in this width, or `None` when it does not fit: a refusal,
+    /// never a truncation.
+    fn from_usize(index: usize) -> Option<Self>;
+    /// The index back as a `usize`.
+    fn to_usize(self) -> usize;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for usize {}
+    impl Sealed for u32 {}
+}
+
+impl Target for usize {
+    fn from_usize(index: usize) -> Option<usize> {
+        Some(index)
+    }
+
+    fn to_usize(self) -> usize {
+        self
+    }
+}
+
+impl Target for u32 {
+    fn from_usize(index: usize) -> Option<u32> {
+        u32::try_from(index).ok()
+    }
+
+    fn to_usize(self) -> usize {
+        self as usize
+    }
+}
+
 /// Successor rows in compressed form: `succ[i]` is the slice of state
-/// `i`'s `(action, target index)` edges, in the order they were pushed.
+/// `i`'s `(action, target index)` edges, in the order they were pushed,
+/// each target stored as a `T` ([`Target`]).
 ///
 /// A row is visible — to indexing, [`Succ::iter`], [`Succ::num_edges`],
 /// `Debug` — once it is closed. `==` compares finished values: build both
 /// sides to the end ([`Succ::close_row`] or [`Succ::pad_rows`] last)
 /// before comparing them.
 #[derive(Clone, PartialEq, Eq)]
-pub struct Succ<A> {
-    edges: Vec<(A, usize)>,
+pub struct Succ<A, T = usize> {
+    edges: Vec<(A, T)>,
     /// `rows + 1` monotone offsets into `edges`, `offsets[0] == 0`; on a
     /// finished value the last one is `edges.len()`.
     offsets: Vec<u32>,
 }
 
 impl<A> Succ<A> {
-    /// No rows.
+    /// No rows, `usize` targets ([`Succ::default`] makes an empty value
+    /// of either width).
     pub fn new() -> Self {
-        Succ {
-            edges: Vec::new(),
-            offsets: vec![0],
-        }
+        Succ::default()
     }
 
     /// The rows of a hand-written graph: `rows[i]` becomes `succ[i]`.
@@ -104,12 +148,23 @@ impl<A> Succ<A> {
         }
         succ
     }
+}
 
-    /// Append an edge to the row under construction.
-    pub fn push(&mut self, action: A, target: usize) {
+impl<A, T: Target> Succ<A, T> {
+    /// Append an edge to the row under construction. `false`, with
+    /// nothing appended, when `target` does not fit `T`: the caller stops
+    /// building, as on a refused [`Succ::close_row`].
+    #[must_use]
+    pub fn push(&mut self, action: A, target: usize) -> bool {
+        let Some(target) = T::from_usize(target) else {
+            return false;
+        };
         self.edges.push((action, target));
+        true
     }
+}
 
+impl<A, T> Succ<A, T> {
     /// Close the row under construction — an empty one if nothing was
     /// pushed since the last close. `false`, with the row left open, when
     /// its end no longer fits a `u32` offset: the caller stops building
@@ -149,7 +204,7 @@ impl<A> Succ<A> {
     }
 
     /// The rows in index order, each as a slice.
-    pub fn iter(&self) -> impl Iterator<Item = &[(A, usize)]> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &[(A, T)]> + '_ {
         self.offsets
             .windows(2)
             .map(|w| &self.edges[w[0] as usize..w[1] as usize])
@@ -161,22 +216,26 @@ impl<A> Succ<A> {
     }
 }
 
-impl<A> Default for Succ<A> {
+impl<A, T> Default for Succ<A, T> {
     fn default() -> Self {
-        Succ::new()
+        Succ {
+            edges: Vec::new(),
+            offsets: vec![0],
+        }
     }
 }
 
-impl<A> Index<usize> for Succ<A> {
-    type Output = [(A, usize)];
+impl<A, T> Index<usize> for Succ<A, T> {
+    type Output = [(A, T)];
 
-    fn index(&self, row: usize) -> &[(A, usize)] {
+    fn index(&self, row: usize) -> &[(A, T)] {
         &self.edges[self.offsets[row] as usize..self.offsets[row + 1] as usize]
     }
 }
 
-/// Exactly what `Vec<Vec<(A, usize)>>` prints, in both `{:?}` and `{:#?}`.
-impl<A: fmt::Debug> fmt::Debug for Succ<A> {
+/// Exactly what `Vec<Vec<(A, usize)>>` prints, in both `{:?}` and `{:#?}`,
+/// at either target width.
+impl<A: fmt::Debug, T: fmt::Debug> fmt::Debug for Succ<A, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
@@ -185,7 +244,7 @@ impl<A: fmt::Debug> fmt::Debug for Succ<A> {
 /// The graph algorithms. Each expects finished rows whose targets are all
 /// `< len()` (what `Search::graph_from` and [`Succ::from_rows`] over a
 /// closed graph produce).
-impl<A> Succ<A> {
+impl<A, T: Target> Succ<A, T> {
     /// The row count, checked to fit the `u32` node indices the
     /// algorithms store.
     fn nodes(&self) -> usize {
@@ -205,7 +264,7 @@ impl<A> Succ<A> {
         // begins — the predecessors of `t` are `src[start[t]..start[t + 1]]`.
         let mut start = vec![0u32; n + 2];
         for &(_, t) in self.iter().flatten() {
-            start[t + 2] += 1;
+            start[t.to_usize() + 2] += 1;
         }
         for t in 0..n {
             start[t + 2] += start[t + 1];
@@ -213,6 +272,7 @@ impl<A> Succ<A> {
         let mut src = vec![0u32; self.num_edges()];
         for (v, row) in self.iter().enumerate() {
             for &(_, t) in row {
+                let t = t.to_usize();
                 src[start[t + 1] as usize] = v as u32;
                 start[t + 1] += 1;
             }
@@ -253,7 +313,7 @@ impl<A> Succ<A> {
     /// An empty BFS tree over these rows; [`BfsTree::search`] grows it.
     /// Its `n`-sized link array is allocated here, once, however many
     /// searches the tree then runs.
-    pub fn bfs_tree(&self) -> BfsTree<'_, A> {
+    pub fn bfs_tree(&self) -> BfsTree<'_, A, T> {
         BfsTree {
             succ: self,
             link: vec![UNREACHED; self.nodes()],
@@ -271,47 +331,52 @@ impl<A> Succ<A> {
         let mut index = vec![Sccs::NONE; n];
         let mut low = vec![0u32; n];
         let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
+        let mut stack: Vec<u32> = Vec::new();
         let mut id = vec![Sccs::NONE; n];
         let mut cyclic: Vec<bool> = Vec::new();
         let mut next_index = 0u32;
-        // DFS frames `(node, next edge index)`; a node is numbered and
+        // DFS frames `(node, next edge index into its row)`, both `u32` (a
+        // row holds at most `u32::MAX` edges); a node is numbered and
         // pushed when its frame first comes up.
-        let mut frames: Vec<(usize, usize)> = Vec::new();
+        let mut frames: Vec<(u32, u32)> = Vec::new();
         for root in 0..n {
             if keep[root] && index[root] == Sccs::NONE {
-                frames.push((root, 0));
+                frames.push((root as u32, 0));
             }
             while let Some(&(v, ei)) = frames.last() {
+                let (v, ei) = (v as usize, ei as usize);
                 if ei == 0 {
                     index[v] = next_index;
                     low[v] = next_index;
                     next_index += 1;
-                    stack.push(v);
+                    stack.push(v as u32);
                     on_stack[v] = true;
                 }
                 if ei < self[v].len() {
                     frames.last_mut().expect("nonempty").1 += 1;
-                    let w = self[v][ei].1;
+                    let w = self[v][ei].1.to_usize();
                     if keep[w] && index[w] == Sccs::NONE {
-                        frames.push((w, 0));
+                        frames.push((w as u32, 0));
                     } else if on_stack[w] {
                         low[v] = low[v].min(index[w]);
                     }
                 } else {
                     frames.pop();
                     if let Some(&(u, _)) = frames.last() {
+                        let u = u as usize;
                         low[u] = low[u].min(low[v]);
                     }
                     if low[v] == index[v] {
                         // `v` roots a component: it and everything above it
                         // on the stack. A single member cycles only through
                         // a self-loop.
-                        let at = stack.iter().rposition(|&w| w == v).expect("on the stack");
-                        cyclic.push(stack.len() - at >= 2 || self[v].iter().any(|&(_, t)| t == v));
+                        let at = stack.iter().rposition(|&w| w as usize == v);
+                        let at = at.expect("on the stack");
+                        let self_loop = self[v].iter().any(|&(_, t)| t.to_usize() == v);
+                        cyclic.push(stack.len() - at >= 2 || self_loop);
                         for w in stack.drain(at..) {
-                            on_stack[w] = false;
-                            id[w] = cyclic.len() as u32 - 1;
+                            on_stack[w as usize] = false;
+                            id[w as usize] = cyclic.len() as u32 - 1;
                         }
                     }
                 }
@@ -333,32 +398,37 @@ impl<A> Succ<A> {
         class_bits: impl Fn(&A) -> u32,
         full: u32,
     ) -> Option<Vec<(usize, usize)>> {
-        // The FIFO queue keeps every product node it dequeued, each with
-        // the edge that discovered it — `(queue index of its source, source
-        // state, edge index)` — so the cycle is read back off the queue,
-        // entry 0 being `(head, 0)`.
+        assert!(head < self.nodes(), "the head {head} is not a row");
+        // The FIFO queue keeps every product node `(state, bits of full
+        // seen)` it dequeued, each with the edge that discovered it —
+        // `(queue index of its source, source state, edge index)` — so the
+        // cycle is read back off the queue, entry 0 being `(head, 0)`.
+        // States and edge indices are `u32`: the graph has at most
+        // `u32::MAX` rows and edges.
+        let head = head as u32;
         let mut seen = BTreeSet::from([(head, 0)]);
-        let mut queue: Vec<((usize, u32), (usize, usize, usize))> = vec![((head, 0), (0, head, 0))];
+        let mut queue: Vec<(Product, Discovery)> = vec![((head, 0), (0, head, 0))];
         let mut k = 0;
         while let Some(&((v, mask), _)) = queue.get(k) {
-            for (ei, (a, t)) in self[v].iter().enumerate() {
-                if !allowed(*t) {
+            for (ei, (a, t)) in self[v as usize].iter().enumerate() {
+                let t = t.to_usize();
+                if !allowed(t) {
                     continue;
                 }
-                let node = (*t, mask | (class_bits(a) & full));
+                let node = (t as u32, mask | (class_bits(a) & full));
                 if node == (head, full) {
-                    let mut edges = vec![(v, ei)];
+                    let mut edges = vec![(v as usize, ei)];
                     let mut j = k;
                     while j != 0 {
                         let (_, (from, src, e)) = queue[j];
-                        edges.push((src, e));
+                        edges.push((src as usize, e as usize));
                         j = from;
                     }
                     edges.reverse();
                     return Some(edges);
                 }
                 if seen.insert(node) {
-                    queue.push((node, (k, v, ei)));
+                    queue.push((node, (k, v, ei as u32)));
                 }
             }
             k += 1;
@@ -366,6 +436,12 @@ impl<A> Succ<A> {
         None
     }
 }
+
+/// A [`Succ::covering_cycle`] product node: `(state, bits of full seen)`.
+type Product = (u32, u32);
+/// How [`Succ::covering_cycle`] discovered a product node: `(queue index
+/// of its source, source state, edge index in the source's row)`.
+type Discovery = (usize, u32, u32);
 
 /// [`Succ::preds`]' answer: `preds[t]` is the slice of `t`'s predecessor
 /// indices. Two arrays, `u32` throughout: one offset per row plus one, one
@@ -395,8 +471,8 @@ const START: (u32, u32) = (u32::MAX, 0);
 /// [`BfsTree::search`] first forgets the nodes the previous one reached —
 /// only those, so a caller that runs one small search per configuration
 /// pays for what each search touches, not for the graph.
-pub struct BfsTree<'s, A> {
-    succ: &'s Succ<A>,
+pub struct BfsTree<'s, A, T = usize> {
+    succ: &'s Succ<A, T>,
     /// Per node: `UNREACHED`, `START`, or the `(source, edge index into
     /// its row)` that discovered it.
     link: Vec<(u32, u32)>,
@@ -405,7 +481,7 @@ pub struct BfsTree<'s, A> {
     reached: Vec<u32>,
 }
 
-impl<'s, A> BfsTree<'s, A> {
+impl<'s, A, T: Target> BfsTree<'s, A, T> {
     /// Search breadth-first from `starts` (in order; a repeat is ignored),
     /// dequeuing FIFO and following, in row order, the edges `(action,
     /// target)` that `edge` admits into nodes not reached yet — the first
@@ -436,9 +512,10 @@ impl<'s, A> BfsTree<'s, A> {
                 return Some(v);
             }
             for (ei, (a, t)) in succ[v].iter().enumerate() {
-                if self.link[*t] == UNREACHED && edge(a, *t) {
-                    self.link[*t] = (v as u32, ei as u32);
-                    self.reached.push(*t as u32);
+                let t = t.to_usize();
+                if self.link[t] == UNREACHED && edge(a, t) {
+                    self.link[t] = (v as u32, ei as u32);
+                    self.reached.push(t as u32);
                 }
             }
         }
@@ -490,6 +567,7 @@ mod tests {
     use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
 
     type Rows = Vec<Vec<(u8, usize)>>;
+    type Rows0 = Vec<Vec<((), usize)>>;
 
     /// A generated byte as an edge: action `x % 4`, target `x / 4`.
     fn edges(raw: &[u8]) -> Vec<(u8, usize)> {
@@ -554,12 +632,12 @@ mod tests {
             let mut succ = Succ::new();
             for row in &rows[..expanded] {
                 for &(a, t) in row {
-                    succ.push(a, t);
+                    det_assert!(succ.push(a, t));
                 }
                 det_assert!(succ.close_row());
             }
             for (a, t) in edges(&open) {
-                succ.push(a, t);
+                det_assert!(succ.push(a, t));
             }
             succ.pad_rows(rows.len());
             rows[expanded..].fill(Vec::new());
@@ -569,6 +647,86 @@ mod tests {
             // Padding to fewer rows than there are changes nothing.
             succ.pad_rows(0);
             det_assert!(succ == Succ::from_rows(&rows));
+        }
+    }
+
+    // ---- the target width ----------------------------------------------
+
+    /// `rows` built at `u32` width, through `push` / `close_row`.
+    fn narrow<A: Clone>(rows: &[Vec<(A, usize)>]) -> Succ<A, u32> {
+        let mut succ = Succ::default();
+        for row in rows {
+            for (a, t) in row {
+                assert!(succ.push(a.clone(), *t));
+            }
+            assert!(succ.close_row());
+        }
+        succ
+    }
+
+    #[test]
+    fn label_free_edges_are_four_bytes_at_u32_and_eight_at_usize() {
+        assert_eq!(std::mem::size_of::<((), u32)>(), 4);
+        assert_eq!(std::mem::size_of::<((), usize)>(), 8);
+    }
+
+    /// Kills: `Target for u32` converting with a truncating `index as u32`
+    /// (`u32::MAX + 1` would be stored as target 0).
+    #[test]
+    fn a_target_past_the_width_is_refused() {
+        let past = u32::MAX as usize + 1;
+        let mut succ: Succ<(), u32> = Succ::default();
+        assert!(succ.push((), past - 1));
+        assert!(!succ.push((), past));
+        assert!(succ.close_row());
+        assert_eq!(&succ[0], &[((), u32::MAX)]);
+        // The default width takes it.
+        let mut wide = Succ::new();
+        assert!(wide.push((), past));
+        assert!(wide.close_row());
+        assert_eq!(&wide[0], &[((), past)]);
+    }
+
+    det_prop! {
+        /// The same rows at both widths: the same `Debug`, and the same
+        /// answer from every algorithm — label-free, and with the drawn
+        /// actions as fairness classes for `covering_cycle`.
+        fn u32_targets_answer_what_usize_targets_answer(
+            cases = 1024,
+            front in 0usize..3,
+            middle in prop::vec(prop::vec(0u8..160, 0..4), 0..14),
+            back in 0usize..3,
+            keep_bits in 0u32..1 << 20,
+            keep_all in 0u8..3
+        ) {
+            let rows = graph(front, &middle, back);
+            let n = rows.len();
+            let keep = mask(keep_bits, keep_all == 0, n);
+            let erase = |row: &Vec<(u8, usize)>| row.iter().map(|&(_, t)| ((), t)).collect();
+            let bare: Rows0 = rows.iter().map(erase).collect();
+            let (wide, thin) = (Succ::from_rows(&bare), narrow(&bare));
+            det_assert_eq!(format!("{thin:?}"), format!("{wide:?}"));
+            det_assert_eq!(format!("{thin:#?}"), format!("{wide:#?}"));
+            let (wide_preds, thin_preds) = (wide.preds(), thin.preds());
+            for t in 0..n {
+                det_assert_eq!(&thin_preds[t], &wide_preds[t]);
+            }
+            det_assert_eq!(
+                thin.can_reach(|v| keep[v], |v| v % 3 == 0),
+                wide.can_reach(|v| keep[v], |v| v % 3 == 0)
+            );
+            det_assert_eq!(thin.sccs(&keep), wide.sccs(&keep));
+            let (wide, thin) = (Succ::from_rows(&rows), narrow(&rows));
+            det_assert_eq!(format!("{thin:?}"), format!("{wide:?}"));
+            let bits = |a: &u8| 1u32 << a;
+            for head in 0..n {
+                for full in [0, 1, 5, 15] {
+                    det_assert_eq!(
+                        thin.covering_cycle(head, |t| keep[t], bits, full),
+                        wide.covering_cycle(head, |t| keep[t], bits, full)
+                    );
+                }
+            }
         }
     }
 

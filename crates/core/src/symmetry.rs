@@ -342,7 +342,7 @@ impl<'a, P: AnonymousRingProtocol> LockstepRing<'a, P> {
     fn input_period(&self) -> usize {
         let n = self.inputs.len();
         (1..=n)
-            .filter(|d| n % d == 0)
+            .filter(|d| n.is_multiple_of(*d))
             .find(|&d| (0..n).all(|i| self.inputs[i] == self.inputs[(i + d) % n]))
             .expect("n is always a period")
     }

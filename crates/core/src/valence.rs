@@ -80,7 +80,7 @@
 
 use crate::exec::Execution;
 use crate::ids::ProcessId;
-use crate::succ::Succ;
+use crate::succ::{Succ, Target};
 use crate::system::DecisionSystem;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::collections::VecDeque;
@@ -89,13 +89,19 @@ use std::collections::VecDeque;
 /// configurations the bivalence proofs name. A configuration's valence is
 /// the set of decision values reachable from it; the paper treats the
 /// binary case, and any `u64` values are allowed here, so "bivalent" means
-/// "at least two values".
+/// "at least two values" and "univalent" exactly one. Each initial
+/// configuration is in exactly one of the three `*_initials` buckets.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ValenceReport<S> {
     /// Initial configurations that are bivalent.
     pub bivalent_initials: Vec<S>,
-    /// Initial configurations that are univalent.
+    /// Initial configurations that are univalent: exactly one value is
+    /// reachable.
     pub univalent_initials: Vec<S>,
+    /// Initial configurations from which no decided value is reachable
+    /// inside the graph — a protocol that never decides, or a cut graph
+    /// whose explored part holds no decision below them.
+    pub undecided_initials: Vec<S>,
     /// Critical configurations: bivalent, every successor univalent.
     pub critical: Vec<S>,
     /// True if exploration hit a bound (classification then incomplete).
@@ -133,8 +139,8 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
 
     /// Classify the valence of every configuration of a reachable graph:
     /// `order[i]` is state `i`, `succ[i]` its `(label, target_index)`
-    /// successors (labels are never read: a label-free `Succ<()>` serves
-    /// as well as a labelled one), `order[..initials]` the initial
+    /// successors (labels are never read: a label-free `Succ<(), u32>`
+    /// serves as well as a labelled one), `order[..initials]` the initial
     /// configurations as the builder interned them (canonised, under a
     /// canon hook), and `truncated` whether the builder hit a bound
     /// (classification then incomplete). The graph must be closed under
@@ -148,10 +154,10 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     ///
     /// If more than 64 distinct values are decided in the graph: a
     /// valence is a `u64` bitmask.
-    pub fn analyze_from_graph<L>(
+    pub fn analyze_from_graph<L, T: Target>(
         &self,
         order: &[Sys::State],
-        succ: &Succ<L>,
+        succ: &Succ<L, T>,
         initials: usize,
         truncated: bool,
         tracer: &mut dyn Tracer,
@@ -164,16 +170,17 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
 
         let mut bivalent_initials = Vec::new();
         let mut univalent_initials = Vec::new();
+        let mut undecided_initials = Vec::new();
         for (i, s) in order[..initials].iter().enumerate() {
             trace_event!(tracer, "valence", "initial",
                 "index": i,
                 "values": val[i].count_ones(),
                 "bivalent": val[i].count_ones() >= 2,
             );
-            if val[i].count_ones() >= 2 {
-                bivalent_initials.push(s.clone());
-            } else {
-                univalent_initials.push(s.clone());
+            match val[i].count_ones() {
+                0 => undecided_initials.push(s.clone()),
+                1 => univalent_initials.push(s.clone()),
+                _ => bivalent_initials.push(s.clone()),
             }
         }
 
@@ -184,7 +191,8 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
             .iter()
             .enumerate()
             .filter(|(i, _)| {
-                let mut real = succ[*i].iter().map(|&(_, t)| t).filter(|t| t != i).peekable();
+                let targets = succ[*i].iter().map(|&(_, t)| t.to_usize());
+                let mut real = targets.filter(|t| t != i).peekable();
                 val[*i].count_ones() >= 2
                     && real.peek().is_some()
                     && real.all(|t| val[t].count_ones() == 1)
@@ -202,6 +210,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         ValenceReport {
             bivalent_initials,
             univalent_initials,
+            undecided_initials,
             critical,
             truncated,
             num_states: order.len(),
@@ -213,10 +222,10 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
     /// to `tracer` as one `fixpoint` event). Both are bitmasks: bit `k` is
     /// the `k`-th smallest value decided anywhere in the graph. Returns
     /// `(own, val)`.
-    fn fixpoint<L>(
+    fn fixpoint<L, T: Target>(
         &self,
         order: &[Sys::State],
-        succ: &Succ<L>,
+        succ: &Succ<L, T>,
         tracer: &mut dyn Tracer,
     ) -> (Vec<u64>, Vec<u64>) {
         let mut values: Vec<u64> = Vec::new();
@@ -246,7 +255,7 @@ impl<'a, Sys: DecisionSystem> ValenceEngine<'a, Sys> {
         while let Some(i) = queue.pop_front() {
             pops += 1;
             queued[i] = false;
-            let v = succ[i].iter().fold(own[i], |m, &(_, t)| m | val[t]);
+            let v = succ[i].iter().fold(own[i], |m, &(_, t)| m | val[t.to_usize()]);
             if v != val[i] {
                 changed += 1;
                 val[i] = v;

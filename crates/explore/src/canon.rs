@@ -56,6 +56,9 @@ pub enum CanonFault {
     Predicate(String),
 }
 
+/// One of [`audit`]'s predicates: its name and the predicate.
+type NamedPred<'p, S> = (&'p str, &'p dyn Fn(&S) -> bool);
+
 /// Check the hook contract, clause by clause in [`CanonFault`]'s order,
 /// for `canon` on each of `states` (typically a whole reachable space of
 /// the unquotiented system) and the named predicates `preds`. Returns the
@@ -64,7 +67,7 @@ pub fn audit<Sys: System>(
     sys: &Sys,
     canon: fn(&Sys::State) -> Sys::State,
     states: &[Sys::State],
-    preds: &[(&str, &dyn Fn(&Sys::State) -> bool)],
+    preds: &[NamedPred<'_, Sys::State>],
 ) -> Result<(), (usize, CanonFault)> {
     let successors = |s: &Sys::State, acts: &[Sys::Action]| {
         let mut out: Vec<Sys::State> = acts.iter().map(|a| canon(&sys.step(s, a))).collect();

@@ -61,7 +61,7 @@ use crate::fingerprint::Encode;
 use crate::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page, run_page_keys};
 use crate::persist::Persist;
 use crate::search::{
-    with_tracer, BfsRun, Child, Link, Parent, Search, SearchReport, VisitedBackend,
+    with_tracer, BfsRun, Child, LevelCommit, Link, Parent, Search, SearchReport, VisitedBackend,
     DEFAULT_PARTITIONS,
 };
 use crate::table::{key_of, shard_index, Cap, ShardedFpMap};
@@ -388,19 +388,17 @@ where
             keys.into_iter().enumerate().map(|(k, keys)| self.on_disk(k, keys)).collect(),
         );
         let on_disk = |fp| old[shard_index(fp, shard_n)].binary_search(&key_of(fp)).is_ok();
-        let cap = Cap::At(search.bounds().0 - self.spilled);
+        let mut level = LevelCommit {
+            visited,
+            cap: Cap::At(search.bounds().0 - self.spilled),
+            truncated_by,
+            depth: *depth,
+            next_parts,
+            tracer,
+        };
         for mut part in children {
-            stats.dedup_hits += Search::<Sys>::commit_children(
-                &mut part,
-                on_disk,
-                cap,
-                visited,
-                truncated_by,
-                *depth,
-                &mut spares,
-                next_parts,
-                tracer,
-            );
+            stats.dedup_hits +=
+                Search::<Sys>::commit_children(&mut part, on_disk, &mut spares, &mut level);
         }
         level_children
     }

@@ -113,16 +113,20 @@
 //! [`Search::check_property`], which sets no fairness and so reads an
 //! action only on the witness it returns — it derives those few with
 //! `Search::edge_action` (re-staging the edge's source state; exact on
-//! rows a cap cut, `docs/PROPERTIES.md`, "Witness actions"). An edge costs
-//! `size_of::<(L, usize)>()`: 16 B labelled on the mutex models (an 8-byte
-//! `MutexAction`) and on the token ring (a `usize` action), 8 B label-free
-//! — on `Dijkstra(4)`'s 1 340 092 edges, 21.4 MB against 10.7 MB; on
-//! `TokenRing{20}`'s quotient, 524 880 edges, 8.4 MB against 4.2 MB.
-//! `graph()` keeps its `(action, usize)` rows and `usize` targets because
-//! the performance ledger (`ledger/src/replay.rs`, outside the workspace)
-//! reads `&g.succ[i]` as a slice of `(A, usize)` and indexes its own
-//! per-state arrays with the targets; narrowing them to `u32` waits for a
-//! change that may edit the ledger (ROADMAP item 1(e)).
+//! rows a cap cut, `docs/PROPERTIES.md`, "Witness actions").
+//!
+//! **Targets as wide as the reader needs.** `graph_from`'s second type
+//! parameter is the target width `T` ([`Target`]: `usize` or `u32`), so an
+//! edge costs `size_of::<(L, T)>()`: 16 B labelled, `(action, usize)`, on
+//! the mutex models (an 8-byte `MutexAction`) and on the token ring (a
+//! `usize` action); 4 B label-free, `((), u32)` — on `Dijkstra(4)`'s
+//! 1 340 092 edges, 21.4 MB against 5.4 MB; on `TokenRing{20}`'s quotient,
+//! 524 880 edges, 8.4 MB against 2.1 MB. `graph()` keeps its `(action,
+//! usize)` rows because the performance ledger (`ledger/src/replay.rs`,
+//! outside the workspace) reads `&g.succ[i]` as a slice of `(A, usize)`
+//! and indexes its own per-state arrays with the targets; narrowing the
+//! labelled graph's targets waits for a change that may edit the ledger
+//! (ROADMAP item 1(e)). The ledger never calls `shape()`.
 //!
 //! The graph *queries* are not here: a consumer runs them on the rows,
 //! `g.succ.can_reach(..)`, `g.succ.bfs_tree()`, `g.succ.sccs(..)`,
@@ -132,7 +136,7 @@
 use crate::search::{with_tracer, Search, DEFAULT_PARTITIONS};
 use crate::table::{IndexHasher, InternIndex};
 use impossible_core::explore::Truncation;
-use impossible_core::succ::Succ;
+use impossible_core::succ::{Succ, Target};
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::{Decider, ValenceEngine, ValenceReport};
 use impossible_obs::NoopTracer;
@@ -143,13 +147,14 @@ pub(crate) const BLOCK: usize = 16;
 
 /// A reachable configuration graph: `order[i]` is state `i`, `succ[i]` its
 /// `(label, target_index)` edges in action order — the label an action
-/// ([`Search::graph`]) or `()` ([`Search::shape`]).
+/// ([`Search::graph`]) or `()` ([`Search::shape`]), the target a `T`
+/// ([`Target`]: `usize`, or `u32` for [`Search::shape`]).
 #[derive(Debug, Clone)]
-pub struct ReachableGraph<S, A> {
+pub struct ReachableGraph<S, A, T = usize> {
     /// States in discovery (BFS) order; initial states first.
     pub order: Vec<S>,
     /// Successor rows, targets indexing `order`; one row per state.
-    pub succ: Succ<A>,
+    pub succ: Succ<A, T>,
     /// Number of (distinct, canonical) initial states: `order[..initials]`.
     /// The property checker's stem searches start here.
     pub initials: usize,
@@ -158,7 +163,7 @@ pub struct ReachableGraph<S, A> {
     pub truncated_by: Option<Truncation>,
 }
 
-impl<S, A> ReachableGraph<S, A> {
+impl<S, A, T> ReachableGraph<S, A, T> {
     /// Did the builder hit a bound before exhausting the space?
     pub fn truncated(&self) -> bool {
         self.truncated_by.is_some()
@@ -190,11 +195,11 @@ impl<'a, Sys: System> Search<'a, Sys> {
     /// The reachable graph without its action labels: [`Search::graph`]'s
     /// states, initials, truncation and row targets, node for node and edge
     /// for edge (the same source, loop, cuts, FIFO numbering and canon),
-    /// with every edge `((), target)` — 8 bytes, where a labelled edge is
-    /// `(action, target)`. For the consumers that read targets only:
-    /// [`Search::reachable_states`], [`Search::valence`] and the mutex
-    /// deadlock check.
-    pub fn shape(&self) -> ReachableGraph<Sys::State, ()> {
+    /// with every edge `((), target)` and the target a `u32` — 4 bytes,
+    /// where a labelled edge is `(action, usize)`. For the consumers that
+    /// read targets only: [`Search::reachable_states`], [`Search::valence`],
+    /// [`Search::check_property`] and the mutex deadlock check.
+    pub fn shape(&self) -> ReachableGraph<Sys::State, (), u32> {
         let mut acts = Vec::new();
         self.graph_from(|s, out, spares| {
             self.stage_successors(s, |_| true, &mut 0, spares, &mut acts, |tc, _| {
@@ -219,9 +224,9 @@ impl<'a, Sys: System> Search<'a, Sys> {
     ///
     /// # Panics
     /// If row `i` has no edge `k`, or `g` is not this search's graph.
-    pub(crate) fn edge_action<L>(
+    pub(crate) fn edge_action<L, T: Target>(
         &self,
-        g: &ReachableGraph<Sys::State, L>,
+        g: &ReachableGraph<Sys::State, L, T>,
         i: usize,
         k: usize,
     ) -> Sys::Action {
@@ -229,7 +234,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
         let (mut next, mut action) = (0, None);
         let (mut spares, mut acts) = (Vec::new(), Vec::new());
         self.stage_successors(&g.order[i], |_| true, &mut 0, &mut spares, &mut acts, |child, a| {
-            if next <= k && row.get(next).is_some_and(|&(_, t)| g.order[t] == child) {
+            if next <= k && row.get(next).is_some_and(|&(_, t)| g.order[t.to_usize()] == child) {
                 if next == k {
                     action = Some(a);
                 }
@@ -272,8 +277,12 @@ impl<'a, Sys: System> Search<'a, Sys> {
     /// as staged — a source that wants the quotient applies the canon hook
     /// itself, as [`Search::graph_filtered`]'s does. Everything else —
     /// FIFO discovery order, `max_states` / `max_depth` / index-width
-    /// truncation — is this loop's, whatever the source.
-    pub fn graph_from<L, F>(&self, mut successors: F) -> ReachableGraph<Sys::State, L>
+    /// truncation — is this loop's, whatever the source. The target width
+    /// `T` is the caller's: `usize` for [`Search::graph`], `u32` for
+    /// [`Search::shape`]; a node index past it would end the build as
+    /// [`Truncation::Index`] (none is: the index interns at most
+    /// `u32::MAX − 1`).
+    pub fn graph_from<L, T: Target, F>(&self, mut successors: F) -> ReachableGraph<Sys::State, L, T>
     where
         F: FnMut(&Sys::State, &mut Vec<(L, Sys::State)>, &mut Vec<Sys::State>),
     {
@@ -284,7 +293,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
         // Rows are written in place: the loop below expands states in index
         // order, so row `i` is pushed and closed while `i` is the cursor,
         // and the states it never reaches are padded after it.
-        let mut succ: Succ<L> = Succ::new();
+        let mut succ: Succ<L, T> = Succ::default();
         // Key → node index, one 8-byte word per entry; a key only proposes
         // a node, `order[j] == state` decides.
         let mut index = InternIndex::new(DEFAULT_PARTITIONS);
@@ -383,7 +392,11 @@ impl<'a, Sys: System> Search<'a, Sys> {
                             j
                         }
                     };
-                    succ.push(label, ti);
+                    if !succ.push(label, ti) {
+                        // A node index past the target width: as below.
+                        truncated_by.get_or_insert(Truncation::Index);
+                        break 'blocks;
+                    }
                 }
                 if !succ.close_row() {
                     // More edges than a `u32` row offset can address: this
@@ -720,7 +733,10 @@ mod tests {
     fn token_loop_has_empty_valence() {
         let report = Search::new(&TokenLoop).valence();
         assert_eq!(report.num_states, 2);
-        // Valence sets are empty (no decision reachable): not bivalent.
+        // Valence sets are empty (no decision reachable): neither bivalent
+        // nor univalent, but undecided.
         assert!(report.bivalent_initials.is_empty());
+        assert!(report.univalent_initials.is_empty());
+        assert_eq!(report.undecided_initials, vec![0]);
     }
 }

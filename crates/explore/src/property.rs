@@ -84,6 +84,7 @@ use crate::graph::ReachableGraph;
 use crate::search::{with_tracer, Search};
 use impossible_core::cert::{verify, Goal, Spec};
 use impossible_core::exec::Execution;
+use impossible_core::succ::Target;
 use impossible_core::system::System;
 use impossible_obs::{escape_into, trace_event, NoopTracer, Tracer};
 use std::cell::RefCell;
@@ -273,6 +274,11 @@ impl<S: Clone + Debug, A: Clone + Debug> PropertyReport<S, A> {
     }
 }
 
+/// [`Checker::admissible`]'s constraint on the states a cycle repeats.
+type StatePred<'a, S> = Box<dyn Fn(&S) -> bool + 'a>;
+/// [`Checker::fairness`]' class of an edge label (`None`: unclassified).
+type ClassOf<'a, L> = Box<dyn Fn(&L) -> Option<usize> + 'a>;
+
 /// Evaluates [`Property`]s over a [`ReachableGraph`], with optional
 /// admissibility and fairness constraints on liveness cycles.
 ///
@@ -288,14 +294,16 @@ impl<S: Clone + Debug, A: Clone + Debug> PropertyReport<S, A> {
 /// source for it. [`Checker::new`] takes a graph labelled with actions
 /// (`L = A`) and reads the stored label; [`Search::check_property`] checks
 /// the label-free [`Search::shape`] and derives each witness edge's action
-/// through the system (`docs/PROPERTIES.md`, "Witness actions").
-pub struct Checker<'a, S, A, L = A> {
-    g: &'a ReachableGraph<S, L>,
+/// through the system (`docs/PROPERTIES.md`, "Witness actions"). `T` is
+/// the graph's target width: `usize` for [`Search::graph`], `u32` for
+/// [`Search::shape`].
+pub struct Checker<'a, S, A, L = A, T = usize> {
+    g: &'a ReachableGraph<S, L, T>,
     /// The action on edge `k` of row `i`, asked only for witness edges.
     action: Box<dyn Fn(usize, usize) -> A + 'a>,
-    admissible: Option<Box<dyn Fn(&S) -> bool + 'a>>,
+    admissible: Option<StatePred<'a, S>>,
     classes: usize,
-    class_of: Option<Box<dyn Fn(&L) -> Option<usize> + 'a>>,
+    class_of: Option<ClassOf<'a, L>>,
     tracer: RefCell<Option<&'a mut dyn Tracer>>,
 }
 
@@ -352,7 +360,7 @@ where
     }
 }
 
-impl<'a, S, A, L> Checker<'a, S, A, L>
+impl<'a, S, A, L, T: Target> Checker<'a, S, A, L, T>
 where
     S: Clone + Debug,
     A: Clone + Debug,
@@ -361,7 +369,7 @@ where
     /// row `i` from `action(i, k)`, with no admissibility or fairness
     /// constraints.
     fn with_actions(
-        g: &'a ReachableGraph<S, L>,
+        g: &'a ReachableGraph<S, L, T>,
         action: impl Fn(usize, usize) -> A + 'a,
     ) -> Self {
         Checker {
@@ -434,7 +442,7 @@ where
         prop: &Property<'_, S>,
         violates: impl Fn(&S) -> bool,
     ) -> PropertyReport<S, A> {
-        let bad: Vec<bool> = self.g.order.iter().map(|s| violates(s)).collect();
+        let bad: Vec<bool> = self.g.order.iter().map(violates).collect();
         let mut report = self.report_shell(prop);
         report.region = bad.iter().filter(|&&b| b).count();
         // Graph indices are BFS discovery order, so the first violating
@@ -463,7 +471,7 @@ where
         tracer: &mut dyn Tracer,
     ) -> PropertyReport<S, A> {
         let n = self.g.len();
-        let region: Vec<bool> = self.g.order.iter().map(|s| in_region(s)).collect();
+        let region: Vec<bool> = self.g.order.iter().map(in_region).collect();
         let cyc_ok: Vec<bool> = match &self.admissible {
             None => region.clone(),
             Some(f) => self
@@ -488,7 +496,8 @@ where
         let mut cover: Vec<u32> = vec![0; scc.cyclic.len()];
         for v in (0..n).filter(|&v| full != 0 && cyc_ok[v]) {
             for (a, t) in &self.g.succ[v] {
-                if cyc_ok[*t] && scc.id[*t] == scc.id[v] {
+                let t = t.to_usize();
+                if cyc_ok[t] && scc.id[t] == scc.id[v] {
                     cover[scc.id[v] as usize] |= self.class_bit(a);
                 }
             }
@@ -574,7 +583,7 @@ where
                     .expect("candidate SCCs admit a fair cycle through every member")
                     .into_iter()
                     .map(|(src, ei)| {
-                        let dst = self.g.succ[src][ei].1;
+                        let dst = self.g.succ[src][ei].1.to_usize();
                         ((self.action)(src, ei), self.g.order[dst].clone())
                     })
                     .collect()

@@ -286,6 +286,23 @@ impl<S, A> SearchCheckpoint<S, A> {
     }
 }
 
+/// Where [`Search::commit_children`] puts one BFS level's children: the
+/// visited set it probes under `cap`, the truncation flag a full table
+/// sets (traced once, naming `depth`), and the next frontier's partitions
+/// the inserted children join. A level body builds one before its
+/// partition loop and commits every partition through it.
+pub(crate) struct LevelCommit<'l, S, A> {
+    pub(crate) visited: &'l mut ShardedFpMap<Link<A>>,
+    pub(crate) cap: Cap,
+    pub(crate) truncated_by: &'l mut Option<Truncation>,
+    pub(crate) depth: usize,
+    pub(crate) next_parts: &'l mut [Vec<(u64, S)>],
+    pub(crate) tracer: &'l mut dyn Tracer,
+}
+
+/// A canon hook ([`Search::canon`]): a state's representative.
+type CanonHook<S> = fn(&S) -> S;
+
 /// Builder/engine for fingerprint-deduped state-space search.
 ///
 /// ```
@@ -303,7 +320,7 @@ pub struct Search<'a, Sys: System> {
     max_depth: usize,
     workers: usize,
     seed: u64,
-    canon: Option<fn(&Sys::State) -> Sys::State>,
+    canon: Option<CanonHook<Sys::State>>,
     pub(crate) tracer: RefCell<Option<&'a mut dyn Tracer>>,
 }
 
@@ -369,7 +386,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
-    pub(crate) fn canon_hook(&self) -> Option<fn(&Sys::State) -> Sys::State> {
+    pub(crate) fn canon_hook(&self) -> Option<CanonHook<Sys::State>> {
         self.canon
     }
 
@@ -1090,21 +1107,19 @@ where
         // duplicate costs neither a `malloc` nor a `free`.
         let mut spares: Vec<Sys::State> = Vec::new();
         let mut acts: Vec<Sys::Action> = Vec::new();
+        let mut level = LevelCommit {
+            visited,
+            cap,
+            truncated_by,
+            depth: *depth,
+            next_parts,
+            tracer,
+        };
         for part in parts.iter() {
             canon_hits +=
                 self.expand_partition(part, batch, &mut spares, &mut acts, &mut children, terminal);
             level_children += children.len();
-            dedup_hits += Self::commit_children(
-                &mut children,
-                |_| false,
-                cap,
-                visited,
-                truncated_by,
-                *depth,
-                &mut spares,
-                next_parts,
-                tracer,
-            );
+            dedup_hits += Self::commit_children(&mut children, |_| false, &mut spares, &mut level);
         }
         stats.dedup_hits += dedup_hits;
         stats.canon_hits += canon_hits;
@@ -1152,26 +1167,23 @@ where
     }
 
     /// Phase C of both level bodies — the one commit step: drain
-    /// `children` in j-major order and judge each against the visited set.
-    /// A child `on_disk` holds (a key the spill route paged out; `|_| false`
-    /// when everything is resident) or `try_insert_with` finds `Present` is
-    /// a dedup hit, and joins `spares` for the next expansion to overwrite —
-    /// never past the batch's length, since on the canon route the
-    /// expansion returns every spare it takes and nothing else would bound
-    /// the pool. `Full` trips the state cap; `Inserted` goes onto
-    /// `next_parts[shard_index(fp)]`. A disk hit is `Present` before the
-    /// cap is asked, as the table's own probe is. Returns the dedup hits.
+    /// `children` in j-major order and judge each against the level's
+    /// visited set (`level.visited`). A child `on_disk` holds (a key the
+    /// spill route paged out; `|_| false` when everything is resident) or
+    /// `try_insert_with` finds `Present` is a dedup hit, and joins `spares`
+    /// for the next expansion to overwrite — never past the batch's length,
+    /// since on the canon route the expansion returns every spare it takes
+    /// and nothing else would bound the pool. `Full` trips the state cap
+    /// (`level.cap`); `Inserted` goes onto
+    /// `level.next_parts[shard_index(fp)]`. A disk hit is `Present` before
+    /// the cap is asked, as the table's own probe is. Returns the dedup
+    /// hits.
     #[inline(always)]
     pub(crate) fn commit_children(
         children: &mut Vec<Child<Sys::State, Sys::Action>>,
         on_disk: impl Fn(u64) -> bool,
-        cap: Cap,
-        visited: &mut ShardedFpMap<Link<Sys::Action>>,
-        truncated_by: &mut Option<Truncation>,
-        depth: usize,
         spares: &mut Vec<Sys::State>,
-        next_parts: &mut [Vec<(u64, Sys::State)>],
-        tracer: &mut dyn Tracer,
+        level: &mut LevelCommit<'_, Sys::State, Sys::Action>,
     ) -> usize {
         let batch_len = children.len();
         let mut dedup_hits = 0usize;
@@ -1180,7 +1192,7 @@ where
             let verdict = if on_disk(fp) {
                 TryInsert::Present
             } else {
-                visited.try_insert_with(fp, cap, link)
+                level.visited.try_insert_with(fp, level.cap, link)
             };
             match verdict {
                 TryInsert::Present => {
@@ -1190,16 +1202,16 @@ where
                     }
                 }
                 TryInsert::Full => {
-                    if truncated_by.is_none() {
-                        trace_event!(tracer, "search", "truncate",
+                    if level.truncated_by.is_none() {
+                        trace_event!(level.tracer, "search", "truncate",
                             "cause": "states",
-                            "level": depth,
+                            "level": level.depth,
                         );
                     }
-                    truncated_by.get_or_insert(Truncation::States);
+                    level.truncated_by.get_or_insert(Truncation::States);
                 }
                 TryInsert::Inserted => {
-                    next_parts[shard_index(fp, DEFAULT_PARTITIONS)].push((fp, tc));
+                    level.next_parts[shard_index(fp, DEFAULT_PARTITIONS)].push((fp, tc));
                 }
             }
         }

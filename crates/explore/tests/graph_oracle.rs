@@ -23,6 +23,7 @@
 
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::ids::ProcessId;
+use impossible_core::succ::Target;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceEngine;
 use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
@@ -119,14 +120,14 @@ fn decided(sys: &Table, s: &Node) -> BTreeSet<u64> {
 
 /// The reference classification of a graph: a `BTreeSet` of values per
 /// state, iterated in whole rounds until nothing changes (no worklist, no
-/// masks), and the bivalent initials, univalent initials and critical
-/// configurations read off it.
-fn set_valence(sys: &Table, g: &ReachableGraph<Node, ()>) -> [Vec<Node>; 3] {
+/// masks), and the bivalent, univalent and undecided initials and the
+/// critical configurations read off it.
+fn set_valence(sys: &Table, g: &ReachableGraph<Node, (), u32>) -> [Vec<Node>; 4] {
     let own: Vec<BTreeSet<u64>> = g.order.iter().map(|s| decided(sys, s)).collect();
     let mut val = own.clone();
     loop {
         let next: Vec<BTreeSet<u64>> = (0..g.len())
-            .map(|i| g.succ[i].iter().fold(own[i].clone(), |v, &(_, t)| &v | &val[t]))
+            .map(|i| g.succ[i].iter().fold(own[i].clone(), |v, &(_, t)| &v | &val[t.to_usize()]))
             .collect();
         if next == val {
             break;
@@ -137,12 +138,14 @@ fn set_valence(sys: &Table, g: &ReachableGraph<Node, ()>) -> [Vec<Node>; 3] {
         (0..n).filter(|&i| keep(i)).map(|i| g.order[i].clone()).collect()
     };
     let critical = |i: usize| {
-        let real: Vec<usize> = g.succ[i].iter().map(|&(_, t)| t).filter(|&t| t != i).collect();
+        let real: Vec<usize> =
+            g.succ[i].iter().map(|&(_, t)| t.to_usize()).filter(|&t| t != i).collect();
         val[i].len() >= 2 && !real.is_empty() && real.iter().all(|&t| val[t].len() == 1)
     };
     [
         states(&|i| val[i].len() >= 2, g.initials),
-        states(&|i| val[i].len() < 2, g.initials),
+        states(&|i| val[i].len() == 1, g.initials),
+        states(&|i| val[i].is_empty(), g.initials),
         states(&critical, g.len()),
     ]
 }
@@ -157,9 +160,14 @@ fn orbit_minimum(s: &Node) -> Node {
 type Parts<S, A> = (Vec<S>, Vec<Vec<(A, usize)>>, usize, Option<Truncation>);
 
 /// The builder's graph with its compressed rows copied out as the nested
-/// lists [`naive`] builds, so that equality is row by row.
-fn parts<S, A: Clone>(g: ReachableGraph<S, A>) -> Parts<S, A> {
-    let rows = g.succ.iter().map(<[_]>::to_vec).collect();
+/// lists [`naive`] builds, targets read back as `usize` whatever their
+/// width, so that equality is row by row.
+fn parts<S, A: Clone, T: Target>(g: ReachableGraph<S, A, T>) -> Parts<S, A> {
+    let rows = g
+        .succ
+        .iter()
+        .map(|row| row.iter().map(|(a, t)| (a.clone(), t.to_usize())).collect())
+        .collect();
     (g.order, rows, g.initials, g.truncated_by)
 }
 
@@ -316,7 +324,7 @@ det_prop! {
                     search = search.canon(orbit_minimum);
                 }
                 let mut calls = Vec::new();
-                let g = search.graph_from(|s, out, _spares| {
+                let g: ReachableGraph<_, _> = search.graph_from(|s, out, _spares| {
                     calls.push(s.clone());
                     out.extend(sys.enabled(s).into_iter().map(|a| (a, canon(&sys.step(s, &a)))));
                 });
@@ -332,7 +340,8 @@ det_prop! {
     }
 
     /// `shape()` is `graph()` with the action labels erased: the same
-    /// states, initials, truncation and row targets in row order, under
+    /// states, initials, truncation and row targets in row order (its
+    /// `u32` targets read as `usize` against `graph()`'s), under
     /// duplicate initials, self-loops, a canon hook and both cuts. The
     /// valence classification reads targets only, so it cannot tell the
     /// two graphs apart. A `shape()` whose source skipped the canon hook
@@ -441,7 +450,12 @@ det_prop! {
                 let report = search.valence();
                 let shape = search.shape();
                 det_assert_eq!(
-                    [report.bivalent_initials, report.univalent_initials, report.critical],
+                    [
+                        report.bivalent_initials,
+                        report.univalent_initials,
+                        report.undecided_initials,
+                        report.critical
+                    ],
                     set_valence(&sys, &shape)
                 );
                 let agreement = never("agreement", |s| sys.disagrees(s));

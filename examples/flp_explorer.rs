@@ -19,6 +19,10 @@ fn main() {
     }
     println!("Univalent initial configurations: {}", report.univalent_initials.len());
     println!(
+        "Undecided initial configurations (no decision reachable): {}",
+        report.undecided_initials.len()
+    );
+    println!(
         "Critical configurations (Figure 3 — bivalent, every real successor univalent): {}",
         report.critical.len()
     );

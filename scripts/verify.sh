@@ -6,7 +6,7 @@
 #
 #   ./scripts/verify.sh
 #
-# Nine stages: build, lint, tests (and their count floor), docs, check
+# Ten stages: build, lint, clippy, tests (and their count floor), docs, check
 # smoke, trace smoke, experiments smoke, examples smoke and the ledger
 # (`ledger.sh --check`, then the ledger package's own tests) — the last is the only
 # stage that touches timing code, and the ledger is the only place a
@@ -48,12 +48,18 @@ cargo run -q -p impossible-lint --release --offline -- --deny-all
 lint_end=$(date +%s%N)
 echo "lint stage: $(( (lint_end - lint_start) / 1000000 )) ms wall"
 
+echo "== clippy (the graph core and the search engine, deny warnings) =="
+# `impossible-core` and `impossible-explore` hold the graph layer
+# (`core::succ`, `core::valence`) and every search route; their library
+# code is kept clippy-clean.
+cargo clippy -q --offline -p impossible-core -p impossible-explore -- -D warnings
+
 echo "== tests (all crates, offline) =="
 cargo test -q --offline --workspace
 # The test-count floor: a change cannot lose tests unnoticed. Raise it
 # when tests are added; lower it only with the removed tests named in
 # CHANGES.md.
-test_floor=717
+test_floor=721
 test_count="$(cargo test -q --offline --workspace -- --list 2>/dev/null | grep -c ': test$')"
 echo "tests listed: $test_count (floor $test_floor)"
 if [ "$test_count" -lt "$test_floor" ]; then

@@ -47,7 +47,7 @@ fn decisions_are_irrevocable<Sys: DecisionSystem>(sys: &Sys, max_states: usize) 
     let kept = g.succ.iter().enumerate().all(|(i, row)| {
         let before = sys.decisions(&g.order[i]);
         row.iter().all(|&((), t)| {
-            let after = sys.decisions(&g.order[t]);
+            let after = sys.decisions(&g.order[t as usize]);
             before.iter().all(|d| after.contains(d))
         })
     });
