@@ -99,21 +99,21 @@ pub fn exchange(params: &ClockParams, delays: &DelayMatrix) -> (Vec<Observations
     let n = params.n();
     let mut obs: Vec<Observations> = vec![Vec::new(); n];
     let mut diagram = Diagram::new(n, params.lo, params.hi);
-    for i in 0..n {
+    for (i, row) in delays.iter().enumerate().take(n) {
         // Sender i transmits when H_i = 0, i.e. at real time -offset_i.
         let t_send = -params.offsets[i];
         for j in 0..n {
             if i == j {
                 continue;
             }
-            let t_recv = t_send + delays[i][j];
+            let t_recv = t_send + row[j];
             let local_recv = t_recv + params.offsets[j];
             obs[j].push((i, 0.0, local_recv));
             diagram.record(i, j, t_send, t_recv);
         }
     }
     for o in &mut obs {
-        o.sort_by(|a, b| a.0.cmp(&b.0));
+        o.sort_by_key(|a| a.0);
     }
     (obs, diagram)
 }

@@ -40,9 +40,9 @@ impl LowerBoundDemo {
 fn chain_delays(params: &ClockParams) -> DelayMatrix {
     let n = params.n();
     let mut d = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            d[i][j] = if i < j { params.hi } else { params.lo };
+    for (i, row) in d.iter_mut().enumerate() {
+        for (j, delay) in row.iter_mut().enumerate() {
+            *delay = if i < j { params.hi } else { params.lo };
         }
     }
     d

@@ -142,7 +142,7 @@ impl SyncProcess for DolevStrong {
     }
 
     fn halted(&self) -> bool {
-        self.round_done >= self.t + 1
+        self.round_done > self.t
     }
 }
 

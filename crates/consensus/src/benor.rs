@@ -148,7 +148,7 @@ impl SyncProcess for BenOr {
                     .iter()
                     .filter(|p| **p == Some(v))
                     .count();
-                if backing >= self.t + 1 && self.decision.is_none() {
+                if backing > self.t && self.decision.is_none() {
                     self.decision = Some(v);
                     self.decided_phase = Some(self.phase);
                 }
@@ -272,11 +272,11 @@ pub fn run_benor(
             break;
         }
         let round = net.step_round();
-        for i in 0..n {
+        for (i, done) in decided.iter_mut().enumerate() {
             let p = &net.processes()[i];
-            if !decided[i] && !net.is_crashed(i) {
+            if !*done && !net.is_crashed(i) {
                 if let (Some(v), Some(ph)) = (p.decision(), p.decided_phase) {
-                    decided[i] = true;
+                    *done = true;
                     trace_event!(tracer, "benor", "decide",
                         "process": i,
                         "phase": ph,
@@ -285,7 +285,7 @@ pub fn run_benor(
                 }
             }
         }
-        if round % 2 == 0 {
+        if round.is_multiple_of(2) {
             trace_event!(tracer, "benor", "phase",
                 "phase": round / 2,
                 "estimates": census(&net, |p| Some(p.estimate())),

@@ -199,9 +199,8 @@ impl SyncProcess for Dls {
                         .iter()
                         .filter(|(_, m)| matches!(m, DlsMsg::Ack(_)))
                         .count();
-                    if self.proposal.is_some() && self.acks + 1 >= self.majority() {
+                    if let Some(v) = self.proposal.filter(|_| self.acks + 1 >= self.majority()) {
                         // The coordinator itself decides now.
-                        let v = self.proposal.expect("checked");
                         if self.decision.is_none() {
                             self.decision = Some(v);
                             self.decided_phase = Some(self.phase);

@@ -178,7 +178,7 @@ impl SyncProcess for EigProcess {
     }
 
     fn halted(&self) -> bool {
-        self.round_done >= self.t + 1
+        self.round_done > self.t
     }
 }
 

@@ -184,16 +184,17 @@ impl AsyncCandidate for QuorumVote {
 /// value-oblivious: `try_decide` compares counts against the quorum
 /// threshold (at most one value can reach a majority), and `Commit`
 /// adoption copies whatever value arrives, so flipping commutes with every
-/// step; the all-binary initial set is flip-closed. The hook returns the
-/// `Ord`-minimum of the state and its flipped image (pending re-sorted to
-/// keep the multiset representation canonical), which is idempotent
-/// because flipping is an involution. No reachable state is flip-fixed
+/// step; the all-binary initial set is flip-closed. The hook canonicalises
+/// in place ([`impossible_explore::Search::canon_in_place`]): it flips a
+/// copy of the state, re-sorts the copy's pending (to keep the multiset
+/// representation canonical), and swaps the copy in when it is the
+/// `Ord`-smaller of the two, returning whether it did — idempotent because
+/// flipping is an involution, and one clone per call. No reachable state
+/// is flip-fixed
 /// (`locals[0].input` always flips), so every orbit has size exactly two
 /// and the quotient halves the explored space.
 // LINT-ALLOW: dead-pub -- FLP [55]: the non-termination lasso survives the 0/1 flip quotient; tests quotient_preserves_agreement_and_the_flp_stall, value_swap_canon_halves_the_binary_input_space
-pub fn value_swap_canon(
-    s: &FlpState<QuorumLocal, QuorumMsg>,
-) -> FlpState<QuorumLocal, QuorumMsg> {
+pub fn value_swap_canon(s: &mut FlpState<QuorumLocal, QuorumMsg>) -> bool {
     let flip = |v: u64| v ^ 1;
     let mut t = s.clone();
     for l in &mut t.locals {
@@ -211,11 +212,11 @@ pub fn value_swap_canon(
         }
     }
     t.pending.sort();
-    if t < *s {
-        t
-    } else {
-        s.clone()
+    let moved = t < *s;
+    if moved {
+        *s = t;
     }
+    moved
 }
 
 /// Mechanically exhibit the quorum protocol's FLP lasso: crash `failed`,
@@ -344,21 +345,23 @@ mod tests {
         let resident = Search::new(&sys).max_states(CAP).explore();
         let quotient = Search::new(&sys)
             .max_states(CAP)
-            .canon(value_swap_canon)
+            .canon_in_place(value_swap_canon)
             .explore();
         assert!(!resident.truncated() && !quotient.truncated());
         assert_eq!(2 * quotient.num_states, resident.num_states);
         assert!(quotient.stats.canon_hits > 0);
 
-        // Idempotence on every terminal representative.
+        // Every terminal representative is a fixed point.
         for s in &quotient.terminal_states {
-            assert_eq!(value_swap_canon(&value_swap_canon(s)), value_swap_canon(s));
+            let mut again = s.clone();
+            assert!(!value_swap_canon(&mut again));
+            assert_eq!(again, *s);
         }
     }
 
     #[test]
     fn value_swap_canon_passes_the_audit_on_every_reachable_state() {
-        use impossible_explore::canon::audit;
+        use impossible_explore::canon::{audit, Canon};
         let q = QuorumVote::new(3);
         let sys = FlpSystem::all_binary(&q);
         let states = Search::new(&sys).max_states(CAP).reachable_states();
@@ -371,7 +374,7 @@ mod tests {
         };
         let preds: [(&str, &dyn Fn(&FlpState<QuorumLocal, QuorumMsg>) -> bool); 2] =
             [("agreement", &agree), ("all-decided", &all_decided)];
-        assert_eq!(audit(&sys, value_swap_canon, &states, &preds), Ok(()));
+        assert_eq!(audit(&sys, Canon::InPlace(value_swap_canon), &states, &preds), Ok(()));
     }
 
     #[test]
@@ -383,7 +386,7 @@ mod tests {
         let agreement = never("agreement", |s| sys.disagrees(s));
         let safe = Search::new(&sys)
             .max_states(CAP)
-            .canon(value_swap_canon)
+            .canon_in_place(value_swap_canon)
             .check_property(&agreement);
         assert!(safe.holds && !safe.truncated);
 
@@ -391,7 +394,7 @@ mod tests {
         // graph still contains an admissible fair non-deciding lasso.
         let g = Search::new(&sys)
             .max_states(CAP)
-            .canon(value_swap_canon)
+            .canon_in_place(value_swap_canon)
             .graph_filtered(|a| sys.owner(a) != Some(ProcessId(0)));
         let live = [1usize, 2];
         let prop = eventually(

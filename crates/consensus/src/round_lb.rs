@@ -72,14 +72,14 @@ pub struct OneRoundExec {
 pub fn execute<R: OneRoundRule>(rule: &R, inputs: &[u64], crash: Option<(usize, usize)>) -> OneRoundExec {
     let n = inputs.len();
     let mut received: Vec<BTreeMap<usize, u64>> = vec![BTreeMap::new(); n];
-    for from in 0..n {
+    for (from, &input) in inputs.iter().enumerate() {
         let dests: Vec<usize> = (0..n).filter(|&j| j != from).collect();
         let limit = match crash {
             Some((p, k)) if p == from => k,
             _ => dests.len(),
         };
         for &to in dests.iter().take(limit) {
-            received[to].insert(from, inputs[from]);
+            received[to].insert(from, input);
         }
     }
     let decisions = (0..n)

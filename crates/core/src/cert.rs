@@ -16,6 +16,7 @@
 //! over the ring's decisions).
 
 use crate::exec::Execution;
+use crate::symmetry::Canon;
 use crate::system::System;
 use std::fmt;
 
@@ -61,7 +62,7 @@ pub struct Spec<'a, S, A> {
     /// The claim refuted.
     pub goal: Goal<'a, S>,
     /// The quotient's canon hook, applied to initial states and successors.
-    pub canon: Option<fn(&S) -> S>,
+    pub canon: Option<Canon<S>>,
     /// The actions the run may take (a crashed process takes none).
     pub allowed: Option<&'a dyn Fn(&A) -> bool>,
     /// The states a lasso may repeat forever (head and cycle).
@@ -162,9 +163,11 @@ pub fn verify<Sys: System>(
     spec: &Spec<'_, Sys::State, Sys::Action>,
     ce: &Counterexample<Sys::State, Sys::Action>,
 ) -> Result<(), WitnessError> {
-    let canonize = |s: Sys::State| match spec.canon {
-        Some(c) => c(&s),
-        None => s,
+    let canonize = |mut s: Sys::State| {
+        if let Some(c) = spec.canon {
+            c.apply(&mut s);
+        }
+        s
     };
     let allowed = |a: &Sys::Action| spec.allowed.is_none_or(|f| f(a));
     let follows = |pre: &Sys::State, a: &Sys::Action, post: &Sys::State| {

@@ -125,34 +125,86 @@ pub fn min_symmetry_class(ring: &[u64], k: usize) -> usize {
         .unwrap_or(0)
 }
 
-/// The lexicographically minimal rotation of `xs` — a canonical
-/// representative of its rotation orbit.
+/// A symmetry canonicalisation hook: how a quotient search maps a state to
+/// its orbit's representative (the contract — idempotent, orbit-respecting
+/// — is `impossible_explore::canon`'s). `impossible_explore::Search`
+/// installs one and [`cert::Spec::canon`](crate::cert::Spec::canon)
+/// carries it, so a witness is checked under the very hook the search ran.
+///
+/// A hook is a plain function pointer, in one of two forms:
+///
+/// * [`Canon::InPlace`] rewrites the state it is given and returns `true`
+///   exactly when it changed it — no allocation, and the flag is the
+///   search's `canon_hits` count;
+/// * [`Canon::Owned`] returns the representative as a new state; the
+///   adapter in [`Canon::apply`] compares it with the input to get the
+///   flag, and drops the input.
+///
+/// Both go through [`Canon::apply`], the one dispatch every route shares.
+pub enum Canon<S> {
+    /// Canonicalise in place; `true` exactly when the state changed.
+    InPlace(fn(&mut S) -> bool),
+    /// Return the representative as a new state.
+    Owned(fn(&S) -> S),
+}
+
+impl<S> Clone for Canon<S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for Canon<S> {}
+
+impl<S: PartialEq> Canon<S> {
+    /// Replace `s` by its representative; `true` exactly when that changed
+    /// `s`.
+    pub fn apply(&self, s: &mut S) -> bool {
+        match *self {
+            Canon::InPlace(f) => f(s),
+            Canon::Owned(f) => {
+                let c = f(s);
+                let moved = c != *s;
+                *s = c;
+                moved
+            }
+        }
+    }
+}
+
+/// Rotate `xs` to its lexicographically least rotation — the canonical
+/// representative of its rotation orbit — and return whether it moved.
 ///
 /// Two ring configurations are indistinguishable to anonymous processes iff
 /// they are rotations of each other, so quotienting a ring system's state
-/// space by `canonical_rotation` (e.g. as an `impossible-explore`
-/// canonicalization hook) explores each rotation orbit once — the search-side
-/// counterpart of the Angluin symmetry argument [`LockstepRing`] replays.
+/// space by this rotation (e.g. in an `impossible-explore` [`Canon`] hook)
+/// explores each rotation orbit once — the search-side counterpart of the
+/// Angluin symmetry argument [`LockstepRing`] replays.
 ///
-/// **Cost:** `O(n)` comparisons and one allocation (the result). The start
-/// of the least rotation is found by the two-pointer minimal-representation
-/// scan — two candidate starts `i`, `j` and a matched length `k`; a mismatch
-/// at offset `k` rules out all `k + 1` starts `i..=i+k` (or `j..=j+k`) at
-/// once, so `i + j + k` only grows and the scan ends within `3n` steps —
-/// and the result is the two slices either side of that start. The
-/// enumerate-all-rotations definition
+/// **Cost:** `O(n)` comparisons, then one `rotate_left`, no allocation.
+/// The start of the least rotation is found by the two-pointer
+/// minimal-representation scan — two candidate starts `i`, `j` and a
+/// matched length `k`; a mismatch at offset `k` rules out all `k + 1`
+/// starts `i..=i+k` (or `j..=j+k`) at once, so `i + j + k` only grows and
+/// the scan ends within `3n` steps. The scan returns the *first* least
+/// start, so `xs` moved exactly when that start is not `0` (a periodic
+/// word whose rotation by it equals `xs` would have `0` as a least start
+/// too). The enumerate-all-rotations definition
 /// (`impossible_explore::canon::min_under_permutations` over `rotations(n)`)
 /// is the oracle this function is tested against; what either costs on a
-/// quotient search, and when [`canonical_binary_rotation`] takes over, is
-/// stated once in `docs/EXPLORE.md`, "What a hook costs".
+/// quotient search, and when [`canonicalize_binary_rotation`] takes over,
+/// is stated once in `docs/EXPLORE.md`, "What a hook costs".
 ///
 /// ```
-/// use impossible_core::symmetry::canonical_rotation;
-/// assert_eq!(canonical_rotation(&[2, 0, 1]), vec![0, 1, 2]);
-/// assert_eq!(canonical_rotation(&[1, 0, 1, 0]), vec![0, 1, 0, 1]);
-/// assert_eq!(canonical_rotation::<u8>(&[]), Vec::<u8>::new());
+/// use impossible_core::symmetry::canonicalize_rotation;
+/// let mut xs = [2, 0, 1];
+/// assert!(canonicalize_rotation(&mut xs));
+/// assert_eq!(xs, [0, 1, 2]);
+/// let mut periodic = [0, 1, 0, 1];
+/// assert!(!canonicalize_rotation(&mut periodic));
+/// assert!(!canonicalize_rotation::<u8>(&mut []));
 /// ```
-pub fn canonical_rotation<T: Ord + Clone>(xs: &[T]) -> Vec<T> {
+pub fn canonicalize_rotation<T: Ord>(xs: &mut [T]) -> bool {
     let n = xs.len();
     // Invariant: every start below `max(i, j)` other than `i` and `j` begins
     // a rotation strictly greater than some other one. On exit `min(i, j)`
@@ -186,35 +238,37 @@ pub fn canonical_rotation<T: Ord + Clone>(xs: &[T]) -> Vec<T> {
         }
     }
     let start = i.min(j);
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&xs[start..]);
-    out.extend_from_slice(&xs[..start]);
-    out
+    xs.rotate_left(start);
+    start != 0
 }
 
-/// [`canonical_rotation`] of a binary necklace, in one machine word:
-/// `Some` of exactly the vector `canonical_rotation(xs)` returns when `xs`
-/// is a 0/1 word of 1 to 64 beads, `None` otherwise (an empty word, a byte
-/// above 1, or more than 64 beads) — the caller falls back to the generic
-/// scan there.
+/// [`canonicalize_rotation`] of a binary necklace, in one machine word:
+/// `Some(moved)` with `xs` rotated exactly as `canonicalize_rotation`
+/// rotates it when `xs` is a 0/1 word of 1 to 64 beads, `None` with `xs`
+/// untouched otherwise (an empty word, a byte above 1, or more than 64
+/// beads) — the caller falls back to the generic scan there.
 ///
 /// The word is packed MSB-first into a `u64`, where numeric order is
 /// lexicographic order, so the least rotation is the minimum of the `n`
 /// masked word rotations. Nothing in it is a serial chain: eight beads
 /// are packed per byte-gathering multiply, each rotation is computed from
 /// the word itself (not from the previous rotation) and folded into one of
-/// two `min` accumulators, and the result is unpacked eight beads per
-/// byte-spreading multiply into one `vec![0; n]` — no branch on the data.
-/// Where this pays is stated in `docs/EXPLORE.md`, "What a hook costs".
+/// two `min` accumulators. The word moved exactly when that minimum
+/// differs from it; only then is it unpacked back into `xs`, eight beads
+/// per byte-spreading multiply — no allocation, and no branch on the data
+/// but that one. Where this pays is stated in `docs/EXPLORE.md`, "What a
+/// hook costs".
 ///
 /// ```
-/// use impossible_core::symmetry::canonical_binary_rotation;
-/// assert_eq!(canonical_binary_rotation(&[1, 0, 1, 0]), Some(vec![0, 1, 0, 1]));
-/// assert_eq!(canonical_binary_rotation(&[1, 1, 0]), Some(vec![0, 1, 1]));
-/// assert_eq!(canonical_binary_rotation(&[2, 0, 1]), None);
-/// assert_eq!(canonical_binary_rotation(&[]), None);
+/// use impossible_core::symmetry::canonicalize_binary_rotation;
+/// let mut xs = [1, 0, 1, 0];
+/// assert_eq!(canonicalize_binary_rotation(&mut xs), Some(true));
+/// assert_eq!(xs, [0, 1, 0, 1]);
+/// assert_eq!(canonicalize_binary_rotation(&mut xs), Some(false));
+/// assert_eq!(canonicalize_binary_rotation(&mut [2, 0, 1]), None);
+/// assert_eq!(canonicalize_binary_rotation(&mut []), None);
 /// ```
-pub fn canonical_binary_rotation(xs: &[u8]) -> Option<Vec<u8>> {
+pub fn canonicalize_binary_rotation(xs: &mut [u8]) -> Option<bool> {
     /// One set bit per byte: the `0/1` bead each byte of a chunk holds.
     const BEADS: u64 = 0x0101_0101_0101_0101;
     /// `Σ 2^(9i)`, `i < 8`. Times a chunk of beads (bead `i` at bit `8i`),
@@ -255,8 +309,10 @@ pub fn canonical_binary_rotation(xs: &[u8]) -> Option<Vec<u8>> {
         odd = odd.min(rotation(r));
     }
     let best = even.min(odd);
-    let mut out = vec![0u8; n];
-    let mut chunks = out.chunks_exact_mut(8);
+    if best == word {
+        return Some(false);
+    }
+    let mut chunks = xs.chunks_exact_mut(8);
     for (c, chunk) in (&mut chunks).enumerate() {
         let byte = best >> (n - 8 * (c + 1)) & 0xFF;
         chunk.copy_from_slice(&(byte.wrapping_mul(SPREAD) >> 7 & BEADS).to_le_bytes());
@@ -266,7 +322,7 @@ pub fn canonical_binary_rotation(xs: &[u8]) -> Option<Vec<u8>> {
     for (i, bead) in tail.iter_mut().enumerate() {
         *bead = (best >> (len - 1 - i)) as u8 & 1;
     }
-    Some(out)
+    Some(true)
 }
 
 /// Outcome of running an anonymous deterministic ring protocol in lockstep.
@@ -441,16 +497,25 @@ mod tests {
         })
     }
 
-    /// `canonical_rotation` against both references, plus the two hook laws.
+    /// A copy of `xs` put through `canonicalize_rotation`, and its flag.
+    fn canonical<T: Ord + Clone>(xs: &[T]) -> (Vec<T>, bool) {
+        let mut out = xs.to_vec();
+        let moved = canonicalize_rotation(&mut out);
+        (out, moved)
+    }
+
+    /// `canonicalize_rotation` against both references, its flag against
+    /// the input, plus the two hook laws.
     fn check_canonical_rotation(xs: &Vec<u8>) -> Result<(), String> {
-        let canon = canonical_rotation(xs);
+        let (canon, moved) = canonical(xs);
         det_assert_eq!(canon, canonical_rotation_naive(xs));
         det_assert_eq!(canon, canonical_rotation_by_orbit(xs));
-        det_assert_eq!(canonical_rotation(&canon), canon);
+        det_assert_eq!(moved, canon != *xs);
+        det_assert_eq!(canonical(&canon), (canon.clone(), false));
         for r in 0..xs.len() {
             let mut rot = xs.clone();
             rot.rotate_left(r);
-            det_assert_eq!(canonical_rotation(&rot), canon);
+            det_assert_eq!(canonical(&rot).0, canon);
         }
         Ok(())
     }
@@ -485,12 +550,18 @@ mod tests {
         }
     }
 
-    /// The word kernel's contract: the generic scan's vector on a 0/1 word
-    /// of 1..=64 beads, `None` on anything else.
+    /// The word kernel's contract: the generic scan's rotation and flag on
+    /// a 0/1 word of 1..=64 beads, `None` and `xs` untouched on anything
+    /// else.
     fn check_binary_rotation(xs: &[u8]) -> Result<(), String> {
         let word = !xs.is_empty() && xs.len() <= 64 && xs.iter().all(|&x| x <= 1);
-        let want = word.then(|| canonical_rotation(xs));
-        det_assert_eq!(canonical_binary_rotation(xs), want);
+        let want = match canonical(xs) {
+            (canon, moved) if word => (canon, Some(moved)),
+            _ => (xs.to_vec(), None),
+        };
+        let mut got = xs.to_vec();
+        let moved = canonicalize_binary_rotation(&mut got);
+        det_assert_eq!((got, moved), want);
         Ok(())
     }
 
@@ -520,10 +591,9 @@ mod tests {
                 check_binary_rotation(xs).unwrap_or_else(|e| panic!("n={n} {xs:?}: {e}"));
             }
         }
-        assert_eq!(
-            canonical_binary_rotation(&[1, 0, 0, 1, 1, 0]),
-            Some(vec![0, 0, 1, 1, 0, 1])
-        );
+        let mut xs = [1, 0, 0, 1, 1, 0];
+        assert_eq!(canonicalize_binary_rotation(&mut xs), Some(true));
+        assert_eq!(xs, [0, 0, 1, 1, 0, 1]);
     }
 
     det_prop! {
@@ -545,6 +615,27 @@ mod tests {
                 check_binary_rotation(&word[..len])?;
                 check_binary_rotation(&planted[..len])?;
             }
+        }
+    }
+
+    #[test]
+    fn canon_apply_flags_exactly_the_calls_that_move_the_state() {
+        // The owned adapter derives the flag by comparison; the in-place
+        // form passes its own through.
+        fn least(xs: &[u8; 3]) -> [u8; 3] {
+            let mut c = *xs;
+            canonicalize_rotation(&mut c);
+            c
+        }
+        fn in_place(xs: &mut [u8; 3]) -> bool {
+            canonicalize_rotation(xs)
+        }
+        for canon in [Canon::Owned(least), Canon::InPlace(in_place)] {
+            let mut xs = [1, 0, 0];
+            assert!(canon.apply(&mut xs));
+            assert_eq!(xs, [0, 0, 1]);
+            assert!(!canon.apply(&mut xs));
+            assert_eq!(xs, [0, 0, 1]);
         }
     }
 
@@ -579,17 +670,17 @@ mod tests {
     fn canonical_rotation_is_minimal_and_invariant() {
         let orbit = [vec![2u64, 0, 1], vec![0, 1, 2], vec![1, 2, 0]];
         for xs in &orbit {
-            assert_eq!(canonical_rotation(xs), vec![0, 1, 2]);
+            assert_eq!(canonical(xs).0, vec![0, 1, 2]);
         }
         // Minimality: no rotation is lexicographically smaller.
         let xs = [3u64, 1, 4, 1, 5];
-        let canon = canonical_rotation(&xs);
+        let (canon, _) = canonical(&xs);
         for r in 0..xs.len() {
             let rot: Vec<u64> = (0..xs.len()).map(|k| xs[(r + k) % xs.len()]).collect();
             assert!(canon <= rot);
         }
         // Periodic inputs keep their period.
-        assert_eq!(canonical_rotation(&[1u64, 0, 1, 0]), vec![0, 1, 0, 1]);
+        assert_eq!(canonical(&[1u64, 0, 1, 0]), (vec![0, 1, 0, 1], true));
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl AnonymousRingProtocol for HashChain {
         let digest = mix(state.0 ^ l.rotate_left(17) ^ r.rotate_left(31));
         let round = state.1 + 1;
         // "Surely by now my digest is unique": the doomed leap.
-        let claims = round >= 8 && digest % 4 == 0;
+        let claims = round >= 8 && digest.is_multiple_of(4);
         (digest, round, state.2 || claims)
     }
 

@@ -78,8 +78,8 @@ impl SyncRingProcess for ItaiRodeh {
         }
         let mut out = std::mem::take(&mut self.outbox);
         // Phase start: draw and launch a token.
-        if (round - 1) % self.phase_length() == 0 && self.active && self.status == Status::Unknown
-        {
+        let phase_start = (round - 1).is_multiple_of(self.phase_length());
+        if phase_start && self.active && self.status == Status::Unknown {
             self.drawn = self.rng.gen_range(0..self.n as u64);
             self.phases += 1;
             out.tokens.push(Token {

@@ -4,10 +4,11 @@
 //! about *rotations*: in an anonymous uniform ring every rotation of a
 //! configuration is another reachable configuration, indistinguishable to
 //! the processes. That is exactly the precondition for exploring the
-//! quotient space instead of the full one — plug [`rotation_canon`] in as
-//! the [`Search::canon`](impossible_explore::Search::canon) hook and the
-//! visited set keeps one representative per rotation orbit (a *necklace*),
-//! shrinking the space without changing any verdict on
+//! quotient space instead of the full one — plug [`rotation_canon_in_place`]
+//! in as the
+//! [`Search::canon_in_place`](impossible_explore::Search::canon_in_place)
+//! hook and the visited set keeps one representative per rotation orbit (a
+//! *necklace*), shrinking the space without changing any verdict on
 //! rotation-invariant predicates.
 //!
 //! [`TokenRing`] is the workhorse: every process starts with a token
@@ -17,7 +18,7 @@
 //! token *merging* breaks symmetry, the loophole the deterministic
 //! message-passing candidates of [`crate::anonymous`] don't have.
 
-use impossible_core::symmetry::{canonical_binary_rotation, canonical_rotation};
+use impossible_core::symmetry::{canonicalize_binary_rotation, canonicalize_rotation};
 use impossible_core::system::System;
 use impossible_explore::property::{eventually, leads_to};
 use impossible_explore::{PropertyReport, Search, SearchReport};
@@ -72,15 +73,30 @@ impl TokenRing {
     }
 }
 
-/// The rotation-canonicalization hook: lexicographically least rotation.
-/// Idempotent and orbit-respecting (rotations commute with token passing),
-/// as the [`Search::canon`](impossible_explore::Search::canon) contract
-/// requires. Token-ring states are 0/1 words, so up to 64 slots the
-/// one-word kernel [`canonical_binary_rotation`] answers; any other state
-/// falls back to [`canonical_rotation`], which returns the same vector.
-/// What each costs per successor: `docs/EXPLORE.md`, "What a hook costs".
+/// The rotation-canonicalization hook: rotate `s` to its lexicographically
+/// least rotation, in place, and return whether it moved. Idempotent,
+/// orbit-respecting (rotations commute with token passing) and honest
+/// about moving, as the
+/// [`Search::canon_in_place`](impossible_explore::Search::canon_in_place)
+/// contract requires. Token-ring states are 0/1 words, so up to 64 slots
+/// the one-word kernel [`canonicalize_binary_rotation`] answers; any other
+/// state falls back to [`canonicalize_rotation`], which rotates it the same
+/// way. What each costs per successor: `docs/EXPLORE.md`, "What a hook
+/// costs".
+#[allow(clippy::ptr_arg)] // the hook type is `fn(&mut S) -> bool`, `S = Vec<u8>`
+pub fn rotation_canon_in_place(s: &mut Vec<u8>) -> bool {
+    canonicalize_binary_rotation(s).unwrap_or_else(|| canonicalize_rotation(s))
+}
+
+/// [`rotation_canon_in_place`] on a copy: the owned hook spelling,
+/// `fn(&S) -> S`, for [`Search::canon`](impossible_explore::Search::canon).
+/// Kept only because the ledger installs and replays it; ROADMAP item 1
+/// retires it.
+#[allow(clippy::ptr_arg)] // the hook type is `fn(&S) -> S`, `S = Vec<u8>`
 pub fn rotation_canon(s: &Vec<u8>) -> Vec<u8> {
-    canonical_binary_rotation(s).unwrap_or_else(|| canonical_rotation(s))
+    let mut c = s.clone();
+    rotation_canon_in_place(&mut c);
+    c
 }
 
 /// Explore the rotation quotient: one representative per necklace of
@@ -89,7 +105,7 @@ pub fn explore_quotient(n: usize, max_states: usize) -> SearchReport<Vec<u8>, us
     let sys = TokenRing { n };
     Search::new(&sys)
         .max_states(max_states)
-        .canon(rotation_canon)
+        .canon_in_place(rotation_canon_in_place)
         .explore()
 }
 
@@ -157,7 +173,7 @@ pub fn election_evades_free_schedulers(
 ) -> PropertyReport<Vec<u8>, usize> {
     Search::new(&TokenRing { n })
         .max_states(max_states)
-        .canon(rotation_canon)
+        .canon_in_place(rotation_canon_in_place)
         .check_property(&eventually("one-token", |s: &Vec<u8>| tokens(s) == 1))
 }
 
@@ -178,7 +194,7 @@ pub fn election_under_greedy_merges(
 ) -> PropertyReport<Vec<u8>, usize> {
     Search::new(&GreedyMergeRing { n })
         .max_states(max_states)
-        .canon(rotation_canon)
+        .canon_in_place(rotation_canon_in_place)
         .check_property(&leads_to(
             "merges-elect",
             |s: &Vec<u8>| tokens(s) >= 2,
@@ -241,7 +257,7 @@ mod tests {
         // Merging one token per step is optimal: n - 1 passes.
         for n in 2..=6 {
             let w = Search::new(&TokenRing { n })
-                .canon(rotation_canon)
+                .canon_in_place(rotation_canon_in_place)
                 .search(|s| tokens(s) == 1)
                 .witness;
             assert_eq!(w.map(|w| w.len()), Some(n - 1));
@@ -250,28 +266,53 @@ mod tests {
 
     #[test]
     fn rotation_canon_passes_the_audit_on_every_reachable_ring_state() {
-        use impossible_explore::canon::audit;
+        // Both spellings: the in-place hook, and the owned one through
+        // `Canon::apply`'s adapter.
+        use impossible_explore::canon::{audit, Canon};
         let one = |s: &Vec<u8>| tokens(s) == 1;
         let many = |s: &Vec<u8>| tokens(s) >= 2;
         let preds: [(&str, &dyn Fn(&Vec<u8>) -> bool); 2] =
             [("one-token", &one), ("multi-token", &many)];
         for n in 1..=8 {
-            let free = TokenRing { n };
-            let states = Search::new(&free).reachable_states();
-            assert_eq!(audit(&free, rotation_canon, &states, &preds), Ok(()), "n={n}");
-            let greedy = GreedyMergeRing { n };
-            let states = Search::new(&greedy).reachable_states();
-            assert_eq!(audit(&greedy, rotation_canon, &states, &preds), Ok(()), "n={n}");
+            let (free, greedy) = (TokenRing { n }, GreedyMergeRing { n });
+            let free_states = Search::new(&free).reachable_states();
+            let greedy_states = Search::new(&greedy).reachable_states();
+            for canon in [Canon::InPlace(rotation_canon_in_place), Canon::Owned(rotation_canon)] {
+                assert_eq!(audit(&free, canon, &free_states, &preds), Ok(()), "n={n}");
+                assert_eq!(audit(&greedy, canon, &greedy_states, &preds), Ok(()), "n={n}");
+            }
         }
+    }
+
+    #[test]
+    fn a_hook_that_always_claims_a_move_fails_the_audit() {
+        // The rotation itself is right; only the flag lies, on the
+        // representatives (where nothing moves). `canon_hits` would count
+        // every call.
+        use impossible_explore::canon::{audit, Canon, CanonFault};
+        fn always_moved(s: &mut Vec<u8>) -> bool {
+            rotation_canon_in_place(s);
+            true
+        }
+        let sys = TokenRing { n: 4 };
+        let states = Search::new(&sys).reachable_states();
+        let got = audit(&sys, Canon::InPlace(always_moved), &states, &[]);
+        assert_eq!(got.map_err(|(_, fault)| fault), Err(CanonFault::MovedFlag));
     }
 
     #[test]
     fn canon_hook_is_idempotent_on_reachable_states() {
         let sys = TokenRing { n: 5 };
-        let states = Search::new(&sys).canon(rotation_canon).reachable_states();
+        let states = Search::new(&sys)
+            .canon_in_place(rotation_canon_in_place)
+            .reachable_states();
         assert!(!states.is_empty());
         for s in &states {
-            assert_eq!(&rotation_canon(s), s); // quotient keeps canonical forms
+            // The quotient keeps canonical forms, which the hook leaves be.
+            let mut again = s.clone();
+            assert!(!rotation_canon_in_place(&mut again));
+            assert_eq!(&again, s);
+            assert_eq!(&rotation_canon(s), s);
         }
         // And the quotient really is smaller than the full space.
         assert!(Search::new(&sys).explore().num_states > states.len());

@@ -9,21 +9,36 @@
 //! symmetry arguments in [`impossible_core::symmetry`].
 //!
 //! A canonicalization hook is a plain function pointer
-//! `fn(&S) -> S` installed with [`crate::Search::canon`]. Fn *pointers*
-//! rather than closures on purpose: they are `Copy + Sync`, trivially
-//! shareable with the worker pool, and cannot smuggle in ambient state —
-//! the hook must be a pure function of the state, or determinism and
-//! soundness both die. The hook must be
+//! `fn(&mut S) -> bool` installed with [`crate::Search::canon_in_place`]:
+//! it rewrites the state it is given into its orbit's representative and
+//! returns `true` exactly when that changed the state. The search runs it
+//! on every successor in the successor's own storage, so a hook costs no
+//! allocation, and it counts the `true`s as
+//! [`canon_hits`](crate::SearchStats::canon_hits). The value the search
+//! holds is [`Canon`] (from `impossible_core::symmetry`, because
+//! `impossible_core::cert::Spec` carries it to the witness check), and
+//! every route applies it through the one [`Canon::apply`]. Its second
+//! form, an owned `fn(&S) -> S` ([`crate::Search::canon`]), survives only
+//! because the ledger installs the owned `rotation_canon`; `apply` adapts
+//! it by comparing the new state with the old.
 //!
-//! * **idempotent**: `c(c(s)) == c(s)`, and
+//! Fn *pointers* rather than closures on purpose: they are `Copy + Sync`,
+//! trivially shareable with the worker pool, and cannot smuggle in ambient
+//! state — the hook must be a pure function of the state, or determinism
+//! and soundness both die. Writing `c(s)` for the state the hook leaves,
+//! the hook must be
+//!
+//! * **idempotent**: `c(c(s)) == c(s)`,
 //! * **orbit-respecting**: `c(s) == c(t)` exactly when `s` and `t` are
 //!   related by a system automorphism (equivariance: the enabled actions
-//!   and successors of `c(s)` mirror those of `s`).
+//!   and successors of `c(s)` mirror those of `s`), and
+//! * **honest about moving**: its `bool` is `c(s) != s`.
 //!
-//! Under those two conditions the quotient search preserves reachability
-//! and violation-existence, and every witness it returns is a genuine
-//! execution of the quotient system (each step is `step` followed by `c`).
-//! [`audit`] checks the contract state by state — idempotence, and
+//! Under the first two the quotient search preserves reachability and
+//! violation-existence, and every witness it returns is a genuine execution
+//! of the quotient system (each step is `step` followed by `c`); the third
+//! keeps `canon_hits` a count of the calls that moved a state. [`audit`]
+//! checks the contract state by state — idempotence, the flag, and
 //! equivariance as equal enabled counts, equal canonized successor
 //! multisets and invariant predicates — so a hook's tests can run it over
 //! a whole reachable space.
@@ -40,6 +55,7 @@
 //! fallback for a group that has no closed form; build the permutation
 //! list once, outside the hook, never per call.
 
+pub use impossible_core::symmetry::Canon;
 use impossible_core::system::System;
 
 /// The clause of the hook contract a state breaks, as [`audit`] names it.
@@ -47,6 +63,8 @@ use impossible_core::system::System;
 pub enum CanonFault {
     /// `c(c(s)) != c(s)`.
     NotIdempotent,
+    /// The hook's `bool` is not "the state changed", on `s` or on `c(s)`.
+    MovedFlag,
     /// `enabled(s)` and `enabled(c(s))` differ in size.
     EnabledSize,
     /// The successors of `s` and of `c(s)`, each canonized, differ as
@@ -65,19 +83,30 @@ type NamedPred<'p, S> = (&'p str, &'p dyn Fn(&S) -> bool);
 /// index of the first state that breaks a clause, with the clause.
 pub fn audit<Sys: System>(
     sys: &Sys,
-    canon: fn(&Sys::State) -> Sys::State,
+    canon: Canon<Sys::State>,
     states: &[Sys::State],
     preds: &[NamedPred<'_, Sys::State>],
 ) -> Result<(), (usize, CanonFault)> {
+    // `(c(s), the hook's flag, whether s changed)`.
+    let applied = |s: &Sys::State| {
+        let mut c = s.clone();
+        let moved = canon.apply(&mut c);
+        let changed = c != *s;
+        (c, moved, changed)
+    };
     let successors = |s: &Sys::State, acts: &[Sys::Action]| {
-        let mut out: Vec<Sys::State> = acts.iter().map(|a| canon(&sys.step(s, a))).collect();
+        let mut out: Vec<Sys::State> = acts.iter().map(|a| applied(&sys.step(s, a)).0).collect();
         out.sort();
         out
     };
     for (i, s) in states.iter().enumerate() {
-        let c = canon(s);
-        if canon(&c) != c {
+        let (c, moved, changed) = applied(s);
+        let (cc, again, changed_again) = applied(&c);
+        if cc != c {
             return Err((i, CanonFault::NotIdempotent));
+        }
+        if moved != changed || again != changed_again {
+            return Err((i, CanonFault::MovedFlag));
         }
         let (from_s, from_c) = (sys.enabled(s), sys.enabled(&c));
         if from_s.len() != from_c.len() {

@@ -301,7 +301,8 @@ impl<'a, Sys: System> Search<'a, Sys> {
         let mut truncated_by: Option<Truncation> = None;
 
         for s0 in sys.initial_states() {
-            let sc = self.canonize(s0, &mut 0, drop);
+            let mut sc = s0;
+            self.canonize(&mut sc, &mut 0);
             let key = keys.key(&sc);
             let Err(vacant) = index.find(key, |j| order[j] == sc) else {
                 continue;
@@ -328,10 +329,10 @@ impl<'a, Sys: System> Search<'a, Sys> {
         // `row_lens[k]`: how many of `children` are block state `k`'s.
         let mut row_lens: Vec<usize> = Vec::with_capacity(BLOCK);
         // Children that were interned already, kept for the source to
-        // overwrite (`stage_successors`' spare pool) instead of dropped —
-        // never more than one block's batch of them: on the canon route the
-        // source returns every spare it takes, so nothing else would bound
-        // it.
+        // overwrite (`stage_successors`' spare pool, one spare per child it
+        // builds, canon hook or not) instead of dropped — never more than
+        // one block's batch of them: a source that takes none
+        // (`ckpt::incr`'s) would otherwise grow it by every duplicate.
         let mut spares: Vec<Sys::State> = Vec::new();
         let mut i = 0usize;
         // BFS level boundary: indices `[0, level_end)` are at most `depth`

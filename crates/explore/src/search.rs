@@ -53,6 +53,7 @@ use crate::stats::SearchStats;
 use crate::table::{shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
 use impossible_core::exec::Execution;
 use impossible_core::explore::Truncation;
+use impossible_core::symmetry::Canon;
 use impossible_core::system::System;
 use impossible_obs::{trace_event, NoopTracer, Tracer};
 use std::borrow::Cow;
@@ -300,9 +301,6 @@ pub(crate) struct LevelCommit<'l, S, A> {
     pub(crate) tracer: &'l mut dyn Tracer,
 }
 
-/// A canon hook ([`Search::canon`]): a state's representative.
-type CanonHook<S> = fn(&S) -> S;
-
 /// Builder/engine for fingerprint-deduped state-space search.
 ///
 /// ```
@@ -320,7 +318,7 @@ pub struct Search<'a, Sys: System> {
     max_depth: usize,
     workers: usize,
     seed: u64,
-    canon: Option<CanonHook<Sys::State>>,
+    canon: Option<Canon<Sys::State>>,
     pub(crate) tracer: RefCell<Option<&'a mut dyn Tracer>>,
 }
 
@@ -370,11 +368,23 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
-    /// Install a symmetry canonicalization hook (see [`crate::canon`] for
-    /// the idempotence/equivariance contract). Applied to initial states and
-    /// to every successor before fingerprinting.
+    /// Install a symmetry canonicalization hook that rewrites the state it
+    /// is given and returns `true` exactly when it changed it (see
+    /// [`crate::canon`] for the idempotence/equivariance contract and what
+    /// the flag means). Applied to initial states and to every successor
+    /// before fingerprinting, with no allocation of its own.
+    pub fn canon_in_place(mut self, c: fn(&mut Sys::State) -> bool) -> Self {
+        self.canon = Some(Canon::InPlace(c));
+        self
+    }
+
+    /// [`Search::canon_in_place`] for a hook that returns the
+    /// representative as a new state: one allocation and one comparison
+    /// more per call ([`Canon::Owned`]). Kept only because the ledger's
+    /// `ring` workload and its `expected` counts call it with the owned
+    /// `rotation_canon`; ROADMAP item 1 retires it.
     pub fn canon(mut self, c: fn(&Sys::State) -> Sys::State) -> Self {
-        self.canon = c.into();
+        self.canon = Some(Canon::Owned(c));
         self
     }
 
@@ -386,7 +396,7 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self
     }
 
-    pub(crate) fn canon_hook(&self) -> Option<CanonHook<Sys::State>> {
+    pub(crate) fn canon_hook(&self) -> Option<Canon<Sys::State>> {
         self.canon
     }
 
@@ -411,26 +421,12 @@ impl<'a, Sys: System> Search<'a, Sys> {
         8 + std::mem::size_of::<Sys::State>()
     }
 
-    /// Canonicalize (if a hook is installed), counting orbit collapses. The
-    /// hook allocates its own result, so the state it was applied to is
-    /// handed to `displaced` — `drop` for the roots and the witness replay,
-    /// the spare pool in [`Search::stage_successors`].
-    pub(crate) fn canonize(
-        &self,
-        s: Sys::State,
-        hits: &mut usize,
-        displaced: impl FnOnce(Sys::State),
-    ) -> Sys::State {
-        match self.canon {
-            None => s,
-            Some(c) => {
-                let cs = c(&s);
-                if cs != s {
-                    *hits += 1;
-                }
-                displaced(s);
-                cs
-            }
+    /// Canonicalize `s` in place (if a hook is installed), counting the
+    /// calls that moved it: the one dispatch of every search route — the
+    /// roots, [`Search::stage_successors`] and the witness replay.
+    pub(crate) fn canonize(&self, s: &mut Sys::State, hits: &mut usize) {
+        if let Some(c) = self.canon {
+            *hits += usize::from(c.apply(s));
         }
     }
 
@@ -445,15 +441,15 @@ impl<'a, Sys: System> Search<'a, Sys> {
     /// take over: a popped spare is overwritten through
     /// [`System::step_into`], an empty pool falls back to [`System::step`],
     /// and the two are `==` by that method's contract, so the pool's
-    /// contents never reach an output. The caller feeds it the children its
+    /// contents never reach an output. The canon hook then rewrites the
+    /// child where it lies ([`Search::canonize`]), so on every route each
+    /// child consumes one spare. The caller feeds the pool the children its
     /// visited structure rejects — three of four on the ledger's spaces —
     /// instead of dropping them, never past the length of the batch it
-    /// staged; with a canon hook the pre-canon state goes straight back on
-    /// the pool here (the hook's own allocation is the child), which is why
-    /// that bound is the caller's to keep: on the canon route nothing
-    /// net-consumes the pool. `acts` is the caller's action list, refilled
-    /// through [`System::enabled_into`] and drained here: its contents never
-    /// outlive the call, only its allocation does. `inline(always)`: every
+    /// staged, so a source that takes no spares (`ckpt::incr`'s, in the
+    /// graph builder) cannot grow it past one batch. `acts` is the caller's
+    /// action list, refilled through [`System::enabled_into`] and drained
+    /// here: its contents never outlive the call, only its allocation does. `inline(always)`: every
     /// caller is a hot loop that wants this body, with its closures, folded
     /// into its own.
     #[inline(always)]
@@ -470,15 +466,15 @@ impl<'a, Sys: System> Search<'a, Sys> {
         let live = !acts.is_empty();
         for a in acts.drain(..) {
             if keep(&a) {
-                let t = match spares.pop() {
+                let mut t = match spares.pop() {
                     Some(mut t) => {
                         self.sys.step_into(s, &a, &mut t);
                         t
                     }
                     None => self.sys.step(s, &a),
                 };
-                let tc = self.canonize(t, canon_hits, |t| spares.push(t));
-                stage(tc, a);
+                self.canonize(&mut t, canon_hits);
+                stage(t, a);
             }
         }
         live
@@ -754,7 +750,8 @@ where
                 truncated_by.get_or_insert(Truncation::States);
                 break;
             }
-            let sc = self.canonize(s0, &mut stats.canon_hits, drop);
+            let mut sc = s0;
+            self.canonize(&mut sc, &mut stats.canon_hits);
             let fp = batch.fingerprint_one(&sc);
             // The explicit length check above is the cap here, so the
             // insert itself is unbounded.
@@ -1172,8 +1169,8 @@ where
     /// spill route paged out; `|_| false` when everything is resident) or
     /// `try_insert_with` finds `Present` is a dedup hit, and joins `spares`
     /// for the next expansion to overwrite — never past the batch's length,
-    /// since on the canon route the expansion returns every spare it takes
-    /// and nothing else would bound the pool. `Full` trips the state cap
+    /// which holds the pool at one batch whatever the expansion takes from
+    /// it (one spare per child, on every route). `Full` trips the state cap
     /// (`level.cap`); `Inserted` goes onto
     /// `level.next_parts[shard_index(fp)]`. A disk hit is `Present` before
     /// the cap is asked, as the table's own probe is. Returns the dedup
@@ -1245,12 +1242,14 @@ where
             .into_iter()
             .nth(root)
             .expect("root index valid");
-        let mut sink = 0usize;
-        let mut exec = Execution::start(self.canonize(init, &mut sink, drop));
+        let canonized = |mut s: Sys::State| {
+            self.canonize(&mut s, &mut 0);
+            s
+        };
+        let mut exec = Execution::start(canonized(init));
         for a in rev_actions {
             let t = self.sys.step(exec.last(), &a);
-            let tc = self.canonize(t, &mut sink, drop);
-            exec.push(a, tc);
+            exec.push(a, canonized(t));
         }
         exec
     }

@@ -17,18 +17,23 @@
 //! equals a full rebuild of an action-dropping edit, that the label-free
 //! `Search::shape` is `Search::graph` with its labels erased, that
 //! `Search::check_property`, which checks `shape()` and derives its
-//! witness's actions, reports what a `Checker` over `graph()` reports, and
+//! witness's actions, reports what a `Checker` over `graph()` reports,
 //! that the bitmask valence classification is the one a `BTreeSet`
-//! fixpoint gives.
+//! fixpoint gives, and that the rotation hook gives the same bytes on every
+//! search route whether it is installed in place or owned.
 
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::ids::ProcessId;
 use impossible_core::succ::Target;
+use impossible_core::symmetry::Canon;
 use impossible_core::system::{DecisionSystem, System};
 use impossible_core::valence::ValenceEngine;
 use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
 use impossible_explore::property::{always, eventually, leads_to, never};
-use impossible_explore::{impl_encode_struct, Checker, ReachableGraph, Search, Truncation};
+use impossible_explore::{
+    impl_encode_struct, impl_persist_struct, Checker, PauseBudget, ReachableGraph, Resumable,
+    Search, SpillPolicy, Truncation,
+};
 use impossible_obs::NoopTracer;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,6 +47,7 @@ struct Node {
 }
 
 impl_encode_struct!(Node { at, period });
+impl_persist_struct!(Node { at, period });
 
 /// `copies` rotated images of a `period`-row fundamental domain: row
 /// `s + c·period` is row `s` with every target shifted by `c·period`, so
@@ -155,6 +161,55 @@ fn orbit_minimum(s: &Node) -> Node {
         at: s.at % s.period,
         period: s.period,
     }
+}
+
+/// [`orbit_minimum`] in place: the state moved exactly when it was past
+/// the fundamental domain.
+fn orbit_minimum_in_place(s: &mut Node) -> bool {
+    let moved = s.at >= s.period;
+    s.at %= s.period;
+    moved
+}
+
+/// Every search route's output over `sys` under `canon`, as text:
+/// `explore`, `search(p)` and its witness, `graph`, `shape`,
+/// `check_property` for a safety and a liveness claim over `p`, a run
+/// paused after one level and resumed, and a spilled `explore_extmem`
+/// with its `peak_bytes` zeroed (the one field spilling is meant to move).
+fn canon_routes(
+    sys: &Table,
+    canon: Canon<Node>,
+    max_states: usize,
+    p: impl Fn(&Node) -> bool + Copy,
+) -> Vec<String> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SPILLS: AtomicUsize = AtomicUsize::new(0);
+    let search = match canon {
+        Canon::InPlace(c) => Search::new(sys).canon_in_place(c),
+        Canon::Owned(c) => Search::new(sys).canon(c),
+    };
+    let search = search.max_states(max_states);
+    let resumed = match search.run_resumable(PauseBudget::levels(1)) {
+        Resumable::Paused(ckpt) => format!("{:?}", search.resume(ckpt, PauseBudget::never())),
+        done => format!("{done:?}"),
+    };
+    let spill = SPILLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("graph-oracle-canon-{spill}"));
+    let policy = SpillPolicy::new(&dir).ram_keys(2).spill_frontier(true);
+    let mut spilled = search.explore_extmem(&policy);
+    spilled.stats.peak_bytes = 0;
+    let _ = std::fs::remove_dir_all(&dir);
+    vec![
+        format!("{:?}", search.explore()),
+        format!("{:?}", search.search(p)),
+        format!("{:?}", parts(search.graph())),
+        format!("{:?}", parts(search.shape())),
+        search.check_property(&always("p", p)).to_json(),
+        search.check_property(&eventually("p", p)).to_json(),
+        resumed,
+        format!("{spilled:?}"),
+    ]
 }
 
 type Parts<S, A> = (Vec<S>, Vec<Vec<(A, usize)>>, usize, Option<Truncation>);
@@ -464,6 +519,29 @@ det_prop! {
                     !shape.order.iter().any(|s| decided(&sys, s).len() >= 2)
                 );
             }
+        }
+    }
+
+    /// The rotation hook in place ([`orbit_minimum_in_place`]) and owned
+    /// ([`orbit_minimum`], through `Canon::apply`'s adapter) give the same
+    /// bytes on every route of [`canon_routes`], whole and under a cap
+    /// that cuts — `canon_hits` included, so an in-place hook whose flag is
+    /// not "the state changed" fails here.
+    fn owned_and_in_place_hooks_agree_on_every_route(
+        cases = 256,
+        raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
+        copies in 1usize..=3,
+        inits in prop::vec(0u8..24, 1..4),
+        cap in 1usize..=24,
+        p_bits in 0u32..1 << 24
+    ) {
+        let sys = Table::new(&raw, copies, &inits);
+        let p = |s: &Node| p_bits >> s.at & 1 == 1;
+        for max_states in [usize::MAX, cap] {
+            det_assert_eq!(
+                canon_routes(&sys, Canon::InPlace(orbit_minimum_in_place), max_states, p),
+                canon_routes(&sys, Canon::Owned(orbit_minimum), max_states, p)
+            );
         }
     }
 

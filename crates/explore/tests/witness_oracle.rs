@@ -18,6 +18,10 @@
 //! * `audit` passes the planted rotation's hook over the whole reachable
 //!   space, and on a hook that ignores the `at` field names the first
 //!   clause a naive restatement finds broken.
+//!
+//! The hooks here are owned, `fn(&Node) -> Node`, so the checks run
+//! through `Canon::apply`'s adapter; the planted table's flag clause uses
+//! in-place hooks.
 
 use impossible_core::cert::{verify, Counterexample, Goal, Lasso, Spec, WitnessError};
 use impossible_core::exec::Execution;
@@ -25,7 +29,7 @@ use impossible_core::system::System;
 use impossible_det::prop::Strategy;
 use impossible_det::rng::DetRng;
 use impossible_det::{det_assert_eq, det_prop, prop};
-use impossible_explore::canon::{audit, CanonFault};
+use impossible_explore::canon::{audit, Canon, CanonFault};
 use impossible_explore::property::{always, eventually, leads_to, never, Checker, Property};
 use impossible_explore::{impl_encode_struct, ReachableGraph, Search};
 use std::collections::BTreeMap;
@@ -165,10 +169,10 @@ fn graph(
     sys: &Table,
     cap: usize,
     quotient: bool,
-) -> (ReachableGraph<Node, Act>, Option<fn(&Node) -> Node>) {
+) -> (ReachableGraph<Node, Act>, Option<Canon<Node>>) {
     let search = Search::new(sys).max_states(cap);
     if quotient {
-        (search.canon(orbit_minimum).graph(), Some(orbit_minimum))
+        (search.canon(orbit_minimum).graph(), Some(Canon::Owned(orbit_minimum)))
     } else {
         (search.graph(), None)
     }
@@ -217,12 +221,13 @@ det_prop! {
         let goal = |s: &Node| sys.marked(s, GOAL);
         let bad = |s: &Node| sys.marked(s, BAD);
         let preds: [(&str, &dyn Fn(&Node) -> bool); 2] = [("goal", &goal), ("bad", &bad)];
-        det_assert_eq!(audit(&sys, orbit_minimum, &states, &preds), Ok(()));
+        det_assert_eq!(audit(&sys, Canon::Owned(orbit_minimum), &states, &preds), Ok(()));
         let naive = states
             .iter()
             .enumerate()
             .find_map(|(i, s)| first_fault(&sys, ignores_at, s, &preds).map(|f| (i, f)));
-        det_assert_eq!(audit(&sys, ignores_at, &states, &preds), naive.map_or(Ok(()), Err));
+        let got = audit(&sys, Canon::Owned(ignores_at), &states, &preds);
+        det_assert_eq!(got, naive.map_or(Ok(()), Err));
     }
 }
 
@@ -291,22 +296,22 @@ fn audit_names_each_clause_on_a_planted_table() {
     }
     // A rotation is no idempotent hook.
     assert_eq!(
-        audit(&sys, next, &states, &preds),
+        audit(&sys, Canon::Owned(next), &states, &preds),
         Err((0, CanonFault::NotIdempotent))
     );
     // Row 1 is row 0's twin but for the goal mark.
     assert_eq!(
-        audit(&sys, row_1_to_0, &states, &preds),
+        audit(&sys, Canon::Owned(row_1_to_0), &states, &preds),
         Err((1, CanonFault::Predicate("goal".into())))
     );
     // Row 2 has no action; row 0 has one.
     assert_eq!(
-        audit(&sys, row_2_to_0, &states, &preds),
+        audit(&sys, Canon::Owned(row_2_to_0), &states, &preds),
         Err((2, CanonFault::EnabledSize))
     );
     // Row 3 has two actions, row 1 one.
     assert_eq!(
-        audit(&sys, row_3_to_1, &states, &preds),
+        audit(&sys, Canon::Owned(row_3_to_1), &states, &preds),
         Err((3, CanonFault::EnabledSize))
     );
     // Successors: a hook merging rows 0 and 3 of a table where both have
@@ -319,8 +324,28 @@ fn audit_names_each_clause_on_a_planted_table() {
         }
     }
     assert_eq!(
-        audit(&sys, row_3_to_0, &states, &[]),
+        audit(&sys, Canon::Owned(row_3_to_0), &states, &[]),
         Err((3, CanonFault::Successors))
+    );
+    // The flag: the identity claiming a move, and a sound hook hiding one
+    // (the first state it moves is row 2, period 2).
+    fn claims_a_move(_: &mut Node) -> bool {
+        true
+    }
+    fn hides_a_move(s: &mut Node) -> bool {
+        *s = orbit_minimum(s);
+        false
+    }
+    assert_eq!(
+        audit(&sys, Canon::InPlace(claims_a_move), &states, &[]),
+        Err((0, CanonFault::MovedFlag))
+    );
+    let sys = Table::new(&[vec![1], vec![0]], &[0; 8], 2, &[0]);
+    let states: Vec<Node> = (0..4).map(|at| sys.node(at)).collect();
+    assert_eq!(audit(&sys, Canon::Owned(orbit_minimum), &states, &[]), Ok(()));
+    assert_eq!(
+        audit(&sys, Canon::InPlace(hides_a_move), &states, &[]),
+        Err((2, CanonFault::MovedFlag))
     );
 }
 

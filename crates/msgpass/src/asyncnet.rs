@@ -82,8 +82,7 @@ pub struct TimedNet<P: AsyncProcess> {
     procs: Vec<P>,
     delay: DelayModel,
     rng: DetRng,
-    // min-heap of (delivery_time, seq, from, to, msg)
-    heap: BinaryHeap<Reverse<(Time, u64, usize, usize, PayloadSlot<P::Msg>)>>,
+    heap: BinaryHeap<Reverse<Delivery<P::Msg>>>,
     seq: u64,
     metrics: TimedMetrics,
 }
@@ -91,6 +90,10 @@ pub struct TimedNet<P: AsyncProcess> {
 /// Wrapper so the heap can order without requiring `Ord` on messages.
 #[derive(Debug, Clone)]
 struct PayloadSlot<M>(M);
+
+/// A queued message, `(delivery_time, seq, from, to, msg)`: wrapped in
+/// `Reverse`, the heap pops the earliest delivery first.
+type Delivery<M> = (Time, u64, usize, usize, PayloadSlot<M>);
 
 impl<M> PartialEq for PayloadSlot<M> {
     fn eq(&self, _: &Self) -> bool {

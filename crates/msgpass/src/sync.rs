@@ -90,12 +90,16 @@ pub struct SyncMetrics {
     pub rounds: usize,
 }
 
+/// A channel omission adversary, `drop(round, from, to)`
+/// ([`SyncNet::with_omission`]).
+type OmissionRule = Box<dyn FnMut(usize, usize, usize) -> bool>;
+
 /// The synchronous network runner.
 pub struct SyncNet<P: SyncProcess> {
     topology: Topology,
     procs: Vec<P>,
     faults: BTreeMap<usize, Fault<P::Msg>>,
-    omission: Option<Box<dyn FnMut(usize, usize, usize) -> bool>>,
+    omission: Option<OmissionRule>,
     crashed: Vec<bool>,
     round: usize,
     metrics: SyncMetrics,

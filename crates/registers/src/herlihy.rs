@@ -12,9 +12,9 @@
 //! [`ObjectProtocol`] expresses a wait-free consensus protocol over typed
 //! shared objects; [`ObjectSystem`] compiles it to a transition system;
 //! [`consensus_verdict`] checks agreement and validity as safety
-//! properties (`never(disagrees)`, `never(decided ∉ inputs)`, through
-//! `Search::check_property`, as FLP's candidates are checked) and
-//! wait-freedom through bounded solo runs. The verified protocols
+//! properties (`never(disagrees)`, `never(decided ∉ inputs)`; a violation
+//! is exhibited through `Search::check_property`, as FLP's candidates are
+//! checked) and wait-freedom through bounded solo runs. The verified protocols
 //! ([`TasConsensus2`], [`QueueConsensus2`], [`CasConsensus`]) and refuted
 //! candidates ([`RegisterMin2`], [`RegisterWait2`], [`TasConsensus3`])
 //! trace out the hierarchy's first levels.
@@ -239,11 +239,22 @@ pub enum HierarchyVerdict {
     NotWaitFree,
 }
 
-/// Exhaustively check a candidate protocol.
+/// Exhaustively check a candidate protocol: agreement, then validity,
+/// then wait-freedom, the first violation named.
+///
+/// The all-binary reachable set is built once. Agreement is read off it;
+/// only when some state of it disagrees does `check_property` run
+/// `never(disagrees)` over the same graph, so the violation it returns is
+/// `verify`-checked before the verdict names it. The wait-freedom sweep
+/// runs over the same set.
 pub fn consensus_verdict<P: ObjectProtocol>(proto: &P, max_states: usize) -> HierarchyVerdict {
     let sys = ObjectSystem::all_binary(proto);
-    let agreement = never("agreement", |s| sys.disagrees(s));
-    if !Search::new(&sys).max_states(max_states).check_property(&agreement).holds {
+    let search = Search::new(&sys).max_states(max_states);
+    let states = search.reachable_states();
+    if states.iter().any(|s| sys.disagrees(s)) {
+        let agreement = never("agreement", |s| sys.disagrees(s));
+        let report = search.check_property(&agreement);
+        assert!(!report.holds, "a disagreeing reachable state is a violation");
         return HierarchyVerdict::AgreementViolation;
     }
     // Validity: decided values must be inputs, checked per input vector.
@@ -261,7 +272,6 @@ pub fn consensus_verdict<P: ObjectProtocol>(proto: &P, max_states: usize) -> Hie
     }
     // Wait-freedom: from every reachable configuration, every undecided
     // process with work left must decide within a bounded solo run.
-    let states = Search::new(&sys).max_states(max_states).reachable_states();
     let solo_bound = 64;
     for s in states {
         for i in 0..proto.n() {

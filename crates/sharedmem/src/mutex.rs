@@ -151,8 +151,13 @@ impossible_explore::impl_persist_struct!(MutexState<L, R> { locals, vars }
 /// relabeling), so checking representatives suffices — mirror of
 /// `consensus::quorum::value_swap_canon` on the shared-memory side.
 ///
-/// **Cost:** one copy of the state (no heap block: both fields are inline
-/// [`Row`]s) and one in-place sort, `O(n log n)` comparisons. The orbit of
+/// The hook canonicalises in place
+/// ([`impossible_explore::Search::canon_in_place`]): it returns `true`
+/// exactly when `locals` was not sorted already, the one case in which
+/// sorting moves the state.
+///
+/// **Cost:** one sortedness scan, and an in-place sort, `O(n log n)`
+/// comparisons, only when that finds `locals` unsorted; no copy. The orbit of
 /// `locals` under the symmetric group is every arrangement of the same
 /// multiset, and the lexicographically least arrangement is the sorted one,
 /// so nothing is enumerated; equal locals are interchangeable, so sort
@@ -163,13 +168,15 @@ impossible_explore::impl_persist_struct!(MutexState<L, R> { locals, vars }
 ///
 /// **Not** sound for asymmetric algorithms (distinct roles, per-process
 /// variable targets, or restricted participant sets); the caller owns that
-/// precondition, exactly as with every [`impossible_explore::Search::canon`]
-/// hook.
+/// precondition, exactly as with every
+/// [`impossible_explore::Search::canon_in_place`] hook.
 // LINT-ALLOW: dead-pub -- symmetry [7]: identical-code mutex algorithms explored one state per orbit; tests process_perm_canon_shrinks_the_symmetric_space, process_perm_canon_is_the_minimum_over_the_symmetric_group
-pub fn process_perm_canon<L: Copy + Ord, R: Copy>(s: &MutexState<L, R>) -> MutexState<L, R> {
-    let mut canon = s.clone();
-    canon.locals.sort_unstable();
-    canon
+pub fn process_perm_canon<L: Copy + Ord, R: Copy>(s: &mut MutexState<L, R>) -> bool {
+    let moved = !s.locals.is_sorted();
+    if moved {
+        s.locals.sort_unstable();
+    }
+    moved
 }
 
 /// Actions of the composed system. `Try` and `Exit` belong to the
@@ -463,7 +470,7 @@ mod tests {
             let alg = TasLock::new(n);
             let sys = MutexSystem::new(&alg);
             let resident = Search::new(&sys).explore();
-            let quotient = Search::new(&sys).canon(process_perm_canon).explore();
+            let quotient = Search::new(&sys).canon_in_place(process_perm_canon).explore();
             assert!(!resident.truncated() && !quotient.truncated());
             assert!(
                 quotient.num_states < resident.num_states,
@@ -472,9 +479,11 @@ mod tests {
                 resident.num_states
             );
             assert!(quotient.stats.canon_hits > 0, "n={n}: hook never fired");
-            // Idempotence on every representative the search kept.
+            // Every representative the search kept is a fixed point.
             for s in &quotient.terminal_states {
-                assert_eq!(process_perm_canon(&process_perm_canon(s)), process_perm_canon(s));
+                let mut again = s.clone();
+                assert!(!process_perm_canon(&mut again), "n={n}: {s:?} moved");
+                assert_eq!(again, *s);
             }
         }
     }
@@ -501,9 +510,11 @@ mod tests {
                         }
                         t
                     });
-                let canon = process_perm_canon(s);
+                let mut canon = s.clone();
+                let moved = process_perm_canon(&mut canon);
                 assert_eq!(canon.locals, by_definition, "n={n}: {s:?}");
                 assert_eq!(canon.vars, s.vars);
+                assert_eq!(moved, canon != *s, "n={n}: {s:?}");
             }
         }
     }
@@ -516,7 +527,7 @@ mod tests {
         // permuting `locals` alone is no automorphism there — the hook's
         // documented precondition — and the audit names the clause.
         use crate::algorithms::dijkstra::Dijkstra;
-        use impossible_explore::canon::{audit, CanonFault};
+        use impossible_explore::canon::{audit, Canon, CanonFault};
         use impossible_explore::Search;
         fn audited<A: MutexAlgorithm>(alg: &A) -> Result<(), (usize, CanonFault)>
         where
@@ -529,7 +540,7 @@ mod tests {
             let states = Search::new(&sys).reachable_states();
             let preds: [(&str, &dyn Fn(&MutexStateOf<A>) -> bool); 2] =
                 [("two-critical", &two), ("someone-trying", &trying)];
-            audit(&sys, process_perm_canon, &states, &preds)
+            audit(&sys, Canon::InPlace(process_perm_canon), &states, &preds)
         }
         assert_eq!(audited(&TasLock::new(3)), Ok(()));
         let fault = audited(&Dijkstra::new(3));
@@ -546,13 +557,13 @@ mod tests {
         let alg = TasLock::new(3);
         let sys = MutexSystem::new(&alg);
         let violation = Search::new(&sys)
-            .canon(process_perm_canon)
+            .canon_in_place(process_perm_canon)
             .search(|s: &MutexState<_>| sys.critical_processes(s).len() >= 2);
         assert!(violation.witness.is_none(), "TAS stays safe in the quotient");
 
         // Every representative with a trying process can still reach a
         // critical region — progress survives the quotient.
-        let g = Search::new(&sys).canon(process_perm_canon).graph();
+        let g = Search::new(&sys).canon_in_place(process_perm_canon).graph();
         let can_reach_crit = g.succ.can_reach(
             |_| true,
             |i| !sys.critical_processes(&g.order[i]).is_empty(),

@@ -48,18 +48,16 @@ cargo run -q -p impossible-lint --release --offline -- --deny-all
 lint_end=$(date +%s%N)
 echo "lint stage: $(( (lint_end - lint_start) / 1000000 )) ms wall"
 
-echo "== clippy (the graph core and the search engine, deny warnings) =="
-# `impossible-core` and `impossible-explore` hold the graph layer
-# (`core::succ`, `core::valence`) and every search route; their library
-# code is kept clippy-clean.
-cargo clippy -q --offline -p impossible-core -p impossible-explore -- -D warnings
+echo "== clippy (every workspace crate, deny warnings) =="
+# Library and binary code of every workspace crate is kept clippy-clean.
+cargo clippy -q --offline --workspace -- -D warnings
 
 echo "== tests (all crates, offline) =="
 cargo test -q --offline --workspace
 # The test-count floor: a change cannot lose tests unnoticed. Raise it
 # when tests are added; lower it only with the removed tests named in
 # CHANGES.md.
-test_floor=721
+test_floor=725
 test_count="$(cargo test -q --offline --workspace -- --list 2>/dev/null | grep -c ': test$')"
 echo "tests listed: $test_count (floor $test_floor)"
 if [ "$test_count" -lt "$test_floor" ]; then

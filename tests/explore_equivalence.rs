@@ -25,14 +25,18 @@
 //! over its reachable space, from junk of every shape and length
 //! ([`assert_step_into_agrees`], [`assert_enabled_into_agrees`]), and every
 //! search route is checked to return the same bytes whether or not the model
-//! reuses storage ([`NoReuse`], [`assert_reuse_is_invisible`]).
+//! reuses storage ([`NoReuse`], [`assert_reuse_is_invisible`]) — and, on
+//! the rotation quotient, whether the canon hook is installed in place or
+//! owned ([`owned_and_in_place_hooks_agree_on_every_route`]).
 
 use impossible::core::explore::Explorer;
 use impossible::core::ids::ProcessId;
+use impossible::core::symmetry::Canon;
 use impossible::core::system::System;
+use impossible::explore::property::eventually;
 use impossible::explore::{
-    BatchScratch, Encode, Fingerprint, FpHasher, PauseBudget, ReachableGraph, Resumable, Search,
-    SearchCheckpoint, SearchReport, Succ, Truncation, DEFAULT_SEED,
+    BatchScratch, Encode, Fingerprint, FpHasher, PauseBudget, Persist, ReachableGraph, Resumable,
+    Search, SearchCheckpoint, SearchReport, SpillPolicy, Succ, Truncation, DEFAULT_SEED,
 };
 use impossible::obs::RingTracer;
 use std::collections::BTreeSet;
@@ -386,76 +390,85 @@ impl<S: System> System for NoReuse<'_, S> {
     }
 }
 
-/// A [`Search::canon`] hook.
-type Canon<S> = fn(&<S as System>::State) -> <S as System>::State;
-
 /// A [`ReachableGraph`]'s fields (it has no `PartialEq` of its own).
-type GraphParts<S, A> = (Vec<S>, Succ<A>, usize, Option<Truncation>);
+type GraphParts<S, A, T = usize> = (Vec<S>, Succ<A, T>, usize, Option<Truncation>);
 
 /// What [`route_outputs`] collects, route by route.
 type RouteOutputs<S, A> = (
-    SearchReport<S, A>,
-    SearchReport<S, A>,
-    GraphParts<S, A>,
-    GraphParts<S, A>,
+    (SearchReport<S, A>, SearchReport<S, A>),
+    (GraphParts<S, A>, GraphParts<S, A>, GraphParts<S, (), u32>),
     (SearchReport<S, A>, String),
     (SearchCheckpoint<S, A>, Resumable<S, A>),
+    (String, SearchReport<S, A>),
 );
 
 /// A `max_states`-capped builder over `sys`, with `canon` if given.
-fn builder<S: System>(sys: &S, canon: Option<Canon<S>>, max_states: usize) -> Search<'_, S> {
+fn builder<S: System>(sys: &S, canon: Option<Canon<S::State>>, max_states: usize) -> Search<'_, S> {
     let search = Search::new(sys).max_states(max_states);
     match canon {
-        Some(c) => search.canon(c),
+        Some(Canon::InPlace(c)) => search.canon_in_place(c),
+        Some(Canon::Owned(c)) => search.canon(c),
         None => search,
     }
 }
 
-/// Everything the resident routes return for one [`builder`]: `explore`,
-/// `search(pred)`, `graph`, `graph_filtered(keep)`, a traced `explore` with
-/// its JSONL, and a run paused after two levels with its resumption.
+/// Everything the routes return for one [`builder`]: `explore`,
+/// `search(pred)`, `graph`, `graph_filtered(keep)`, `shape`, a traced
+/// `explore` with its JSONL, a run paused after two levels with its
+/// resumption, `check_property(eventually(pred))`'s JSON, and a spilled
+/// `explore_extmem` with its `peak_bytes` zeroed (the one field spilling
+/// is meant to move).
 fn route_outputs<Sys>(
     sys: &Sys,
-    canon: Option<Canon<Sys>>,
+    canon: Option<Canon<Sys::State>>,
     max_states: usize,
     pred: impl Fn(&Sys::State) -> bool + Copy,
     keep: impl Fn(&Sys::Action) -> bool + Copy,
 ) -> RouteOutputs<Sys::State, Sys::Action>
 where
     Sys: System,
-    Sys::State: Encode,
+    Sys::State: Encode + Persist,
+    Sys::Action: Persist,
 {
-    fn parts<S, A>(g: ReachableGraph<S, A>) -> GraphParts<S, A> {
+    fn parts<S, A, T>(g: ReachableGraph<S, A, T>) -> GraphParts<S, A, T> {
         (g.order, g.succ, g.initials, g.truncated_by)
     }
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SPILLS: AtomicUsize = AtomicUsize::new(0);
     let mut tracer = RingTracer::new(1 << 16);
     let traced = builder(sys, canon, max_states).tracer(&mut tracer).explore();
     let search = builder(sys, canon, max_states);
     let ckpt = search.run_resumable(PauseBudget::levels(2)).paused();
     let ckpt = ckpt.expect("every space here is deeper than two levels");
     let resumed = (ckpt.clone(), search.resume(ckpt, PauseBudget::never()));
+    let spill = SPILLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("explore-equivalence-{spill}"));
+    let policy = SpillPolicy::new(&dir).ram_keys(16).spill_frontier(true);
+    let mut spilled = search.explore_extmem(&policy);
+    spilled.stats.peak_bytes = 0;
+    let _ = std::fs::remove_dir_all(&dir);
     (
-        search.explore(),
-        search.search(pred),
-        parts(search.graph()),
-        parts(search.graph_filtered(keep)),
+        (search.explore(), search.search(pred)),
+        (parts(search.graph()), parts(search.graph_filtered(keep)), parts(search.shape())),
         (traced, tracer.to_jsonl()),
         resumed,
+        (search.check_property(&eventually("pred", pred)).to_json(), spilled),
     )
 }
 
-/// `S` and [`NoReuse<S>`] agree on every route — `explore`, `search`,
-/// `graph`, `graph_filtered`, the traced `explore` JSONL and a
-/// paused-and-resumed run — whole and at a `max_states` that cuts.
+/// `S` and [`NoReuse<S>`] agree on every route of [`route_outputs`],
+/// whole and at a `max_states` that cuts.
 fn assert_reuse_is_invisible<Sys>(
     sys: &Sys,
-    canon: Option<Canon<Sys>>,
+    canon: Option<Canon<Sys::State>>,
     cut: usize,
     pred: impl Fn(&Sys::State) -> bool + Copy,
     keep: impl Fn(&Sys::Action) -> bool + Copy,
 ) where
     Sys: System,
-    Sys::State: Encode,
+    Sys::State: Encode + Persist,
+    Sys::Action: Persist,
 {
     let plain = NoReuse(sys);
     for max_states in [1_000_000, cut] {
@@ -468,7 +481,7 @@ fn assert_reuse_is_invisible<Sys>(
 
 #[test]
 fn storage_reuse_changes_no_byte_on_any_route() {
-    use impossible::election::ring_search::{rotation_canon, TokenRing};
+    use impossible::election::ring_search::{rotation_canon_in_place, TokenRing};
     use impossible::explore::Grid;
     use impossible::sharedmem::algorithms::dijkstra::Dijkstra;
     use impossible::sharedmem::mutex::{MutexState, MutexSystem, Region};
@@ -476,15 +489,46 @@ fn storage_reuse_changes_no_byte_on_any_route() {
     let grid = Grid { n: 3, max: 4 };
     assert_reuse_is_invisible(&grid, None, 60, |s| s.iter().all(|&c| c == 4), |a| *a != 1);
 
-    // The rotation quotient: the canon hook's allocation is the child and
-    // every pre-canon state goes back on the pool.
+    // The rotation quotient: the canon hook rewrites each child in the
+    // spare it was stepped into.
     let ring = TokenRing { n: 8 };
     let one_token = |s: &Vec<u8>| s.iter().filter(|&&b| b == 1).count() == 1;
-    assert_reuse_is_invisible(&ring, Some(rotation_canon), 20, one_token, |a| *a != 0);
+    let canon = Some(Canon::InPlace(rotation_canon_in_place));
+    assert_reuse_is_invisible(&ring, canon, 20, one_token, |a| *a != 0);
 
     let dijkstra = Dijkstra::new(3);
     let mutex = MutexSystem::new(&dijkstra);
     let last_is_critical =
         |s: &MutexState<_>| mutex.processes_in(s, Region::Critical).any(|i| i == 2);
     assert_reuse_is_invisible(&mutex, None, 2_000, last_is_critical, |a| a.process() != 1);
+}
+
+/// The rotation hook installed in place and owned (the owned spelling goes
+/// through `Canon::apply`'s adapter, which compares the new state with the
+/// old) returns the same bytes on every route of [`route_outputs`], whole
+/// and cut, on both ring systems for n = 4..=12 — `canon_hits` included, so
+/// an in-place kernel whose flag is not "the state changed" (inverted, or
+/// set by a kernel that writes its input word back instead of the least
+/// rotation) fails here.
+#[test]
+fn owned_and_in_place_hooks_agree_on_every_route() {
+    use impossible::election::ring_search::{
+        rotation_canon, rotation_canon_in_place, GreedyMergeRing, TokenRing,
+    };
+    fn assert_forms_agree<Sys: System<State = Vec<u8>, Action = usize>>(sys: &Sys, n: usize) {
+        let two_tokens = |s: &Vec<u8>| s.iter().filter(|&&b| b == 1).count() == 2;
+        let keep = |a: &usize| *a != 1;
+        let in_place = Some(Canon::InPlace(rotation_canon_in_place));
+        let owned = Some(Canon::Owned(rotation_canon));
+        for max_states in [1_000_000, n + 3] {
+            let a = route_outputs(sys, in_place, max_states, two_tokens, keep);
+            let b = route_outputs(sys, owned, max_states, two_tokens, keep);
+            assert!(a.0 .0.stats.canon_hits > 0, "n={n}: the hook moved some child");
+            assert_eq!(a, b, "n={n} max_states={max_states}");
+        }
+    }
+    for n in 4..=12 {
+        assert_forms_agree(&TokenRing { n }, n);
+        assert_forms_agree(&GreedyMergeRing { n }, n);
+    }
 }
