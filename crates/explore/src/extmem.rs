@@ -406,9 +406,7 @@ where
     fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>) {
         // The next frontier is fully resident here (the commit path
         // materializes it): account for it before any of it pages out.
-        let next_len: usize = next.iter().map(Vec::len).sum();
-        let bytes = run.visited.approx_bytes() + next_len * Search::<Sys>::frontier_item_bytes();
-        run.stats.peak_bytes = run.stats.peak_bytes.max(bytes);
+        run.sample_peak_bytes(next.iter().map(Vec::len).sum());
         if run.visited.len() >= self.policy.ram_keys {
             spill_step(self.flush_visited(&mut run.visited));
         }

@@ -25,7 +25,9 @@
 //! exact build [`Search::graph`], which confirms every fingerprint match by
 //! full equality). Witnesses are reconstructed by walking a
 //! fingerprint-keyed parent map back to an initial state and replaying the
-//! actions through [`System::step`].
+//! actions through [`System::step`]. Only the routes that can be asked for
+//! a parent store one (a witness, a snapshot page, a run page):
+//! [`Search::explore`]'s table keeps keys only (`Backlink`).
 //!
 //! Both level bodies expand a frontier partition through one function,
 //! `Search::expand_partition` (stage the children in j-major order,
@@ -113,12 +115,18 @@ pub enum Parent<A> {
     Child { parent: u64, action: A },
 }
 
-/// The visited table's value: a [`Parent`] whose parent is stored as its
-/// table key. A stored key is never 0 (the table folds fingerprint 0 onto
-/// key 1), so it is a `NonZeroU64` and rustc keeps the variant in its
-/// niche: `Link<usize>` is 16 bytes where `Parent<usize>` is 24 (the
-/// `search.rs` tests pin the widths). Checkpoints and run pages stay
-/// `Parent`; the routes convert one shard at a time, as they page.
+/// The visited table's value on every route that can be asked for a
+/// parent: a [`Parent`] whose parent is stored as its table key. A stored
+/// key is never 0 (the table folds fingerprint 0 onto key 1), so it is a
+/// `NonZeroU64` and rustc keeps the variant in its niche: `Link<usize>` is
+/// 16 bytes where `Parent<usize>` is 24 (the `search.rs` tests pin the
+/// widths). Checkpoints and run pages stay `Parent`; the routes convert one
+/// shard at a time, as they page.
+///
+/// [`Search::search`] needs it for the witness, [`Search::run_resumable`]
+/// and [`Search::resume`] for the snapshot's visited pages, and the spill
+/// routes for their run pages. [`Search::explore`] can be asked for none
+/// of these and stores `()` instead ([`Backlink`]).
 ///
 /// Converting a `Parent` applies the same fold, so `Child { parent: 0 }`
 /// comes back as `parent: 1`: `table::key_of`'s fold, the key any lookup of
@@ -129,16 +137,51 @@ pub(crate) enum Link<A> {
     Child { parent: NonZeroU64, action: A },
 }
 
-impl<A> Link<A> {
-    /// The link to a child of the state fingerprinted `parent`.
+/// What the visited table stores per key: the value type of the one level
+/// loop. [`Link`] records how each state was reached, for witness replay,
+/// snapshots and run pages; `()` records nothing, so a route that needs
+/// none of them keeps keys only (a zero-sized value costs the table no
+/// entry index either: `table.rs`, `FpMap`).
+pub(crate) trait Backlink<A>: Sized {
+    /// The value of `initial_states()[i]`.
+    fn root(i: usize) -> Self;
+    /// The value of a child of the state fingerprinted `parent`.
+    fn child(parent: u64, action: A) -> Self;
+    /// The parent this value records, for witness replay: `None` when it
+    /// records none.
+    fn parent(&self) -> Option<Parent<A>>;
+}
+
+impl<A: Clone> Backlink<A> for Link<A> {
     #[inline]
-    pub(crate) fn child(parent: u64, action: A) -> Self {
+    fn root(i: usize) -> Self {
+        Link::Root(i)
+    }
+
+    #[inline]
+    fn child(parent: u64, action: A) -> Self {
         let parent = NonZeroU64::new(parent).unwrap_or(NonZeroU64::MIN);
         Link::Child { parent, action }
     }
+
+    fn parent(&self) -> Option<Parent<A>> {
+        Some(self.clone().into())
+    }
 }
 
-impl<A> From<Parent<A>> for Link<A> {
+impl<A> Backlink<A> for () {
+    #[inline]
+    fn root(_: usize) -> Self {}
+
+    #[inline]
+    fn child(_: u64, _: A) -> Self {}
+
+    fn parent(&self) -> Option<Parent<A>> {
+        None
+    }
+}
+
+impl<A: Clone> From<Parent<A>> for Link<A> {
     fn from(p: Parent<A>) -> Self {
         match p {
             Parent::Root(i) => Link::Root(i),
@@ -288,12 +331,13 @@ impl<S, A> SearchCheckpoint<S, A> {
 }
 
 /// Where [`Search::commit_children`] puts one BFS level's children: the
-/// visited set it probes under `cap`, the truncation flag a full table
-/// sets (traced once, naming `depth`), and the next frontier's partitions
-/// the inserted children join. A level body builds one before its
-/// partition loop and commits every partition through it.
-pub(crate) struct LevelCommit<'l, S, A> {
-    pub(crate) visited: &'l mut ShardedFpMap<Link<A>>,
+/// visited set it probes under `cap` (values `V`, a [`Backlink`]), the
+/// truncation flag a full table sets (traced once, naming `depth`), and
+/// the next frontier's partitions the inserted children join. A level body
+/// builds one before its partition loop and commits every partition
+/// through it.
+pub(crate) struct LevelCommit<'l, S, V> {
+    pub(crate) visited: &'l mut ShardedFpMap<V>,
     pub(crate) cap: Cap,
     pub(crate) truncated_by: &'l mut Option<Truncation>,
     pub(crate) depth: usize,
@@ -499,10 +543,11 @@ pub(crate) fn with_tracer<R>(
 /// One struct so the straight (`run_on`), resumable (`run_resumable`),
 /// resumed (`resume`) and external-memory (`crate::extmem`) entry points
 /// share the *same* setup, loop and finish — any budget/truncation fix
-/// lands on all of them at once.
-pub(crate) struct BfsRun<Sys: System> {
+/// lands on all of them at once. `V` is the visited table's value: `()`
+/// for [`Search::explore`], [`Link`] everywhere else.
+pub(crate) struct BfsRun<Sys: System, V = Link<<Sys as System>::Action>> {
     pub(crate) stats: SearchStats,
-    pub(crate) visited: ShardedFpMap<Link<Sys::Action>>,
+    pub(crate) visited: ShardedFpMap<V>,
     pub(crate) terminal: Vec<Sys::State>,
     transitions: usize,
     pub(crate) truncated_by: Option<Truncation>,
@@ -518,6 +563,21 @@ pub(crate) struct BfsRun<Sys: System> {
     pub(crate) batch: BatchScratch,
 }
 
+impl<Sys: System, V> BfsRun<Sys, V> {
+    /// Sample `peak_bytes` at a boundary where `resident_frontier` frontier
+    /// records are held: the visited table priced as the link-carrying
+    /// table a pausable run keeps
+    /// ([`ShardedFpMap::approx_bytes_as`]`::<Link<A>>`, whatever `V` is) plus
+    /// those records at their shallow width. The one statement of the
+    /// formula, so `explore()` reports the bytes `run_resumable` does, an
+    /// upper bound on its own key-only table.
+    pub(crate) fn sample_peak_bytes(&mut self, resident_frontier: usize) {
+        let table = self.visited.approx_bytes_as::<Link<Sys::Action>>();
+        let bytes = table + resident_frontier * Search::<Sys>::frontier_item_bytes();
+        self.stats.peak_bytes = self.stats.peak_bytes.max(bytes);
+    }
+}
+
 /// Where visited keys and frontier records live, and how a level over
 /// them is expanded. [`Search::bfs_levels`] is the only level loop; it asks
 /// the backend exactly the questions the resident and spilled routes answer
@@ -527,8 +587,9 @@ pub(crate) struct BfsRun<Sys: System> {
 /// `crate::extmem`'s `Spill` pages cold shards and frontier partitions to
 /// run files and expands a whole level before committing it (it needs
 /// `Persist` to do so, which is why this is a trait and not an optional
-/// field).
-pub(crate) trait VisitedBackend<Sys: System> {
+/// field). `V` is the table's value: `Resident` serves any [`Backlink`],
+/// `Spill` only [`Link`], whose parents its run pages carry.
+pub(crate) trait VisitedBackend<Sys: System, V = Link<<Sys as System>::Action>> {
     /// Visited keys held outside the resident table. They are disjoint
     /// from it, so `num_states` and the cap stay exact without touching
     /// disk.
@@ -559,14 +620,14 @@ pub(crate) trait VisitedBackend<Sys: System> {
     fn expand_level(
         &self,
         search: &Search<'_, Sys>,
-        run: &mut BfsRun<Sys>,
+        run: &mut BfsRun<Sys, V>,
         next_parts: &mut [Vec<(u64, Sys::State)>],
         tracer: &mut dyn Tracer,
     ) -> usize;
 
     /// Level boundary, everything synchronized: install `next` as the
     /// run's frontier. The spill hooks live here.
-    fn end_level(&mut self, run: &mut BfsRun<Sys>, next: Vec<Vec<(u64, Sys::State)>>) {
+    fn end_level(&mut self, run: &mut BfsRun<Sys, V>, next: Vec<Vec<(u64, Sys::State)>>) {
         run.parts = next;
     }
 
@@ -577,17 +638,18 @@ pub(crate) trait VisitedBackend<Sys: System> {
     }
 }
 
-/// The all-in-RAM backend of [`Search::explore`] and friends.
+/// The all-in-RAM backend of [`Search::explore`] and friends, for a table
+/// of any [`Backlink`].
 pub(crate) struct Resident;
 
-impl<Sys: System> VisitedBackend<Sys> for Resident
+impl<Sys: System, V: Backlink<Sys::Action>> VisitedBackend<Sys, V> for Resident
 where
     Sys::State: Encode,
 {
     fn expand_level(
         &self,
         search: &Search<'_, Sys>,
-        run: &mut BfsRun<Sys>,
+        run: &mut BfsRun<Sys, V>,
         next_parts: &mut [Vec<(u64, Sys::State)>],
         tracer: &mut dyn Tracer,
     ) -> usize {
@@ -599,7 +661,10 @@ impl<'a, Sys: System> Search<'a, Sys>
 where
     Sys::State: Encode,
 {
-    /// Explore the full reachable space (within bounds), no predicate.
+    /// Explore the full reachable space (within bounds), no predicate. No
+    /// witness, snapshot or run page can be asked of it, so its visited
+    /// table keeps keys only; the report is the one
+    /// `run_resumable(PauseBudget::never())` gives, `peak_bytes` included.
     pub fn explore(&self) -> SearchReport<Sys::State, Sys::Action> {
         self.explore_traced(&mut NoopTracer)
     }
@@ -613,7 +678,7 @@ where
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action> {
         with_tracer(&self.tracer, tracer, |t| {
-            self.run_on(Resident, None::<fn(&Sys::State) -> bool>, t)
+            self.run_on::<(), _, _>(Resident, None::<fn(&Sys::State) -> bool>, t)
         })
     }
 
@@ -624,7 +689,9 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        with_tracer(&self.tracer, &mut NoopTracer, |t| self.run_on(Resident, Some(pred), t))
+        with_tracer(&self.tracer, &mut NoopTracer, |t| {
+            self.run_on::<Link<Sys::Action>, _, _>(Resident, Some(pred), t)
+        })
     }
 
     /// Run the full reachable exploration, pausing at `budget` if it trips
@@ -696,17 +763,18 @@ where
 
     /// The BFS engine, whole: init, the level loop over `backend`, finish.
     /// The resident and the external-memory entry points differ in the
-    /// backend they pass and in nothing else. No trace event carries the
-    /// requested worker count.
-    pub(crate) fn run_on<F, B>(
+    /// backend they pass and in the table's value `V`, and in nothing else.
+    /// No trace event carries the requested worker count.
+    pub(crate) fn run_on<V, F, B>(
         &self,
         mut backend: B,
         pred: Option<F>,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action>
     where
+        V: Backlink<Sys::Action>,
         F: Fn(&Sys::State) -> bool,
-        B: VisitedBackend<Sys>,
+        B: VisitedBackend<Sys, V>,
     {
         let (pred, never) = (pred.as_ref(), PauseBudget::never());
         let mut run = self.bfs_init(pred, tracer);
@@ -716,16 +784,13 @@ where
     }
 
     /// BFS init: seed the visited set and the partitioned root frontier.
-    fn bfs_init<F>(
-        &self,
-        pred: Option<&F>,
-        tracer: &mut dyn Tracer,
-    ) -> BfsRun<Sys>
+    fn bfs_init<V, F>(&self, pred: Option<&F>, tracer: &mut dyn Tracer) -> BfsRun<Sys, V>
     where
+        V: Backlink<Sys::Action>,
         F: Fn(&Sys::State) -> bool,
     {
         let mut stats = SearchStats::new(self.workers, DEFAULT_PARTITIONS, self.seed);
-        let mut visited: ShardedFpMap<Link<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
+        let mut visited: ShardedFpMap<V> = ShardedFpMap::new(DEFAULT_PARTITIONS);
         let mut truncated_by: Option<Truncation> = None;
         let mut found: Option<u64> = None;
         // Batched fingerprint pipeline for this control path and both
@@ -755,7 +820,7 @@ where
             let fp = batch.fingerprint_one(&sc);
             // The explicit length check above is the cap here, so the
             // insert itself is unbounded.
-            if visited.try_insert_with(fp, Cap::Unbounded, || Link::Root(i)) == TryInsert::Present {
+            if visited.try_insert_with(fp, Cap::Unbounded, || V::root(i)) == TryInsert::Present {
                 stats.dedup_hits += 1;
                 continue;
             }
@@ -770,9 +835,6 @@ where
         // body is skipped (predicate matched an initial state, or the space
         // has no initial states to expand).
         stats.peak_frontier = stats.peak_frontier.max(roots.len());
-        stats.peak_bytes = stats
-            .peak_bytes
-            .max(visited.approx_bytes() + roots.len() * Self::frontier_item_bytes());
         trace_event!(tracer, "search", "init",
             "frontier": roots.len(),
             "states": visited.len(),
@@ -788,12 +850,13 @@ where
         // newly-inserted list — so only the roots are partitioned here.
         let mut parts: Vec<Vec<(u64, Sys::State)>> =
             (0..DEFAULT_PARTITIONS).map(|_| Vec::new()).collect();
+        let roots_len = roots.len();
         for item in roots {
             let k = shard_index(item.0, DEFAULT_PARTITIONS);
             parts[k].push(item);
         }
 
-        BfsRun {
+        let mut run = BfsRun {
             stats,
             visited,
             terminal: Vec::new(),
@@ -803,7 +866,9 @@ where
             parts,
             depth: 0,
             batch,
-        }
+        };
+        run.sample_peak_bytes(roots_len);
+        run
     }
 
     /// The level loop — the only one: the straight, resumable, resumed and
@@ -813,17 +878,18 @@ where
     /// do — the caller suspends; `false` means the run finished (witness
     /// found, frontier exhausted, or depth cutoff), which
     /// `PauseBudget::never` guarantees.
-    fn bfs_levels<F, B>(
+    fn bfs_levels<V, F, B>(
         &self,
-        run: &mut BfsRun<Sys>,
+        run: &mut BfsRun<Sys, V>,
         backend: &mut B,
         pred: Option<&F>,
         pause: &PauseBudget,
         tracer: &mut dyn Tracer,
     ) -> bool
     where
+        V: Backlink<Sys::Action>,
         F: Fn(&Sys::State) -> bool,
-        B: VisitedBackend<Sys>,
+        B: VisitedBackend<Sys, V>,
     {
         loop {
             let (frontier_len, resident_frontier) = backend.frontier_lens(&run.parts);
@@ -844,13 +910,12 @@ where
             }
             run.stats.peak_frontier = run.stats.peak_frontier.max(frontier_len);
             // Byte accounting, sampled at the same boundary: the visited
-            // tables' `approx_bytes` plus the frontier records actually
-            // resident, at their shallow width. Both are pure functions of the entry
-            // sets, and it is one formula for both backends, so a spilled
-            // run's lower number is comparable evidence.
-            let bytes =
-                run.visited.approx_bytes() + resident_frontier * Self::frontier_item_bytes();
-            run.stats.peak_bytes = run.stats.peak_bytes.max(bytes);
+            // table priced as the link-carrying one plus the frontier
+            // records actually resident, at their shallow width. Both are
+            // pure functions of the entry sets, and it is one formula for
+            // every backend and table value, so a spilled run's lower
+            // number is comparable evidence.
+            run.sample_peak_bytes(resident_frontier);
             // Every frontier state is expanded below, by the cutoff scan or
             // by the backend's level body.
             run.stats.expansions += frontier_len;
@@ -939,12 +1004,18 @@ where
 
     /// Finish a run: the `end` event, witness replay (parent links the
     /// backend holds outside the resident table included), and the report.
-    fn bfs_finish<B: VisitedBackend<Sys>>(
+    /// Only a predicate run has a `found` state to replay, and those keep
+    /// [`Link`]s: a key-only table records no parent to walk.
+    fn bfs_finish<V, B>(
         &self,
-        run: BfsRun<Sys>,
+        run: BfsRun<Sys, V>,
         backend: &B,
         tracer: &mut dyn Tracer,
-    ) -> SearchReport<Sys::State, Sys::Action> {
+    ) -> SearchReport<Sys::State, Sys::Action>
+    where
+        V: Backlink<Sys::Action>,
+        B: VisitedBackend<Sys, V>,
+    {
         let num_states = run.visited.len() + backend.spilled();
         trace_event!(tracer, "search", "end",
             "states": num_states,
@@ -957,7 +1028,7 @@ where
         );
 
         let witness = run.found.map(|target| {
-            let resident = |fp| run.visited.get(fp).cloned().map(Parent::from);
+            let resident = |fp| run.visited.get(fp).and_then(V::parent);
             let lookup = |fp| resident(fp).or_else(|| backend.spilled_parent(fp));
             self.replay_witness_with(target, lookup)
         });
@@ -1076,9 +1147,9 @@ where
     /// that is nothing but this loop is `grid_w1` (`verdict_s`,
     /// `search.self_s`); re-measure there before restructuring.
     #[inline(never)]
-    fn expand_level_fused(
+    fn expand_level_fused<V: Backlink<Sys::Action>>(
         &self,
-        run: &mut BfsRun<Sys>,
+        run: &mut BfsRun<Sys, V>,
         next_parts: &mut [Vec<(u64, Sys::State)>],
         tracer: &mut dyn Tracer,
     ) -> usize {
@@ -1171,21 +1242,21 @@ where
     /// for the next expansion to overwrite — never past the batch's length,
     /// which holds the pool at one batch whatever the expansion takes from
     /// it (one spare per child, on every route). `Full` trips the state cap
-    /// (`level.cap`); `Inserted` goes onto
-    /// `level.next_parts[shard_index(fp)]`. A disk hit is `Present` before
-    /// the cap is asked, as the table's own probe is. Returns the dedup
-    /// hits.
+    /// (`level.cap`); `Inserted` stores `V::child(parent, action)` and goes
+    /// onto `level.next_parts[shard_index(fp)]`. A disk hit is `Present`
+    /// before the cap is asked, as the table's own probe is. Returns the
+    /// dedup hits.
     #[inline(always)]
-    pub(crate) fn commit_children(
+    pub(crate) fn commit_children<V: Backlink<Sys::Action>>(
         children: &mut Vec<Child<Sys::State, Sys::Action>>,
         on_disk: impl Fn(u64) -> bool,
         spares: &mut Vec<Sys::State>,
-        level: &mut LevelCommit<'_, Sys::State, Sys::Action>,
+        level: &mut LevelCommit<'_, Sys::State, V>,
     ) -> usize {
         let batch_len = children.len();
         let mut dedup_hits = 0usize;
         for (fp, tc, action, parent) in children.drain(..) {
-            let link = || Link::child(parent, action);
+            let link = || V::child(parent, action);
             let verdict = if on_disk(fp) {
                 TryInsert::Present
             } else {

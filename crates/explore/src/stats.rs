@@ -45,6 +45,12 @@ pub struct SearchStats {
     /// the same number, and spilling shards to disk lowers it. The one
     /// stat that legitimately differs between a resident and a spilled run
     /// of the same model — report comparisons mask it.
+    ///
+    /// The table is priced as the link-carrying one a pausable run keeps
+    /// (12 bytes a slot plus a parent link per entry) on every route, so
+    /// [`crate::Search::explore`], whose table keeps keys only, reports the
+    /// same figure as the paused-and-resumed run: for it, an upper bound
+    /// (`docs/EXPLORE.md`, "The visited table").
     pub peak_bytes: usize,
     /// Always 0 on every search: no route runs a worker pool to steal
     /// from. Kept only for the ledger's `pool.steals` row; ROADMAP item

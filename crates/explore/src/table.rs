@@ -13,7 +13,9 @@
 //! * [`FpMap`] — a single open-addressing table, the building block below.
 //!   Its slots hold only a key and a 4-byte entry index; the values live
 //!   densely in insertion order, so an empty slot costs 12 bytes, not the
-//!   width of a value.
+//!   width of a value. A zero-sized value (`FpMap<()>`, the key set
+//!   `Search::explore` keeps) needs no entry index: its slots are the key
+//!   alone, 8 bytes.
 //! * [`ShardedFpMap`] — a fixed number of independent `FpMap` shards, where
 //!   fingerprint `fp` lives in shard `fp % shards`. The shard function is
 //!   the *same* fixed partition function the search engine uses to split
@@ -77,6 +79,10 @@ impl Cap {
 /// whether or not it is occupied, a value only `size_of::<V>()` once
 /// inserted — at ≤ 50 % load most slots are empty, so the values stay out
 /// of the slot arrays. A `Present` hit reads `keys` alone.
+///
+/// A zero-sized `V` has nothing to index: every value is the same, `vals`
+/// allocates nothing and only counts, and `at` is never allocated, so a
+/// slot costs 8 bytes (`KEYS_ONLY`).
 #[derive(Debug, Clone)]
 pub struct FpMap<V> {
     keys: Vec<u64>,
@@ -134,20 +140,54 @@ pub fn shard_index(fp: u64, shards: usize) -> usize {
 ///
 /// Past `u32::MAX`: a slot stores its entry index in 4 bytes, so one table
 /// (one shard of a [`ShardedFpMap`]) holds at most `u32::MAX + 1` entries.
-/// With the search's 16-byte parent links (a `usize` action) and at least
-/// two 12-byte slots per entry that is over 170 GB in one shard, far beyond
-/// any resident search.
+/// Growth at 50 % load gives each entry at least two 12-byte slots, plus
+/// its value: at least 25 bytes an entry for any value that has a width,
+/// over 100 GB in one shard (over 170 GB with the search's 16-byte
+/// `Link<usize>` values), far beyond any resident search. A table of
+/// zero-sized values stores no index and never calls this.
 #[inline]
 fn entry_index(len: usize) -> u32 {
     u32::try_from(len).expect("FpMap entry index past u32::MAX: one table holds at most 2^32 entries")
 }
 
+/// The shallow bytes of an [`FpMap<W>`] with `slots` slots and `entries`
+/// entries: 8 per slot for the key, 4 more for the entry index unless `W`
+/// is zero-sized, and `size_of::<W>()` per entry.
+fn footprint<W>(slots: usize, entries: usize) -> usize {
+    let index = if std::mem::size_of::<W>() == 0 { 0 } else { 4 };
+    slots * (8 + index) + entries * std::mem::size_of::<W>()
+}
+
 impl<V> FpMap<V> {
+    /// Zero-sized values: no entry index is stored, `at` stays empty.
+    const KEYS_ONLY: bool = std::mem::size_of::<V>() == 0;
+
+    /// The slot → entry-index array for `slots` slots: none at all when
+    /// the values are zero-sized.
+    fn index_array(slots: usize) -> Vec<u32> {
+        if Self::KEYS_ONLY {
+            Vec::new()
+        } else {
+            vec![0; slots]
+        }
+    }
+
+    /// The entry the occupied slot `i` holds. Any entry will do for a
+    /// zero-sized value, and there is one: the slot is occupied.
+    #[inline]
+    fn entry(&self, i: usize) -> usize {
+        if Self::KEYS_ONLY {
+            0
+        } else {
+            self.at[i] as usize
+        }
+    }
+
     /// An empty table.
     pub fn new() -> Self {
         FpMap {
             keys: vec![EMPTY; 64],
-            at: vec![0; 64],
+            at: Self::index_array(64),
             vals: Vec::new(),
         }
     }
@@ -163,13 +203,22 @@ impl<V> FpMap<V> {
     }
 
     /// Shallow byte footprint: `capacity × (8 + 4) + len × size_of::<V>()`
-    /// — the key and entry-index slot arrays plus the dense values. A pure
-    /// function of the entry set (capacity doubles at fixed load
-    /// thresholds), so the same search samples the same number on every run
-    /// — the deterministic memory accounting behind
-    /// `SearchStats::peak_bytes`, deliberately *not* an RSS syscall.
+    /// — the key and entry-index slot arrays plus the dense values; a
+    /// zero-sized `V` stores no index, so `capacity × 8`. A pure function
+    /// of the entry set (capacity doubles at fixed load thresholds), so the
+    /// same search samples the same number on every run — deliberately
+    /// *not* an RSS syscall.
     pub fn approx_bytes(&self) -> usize {
-        self.keys.len() * (8 + 4) + self.vals.len() * std::mem::size_of::<V>()
+        self.approx_bytes_as::<V>()
+    }
+
+    /// What [`FpMap::approx_bytes`] would be if this table's entries held
+    /// `W` values instead: the same capacity (growth depends on the entry
+    /// count alone), priced at `W`'s slot and value widths.
+    /// `SearchStats::peak_bytes` prices every route's table as the
+    /// link-carrying one through this.
+    pub(crate) fn approx_bytes_as<W>(&self) -> usize {
+        footprint::<W>(self.keys.len(), self.vals.len())
     }
 
     /// Drop every entry and shrink back to the empty table's 64-slot
@@ -199,17 +248,19 @@ impl<V> FpMap<V> {
         }
     }
 
-    /// Double the slot arrays, rehashing each key with its entry index; the
-    /// values stay where they are.
+    /// Double the slot arrays, rehashing each key with its entry index (the
+    /// key alone for zero-sized values); the values stay where they are.
     fn grow(&mut self) {
         let new_cap = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        let old_at = std::mem::replace(&mut self.at, vec![0; new_cap]);
-        for (k, e) in old_keys.into_iter().zip(old_at) {
+        let old_at = std::mem::replace(&mut self.at, Self::index_array(new_cap));
+        for (j, k) in old_keys.into_iter().enumerate() {
             if k != EMPTY {
                 let i = self.slot(k);
                 self.keys[i] = k;
-                self.at[i] = e;
+                if !Self::KEYS_ONLY {
+                    self.at[i] = old_at[j];
+                }
             }
         }
     }
@@ -218,13 +269,14 @@ impl<V> FpMap<V> {
     /// `make()`, doubling first (and re-probing) at the 50 % load threshold.
     #[inline]
     fn occupy(&mut self, mut i: usize, key: u64, make: impl FnOnce() -> V) {
-        let e = entry_index(self.vals.len());
         if (self.vals.len() + 1) * 2 > self.keys.len() {
             self.grow();
             i = self.slot(key);
         }
+        if !Self::KEYS_ONLY {
+            self.at[i] = entry_index(self.vals.len());
+        }
         self.keys[i] = key;
-        self.at[i] = e;
         self.vals.push(make());
     }
 
@@ -239,7 +291,7 @@ impl<V> FpMap<V> {
         let key = key_of(fp);
         let i = self.slot(key);
         if self.keys[i] == key {
-            Some(&self.vals[self.at[i] as usize])
+            Some(&self.vals[self.entry(i)])
         } else {
             None
         }
@@ -305,7 +357,7 @@ impl<V> FpMap<V> {
     pub fn iter_ordered(&self) -> impl Iterator<Item = (u64, &V)> {
         self.ordered_slots()
             .into_iter()
-            .map(|i| (self.keys[i], &self.vals[self.at[i] as usize]))
+            .map(|i| (self.keys[i], &self.vals[self.entry(i)]))
     }
 
     /// Move every entry out, in [`FpMap::iter_ordered`]'s order, leaving
@@ -316,7 +368,8 @@ impl<V> FpMap<V> {
     /// The values move into the returned vector in insertion order, each
     /// gets its key from its slot, and the vector is then permuted into key
     /// order in place, cycle by cycle — the ordered slot list, turned into
-    /// entry indices, is the only transient buffer.
+    /// entry indices, is the only transient buffer. Zero-sized values are
+    /// all alike, so they pair with the ordered keys as they come.
     pub fn take_ordered(&mut self) -> Vec<(u64, V)> {
         self.take_ordered_as(|v| v)
     }
@@ -326,6 +379,16 @@ impl<V> FpMap<V> {
     /// links as checkpoint and run-page parents without a second copy.
     pub(crate) fn take_ordered_as<W>(&mut self, mut f: impl FnMut(V) -> W) -> Vec<(u64, W)> {
         let mut order = self.ordered_slots();
+        if Self::KEYS_ONLY {
+            let vals = std::mem::take(&mut self.vals);
+            let entries: Vec<(u64, W)> = order
+                .iter()
+                .zip(vals)
+                .map(|(&s, v)| (self.keys[s], f(v)))
+                .collect();
+            self.clear();
+            return entries;
+        }
         let mut entries: Vec<(u64, W)> = std::mem::take(&mut self.vals)
             .into_iter()
             .map(|v| (EMPTY, f(v)))
@@ -381,7 +444,7 @@ impl<V> FpMap<V> {
         let (shift, mask) = (64 - cap.trailing_zeros(), cap - 1);
         let mut map = FpMap {
             keys: vec![EMPTY; cap],
-            at: vec![0; cap],
+            at: Self::index_array(cap),
             vals: Vec::with_capacity(entries.len()),
         };
         let (mut prev, mut free) = (EMPTY, 0);
@@ -393,7 +456,9 @@ impl<V> FpMap<V> {
                 i = (i + 1) & mask;
             }
             map.keys[i] = key;
-            map.at[i] = entry_index(map.vals.len());
+            if !Self::KEYS_ONLY {
+                map.at[i] = entry_index(map.vals.len());
+            }
             map.vals.push(v);
             free = i + 1;
         }
@@ -518,7 +583,13 @@ impl<V> ShardedFpMap<V> {
     /// [`FpMap::approx_bytes`]. Worker-count-invariant because shard
     /// growth is driven by the (schedule-independent) entry sets.
     pub fn approx_bytes(&self) -> usize {
-        self.shards.iter().map(FpMap::approx_bytes).sum()
+        self.approx_bytes_as::<V>()
+    }
+
+    /// The sum of every shard's [`FpMap::approx_bytes_as`]: this map's
+    /// footprint had its entries held `W` values.
+    pub(crate) fn approx_bytes_as<W>(&self) -> usize {
+        self.shards.iter().map(FpMap::approx_bytes_as::<W>).sum()
     }
 }
 
@@ -937,6 +1008,58 @@ mod tests {
             }
             for i in 0..j {
                 det_assert_eq!(back.get(fresh(i)), Some(&vec![i as u8]));
+            }
+        }
+    }
+
+    det_prop! {
+        /// `FpMap<()>` against `FpMap<u32>` under one generated key stream
+        /// (the folded zero key, keys that wrap past the last slot, and up
+        /// to ~1600 distinct spread keys, so both tables double five
+        /// times): the same verdict on every insert, the same `len` and
+        /// `capacity` after it, the same `contains` for every key, the same
+        /// canonical order and the same table back from a page. The key-only
+        /// table never allocates an entry index — a memory regression no
+        /// report shows — and prices as the indexed one through
+        /// `approx_bytes_as`. A zero-sized `grow` that does not re-home its
+        /// keys fails the `contains` sweep.
+        fn a_key_only_table_is_the_indexed_one_without_its_index(
+            cases = 64,
+            cap_choice in 0usize..3,
+            ops in prop::vec(0u64..1600, 0..2500)
+        ) {
+            let cap = [Cap::Unbounded, Cap::At(150), Cap::At(1000)][cap_choice];
+            let fp = |v: u64| match v {
+                0 | 1 => v,
+                2..=39 => u64::MAX - v,
+                _ => v.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            };
+            let mut keys: FpMap<()> = FpMap::new();
+            let mut indexed: FpMap<u32> = FpMap::new();
+            for (step, &v) in ops.iter().enumerate() {
+                det_assert_eq!(
+                    keys.try_insert_with(fp(v), cap, || ()),
+                    indexed.try_insert_with(fp(v), cap, || step as u32)
+                );
+                det_assert_eq!((keys.len(), keys.capacity()), (indexed.len(), indexed.capacity()));
+            }
+            for v in 0..1600 {
+                det_assert_eq!(keys.contains(fp(v)), indexed.contains(fp(v)));
+                det_assert_eq!(keys.get(fp(v)).is_some(), indexed.contains(fp(v)));
+            }
+            det_assert_eq!(keys.at.capacity(), 0);
+            det_assert_eq!(keys.approx_bytes(), keys.capacity() * 8);
+            det_assert_eq!(keys.approx_bytes_as::<u32>(), indexed.approx_bytes());
+
+            let order: Vec<u64> = indexed.iter_ordered().map(|(k, _)| k).collect();
+            det_assert_eq!(keys.iter_ordered().map(|(k, _)| k).collect::<Vec<_>>(), order.clone());
+            let taken = keys.take_ordered();
+            det_assert_eq!(taken.iter().map(|&(k, ())| k).collect::<Vec<_>>(), order);
+            det_assert_eq!((keys.len(), keys.capacity(), keys.at.capacity()), (0, 64, 0));
+            let back = FpMap::from_ascending(taken);
+            det_assert_eq!((back.capacity(), back.at.capacity()), (indexed.capacity(), 0));
+            for v in 0..1600 {
+                det_assert_eq!(back.contains(fp(v)), indexed.contains(fp(v)));
             }
         }
     }

@@ -19,8 +19,11 @@
 //! `Search::check_property`, which checks `shape()` and derives its
 //! witness's actions, reports what a `Checker` over `graph()` reports,
 //! that the bitmask valence classification is the one a `BTreeSet`
-//! fixpoint gives, and that the rotation hook gives the same bytes on every
-//! search route whether it is installed in place or owned.
+//! fixpoint gives, that the rotation hook gives the same bytes on every
+//! search route whether it is installed in place or owned, and that
+//! `Search::explore`, which keeps keys only, reports what the routes that
+//! keep parent links report (on the tables, and on grids large enough that
+//! the visited table grows).
 
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::ids::ProcessId;
@@ -31,8 +34,8 @@ use impossible_core::valence::ValenceEngine;
 use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
 use impossible_explore::property::{always, eventually, leads_to, never};
 use impossible_explore::{
-    impl_encode_struct, impl_persist_struct, Checker, PauseBudget, ReachableGraph, Resumable,
-    Search, SpillPolicy, Truncation,
+    impl_encode_struct, impl_persist_struct, Checker, Encode, Grid, PauseBudget, ReachableGraph,
+    Resumable, Search, SearchReport, SpillPolicy, Truncation,
 };
 use impossible_obs::NoopTracer;
 use std::collections::{BTreeMap, BTreeSet};
@@ -210,6 +213,42 @@ fn canon_routes(
         resumed,
         format!("{spilled:?}"),
     ]
+}
+
+/// A predicate-free run's report on every resident route, as text:
+/// `explore()`, which keeps keys only, and the three that keep parent
+/// links — `search` with a predicate that never holds, `run_resumable`
+/// that never pauses, and a run paused at every level boundary, each pause
+/// resumed from its checkpoint. `peak_bytes` prices the link-carrying table
+/// on all four, so the four texts must be equal, that field included.
+fn keyed_and_linked_routes<Sys>(search: &Search<'_, Sys>) -> [String; 4]
+where
+    Sys: System,
+    Sys::State: Encode,
+{
+    let done = |r: Resumable<Sys::State, Sys::Action>| -> SearchReport<Sys::State, Sys::Action> {
+        r.done().expect("a run with no pause budget left finishes")
+    };
+    let mut stepped = search.run_resumable(PauseBudget::levels(0));
+    while let Resumable::Paused(ckpt) = stepped {
+        let next = PauseBudget::levels(ckpt.depth + 1);
+        stepped = search.resume(ckpt, next);
+    }
+    [
+        format!("{:?}", search.explore()),
+        format!("{:?}", search.search(|_| false)),
+        format!("{:?}", done(search.run_resumable(PauseBudget::never()))),
+        format!("{:?}", done(stepped)),
+    ]
+}
+
+/// [`orbit_minimum_in_place`] for a grid: the counters are interchangeable,
+/// so sorting them is a canon hook; it moved the state unless it was sorted.
+#[allow(clippy::ptr_arg)] // the hook type is `fn(&mut S) -> bool`, `S = Vec<u8>`
+fn sort_in_place(s: &mut Vec<u8>) -> bool {
+    let moved = !s.is_sorted();
+    s.sort_unstable();
+    moved
 }
 
 type Parts<S, A> = (Vec<S>, Vec<Vec<(A, usize)>>, usize, Option<Truncation>);
@@ -542,6 +581,65 @@ det_prop! {
                 canon_routes(&sys, Canon::InPlace(orbit_minimum_in_place), max_states, p),
                 canon_routes(&sys, Canon::Owned(orbit_minimum), max_states, p)
             );
+        }
+    }
+
+    /// `explore()` keeps keys only and reports what the routes that keep
+    /// parent links report ([`keyed_and_linked_routes`]), byte for byte,
+    /// `peak_bytes` included: under duplicate initials, self-loops, the
+    /// rotation canon hook, and caps and depth bounds that cut. Pricing
+    /// `explore()`'s `peak_bytes` from its own key-only table fails here.
+    fn explore_reports_what_the_link_keeping_routes_report(
+        cases = 512,
+        raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
+        copies in 1usize..=3,
+        inits in prop::vec(0u8..24, 1..4),
+        cap in 1usize..=24,
+        max_depth in 0usize..=3,
+        quotient in 0u8..2
+    ) {
+        let sys = Table::new(&raw, copies, &inits);
+        for max_states in [usize::MAX, cap] {
+            for max_depth in [usize::MAX, max_depth] {
+                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
+                if quotient == 1 {
+                    search = search.canon_in_place(orbit_minimum_in_place);
+                }
+                let [explored, linked @ ..] = keyed_and_linked_routes(&search);
+                for other in linked {
+                    det_assert_eq!(&explored, &other);
+                }
+            }
+        }
+    }
+
+    /// The same agreement on grids of 2 601–5 832 states. The tables above
+    /// put a few keys in each of the visited set's 64 shards; here an
+    /// unsorted grid puts about 40, past the 32 at which a shard's table
+    /// doubles, so a key-only table that loses keys as it grows reports
+    /// fewer states than the link-keeping ones. Sorting the counters (a
+    /// canon hook), caps and depth bounds cut the space as above.
+    fn explore_agrees_with_the_link_keeping_routes_past_a_table_doubling(
+        cases = 16,
+        n in 2usize..=3,
+        size in 0u8..=4,
+        cap in 1usize..=6000,
+        max_depth in 0usize..=60,
+        sorted in 0u8..2
+    ) {
+        let max = if n == 2 { 50 + 6 * size } else { 13 + size };
+        let sys = Grid { n, max };
+        for max_states in [usize::MAX, cap] {
+            for max_depth in [usize::MAX, max_depth] {
+                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
+                if sorted == 1 {
+                    search = search.canon_in_place(sort_in_place);
+                }
+                let [explored, linked @ ..] = keyed_and_linked_routes(&search);
+                for other in linked {
+                    det_assert_eq!(&explored, &other);
+                }
+            }
         }
     }
 

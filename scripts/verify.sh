@@ -57,7 +57,7 @@ cargo test -q --offline --workspace
 # The test-count floor: a change cannot lose tests unnoticed. Raise it
 # when tests are added; lower it only with the removed tests named in
 # CHANGES.md.
-test_floor=725
+test_floor=728
 test_count="$(cargo test -q --offline --workspace -- --list 2>/dev/null | grep -c ': test$')"
 echo "tests listed: $test_count (floor $test_floor)"
 if [ "$test_count" -lt "$test_floor" ]; then
