@@ -36,6 +36,7 @@
 use crate::snapshot::CkptError;
 use impossible_explore::FpHasher;
 use std::collections::BTreeMap;
+use std::io::Write;
 
 /// Seed for model/job fingerprints. Fixed and independent of any search
 /// seed: cache keys are part of the service contract, not of a run.
@@ -235,7 +236,7 @@ impl VerdictCache {
         let text = self.to_text();
         let mut h = FpHasher::new(KEY_SEED);
         h.write_bytes(text.as_bytes());
-        crate::write_atomically(path, text.as_bytes(), h.finish())
+        crate::write_atomically(path, h.finish(), |file| file.write_all(text.as_bytes()))
     }
 }
 

@@ -46,16 +46,29 @@ pub use incr::{crash_process, reexplore_incremental, ActionEdit, IncrStats};
 pub use manifest::{run_manifest, run_manifest_traced, CheckJob, JobOutcome, ManifestReport};
 pub use snapshot::{CkptError, Snapshot, FORMAT_VERSION};
 
-/// Write `bytes` to `path` atomically: into the same-directory temp file
-/// `{path}.{tag:016x}.tmp` first, then renamed into place, so a crash
-/// mid-write leaves the old file or the new one, never a truncated
-/// hybrid. `tag` is a digest of `bytes` (no ambient pid or clock), so
-/// concurrent saves of identical bytes collide harmlessly.
-fn write_atomically(path: &str, bytes: &[u8], tag: u64) -> Result<(), CkptError> {
+/// Write a file at `path` atomically: `fill` writes it into the
+/// same-directory temp file `{path}.{tag:016x}.tmp`, which is then renamed
+/// into place, so a crash mid-write leaves the old file or the new one,
+/// never a truncated hybrid. The temp file is opened read + write, so
+/// `fill` may read back what it wrote. `tag` is a digest of what is saved
+/// (no ambient pid or clock), so the temp name is a pure function of it.
+/// Any failure removes the temp file.
+fn write_atomically(
+    path: &str,
+    tag: u64,
+    fill: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), CkptError> {
     let tmp = format!("{path}.{tag:016x}.tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| CkptError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        CkptError::Io(e.to_string())
-    })
+    std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp)
+        .and_then(|mut file| fill(&mut file))
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            CkptError::Io(e.to_string())
+        })
 }

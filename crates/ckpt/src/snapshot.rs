@@ -50,6 +50,16 @@
 //! This mirrors the obs crate's canonical-JSONL discipline — an artifact is
 //! evidence only if re-producing it reproduces its bytes.
 //!
+//! [`Snapshot::save`] never holds the file image. The layout is written
+//! once (`write_body`): [`Snapshot::to_bytes`] runs it into a `Vec`, and
+//! `save` runs it through a `BufWriter` into the temp file, one page
+//! encoded at a time. The checksum absorbs the body's length before its
+//! bytes, and the length is known only once the body is written, so
+//! `save` then reads the temp file back in 8-byte-aligned chunks to
+//! compute it, appends it and renames the file into place. The temp name's
+//! tag is a digest of the fixed header, a pure function of the snapshot.
+//! Both routes give the same bytes (`tests/snapshot_roundtrip.rs`).
+//!
 //! Corruption surfaces as typed [`CkptError`]s: a flipped bit fails the
 //! trailing checksum (or, in the length prefixes, a `Malformed` decode), a
 //! bumped format version fails before any payload decoding, and a snapshot
@@ -58,10 +68,11 @@
 
 use impossible_core::explore::Truncation;
 use impossible_explore::page::{decode_frontier_page, decode_run_page, encode_frontier_page, encode_run_page};
-use impossible_explore::persist::{read_blob, take, write_blob, Persist, PersistError};
+use impossible_explore::persist::{read_blob, take, Persist, PersistError};
 use impossible_explore::search::{Parent, SearchCheckpoint};
 use impossible_explore::table::shard_index;
 use impossible_explore::FpHasher;
+use std::io::{BufWriter, Read, Seek, Write};
 
 /// The 8-byte file magic.
 const MAGIC: [u8; 8] = *b"IMPCKPT1";
@@ -165,6 +176,14 @@ impl<S: Persist, A: Persist> Snapshot<S, A> {
     /// The canonical byte encoding (format above), checksum included.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.write_body(&mut out).expect("writing to a Vec cannot fail");
+        checksum(&out).write(&mut out);
+        out
+    }
+
+    /// The fixed-width header: magic through the seven counters.
+    fn header(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         FORMAT_VERSION.write(&mut out);
         self.model_fp.write(&mut out);
@@ -183,21 +202,28 @@ impl<S: Persist, A: Persist> Snapshot<S, A> {
         self.ckpt.peak_frontier.write(&mut out);
         self.ckpt.cap_fallbacks.write(&mut out);
         self.ckpt.peak_bytes.write(&mut out);
+        out
+    }
+
+    /// Everything but the checksum, written once for both [`Snapshot::to_bytes`]
+    /// (into a `Vec`) and [`Snapshot::save`] (into the file): the header,
+    /// then one page at a time, so no more than a page is encoded ahead of
+    /// `w`.
+    fn write_body(&self, w: &mut impl Write) -> std::io::Result<()> {
+        w.write_all(&self.header())?;
         // Visited shards and frontier partitions travel as the extmem page
         // formats (one length-prefixed page per shard/partition): the same
         // bytes `SpillPolicy` writes to run files, delta compression
         // included.
-        self.ckpt.visited.len().write(&mut out);
+        write_persisted(w, &self.ckpt.visited.len())?;
         for shard in &self.ckpt.visited {
-            write_blob(&mut out, &encode_run_page(shard));
+            write_page(w, &encode_run_page(shard))?;
         }
-        self.ckpt.frontier.len().write(&mut out);
+        write_persisted(w, &self.ckpt.frontier.len())?;
         for part in &self.ckpt.frontier {
-            write_blob(&mut out, &encode_frontier_page(part));
+            write_page(w, &encode_frontier_page(part))?;
         }
-        self.ckpt.terminal.write(&mut out);
-        checksum(&out).write(&mut out);
-        out
+        write_persisted(w, &self.ckpt.terminal)
     }
 
     /// Decode and validate (magic, version, checksum, exact length). Model
@@ -306,13 +332,23 @@ impl<S: Persist, A: Persist> Snapshot<S, A> {
 
     /// Write the canonical bytes to `path`, atomically, so a crash
     /// mid-write never leaves a truncated hybrid that [`Snapshot::load`]
-    /// would refuse as corrupt. The temp name carries the content
-    /// checksum.
+    /// would refuse as corrupt. The body streams into the temp file a page
+    /// at a time (the file image is never held), the checksum is computed
+    /// by reading the body back, and the temp name carries a digest of the
+    /// header.
     pub fn save(&self, path: &str) -> Result<(), CkptError> {
-        let bytes = self.to_bytes();
-        let mut sum_at = bytes.len() - 8;
-        let sum = u64::read(&bytes, &mut sum_at).expect("to_bytes ends in its checksum");
-        crate::write_atomically(path, &bytes, sum)
+        crate::write_atomically(path, checksum(&self.header()), |file| {
+            let mut w = BufWriter::new(&mut *file);
+            self.write_body(&mut w)?;
+            w.flush()?;
+            drop(w);
+            let body_len = file.stream_position()?;
+            file.rewind()?;
+            // The read-back leaves the file at the body's end, where the
+            // checksum goes.
+            let sum = checksum_of(body_len, &mut *file)?;
+            file.write_all(&sum.to_le_bytes())
+        })
     }
 
     /// Read, decode and validate a snapshot file.
@@ -355,11 +391,51 @@ fn read_pages<T>(
     Ok(pages)
 }
 
-/// The trailing integrity checksum: an [`FpHasher`] pass over the bytes.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+/// `v`'s [`Persist`] encoding, written to `w`.
+fn write_persisted<T: Persist>(w: &mut impl Write, v: &T) -> std::io::Result<()> {
+    let mut out = Vec::new();
+    v.write(&mut out);
+    w.write_all(&out)
+}
+
+/// One page as [`read_blob`] reads it back (its length, then its bytes),
+/// written to `w` without copying the page.
+fn write_page(w: &mut impl Write, page: &[u8]) -> std::io::Result<()> {
+    write_persisted(w, &page.len())?;
+    w.write_all(page)
+}
+
+/// The bytes [`checksum_of`] reads at a time: a multiple of 8, so every
+/// chunk but the last is whole words.
+const READ_CHUNK: usize = 1 << 16;
+
+/// The trailing integrity checksum of the `len` bytes `body` yields, read
+/// [`READ_CHUNK`] bytes at a time: [`FpHasher::write_bytes`] over them
+/// (the length, then 8-byte little-endian words, only the last one
+/// zero-padded). The one definition: [`checksum`] runs it over a slice,
+/// [`Snapshot::save`] over the file it just wrote, before the length was
+/// known.
+fn checksum_of(len: u64, mut body: impl Read) -> std::io::Result<u64> {
     let mut h = FpHasher::new(CHECKSUM_SEED);
-    h.write_bytes(bytes);
-    h.finish()
+    h.write_u64(len);
+    let mut buf = vec![0u8; READ_CHUNK.min(len as usize)];
+    let mut left = len as usize;
+    while left > 0 {
+        let chunk = &mut buf[..left.min(READ_CHUNK)];
+        body.read_exact(chunk)?;
+        for word in chunk.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..word.len()].copy_from_slice(word);
+            h.write_u64(u64::from_le_bytes(w));
+        }
+        left -= chunk.len();
+    }
+    Ok(h.finish())
+}
+
+/// The trailing integrity checksum of `bytes` ([`checksum_of`]).
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    checksum_of(bytes.len() as u64, bytes).expect("a slice yields its own length")
 }
 
 #[cfg(test)]
@@ -397,6 +473,49 @@ mod tests {
         let body_len = bytes.len() - 8;
         let sum = super::checksum(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// A reader that hands out at most `step` bytes per `read`, as a file
+    /// may.
+    struct Trickle<'b> {
+        bytes: &'b [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = out.len().min(self.step).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    impossible_det::det_prop! {
+        /// The streaming checksum is the format's: `FpHasher::write_bytes`
+        /// over the body, at every length around the read chunk (chunk − 9
+        /// … chunk + 9) and whatever the reads return at a time. Kills a
+        /// `checksum_of` that absorbs each read as it comes, zero-padding
+        /// every short read rather than the last word only, and a
+        /// `READ_CHUNK` that is not a multiple of 8.
+        fn the_streaming_checksum_is_write_bytes_over_the_body(
+            cases = 48,
+            extra in 0usize..19,
+            step in 1usize..100,
+            fill in 0u64..u64::MAX
+        ) {
+            let len = READ_CHUNK - 9 + extra;
+            let mut s = fill;
+            let bytes: Vec<u8> =
+                (0..len).map(|_| impossible_det::rng::splitmix64(&mut s) as u8).collect();
+            let mut reference = FpHasher::new(CHECKSUM_SEED);
+            reference.write_bytes(&bytes);
+            impossible_det::det_assert_eq!(checksum(&bytes), reference.finish());
+            let trickled = checksum_of(len as u64, Trickle { bytes: &bytes, step });
+            impossible_det::det_assert_eq!(trickled.ok(), Some(reference.finish()));
+            // A body shorter than its stated length is an error, not a sum.
+            impossible_det::det_assert!(checksum_of(len as u64 + 1, &bytes[..]).is_err());
+        }
     }
 
     #[test]

@@ -153,16 +153,17 @@ impl Persist for bool {
 
 /// Append `bytes` as one length-prefixed blob: a `u64` length, then the
 /// bytes in one copy. Byte-identical to `Vec<u8>`'s [`Persist`] encoding,
-/// which pushes them one at a time — this pair is how a page or a string
-/// travels inside a larger encoding.
-pub fn write_blob(out: &mut Vec<u8>, bytes: &[u8]) {
+/// which pushes them one at a time: how a string travels inside a larger
+/// encoding, and how a snapshot lays out each page.
+fn write_blob(out: &mut Vec<u8>, bytes: &[u8]) {
     bytes.len().write(out);
     out.extend_from_slice(bytes);
 }
 
-/// Borrow the blob [`write_blob`] wrote, advancing `*pos` past it. Nothing
-/// is allocated, and [`take`] bounds the length by the bytes that remain,
-/// so a hostile prefix is `Malformed(what)` before it can size anything.
+/// Borrow a length-prefixed blob (as `write_blob` writes it), advancing
+/// `*pos` past it. Nothing is allocated, and [`take`] bounds the length by
+/// the bytes that remain, so a hostile prefix is `Malformed(what)` before
+/// it can size anything.
 pub fn read_blob<'b>(
     buf: &'b [u8],
     pos: &mut usize,

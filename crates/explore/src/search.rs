@@ -27,7 +27,9 @@
 //! fingerprint-keyed parent map back to an initial state and replaying the
 //! actions through [`System::step`]. Only the routes that can be asked for
 //! a parent store one (a witness, a snapshot page, a run page):
-//! [`Search::explore`]'s table keeps keys only (`Backlink`).
+//! [`Search::explore`]'s table keeps keys only (`Backlink`), and so do
+//! [`Search::run_resumable`] and [`Search::resume`] under a budget that can
+//! never trip.
 //!
 //! Both level bodies expand a frontier partition through one function,
 //! `Search::expand_partition` (stage the children in j-major order,
@@ -124,13 +126,14 @@ pub enum Parent<A> {
 /// shard at a time, as they page.
 ///
 /// [`Search::search`] needs it for the witness, [`Search::run_resumable`]
-/// and [`Search::resume`] for the snapshot's visited pages, and the spill
-/// routes for their run pages. [`Search::explore`] can be asked for none
-/// of these and stores `()` instead ([`Backlink`]).
+/// and [`Search::resume`] under a budget that can trip for the snapshot's
+/// visited pages, and the spill routes for their run pages.
+/// [`Search::explore`], and those two under [`PauseBudget::never`], can be
+/// asked for none of these and store `()` instead ([`Backlink`]).
 ///
-/// Converting a `Parent` applies the same fold, so `Child { parent: 0 }`
-/// comes back as `parent: 1`: `table::key_of`'s fold, the key any lookup of
-/// fingerprint 0 probes.
+/// Restoring a `Parent` ([`Backlink::restored`]) applies the same fold, so
+/// `Child { parent: 0 }` comes back as `parent: 1`: `table::key_of`'s fold,
+/// the key any lookup of fingerprint 0 probes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Link<A> {
     Root(usize),
@@ -150,6 +153,14 @@ pub(crate) trait Backlink<A>: Sized {
     /// The parent this value records, for witness replay: `None` when it
     /// records none.
     fn parent(&self) -> Option<Parent<A>>;
+    /// The value a checkpoint's `Parent` restores to: the same link, or,
+    /// for a key-only table, nothing (the `Parent` is dropped).
+    fn restored(p: Parent<A>) -> Self {
+        match p {
+            Parent::Root(i) => Self::root(i),
+            Parent::Child { parent, action } => Self::child(parent, action),
+        }
+    }
 }
 
 impl<A: Clone> Backlink<A> for Link<A> {
@@ -178,15 +189,6 @@ impl<A> Backlink<A> for () {
 
     fn parent(&self) -> Option<Parent<A>> {
         None
-    }
-}
-
-impl<A: Clone> From<Parent<A>> for Link<A> {
-    fn from(p: Parent<A>) -> Self {
-        match p {
-            Parent::Root(i) => Link::Root(i),
-            Parent::Child { parent, action } => Link::child(parent, action),
-        }
     }
 }
 
@@ -235,6 +237,13 @@ impl PauseBudget {
             states: usize::MAX,
             levels: usize::MAX,
         }
+    }
+
+    /// Can this budget ever suspend a run? Only [`PauseBudget::never`]
+    /// cannot, and a run under it can be asked for no snapshot page, so
+    /// it keeps keys only.
+    fn can_trip(&self) -> bool {
+        *self != PauseBudget::never()
     }
 }
 
@@ -544,7 +553,9 @@ pub(crate) fn with_tracer<R>(
 /// resumed (`resume`) and external-memory (`crate::extmem`) entry points
 /// share the *same* setup, loop and finish — any budget/truncation fix
 /// lands on all of them at once. `V` is the visited table's value: `()`
-/// for [`Search::explore`], [`Link`] everywhere else.
+/// where no parent can be asked for ([`Search::explore`], and the two
+/// resumable routes under [`PauseBudget::never`]), [`Link`] everywhere
+/// else.
 pub(crate) struct BfsRun<Sys: System, V = Link<<Sys as System>::Action>> {
     pub(crate) stats: SearchStats,
     pub(crate) visited: ShardedFpMap<V>,
@@ -703,12 +714,21 @@ where
     /// (no predicate: a paused run has no `found` state by construction).
     /// Traced (scope `"search"`) like [`Search::explore`]; a pause emits
     /// one final `pause` event.
+    ///
+    /// A budget that can trip keeps a parent link per visited state, for
+    /// the snapshot's visited pages. Under [`PauseBudget::never`] nothing
+    /// can ask for one, so the run is [`Search::explore`], keys only.
     pub fn run_resumable(
         &self,
         budget: PauseBudget,
     ) -> Resumable<Sys::State, Sys::Action> {
         with_tracer(&self.tracer, &mut NoopTracer, |tracer| {
-            let run = self.bfs_init(None::<&fn(&Sys::State) -> bool>, tracer);
+            if !budget.can_trip() {
+                let pred = None::<fn(&Sys::State) -> bool>;
+                return Resumable::Done(self.run_on::<(), _, _>(Resident, pred, tracer));
+            }
+            let pred = None::<&fn(&Sys::State) -> bool>;
+            let run = self.bfs_init::<Link<Sys::Action>, _>(pred, tracer);
             self.run_to_budget(run, &budget, tracer)
         })
     }
@@ -719,34 +739,31 @@ where
     /// detected here, model drift by `impossible-ckpt`'s fingerprint check.
     /// Traced (scope `"search"`): a fresh `start` event, one `resume` event
     /// with the restored position, then the usual level events.
+    ///
+    /// As in [`Search::run_resumable`], a budget that can trip restores the
+    /// checkpoint's parents as links, to page them out again at the next
+    /// pause; under [`PauseBudget::never`] each page's parents are dropped
+    /// as it is placed, and the run finishes on a key-only table.
     pub fn resume(
         &self,
         ckpt: SearchCheckpoint<Sys::State, Sys::Action>,
         budget: PauseBudget,
     ) -> Resumable<Sys::State, Sys::Action> {
         with_tracer(&self.tracer, &mut NoopTracer, |tracer| {
-            trace_event!(tracer, "search", "start",
-                "strategy": "bfs",
-                "partitions": DEFAULT_PARTITIONS,
-                "seed": self.seed,
-                "max_states": self.max_states,
-                "max_depth": self.max_depth,
-                "canon": self.canon.is_some(),
-            );
-            let run = self.restore(ckpt);
-            trace_event!(tracer, "search", "resume",
-                "level": run.depth,
-                "states": run.visited.len(),
-                "frontier": run.parts.iter().map(Vec::len).sum::<usize>(),
-                "transitions": run.transitions,
-            );
+            if !budget.can_trip() {
+                let run = self.restore::<()>(ckpt, tracer);
+                let pred = None::<&fn(&Sys::State) -> bool>;
+                return Resumable::Done(self.run_to_end(run, Resident, pred, tracer));
+            }
+            let run = self.restore::<Link<Sys::Action>>(ckpt, tracer);
             self.run_to_budget(run, &budget, tracer)
         })
     }
 
-    /// Drive a resident, predicate-free run until it finishes or `budget`
-    /// trips — the shared tail of [`Search::run_resumable`] and
-    /// [`Search::resume`].
+    /// Drive a resident, predicate-free, link-keeping run until it
+    /// finishes or `budget` trips — the shared tail of
+    /// [`Search::run_resumable`] and [`Search::resume`] under a budget that
+    /// can trip.
     fn run_to_budget(
         &self,
         mut run: BfsRun<Sys>,
@@ -767,7 +784,7 @@ where
     /// No trace event carries the requested worker count.
     pub(crate) fn run_on<V, F, B>(
         &self,
-        mut backend: B,
+        backend: B,
         pred: Option<F>,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action>
@@ -776,11 +793,42 @@ where
         F: Fn(&Sys::State) -> bool,
         B: VisitedBackend<Sys, V>,
     {
-        let (pred, never) = (pred.as_ref(), PauseBudget::never());
-        let mut run = self.bfs_init(pred, tracer);
-        let paused = self.bfs_levels(&mut run, &mut backend, pred, &never, tracer);
+        let pred = pred.as_ref();
+        let run = self.bfs_init(pred, tracer);
+        self.run_to_end(run, backend, pred, tracer)
+    }
+
+    /// The level loop with no pause budget, then finish: the tail of a
+    /// fresh run ([`Search::run_on`]) and of a resumed one that can never
+    /// pause again.
+    fn run_to_end<V, F, B>(
+        &self,
+        mut run: BfsRun<Sys, V>,
+        mut backend: B,
+        pred: Option<&F>,
+        tracer: &mut dyn Tracer,
+    ) -> SearchReport<Sys::State, Sys::Action>
+    where
+        V: Backlink<Sys::Action>,
+        F: Fn(&Sys::State) -> bool,
+        B: VisitedBackend<Sys, V>,
+    {
+        let paused = self.bfs_levels(&mut run, &mut backend, pred, &PauseBudget::never(), tracer);
         debug_assert!(!paused, "PauseBudget::never cannot pause");
         self.bfs_finish(run, &backend, tracer)
+    }
+
+    /// The `start` event a run opens with, fresh ([`Search::bfs_init`]) or
+    /// resumed ([`Search::restore`]).
+    fn trace_start(&self, tracer: &mut dyn Tracer) {
+        trace_event!(tracer, "search", "start",
+            "strategy": "bfs",
+            "partitions": DEFAULT_PARTITIONS,
+            "seed": self.seed,
+            "max_states": self.max_states,
+            "max_depth": self.max_depth,
+            "canon": self.canon.is_some(),
+        );
     }
 
     /// BFS init: seed the visited set and the partitioned root frontier.
@@ -798,14 +846,7 @@ where
         let mut batch = BatchScratch::new(self.seed);
         let mut roots: Vec<(u64, Sys::State)> = Vec::new();
 
-        trace_event!(tracer, "search", "start",
-            "strategy": "bfs",
-            "partitions": DEFAULT_PARTITIONS,
-            "seed": self.seed,
-            "max_states": self.max_states,
-            "max_depth": self.max_depth,
-            "canon": self.canon.is_some(),
-        );
+        self.trace_start(tracer);
 
         for (i, s0) in self.sys.initial_states().into_iter().enumerate() {
             if visited.len() >= self.max_states {
@@ -1075,19 +1116,27 @@ where
         }
     }
 
-    /// Rebuild in-flight state from a checkpoint: shard `k` is
+    /// Rebuild in-flight state from a checkpoint, emitting the `start` and
+    /// `resume` events: shard `k` is
     /// [`crate::table::FpMap::from_ascending`] of page `k`, each
-    /// [`Parent`] turned into its [`Link`] as it is placed — the table
-    /// inserting its keys one by one would have grown, so `peak_bytes`
-    /// continues as if the run had never paused. `workers` in the restored
-    /// stats is the *resuming* builder's count, matching what an
-    /// uninterrupted run under that builder would record.
+    /// [`Parent`] turned into the table's value `V` as it is placed
+    /// ([`Backlink::restored`]: its [`Link`], or nothing for a key-only
+    /// table), and each page freed once placed — the table inserting its
+    /// keys one by one would have grown, so `peak_bytes` continues as if
+    /// the run had never paused. `workers` in the restored stats is the
+    /// *resuming* builder's count, matching what an uninterrupted run under
+    /// that builder would record.
     ///
     /// A checkpoint from this process meets the asserts below by
     /// construction; one decoded from a file was checked against them (and
     /// for keys in the wrong page) by `impossible-ckpt`'s
     /// `Snapshot::from_bytes`.
-    fn restore(&self, ckpt: SearchCheckpoint<Sys::State, Sys::Action>) -> BfsRun<Sys> {
+    fn restore<V: Backlink<Sys::Action>>(
+        &self,
+        ckpt: SearchCheckpoint<Sys::State, Sys::Action>,
+        tracer: &mut dyn Tracer,
+    ) -> BfsRun<Sys, V> {
+        self.trace_start(tracer);
         assert_eq!(ckpt.seed, self.seed, "checkpoint seed mismatch");
         assert_eq!(
             ckpt.partitions, DEFAULT_PARTITIONS,
@@ -1112,13 +1161,13 @@ where
         stats.cap_fallbacks = ckpt.cap_fallbacks;
         stats.peak_bytes = ckpt.peak_bytes;
 
-        let mut visited: ShardedFpMap<Link<Sys::Action>> = ShardedFpMap::new(DEFAULT_PARTITIONS);
+        let mut visited: ShardedFpMap<V> = ShardedFpMap::new(DEFAULT_PARTITIONS);
         for (shard, page) in visited.shards_mut().iter_mut().zip(ckpt.visited) {
-            *shard = FpMap::from_ascending(page.into_iter().map(|(k, p)| (k, Link::from(p))));
+            *shard = FpMap::from_ascending(page.into_iter().map(|(k, p)| (k, V::restored(p))));
         }
         visited.refresh_len();
 
-        BfsRun {
+        let run = BfsRun {
             stats,
             visited,
             terminal: ckpt.terminal,
@@ -1128,7 +1177,14 @@ where
             parts: ckpt.frontier,
             depth: ckpt.depth,
             batch: BatchScratch::new(self.seed),
-        }
+        };
+        trace_event!(tracer, "search", "resume",
+            "level": run.depth,
+            "states": run.visited.len(),
+            "frontier": run.parts.iter().map(Vec::len).sum::<usize>(),
+            "transitions": run.transitions,
+        );
+        run
     }
 
     /// One BFS level, single-threaded, everything resident — [`Resident`]'s
@@ -1629,7 +1685,7 @@ mod tests {
         // Kills a conversion that swaps or drops a variant, loses the
         // action, or stores anything but the parent itself (an off-by-one
         // `parent + 1` key, say): every round trip must be exact.
-        let round = |p: Parent<u32>| Parent::from(Link::from(p));
+        let round = |p: Parent<u32>| Parent::from(Link::restored(p));
         for i in [0, 1, 7, usize::MAX] {
             assert_eq!(round(Parent::Root(i)), Parent::Root(i));
         }

@@ -48,8 +48,9 @@ pub struct SearchStats {
     ///
     /// The table is priced as the link-carrying one a pausable run keeps
     /// (12 bytes a slot plus a parent link per entry) on every route, so
-    /// [`crate::Search::explore`], whose table keeps keys only, reports the
-    /// same figure as the paused-and-resumed run: for it, an upper bound
+    /// [`crate::Search::explore`] and a resume that can never pause again,
+    /// whose tables keep keys only, report the same figure as a run that
+    /// keeps links: for them, an upper bound
     /// (`docs/EXPLORE.md`, "The visited table").
     pub peak_bytes: usize,
     /// Always 0 on every search: no route runs a worker pool to steal

@@ -21,9 +21,10 @@
 //! that the bitmask valence classification is the one a `BTreeSet`
 //! fixpoint gives, that the rotation hook gives the same bytes on every
 //! search route whether it is installed in place or owned, and that
-//! `Search::explore`, which keeps keys only, reports what the routes that
-//! keep parent links report (on the tables, and on grids large enough that
-//! the visited table grows).
+//! `Search::explore` and a run or resume that can never pause, which keep
+//! keys only, report what the routes that keep parent links report, trace
+//! events included for a resume (on the tables, and on grids large enough
+//! that the visited table grows).
 
 use impossible_ckpt::{reexplore_incremental, ActionEdit};
 use impossible_core::ids::ProcessId;
@@ -35,9 +36,9 @@ use impossible_det::{det_assert, det_assert_eq, det_prop, prop};
 use impossible_explore::property::{always, eventually, leads_to, never};
 use impossible_explore::{
     impl_encode_struct, impl_persist_struct, Checker, Encode, Grid, PauseBudget, ReachableGraph,
-    Resumable, Search, SearchReport, SpillPolicy, Truncation,
+    Resumable, Search, SearchCheckpoint, SearchReport, SpillPolicy, Truncation,
 };
-use impossible_obs::NoopTracer;
+use impossible_obs::{Event, NoopTracer, RingTracer};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A state of a generated system: a row of the transition table. It carries
@@ -215,17 +216,46 @@ fn canon_routes(
     ]
 }
 
+/// A search's bounds and optional in-place canon hook: what a helper needs
+/// to build the same `Search` more than once (a tracer is set on a fresh
+/// builder).
+struct Bounds<S> {
+    max_states: usize,
+    max_depth: usize,
+    canon: Option<fn(&mut S) -> bool>,
+}
+
+// By hand: a derive would ask `S: Copy` of the state.
+impl<S> Clone for Bounds<S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for Bounds<S> {}
+
+impl<S> Bounds<S> {
+    fn build<Sys: System<State = S>>(self, sys: &Sys) -> Search<'_, Sys> {
+        let search = Search::new(sys).max_states(self.max_states).max_depth(self.max_depth);
+        match self.canon {
+            Some(c) => search.canon_in_place(c),
+            None => search,
+        }
+    }
+}
+
 /// A predicate-free run's report on every resident route, as text:
-/// `explore()`, which keeps keys only, and the three that keep parent
-/// links — `search` with a predicate that never holds, `run_resumable`
-/// that never pauses, and a run paused at every level boundary, each pause
-/// resumed from its checkpoint. `peak_bytes` prices the link-carrying table
-/// on all four, so the four texts must be equal, that field included.
-fn keyed_and_linked_routes<Sys>(search: &Search<'_, Sys>) -> [String; 4]
+/// `explore()` and `run_resumable(never())`, which keep keys only; `search`
+/// with a predicate that never holds, which keeps parent links; and a run
+/// paused at every level boundary, each pause resumed from its checkpoint
+/// (links until the last resume). `peak_bytes` prices the link-carrying
+/// table on all four, so the four texts must be equal, that field included.
+fn keyed_and_linked_routes<Sys>(sys: &Sys, bounds: Bounds<Sys::State>) -> [String; 4]
 where
     Sys: System,
     Sys::State: Encode,
 {
+    let search = bounds.build(sys);
     let done = |r: Resumable<Sys::State, Sys::Action>| -> SearchReport<Sys::State, Sys::Action> {
         r.done().expect("a run with no pause budget left finishes")
     };
@@ -236,10 +266,44 @@ where
     }
     [
         format!("{:?}", search.explore()),
-        format!("{:?}", search.search(|_| false)),
         format!("{:?}", done(search.run_resumable(PauseBudget::never()))),
+        format!("{:?}", search.search(|_| false)),
         format!("{:?}", done(stepped)),
     ]
+}
+
+/// A resumed run's report as text, and its trace events.
+type Traced = (String, Vec<Event>);
+
+/// The run paused at every level boundary, each checkpoint resumed to the
+/// end on both routes: `resume(ckpt, never())`, which drops the parents
+/// and finishes on a key-only table, and `resume(ckpt, levels(usize::MAX
+/// - 1))`, a budget that could trip and so keeps links. Returns, per pause,
+/// both reports as text and both routes' trace events, which must be
+/// equal pairwise (`peak_bytes` included).
+fn resumed_both_ways<Sys>(sys: &Sys, bounds: Bounds<Sys::State>) -> Vec<[Traced; 2]>
+where
+    Sys: System,
+    Sys::State: Encode,
+{
+    let traced = |ckpt: SearchCheckpoint<Sys::State, Sys::Action>, budget| {
+        let mut ring = RingTracer::new(1 << 12);
+        let report = bounds.build(sys).tracer(&mut ring).resume(ckpt, budget);
+        assert_eq!(ring.dropped(), 0, "the ring holds the whole resumed trace");
+        (format!("{report:?}"), ring.events().to_vec())
+    };
+    let search = bounds.build(sys);
+    let mut pairs = Vec::new();
+    let mut stepped = search.run_resumable(PauseBudget::levels(0));
+    while let Resumable::Paused(ckpt) = stepped {
+        pairs.push([
+            traced(ckpt.clone(), PauseBudget::never()),
+            traced(ckpt.clone(), PauseBudget::levels(usize::MAX - 1)),
+        ]);
+        let next = PauseBudget::levels(ckpt.depth + 1);
+        stepped = search.resume(ckpt, next);
+    }
+    pairs
 }
 
 /// [`orbit_minimum_in_place`] for a grid: the counters are interchangeable,
@@ -584,11 +648,17 @@ det_prop! {
         }
     }
 
-    /// `explore()` keeps keys only and reports what the routes that keep
-    /// parent links report ([`keyed_and_linked_routes`]), byte for byte,
-    /// `peak_bytes` included: under duplicate initials, self-loops, the
-    /// rotation canon hook, and caps and depth bounds that cut. Pricing
-    /// `explore()`'s `peak_bytes` from its own key-only table fails here.
+    /// `explore()` and `run_resumable(never())` keep keys only and report
+    /// what the routes that keep parent links report
+    /// ([`keyed_and_linked_routes`]), byte for byte, `peak_bytes` included:
+    /// under duplicate initials, self-loops, the rotation canon hook, and
+    /// caps and depth bounds that cut. Pricing `explore()`'s `peak_bytes`
+    /// from its own key-only table fails here. So does, through
+    /// [`resumed_both_ways`] (a run paused at every level, each checkpoint
+    /// resumed key-only and with links, reports and trace events compared),
+    /// a key-only restore that drops each page's keys with its parents:
+    /// the resumed run counts only the states found after the pause, and
+    /// a back edge re-finds one found before it.
     fn explore_reports_what_the_link_keeping_routes_report(
         cases = 512,
         raw in prop::vec(prop::vec(0u8..24, 0..4), 1..9),
@@ -599,15 +669,16 @@ det_prop! {
         quotient in 0u8..2
     ) {
         let sys = Table::new(&raw, copies, &inits);
+        let canon = (quotient == 1).then_some(orbit_minimum_in_place as fn(&mut Node) -> bool);
         for max_states in [usize::MAX, cap] {
             for max_depth in [usize::MAX, max_depth] {
-                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
-                if quotient == 1 {
-                    search = search.canon_in_place(orbit_minimum_in_place);
-                }
-                let [explored, linked @ ..] = keyed_and_linked_routes(&search);
-                for other in linked {
+                let bounds = Bounds { max_states, max_depth, canon };
+                let [explored, others @ ..] = keyed_and_linked_routes(&sys, bounds);
+                for other in others {
                     det_assert_eq!(&explored, &other);
+                }
+                for [keyed, linked] in resumed_both_ways(&sys, bounds) {
+                    det_assert_eq!(keyed, linked);
                 }
             }
         }
@@ -617,8 +688,10 @@ det_prop! {
     /// put a few keys in each of the visited set's 64 shards; here an
     /// unsorted grid puts about 40, past the 32 at which a shard's table
     /// doubles, so a key-only table that loses keys as it grows reports
-    /// fewer states than the link-keeping ones. Sorting the counters (a
-    /// canon hook), caps and depth bounds cut the space as above.
+    /// fewer states than the link-keeping ones, and a key-only table
+    /// restored from a checkpoint grows past its pages. Sorting the
+    /// counters (a canon hook), caps and depth bounds cut the space as
+    /// above.
     fn explore_agrees_with_the_link_keeping_routes_past_a_table_doubling(
         cases = 16,
         n in 2usize..=3,
@@ -629,17 +702,22 @@ det_prop! {
     ) {
         let max = if n == 2 { 50 + 6 * size } else { 13 + size };
         let sys = Grid { n, max };
+        let canon = (sorted == 1).then_some(sort_in_place as fn(&mut Vec<u8>) -> bool);
         for max_states in [usize::MAX, cap] {
             for max_depth in [usize::MAX, max_depth] {
-                let mut search = Search::new(&sys).max_states(max_states).max_depth(max_depth);
-                if sorted == 1 {
-                    search = search.canon_in_place(sort_in_place);
-                }
-                let [explored, linked @ ..] = keyed_and_linked_routes(&search);
-                for other in linked {
+                let bounds = Bounds { max_states, max_depth, canon };
+                let [explored, others @ ..] = keyed_and_linked_routes(&sys, bounds);
+                for other in others {
                     det_assert_eq!(&explored, &other);
                 }
             }
+        }
+        // Pausing at every level costs a full resume per level and route,
+        // so only the cut bounds: a cap past the space and a depth past the
+        // last level still come up among the cases.
+        let bounds = Bounds { max_states: cap, max_depth, canon };
+        for [keyed, linked] in resumed_both_ways(&sys, bounds) {
+            det_assert_eq!(keyed, linked);
         }
     }
 

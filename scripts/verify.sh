@@ -57,7 +57,7 @@ cargo test -q --offline --workspace
 # The test-count floor: a change cannot lose tests unnoticed. Raise it
 # when tests are added; lower it only with the removed tests named in
 # CHANGES.md.
-test_floor=728
+test_floor=731
 test_count="$(cargo test -q --offline --workspace -- --list 2>/dev/null | grep -c ': test$')"
 echo "tests listed: $test_count (floor $test_floor)"
 if [ "$test_count" -lt "$test_floor" ]; then
@@ -100,6 +100,16 @@ fi
 # Pause in one process, resume in a fresh one; the report must be
 # byte-identical to the uninterrupted run.
 ./target/release/check snapshot "$check_tmp/probe.ckpt" > /dev/null
+# The probe file's bytes are pinned: `Snapshot::save` streams the file a
+# page at a time and checksums it by reading it back, and must still
+# write exactly `to_bytes()`, the format's bytes.
+check_probe_sha256=58ef54887bc7423a3e4c30ad30f97569a3ec52ddac76fa9e9a45450fae5ed871
+check_probe_got="$(sha256sum < "$check_tmp/probe.ckpt" | cut -d' ' -f1)"
+if [ "$check_probe_got" != "$check_probe_sha256" ]; then
+    echo "error: check snapshot probe file moved: sha256 $check_probe_got, pinned $check_probe_sha256" >&2
+    echo "  if the new snapshot bytes are intended, bump FORMAT_VERSION and update check_probe_sha256" >&2
+    exit 1
+fi
 ./target/release/check resume "$check_tmp/probe.ckpt" > "$check_tmp/resumed.txt"
 ./target/release/check straight > "$check_tmp/straight.txt"
 if ! cmp -s "$check_tmp/resumed.txt" "$check_tmp/straight.txt"; then
@@ -155,7 +165,14 @@ if grep -q 1de2a0bdc626e762 "$check_tmp/cut_cache.txt"; then
     echo "error: the cut verdict was cached" >&2
     exit 1
 fi
-echo "check smoke: OK (cold JSON sha256 pinned; cache hit on rerun; resumed == straight bytes, straight sha256 pinned; grid max 256 refused; cut holds inconclusive and uncached)"
+# Every save above (the verdict caches, the snapshot) renames its temp file
+# into place; none may be left behind.
+leftover_tmp="$(find "$check_tmp" -name '*.tmp')"
+if [ -n "$leftover_tmp" ]; then
+    echo "error: a save left its temp file behind: $leftover_tmp" >&2
+    exit 1
+fi
+echo "check smoke: OK (cold JSON sha256 pinned; cache hit on rerun; probe snapshot sha256 pinned; resumed == straight bytes, straight sha256 pinned; grid max 256 refused; cut holds inconclusive and uncached; no temp file left)"
 
 echo "== trace smoke (every dump target deterministic and pinned; unknown target refused) =="
 # Each target's stdout sha256 is pinned, as experiments_sha256 is below: a
